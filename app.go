@@ -93,9 +93,7 @@ type config struct {
 	appServer     []string
 	latency       time.Duration
 	remotePages   bool
-	wire          string
 	ejbConns      int
-	noUnitBatch   bool
 	skipDDL       bool
 	withPageCache bool
 	pageCache     int
@@ -214,13 +212,8 @@ func WithRemotePages() Option {
 	return func(c *config) { c.remotePages = true }
 }
 
-// WithWireProtocol selects the EJB wire protocol: ejb.WireAuto (default
-// — negotiate wire v2, fall back to gob against old containers),
-// ejb.WireFramed (require v2) or ejb.WireGob (force the legacy
-// exchange). Only meaningful with WithAppServer.
-func WithWireProtocol(mode string) Option {
-	return func(c *config) { c.wire = mode }
-}
+// Deprecated: WithWireProtocol selects nothing — wire v2 is the only protocol.
+func WithWireProtocol(string) Option { return func(*config) {} }
 
 // WithEJBConns bounds the persistent multiplexed wire-v2 connections per
 // container endpoint (<=0 selects 3). Only meaningful with
@@ -229,16 +222,9 @@ func WithEJBConns(n int) Option {
 	return func(c *config) { c.ejbConns = n }
 }
 
-// WithoutUnitBatch disables level-batched unit invocation while keeping
-// the framed transport — the scheduler falls back to one multiplexed
-// call per unit (the middle variant of the E10 comparison).
-func WithoutUnitBatch() Option {
-	return func(c *config) { c.noUnitBatch = true }
-}
-
 // WithRequestTimeout gives every request a deadline budget: the
 // controller derives a context that expires after d, and every tier
-// below — page workers, bean cache, gob client and container — observes
+// below — page workers, bean cache, remote stub and container — observes
 // it. Requests past their budget answer 504 (or a degraded stale bean
 // when WithDegradedServing is also set).
 func WithRequestTimeout(d time.Duration) Option {
@@ -355,9 +341,7 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 			return nil, err
 		}
 		remote.Latency = cfg.latency
-		remote.Wire = cfg.wire
 		remote.ConnsPerEndpoint = cfg.ejbConns
-		remote.DisableBatch = cfg.noUnitBatch
 		app.Remote = remote
 		app.Business = remote
 		spawn := func() (*ejb.Clone, error) {
@@ -387,9 +371,7 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 			return nil, err
 		}
 		remote.Latency = cfg.latency
-		remote.Wire = cfg.wire
 		remote.ConnsPerEndpoint = cfg.ejbConns
-		remote.DisableBatch = cfg.noUnitBatch
 		app.Remote = remote
 		app.Business = remote
 	default:

@@ -229,7 +229,7 @@ func e4() {
 
 	fmt.Println("Unit-service invocation cost (Figure 6 trade-off):")
 	fmt.Printf("  in servlet container (local call):   %10v\n", inProc)
-	fmt.Printf("  in application server (TCP + gob):   %10v  (x%.1f)\n", rem, float64(rem)/float64(inProc))
+	fmt.Printf("  in application server (TCP + wire v2): %8v  (x%.1f)\n", rem, float64(rem)/float64(inProc))
 	fmt.Println("\nWhat the split buys (Section 4):")
 	fmt.Println("  - non-Web applications invoke the same deployed components")
 	fmt.Printf("  - capacity rescales at runtime: %+v", ctr.Metrics())
@@ -695,13 +695,16 @@ func e10Model() *webml.Model {
 	return b.MustBuild()
 }
 
-// e10 measures what the wire-v2 work buys on a remote level fan-out:
-// the same page, the same two containers, three client configurations —
-// the legacy one-exchange-per-connection gob protocol, the framed
-// multiplexed protocol with per-unit calls, and framed plus level
-// batching (all eight units of the level in one frame). Sixteen
+// perUnit hides the business tier's BatchComputer side, so the page
+// scheduler issues one remote call per unit — E10's baseline arm.
+type perUnit struct{ mvc.Business }
+
+// e10 measures what level batching buys on a remote level fan-out: the
+// same page, the same two containers, two client configurations — the
+// framed multiplexed protocol with per-unit calls, and framed plus
+// level batching (all eight units of the level in one frame). Sixteen
 // concurrent clients hammer the page per mode; throughput and p95 are
-// reported against the gob baseline, after verifying all three modes
+// reported against the per-unit baseline, after verifying both modes
 // render byte-identical pages.
 func e10() {
 	model := e10Model()
@@ -718,12 +721,8 @@ func e10() {
 		addrs[i] = addr
 	}
 
-	mkApp := func(opts ...webmlgo.Option) *webmlgo.App {
-		opts = append([]webmlgo.Option{
-			webmlgo.WithAppServer(addrs...),
-			webmlgo.WithPageWorkers(16),
-		}, opts...)
-		app, err := webmlgo.New(model, opts...)
+	mkApp := func() *webmlgo.App {
+		app, err := webmlgo.New(model, webmlgo.WithAppServer(addrs...), webmlgo.WithPageWorkers(16))
 		must(err)
 		return app
 	}
@@ -731,10 +730,10 @@ func e10() {
 		name string
 		app  *webmlgo.App
 	}{
-		{"legacy gob (one exchange per conn)", mkApp(webmlgo.WithWireProtocol(ejb.WireGob))},
-		{"framed, per-unit calls", mkApp(webmlgo.WithWireProtocol(ejb.WireFramed), webmlgo.WithoutUnitBatch())},
-		{"framed + level batch", mkApp(webmlgo.WithWireProtocol(ejb.WireFramed))},
+		{"framed, per-unit calls", mkApp()},
+		{"framed + level batch", mkApp()},
 	}
+	modes[0].app.Controller.Pages.(*mvc.PageService).Business = perUnit{modes[0].app.Business}
 	defer func() {
 		for _, m := range modes {
 			m.app.Remote.Close()
@@ -752,7 +751,7 @@ func e10() {
 		}
 		bodies[i] = body
 	}
-	identical := bodies[0] == bodies[1] && bodies[1] == bodies[2]
+	identical := bodies[0] == bodies[1]
 	fmt.Printf("pages byte-identical across wire modes: %v (%d bytes, 8-unit level)\n\n", identical, len(bodies[0]))
 
 	// Load phase: K clients, N requests per mode, shared work counter.
@@ -814,9 +813,9 @@ func e10() {
 			m.name, r.rps, r.p50, r.p95, r.rps/base.rps, float64(r.p95)/float64(base.p95))
 	}
 	best := results[len(results)-1]
-	fmt.Printf("\n  E10 RESULT: framed+batch vs gob: x%.2f throughput, x%.2f p95, byte-identical: %v\n",
+	fmt.Printf("\n  E10 RESULT: framed+batch vs framed per-unit: x%.2f throughput, x%.2f p95, byte-identical: %v\n",
 		best.rps/base.rps, float64(best.p95)/float64(base.p95), identical)
-	sent, recv, _ := modes[2].app.Remote.FrameStats()
+	sent, recv, _ := modes[1].app.Remote.FrameStats()
 	fmt.Printf("  frames on the batch client: %d sent / %d received (batch replies stream per item)\n", sent, recv)
 }
 

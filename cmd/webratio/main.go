@@ -153,9 +153,7 @@ func usage() {
            [-analyze] [-slow-query d]    slow-query flight recorder at /debug/queries
            [-debug]                      net/http/pprof at /debug/pprof/
            [-app-server a1,a2]           remote business tier (container addresses)
-           [-wire auto|framed|gob]       EJB wire protocol (needs -app-server)
            [-ejb-conns n]                wire-v2 connections per endpoint
-           [-no-unit-batch]              disable level-batched unit invocation
            [-max-concurrency n]          admission control: concurrent-action cap (sheds 503)
            [-admit-queue n]              admission queue depth (default 4x cap)
            [-autoscale]                  self-hosted elastic container fleet
@@ -334,9 +332,7 @@ func cmdServe(args []string) {
 	slowQuery := fs.Duration("slow-query", 25*time.Millisecond, "flight-recorder capture threshold (0 = capture every query; needs -analyze)")
 	debug := fs.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	appServer := fs.String("app-server", "", "comma-separated container addresses (empty = in-process business tier)")
-	wire := fs.String("wire", "auto", "EJB wire protocol: auto (negotiate v2, fall back to gob), framed (require v2), gob (legacy)")
 	ejbConns := fs.Int("ejb-conns", 0, "multiplexed wire-v2 connections per container endpoint (<=0 = 3; needs -app-server)")
-	noBatch := fs.Bool("no-unit-batch", false, "disable level-batched unit invocation on the framed protocol")
 	maxConcurrency := fs.Int("max-concurrency", 0, "admission control: max concurrent actions (0 = unlimited, no admission gate)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth (<=0 = 4x -max-concurrency; needs -max-concurrency)")
 	autoscale := fs.Bool("autoscale", false, "self-hosted elastic container fleet (mutually exclusive with -app-server)")
@@ -378,13 +374,9 @@ func cmdServe(args []string) {
 		log.Fatal("webratio: -autoscale and -app-server are mutually exclusive")
 	}
 	if *appServer != "" {
-		opts = append(opts, webmlgo.WithAppServer(strings.Split(*appServer, ",")...),
-			webmlgo.WithWireProtocol(*wire))
+		opts = append(opts, webmlgo.WithAppServer(strings.Split(*appServer, ",")...))
 		if *ejbConns > 0 {
 			opts = append(opts, webmlgo.WithEJBConns(*ejbConns))
-		}
-		if *noBatch {
-			opts = append(opts, webmlgo.WithoutUnitBatch())
 		}
 	}
 	if *autoscale {
@@ -450,7 +442,7 @@ func cmdServe(args []string) {
 		defer app.Fleet.Stop()
 		log.Printf("webratio: elastic fleet on (%d..%d containers; scale events at /healthz)", *minContainers, *maxContainers)
 	} else if app.Remote != nil {
-		log.Printf("webratio: business tier on %s (wire=%s, batch=%v)", *appServer, *wire, !*noBatch)
+		log.Printf("webratio: business tier on %s (wire v2, level-batched)", *appServer)
 	}
 	if app.Admission != nil {
 		log.Printf("webratio: admission control on (%d slots, queue %d; overflow sheds 503 + Retry-After)",
@@ -514,9 +506,7 @@ func cmdServe(args []string) {
 
 // cmdContainer runs the application-server tier of Figure 6 on its own:
 // a container serving the model's business services to remote web tiers
-// (webratio serve -app-server <addr>). It speaks wire v2 and falls back
-// to the legacy gob exchange per connection, so old and new web tiers
-// can share it during a rollout.
+// (webratio serve -app-server <addr>) over wire v2.
 func cmdContainer(args []string) {
 	fs := flag.NewFlagSet("container", flag.ExitOnError)
 	model := fs.String("model", "acm", "model name")
@@ -547,7 +537,7 @@ func cmdContainer(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("webratio: container serving model %q on %s (capacity %d, wire v2 + gob fallback)", m.Name, bound, *capacity)
+	log.Printf("webratio: container serving model %q on %s (capacity %d, wire v2)", m.Name, bound, *capacity)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()

@@ -2,10 +2,8 @@ package ejb
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,31 +14,12 @@ import (
 	"webmlgo/internal/obs"
 )
 
-// maxPooledPerEndpoint caps idle connections kept per container on the
-// legacy gob path (one exclusively-held connection per in-flight call).
-const maxPooledPerEndpoint = 64
-
-// defaultConnsPerEndpoint is the wire-v2 connection budget: a few
-// persistent multiplexed connections replace the legacy per-call pool.
+// defaultConnsPerEndpoint is the connection budget per container: a few
+// persistent multiplexed connections carry every in-flight frame.
 const defaultConnsPerEndpoint = 3
 
-// legacyHintTTL bounds how long a legacy handshake verdict is trusted.
-// A v2 container that was merely slow to ack (accept backlog, startup
-// GC pause) would otherwise be pinned to the slower gob path until some
-// connection failure retired the generation; past the TTL the next call
-// re-probes wire v2. Variable for tests.
-var legacyHintTTL = time.Minute
-
-// Wire protocol selection for RemoteBusiness.Wire.
-const (
-	// WireAuto negotiates wire v2 and falls back to the legacy gob
-	// exchange against an old container (the default).
-	WireAuto = "auto"
-	// WireFramed requires wire v2: a legacy peer is a call error.
-	WireFramed = "framed"
-	// WireGob forces the legacy gob exchange.
-	WireGob = "gob"
-)
+// Deprecated: WireFramed selects nothing — wire v2 is the only protocol.
+const WireFramed = "framed"
 
 // RemoteBusiness is the client stub: it implements mvc.Business by
 // calling components deployed in one or more remote containers. The
@@ -55,11 +34,11 @@ const (
 // once the request may have reached a container — a write either
 // happened or its error surfaces.
 //
-// Transport: by default the stub negotiates wire protocol v2 (framed,
-// multiplexed binary exchange — many frames in flight on a few
-// persistent connections per endpoint, plus level-batched unit
-// invocation) and transparently falls back to the legacy one-call-at-a-
-// time gob exchange against containers that predate it.
+// Transport: wire protocol v2 (framed, multiplexed binary exchange —
+// many frames in flight on a few persistent connections per endpoint,
+// plus level-batched unit invocation). A peer that does not complete
+// the v2 handshake is a transport error like any other: it counts
+// against the endpoint's breaker and the call fails over.
 type RemoteBusiness struct {
 	// Latency, when positive, injects an artificial network delay per
 	// call — a stand-in for a real machine boundary when benchmarking on
@@ -69,17 +48,11 @@ type RemoteBusiness struct {
 	// carries no deadline (0 = uncapped). When both are set, the earlier
 	// one wins.
 	CallTimeout time.Duration
-	// Wire selects the wire protocol: WireAuto (default), WireFramed, or
-	// WireGob. Set before the first call.
+	// Deprecated: Wire selects nothing — wire v2 is the only protocol.
 	Wire string
 	// ConnsPerEndpoint bounds the persistent multiplexed connections per
-	// container in framed mode (<=0 selects 3). The legacy gob path
-	// keeps its own per-call pool.
+	// container (<=0 selects 3).
 	ConnsPerEndpoint int
-	// DisableBatch turns off level-batched unit invocation while keeping
-	// the framed transport (the per-call multiplexing still applies) —
-	// the middle variant of the E10 comparison.
-	DisableBatch bool
 	// CallLat records per-endpoint remote call latency (created by Dial;
 	// always on, atomics only). Registered with the /metrics registry by
 	// the app wiring. Batched items are observed individually as their
@@ -109,7 +82,7 @@ type RemoteBusiness struct {
 // generation counter. Any observed connection failure bumps the
 // generation and retires every connection of the old one — the container
 // behind them died or restarted, so none can be trusted again (a dead
-// pooled connection must never be handed out twice).
+// connection must never be handed out twice).
 type endpoint struct {
 	addr string
 	brk  *breaker
@@ -125,24 +98,9 @@ type endpoint struct {
 	dialMu sync.Mutex
 
 	mu     sync.Mutex
-	pool   []*conn  // legacy gob connections (exclusively held per call)
-	mconns []*mconn // wire-v2 multiplexed connections (shared)
+	mconns []*mconn // multiplexed connections (shared by all calls)
 	mnext  int
 	gen    uint64
-	// legacyHint remembers that the container answered the handshake
-	// like a gob peer, so later calls skip the probe. Cleared on
-	// generation retirement (a restart may have upgraded the container)
-	// and expired after legacyHintTTL (the peer may only have been slow
-	// to ack).
-	legacyHint bool
-	legacyAt   time.Time
-}
-
-type conn struct {
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-	gen uint64
 }
 
 // Dial returns a client for the given container addresses (a fixed
@@ -159,7 +117,6 @@ func Dial(addrs ...string) (*RemoteBusiness, error) {
 // rotation immediately (in-flight frames on them finish undisturbed).
 // An empty membership is legal — calls fail until an endpoint appears.
 func DialMembership(m Membership) (*RemoteBusiness, error) {
-	registerWireTypes()
 	r := &RemoteBusiness{
 		CallLat: obs.NewHistogramVec("webml_ejb_call_seconds",
 			"Remote EJB call latency by container address.", "addr"),
@@ -231,15 +188,12 @@ func (r *RemoteBusiness) setEndpoints(addrs []string) {
 	}
 }
 
-// quiesce closes a removed endpoint's idle connections: the pooled gob
-// connections (only idle ones live in the pool) and any multiplexed
-// connection with no frames awaiting replies. Busy connections survive
-// until their frames answer; the container's own Close severs them
-// after the drain handshake.
+// quiesce closes a removed endpoint's idle connections: those with no
+// frames awaiting replies. Busy connections survive until their frames
+// answer; the container's own Close severs them after the drain
+// handshake.
 func (ep *endpoint) quiesce() {
 	ep.mu.Lock()
-	pool := ep.pool
-	ep.pool = nil
 	var idle []*mconn
 	keep := ep.mconns[:0]
 	for _, m := range ep.mconns {
@@ -251,9 +205,6 @@ func (ep *endpoint) quiesce() {
 	}
 	ep.mconns = keep
 	ep.mu.Unlock()
-	for _, cn := range pool {
-		cn.c.Close()
-	}
 	for _, m := range idle {
 		m.fail(errConnClosed)
 	}
@@ -332,13 +283,9 @@ func (r *RemoteBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Uni
 	return resp.Op, nil
 }
 
-// SupportsUnitBatch implements mvc.BatchComputer: level batching rides
-// the framed transport, so it is available unless the stub is pinned to
-// gob or batching is explicitly disabled. (Endpoints that turn out to
-// be legacy at handshake time degrade to per-unit calls internally.)
-func (r *RemoteBusiness) SupportsUnitBatch() bool {
-	return !r.DisableBatch && r.Wire != WireGob
-}
+// SupportsUnitBatch implements mvc.BatchComputer: the stub is the
+// batching transport at the bottom of every decorator chain.
+func (r *RemoteBusiness) SupportsUnitBatch() bool { return true }
 
 // ComputeUnits implements mvc.BatchComputer: all unit computations of
 // one schedule level travel as a single batch frame, and the container
@@ -395,14 +342,6 @@ func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall)
 		ep.inflight.Add(-1)
 		remaining = rem
 		if err != nil {
-			if errors.Is(err, errLegacyPeer) && r.Wire != WireFramed {
-				// The endpoint speaks gob: finish the level as individual
-				// remote calls (each with its own failover), the shape an
-				// old container expects.
-				r.fallbackUnits(ctx, calls, out, done)
-				bsp.End()
-				return out
-			}
 			lastErr = err
 		}
 	}
@@ -451,9 +390,6 @@ func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.
 		}
 		mc, fresh, err := ep.framedConn(r, deadline)
 		if err != nil {
-			if errors.Is(err, errLegacyPeer) {
-				return count(), err
-			}
 			ep.brk.failure()
 			if lastErr == nil {
 				lastErr = err
@@ -515,25 +451,6 @@ func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.
 		}
 	}
 	return count(), lastErr
-}
-
-// fallbackUnits finishes a level against a legacy endpoint set: each
-// remaining item becomes an ordinary remote unit call with the stub's
-// full failover behavior, run concurrently like the scheduler would.
-func (r *RemoteBusiness) fallbackUnits(ctx context.Context, calls []mvc.UnitCall, out []mvc.UnitResult, done []bool) {
-	var wg sync.WaitGroup
-	for idx := range calls {
-		if done[idx] {
-			continue
-		}
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			bean, err := r.ComputeUnit(ctx, calls[idx].D, calls[idx].Inputs)
-			out[idx] = mvc.UnitResult{Bean: bean, Err: err}
-		}(idx)
-	}
-	wg.Wait()
 }
 
 // Pages returns a remote page computer over the same connections: the
@@ -641,32 +558,14 @@ func (r *RemoteBusiness) deadline(ctx context.Context) time.Time {
 	return d
 }
 
-// useFramed decides the transport for one attempt against an endpoint.
-func (r *RemoteBusiness) useFramed(ep *endpoint) bool {
-	if r.Wire == WireGob {
-		return false
-	}
-	if r.Wire == WireFramed {
-		return true
-	}
-	ep.mu.Lock()
-	legacy := ep.legacyHint
-	if legacy && time.Since(ep.legacyAt) >= legacyHintTTL {
-		ep.legacyHint = false
-		legacy = false
-	}
-	ep.mu.Unlock()
-	return !legacy
-}
-
 // callOn performs one invocation against a single endpoint, retrying
 // once on a fresh connection when an existing one fails (the container
 // may have restarted since — one fresh dial distinguishes a stale
 // connection from a dead endpoint). sent reports whether the request may
 // have reached the container (operations must not be resent once it
-// did). In framed mode the call shares a multiplexed connection; its
-// failure fails every frame in flight on it, and each affected call runs
-// this same failover loop independently.
+// did). The call shares a multiplexed connection; its failure fails
+// every frame in flight on it, and each affected call runs this same
+// failover loop independently.
 func (r *RemoteBusiness) callOn(ctx context.Context, ep *endpoint, req *request, deadline time.Time, readOnly bool) (*response, bool, error) {
 	sent := false
 	var lastErr error
@@ -677,55 +576,7 @@ func (r *RemoteBusiness) callOn(ctx context.Context, ep *endpoint, req *request,
 			}
 			return nil, sent, lastErr
 		}
-		if r.useFramed(ep) {
-			mc, fresh, err := ep.framedConn(r, deadline)
-			if err != nil {
-				if errors.Is(err, errLegacyPeer) {
-					if r.Wire == WireFramed {
-						ep.brk.failure()
-						if lastErr == nil {
-							lastErr = err
-						}
-						return nil, sent, lastErr
-					}
-					// Redo this attempt over the legacy exchange; the
-					// hint set by framedConn keeps later calls off the
-					// probe entirely.
-					attempt--
-					continue
-				}
-				ep.brk.failure()
-				if lastErr == nil {
-					lastErr = err
-				}
-				return nil, sent, lastErr
-			}
-			resp, err := mc.call(req, deadline, ctx.Done())
-			if err == nil {
-				ep.brk.success()
-				return resp, true, nil
-			}
-			if errors.Is(err, context.Canceled) {
-				// The caller abandoned the call; mc.call already
-				// deregistered the frame and the shared connection stays
-				// healthy. Killing it would fail every unrelated in-flight
-				// frame and count a breaker failure against a container
-				// that did nothing wrong.
-				return nil, true, err
-			}
-			// The frame may have reached the container before the
-			// connection died; from here an operation is unsafe to resend.
-			sent = true
-			mc.fail(err)
-			ep.dropGeneration(mc.gen)
-			ep.brk.failure()
-			lastErr = err
-			if fresh || !readOnly {
-				break
-			}
-			continue
-		}
-		cn, pooled, err := ep.get()
+		mc, fresh, err := ep.framedConn(r, deadline)
 		if err != nil {
 			ep.brk.failure()
 			if lastErr == nil {
@@ -733,45 +584,31 @@ func (r *RemoteBusiness) callOn(ctx context.Context, ep *endpoint, req *request,
 			}
 			return nil, sent, lastErr
 		}
-		resp, err := exchange(cn, req, deadline)
+		resp, err := mc.call(req, deadline, ctx.Done())
 		if err == nil {
-			ep.put(cn)
 			ep.brk.success()
 			return resp, true, nil
 		}
-		// Any exchange attempt may have flushed bytes to the container
-		// before failing; from here an operation is unsafe to resend.
+		if errors.Is(err, context.Canceled) {
+			// The caller abandoned the call; mc.call already
+			// deregistered the frame and the shared connection stays
+			// healthy. Killing it would fail every unrelated in-flight
+			// frame and count a breaker failure against a container
+			// that did nothing wrong.
+			return nil, true, err
+		}
+		// The frame may have reached the container before the
+		// connection died; from here an operation is unsafe to resend.
 		sent = true
-		cn.c.Close()
-		ep.dropGeneration(cn.gen)
+		mc.fail(err)
+		ep.dropGeneration(mc.gen)
 		ep.brk.failure()
 		lastErr = err
-		if !pooled || !readOnly {
+		if fresh || !readOnly {
 			break
 		}
 	}
 	return nil, sent, lastErr
-}
-
-// exchange runs one request/response pair on a legacy gob connection,
-// bounding both the write and the read by the call deadline so a hung
-// container surfaces as a timeout instead of a wedged goroutine.
-func exchange(cn *conn, req *request, deadline time.Time) (*response, error) {
-	if !deadline.IsZero() {
-		cn.c.SetDeadline(deadline) //nolint:errcheck // failure surfaces on the I/O below
-		// Clear on every exit path: a deadline left behind would poison
-		// the next — possibly budget-less — request that reuses this
-		// pooled connection with a stale timeout.
-		defer cn.c.SetDeadline(time.Time{}) //nolint:errcheck // failure surfaces on next use
-	}
-	if err := cn.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("ejb: send: %w", err)
-	}
-	var resp response
-	if err := cn.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("ejb: receive: %w", err)
-	}
-	return &resp, nil
 }
 
 // framedConn returns a live multiplexed connection for the endpoint:
@@ -799,7 +636,7 @@ func (ep *endpoint) framedConn(r *RemoteBusiness, deadline time.Time) (*mconn, b
 	}
 	ep.mu.Unlock()
 
-	// One handshake probe at a time per endpoint; a waiter re-checks the
+	// One handshake at a time per endpoint; a waiter re-checks the
 	// set its predecessor may have filled.
 	ep.dialMu.Lock()
 	defer ep.dialMu.Unlock()
@@ -814,12 +651,6 @@ func (ep *endpoint) framedConn(r *RemoteBusiness, deadline time.Time) (*mconn, b
 	ep.mu.Unlock()
 	m, err := framedDial(ep.addr, gen, deadline, r.stats)
 	if err != nil {
-		if errors.Is(err, errLegacyPeer) {
-			ep.mu.Lock()
-			ep.legacyHint = true
-			ep.legacyAt = time.Now()
-			ep.mu.Unlock()
-		}
 		return nil, false, err
 	}
 	ep.mu.Lock()
@@ -832,72 +663,25 @@ func (ep *endpoint) framedConn(r *RemoteBusiness, deadline time.Time) (*mconn, b
 	return m, true, nil
 }
 
-// get borrows a pooled legacy connection (skipping retired generations)
-// or dials a fresh one. pooled reports which.
-func (ep *endpoint) get() (*conn, bool, error) {
-	ep.mu.Lock()
-	for n := len(ep.pool); n > 0; n = len(ep.pool) {
-		cn := ep.pool[n-1]
-		ep.pool = ep.pool[:n-1]
-		if cn.gen != ep.gen {
-			// Retired generation: its container died since this
-			// connection was pooled.
-			cn.c.Close()
-			continue
-		}
-		ep.mu.Unlock()
-		return cn, true, nil
-	}
-	gen := ep.gen
-	ep.mu.Unlock()
-	c, err := net.Dial("tcp", ep.addr)
-	if err != nil {
-		return nil, false, fmt.Errorf("ejb: dial %s: %w", ep.addr, err)
-	}
-	return &conn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c), gen: gen}, false, nil
-}
-
-func (ep *endpoint) put(cn *conn) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if cn.gen != ep.gen || len(ep.pool) >= maxPooledPerEndpoint {
-		cn.c.Close()
-		return
-	}
-	ep.pool = append(ep.pool, cn)
-}
-
 // dropGeneration retires the generation a failed connection belonged
 // to: the counter advances (unless a concurrent failure already did)
-// and every connection of a retired generation — legacy pooled and
-// multiplexed alike — is closed, so a connection whose container died
-// is never handed out again. The legacy hint resets too: whatever
-// replaces the dead container may speak wire v2.
+// and every connection of a retired generation is failed, so a
+// connection whose container died is never handed out again.
 func (ep *endpoint) dropGeneration(gen uint64) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if gen == ep.gen {
 		ep.gen++
-		ep.legacyHint = false
 	}
-	keep := ep.pool[:0]
-	for _, cn := range ep.pool {
-		if cn.gen != ep.gen {
-			cn.c.Close()
-		} else {
-			keep = append(keep, cn)
-		}
-	}
-	ep.pool = keep
-	keepM := ep.mconns[:0]
+	keep := ep.mconns[:0]
 	for _, m := range ep.mconns {
 		if m.gen != ep.gen {
 			m.fail(errConnClosed)
 		} else {
-			keepM = append(keepM, m)
+			keep = append(keep, m)
 		}
 	}
-	ep.mconns = keepM
+	ep.mconns = keep
 }
 
 // EndpointHealth is the client-side view of one container address,
@@ -908,8 +692,7 @@ type EndpointHealth struct {
 	Addr     string `json:"addr"`
 	State    string `json:"state"`
 	Failures int    `json:"failures"`
-	Pooled   int    `json:"pooled"`
-	// Conns counts live wire-v2 multiplexed connections.
+	// Conns counts live multiplexed connections.
 	Conns int `json:"conns"`
 	// Opens counts how many times the breaker tripped open since start.
 	Opens int64 `json:"opens"`
@@ -929,14 +712,12 @@ func (r *RemoteBusiness) Health() []EndpointHealth {
 	for i, ep := range eps {
 		st := ep.brk.status()
 		ep.mu.Lock()
-		pooled := len(ep.pool)
 		conns := len(ep.mconns)
 		ep.mu.Unlock()
 		h := EndpointHealth{
 			Addr:     ep.addr,
 			State:    st.state,
 			Failures: st.failures,
-			Pooled:   pooled,
 			Conns:    conns,
 			Opens:    st.opens,
 			Rejected: ep.rejected.Load(),
@@ -998,8 +779,8 @@ func (r *RemoteBusiness) RetryAfter() time.Duration {
 	return secs * time.Second
 }
 
-// Close cancels the membership watch and drops all connections, legacy
-// and multiplexed (draining endpoints included).
+// Close cancels the membership watch and drops all connections
+// (draining endpoints included).
 func (r *RemoteBusiness) Close() {
 	r.mu.Lock()
 	stop := r.stopWatch
@@ -1012,10 +793,6 @@ func (r *RemoteBusiness) Close() {
 	}
 	for _, ep := range eps {
 		ep.mu.Lock()
-		for _, cn := range ep.pool {
-			cn.c.Close()
-		}
-		ep.pool = nil
 		mcs := ep.mconns
 		ep.mconns = nil
 		ep.mu.Unlock()

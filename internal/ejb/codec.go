@@ -30,9 +30,8 @@ var errCodec = errors.New("ejb: malformed wire data")
 // map/slice values) so crafted input cannot overflow the stack.
 const maxNesting = 64
 
-// Value kind tags. The table mirrors the gob registrations of
-// registerWireTypes (protocol.go): both paths carry exactly these
-// concrete types inside interface-typed fields.
+// Value kind tags: exactly these concrete types cross the wire inside
+// interface-typed fields.
 const (
 	vNil byte = iota
 	vInt

@@ -3,7 +3,6 @@ package ejb
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,7 +67,6 @@ func NewContainer(business mvc.Business, capacity int) *Container {
 	if capacity <= 0 {
 		capacity = 16
 	}
-	registerWireTypes()
 	c := &Container{
 		business: business,
 		capacity: capacity,
@@ -138,7 +136,7 @@ func (c *Container) acceptLoop(ln net.Listener) {
 func (c *Container) serveConn(conn net.Conn) {
 	defer conn.Close()
 	// Track the connection so Close can sever it: an idle keep-alive
-	// connection would otherwise pin its handler goroutine in Decode
+	// connection would otherwise pin its handler goroutine in readFrame
 	// forever and wedge the container shutdown.
 	c.mu.Lock()
 	if c.closed {
@@ -155,41 +153,21 @@ func (c *Container) serveConn(conn net.Conn) {
 		delete(c.conns, conn)
 		c.mu.Unlock()
 	}()
-	// Sniff the protocol: a wire-v2 client opens with the handshake
-	// magic; anything else is a legacy gob stream. The peek never hangs a
-	// real client — the magic is 6 bytes and the first gob message is
-	// larger still.
+	// Handshake: the client opens with the magic and gets it echoed
+	// back. The wait is bounded — a peer that connects and stays silent
+	// must not pin this goroutine until Close — and anything but the
+	// magic is closed at once.
 	br := bufio.NewReader(conn)
-	peek, err := br.Peek(6)
-	if err == nil && isHandshake(peek) {
-		br.Discard(6) //nolint:errcheck // peeked bytes are buffered
-		if _, err := conn.Write(handshakeBytes()); err != nil {
-			return
-		}
-		c.serveFramed(conn, br)
+	var hs [6]byte
+	conn.SetDeadline(time.Now().Add(handshakeTimeout)) //nolint:errcheck // failure surfaces on the I/O below
+	if _, err := io.ReadFull(br, hs[:]); err != nil || !isHandshake(hs[:]) {
 		return
 	}
-	c.serveGob(conn, br)
-}
-
-// serveGob is the legacy loop: one gob request/response pair at a time.
-func (c *Container) serveGob(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Peer error: drop the connection.
-				return
-			}
-			return
-		}
-		resp := c.serveOne(&req)
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
+	if _, err := conn.Write(handshakeBytes()); err != nil {
+		return
 	}
+	conn.SetDeadline(time.Time{}) //nolint:errcheck // failure surfaces on the I/O below
+	c.serveFramed(conn, br)
 }
 
 // serveFramed is the wire-v2 loop: every call frame is served by its own

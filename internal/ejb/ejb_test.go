@@ -60,7 +60,7 @@ func TestRemoteComputeUnit(t *testing.T) {
 	}
 }
 
-func TestRemoteHierarchicalBeanSurvivesGob(t *testing.T) {
+func TestRemoteHierarchicalBeanSurvivesWire(t *testing.T) {
 	_, client, _, art := startApp(t, 4)
 	d := art.Repo.Unit("issuesPapers")
 	bean, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"parent": int64(1)})

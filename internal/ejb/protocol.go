@@ -5,18 +5,12 @@
 // of active service instances adapts at runtime — the two limitations of
 // servlet-container-local services that Section 4 calls out.
 //
-// Two wire protocols are spoken. The legacy protocol is length-free gob
-// over TCP: each connection carries a sequence of request/response
-// pairs, one at a time. Wire v2 (wire.go, codec.go) is a framed,
-// multiplexed binary protocol negotiated by a handshake magic; either
-// side falls back to gob when the peer predates it.
+// One wire protocol is spoken: wire v2 (wire.go, codec.go), a framed,
+// multiplexed binary protocol over TCP opened by a handshake magic. A
+// peer that does not complete the handshake is disconnected.
 package ejb
 
 import (
-	"encoding/gob"
-	"sync"
-	"time"
-
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/obs"
@@ -43,9 +37,7 @@ type request struct {
 	// boundary with the call.
 	DeadlineMS int64
 	// TraceID and SpanID propagate the caller's trace across the tier
-	// boundary (0 = untraced). Gob ignores fields unknown to the peer
-	// and zeroes fields missing from the stream, so old clients and old
-	// containers interoperate with new ones.
+	// boundary (0 = untraced).
 	TraceID uint64
 	SpanID  uint64
 }
@@ -80,32 +72,4 @@ type batchRequest struct {
 	DeadlineMS int64
 	TraceID    uint64
 	Calls      []batchCall
-}
-
-// wireValueTypes is the single table of concrete types carried inside
-// interface-typed fields, shared by both protocols: the gob path
-// registers exactly these, and the v2 codec's value tags (codec.go)
-// encode exactly these.
-var wireValueTypes = []interface{}{
-	int64(0),
-	float64(0),
-	"",
-	false,
-	time.Time{},
-	map[string]interface{}{},
-	[]interface{}{},
-}
-
-var wireTypesOnce sync.Once
-
-// registerWireTypes performs the legacy path's gob registrations exactly
-// once (Dial and NewContainer both call it; sync.Once makes importing
-// both sides into one process — every test binary — safe by
-// construction instead of relying on gob tolerating re-registration).
-func registerWireTypes() {
-	wireTypesOnce.Do(func() {
-		for _, v := range wireValueTypes {
-			gob.Register(v)
-		}
-	})
 }

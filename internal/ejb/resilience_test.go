@@ -114,7 +114,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-// TestWireDeadlinePropagates checks the request deadline crosses the gob
+// TestWireDeadlinePropagates checks the request deadline crosses the
 // boundary: the component's context carries a deadline exactly when the
 // caller had one.
 func TestWireDeadlinePropagates(t *testing.T) {
@@ -316,22 +316,36 @@ func TestOperationNotResentAfterMidCallKill(t *testing.T) {
 }
 
 // TestDeadPooledConnectionNotReused: after a container restart, the
-// connections pooled against its previous incarnation must not poison
-// subsequent calls — the generation mechanism retires them and a fresh
-// dial succeeds transparently.
+// persistent connections held against its previous incarnation must not
+// poison subsequent calls, and once a failure retires a generation
+// (dropGeneration) none of its connections — the failed one or its
+// siblings — is ever handed out again.
 func TestDeadPooledConnectionNotReused(t *testing.T) {
 	ctrA, client, db, art := startApp(t, 4)
+	client.ConnsPerEndpoint = 2
 	d := art.Repo.Unit("volumeData")
 	inputs := map[string]mvc.Value{"volume": int64(1)}
+	ep := client.endpoints[0]
+	held := func() []*mconn {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		return append([]*mconn(nil), ep.mconns...)
+	}
 
-	// Warm the pool against the first incarnation.
-	if _, err := client.ComputeUnit(context.Background(), d, inputs); err != nil {
-		t.Fatal(err)
+	// Fill the connection budget against the first incarnation.
+	for i := 0; i < 2; i++ {
+		if _, err := client.ComputeUnit(context.Background(), d, inputs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := held()
+	if len(first) != 2 {
+		t.Fatalf("warm-up held %d connections, want 2", len(first))
 	}
 	addr := ctrA.ln.Addr().String()
 	ctrA.Close()
 
-	// Restart on the same address: the pooled connection is now dead.
+	// Restart on the same address: every held connection is now dead.
 	ctr2 := NewContainer(mvc.NewLocalBusiness(db), 4)
 	if _, err := ctr2.Serve(addr); err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
@@ -341,7 +355,7 @@ func TestDeadPooledConnectionNotReused(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		bean, err := client.ComputeUnit(context.Background(), d, inputs)
 		if err != nil {
-			t.Fatalf("call %d after restart: %v (stale pooled connection handed out)", i, err)
+			t.Fatalf("call %d after restart: %v (stale connection handed out)", i, err)
 		}
 		if bean.Nodes[0].Values["Title"] != "TODS Volume 27" {
 			t.Fatalf("call %d bean = %+v", i, bean)
@@ -349,6 +363,36 @@ func TestDeadPooledConnectionNotReused(t *testing.T) {
 	}
 	if h := client.Health(); h[0].State != BreakerClosed {
 		t.Fatalf("breaker = %s after clean recovery", h[0].State)
+	}
+	second := held()
+	for _, m := range second {
+		if m == first[0] || m == first[1] {
+			t.Fatal("connection to the dead incarnation still in rotation")
+		}
+	}
+
+	// One observed failure retires the whole generation, exactly as
+	// callOn does it: the healthy sibling goes too.
+	if len(second) != 2 {
+		t.Fatalf("recovery held %d connections, want 2", len(second))
+	}
+	second[0].fail(errConnClosed)
+	ep.dropGeneration(second[0].gen)
+	if !second[1].isDead() {
+		t.Fatal("sibling of a failed connection survived its generation")
+	}
+	if left := held(); len(left) != 0 {
+		t.Fatalf("%d connections of a retired generation still held", len(left))
+	}
+	m, fresh, err := ep.framedConn(client, time.Time{})
+	if err != nil || !fresh {
+		t.Fatalf("framedConn after retirement: fresh=%v err=%v", fresh, err)
+	}
+	if m == second[0] || m == second[1] || m.gen != second[0].gen+1 {
+		t.Fatalf("retired connection handed out again (gen %d after %d)", m.gen, second[0].gen)
+	}
+	if _, err := client.ComputeUnit(context.Background(), d, inputs); err != nil {
+		t.Fatalf("call on the new generation: %v", err)
 	}
 }
 

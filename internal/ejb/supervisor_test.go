@@ -33,7 +33,6 @@ func spawnCounting(t *testing.T, bus mvc.Business, capacity int) (func() (*Clone
 // clone, and operations-style exactly-once holds (each unit computed
 // exactly once, on the original container).
 func TestRetireMidBatchDrains(t *testing.T) {
-	registerWireTypes()
 	var calls1, calls2 atomic.Int64
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -144,7 +143,6 @@ func TestRetireMidBatchDrains(t *testing.T) {
 // burst through a one-clone fleet and checks the supervisor grows it,
 // then shrinks back to min after the burst, without failing any call.
 func TestSupervisorScalesUpOnLoadAndDownWhenIdle(t *testing.T) {
-	registerWireTypes()
 	bus := &funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			time.Sleep(5 * time.Millisecond)
@@ -207,7 +205,6 @@ func TestSupervisorScalesUpOnLoadAndDownWhenIdle(t *testing.T) {
 // TestMembershipPropagatesToClient checks Add/Remove reach a dialed
 // client's endpoint rotation without re-dialing.
 func TestMembershipPropagatesToClient(t *testing.T) {
-	registerWireTypes()
 	bus := &funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			return &mvc.UnitBean{UnitID: d.ID}, nil

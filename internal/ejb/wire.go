@@ -18,14 +18,10 @@ import (
 //
 //	0x05 'W' 'R' 'F' '2' <version>
 //
-// and the container echoes the same form back with its own version. The
-// leading 0x05 is deliberate: a legacy gob container reads it as a
-// 5-byte message length, consumes the 5 magic bytes, fails to parse
-// them as a gob type stream and drops the connection — so a new client
-// talking to an old container sees a fast EOF (not a hang) and falls
-// back to the legacy gob exchange on a fresh dial. A new container
-// peeks the first 6 bytes: magic means framed mode, anything else is a
-// legacy gob client served by the old loop.
+// and the container echoes the same form back with its own version.
+// Both sides bound the exchange by handshakeTimeout, and either side
+// closes the connection on anything but the magic: there is no other
+// protocol to fall back to.
 //
 // Frames (both directions, after the handshake):
 //
@@ -48,10 +44,11 @@ const (
 	maxFrame = 64 << 20
 )
 
-// handshakeTimeout bounds the wait for the container's handshake ack
-// when the call itself carries no deadline: an old container drops the
-// connection almost instantly, so a silent peer past this is treated as
-// legacy too rather than wedging the first call.
+// handshakeTimeout bounds each side's wait for the other's half of the
+// handshake: the client's wait for the ack when the call itself carries
+// no deadline, and the container's wait for the magic, so a silent peer
+// can wedge neither a first call nor a handler goroutine. Variable for
+// tests.
 var handshakeTimeout = 2 * time.Second
 
 var hsMagic = [5]byte{0x05, 'W', 'R', 'F', '2'}
@@ -65,8 +62,10 @@ func isHandshake(b []byte) bool {
 		b[2] == hsMagic[2] && b[3] == hsMagic[3] && b[4] == hsMagic[4]
 }
 
-// errLegacyPeer reports that the far side does not speak wire v2.
-var errLegacyPeer = errors.New("ejb: peer speaks legacy gob protocol")
+// errHandshake reports that the far side did not complete the wire-v2
+// handshake (connection dropped, silence past handshakeTimeout, or a
+// non-magic ack) — a transport failure of the endpoint.
+var errHandshake = errors.New("ejb: wire v2 handshake failed")
 
 // errConnClosed is the transport error surfaced to calls whose
 // connection died (fails all in-flight frames).
@@ -145,8 +144,8 @@ type mconn struct {
 }
 
 // framedDial opens a wire-v2 connection: TCP dial, handshake, demux
-// goroutine. A legacy peer (no ack, connection dropped, or non-magic
-// ack) returns errLegacyPeer with the connection closed.
+// goroutine. A peer that does not answer the handshake returns an error
+// wrapping errHandshake, with the connection closed.
 func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (*mconn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -157,21 +156,17 @@ func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (
 		ackBy = deadline
 	}
 	c.SetDeadline(ackBy) //nolint:errcheck // failure surfaces on the I/O below
-	if _, err := c.Write(handshakeBytes()); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("ejb: handshake %s: %w", addr, err)
-	}
 	var ack [6]byte
-	if _, err := io.ReadFull(c, ack[:]); err != nil {
-		// EOF / reset: an old gob container chokes on the magic and
-		// drops the connection. Timeout: it swallowed the bytes and
-		// waits for more gob — either way, legacy.
-		c.Close()
-		return nil, errLegacyPeer
+	_, err = c.Write(handshakeBytes())
+	if err == nil {
+		_, err = io.ReadFull(c, ack[:])
 	}
-	if !isHandshake(ack[:]) {
+	if err == nil && !isHandshake(ack[:]) {
+		err = fmt.Errorf("ack % x is not the magic", ack)
+	}
+	if err != nil {
 		c.Close()
-		return nil, errLegacyPeer
+		return nil, fmt.Errorf("%w: %s: %v", errHandshake, addr, err)
 	}
 	c.SetDeadline(time.Time{}) //nolint:errcheck // failure surfaces on the I/O below
 	m := &mconn{
@@ -315,7 +310,7 @@ func (m *mconn) send(payload []byte, deadline time.Time) error {
 // call runs one request/response pair over the multiplexed connection.
 // A deadline expiry is a transport failure: the connection cannot tell a
 // hung container from a slow one, so it is killed and every in-flight
-// frame fails over — exactly the legacy socket-deadline semantics.
+// frame fails over — socket-deadline semantics.
 func (m *mconn) call(req *request, deadline time.Time, cancel <-chan struct{}) (*response, error) {
 	id, ch, err := m.register(1)
 	if err != nil {

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -24,9 +24,9 @@ import (
 // ---- codec round-trips ----
 
 // fullRequest populates every request field the codec carries, including
-// every dynamic value type of the wireValueTypes table (nested maps and
-// slices, time.Time). Collections are non-empty or nil: like gob, the
-// codec normalizes empty collections to nil on decode.
+// every dynamic value type the codec tags (nested maps and slices,
+// time.Time). Collections are non-empty or nil: the codec normalizes
+// empty collections to nil on decode.
 func fullRequest() *request {
 	return &request{
 		Kind: "unit",
@@ -258,51 +258,7 @@ func FuzzCodecResponse(f *testing.F) {
 	})
 }
 
-// ---- protocol negotiation / mixed versions ----
-
-// gobOnlyServer simulates a container that predates wire v2: a plain gob
-// request/response loop with no handshake detection — the leading 0x05
-// of a v2 handshake reads as a bogus 5-byte gob message and kills the
-// connection, exactly like the legacy container code did.
-func gobOnlyServer(t *testing.T, b mvc.Business) string {
-	t.Helper()
-	registerWireTypes()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := &response{}
-					bean, err := b.ComputeUnit(context.Background(), req.Descriptor, req.Inputs)
-					if err != nil {
-						resp.Err = err.Error()
-					} else {
-						resp.Bean = bean
-					}
-					if err := enc.Encode(resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
+// ---- handshake ----
 
 func echoBusiness() mvc.Business {
 	return &funcBusiness{
@@ -316,9 +272,8 @@ func echoBusiness() mvc.Business {
 	}
 }
 
-// TestFramedNegotiation: a default client against a current container
-// must actually use the framed transport (frames flow, the legacy pool
-// stays empty).
+// TestFramedNegotiation: a client against a container completes the
+// handshake and frames flow over a tracked multiplexed connection.
 func TestFramedNegotiation(t *testing.T) {
 	_, client, _, art := startApp(t, 4)
 	d := art.Repo.Unit("volumeData")
@@ -330,85 +285,222 @@ func TestFramedNegotiation(t *testing.T) {
 		t.Fatalf("framed transport unused: sent=%d recv=%d", sent, recv)
 	}
 	h := client.Health()
-	if h[0].Pooled != 0 {
-		t.Fatalf("legacy gob pool used alongside framed: %+v", h[0])
-	}
 	if h[0].Conns == 0 {
 		t.Fatalf("no multiplexed connections tracked: %+v", h[0])
 	}
 }
 
-// TestNewClientOldContainer: wire negotiation against a gob-only peer
-// must fall back transparently — calls succeed over the legacy exchange
-// and batch submission degrades to per-unit calls.
-func TestNewClientOldContainer(t *testing.T) {
-	addr := gobOnlyServer(t, echoBusiness())
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	d := &descriptor.Unit{ID: "u1", Kind: "data"}
-	bean, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"x": int64(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bean.Nodes[0].Values["echo"] != int64(7) {
-		t.Fatalf("bean = %+v", bean)
-	}
-	if sent, _, _ := client.FrameStats(); sent != 0 {
-		t.Fatalf("frames sent to a legacy peer: %d", sent)
-	}
-	if !client.SupportsUnitBatch() {
-		t.Fatal("batch support must not depend on endpoint probing")
-	}
-	res := client.ComputeUnits(context.Background(), []mvc.UnitCall{
-		{D: d, Inputs: map[string]mvc.Value{"x": int64(1)}},
-		{D: d, Inputs: map[string]mvc.Value{"x": int64(2)}},
-	})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("batch item %d over legacy peer: %v", i, r.Err)
-		}
-		if r.Bean.Nodes[0].Values["echo"] != int64(i+1) {
-			t.Fatalf("batch item %d = %+v", i, r.Bean)
-		}
-	}
+// shortHandshake shrinks handshakeTimeout for one test. Call it before
+// starting any container or client: the restore runs after their
+// cleanups, so no goroutine reads the variable while it changes.
+func shortHandshake(t *testing.T) {
+	t.Helper()
+	old := handshakeTimeout
+	handshakeTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { handshakeTimeout = old })
 }
 
-// TestOldClientNewContainer: a gob-pinned client (standing in for an old
-// binary) against a current container must work via the container's
-// protocol sniff.
-func TestOldClientNewContainer(t *testing.T) {
-	_, client, _, art := startApp(t, 4)
-	client.Wire = WireGob
-	d := art.Repo.Unit("volumeData")
-	bean, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"volume": int64(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bean.Nodes) != 1 {
-		t.Fatalf("bean = %+v", bean)
-	}
-	if sent, _, _ := client.FrameStats(); sent != 0 {
-		t.Fatalf("gob-pinned client sent %d frames", sent)
-	}
-}
-
-// TestWireFramedStrictRejectsLegacyPeer: Wire=framed must surface a
-// legacy peer as an error instead of silently downgrading.
+// TestWireFramedStrictRejectsLegacyPeer: a peer that does not complete
+// the v2 handshake — it hangs up, stays silent, or acks with something
+// else — is a call error matching errHandshake that counts against the
+// endpoint's breaker after exactly one dial (no redial as another
+// protocol), and an idempotent call fails over past it.
 func TestWireFramedStrictRejectsLegacyPeer(t *testing.T) {
-	addr := gobOnlyServer(t, echoBusiness())
-	client, err := Dial(addr)
+	shortHandshake(t)
+	peers := map[string]func(c net.Conn){
+		"eof":     func(c net.Conn) { c.Close() },
+		"silence": func(c net.Conn) { io.Copy(io.Discard, c) }, //nolint:errcheck
+		"wrong magic": func(c net.Conn) {
+			var hs [6]byte
+			io.ReadFull(c, hs[:])           //nolint:errcheck
+			c.Write([]byte("\x05WRF1\x02")) //nolint:errcheck
+			io.Copy(io.Discard, c)          //nolint:errcheck
+		},
+	}
+	for name, peer := range peers {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			var accepts atomic.Int64
+			go func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					accepts.Add(1)
+					go func() {
+						defer c.Close()
+						peer(c)
+					}()
+				}
+			}()
+			d := &descriptor.Unit{ID: "u", Kind: "data"}
+
+			client, err := Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			_, err = client.ComputeUnit(context.Background(), d, nil)
+			if !errors.Is(err, errHandshake) {
+				t.Fatalf("err = %v, want errHandshake", err)
+			}
+			if h := client.Health(); h[0].Failures != 1 || h[0].Conns != 0 {
+				t.Fatalf("breaker did not count the handshake failure: %+v", h[0])
+			}
+			if n := accepts.Load(); n != 1 {
+				t.Fatalf("peer saw %d dials for one call, want 1", n)
+			}
+
+			ctr := NewContainer(echoBusiness(), 4)
+			good, err := ctr.Serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctr.Close()
+			both, err := Dial(ln.Addr().String(), good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer both.Close()
+			bean, err := both.ComputeUnit(context.Background(), d, map[string]mvc.Value{"x": int64(7)})
+			if err != nil {
+				t.Fatalf("no failover past the non-v2 peer: %v", err)
+			}
+			if bean.Nodes[0].Values["echo"] != int64(7) {
+				t.Fatalf("bean = %+v", bean)
+			}
+			if h := both.Health(); h[0].Failures != 1 {
+				t.Fatalf("failover did not charge the non-v2 endpoint: %+v", h[0])
+			}
+		})
+	}
+}
+
+// TestContainerHandshakeBounded: an inbound connection that never sends
+// the magic — silent, short of six bytes, or another protocol — must not
+// hold a handler goroutine and a tracked connection until Close. The
+// container hangs up within handshakeTimeout (at once on a non-magic
+// preamble) and is quiesced afterwards.
+func TestContainerHandshakeBounded(t *testing.T) {
+	shortHandshake(t)
+	ctr := NewContainer(echoBusiness(), 4)
+	addr, err := ctr.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	client.Wire = WireFramed
-	_, err = client.ComputeUnit(context.Background(), &descriptor.Unit{ID: "u", Kind: "data"}, nil)
-	if !errors.Is(err, errLegacyPeer) {
-		t.Fatalf("err = %v, want errLegacyPeer", err)
+	defer ctr.Close()
+	for name, preamble := range map[string]string{
+		"silent":  "",
+		"partial": "\x05WR",
+		"garbage": "GET / HTTP/1.1\r\n\r\n",
+	} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write([]byte(preamble)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		var b [1]byte
+		_, err = c.Read(b[:])
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("%s peer still connected after handshakeTimeout (read err = %v)", name, err)
+		}
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ctr.mu.Lock()
+		tracked := len(ctr.conns)
+		ctr.mu.Unlock()
+		if tracked == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still tracked after their peers were dropped", tracked)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !ctr.Quiesced() {
+		t.Fatal("container not quiesced after dropping non-v2 peers")
+	}
+}
+
+// frameOf builds one frame payload: type, request ID, encoded body.
+func frameOf(ft byte, id uint64, body func(w *wbuf)) []byte {
+	w := getWbuf()
+	defer putWbuf(w)
+	w.byte(ft)
+	w.uvarint(id)
+	body(w)
+	var head [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(head[:], uint64(len(w.b)))
+	return append(head[:n:n], w.b...)
+}
+
+// FuzzServeFramed feeds arbitrary bytes to the container's frame loop
+// after a valid handshake: frame length, frame type, request ID and the
+// batch fan-out are reached here, not through the body codec fuzzers.
+// Whatever arrives, the container must not panic, and once the peer
+// hangs up the handler returns with the connection closed.
+func FuzzServeFramed(f *testing.F) {
+	call := frameOf(ftCall, 1, func(w *wbuf) { w.request(fullRequest()) })
+	batch := frameOf(ftBatch, 2, func(w *wbuf) {
+		w.batchRequest(&batchRequest{DeadlineMS: 50, Calls: []batchCall{
+			{SpanID: 1, Descriptor: &descriptor.Unit{ID: "a", Kind: "data"}},
+			{SpanID: 2, Descriptor: &descriptor.Unit{ID: "b", Kind: "data"}},
+		}})
+	})
+	f.Add(call)
+	f.Add(append(append([]byte(nil), batch...), call...))
+	f.Add(call[:len(call)/2])
+	f.Add(frameOf(ftReply, 3, func(w *wbuf) { w.response(fullResponse()) }))
+	f.Add(frameOf(9, 4, func(w *wbuf) {}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, ftCall})
+	f.Add([]byte{0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ctr := NewContainer(echoBusiness(), 4)
+		client, server := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			ctr.serveConn(server)
+		}()
+		var ack [6]byte
+		if _, err := client.Write(handshakeBytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, ack[:]); err != nil || !isHandshake(ack[:]) {
+			t.Fatalf("handshake: ack % x, err %v", ack, err)
+		}
+		// Replies block on the pipe until read; drain them.
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			io.Copy(io.Discard, client) //nolint:errcheck
+		}()
+		client.Write(data) //nolint:errcheck // the container may hang up mid-stream
+		client.Close()
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatal("handler still running after the peer hung up")
+		}
+		<-drained
+		if _, err := server.Write([]byte{0}); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("server side left open: write err = %v", err)
+		}
+		if !ctr.Quiesced() {
+			t.Fatal("container not quiesced after the connection ended")
+		}
+	})
 }
 
 // ---- level batching ----
@@ -446,7 +538,6 @@ func TestBatchComputeUnits(t *testing.T) {
 // TestBatchItemErrorIsolated: one failing unit must not poison its level
 // peers, and its error keeps the remote-call shape.
 func TestBatchItemErrorIsolated(t *testing.T) {
-	registerWireTypes()
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			if d.ID == "bad" {
@@ -481,7 +572,6 @@ func TestBatchItemErrorIsolated(t *testing.T) {
 // TestBatchFailoverMidKill: a batch whose connection dies mid-flight
 // must re-submit only the unanswered items to the next container.
 func TestBatchFailoverMidKill(t *testing.T) {
-	registerWireTypes()
 	var calls1 atomic.Int64
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -556,7 +646,6 @@ func TestBatchFailoverMidKill(t *testing.T) {
 // calls on it, or count a breaker failure — the container did nothing
 // wrong; the frame is merely deregistered.
 func TestCancelDoesNotKillSharedConn(t *testing.T) {
-	registerWireTypes()
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
 	ctr := NewContainer(&funcBusiness{
@@ -612,7 +701,6 @@ func TestCancelDoesNotKillSharedConn(t *testing.T) {
 // the level-batched path — canceling a batch deregisters its frame but
 // leaves the connection and breaker untouched.
 func TestBatchCancelKeepsConnHealthy(t *testing.T) {
-	registerWireTypes()
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	ctr := NewContainer(&funcBusiness{
@@ -669,7 +757,6 @@ func TestBatchCancelKeepsConnHealthy(t *testing.T) {
 // not complete the batch with a silently missing bean (Bean == nil,
 // Err == nil).
 func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
-	registerWireTypes()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -725,102 +812,10 @@ func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
 	}
 }
 
-// TestLegacyHintExpires: a legacy handshake verdict must not pin the
-// endpoint to gob forever — past legacyHintTTL the next call re-probes
-// wire v2 (a transiently slow v2 container recovers; a real gob peer
-// just re-learns the hint and keeps working over the fallback).
-func TestLegacyHintExpires(t *testing.T) {
-	addr := gobOnlyServer(t, echoBusiness())
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	d := &descriptor.Unit{ID: "u", Kind: "data"}
-	if _, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"x": int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	ep := client.endpoints[0]
-	ep.mu.Lock()
-	hinted := ep.legacyHint
-	ep.mu.Unlock()
-	if !hinted {
-		t.Fatal("legacy peer not hinted after the probe")
-	}
-	if client.useFramed(ep) {
-		t.Fatal("fresh legacy hint not honored")
-	}
-	// Age the hint past the TTL: the transport decision must re-probe.
-	ep.mu.Lock()
-	ep.legacyAt = time.Now().Add(-2 * legacyHintTTL)
-	ep.mu.Unlock()
-	if !client.useFramed(ep) {
-		t.Fatal("expired legacy hint still pins the endpoint to gob")
-	}
-	// The re-probe against the still-legacy peer falls back again and the
-	// call succeeds.
-	if _, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"x": int64(2)}); err != nil {
-		t.Fatalf("call after hint expiry: %v", err)
-	}
-	ep.mu.Lock()
-	rehinted := ep.legacyHint
-	ep.mu.Unlock()
-	if !rehinted {
-		t.Fatal("re-probe did not re-learn the legacy hint")
-	}
-}
-
-// ---- satellite: stale socket deadlines on reused legacy connections ----
-
-// TestReusedGobConnDeadlineCleared: a budgeted call followed by an
-// unbudgeted slow call on the same pooled gob connection must not
-// inherit the first call's socket deadline.
-func TestReusedGobConnDeadlineCleared(t *testing.T) {
-	registerWireTypes()
-	var slow atomic.Bool
-	ctr := NewContainer(&funcBusiness{
-		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
-			if slow.Load() {
-				time.Sleep(400 * time.Millisecond)
-			}
-			return &mvc.UnitBean{UnitID: d.ID}, nil
-		},
-	}, 4)
-	addr, err := ctr.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctr.Close()
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	client.Wire = WireGob // the pooled-connection path under test
-	d := &descriptor.Unit{ID: "u", Kind: "data"}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if _, err := client.ComputeUnit(ctx, d, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The second call reuses the pooled connection, carries no budget,
-	// and completes well after the first call's absolute deadline. A
-	// stale socket deadline would fail it around the 200ms mark.
-	slow.Store(true)
-	if _, err := client.ComputeUnit(context.Background(), d, nil); err != nil {
-		t.Fatalf("unbudgeted call on reused connection: %v", err)
-	}
-	if h := client.Health(); h[0].Pooled == 0 {
-		t.Fatal("test did not exercise the pooled path")
-	}
-}
-
 // TestManyInFlightOnOneConn: the multiplexed transport must carry many
 // concurrent calls over a single connection budget without serializing
-// them (the legacy path would need one pooled connection each).
+// them.
 func TestManyInFlightOnOneConn(t *testing.T) {
-	registerWireTypes()
 	var peak atomic.Int64
 	var cur atomic.Int64
 	ctr := NewContainer(&funcBusiness{
@@ -877,7 +872,6 @@ func TestManyInFlightOnOneConn(t *testing.T) {
 
 func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descriptor.Unit) {
 	b.Helper()
-	registerWireTypes()
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			return &mvc.UnitBean{UnitID: d.ID, Kind: "data",
@@ -899,18 +893,6 @@ func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descrip
 		Outputs: []descriptor.FieldDef{{Name: "Title", Column: "title"}}}
 }
 
-func BenchmarkRemoteUnitGob(b *testing.B) {
-	client, d := benchClient(b, 0)
-	client.Wire = WireGob
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.ComputeUnit(ctx, d, map[string]mvc.Value{"x": int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRemoteUnitFramed(b *testing.B) {
 	client, d := benchClient(b, 0)
 	ctx := context.Background()
@@ -922,9 +904,10 @@ func BenchmarkRemoteUnitFramed(b *testing.B) {
 	}
 }
 
-// benchLevel runs one 8-unit level per iteration, the E10 shape.
-func benchLevel(b *testing.B, client *RemoteBusiness, d *descriptor.Unit, batch bool) {
-	b.Helper()
+// BenchmarkRemoteLevelFramedBatch runs one 8-unit level per iteration,
+// the E10 shape.
+func BenchmarkRemoteLevelFramedBatch(b *testing.B) {
+	client, d := benchClient(b, 0)
 	ctx := context.Background()
 	calls := make([]mvc.UnitCall, 8)
 	for i := range calls {
@@ -932,45 +915,10 @@ func benchLevel(b *testing.B, client *RemoteBusiness, d *descriptor.Unit, batch 
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if batch {
-			for j, r := range client.ComputeUnits(ctx, calls) {
-				if r.Err != nil {
-					b.Fatalf("item %d: %v", j, r.Err)
-				}
-			}
-			continue
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(calls))
-		for j := range calls {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				_, errs[j] = client.ComputeUnit(ctx, calls[j].D, calls[j].Inputs)
-			}(j)
-		}
-		wg.Wait()
-		for j, err := range errs {
-			if err != nil {
-				b.Fatalf("call %d: %v", j, err)
+		for j, r := range client.ComputeUnits(ctx, calls) {
+			if r.Err != nil {
+				b.Fatalf("item %d: %v", j, r.Err)
 			}
 		}
 	}
-}
-
-func BenchmarkRemoteLevelGob(b *testing.B) {
-	client, d := benchClient(b, 0)
-	client.Wire = WireGob
-	benchLevel(b, client, d, false)
-}
-
-func BenchmarkRemoteLevelFramedNoBatch(b *testing.B) {
-	client, d := benchClient(b, 0)
-	client.DisableBatch = true
-	benchLevel(b, client, d, false)
-}
-
-func BenchmarkRemoteLevelFramedBatch(b *testing.B) {
-	client, d := benchClient(b, 0)
-	benchLevel(b, client, d, true)
 }

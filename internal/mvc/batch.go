@@ -90,10 +90,12 @@ func (nb *NotifyingBusiness) ComputeUnits(ctx context.Context, calls []UnitCall)
 // SupportsUnitBatch implements BatchComputer by delegation.
 func (rb *ResilientBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(rb.Inner) }
 
-// ComputeUnits implements BatchComputer with per-item retry: each round
-// re-submits only the items that failed retryably (reads are
-// idempotent; context errors mean the budget is gone and nothing is
-// retried), so one flapping unit does not recompute its whole level.
+// ComputeUnits implements BatchComputer with per-item retry: failed
+// items back off and re-run until they succeed, the attempt budget runs
+// out, or the request context expires. Each round re-submits only the
+// items that failed retryably (reads are idempotent; context errors
+// mean the budget is gone and nothing is retried), so one flapping unit
+// does not recompute its whole level.
 func (rb *ResilientBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
 	attempts := rb.MaxAttempts
 	if attempts == 0 {
@@ -138,8 +140,12 @@ func (cb *CachedBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(cb
 // ComputeUnits implements BatchComputer over the bean cache: hits are
 // answered locally, misses led by another request are joined, and only
 // the remaining leader misses (plus uncached units) travel down as one
-// smaller batch — each with the same snapshot/PutIfFresh freshness
-// protocol as the single-call path.
+// smaller batch. Of K requests missing the same key concurrently, one
+// (the leader) computes and the other K-1 wait for its result. The
+// invalidation version of a unit's read dependencies is snapshotted
+// before computing; PutIfFresh refuses the bean if an operation
+// invalidated any of them in the meantime, so a stale bean is never
+// cached.
 func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
 	out := make([]UnitResult, len(calls))
 	// leader describes one inner-batch slot: the call index it resolves,
@@ -218,6 +224,8 @@ func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []
 		case <-jn.f.done:
 			wsp.End()
 		case <-ctx.Done():
+			// Don't wait past this request's budget for someone else's
+			// leader; a stale bean within bound still beats an error.
 			wsp.EndErr(ctx.Err())
 			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, ctx.Err())
 			continue

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
 	"webmlgo/internal/cache"
 	"webmlgo/internal/descriptor"
-	"webmlgo/internal/obs"
 	"webmlgo/internal/rdb"
 )
 
@@ -22,7 +20,7 @@ import (
 //
 // Every call carries the request context: the controller derives a
 // per-request deadline and each tier below (worker pool, bean cache,
-// gob client) observes it, so a hung container can never wedge a
+// remote stub) observes it, so a hung container can never wedge a
 // servlet worker past the request budget.
 type Business interface {
 	// ComputeUnit produces the unit bean for a descriptor and inputs.
@@ -147,57 +145,11 @@ func NewCachedBusiness(inner Business, c *cache.BeanCache) *CachedBusiness {
 	return &CachedBusiness{Inner: inner, Cache: c}
 }
 
-// ComputeUnit implements Business with bean caching and singleflight
-// coalescing: of K requests missing the same key concurrently, one (the
-// leader) computes against the database and the other K-1 wait for its
-// result. The invalidation version of the unit's read dependencies is
-// snapshotted before computing; PutIfFresh refuses the bean if an
-// operation invalidated any of them in the meantime, so a stale bean is
-// never cached.
+// ComputeUnit implements Business as a batch of one: the hit / join /
+// lead protocol lives once, in ComputeUnits (batch.go).
 func (cb *CachedBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
-	if d.Cache == nil || !d.Cache.Enabled {
-		return cb.Inner.ComputeUnit(ctx, d, inputs)
-	}
-	key := beanKey(d.ID, inputs)
-	gsp := obs.Leaf(ctx, "cache.get").Label("unit", d.ID)
-	if v, ok := cb.Cache.Get(key); ok {
-		gsp.Label("outcome", "hit").End()
-		return v.(*UnitBean), nil
-	}
-	gsp.Label("outcome", "miss").End()
-	f, leader := cb.flights.join(key, d.Reads)
-	if !leader {
-		wsp := obs.Leaf(ctx, "cache.wait").Label("unit", d.ID)
-		select {
-		case <-f.done:
-			wsp.End()
-		case <-ctx.Done():
-			// Don't wait past this request's budget for someone else's
-			// leader; a stale bean within bound still beats an error.
-			wsp.EndErr(ctx.Err())
-			return cb.degraded(key, ctx.Err())
-		}
-		if f.err != nil {
-			return cb.degraded(key, f.err)
-		}
-		return f.bean, nil
-	}
-	v := cb.Cache.Version(d.Reads)
-	bean, err := cb.Inner.ComputeUnit(ctx, d, inputs)
-	current := cb.flights.finish(key, f, bean, err)
-	if err != nil {
-		return cb.degraded(key, err)
-	}
-	if current {
-		ttl := time.Duration(0)
-		if d.Cache.TTLSeconds > 0 {
-			ttl = time.Duration(d.Cache.TTLSeconds) * time.Second
-		}
-		psp := obs.Leaf(ctx, "cache.put").Label("unit", d.ID)
-		stored := cb.Cache.PutIfFresh(key, bean, d.Reads, ttl, v)
-		psp.Label("stored", strconv.FormatBool(stored)).End()
-	}
-	return bean, nil
+	r := cb.ComputeUnits(ctx, []UnitCall{{D: d, Inputs: inputs}})[0]
+	return r.Bean, r.Err
 }
 
 // degraded is the fallback path of a failed cached computation: if

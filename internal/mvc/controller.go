@@ -79,7 +79,7 @@ type Controller struct {
 	// RequestTimeout is the per-request deadline budget handed to the
 	// business tier: page and operation actions derive a context that
 	// expires after this much time, and every tier below (worker pool,
-	// bean cache, gob client) observes it. A request past its budget
+	// bean cache, remote stub) observes it. A request past its budget
 	// answers 504 (or a degraded stale bean, if enabled). 0 disables the
 	// deadline — only client disconnect cancels.
 	RequestTimeout time.Duration
@@ -297,7 +297,7 @@ func (c *Controller) safeDispatch(w http.ResponseWriter, r *http.Request, sessio
 }
 
 // requestContext derives the per-request deadline context — the budget
-// every tier below (page workers, bean cache, gob client) observes.
+// every tier below (page workers, bean cache, remote stub) observes.
 func (c *Controller) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if c.RequestTimeout > 0 {
 		return context.WithTimeout(r.Context(), c.RequestTimeout)

@@ -2,7 +2,6 @@ package mvc
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -46,33 +45,11 @@ func NewResilientBusiness(inner Business, seed int64) *ResilientBusiness {
 	return &ResilientBusiness{Inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
 
-// ComputeUnit implements Business with retry: failed attempts back off
-// and re-run against the inner business until one succeeds, the attempt
-// budget runs out, or the request context expires (context errors are
-// never retried — the budget is gone, more attempts cannot help).
+// ComputeUnit implements Business as a batch of one: the retry loop
+// lives once, in ComputeUnits (batch.go).
 func (rb *ResilientBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
-	attempts := rb.MaxAttempts
-	if attempts == 0 {
-		attempts = 3
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			rb.Retries.Add(1)
-			if err := rb.sleep(ctx, attempt); err != nil {
-				return nil, lastErr
-			}
-		}
-		bean, err := rb.Inner.ComputeUnit(ctx, d, inputs)
-		if err == nil {
-			return bean, nil
-		}
-		lastErr = err
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || ctx.Err() != nil {
-			return nil, lastErr
-		}
-	}
-	return nil, lastErr
+	r := rb.ComputeUnits(ctx, []UnitCall{{D: d, Inputs: inputs}})[0]
+	return r.Bean, r.Err
 }
 
 // ExecuteOperation implements Business by pure delegation — writes are

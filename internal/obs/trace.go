@@ -11,7 +11,7 @@
 // hand, the model already names every stage of the request.
 //
 // Tracing is propagated through context.Context inside a process and
-// through two gob wire fields (trace ID + parent span ID) across the
+// through two wire fields (trace ID + parent span ID) across the
 // EJB tier boundary; the container ships its spans back in the response,
 // so the servlet tier stitches one trace covering edge, controller, page
 // workers, caches and remote containers. Finished traces land in a

@@ -17,7 +17,7 @@ import (
 // WithObservability enables request tracing across every tier: the edge
 // (or controller, without an edge) allocates a trace per request, page
 // workers, caches and remote EJB calls contribute spans, and container
-// tiers stitch theirs back over the gob wire. Finished traces are kept
+// tiers stitch theirs back over the wire. Finished traces are kept
 // in a ring of traceCapacity (<=0 selects 256) served at /debug/traces;
 // traces at or past slowThreshold (<=0 selects 250ms) are additionally
 // retained as slow exemplars. It also turns on the per-page and

@@ -13,7 +13,7 @@ import (
 
 // obsStack assembles the full three-tier stack with observability on:
 // an edge surrogate in front of a web tier whose business calls go to a
-// remote container over the gob protocol.
+// remote container over the wire.
 func obsStack(t *testing.T) (*App, *ejb.Container) {
 	t.Helper()
 	backend, err := New(fixture.Figure1Model())
@@ -44,7 +44,7 @@ func obsStack(t *testing.T) (*App, *ejb.Container) {
 // TestStitchedTraceAcrossTiers: one request through edge + controller +
 // remote container yields a single trace whose spans cover the edge
 // assembly, the controller dispatch, the remote EJB calls, and the
-// container-side invoke spans shipped back over the gob wire — all
+// container-side invoke spans shipped back over the wire — all
 // linked to one root covering the full wall time.
 func TestStitchedTraceAcrossTiers(t *testing.T) {
 	app, _ := obsStack(t)
@@ -81,7 +81,7 @@ func TestStitchedTraceAcrossTiers(t *testing.T) {
 	}
 
 	// Find the edge-rooted page trace. Every tier must have contributed
-	// spans, including the container-side ones stitched in from the gob
+	// spans, including the container-side ones stitched in from the
 	// response.
 	tr := out.Traces[0]
 	for _, cand := range out.Traces {
@@ -141,7 +141,7 @@ func TestStitchedTraceAcrossTiers(t *testing.T) {
 // per-action, per-page, per-unit and per-endpoint latency quantiles
 // plus cache and edge counters; the container tier exposes its own
 // invoke histograms — the same model-derived label vocabulary on both
-// sides of the gob wire.
+// sides of the wire.
 func TestMetricsExpositionBothTiers(t *testing.T) {
 	app, ctr := obsStack(t)
 
