@@ -1,0 +1,130 @@
+package webmlgo
+
+// Allocation guards for the row path. Each test runs one shape at 20
+// and at 200 rows and bounds the allocations an *extra* row costs, so
+// fixed per-query, per-page and per-call overheads cancel and a per-row
+// allocation reintroduced anywhere between the plan's projection and
+// the response bytes fails here, in go test.
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"webmlgo/internal/descriptor"
+	"webmlgo/internal/ejb"
+	"webmlgo/internal/mvc"
+	"webmlgo/internal/rdb"
+	"webmlgo/internal/render"
+)
+
+// allocSlope returns the allocations per extra row of the work that
+// shape(rows) prepares.
+func allocSlope(t *testing.T, shape func(rows int) func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	small, large := shape(20), shape(200)
+	return (testing.AllocsPerRun(100, large) - testing.AllocsPerRun(100, small)) / 180
+}
+
+// rowsBean is an index bean of n (oid, Title) rows, oids past the
+// runtime's preallocated small integers.
+func rowsBean(n int) *mvc.UnitBean {
+	b := &mvc.UnitBean{UnitID: "idx", Kind: "index", Fields: []string{"oid", "Title"}}
+	for i := 0; i < n; i++ {
+		b.Nodes = append(b.Nodes, mvc.Node{Values: []mvc.Value{int64(1000 + i), fmt.Sprintf("title %d", i)}})
+	}
+	return b
+}
+
+func TestAllocSlopeCompiledSelect(t *testing.T) {
+	db := rdb.Open()
+	slope := allocSlope(t, func(rows int) func() {
+		table := fmt.Sprintf("item%d", rows)
+		if _, err := db.Exec("CREATE TABLE " + table + " (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL)"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if _, err := db.Exec("INSERT INTO "+table+" (title) VALUES (?)", fmt.Sprintf("title %d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query := "SELECT t.oid, t.title FROM " + table + " t ORDER BY t.oid"
+		return func() {
+			if res, err := db.Query(query); err != nil || res.Len() != rows {
+				t.Fatalf("%d rows, err %v", res.Len(), err)
+			}
+		}
+	})
+	if slope > 0.25 {
+		t.Fatalf("compiled SELECT ... ORDER BY allocates %.2f per extra row, want <= 0.25", slope)
+	}
+	t.Logf("compiled SELECT ... ORDER BY: %.3f allocs per extra row", slope)
+}
+
+func TestAllocSlopeRenderPage(t *testing.T) {
+	pd := &descriptor.Page{ID: "p", Template: "p", Units: []descriptor.UnitRef{{ID: "idx"}},
+		Anchors: []descriptor.Anchor{{FromUnit: "idx", Action: "page/detail",
+			Params: []descriptor.EdgeParam{{Source: "oid", Target: "id"}}}}}
+	repo := descriptor.NewRepository()
+	repo.PutPage(pd)
+	repo.PutTemplate("p", `<html><body><webml:indexUnit id="idx"/></body></html>`)
+	engine := render.NewEngine(repo)
+	slope := allocSlope(t, func(rows int) func() {
+		state := &mvc.PageState{PageID: "p", Beans: map[string]*mvc.UnitBean{"idx": rowsBean(rows)}}
+		return func() {
+			if _, err := engine.RenderPage(pd, state, &mvc.RequestContext{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if slope > 0.25 {
+		t.Fatalf("RenderPage of an anchored index allocates %.2f per extra row, want <= 0.25", slope)
+	}
+	t.Logf("RenderPage, anchored index: %.3f allocs per extra row", slope)
+}
+
+// cannedBeans answers every unit call with the bean deployed under the
+// descriptor's ID.
+type cannedBeans map[string]*mvc.UnitBean
+
+func (c cannedBeans) ComputeUnit(_ context.Context, d *descriptor.Unit, _ map[string]mvc.Value) (*mvc.UnitBean, error) {
+	return c[d.ID], nil
+}
+
+func (cannedBeans) ExecuteOperation(context.Context, *descriptor.Unit, map[string]mvc.Value) (*mvc.OpResult, error) {
+	return &mvc.OpResult{OK: true}, nil
+}
+
+// TestAllocSlopeCodec sends a bean through a real container over
+// loopback: per extra row the container's encode and the client's decode
+// may box one value per non-small field (the oid and the title) and
+// nothing else — no map, no key, no sorted key list.
+func TestAllocSlopeCodec(t *testing.T) {
+	beans := cannedBeans{"b20": rowsBean(20), "b200": rowsBean(200)}
+	ctr := ejb.NewContainer(beans, 4)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close() //nolint:errcheck // test teardown
+	client, err := ejb.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	slope := allocSlope(t, func(rows int) func() {
+		d := &descriptor.Unit{ID: fmt.Sprintf("b%d", rows), Kind: "index"}
+		return func() {
+			if bean, err := client.ComputeUnit(context.Background(), d, nil); err != nil || len(bean.Nodes) != rows {
+				t.Fatalf("bean %+v, err %v", bean, err)
+			}
+		}
+	})
+	if slope > 2.1 {
+		t.Fatalf("bean encode + decode allocates %.2f per extra row, want <= 2.1", slope)
+	}
+	t.Logf("bean encode + decode: %.3f allocs per extra row", slope)
+}

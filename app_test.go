@@ -1,6 +1,7 @@
 package webmlgo
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -202,8 +203,8 @@ func TestPluginEndToEnd(t *testing.T) {
 			return &mvc.UnitBean{UnitID: d.ID, Kind: d.Kind,
 				Props: map[string]string{"zone": zone}}, nil
 		}))
-	app.Renderer.RegisterTag("clock", func(_ *render.Context, bean *mvc.UnitBean) string {
-		return `<div class="clock">` + bean.Props["zone"] + `</div>`
+	app.Renderer.RegisterTag("clock", func(_ *render.Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+		w.WriteString(`<div class="clock">` + bean.Props["zone"] + `</div>`)
 	})
 	rr, body := request(t, app.Handler(), "/page/home", "")
 	if rr.Code != http.StatusOK {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -42,9 +43,10 @@ func weatherService(_ context.Context, _ *rdb.DB, d *descriptor.Unit, _ map[stri
 	}, nil
 }
 
-// weatherTag is the plug-in's rendition tag in the View.
-func weatherTag(_ *render.Context, bean *mvc.UnitBean) string {
-	return fmt.Sprintf(`<div class="webml-unit weather"><b>%s</b>: %s</div>`,
+// weatherTag is the plug-in's rendition tag in the View: it appends its
+// markup to the page's buffer.
+func weatherTag(_ *render.Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+	fmt.Fprintf(w, `<div class="webml-unit weather"><b>%s</b>: %s</div>`,
 		bean.Props["city"], bean.Props["forecast"])
 }
 

@@ -136,7 +136,7 @@ func (a *App) buildPageTemplate(model *webml.Model, repo *descriptor.Repository,
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "<html><head><title>%s</title></head><body><table class=\"page-grid\">", pd.Name)
-		computed := map[string]mvc.Row{}
+		computed := map[string]map[string]mvc.Value{}
 		for _, iu := range units {
 			if iu.d == nil {
 				continue
@@ -155,7 +155,7 @@ func (a *App) buildPageTemplate(model *webml.Model, repo *descriptor.Repository,
 // bind parameters, run the embedded SQL, emit markup — all mixed
 // together, which is exactly problem 1 of Section 2.
 func (a *App) renderUnitInline(b *strings.Builder, d *descriptor.Unit, anchors []descriptor.Anchor,
-	params map[string]mvc.Value, edges []descriptor.Edge, computed map[string]mvc.Row) {
+	params map[string]mvc.Value, edges []descriptor.Edge, computed map[string]map[string]mvc.Value) {
 	switch d.Kind {
 	case "entry":
 		action := ""

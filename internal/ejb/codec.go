@@ -174,11 +174,16 @@ func (w *wbuf) valueMap(m map[string]mvc.Value) {
 	}
 }
 
-// rbuf decodes from a fully-read frame buffer with a sticky error.
+// rbuf decodes from a fully-read frame buffer with a sticky error. text
+// is one string copy of b, made when the first string is read: every
+// decoded string is a substring of it, so a frame's strings cost one
+// allocation, and whatever retains a decoded bean retains its frame's
+// bytes (they are mostly the bean's own).
 type rbuf struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	text string
 }
 
 func (r *rbuf) fail() { r.err = errCodec }
@@ -246,7 +251,10 @@ func (r *rbuf) str() string {
 	if r.err != nil || n == 0 {
 		return ""
 	}
-	s := string(r.b[r.off : r.off+n])
+	if r.text == "" {
+		r.text = string(r.b)
+	}
+	s := r.text[r.off : r.off+n]
 	r.off += n
 	return s
 }
@@ -520,7 +528,7 @@ func (w *wbuf) beanPtr(b *mvc.UnitBean) {
 	for _, lf := range b.LevelFields {
 		w.strs(lf)
 	}
-	w.nodes(b.Nodes, 0)
+	w.nodes(b, b.Nodes, 0)
 	w.bool(b.Missing)
 	w.varint(int64(b.Total))
 	w.varint(int64(b.Offset))
@@ -536,15 +544,30 @@ func (w *wbuf) beanPtr(b *mvc.UnitBean) {
 	w.strMap(b.Props)
 }
 
-func (w *wbuf) nodes(ns []mvc.Node, depth int) {
+// nodes writes a sibling list: count, then (when non-empty) the row
+// width and per node its positional values and its children. Names never
+// cross the wire per row — the width must be that of the bean's field
+// list for the level, which travels once.
+func (w *wbuf) nodes(b *mvc.UnitBean, ns []mvc.Node, depth int) {
 	if depth > maxNesting {
 		w.err = fmt.Errorf("ejb: bean nesting exceeds %d", maxNesting)
 		return
 	}
 	w.uvarint(uint64(len(ns)))
-	for _, n := range ns {
-		w.valueMap(map[string]mvc.Value(n.Values))
-		w.nodes(n.Children, depth+1)
+	if len(ns) == 0 {
+		return
+	}
+	width := len(b.LevelNames(depth))
+	w.uvarint(uint64(width))
+	for i := range ns {
+		if len(ns[i].Values) != width {
+			w.err = fmt.Errorf("ejb: unit %s: node of %d values under %d fields", b.UnitID, len(ns[i].Values), width)
+			return
+		}
+		for _, v := range ns[i].Values {
+			w.value(v)
+		}
+		w.nodes(b, ns[i].Children, depth+1)
 	}
 }
 
@@ -562,7 +585,7 @@ func (r *rbuf) beanPtr() *mvc.UnitBean {
 			b.LevelFields[i] = r.strs()
 		}
 	}
-	b.Nodes = r.nodes(0)
+	b.Nodes = r.nodes(b, 0)
 	b.Missing = r.bool()
 	b.Total = int(r.varint())
 	b.Offset = int(r.varint())
@@ -584,7 +607,11 @@ func (r *rbuf) beanPtr() *mvc.UnitBean {
 	return b
 }
 
-func (r *rbuf) nodes(depth int) []mvc.Node {
+// nodes reads a sibling list into one exact-size value slab. The width
+// must match the bean's already-decoded field list and every node needs
+// width+1 bytes, so no crafted count sizes an allocation the payload
+// could not fill.
+func (r *rbuf) nodes(b *mvc.UnitBean, depth int) []mvc.Node {
 	if depth > maxNesting {
 		r.fail()
 		return nil
@@ -593,12 +620,21 @@ func (r *rbuf) nodes(depth int) []mvc.Node {
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	width := len(b.LevelNames(depth))
+	if r.uvarint() != uint64(width) || n*(width+1) > r.remaining() {
+		r.fail()
+		return nil
+	}
 	ns := make([]mvc.Node, n)
+	slab := make([]mvc.Value, n*width)
 	for i := range ns {
-		if vm := r.valueMap(); vm != nil {
-			ns[i].Values = mvc.Row(vm)
+		if width > 0 {
+			ns[i].Values = slab[i*width : (i+1)*width : (i+1)*width]
 		}
-		ns[i].Children = r.nodes(depth + 1)
+		for j := range ns[i].Values {
+			ns[i].Values[j] = r.value()
+		}
+		ns[i].Children = r.nodes(b, depth+1)
 	}
 	return ns
 }

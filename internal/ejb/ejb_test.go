@@ -55,17 +55,26 @@ func TestRemoteComputeUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bean.Nodes) != 1 || bean.Nodes[0].Values["Title"] != "TODS Volume 27" {
+	if len(bean.Nodes) != 1 || bean.Nodes[0].Values[1] != "TODS Volume 27" {
 		t.Fatalf("bean = %+v", bean)
 	}
 }
 
 func TestRemoteHierarchicalBeanSurvivesWire(t *testing.T) {
-	_, client, _, art := startApp(t, 4)
+	_, client, db, art := startApp(t, 4)
 	d := art.Repo.Unit("issuesPapers")
 	bean, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"parent": int64(1)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The fragment-cache key is the bean's hash: the same content must
+	// hash the same whether it was computed here or crossed the wire.
+	local, err := mvc.NewLocalBusiness(db).ComputeUnit(context.Background(), d, map[string]mvc.Value{"parent": int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Hash() != bean.Hash() {
+		t.Fatal("bean hashes differently after the wire round trip")
 	}
 	if len(bean.Nodes) != 2 {
 		t.Fatalf("issues = %d", len(bean.Nodes))

@@ -20,8 +20,10 @@ import (
 //
 // and the container echoes the same form back with its own version.
 // Both sides bound the exchange by handshakeTimeout, and either side
-// closes the connection on anything but the magic: there is no other
-// protocol to fall back to.
+// closes the connection on anything but the magic followed by its own
+// version (3 since bean rows went positional: a build of another version
+// fails the handshake, it is never decoded): there is no other protocol
+// to fall back to.
 //
 // Frames (both directions, after the handshake):
 //
@@ -32,7 +34,7 @@ import (
 // connection: the client write side is mutex-serialized, a demux
 // goroutine routes replies by request ID.
 const (
-	wireVersion = 2
+	wireVersion = 3
 
 	ftCall      byte = 1 // body: request
 	ftBatch     byte = 2 // body: batchRequest
@@ -59,7 +61,7 @@ func handshakeBytes() []byte {
 
 func isHandshake(b []byte) bool {
 	return len(b) >= 6 && b[0] == hsMagic[0] && b[1] == hsMagic[1] &&
-		b[2] == hsMagic[2] && b[3] == hsMagic[3] && b[4] == hsMagic[4]
+		b[2] == hsMagic[2] && b[3] == hsMagic[3] && b[4] == hsMagic[4] && b[5] == wireVersion
 }
 
 // errHandshake reports that the far side did not complete the wire-v2

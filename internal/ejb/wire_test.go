@@ -69,11 +69,11 @@ func fullResponse() *response {
 		Bean: &mvc.UnitBean{
 			UnitID: "u1", Kind: "index",
 			Fields:      []string{"oid", "Title"},
-			LevelFields: [][]string{{"oid"}, {"N"}},
+			LevelFields: [][]string{{"N"}},
 			Nodes: []mvc.Node{
-				{Values: mvc.Row{"oid": int64(1), "Title": "A"},
-					Children: []mvc.Node{{Values: mvc.Row{"N": int64(2)}}}},
-				{Values: mvc.Row{"oid": int64(2), "t": time.Unix(1700000000, 0).UTC()}},
+				{Values: []mvc.Value{int64(1), "A"},
+					Children: []mvc.Node{{Values: []mvc.Value{int64(2)}}}},
+				{Values: []mvc.Value{int64(2), time.Unix(1700000000, 0).UTC()}},
 			},
 			Missing: false, Total: 40, Offset: 20, PageSize: 10,
 			FormFields: []mvc.FormField{{Name: "q", Type: "TEXT", Required: true, Value: "v"}},
@@ -221,6 +221,51 @@ func FuzzCodecRequest(f *testing.F) {
 	})
 }
 
+// malformedNodeLists are responses whose bean declares fields and then
+// lies in its node list: more rows × width than payload, a width that is
+// not the field count, nesting past maxNesting.
+func malformedNodeLists() map[string][]byte {
+	bean := func(fields []string, nodes ...byte) []byte {
+		w := getWbuf()
+		defer putWbuf(w)
+		w.bool(true)
+		w.str("u")
+		w.str("index")
+		w.strs(fields)
+		w.uvarint(0) // no level fields
+		return append(append([]byte(nil), w.b...), nodes...)
+	}
+	deep := bytes.Repeat([]byte{1, 0}, maxNesting+2) // one zero-width node per level
+	return map[string][]byte{
+		"rows x width past payload": bean([]string{"a", "b", "c"}, 9, 3, vNil, vNil, vNil, 0, 0, 0, 0, 0, 0),
+		"huge count":                bean([]string{"a"}, 0xff, 0xff, 0xff, 0xff, 0x0f, 1),
+		"width over fields":         bean([]string{"a"}, 1, 2, vNil, vNil, 0),
+		"width under fields":        bean([]string{"a", "b"}, 1, 1, vNil, 0),
+		"nesting":                   bean(nil, append(deep, 0)...),
+	}
+}
+
+// TestCodecMalformedNodeLists: each is a typed decode error.
+func TestCodecMalformedNodeLists(t *testing.T) {
+	for name, data := range malformedNodeLists() {
+		r := rbuf{b: data}
+		if _, err := r.response(); !errors.Is(err, errCodec) {
+			t.Errorf("%s: decode error = %v, want errCodec", name, err)
+		}
+	}
+}
+
+// TestCodecRejectsRaggedNode: a node whose value count is not its
+// level's field count cannot be encoded — names travel once per bean.
+func TestCodecRejectsRaggedNode(t *testing.T) {
+	w := getWbuf()
+	defer putWbuf(w)
+	w.beanPtr(&mvc.UnitBean{UnitID: "u", Fields: []string{"a"}, Nodes: []mvc.Node{{Values: []mvc.Value{"x", "y"}}}})
+	if w.err == nil {
+		t.Fatal("ragged node encoded without error")
+	}
+}
+
 // FuzzCodecResponse is FuzzCodecRequest for the response shape.
 func FuzzCodecResponse(f *testing.F) {
 	w := getWbuf()
@@ -228,6 +273,9 @@ func FuzzCodecResponse(f *testing.F) {
 	f.Add(append([]byte(nil), w.b...))
 	putWbuf(w)
 	f.Add([]byte{})
+	for _, data := range malformedNodeLists() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := rbuf{b: data}
 		resp, err := r.response()
@@ -264,7 +312,7 @@ func echoBusiness() mvc.Business {
 	return &funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			return &mvc.UnitBean{UnitID: d.ID, Kind: d.Kind,
-				Nodes: []mvc.Node{{Values: mvc.Row{"echo": inputs["x"]}}}}, nil
+				Fields: []string{"echo"}, Nodes: []mvc.Node{{Values: []mvc.Value{inputs["x"]}}}}, nil
 		},
 		execute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.OpResult, error) {
 			return &mvc.OpResult{OK: true}, nil
@@ -314,6 +362,13 @@ func TestWireFramedStrictRejectsLegacyPeer(t *testing.T) {
 			var hs [6]byte
 			io.ReadFull(c, hs[:])           //nolint:errcheck
 			c.Write([]byte("\x05WRF1\x02")) //nolint:errcheck
+			io.Copy(io.Discard, c)          //nolint:errcheck
+		},
+		// the build before rows went positional: right magic, version 2
+		"version 2": func(c net.Conn) {
+			var hs [6]byte
+			io.ReadFull(c, hs[:])           //nolint:errcheck
+			c.Write([]byte("\x05WRF2\x02")) //nolint:errcheck
 			io.Copy(io.Discard, c)          //nolint:errcheck
 		},
 	}
@@ -371,7 +426,7 @@ func TestWireFramedStrictRejectsLegacyPeer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no failover past the non-v2 peer: %v", err)
 			}
-			if bean.Nodes[0].Values["echo"] != int64(7) {
+			if bean.Nodes[0].Values[0] != int64(7) {
 				t.Fatalf("bean = %+v", bean)
 			}
 			if h := both.Health(); h[0].Failures != 1 {
@@ -398,6 +453,7 @@ func TestContainerHandshakeBounded(t *testing.T) {
 		"silent":  "",
 		"partial": "\x05WR",
 		"garbage": "GET / HTTP/1.1\r\n\r\n",
+		"v2":      "\x05WRF2\x02",
 	} {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -522,7 +578,7 @@ func TestBatchComputeUnits(t *testing.T) {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
 	}
-	if res[0].Bean.Nodes[0].Values["Title"] != "TODS Volume 27" {
+	if res[0].Bean.Nodes[0].Values[1] != "TODS Volume 27" {
 		t.Fatalf("item 0 = %+v", res[0].Bean)
 	}
 	if len(res[1].Bean.Nodes) != 2 || len(res[1].Bean.Nodes[0].Children) == 0 {
@@ -875,7 +931,7 @@ func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descrip
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			return &mvc.UnitBean{UnitID: d.ID, Kind: "data",
-				Nodes: []mvc.Node{{Values: mvc.Row{"oid": int64(1), "Title": "T"}}}}, nil
+				Fields: []string{"oid", "Title"}, Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "T"}}}}, nil
 		},
 	}, 64)
 	addr, err := ctr.Serve("127.0.0.1:0")

@@ -7,11 +7,9 @@
 package mvc
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"strings"
 
 	"webmlgo/internal/rdb"
 )
@@ -19,13 +17,16 @@ import (
 // Value is a scalar carried in beans and parameters.
 type Value = rdb.Value
 
-// Row maps bean field names to values.
-type Row map[string]Value
-
 // Node is one displayed object, possibly with nested children (the
-// hierarchical index of Figure 1).
+// hierarchical index of Figure 1). Values is positional: Values[i] is
+// the value of the bean's Fields[i] for a top-level node, and of
+// LevelFields[l][i] for a node nested l+1 levels down — the descriptor
+// fixed the field list once per unit, so no row carries names. Resolve
+// a name with FieldIndex once per unit, never per row. Values
+// may alias the query result and, like the whole bean, is read-only
+// once ComputeUnit has returned: beans are shared through the bean cache.
 type Node struct {
-	Values   Row
+	Values   []Value
 	Children []Node
 }
 
@@ -58,6 +59,29 @@ type UnitBean struct {
 	Props map[string]string
 }
 
+// LevelNames returns the field names of nodes nested depth levels down:
+// Fields at depth 0, LevelFields[depth-1] below, nil past the last level.
+func (b *UnitBean) LevelNames(depth int) []string {
+	switch {
+	case depth == 0:
+		return b.Fields
+	case depth <= len(b.LevelFields):
+		return b.LevelFields[depth-1]
+	}
+	return nil
+}
+
+// FieldIndex returns the position of a field in the Values of the nodes
+// the field list names, or -1.
+func FieldIndex(fields []string, name string) int {
+	for i, f := range fields {
+		if f == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // FormField is one entry-unit field as exposed to the View.
 type FormField struct {
 	Name     string
@@ -82,17 +106,19 @@ func (b *UnitBean) Hash() uint64 {
 	var walk func(ns []Node)
 	walk = func(ns []Node) {
 		for _, n := range ns {
-			names := make([]string, 0, len(n.Values))
-			for k := range n.Values {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			for _, k := range names {
-				io(k)
-				io(rdb.FormatValue(n.Values[k]))
+			for _, v := range n.Values {
+				io(rdb.FormatValue(v))
 			}
 			walk(n.Children)
 			io("|")
+		}
+	}
+	for _, f := range b.Fields {
+		io(f)
+	}
+	for _, lf := range b.LevelFields {
+		for _, f := range lf {
+			io(f)
 		}
 	}
 	walk(b.Nodes)
@@ -100,9 +126,14 @@ func (b *UnitBean) Hash() uint64 {
 		io(f.Name)
 		io(f.Value)
 	}
-	for k, v := range b.Errors {
+	keys := make([]string, 0, len(b.Errors))
+	for k := range b.Errors {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
 		io(k)
-		io(v)
+		io(b.Errors[k])
 	}
 	return h.Sum64()
 }
@@ -135,37 +166,3 @@ func ConvertParam(s string) Value {
 
 // FormatParam renders a Value back into its request-parameter form.
 func FormatParam(v Value) string { return rdb.FormatValue(v) }
-
-// rowsToNodes converts a query result into bean nodes using the output
-// field definitions (field name <- column).
-func rowsToNodes(rows *rdb.Rows, fields []fieldDef) ([]Node, error) {
-	cols := make([]int, len(fields))
-	for i, f := range fields {
-		idx := rows.Col(f.column)
-		if idx < 0 {
-			return nil, fmt.Errorf("mvc: result set lacks column %q", f.column)
-		}
-		cols[i] = idx
-	}
-	nodes := make([]Node, len(rows.Data))
-	for i, r := range rows.Data {
-		values := make(Row, len(fields))
-		for j, f := range fields {
-			values[f.name] = r[cols[j]]
-		}
-		nodes[i] = Node{Values: values}
-	}
-	return nodes, nil
-}
-
-type fieldDef struct{ name, column string }
-
-func fieldNames(fs []fieldDef) []string {
-	out := make([]string, len(fs))
-	for i, f := range fs {
-		out[i] = f.name
-	}
-	return out
-}
-
-func lowerEq(a, b string) bool { return strings.EqualFold(a, b) }

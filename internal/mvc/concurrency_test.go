@@ -3,6 +3,7 @@ package mvc
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,7 +46,7 @@ func (g *gatedBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inp
 	if g.gate != nil {
 		<-g.gate
 	}
-	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Nodes: []Node{{Values: Row{"v": p}}}}, nil
+	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"v"}, Nodes: []Node{{Values: []Value{p}}}}, nil
 }
 
 func (g *gatedBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {
@@ -102,7 +103,7 @@ func TestSingleflightCoalescesMisses(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		if beans[i] == nil || beans[i].Nodes[0].Values["v"] != "x" {
+		if beans[i] == nil || beans[i].Nodes[0].Values[0] != "x" {
 			t.Fatalf("goroutine %d got %+v", i, beans[i])
 		}
 	}
@@ -142,7 +143,7 @@ func TestOperationForgetsInFlight(t *testing.T) {
 	close(inner.gate)
 	b := <-done
 	// The overlapped reader may legitimately see pre-write data...
-	if got := b.Nodes[0].Values["v"]; got != "pre-write" {
+	if got := b.Nodes[0].Values[0]; got != "pre-write" {
 		t.Fatalf("overlapped reader got %v", got)
 	}
 	// ...but that result must NOT have been cached: a fresh request
@@ -153,7 +154,7 @@ func TestOperationForgetsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b2.Nodes[0].Values["v"]; got != "post-write" {
+	if got := b2.Nodes[0].Values[0]; got != "post-write" {
 		t.Fatalf("post-write request got %v (stale bean cached)", got)
 	}
 	if n := inner.computes.Load(); n != 2 {
@@ -174,11 +175,16 @@ func (c *countingBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, 
 		time.Sleep(c.delay)
 	}
 	// Echo the inputs so parameter propagation is observable.
-	vals := Row{"id": d.ID}
-	for k, v := range inputs {
-		vals[k] = v
+	fields := []string{"id"}
+	for k := range inputs {
+		fields = append(fields, k)
 	}
-	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Nodes: []Node{{Values: vals}}}, nil
+	sort.Strings(fields[1:])
+	vals := []Value{d.ID}
+	for _, k := range fields[1:] {
+		vals = append(vals, inputs[k])
+	}
+	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: fields, Nodes: []Node{{Values: vals}}}, nil
 }
 
 func (c *countingBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {
@@ -240,11 +246,11 @@ func TestParallelPageComputeMatchesSequential(t *testing.T) {
 		}
 	}
 	// The sink saw every middle unit's propagated parameter.
-	sink := par.Beans["sink"].Nodes[0].Values
+	sink := par.Beans["sink"]
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("from-mid%02d", i)
-		if sink[key] == nil {
-			t.Fatalf("sink missing propagated param %q: %v", key, sink)
+		if at := FieldIndex(sink.Fields, key); at < 0 || sink.Nodes[0].Values[at] == nil {
+			t.Fatalf("sink missing propagated param %q: %v", key, sink.Fields)
 		}
 	}
 }

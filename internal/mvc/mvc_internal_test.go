@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"webmlgo/internal/descriptor"
+	"webmlgo/internal/rdb"
 )
 
 func newGetRequest(path string) *http.Request {
@@ -131,19 +132,34 @@ func TestForward(t *testing.T) {
 }
 
 func TestBeanHashSensitivity(t *testing.T) {
-	b1 := &UnitBean{UnitID: "u", Kind: "data", Nodes: []Node{{Values: Row{"t": "x"}}}}
-	b2 := &UnitBean{UnitID: "u", Kind: "data", Nodes: []Node{{Values: Row{"t": "x"}}}}
+	b1 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: []Value{"x"}}}}
+	b2 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: []Value{"x"}}}}
 	if b1.Hash() != b2.Hash() {
 		t.Fatal("equal beans hash differently")
 	}
-	b2.Nodes[0].Values["t"] = "y"
+	b2.Nodes[0].Values[0] = "y"
 	if b1.Hash() == b2.Hash() {
 		t.Fatal("different beans hash equal")
 	}
-	b3 := &UnitBean{UnitID: "u", Kind: "data", Nodes: []Node{{Values: Row{"t": "x"},
-		Children: []Node{{Values: Row{"c": "1"}}}}}}
+	b3 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: []Value{"x"},
+		Children: []Node{{Values: []Value{"1"}}}}}}
 	if b3.Hash() == b1.Hash() {
 		t.Fatal("children ignored by hash")
+	}
+}
+
+// TestBeanHashIsAFunctionOfContent: validation errors live in a map; the
+// hash must not follow Go's map iteration order, or an entry bean with
+// two errors never repeats its fragment-cache key.
+func TestBeanHashIsAFunctionOfContent(t *testing.T) {
+	b := &UnitBean{UnitID: "e", Kind: "entry",
+		FormFields: []FormField{{Name: "title"}, {Name: "year"}},
+		Errors:     map[string]string{"title": "required", "year": "not a number"}}
+	want := b.Hash()
+	for i := 0; i < 100; i++ {
+		if got := b.Hash(); got != want {
+			t.Fatalf("hash %d = %x, first was %x", i, got, want)
+		}
 	}
 }
 
@@ -218,5 +234,26 @@ func TestSessionExpiryOnResolve(t *testing.T) {
 	base = base.Add(2 * time.Minute)
 	if got := m.Resolve(httptest.NewRecorder(), req); got.ID == s.ID {
 		t.Fatal("expired session resumed")
+	}
+}
+
+// TestRowsToNodesAliasesOrReorders: nodes alias the result rows when the
+// descriptor's output order is the query's column order, and are copied
+// into field order otherwise (a hand-tuned query may reorder columns).
+func TestRowsToNodesAliasesOrReorders(t *testing.T) {
+	rows := &rdb.Rows{Columns: []string{"oid", "title"}, Data: [][]Value{{int64(1), "a"}, {int64(2), "b"}}}
+	same, err := rowsToNodes(rows, []descriptor.FieldDef{{Name: "oid", Column: "oid"}, {Name: "Title", Column: "TITLE"}})
+	if err != nil || &same[1].Values[0] != &rows.Data[1][0] {
+		t.Fatalf("same order did not alias the result rows (err %v)", err)
+	}
+	swapped, err := rowsToNodes(rows, []descriptor.FieldDef{{Name: "Title", Column: "title"}, {Name: "oid", Column: "oid"}})
+	if err != nil || swapped[1].Values[0] != "b" || swapped[1].Values[1] != int64(2) {
+		t.Fatalf("reordered nodes = %+v (err %v)", swapped, err)
+	}
+	if rows.Data[1][0] != int64(2) {
+		t.Fatal("reordering wrote through to the result rows")
+	}
+	if _, err := rowsToNodes(rows, []descriptor.FieldDef{{Name: "x", Column: "missing"}}); err == nil {
+		t.Fatal("missing column accepted")
 	}
 }

@@ -279,8 +279,8 @@ func (ps *PageService) resolveInputs(pd *descriptor.Page, sched *descriptor.Sche
 		}
 		current := src.Nodes[0].Values
 		for _, pm := range e.Params {
-			if v, ok := current[pm.Source]; ok {
-				inputs[pm.Target] = v
+			if i := FieldIndex(src.Fields, pm.Source); i >= 0 && i < len(current) {
+				inputs[pm.Target] = current[i]
 			}
 		}
 	}

@@ -110,10 +110,42 @@ func bindArgs(d *descriptor.Unit, params []descriptor.ParamDef, inputs map[strin
 	return args, true
 }
 
-func outputsOf(d *descriptor.Unit) []fieldDef {
-	out := make([]fieldDef, len(d.Outputs))
-	for i, o := range d.Outputs {
-		out[i] = fieldDef{name: o.Name, column: o.Column}
+// rowsToNodes converts a query result into bean nodes in the output
+// field order (field <- column). When that is the result's own column
+// order — it is for every generated query — the nodes alias the result
+// rows, which the engine projected for this execution alone; otherwise
+// the rows are reordered into one slab.
+func rowsToNodes(rows *rdb.Rows, fields []descriptor.FieldDef) ([]Node, error) {
+	cols := make([]int, len(fields))
+	aliased := len(fields) == len(rows.Columns)
+	for i, f := range fields {
+		if cols[i] = rows.Col(f.Column); cols[i] < 0 {
+			return nil, fmt.Errorf("mvc: result set lacks column %q", f.Column)
+		}
+		aliased = aliased && cols[i] == i
+	}
+	nodes := make([]Node, len(rows.Data))
+	if aliased {
+		for i, r := range rows.Data {
+			nodes[i].Values = r
+		}
+		return nodes, nil
+	}
+	w := len(fields)
+	slab := make([]Value, len(nodes)*w)
+	for i, r := range rows.Data {
+		nodes[i].Values = slab[i*w : (i+1)*w : (i+1)*w]
+		for j, c := range cols {
+			nodes[i].Values[j] = r[c]
+		}
+	}
+	return nodes, nil
+}
+
+func fieldNames(fs []descriptor.FieldDef) []string {
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = f.Name
 	}
 	return out
 }
@@ -122,15 +154,9 @@ func outputsOf(d *descriptor.Unit) []fieldDef {
 // multichoice units: run the descriptor's query, package the rows, then
 // expand hierarchical levels.
 func computeRowsUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
-	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind}
-	fields := outputsOf(d)
-	bean.Fields = fieldNames(fields)
+	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: fieldNames(d.Outputs)}
 	for _, lvl := range d.Levels {
-		lf := make([]fieldDef, len(lvl.Outputs))
-		for i, o := range lvl.Outputs {
-			lf[i] = fieldDef{name: o.Name, column: o.Column}
-		}
-		bean.LevelFields = append(bean.LevelFields, fieldNames(lf))
+		bean.LevelFields = append(bean.LevelFields, fieldNames(lvl.Outputs))
 	}
 	args, ok := bindArgs(d, d.Inputs, inputs)
 	if !ok {
@@ -141,47 +167,38 @@ func computeRowsUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs
 	if err != nil {
 		return nil, fmt.Errorf("mvc: unit %s: %w", d.ID, err)
 	}
-	nodes, err := rowsToNodes(rows, fields)
+	nodes, err := rowsToNodes(rows, d.Outputs)
 	if err != nil {
 		return nil, fmt.Errorf("mvc: unit %s: %w", d.ID, err)
 	}
 	bean.Nodes = nodes
-	if len(d.Levels) > 0 {
-		for i := range bean.Nodes {
-			if err := expandLevels(ctx, db, d, d.Levels, &bean.Nodes[i]); err != nil {
-				return nil, err
-			}
-		}
+	if err := expandLevels(ctx, db, d, bean, 0, bean.Nodes); err != nil {
+		return nil, err
 	}
 	return bean, nil
 }
 
-// expandLevels fills node.Children by running the level query with the
-// node's OID, recursively for deeper levels.
-func expandLevels(ctx context.Context, db *rdb.DB, d *descriptor.Unit, levels []descriptor.Level, node *Node) error {
-	if len(levels) == 0 {
+// expandLevels fills the Children of nodes, which sit depth levels down
+// the bean, by running the level query with each node's OID, recursively
+// for deeper levels.
+func expandLevels(ctx context.Context, db *rdb.DB, d *descriptor.Unit, bean *UnitBean, depth int, nodes []Node) error {
+	if depth == len(d.Levels) || len(nodes) == 0 {
 		return nil
 	}
-	lvl := levels[0]
-	oid, ok := node.Values["oid"]
-	if !ok {
+	lvl := d.Levels[depth]
+	oid := FieldIndex(bean.LevelNames(depth), "oid")
+	if oid < 0 {
 		return fmt.Errorf("mvc: unit %s: hierarchical level needs oid output", d.ID)
 	}
-	rows, err := timedQuery(ctx, db, d.ID, lvl.Query, oid)
-	if err != nil {
-		return fmt.Errorf("mvc: unit %s level %s: %w", d.ID, lvl.Entity, err)
-	}
-	lf := make([]fieldDef, len(lvl.Outputs))
-	for i, o := range lvl.Outputs {
-		lf[i] = fieldDef{name: o.Name, column: o.Column}
-	}
-	children, err := rowsToNodes(rows, lf)
-	if err != nil {
-		return fmt.Errorf("mvc: unit %s level %s: %w", d.ID, lvl.Entity, err)
-	}
-	node.Children = children
-	for i := range node.Children {
-		if err := expandLevels(ctx, db, d, levels[1:], &node.Children[i]); err != nil {
+	for i := range nodes {
+		rows, err := timedQuery(ctx, db, d.ID, lvl.Query, nodes[i].Values[oid])
+		if err != nil {
+			return fmt.Errorf("mvc: unit %s level %s: %w", d.ID, lvl.Entity, err)
+		}
+		if nodes[i].Children, err = rowsToNodes(rows, lvl.Outputs); err != nil {
+			return fmt.Errorf("mvc: unit %s level %s: %w", d.ID, lvl.Entity, err)
+		}
+		if err := expandLevels(ctx, db, d, bean, depth+1, nodes[i].Children); err != nil {
 			return err
 		}
 	}
@@ -190,9 +207,7 @@ func expandLevels(ctx context.Context, db *rdb.DB, d *descriptor.Unit, levels []
 
 // computeScrollerUnit runs the count query and one window of the result.
 func computeScrollerUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
-	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, PageSize: d.PageSize}
-	fields := outputsOf(d)
-	bean.Fields = fieldNames(fields)
+	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, PageSize: d.PageSize, Fields: fieldNames(d.Outputs)}
 
 	// The trailing "offset" input defaults to 0 when absent.
 	params := d.Inputs
@@ -232,7 +247,7 @@ func computeScrollerUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, in
 	if err != nil {
 		return nil, fmt.Errorf("mvc: scroller %s: %w", d.ID, err)
 	}
-	nodes, err := rowsToNodes(rows, fields)
+	nodes, err := rowsToNodes(rows, d.Outputs)
 	if err != nil {
 		return nil, fmt.Errorf("mvc: scroller %s: %w", d.ID, err)
 	}

@@ -152,6 +152,25 @@ func (p *SelectPlan) valid(db *DB) bool {
 // errStopIteration aborts row production once LIMIT is satisfied.
 var errStopIteration = errors.New("rdb: stop iteration")
 
+// slab hands out fixed-width slices cut from chunks that start at one
+// row (a point lookup allocates exactly its row) and double, so a
+// result of n rows costs O(log n) allocations instead of n. Each slice
+// is capped at its width: appending to one row never reaches the next.
+type slab[T any] struct {
+	free []T
+	rows int // rows in the newest chunk
+}
+
+func (s *slab[T]) cut(width int) []T {
+	if len(s.free) < width {
+		s.rows = max(1, 2*s.rows)
+		s.free = make([]T, s.rows*width)
+	}
+	out := s.free[:width:width]
+	s.free = s.free[width:]
+	return out
+}
+
 // execPlan runs a compiled plan. The caller must hold at least a read
 // lock on db.mu. es collects per-operator actuals when non-nil
 // (EXPLAIN ANALYZE, traced queries, the flight recorder); the hot path
@@ -168,6 +187,7 @@ func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error
 	db.countJoinStats(p)
 	needSort := len(p.orderBy) > 0 && !p.sortElim
 	var keys [][]Value
+	var rowSlab, keySlab slab[Value]
 	// LIMIT pushdown: stop producing once offset+limit rows exist, valid
 	// when no sort (or an index-order scan) and no DISTINCT reshuffle.
 	// A star projection still needs one row to expand column names.
@@ -195,12 +215,12 @@ func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error
 				c.stats.filterOut++
 			}
 		}
-		row, err := p.project(c)
+		row, err := p.project(c, &rowSlab)
 		if err != nil {
 			return err
 		}
 		if needSort && !p.distinct {
-			kv := make([]Value, len(p.orderBy))
+			kv := keySlab.cut(len(p.orderBy))
 			for k := range p.orderBy {
 				ok := &p.orderBy[k]
 				v, err := ok.expr(c)
@@ -273,6 +293,8 @@ func (db *DB) execPlanAggregate(p *SelectPlan, args []Value, es *execStats) (*Ro
 	c := &execCtx{rows: make([]Row, len(p.frames)), args: args, stats: es}
 	db.countJoinStats(p)
 	var envs []*env
+	var frameSlab slab[frame]
+	var envSlab slab[env]
 	emit := func() error {
 		if p.where != nil {
 			if c.stats != nil {
@@ -289,11 +311,13 @@ func (db *DB) execPlanAggregate(p *SelectPlan, args []Value, es *execStats) (*Ro
 				c.stats.filterOut++
 			}
 		}
-		fs := make([]frame, len(p.frames))
+		fs := frameSlab.cut(len(p.frames))
 		for i, pf := range p.frames {
 			fs[i] = frame{name: pf.name, tbl: pf.tbl, row: c.rows[i]}
 		}
-		envs = append(envs, &env{frames: fs})
+		e := &envSlab.cut(1)[0]
+		e.frames = fs
+		envs = append(envs, e)
 		return nil
 	}
 	baseEach := func(r Row) error {
@@ -699,9 +723,11 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 	return nil
 }
 
-// project builds one output row from the current row combination.
-func (p *SelectPlan) project(c *execCtx) ([]Value, error) {
-	var row []Value
+// project builds one output row from the current row combination, in a
+// slice cut from the execution's slab (the output width is fixed at
+// compile time).
+func (p *SelectPlan) project(c *execCtx, rows *slab[Value]) ([]Value, error) {
+	row := rows.cut(len(p.cols))[:0]
 	for i := range p.proj {
 		ps := &p.proj[i]
 		if ps.expr != nil {
@@ -735,8 +761,9 @@ func sortCompiled(p *SelectPlan, out *Rows, keys [][]Value) error {
 	n := len(out.Data)
 	if keys == nil {
 		keys = make([][]Value, n)
+		flat := make([]Value, n*len(p.orderBy))
 		for i := 0; i < n; i++ {
-			kv := make([]Value, len(p.orderBy))
+			kv := flat[i*len(p.orderBy) : (i+1)*len(p.orderBy)]
 			for k := range p.orderBy {
 				ok := &p.orderBy[k]
 				if ok.outCol < 0 {

@@ -40,10 +40,13 @@ func putBuf(b *bytes.Buffer) {
 	}
 }
 
-// TagRenderer produces the HTML rendition of one unit kind from its bean
-// — the custom tag implementation of Section 3 ("WebML-aware tags,
-// defined on purpose to match the features of WebML units").
-type TagRenderer func(rc *Context, bean *mvc.UnitBean) string
+// TagRenderer appends the HTML rendition of one unit kind, built from
+// its bean, to w — the custom tag implementation of Section 3
+// ("WebML-aware tags, defined on purpose to match the features of WebML
+// units"). w is a pooled buffer: write to it, do not retain it. The bean
+// may be shared with other requests through the bean cache and must not
+// be modified; a node's Values are positional (see mvc.Node).
+type TagRenderer func(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean)
 
 // Styler transforms a parsed template at request time (runtime
 // application of the presentation rules, Section 5). Variant names the
@@ -99,29 +102,6 @@ type Context struct {
 	Page    *descriptor.Page
 	State   *mvc.PageState
 	Request *mvc.RequestContext
-	engine  *Engine
-}
-
-// Anchors returns the anchors originating at a unit.
-func (rc *Context) Anchors(unitID string) []descriptor.Anchor {
-	var out []descriptor.Anchor
-	for _, a := range rc.Page.Anchors {
-		if a.FromUnit == unitID {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// AnchorURL builds the href of an anchor applied to one displayed object.
-func (rc *Context) AnchorURL(a descriptor.Anchor, values mvc.Row) string {
-	params := map[string]string{}
-	for _, p := range a.Params {
-		if v, ok := values[p.Source]; ok {
-			params[p.Target] = mvc.FormatParam(v)
-		}
-	}
-	return mvc.ActionURL(a.Action, params)
 }
 
 var (
@@ -159,7 +139,7 @@ func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, c
 	if e.Styler != nil {
 		variant = e.Styler.Variant(ctx.UserAgent)
 	}
-	rc := &Context{Page: pd, State: state, Request: ctx, engine: e}
+	rc := &Context{Page: pd, State: state, Request: ctx}
 	markup, err := e.renderUnit(rc, pd, bean, variant)
 	if err != nil {
 		return nil, err
@@ -191,7 +171,7 @@ func (e *Engine) render(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.Requ
 		tpl = tpl.Clone()
 	}
 
-	rc := &Context{Page: pd, State: state, Request: ctx, engine: e}
+	rc := &Context{Page: pd, State: state, Request: ctx}
 	var renderErr error
 	tpl.Walk(func(n *dom.Node) bool {
 		if renderErr != nil {
@@ -282,7 +262,10 @@ func (e *Engine) renderUnit(rc *Context, pd *descriptor.Page, bean *mvc.UnitBean
 	if !ok {
 		return "", fmt.Errorf("render: no tag renderer for unit kind %q", bean.Kind)
 	}
-	markup := tag(rc, bean)
+	b := getBuf()
+	tag(rc, b, bean)
+	markup := b.String()
+	putBuf(b)
 	if e.Fragments != nil {
 		// Per-fragment policy (the ESI capability of Section 6): a unit's
 		// conceptual cache TTL also bounds its rendered fragment.

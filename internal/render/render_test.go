@@ -1,7 +1,9 @@
 package render
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"webmlgo/internal/cache"
@@ -26,11 +28,11 @@ func pageFixture() (*descriptor.Page, *mvc.PageState, *mvc.RequestContext) {
 		Order:  []string{"d1", "i1", "e1"},
 		Beans: map[string]*mvc.UnitBean{
 			"d1": {UnitID: "d1", Kind: "data", Fields: []string{"oid", "Title"},
-				Nodes: []mvc.Node{{Values: mvc.Row{"oid": int64(1), "Title": "A <b>bold</b> title"}}}},
+				Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "A <b>bold</b> title"}}}},
 			"i1": {UnitID: "i1", Kind: "index", Fields: []string{"oid", "Name"},
 				Nodes: []mvc.Node{
-					{Values: mvc.Row{"oid": int64(10), "Name": "first"}},
-					{Values: mvc.Row{"oid": int64(11), "Name": "second"}},
+					{Values: []mvc.Value{int64(10), "first"}},
+					{Values: []mvc.Value{int64(11), "second"}},
 				}},
 			"e1": {UnitID: "e1", Kind: "entry",
 				FormFields: []mvc.FormField{{Name: "q", Type: "TEXT", Required: true, Value: `pre"filled`}}},
@@ -126,9 +128,9 @@ func TestHierarchicalIndexNestsAndLinksLeaves(t *testing.T) {
 	pd, state, ctx := pageFixture()
 	state.Beans["i1"].LevelFields = [][]string{{"oid", "Child"}}
 	state.Beans["i1"].Nodes = []mvc.Node{
-		{Values: mvc.Row{"oid": int64(1), "Name": "parent"},
+		{Values: []mvc.Value{int64(1), "parent"},
 			Children: []mvc.Node{
-				{Values: mvc.Row{"oid": int64(5), "Child": "kid"}},
+				{Values: []mvc.Value{int64(5), "kid"}},
 			}},
 	}
 	e := engineWith(pd, tplP1)
@@ -157,9 +159,9 @@ func TestMultidataAndMultichoiceTags(t *testing.T) {
 	}
 	state := &mvc.PageState{PageID: "p", Beans: map[string]*mvc.UnitBean{
 		"md": {UnitID: "md", Kind: "multidata", Fields: []string{"oid", "T"},
-			Nodes: []mvc.Node{{Values: mvc.Row{"oid": int64(1), "T": "v1"}}}},
+			Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "v1"}}}},
 		"mc": {UnitID: "mc", Kind: "multichoice", Fields: []string{"oid", "T"},
-			Nodes: []mvc.Node{{Values: mvc.Row{"oid": int64(2), "T": "v2"}}}},
+			Nodes: []mvc.Node{{Values: []mvc.Value{int64(2), "v2"}}}},
 	}}
 	e := engineWith(pd, `<html><body><webml:multidataUnit id="md"/><webml:multichoiceUnit id="mc"/></body></html>`)
 	out, err := e.RenderPage(pd, state, &mvc.RequestContext{})
@@ -181,7 +183,7 @@ func TestScrollerNavigationPreservesParams(t *testing.T) {
 	state := &mvc.PageState{PageID: "p", Beans: map[string]*mvc.UnitBean{
 		"s": {UnitID: "s", Kind: "scroller", Fields: []string{"oid", "T"},
 			Total: 25, Offset: 10, PageSize: 10,
-			Nodes: []mvc.Node{{Values: mvc.Row{"oid": int64(1), "T": "x"}}}},
+			Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "x"}}}},
 	}}
 	ctx := &mvc.RequestContext{Params: map[string]mvc.Value{"kw": "web", "offset": int64(10), "_error": "y"}}
 	e := engineWith(pd, `<html><body><webml:scrollerUnit id="s"/></body></html>`)
@@ -238,8 +240,8 @@ func TestPluginTagRegistration(t *testing.T) {
 		"f": {UnitID: "f", Kind: "feed", Props: map[string]string{"url": "http://x"}},
 	}}
 	e := engineWith(pd, `<html><body><webml:feedUnit id="f"/></body></html>`)
-	e.RegisterTag("feed", func(rc *Context, bean *mvc.UnitBean) string {
-		return `<div class="feed">` + dom.EscapeText(bean.Props["url"]) + `</div>`
+	e.RegisterTag("feed", func(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+		w.WriteString(`<div class="feed">` + dom.EscapeText(bean.Props["url"]) + `</div>`)
 	})
 	out, err := e.RenderPage(pd, state, &mvc.RequestContext{})
 	if err != nil {
@@ -370,4 +372,59 @@ func TestPerUnitFragmentTTLPolicy(t *testing.T) {
 	if e.Fragments.Stats().Hits < 2 {
 		t.Fatalf("hits = %d", e.Fragments.Stats().Hits)
 	}
+}
+
+// FuzzAnchorHref: the href appended per row is byte for byte what the
+// map-and-url.Values reference builds, for any UTF-8 (or not) in action,
+// parameter names and values — including a repeated target, a source the
+// row lacks, and an empty name.
+func FuzzAnchorHref(f *testing.F) {
+	f.Add("page/p2", "x", "a b", "y", "ü&=%+", int64(-7))
+	f.Add("op/c?d", "", "", "same", "", int64(0))
+	f.Add(`pa"ge/<p>&`, "same", "1", "same", "2", int64(255))
+	f.Fuzz(func(t *testing.T, action, k1, v1, k2, v2 string, n int64) {
+		fields := []string{"oid", "A", "B"}
+		values := []mvc.Value{n, v1, v2}
+		a := &descriptor.Anchor{Action: action, Params: []descriptor.EdgeParam{
+			{Source: "B", Target: k2}, {Source: "A", Target: k1},
+			{Source: "oid", Target: "id"}, {Source: "absent", Target: "never"}}}
+		params := map[string]string{}
+		for _, p := range a.Params {
+			if i := mvc.FieldIndex(fields, p.Source); i >= 0 {
+				params[p.Target] = mvc.FormatParam(values[i])
+			}
+		}
+		var w bytes.Buffer
+		l := newRowLink(a, `<a href="`, fields, "")
+		l.appendHref(&w, values)
+		if want := dom.EscapeAttr(mvc.ActionURL(action, params)); w.String() != want {
+			t.Fatalf("href %q, reference %q", w.String(), want)
+		}
+	})
+}
+
+// TestConcurrentRendersShareBeans: the bean cache hands one *UnitBean to
+// many requests at once, so tags may only read it. Run under -race.
+func TestConcurrentRendersShareBeans(t *testing.T) {
+	pd, state, ctx := pageFixture()
+	e := engineWith(pd, tplP1)
+	want, err := e.RenderPage(pd, state, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got, err := e.RenderPage(pd, state, ctx); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("concurrent render diverged (err %v)", err)
+					return
+				}
+				state.Beans["i1"].Hash()
+			}
+		}()
+	}
+	wg.Wait()
 }

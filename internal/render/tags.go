@@ -1,7 +1,11 @@
 package render
 
 import (
+	"bytes"
 	"fmt"
+	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 
 	"webmlgo/internal/descriptor"
@@ -9,188 +13,253 @@ import (
 	"webmlgo/internal/mvc"
 )
 
-// esc escapes text content.
-func esc(v mvc.Value) string { return dom.EscapeText(mvc.FormatParam(v)) }
-
-// firstField returns the object's leading display value.
-func firstField(fields []string, values mvc.Row) string {
-	for _, f := range fields {
-		if f == "oid" {
-			continue
-		}
-		if v, ok := values[f]; ok {
-			return mvc.FormatParam(v)
-		}
+func put(w *bytes.Buffer, ss ...string) {
+	for _, s := range ss {
+		w.WriteString(s)
 	}
-	if v, ok := values["oid"]; ok {
-		return mvc.FormatParam(v)
-	}
-	return ""
 }
 
-// anchorFor renders the first anchor of the unit applied to one object,
-// or the plain label when the unit has no outgoing links.
-func anchorFor(rc *Context, unitID string, fields []string, values mvc.Row, label string) string {
-	if label == "" {
-		label = firstField(fields, values)
+// putValue appends the parameter form of values[i] (NULL where the row
+// has no such position), escaped by esc, without building a string first
+// where the type allows.
+func putValue(w *bytes.Buffer, values []mvc.Value, i int, esc func(string) string) {
+	var v mvc.Value
+	if i >= 0 && i < len(values) {
+		v = values[i]
 	}
-	anchors := rc.Anchors(unitID)
-	if len(anchors) == 0 {
-		return dom.EscapeText(label)
+	switch x := v.(type) {
+	case string:
+		w.WriteString(esc(x))
+	case int64:
+		w.Write(strconv.AppendInt(w.AvailableBuffer(), x, 10))
+	default:
+		w.WriteString(esc(mvc.FormatParam(v)))
 	}
-	a := anchors[0]
+}
+
+// openUnit appends the unit's wrapper and reports whether content
+// follows; if none does it appends the empty notice and the closing tag.
+func openUnit(w *bytes.Buffer, kind string, bean *mvc.UnitBean, empty string) bool {
+	put(w, `<div class="webml-unit webml-`, kind, `" data-unit="`, dom.EscapeAttr(bean.UnitID), `">`)
+	if bean.Missing || (len(bean.Nodes) == 0 && kind != "scroller") {
+		put(w, `<span class="webml-empty">`, empty, `</span></div>`)
+		return false
+	}
+	return true
+}
+
+// rowLink renders the rows of one field list as their label — a fixed
+// text, else the row's leading display value — inside an anchor when
+// the unit links anywhere. Names resolve to positions here, once per
+// unit and level; write only indexes.
+type rowLink struct {
+	open    string   // `<a href="`, or "" when there is no anchor
+	action  string   // "/<action>"
+	targets []string // bound parameter targets, sorted as ActionURL sorts
+	index   []int    // position of each target's source value
+	label   string
+	lead    int
+}
+
+// newRowLink binds a (nil for none) to fields. The anchor's own label
+// wins over label. A parameter whose source is not a field is dropped; of
+// two with one target the later declared wins, as in ActionURL's map.
+func newRowLink(a *descriptor.Anchor, open string, fields []string, label string) rowLink {
+	l := rowLink{label: label, lead: mvc.FieldIndex(fields, "oid")}
+	for i, f := range fields {
+		if f != "oid" {
+			l.lead = i
+			break
+		}
+	}
+	if a == nil {
+		return l
+	}
+	l.open, l.action = open, "/"+a.Action
 	if a.Label != "" {
-		label = a.Label
+		l.label = a.Label
 	}
-	return fmt.Sprintf(`<a href="%s">%s</a>`,
-		dom.EscapeAttr(rc.AnchorURL(a, values)), dom.EscapeText(label))
+	for _, p := range a.Params {
+		if i := mvc.FieldIndex(fields, p.Source); i < 0 {
+			continue
+		} else if at, dup := slices.BinarySearch(l.targets, p.Target); dup {
+			l.index[at] = i
+		} else {
+			l.targets, l.index = slices.Insert(l.targets, at, p.Target), slices.Insert(l.index, at, i)
+		}
+	}
+	return l
+}
+
+// first returns the first anchor originating at a unit, or nil.
+func (rc *Context) first(unitID string) *descriptor.Anchor {
+	for i := range rc.Page.Anchors {
+		if rc.Page.Anchors[i].FromUnit == unitID {
+			return &rc.Page.Anchors[i]
+		}
+	}
+	return nil
+}
+
+// appendHref appends the anchor's URL for one row: byte for byte
+// dom.EscapeAttr(mvc.ActionURL(action, params)), without building either.
+func (l *rowLink) appendHref(w *bytes.Buffer, values []mvc.Value) {
+	w.WriteString(dom.EscapeAttr(l.action))
+	sep := "?"
+	for k, target := range l.targets {
+		put(w, sep, url.QueryEscape(target), "=")
+		putValue(w, values, l.index[k], url.QueryEscape)
+		sep = "&amp;"
+	}
+}
+
+func (l *rowLink) write(w *bytes.Buffer, values []mvc.Value) {
+	if l.open != "" {
+		w.WriteString(l.open)
+		l.appendHref(w, values)
+		w.WriteString(`">`)
+	}
+	if l.label != "" {
+		w.WriteString(dom.EscapeText(l.label))
+	} else if l.lead >= 0 {
+		putValue(w, values, l.lead, dom.EscapeText)
+	}
+	if l.open != "" {
+		w.WriteString("</a>")
+	}
 }
 
 // renderDataTag shows one object as a definition list (Figure 2's
 // "Volume data" block).
-func renderDataTag(rc *Context, bean *mvc.UnitBean) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<div class="webml-unit webml-data" data-unit="%s">`, dom.EscapeAttr(bean.UnitID))
-	if bean.Missing || len(bean.Nodes) == 0 {
-		b.WriteString(`<span class="webml-empty">no content</span></div>`)
-		return b.String()
+func renderDataTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+	if !openUnit(w, "data", bean, "no content") {
+		return
 	}
 	values := bean.Nodes[0].Values
-	b.WriteString("<dl>")
-	for _, f := range bean.Fields {
-		if f == "oid" {
-			continue
+	w.WriteString("<dl>")
+	for i, f := range bean.Fields {
+		if f != "oid" {
+			put(w, "<dt>", dom.EscapeText(f), "</dt><dd>")
+			putValue(w, values, i, dom.EscapeText)
+			w.WriteString("</dd>")
 		}
-		fmt.Fprintf(&b, "<dt>%s</dt><dd>%s</dd>", dom.EscapeText(f), esc(values[f]))
 	}
-	b.WriteString("</dl>")
-	for _, a := range rc.Anchors(bean.UnitID) {
-		label := a.Label
-		if label == "" {
-			label = "more"
+	w.WriteString("</dl>")
+	for i := range rc.Page.Anchors {
+		if a := &rc.Page.Anchors[i]; a.FromUnit == bean.UnitID {
+			more := newRowLink(a, `<a class="webml-link" href="`, bean.Fields, "more")
+			more.write(w, values)
 		}
-		fmt.Fprintf(&b, `<a class="webml-link" href="%s">%s</a>`,
-			dom.EscapeAttr(rc.AnchorURL(a, values)), dom.EscapeText(label))
 	}
-	b.WriteString("</div>")
-	return b.String()
+	w.WriteString("</div>")
 }
 
 // renderIndexTag shows a list of objects; hierarchical indexes nest
 // sub-lists, with the unit's outgoing anchor applied at the deepest level
 // (Figure 1: the link to the paper page leaves from the nested papers).
-func renderIndexTag(rc *Context, bean *mvc.UnitBean) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<div class="webml-unit webml-index" data-unit="%s">`, dom.EscapeAttr(bean.UnitID))
-	if bean.Missing || len(bean.Nodes) == 0 {
-		b.WriteString(`<span class="webml-empty">no entries</span></div>`)
-		return b.String()
+func renderIndexTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+	if !openUnit(w, "index", bean, "no entries") {
+		return
 	}
+	// One label rule per level; only the deepest carries the anchor.
 	depth := len(bean.LevelFields)
-	renderList(rc, &b, bean, bean.Nodes, bean.Fields, 0, depth)
-	b.WriteString("</div>")
-	return b.String()
+	links := make([]rowLink, depth+1)
+	for level := range links[:depth] {
+		links[level] = newRowLink(nil, "", bean.LevelNames(level), "")
+	}
+	links[depth] = newRowLink(rc.first(bean.UnitID), `<a href="`, bean.LevelNames(depth), "")
+	renderList(w, links, bean.Nodes, 0)
+	w.WriteString("</div>")
 }
 
-func renderList(rc *Context, b *strings.Builder, bean *mvc.UnitBean, nodes []mvc.Node, fields []string, level, depth int) {
-	fmt.Fprintf(b, `<ul class="webml-level-%d">`, level)
-	for _, n := range nodes {
-		b.WriteString("<li>")
-		if level == depth {
-			// Leaf level: apply the unit's anchor.
-			b.WriteString(anchorFor(rc, bean.UnitID, fields, n.Values, ""))
-		} else {
-			b.WriteString(dom.EscapeText(firstField(fields, n.Values)))
+func renderList(w *bytes.Buffer, links []rowLink, nodes []mvc.Node, level int) {
+	put(w, `<ul class="webml-level-`, strconv.Itoa(level), `">`)
+	for i := range nodes {
+		w.WriteString("<li>")
+		links[level].write(w, nodes[i].Values)
+		if len(nodes[i].Children) > 0 && level < len(links)-1 {
+			renderList(w, links, nodes[i].Children, level+1)
 		}
-		if len(n.Children) > 0 && level < depth {
-			renderList(rc, b, bean, n.Children, bean.LevelFields[level], level+1, depth)
-		}
-		b.WriteString("</li>")
+		w.WriteString("</li>")
 	}
-	b.WriteString("</ul>")
+	w.WriteString("</ul>")
 }
 
 // renderMultidataTag shows objects as a table with all fields.
-func renderMultidataTag(rc *Context, bean *mvc.UnitBean) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<div class="webml-unit webml-multidata" data-unit="%s">`, dom.EscapeAttr(bean.UnitID))
-	if bean.Missing || len(bean.Nodes) == 0 {
-		b.WriteString(`<span class="webml-empty">no content</span></div>`)
-		return b.String()
+func renderMultidataTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+	if !openUnit(w, "multidata", bean, "no content") {
+		return
 	}
-	b.WriteString(`<table><tr>`)
+	w.WriteString(`<table><tr>`)
 	for _, f := range bean.Fields {
-		if f == "oid" {
-			continue
+		if f != "oid" {
+			put(w, "<th>", dom.EscapeText(f), "</th>")
 		}
-		fmt.Fprintf(&b, "<th>%s</th>", dom.EscapeText(f))
 	}
-	anchors := rc.Anchors(bean.UnitID)
-	if len(anchors) > 0 {
-		b.WriteString("<th></th>")
+	view := newRowLink(rc.first(bean.UnitID), `<a href="`, bean.Fields, "view")
+	if view.open != "" {
+		w.WriteString("<th></th>")
 	}
-	b.WriteString("</tr>")
+	w.WriteString("</tr>")
 	for _, n := range bean.Nodes {
-		b.WriteString("<tr>")
-		for _, f := range bean.Fields {
-			if f == "oid" {
-				continue
+		w.WriteString("<tr>")
+		for i, f := range bean.Fields {
+			if f != "oid" {
+				w.WriteString("<td>")
+				putValue(w, n.Values, i, dom.EscapeText)
+				w.WriteString("</td>")
 			}
-			fmt.Fprintf(&b, "<td>%s</td>", esc(n.Values[f]))
 		}
-		if len(anchors) > 0 {
-			fmt.Fprintf(&b, `<td>%s</td>`, anchorFor(rc, bean.UnitID, bean.Fields, n.Values, "view"))
+		if view.open != "" {
+			w.WriteString("<td>")
+			view.write(w, n.Values)
+			w.WriteString("</td>")
 		}
-		b.WriteString("</tr>")
+		w.WriteString("</tr>")
 	}
-	b.WriteString("</table></div>")
-	return b.String()
+	w.WriteString("</table></div>")
 }
 
 // renderMultichoiceTag shows objects with checkboxes submitting to the
 // unit's first anchor (typically a connect/disconnect operation).
-func renderMultichoiceTag(rc *Context, bean *mvc.UnitBean) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<div class="webml-unit webml-multichoice" data-unit="%s">`, dom.EscapeAttr(bean.UnitID))
-	if bean.Missing || len(bean.Nodes) == 0 {
-		b.WriteString(`<span class="webml-empty">no entries</span></div>`)
-		return b.String()
+func renderMultichoiceTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+	if !openUnit(w, "multichoice", bean, "no entries") {
+		return
 	}
-	anchors := rc.Anchors(bean.UnitID)
-	checkName := "oid"
-	action := ""
-	if len(anchors) > 0 {
-		action = "/" + anchors[0].Action
-		if len(anchors[0].Params) > 0 {
-			checkName = anchors[0].Params[0].Target
+	checkName, action := "oid", ""
+	if a := rc.first(bean.UnitID); a != nil {
+		action = "/" + a.Action
+		if len(a.Params) > 0 {
+			checkName = a.Params[0].Target
 		}
 	}
-	fmt.Fprintf(&b, `<form method="get" action="%s">`, dom.EscapeAttr(action))
+	put(w, `<form method="get" action="`, dom.EscapeAttr(action), `">`)
+	oid, plain := mvc.FieldIndex(bean.Fields, "oid"), newRowLink(nil, "", bean.Fields, "")
 	for _, n := range bean.Nodes {
-		fmt.Fprintf(&b, `<label><input type="checkbox" name="%s" value="%s"> %s</label>`,
-			dom.EscapeAttr(checkName), dom.EscapeAttr(mvc.FormatParam(n.Values["oid"])),
-			dom.EscapeText(firstField(bean.Fields, n.Values)))
+		put(w, `<label><input type="checkbox" name="`, dom.EscapeAttr(checkName), `" value="`)
+		putValue(w, n.Values, oid, dom.EscapeAttr)
+		w.WriteString(`"> `)
+		plain.write(w, n.Values)
+		w.WriteString(`</label>`)
 	}
-	b.WriteString(`<input type="submit" value="apply"></form></div>`)
-	return b.String()
+	w.WriteString(`<input type="submit" value="apply"></form></div>`)
 }
 
 // renderScrollerTag shows one window of a result plus prev/next anchors
 // that re-request the same page with a shifted offset.
-func renderScrollerTag(rc *Context, bean *mvc.UnitBean) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<div class="webml-unit webml-scroller" data-unit="%s">`, dom.EscapeAttr(bean.UnitID))
-	if bean.Missing {
-		b.WriteString(`<span class="webml-empty">no query</span></div>`)
-		return b.String()
+func renderScrollerTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+	if !openUnit(w, "scroller", bean, "no query") {
+		return
 	}
-	fmt.Fprintf(&b, `<div class="webml-scroller-info">%d-%d of %d</div>`,
+	fmt.Fprintf(w, `<div class="webml-scroller-info">%d-%d of %d</div><ol>`,
 		bean.Offset+1, bean.Offset+len(bean.Nodes), bean.Total)
-	b.WriteString("<ol>")
+	link := newRowLink(rc.first(bean.UnitID), `<a href="`, bean.Fields, "")
 	for _, n := range bean.Nodes {
-		fmt.Fprintf(&b, "<li>%s</li>", anchorFor(rc, bean.UnitID, bean.Fields, n.Values, ""))
+		w.WriteString("<li>")
+		link.write(w, n.Values)
+		w.WriteString("</li>")
 	}
-	b.WriteString("</ol>")
+	w.WriteString("</ol>")
 	// Window navigation: same page action, shifted offset, preserving the
 	// other request parameters.
 	window := func(offset int, label string) {
@@ -203,58 +272,43 @@ func renderScrollerTag(rc *Context, bean *mvc.UnitBean) string {
 				params[k] = mvc.FormatParam(v)
 			}
 		}
-		params["offset"] = fmt.Sprintf("%d", offset)
+		params["offset"] = strconv.Itoa(offset)
 		href := mvc.ActionURL("page/"+rc.Page.ID, params)
-		fmt.Fprintf(&b, `<a class="webml-scroll" href="%s">%s</a>`, dom.EscapeAttr(href), dom.EscapeText(label))
+		put(w, `<a class="webml-scroll" href="`, dom.EscapeAttr(href), `">`, dom.EscapeText(label), `</a>`)
 	}
 	window(bean.Offset-bean.PageSize, "prev")
 	window(bean.Offset+bean.PageSize, "next")
-	b.WriteString("</div>")
-	return b.String()
+	w.WriteString("</div>")
 }
 
 // renderEntryTag shows the form of an entry unit. Field names are mapped
 // through the unit's first anchor so the submitted parameter names match
 // the target's inputs; validation errors and sticky values reappear.
-func renderEntryTag(rc *Context, bean *mvc.UnitBean) string {
-	anchors := rc.Anchors(bean.UnitID)
+func renderEntryTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
 	action := ""
 	rename := map[string]string{}
-	if len(anchors) > 0 {
-		action = "/" + anchors[0].Action
-		for _, p := range anchors[0].Params {
+	if a := rc.first(bean.UnitID); a != nil {
+		action = "/" + a.Action
+		for _, p := range a.Params {
 			rename[p.Source] = p.Target
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<div class="webml-unit webml-entry" data-unit="%s"><form method="get" action="%s">`,
-		dom.EscapeAttr(bean.UnitID), dom.EscapeAttr(action))
+	put(w, `<div class="webml-unit webml-entry" data-unit="`, dom.EscapeAttr(bean.UnitID),
+		`"><form method="get" action="`, dom.EscapeAttr(action), `">`)
 	for _, f := range bean.FormFields {
 		name := f.Name
 		if to, ok := rename[f.Name]; ok {
 			name = to
 		}
-		fmt.Fprintf(&b, `<label>%s <input type="text" name="%s" value="%s"`,
-			dom.EscapeText(f.Name), dom.EscapeAttr(name), dom.EscapeAttr(f.Value))
+		put(w, `<label>`, dom.EscapeText(f.Name), ` <input type="text" name="`, dom.EscapeAttr(name),
+			`" value="`, dom.EscapeAttr(f.Value), `"`)
 		if f.Required {
-			b.WriteString(` data-required="true"`)
+			w.WriteString(` data-required="true"`)
 		}
-		b.WriteString("></label>")
+		w.WriteString("></label>")
 		if msg, ok := bean.Errors[f.Name]; ok {
-			fmt.Fprintf(&b, `<span class="webml-field-error">%s</span>`, dom.EscapeText(msg))
+			put(w, `<span class="webml-field-error">`, dom.EscapeText(msg), `</span>`)
 		}
 	}
-	b.WriteString(`<input type="submit" value="submit"></form></div>`)
-	return b.String()
-}
-
-// RenderStandaloneUnit renders a single unit bean outside a page, for
-// tests and tooling.
-func RenderStandaloneUnit(e *Engine, pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, unitID string) (string, error) {
-	rc := &Context{Page: pd, State: state, Request: ctx, engine: e}
-	bean := state.Beans[unitID]
-	if bean == nil {
-		return "", fmt.Errorf("render: no bean for unit %q", unitID)
-	}
-	return e.renderUnit(rc, pd, bean, "")
+	w.WriteString(`<input type="submit" value="submit"></form></div>`)
 }
