@@ -28,7 +28,7 @@ func TestExplainAnalyzePointLookup(t *testing.T) {
 func TestExplainAnalyzeCompositeRange(t *testing.T) {
 	db := planDB(t)
 	sql := `SELECT code FROM product WHERE family = 'fam2' AND price > 10 AND price < 40`
-	want, err := db.QueryInterpreted(sql)
+	want, err := db.queryOracle(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func outputRows(t *testing.T, out string) int {
 
 // TestExplainAnalyzeMatchesInterpreter checks the acceptance shapes:
 // the analyzed plan's actual output count equals what the reference
-// interpreter returns for the same SQL.
+// oracle returns for the same SQL.
 func TestExplainAnalyzeMatchesInterpreter(t *testing.T) {
 	db := planDB(t)
 	for _, sql := range []string{
@@ -124,7 +124,7 @@ func TestExplainAnalyzeMatchesInterpreter(t *testing.T) {
 		`SELECT name FROM product ORDER BY name LIMIT 10`,
 		`SELECT name FROM product WHERE price > 20`,
 	} {
-		want, err := db.QueryInterpreted(sql)
+		want, err := db.queryOracle(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -133,7 +133,7 @@ func TestExplainAnalyzeMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		if got := outputRows(t, out); got != want.Len() {
-			t.Fatalf("%s: analyzed output %d rows != interpreter %d\n%s", sql, got, want.Len(), out)
+			t.Fatalf("%s: analyzed output %d rows != oracle %d\n%s", sql, got, want.Len(), out)
 		}
 	}
 }

@@ -187,34 +187,45 @@ var aggregateFuncs = map[string]bool{
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 
+// walkExpr calls visit on e and then on every sub-expression, depth
+// first and left to right. It stops early, returning false, as soon as
+// visit does.
+func walkExpr(e Expr, visit func(Expr) bool) bool {
+	if e == nil {
+		return true
+	}
+	if !visit(e) {
+		return false
+	}
+	var kids []Expr
+	switch x := e.(type) {
+	case *BinaryExpr:
+		return walkExpr(x.L, visit) && walkExpr(x.R, visit)
+	case *UnaryExpr:
+		return walkExpr(x.X, visit)
+	case *IsNullExpr:
+		return walkExpr(x.X, visit)
+	case *InExpr:
+		if !walkExpr(x.X, visit) {
+			return false
+		}
+		kids = x.List
+	case *FuncExpr:
+		kids = x.Args
+	}
+	for _, k := range kids {
+		if !walkExpr(k, visit) {
+			return false
+		}
+	}
+	return true
+}
+
 // hasAggregate reports whether the expression tree contains an aggregate
 // function call.
 func hasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *FuncExpr:
-		if aggregateFuncs[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *UnaryExpr:
-		return hasAggregate(x.X)
-	case *IsNullExpr:
-		return hasAggregate(x.X)
-	case *InExpr:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	}
-	return false
+	return !walkExpr(e, func(x Expr) bool {
+		f, ok := x.(*FuncExpr)
+		return !ok || !aggregateFuncs[f.Name]
+	})
 }

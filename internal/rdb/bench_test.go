@@ -130,7 +130,7 @@ func runQueryBench(b *testing.B, interpreted bool, sql string, args ...Value) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		if interpreted {
-			_, err = db.QueryInterpreted(sql, args...)
+			_, err = db.queryOracle(sql, args...)
 		} else {
 			_, err = db.Query(sql, args...)
 		}

@@ -11,10 +11,12 @@ import (
 // lookups and no environment allocation — the core of the "compile
 // once, execute many" move the fixed descriptor SQL makes possible.
 //
-// Name-resolution failures compile into error thunks rather than plan
-// errors: the interpreter only reports an unknown or ambiguous column
-// when a row is actually evaluated, and the compiled path must diverge
-// from it in nothing, including errors on empty results.
+// Names are a plan-time matter only (rule R1, DESIGN.md "The oracle"):
+// buildPlan passes every expression of the statement through checkNames
+// before compiling it, so an unknown or ambiguous name is an error
+// whatever the data or the access path, and no closure built here can
+// fail on one. What a closure can still fail on is values: a type
+// mismatch, a division by zero.
 
 // execCtx is the per-query execution state a compiled plan runs
 // against: one current row per plan frame (nil = LEFT JOIN miss) and
@@ -77,18 +79,9 @@ func compileExpr(e Expr, frames []planFrame) compiledExpr {
 	return errExpr(fmt.Errorf("rdb: cannot evaluate %T", e))
 }
 
-// compileColRef mirrors env.resolve, moving every lookup and error to
-// compile time.
-func compileColRef(ref *ColRef, frames []planFrame) compiledExpr {
-	colAt := func(fi, ci int) compiledExpr {
-		return func(c *execCtx) (Value, error) {
-			r := c.rows[fi]
-			if r == nil {
-				return nil, nil
-			}
-			return r[ci], nil
-		}
-	}
+// resolveCol binds a column reference to its (frame, column) position.
+// It is the one place a SELECT resolves a name.
+func resolveCol(ref *ColRef, frames []planFrame) (fi, ci int, err error) {
 	if ref.Table != "" {
 		want := strings.ToLower(ref.Table)
 		for fi, f := range frames {
@@ -97,25 +90,64 @@ func compileColRef(ref *ColRef, frames []planFrame) compiledExpr {
 			}
 			ci, ok := f.tbl.col(ref.Column)
 			if !ok {
-				return errExpr(fmt.Errorf("rdb: no column %q in %q", ref.Column, ref.Table))
+				return 0, 0, fmt.Errorf("rdb: no column %q in %q", ref.Column, ref.Table)
 			}
-			return colAt(fi, ci)
+			return fi, ci, nil
 		}
-		return errExpr(fmt.Errorf("rdb: unknown table or alias %q", ref.Table))
+		return 0, 0, fmt.Errorf("rdb: unknown table or alias %q", ref.Table)
 	}
-	foundFrame, foundCol := -1, -1
-	for fi, f := range frames {
-		if ci, ok := f.tbl.col(ref.Column); ok {
-			if foundFrame >= 0 {
-				return errExpr(fmt.Errorf("rdb: ambiguous column %q", ref.Column))
+	fi = -1
+	for i, f := range frames {
+		if c, ok := f.tbl.col(ref.Column); ok {
+			if fi >= 0 {
+				return 0, 0, fmt.Errorf("rdb: ambiguous column %q", ref.Column)
 			}
-			foundFrame, foundCol = fi, ci
+			fi, ci = i, c
 		}
 	}
-	if foundFrame < 0 {
-		return errExpr(fmt.Errorf("rdb: unknown column %q", ref.Column))
+	if fi < 0 {
+		return 0, 0, fmt.Errorf("rdb: unknown column %q", ref.Column)
 	}
-	return colAt(foundFrame, foundCol)
+	return fi, ci, nil
+}
+
+// checkNames returns the first name in e, left to right, that does not
+// resolve against frames.
+func checkNames(e Expr, frames []planFrame) (err error) {
+	walkExpr(e, func(x Expr) bool {
+		if ref, ok := x.(*ColRef); ok {
+			_, _, err = resolveCol(ref, frames)
+		}
+		return err == nil
+	})
+	return err
+}
+
+// compileNamed is compileExpr behind the name check: the only way an
+// expression that mentions columns gets compiled. An absent clause (nil)
+// compiles to nil.
+func compileNamed(e Expr, frames []planFrame) (compiledExpr, error) {
+	if e == nil {
+		return nil, nil
+	}
+	if err := checkNames(e, frames); err != nil {
+		return nil, err
+	}
+	return compileExpr(e, frames), nil
+}
+
+func compileColRef(ref *ColRef, frames []planFrame) compiledExpr {
+	fi, ci, err := resolveCol(ref, frames)
+	if err != nil {
+		panic(err) // compileNamed lets no unresolved name through
+	}
+	return func(c *execCtx) (Value, error) {
+		r := c.rows[fi]
+		if r == nil {
+			return nil, nil
+		}
+		return r[ci], nil
+	}
 }
 
 func compileUnary(x *UnaryExpr, frames []planFrame) compiledExpr {

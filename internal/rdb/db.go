@@ -375,28 +375,6 @@ func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 	return db.execPlan(p, cargs, nil)
 }
 
-// QueryInterpreted runs a SELECT through the retained AST interpreter,
-// bypassing the plan compiler. It exists as the reference
-// implementation for differential tests and benchmarks; results must be
-// identical to Query's.
-func (db *DB) QueryInterpreted(sql string, args ...Value) (*Rows, error) {
-	st, err := db.prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("rdb: Query requires a SELECT statement, got %T", st)
-	}
-	cargs, err := coerceArgs(st, args)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.execSelect(sel, cargs)
-}
-
 // QueryRow runs a SELECT expected to return at most one row. It returns
 // nil when the result is empty.
 func (db *DB) QueryRow(sql string, args ...Value) (map[string]Value, error) {

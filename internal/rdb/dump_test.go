@@ -87,7 +87,7 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"ACCESS volume BY PRIMARY KEY", "INNER JOIN issue BY INDEX ON volume_oid"}},
 		{`SELECT * FROM volume v LEFT JOIN issue i ON i.number = v.year`,
 			[]string{"SCAN volume", "LEFT JOIN issue BY NESTED LOOP"}},
-		{`SELECT COUNT(*) FROM paper GROUP BY issue_oid ORDER BY issue_oid LIMIT 5`,
+		{`SELECT issue_oid, COUNT(*) FROM paper GROUP BY issue_oid ORDER BY issue_oid LIMIT 5`,
 			[]string{"SCAN paper", "GROUP BY 1 keys", "SORT 1 keys", "LIMIT"}},
 	}
 	for _, c := range cases {

@@ -1,7 +1,7 @@
 package rdb
 
 // This file defines the storage-engine seam. The executor — parser,
-// planner, interpreter, index machinery — operates on in-memory table
+// planner, plan executor, index machinery — operates on in-memory table
 // structs regardless of engine; an Engine is the durability layer
 // behind them. Every committed change-set flows through Engine.Apply,
 // so the in-memory engine (a no-op), the durable WAL+page engine

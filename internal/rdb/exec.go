@@ -2,7 +2,6 @@ package rdb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -343,8 +342,8 @@ func evalScalarFunc(x *FuncExpr, en *env, args []Value) (Value, error) {
 }
 
 // applyScalarFunc applies a scalar function to already-evaluated
-// arguments — shared between the AST interpreter and compiled plans so
-// both paths have identical semantics.
+// arguments: the one implementation behind compiled expressions and
+// evalExpr alike.
 func applyScalarFunc(x *FuncExpr, vals []Value) (Value, error) {
 	switch x.Name {
 	case "LOWER":
@@ -649,274 +648,6 @@ func isConstExpr(e Expr) bool {
 	return false
 }
 
-// execSelect runs a SELECT over the live tables. The caller must hold
-// at least a read lock.
-func (db *DB) execSelect(st *SelectStmt, args []Value) (*Rows, error) {
-	return execSelectTables(db.tables, st, args)
-}
-
-// execSelectTables runs a SELECT against an explicit table map: the
-// live tables under the read lock, or a frozen MVCC snapshot with no
-// lock at all (the interpreter reads nothing else from DB).
-func execSelectTables(tables map[string]*table, st *SelectStmt, args []Value) (*Rows, error) {
-	base, ok := tables[strings.ToLower(st.From.Table)]
-	if !ok {
-		return nil, fmt.Errorf("rdb: no such table %q", st.From.Table)
-	}
-	joinTables := make([]*table, len(st.Joins))
-	for i, j := range st.Joins {
-		jt, ok := tables[strings.ToLower(j.Table.Table)]
-		if !ok {
-			return nil, fmt.Errorf("rdb: no such table %q", j.Table.Table)
-		}
-		joinTables[i] = jt
-	}
-
-	// Produce joined environments.
-	envs, err := joinRows(st, base, joinTables, args)
-	if err != nil {
-		return nil, err
-	}
-
-	// Apply WHERE.
-	if st.Where != nil {
-		kept := envs[:0]
-		for _, en := range envs {
-			v, err := evalExpr(st.Where, en, args)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				kept = append(kept, en)
-			}
-		}
-		envs = kept
-	}
-
-	aggregate := len(st.GroupBy) > 0
-	if !aggregate {
-		for _, c := range st.Columns {
-			if c.Expr != nil && hasAggregate(c.Expr) {
-				aggregate = true
-				break
-			}
-		}
-	}
-
-	var out *Rows
-	if aggregate {
-		out, err = evalAggregateSelect(st, envs, args)
-	} else {
-		out, err = evalPlainSelect(st, envs, args)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if st.Distinct {
-		out = distinctRows(out)
-	}
-	if len(st.OrderBy) > 0 {
-		if err := orderRows(st, out, envs, aggregate, args); err != nil {
-			return nil, err
-		}
-	}
-	if err := applyLimitOffset(st, out, args); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// joinRows builds the cross-product environments restricted by the join
-// conditions, using index lookups for equi-joins when possible.
-func joinRows(st *SelectStmt, base *table, joinTables []*table, args []Value) ([]*env, error) {
-	baseName := strings.ToLower(st.From.name())
-
-	// Seed with the base table rows, using a WHERE-derived index path.
-	// With joins in play, only a table-qualified equality may prune the
-	// base scan; an unqualified column could belong to a joined table.
-	candidates, err := candidateIDsQualified(base, st.From.name(), st.Where, args, len(st.Joins) > 0)
-	if err != nil {
-		return nil, err
-	}
-	envs := make([]*env, 0, len(candidates))
-	for _, id := range candidates {
-		r := base.rowAt(id)
-		if r == nil {
-			continue
-		}
-		envs = append(envs, &env{frames: []frame{{name: baseName, tbl: base, row: r}}})
-	}
-
-	for ji, j := range st.Joins {
-		jt := joinTables[ji]
-		jname := strings.ToLower(j.Table.name())
-		var next []*env
-		// Try an equi-join driven by an index on the new table.
-		joinCol, outerExpr := equiJoinKey(j.On, jt, j.Table.name())
-		for _, en := range envs {
-			matched := false
-			if joinCol != "" {
-				outerVal, err := evalExpr(outerExpr, en, args)
-				if err != nil {
-					return nil, err
-				}
-				if ids, usable := jt.lookup(joinCol, outerVal); usable {
-					for _, id := range ids {
-						r := jt.rowAt(id)
-						if r == nil {
-							continue
-						}
-						cand := &env{frames: append(append([]frame{}, en.frames...), frame{name: jname, tbl: jt, row: r})}
-						v, err := evalExpr(j.On, cand, args)
-						if err != nil {
-							return nil, err
-						}
-						if truthy(v) {
-							next = append(next, cand)
-							matched = true
-						}
-					}
-					if !matched && j.Left {
-						next = append(next, &env{frames: append(append([]frame{}, en.frames...), frame{name: jname, tbl: jt, row: nil})})
-					}
-					continue
-				}
-			}
-			// Nested loop fallback.
-			for id := range jt.rows {
-				r := jt.rowAt(id)
-				if r == nil {
-					continue
-				}
-				cand := &env{frames: append(append([]frame{}, en.frames...), frame{name: jname, tbl: jt, row: r})}
-				v, err := evalExpr(j.On, cand, args)
-				if err != nil {
-					return nil, err
-				}
-				if truthy(v) {
-					next = append(next, cand)
-					matched = true
-				}
-			}
-			if !matched && j.Left {
-				next = append(next, &env{frames: append(append([]frame{}, en.frames...), frame{name: jname, tbl: jt, row: nil})})
-			}
-		}
-		envs = next
-	}
-	return envs, nil
-}
-
-// equiJoinKey inspects an ON expression for a top-level conjunct of the
-// form "newTable.col = <expr over earlier tables>". It returns the column
-// of the new table and the outer expression, or "" if none is found.
-func equiJoinKey(on Expr, jt *table, jtName string) (string, Expr) {
-	switch x := on.(type) {
-	case *BinaryExpr:
-		switch x.Op {
-		case "AND":
-			if c, e := equiJoinKey(x.L, jt, jtName); c != "" {
-				return c, e
-			}
-			return equiJoinKey(x.R, jt, jtName)
-		case "=":
-			if c, e := joinSide(x.L, x.R, jt, jtName); c != "" {
-				return c, e
-			}
-			return joinSide(x.R, x.L, jt, jtName)
-		}
-	}
-	return "", nil
-}
-
-func joinSide(colSide, otherSide Expr, jt *table, jtName string) (string, Expr) {
-	ref, ok := colSide.(*ColRef)
-	if !ok || !strings.EqualFold(ref.Table, jtName) {
-		return "", nil
-	}
-	lower := strings.ToLower(ref.Column)
-	i, ok := jt.colIdx[lower]
-	if !ok {
-		return "", nil
-	}
-	indexed := i == jt.pk
-	if _, has := jt.indexes[lower]; has {
-		indexed = true
-	}
-	if _, has := jt.uniques[lower]; has {
-		indexed = true
-	}
-	if !indexed {
-		return "", nil
-	}
-	// The other side must not reference the new table (it must be
-	// evaluable in the outer environment).
-	if refersTo(otherSide, jtName) {
-		return "", nil
-	}
-	return ref.Column, otherSide
-}
-
-func refersTo(e Expr, tableName string) bool {
-	switch x := e.(type) {
-	case *ColRef:
-		return x.Table == "" || strings.EqualFold(x.Table, tableName)
-	case *BinaryExpr:
-		return refersTo(x.L, tableName) || refersTo(x.R, tableName)
-	case *UnaryExpr:
-		return refersTo(x.X, tableName)
-	case *IsNullExpr:
-		return refersTo(x.X, tableName)
-	case *InExpr:
-		if refersTo(x.X, tableName) {
-			return true
-		}
-		for _, le := range x.List {
-			if refersTo(le, tableName) {
-				return true
-			}
-		}
-	case *FuncExpr:
-		for _, a := range x.Args {
-			if refersTo(a, tableName) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// outputColumns expands the projection list into column names.
-func outputColumns(st *SelectStmt, envs []*env) ([]string, error) {
-	var cols []string
-	for _, c := range st.Columns {
-		switch {
-		case c.Star == "*":
-			if len(envs) > 0 {
-				for _, f := range envs[0].frames {
-					cols = append(cols, f.tbl.columnNames()...)
-				}
-			} else {
-				cols = append(cols, "*")
-			}
-		case c.Star != "":
-			if len(envs) > 0 {
-				for _, f := range envs[0].frames {
-					if f.name == strings.ToLower(c.Star) {
-						cols = append(cols, f.tbl.columnNames()...)
-					}
-				}
-			}
-		case c.Alias != "":
-			cols = append(cols, c.Alias)
-		default:
-			cols = append(cols, exprName(c.Expr))
-		}
-	}
-	return cols, nil
-}
-
 func exprName(e Expr) string {
 	switch x := e.(type) {
 	case *ColRef:
@@ -930,53 +661,10 @@ func exprName(e Expr) string {
 	return "expr"
 }
 
-func evalPlainSelect(st *SelectStmt, envs []*env, args []Value) (*Rows, error) {
-	cols, err := outputColumns(st, envs)
-	if err != nil {
-		return nil, err
-	}
-	out := &Rows{Columns: cols}
-	for _, en := range envs {
-		var row []Value
-		for _, c := range st.Columns {
-			switch {
-			case c.Star == "*":
-				for _, f := range en.frames {
-					row = append(row, frameValues(f)...)
-				}
-			case c.Star != "":
-				for _, f := range en.frames {
-					if f.name == strings.ToLower(c.Star) {
-						row = append(row, frameValues(f)...)
-					}
-				}
-			default:
-				v, err := evalExpr(c.Expr, en, args)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-		}
-		out.Data = append(out.Data, row)
-	}
-	return out, nil
-}
-
-func frameValues(f frame) []Value {
-	n := len(f.tbl.cols)
-	vals := make([]Value, n)
-	if f.row != nil {
-		copy(vals, f.row)
-	}
-	return vals
-}
-
-func evalAggregateSelect(st *SelectStmt, envs []*env, args []Value) (*Rows, error) {
-	cols, err := outputColumns(st, envs)
-	if err != nil {
-		return nil, err
-	}
+// evalAggregateSelect groups the WHERE-surviving environments and
+// evaluates the select list once per group. cols is the result header;
+// the planner has already rejected '*' in an aggregate select list.
+func evalAggregateSelect(st *SelectStmt, cols []string, envs []*env, args []Value) (*Rows, error) {
 	out := &Rows{Columns: cols}
 
 	// Group environments by GROUP BY key.
@@ -1025,9 +713,6 @@ func evalAggregateSelect(st *SelectStmt, envs []*env, args []Value) (*Rows, erro
 		}
 		var row []Value
 		for _, c := range st.Columns {
-			if c.Star != "" {
-				return nil, fmt.Errorf("rdb: '*' projection is not allowed in aggregate queries")
-			}
 			v, err := evalAggExpr(c.Expr, g.envs, args)
 			if err != nil {
 				return nil, err
@@ -1149,118 +834,4 @@ func distinctRows(in *Rows) *Rows {
 		out.Data = append(out.Data, row)
 	}
 	return out
-}
-
-// orderRows sorts out.Data. For plain selects the ORDER BY expressions are
-// evaluated against the source environments (parallel to out.Data); for
-// aggregate queries they must name output columns.
-func orderRows(st *SelectStmt, out *Rows, envs []*env, aggregate bool, args []Value) error {
-	n := len(out.Data)
-	keys := make([][]Value, n)
-	for i := 0; i < n; i++ {
-		keys[i] = make([]Value, len(st.OrderBy))
-		for k, term := range st.OrderBy {
-			var v Value
-			var err error
-			if !aggregate && !st.Distinct && i < len(envs) {
-				v, err = evalExpr(term.Expr, envs[i], args)
-				if err != nil {
-					// The term may name an output alias instead.
-					v, err = orderByOutput(term.Expr, out, i)
-				}
-			} else {
-				v, err = orderByOutput(term.Expr, out, i)
-			}
-			if err != nil {
-				return err
-			}
-			keys[i][k] = v
-		}
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		for k, term := range st.OrderBy {
-			va, vb := keys[idx[a]][k], keys[idx[b]][k]
-			if va == nil && vb == nil {
-				continue
-			}
-			if va == nil {
-				return !term.Desc // NULLs first ascending
-			}
-			if vb == nil {
-				return term.Desc
-			}
-			c, err := compareValues(va, vb)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c == 0 {
-				continue
-			}
-			if term.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	if sortErr != nil {
-		return sortErr
-	}
-	sorted := make([][]Value, n)
-	for i, j := range idx {
-		sorted[i] = out.Data[j]
-	}
-	out.Data = sorted
-	return nil
-}
-
-func orderByOutput(e Expr, out *Rows, rowIdx int) (Value, error) {
-	ref, ok := e.(*ColRef)
-	if !ok {
-		return nil, fmt.Errorf("rdb: ORDER BY over aggregates must reference output columns")
-	}
-	ci := out.Col(ref.Column)
-	if ci < 0 {
-		return nil, fmt.Errorf("rdb: ORDER BY references unknown output column %q", ref.Column)
-	}
-	return out.Data[rowIdx][ci], nil
-}
-
-func applyLimitOffset(st *SelectStmt, out *Rows, args []Value) error {
-	offset := 0
-	if st.Offset != nil {
-		v, err := evalConst(st.Offset, args)
-		if err != nil {
-			return err
-		}
-		n, ok := v.(int64)
-		if !ok || n < 0 {
-			return fmt.Errorf("rdb: OFFSET must be a non-negative integer")
-		}
-		offset = int(n)
-	}
-	if offset > len(out.Data) {
-		offset = len(out.Data)
-	}
-	out.Data = out.Data[offset:]
-	if st.Limit != nil {
-		v, err := evalConst(st.Limit, args)
-		if err != nil {
-			return err
-		}
-		n, ok := v.(int64)
-		if !ok || n < 0 {
-			return fmt.Errorf("rdb: LIMIT must be a non-negative integer")
-		}
-		if int(n) < len(out.Data) {
-			out.Data = out.Data[:n]
-		}
-	}
-	return nil
 }

@@ -185,6 +185,18 @@ func (t *table) createCompositeIndex(name string, colNames []string) error {
 	return nil
 }
 
+// compositeLedBy returns the first composite index whose leading column
+// is col, or nil.
+func (t *table) compositeLedBy(col string) *compositeIndex {
+	lower := lowerKey(col)
+	for _, ix := range t.composites {
+		if ix.colNames[0] == lower {
+			return ix
+		}
+	}
+	return nil
+}
+
 func sameColumnList(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

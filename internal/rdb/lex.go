@@ -123,6 +123,11 @@ func (l *lexer) lexNumber() error {
 		}
 		break
 	}
+	// A number ends at a non-identifier character: "1AND" is a typo, not
+	// two tokens.
+	if l.pos < len(l.src) && isIdentStart(l.src[l.pos]) {
+		return fmt.Errorf("rdb: identifier character %q directly after number %q at %d", l.src[l.pos], l.src[start:l.pos], l.pos)
+	}
 	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 // A SELECT is compiled once (planner.go) into a SelectPlan — access
 // path, join strategies, filter, projection, sort keys and limits all
 // resolved to closures and index pointers — and executed many times
-// with only the '?' parameters changing. The AST interpreter in
-// exec.go is retained verbatim as the reference implementation
-// (QueryInterpreted) for differential testing.
+// with only the '?' parameters changing. The plan is the definition of
+// SELECT; the tree-walking reference the differential tests compare it
+// against lives in oracle_test.go.
 
 // accessOp enumerates the base-table access operators.
 type accessOp int
@@ -89,13 +89,13 @@ type projStep struct {
 	frames []int
 }
 
-// orderKey is one compiled ORDER BY term with the interpreter's
-// output-column fallback resolved at plan time.
+// orderKey is one ORDER BY term, bound at plan time (bindOrderBy) to
+// exactly one source: an expression over the joined rows, or — expr ==
+// nil — the output column outCol.
 type orderKey struct {
-	expr        compiledExpr
-	desc        bool
-	outCol      int   // output column fallback; -1 when none
-	errFallback error // returned when expr fails and no fallback exists
+	expr   compiledExpr
+	desc   bool
+	outCol int
 }
 
 type tableSize struct {
@@ -124,15 +124,12 @@ type SelectPlan struct {
 	aggregate bool
 	distinct  bool
 
-	// Non-aggregate projection and ordering:
-	cols      []string // output columns when rows survive the WHERE
-	colsEmpty []string // interpreter's star quirk on empty results
-	hasStar   bool
-	proj      []projStep
-	orderBy   []orderKey
-	sortElim  bool
-	limit     compiledExpr // nil if absent
-	offset    compiledExpr // nil if absent
+	cols     []string   // result header: statement and schema only (R2)
+	proj     []projStep // nil for aggregate plans
+	orderBy  []orderKey
+	sortElim bool
+	limit    compiledExpr // nil if absent
+	offset   compiledExpr // nil if absent
 }
 
 // valid reports whether the plan may still be executed: same DDL epoch
@@ -176,61 +173,108 @@ func (s *slab[T]) cut(width int) []T {
 // (EXPLAIN ANALYZE, traced queries, the flight recorder); the hot path
 // passes nil and pays only nil checks.
 func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error) {
-	if p.aggregate {
-		return db.execPlanAggregate(p, args, es)
-	}
 	c := &execCtx{rows: make([]Row, len(p.frames)), args: args, stats: es}
 	limit, offset, hasLimit, err := p.evalLimits(c)
 	if err != nil {
 		return nil, err
 	}
 	db.countJoinStats(p)
-	needSort := len(p.orderBy) > 0 && !p.sortElim
+	var out *Rows
 	var keys [][]Value
-	var rowSlab, keySlab slab[Value]
-	// LIMIT pushdown: stop producing once offset+limit rows exist, valid
-	// when no sort (or an index-order scan) and no DISTINCT reshuffle.
-	// A star projection still needs one row to expand column names.
-	stopAt := int64(-1)
-	if hasLimit && !p.distinct && !needSort {
-		stopAt = offset + limit
-		if p.hasStar && stopAt == 0 {
-			stopAt = 1
+	if p.aggregate {
+		out, err = db.aggregateRows(p, c)
+	} else {
+		// LIMIT pushdown: stop producing once offset+limit rows exist, valid
+		// when no sort (or an index-order scan) and no DISTINCT reshuffle.
+		stopAt := int64(-1)
+		if hasLimit && !p.distinct && !p.needSort() {
+			stopAt = offset + limit
+		}
+		out, keys, err = db.plainRows(p, c, stopAt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p.distinct {
+		out = distinctRows(out)
+	}
+	if p.needSort() {
+		if err := sortCompiled(p, out, keys); err != nil {
+			return nil, err
 		}
 	}
-	out := &Rows{}
-	emit := func() error {
-		if p.where != nil {
-			if c.stats != nil {
-				c.stats.filterIn++
-			}
-			v, err := p.where(c)
-			if err != nil {
-				return err
-			}
-			if !truthy(v) {
-				return nil
-			}
-			if c.stats != nil {
-				c.stats.filterOut++
-			}
+	if p.sortElim {
+		db.stats.sortsEliminated.Add(1)
+	}
+	offset = min(offset, int64(len(out.Data)))
+	out.Data = out.Data[offset:]
+	if hasLimit && limit < int64(len(out.Data)) {
+		out.Data = out.Data[:limit]
+	}
+	return out, nil
+}
+
+func (p *SelectPlan) needSort() bool { return len(p.orderBy) > 0 && !p.sortElim }
+
+// produce drives the access path and the joins; joinStep calls emit for
+// every row combination that survives the WHERE filter.
+func (db *DB) produce(p *SelectPlan, c *execCtx, emit func() error) error {
+	baseEach := func(r Row) error {
+		c.rows[0] = r
+		return db.joinStep(p, c, 0, emit)
+	}
+	if c.stats == nil {
+		return db.runBase(p, c, baseEach)
+	}
+	t0 := time.Now()
+	err := db.runBase(p, c, func(r Row) error {
+		c.stats.base.rowsOut++
+		return baseEach(r)
+	})
+	c.stats.base.elapsed = time.Since(t0)
+	return err
+}
+
+// filter passes the current row combination to emit if it satisfies
+// the WHERE clause.
+func (p *SelectPlan) filter(c *execCtx, emit func() error) error {
+	if p.where != nil {
+		if c.stats != nil {
+			c.stats.filterIn++
 		}
+		v, err := p.where(c)
+		if err != nil || !truthy(v) {
+			return err
+		}
+		if c.stats != nil {
+			c.stats.filterOut++
+		}
+	}
+	return emit()
+}
+
+// plainRows projects the produced rows. keys, parallel to the rows, holds
+// the ORDER BY key values when a sort will follow; stopAt >= 0 ends
+// production once that many rows exist.
+func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]Value, error) {
+	out := &Rows{Columns: p.cols}
+	wantKeys := p.needSort() && !p.distinct
+	var keys [][]Value
+	var rowSlab, keySlab slab[Value]
+	err := db.produce(p, c, func() error {
 		row, err := p.project(c, &rowSlab)
 		if err != nil {
 			return err
 		}
-		if needSort && !p.distinct {
+		if wantKeys {
 			kv := keySlab.cut(len(p.orderBy))
 			for k := range p.orderBy {
 				ok := &p.orderBy[k]
-				v, err := ok.expr(c)
-				if err != nil {
-					if ok.outCol < 0 {
-						return ok.errFallback
-					}
-					v = row[ok.outCol]
+				if ok.expr == nil {
+					kv[k] = row[ok.outCol]
+				} else if kv[k], err = ok.expr(c); err != nil {
+					return err
 				}
-				kv[k] = v
 			}
 			keys = append(keys, kv)
 		}
@@ -239,78 +283,20 @@ func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error
 			return errStopIteration
 		}
 		return nil
-	}
-	baseEach := func(r Row) error {
-		c.rows[0] = r
-		return db.joinStep(p, c, 0, emit)
-	}
-	if c.stats != nil {
-		inner := baseEach
-		baseEach = func(r Row) error {
-			c.stats.base.rowsOut++
-			return inner(r)
-		}
-		t0 := time.Now()
-		err = db.runBase(p, c, baseEach)
-		c.stats.base.elapsed = time.Since(t0)
-	} else {
-		err = db.runBase(p, c, baseEach)
-	}
+	})
 	if err != nil && err != errStopIteration {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(out.Data) == 0 {
-		out.Columns = p.colsEmpty
-	} else {
-		out.Columns = p.cols
-	}
-	if p.distinct {
-		out = distinctRows(out)
-	}
-	if needSort {
-		if err := sortCompiled(p, out, keys); err != nil {
-			return nil, err
-		}
-	}
-	if p.sortElim {
-		db.stats.sortsEliminated.Add(1)
-	}
-	if offset > int64(len(out.Data)) {
-		offset = int64(len(out.Data))
-	}
-	out.Data = out.Data[offset:]
-	if hasLimit && limit < int64(len(out.Data)) {
-		out.Data = out.Data[:limit]
-	}
-	return out, nil
+	return out, keys, nil
 }
 
-// execPlanAggregate runs an aggregate plan: the compiled access path,
-// joins and filter produce environments, and the aggregate tail
-// (grouping, HAVING, output-column ordering) is shared verbatim with
-// the interpreter.
-func (db *DB) execPlanAggregate(p *SelectPlan, args []Value, es *execStats) (*Rows, error) {
-	c := &execCtx{rows: make([]Row, len(p.frames)), args: args, stats: es}
-	db.countJoinStats(p)
+// aggregateRows collects the produced row combinations as environments
+// and hands them to the one aggregate evaluator (grouping, HAVING).
+func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
 	var envs []*env
 	var frameSlab slab[frame]
 	var envSlab slab[env]
-	emit := func() error {
-		if p.where != nil {
-			if c.stats != nil {
-				c.stats.filterIn++
-			}
-			v, err := p.where(c)
-			if err != nil {
-				return err
-			}
-			if !truthy(v) {
-				return nil
-			}
-			if c.stats != nil {
-				c.stats.filterOut++
-			}
-		}
+	err := db.produce(p, c, func() error {
 		fs := frameSlab.cut(len(p.frames))
 		for i, pf := range p.frames {
 			fs[i] = frame{name: pf.name, tbl: pf.tbl, row: c.rows[i]}
@@ -319,43 +305,11 @@ func (db *DB) execPlanAggregate(p *SelectPlan, args []Value, es *execStats) (*Ro
 		e.frames = fs
 		envs = append(envs, e)
 		return nil
-	}
-	baseEach := func(r Row) error {
-		c.rows[0] = r
-		return db.joinStep(p, c, 0, emit)
-	}
-	var err error
-	if c.stats != nil {
-		inner := baseEach
-		baseEach = func(r Row) error {
-			c.stats.base.rowsOut++
-			return inner(r)
-		}
-		t0 := time.Now()
-		err = db.runBase(p, c, baseEach)
-		c.stats.base.elapsed = time.Since(t0)
-	} else {
-		err = db.runBase(p, c, baseEach)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := evalAggregateSelect(p.stmt, envs, args)
-	if err != nil {
-		return nil, err
-	}
-	if p.stmt.Distinct {
-		out = distinctRows(out)
-	}
-	if len(p.stmt.OrderBy) > 0 {
-		if err := orderRows(p.stmt, out, envs, true, args); err != nil {
-			return nil, err
-		}
-	}
-	if err := applyLimitOffset(p.stmt, out, args); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return evalAggregateSelect(p.stmt, p.cols, envs, c.args)
 }
 
 func (p *SelectPlan) evalLimits(c *execCtx) (limit, offset int64, hasLimit bool, err error) {
@@ -396,26 +350,28 @@ func (db *DB) countJoinStats(p *SelectPlan) {
 }
 
 // foldBounds evaluates the bound candidates and keeps the tightest lower
-// and upper bound. Bounds that fail to evaluate or evaluate to NULL are
-// skipped — exactly what the interpreter's rangeSide does — leaving a
-// wider candidate set for the residual WHERE to filter.
-func foldBounds(c *execCtx, los, his []boundCand) (rangeBound, rangeBound) {
-	var lo, hi rangeBound
+// and upper bound. A NULL bound is skipped: its conjunct is NULL for
+// every row, and the residual WHERE says so.
+func foldBounds(c *execCtx, los, his []boundCand) (lo, hi rangeBound, err error) {
 	for _, b := range los {
 		v, err := b.val(c)
-		if err != nil || v == nil {
-			continue
+		if err != nil {
+			return lo, hi, err
 		}
-		tightenLo(&lo, v, b.inclusive)
+		if v != nil {
+			tightenLo(&lo, v, b.inclusive)
+		}
 	}
 	for _, b := range his {
 		v, err := b.val(c)
-		if err != nil || v == nil {
-			continue
+		if err != nil {
+			return lo, hi, err
 		}
-		tightenHi(&hi, v, b.inclusive)
+		if v != nil {
+			tightenHi(&hi, v, b.inclusive)
+		}
 	}
-	return lo, hi
+	return lo, hi, nil
 }
 
 // scanAll feeds every live row to each, in row-id order.
@@ -433,65 +389,60 @@ func (db *DB) scanAll(t *table, each func(Row) error) error {
 	return nil
 }
 
-// runBase drives the plan's base access path. When a bind-time value
-// fails to evaluate, it degrades to a full scan so the residual WHERE
-// reproduces the interpreter's behavior (including its errors).
+// runBase drives the plan's base access path. A key or bound that fails
+// to evaluate at bind time is the query's error (R3).
 func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 	a := &p.access
 	t := p.base
 	switch a.kind {
-	case accessPK:
+	case accessPK, accessUnique, accessHash, accessSnapPK:
 		v, err := a.eq[0](c)
 		if err != nil {
-			return db.scanAll(t, each)
+			return err
 		}
 		db.stats.pointLookups.Add(1)
 		if c.stats != nil {
 			c.stats.base.probes++
 		}
-		if id, ok := t.pkMap[v]; ok {
-			if r := t.rowAt(id); r != nil {
-				return each(r)
+		var r Row
+		switch a.kind {
+		case accessPK:
+			if id, ok := t.pkMap[v]; ok {
+				r = t.rowAt(id)
 			}
-		}
-		return nil
-	case accessUnique:
-		v, err := a.eq[0](c)
-		if err != nil {
-			return db.scanAll(t, each)
-		}
-		db.stats.pointLookups.Add(1)
-		if c.stats != nil {
-			c.stats.base.probes++
-		}
-		if id, ok := a.uniqMap[v]; ok {
-			if r := t.rowAt(id); r != nil {
-				return each(r)
+		case accessUnique:
+			if id, ok := a.uniqMap[v]; ok {
+				r = t.rowAt(id)
 			}
-		}
-		return nil
-	case accessHash:
-		v, err := a.eq[0](c)
-		if err != nil {
-			return db.scanAll(t, each)
-		}
-		db.stats.pointLookups.Add(1)
-		if c.stats != nil {
-			c.stats.base.probes++
-		}
-		for _, id := range a.hashIdx[v] {
-			if r := t.rowAt(id); r != nil {
-				if err := each(r); err != nil {
-					return err
+		case accessHash:
+			for _, id := range a.hashIdx[v] {
+				if r := t.rowAt(id); r != nil {
+					if err := each(r); err != nil {
+						return err
+					}
+				}
+			}
+		case accessSnapPK:
+			// Snapshot point read: the frozen view carries no pkMap, but an
+			// int-keyed table addresses its record store directly by primary
+			// key, so one versioned fetch stands in for a scan.
+			if iv, ok := v.(int64); ok && t.fetch != nil {
+				if fr, ok := t.fetch(pkRecID(iv), t.snapSeq); ok {
+					r = fr
 				}
 			}
 		}
+		if r != nil {
+			return each(r)
+		}
 		return nil
 	case accessRange:
-		lo, hi := foldBounds(c, a.los, a.his)
+		lo, hi, err := foldBounds(c, a.los, a.his)
+		if err != nil {
+			return err
+		}
 		if !lo.set && !hi.set && !a.orderWalk {
-			// Every bound evaluated to NULL: the interpreter scans here.
-			return db.scanAll(t, each)
+			break // every bound was NULL: nothing to seek on
 		}
 		db.stats.rangeScans.Add(1)
 		if c.stats != nil {
@@ -514,18 +465,17 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 		for i, e := range a.eq {
 			v, err := e(c)
 			if err != nil {
-				return db.scanAll(t, each)
+				return err
 			}
 			prefix[i] = v
 		}
+		lo, hi, err := foldBounds(c, a.los, a.his)
+		if err != nil {
+			return err
+		}
 		var start, end int
-		if len(a.los)+len(a.his) > 0 {
-			lo, hi := foldBounds(c, a.los, a.his)
-			if lo.set || hi.set {
-				start, end = a.comp.rangeSegment(prefix, lo, hi)
-			} else {
-				start, end = a.comp.eqRange(prefix)
-			}
+		if lo.set || hi.set {
+			start, end = a.comp.rangeSegment(prefix, lo, hi)
 		} else {
 			start, end = a.comp.eqRange(prefix)
 		}
@@ -546,26 +496,6 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 					return err
 				}
 			}
-		}
-		return nil
-	case accessSnapPK:
-		// Snapshot point read: the frozen view carries no pkMap, but an
-		// int-keyed table addresses its record store directly by primary
-		// key, so one versioned fetch replaces the interpreter's scan.
-		v, err := a.eq[0](c)
-		if err != nil {
-			return db.scanAll(t, each)
-		}
-		db.stats.pointLookups.Add(1)
-		if c.stats != nil {
-			c.stats.base.probes++
-		}
-		iv, ok := v.(int64)
-		if !ok || t.fetch == nil {
-			return nil
-		}
-		if r, ok := t.fetch(pkRecID(iv), t.snapSeq); ok {
-			return each(r)
 		}
 		return nil
 	}
@@ -615,16 +545,16 @@ func iterCompositeReverse(ix *compositeIndex, start, end int, t *table, each fun
 }
 
 // joinStep recursively extends the current row combination with join
-// ji's matches and calls emit at full depth. Production order matches
-// the interpreter's breadth-wise join loops exactly (lexicographic in
-// join order). When analysis is active it books rows-in and inclusive
-// time for the operator before delegating to joinStepRun.
+// ji's matches and, at full depth, passes it through the WHERE filter
+// to emit. Rows are produced in lexicographic join order. When analysis
+// is active it books rows-in and inclusive time for the operator before
+// delegating to joinStepRun.
 func (db *DB) joinStep(p *SelectPlan, c *execCtx, ji int, emit func() error) error {
 	if c.stats == nil {
 		return db.joinStepRun(p, c, ji, emit)
 	}
 	if ji == len(p.joins) {
-		return emit()
+		return p.filter(c, emit)
 	}
 	jc := &c.stats.joins[ji]
 	jc.rowsIn++
@@ -636,7 +566,7 @@ func (db *DB) joinStep(p *SelectPlan, c *execCtx, ji int, emit func() error) err
 
 func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) error {
 	if ji == len(p.joins) {
-		return emit()
+		return p.filter(c, emit)
 	}
 	j := &p.joins[ji]
 	fi := ji + 1
@@ -753,25 +683,19 @@ func (p *SelectPlan) project(c *execCtx, rows *slab[Value]) ([]Value, error) {
 	return row, nil
 }
 
-// sortCompiled stable-sorts the output by the compiled ORDER BY keys,
-// with the interpreter's NULL rules (NULLs first ascending). keys is
-// parallel to out.Data; for DISTINCT queries it is nil and keys are
-// taken from the output columns, as the interpreter does.
+// sortCompiled stable-sorts the output by the ORDER BY keys, NULLs
+// first ascending. keys is parallel to out.Data; it is nil for DISTINCT
+// and aggregate results, whose terms all name output columns.
 func sortCompiled(p *SelectPlan, out *Rows, keys [][]Value) error {
-	n := len(out.Data)
 	if keys == nil {
-		keys = make([][]Value, n)
-		flat := make([]Value, n*len(p.orderBy))
-		for i := 0; i < n; i++ {
-			kv := flat[i*len(p.orderBy) : (i+1)*len(p.orderBy)]
+		n := len(p.orderBy)
+		keys = make([][]Value, len(out.Data))
+		flat := make([]Value, len(out.Data)*n)
+		for i, row := range out.Data {
+			keys[i] = flat[i*n : (i+1)*n]
 			for k := range p.orderBy {
-				ok := &p.orderBy[k]
-				if ok.outCol < 0 {
-					return ok.errFallback
-				}
-				kv[k] = out.Data[i][ok.outCol]
+				keys[i][k] = row[p.orderBy[k].outCol]
 			}
-			keys[i] = kv
 		}
 	}
 	return stableSortByKeys(out, keys, p.orderBy)

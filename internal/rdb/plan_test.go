@@ -50,12 +50,12 @@ func TestCompositeIndexAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryInterpreted(`SELECT name FROM product WHERE family = 'fam1' AND price = 7`)
+	want, err := db.queryOracle(`SELECT name FROM product WHERE family = 'fam1' AND price = 7`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-		t.Fatalf("plan path %v != interpreter %v", got.Data, want.Data)
+		t.Fatalf("plan path %v != oracle %v", got.Data, want.Data)
 	}
 	if got.Len() == 0 {
 		t.Fatal("expected matching rows in fixture")
@@ -73,9 +73,9 @@ func TestCompositeRangeAfterPrefix(t *testing.T) {
 		t.Fatalf("composite range not chosen: %q", plan)
 	}
 	got, _ := db.Query(sql)
-	want, _ := db.QueryInterpreted(sql)
+	want, _ := db.queryOracle(sql)
 	if rowsMultiset(got) != rowsMultiset(want) {
-		t.Fatalf("plan path %v != interpreter %v", got.Data, want.Data)
+		t.Fatalf("plan path %v != oracle %v", got.Data, want.Data)
 	}
 }
 
@@ -102,12 +102,12 @@ func TestSortEliminationOrderedWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := db.QueryInterpreted(c.sql)
+		want, err := db.queryOracle(c.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-			t.Fatalf("%s: order differs from interpreter:\n%v\n%v", c.sql, got.Data, want.Data)
+			t.Fatalf("%s: order differs from oracle:\n%v\n%v", c.sql, got.Data, want.Data)
 		}
 	}
 	if db.Stats().SortsEliminated == 0 {
@@ -241,12 +241,12 @@ func TestCompositeJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryInterpreted(sql)
+	want, err := db.queryOracle(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-		t.Fatalf("composite join %v != interpreter %v", got.Data, want.Data)
+		t.Fatalf("composite join %v != oracle %v", got.Data, want.Data)
 	}
 }
 

@@ -1,7 +1,9 @@
 package rdb
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -9,10 +11,10 @@ import (
 // Access-path choice is cost-based: candidate paths are enumerated from
 // the WHERE conjuncts and the available indexes, estimated from table
 // and index cardinality, and the cheapest wins. Ties keep the earlier
-// candidate, and candidates are enumerated in the interpreter's
-// precedence order (point lookups, then composite, then range, then
-// scan), so on empty or tiny tables — where every estimate collapses
-// toward zero — the plan still matches the seed's access-path labels.
+// candidate, and candidates are enumerated most specific first (point
+// lookups, then composite, then range, then scan), so on empty or tiny
+// tables — where every estimate collapses toward zero — EXPLAIN still
+// names the index the statement was written for.
 
 // planCandidate pairs a possible access path with its estimated cost.
 type planCandidate struct {
@@ -41,10 +43,11 @@ type astBound struct {
 	inclusive bool
 }
 
-// collectEq gathers base-table equality conjuncts in AND-walk order,
-// applying eqSide's shape rules (qualification, const right side) but
-// not its index requirement: composite prefixes may use columns that
-// carry no single-column index.
+// collectEq gathers the base table's "col = const" conjuncts in AND-walk
+// order, the first per column. With joins in play only a qualified
+// column counts: an unqualified one could belong to a joined table. No
+// index is required here: composite prefixes may use columns that carry
+// no single-column index.
 func collectEq(where Expr, t *table, tableName string, requireQualified bool) []eqConjunct {
 	var out []eqConjunct
 	seen := map[string]bool{}
@@ -66,7 +69,7 @@ func collectEq(where Expr, t *table, tableName string, requireQualified bool) []
 		if !isConstExpr(valSide) {
 			return false
 		}
-		if !seen[lower] { // the interpreter uses the first conjunct per column
+		if !seen[lower] {
 			seen[lower] = true
 			out = append(out, eqConjunct{colLower: lower, col: ref.Column, val: valSide})
 		}
@@ -167,7 +170,12 @@ func compileBounds(bs []astBound) []boundCand {
 }
 
 // buildPlan compiles one SELECT. The caller must hold at least a read
-// lock on db.mu.
+// lock on db.mu. Three rules make the plan the definition of SELECT
+// (DESIGN.md "The oracle"): R1, every table, alias and column name
+// resolves here, so a bad name is an error whatever the data, the access
+// path or the expression around it; R2, the result header is fixed here
+// from statement and schema alone; R3, a key or bound that fails to
+// evaluate at bind time is the query's error (runBase).
 func (db *DB) buildPlan(sel *SelectStmt) (*SelectPlan, error) {
 	return db.buildPlanTables(sel, db.tables, false)
 }
@@ -260,21 +268,26 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 
 	p.access = db.chooseAccess(p, base, eqs, ranges, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0, snap)
 
-	// Joins: prefer the interpreter's indexed equi-join (probing the new
-	// table's primary key, hash index or unique column), then a composite
-	// index whose leading column matches, then a nested loop. Snapshot
-	// frozen views carry no probe structures, so they always nest.
+	// Joins: prefer probing the new table's primary key, hash index or
+	// unique column, then a composite index whose leading column matches,
+	// then a nested loop. Snapshot frozen views carry no probe structures,
+	// so they always nest.
+	var err error
 	for ji, j := range sel.Joins {
 		jt := joinTables[ji]
 		jp := joinPlan{left: j.Left, tbl: jt, displayTable: j.Table.Table, estRows: jt.alive}
-		jp.on = compileExpr(j.On, p.frames[:ji+2])
+		if jp.on, err = compileNamed(j.On, p.frames[:ji+2]); err != nil {
+			return nil, err
+		}
+		pointKeyed := func(col string) bool { return accessKind(jt, col) != "SCAN" }
+		compositeLed := func(col string) bool { return jt.compositeLedBy(col) != nil }
+		var outerExpr Expr
 		if snap {
 			jp.kind = jkLoop
-		} else if col, outerExpr := equiJoinKey(j.On, jt, j.Table.name()); col != "" {
-			lower := strings.ToLower(col)
-			i := jt.colIdx[lower]
+		} else if jp.col, outerExpr = joinProbe(j.On, j.Table.name(), pointKeyed); jp.col != "" {
+			lower := strings.ToLower(jp.col)
 			switch {
-			case i == jt.pk:
+			case jt.colIdx[lower] == jt.pk:
 				jp.kind = jkPK
 			case jt.indexes[lower] != nil:
 				jp.kind = jkHash
@@ -283,30 +296,33 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 				jp.kind = jkUnique
 				jp.uniqMap = jt.uniques[lower]
 			}
-			jp.col = col
-			jp.label = accessKind(jt, col)
-			jp.outer = compileExpr(outerExpr, p.frames[:ji+1])
-		} else if comp, outerExpr := compositeJoinKey(j.On, jt, j.Table.name()); comp != nil {
+			jp.label = accessKind(jt, jp.col)
+		} else if jp.col, outerExpr = joinProbe(j.On, j.Table.name(), compositeLed); jp.col != "" {
 			jp.kind = jkComposite
-			jp.comp = comp
-			jp.col = comp.colNames[0]
-			jp.label = "COMPOSITE INDEX " + comp.name
+			jp.comp = jt.compositeLedBy(jp.col)
+			jp.col = jp.comp.colNames[0]
+			jp.label = "COMPOSITE INDEX " + jp.comp.name
+		}
+		if outerExpr != nil {
 			jp.outer = compileExpr(outerExpr, p.frames[:ji+1])
-		} else {
-			jp.kind = jkLoop
 		}
 		p.joins = append(p.joins, jp)
 	}
 
-	if sel.Where != nil {
-		p.where = compileExpr(sel.Where, p.frames)
+	if p.where, err = compileNamed(sel.Where, p.frames); err != nil {
+		return nil, err
 	}
-
-	if !p.aggregate {
-		db.compileProjection(p, sel)
-		if err := db.compileOrderLimits(p, sel, orderEligible); err != nil {
-			return nil, err
-		}
+	if err := p.bindProjection(sel); err != nil {
+		return nil, err
+	}
+	if err := p.bindOrderBy(sel); err != nil {
+		return nil, err
+	}
+	if p.limit, err = compileNamed(sel.Limit, nil); err != nil {
+		return nil, err
+	}
+	if p.offset, err = compileNamed(sel.Offset, nil); err != nil {
+		return nil, err
 	}
 
 	// Validity inputs: replan when DDL changes or any referenced table
@@ -370,8 +386,7 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 	// per-column path follows table.lookup's precedence: primary key,
 	// then hash index, then unique map. The hash estimate is floored at
 	// three distinct values: below that, cardinality on a tiny table is
-	// noise, and keeping the point path preserves the interpreter's row
-	// order.
+	// noise, and the point path is what EXPLAIN should name.
 	for _, eq := range eqs {
 		i := base.colIdx[eq.colLower]
 		val := []compiledExpr{compileExpr(eq.val, nil)}
@@ -508,105 +523,117 @@ func effectiveCost(c planCandidate, hasOrderBy bool) float64 {
 	return c.cost
 }
 
-// compositeJoinKey finds an ON conjunct "newTable.col = <outer expr>"
-// whose column leads a composite index of the new table.
-func compositeJoinKey(on Expr, jt *table, jtName string) (*compositeIndex, Expr) {
-	switch x := on.(type) {
-	case *BinaryExpr:
-		switch x.Op {
-		case "AND":
-			if c, e := compositeJoinKey(x.L, jt, jtName); c != nil {
-				return c, e
+// joinProbe finds the first ON conjunct "newTable.col = <expr over the
+// earlier tables>" whose column passes usable (it is handed the column
+// name as written). It returns that column and the outer expression,
+// or "" when there is none.
+func joinProbe(on Expr, jtName string, usable func(col string) bool) (string, Expr) {
+	be, ok := on.(*BinaryExpr)
+	if !ok {
+		return "", nil
+	}
+	switch be.Op {
+	case "AND":
+		if c, e := joinProbe(be.L, jtName, usable); c != "" {
+			return c, e
+		}
+		return joinProbe(be.R, jtName, usable)
+	case "=":
+		for _, side := range [2][2]Expr{{be.L, be.R}, {be.R, be.L}} {
+			ref, ok := side[0].(*ColRef)
+			if ok && strings.EqualFold(ref.Table, jtName) && usable(ref.Column) && !refersTo(side[1], jtName) {
+				return ref.Column, side[1]
 			}
-			return compositeJoinKey(x.R, jt, jtName)
-		case "=":
-			if c, e := compositeJoinSide(x.L, x.R, jt, jtName); c != nil {
-				return c, e
-			}
-			return compositeJoinSide(x.R, x.L, jt, jtName)
 		}
 	}
-	return nil, nil
+	return "", nil
 }
 
-func compositeJoinSide(colSide, otherSide Expr, jt *table, jtName string) (*compositeIndex, Expr) {
-	ref, ok := colSide.(*ColRef)
-	if !ok || !strings.EqualFold(ref.Table, jtName) {
-		return nil, nil
-	}
-	lower := strings.ToLower(ref.Column)
-	if refersTo(otherSide, jtName) {
-		return nil, nil
-	}
-	for _, comp := range jt.composites {
-		if comp.colNames[0] == lower {
-			return comp, otherSide
-		}
-	}
-	return nil, nil
+// refersTo reports whether e mentions a column of tableName: qualified
+// with it, or unqualified and so possibly its.
+func refersTo(e Expr, tableName string) bool {
+	return !walkExpr(e, func(x Expr) bool {
+		ref, ok := x.(*ColRef)
+		return !ok || (ref.Table != "" && !strings.EqualFold(ref.Table, tableName))
+	})
 }
 
-// compileProjection precomputes the projection steps and both column
-// headers the interpreter can produce: stars expand per frame when rows
-// exist, but an empty result renders "*" literally and drops "alias.*".
-func (db *DB) compileProjection(p *SelectPlan, sel *SelectStmt) {
+// bindProjection fixes the result header and, for plain selects, the
+// projection steps. The header depends on statement and schema alone
+// (R2): stars expand here, whether or not a row will ever match.
+func (p *SelectPlan) bindProjection(sel *SelectStmt) error {
 	for _, c := range sel.Columns {
-		switch {
-		case c.Star == "*":
-			p.hasStar = true
-			step := projStep{}
-			for fi, f := range p.frames {
-				step.frames = append(step.frames, fi)
-				p.cols = append(p.cols, f.tbl.columnNames()...)
+		if c.Star != "" {
+			if p.aggregate {
+				return errors.New("rdb: '*' projection is not allowed in aggregate queries")
 			}
-			p.colsEmpty = append(p.colsEmpty, "*")
-			p.proj = append(p.proj, step)
-		case c.Star != "":
-			p.hasStar = true
-			step := projStep{frames: []int{}}
-			want := strings.ToLower(c.Star)
+			var step projStep
 			for fi, f := range p.frames {
-				if f.name == want {
+				if c.Star == "*" || f.name == strings.ToLower(c.Star) {
 					step.frames = append(step.frames, fi)
 					p.cols = append(p.cols, f.tbl.columnNames()...)
 				}
 			}
-			p.proj = append(p.proj, step)
-		default:
-			name := c.Alias
-			if name == "" {
-				name = exprName(c.Expr)
+			if step.frames == nil {
+				return fmt.Errorf("rdb: unknown table or alias %q", c.Star)
 			}
-			p.cols = append(p.cols, name)
-			p.colsEmpty = append(p.colsEmpty, name)
-			p.proj = append(p.proj, projStep{expr: compileExpr(c.Expr, p.frames)})
+			p.proj = append(p.proj, step)
+			continue
+		}
+		name := c.Alias
+		if name == "" {
+			name = exprName(c.Expr)
+		}
+		p.cols = append(p.cols, name)
+		if p.aggregate {
+			// Evaluated per group by evalAggExpr, not compiled.
+			if err := checkNames(c.Expr, p.frames); err != nil {
+				return err
+			}
+			continue
+		}
+		expr, err := compileNamed(c.Expr, p.frames)
+		if err != nil {
+			return err
+		}
+		p.proj = append(p.proj, projStep{expr: expr})
+	}
+	for _, e := range sel.GroupBy {
+		if err := checkNames(e, p.frames); err != nil {
+			return err
 		}
 	}
+	return checkNames(sel.Having, p.frames)
 }
 
-func (db *DB) compileOrderLimits(p *SelectPlan, sel *SelectStmt, orderEligible bool) error {
+// bindOrderBy binds each ORDER BY term to its one key source. A term is
+// an expression over the joined rows; an unqualified name that is no
+// column there may name an output column (an alias) instead. DISTINCT
+// and aggregate results are sorted after the joined rows are gone, so
+// there every term must name an output column.
+func (p *SelectPlan) bindOrderBy(sel *SelectStmt) error {
+	byOutput := p.aggregate || p.distinct
 	for _, term := range sel.OrderBy {
-		k := orderKey{expr: compileExpr(term.Expr, p.frames), desc: term.Desc, outCol: -1}
-		if ref, ok := term.Expr.(*ColRef); ok {
-			for i, c := range p.cols {
-				if strings.EqualFold(c, ref.Column) {
-					k.outCol = i
-					break
-				}
-			}
+		k := orderKey{desc: term.Desc}
+		ref, isRef := term.Expr.(*ColRef)
+		err := checkNames(term.Expr, p.frames)
+		switch {
+		case err == nil && !byOutput:
+			k.expr = compileExpr(term.Expr, p.frames)
+		case err != nil && (!isRef || ref.Table != ""):
+			return err
+		case !isRef:
+			return errors.New("rdb: ORDER BY over aggregates must reference output columns")
+		default:
+			k.outCol = slices.IndexFunc(p.cols, func(c string) bool { return strings.EqualFold(c, ref.Column) })
 			if k.outCol < 0 {
-				k.errFallback = fmt.Errorf("rdb: ORDER BY references unknown output column %q", ref.Column)
+				if err == nil {
+					err = fmt.Errorf("rdb: ORDER BY references unknown output column %q", ref.Column)
+				}
+				return err
 			}
-		} else {
-			k.errFallback = fmt.Errorf("rdb: ORDER BY over aggregates must reference output columns")
 		}
 		p.orderBy = append(p.orderBy, k)
-	}
-	if sel.Limit != nil {
-		p.limit = compileExpr(sel.Limit, nil)
-	}
-	if sel.Offset != nil {
-		p.offset = compileExpr(sel.Offset, nil)
 	}
 	return nil
 }

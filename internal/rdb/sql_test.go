@@ -362,6 +362,34 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// A number must end at a non-identifier character: "1AND" is not the
+// number 1 and the keyword AND.
+func TestLexNumberBoundary(t *testing.T) {
+	for _, c := range []struct {
+		sql string
+		at  int // byte offset the error must name; -1 = must lex
+	}{
+		{`SELECT 00FROM emp`, 9},
+		{`SELECT 0 FROM emp WHERE dept_oid=1AND salary<0`, 34},
+		{`SELECT 1.5x FROM emp`, 10},
+		{`SELECT 1e5 FROM emp`, 8},
+		{`SELECT 7_ FROM emp`, 8},
+		{`SELECT 1 FROM emp WHERE oid=1 AND salary<20`, -1},
+		{`SELECT t1.oid, 1.5, 2*3, (4)FROM t1 WHERE oid IN (1,2)`, -1},
+		{`SELECT 1-- trailing comment`, -1},
+	} {
+		_, err := lex(c.sql)
+		switch {
+		case c.at < 0 && err != nil:
+			t.Errorf("%q: %v", c.sql, err)
+		case c.at >= 0 && err == nil:
+			t.Errorf("%q lexed", c.sql)
+		case c.at >= 0 && !strings.HasSuffix(err.Error(), fmt.Sprintf(" at %d", c.at)):
+			t.Errorf("%q: error %q does not point at offset %d", c.sql, err, c.at)
+		}
+	}
+}
+
 func TestUnknownTableAndColumn(t *testing.T) {
 	db := testDB(t)
 	if _, err := db.Query(`SELECT * FROM nothere`); err == nil {
