@@ -64,6 +64,51 @@ func TestAllocSlopeCompiledSelect(t *testing.T) {
 	t.Logf("compiled SELECT ... ORDER BY: %.3f allocs per extra row", slope)
 }
 
+// TestAllocScrollerWindowConstant: the generated scroller statements —
+// one window in primary-key order and the count beside it — cost the
+// same allocations whether the table holds 20 rows or 2,000, at the
+// first window and at the last.
+func TestAllocScrollerWindowConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := rdb.Open()
+	shape := func(rows int) (window, count float64) {
+		table := fmt.Sprintf("item%d", rows)
+		if _, err := db.Exec("CREATE TABLE " + table + " (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL)"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if _, err := db.Exec("INSERT INTO "+table+" (title) VALUES (?)", fmt.Sprintf("title %d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := int64(rows - 10)
+		window = testing.AllocsPerRun(100, func() {
+			for _, offset := range []int64{0, last} {
+				if res, err := db.Query("SELECT t.oid, t.title FROM "+table+" t ORDER BY t.oid LIMIT 10 OFFSET ?", offset); err != nil || res.Len() != 10 {
+					t.Fatalf("%d rows, err %v", res.Len(), err)
+				}
+			}
+		})
+		count = testing.AllocsPerRun(100, func() {
+			if res, err := db.Query("SELECT COUNT(*) FROM " + table + " t"); err != nil || res.Data[0][0] != int64(rows) {
+				t.Fatalf("count %v, err %v", res.Data, err)
+			}
+		})
+		return window, count
+	}
+	smallWindow, smallCount := shape(20)
+	largeWindow, largeCount := shape(2000)
+	// Boxing OFFSET 1990, or the count 2,000, costs one allocation that a
+	// small integer does not; nothing else may differ.
+	if largeWindow > smallWindow+1 || largeCount > smallCount+1 {
+		t.Fatalf("scroller allocations grow with the table: window %.0f -> %.0f, count %.0f -> %.0f",
+			smallWindow, largeWindow, smallCount, largeCount)
+	}
+	t.Logf("scroller window pair: %.0f allocs at 20 rows, %.0f at 2,000; count: %.0f and %.0f", smallWindow, largeWindow, smallCount, largeCount)
+}
+
 func TestAllocSlopeRenderPage(t *testing.T) {
 	pd := &descriptor.Page{ID: "p", Template: "p", Units: []descriptor.UnitRef{{ID: "idx"}},
 		Anchors: []descriptor.Anchor{{FromUnit: "idx", Action: "page/detail",
@@ -127,4 +172,62 @@ func TestAllocSlopeCodec(t *testing.T) {
 		t.Fatalf("bean encode + decode allocates %.2f per extra row, want <= 2.1", slope)
 	}
 	t.Logf("bean encode + decode: %.3f allocs per extra row", slope)
+}
+
+// TestAllocRowFault bounds what an evicted row costs over a cached one:
+// the same five-column point read (two text columns, one integer past
+// the runtime's preallocated small ones) answered from the decoded-row
+// cache, then cycling through more rows than the cache holds, so every
+// read descends the page tree and decodes. The difference is the fault:
+// two page pins and the value copied out of the leaf, the row, one
+// string shared by its text columns, a box per text column and per
+// large integer — and no cache entry once the cache recycles its oldest.
+func TestAllocRowFault(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 512
+	dir := t.TempDir()
+	db, err := rdb.OpenDurableOpts(dir, rdb.DurableOptions{ResidentRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("CREATE TABLE item (oid INTEGER PRIMARY KEY, title TEXT NOT NULL, body TEXT, price INTEGER, stock INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := db.Exec("INSERT INTO item (oid, title, body, price, stock) VALUES (?, ?, ?, ?, ?)",
+			int64(1000+i), fmt.Sprintf("title %d", i), fmt.Sprintf("body of item %d", i), int64(i%200), int64(i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopened, every slot is an eviction marker and reads never repopulate
+	// slots: a row is served from the 16-entry cache or faulted.
+	if db, err = rdb.OpenDurableOpts(dir, rdb.DurableOptions{ResidentRows: 16}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck // test teardown
+	const query = "SELECT t.oid, t.title, t.body, t.price, t.stock FROM item t WHERE t.oid = ?"
+	next := 0
+	read := func(stride int) func() {
+		return func() {
+			next = (next + stride) % rows
+			if res, err := db.Query(query, int64(1000+next)); err != nil || res.Len() != 1 {
+				t.Fatalf("%d rows, err %v", res.Len(), err)
+			}
+		}
+	}
+	cached := testing.AllocsPerRun(200, read(0))
+	before := db.EngineStats().RowFaults
+	evicted := testing.AllocsPerRun(200, read(1))
+	if faults := db.EngineStats().RowFaults - before; faults < 200 {
+		t.Fatalf("cycling reads faulted %d rows, want every one of 200", faults)
+	}
+	if fault := evicted - cached; fault > 9 {
+		t.Fatalf("a row fault allocates %.1f over a cached read (%.1f vs %.1f), want <= 9", fault, evicted, cached)
+	}
+	t.Logf("row fault: %.1f allocs over a cached point read (%.1f vs %.1f)", evicted-cached, evicted, cached)
 }

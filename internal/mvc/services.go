@@ -209,29 +209,29 @@ func expandLevels(ctx context.Context, db *rdb.DB, d *descriptor.Unit, bean *Uni
 func computeScrollerUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
 	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, PageSize: d.PageSize, Fields: fieldNames(d.Outputs)}
 
-	// The trailing "offset" input defaults to 0 when absent.
-	params := d.Inputs
-	withDefault := make(map[string]Value, len(inputs)+1)
-	for k, v := range inputs {
-		withDefault[k] = v
+	// The count query consumes every input except the trailing "offset",
+	// which is 0 when absent.
+	params, offset := d.Inputs, inputs["offset"]
+	if offset == nil {
+		offset = int64(0)
 	}
-	if _, ok := withDefault["offset"]; !ok {
-		withDefault["offset"] = int64(0)
+	windowed := len(params) > 0 && params[len(params)-1].Name == "offset"
+	if windowed {
+		params = params[:len(params)-1]
 	}
-	args, ok := bindArgs(d, params, withDefault)
+	countArgs, ok := bindArgs(d, params, inputs)
 	if !ok {
 		bean.Missing = true
 		return bean, nil
 	}
-	if off, ok := withDefault["offset"].(int64); ok {
+	args := countArgs
+	if windowed {
+		args = append(countArgs, offset)
+	}
+	if off, ok := offset.(int64); ok {
 		bean.Offset = int(off)
 	}
 
-	// Count query consumes all inputs except the trailing offset.
-	countArgs := args
-	if n := len(params); n > 0 && params[n-1].Name == "offset" {
-		countArgs = args[:n-1]
-	}
 	if d.CountQuery != "" {
 		crows, err := timedQuery(ctx, db, d.ID, d.CountQuery, countArgs...)
 		if err != nil {

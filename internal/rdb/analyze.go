@@ -39,9 +39,12 @@ func newExecStats(p *SelectPlan) *execStats {
 }
 
 // pathLabel names the access path compactly for span labels:
-// scan | pk | unique | hash | range | ordered | composite.
+// scan | pk | unique | hash | range | ordered | composite | snap-pk |
+// cardinality.
 func (a *accessPath) pathLabel() string {
 	switch a.kind {
+	case accessCount:
+		return "cardinality"
 	case accessPK:
 		return "pk"
 	case accessUnique:
@@ -78,8 +81,8 @@ func fmtOpTime(d time.Duration) string {
 // renderPlan renders the operator tree of a compiled plan. With es ==
 // nil the output is EXPLAIN's estimate-only form; with es set each
 // operator line gains its actuals so estimates and reality sit side by
-// side.
-func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats) string {
+// side, and args are the parameters that execution was bound to.
+func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats, args []Value) string {
 	var b strings.Builder
 	a := &p.access
 	switch a.kind {
@@ -88,9 +91,11 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats) string {
 		if es != nil {
 			fmt.Fprintf(&b, " (actual %d rows, %s)", es.base.rowsOut, fmtOpTime(es.base.elapsed))
 		}
+	case accessCount:
+		fmt.Fprintf(&b, "CARDINALITY OF %s (%d rows, none read)", p.baseTable, p.base.alive)
 	case accessRange:
 		if a.orderWalk {
-			fmt.Fprintf(&b, "ACCESS %s BY ORDERED INDEX ON %s (est %.0f rows)", p.baseTable, a.col, a.est)
+			fmt.Fprintf(&b, "ACCESS %s BY ORDERED INDEX ON %s (%s)", p.baseTable, a.col, p.walkEstimate(args))
 		} else {
 			fmt.Fprintf(&b, "ACCESS %s BY RANGE ON %s (est %.0f rows)", p.baseTable, a.col, a.est)
 		}
@@ -103,7 +108,7 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats) string {
 		if a.rangeCol != "" {
 			fmt.Fprintf(&b, ", range on %s", a.rangeCol)
 		}
-		fmt.Fprintf(&b, " (est %.0f rows)", a.est)
+		fmt.Fprintf(&b, " (%s)", p.walkEstimate(args))
 		if es != nil {
 			fmt.Fprintf(&b, " (actual %d rows, %d probes, %s)", es.base.rowsOut, es.base.probes, fmtOpTime(es.base.elapsed))
 		}
@@ -155,6 +160,27 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats) string {
 	return b.String()
 }
 
+// walkEstimate renders the row estimate of an index walk. A windowed
+// plan reads only its LIMIT window, after counting OFFSET entries off
+// without touching their rows; the window is known when both are
+// literals (plain EXPLAIN passes no args) or bound.
+func (p *SelectPlan) walkEstimate(args []Value) string {
+	rows, skip := p.access.est, 0.0
+	if p.windowed {
+		if limit, offset, hasLimit, err := p.evalLimits(&execCtx{args: args}); err == nil {
+			skip = min(float64(offset), rows)
+			rows -= skip
+			if hasLimit {
+				rows = min(rows, float64(limit))
+			}
+		}
+	}
+	if skip > 0 {
+		return fmt.Sprintf("est %.0f rows after %.0f entries skipped", rows, skip)
+	}
+	return fmt.Sprintf("est %.0f rows", rows)
+}
+
 // ExplainAnalyze compiles (or fetches from the plan cache) and
 // EXECUTES the SELECT with per-operator counters attached, then
 // renders the plan tree annotated with actual row counts, index
@@ -188,7 +214,7 @@ func (db *DB) ExplainAnalyze(sql string, args ...Value) (string, error) {
 	es.total = time.Since(t0)
 	es.output = int64(rows.Len())
 	db.stats.analyzedQueries.Add(1)
-	return renderPlan(p, sel, es) + planCacheLine(hit), nil
+	return renderPlan(p, sel, es, cargs) + planCacheLine(hit), nil
 }
 
 // ExplainAnalyze on a snapshot executes the snapshot-compiled plan
@@ -225,5 +251,5 @@ func (s *Snapshot) ExplainAnalyze(sql string, args ...Value) (string, error) {
 	es.total = time.Since(t0)
 	es.output = int64(rows.Len())
 	s.db.stats.analyzedQueries.Add(1)
-	return renderPlan(p, sel, es) + planCacheLine(hit), nil
+	return renderPlan(p, sel, es, cargs) + planCacheLine(hit), nil
 }

@@ -91,6 +91,48 @@ func TestExplainAnalyzeOrderByElimination(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeWindowAndCount: a scroller window on the primary key
+// examines the rows it returns, wherever the window starts, with the
+// bound OFFSET in the estimate; COUNT(*) of the table reads nothing and
+// is no scan in the access-path counters either.
+func TestExplainAnalyzeWindowAndCount(t *testing.T) {
+	db := planDB(t)
+	window := `SELECT t.oid, t.name FROM product t ORDER BY t.oid LIMIT 10 OFFSET ?`
+	for _, c := range []struct {
+		offset int
+		want   string
+		output string
+	}{
+		{0, "BY ORDERED INDEX ON oid (est 10 rows) (actual 10 rows, 1 probes,", "\nOUTPUT 10 rows in "},
+		{30, "BY ORDERED INDEX ON oid (est 10 rows after 30 entries skipped) (actual 10 rows, 1 probes,", "\nOUTPUT 10 rows in "},
+		{35, "BY ORDERED INDEX ON oid (est 5 rows after 35 entries skipped) (actual 5 rows, 1 probes,", "\nOUTPUT 5 rows in "},
+		{90, "BY ORDERED INDEX ON oid (est 0 rows after 40 entries skipped) (actual 0 rows, 1 probes,", "\nOUTPUT 0 rows in "},
+	} {
+		out, err := db.ExplainAnalyze(window, c.offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, c.want) || !strings.Contains(out, c.output) || !strings.Contains(out, "sort eliminated") {
+			t.Fatalf("offset %d: want %q and %q in\n%s", c.offset, c.want, c.output, out)
+		}
+	}
+	before := db.Stats()
+	out, err := db.ExplainAnalyze(`SELECT COUNT(*) FROM product t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, "CARDINALITY OF product (40 rows, none read)\nOUTPUT 1 rows in ") {
+		t.Fatalf("count of the table should be the cardinality answer:\n%s", out)
+	}
+	after := db.Stats()
+	if after.FullScans != before.FullScans || after.RangeScans != before.RangeScans || after.PointLookups != before.PointLookups {
+		t.Fatalf("the cardinality answer moved an access-path counter: %+v -> %+v", before, after)
+	}
+	if got := rowsExact(mustQuery(t, db, `SELECT COUNT(*) FROM product t`)); got != "40\n" {
+		t.Fatalf("COUNT(*) = %q, want 40", got)
+	}
+}
+
 func TestExplainAnalyzeFilterActuals(t *testing.T) {
 	db := planDB(t)
 	out, err := db.ExplainAnalyze(`SELECT name FROM product WHERE code != 'c05'`)

@@ -27,6 +27,7 @@ type execCtx struct {
 	rows  []Row
 	args  []Value
 	stats *execStats
+	skip  int64 // base entries OFFSET still owes (windowed plans, plan.go visit)
 }
 
 // planFrame binds one table alias to a frame slot at plan time.

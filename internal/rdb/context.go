@@ -102,7 +102,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Row
 	if err == nil && rec != nil && elapsed >= rec.min {
 		es.total = elapsed
 		es.output = int64(rows.Len())
-		planText = renderPlan(p, sel, es) + planCacheLine(hit)
+		planText = renderPlan(p, sel, es, cargs) + planCacheLine(hit)
 	}
 	access := p.access.pathLabel()
 	db.mu.RUnlock()

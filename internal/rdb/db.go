@@ -40,10 +40,10 @@ type DB struct {
 	head atomic.Pointer[snapState]
 
 	stmtMu    sync.Mutex
-	stmtCache *lruCache // sql -> Statement
+	stmtCache *lruCache[string, Statement]
 
 	planMu    sync.Mutex
-	planCache *lruCache // sql -> *SelectPlan
+	planCache *lruCache[string, *SelectPlan]
 
 	// hooks, when set, bridge query/commit execution into an external
 	// tracing system (context.go); recorder, when set, captures slow
@@ -168,8 +168,8 @@ func Open() *DB {
 	db := &DB{
 		tables:    make(map[string]*table),
 		engine:    memEngine{},
-		stmtCache: newLRU(stmtCacheCap),
-		planCache: newLRU(planCacheCap),
+		stmtCache: newLRU[string, Statement](stmtCacheCap),
+		planCache: newLRU[string, *SelectPlan](planCacheCap),
 	}
 	db.publishHead()
 	return db
@@ -216,11 +216,11 @@ func (r *Rows) Maps() []map[string]Value {
 // prepare parses sql, consulting the statement cache first.
 func (db *DB) prepare(sql string) (Statement, error) {
 	db.stmtMu.Lock()
-	v, ok := db.stmtCache.get(sql)
+	st, ok := db.stmtCache.get(sql)
 	db.stmtMu.Unlock()
 	if ok {
 		db.stats.stmtHits.Add(1)
-		return v.(Statement), nil
+		return st, nil
 	}
 	db.stats.stmtMisses.Add(1)
 	st, err := ParseStatement(sql)
@@ -248,8 +248,7 @@ func (db *DB) planFor(sql string, sel *SelectStmt) (*SelectPlan, error) {
 // this call (false) — the marker EXPLAIN surfaces.
 func (db *DB) planForCached(sql string, sel *SelectStmt) (p *SelectPlan, hit bool, err error) {
 	db.planMu.Lock()
-	if v, ok := db.planCache.get(sql); ok {
-		p := v.(*SelectPlan)
+	if p, ok := db.planCache.get(sql); ok {
 		if p.valid(db) {
 			db.planMu.Unlock()
 			db.stats.planHits.Add(1)

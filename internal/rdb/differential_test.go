@@ -120,6 +120,46 @@ var diffCorpus = []struct {
 	{`SELECT 00 FROM emp WHERE dept_oid=1 AND A*0 AND sAlArY<0`, nil},
 	{`SELECT ghost FROM emp WHERE oid = 99`, nil},
 	{`SELECT name FROM emp WHERE FALSE AND ghost = 1`, nil},
+	// The primary key as an order: walks in both directions, windows that
+	// start inside, at and past the end, with and without a residual WHERE.
+	{`SELECT name FROM emp ORDER BY oid`, nil},
+	{`SELECT name FROM emp ORDER BY oid DESC`, nil},
+	{`SELECT e.oid, e.name FROM emp e ORDER BY e.oid LIMIT 3 OFFSET 2`, nil},
+	{`SELECT e.oid, e.name FROM emp e ORDER BY e.oid DESC LIMIT 3 OFFSET 2`, nil},
+	{`SELECT name FROM emp ORDER BY oid LIMIT 3 OFFSET 7`, nil},
+	{`SELECT name FROM emp ORDER BY oid LIMIT 3 OFFSET 8`, nil},
+	{`SELECT name FROM emp ORDER BY oid DESC LIMIT 3 OFFSET 99`, nil},
+	{`SELECT name FROM emp ORDER BY oid LIMIT 0`, nil},
+	{`SELECT name FROM emp ORDER BY oid LIMIT 0 OFFSET 3`, nil},
+	{`SELECT name FROM emp ORDER BY oid LIMIT ? OFFSET ?`, []Value{2, 5}},
+	{`SELECT name FROM emp ORDER BY oid DESC LIMIT ? OFFSET ?`, []Value{4, 6}},
+	{`SELECT name FROM emp WHERE name LIKE '%a%' ORDER BY oid LIMIT 2 OFFSET 1`, nil},
+	{`SELECT name FROM emp WHERE salary > 20 ORDER BY oid DESC LIMIT ? OFFSET ?`, []Value{2, 1}},
+	{`SELECT name FROM emp WHERE dept_oid = 1 ORDER BY oid LIMIT 2 OFFSET 1`, nil},
+	{`SELECT name FROM emp WHERE oid > 2 AND oid <= 6 ORDER BY oid DESC`, nil},
+	{`SELECT name FROM emp WHERE oid >= ? ORDER BY oid LIMIT 2`, []Value{7}},
+	{`SELECT name FROM emp WHERE oid < 4`, nil},
+	{`SELECT name FROM emp LIMIT 2 OFFSET 7`, nil},
+	// The live-row count as an answer, and every COUNT(*) that is not it.
+	{`SELECT COUNT(*) FROM emp`, nil},
+	{`SELECT COUNT(*) AS n, COUNT(*) FROM emp e`, nil},
+	{`SELECT COUNT(*) FROM emp LIMIT 0`, nil},
+	{`SELECT COUNT(*) FROM emp OFFSET 1`, nil},
+	{`SELECT COUNT(*) FROM emp WHERE name LIKE ?`, []Value{"%a%"}},
+	{`SELECT COUNT(*) FROM emp WHERE salary > 99`, nil},
+	{`SELECT COUNT(*) FROM emp e JOIN dept d ON d.oid = e.dept_oid`, nil},
+	{`SELECT COUNT(*) FROM dept d LEFT JOIN emp e ON e.dept_oid = d.oid WHERE d.budget > 20`, nil},
+	{`SELECT COUNT(*) FROM emp GROUP BY dept_oid`, nil},
+	{`SELECT COUNT(*) AS n FROM emp WHERE salary < 40 GROUP BY dept_oid ORDER BY n DESC`, nil},
+	{`SELECT COUNT(*) FROM emp HAVING COUNT(*) > 100`, nil},
+	{`SELECT COUNT(*) + 1, COUNT(*) FROM emp`, nil},
+	// What the SQL leaves open is settled by row id on every access path,
+	// and a key finds what a scan would compare equal.
+	{`SELECT name FROM emp WHERE dept_oid = 1 ORDER BY 0`, nil},
+	{`SELECT name FROM emp WHERE bonus > 0 ORDER BY salary`, nil},
+	{`SELECT name FROM emp WHERE bonus > 0 LIMIT 2`, nil},
+	{`SELECT name FROM emp WHERE dept_oid = 1.0`, nil},
+	{`SELECT name FROM emp WHERE oid = ?`, []Value{2.0}},
 }
 
 func rowsExact(r *Rows) string {
@@ -272,6 +312,157 @@ func TestDifferentialUnderMutation(t *testing.T) {
 	for _, sql := range probes {
 		compareEngines(t, db, sql, nil)
 	}
+}
+
+// TestDifferentialPKOrderUnderMutation keeps the primary key's ordered
+// entries honest through every way a key enters or leaves a table:
+// explicit keys inserted out of order, deletes, a primary-key UPDATE, a
+// rolled-back transaction and DROP / re-CREATE — on an integer key (record
+// ids are the keys) and a text key (keys live in the "pk" image). Every
+// step is compared with the oracle, which scans and sorts; the paging
+// engine is also compared with memory after a reopen, where the entries
+// are rebuilt from the key scan and the image without decoding a row.
+func TestDifferentialPKOrderUnderMutation(t *testing.T) {
+	probes := []struct {
+		sql  string
+		args []Value
+	}{
+		{`SELECT id, v FROM k ORDER BY id`, nil},
+		{`SELECT id FROM k ORDER BY id DESC LIMIT 3 OFFSET 1`, nil},
+		{`SELECT id FROM k WHERE id > ? AND id < 20 ORDER BY id`, []Value{2}},
+		{`SELECT COUNT(*) FROM k`, nil},
+		{`SELECT name FROM named ORDER BY name DESC`, nil},
+		{`SELECT name, v FROM named ORDER BY name LIMIT 2 OFFSET ?`, []Value{1}},
+		{`SELECT name FROM named WHERE name >= 'm' ORDER BY name`, nil},
+		{`SELECT COUNT(*) FROM named`, nil},
+	}
+	create := []string{
+		`CREATE TABLE k (id INTEGER PRIMARY KEY, v TEXT)`,
+		`CREATE TABLE named (name TEXT PRIMARY KEY, v INTEGER)`,
+	}
+	steps := [][]string{
+		create,
+		{`INSERT INTO k (id, v) VALUES (5, 'e'), (1, 'a'), (9, 'i'), (3, 'c'), (7, 'g'), (-2, 'z')`,
+			`INSERT INTO named (name, v) VALUES ('pear', 1), ('apple', 2), ('zest', 3), ('mango', 4), ('fig', 5)`},
+		{`DELETE FROM k WHERE id = 9`, `DELETE FROM k WHERE id = 1`, `DELETE FROM named WHERE name = 'mango'`},
+		{`UPDATE k SET id = 4 WHERE id = 7`, `UPDATE k SET id = 30 WHERE id = 3`, `UPDATE named SET name = 'nut' WHERE name = 'apple'`},
+		{`INSERT INTO k (id, v) VALUES (6, 'f'), (2, 'b')`, `INSERT INTO named (name, v) VALUES ('kiwi', 6)`},
+		{`DROP TABLE k`, `DROP TABLE named`},
+		create,
+		{`INSERT INTO k (id, v) VALUES (8, 'h'), (2, 'b'), (11, 'k')`, `INSERT INTO named (name, v) VALUES ('b', 1), ('a', 2)`},
+	}
+	rolledBack := []string{
+		`INSERT INTO k (id, v) VALUES (0, 'ghost')`,
+		`DELETE FROM k WHERE id = 5`,
+		`UPDATE k SET id = 100 WHERE id = 4`,
+		`DELETE FROM named WHERE name = 'pear'`,
+		`INSERT INTO named (name, v) VALUES ('aaa', 9)`,
+	}
+	check := func(t *testing.T, db *DB) {
+		t.Helper()
+		for _, p := range probes {
+			compareEngines(t, db, p.sql, p.args)
+		}
+	}
+	run := func(t *testing.T, db *DB) {
+		t.Helper()
+		for i, step := range steps {
+			mustExecAll(t, db, step)
+			if i == len(steps)-3 { // the tables are dropped: nothing to probe
+				continue
+			}
+			check(t, db)
+			if i == 3 {
+				tx := db.Begin()
+				for _, s := range rolledBack {
+					if _, err := tx.Exec(s); err != nil {
+						t.Fatalf("%s: %v", s, err)
+					}
+				}
+				if err := tx.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+				check(t, db)
+				if got := rowsExact(mustQuery(t, db, `SELECT id FROM k ORDER BY id`)); got != "-2\n4\n5\n30\n" {
+					t.Fatalf("after key updates and a rollback, ORDER BY id gave %q", got)
+				}
+			}
+		}
+	}
+	mem := Open()
+	run(t, mem)
+	dir := t.TempDir()
+	dur := openPaging(t, dir)
+	run(t, dur)
+	dur = reopenPaging(t, dur, dir)
+	defer dur.Close()
+	check(t, dur)
+	for _, p := range probes {
+		compareDBs(t, "paging-recovered", mem, dur, p.sql, p.args)
+	}
+}
+
+// TestRowOrderIndependentOfAccessPath holds the plan to the rule that
+// rows come out in row-id order whatever the access path: the same
+// statements, on the same rows with and without the schema's indexes, must
+// return the same sequence even where the SQL leaves it open — ties under
+// ORDER BY, a LIMIT with no order, the first row a group meets — and a key
+// must find the rows a scan would compare equal (1 = 1.0). The writes
+// re-file old rows in hash buckets (UPDATE, rollback) before the second
+// pass. The oracle is compared too.
+func TestRowOrderIndependentOfAccessPath(t *testing.T) {
+	probes := []string{
+		`SELECT name FROM emp WHERE dept_oid = 1 ORDER BY 0`,
+		`SELECT name FROM emp WHERE dept_oid = 1 AND salary > 10 ORDER BY bonus`,
+		`SELECT name FROM emp WHERE bonus > 0 ORDER BY salary`,
+		`SELECT name FROM emp WHERE bonus >= 0 ORDER BY salary DESC LIMIT 3 OFFSET 1`,
+		`SELECT name FROM emp WHERE bonus > 0 LIMIT 2`,
+		`SELECT name FROM emp WHERE dept_oid = 2 LIMIT 1 OFFSET 1`,
+		`SELECT name FROM emp WHERE name > 'b' AND bonus < 5`,
+		`SELECT dept_oid, COUNT(*) FROM emp WHERE bonus >= 0 GROUP BY dept_oid`,
+		`SELECT DISTINCT salary FROM emp WHERE bonus >= 0`,
+		`SELECT d.name, e.name FROM dept d JOIN emp e ON e.dept_oid = d.oid ORDER BY d.budget`,
+		`SELECT d.name, e.name FROM dept d LEFT JOIN emp e ON e.dept_oid = d.oid * 1.0 WHERE d.oid < 3.5`,
+		`SELECT name FROM emp WHERE dept_oid = 1.0`,
+		`SELECT name FROM emp WHERE oid = 2.0`,
+		`SELECT name FROM emp WHERE oid = 2.5`,
+		`SELECT name FROM emp WHERE 3.0 = oid AND dept_oid = 2.`,
+	}
+	indexed, bare := diffFixture(t), Open()
+	for _, s := range diffSchema {
+		if strings.HasPrefix(s, "CREATE TABLE") {
+			mustExecAll(t, bare, []string{s})
+		}
+	}
+	mustExecAll(t, bare, diffRows)
+	check := func() {
+		t.Helper()
+		for _, sql := range probes {
+			compareEngines(t, indexed, sql, nil)
+			got, want := mustQuery(t, indexed, sql), mustQuery(t, bare, sql)
+			if rowsExact(got) != rowsExact(want) {
+				t.Fatalf("%s: with indexes:\n%s\nwithout:\n%s", sql, rowsExact(got), rowsExact(want))
+			}
+		}
+	}
+	check()
+	for _, db := range []*DB{indexed, bare} {
+		mustExecAll(t, db, []string{
+			`UPDATE emp SET dept_oid = 2 WHERE oid = 1`,
+			`UPDATE emp SET dept_oid = 1, bonus = 4 WHERE oid = 5`,
+			`UPDATE emp SET dept_oid = 1 WHERE oid = 1`,
+		})
+		tx := db.Begin()
+		for _, s := range []string{`DELETE FROM emp WHERE oid = 2`, `UPDATE emp SET dept_oid = 3 WHERE oid = 6`} {
+			if _, err := tx.Exec(s); err != nil {
+				t.Fatalf("%s: %v", s, err)
+			}
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
 }
 
 var (

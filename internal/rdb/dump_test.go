@@ -79,6 +79,24 @@ func TestExplainAccessPaths(t *testing.T) {
 	}{
 		{`SELECT * FROM volume WHERE oid = 1`,
 			[]string{"ACCESS volume BY PRIMARY KEY ON oid"}},
+		// The primary key as an order and a range, no index DDL needed.
+		{`SELECT * FROM paper t ORDER BY t.oid`,
+			[]string{"ACCESS paper BY ORDERED INDEX ON oid (est 4 rows)", "ORDER BY INDEX (sort eliminated, 1 keys)"}},
+		{`SELECT * FROM paper t ORDER BY t.oid DESC LIMIT 2 OFFSET 1`,
+			[]string{"ACCESS paper BY ORDERED INDEX ON oid (est 2 rows after 1 entries skipped)", "sort eliminated", "LIMIT"}},
+		{`SELECT * FROM paper t ORDER BY t.oid LIMIT 2 OFFSET ?`,
+			[]string{"ACCESS paper BY ORDERED INDEX ON oid (est 4 rows)", "sort eliminated"}},
+		{`SELECT * FROM paper WHERE oid > ? ORDER BY oid`,
+			[]string{"ACCESS paper BY RANGE ON oid", "sort eliminated"}},
+		// The live-row count as an answer; a filtered count still reads rows.
+		{`SELECT COUNT(*) FROM paper t`,
+			[]string{"CARDINALITY OF paper (4 rows, none read)\nPLAN"}},
+		{`SELECT COUNT(*) FROM paper WHERE pages > 22`,
+			[]string{"SCAN paper (4 rows)"}},
+		// A foreign-key bucket beats walking the whole key for its order
+		// (relationship units, hierarchical levels).
+		{`SELECT * FROM issue t WHERE t.volume_oid = ? ORDER BY t.oid`,
+			[]string{"ACCESS issue BY INDEX ON volume_oid", "SORT 1 keys"}},
 		{`SELECT * FROM issue WHERE volume_oid = 1`,
 			[]string{"ACCESS issue BY INDEX ON volume_oid"}},
 		{`SELECT * FROM volume WHERE title = 'x'`,

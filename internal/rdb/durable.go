@@ -2,7 +2,6 @@ package rdb
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -168,11 +167,6 @@ type cacheKey struct {
 	rec uint64
 }
 
-type cacheEnt struct {
-	k   cacheKey
-	row Row
-}
-
 // rowCache is a small LRU of decoded rows in front of the page tree:
 // faulting an evicted row costs a map hit instead of a tree descent
 // plus decode when the row is hot. Only live fetches populate it (they
@@ -181,64 +175,37 @@ type cacheEnt struct {
 // read can never be re-inserted after Apply cleared it.
 type rowCache struct {
 	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[cacheKey]*list.Element
+	lru *lruCache[cacheKey, Row]
 }
 
 func newRowCache(capacity int) *rowCache {
 	if capacity <= 0 {
 		capacity = defaultRowCacheRows
 	}
-	return &rowCache{cap: capacity, ll: list.New(), m: make(map[cacheKey]*list.Element)}
+	return &rowCache{lru: newLRU[cacheKey, Row](capacity)}
 }
 
 func (c *rowCache) get(tid uint32, rec uint64) (Row, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[cacheKey{tid, rec}]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEnt).row, true
+	return c.lru.get(cacheKey{tid, rec})
 }
 
 func (c *rowCache) put(tid uint32, rec uint64, row Row) {
-	k := cacheKey{tid, rec}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		el.Value.(*cacheEnt).row = row
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[k] = c.ll.PushFront(&cacheEnt{k: k, row: row})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.m, back.Value.(*cacheEnt).k)
-	}
+	c.lru.put(cacheKey{tid, rec}, row)
+	c.mu.Unlock()
 }
 
 func (c *rowCache) invalidate(tid uint32, rec uint64) {
-	k := cacheKey{tid, rec}
 	c.mu.Lock()
-	if el, ok := c.m[k]; ok {
-		c.ll.Remove(el)
-		delete(c.m, k)
-	}
+	c.lru.remove(cacheKey{tid, rec})
 	c.mu.Unlock()
 }
 
 func (c *rowCache) dropTable(tid uint32) {
 	c.mu.Lock()
-	for k, el := range c.m {
-		if k.tid == tid {
-			c.ll.Remove(el)
-			delete(c.m, k)
-		}
-	}
+	c.lru.removeIf(func(k cacheKey) bool { return k.tid == tid })
 	c.mu.Unlock()
 }
 
@@ -1158,7 +1125,11 @@ func (e *durableEngine) recoverTableV2(ct catTable, rev map[string]map[uint64]in
 		t.rows = append(t.rows, evictedRowMark(rec))
 		t.alive++
 		if et.intPK {
-			t.pkMap[Value(recIDPK(rec))] = id
+			// Record ids are sign-flipped keys, so the scan yields pk order
+			// and the ordered entries are appends.
+			pk := Value(recIDPK(rec))
+			t.pkMap[pk] = id
+			t.pkOrd.insert(pk, id)
 		} else {
 			et.recOf[id] = rec
 			rv[rec] = id
@@ -1209,12 +1180,17 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 	}
 	switch img.kind {
 	case "pk":
-		return scan(func(id int, vals Row) error {
+		if err := scan(func(id int, vals Row) error {
 			if vals[0] != nil {
 				t.pkMap[vals[0]] = id
+				t.pkOrd.entries = append(t.pkOrd.entries, ordEntry{val: vals[0], id: id})
 			}
 			return nil
-		})
+		}); err != nil {
+			return err
+		}
+		sortOrdEntries(t.pkOrd.entries)
+		return nil
 	case "unique":
 		u := t.uniques[img.colNames[0]]
 		if u == nil {
@@ -1249,16 +1225,7 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 		}); err != nil {
 			return err
 		}
-		sort.SliceStable(ents, func(a, b int) bool {
-			c, err := compareValues(ents[a].val, ents[b].val)
-			if err != nil {
-				return false
-			}
-			if c != 0 {
-				return c < 0
-			}
-			return ents[a].id < ents[b].id
-		})
+		sortOrdEntries(ents)
 		t.ordered[img.colNames[0]] = &orderedIndex{entries: ents}
 		return nil
 	case "composite":

@@ -30,7 +30,7 @@ func (db *DB) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return renderPlan(p, sel, nil) + planCacheLine(hit), nil
+	return renderPlan(p, sel, nil, nil) + planCacheLine(hit), nil
 }
 
 // accessKind names the point access path available on a column, in

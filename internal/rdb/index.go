@@ -135,6 +135,16 @@ func (ix *compositeIndex) rangeSegment(prefix []Value, lo, hi rangeBound) (int, 
 	return start, end
 }
 
+// ids returns the row ids of entries[start:end], ascending.
+func (ix *compositeIndex) ids(start, end int) []int {
+	ids := make([]int, 0, end-start)
+	for _, e := range ix.entries[start:end] {
+		ids = append(ids, e.id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
 // distinctPrefixes counts the distinct values of the first n key
 // columns — the cardinality input of the cost model.
 func (ix *compositeIndex) distinctPrefixes(n int) int {

@@ -16,22 +16,18 @@ type ordEntry struct {
 
 // search returns the position of the first entry >= (v, id).
 func (ix *orderedIndex) search(v Value, id int) int {
-	return sort.Search(len(ix.entries), func(i int) bool {
-		c, err := compareValues(ix.entries[i].val, v)
-		if err != nil {
-			// Heterogeneous values cannot occur: column values are
-			// coerced to the column type on insert.
-			return true
-		}
-		if c != 0 {
-			return c > 0
-		}
-		return ix.entries[i].id >= id
-	})
+	return sort.Search(len(ix.entries), func(i int) bool { return !ordLess(ix.entries[i], ordEntry{v, id}) })
 }
 
+// insert keeps entries sorted. A key past the current end — ascending
+// primary keys, recovery's key-order scan — appends without a search;
+// any other position shifts the tail, so non-monotonic bulk loads cost
+// O(n) each.
 func (ix *orderedIndex) insert(v Value, id int) {
-	pos := ix.search(v, id)
+	pos := len(ix.entries)
+	if pos > 0 && !ordLess(ix.entries[pos-1], ordEntry{v, id}) {
+		pos = ix.search(v, id)
+	}
 	ix.entries = append(ix.entries, ordEntry{})
 	copy(ix.entries[pos+1:], ix.entries[pos:])
 	ix.entries[pos] = ordEntry{val: v, id: id}
@@ -44,6 +40,22 @@ func (ix *orderedIndex) remove(v Value, id int) {
 			ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
 		}
 	}
+}
+
+// ordLess is the entry order: by value, then row id. Heterogeneous
+// values cannot occur: column values are coerced to the column type on
+// insert.
+func ordLess(a, b ordEntry) bool {
+	if c, err := compareValues(a.val, b.val); err == nil && c != 0 {
+		return c < 0
+	}
+	return a.id < b.id
+}
+
+// sortOrdEntries puts entries collected in any order (an index image
+// scan yields record order) into entry order.
+func sortOrdEntries(ents []ordEntry) {
+	sort.Slice(ents, func(a, b int) bool { return ordLess(ents[a], ents[b]) })
 }
 
 // rangeBound is one side of a range scan.
@@ -88,16 +100,14 @@ func (ix *orderedIndex) bounds(lo, hi rangeBound) (int, int) {
 	return start, end
 }
 
-// scan returns the row ids inside bounds(lo, hi).
+// scan returns the row ids inside bounds(lo, hi), ascending.
 func (ix *orderedIndex) scan(lo, hi rangeBound) []int {
 	start, end := ix.bounds(lo, hi)
-	if start >= end {
-		return nil
-	}
 	ids := make([]int, 0, end-start)
 	for _, e := range ix.entries[start:end] {
 		ids = append(ids, e.id)
 	}
+	sort.Ints(ids)
 	return ids
 }
 
@@ -121,6 +131,15 @@ func (t *table) createOrderedIndex(colName string) error {
 	}
 	t.ordered[lower] = ix
 	return nil
+}
+
+// orderedOn returns the sorted index over a column (lower-cased name):
+// the primary key's own, or one CREATE ORDERED INDEX built. Nil if none.
+func (t *table) orderedOn(col string) *orderedIndex {
+	if i, ok := t.colIdx[col]; ok && i == t.pk {
+		return t.pkOrd
+	}
+	return t.ordered[col]
 }
 
 // rangeLookup returns candidate row ids for a range predicate on col, or

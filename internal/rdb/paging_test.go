@@ -265,6 +265,72 @@ func TestSnapshotPagingConsistency(t *testing.T) {
 	}
 }
 
+// TestPagingScrollerFaultsItsWindow reopens 200-row tables (marker-only,
+// a 16-row cache) and counts row faults per statement: a scroller window
+// faults the rows it shows — at offset 0 and at offset 190, where OFFSET
+// counts index entries off instead of rows — and COUNT(*) of the table
+// faults none. The same statements on a snapshot must equal the live
+// answers: frozen views carry no index structures, so there the window is
+// still scan + sort + slice and the count is the frozen live-row count.
+func TestPagingScrollerFaultsItsWindow(t *testing.T) {
+	dir := t.TempDir()
+	db := openPaging(t, dir)
+	mustExecAll(t, db, []string{
+		`CREATE TABLE item (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL)`,
+		`CREATE TABLE named (name TEXT PRIMARY KEY, v INTEGER)`,
+	})
+	for i := 1; i <= 200; i++ {
+		if _, err := db.Exec(`INSERT INTO item (title) VALUES (?)`, fmt.Sprintf("title %d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec(`INSERT INTO named (name, v) VALUES (?, ?)`, fmt.Sprintf("key-%03d", (i*37)%200), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db = reopenPaging(t, db, dir)
+	defer db.Close()
+
+	const window = `SELECT t.oid, t.title FROM item t ORDER BY t.oid LIMIT 10 OFFSET ?`
+	const windowDesc = `SELECT t.oid FROM item t ORDER BY t.oid DESC LIMIT 10 OFFSET ?`
+	const windowText = `SELECT t.name FROM named t ORDER BY t.name LIMIT 10 OFFSET ?`
+	cases := []struct {
+		sql        string
+		args       []Value
+		rows       int
+		first      string
+		maxFaulted uint64
+	}{
+		{`SELECT COUNT(*) FROM item t`, nil, 1, "200", 0},
+		{`SELECT COUNT(*) FROM named`, nil, 1, "200", 0},
+		{window, []Value{0}, 10, "1", 10},
+		{window, []Value{190}, 10, "191", 10},
+		{window, []Value{195}, 5, "196", 5},
+		{window, []Value{500}, 0, "", 0},
+		{windowDesc, []Value{180}, 10, "20", 10},
+		{windowText, []Value{100}, 10, "key-100", 10},
+	}
+	snap := db.Snapshot()
+	defer snap.Close()
+	for _, c := range cases {
+		before := db.EngineStats().RowFaults
+		rows := mustQuery(t, db, c.sql, c.args...)
+		faulted := db.EngineStats().RowFaults - before
+		if rows.Len() != c.rows || (c.rows > 0 && FormatValue(rows.Data[0][0]) != c.first) {
+			t.Fatalf("%s %v: got %d rows %v, want %d starting at %s", c.sql, c.args, rows.Len(), rows.Data, c.rows, c.first)
+		}
+		if faulted > c.maxFaulted {
+			t.Errorf("%s %v: faulted %d rows, want <= %d", c.sql, c.args, faulted, c.maxFaulted)
+		}
+		frozen, err := snap.Query(c.sql, c.args...)
+		if err != nil {
+			t.Fatalf("snapshot %s: %v", c.sql, err)
+		}
+		if rowsExact(frozen) != rowsExact(rows) {
+			t.Errorf("%s %v: snapshot answers\n%s\nlive answers\n%s", c.sql, c.args, rowsExact(frozen), rowsExact(rows))
+		}
+	}
+}
+
 // TestPagingEvictionHammer runs writers, live readers and snapshot
 // readers against a 16-row budget under -race: commits sweep rows out
 // while lock-free snapshot queries fault them back through the

@@ -26,6 +26,7 @@ const (
 	accessRange                     // ordered-index range scan (single column)
 	accessComposite                 // composite-index prefix/range scan
 	accessSnapPK                    // record-store point fetch at a snapshot sequence
+	accessCount                     // no rows read: COUNT(*) of the whole table is table.alive
 )
 
 // boundCand is one not-yet-evaluated range bound; the tightest bound is
@@ -40,10 +41,11 @@ type boundCand struct {
 // pointers (valid until the next DDL epoch bump).
 type accessPath struct {
 	kind      accessOp
-	col       string // display column for point/range paths (original case)
-	label     string // display label for point paths: PRIMARY KEY / UNIQUE / INDEX
+	col       string  // display column for point/range paths (original case)
+	typ       ColType // point paths: the probed column's type (probeKey)
+	label     string  // display label for point paths: PRIMARY KEY / UNIQUE / INDEX
 	hashIdx   map[Value][]int
-	uniqMap   map[Value]int
+	uniqMap   map[Value]int // unique column's map, or the table's pkMap
 	ord       *orderedIndex
 	comp      *compositeIndex
 	eq        []compiledExpr // point value, or composite equality prefix
@@ -72,10 +74,11 @@ type joinPlan struct {
 	tbl          *table
 	displayTable string
 	kind         joinKind
-	col          string // display: probed column (original case)
-	label        string // display: PRIMARY KEY / UNIQUE / INDEX / COMPOSITE INDEX
+	col          string  // display: probed column (original case)
+	typ          ColType // its type (probeKey)
+	label        string  // display: PRIMARY KEY / UNIQUE / INDEX / COMPOSITE INDEX
 	hashIdx      map[Value][]int
-	uniqMap      map[Value]int
+	uniqMap      map[Value]int // unique column's map, or the table's pkMap
 	comp         *compositeIndex
 	outer        compiledExpr // evaluated over the outer frames
 	on           compiledExpr // full ON condition over outer + new frame
@@ -123,6 +126,13 @@ type SelectPlan struct {
 	where     compiledExpr // nil when no WHERE
 	aggregate bool
 	distinct  bool
+	// countOnly: the select list is COUNT(*) alone, ungrouped, so the rows
+	// are counted as they stream by, never collected.
+	countOnly bool
+	// windowed: no WHERE, join, DISTINCT, grouping or sort stands between
+	// the access path and the output, so each base entry is one output row
+	// and OFFSET skips entries without materializing them.
+	windowed bool
 
 	cols     []string   // result header: statement and schema only (R2)
 	proj     []projStep // nil for aggregate plans
@@ -184,6 +194,9 @@ func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error
 	if p.aggregate {
 		out, err = db.aggregateRows(p, c)
 	} else {
+		if p.windowed {
+			c.skip, offset = offset, 0
+		}
 		// LIMIT pushdown: stop producing once offset+limit rows exist, valid
 		// when no sort (or an index-order scan) and no DISTINCT reshuffle.
 		stopAt := int64(-1)
@@ -293,6 +306,20 @@ func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]Val
 // aggregateRows collects the produced row combinations as environments
 // and hands them to the one aggregate evaluator (grouping, HAVING).
 func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
+	if p.countOnly {
+		n := int64(p.base.alive)
+		if p.access.kind != accessCount {
+			n = 0
+			if err := db.produce(p, c, func() error { n++; return nil }); err != nil {
+				return nil, err
+			}
+		}
+		row := make([]Value, len(p.cols))
+		for i := range row {
+			row[i] = n
+		}
+		return &Rows{Columns: p.cols, Data: [][]Value{row}}, nil
+	}
 	var envs []*env
 	var frameSlab slab[frame]
 	var envSlab slab[env]
@@ -374,66 +401,67 @@ func foldBounds(c *execCtx, los, his []boundCand) (lo, hi rangeBound, err error)
 	return lo, hi, nil
 }
 
-// scanAll feeds every live row to each, in row-id order.
-func (db *DB) scanAll(t *table, each func(Row) error) error {
-	db.stats.fullScans.Add(1)
-	for id := range t.rows {
-		r := t.rowAt(id)
-		if r == nil {
-			continue
+// visit feeds the live row in slot id to each, faulting it in if it was
+// evicted. While the execution still owes OFFSET entries (c.skip, set
+// only for windowed plans) it counts the slot off instead and touches no
+// row.
+func (c *execCtx) visit(t *table, id int, each func(Row) error) error {
+	if c.skip > 0 {
+		if t.rows[id] != nil {
+			c.skip--
 		}
-		if err := each(r); err != nil {
-			return err
-		}
+		return nil
+	}
+	if r := t.rowAt(id); r != nil {
+		return each(r)
 	}
 	return nil
 }
 
 // runBase drives the plan's base access path. A key or bound that fails
-// to evaluate at bind time is the query's error (R3).
+// to evaluate at bind time is the query's error (R3). Rows come out in
+// row-id order, as from a scan, whatever the path — so ties under ORDER BY,
+// a LIMIT's cut and a group's first row do not depend on which indexes
+// exist — unless the plan asked for the index's own order (sortElim),
+// where equal keys still follow row id.
 func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 	a := &p.access
 	t := p.base
+	byID := func(ids []int) error {
+		for _, id := range ids {
+			if err := c.visit(t, id, each); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	switch a.kind {
 	case accessPK, accessUnique, accessHash, accessSnapPK:
 		v, err := a.eq[0](c)
 		if err != nil {
 			return err
 		}
+		v = probeKey(v, a.typ)
 		db.stats.pointLookups.Add(1)
 		if c.stats != nil {
 			c.stats.base.probes++
 		}
-		var r Row
 		switch a.kind {
-		case accessPK:
-			if id, ok := t.pkMap[v]; ok {
-				r = t.rowAt(id)
-			}
-		case accessUnique:
+		case accessPK, accessUnique:
 			if id, ok := a.uniqMap[v]; ok {
-				r = t.rowAt(id)
+				return c.visit(t, id, each)
 			}
 		case accessHash:
-			for _, id := range a.hashIdx[v] {
-				if r := t.rowAt(id); r != nil {
-					if err := each(r); err != nil {
-						return err
-					}
-				}
-			}
+			return byID(a.hashIdx[v])
 		case accessSnapPK:
 			// Snapshot point read: the frozen view carries no pkMap, but an
 			// int-keyed table addresses its record store directly by primary
 			// key, so one versioned fetch stands in for a scan.
 			if iv, ok := v.(int64); ok && t.fetch != nil {
-				if fr, ok := t.fetch(pkRecID(iv), t.snapSeq); ok {
-					r = fr
+				if r, ok := t.fetch(pkRecID(iv), t.snapSeq); ok {
+					return each(r)
 				}
 			}
-		}
-		if r != nil {
-			return each(r)
 		}
 		return nil
 	case accessRange:
@@ -448,15 +476,16 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 		if c.stats != nil {
 			c.stats.base.probes++
 		}
+		if !p.sortElim {
+			return byID(a.ord.scan(lo, hi))
+		}
 		start, end := a.ord.bounds(lo, hi)
 		if a.reverse {
-			return iterOrderedReverse(a.ord.entries, start, end, t, each)
+			return iterOrderedReverse(a.ord.entries, start, end, c, t, each)
 		}
 		for _, e := range a.ord.entries[start:end] {
-			if r := t.rowAt(e.id); r != nil {
-				if err := each(r); err != nil {
-					return err
-				}
+			if err := c.visit(t, e.id, each); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -487,25 +516,33 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 		if c.stats != nil {
 			c.stats.base.probes++
 		}
+		if !p.sortElim {
+			return byID(a.comp.ids(start, end))
+		}
 		if a.reverse {
-			return iterCompositeReverse(a.comp, start, end, t, each)
+			return iterCompositeReverse(a.comp, start, end, c, t, each)
 		}
 		for _, e := range a.comp.entries[start:end] {
-			if r := t.rowAt(e.id); r != nil {
-				if err := each(r); err != nil {
-					return err
-				}
+			if err := c.visit(t, e.id, each); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	return db.scanAll(t, each)
+	// Full scan: every live row, in row-id order.
+	db.stats.fullScans.Add(1)
+	for id := range t.rows {
+		if err := c.visit(t, id, each); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // iterOrderedReverse walks entries[start:end] back to front by
 // equal-value group, emitting each group in forward (ascending row-id)
 // order — the exact row order a stable descending sort produces.
-func iterOrderedReverse(entries []ordEntry, start, end int, t *table, each func(Row) error) error {
+func iterOrderedReverse(entries []ordEntry, start, end int, c *execCtx, t *table, each func(Row) error) error {
 	i := end
 	for i > start {
 		j := i
@@ -513,10 +550,8 @@ func iterOrderedReverse(entries []ordEntry, start, end int, t *table, each func(
 			j--
 		}
 		for k := j; k < i; k++ {
-			if r := t.rowAt(entries[k].id); r != nil {
-				if err := each(r); err != nil {
-					return err
-				}
+			if err := c.visit(t, entries[k].id, each); err != nil {
+				return err
 			}
 		}
 		i = j
@@ -524,7 +559,7 @@ func iterOrderedReverse(entries []ordEntry, start, end int, t *table, each func(
 	return nil
 }
 
-func iterCompositeReverse(ix *compositeIndex, start, end int, t *table, each func(Row) error) error {
+func iterCompositeReverse(ix *compositeIndex, start, end int, c *execCtx, t *table, each func(Row) error) error {
 	n := len(ix.cols)
 	i := end
 	for i > start {
@@ -533,10 +568,8 @@ func iterCompositeReverse(ix *compositeIndex, start, end int, t *table, each fun
 			j--
 		}
 		for k := j; k < i; k++ {
-			if r := t.rowAt(ix.entries[k].id); r != nil {
-				if err := each(r); err != nil {
-					return err
-				}
+			if err := c.visit(t, ix.entries[k].id, each); err != nil {
+				return err
 			}
 		}
 		i = j
@@ -571,7 +604,11 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 	j := &p.joins[ji]
 	fi := ji + 1
 	matched := false
-	try := func(r Row) error {
+	try := func(id int) error {
+		r := j.tbl.rowAt(id)
+		if r == nil {
+			return nil
+		}
 		c.rows[fi] = r
 		v, err := j.on(c)
 		if err != nil {
@@ -591,51 +628,31 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 		if err != nil {
 			return err
 		}
+		ov = probeKey(ov, j.typ)
 		if c.stats != nil {
 			c.stats.joins[ji].probes++
 		}
 		switch j.kind {
-		case jkPK:
-			if id, ok := j.tbl.pkMap[ov]; ok {
-				if r := j.tbl.rowAt(id); r != nil {
-					if err := try(r); err != nil {
-						return err
-					}
-				}
-			}
-		case jkUnique:
+		case jkPK, jkUnique:
 			if id, ok := j.uniqMap[ov]; ok {
-				if r := j.tbl.rowAt(id); r != nil {
-					if err := try(r); err != nil {
-						return err
-					}
+				if err := try(id); err != nil {
+					return err
 				}
 			}
-		case jkHash:
-			for _, id := range j.hashIdx[ov] {
-				if r := j.tbl.rowAt(id); r != nil {
-					if err := try(r); err != nil {
-						return err
-					}
-				}
+		case jkHash, jkComposite:
+			ids := j.hashIdx[ov]
+			if j.kind == jkComposite {
+				ids = j.comp.ids(j.comp.eqRange([]Value{ov}))
 			}
-		case jkComposite:
-			start, end := j.comp.eqRange([]Value{ov})
-			for _, e := range j.comp.entries[start:end] {
-				if r := j.tbl.rowAt(e.id); r != nil {
-					if err := try(r); err != nil {
-						return err
-					}
+			for _, id := range ids {
+				if err := try(id); err != nil {
+					return err
 				}
 			}
 		}
 	} else {
 		for id := range j.tbl.rows {
-			r := j.tbl.rowAt(id)
-			if r == nil {
-				continue
-			}
-			if err := try(r); err != nil {
+			if err := try(id); err != nil {
 				return err
 			}
 		}

@@ -303,7 +303,7 @@ func TestStmtCacheLRUBound(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[string, int](2)
 	c.put("a", 1)
 	c.put("b", 2)
 	if _, ok := c.get("a"); !ok { // refresh a

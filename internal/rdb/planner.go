@@ -221,6 +221,10 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 				break
 			}
 		}
+		p.countOnly = p.aggregate && sel.Having == nil && !slices.ContainsFunc(sel.Columns, func(c SelectExpr) bool {
+			fe, ok := c.Expr.(*FuncExpr)
+			return !ok || fe.Name != "COUNT" || !fe.Star
+		})
 	}
 
 	// ORDER BY eligibility for index-order elimination: single table, no
@@ -266,7 +270,12 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 		rangeByCol[rc.colLower] = rc
 	}
 
-	p.access = db.chooseAccess(p, base, eqs, ranges, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0, snap)
+	if p.countOnly && sel.Where == nil && len(sel.Joins) == 0 {
+		// What the schema already says: the answer is the live-row count.
+		p.access = accessPath{kind: accessCount, est: 1}
+	} else {
+		p.access = db.chooseAccess(p, base, eqs, ranges, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0, snap)
+	}
 
 	// Joins: prefer probing the new table's primary key, hash index or
 	// unique column, then a composite index whose leading column matches,
@@ -286,9 +295,11 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 			jp.kind = jkLoop
 		} else if jp.col, outerExpr = joinProbe(j.On, j.Table.name(), pointKeyed); jp.col != "" {
 			lower := strings.ToLower(jp.col)
+			jp.typ = jt.cols[jt.colIdx[lower]].def.Type
 			switch {
 			case jt.colIdx[lower] == jt.pk:
 				jp.kind = jkPK
+				jp.uniqMap = jt.pkMap
 			case jt.indexes[lower] != nil:
 				jp.kind = jkHash
 				jp.hashIdx = jt.indexes[lower]
@@ -324,6 +335,7 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 	if p.offset, err = compileNamed(sel.Offset, nil); err != nil {
 		return nil, err
 	}
+	p.windowed = p.where == nil && len(p.joins) == 0 && !p.aggregate && !p.distinct && !p.needSort()
 
 	// Validity inputs: replan when DDL changes or any referenced table
 	// crosses a size-class boundary (cost estimates go stale).
@@ -364,7 +376,7 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 		for _, eq := range eqs {
 			if base.snapPK >= 0 && base.fetch != nil && base.colIdx[eq.colLower] == base.snapPK {
 				cands = append(cands, planCandidate{
-					path: accessPath{kind: accessSnapPK, col: eq.col, label: "PRIMARY KEY",
+					path: accessPath{kind: accessSnapPK, col: eq.col, typ: TInt, label: "PRIMARY KEY",
 						eq: []compiledExpr{compileExpr(eq.val, nil)}, est: pointCost},
 					cost: pointCost,
 				})
@@ -389,11 +401,12 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 	// noise, and the point path is what EXPLAIN should name.
 	for _, eq := range eqs {
 		i := base.colIdx[eq.colLower]
+		typ := base.cols[i].def.Type
 		val := []compiledExpr{compileExpr(eq.val, nil)}
 		switch {
 		case i == base.pk:
 			cands = append(cands, planCandidate{
-				path: accessPath{kind: accessPK, col: eq.col, label: "PRIMARY KEY", eq: val, est: pointCost},
+				path: accessPath{kind: accessPK, col: eq.col, typ: typ, label: "PRIMARY KEY", uniqMap: base.pkMap, eq: val, est: pointCost},
 				cost: pointCost,
 			})
 		case base.indexes[eq.colLower] != nil:
@@ -404,12 +417,12 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 			}
 			cost := alive / float64(distinct)
 			cands = append(cands, planCandidate{
-				path: accessPath{kind: accessHash, col: eq.col, label: accessKind(base, eq.col), hashIdx: idx, eq: val, est: cost},
+				path: accessPath{kind: accessHash, col: eq.col, typ: typ, label: accessKind(base, eq.col), hashIdx: idx, eq: val, est: cost},
 				cost: cost,
 			})
 		case base.uniques[eq.colLower] != nil:
 			cands = append(cands, planCandidate{
-				path: accessPath{kind: accessUnique, col: eq.col, label: "UNIQUE", uniqMap: base.uniques[eq.colLower], eq: val, est: pointCost},
+				path: accessPath{kind: accessUnique, col: eq.col, typ: typ, label: "UNIQUE", uniqMap: base.uniques[eq.colLower], eq: val, est: pointCost},
 				cost: pointCost,
 			})
 		}
@@ -465,8 +478,8 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 
 	// Single-column ordered-index range scans.
 	for _, rc := range ranges {
-		ix, ok := base.ordered[rc.colLower]
-		if !ok {
+		ix := base.orderedOn(rc.colLower)
+		if ix == nil {
 			continue
 		}
 		elim := orderEligible && len(orderCols) == 1 && orderCols[0] == rc.colLower
@@ -482,11 +495,11 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 		})
 	}
 
-	// A full ordered-index walk purely for ORDER BY. The single-column
-	// orderedIndex skips NULLs, so the walk is a complete view only for
-	// columns that cannot hold one.
+	// A full ordered-index walk purely for ORDER BY: the primary key's own
+	// index or a created one. The single-column orderedIndex skips NULLs,
+	// so the walk is a complete view only for columns that cannot hold one.
 	if orderEligible && len(orderCols) == 1 && rangeByCol[orderCols[0]] == nil {
-		if ix, ok := base.ordered[orderCols[0]]; ok {
+		if ix := base.orderedOn(orderCols[0]); ix != nil {
 			i := base.colIdx[orderCols[0]]
 			if base.cols[i].def.NotNull || i == base.pk {
 				cands = append(cands, planCandidate{

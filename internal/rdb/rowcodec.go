@@ -94,6 +94,11 @@ func encodeRow(r Row) ([]byte, error) {
 type decoder struct {
 	b   []byte
 	err error
+	// img and text serve row images (decodeRow): text is one string copy
+	// of img, made at the first text column, that every text value of the
+	// row sub-slices.
+	img  []byte
+	text string
 }
 
 func (d *decoder) fail(msg string) {
@@ -144,6 +149,21 @@ func (d *decoder) take(n int) []byte {
 func (d *decoder) bytes() []byte { return d.take(int(d.uvarint())) }
 func (d *decoder) str() string   { return string(d.bytes()) }
 
+// textValue reads a text column as a sub-slice of the row's one string,
+// which a value that outlives the row keeps alive whole (DESIGN.md,
+// "Anti-caching rows").
+func (d *decoder) textValue() string {
+	p := d.bytes()
+	if len(p) == 0 {
+		return ""
+	}
+	if d.text == "" {
+		d.text = string(d.img)
+	}
+	end := len(d.img) - len(d.b)
+	return d.text[end-len(p) : end]
+}
+
 func (d *decoder) byte() byte {
 	p := d.take(1)
 	if p == nil {
@@ -169,7 +189,7 @@ func (d *decoder) value() Value {
 	case tagReal:
 		return math.Float64frombits(d.u64())
 	case tagText:
-		return d.str()
+		return d.textValue()
 	case tagFalse:
 		return false
 	case tagTrue:
@@ -190,7 +210,7 @@ func (d *decoder) value() Value {
 
 // decodeRow parses a row image produced by encodeRow.
 func decodeRow(b []byte) (Row, error) {
-	d := &decoder{b: b}
+	d := decoder{b: b, img: b}
 	n := d.uvarint()
 	if d.err != nil {
 		return nil, d.err

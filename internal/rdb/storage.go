@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -49,8 +50,13 @@ type table struct {
 	// -1. Live tables never consult it.
 	snapPK int
 	pkMap  map[Value]int
+	// pkOrd holds the same keys as pkMap in key order: what the schema
+	// already says about ORDER BY pk and pk ranges. It is nil without a
+	// primary key, is never persisted (pkMap's sources rebuild it) and is
+	// not listed in ordered, so catalogs, dumps and Describe do not see it.
+	pkOrd *orderedIndex
 	// indexes maps lower(column name) -> value -> row ids. The primary key
-	// is indexed through pkMap instead.
+	// is indexed through pkMap and pkOrd instead.
 	indexes map[string]map[Value][]int
 	uniques map[string]map[Value]int
 	// ordered maps lower(column name) -> sorted index (range scans).
@@ -147,6 +153,7 @@ func newTable(st *CreateTableStmt) (*table, error) {
 				return nil, fmt.Errorf("rdb: table %q has multiple primary keys", st.Name)
 			}
 			t.pk = i
+			t.pkOrd = &orderedIndex{}
 		}
 		if cd.Unique {
 			t.uniques[lower] = make(map[Value]int)
@@ -217,11 +224,15 @@ func (t *table) insert(r Row) (int, error) {
 func (t *table) indexRow(id int, r Row) {
 	if t.pk >= 0 && r[t.pk] != nil {
 		t.pkMap[r[t.pk]] = id
+		t.pkOrd.insert(r[t.pk], id)
 	}
 	for colName, idx := range t.indexes {
 		i := t.colIdx[colName]
 		if r[i] != nil {
 			idx[r[i]] = append(idx[r[i]], id)
+			if ids := idx[r[i]]; len(ids) > 1 && ids[len(ids)-2] > id {
+				sort.Ints(ids) // an old row re-filed (UPDATE, undo): buckets stay in row-id order
+			}
 		}
 	}
 	for colName, u := range t.uniques {
@@ -244,6 +255,7 @@ func (t *table) indexRow(id int, r Row) {
 func (t *table) unindexRow(id int, r Row) {
 	if t.pk >= 0 && r[t.pk] != nil {
 		delete(t.pkMap, r[t.pk])
+		t.pkOrd.remove(r[t.pk], id)
 	}
 	for colName, idx := range t.indexes {
 		i := t.colIdx[colName]
@@ -391,20 +403,15 @@ func (t *table) lookup(colName string, v Value) ([]int, bool) {
 	if !ok {
 		return nil, false
 	}
+	v = probeKey(v, t.cols[i].def.Type)
+	u := t.uniques[lower]
 	if i == t.pk {
-		if id, ok := t.pkMap[v]; ok {
-			return []int{id}, true
-		}
-		return nil, true
-	}
-	if idx, ok := t.indexes[lower]; ok {
+		u = t.pkMap
+	} else if idx, ok := t.indexes[lower]; ok {
 		return idx[v], true
 	}
-	if u, ok := t.uniques[lower]; ok {
-		if id, ok := u[v]; ok {
-			return []int{id}, true
-		}
-		return nil, true
+	if id, ok := u[v]; ok {
+		return []int{id}, true
 	}
-	return nil, false
+	return nil, u != nil
 }

@@ -12,6 +12,7 @@ package rdb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -95,6 +96,22 @@ func coerce(v Value) (Value, error) {
 	default:
 		return nil, fmt.Errorf("rdb: unsupported value type %T", v)
 	}
+}
+
+// probeKey gives an equality key the representation a column of type typ
+// stores: the index maps are keyed by stored values, and SQL holds 1 = 1.0.
+func probeKey(v Value, typ ColType) Value {
+	switch x := v.(type) {
+	case int64:
+		if typ == TReal {
+			return float64(x)
+		}
+	case float64:
+		if typ == TInt && x == math.Trunc(x) && math.Abs(x) < 1<<63 {
+			return int64(x)
+		}
+	}
+	return v
 }
 
 // coerceToCol converts v to the column type, or errors.
