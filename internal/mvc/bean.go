@@ -166,3 +166,6 @@ func ConvertParam(s string) Value {
 
 // FormatParam renders a Value back into its request-parameter form.
 func FormatParam(v Value) string { return rdb.FormatValue(v) }
+
+// AppendParam appends FormatParam(v) to dst without building the string.
+func AppendParam(dst []byte, v Value) []byte { return rdb.AppendValue(dst, v) }

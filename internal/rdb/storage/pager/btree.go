@@ -312,7 +312,7 @@ func (t *BTree) put(id PageID, k Key, v []byte) (splitRes, error) {
 	}
 }
 
-func (t *BTree) leafPut(pg *Page, k Key, v []byte) (splitRes, error) {
+func (t *BTree) leafPut(pg Page, k Key, v []byte) (splitRes, error) {
 	d := pg.Data()
 	idx, found := leafSearch(d, k)
 	if found {
@@ -373,7 +373,7 @@ func (t *BTree) makeCell(k Key, v []byte) ([]byte, error) {
 	}
 	// Allocate the chain first so each page can point at the next.
 	nchunks := (len(v) + ovfCap - 1) / ovfCap
-	pages := make([]*Page, nchunks)
+	pages := make([]Page, nchunks)
 	for i := range pages {
 		pages[i] = t.pool.Alloc()
 	}
@@ -471,7 +471,7 @@ func (t *BTree) Get(k Key) ([]byte, bool, error) {
 // whole descent path is pinned so that, on a hit, every page above
 // the mutated leaf can be marked dirty (dirty-path invariant).
 func (t *BTree) Delete(k Key) (bool, error) {
-	var path []*Page
+	var path []Page
 	release := func() {
 		for _, p := range path {
 			p.Release()

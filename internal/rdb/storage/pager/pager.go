@@ -148,19 +148,19 @@ type Page struct {
 	pool *Pool
 }
 
-func (p *Page) ID() PageID   { return p.fr.id }
-func (p *Page) Data() []byte { return p.fr.data }
+func (p Page) ID() PageID   { return p.fr.id }
+func (p Page) Data() []byte { return p.fr.data }
 
 // MarkDirty pins the frame's contents into the pool until the next
 // checkpoint: dirty frames are never evicted or written back.
-func (p *Page) MarkDirty() {
+func (p Page) MarkDirty() {
 	p.pool.mu.Lock()
 	p.fr.dirty = true
 	p.pool.mu.Unlock()
 }
 
 // Release drops the pin taken by Get/Alloc.
-func (p *Page) Release() {
+func (p Page) Release() {
 	p.pool.mu.Lock()
 	p.fr.pins--
 	p.pool.mu.Unlock()
@@ -174,34 +174,34 @@ func newPool(f *os.File, capPages int, npages uint32) *Pool {
 }
 
 // Get pins page id, reading it from the file on a miss.
-func (p *Pool) Get(id PageID) (*Page, error) {
+func (p *Pool) Get(id PageID) (Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if fr, ok := p.frames[id]; ok {
 		fr.pins++
 		p.lru.MoveToFront(fr.elem)
 		p.hits.Add(1)
-		return &Page{fr: fr, pool: p}, nil
+		return Page{fr: fr, pool: p}, nil
 	}
 	p.misses.Add(1)
 	if id < 2 || id >= PageID(p.npages) {
-		return nil, fmt.Errorf("pager: page %d out of range [2,%d)", id, p.npages)
+		return Page{}, fmt.Errorf("pager: page %d out of range [2,%d)", id, p.npages)
 	}
 	data := make([]byte, PageSize)
 	if _, err := p.f.ReadAt(data, int64(id)*PageSize); err != nil {
-		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
+		return Page{}, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
 	fr := &frame{id: id, data: data, pins: 1}
 	fr.elem = p.lru.PushFront(fr)
 	p.frames[id] = fr
 	p.evictLocked()
-	return &Page{fr: fr, pool: p}, nil
+	return Page{fr: fr, pool: p}, nil
 }
 
 // Alloc creates a fresh page, reusing a recycled slot when the
 // allocator hook offers one. It exists only in the pool (dirty) until
 // a checkpoint persists its contents.
-func (p *Pool) Alloc() *Page {
+func (p *Pool) Alloc() Page {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var id PageID
@@ -218,7 +218,7 @@ func (p *Pool) Alloc() *Page {
 	fr := &frame{id: id, data: make([]byte, PageSize), dirty: true, fresh: true, pins: 1}
 	fr.elem = p.lru.PushFront(fr)
 	p.frames[id] = fr
-	return &Page{fr: fr, pool: p}
+	return Page{fr: fr, pool: p}
 }
 
 // forget drops a frame whose contents are dead (freed overflow

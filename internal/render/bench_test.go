@@ -5,17 +5,15 @@ import (
 )
 
 // BenchmarkRenderPage measures the per-page rendering cost, allocations
-// included — the target of the pooled render buffers. Run with
-// -benchmem; before pooling the final serialization grew a fresh
-// strings.Builder per page (~8 growth copies for this fixture), with
-// pooling the output buffer, menu scratch and fragment keys are reused
-// across iterations:
+// included, of a warm serve program: the statics of a three-unit page
+// appended around what its tags write into one pooled buffer. Run with
+// -benchmem. The tree-walking render it replaced (clone, walk, one raw
+// node per unit, serialize) read, on the same fixture and machine:
 //
-//	before: BenchmarkRenderPage   10384 ns/op  7713 B/op  109 allocs/op
-//	after:  BenchmarkRenderPage    9000 ns/op  5369 B/op  100 allocs/op
+//	tree walk: BenchmarkRenderPage   6452 ns/op  3792 B/op  58 allocs/op
+//	program:   BenchmarkRenderPage   2278 ns/op   984 B/op  11 allocs/op
 //
-// (Numbers from the machine this change was developed on; the ratio,
-// not the absolute values, is the regression signal.)
+// (The allocation counts repeat exactly; the times are one machine's.)
 func BenchmarkRenderPage(b *testing.B) {
 	pd, state, ctx := pageFixture()
 	e := engineWith(pd, tplP1)

@@ -19,9 +19,7 @@ import (
 	"webmlgo/internal/mvc"
 )
 
-// bufPool recycles render buffers across requests: the final page
-// serialization (and the menu/fragment-key scratch) writes into a pooled
-// bytes.Buffer instead of growing a fresh one per page.
+// bufPool recycles page buffers (and fragment-key scratch) across requests.
 var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
 // maxPooledBuf caps what returns to the pool: one pathological page must
@@ -48,9 +46,9 @@ func putBuf(b *bytes.Buffer) {
 // be modified; a node's Values are positional (see mvc.Node).
 type TagRenderer func(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean)
 
-// Styler transforms a parsed template at request time (runtime
-// application of the presentation rules, Section 5). Variant names the
-// rule set chosen for a user agent, for fragment-cache keying.
+// Styler applies the presentation rules of Section 5 at run time. Variant
+// names the rule set chosen for a user agent; what Apply returns may depend
+// on the template and that name alone: programs and fragments are per variant.
 type Styler interface {
 	Apply(tpl *dom.Node, userAgent string) (*dom.Node, error)
 	Variant(userAgent string) string
@@ -64,37 +62,52 @@ type Engine struct {
 	Tags map[string]TagRenderer
 	// Fragments, when set, caches rendered unit fragments (ESI-style).
 	Fragments *cache.FragmentCache
-	// Styler, when set, applies presentation rules per request.
+	// Styler, when set, applies presentation rules per style variant.
 	Styler Styler
 
-	mu     sync.RWMutex
-	parsed map[string]*dom.Node // template name -> parsed tree
+	mu       sync.RWMutex
+	programs map[programKey]*program // at most pages x variants
+	epoch    uint64                  // counts InvalidateTemplate calls
 }
+
+type programKey struct{ page, variant string }
+
+// program is one page compiled for one style variant: what dom.Serialize
+// emits for the styled template, landmark menu in place, cut at every
+// custom tag. static[i] precedes the markup of units[i]; the last static
+// closes the page.
+type program struct {
+	page   *descriptor.Page // a redeployed descriptor recompiles
+	static []string
+	units  []string
+}
+
+// slotMark stands for a unit while its template is serialized.
+const slotMark = "\x00webml:slot\x00"
 
 // NewEngine returns a renderer with the core tag library installed.
 func NewEngine(repo *descriptor.Repository) *Engine {
-	e := &Engine{
-		Repo:   repo,
-		Tags:   map[string]TagRenderer{},
-		parsed: map[string]*dom.Node{},
-	}
-	e.Tags["data"] = renderDataTag
-	e.Tags["index"] = renderIndexTag
-	e.Tags["multidata"] = renderMultidataTag
-	e.Tags["multichoice"] = renderMultichoiceTag
-	e.Tags["scroller"] = renderScrollerTag
-	e.Tags["entry"] = renderEntryTag
-	return e
+	return &Engine{Repo: repo, programs: map[programKey]*program{}, Tags: map[string]TagRenderer{
+		"data": renderDataTag, "index": renderIndexTag, "multidata": renderMultidataTag,
+		"multichoice": renderMultichoiceTag, "scroller": renderScrollerTag, "entry": renderEntryTag,
+	}}
 }
 
-// RegisterTag installs the renderer for a (plug-in) unit kind.
+// RegisterTag installs the renderer for a (plug-in) unit kind. Programs
+// name units, not renderers: the tag is looked up when a page is served.
 func (e *Engine) RegisterTag(kind string, r TagRenderer) { e.Tags[kind] = r }
 
-// InvalidateTemplate drops a cached parse (after template redeployment).
+// InvalidateTemplate drops what was compiled from a template (after its
+// redeployment): the program of every page using it, in every variant.
 func (e *Engine) InvalidateTemplate(name string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.parsed, name)
+	e.epoch++
+	for key, prog := range e.programs {
+		if prog.page.Template == name {
+			delete(e.programs, key)
+		}
+	}
 }
 
 // Context is passed to tag renderers.
@@ -104,17 +117,14 @@ type Context struct {
 	Request *mvc.RequestContext
 }
 
-var (
-	_ mvc.Renderer          = (*Engine)(nil)
-	_ mvc.ContainerRenderer = (*Engine)(nil)
-	_ mvc.FragmentRenderer  = (*Engine)(nil)
-)
+var _ mvc.Renderer = (*Engine)(nil)
+var _ mvc.ContainerRenderer = (*Engine)(nil)
+var _ mvc.FragmentRenderer = (*Engine)(nil)
 
-// RenderPage implements mvc.Renderer: parse (or reuse) the page template,
-// optionally restyle it for the requesting device, then substitute every
-// custom tag with its unit's rendition, consulting the fragment cache.
+// RenderPage implements mvc.Renderer: the page's program for the requesting
+// device runs, each custom tag writing its unit straight into the page.
 func (e *Engine) RenderPage(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext) ([]byte, error) {
-	return e.render(pd, state, ctx, false)
+	return e.run(pd, state, ctx, false)
 }
 
 // RenderContainer implements mvc.ContainerRenderer (the edge mode of
@@ -123,7 +133,7 @@ func (e *Engine) RenderPage(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.
 // fragment endpoint. No unit is computed — the surrogate fetches and
 // caches each fragment independently, under its own descriptor policy.
 func (e *Engine) RenderContainer(pd *descriptor.Page, ctx *mvc.RequestContext) ([]byte, error) {
-	return e.render(pd, nil, ctx, true)
+	return e.run(pd, nil, ctx, true)
 }
 
 // RenderUnitFragment implements mvc.FragmentRenderer: one unit's markup,
@@ -131,20 +141,12 @@ func (e *Engine) RenderContainer(pd *descriptor.Page, ctx *mvc.RequestContext) (
 // placeholder comment for units the page did not compute), so an
 // edge-assembled page equals the in-process rendering exactly.
 func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, unitID string) ([]byte, error) {
-	bean := state.Beans[unitID]
-	if bean == nil {
-		return []byte("<!-- unit " + unitID + " not computed -->"), nil
-	}
-	variant := ""
-	if e.Styler != nil {
-		variant = e.Styler.Variant(ctx.UserAgent)
-	}
-	rc := &Context{Page: pd, State: state, Request: ctx}
-	markup, err := e.renderUnit(rc, pd, bean, variant)
-	if err != nil {
+	b := getBuf()
+	defer putBuf(b)
+	if err := e.writeUnit(&Context{Page: pd, State: state, Request: ctx}, b, unitID, e.variant(ctx)); err != nil {
 		return nil, err
 	}
-	return []byte(markup), nil
+	return bytes.Clone(b.Bytes()), nil
 }
 
 // VariesByUserAgent reports whether rendering dispatches on the request
@@ -152,150 +154,141 @@ func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, c
 // cache tier key and Vary on it.
 func (e *Engine) VariesByUserAgent() bool { return e.Styler != nil }
 
-// render is the shared template walk: edge mode emits ESI placeholders
-// where the inline mode substitutes computed unit markup.
-func (e *Engine) render(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, edge bool) ([]byte, error) {
-	tpl, err := e.template(pd.Template)
+// variant names the presentation the request is served in.
+func (e *Engine) variant(ctx *mvc.RequestContext) string {
+	if e.Styler == nil {
+		return ""
+	}
+	return e.Styler.Variant(ctx.UserAgent)
+}
+
+// run executes the page's program: edge mode emits ESI placeholders
+// where the inline mode writes computed unit markup.
+func (e *Engine) run(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, edge bool) ([]byte, error) {
+	variant := e.variant(ctx)
+	prog, err := e.program(pd, variant, ctx.UserAgent)
 	if err != nil {
 		return nil, err
 	}
-	variant := ""
-	if e.Styler != nil {
-		variant = e.Styler.Variant(ctx.UserAgent)
-		styled, err := e.Styler.Apply(tpl, ctx.UserAgent)
-		if err != nil {
-			return nil, err
-		}
-		tpl = styled
-	} else {
-		tpl = tpl.Clone()
-	}
-
-	rc := &Context{Page: pd, State: state, Request: ctx}
-	var renderErr error
-	tpl.Walk(func(n *dom.Node) bool {
-		if renderErr != nil {
-			return false
-		}
-		if n.Type != dom.ElementNode || !strings.HasPrefix(n.Tag, "webml:") {
-			return true
-		}
-		unitID, _ := n.Attr("id")
-		if edge {
-			// The placeholder stands exactly where the inline markup
-			// would; the surrogate substitutes the fragment body
-			// textually, so assembly reproduces RenderPage byte for byte.
-			src := mvc.FragmentURL(pd.ID, unitID, ctx.Params)
-			n.ReplaceWith(dom.NewRaw(`<esi:include src="` + dom.EscapeAttr(src) + `"/>`))
-			return false
-		}
-		bean := state.Beans[unitID]
-		if bean == nil {
-			n.ReplaceWith(dom.NewComment(" unit " + unitID + " not computed "))
-			return false
-		}
-		markup, err := e.renderUnit(rc, pd, bean, variant)
-		if err != nil {
-			renderErr = err
-			return false
-		}
-		n.ReplaceWith(dom.NewRaw(markup))
-		return false
-	})
-	if renderErr != nil {
-		return nil, renderErr
-	}
-	// Landmark navigation menu, injected at the top of the body.
-	if len(pd.Menu) > 0 {
-		if body := tpl.Find(dom.ByTag("body")); body != nil {
-			nb := getBuf()
-			nb.WriteString(`<nav class="webml-menu">`)
-			for _, item := range pd.Menu {
-				fmt.Fprintf(nb, `<a href="/%s">%s</a> `,
-					dom.EscapeAttr(item.Action), dom.EscapeText(item.Label))
-			}
-			nb.WriteString(`</nav>`)
-			menu := dom.NewRaw(nb.String())
-			putBuf(nb)
-			if len(body.Children) > 0 {
-				body.InsertBefore(menu, body.Children[0])
-			} else {
-				body.AppendChild(menu)
-			}
-		}
-	}
-
 	b := getBuf()
 	defer putBuf(b)
 	if ctx.Error != "" {
-		fmt.Fprintf(b, `<div class="webml-error">%s</div>`, dom.EscapeText(ctx.Error))
+		put(b, `<div class="webml-error">`, dom.EscapeText(ctx.Error), `</div>`)
 	}
-	dom.Serialize(b, tpl)
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	return out, nil
+	rc := &Context{Page: pd, State: state, Request: ctx}
+	for i, unitID := range prog.units {
+		b.WriteString(prog.static[i])
+		if edge {
+			// The placeholder stands exactly where the inline markup would: the
+			// surrogate's textual substitution reproduces RenderPage byte for byte.
+			put(b, `<esi:include src="`, dom.EscapeAttr(mvc.FragmentURL(pd.ID, unitID, ctx.Params)), `"/>`)
+		} else if err := e.writeUnit(rc, b, unitID, variant); err != nil {
+			return nil, err
+		}
+	}
+	b.WriteString(prog.static[len(prog.units)])
+	return bytes.Clone(b.Bytes()), nil
 }
 
-// renderUnit produces one unit's markup, reusing a cached fragment when
-// the bean content (and style variant) is unchanged. As Section 6
+// writeUnit appends one unit's markup to w, reusing a cached fragment
+// when the bean content (and style variant) is unchanged. As Section 6
 // explains, this spares "only the computation of markup from query
 // results, not the execution of the data extraction queries" — the bean
 // cache (mvc.CachedBusiness) covers those.
-func (e *Engine) renderUnit(rc *Context, pd *descriptor.Page, bean *mvc.UnitBean, variant string) (string, error) {
+func (e *Engine) writeUnit(rc *Context, w *bytes.Buffer, unitID, variant string) error {
+	bean := rc.State.Beans[unitID]
+	if bean == nil {
+		put(w, "<!-- unit ", unitID, " not computed -->")
+		return nil
+	}
 	var key string
 	if e.Fragments != nil {
 		kb := getBuf()
-		kb.WriteString(pd.ID)
-		kb.WriteByte('|')
-		kb.WriteString(bean.UnitID)
-		kb.WriteByte('|')
-		kb.WriteString(variant)
-		kb.WriteByte('|')
+		put(kb, rc.Page.ID, "|", bean.UnitID, "|", variant, "|")
 		kb.Write(strconv.AppendUint(kb.AvailableBuffer(), bean.Hash(), 16))
 		key = kb.String()
 		putBuf(kb)
 		if cached, ok := e.Fragments.Get(key); ok {
-			return string(cached), nil
+			w.Write(cached)
+			return nil
 		}
 	}
 	tag, ok := e.Tags[bean.Kind]
 	if !ok {
-		return "", fmt.Errorf("render: no tag renderer for unit kind %q", bean.Kind)
+		return fmt.Errorf("render: no tag renderer for unit kind %q", bean.Kind)
 	}
-	b := getBuf()
-	tag(rc, b, bean)
-	markup := b.String()
-	putBuf(b)
+	start := w.Len()
+	tag(rc, w, bean)
 	if e.Fragments != nil {
 		// Per-fragment policy (the ESI capability of Section 6): a unit's
 		// conceptual cache TTL also bounds its rendered fragment.
+		markup := bytes.Clone(w.Bytes()[start:])
 		if d := e.Repo.Unit(bean.UnitID); d != nil && d.Cache != nil && d.Cache.TTLSeconds > 0 {
-			e.Fragments.PutTTL(key, []byte(markup), time.Duration(d.Cache.TTLSeconds)*time.Second)
+			e.Fragments.PutTTL(key, markup, time.Duration(d.Cache.TTLSeconds)*time.Second)
 		} else {
-			e.Fragments.Put(key, []byte(markup))
+			e.Fragments.Put(key, markup)
 		}
 	}
-	return markup, nil
+	return nil
 }
 
-// template returns the parsed tree of a template, parsing once.
-func (e *Engine) template(name string) (*dom.Node, error) {
+// program returns the page's program for a variant, compiled on first use.
+// One per variant is sound by the Styler contract: what Apply returns
+// depends on the template and on Variant(userAgent) alone.
+func (e *Engine) program(pd *descriptor.Page, variant, userAgent string) (*program, error) {
+	key := programKey{pd.ID, variant}
 	e.mu.RLock()
-	tpl, ok := e.parsed[name]
+	prog, epoch := e.programs[key], e.epoch
 	e.mu.RUnlock()
-	if ok {
-		return tpl, nil
+	if prog != nil && prog.page == pd {
+		return prog, nil
 	}
-	src, ok := e.Repo.Template(name)
+	prog, err := e.compile(pd, userAgent)
+	e.mu.Lock()
+	if err == nil && e.epoch == epoch { // a template read before an invalidation serves once, and is not kept
+		e.programs[key] = prog
+	}
+	e.mu.Unlock()
+	return prog, err
+}
+
+// compile parses and styles the template, marks every custom tag, puts
+// the landmark menu at the top of the body and cuts the serializer's output
+// at the marks: statics are dom.Serialize's own bytes and cannot drift.
+func (e *Engine) compile(pd *descriptor.Page, userAgent string) (*program, error) {
+	src, ok := e.Repo.Template(pd.Template)
 	if !ok {
-		return nil, fmt.Errorf("render: no template %q", name)
+		return nil, fmt.Errorf("render: no template %q", pd.Template)
 	}
 	tpl, err := dom.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("render: template %q: %w", name, err)
+		return nil, fmt.Errorf("render: template %q: %w", pd.Template, err)
 	}
-	e.mu.Lock()
-	e.parsed[name] = tpl
-	e.mu.Unlock()
-	return tpl, nil
+	if e.Styler != nil {
+		if tpl, err = e.Styler.Apply(tpl, userAgent); err != nil {
+			return nil, err
+		}
+	}
+	prog := &program{page: pd}
+	tpl.Walk(func(n *dom.Node) bool {
+		if n.Type != dom.ElementNode || !strings.HasPrefix(n.Tag, "webml:") {
+			return true
+		}
+		prog.units = append(prog.units, n.AttrOr("id", ""))
+		*n = dom.Node{Type: dom.RawNode, Data: slotMark, Parent: n.Parent}
+		return false
+	})
+	if body := tpl.Find(dom.ByTag("body")); body != nil && len(pd.Menu) > 0 {
+		var nav strings.Builder
+		nav.WriteString(`<nav class="webml-menu">`)
+		for _, item := range pd.Menu {
+			fmt.Fprintf(&nav, `<a href="/%s">%s</a> `, dom.EscapeAttr(item.Action), dom.EscapeText(item.Label))
+		}
+		nav.WriteString(`</nav>`)
+		body.Children = append([]*dom.Node{dom.NewRaw(nav.String())}, body.Children...)
+	}
+	if prog.static = strings.Split(tpl.String(), slotMark); len(prog.static) != len(prog.units)+1 {
+		return nil, fmt.Errorf("render: template %q spells the reserved slot mark", pd.Template)
+	}
+	return prog, nil
 }

@@ -2,9 +2,12 @@ package render
 
 import (
 	"bytes"
+	"math"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"webmlgo/internal/cache"
 	"webmlgo/internal/descriptor"
@@ -298,25 +301,86 @@ func (fakeStyler) Apply(tpl *dom.Node, ua string) (*dom.Node, error) {
 	return c, nil
 }
 
+// TestTemplateParseCachingAndInvalidation: a template compiles once per
+// page and variant; invalidating it by name drops every variant's program
+// of every page that uses it, and of no other template.
 func TestTemplateParseCachingAndInvalidation(t *testing.T) {
 	pd, state, ctx := pageFixture()
+	twin, other := *pd, *pd // a second page on the same template, a third on its own
+	twin.ID, other.ID, other.Template = "p1twin", "p3", "p3"
 	repo := descriptor.NewRepository()
-	repo.PutPage(pd)
-	repo.PutTemplate("p1", tplP1)
+	for _, p := range []*descriptor.Page{pd, &twin, &other} {
+		repo.PutPage(p)
+		repo.PutTemplate(p.Template, tplP1)
+	}
 	e := NewEngine(repo)
+	e.Styler = fakeStyler{}
+	v2 := func(p *descriptor.Page, ua string) bool {
+		t.Helper()
+		ctx.UserAgent = ua
+		out, err := e.RenderPage(p, state, ctx)
+		if err != nil || !strings.Contains(string(out), `data-device="`+ua+`"`) {
+			t.Fatalf("page %s for %s: err %v\n%s", p.ID, ua, err, out)
+		}
+		return strings.Contains(string(out), `id="v2"`)
+	}
+	each := func(want map[*descriptor.Page]bool, why string) {
+		t.Helper()
+		for p, fresh := range want {
+			for _, ua := range []string{"desktop", "mobile"} {
+				if v2(p, ua) != fresh {
+					t.Fatalf("page %s for %s: %s", p.ID, ua, why)
+				}
+			}
+		}
+	}
+	each(map[*descriptor.Page]bool{pd: false, &twin: false, &other: false}, "v2 before it was deployed")
+	// Replace both templates: without invalidation the old programs serve.
+	const next = `<html><body id="v2"><webml:dataUnit id="d1"/></body></html>`
+	repo.PutTemplate("p1", next)
+	repo.PutTemplate("p3", next)
+	each(map[*descriptor.Page]bool{pd: false, &twin: false, &other: false}, "program cache bypassed")
+	e.InvalidateTemplate("p1")
+	each(map[*descriptor.Page]bool{pd: true, &twin: true, &other: false},
+		"InvalidateTemplate(p1) must reach both variants of both p1 pages and leave p3 alone")
+	if len(e.programs) != 6 {
+		t.Fatalf("%d programs for 3 pages in 2 variants", len(e.programs))
+	}
+}
+
+// TestRegisterTagAfterFirstRender: programs name units, not renderers, so
+// a tag installed (or replaced) once pages are compiled serves at once.
+func TestRegisterTagAfterFirstRender(t *testing.T) {
+	pd, state, ctx := pageFixture()
+	e := engineWith(pd, tplP1)
 	if _, err := e.RenderPage(pd, state, ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Replace the template: without invalidation the old parse is reused.
-	repo.PutTemplate("p1", `<html><body id="v2"><webml:dataUnit id="d1"/></body></html>`)
-	out, _ := e.RenderPage(pd, state, ctx)
-	if strings.Contains(string(out), `id="v2"`) {
-		t.Fatal("template parse cache bypassed")
+	e.RegisterTag("data", func(_ *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
+		w.WriteString(`<b class="late">` + bean.UnitID + `</b>`)
+	})
+	out, err := e.RenderPage(pd, state, ctx)
+	if err != nil || !strings.Contains(string(out), `<td><b class="late">d1</b></td>`) || strings.Contains(string(out), "webml-data") {
+		t.Fatalf("late tag not serving (err %v):\n%s", err, out)
 	}
-	e.InvalidateTemplate("p1")
-	out, _ = e.RenderPage(pd, state, ctx)
-	if !strings.Contains(string(out), `id="v2"`) {
-		t.Fatal("template invalidation broken")
+}
+
+// TestRedeployedPageRecompiles: a program carries its page's menu, so a
+// descriptor replaced in the repository (hot redeployment) compiles anew.
+func TestRedeployedPageRecompiles(t *testing.T) {
+	pd, state, ctx := pageFixture()
+	e := engineWith(pd, tplP1)
+	if out, _ := e.RenderPage(pd, state, ctx); strings.Contains(string(out), "webml-menu") {
+		t.Fatal("menu on a page without landmarks")
+	}
+	redeployed := *pd
+	redeployed.Menu = []descriptor.MenuItem{{Action: "page/home", Label: "Home"}}
+	e.Repo.PutPage(&redeployed)
+	if out, _ := e.RenderPage(e.Repo.Page("p1"), state, ctx); !strings.Contains(string(out), `<a href="/page/home">Home</a>`) {
+		t.Fatalf("redeployed page served its old program:\n%s", out)
+	}
+	if len(e.programs) != 1 {
+		t.Fatalf("%d programs for one page", len(e.programs))
 	}
 }
 
@@ -403,8 +467,32 @@ func FuzzAnchorHref(f *testing.F) {
 	})
 }
 
+// TestPutValueMatchesFormatParam: formatting a value in place must spell
+// what escaping its parameter form spells, under every escaper the tags
+// use — the "+" of 1e+21 and the ":" of a time are what a URL escapes.
+func TestPutValueMatchesFormatParam(t *testing.T) {
+	values := []mvc.Value{nil, int64(0), int64(-1 << 63), 1.5, 100.0, 1e21, -1e-7, math.NaN(), math.Inf(1),
+		true, false, time.Date(2003, 1, 5, 10, 30, 0, 0, time.FixedZone("", 2*3600)), time.Unix(0, 0).UTC(),
+		"a <b> & \"c\" d+e", []byte("<x>")}
+	escapers := map[string]func(string) string{"text": dom.EscapeText, "attr": dom.EscapeAttr, "query": url.QueryEscape}
+	for name, esc := range escapers {
+		for i := -1; i <= len(values); i++ {
+			var v mvc.Value
+			if i >= 0 && i < len(values) {
+				v = values[i]
+			}
+			w := bytes.NewBufferString("kept:")
+			putValue(w, values, i, esc)
+			if want := "kept:" + esc(mvc.FormatParam(v)); w.String() != want {
+				t.Errorf("%s escaper, %#v: wrote %q, want %q", name, v, w.String(), want)
+			}
+		}
+	}
+}
+
 // TestConcurrentRendersShareBeans: the bean cache hands one *UnitBean to
-// many requests at once, so tags may only read it. Run under -race.
+// many requests at once, so tags may only read it, and all of them share
+// the engine's programs while redeployments drop them. Run under -race.
 func TestConcurrentRendersShareBeans(t *testing.T) {
 	pd, state, ctx := pageFixture()
 	e := engineWith(pd, tplP1)
@@ -423,6 +511,9 @@ func TestConcurrentRendersShareBeans(t *testing.T) {
 					return
 				}
 				state.Beans["i1"].Hash()
+				if i%10 == 0 { // programs recompile under the other renders
+					e.InvalidateTemplate(pd.Template)
+				}
 			}
 		}()
 	}

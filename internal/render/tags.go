@@ -19,9 +19,12 @@ func put(w *bytes.Buffer, ss ...string) {
 	}
 }
 
+// plain holds the bytes no escaper the tags use (text, attribute, URL query) changes.
+const plain = "0123456789-.abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
 // putValue appends the parameter form of values[i] (NULL where the row
-// has no such position), escaped by esc, without building a string first
-// where the type allows.
+// has no such position), escaped by esc; an integer, and any other
+// non-text value that spells plain, is formatted in place, with no string.
 func putValue(w *bytes.Buffer, values []mvc.Value, i int, esc func(string) string) {
 	var v mvc.Value
 	if i >= 0 && i < len(values) {
@@ -33,7 +36,11 @@ func putValue(w *bytes.Buffer, values []mvc.Value, i int, esc func(string) strin
 	case int64:
 		w.Write(strconv.AppendInt(w.AvailableBuffer(), x, 10))
 	default:
-		w.WriteString(esc(mvc.FormatParam(v)))
+		if text := mvc.AppendParam(w.AvailableBuffer(), v); len(bytes.TrimLeft(text, plain)) == 0 {
+			w.Write(text)
+		} else {
+			w.WriteString(esc(string(text)))
+		}
 	}
 }
 
