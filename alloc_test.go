@@ -36,9 +36,21 @@ func allocSlope(t *testing.T, shape func(rows int) func()) float64 {
 func rowsBean(n int) *mvc.UnitBean {
 	b := &mvc.UnitBean{UnitID: "idx", Kind: "index", Fields: []string{"oid", "Title"}}
 	for i := 0; i < n; i++ {
-		b.Nodes = append(b.Nodes, mvc.Node{Values: []mvc.Value{int64(1000 + i), fmt.Sprintf("title %d", i)}})
+		b.Nodes = append(b.Nodes, mvc.Node{Values: cells(int64(1000+i), fmt.Sprintf("title %d", i))})
 	}
 	return b
+}
+
+// cells unboxes one literal row for a test bean.
+func cells(row ...mvc.Value) []mvc.Cell {
+	out := make([]mvc.Cell, len(row))
+	for i, v := range row {
+		var err error
+		if out[i], err = mvc.CellOf(v); err != nil {
+			panic(err)
+		}
+	}
+	return out
 }
 
 func TestAllocSlopeCompiledSelect(t *testing.T) {
@@ -188,9 +200,11 @@ func (cannedBeans) ExecuteOperation(context.Context, *descriptor.Unit, map[strin
 }
 
 // TestAllocSlopeCodec sends a bean through a real container over
-// loopback: per extra row the container's encode and the client's decode
-// may box one value per non-small field (the oid and the title) and
-// nothing else — no map, no key, no sorted key list.
+// loopback: a sibling list decodes into one slab of cells whose text
+// aliases the frame's one string copy, and encoding only reads cells, so
+// an extra row allocates nothing on either side — no box per field, no
+// map, no key. What is left of the slope is the larger frame's buffer
+// growing in the pooled encoder and the reader.
 func TestAllocSlopeCodec(t *testing.T) {
 	beans := cannedBeans{"b20": rowsBean(20), "b200": rowsBean(200)}
 	ctr := ejb.NewContainer(beans, 4)
@@ -212,8 +226,8 @@ func TestAllocSlopeCodec(t *testing.T) {
 			}
 		}
 	})
-	if slope > 2.1 {
-		t.Fatalf("bean encode + decode allocates %.2f per extra row, want <= 2.1", slope)
+	if slope > 0.1 {
+		t.Fatalf("bean encode + decode allocates %.2f per extra row, want <= 0.1", slope)
 	}
 	t.Logf("bean encode + decode: %.3f allocs per extra row", slope)
 }

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
@@ -31,32 +29,49 @@ var errCodec = errors.New("ejb: malformed wire data")
 const maxNesting = 64
 
 // Value kind tags: exactly these concrete types cross the wire inside
-// interface-typed fields.
+// interface-typed fields. The scalar tags are mvc.Cell's kinds, so a bean
+// row field travels as its kind byte and payload with no box in between.
 const (
-	vNil byte = iota
-	vInt
-	vFloat
-	vString
-	vFalse
-	vTrue
-	vTime
-	vMap
-	vSlice
+	vNil    = byte(mvc.KNull)
+	vInt    = byte(mvc.KInt)
+	vFloat  = byte(mvc.KFloat)
+	vString = byte(mvc.KString)
+	vFalse  = byte(mvc.KFalse)
+	vTrue   = byte(mvc.KTrue)
+	vTime   = byte(mvc.KTime)
+	vMap    = byte(7)
+	vSlice  = byte(8)
 )
 
-// wbuf is a pooled encode buffer with a sticky error.
+// frameHead is the room an encode buffer keeps in front of its payload
+// for the frame's length prefix.
+const frameHead = binary.MaxVarintLen64
+
+// wbuf is a pooled encode buffer with a sticky error. b is frameHead
+// reserved bytes, then the payload.
 type wbuf struct {
 	b   []byte
 	err error
 }
 
-var wbufPool = sync.Pool{New: func() interface{} { return &wbuf{b: make([]byte, 0, 1024)} }}
+var wbufPool = sync.Pool{New: func() interface{} { return &wbuf{b: make([]byte, frameHead, 1024)} }}
 
 func getWbuf() *wbuf {
 	w := wbufPool.Get().(*wbuf)
-	w.b = w.b[:0]
+	w.b = w.b[:frameHead]
 	w.err = nil
 	return w
+}
+
+func (w *wbuf) payload() []byte { return w.b[frameHead:] }
+
+// frame back-fills the length prefix and returns prefix and payload as
+// one slice, so a frame is one Write and no second buffer.
+func (w *wbuf) frame() []byte {
+	var head [frameHead]byte
+	n := binary.PutUvarint(head[:], uint64(len(w.payload())))
+	copy(w.b[frameHead-n:], head[:n])
+	return w.b[frameHead-n:]
 }
 
 func putWbuf(w *wbuf) {
@@ -111,9 +126,10 @@ func (w *wbuf) strMap(m map[string]string) {
 	}
 }
 
-// value writes one tagged mvc.Value. Unsupported dynamic types poison
-// the buffer — the frame send fails with a clear error instead of
-// silently corrupting the stream.
+// value writes one tagged mvc.Value: a scalar as its cell, a map or a
+// slice recursively. Unsupported dynamic types poison the buffer — the
+// frame send fails with a clear error instead of silently corrupting the
+// stream.
 func (w *wbuf) value(v mvc.Value) { w.valueDepth(v, 0) }
 
 func (w *wbuf) valueDepth(v mvc.Value, depth int) {
@@ -122,32 +138,6 @@ func (w *wbuf) valueDepth(v mvc.Value, depth int) {
 		return
 	}
 	switch x := v.(type) {
-	case nil:
-		w.byte(vNil)
-	case int64:
-		w.byte(vInt)
-		w.varint(x)
-	case float64:
-		w.byte(vFloat)
-		w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(x))
-	case string:
-		w.byte(vString)
-		w.str(x)
-	case bool:
-		if x {
-			w.byte(vTrue)
-		} else {
-			w.byte(vFalse)
-		}
-	case time.Time:
-		b, err := x.MarshalBinary()
-		if err != nil {
-			w.err = err
-			return
-		}
-		w.byte(vTime)
-		w.uvarint(uint64(len(b)))
-		w.b = append(w.b, b...)
 	case map[string]interface{}:
 		w.byte(vMap)
 		w.uvarint(uint64(len(x)))
@@ -162,7 +152,32 @@ func (w *wbuf) valueDepth(v mvc.Value, depth int) {
 			w.valueDepth(sv, depth+1)
 		}
 	default:
-		w.err = fmt.Errorf("ejb: unsupported value type %T on the wire", v)
+		if c, err := mvc.CellOf(v); err != nil {
+			w.err = fmt.Errorf("ejb: value on the wire: %w", err)
+		} else {
+			w.cell(c)
+		}
+	}
+}
+
+// cell writes one scalar: its kind as the tag, then its payload.
+func (w *wbuf) cell(c mvc.Cell) {
+	w.byte(byte(c.Kind))
+	switch c.Kind {
+	case mvc.KNull, mvc.KFalse, mvc.KTrue:
+	case mvc.KInt:
+		w.varint(int64(c.Num))
+	case mvc.KFloat:
+		w.b = binary.LittleEndian.AppendUint64(w.b, c.Num)
+	case mvc.KString:
+		w.str(c.Str)
+	case mvc.KTime:
+		if _, ok := c.Time(); !ok {
+			w.err = errors.New("ejb: time cell does not hold a marshalled time")
+		}
+		w.str(c.Str)
+	default:
+		w.err = fmt.Errorf("ejb: cell of unknown kind %d", c.Kind)
 	}
 }
 
@@ -259,16 +274,6 @@ func (r *rbuf) str() string {
 	return s
 }
 
-func (r *rbuf) bytes() []byte {
-	n := r.count()
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
 func (r *rbuf) strs() []string {
 	n := r.count()
 	if r.err != nil || n == 0 {
@@ -307,36 +312,10 @@ func (r *rbuf) valueDepth(depth int) mvc.Value {
 		r.fail()
 		return nil
 	}
+	if r.remaining() > 0 && r.b[r.off] < vMap {
+		return r.cell().Value()
+	}
 	switch tag := r.byte(); tag {
-	case vNil:
-		return nil
-	case vInt:
-		return r.varint()
-	case vFloat:
-		if r.remaining() < 8 {
-			r.fail()
-			return nil
-		}
-		bits := binary.LittleEndian.Uint64(r.b[r.off:])
-		r.off += 8
-		return math.Float64frombits(bits)
-	case vString:
-		return r.str()
-	case vFalse:
-		return false
-	case vTrue:
-		return true
-	case vTime:
-		b := r.bytes()
-		if r.err != nil {
-			return nil
-		}
-		var t time.Time
-		if err := t.UnmarshalBinary(b); err != nil {
-			r.err = err
-			return nil
-		}
-		return t
 	case vMap:
 		n := r.count()
 		if r.err != nil {
@@ -362,6 +341,35 @@ func (r *rbuf) valueDepth(depth int) mvc.Value {
 		r.fail()
 		return nil
 	}
+}
+
+// cell reads one scalar in place: a tag that is a cell kind and its
+// payload, text aliasing the frame's one string copy. A time stays the
+// bytes the wire carries, checked here so that no later reader can fail
+// on them.
+func (r *rbuf) cell() (c mvc.Cell) {
+	switch c.Kind = mvc.Kind(r.byte()); c.Kind {
+	case mvc.KNull, mvc.KFalse, mvc.KTrue:
+	case mvc.KInt:
+		c.Num = uint64(r.varint())
+	case mvc.KFloat:
+		if r.remaining() < 8 {
+			r.fail()
+			break
+		}
+		c.Num = binary.LittleEndian.Uint64(r.b[r.off:])
+		r.off += 8
+	case mvc.KString:
+		c.Str = r.str()
+	case mvc.KTime:
+		c.Str = r.str()
+		if _, ok := c.Time(); !ok {
+			r.fail()
+		}
+	default:
+		r.fail()
+	}
+	return c
 }
 
 func (r *rbuf) valueMap() map[string]mvc.Value {
@@ -564,8 +572,8 @@ func (w *wbuf) nodes(b *mvc.UnitBean, ns []mvc.Node, depth int) {
 			w.err = fmt.Errorf("ejb: unit %s: node of %d values under %d fields", b.UnitID, len(ns[i].Values), width)
 			return
 		}
-		for _, v := range ns[i].Values {
-			w.value(v)
+		for _, c := range ns[i].Values {
+			w.cell(c)
 		}
 		w.nodes(b, ns[i].Children, depth+1)
 	}
@@ -607,7 +615,7 @@ func (r *rbuf) beanPtr() *mvc.UnitBean {
 	return b
 }
 
-// nodes reads a sibling list into one exact-size value slab. The width
+// nodes reads a sibling list into one exact-size slab of cells. The width
 // must match the bean's already-decoded field list and every node needs
 // width+1 bytes, so no crafted count sizes an allocation the payload
 // could not fill.
@@ -626,13 +634,13 @@ func (r *rbuf) nodes(b *mvc.UnitBean, depth int) []mvc.Node {
 		return nil
 	}
 	ns := make([]mvc.Node, n)
-	slab := make([]mvc.Value, n*width)
+	slab := make([]mvc.Cell, n*width)
 	for i := range ns {
 		if width > 0 {
 			ns[i].Values = slab[i*width : (i+1)*width : (i+1)*width]
 		}
 		for j := range ns[i].Values {
-			ns[i].Values[j] = r.value()
+			ns[i].Values[j] = r.cell()
 		}
 		ns[i].Children = r.nodes(b, depth+1)
 	}

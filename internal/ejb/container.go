@@ -188,7 +188,7 @@ func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 		err := w.err
 		if err == nil {
 			wmu.Lock()
-			err = writeFrame(conn, w.b)
+			_, err = conn.Write(w.frame())
 			wmu.Unlock()
 		}
 		putWbuf(w)

@@ -55,7 +55,7 @@ func TestRemoteComputeUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bean.Nodes) != 1 || bean.Nodes[0].Values[1] != "TODS Volume 27" {
+	if len(bean.Nodes) != 1 || bean.Nodes[0].Values[1].Value() != "TODS Volume 27" {
 		t.Fatalf("bean = %+v", bean)
 	}
 }

@@ -250,7 +250,7 @@ func TestUnitFailoverOnMidCallKill(t *testing.T) {
 	if res.err != nil {
 		t.Fatalf("mid-call kill surfaced instead of failing over: %v", res.err)
 	}
-	if res.bean == nil || res.bean.Nodes[0].Values[1] != "TODS Volume 27" {
+	if res.bean == nil || res.bean.Nodes[0].Values[1].Value() != "TODS Volume 27" {
 		t.Fatalf("failover bean = %+v", res.bean)
 	}
 	if ctrB.Metrics().Served == 0 {
@@ -357,7 +357,7 @@ func TestDeadPooledConnectionNotReused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d after restart: %v (stale connection handed out)", i, err)
 		}
-		if bean.Nodes[0].Values[1] != "TODS Volume 27" {
+		if bean.Nodes[0].Values[1].Value() != "TODS Volume 27" {
 			t.Fatalf("call %d bean = %+v", i, bean)
 		}
 	}
@@ -470,7 +470,7 @@ func TestContainerSurvivesPanickingComponent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("container died after component panic: %v", err)
 	}
-	if bean.Nodes[0].Values[1] != "TODS Volume 27" {
+	if bean.Nodes[0].Values[1].Value() != "TODS Volume 27" {
 		t.Fatalf("bean = %+v", bean)
 	}
 	if got := ctr.Metrics().Served; got != 2 {

@@ -44,6 +44,10 @@ const (
 	// maxFrame bounds one frame's payload; larger lengths mean a
 	// corrupt or hostile stream.
 	maxFrame = 64 << 20
+
+	// frameTrust is how much of a frame readFrame allocates before any of
+	// its payload has arrived.
+	frameTrust = 1 << 20
 )
 
 // handshakeTimeout bounds each side's wait for the other's half of the
@@ -73,7 +77,10 @@ var errHandshake = errors.New("ejb: wire v2 handshake failed")
 // connection died (fails all in-flight frames).
 var errConnClosed = errors.New("ejb: connection closed")
 
-// readFrame reads one length-prefixed frame payload.
+// readFrame reads one length-prefixed frame payload. The length is the
+// peer's claim: at most frameTrust bytes are allocated on its word (one
+// allocation for every ordinary frame), and past that the buffer at most
+// doubles with the bytes that have actually arrived.
 func readFrame(br *bufio.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -82,21 +89,16 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("ejb: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
+	buf := make([]byte, min(n, frameTrust))
+	for got := 0; ; {
+		if _, err := io.ReadFull(br, buf[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(buf); uint64(got) == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-uint64(got), uint64(got)))...)
 	}
-	return buf, nil
-}
-
-// writeFrame writes one frame (length prefix + payload) as a single
-// vectored write. Callers serialize via their own mutex.
-func writeFrame(c net.Conn, payload []byte) error {
-	var head [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(head[:], uint64(len(payload)))
-	bufs := net.Buffers{head[:n], payload}
-	_, err := bufs.WriteTo(c)
-	return err
 }
 
 // demuxMsg is one routed reply: idx is the batch item index (0 for
@@ -294,7 +296,7 @@ func (m *mconn) pendingCount() int {
 }
 
 // send writes one frame, bounding the write by the call deadline.
-func (m *mconn) send(payload []byte, deadline time.Time) error {
+func (m *mconn) send(w *wbuf, deadline time.Time) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if !deadline.IsZero() {
@@ -302,7 +304,7 @@ func (m *mconn) send(payload []byte, deadline time.Time) error {
 	} else {
 		m.c.SetWriteDeadline(time.Time{}) //nolint:errcheck // failure surfaces on the write
 	}
-	if err := writeFrame(m.c, payload); err != nil {
+	if _, err := m.c.Write(w.frame()); err != nil {
 		return err
 	}
 	m.stats.sent()
@@ -324,7 +326,7 @@ func (m *mconn) call(req *request, deadline time.Time, cancel <-chan struct{}) (
 	w.request(req)
 	err = w.err
 	if err == nil {
-		err = m.send(w.b, deadline)
+		err = m.send(w, deadline)
 	}
 	putWbuf(w)
 	if err != nil {
@@ -376,7 +378,7 @@ func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan stru
 	w.batchRequest(breq)
 	err = w.err
 	if err == nil {
-		err = m.send(w.b, deadline)
+		err = m.send(w, deadline)
 	}
 	putWbuf(w)
 	if err != nil {

@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,9 +74,12 @@ func fullResponse() *response {
 			Fields:      []string{"oid", "Title"},
 			LevelFields: [][]string{{"N"}},
 			Nodes: []mvc.Node{
-				{Values: []mvc.Value{int64(1), "A"},
-					Children: []mvc.Node{{Values: []mvc.Value{int64(2)}}}},
-				{Values: []mvc.Value{int64(2), time.Unix(1700000000, 0).UTC()}},
+				{Values: cells(int64(1), "A"),
+					Children: []mvc.Node{{Values: cells(int64(2))}}},
+				{Values: cells(int64(2), time.Unix(1700000000, 0).UTC())},
+				{Values: cells(nil, -2.5)},
+				{Values: cells(true, false)},
+				{Values: cells(int64(-1<<63), time.Unix(1700000000, 5).In(time.FixedZone("", 19800)))},
 			},
 			Missing: false, Total: 40, Offset: 20, PageSize: 10,
 			FormFields: []mvc.FormField{{Name: "q", Type: "TEXT", Required: true, Value: "v"}},
@@ -90,6 +96,18 @@ func fullResponse() *response {
 	}
 }
 
+// cells unboxes one literal row for a test bean.
+func cells(row ...mvc.Value) []mvc.Cell {
+	out := make([]mvc.Cell, len(row))
+	for i, v := range row {
+		var err error
+		if out[i], err = mvc.CellOf(v); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
 func TestCodecRequestRoundTrip(t *testing.T) {
 	req := fullRequest()
 	w := getWbuf()
@@ -97,7 +115,7 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
-	r := rbuf{b: w.b}
+	r := rbuf{b: w.payload()}
 	got, err := r.request()
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +136,7 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
-	r := rbuf{b: w.b}
+	r := rbuf{b: w.payload()}
 	got, err := r.response()
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +160,7 @@ func TestCodecBatchRequestRoundTrip(t *testing.T) {
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
-	r := rbuf{b: w.b}
+	r := rbuf{b: w.payload()}
 	got, err := r.batchRequest()
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +186,7 @@ func TestCodecRejectsUnknownValueType(t *testing.T) {
 func TestCodecTruncatedInputFails(t *testing.T) {
 	w := getWbuf()
 	w.request(fullRequest())
-	full := append([]byte(nil), w.b...)
+	full := append([]byte(nil), w.payload()...)
 	putWbuf(w)
 	for n := 0; n < len(full); n++ {
 		r := rbuf{b: full[:n]}
@@ -187,7 +205,7 @@ func TestCodecTruncatedInputFails(t *testing.T) {
 func FuzzCodecRequest(f *testing.F) {
 	w := getWbuf()
 	w.request(fullRequest())
-	f.Add(append([]byte(nil), w.b...))
+	f.Add(append([]byte(nil), w.payload()...))
 	putWbuf(w)
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -202,7 +220,7 @@ func FuzzCodecRequest(f *testing.F) {
 		if w.err != nil {
 			t.Fatalf("decoded request failed to re-encode: %v", w.err)
 		}
-		enc1 := append([]byte(nil), w.b...)
+		enc1 := append([]byte(nil), w.payload()...)
 		putWbuf(w)
 		r2 := rbuf{b: enc1}
 		req2, err := r2.request()
@@ -214,8 +232,8 @@ func FuzzCodecRequest(f *testing.F) {
 		if w2.err != nil {
 			t.Fatalf("second re-encode failed: %v", w2.err)
 		}
-		if !bytes.Equal(enc1, w2.b) {
-			t.Fatalf("encoding not a fixpoint:\n first %x\nsecond %x", enc1, w2.b)
+		if !bytes.Equal(enc1, w2.payload()) {
+			t.Fatalf("encoding not a fixpoint:\n first %x\nsecond %x", enc1, w2.payload())
 		}
 		putWbuf(w2)
 	})
@@ -223,7 +241,9 @@ func FuzzCodecRequest(f *testing.F) {
 
 // malformedNodeLists are responses whose bean declares fields and then
 // lies in its node list: more rows × width than payload, a width that is
-// not the field count, nesting past maxNesting.
+// not the field count, nesting past maxNesting, a field that is no
+// scalar (a row holds cells: maps and slices travel only in parameter
+// maps), a time whose bytes are cut short or are no time at all.
 func malformedNodeLists() map[string][]byte {
 	bean := func(fields []string, nodes ...byte) []byte {
 		w := getWbuf()
@@ -233,7 +253,7 @@ func malformedNodeLists() map[string][]byte {
 		w.str("index")
 		w.strs(fields)
 		w.uvarint(0) // no level fields
-		return append(append([]byte(nil), w.b...), nodes...)
+		return append(append([]byte(nil), w.payload()...), nodes...)
 	}
 	deep := bytes.Repeat([]byte{1, 0}, maxNesting+2) // one zero-width node per level
 	return map[string][]byte{
@@ -242,6 +262,13 @@ func malformedNodeLists() map[string][]byte {
 		"width over fields":         bean([]string{"a"}, 1, 2, vNil, vNil, 0),
 		"width under fields":        bean([]string{"a", "b"}, 1, 1, vNil, 0),
 		"nesting":                   bean(nil, append(deep, 0)...),
+		"map in a row":              bean([]string{"a"}, 1, 1, vMap, 0, 0),
+		"slice in a row":            bean([]string{"a"}, 1, 1, vSlice, 1, vNil, 0),
+		"tag past the last kind":    bean([]string{"a"}, 1, 1, vSlice+1, 0),
+		"time cut short":            bean([]string{"a"}, 1, 1, vTime, 4, 1, 0, 0, 0, 0),
+		"time of garbage":           bean([]string{"a"}, 1, 1, vTime, 4, 'n', 'o', 'p', 'e', 0),
+		"time of no bytes":          bean([]string{"a"}, 1, 1, vTime, 0, 0),
+		"float cut short":           bean([]string{"a"}, 1, 1, vFloat, 0, 0, 0, 0),
 	}
 }
 
@@ -255,14 +282,53 @@ func TestCodecMalformedNodeLists(t *testing.T) {
 	}
 }
 
+// TestGoldenResponseFrame pins the wire: testdata/golden_response_frame.hex
+// is the reply frame the commit before bean rows became cells (9e488c5,
+// boxed []Value rows) wrote for fullResponse(). Encoding must reproduce
+// it byte for byte under the same wireVersion, and decoding it must give
+// fullResponse() back.
+func TestGoldenResponseFrame(t *testing.T) {
+	text, err := os.ReadFile("testdata/golden_response_frame.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wireVersion != 3 {
+		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
+	}
+	if got := frameOf(ftReply, 1, func(w *wbuf) { w.response(fullResponse()) }); !bytes.Equal(got, golden) {
+		t.Fatalf("reply frame changed:\n got %x\nwant %x", got, golden)
+	}
+	payload, err := readFrame(bufio.NewReader(bytes.NewReader(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rbuf{b: payload}
+	if ft, id := r.byte(), r.uvarint(); ft != ftReply || id != 1 {
+		t.Fatalf("frame type %d id %d", ft, id)
+	}
+	if resp, err := r.response(); err != nil || !reflect.DeepEqual(resp, fullResponse()) {
+		t.Fatalf("golden frame decoded to %+v (err %v)", resp, err)
+	}
+}
+
 // TestCodecRejectsRaggedNode: a node whose value count is not its
 // level's field count cannot be encoded — names travel once per bean.
 func TestCodecRejectsRaggedNode(t *testing.T) {
 	w := getWbuf()
 	defer putWbuf(w)
-	w.beanPtr(&mvc.UnitBean{UnitID: "u", Fields: []string{"a"}, Nodes: []mvc.Node{{Values: []mvc.Value{"x", "y"}}}})
+	w.beanPtr(&mvc.UnitBean{UnitID: "u", Fields: []string{"a"}, Nodes: []mvc.Node{{Values: cells("x", "y")}}})
 	if w.err == nil {
 		t.Fatal("ragged node encoded without error")
+	}
+	for _, c := range []mvc.Cell{{Kind: mvc.KTime, Str: "nope"}, {Kind: mvc.KTime + 1}} {
+		w.err = nil
+		if w.cell(c); w.err == nil {
+			t.Fatalf("hand-built cell %+v encoded without error", c)
+		}
 	}
 }
 
@@ -270,7 +336,7 @@ func TestCodecRejectsRaggedNode(t *testing.T) {
 func FuzzCodecResponse(f *testing.F) {
 	w := getWbuf()
 	w.response(fullResponse())
-	f.Add(append([]byte(nil), w.b...))
+	f.Add(append([]byte(nil), w.payload()...))
 	putWbuf(w)
 	f.Add([]byte{})
 	for _, data := range malformedNodeLists() {
@@ -287,7 +353,7 @@ func FuzzCodecResponse(f *testing.F) {
 		if w.err != nil {
 			t.Fatalf("decoded response failed to re-encode: %v", w.err)
 		}
-		enc1 := append([]byte(nil), w.b...)
+		enc1 := append([]byte(nil), w.payload()...)
 		putWbuf(w)
 		r2 := rbuf{b: enc1}
 		resp2, err := r2.response()
@@ -299,8 +365,8 @@ func FuzzCodecResponse(f *testing.F) {
 		if w2.err != nil {
 			t.Fatalf("second re-encode failed: %v", w2.err)
 		}
-		if !bytes.Equal(enc1, w2.b) {
-			t.Fatalf("encoding not a fixpoint:\n first %x\nsecond %x", enc1, w2.b)
+		if !bytes.Equal(enc1, w2.payload()) {
+			t.Fatalf("encoding not a fixpoint:\n first %x\nsecond %x", enc1, w2.payload())
 		}
 		putWbuf(w2)
 	})
@@ -312,7 +378,7 @@ func echoBusiness() mvc.Business {
 	return &funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			return &mvc.UnitBean{UnitID: d.ID, Kind: d.Kind,
-				Fields: []string{"echo"}, Nodes: []mvc.Node{{Values: []mvc.Value{inputs["x"]}}}}, nil
+				Fields: []string{"echo"}, Nodes: []mvc.Node{{Values: cells(inputs["x"])}}}, nil
 		},
 		execute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.OpResult, error) {
 			return &mvc.OpResult{OK: true}, nil
@@ -426,7 +492,7 @@ func TestWireFramedStrictRejectsLegacyPeer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no failover past the non-v2 peer: %v", err)
 			}
-			if bean.Nodes[0].Values[0] != int64(7) {
+			if bean.Nodes[0].Values[0].Value() != int64(7) {
 				t.Fatalf("bean = %+v", bean)
 			}
 			if h := both.Health(); h[0].Failures != 1 {
@@ -496,9 +562,7 @@ func frameOf(ft byte, id uint64, body func(w *wbuf)) []byte {
 	w.byte(ft)
 	w.uvarint(id)
 	body(w)
-	var head [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(head[:], uint64(len(w.b)))
-	return append(head[:n:n], w.b...)
+	return append([]byte(nil), w.frame()...)
 }
 
 // FuzzServeFramed feeds arbitrary bytes to the container's frame loop
@@ -578,7 +642,7 @@ func TestBatchComputeUnits(t *testing.T) {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
 	}
-	if res[0].Bean.Nodes[0].Values[1] != "TODS Volume 27" {
+	if res[0].Bean.Nodes[0].Values[1].Value() != "TODS Volume 27" {
 		t.Fatalf("item 0 = %+v", res[0].Bean)
 	}
 	if len(res[1].Bean.Nodes) != 2 || len(res[1].Bean.Nodes[0].Children) == 0 {
@@ -844,7 +908,7 @@ func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
 			w.uvarint(id)
 			w.uvarint(0)
 			w.response(&response{Bean: &mvc.UnitBean{UnitID: "dup"}})
-			writeFrame(c, w.b) //nolint:errcheck
+			c.Write(w.frame()) //nolint:errcheck
 			putWbuf(w)
 		}
 		// Hold the connection open: the client must detect the duplicate
@@ -931,7 +995,7 @@ func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descrip
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
 			return &mvc.UnitBean{UnitID: d.ID, Kind: "data",
-				Fields: []string{"oid", "Title"}, Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "T"}}}}, nil
+				Fields: []string{"oid", "Title"}, Nodes: []mvc.Node{{Values: cells(int64(1), "T")}}}, nil
 		},
 	}, 64)
 	addr, err := ctr.Serve("127.0.0.1:0")
@@ -976,5 +1040,111 @@ func BenchmarkRemoteLevelFramedBatch(b *testing.B) {
 				b.Fatalf("item %d: %v", j, r.Err)
 			}
 		}
+	}
+}
+
+// ---- frame lengths are claims ----
+
+// allocatedBy runs f and returns the bytes the process allocated meanwhile.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFrameGrowsWithWhatArrives: a frame longer than frameTrust is
+// read whole, and a header that claims maxFrame and then delivers nothing
+// costs what arrived, not what it claimed.
+func TestReadFrameGrowsWithWhatArrives(t *testing.T) {
+	body := make([]byte, 3*frameTrust+17)
+	for i := range body {
+		body[i] = byte(i * 31)
+	}
+	wire := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	got, err := readFrame(bufio.NewReader(bytes.NewReader(wire)))
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("long frame: %d bytes (err %v), want %d", len(got), err, len(body))
+	}
+	lie := append(binary.AppendUvarint(nil, maxFrame), "only this"...)
+	var buf []byte
+	spent := allocatedBy(func() { buf, err = readFrame(bufio.NewReader(bytes.NewReader(lie))) })
+	if err == nil || buf != nil {
+		t.Fatalf("truncated frame read as %d bytes, err %v", len(buf), err)
+	}
+	if spent >= 2<<20 {
+		t.Fatalf("a %d-byte header cost %d bytes of allocation", len(lie)-len("only this"), spent)
+	}
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(binary.AppendUvarint(nil, maxFrame+1)))); err == nil {
+		t.Fatal("frame over maxFrame accepted")
+	}
+}
+
+// TestLyingFrameHeaderIsCheap: on both ends of the wire — the client's
+// demux goroutine and the container's frame loop — a peer that completes
+// the handshake, claims a maxFrame payload and hangs up is an ordinary
+// connection failure that allocated under 2 MiB.
+func TestLyingFrameHeaderIsCheap(t *testing.T) {
+	lie := binary.AppendUvarint(nil, maxFrame)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var hs [6]byte
+		if _, err := io.ReadFull(c, hs[:]); err != nil {
+			return
+		}
+		c.Write(handshakeBytes()) //nolint:errcheck
+		if _, err := readFrame(bufio.NewReader(c)); err != nil {
+			return
+		}
+		c.Write(lie) //nolint:errcheck
+	}()
+	client, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	spent := allocatedBy(func() {
+		_, err = client.ComputeUnit(context.Background(), &descriptor.Unit{ID: "u", Kind: "data"}, nil)
+	})
+	if err == nil {
+		t.Fatal("call answered by a truncated frame succeeded")
+	}
+	if spent >= 2<<20 {
+		t.Fatalf("client demux allocated %d bytes on a lying header", spent)
+	}
+
+	ctr := NewContainer(echoBusiness(), 4)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	spent = allocatedBy(func() {
+		c.Write(append(handshakeBytes(), lie...)) //nolint:errcheck
+		c.(*net.TCPConn).CloseWrite()             //nolint:errcheck
+		var ack [7]byte
+		if n, err := io.ReadFull(c, ack[:]); n != 6 || err != io.ErrUnexpectedEOF {
+			t.Errorf("container sent %d bytes (err %v), want the 6-byte ack and a hang-up", n, err)
+		}
+	})
+	if spent >= 2<<20 {
+		t.Fatalf("container frame loop allocated %d bytes on a lying header", spent)
 	}
 }

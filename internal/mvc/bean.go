@@ -22,11 +22,11 @@ type Value = rdb.Value
 // the value of the bean's Fields[i] for a top-level node, and of
 // LevelFields[l][i] for a node nested l+1 levels down — the descriptor
 // fixed the field list once per unit, so no row carries names. Resolve
-// a name with FieldIndex once per unit, never per row. Values
-// may alias the query result and, like the whole bean, is read-only
+// a name with FieldIndex once per unit, never per row. The Values of a
+// sibling list are cut from one slab and, like the whole bean, read-only
 // once ComputeUnit has returned: beans are shared through the bean cache.
 type Node struct {
-	Values   []Value
+	Values   []Cell
 	Children []Node
 }
 
@@ -104,10 +104,12 @@ func (b *UnitBean) Hash() uint64 {
 	io(strconv.Itoa(b.Total))
 	io(strconv.Itoa(b.Offset))
 	var walk func(ns []Node)
+	var field []byte
 	walk = func(ns []Node) {
 		for _, n := range ns {
-			for _, v := range n.Values {
-				io(rdb.FormatValue(v))
+			for _, c := range n.Values {
+				field = append(c.Append(field[:0]), 0)
+				h.Write(field)
 			}
 			walk(n.Children)
 			io("|")
@@ -166,6 +168,3 @@ func ConvertParam(s string) Value {
 
 // FormatParam renders a Value back into its request-parameter form.
 func FormatParam(v Value) string { return rdb.FormatValue(v) }
-
-// AppendParam appends FormatParam(v) to dst without building the string.
-func AppendParam(dst []byte, v Value) []byte { return rdb.AppendValue(dst, v) }

@@ -92,7 +92,7 @@ func (c *cpuBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, input
 	for i := 0; i < c.spin; i++ {
 		x = x*1664525 + 1013904223
 	}
-	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"x"}, Nodes: []Node{{Values: []Value{int64(x)}}}}, nil
+	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"x"}, Nodes: []Node{{Values: MustCells(int64(x))}}}, nil
 }
 
 func (c *cpuBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {

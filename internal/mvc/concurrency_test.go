@@ -46,7 +46,7 @@ func (g *gatedBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inp
 	if g.gate != nil {
 		<-g.gate
 	}
-	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"v"}, Nodes: []Node{{Values: []Value{p}}}}, nil
+	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"v"}, Nodes: []Node{{Values: MustCells(p)}}}, nil
 }
 
 func (g *gatedBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {
@@ -103,7 +103,7 @@ func TestSingleflightCoalescesMisses(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		if beans[i] == nil || beans[i].Nodes[0].Values[0] != "x" {
+		if beans[i] == nil || beans[i].Nodes[0].Values[0].Value() != "x" {
 			t.Fatalf("goroutine %d got %+v", i, beans[i])
 		}
 	}
@@ -143,7 +143,7 @@ func TestOperationForgetsInFlight(t *testing.T) {
 	close(inner.gate)
 	b := <-done
 	// The overlapped reader may legitimately see pre-write data...
-	if got := b.Nodes[0].Values[0]; got != "pre-write" {
+	if got := b.Nodes[0].Values[0].Value(); got != "pre-write" {
 		t.Fatalf("overlapped reader got %v", got)
 	}
 	// ...but that result must NOT have been cached: a fresh request
@@ -154,7 +154,7 @@ func TestOperationForgetsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b2.Nodes[0].Values[0]; got != "post-write" {
+	if got := b2.Nodes[0].Values[0].Value(); got != "post-write" {
 		t.Fatalf("post-write request got %v (stale bean cached)", got)
 	}
 	if n := inner.computes.Load(); n != 2 {
@@ -184,7 +184,7 @@ func (c *countingBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, 
 	for _, k := range fields[1:] {
 		vals = append(vals, inputs[k])
 	}
-	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: fields, Nodes: []Node{{Values: vals}}}, nil
+	return &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: fields, Nodes: []Node{{Values: MustCells(vals...)}}}, nil
 }
 
 func (c *countingBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {
@@ -249,7 +249,7 @@ func TestParallelPageComputeMatchesSequential(t *testing.T) {
 	sink := par.Beans["sink"]
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("from-mid%02d", i)
-		if at := FieldIndex(sink.Fields, key); at < 0 || sink.Nodes[0].Values[at] == nil {
+		if at := FieldIndex(sink.Fields, key); at < 0 || sink.Nodes[0].Values[at].Kind == KNull {
 			t.Fatalf("sink missing propagated param %q: %v", key, sink.Fields)
 		}
 	}

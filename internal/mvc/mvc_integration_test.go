@@ -400,7 +400,7 @@ func TestCustomComponentOverride(t *testing.T) {
 			called = true
 			return &mvc.UnitBean{
 				UnitID: d.ID, Kind: d.Kind, Fields: []string{"Title"},
-				Nodes: []mvc.Node{{Values: []mvc.Value{"optimized!"}}},
+				Nodes: []mvc.Node{{Values: mvc.MustCells("optimized!")}},
 			}, nil
 		}))
 	ctl := mvc.NewController(art.Repo, lb, render.NewEngine(art.Repo))

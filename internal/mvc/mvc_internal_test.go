@@ -3,6 +3,7 @@ package mvc
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -132,17 +133,17 @@ func TestForward(t *testing.T) {
 }
 
 func TestBeanHashSensitivity(t *testing.T) {
-	b1 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: []Value{"x"}}}}
-	b2 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: []Value{"x"}}}}
+	b1 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: MustCells("x")}}}
+	b2 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: MustCells("x")}}}
 	if b1.Hash() != b2.Hash() {
 		t.Fatal("equal beans hash differently")
 	}
-	b2.Nodes[0].Values[0] = "y"
+	b2.Nodes[0].Values[0] = MustCells("y")[0]
 	if b1.Hash() == b2.Hash() {
 		t.Fatal("different beans hash equal")
 	}
-	b3 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: []Value{"x"},
-		Children: []Node{{Values: []Value{"1"}}}}}}
+	b3 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: MustCells("x"),
+		Children: []Node{{Values: MustCells("1")}}}}}
 	if b3.Hash() == b1.Hash() {
 		t.Fatal("children ignored by hash")
 	}
@@ -237,23 +238,28 @@ func TestSessionExpiryOnResolve(t *testing.T) {
 	}
 }
 
-// TestRowsToNodesAliasesOrReorders: nodes alias the result rows when the
-// descriptor's output order is the query's column order, and are copied
-// into field order otherwise (a hand-tuned query may reorder columns).
-func TestRowsToNodesAliasesOrReorders(t *testing.T) {
+// TestRowsToNodesCopiesInFieldOrder: a sibling list is one slab of cells
+// in the descriptor's field order (a hand-tuned query may reorder
+// columns), each row capped at its width; a missing column and a value no
+// bean can carry fail when the bean is built.
+func TestRowsToNodesCopiesInFieldOrder(t *testing.T) {
 	rows := &rdb.Rows{Columns: []string{"oid", "title"}, Data: [][]Value{{int64(1), "a"}, {int64(2), "b"}}}
 	same, err := rowsToNodes(rows, []descriptor.FieldDef{{Name: "oid", Column: "oid"}, {Name: "Title", Column: "TITLE"}})
-	if err != nil || &same[1].Values[0] != &rows.Data[1][0] {
-		t.Fatalf("same order did not alias the result rows (err %v)", err)
+	if err != nil || !reflect.DeepEqual(same[1].Values, MustCells(int64(2), "b")) {
+		t.Fatalf("nodes = %+v (err %v)", same, err)
+	}
+	if cap(same[0].Values) != 2 {
+		t.Fatalf("row capacity %d: appending to a row would reach the next", cap(same[0].Values))
 	}
 	swapped, err := rowsToNodes(rows, []descriptor.FieldDef{{Name: "Title", Column: "title"}, {Name: "oid", Column: "oid"}})
-	if err != nil || swapped[1].Values[0] != "b" || swapped[1].Values[1] != int64(2) {
+	if err != nil || !reflect.DeepEqual(swapped[1].Values, MustCells("b", int64(2))) {
 		t.Fatalf("reordered nodes = %+v (err %v)", swapped, err)
-	}
-	if rows.Data[1][0] != int64(2) {
-		t.Fatal("reordering wrote through to the result rows")
 	}
 	if _, err := rowsToNodes(rows, []descriptor.FieldDef{{Name: "x", Column: "missing"}}); err == nil {
 		t.Fatal("missing column accepted")
+	}
+	rows.Data[1][1] = []interface{}{"no", "bean", "value"}
+	if _, err := rowsToNodes(rows, []descriptor.FieldDef{{Name: "Title", Column: "title"}}); err == nil {
+		t.Fatal("a slice value became a bean cell")
 	}
 }

@@ -280,7 +280,7 @@ func (ps *PageService) resolveInputs(pd *descriptor.Page, sched *descriptor.Sche
 		current := src.Nodes[0].Values
 		for _, pm := range e.Params {
 			if i := FieldIndex(src.Fields, pm.Source); i >= 0 && i < len(current) {
-				inputs[pm.Target] = current[i]
+				inputs[pm.Target] = current[i].Value()
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func TestDegradedServingBounds(t *testing.T) {
 	inputs := map[string]Value{"oid": int64(1)}
 	key := beanKey(d.ID, inputs)
 
-	stale := &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"v"}, Nodes: []Node{{Values: []Value{"from-before-the-outage"}}}}
+	stale := &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"v"}, Nodes: []Node{{Values: MustCells("from-before-the-outage")}}}
 	bc.Put(key, stale, d.Reads, 5*time.Millisecond)
 	time.Sleep(10 * time.Millisecond) // the TTL lapses; the entry is retained
 	inner.failing.Store(true)
@@ -81,7 +81,7 @@ func TestDegradedServingBounds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded serving failed: %v", err)
 	}
-	if got.Nodes[0].Values[0] != "from-before-the-outage" {
+	if got.Nodes[0].Values[0].Value() != "from-before-the-outage" {
 		t.Fatalf("degraded bean = %+v", got)
 	}
 	if bc.Stats().DegradedHits == 0 {

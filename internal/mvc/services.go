@@ -94,7 +94,7 @@ func CoreOperationServices() map[string]OperationService {
 // parameter map, applying wildcard wrapping. It reports ok=false when a
 // parameter is absent (the unit then renders empty rather than erroring:
 // a page reached without context shows no content, as in WebML).
-func bindArgs(d *descriptor.Unit, params []descriptor.ParamDef, inputs map[string]Value) ([]rdb.Value, bool) {
+func bindArgs(params []descriptor.ParamDef, inputs map[string]Value) ([]rdb.Value, bool) {
 	args := make([]rdb.Value, len(params))
 	for i, p := range params {
 		v, ok := inputs[p.Name]
@@ -111,32 +111,26 @@ func bindArgs(d *descriptor.Unit, params []descriptor.ParamDef, inputs map[strin
 }
 
 // rowsToNodes converts a query result into bean nodes in the output
-// field order (field <- column). When that is the result's own column
-// order — it is for every generated query — the nodes alias the result
-// rows, which the engine projected for this execution alone; otherwise
-// the rows are reordered into one slab.
+// field order (field <- column): one exact-size slab of cells per sibling
+// list, copied from the projection, so a bean holds no engine memory and
+// a value no bean can carry fails here.
 func rowsToNodes(rows *rdb.Rows, fields []descriptor.FieldDef) ([]Node, error) {
 	cols := make([]int, len(fields))
-	aliased := len(fields) == len(rows.Columns)
 	for i, f := range fields {
 		if cols[i] = rows.Col(f.Column); cols[i] < 0 {
 			return nil, fmt.Errorf("mvc: result set lacks column %q", f.Column)
 		}
-		aliased = aliased && cols[i] == i
-	}
-	nodes := make([]Node, len(rows.Data))
-	if aliased {
-		for i, r := range rows.Data {
-			nodes[i].Values = r
-		}
-		return nodes, nil
 	}
 	w := len(fields)
-	slab := make([]Value, len(nodes)*w)
+	nodes := make([]Node, len(rows.Data))
+	slab := make([]Cell, len(nodes)*w)
 	for i, r := range rows.Data {
 		nodes[i].Values = slab[i*w : (i+1)*w : (i+1)*w]
 		for j, c := range cols {
-			nodes[i].Values[j] = r[c]
+			var err error
+			if slab[i*w+j], err = CellOf(r[c]); err != nil {
+				return nil, fmt.Errorf("mvc: column %q: %w", fields[j].Column, err)
+			}
 		}
 	}
 	return nodes, nil
@@ -158,7 +152,7 @@ func computeRowsUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs
 	for _, lvl := range d.Levels {
 		bean.LevelFields = append(bean.LevelFields, fieldNames(lvl.Outputs))
 	}
-	args, ok := bindArgs(d, d.Inputs, inputs)
+	args, ok := bindArgs(d.Inputs, inputs)
 	if !ok {
 		bean.Missing = true
 		return bean, nil
@@ -191,7 +185,7 @@ func expandLevels(ctx context.Context, db *rdb.DB, d *descriptor.Unit, bean *Uni
 		return fmt.Errorf("mvc: unit %s: hierarchical level needs oid output", d.ID)
 	}
 	for i := range nodes {
-		rows, err := timedQuery(ctx, db, d.ID, lvl.Query, nodes[i].Values[oid])
+		rows, err := timedQuery(ctx, db, d.ID, lvl.Query, nodes[i].Values[oid].Value())
 		if err != nil {
 			return fmt.Errorf("mvc: unit %s level %s: %w", d.ID, lvl.Entity, err)
 		}
@@ -219,7 +213,7 @@ func computeScrollerUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, in
 	if windowed {
 		params = params[:len(params)-1]
 	}
-	countArgs, ok := bindArgs(d, params, inputs)
+	countArgs, ok := bindArgs(params, inputs)
 	if !ok {
 		bean.Missing = true
 		return bean, nil
@@ -273,7 +267,7 @@ func computeEntryUnit(_ context.Context, _ *rdb.DB, d *descriptor.Unit, inputs m
 // descriptor's write statement inside a transaction; any error rolls back
 // and reports KO.
 func executeWrite(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {
-	args, ok := bindArgs(d, d.Inputs, inputs)
+	args, ok := bindArgs(d.Inputs, inputs)
 	if !ok {
 		missing := []string{}
 		for _, p := range d.Inputs {

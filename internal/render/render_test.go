@@ -31,11 +31,11 @@ func pageFixture() (*descriptor.Page, *mvc.PageState, *mvc.RequestContext) {
 		Order:  []string{"d1", "i1", "e1"},
 		Beans: map[string]*mvc.UnitBean{
 			"d1": {UnitID: "d1", Kind: "data", Fields: []string{"oid", "Title"},
-				Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "A <b>bold</b> title"}}}},
+				Nodes: []mvc.Node{{Values: cells(int64(1), "A <b>bold</b> title")}}},
 			"i1": {UnitID: "i1", Kind: "index", Fields: []string{"oid", "Name"},
 				Nodes: []mvc.Node{
-					{Values: []mvc.Value{int64(10), "first"}},
-					{Values: []mvc.Value{int64(11), "second"}},
+					{Values: cells(int64(10), "first")},
+					{Values: cells(int64(11), "second")},
 				}},
 			"e1": {UnitID: "e1", Kind: "entry",
 				FormFields: []mvc.FormField{{Name: "q", Type: "TEXT", Required: true, Value: `pre"filled`}}},
@@ -131,9 +131,9 @@ func TestHierarchicalIndexNestsAndLinksLeaves(t *testing.T) {
 	pd, state, ctx := pageFixture()
 	state.Beans["i1"].LevelFields = [][]string{{"oid", "Child"}}
 	state.Beans["i1"].Nodes = []mvc.Node{
-		{Values: []mvc.Value{int64(1), "parent"},
+		{Values: cells(int64(1), "parent"),
 			Children: []mvc.Node{
-				{Values: []mvc.Value{int64(5), "kid"}},
+				{Values: cells(int64(5), "kid")},
 			}},
 	}
 	e := engineWith(pd, tplP1)
@@ -162,9 +162,9 @@ func TestMultidataAndMultichoiceTags(t *testing.T) {
 	}
 	state := &mvc.PageState{PageID: "p", Beans: map[string]*mvc.UnitBean{
 		"md": {UnitID: "md", Kind: "multidata", Fields: []string{"oid", "T"},
-			Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "v1"}}}},
+			Nodes: []mvc.Node{{Values: cells(int64(1), "v1")}}},
 		"mc": {UnitID: "mc", Kind: "multichoice", Fields: []string{"oid", "T"},
-			Nodes: []mvc.Node{{Values: []mvc.Value{int64(2), "v2"}}}},
+			Nodes: []mvc.Node{{Values: cells(int64(2), "v2")}}},
 	}}
 	e := engineWith(pd, `<html><body><webml:multidataUnit id="md"/><webml:multichoiceUnit id="mc"/></body></html>`)
 	out, err := e.RenderPage(pd, state, &mvc.RequestContext{})
@@ -186,7 +186,7 @@ func TestScrollerNavigationPreservesParams(t *testing.T) {
 	state := &mvc.PageState{PageID: "p", Beans: map[string]*mvc.UnitBean{
 		"s": {UnitID: "s", Kind: "scroller", Fields: []string{"oid", "T"},
 			Total: 25, Offset: 10, PageSize: 10,
-			Nodes: []mvc.Node{{Values: []mvc.Value{int64(1), "x"}}}},
+			Nodes: []mvc.Node{{Values: cells(int64(1), "x")}}},
 	}}
 	ctx := &mvc.RequestContext{Params: map[string]mvc.Value{"kw": "web", "offset": int64(10), "_error": "y"}}
 	e := engineWith(pd, `<html><body><webml:scrollerUnit id="s"/></body></html>`)
@@ -460,7 +460,7 @@ func FuzzAnchorHref(f *testing.F) {
 		}
 		var w bytes.Buffer
 		l := newRowLink(a, `<a href="`, fields, "")
-		l.appendHref(&w, values)
+		l.appendHref(&w, cells(values...))
 		if want := dom.EscapeAttr(mvc.ActionURL(action, params)); w.String() != want {
 			t.Fatalf("href %q, reference %q", w.String(), want)
 		}
@@ -473,7 +473,7 @@ func FuzzAnchorHref(f *testing.F) {
 func TestPutValueMatchesFormatParam(t *testing.T) {
 	values := []mvc.Value{nil, int64(0), int64(-1 << 63), 1.5, 100.0, 1e21, -1e-7, math.NaN(), math.Inf(1),
 		true, false, time.Date(2003, 1, 5, 10, 30, 0, 0, time.FixedZone("", 2*3600)), time.Unix(0, 0).UTC(),
-		"a <b> & \"c\" d+e", []byte("<x>")}
+		"a <b> & \"c\" d+e", "", int64(255), int64(256)}
 	escapers := map[string]func(string) string{"text": dom.EscapeText, "attr": dom.EscapeAttr, "query": url.QueryEscape}
 	for name, esc := range escapers {
 		for i := -1; i <= len(values); i++ {
@@ -482,7 +482,7 @@ func TestPutValueMatchesFormatParam(t *testing.T) {
 				v = values[i]
 			}
 			w := bytes.NewBufferString("kept:")
-			putValue(w, values, i, esc)
+			putValue(w, cells(values...), i, esc)
 			if want := "kept:" + esc(mvc.FormatParam(v)); w.String() != want {
 				t.Errorf("%s escaper, %#v: wrote %q, want %q", name, v, w.String(), want)
 			}
@@ -518,4 +518,16 @@ func TestConcurrentRendersShareBeans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// cells unboxes one literal row for a test bean.
+func cells(row ...mvc.Value) []mvc.Cell {
+	out := make([]mvc.Cell, len(row))
+	for i, v := range row {
+		var err error
+		if out[i], err = mvc.CellOf(v); err != nil {
+			panic(err)
+		}
+	}
+	return out
 }

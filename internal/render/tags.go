@@ -2,7 +2,6 @@ package render
 
 import (
 	"bytes"
-	"fmt"
 	"net/url"
 	"slices"
 	"strconv"
@@ -24,19 +23,19 @@ const plain = "0123456789-.abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 // putValue appends the parameter form of values[i] (NULL where the row
 // has no such position), escaped by esc; an integer, and any other
-// non-text value that spells plain, is formatted in place, with no string.
-func putValue(w *bytes.Buffer, values []mvc.Value, i int, esc func(string) string) {
-	var v mvc.Value
+// non-text cell that spells plain, is formatted in place, with no string.
+func putValue(w *bytes.Buffer, values []mvc.Cell, i int, esc func(string) string) {
+	var c mvc.Cell
 	if i >= 0 && i < len(values) {
-		v = values[i]
+		c = values[i]
 	}
-	switch x := v.(type) {
-	case string:
-		w.WriteString(esc(x))
-	case int64:
-		w.Write(strconv.AppendInt(w.AvailableBuffer(), x, 10))
+	switch c.Kind {
+	case mvc.KString:
+		w.WriteString(esc(c.Str))
+	case mvc.KInt:
+		w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(c.Num), 10))
 	default:
-		if text := mvc.AppendParam(w.AvailableBuffer(), v); len(bytes.TrimLeft(text, plain)) == 0 {
+		if text := c.Append(w.AvailableBuffer()); len(bytes.TrimLeft(text, plain)) == 0 {
 			w.Write(text)
 		} else {
 			w.WriteString(esc(string(text)))
@@ -110,7 +109,7 @@ func (rc *Context) first(unitID string) *descriptor.Anchor {
 
 // appendHref appends the anchor's URL for one row: byte for byte
 // dom.EscapeAttr(mvc.ActionURL(action, params)), without building either.
-func (l *rowLink) appendHref(w *bytes.Buffer, values []mvc.Value) {
+func (l *rowLink) appendHref(w *bytes.Buffer, values []mvc.Cell) {
 	w.WriteString(dom.EscapeAttr(l.action))
 	sep := "?"
 	for k, target := range l.targets {
@@ -120,7 +119,7 @@ func (l *rowLink) appendHref(w *bytes.Buffer, values []mvc.Value) {
 	}
 }
 
-func (l *rowLink) write(w *bytes.Buffer, values []mvc.Value) {
+func (l *rowLink) write(w *bytes.Buffer, values []mvc.Cell) {
 	if l.open != "" {
 		w.WriteString(l.open)
 		l.appendHref(w, values)
@@ -258,8 +257,13 @@ func renderScrollerTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
 	if !openUnit(w, "scroller", bean, "no query") {
 		return
 	}
-	fmt.Fprintf(w, `<div class="webml-scroller-info">%d-%d of %d</div><ol>`,
-		bean.Offset+1, bean.Offset+len(bean.Nodes), bean.Total)
+	w.WriteString(`<div class="webml-scroller-info">`)
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(bean.Offset+1), 10))
+	w.WriteString("-")
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(bean.Offset+len(bean.Nodes)), 10))
+	w.WriteString(" of ")
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(bean.Total), 10))
+	w.WriteString("</div><ol>")
 	link := newRowLink(rc.first(bean.UnitID), `<a href="`, bean.Fields, "")
 	for _, n := range bean.Nodes {
 		w.WriteString("<li>")

@@ -181,7 +181,7 @@ func TestHealthzAndDegradedServingUnderFullOutage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded serving failed during outage: %v", err)
 	}
-	if bean.Nodes[0].Values[1] != "TODS Volume 27" {
+	if bean.Nodes[0].Values[1].Value() != "TODS Volume 27" {
 		t.Fatalf("degraded bean = %+v", bean)
 	}
 	health := app.Health()
