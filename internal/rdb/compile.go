@@ -27,7 +27,8 @@ type execCtx struct {
 	rows  []Row
 	args  []Value
 	stats *execStats
-	skip  int64 // base entries OFFSET still owes (windowed plans, plan.go visit)
+	skip  int64      // base entries OFFSET still owes (windowed plans, plan.go visit)
+	agg   *aggOutput // set only while an aggregate plan outputs a group
 }
 
 // planFrame binds one table alias to a frame slot at plan time.
@@ -218,7 +219,19 @@ func compileIn(x *InExpr, frames []planFrame) compiledExpr {
 
 func compileFunc(x *FuncExpr, frames []planFrame) compiledExpr {
 	if aggregateFuncs[x.Name] {
-		return errExpr(fmt.Errorf("rdb: aggregate %s used outside aggregate query", x.Name))
+		// A slot: the value this call accumulated over the group being
+		// output. Anywhere else (WHERE, a group key, another aggregate's
+		// argument) there is no group, and so no value.
+		return func(c *execCtx) (Value, error) {
+			if g := c.agg; g != nil {
+				for i := range g.calls {
+					if g.calls[i].fn == x {
+						return g.vals[i], nil
+					}
+				}
+			}
+			return nil, fmt.Errorf("rdb: aggregate %s used outside aggregate query", x.Name)
+		}
 	}
 	cargs := make([]compiledExpr, len(x.Args))
 	for i, a := range x.Args {

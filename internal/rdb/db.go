@@ -236,17 +236,17 @@ func (db *DB) prepare(sql string) (Statement, error) {
 // planFor returns the compiled plan for sql, building and caching it on
 // first use. A cached plan is revalidated against the current DDL epoch
 // and table size classes and rebuilt when stale, so CREATE INDEX or
-// substantial data growth take effect on the next query. The caller
+// substantial data growth take effect on the next statement. The caller
 // must hold at least a read lock on db.mu.
-func (db *DB) planFor(sql string, sel *SelectStmt) (*SelectPlan, error) {
-	p, _, err := db.planForCached(sql, sel)
+func (db *DB) planFor(sql string, st Statement) (*SelectPlan, error) {
+	p, _, err := db.planForCached(sql, st)
 	return p, err
 }
 
 // planForCached is planFor plus cache provenance: hit reports whether
 // the returned plan came from the plan cache (true) or was compiled by
 // this call (false) — the marker EXPLAIN surfaces.
-func (db *DB) planForCached(sql string, sel *SelectStmt) (p *SelectPlan, hit bool, err error) {
+func (db *DB) planForCached(sql string, st Statement) (p *SelectPlan, hit bool, err error) {
 	db.planMu.Lock()
 	if p, ok := db.planCache.get(sql); ok {
 		if p.valid(db) {
@@ -258,7 +258,7 @@ func (db *DB) planForCached(sql string, sel *SelectStmt) (p *SelectPlan, hit boo
 	}
 	db.planMu.Unlock()
 	db.stats.planMisses.Add(1)
-	p, err = db.buildPlan(sel)
+	p, err = db.buildPlan(st)
 	if err != nil {
 		return nil, false, err
 	}
@@ -451,11 +451,11 @@ func (db *DB) execLocked(sql string, st Statement, args []Value, undo *undoLog, 
 		}
 		return res, err
 	case *InsertStmt:
-		return db.execInsert(x, args, undo, cs)
+		return db.execInsert(sql, x, args, undo, cs)
 	case *UpdateStmt:
-		return db.execUpdate(x, args, undo, cs)
+		return db.execUpdate(sql, x, args, undo, cs)
 	case *DeleteStmt:
-		return db.execDelete(x, args, undo, cs)
+		return db.execDelete(sql, x, args, undo, cs)
 	case *SelectStmt:
 		return Result{}, fmt.Errorf("rdb: use Query for SELECT")
 	}
@@ -530,32 +530,20 @@ func (db *DB) execDropTable(st *DropTableStmt) (Result, error) {
 	return Result{}, nil
 }
 
-func (db *DB) execInsert(st *InsertStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
-	t, ok := db.tables[strings.ToLower(st.Table)]
-	if !ok {
-		return Result{}, fmt.Errorf("rdb: no such table %q", st.Table)
+func (db *DB) execInsert(sql string, st *InsertStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
+	p, err := db.planFor(sql, st)
+	if err != nil {
+		return Result{}, err
 	}
-	colPos := make([]int, len(st.Columns))
-	for i, c := range st.Columns {
-		pos, ok := t.col(c)
-		if !ok {
-			return Result{}, fmt.Errorf("rdb: no column %q in table %q", c, st.Table)
-		}
-		colPos[i] = pos
-	}
+	t := p.base
+	c := &execCtx{args: args}
 	res := Result{}
-	for _, exprRow := range st.Rows {
+	for _, vals := range p.values {
 		row := make(Row, len(t.cols))
-		for i, e := range exprRow {
-			v, err := evalConst(e, args)
-			if err != nil {
+		for i, val := range vals {
+			if err := p.setCol(c, row, i, val, st.Columns[i]); err != nil {
 				return res, err
 			}
-			cv, err := coerceToCol(v, t.cols[colPos[i]].def.Type)
-			if err != nil {
-				return res, fmt.Errorf("%w (column %s)", err, st.Columns[i])
-			}
-			row[colPos[i]] = cv
 		}
 		if err := db.checkForeignKeys(t, row); err != nil {
 			return res, err
@@ -620,39 +608,22 @@ func (db *DB) checkForeignKeys(t *table, row Row) error {
 	return nil
 }
 
-func (db *DB) execUpdate(st *UpdateStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
-	t, ok := db.tables[strings.ToLower(st.Table)]
-	if !ok {
-		return Result{}, fmt.Errorf("rdb: no such table %q", st.Table)
-	}
-	setPos := make([]int, len(st.Sets))
-	for i, s := range st.Sets {
-		pos, ok := t.col(s.Column)
-		if !ok {
-			return Result{}, fmt.Errorf("rdb: no column %q in table %q", s.Column, st.Table)
-		}
-		setPos[i] = pos
-	}
-	ids, err := db.matchRows(t, st.Table, st.Where, args)
+func (db *DB) execUpdate(sql string, st *UpdateStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
+	p, c, ids, err := db.writeTargets(sql, st, args)
 	if err != nil {
 		return Result{}, err
 	}
+	t := p.base
 	res := Result{}
 	for _, id := range ids {
 		old := t.rowAt(id)
 		newRow := make(Row, len(old))
 		copy(newRow, old)
-		env := singleEnv(t, st.Table, old)
-		for i, s := range st.Sets {
-			v, err := evalExpr(s.Value, env, args)
-			if err != nil {
+		c.rows[0] = old
+		for i, val := range p.values[0] {
+			if err := p.setCol(c, newRow, i, val, st.Sets[i].Column); err != nil {
 				return res, err
 			}
-			cv, err := coerceToCol(v, t.cols[setPos[i]].def.Type)
-			if err != nil {
-				return res, fmt.Errorf("%w (column %s)", err, s.Column)
-			}
-			newRow[setPos[i]] = cv
 		}
 		if err := db.checkForeignKeys(t, newRow); err != nil {
 			return res, err
@@ -673,15 +644,12 @@ func (db *DB) execUpdate(st *UpdateStmt, args []Value, undo *undoLog, cs *Change
 	return res, nil
 }
 
-func (db *DB) execDelete(st *DeleteStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
-	t, ok := db.tables[strings.ToLower(st.Table)]
-	if !ok {
-		return Result{}, fmt.Errorf("rdb: no such table %q", st.Table)
-	}
-	ids, err := db.matchRows(t, st.Table, st.Where, args)
+func (db *DB) execDelete(sql string, st *DeleteStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
+	p, _, ids, err := db.writeTargets(sql, st, args)
 	if err != nil {
 		return Result{}, err
 	}
+	t := p.base
 	res := Result{}
 	for _, id := range ids {
 		old := t.deleteRow(id)
@@ -699,30 +667,39 @@ func (db *DB) execDelete(st *DeleteStmt, args []Value, undo *undoLog, cs *Change
 	return res, nil
 }
 
-// matchRows returns the ids of rows in t matching the WHERE expression,
-// using an index lookup when an equality conjunct permits.
-func (db *DB) matchRows(t *table, tableName string, where Expr, args []Value) ([]int, error) {
-	candidates, err := candidateIDs(t, tableName, where, args)
+// writeTargets runs an UPDATE's or DELETE's plan and collects the slot
+// ids of the rows it writes, in row-id order, all before the first write
+// moves an index entry. The returned context is the plan's, for the SET
+// values.
+func (db *DB) writeTargets(sql string, st Statement, args []Value) (*SelectPlan, *execCtx, []int, error) {
+	p, err := db.planFor(sql, st)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
+	c := &execCtx{rows: make([]Row, 1), args: args}
 	var ids []int
-	for _, id := range candidates {
-		r := t.rowAt(id)
-		if r == nil {
-			continue
-		}
-		if where != nil {
-			env := singleEnv(t, tableName, r)
-			v, err := evalExpr(where, env, args)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		ids = append(ids, id)
+	err = db.runBase(p, c, func(id int, r Row) error {
+		c.rows[0] = r
+		return p.filter(c, func() error {
+			ids = append(ids, id)
+			return nil
+		})
+	})
+	return p, c, ids, err
+}
+
+// setCol evaluates the i-th value of a write and stores it, coerced to
+// its column's type, in row.
+func (p *SelectPlan) setCol(c *execCtx, row Row, i int, val compiledExpr, name string) error {
+	v, err := val(c)
+	if err != nil {
+		return err
 	}
-	return ids, nil
+	pos := p.setCols[i]
+	cv, err := coerceToCol(v, p.base.cols[pos].def.Type)
+	if err != nil {
+		return fmt.Errorf("%w (column %s)", err, name)
+	}
+	row[pos] = cv
+	return nil
 }

@@ -107,6 +107,15 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"SCAN volume", "LEFT JOIN issue BY NESTED LOOP"}},
 		{`SELECT issue_oid, COUNT(*) FROM paper GROUP BY issue_oid ORDER BY issue_oid LIMIT 5`,
 			[]string{"SCAN paper", "GROUP BY 1 keys", "SORT 1 keys", "LIMIT"}},
+		// A write is the plan of the rows it writes.
+		{`UPDATE paper SET pages = ? WHERE oid = ?`,
+			[]string{"UPDATE paper\nACCESS paper BY PRIMARY KEY ON oid (est 1 rows)\nPLAN"}},
+		{`DELETE FROM paper WHERE oid > ?`,
+			[]string{"DELETE FROM paper\nACCESS paper BY RANGE ON oid"}},
+		{`DELETE FROM issue WHERE volume_oid = ? AND number = ?`,
+			[]string{"DELETE FROM issue\nACCESS issue BY INDEX ON volume_oid"}},
+		{`DELETE FROM paper`,
+			[]string{"DELETE FROM paper\nSCAN paper (4 rows)\nPLAN"}},
 	}
 	for _, c := range cases {
 		plan, err := db.Explain(c.sql)
@@ -119,8 +128,8 @@ func TestExplainAccessPaths(t *testing.T) {
 			}
 		}
 	}
-	if _, err := db.Explain(`DELETE FROM paper`); err == nil {
-		t.Fatal("EXPLAIN of non-SELECT accepted")
+	if _, err := db.Explain(`INSERT INTO volume (title) VALUES ('x')`); err == nil || !strings.Contains(err.Error(), "EXPLAIN supports SELECT, UPDATE and DELETE") {
+		t.Fatalf("EXPLAIN of INSERT: %v", err)
 	}
 	if _, err := db.Explain(`SELECT * FROM ghost`); err == nil {
 		t.Fatal("EXPLAIN of unknown table accepted")

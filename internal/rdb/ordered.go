@@ -141,13 +141,3 @@ func (t *table) orderedOn(col string) *orderedIndex {
 	}
 	return t.ordered[col]
 }
-
-// rangeLookup returns candidate row ids for a range predicate on col, or
-// ok=false when the column has no ordered index.
-func (t *table) rangeLookup(colName string, lo, hi rangeBound) ([]int, bool) {
-	ix, ok := t.ordered[lowerKey(colName)]
-	if !ok {
-		return nil, false
-	}
-	return ix.scan(lo, hi), true
-}

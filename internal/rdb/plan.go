@@ -2,18 +2,22 @@ package rdb
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
 
 // This file holds the physical plan representation and its executor.
 // A SELECT is compiled once (planner.go) into a SelectPlan — access
-// path, join strategies, filter, projection, sort keys and limits all
-// resolved to closures and index pointers — and executed many times
-// with only the '?' parameters changing. The plan is the definition of
-// SELECT; the tree-walking reference the differential tests compare it
-// against lives in oracle_test.go.
+// path, join strategies, filter, projection, grouping, sort keys and
+// limits all resolved to closures and index pointers — and executed many
+// times with only the '?' parameters changing. UPDATE and DELETE are
+// planned as the SELECT of the rows they write, and INSERT as its value
+// closures (db.go), so every statement runs on one engine. The plan is
+// the definition of SQL here; the tree-walking reference the
+// differential tests compare it against lives in oracle_test.go.
 
 // accessOp enumerates the base-table access operators.
 type accessOp int
@@ -111,9 +115,10 @@ type tableSize struct {
 // without replanning on every write.
 func sizeClass(n int) int { return bits.Len(uint(n)) }
 
-// SelectPlan is a fully compiled SELECT. It is immutable after
-// construction and safe for concurrent execution; all mutable state
-// lives in the per-execution execCtx.
+// SelectPlan is a fully compiled SELECT — or the SELECT of the rows an
+// UPDATE or DELETE writes, or an INSERT's values (buildPlan). It is
+// immutable after construction and safe for concurrent execution; all
+// mutable state lives in the per-execution execCtx.
 type SelectPlan struct {
 	stmt      *SelectStmt
 	epoch     uint64
@@ -135,11 +140,23 @@ type SelectPlan struct {
 	windowed bool
 
 	cols     []string   // result header: statement and schema only (R2)
-	proj     []projStep // nil for aggregate plans
+	proj     []projStep // an aggregate plan's are all expressions, read per group
 	orderBy  []orderKey
 	sortElim bool
 	limit    compiledExpr // nil if absent
 	offset   compiledExpr // nil if absent
+
+	// Aggregate plans: every aggregate call of the output terms and HAVING,
+	// the GROUP BY keys and HAVING.
+	aggs    []aggCall
+	groupBy []compiledExpr
+	having  compiledExpr // nil if absent
+
+	// Writes: the target column slots (INSERT's column list, UPDATE's SET
+	// columns) and their values, one row per VALUES row for INSERT and the
+	// one SET row for UPDATE.
+	setCols []int
+	values  [][]compiledExpr
 }
 
 // valid reports whether the plan may still be executed: same DDL epoch
@@ -232,7 +249,7 @@ func (p *SelectPlan) needSort() bool { return len(p.orderBy) > 0 && !p.sortElim 
 // produce drives the access path and the joins; joinStep calls emit for
 // every row combination that survives the WHERE filter.
 func (db *DB) produce(p *SelectPlan, c *execCtx, emit func() error) error {
-	baseEach := func(r Row) error {
+	baseEach := func(_ int, r Row) error {
 		c.rows[0] = r
 		return db.joinStep(p, c, 0, emit)
 	}
@@ -240,9 +257,9 @@ func (db *DB) produce(p *SelectPlan, c *execCtx, emit func() error) error {
 		return db.runBase(p, c, baseEach)
 	}
 	t0 := time.Now()
-	err := db.runBase(p, c, func(r Row) error {
+	err := db.runBase(p, c, func(id int, r Row) error {
 		c.stats.base.rowsOut++
-		return baseEach(r)
+		return baseEach(id, r)
 	})
 	c.stats.base.elapsed = time.Since(t0)
 	return err
@@ -303,8 +320,95 @@ func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]Val
 	return out, keys, nil
 }
 
-// aggregateRows collects the produced row combinations as environments
-// and hands them to the one aggregate evaluator (grouping, HAVING).
+// aggCall is one aggregate call of an aggregate plan: its function and
+// its argument (nil for COUNT(*)).
+type aggCall struct {
+	fn  *FuncExpr
+	arg compiledExpr
+}
+
+// accum folds one aggregate call's inputs within one group.
+type accum struct {
+	n     int64 // inputs folded: rows for COUNT(*), non-NULL values otherwise
+	isum  int64
+	fsum  float64
+	float bool  // a REAL was summed: SUM is fsum
+	best  Value // MIN/MAX so far
+}
+
+func (a *accum) add(call *aggCall, c *execCtx) error {
+	if call.arg == nil {
+		a.n++
+		return nil
+	}
+	v, err := call.arg(c)
+	if err != nil || v == nil {
+		return err
+	}
+	switch name := call.fn.Name; name {
+	case "SUM", "AVG":
+		switch x := v.(type) {
+		case int64:
+			a.isum += x
+			a.fsum += float64(x)
+		case float64:
+			a.float = true
+			a.fsum += x
+		default:
+			return fmt.Errorf("rdb: %s over non-numeric value %T", name, v)
+		}
+	case "MIN", "MAX":
+		if a.n == 0 {
+			a.best = v
+			break
+		}
+		cmp, err := compareValues(v, a.best)
+		if err != nil {
+			return err
+		}
+		if (name == "MIN" && cmp < 0) || (name == "MAX" && cmp > 0) {
+			a.best = v
+		}
+	}
+	a.n++
+	return nil
+}
+
+func (a *accum) result(name string) Value {
+	switch {
+	case name == "COUNT":
+		return a.n
+	case a.n == 0:
+		return nil
+	case name == "AVG":
+		return a.fsum / float64(a.n)
+	case name == "SUM" && a.float:
+		return a.fsum
+	case name == "SUM":
+		return a.isum
+	}
+	return a.best
+}
+
+// aggOutput is the group an aggregate plan is outputting: each aggregate
+// call's value for it, read by the call's compiled slot (compileFunc).
+type aggOutput struct {
+	calls []aggCall
+	vals  []Value
+}
+
+// aggGroup is one group: its first row combination and one accumulator
+// per aggregate call.
+type aggGroup struct {
+	first []Row // nil until a row arrives
+	acc   []accum
+}
+
+// aggregateRows folds the produced row combinations into groups, then
+// outputs each group that passes HAVING. An output term reads its
+// aggregate calls' values (compileFunc) and, for everything else, the
+// group's first row combination — an all-NULL one for the empty group an
+// ungrouped query still outputs (R4).
 func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
 	if p.countOnly {
 		n := int64(p.base.alive)
@@ -320,23 +424,71 @@ func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
 		}
 		return &Rows{Columns: p.cols, Data: [][]Value{row}}, nil
 	}
-	var envs []*env
-	var frameSlab slab[frame]
-	var envSlab slab[env]
-	err := db.produce(p, c, func() error {
-		fs := frameSlab.cut(len(p.frames))
-		for i, pf := range p.frames {
-			fs[i] = frame{name: pf.name, tbl: pf.tbl, row: c.rows[i]}
+	var groups []*aggGroup
+	byKey := map[string]*aggGroup{}
+	group := func(key []byte) *aggGroup {
+		g := byKey[string(key)]
+		if g == nil {
+			g = &aggGroup{acc: make([]accum, len(p.aggs))}
+			byKey[string(key)] = g
+			groups = append(groups, g)
 		}
-		e := &envSlab.cut(1)[0]
-		e.frames = fs
-		envs = append(envs, e)
+		return g
+	}
+	if len(p.groupBy) == 0 {
+		group(nil) // output even if no row arrives (R4)
+	}
+	var key []byte
+	err := db.produce(p, c, func() error {
+		key = key[:0]
+		for _, k := range p.groupBy {
+			v, err := k(c)
+			if err != nil {
+				return err
+			}
+			key = append(AppendValue(key, v), '\x1f')
+		}
+		g := group(key)
+		if g.first == nil {
+			g.first = slices.Clone(c.rows)
+		}
+		for i := range p.aggs {
+			if err := g.acc[i].add(&p.aggs[i], c); err != nil {
+				return err
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return evalAggregateSelect(p.stmt, p.cols, envs, c.args)
+	out := &Rows{Columns: p.cols}
+	var rows slab[Value]
+	c.agg = &aggOutput{calls: p.aggs, vals: make([]Value, len(p.aggs))}
+	for _, g := range groups {
+		for i := range p.aggs {
+			c.agg.vals[i] = g.acc[i].result(p.aggs[i].fn.Name)
+		}
+		c.rows = g.first
+		if c.rows == nil {
+			c.rows = make([]Row, len(p.frames))
+		}
+		if p.having != nil {
+			v, err := p.having(c)
+			if err != nil {
+				return nil, err
+			}
+			if !truthy(v) {
+				continue
+			}
+		}
+		row, err := p.project(c, &rows)
+		if err != nil {
+			return nil, err
+		}
+		out.Data = append(out.Data, row)
+	}
+	return out, nil
 }
 
 func (p *SelectPlan) evalLimits(c *execCtx) (limit, offset int64, hasLimit bool, err error) {
@@ -405,7 +557,7 @@ func foldBounds(c *execCtx, los, his []boundCand) (lo, hi rangeBound, err error)
 // evicted. While the execution still owes OFFSET entries (c.skip, set
 // only for windowed plans) it counts the slot off instead and touches no
 // row.
-func (c *execCtx) visit(t *table, id int, each func(Row) error) error {
+func (c *execCtx) visit(t *table, id int, each func(int, Row) error) error {
 	if c.skip > 0 {
 		if t.rows[id] != nil {
 			c.skip--
@@ -413,7 +565,7 @@ func (c *execCtx) visit(t *table, id int, each func(Row) error) error {
 		return nil
 	}
 	if r := t.rowAt(id); r != nil {
-		return each(r)
+		return each(id, r)
 	}
 	return nil
 }
@@ -423,8 +575,9 @@ func (c *execCtx) visit(t *table, id int, each func(Row) error) error {
 // row-id order, as from a scan, whatever the path — so ties under ORDER BY,
 // a LIMIT's cut and a group's first row do not depend on which indexes
 // exist — unless the plan asked for the index's own order (sortElim),
-// where equal keys still follow row id.
-func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
+// where equal keys still follow row id. each gets every row with its slot
+// id, the handle UPDATE and DELETE write through.
+func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) error {
 	a := &p.access
 	t := p.base
 	byID := func(ids []int) error {
@@ -456,10 +609,11 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 		case accessSnapPK:
 			// Snapshot point read: the frozen view carries no pkMap, but an
 			// int-keyed table addresses its record store directly by primary
-			// key, so one versioned fetch stands in for a scan.
+			// key, so one versioned fetch stands in for a scan. The row has
+			// no slot (-1); nothing writes through a snapshot.
 			if iv, ok := v.(int64); ok && t.fetch != nil {
 				if r, ok := t.fetch(pkRecID(iv), t.snapSeq); ok {
-					return each(r)
+					return each(-1, r)
 				}
 			}
 		}
@@ -542,7 +696,7 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(Row) error) error {
 // iterOrderedReverse walks entries[start:end] back to front by
 // equal-value group, emitting each group in forward (ascending row-id)
 // order — the exact row order a stable descending sort produces.
-func iterOrderedReverse(entries []ordEntry, start, end int, c *execCtx, t *table, each func(Row) error) error {
+func iterOrderedReverse(entries []ordEntry, start, end int, c *execCtx, t *table, each func(int, Row) error) error {
 	i := end
 	for i > start {
 		j := i
@@ -559,7 +713,7 @@ func iterOrderedReverse(entries []ordEntry, start, end int, c *execCtx, t *table
 	return nil
 }
 
-func iterCompositeReverse(ix *compositeIndex, start, end int, c *execCtx, t *table, each func(Row) error) error {
+func iterCompositeReverse(ix *compositeIndex, start, end int, c *execCtx, t *table, each func(int, Row) error) error {
 	n := len(ix.cols)
 	i := end
 	for i > start {

@@ -169,17 +169,52 @@ func TestPlanRevalidatedOnGrowth(t *testing.T) {
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
 	}
-	m0 := db.Stats().PlanCacheMisses
 	for i := 0; i < 100; i++ {
 		if _, err := db.Exec(`INSERT INTO g (v) VALUES (?)`, i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Measured after the inserts: an INSERT is planned (once) too.
+	m0 := db.Stats().PlanCacheMisses
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().PlanCacheMisses == m0 {
 		t.Fatal("plan not rebuilt after table crossed size classes")
+	}
+}
+
+// Writes share the plan cache and its validity rule: an UPDATE compiles
+// once per SQL text, and CREATE INDEX or InvalidatePlan replan it.
+func TestWritePlansAreCachedAndRevalidated(t *testing.T) {
+	db := planDB(t)
+	sql := `UPDATE product SET price = price + 1 WHERE code = ?`
+	before := db.Stats()
+	for _, code := range []string{"c01", "c02", "c03"} {
+		if res := mustExec(t, db, sql, code); res.RowsAffected != 1 {
+			t.Fatalf("%s: %d rows", code, res.RowsAffected)
+		}
+	}
+	after := db.Stats()
+	if after.PlanCacheMisses-before.PlanCacheMisses != 1 || after.PlanCacheHits-before.PlanCacheHits != 2 {
+		t.Fatalf("three executions: %d misses, %d hits; want 1 and 2",
+			after.PlanCacheMisses-before.PlanCacheMisses, after.PlanCacheHits-before.PlanCacheHits)
+	}
+	if plan := mustExplain(t, db, sql); !strings.HasPrefix(plan, "UPDATE product\nSCAN product") {
+		t.Fatalf("before the index: %q", plan)
+	}
+	mustExec(t, db, `CREATE INDEX ix_code ON product(code)`)
+	if plan := mustExplain(t, db, sql); !strings.HasPrefix(plan, "UPDATE product\nACCESS product BY INDEX ON code") {
+		t.Fatalf("CREATE INDEX did not replan the write: %q", plan)
+	}
+	m0 := db.Stats().PlanCacheMisses
+	db.InvalidatePlan(sql)
+	mustExec(t, db, sql, "c04")
+	if db.Stats().PlanCacheMisses != m0+1 {
+		t.Fatal("InvalidatePlan did not drop the cached write plan")
+	}
+	if got := rowsExact(mustQuery(t, db, `SELECT price FROM product WHERE code IN ('c01', 'c04') ORDER BY code`)); got != "8\n29\n" {
+		t.Fatalf("prices after the updates: %q", got)
 	}
 }
 

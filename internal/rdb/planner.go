@@ -169,15 +169,78 @@ func compileBounds(bs []astBound) []boundCand {
 	return out
 }
 
-// buildPlan compiles one SELECT. The caller must hold at least a read
-// lock on db.mu. Three rules make the plan the definition of SELECT
-// (DESIGN.md "The oracle"): R1, every table, alias and column name
-// resolves here, so a bad name is an error whatever the data, the access
-// path or the expression around it; R2, the result header is fixed here
-// from statement and schema alone; R3, a key or bound that fails to
-// evaluate at bind time is the query's error (runBase).
-func (db *DB) buildPlan(sel *SelectStmt) (*SelectPlan, error) {
-	return db.buildPlanTables(sel, db.tables, false)
+// buildPlan compiles one SELECT, UPDATE, DELETE or INSERT. The caller
+// must hold at least a read lock on db.mu. Four rules make the plan the
+// definition of SQL here (DESIGN.md "The oracle"): R1, every table, alias
+// and column name resolves here, so a bad name is an error whatever the
+// data, the access path or the expression around it; R2, the result
+// header is fixed here from statement and schema alone; R3, a key or
+// bound that fails to evaluate at bind time is the query's error
+// (runBase); R4, an ungrouped aggregate over no rows reads an all-NULL
+// row for its non-aggregate terms (aggregateRows).
+func (db *DB) buildPlan(st Statement) (*SelectPlan, error) {
+	switch x := st.(type) {
+	case *SelectStmt:
+		return db.buildPlanTables(x, db.tables, false)
+	case *UpdateStmt:
+		return db.buildWritePlan(x.Table, x.Where, x.Sets)
+	case *DeleteStmt:
+		return db.buildWritePlan(x.Table, x.Where, nil)
+	case *InsertStmt:
+		return db.buildInsertPlan(x)
+	}
+	return nil, fmt.Errorf("rdb: cannot plan %T", st)
+}
+
+// buildWritePlan compiles an UPDATE or DELETE as the SELECT of the rows
+// it writes — the same access-path choice, filter and rules — plus, for
+// UPDATE, the SET values as closures over the row being replaced.
+func (db *DB) buildWritePlan(tableName string, where Expr, sets []SetClause) (*SelectPlan, error) {
+	p, err := db.buildPlanTables(&SelectStmt{From: TableRef{Table: tableName}, Where: where}, db.tables, false)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]compiledExpr, len(sets))
+	for i, s := range sets {
+		pos, ok := p.base.col(s.Column)
+		if !ok {
+			return nil, fmt.Errorf("rdb: no column %q in table %q", s.Column, tableName)
+		}
+		p.setCols = append(p.setCols, pos)
+		if vals[i], err = compileNamed(s.Value, p.frames); err != nil {
+			return nil, err
+		}
+	}
+	p.values = [][]compiledExpr{vals}
+	return p, nil
+}
+
+// buildInsertPlan compiles an INSERT's values. It reads no table and so
+// depends on no size class: only DDL invalidates it.
+func (db *DB) buildInsertPlan(st *InsertStmt) (*SelectPlan, error) {
+	t, ok := db.tables[strings.ToLower(st.Table)]
+	if !ok {
+		return nil, fmt.Errorf("rdb: no such table %q", st.Table)
+	}
+	p := &SelectPlan{base: t, baseTable: st.Table, epoch: db.ddlEpoch}
+	for _, c := range st.Columns {
+		pos, ok := t.col(c)
+		if !ok {
+			return nil, fmt.Errorf("rdb: no column %q in table %q", c, st.Table)
+		}
+		p.setCols = append(p.setCols, pos)
+	}
+	for _, row := range st.Rows {
+		vals := make([]compiledExpr, len(row))
+		for i, e := range row {
+			var err error
+			if vals[i], err = compileNamed(e, nil); err != nil {
+				return nil, err
+			}
+		}
+		p.values = append(p.values, vals)
+	}
+	return p, nil
 }
 
 // buildPlanTables compiles one SELECT against an explicit table map —
@@ -598,13 +661,6 @@ func (p *SelectPlan) bindProjection(sel *SelectStmt) error {
 			name = exprName(c.Expr)
 		}
 		p.cols = append(p.cols, name)
-		if p.aggregate {
-			// Evaluated per group by evalAggExpr, not compiled.
-			if err := checkNames(c.Expr, p.frames); err != nil {
-				return err
-			}
-			continue
-		}
 		expr, err := compileNamed(c.Expr, p.frames)
 		if err != nil {
 			return err
@@ -612,11 +668,44 @@ func (p *SelectPlan) bindProjection(sel *SelectStmt) error {
 		p.proj = append(p.proj, projStep{expr: expr})
 	}
 	for _, e := range sel.GroupBy {
-		if err := checkNames(e, p.frames); err != nil {
+		key, err := compileNamed(e, p.frames)
+		if err != nil {
+			return err
+		}
+		p.groupBy = append(p.groupBy, key)
+	}
+	var err error
+	if p.having, err = compileNamed(sel.Having, p.frames); err != nil || !p.aggregate {
+		return err
+	}
+	for _, c := range sel.Columns {
+		if err := p.bindAggregates(c.Expr); err != nil {
 			return err
 		}
 	}
-	return checkNames(sel.Having, p.frames)
+	return p.bindAggregates(sel.Having)
+}
+
+// bindAggregates gives every aggregate call in e, whose names are
+// already checked, an accumulator per group (aggregateRows).
+func (p *SelectPlan) bindAggregates(e Expr) (err error) {
+	walkExpr(e, func(x Expr) bool {
+		f, ok := x.(*FuncExpr)
+		if !ok || !aggregateFuncs[f.Name] {
+			return true
+		}
+		call := aggCall{fn: f}
+		if !f.Star {
+			if len(f.Args) != 1 {
+				err = fmt.Errorf("rdb: %s takes exactly 1 argument", f.Name)
+				return false
+			}
+			call.arg = compileExpr(f.Args[0], p.frames)
+		}
+		p.aggs = append(p.aggs, call)
+		return true
+	})
+	return err
 }
 
 // bindOrderBy binds each ORDER BY term to its one key source. A term is

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The three rules that make the compiled plan the definition of SELECT
+// The four rules that make the compiled plan the definition of SQL here
 // (DESIGN.md "The oracle"), each pinned where it used to bend: on
 // results no row reaches.
 
@@ -138,5 +138,30 @@ func TestBindErrorsAreReturned(t *testing.T) {
 	}
 	if _, err := snap.Query(`SELECT v FROM kv WHERE k = 1/0`); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("snapshot point fetch: got %v, want division by zero", err)
+	}
+}
+
+// R4: an ungrouped aggregate query over no rows outputs one row, whose
+// non-aggregate terms read an all-NULL row — not a NULL for the whole
+// term. The oracle agrees.
+func TestEmptyAggregateReadsNullRow(t *testing.T) {
+	db := diffFixture(t)
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT 1 + COUNT(*) FROM emp WHERE FALSE`, "1\n"},
+		{`SELECT 1, COUNT(*) FROM emp WHERE FALSE`, "1,0\n"},
+		{`SELECT COALESCE(MAX(salary), 0) FROM emp WHERE FALSE`, "0\n"},
+		{`SELECT name, COALESCE(name, 'none'), SUM(bonus) FROM emp WHERE oid = 99`, "NULL,none,NULL\n"},
+		{`SELECT COUNT(*) FROM emp WHERE FALSE HAVING 1 = 1`, "0\n"},
+		{`SELECT dept_oid, COUNT(*) FROM emp WHERE FALSE GROUP BY dept_oid`, ""},
+	} {
+		for engine, query := range map[string]func(string, ...Value) (*Rows, error){"Query": db.Query, "oracle": db.queryOracle} {
+			rows, err := query(c.sql)
+			if err != nil {
+				t.Fatalf("%s(%s): %v", engine, c.sql, err)
+			}
+			if got := rowsExact(rows); got != c.want {
+				t.Errorf("%s(%s) = %q, want %q", engine, c.sql, got, c.want)
+			}
+		}
 	}
 }

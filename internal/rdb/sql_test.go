@@ -270,6 +270,53 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// R1 covers writes: a bad name in UPDATE or DELETE is the planner's error
+// whether or not a row ever reaches it.
+func TestDMLNameErrorsAreDataIndependent(t *testing.T) {
+	empty := Open()
+	mustExec(t, empty, `CREATE TABLE paper (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT, pages INTEGER, issue_oid INTEGER)`)
+	for label, db := range map[string]*DB{"full": testDB(t), "empty": empty} {
+		for _, c := range []struct{ sql, want string }{
+			{`DELETE FROM paper WHERE ghost = 1 AND oid = 999`, `rdb: unknown column "ghost"`},
+			{`DELETE FROM paper WHERE FALSE AND ghost = 1`, `rdb: unknown column "ghost"`},
+			{`UPDATE paper SET pages = ghost + 1 WHERE oid = 999`, `rdb: unknown column "ghost"`},
+			{`UPDATE paper SET ghost = 1 WHERE oid = 999`, `rdb: no column "ghost" in table "paper"`},
+			{`UPDATE paper SET pages = 1 WHERE x.oid = 1`, `rdb: unknown table or alias "x"`},
+		} {
+			if _, err := db.Exec(c.sql); err == nil || err.Error() != c.want {
+				t.Errorf("%s table, %s: got %v, want %s", label, c.sql, err, c.want)
+			}
+		}
+	}
+}
+
+// A write reads its rows through the plan a SELECT would use, and the
+// access-path counters count it.
+func TestDMLAccessPathsAreCounted(t *testing.T) {
+	db := testDB(t)
+	for _, c := range []struct {
+		sql                  string
+		arg                  Value
+		point, ranges, scans uint64
+	}{
+		{`UPDATE paper SET pages = 1 WHERE oid = ?`, 2, 1, 0, 0},
+		{`DELETE FROM paper WHERE oid > ?`, 2, 0, 1, 0},
+		{`UPDATE paper SET pages = 2 WHERE title = ?`, "x", 0, 0, 1},
+	} {
+		before := db.Stats()
+		mustExec(t, db, c.sql, c.arg)
+		after := db.Stats()
+		point, ranges, scans := after.PointLookups-before.PointLookups, after.RangeScans-before.RangeScans, after.FullScans-before.FullScans
+		if point != c.point || ranges != c.ranges || scans != c.scans {
+			t.Errorf("%s: %d point lookups, %d range scans, %d full scans; want %d, %d, %d",
+				c.sql, point, ranges, scans, c.point, c.ranges, c.scans)
+		}
+	}
+	if got := rowsExact(mustQuery(t, db, `SELECT oid, pages FROM paper ORDER BY oid`)); got != "1,30\n2,1\n" {
+		t.Fatalf("after the writes: %q", got)
+	}
+}
+
 func TestDeleteThenReinsertKeepsIndexesConsistent(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, `DELETE FROM paper WHERE issue_oid = 1`)

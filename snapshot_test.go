@@ -100,6 +100,46 @@ func TestExplainUnit(t *testing.T) {
 	}
 }
 
+// An operation unit's UPDATE or DELETE is explained like a query: the
+// data expert retouching it checks that it still writes through the key.
+// An INSERT reads no rows and has no plan to show.
+func TestExplainOperationUnits(t *testing.T) {
+	schema := &Schema{Entities: []*Entity{
+		{Name: "Product", Attributes: []Attribute{{Name: "Name", Type: String, Required: true}}},
+	}}
+	b := NewBuilder("ops", schema)
+	manage := b.SiteView("sv", "SV").Page("manage", "Manage")
+	form := manage.Entry("form",
+		Field{Name: "oid", Type: Int, Required: true},
+		Field{Name: "name", Type: String, Required: true})
+	rename := b.Operation("renameProduct", ModifyUnit, "Product")
+	rename.Set = map[string]string{"Name": "name"}
+	create := b.Operation("createProduct", CreateUnit, "Product")
+	create.Set = map[string]string{"Name": "name"}
+	drop := b.Operation("dropProduct", DeleteUnit, "Product")
+	for _, op := range []string{rename.ID, create.ID, drop.ID} {
+		b.Link(form.ID, op, P("oid", "oid"), P("name", "name"))
+		b.OK(op, manage.Ref())
+		b.KO(op, manage.Ref())
+	}
+	app, err := New(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for unit, want := range map[string]string{
+		"renameProduct": "UPDATE product\nACCESS product BY PRIMARY KEY ON oid",
+		"dropProduct":   "DELETE FROM product\nACCESS product BY PRIMARY KEY ON oid",
+	} {
+		plan, err := app.ExplainUnit(unit)
+		if err != nil || !strings.HasPrefix(plan, want) {
+			t.Errorf("%s: plan %q, err %v; want prefix %q", unit, plan, err, want)
+		}
+	}
+	if _, err := app.ExplainUnit("createProduct"); err == nil || !strings.Contains(err.Error(), "EXPLAIN supports SELECT, UPDATE and DELETE") {
+		t.Errorf("createProduct: %v", err)
+	}
+}
+
 // TestBootstrapFromExistingDatabase: reverse-engineer a conforming
 // database, derive the default hypertext, and browse it — an application
 // from nothing but data.
