@@ -19,22 +19,27 @@ import (
 // mismatch, a division by zero.
 
 // execCtx is the per-query execution state a compiled plan runs
-// against: one current row per plan frame (nil = LEFT JOIN miss) and
-// the bind-time parameters. stats is nil on the hot path; EXPLAIN
-// ANALYZE and the traced/recorded query paths attach one to collect
-// per-operator actuals (analyze.go).
+// against: one current row per plan frame (nil = LEFT JOIN miss), the
+// columns the plan reads per frame and the bind-time parameters. stats
+// is nil on the hot path; EXPLAIN ANALYZE and the traced/recorded query
+// paths attach one to collect per-operator actuals (analyze.go).
 type execCtx struct {
 	rows  []Row
+	need  []colMask // the plan's, per frame (SelectPlan.need)
 	args  []Value
 	stats *execStats
 	skip  int64      // base entries OFFSET still owes (windowed plans, plan.go visit)
 	agg   *aggOutput // set only while an aggregate plan outputs a group
 }
 
-// planFrame binds one table alias to a frame slot at plan time.
+// planFrame binds one table alias to a frame slot at plan time. need
+// points at the plan's mask for the frame: compiling a column reference
+// marks its column there, so the columns a row fault decodes are exactly
+// the ones the closures read.
 type planFrame struct {
 	name string // lower-cased alias
 	tbl  *table
+	need *colMask
 }
 
 // compiledExpr evaluates one expression against the execution context.
@@ -142,6 +147,9 @@ func compileColRef(ref *ColRef, frames []planFrame) compiledExpr {
 	fi, ci, err := resolveCol(ref, frames)
 	if err != nil {
 		panic(err) // compileNamed lets no unresolved name through
+	}
+	if m := frames[fi].need; m != nil {
+		*m |= colBit(ci)
 	}
 	return func(c *execCtx) (Value, error) {
 		r := c.rows[fi]

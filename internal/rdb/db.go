@@ -616,7 +616,10 @@ func (db *DB) execUpdate(sql string, st *UpdateStmt, args []Value, undo *undoLog
 	t := p.base
 	res := Result{}
 	for _, id := range ids {
-		old := t.rowAt(id)
+		old, err := t.readRow(id, allCols)
+		if err != nil {
+			return res, err
+		}
 		newRow := make(Row, len(old))
 		copy(newRow, old)
 		c.rows[0] = old
@@ -676,7 +679,7 @@ func (db *DB) writeTargets(sql string, st Statement, args []Value) (*SelectPlan,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	c := &execCtx{rows: make([]Row, 1), args: args}
+	c := &execCtx{rows: make([]Row, 1), need: p.need, args: args}
 	var ids []int
 	err = db.runBase(p, c, func(id int, r Row) error {
 		c.rows[0] = r

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -142,6 +143,8 @@ type engIndex struct {
 // engTable is the engine's per-table bookkeeping.
 type engTable struct {
 	id    uint32
+	name  string // the table's, for errors
+	width int    // its column count
 	intPK bool
 	pkCol int // column index of the INTEGER primary key, -1 otherwise
 	// nextRec and recOf serve tables without an INTEGER primary key:
@@ -161,39 +164,50 @@ func pkRecID(pk int64) uint64 { return uint64(pk) ^ (1 << 63) }
 // recIDPK inverts pkRecID.
 func recIDPK(rec uint64) int64 { return int64(rec ^ (1 << 63)) }
 
-// cacheKey addresses one decoded row in the row cache.
+// cacheKey addresses one record in the row cache.
 type cacheKey struct {
 	tid uint32
 	rec uint64
 }
 
-// rowCache is a small LRU of decoded rows in front of the page tree:
-// faulting an evicted row costs a map hit instead of a tree descent
-// plus decode when the row is hot. Only live fetches populate it (they
-// run under at least db.mu.RLock, which excludes Apply's invalidation);
-// snapshot fetches may read but never insert, so a stale pre-invalidate
-// read can never be re-inserted after Apply cleared it.
+// rowEntry is one row-cache entry: the record's image as copied out of
+// its leaf, and a row holding the columns decoded from it so far (have;
+// the others are nil). A published entry is never written: a read that
+// needs more columns caches a widened copy, so a reader may keep the row
+// it was handed (a group's first row, a join frame, a snapshot result).
+type rowEntry struct {
+	img  string
+	row  Row
+	have colMask
+}
+
+// rowCache is a small LRU of record images and their decoded columns in
+// front of the page tree: a hot evicted row costs a map hit instead of a
+// tree descent plus decode. Only live fetches populate it (they run under
+// at least db.mu.RLock, which excludes Apply's invalidation); snapshot
+// fetches may read but never insert, so a stale pre-invalidate read can
+// never be re-inserted after Apply cleared it.
 type rowCache struct {
 	mu  sync.Mutex
-	lru *lruCache[cacheKey, Row]
+	lru *lruCache[cacheKey, rowEntry]
 }
 
 func newRowCache(capacity int) *rowCache {
 	if capacity <= 0 {
 		capacity = defaultRowCacheRows
 	}
-	return &rowCache{lru: newLRU[cacheKey, Row](capacity)}
+	return &rowCache{lru: newLRU[cacheKey, rowEntry](capacity)}
 }
 
-func (c *rowCache) get(tid uint32, rec uint64) (Row, bool) {
+func (c *rowCache) get(tid uint32, rec uint64) (rowEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.get(cacheKey{tid, rec})
 }
 
-func (c *rowCache) put(tid uint32, rec uint64, row Row) {
+func (c *rowCache) put(tid uint32, rec uint64, ent rowEntry) {
 	c.mu.Lock()
-	c.lru.put(cacheKey{tid, rec}, row)
+	c.lru.put(cacheKey{tid, rec}, ent)
 	c.mu.Unlock()
 }
 
@@ -350,44 +364,55 @@ func (e *durableEngine) RegisterSnapshot() (uint64, func()) {
 	}
 }
 
-// fetchRow materializes one record, serving live reads (snapSeq ==
-// liveSeq) from the row cache or the tree and snapshot reads through
-// the retention buffer. The retention check runs after the cache/tree
-// read: Apply pushes the retained image before overwriting the tree,
-// so whichever side of the overwrite this read lands on, the visible
-// image at snapSeq is recovered.
-func (e *durableEngine) fetchRow(et *engTable, rec, snapSeq uint64) (Row, bool) {
+// fetchCols materializes one record with at least the columns need
+// names decoded, serving live reads (snapSeq == liveSeq) from the row
+// cache or the tree and snapshot reads through the retention buffer. The
+// retention check runs after the cache/tree read: Apply pushes the
+// retained image before overwriting the tree, so whichever side of the
+// overwrite this read lands on, the visible image at snapSeq is
+// recovered. A record that does not exist (at snapSeq) is a nil row; a
+// tree read that fails or an image that does not decode is an error.
+func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMask) (Row, error) {
 	live := snapSeq == liveSeq
-	if row, ok := e.cache.get(et.id, rec); ok {
+	ent, cached := e.cache.get(et.id, rec)
+	if !cached {
+		start := time.Now()
+		e.treeMu.RLock()
+		img, found, err := e.store.Tree().GetString(pager.MakeKey(et.id, rec))
+		e.treeMu.RUnlock()
+		e.rowFaults.Add(1)
+		e.db.observeFault(time.Since(start))
 		if !live {
 			if r, hit := e.retained(et.id, rec, snapSeq); hit {
-				return r, r != nil
+				return r, nil
 			}
 		}
-		return row, true
-	}
-	start := time.Now()
-	e.treeMu.RLock()
-	data, found, err := e.store.Tree().Get(pager.MakeKey(et.id, rec))
-	e.treeMu.RUnlock()
-	e.rowFaults.Add(1)
-	e.db.observeFault(time.Since(start))
-	if !live {
+		if err != nil {
+			return nil, errCorrupt(et.name, rec, et.intPK, err)
+		}
+		if !found {
+			return nil, nil
+		}
+		ent = rowEntry{img: img, row: make(Row, et.width)}
+	} else if !live {
 		if r, hit := e.retained(et.id, rec, snapSeq); hit {
-			return r, r != nil
+			return r, nil
 		}
 	}
-	if err != nil || !found {
-		return nil, false
+	if need&^ent.have == 0 {
+		return ent.row, nil
 	}
-	row, derr := decodeRow(data)
-	if derr != nil {
-		return nil, false
+	if cached {
+		ent.row = slices.Clone(ent.row)
 	}
+	if err := decodeCols(ent.img, ent.row, need&^ent.have); err != nil {
+		return nil, errCorrupt(et.name, rec, et.intPK, err)
+	}
+	ent.have |= need
 	if live {
-		e.cache.put(et.id, rec, row)
+		e.cache.put(et.id, rec, ent)
 	}
-	return row, true
+	return ent.row, nil
 }
 
 // writeImages writes the projected key image of row under every index
@@ -664,7 +689,7 @@ func (e *durableEngine) backfillImage(et *engTable, img *engIndex) error {
 	}
 	var ents []ent
 	err := tree.Scan(lo, hi, func(k pager.Key, v []byte) error {
-		row, err := decodeRow(v)
+		row, err := decodeRow(string(v))
 		if err != nil {
 			return err
 		}
@@ -721,7 +746,8 @@ func (e *durableEngine) applyDDL(sql string, seq uint64) error {
 			// Wire the paging hook: evicted slots fault back through the
 			// engine; frozen views inherit the closure with their own
 			// snapshot sequence.
-			t.fetch = func(rec, snapSeq uint64) (Row, bool) { return e.fetchRow(et, rec, snapSeq) }
+			et.name, et.width = t.name, len(t.cols)
+			t.fetch = func(rec, snapSeq uint64, need colMask) (Row, error) { return e.fetchCols(et, rec, snapSeq, need) }
 			t.pkByRec = et.intPK
 			t.snapSeq = liveSeq
 			// Persist what marker-only recovery cannot rederive from
@@ -753,7 +779,7 @@ func (e *durableEngine) applyDDL(sql string, seq uint64) error {
 		}
 		var main []doomed
 		if err := tree.Scan(lo, hi, func(k pager.Key, v []byte) error {
-			row, err := decodeRow(v)
+			row, err := decodeRow(string(v))
 			if err != nil {
 				return err
 			}
@@ -1168,7 +1194,7 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 			if !ok {
 				return fmt.Errorf("rdb: recover: %s image of %q references missing record %d", img.kind, t.name, k.RecID())
 			}
-			vals, err := decodeRow(v)
+			vals, err := decodeRow(string(v))
 			if err != nil {
 				return err
 			}
@@ -1288,7 +1314,7 @@ func (e *durableEngine) recoverTableV1(ct catTable, rev map[string]map[uint64]in
 	}
 	lo, hi := pager.TableBounds(et.id)
 	err := e.store.Tree().Scan(lo, hi, func(k pager.Key, v []byte) error {
-		row, err := decodeRow(v)
+		row, err := decodeRow(string(v))
 		if err != nil {
 			return err
 		}
@@ -1345,7 +1371,7 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 			if et == nil || t == nil {
 				return fmt.Errorf("rdb: recover: put into unknown table %q", op.table)
 			}
-			row, err := decodeRow(op.rowData)
+			row, err := decodeRow(string(op.rowData))
 			if err != nil {
 				return err
 			}

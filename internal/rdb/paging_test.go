@@ -2,12 +2,15 @@ package rdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"strings"
 	"sync"
 	"testing"
+
+	"webmlgo/internal/rdb/storage/pager"
 )
 
 // Tests for the larger-than-RAM data tier: anti-caching row eviction,
@@ -80,6 +83,182 @@ func TestDifferentialPagingEngine(t *testing.T) {
 	for _, c := range diffCorpus {
 		compareEngines(t, dur, c.sql, c.args)
 		compareDBs(t, "paging-recovered", mem, dur, c.sql, c.args)
+	}
+}
+
+// maskCorpus reads the same evicted rows through plans that decode
+// different columns of them: narrow and wide, a star, joins (a LEFT JOIN
+// null-extends), grouping with HAVING, ORDER BY on a column the select
+// list does not show, a self-join and an aggregate's first-row term. In
+// this order every row is faulted by a narrow plan and widened by later
+// ones.
+var maskCorpus = []string{
+	`SELECT name FROM emp WHERE oid = 3`,
+	`SELECT e.oid, e.salary FROM emp e WHERE e.salary > 20 ORDER BY e.oid`,
+	`SELECT budget FROM dept WHERE oid = 1`,
+	`SELECT name FROM emp ORDER BY bonus DESC, oid`,
+	`SELECT * FROM emp ORDER BY oid`,
+	`SELECT e.name, d.name FROM emp e JOIN dept d ON e.dept_oid = d.oid ORDER BY e.oid`,
+	`SELECT d.name, e.name, e.bonus FROM dept d LEFT JOIN emp e ON e.dept_oid = d.oid ORDER BY d.oid, e.oid`,
+	`SELECT dept_oid, COUNT(*), MAX(salary) FROM emp GROUP BY dept_oid HAVING MIN(bonus) >= 0 ORDER BY dept_oid`,
+	`SELECT dept_oid, name, COUNT(*) FROM emp GROUP BY dept_oid ORDER BY dept_oid`,
+	`SELECT a.name, b.salary FROM emp a JOIN emp b ON b.oid = a.oid + 1 ORDER BY a.oid`,
+	`SELECT DISTINCT salary FROM emp ORDER BY salary`,
+	`SELECT COUNT(*) FROM emp WHERE bonus IS NULL`,
+	`SELECT * FROM dept ORDER BY oid`,
+	`SELECT oid FROM emp WHERE name = 'eve'`,
+}
+
+// TestDifferentialPagingMasks: a fault decodes only the columns its plan
+// reads, so every corpus query runs twice on a fully paged-out database —
+// first faulting its rows, then from the row cache, whose entries the
+// queries before it left decoded to different widths — and through a
+// snapshot (which reads the cache but never fills it), each time against
+// the in-memory engine. Readers racing on the same entries widen them
+// concurrently (run it under -race).
+func TestDifferentialPagingMasks(t *testing.T) {
+	mem := diffFixture(t)
+	dir := t.TempDir()
+	opts := pagingOpts
+	opts.ResidentRows = 32 // the cache holds all 12 emp and dept rows
+	dur, err := OpenDurableOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffSeed(t, dur)
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dur, err = OpenDurableOpts(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	for _, sql := range maskCorpus {
+		for pass := 0; pass < 2; pass++ {
+			compareDBs(t, fmt.Sprintf("pass %d", pass), mem, dur, sql, nil)
+		}
+	}
+	if f := dur.EngineStats().RowFaults; f != 12 {
+		t.Fatalf("the corpus faulted %d rows, want each of the 12 once (the rest are cache reads)", f)
+	}
+	snap := dur.Snapshot()
+	defer snap.Close()
+	want := map[string]string{}
+	for _, sql := range maskCorpus {
+		r, err := mem.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sql] = rowsExact(r)
+		if got, err := snap.Query(sql); err != nil || rowsExact(got) != want[sql] {
+			t.Fatalf("snapshot: %s: err %v\n%s\nwant\n%s", sql, err, rowsExact(got), want[sql])
+		}
+	}
+
+	// Cold again, then four readers, two of them on the snapshot.
+	dur = reopenPaging(t, dur, dir)
+	snap = dur.Snapshot()
+	defer snap.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			query := dur.Query
+			if g%2 == 1 {
+				query = snap.Query
+			}
+			for i := 0; i < 4*len(maskCorpus); i++ {
+				sql := maskCorpus[(i*(g+1)+g)%len(maskCorpus)]
+				r, err := query(sql)
+				if err == nil && rowsExact(r) != want[sql] {
+					err = fmt.Errorf("%s:\n%s\nwant\n%s", sql, rowsExact(r), want[sql])
+				}
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %w", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestPagingCorruptRecordIsAnError: a fault that finds a record's leaf
+// cell overwritten with garbage, or no record at all, fails the query
+// that reads it — a point read, a scan, a join, a write's target search —
+// instead of dropping the row from a short result. Reads that never
+// touch the record are unaffected.
+func TestPagingCorruptRecordIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	db := openPaging(t, dir)
+	mustExecAll(t, db, []string{
+		`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`,
+		`CREATE TABLE ref (id INTEGER PRIMARY KEY, k INTEGER)`,
+	})
+	for i := 0; i < 40; i++ {
+		if _, err := db.Exec(`INSERT INTO kv (k, v) VALUES (?, ?)`, int64(i), fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec(`INSERT INTO ref (id, k) VALUES (?, ?)`, int64(i), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Damage record 7 and reopen: every slot is an eviction marker. Then
+	// take record 9 from under its marker.
+	tree := func(db *DB, do func(tree *pager.BTree, tid uint32) error) {
+		e := db.engine.(*durableEngine)
+		e.treeMu.Lock()
+		defer e.treeMu.Unlock()
+		if err := do(e.store.Tree(), e.tables["kv"].id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree(db, func(tree *pager.BTree, tid uint32) error {
+		return tree.Put(pager.MakeKey(tid, pkRecID(7)), []byte{2, tagInt, 0x80})
+	})
+	db = reopenPaging(t, db, dir)
+	defer db.Close()
+	tree(db, func(tree *pager.BTree, tid uint32) error {
+		_, err := tree.Delete(pager.MakeKey(tid, pkRecID(9)))
+		return err
+	})
+	for _, c := range []struct {
+		sql  string
+		args []Value
+		want string
+	}{
+		{`SELECT v FROM kv WHERE k = ?`, []Value{int64(7)}, "rdb: corrupt record with key 7 of \"kv\": bad varint"},
+		{`SELECT v FROM kv WHERE k = ?`, []Value{int64(9)}, "rdb: corrupt record with key 9 of \"kv\": not in the page store"},
+		{`SELECT COUNT(*) FROM kv WHERE v <> ''`, nil, "rdb: corrupt record "},
+		{`SELECT r.id, kv.v FROM ref r JOIN kv ON kv.k = r.k`, nil, "rdb: corrupt record "},
+		{`UPDATE kv SET v = 'x' WHERE k > ?`, []Value{int64(0)}, "rdb: corrupt record "},
+		{`DELETE FROM kv WHERE k = ?`, []Value{int64(7)}, "rdb: corrupt record "},
+	} {
+		var err error
+		if strings.HasPrefix(c.sql, "SELECT") {
+			_, err = db.Query(c.sql, c.args...)
+		} else {
+			_, err = db.Exec(c.sql, c.args...)
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s %v: err = %v, want %q...", c.sql, c.args, err, c.want)
+		}
+	}
+	if _, err := db.Query(`SELECT v FROM kv WHERE k = 7`); errors.Unwrap(err) == nil {
+		t.Errorf("the decode failure is not wrapped: %v", err)
+	}
+	r, err := db.Query(`SELECT v FROM kv WHERE k < 7 ORDER BY k`)
+	if err != nil || r.Len() != 7 {
+		t.Fatalf("reads around the damage: %v rows, err %v", r, err)
+	}
+	if r, err := db.Query(`SELECT COUNT(*) FROM kv WHERE k > 9 AND v <> ''`); err != nil || r.Data[0][0] != int64(30) {
+		t.Fatalf("reads around the damage: %v, err %v", r, err)
 	}
 }
 

@@ -124,6 +124,7 @@ type SelectPlan struct {
 	epoch     uint64
 	sizes     []tableSize
 	frames    []planFrame
+	need      []colMask // per frame: the columns the plan reads (planFrame.need)
 	base      *table
 	baseTable string // display name (From.Table)
 	access    accessPath
@@ -200,7 +201,7 @@ func (s *slab[T]) cut(width int) []T {
 // (EXPLAIN ANALYZE, traced queries, the flight recorder); the hot path
 // passes nil and pays only nil checks.
 func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error) {
-	c := &execCtx{rows: make([]Row, len(p.frames)), args: args, stats: es}
+	c := &execCtx{rows: make([]Row, len(p.frames)), need: p.need, args: args, stats: es}
 	limit, offset, hasLimit, err := p.evalLimits(c)
 	if err != nil {
 		return nil, err
@@ -553,10 +554,17 @@ func foldBounds(c *execCtx, los, his []boundCand) (lo, hi rangeBound, err error)
 	return lo, hi, nil
 }
 
-// visit feeds the live row in slot id to each, faulting it in if it was
-// evicted. While the execution still owes OFFSET entries (c.skip, set
-// only for windowed plans) it counts the slot off instead and touches no
-// row.
+// rowOf reads the row in slot id of frame fi's table for the plan: an
+// evicted row is faulted in with the columns the plan reads from that
+// frame decoded, and a fault that fails is the query's error. A deleted
+// slot is nil.
+func (c *execCtx) rowOf(t *table, fi, id int) (Row, error) {
+	return t.readRow(id, c.need[fi])
+}
+
+// visit feeds the live base row in slot id to each. While the execution
+// still owes OFFSET entries (c.skip, set only for windowed plans) it
+// counts the slot off instead and touches no row.
 func (c *execCtx) visit(t *table, id int, each func(int, Row) error) error {
 	if c.skip > 0 {
 		if t.rows[id] != nil {
@@ -564,10 +572,11 @@ func (c *execCtx) visit(t *table, id int, each func(int, Row) error) error {
 		}
 		return nil
 	}
-	if r := t.rowAt(id); r != nil {
-		return each(id, r)
+	r, err := c.rowOf(t, 0, id)
+	if r == nil || err != nil {
+		return err
 	}
-	return nil
+	return each(id, r)
 }
 
 // runBase drives the plan's base access path. A key or bound that fails
@@ -612,9 +621,11 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 			// key, so one versioned fetch stands in for a scan. The row has
 			// no slot (-1); nothing writes through a snapshot.
 			if iv, ok := v.(int64); ok && t.fetch != nil {
-				if r, ok := t.fetch(pkRecID(iv), t.snapSeq); ok {
-					return each(-1, r)
+				r, err := t.fetch(pkRecID(iv), t.snapSeq, c.need[0])
+				if r == nil || err != nil {
+					return err
 				}
+				return each(-1, r)
 			}
 		}
 		return nil
@@ -759,9 +770,9 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 	fi := ji + 1
 	matched := false
 	try := func(id int) error {
-		r := j.tbl.rowAt(id)
-		if r == nil {
-			return nil
+		r, err := c.rowOf(j.tbl, fi, id)
+		if r == nil || err != nil {
+			return err
 		}
 		c.rows[fi] = r
 		v, err := j.on(c)

@@ -194,12 +194,14 @@ func (db *DB) buildPlan(st Statement) (*SelectPlan, error) {
 
 // buildWritePlan compiles an UPDATE or DELETE as the SELECT of the rows
 // it writes — the same access-path choice, filter and rules — plus, for
-// UPDATE, the SET values as closures over the row being replaced.
+// UPDATE, the SET values as closures over the row being replaced. A write
+// replaces or unindexes the whole row, so its plan reads every column.
 func (db *DB) buildWritePlan(tableName string, where Expr, sets []SetClause) (*SelectPlan, error) {
 	p, err := db.buildPlanTables(&SelectStmt{From: TableRef{Table: tableName}, Where: where}, db.tables, false)
 	if err != nil {
 		return nil, err
 	}
+	p.need[0] = allCols
 	vals := make([]compiledExpr, len(sets))
 	for i, s := range sets {
 		pos, ok := p.base.col(s.Column)
@@ -265,7 +267,8 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 	if !snap {
 		p.epoch = db.ddlEpoch
 	}
-	p.frames = []planFrame{{name: strings.ToLower(sel.From.name()), tbl: base}}
+	p.need = make([]colMask, 1+len(sel.Joins))
+	p.frames = []planFrame{{name: strings.ToLower(sel.From.name()), tbl: base, need: &p.need[0]}}
 	joinTables := make([]*table, len(sel.Joins))
 	for i, j := range sel.Joins {
 		jt, ok := tables[strings.ToLower(j.Table.Table)]
@@ -273,7 +276,7 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 			return nil, fmt.Errorf("rdb: no such table %q", j.Table.Table)
 		}
 		joinTables[i] = jt
-		p.frames = append(p.frames, planFrame{name: strings.ToLower(j.Table.name()), tbl: jt})
+		p.frames = append(p.frames, planFrame{name: strings.ToLower(j.Table.name()), tbl: jt, need: &p.need[i+1]})
 	}
 
 	p.aggregate = len(sel.GroupBy) > 0
@@ -646,6 +649,7 @@ func (p *SelectPlan) bindProjection(sel *SelectStmt) error {
 			var step projStep
 			for fi, f := range p.frames {
 				if c.Star == "*" || f.name == strings.ToLower(c.Star) {
+					*f.need = allCols
 					step.frames = append(step.frames, fi)
 					p.cols = append(p.cols, f.tbl.columnNames()...)
 				}

@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -88,147 +89,172 @@ func encodeRow(r Row) ([]byte, error) {
 	return b, nil
 }
 
-// decoder is a cursor over an encoded buffer. Every read method fails
-// loudly on truncation; the durable engine treats any decode error as
-// corruption and refuses to open.
+// colMask names the columns of one table a plan reads (bit i: column
+// i). Columns from 63 on share bit 63: a plan that reads one of them
+// reads, and a cache entry that has one holds, all of them.
+type colMask uint64
+
+const allCols = ^colMask(0)
+
+func colBit(i int) colMask { return 1 << min(i, 63) }
+
+func (m colMask) has(i int) bool { return m&colBit(i) != 0 }
+
+// decoder is a cursor over one encoded payload held as a string: a row
+// image as the page store hands it to a fault (pager.BTree.GetString), or
+// a WAL frame. A text value is a substring of the payload, never a copy,
+// so a value that outlives its row keeps the image alive whole (DESIGN.md,
+// "Anti-caching rows"). Every read fails loudly on truncation; the first
+// failure sticks and names the defect, and the caller says what was being
+// decoded.
 type decoder struct {
-	b   []byte
+	s   string
+	off int
 	err error
-	// img and text serve row images (decodeRow): text is one string copy
-	// of img, made at the first text column, that every text value of the
-	// row sub-slices.
-	img  []byte
-	text string
 }
 
 func (d *decoder) fail(msg string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("rdb: corrupt record: %s", msg)
+		d.err = errors.New(msg)
 	}
 }
 
+// uvarint is binary.Uvarint over the payload.
 func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+	var x uint64
+	for s := uint(0); d.err == nil; s += 7 {
+		if d.off == len(d.s) || s == 63 && d.s[d.off] > 1 {
+			d.fail("bad varint")
+			break
+		}
+		b := d.s[d.off]
+		d.off++
+		if b < 0x80 {
+			return x | uint64(b)<<s
+		}
+		x |= uint64(b&0x7f) << s
 	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
+	return 0
 }
 
 func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.uvarint()
+	if ux&1 != 0 {
+		return ^int64(ux >> 1)
 	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
+	return int64(ux >> 1)
 }
 
-func (d *decoder) take(n int) []byte {
+func (d *decoder) take(n uint64) string {
 	if d.err != nil {
-		return nil
+		return ""
 	}
-	if n < 0 || n > len(d.b) {
+	if n > uint64(len(d.s)-d.off) {
 		d.fail("short buffer")
-		return nil
+		return ""
 	}
-	p := d.b[:n]
-	d.b = d.b[n:]
+	p := d.s[d.off : d.off+int(n)]
+	d.off += int(n)
 	return p
 }
 
-func (d *decoder) bytes() []byte { return d.take(int(d.uvarint())) }
-func (d *decoder) str() string   { return string(d.bytes()) }
-
-// textValue reads a text column as a sub-slice of the row's one string,
-// which a value that outlives the row keeps alive whole (DESIGN.md,
-// "Anti-caching rows").
-func (d *decoder) textValue() string {
-	p := d.bytes()
-	if len(p) == 0 {
-		return ""
-	}
-	if d.text == "" {
-		d.text = string(d.img)
-	}
-	end := len(d.img) - len(d.b)
-	return d.text[end-len(p) : end]
-}
+func (d *decoder) str() string { return d.take(d.uvarint()) }
 
 func (d *decoder) byte() byte {
-	p := d.take(1)
-	if p == nil {
-		return 0
+	if p := d.take(1); p != "" {
+		return p[0]
 	}
-	return p[0]
+	return 0
 }
 
 func (d *decoder) u64() uint64 {
 	p := d.take(8)
-	if p == nil {
-		return 0
+	var u uint64
+	for i := len(p) - 1; i >= 0; i-- {
+		u = u<<8 | uint64(p[i])
 	}
-	return binary.LittleEndian.Uint64(p)
+	return u
 }
 
-func (d *decoder) value() Value {
+// value reads one tagged value; with skip set it only steps over it.
+func (d *decoder) value(skip bool) Value {
 	switch d.byte() {
 	case tagNil:
 		return nil
 	case tagInt:
-		return d.varint()
+		if x := d.varint(); !skip {
+			return x
+		}
+		return nil
 	case tagReal:
-		return math.Float64frombits(d.u64())
+		if u := d.u64(); !skip {
+			return math.Float64frombits(u)
+		}
+		return nil
 	case tagText:
-		return d.textValue()
+		if p := d.str(); !skip {
+			return p
+		}
+		return nil
 	case tagFalse:
 		return false
 	case tagTrue:
 		return true
 	case tagTime:
+		p := d.str()
+		if skip || d.err != nil {
+			return nil
+		}
 		var t time.Time
-		if p := d.bytes(); d.err == nil {
-			if err := t.UnmarshalBinary(p); err != nil {
-				d.fail("bad time")
-			}
+		if err := t.UnmarshalBinary([]byte(p)); err != nil {
+			d.fail("bad time")
 		}
 		return t
-	default:
-		d.fail("unknown value tag")
-		return nil
 	}
+	d.fail("unknown value tag")
+	return nil
 }
 
-// decodeRow parses a row image produced by encodeRow.
-func decodeRow(b []byte) (Row, error) {
-	d := decoder{b: b, img: b}
+// decodeCols decodes the columns need names from a row image produced by
+// encodeRow into row, which must be as wide as the image; every other
+// slot of row is left as it is. The whole image is walked either way, so
+// a truncated or overlong image, a wrong width or an unknown tag fails
+// whatever the mask; a skipped time value is not parsed.
+func decodeCols(img string, row Row, need colMask) error {
+	d := decoder{s: img}
+	if n := d.uvarint(); d.err == nil && n != uint64(len(row)) {
+		return fmt.Errorf("%d columns, want %d", n, len(row))
+	}
+	for i := 0; i < len(row) && d.err == nil; i++ {
+		if v := d.value(!need.has(i)); d.err == nil && need.has(i) {
+			row[i] = v
+		}
+	}
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(img) {
+		return fmt.Errorf("%d trailing bytes", len(img)-d.off)
+	}
+	return nil
+}
+
+// decodeRow decodes every column of a row image.
+func decodeRow(img string) (Row, error) {
+	d := decoder{s: img}
 	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
+	if d.err == nil && n > uint64(len(img)) { // each value costs >= 1 byte
+		d.fail(fmt.Sprintf("implausible column count %d", n))
 	}
-	if n > uint64(len(b)) { // each value costs >= 1 byte
-		return nil, fmt.Errorf("rdb: corrupt record: implausible column count %d", n)
-	}
-	r := make(Row, n)
-	for i := range r {
-		r[i] = d.value()
+	var row Row
+	if d.err == nil {
+		row = make(Row, n)
+		d.err = decodeCols(img, row, allCols)
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, fmt.Errorf("rdb: corrupt row image: %w", d.err)
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("rdb: corrupt record: %d trailing bytes", len(d.b))
-	}
-	return r, nil
+	return row, nil
 }
 
 // walOp is one lowered operation inside a WAL record.
@@ -279,16 +305,15 @@ func encodeWALRecord(rec *walRecord) []byte {
 
 // decodeWALRecord parses one frame payload.
 func decodeWALRecord(b []byte) (*walRecord, error) {
-	d := &decoder{b: b}
+	d := &decoder{s: string(b)}
 	rec := &walRecord{seq: d.u64()}
 	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
+	if d.err == nil && n > uint64(len(b)) {
+		d.fail(fmt.Sprintf("implausible op count %d", n))
 	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("rdb: corrupt record: implausible op count %d", n)
+	if d.err == nil {
+		rec.ops = make([]walOp, 0, n)
 	}
-	rec.ops = make([]walOp, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		op := walOp{kind: d.byte()}
 		switch op.kind {
@@ -297,7 +322,7 @@ func decodeWALRecord(b []byte) (*walRecord, error) {
 		case wopPut:
 			op.table = d.str()
 			op.recID = d.u64()
-			op.rowData = append([]byte(nil), d.bytes()...)
+			op.rowData = []byte(d.str())
 		case wopDel:
 			op.table = d.str()
 			op.recID = d.u64()
@@ -309,11 +334,11 @@ func decodeWALRecord(b []byte) (*walRecord, error) {
 		}
 		rec.ops = append(rec.ops, op)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.err == nil && d.off != len(d.s) {
+		d.fail(fmt.Sprintf("%d trailing bytes", len(d.s)-d.off))
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("rdb: corrupt record: %d trailing bytes", len(d.b))
+	if d.err != nil {
+		return nil, fmt.Errorf("rdb: corrupt WAL record: %w", d.err)
 	}
 	return rec, nil
 }

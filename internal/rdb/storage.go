@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,10 +35,12 @@ type table struct {
 	// Appends are exempt — a frozen view never reads past its length.
 	shared bool
 	// fetch, when a paging engine backs the table, materializes an
-	// evicted record: it resolves rec against the version retention
-	// buffer for snapshot reads (snapSeq < liveSeq) and the row cache /
-	// page store otherwise. Nil on purely in-memory tables.
-	fetch func(rec uint64, snapSeq uint64) (Row, bool)
+	// evicted record with at least the columns need names decoded: it
+	// resolves rec against the version retention buffer for snapshot
+	// reads (snapSeq < liveSeq) and the row cache / page store otherwise.
+	// A record that does not exist is a nil row, one that cannot be read
+	// an error. Nil on purely in-memory tables.
+	fetch func(rec uint64, snapSeq uint64, need colMask) (Row, error)
 	// snapSeq is the visibility horizon fetch resolves against:
 	// liveSeq on live tables, the captured commit on frozen views.
 	snapSeq uint64
@@ -92,26 +95,42 @@ func evictedRec(r Row) (uint64, bool) {
 	return 0, false
 }
 
-// rowAt materializes the row in slot id, faulting evicted rows in
-// through the storage engine. Deleted slots return nil. The result
-// must be treated as immutable; the slot itself is not repopulated
-// (readers hold only the shared lock).
+// rowAt materializes the whole row in slot id, faulting an evicted row
+// in through the storage engine. Deleted slots, and evicted ones whose
+// fault fails, return nil: the plan path reads through readRow and
+// reports the failure. The result must be treated as immutable; the slot
+// itself is not repopulated (readers hold only the shared lock).
 func (t *table) rowAt(id int) Row {
-	r := t.rows[id]
-	if r == nil {
-		return nil
-	}
-	if rec, ok := evictedRec(r); ok {
-		if t.fetch == nil {
-			return nil
-		}
-		row, ok := t.fetch(rec, t.snapSeq)
-		if !ok {
-			return nil
-		}
-		return row
-	}
+	r, _ := t.readRow(id, allCols)
 	return r
+}
+
+// readRow returns the row in slot id with at least the columns need names
+// decoded (an evicted slot's others may be nil), or nil for a deleted
+// slot. A fault that finds no good image is an error: the slot says the
+// record exists.
+func (t *table) readRow(id int, need colMask) (Row, error) {
+	r := t.rows[id]
+	rec, evicted := evictedRec(r)
+	if !evicted {
+		return r, nil
+	}
+	if t.fetch != nil {
+		if r, err := t.fetch(rec, t.snapSeq, need); r != nil || err != nil {
+			return r, err
+		}
+	}
+	return nil, errCorrupt(t.name, rec, t.pkByRec, errors.New("not in the page store"))
+}
+
+// errCorrupt is the error of a fault that found no good image of record
+// rec, wrapping its cause. A record whose id is its integer primary key
+// is named by the key.
+func errCorrupt(table string, rec uint64, byKey bool, cause error) error {
+	if byKey {
+		return fmt.Errorf("rdb: corrupt record with key %d of %q: %w", recIDPK(rec), table, cause)
+	}
+	return fmt.Errorf("rdb: corrupt record %d of %q: %w", rec, table, cause)
 }
 
 // evictSlot replaces a resident row with an eviction marker pointing

@@ -437,13 +437,24 @@ func (t *BTree) cellValue(d []byte, off int) ([]byte, error) {
 	return readChain(t.pool, head)
 }
 
-// Get returns the value stored under k.
-func (t *BTree) Get(k Key) ([]byte, bool, error) {
+// cellString is cellValue as a string: one copy out of the leaf.
+func (t *BTree) cellString(d []byte, off int) (string, error) {
+	if d[off+keySize] == 0 {
+		n := int(binary.LittleEndian.Uint16(d[off+keySize+1:]))
+		return string(d[off+keySize+3 : off+keySize+3+n]), nil
+	}
+	v, err := readChain(t.pool, PageID(binary.LittleEndian.Uint32(d[off+keySize+5:])))
+	return string(v), err
+}
+
+// seek descends to the leaf that would hold k. When k is present it
+// returns that leaf pinned and the offset of k's cell; otherwise off is
+// -1 and nothing stays pinned.
+func (t *BTree) seek(k Key) (pg Page, off int, err error) {
 	id := t.root
 	for {
-		pg, err := t.pool.Get(id)
-		if err != nil {
-			return nil, false, err
+		if pg, err = t.pool.Get(id); err != nil {
+			return pg, -1, err
 		}
 		d := pg.Data()
 		switch d[0] {
@@ -454,16 +465,37 @@ func (t *BTree) Get(k Key) ([]byte, bool, error) {
 			idx, found := leafSearch(d, k)
 			if !found {
 				pg.Release()
-				return nil, false, nil
+				return pg, -1, nil
 			}
-			v, err := t.cellValue(d, slotOff(d, idx))
-			pg.Release()
-			return v, true, err
+			return pg, slotOff(d, idx), nil
 		default:
 			pg.Release()
-			return nil, false, fmt.Errorf("pager: page %d: unexpected type %d", id, d[0])
+			return pg, -1, fmt.Errorf("pager: page %d: unexpected type %d", id, d[0])
 		}
 	}
+}
+
+// Get returns the value stored under k.
+func (t *BTree) Get(k Key) ([]byte, bool, error) {
+	pg, off, err := t.seek(k)
+	if off < 0 {
+		return nil, false, err
+	}
+	defer pg.Release()
+	v, err := t.cellValue(pg.Data(), off)
+	return v, true, err
+}
+
+// GetString is Get for a caller that keeps the value: it is copied out
+// of the leaf once, as a string, which the caller may sub-slice freely.
+func (t *BTree) GetString(k Key) (string, bool, error) {
+	pg, off, err := t.seek(k)
+	if off < 0 {
+		return "", false, err
+	}
+	defer pg.Release()
+	v, err := t.cellString(pg.Data(), off)
+	return v, true, err
 }
 
 // Delete removes k, reporting whether it was present. Underfull

@@ -57,12 +57,18 @@ func TestBTreePutGetScan(t *testing.T) {
 		if !bytes.Equal(v, want[uint64(i)]) {
 			t.Fatalf("get %d: value mismatch (%d vs %d bytes)", i, len(v), len(want[uint64(i)]))
 		}
+		if sv, ok, err := tree.GetString(MakeKey(3, uint64(i))); err != nil || !ok || sv != string(v) {
+			t.Fatalf("get string %d: ok=%v err=%v, equal to Get: %v", i, ok, err, sv == string(v))
+		}
 	}
 	if _, ok, _ := tree.Get(MakeKey(2, 5)); ok {
 		t.Fatal("lookup in absent table should miss")
 	}
 	if _, ok, _ := tree.Get(MakeKey(3, n+1)); ok {
 		t.Fatal("absent record should miss")
+	}
+	if _, ok, _ := tree.GetString(MakeKey(3, n+1)); ok {
+		t.Fatal("absent record should miss GetString")
 	}
 	// Ordered scan covers everything exactly once, ascending.
 	lo, hi := TableBounds(3)
