@@ -232,52 +232,66 @@ func TestAllocSlopeCodec(t *testing.T) {
 	t.Logf("bean encode + decode: %.3f allocs per extra row", slope)
 }
 
-// TestAllocRowFault bounds what an evicted row costs over a cached one:
-// the same point read answered from the row cache, then cycling through
-// more rows than the cache holds, so every read descends the page tree.
-// The difference is the fault: the image copied out of the leaf as one
-// string (page pins are values), the row, and a box per column the plan
-// reads that is text (a substring of the image) or an integer past the
-// runtime's preallocated small ones — no box for the columns it does not
-// read, and no cache entry once the cache recycles its oldest. The cached
-// read's own count is pinned too: a hit allocates nothing.
-func TestAllocRowFault(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	const rows = 512
+// pagedItems opens a database with a 16-row budget whose item tables,
+// one per row count, are fully paged out: reopened, every slot is an
+// eviction marker and reads never repopulate slots, so a row is served
+// from the 16-entry row cache or faulted. An item row has five columns,
+// of which oid, title and body need a box when decoded; price and stock
+// are small integers.
+func pagedItems(t *testing.T, rowCounts ...int) *rdb.DB {
+	t.Helper()
 	dir := t.TempDir()
 	db, err := rdb.OpenDurableOpts(dir, rdb.DurableOptions{ResidentRows: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("CREATE TABLE item (oid INTEGER PRIMARY KEY, title TEXT NOT NULL, body TEXT, price INTEGER, stock INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
-		if _, err := db.Exec("INSERT INTO item (oid, title, body, price, stock) VALUES (?, ?, ?, ?, ?)",
-			int64(1000+i), fmt.Sprintf("title %d", i), fmt.Sprintf("body of item %d", i), int64(i%200), int64(i%7)); err != nil {
+	for _, rows := range rowCounts {
+		table := fmt.Sprintf("item%d", rows)
+		if _, err := db.Exec("CREATE TABLE " + table + " (oid INTEGER PRIMARY KEY, title TEXT NOT NULL, body TEXT, price INTEGER, stock INTEGER)"); err != nil {
 			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if _, err := db.Exec("INSERT INTO "+table+" (oid, title, body, price, stock) VALUES (?, ?, ?, ?, ?)",
+				int64(1000+i), fmt.Sprintf("title %d", i), fmt.Sprintf("body of item %d", i), int64(i%200), int64(i%7)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopened, every slot is an eviction marker and reads never repopulate
-	// slots: a row is served from the 16-entry cache or faulted.
 	if db, err = rdb.OpenDurableOpts(dir, rdb.DurableOptions{ResidentRows: 16}); err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close() //nolint:errcheck // test teardown
+	t.Cleanup(func() { db.Close() }) //nolint:errcheck // test teardown
+	return db
+}
+
+// TestAllocRowFault bounds what an evicted row costs over a cached one:
+// the same point read answered from the row cache, then cycling through
+// more rows than the cache holds, so every read descends the page tree.
+// The difference is the fault: the first chunks of the execution's image
+// arena and row slab, which a query's only fault allocates at the size of
+// its one image and its one row, and a box per column the plan reads that
+// is text (a substring of the image) or an integer past the runtime's
+// preallocated small ones — no box for the columns it does not read, and
+// no cache entry once the cache recycles its oldest. The cached read's
+// own count is pinned too: a hit allocates nothing.
+func TestAllocRowFault(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 512
+	db := pagedItems(t, rows)
 	next := 0
 	for _, c := range []struct {
 		query         string
 		fault, cached float64 // bounds
 	}{
 		// oid, title, body boxed; price and stock are small integers.
-		{"SELECT t.oid, t.title, t.body, t.price, t.stock FROM item t WHERE t.oid = ?", 2 + 3, 7},
+		{"SELECT t.oid, t.title, t.body, t.price, t.stock FROM item512 t WHERE t.oid = ?", 2 + 3, 7},
 		// title, and oid for the WHERE clause the plan still evaluates.
-		{"SELECT t.title FROM item t WHERE t.oid = ?", 2 + 2, 7},
+		{"SELECT t.title FROM item512 t WHERE t.oid = ?", 2 + 2, 7},
 	} {
 		read := func(stride int) func() {
 			return func() {
@@ -298,5 +312,45 @@ func TestAllocRowFault(t *testing.T) {
 				c.query, fault, evicted, cached, c.fault, c.cached)
 		}
 		t.Logf("%s: row fault %.1f allocs over a cached point read (%.1f vs %.1f)", c.query, evicted-cached, evicted, cached)
+	}
+}
+
+// TestAllocSlopeRowFault: the faults of one query share its image arena
+// and row slab, so over its boxes an extra faulted row costs only its
+// share of a 4 KiB image chunk and of a 32-row chunk — not an image and a
+// row of its own. Each query scans a fully paged-out table through a
+// 16-entry cache, so every row of every run is a fault; the 100-row and
+// 400-row tables cancel the per-query costs.
+func TestAllocSlopeRowFault(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := pagedItems(t, 100, 400)
+	for _, c := range []struct {
+		query string
+		boxes float64 // boxed columns the plan reads
+	}{
+		{"SELECT t.oid, t.title FROM item t ORDER BY t.oid", 2},
+		{"SELECT COUNT(*) FROM item t WHERE t.title LIKE '%9%'", 1},
+		{"SELECT * FROM item t", 3},
+	} {
+		allocs := func(rows int) float64 {
+			query := strings.Replace(c.query, "item", fmt.Sprintf("item%d", rows), 1)
+			before := db.EngineStats().RowFaults
+			n := testing.AllocsPerRun(20, func() {
+				if _, err := db.Query(query); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if faults := db.EngineStats().RowFaults - before; faults < 21*uint64(rows) {
+				t.Fatalf("%s: %d faults in 21 runs, want every row of every run", query, faults)
+			}
+			return n
+		}
+		slope := (allocs(400) - allocs(100)) / 300
+		if slope > c.boxes+0.25 {
+			t.Fatalf("%s: a faulted row allocates %.2f, want <= %.0f boxes + 0.25", c.query, slope, c.boxes)
+		}
+		t.Logf("%s: %.3f allocs per extra faulted row (%.0f of them boxes)", c.query, slope, c.boxes)
 	}
 }

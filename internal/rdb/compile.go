@@ -20,16 +20,18 @@ import (
 
 // execCtx is the per-query execution state a compiled plan runs
 // against: one current row per plan frame (nil = LEFT JOIN miss), the
-// columns the plan reads per frame and the bind-time parameters. stats
-// is nil on the hot path; EXPLAIN ANALYZE and the traced/recorded query
-// paths attach one to collect per-operator actuals (analyze.go).
+// columns the plan reads per frame, the bind-time parameters and what
+// its row faults share. stats is nil on the hot path; EXPLAIN ANALYZE
+// and the traced/recorded query paths attach one to collect per-operator
+// actuals (analyze.go).
 type execCtx struct {
-	rows  []Row
-	need  []colMask // the plan's, per frame (SelectPlan.need)
-	args  []Value
-	stats *execStats
-	skip  int64      // base entries OFFSET still owes (windowed plans, plan.go visit)
-	agg   *aggOutput // set only while an aggregate plan outputs a group
+	rows   []Row
+	need   []colMask // the plan's, per frame (SelectPlan.need)
+	args   []Value
+	stats  *execStats
+	skip   int64      // base entries OFFSET still owes (windowed plans, plan.go visit)
+	agg    *aggOutput // set only while an aggregate plan outputs a group
+	faults faultCtx
 }
 
 // planFrame binds one table alias to a frame slot at plan time. need

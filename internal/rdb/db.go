@@ -545,7 +545,7 @@ func (db *DB) execInsert(sql string, st *InsertStmt, args []Value, undo *undoLog
 				return res, err
 			}
 		}
-		if err := db.checkForeignKeys(t, row); err != nil {
+		if err := db.checkForeignKeys(t, row, &c.faults); err != nil {
 			return res, err
 		}
 		id, err := t.insert(row)
@@ -569,7 +569,7 @@ func (db *DB) execInsert(sql string, st *InsertStmt, args []Value, undo *undoLog
 	return res, nil
 }
 
-func (db *DB) checkForeignKeys(t *table, row Row) error {
+func (db *DB) checkForeignKeys(t *table, row Row, f *faultCtx) error {
 	for _, fk := range t.fks {
 		i, _ := t.col(fk.Column)
 		v := row[i]
@@ -595,7 +595,11 @@ func (db *DB) checkForeignKeys(t *table, row Row) error {
 		}
 		found := false
 		for id := range ref.rows {
-			if r := ref.rowAt(id); r != nil && r[ri] == v {
+			r, err := ref.readRow(id, allCols, f)
+			if err != nil {
+				return err
+			}
+			if r != nil && r[ri] == v {
 				found = true
 				break
 			}
@@ -616,7 +620,7 @@ func (db *DB) execUpdate(sql string, st *UpdateStmt, args []Value, undo *undoLog
 	t := p.base
 	res := Result{}
 	for _, id := range ids {
-		old, err := t.readRow(id, allCols)
+		old, err := t.readRow(id, allCols, &c.faults)
 		if err != nil {
 			return res, err
 		}
@@ -628,10 +632,10 @@ func (db *DB) execUpdate(sql string, st *UpdateStmt, args []Value, undo *undoLog
 				return res, err
 			}
 		}
-		if err := db.checkForeignKeys(t, newRow); err != nil {
+		if err := db.checkForeignKeys(t, newRow, &c.faults); err != nil {
 			return res, err
 		}
-		if err := t.updateRow(id, newRow); err != nil {
+		if err := t.updateRow(id, newRow, &c.faults); err != nil {
 			return res, err
 		}
 		if undo != nil {
@@ -648,14 +652,14 @@ func (db *DB) execUpdate(sql string, st *UpdateStmt, args []Value, undo *undoLog
 }
 
 func (db *DB) execDelete(sql string, st *DeleteStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
-	p, _, ids, err := db.writeTargets(sql, st, args)
+	p, c, ids, err := db.writeTargets(sql, st, args)
 	if err != nil {
 		return Result{}, err
 	}
 	t := p.base
 	res := Result{}
 	for _, id := range ids {
-		old := t.deleteRow(id)
+		old := t.deleteRow(id, &c.faults)
 		if old == nil {
 			continue
 		}

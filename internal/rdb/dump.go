@@ -114,11 +114,15 @@ func (db *DB) Dump(w io.Writer) error {
 	if err := enc.Encode(&f); err != nil {
 		return fmt.Errorf("rdb: dump: %w", err)
 	}
+	var fc faultCtx
 	for _, name := range names {
 		t := db.tables[name]
 		chunk := dumpChunk{Table: t.name}
 		for id := range t.rows {
-			r := t.rowAt(id)
+			r, err := t.readRow(id, allCols, &fc)
+			if err != nil {
+				return err
+			}
 			if r == nil {
 				continue
 			}

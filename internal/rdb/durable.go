@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -170,16 +169,52 @@ type cacheKey struct {
 	rec uint64
 }
 
-// rowEntry is one row-cache entry: the record's image as copied out of
-// its leaf, and a row holding the columns decoded from it so far (have;
-// the others are nil). A published entry is never written: a read that
-// needs more columns caches a widened copy, so a reader may keep the row
-// it was handed (a group's first row, a join frame, a snapshot result).
+// rowEntry is one row-cache entry: the record's image as the fault copied
+// it out of its leaf, and a row holding the columns decoded from it so far
+// (have; the others are nil). Both live in the faulting execution's chunks
+// (faultCtx). A published entry is never written: a read that needs more
+// columns caches a widened copy, so a reader may keep the row it was
+// handed (a group's first row, a join frame, a snapshot result).
 type rowEntry struct {
 	img  string
 	row  Row
 	have colMask
 }
+
+// Chunk bounds of a faultCtx. A cached entry pins the chunks its image
+// and row sit in, so neither may grow with the scan that faulted it.
+const (
+	faultImgChunk = 4 << 10 // bytes of an image chunk
+	faultSlabRows = 32      // rows a row chunk holds at most
+)
+
+// faultCtx is what the row faults of one execution share, so a faulted
+// row costs its boxes rather than an image and a row of its own: an image
+// arena each fault appends its leaf cell to, keeping a substring (strings
+// a builder returned stay valid as it grows on), and a slab its
+// table-wide row is cut from. The zero value is ready; a plan's lives in
+// its execCtx, and a caller outside a plan declares its own.
+type faultCtx struct {
+	img  strings.Builder
+	rows slab[Value]
+}
+
+// image appends the cell stored under k to the arena and returns it. The
+// first chunk grows from the first image, so a point read allocates just
+// its image. Once a chunk has less room than an inline cell may need, the
+// next starts as one whole allocation, so a scan's chunk is never a
+// regrown copy.
+func (f *faultCtx) image(tree *pager.BTree, k pager.Key) (string, bool, error) {
+	if f.img.Len() > faultImgChunk-pager.MaxInline {
+		f.img.Reset()
+		f.img.Grow(faultImgChunk)
+	}
+	start := f.img.Len()
+	found, err := tree.AppendString(k, &f.img)
+	return f.img.String()[start:], found, err
+}
+
+func (f *faultCtx) row(width int) Row { return f.rows.cutUpTo(width, faultSlabRows) }
 
 // rowCache is a small LRU of record images and their decoded columns in
 // front of the page tree: a hot evicted row costs a map hit instead of a
@@ -372,13 +407,13 @@ func (e *durableEngine) RegisterSnapshot() (uint64, func()) {
 // overwrite this read lands on, the visible image at snapSeq is
 // recovered. A record that does not exist (at snapSeq) is a nil row; a
 // tree read that fails or an image that does not decode is an error.
-func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMask) (Row, error) {
+func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMask, f *faultCtx) (Row, error) {
 	live := snapSeq == liveSeq
 	ent, cached := e.cache.get(et.id, rec)
 	if !cached {
 		start := time.Now()
 		e.treeMu.RLock()
-		img, found, err := e.store.Tree().GetString(pager.MakeKey(et.id, rec))
+		img, found, err := f.image(e.store.Tree(), pager.MakeKey(et.id, rec))
 		e.treeMu.RUnlock()
 		e.rowFaults.Add(1)
 		e.db.observeFault(time.Since(start))
@@ -393,7 +428,7 @@ func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMas
 		if !found {
 			return nil, nil
 		}
-		ent = rowEntry{img: img, row: make(Row, et.width)}
+		ent = rowEntry{img: img, row: f.row(et.width)}
 	} else if !live {
 		if r, hit := e.retained(et.id, rec, snapSeq); hit {
 			return r, nil
@@ -403,7 +438,9 @@ func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMas
 		return ent.row, nil
 	}
 	if cached {
-		ent.row = slices.Clone(ent.row)
+		r := f.row(et.width)
+		copy(r, ent.row)
+		ent.row = r
 	}
 	if err := decodeCols(ent.img, ent.row, need&^ent.have); err != nil {
 		return nil, errCorrupt(et.name, rec, et.intPK, err)
@@ -747,7 +784,9 @@ func (e *durableEngine) applyDDL(sql string, seq uint64) error {
 			// engine; frozen views inherit the closure with their own
 			// snapshot sequence.
 			et.name, et.width = t.name, len(t.cols)
-			t.fetch = func(rec, snapSeq uint64, need colMask) (Row, error) { return e.fetchCols(et, rec, snapSeq, need) }
+			t.fetch = func(rec, snapSeq uint64, need colMask, f *faultCtx) (Row, error) {
+				return e.fetchCols(et, rec, snapSeq, need, f)
+			}
 			t.pkByRec = et.intPK
 			t.snapSeq = liveSeq
 			// Persist what marker-only recovery cannot rederive from
@@ -1357,6 +1396,7 @@ func (e *durableEngine) replaySQL(sql string) error {
 // through the tree, so the tree must still hold the old value.
 func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]int) error {
 	tree := e.store.Tree()
+	var f faultCtx
 	for _, op := range rec.ops {
 		switch op.kind {
 		case wopDDL:
@@ -1377,7 +1417,7 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 			}
 			if et.intPK {
 				if id, ok := t.pkMap[Value(recIDPK(op.recID))]; ok {
-					if err := t.updateRow(id, row); err != nil {
+					if err := t.updateRow(id, row, &f); err != nil {
 						return fmt.Errorf("rdb: recover %q: %w", op.table, err)
 					}
 				} else if _, err := t.insert(row); err != nil {
@@ -1390,7 +1430,7 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 					rev[op.table] = rv
 				}
 				if id, ok := rv[op.recID]; ok {
-					if err := t.updateRow(id, row); err != nil {
+					if err := t.updateRow(id, row, &f); err != nil {
 						return fmt.Errorf("rdb: recover %q: %w", op.table, err)
 					}
 				} else {
@@ -1416,11 +1456,11 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 			}
 			if et.intPK {
 				if id, ok := t.pkMap[Value(recIDPK(op.recID))]; ok {
-					t.deleteRow(id)
+					t.deleteRow(id, &f)
 				}
 			} else if rv := rev[op.table]; rv != nil {
 				if id, ok := rv[op.recID]; ok {
-					t.deleteRow(id)
+					t.deleteRow(id, &f)
 					delete(et.recOf, id)
 					delete(rv, op.recID)
 				}

@@ -176,9 +176,13 @@ func (t *table) createCompositeIndex(name string, colNames []string) error {
 			return nil
 		}
 	}
+	var f faultCtx
 	ix := &compositeIndex{name: name, colNames: lows, cols: cols}
 	for id := range t.rows {
-		r := t.rowAt(id)
+		r, err := t.readRow(id, allCols, &f)
+		if err != nil {
+			return err
+		}
 		if r == nil {
 			continue
 		}

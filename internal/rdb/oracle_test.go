@@ -125,7 +125,7 @@ func joinRows(st *SelectStmt, base *table, joinTables []*table, args []Value) ([
 	baseName := strings.ToLower(st.From.name())
 	var envs []*env
 	for id := range base.rows {
-		if r := base.rowAt(id); r != nil {
+		if r := oracleRow(base, id); r != nil {
 			envs = append(envs, &env{frames: []frame{{name: baseName, tbl: base, row: r}}})
 		}
 	}
@@ -136,7 +136,7 @@ func joinRows(st *SelectStmt, base *table, joinTables []*table, args []Value) ([
 		for _, en := range envs {
 			matched := false
 			for id := range jt.rows {
-				r := jt.rowAt(id)
+				r := oracleRow(jt, id)
 				if r == nil {
 					continue
 				}
@@ -747,7 +747,7 @@ func (db *DB) execOracle(sql string, args ...Value) (Result, error) {
 		}
 		var res Result
 		for _, id := range ids {
-			if t.deleteRow(id) != nil {
+			if t.deleteRow(id, &faultCtx{}) != nil {
 				res.RowsAffected++
 			}
 		}
@@ -763,8 +763,9 @@ func (db *DB) updateOracle(st *UpdateStmt, args []Value) (Result, error) {
 		return Result{}, err
 	}
 	res := Result{}
+	var f faultCtx
 	for _, id := range ids {
-		old := t.rowAt(id)
+		old := oracleRow(t, id)
 		newRow := make(Row, len(old))
 		copy(newRow, old)
 		env := singleEnv(t, st.Table, old)
@@ -780,10 +781,10 @@ func (db *DB) updateOracle(st *UpdateStmt, args []Value) (Result, error) {
 			}
 			newRow[pos] = cv
 		}
-		if err := db.checkForeignKeys(t, newRow); err != nil {
+		if err := db.checkForeignKeys(t, newRow, &f); err != nil {
 			return res, err
 		}
-		if err := t.updateRow(id, newRow); err != nil {
+		if err := t.updateRow(id, newRow, &f); err != nil {
 			return res, err
 		}
 		res.RowsAffected++
@@ -791,12 +792,19 @@ func (db *DB) updateOracle(st *UpdateStmt, args []Value) (Result, error) {
 	return res, nil
 }
 
+// oracleRow is the oracle's read of slot id: the whole row, or nil for
+// a deleted slot and for one whose fault fails (the engine reports it).
+func oracleRow(t *table, id int) Row {
+	r, _ := t.readRow(id, allCols, &faultCtx{})
+	return r
+}
+
 // matchRows returns the ids of the rows of t that satisfy where, in
 // row-id order, all before the caller writes one.
 func matchRows(t *table, tableName string, where Expr, args []Value) ([]int, error) {
 	var ids []int
 	for id := range t.rows {
-		r := t.rowAt(id)
+		r := oracleRow(t, id)
 		if r == nil {
 			continue
 		}

@@ -121,9 +121,13 @@ func (t *table) createOrderedIndex(colName string) error {
 	if _, exists := t.ordered[lower]; exists {
 		return nil
 	}
+	var f faultCtx
 	ix := &orderedIndex{}
 	for id := range t.rows {
-		r := t.rowAt(id)
+		r, err := t.readRow(id, allCols, &f)
+		if err != nil {
+			return err
+		}
 		if r == nil || r[i] == nil {
 			continue
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -190,16 +192,18 @@ func TestDifferentialPagingMasks(t *testing.T) {
 }
 
 // TestPagingCorruptRecordIsAnError: a fault that finds a record's leaf
-// cell overwritten with garbage, or no record at all, fails the query
-// that reads it — a point read, a scan, a join, a write's target search —
-// instead of dropping the row from a short result. Reads that never
-// touch the record are unaffected.
+// cell overwritten with garbage, or no record at all, fails the statement
+// that reads it — a point read, a scan, a join, a write's target search, a
+// foreign-key scan, an index build, a dump — instead of dropping the row
+// from a short result, an index or a backup. Reads that never touch the
+// record are unaffected, and a failed build leaves no index behind.
 func TestPagingCorruptRecordIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	db := openPaging(t, dir)
 	mustExecAll(t, db, []string{
 		`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`,
 		`CREATE TABLE ref (id INTEGER PRIMARY KEY, k INTEGER)`,
+		`CREATE TABLE fk (id INTEGER PRIMARY KEY, v TEXT, FOREIGN KEY (v) REFERENCES kv(v))`,
 	})
 	for i := 0; i < 40; i++ {
 		if _, err := db.Exec(`INSERT INTO kv (k, v) VALUES (?, ?)`, int64(i), fmt.Sprintf("v%d", i)); err != nil {
@@ -239,6 +243,12 @@ func TestPagingCorruptRecordIsAnError(t *testing.T) {
 		{`SELECT r.id, kv.v FROM ref r JOIN kv ON kv.k = r.k`, nil, "rdb: corrupt record "},
 		{`UPDATE kv SET v = 'x' WHERE k > ?`, []Value{int64(0)}, "rdb: corrupt record "},
 		{`DELETE FROM kv WHERE k = ?`, []Value{int64(7)}, "rdb: corrupt record "},
+		// kv.v has no index, so a scan checks the reference: the record it
+		// cannot read is not a foreign-key violation.
+		{`INSERT INTO fk (id, v) VALUES (1, ?)`, []Value{"v7"}, "rdb: corrupt record with key 7 "},
+		{`CREATE INDEX ix_v ON kv(v)`, nil, "rdb: corrupt record with key 7 "},
+		{`CREATE ORDERED INDEX ord_v ON kv(v)`, nil, "rdb: corrupt record with key 7 "},
+		{`CREATE INDEX comp_kv ON kv(v, k)`, nil, "rdb: corrupt record with key 7 "},
 	} {
 		var err error
 		if strings.HasPrefix(c.sql, "SELECT") {
@@ -250,6 +260,12 @@ func TestPagingCorruptRecordIsAnError(t *testing.T) {
 			t.Errorf("%s %v: err = %v, want %q...", c.sql, c.args, err, c.want)
 		}
 	}
+	if kv := db.tables["kv"]; len(kv.indexes)+len(kv.ordered)+len(kv.composites) != 0 {
+		t.Errorf("a failed build left an index: %d hash, %d ordered, %d composite", len(kv.indexes), len(kv.ordered), len(kv.composites))
+	}
+	if err := db.Dump(io.Discard); err == nil || !strings.HasPrefix(err.Error(), "rdb: corrupt record with key 7 ") {
+		t.Errorf("Dump: err = %v, want the corrupt record", err)
+	}
 	if _, err := db.Query(`SELECT v FROM kv WHERE k = 7`); errors.Unwrap(err) == nil {
 		t.Errorf("the decode failure is not wrapped: %v", err)
 	}
@@ -260,6 +276,72 @@ func TestPagingCorruptRecordIsAnError(t *testing.T) {
 	if r, err := db.Query(`SELECT COUNT(*) FROM kv WHERE k > 9 AND v <> ''`); err != nil || r.Data[0][0] != int64(30) {
 		t.Fatalf("reads around the damage: %v, err %v", r, err)
 	}
+}
+
+// TestRowCacheRetentionBounded: a cached entry pins the image chunk and
+// the row chunk its fault cut it from, so what a 16-entry cache keeps
+// alive after a 20,000-row scan is bounded by 16 of each chunk cap, not by
+// the scan. A chunk that grew with the scan would keep about a megabyte
+// behind the survivors.
+func TestRowCacheRetentionBounded(t *testing.T) {
+	const rows, width = 20000, 4
+	dir := t.TempDir()
+	opts := DurableOptions{PoolPages: 64, ResidentRows: 16}
+	db, err := OpenDurableOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE big (oid INTEGER PRIMARY KEY, title TEXT, body TEXT, n INTEGER)`)
+	tx := db.Begin()
+	for i := 0; i < rows; i++ {
+		if _, err := tx.Exec(`INSERT INTO big (oid, title, body, n) VALUES (?, ?, ?, ?)`,
+			int64(i), fmt.Sprintf("title %d", i), fmt.Sprintf("body of row %d", i), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenDurableOpts(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	scan := func() {
+		if r, err := db.Query(`SELECT * FROM big`); err != nil || r.Len() != rows {
+			t.Fatalf("scan: %v rows, err %v", r, err)
+		}
+	}
+	read := func(oid int64) {
+		if r, err := db.Query(`SELECT * FROM big WHERE oid = ?`, oid); err != nil || r.Len() != 1 {
+			t.Fatalf("read %d: %v, err %v", oid, r, err)
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Warm the page pool and both plans, then fill the cache with point
+	// reads, whose entries each pin only their own image and row.
+	scan()
+	for i := int64(0); i < 16; i++ {
+		read(i)
+	}
+	before := live()
+	scan()
+	for i := 0; i < 100; i++ {
+		read(rows - 1)
+	}
+	grown := int64(live()) - int64(before)
+	const bound = 16*(4<<10+32*width*16) + 64<<10
+	if grown > bound {
+		t.Fatalf("16 cached rows of a %d-row scan keep %d bytes alive, want <= %d", rows, grown, bound)
+	}
+	t.Logf("16 cached rows of a %d-row scan keep %d bytes alive (bound %d)", rows, grown, bound)
 }
 
 // TestPagingRecoveryWithoutRebuild verifies that reopening a version-2

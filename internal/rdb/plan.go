@@ -3,6 +3,7 @@ package rdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -186,9 +187,12 @@ type slab[T any] struct {
 	rows int // rows in the newest chunk
 }
 
-func (s *slab[T]) cut(width int) []T {
+func (s *slab[T]) cut(width int) []T { return s.cutUpTo(width, math.MaxInt) }
+
+// cutUpTo is cut from chunks that stop doubling at most rows.
+func (s *slab[T]) cutUpTo(width, most int) []T {
 	if len(s.free) < width {
-		s.rows = max(1, 2*s.rows)
+		s.rows = min(max(1, 2*s.rows), most)
 		s.free = make([]T, s.rows*width)
 	}
 	out := s.free[:width:width]
@@ -559,7 +563,7 @@ func foldBounds(c *execCtx, los, his []boundCand) (lo, hi rangeBound, err error)
 // frame decoded, and a fault that fails is the query's error. A deleted
 // slot is nil.
 func (c *execCtx) rowOf(t *table, fi, id int) (Row, error) {
-	return t.readRow(id, c.need[fi])
+	return t.readRow(id, c.need[fi], &c.faults)
 }
 
 // visit feeds the live base row in slot id to each. While the execution
@@ -621,7 +625,7 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 			// key, so one versioned fetch stands in for a scan. The row has
 			// no slot (-1); nothing writes through a snapshot.
 			if iv, ok := v.(int64); ok && t.fetch != nil {
-				r, err := t.fetch(pkRecID(iv), t.snapSeq, c.need[0])
+				r, err := t.fetch(pkRecID(iv), t.snapSeq, c.need[0], &c.faults)
 				if r == nil || err != nil {
 					return err
 				}

@@ -101,12 +101,12 @@ func colBit(i int) colMask { return 1 << min(i, 63) }
 func (m colMask) has(i int) bool { return m&colBit(i) != 0 }
 
 // decoder is a cursor over one encoded payload held as a string: a row
-// image as the page store hands it to a fault (pager.BTree.GetString), or
-// a WAL frame. A text value is a substring of the payload, never a copy,
-// so a value that outlives its row keeps the image alive whole (DESIGN.md,
-// "Anti-caching rows"). Every read fails loudly on truncation; the first
-// failure sticks and names the defect, and the caller says what was being
-// decoded.
+// image as a fault appended it to its execution's image arena
+// (pager.BTree.AppendString), or a WAL frame. A text value is a substring
+// of the payload, never a copy, so a value that outlives its row keeps the
+// arena chunk it sits in alive whole (DESIGN.md, "Anti-caching rows").
+// Every read fails loudly on truncation; the first failure sticks and
+// names the defect, and the caller says what was being decoded.
 type decoder struct {
 	s   string
 	off int

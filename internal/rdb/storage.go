@@ -37,10 +37,10 @@ type table struct {
 	// fetch, when a paging engine backs the table, materializes an
 	// evicted record with at least the columns need names decoded: it
 	// resolves rec against the version retention buffer for snapshot
-	// reads (snapSeq < liveSeq) and the row cache / page store otherwise.
-	// A record that does not exist is a nil row, one that cannot be read
-	// an error. Nil on purely in-memory tables.
-	fetch func(rec uint64, snapSeq uint64, need colMask) (Row, error)
+	// reads (snapSeq < liveSeq) and the row cache / page store otherwise,
+	// copying into f's chunks. A record that does not exist is a nil row,
+	// one that cannot be read an error. Nil on purely in-memory tables.
+	fetch func(rec uint64, snapSeq uint64, need colMask, f *faultCtx) (Row, error)
 	// snapSeq is the visibility horizon fetch resolves against:
 	// liveSeq on live tables, the captured commit on frozen views.
 	snapSeq uint64
@@ -95,28 +95,20 @@ func evictedRec(r Row) (uint64, bool) {
 	return 0, false
 }
 
-// rowAt materializes the whole row in slot id, faulting an evicted row
-// in through the storage engine. Deleted slots, and evicted ones whose
-// fault fails, return nil: the plan path reads through readRow and
-// reports the failure. The result must be treated as immutable; the slot
-// itself is not repopulated (readers hold only the shared lock).
-func (t *table) rowAt(id int) Row {
-	r, _ := t.readRow(id, allCols)
-	return r
-}
-
 // readRow returns the row in slot id with at least the columns need names
 // decoded (an evicted slot's others may be nil), or nil for a deleted
-// slot. A fault that finds no good image is an error: the slot says the
-// record exists.
-func (t *table) readRow(id int, need colMask) (Row, error) {
+// slot. An evicted row is faulted in through the storage engine into f's
+// chunks; the slot itself is not repopulated (readers hold only the
+// shared lock), and the row must be treated as immutable. A fault that
+// finds no good image is an error: the slot says the record exists.
+func (t *table) readRow(id int, need colMask, f *faultCtx) (Row, error) {
 	r := t.rows[id]
 	rec, evicted := evictedRec(r)
 	if !evicted {
 		return r, nil
 	}
 	if t.fetch != nil {
-		if r, err := t.fetch(rec, t.snapSeq, need); r != nil || err != nil {
+		if r, err := t.fetch(rec, t.snapSeq, need, f); r != nil || err != nil {
 			return r, err
 		}
 	}
@@ -321,7 +313,7 @@ func (t *table) cowRows() {
 // deleteRow tombstones the row and fixes indexes. It returns the old
 // row, faulting it in first when the slot was evicted (indexes are
 // unwound against real column values).
-func (t *table) deleteRow(id int) Row {
+func (t *table) deleteRow(id int, f *faultCtx) Row {
 	r := t.rows[id]
 	if r == nil {
 		return nil
@@ -329,7 +321,8 @@ func (t *table) deleteRow(id int) Row {
 	wasResident := true
 	if _, ok := evictedRec(r); ok {
 		wasResident = false
-		if r = t.rowAt(id); r == nil {
+		// A failed read deletes nothing: DELETE's plan read the row already; undo and replay cannot fail.
+		if r, _ = t.readRow(id, allCols, f); r == nil {
 			return nil
 		}
 	}
@@ -353,13 +346,16 @@ func (t *table) restoreRow(id int, r Row) {
 }
 
 // updateRow replaces the row in place, maintaining indexes, after checking
-// uniqueness constraints for the new image.
-func (t *table) updateRow(id int, newRow Row) error {
+// uniqueness constraints for the new image and reading the old one.
+func (t *table) updateRow(id int, newRow Row, f *faultCtx) error {
 	wasResident := true
 	if _, ok := evictedRec(t.rows[id]); ok {
 		wasResident = false
 	}
-	old := t.rowAt(id)
+	old, err := t.readRow(id, allCols, f)
+	if err != nil {
+		return err
+	}
 	if t.pk >= 0 && newRow[t.pk] != old[t.pk] {
 		if newRow[t.pk] == nil {
 			return fmt.Errorf("rdb: NULL primary key in table %q", t.name)
@@ -402,9 +398,13 @@ func (t *table) createIndex(colName string) error {
 	if _, exists := t.indexes[lower]; exists {
 		return nil
 	}
+	var f faultCtx
 	idx := make(map[Value][]int)
 	for id := range t.rows {
-		r := t.rowAt(id)
+		r, err := t.readRow(id, allCols, &f)
+		if err != nil {
+			return err
+		}
 		if r == nil || r[i] == nil {
 			continue
 		}

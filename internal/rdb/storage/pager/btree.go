@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // B-tree page formats.
@@ -31,10 +32,13 @@ import (
 //
 // Overflow: [0] type ++ [2:4] len u16 ++ [4:8] next PageID ++ data.
 
+// MaxInline is the largest value a leaf cell holds itself; a longer one
+// lives in an overflow chain.
+const MaxInline = 1024
+
 const (
 	keySize   = 12
 	leafHdr   = 8
-	maxInline = 1024
 	maxFanout = 200
 	intChild0 = 8
 	intKey0   = intChild0 + 4*(maxFanout+1)
@@ -363,7 +367,7 @@ func (t *BTree) leafPut(pg Page, k Key, v []byte) (splitRes, error) {
 // makeCell encodes k/v as a leaf cell, spilling big values into a
 // freshly allocated overflow chain.
 func (t *BTree) makeCell(k Key, v []byte) ([]byte, error) {
-	if len(v) <= maxInline {
+	if len(v) <= MaxInline {
 		cell := make([]byte, keySize+3+len(v))
 		copy(cell, k[:])
 		cell[keySize] = 0
@@ -437,16 +441,6 @@ func (t *BTree) cellValue(d []byte, off int) ([]byte, error) {
 	return readChain(t.pool, head)
 }
 
-// cellString is cellValue as a string: one copy out of the leaf.
-func (t *BTree) cellString(d []byte, off int) (string, error) {
-	if d[off+keySize] == 0 {
-		n := int(binary.LittleEndian.Uint16(d[off+keySize+1:]))
-		return string(d[off+keySize+3 : off+keySize+3+n]), nil
-	}
-	v, err := readChain(t.pool, PageID(binary.LittleEndian.Uint32(d[off+keySize+5:])))
-	return string(v), err
-}
-
 // seek descends to the leaf that would hold k. When k is present it
 // returns that leaf pinned and the offset of k's cell; otherwise off is
 // -1 and nothing stays pinned.
@@ -486,16 +480,25 @@ func (t *BTree) Get(k Key) ([]byte, bool, error) {
 	return v, true, err
 }
 
-// GetString is Get for a caller that keeps the value: it is copied out
-// of the leaf once, as a string, which the caller may sub-slice freely.
-func (t *BTree) GetString(k Key) (string, bool, error) {
+// AppendString is Get for a caller that keeps many values: it appends the
+// value stored under k to b, reporting whether k is present. A builder
+// only appends, so the strings b returned before stay valid, and the
+// caller keeps each value as a substring of b.String().
+func (t *BTree) AppendString(k Key, b *strings.Builder) (bool, error) {
 	pg, off, err := t.seek(k)
 	if off < 0 {
-		return "", false, err
+		return false, err
 	}
 	defer pg.Release()
-	v, err := t.cellString(pg.Data(), off)
-	return v, true, err
+	d := pg.Data()
+	if d[off+keySize] == 0 {
+		n := int(binary.LittleEndian.Uint16(d[off+keySize+1:]))
+		b.Write(d[off+keySize+3 : off+keySize+3+n])
+		return true, nil
+	}
+	v, err := readChain(t.pool, PageID(binary.LittleEndian.Uint32(d[off+keySize+5:])))
+	b.Write(v)
+	return true, err
 }
 
 // Delete removes k, reporting whether it was present. Underfull

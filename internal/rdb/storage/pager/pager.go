@@ -759,7 +759,7 @@ func (b *builder) buildTree(scan func(emit func(Key, []byte) error) error) PageI
 // buildCell encodes one key/value as a leaf cell, spilling large
 // values into an overflow chain emitted before the cell's leaf.
 func (b *builder) buildCell(k Key, v []byte) []byte {
-	if len(v) <= maxInline {
+	if len(v) <= MaxInline {
 		cell := make([]byte, keySize+3+len(v))
 		copy(cell, k[:])
 		cell[keySize] = 0

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestBTreePutGetScan(t *testing.T) {
 	for _, i := range perm {
 		size := 1 + (i*37)%200
 		if i%101 == 0 {
-			size = maxInline + 1 + i // force overflow chains
+			size = MaxInline + 1 + i // force overflow chains
 		}
 		v := val(i, size)
 		want[uint64(i)] = v
@@ -48,7 +49,11 @@ func TestBTreePutGetScan(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	// Point lookups, including across table boundaries.
+	// Point lookups, including across table boundaries. AppendString keeps
+	// every value in one builder; each substring must survive the
+	// builder's growth.
+	var b strings.Builder
+	kept := map[int]string{}
 	for i := 0; i < n; i += 97 {
 		v, ok, err := tree.Get(MakeKey(3, uint64(i)))
 		if err != nil || !ok {
@@ -57,8 +62,15 @@ func TestBTreePutGetScan(t *testing.T) {
 		if !bytes.Equal(v, want[uint64(i)]) {
 			t.Fatalf("get %d: value mismatch (%d vs %d bytes)", i, len(v), len(want[uint64(i)]))
 		}
-		if sv, ok, err := tree.GetString(MakeKey(3, uint64(i))); err != nil || !ok || sv != string(v) {
-			t.Fatalf("get string %d: ok=%v err=%v, equal to Get: %v", i, ok, err, sv == string(v))
+		start := b.Len()
+		if ok, err := tree.AppendString(MakeKey(3, uint64(i)), &b); err != nil || !ok {
+			t.Fatalf("append string %d: ok=%v err=%v", i, ok, err)
+		}
+		kept[i] = b.String()[start:]
+	}
+	for i, sv := range kept {
+		if sv != string(want[uint64(i)]) {
+			t.Fatalf("append string %d: the kept substring no longer equals Get's value", i)
 		}
 	}
 	if _, ok, _ := tree.Get(MakeKey(2, 5)); ok {
@@ -67,8 +79,9 @@ func TestBTreePutGetScan(t *testing.T) {
 	if _, ok, _ := tree.Get(MakeKey(3, n+1)); ok {
 		t.Fatal("absent record should miss")
 	}
-	if _, ok, _ := tree.GetString(MakeKey(3, n+1)); ok {
-		t.Fatal("absent record should miss GetString")
+	before := b.Len()
+	if ok, _ := tree.AppendString(MakeKey(3, n+1), &b); ok || b.Len() != before {
+		t.Fatal("absent record should miss AppendString and append nothing")
 	}
 	// Ordered scan covers everything exactly once, ascending.
 	lo, hi := TableBounds(3)
@@ -147,7 +160,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for i := 0; i < n; i++ {
 		size := 40 + i%300
 		if i%77 == 0 {
-			size = maxInline * 3
+			size = MaxInline * 3
 		}
 		if err := tree.Put(MakeKey(9, uint64(i)), val(i, size)); err != nil {
 			t.Fatal(err)
@@ -178,7 +191,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	err = s2.Tree().Scan(MinKey, MaxKey, func(k Key, v []byte) error {
 		want := val(int(k.RecID()), 40+int(k.RecID())%300)
 		if k.RecID()%77 == 0 {
-			want = val(int(k.RecID()), maxInline*3)
+			want = val(int(k.RecID()), MaxInline*3)
 		}
 		if !bytes.Equal(v, want) {
 			return fmt.Errorf("record %d mismatch after checkpoint", k.RecID())

@@ -190,16 +190,18 @@ func (tx *Tx) Rollback() error {
 		return ErrTxDone
 	}
 	tx.done = true
+	var f faultCtx
 	for i := len(tx.undo.entries) - 1; i >= 0; i-- {
 		e := tx.undo.entries[i]
 		switch e.op {
 		case undoInsert:
-			e.table.deleteRow(e.rowID)
+			e.table.deleteRow(e.rowID, &f)
 		case undoUpdate:
 			// updateRow re-checks constraints; restoring the old image is
 			// always constraint-safe, but bypass checks to be robust.
-			// rowAt faults the slot if a sweep evicted it mid-transaction.
-			cur := e.table.rowAt(e.rowID)
+			// readRow faults the slot if a sweep evicted it mid-transaction.
+			// A failed read only leaves stale index entries: rollback cannot fail.
+			cur, _ := e.table.readRow(e.rowID, allCols, &f)
 			if cur != nil {
 				e.table.unindexRow(e.rowID, cur)
 			}
