@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/ejb"
 	"webmlgo/internal/mvc"
@@ -42,11 +43,11 @@ func rowsBean(n int) *mvc.UnitBean {
 }
 
 // cells unboxes one literal row for a test bean.
-func cells(row ...mvc.Value) []mvc.Cell {
-	out := make([]mvc.Cell, len(row))
+func cells(row ...mvc.Value) []cell.Cell {
+	out := make([]cell.Cell, len(row))
 	for i, v := range row {
 		var err error
-		if out[i], err = mvc.CellOf(v); err != nil {
+		if out[i], err = cell.Of(v); err != nil {
 			panic(err)
 		}
 	}
@@ -106,7 +107,7 @@ func TestAllocScrollerWindowConstant(t *testing.T) {
 			}
 		})
 		count = testing.AllocsPerRun(100, func() {
-			if res, err := db.Query("SELECT COUNT(*) FROM " + table + " t"); err != nil || res.Data[0][0] != int64(rows) {
+			if res, err := db.Query("SELECT COUNT(*) FROM " + table + " t"); err != nil || res.Data[0][0].Value() != int64(rows) {
 				t.Fatalf("count %v, err %v", res.Data, err)
 			}
 		})
@@ -232,12 +233,12 @@ func TestAllocSlopeCodec(t *testing.T) {
 	t.Logf("bean encode + decode: %.3f allocs per extra row", slope)
 }
 
-// pagedItems opens a database with a 16-row budget whose item tables,
-// one per row count, are fully paged out: reopened, every slot is an
-// eviction marker and reads never repopulate slots, so a row is served
-// from the 16-entry row cache or faulted. An item row has five columns,
-// of which oid, title and body need a box when decoded; price and stock
-// are small integers.
+// pagedItems opens a database with a 16-row budget whose tables, an item
+// and a wide one per row count, are fully paged out: reopened, every slot
+// is an eviction marker and reads never repopulate slots, so a row is
+// served from the 16-entry row cache or faulted. An item row has five
+// columns (oid, title, body, price, stock), a wide row an oid and twelve
+// texts.
 func pagedItems(t *testing.T, rowCounts ...int) *rdb.DB {
 	t.Helper()
 	dir := t.TempDir()
@@ -250,9 +251,22 @@ func pagedItems(t *testing.T, rowCounts ...int) *rdb.DB {
 		if _, err := db.Exec("CREATE TABLE " + table + " (oid INTEGER PRIMARY KEY, title TEXT NOT NULL, body TEXT, price INTEGER, stock INTEGER)"); err != nil {
 			t.Fatal(err)
 		}
+		wide := fmt.Sprintf("wide%d", rows)
+		const wideCols = "c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11"
+		if _, err := db.Exec("CREATE TABLE " + wide + " (oid INTEGER PRIMARY KEY, " +
+			strings.ReplaceAll(wideCols, ",", " TEXT,") + " TEXT)"); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < rows; i++ {
 			if _, err := db.Exec("INSERT INTO "+table+" (oid, title, body, price, stock) VALUES (?, ?, ?, ?, ?)",
 				int64(1000+i), fmt.Sprintf("title %d", i), fmt.Sprintf("body of item %d", i), int64(i%200), int64(i%7)); err != nil {
+				t.Fatal(err)
+			}
+			args := []rdb.Value{int64(1000 + i)}
+			for c := 0; c < 12; c++ {
+				args = append(args, fmt.Sprintf("column %d of row %d", c, i))
+			}
+			if _, err := db.Exec("INSERT INTO "+wide+" (oid, "+wideCols+") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", args...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -272,11 +286,10 @@ func pagedItems(t *testing.T, rowCounts ...int) *rdb.DB {
 // more rows than the cache holds, so every read descends the page tree.
 // The difference is the fault: the first chunks of the execution's image
 // arena and row slab, which a query's only fault allocates at the size of
-// its one image and its one row, and a box per column the plan reads that
-// is text (a substring of the image) or an integer past the runtime's
-// preallocated small ones — no box for the columns it does not read, and
-// no cache entry once the cache recycles its oldest. The cached read's
-// own count is pinned too: a hit allocates nothing.
+// its one image and its one row — its cells are decoded into the row, a
+// text aliasing the image, whatever the columns the plan reads, and the
+// cache recycles its oldest entry. The cached read's own count is pinned
+// too: a hit allocates nothing.
 func TestAllocRowFault(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -288,10 +301,8 @@ func TestAllocRowFault(t *testing.T) {
 		query         string
 		fault, cached float64 // bounds
 	}{
-		// oid, title, body boxed; price and stock are small integers.
-		{"SELECT t.oid, t.title, t.body, t.price, t.stock FROM item512 t WHERE t.oid = ?", 2 + 3, 7},
-		// title, and oid for the WHERE clause the plan still evaluates.
-		{"SELECT t.title FROM item512 t WHERE t.oid = ?", 2 + 2, 7},
+		{"SELECT t.oid, t.title, t.body, t.price, t.stock FROM item512 t WHERE t.oid = ?", 2, 7},
+		{"SELECT t.title FROM item512 t WHERE t.oid = ?", 2, 7},
 	} {
 		read := func(stride int) func() {
 			return func() {
@@ -315,27 +326,27 @@ func TestAllocRowFault(t *testing.T) {
 	}
 }
 
-// TestAllocSlopeRowFault: the faults of one query share its image arena
-// and row slab, so over its boxes an extra faulted row costs only its
-// share of a 4 KiB image chunk and of a 32-row chunk — not an image and a
-// row of its own. Each query scans a fully paged-out table through a
-// 16-entry cache, so every row of every run is a fault; the 100-row and
-// 400-row tables cancel the per-query costs.
+// TestAllocSlopeRowFault: a faulted row is decoded into cells, a text
+// aliasing the image, and the faults of one query share its image arena
+// and row slab, so an extra faulted row costs only its share of a 4 KiB
+// image chunk and of a 32-row chunk — whatever its width — not an image,
+// a row or a box of its own. Each query scans a fully paged-out table
+// through a 16-entry cache, so every row of every run is a fault; the
+// 100-row and 400-row tables cancel the per-query costs.
 func TestAllocSlopeRowFault(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	db := pagedItems(t, 100, 400)
-	for _, c := range []struct {
-		query string
-		boxes float64 // boxed columns the plan reads
-	}{
-		{"SELECT t.oid, t.title FROM item t ORDER BY t.oid", 2},
-		{"SELECT COUNT(*) FROM item t WHERE t.title LIKE '%9%'", 1},
-		{"SELECT * FROM item t", 3},
+	for _, shape := range []string{
+		"SELECT t.oid, t.title FROM item t ORDER BY t.oid",
+		"SELECT COUNT(*) FROM item t WHERE t.title LIKE '%9%'",
+		"SELECT * FROM item t",
+		"SELECT * FROM wide t",
 	} {
 		allocs := func(rows int) float64 {
-			query := strings.Replace(c.query, "item", fmt.Sprintf("item%d", rows), 1)
+			suffix := fmt.Sprint(rows) + " "
+			query := strings.NewReplacer("item ", "item"+suffix, "wide ", "wide"+suffix).Replace(shape)
 			before := db.EngineStats().RowFaults
 			n := testing.AllocsPerRun(20, func() {
 				if _, err := db.Query(query); err != nil {
@@ -348,9 +359,9 @@ func TestAllocSlopeRowFault(t *testing.T) {
 			return n
 		}
 		slope := (allocs(400) - allocs(100)) / 300
-		if slope > c.boxes+0.25 {
-			t.Fatalf("%s: a faulted row allocates %.2f, want <= %.0f boxes + 0.25", c.query, slope, c.boxes)
+		if slope > 0.25 {
+			t.Fatalf("%s: a faulted row allocates %.2f, want <= 0.25", shape, slope)
 		}
-		t.Logf("%s: %.3f allocs per extra faulted row (%.0f of them boxes)", c.query, slope, c.boxes)
+		t.Logf("%s: %.3f allocs per extra faulted row", shape, slope)
 	}
 }

@@ -120,7 +120,7 @@ func BenchmarkE3DedicatedUnitService(b *testing.B) {
 		}
 		bean := &mvc.UnitBean{UnitID: "volumeData", Kind: "data", Fields: []string{"oid", "Title", "Year"}}
 		for _, r := range rows.Data {
-			bean.Nodes = append(bean.Nodes, mvc.Node{Values: cells(r...)})
+			bean.Nodes = append(bean.Nodes, mvc.Node{Values: r})
 		}
 		return bean, nil
 	}

@@ -959,7 +959,7 @@ func e12() {
 		must(err)
 		b, err := db.Query(`SELECT COUNT(*) FROM log_b`)
 		must(err)
-		na, nb := a.Data[0][0].(int64), b.Data[0][0].(int64)
+		na, nb := a.Data[0][0].Value().(int64), b.Data[0][0].Value().(int64)
 		st := db.EngineStats()
 		lost := int64(0)
 		if na < lastAck {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/obs"
@@ -29,16 +30,16 @@ var errCodec = errors.New("ejb: malformed wire data")
 const maxNesting = 64
 
 // Value kind tags: exactly these concrete types cross the wire inside
-// interface-typed fields. The scalar tags are mvc.Cell's kinds, so a bean
+// interface-typed fields. The scalar tags are cell.Cell's kinds, so a bean
 // row field travels as its kind byte and payload with no box in between.
 const (
-	vNil    = byte(mvc.KNull)
-	vInt    = byte(mvc.KInt)
-	vFloat  = byte(mvc.KFloat)
-	vString = byte(mvc.KString)
-	vFalse  = byte(mvc.KFalse)
-	vTrue   = byte(mvc.KTrue)
-	vTime   = byte(mvc.KTime)
+	vNil    = byte(cell.KNull)
+	vInt    = byte(cell.KInt)
+	vFloat  = byte(cell.KFloat)
+	vString = byte(cell.KString)
+	vFalse  = byte(cell.KFalse)
+	vTrue   = byte(cell.KTrue)
+	vTime   = byte(cell.KTime)
 	vMap    = byte(7)
 	vSlice  = byte(8)
 )
@@ -152,7 +153,7 @@ func (w *wbuf) valueDepth(v mvc.Value, depth int) {
 			w.valueDepth(sv, depth+1)
 		}
 	default:
-		if c, err := mvc.CellOf(v); err != nil {
+		if c, err := cell.Of(v); err != nil {
 			w.err = fmt.Errorf("ejb: value on the wire: %w", err)
 		} else {
 			w.cell(c)
@@ -161,17 +162,17 @@ func (w *wbuf) valueDepth(v mvc.Value, depth int) {
 }
 
 // cell writes one scalar: its kind as the tag, then its payload.
-func (w *wbuf) cell(c mvc.Cell) {
+func (w *wbuf) cell(c cell.Cell) {
 	w.byte(byte(c.Kind))
 	switch c.Kind {
-	case mvc.KNull, mvc.KFalse, mvc.KTrue:
-	case mvc.KInt:
+	case cell.KNull, cell.KFalse, cell.KTrue:
+	case cell.KInt:
 		w.varint(int64(c.Num))
-	case mvc.KFloat:
+	case cell.KFloat:
 		w.b = binary.LittleEndian.AppendUint64(w.b, c.Num)
-	case mvc.KString:
+	case cell.KString:
 		w.str(c.Str)
-	case mvc.KTime:
+	case cell.KTime:
 		if _, ok := c.Time(); !ok {
 			w.err = errors.New("ejb: time cell does not hold a marshalled time")
 		}
@@ -347,21 +348,21 @@ func (r *rbuf) valueDepth(depth int) mvc.Value {
 // payload, text aliasing the frame's one string copy. A time stays the
 // bytes the wire carries, checked here so that no later reader can fail
 // on them.
-func (r *rbuf) cell() (c mvc.Cell) {
-	switch c.Kind = mvc.Kind(r.byte()); c.Kind {
-	case mvc.KNull, mvc.KFalse, mvc.KTrue:
-	case mvc.KInt:
+func (r *rbuf) cell() (c cell.Cell) {
+	switch c.Kind = cell.Kind(r.byte()); c.Kind {
+	case cell.KNull, cell.KFalse, cell.KTrue:
+	case cell.KInt:
 		c.Num = uint64(r.varint())
-	case mvc.KFloat:
+	case cell.KFloat:
 		if r.remaining() < 8 {
 			r.fail()
 			break
 		}
 		c.Num = binary.LittleEndian.Uint64(r.b[r.off:])
 		r.off += 8
-	case mvc.KString:
+	case cell.KString:
 		c.Str = r.str()
-	case mvc.KTime:
+	case cell.KTime:
 		c.Str = r.str()
 		if _, ok := c.Time(); !ok {
 			r.fail()
@@ -634,7 +635,7 @@ func (r *rbuf) nodes(b *mvc.UnitBean, depth int) []mvc.Node {
 		return nil
 	}
 	ns := make([]mvc.Node, n)
-	slab := make([]mvc.Cell, n*width)
+	slab := make([]cell.Cell, n*width)
 	for i := range ns {
 		if width > 0 {
 			ns[i].Values = slab[i*width : (i+1)*width : (i+1)*width]

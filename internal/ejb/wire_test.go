@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/obs"
@@ -97,11 +98,11 @@ func fullResponse() *response {
 }
 
 // cells unboxes one literal row for a test bean.
-func cells(row ...mvc.Value) []mvc.Cell {
-	out := make([]mvc.Cell, len(row))
+func cells(row ...mvc.Value) []cell.Cell {
+	out := make([]cell.Cell, len(row))
 	for i, v := range row {
 		var err error
-		if out[i], err = mvc.CellOf(v); err != nil {
+		if out[i], err = cell.Of(v); err != nil {
 			panic(err)
 		}
 	}
@@ -324,7 +325,7 @@ func TestCodecRejectsRaggedNode(t *testing.T) {
 	if w.err == nil {
 		t.Fatal("ragged node encoded without error")
 	}
-	for _, c := range []mvc.Cell{{Kind: mvc.KTime, Str: "nope"}, {Kind: mvc.KTime + 1}} {
+	for _, c := range []cell.Cell{{Kind: cell.KTime, Str: "nope"}, {Kind: cell.KTime + 1}} {
 		w.err = nil
 		if w.cell(c); w.err == nil {
 			t.Fatalf("hand-built cell %+v encoded without error", c)

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 
+	"webmlgo/internal/cell"
 	"webmlgo/internal/rdb"
 )
 
@@ -26,7 +27,7 @@ type Value = rdb.Value
 // sibling list are cut from one slab and, like the whole bean, read-only
 // once ComputeUnit has returned: beans are shared through the bean cache.
 type Node struct {
-	Values   []Cell
+	Values   []cell.Cell
 	Children []Node
 }
 

@@ -249,7 +249,7 @@ func TestParallelPageComputeMatchesSequential(t *testing.T) {
 	sink := par.Beans["sink"]
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("from-mid%02d", i)
-		if at := FieldIndex(sink.Fields, key); at < 0 || sink.Nodes[0].Values[at].Kind == KNull {
+		if at := FieldIndex(sink.Fields, key); at < 0 || sink.Nodes[0].Values[at].IsNull() {
 			t.Fatalf("sink missing propagated param %q: %v", key, sink.Fields)
 		}
 	}

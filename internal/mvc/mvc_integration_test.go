@@ -293,7 +293,7 @@ func TestConnectOperation(t *testing.T) {
 		t.Fatalf("status = %d", rr.Code)
 	}
 	rows, err := db.Query(`SELECT COUNT(*) FROM rel_paperkeyword WHERE from_oid = 2 AND to_oid = 2`)
-	if err != nil || rows.Data[0][0] != int64(1) {
+	if err != nil || rows.Data[0][0].Value() != int64(1) {
 		t.Fatalf("bridge row missing: %v %v", rows, err)
 	}
 }
@@ -488,8 +488,8 @@ func TestMultichoiceFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 seeded (paper 3) + 3 new.
-	if rows.Data[0][0] != int64(4) {
-		t.Fatalf("bridge rows = %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(4) {
+		t.Fatalf("bridge rows = %v", rows.Data[0][0].Value())
 	}
 }
 
@@ -510,7 +510,7 @@ func TestMultichoiceFanOutStopsOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Data[0][0] != int64(0) {
+	if rows.Data[0][0].Value() != int64(0) {
 		t.Fatal("fan-out continued past a failure")
 	}
 }

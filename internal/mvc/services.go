@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/obs"
 	"webmlgo/internal/rdb"
@@ -112,8 +113,8 @@ func bindArgs(params []descriptor.ParamDef, inputs map[string]Value) ([]rdb.Valu
 
 // rowsToNodes converts a query result into bean nodes in the output
 // field order (field <- column): one exact-size slab of cells per sibling
-// list, copied from the projection, so a bean holds no engine memory and
-// a value no bean can carry fails here.
+// list, the projection's cells copied into it, so a bean holds no engine
+// row. A text still aliases the image its row was decoded from.
 func rowsToNodes(rows *rdb.Rows, fields []descriptor.FieldDef) ([]Node, error) {
 	cols := make([]int, len(fields))
 	for i, f := range fields {
@@ -123,15 +124,13 @@ func rowsToNodes(rows *rdb.Rows, fields []descriptor.FieldDef) ([]Node, error) {
 	}
 	w := len(fields)
 	nodes := make([]Node, len(rows.Data))
-	slab := make([]Cell, len(nodes)*w)
+	slab := make([]cell.Cell, len(nodes)*w)
 	for i, r := range rows.Data {
-		nodes[i].Values = slab[i*w : (i+1)*w : (i+1)*w]
+		values := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, c := range cols {
-			var err error
-			if slab[i*w+j], err = CellOf(r[c]); err != nil {
-				return nil, fmt.Errorf("mvc: column %q: %w", fields[j].Column, err)
-			}
+			values[j] = r[c]
 		}
+		nodes[i].Values = values
 	}
 	return nodes, nil
 }
@@ -231,10 +230,8 @@ func computeScrollerUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, in
 		if err != nil {
 			return nil, fmt.Errorf("mvc: scroller %s count: %w", d.ID, err)
 		}
-		if crows.Len() > 0 {
-			if n, ok := crows.Data[0][0].(int64); ok {
-				bean.Total = int(n)
-			}
+		if crows.Len() > 0 && crows.Data[0][0].Kind == cell.KInt {
+			bean.Total = int(crows.Data[0][0].Int())
 		}
 	}
 	rows, err := timedQuery(ctx, db, d.ID, d.Query, args...)

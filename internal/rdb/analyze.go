@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"webmlgo/internal/cell"
 )
 
 // This file adds runtime introspection to compiled plans: EXPLAIN
@@ -82,7 +84,7 @@ func fmtOpTime(d time.Duration) string {
 // nil the output is EXPLAIN's estimate-only form; with es set each
 // operator line gains its actuals so estimates and reality sit side by
 // side, and args are the parameters that execution was bound to.
-func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats, args []Value) string {
+func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats, args []cell.Cell) string {
 	var b strings.Builder
 	a := &p.access
 	switch a.kind {
@@ -164,7 +166,7 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats, args []Value) str
 // plan reads only its LIMIT window, after counting OFFSET entries off
 // without touching their rows; the window is known when both are
 // literals (plain EXPLAIN passes no args) or bound.
-func (p *SelectPlan) walkEstimate(args []Value) string {
+func (p *SelectPlan) walkEstimate(args []cell.Cell) string {
 	rows, skip := p.access.est, 0.0
 	if p.windowed {
 		if limit, offset, hasLimit, err := p.evalLimits(&execCtx{args: args}); err == nil {

@@ -225,7 +225,7 @@ func TestExplainAnalyzeRejectsNonSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(rows.Data[0][0]) != "4" {
+	if fmt.Sprint(rows.Data[0][0].Value()) != "4" {
 		t.Fatalf("non-SELECT was executed: %v", rows.Data)
 	}
 }

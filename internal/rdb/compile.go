@@ -3,6 +3,8 @@ package rdb
 import (
 	"fmt"
 	"strings"
+
+	"webmlgo/internal/cell"
 )
 
 // This file lowers expressions into closures over an execution context.
@@ -27,7 +29,7 @@ import (
 type execCtx struct {
 	rows   []Row
 	need   []colMask // the plan's, per frame (SelectPlan.need)
-	args   []Value
+	args   []cell.Cell
 	stats  *execStats
 	skip   int64      // base entries OFFSET still owes (windowed plans, plan.go visit)
 	agg    *aggOutput // set only while an aggregate plan outputs a group
@@ -45,22 +47,25 @@ type planFrame struct {
 }
 
 // compiledExpr evaluates one expression against the execution context.
-type compiledExpr func(*execCtx) (Value, error)
+type compiledExpr func(*execCtx) (cell.Cell, error)
 
 func errExpr(err error) compiledExpr {
-	return func(*execCtx) (Value, error) { return nil, err }
+	return func(*execCtx) (cell.Cell, error) { return cell.Cell{}, err }
 }
 
 func compileExpr(e Expr, frames []planFrame) compiledExpr {
 	switch x := e.(type) {
 	case *Literal:
-		v := x.Val
-		return func(*execCtx) (Value, error) { return v, nil }
+		v, err := cell.Of(x.Val)
+		if err != nil {
+			return errExpr(err)
+		}
+		return func(*execCtx) (cell.Cell, error) { return v, nil }
 	case *Param:
 		i := x.Index
-		return func(c *execCtx) (Value, error) {
+		return func(c *execCtx) (cell.Cell, error) {
 			if i < 0 || i >= len(c.args) {
-				return nil, fmt.Errorf("rdb: parameter index %d out of range", i)
+				return cell.Cell{}, fmt.Errorf("rdb: parameter index %d out of range", i)
 			}
 			return c.args[i], nil
 		}
@@ -71,12 +76,9 @@ func compileExpr(e Expr, frames []planFrame) compiledExpr {
 	case *IsNullExpr:
 		sub := compileExpr(x.X, frames)
 		not := x.Not
-		return func(c *execCtx) (Value, error) {
+		return func(c *execCtx) (cell.Cell, error) {
 			v, err := sub(c)
-			if err != nil {
-				return nil, err
-			}
-			return (v == nil) != not, nil
+			return cell.Bool(v.IsNull() != not), err
 		}
 	case *InExpr:
 		return compileIn(x, frames)
@@ -153,10 +155,10 @@ func compileColRef(ref *ColRef, frames []planFrame) compiledExpr {
 	if m := frames[fi].need; m != nil {
 		*m |= colBit(ci)
 	}
-	return func(c *execCtx) (Value, error) {
+	return func(c *execCtx) (cell.Cell, error) {
 		r := c.rows[fi]
 		if r == nil {
-			return nil, nil
+			return cell.Cell{}, nil
 		}
 		return r[ci], nil
 	}
@@ -166,31 +168,28 @@ func compileUnary(x *UnaryExpr, frames []planFrame) compiledExpr {
 	sub := compileExpr(x.X, frames)
 	switch x.Op {
 	case "NOT":
-		return func(c *execCtx) (Value, error) {
+		return func(c *execCtx) (cell.Cell, error) {
 			v, err := sub(c)
-			if err != nil {
-				return nil, err
+			if err != nil || v.IsNull() {
+				return v, err
 			}
-			if v == nil {
-				return nil, nil
-			}
-			return !truthy(v), nil
+			return cell.Bool(!isTrue(v)), nil
 		}
 	case "-":
-		return func(c *execCtx) (Value, error) {
+		return func(c *execCtx) (cell.Cell, error) {
 			v, err := sub(c)
 			if err != nil {
-				return nil, err
+				return v, err
 			}
-			switch n := v.(type) {
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
-			case nil:
-				return nil, nil
+			switch v.Kind {
+			case cell.KInt:
+				return cell.Int(-v.Int()), nil
+			case cell.KFloat:
+				return cell.Float(-v.Float()), nil
+			case cell.KNull:
+				return v, nil
 			}
-			return nil, fmt.Errorf("rdb: cannot negate %T", v)
+			return cell.Cell{}, fmt.Errorf("rdb: cannot negate %s", typeName(v))
 		}
 	}
 	return errExpr(fmt.Errorf("rdb: unknown unary op %q", x.Op))
@@ -203,27 +202,24 @@ func compileIn(x *InExpr, frames []planFrame) compiledExpr {
 		list[i] = compileExpr(le, frames)
 	}
 	not := x.Not
-	return func(c *execCtx) (Value, error) {
+	return func(c *execCtx) (cell.Cell, error) {
 		v, err := sub(c)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			return nil, nil
+		if err != nil || v.IsNull() {
+			return v, err
 		}
 		for _, le := range list {
 			lv, err := le(c)
 			if err != nil {
-				return nil, err
+				return lv, err
 			}
-			if lv == nil {
+			if lv.IsNull() {
 				continue
 			}
-			if cv, err := compareValues(v, lv); err == nil && cv == 0 {
-				return !not, nil
+			if cv, err := compare(v, lv); err == nil && cv == 0 {
+				return cell.Bool(!not), nil
 			}
 		}
-		return not, nil
+		return cell.Bool(not), nil
 	}
 }
 
@@ -232,7 +228,7 @@ func compileFunc(x *FuncExpr, frames []planFrame) compiledExpr {
 		// A slot: the value this call accumulated over the group being
 		// output. Anywhere else (WHERE, a group key, another aggregate's
 		// argument) there is no group, and so no value.
-		return func(c *execCtx) (Value, error) {
+		return func(c *execCtx) (cell.Cell, error) {
 			if g := c.agg; g != nil {
 				for i := range g.calls {
 					if g.calls[i].fn == x {
@@ -240,7 +236,7 @@ func compileFunc(x *FuncExpr, frames []planFrame) compiledExpr {
 					}
 				}
 			}
-			return nil, fmt.Errorf("rdb: aggregate %s used outside aggregate query", x.Name)
+			return cell.Cell{}, fmt.Errorf("rdb: aggregate %s used outside aggregate query", x.Name)
 		}
 	}
 	cargs := make([]compiledExpr, len(x.Args))
@@ -248,16 +244,17 @@ func compileFunc(x *FuncExpr, frames []planFrame) compiledExpr {
 		cargs[i] = compileExpr(a, frames)
 	}
 	fn := x
-	return func(c *execCtx) (Value, error) {
-		vals := make([]Value, len(cargs))
-		for i, ca := range cargs {
+	return func(c *execCtx) (cell.Cell, error) {
+		var buf [3]cell.Cell // every fixed-arity function's arguments, on the stack
+		vals := buf[:0]
+		for _, ca := range cargs {
 			v, err := ca(c)
 			if err != nil {
-				return nil, err
+				return v, err
 			}
-			vals[i] = v
+			vals = append(vals, v)
 		}
-		return applyScalarFunc(fn, vals)
+		return callScalar(fn, vals)
 	}
 }
 
@@ -265,116 +262,83 @@ func compileBinary(x *BinaryExpr, frames []planFrame) compiledExpr {
 	l := compileExpr(x.L, frames)
 	r := compileExpr(x.R, frames)
 	switch x.Op {
-	case "AND":
-		return func(c *execCtx) (Value, error) {
+	case "AND", "OR":
+		// The side that decides: false for AND, true for OR. NULL unless
+		// a side decides, or both sides are the other truth value.
+		decides := x.Op == "OR"
+		return func(c *execCtx) (cell.Cell, error) {
 			lv, err := l(c)
 			if err != nil {
-				return nil, err
+				return lv, err
 			}
-			if lv != nil && !truthy(lv) {
-				return false, nil
+			if !lv.IsNull() && isTrue(lv) == decides {
+				return cell.Bool(decides), nil
 			}
 			rv, err := r(c)
 			if err != nil {
-				return nil, err
+				return rv, err
 			}
-			if rv != nil && !truthy(rv) {
-				return false, nil
+			if !rv.IsNull() && isTrue(rv) == decides {
+				return cell.Bool(decides), nil
 			}
-			if lv == nil || rv == nil {
-				return nil, nil
+			if lv.IsNull() || rv.IsNull() {
+				return cell.Cell{}, nil
 			}
-			return true, nil
-		}
-	case "OR":
-		return func(c *execCtx) (Value, error) {
-			lv, err := l(c)
-			if err != nil {
-				return nil, err
-			}
-			if lv != nil && truthy(lv) {
-				return true, nil
-			}
-			rv, err := r(c)
-			if err != nil {
-				return nil, err
-			}
-			if rv != nil && truthy(rv) {
-				return true, nil
-			}
-			if lv == nil || rv == nil {
-				return nil, nil
-			}
-			return false, nil
+			return cell.Bool(!decides), nil
 		}
 	case "=", "<>", "<", "<=", ">", ">=":
 		op := x.Op
-		return func(c *execCtx) (Value, error) {
-			lv, err := l(c)
-			if err != nil {
-				return nil, err
+		return func(c *execCtx) (cell.Cell, error) {
+			lv, rv, err := both(c, l, r)
+			if err != nil || lv.IsNull() || rv.IsNull() {
+				return cell.Cell{}, err
 			}
-			rv, err := r(c)
+			cv, err := compare(lv, rv)
 			if err != nil {
-				return nil, err
-			}
-			if lv == nil || rv == nil {
-				return nil, nil
-			}
-			cv, err := compareValues(lv, rv)
-			if err != nil {
-				return nil, err
+				return cell.Cell{}, err
 			}
 			switch op {
 			case "=":
-				return cv == 0, nil
+				return cell.Bool(cv == 0), nil
 			case "<>":
-				return cv != 0, nil
+				return cell.Bool(cv != 0), nil
 			case "<":
-				return cv < 0, nil
+				return cell.Bool(cv < 0), nil
 			case "<=":
-				return cv <= 0, nil
+				return cell.Bool(cv <= 0), nil
 			case ">":
-				return cv > 0, nil
+				return cell.Bool(cv > 0), nil
 			}
-			return cv >= 0, nil
+			return cell.Bool(cv >= 0), nil
 		}
 	case "LIKE":
-		return func(c *execCtx) (Value, error) {
-			lv, err := l(c)
-			if err != nil {
-				return nil, err
+		return func(c *execCtx) (cell.Cell, error) {
+			lv, rv, err := both(c, l, r)
+			if err != nil || lv.IsNull() || rv.IsNull() {
+				return cell.Cell{}, err
 			}
-			rv, err := r(c)
-			if err != nil {
-				return nil, err
+			if lv.Kind != cell.KString || rv.Kind != cell.KString {
+				return cell.Cell{}, fmt.Errorf("rdb: LIKE requires strings, got %s and %s", typeName(lv), typeName(rv))
 			}
-			if lv == nil || rv == nil {
-				return nil, nil
-			}
-			ls, ok1 := lv.(string)
-			rs, ok2 := rv.(string)
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("rdb: LIKE requires strings, got %T and %T", lv, rv)
-			}
-			return likeMatch(ls, rs), nil
+			return cell.Bool(likeMatch(lv.Str, rv.Str)), nil
 		}
 	case "+", "-", "*", "/":
 		op := x.Op
-		return func(c *execCtx) (Value, error) {
-			lv, err := l(c)
-			if err != nil {
-				return nil, err
+		return func(c *execCtx) (cell.Cell, error) {
+			lv, rv, err := both(c, l, r)
+			if err != nil || lv.IsNull() || rv.IsNull() {
+				return cell.Cell{}, err
 			}
-			rv, err := r(c)
-			if err != nil {
-				return nil, err
-			}
-			if lv == nil || rv == nil {
-				return nil, nil
-			}
-			return arith(op, lv, rv)
+			return calc(op, lv, rv)
 		}
 	}
 	return errExpr(fmt.Errorf("rdb: unknown operator %q", x.Op))
+}
+
+// both evaluates the two operands of a binary operator, left first.
+func both(c *execCtx, l, r compiledExpr) (lv, rv cell.Cell, err error) {
+	if lv, err = l(c); err == nil {
+		rv, err = r(c)
+	}
+	return lv, rv, err
 }

@@ -77,7 +77,7 @@ func TestConcurrentQueryExecTx(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 32 base rows + 25 committed tx rows.
-	if got := res.Data[0][0]; got != int64(57) {
+	if got := res.Data[0][0].Value(); got != int64(57) {
 		t.Fatalf("row count = %v, want 57", got)
 	}
 }

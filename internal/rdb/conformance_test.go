@@ -102,7 +102,7 @@ func runConformance(t *testing.T, db *DB) {
 			for _, r := range rows.Data {
 				var cells []string
 				for _, v := range r {
-					cells = append(cells, FormatValue(v))
+					cells = append(cells, string(v.Append(nil)))
 				}
 				parts = append(parts, strings.Join(cells, ","))
 			}

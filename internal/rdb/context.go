@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+
+	"webmlgo/internal/cell"
 )
 
 // This file is the data tier's zero-dependency tracing seam. The rdb
@@ -130,7 +132,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Row
 		rec.record(QueryRecord{
 			At:       time.Now(),
 			SQL:      sql,
-			Params:   append([]Value(nil), cargs...),
+			Params:   boxAll(cargs),
 			TraceID:  traceID,
 			CacheHit: hit,
 			Rows:     nrows,
@@ -196,4 +198,13 @@ func (db *DB) ExecContext(ctx context.Context, sql string, args ...Value) (Resul
 		return res, applyErr
 	}
 	return res, waitErr
+}
+
+// boxAll boxes cells for a record that leaves the engine.
+func boxAll(cs []cell.Cell) []Value {
+	out := make([]Value, len(cs))
+	for i, c := range cs {
+		out[i] = c.Value()
+	}
+	return out
 }

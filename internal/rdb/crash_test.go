@@ -108,7 +108,7 @@ func TestCrashTortureSIGKILL(t *testing.T) {
 		if int64(a.Len()) < lastAck {
 			t.Fatalf("generation %d: %d acked commits, only %d recovered", gen, lastAck, a.Len())
 		}
-		for i, row := range a.Data {
+		for i, row := range boxed(a) {
 			n, ok := row[0].(int64)
 			if !ok || n != int64(i+1) {
 				t.Fatalf("generation %d: commit sequence has a hole at %d: %v", gen, i+1, row[0])

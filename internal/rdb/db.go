@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"webmlgo/internal/cell"
 )
 
 // Cache capacities. A WebML application's statement population is the
@@ -181,10 +183,11 @@ type Result struct {
 	LastInsertID int64
 }
 
-// Rows is a fully materialized query result.
+// Rows is a fully materialized query result. Its rows are cells; Maps
+// and QueryRow box them.
 type Rows struct {
 	Columns []string
-	Data    [][]Value
+	Data    [][]cell.Cell
 }
 
 // Len returns the number of result rows.
@@ -206,7 +209,7 @@ func (r *Rows) Maps() []map[string]Value {
 	for i, row := range r.Data {
 		m := make(map[string]Value, len(r.Columns))
 		for j, c := range r.Columns {
-			m[c] = row[j]
+			m[c] = row[j].Value()
 		}
 		out[i] = m
 	}
@@ -410,18 +413,19 @@ func (db *DB) RowCount(tableName string) (int, error) {
 	return t.alive, nil
 }
 
-func coerceArgs(st Statement, args []Value) ([]Value, error) {
+// coerceArgs checks the argument count and unboxes the arguments: the one
+// place a Value enters the engine.
+func coerceArgs(st Statement, args []Value) ([]cell.Cell, error) {
 	want := countParams(st)
 	if len(args) != want {
 		return nil, fmt.Errorf("rdb: statement needs %d parameters, got %d", want, len(args))
 	}
-	out := make([]Value, len(args))
+	out := make([]cell.Cell, len(args))
 	for i, a := range args {
-		v, err := coerce(a)
-		if err != nil {
+		var err error
+		if out[i], err = argCell(a); err != nil {
 			return nil, err
 		}
-		out[i] = v
 	}
 	return out, nil
 }
@@ -432,7 +436,7 @@ func coerceArgs(st Statement, args []Value) ([]Value, error) {
 // storage engine: row ops per affected row, DDL as its SQL text (only
 // when it actually changed the schema — IF [NOT] EXISTS no-ops log
 // nothing).
-func (db *DB) execLocked(sql string, st Statement, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
+func (db *DB) execLocked(sql string, st Statement, args []cell.Cell, undo *undoLog, cs *ChangeSet) (Result, error) {
 	switch x := st.(type) {
 	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
 		epochBefore := db.ddlEpoch
@@ -530,7 +534,7 @@ func (db *DB) execDropTable(st *DropTableStmt) (Result, error) {
 	return Result{}, nil
 }
 
-func (db *DB) execInsert(sql string, st *InsertStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
+func (db *DB) execInsert(sql string, st *InsertStmt, args []cell.Cell, undo *undoLog, cs *ChangeSet) (Result, error) {
 	p, err := db.planFor(sql, st)
 	if err != nil {
 		return Result{}, err
@@ -560,10 +564,8 @@ func (db *DB) execInsert(sql string, st *InsertStmt, args []Value, undo *undoLog
 			cs.add(ChangeOp{Kind: OpInsert, Table: lowerKey(st.Table), RowID: id, Row: row})
 		}
 		res.RowsAffected++
-		if t.pk >= 0 {
-			if iv, ok := row[t.pk].(int64); ok {
-				res.LastInsertID = iv
-			}
+		if t.pk >= 0 && row[t.pk].Kind == cell.KInt {
+			res.LastInsertID = row[t.pk].Int()
 		}
 	}
 	return res, nil
@@ -573,7 +575,7 @@ func (db *DB) checkForeignKeys(t *table, row Row, f *faultCtx) error {
 	for _, fk := range t.fks {
 		i, _ := t.col(fk.Column)
 		v := row[i]
-		if v == nil {
+		if v.IsNull() {
 			continue
 		}
 		ref, ok := db.tables[strings.ToLower(fk.RefTable)]
@@ -584,7 +586,7 @@ func (db *DB) checkForeignKeys(t *table, row Row, f *faultCtx) error {
 		if indexed {
 			if len(ids) == 0 {
 				return fmt.Errorf("rdb: foreign key violation: %s.%s = %v not in %s.%s",
-					t.name, fk.Column, v, fk.RefTable, fk.RefColumn)
+					t.name, fk.Column, v.Value(), fk.RefTable, fk.RefColumn)
 			}
 			continue
 		}
@@ -599,20 +601,20 @@ func (db *DB) checkForeignKeys(t *table, row Row, f *faultCtx) error {
 			if err != nil {
 				return err
 			}
-			if r != nil && r[ri] == v {
+			if r != nil && indexKey(r[ri]) == indexKey(v) {
 				found = true
 				break
 			}
 		}
 		if !found {
 			return fmt.Errorf("rdb: foreign key violation: %s.%s = %v not in %s.%s",
-				t.name, fk.Column, v, fk.RefTable, fk.RefColumn)
+				t.name, fk.Column, v.Value(), fk.RefTable, fk.RefColumn)
 		}
 	}
 	return nil
 }
 
-func (db *DB) execUpdate(sql string, st *UpdateStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
+func (db *DB) execUpdate(sql string, st *UpdateStmt, args []cell.Cell, undo *undoLog, cs *ChangeSet) (Result, error) {
 	p, c, ids, err := db.writeTargets(sql, st, args)
 	if err != nil {
 		return Result{}, err
@@ -651,7 +653,7 @@ func (db *DB) execUpdate(sql string, st *UpdateStmt, args []Value, undo *undoLog
 	return res, nil
 }
 
-func (db *DB) execDelete(sql string, st *DeleteStmt, args []Value, undo *undoLog, cs *ChangeSet) (Result, error) {
+func (db *DB) execDelete(sql string, st *DeleteStmt, args []cell.Cell, undo *undoLog, cs *ChangeSet) (Result, error) {
 	p, c, ids, err := db.writeTargets(sql, st, args)
 	if err != nil {
 		return Result{}, err
@@ -678,7 +680,7 @@ func (db *DB) execDelete(sql string, st *DeleteStmt, args []Value, undo *undoLog
 // ids of the rows it writes, in row-id order, all before the first write
 // moves an index entry. The returned context is the plan's, for the SET
 // values.
-func (db *DB) writeTargets(sql string, st Statement, args []Value) (*SelectPlan, *execCtx, []int, error) {
+func (db *DB) writeTargets(sql string, st Statement, args []cell.Cell) (*SelectPlan, *execCtx, []int, error) {
 	p, err := db.planFor(sql, st)
 	if err != nil {
 		return nil, nil, nil, err
@@ -703,7 +705,7 @@ func (p *SelectPlan) setCol(c *execCtx, row Row, i int, val compiledExpr, name s
 		return err
 	}
 	pos := p.setCols[i]
-	cv, err := coerceToCol(v, p.base.cols[pos].def.Type)
+	cv, err := toColumn(v, p.base.cols[pos].def.Type)
 	if err != nil {
 		return fmt.Errorf("%w (column %s)", err, name)
 	}

@@ -177,7 +177,7 @@ func rowsExact(r *Rows) string {
 			if j > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(FormatValue(v))
+			b.Write(v.Append(nil))
 		}
 		b.WriteByte('\n')
 	}
@@ -189,7 +189,7 @@ func rowsMultiset(r *Rows) string {
 	for _, row := range r.Data {
 		cells := make([]string, len(row))
 		for j, v := range row {
-			cells[j] = FormatValue(v)
+			cells[j] = string(v.Append(nil))
 		}
 		lines = append(lines, strings.Join(cells, ","))
 	}
@@ -632,4 +632,13 @@ func tolerableDivergence(err error) bool {
 		}
 	}
 	return false
+}
+
+// boxed is r's rows as the public API boxes them.
+func boxed(r *Rows) [][]Value {
+	out := make([][]Value, len(r.Data))
+	for i, row := range r.Data {
+		out[i] = boxAll(row)
+	}
+	return out
 }

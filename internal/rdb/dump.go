@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"webmlgo/internal/cell"
 )
 
 // This file implements whole-database snapshots: Dump serializes the
@@ -29,6 +31,10 @@ type dumpComposite struct {
 	Cols []string
 }
 
+// dumpTable, dumpFile and dumpChunk are the stream's shapes as LoadDump
+// reads them. A row travels boxed, one Value per column. Dump writes the
+// same shapes through mirrors of its own, which keep the stream's bytes:
+// gob writes the row type's name.
 type dumpTable struct {
 	Name    string
 	Columns []dumpColumn
@@ -40,7 +46,7 @@ type dumpTable struct {
 	// still restore (and Version stays 1).
 	Composite []dumpComposite
 	AutoInc   int64
-	Rows      []Row
+	Rows      [][]Value
 }
 
 type dumpFile struct {
@@ -52,7 +58,7 @@ type dumpFile struct {
 // chunk with an empty Table name terminates the stream.
 type dumpChunk struct {
 	Table string
-	Rows  []Row
+	Rows  [][]Value
 }
 
 // dumpChunkRows bounds how many rows travel in one chunk — and, under
@@ -75,6 +81,27 @@ func init() {
 // in through the storage engine one chunk at a time, so dumping a
 // larger-than-RAM database never materializes a full table.
 func (db *DB) Dump(w io.Writer) error {
+	// The stream's shapes, with the row type under the name gob has always
+	// written for it.
+	type Row []Value
+	type dumpTable struct {
+		Name      string
+		Columns   []dumpColumn
+		FKs       []ForeignKeyDef
+		Indexes   []string
+		Ordered   []string
+		Composite []dumpComposite
+		AutoInc   int64
+		Rows      []Row
+	}
+	type dumpFile struct {
+		Version int
+		Tables  []dumpTable
+	}
+	type dumpChunk struct {
+		Table string
+		Rows  []Row
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 
@@ -126,9 +153,7 @@ func (db *DB) Dump(w io.Writer) error {
 			if r == nil {
 				continue
 			}
-			row := make(Row, len(r))
-			copy(row, r)
-			chunk.Rows = append(chunk.Rows, row)
+			chunk.Rows = append(chunk.Rows, boxAll(r))
 			if len(chunk.Rows) == dumpChunkRows {
 				if err := enc.Encode(&chunk); err != nil {
 					return fmt.Errorf("rdb: dump: %w", err)
@@ -231,17 +256,11 @@ func (db *DB) loadChunk(ch *dumpChunk) error {
 		db.mu.Unlock()
 		return fmt.Errorf("rdb: restore: chunk for unknown table %q", ch.Table)
 	}
-	for _, row := range ch.Rows {
-		if len(row) != len(t.cols) {
+	for _, vals := range ch.Rows {
+		if err := restoreRow(t, vals, cs); err != nil {
 			db.mu.Unlock()
-			return fmt.Errorf("rdb: restore: row arity mismatch in %q", ch.Table)
+			return err
 		}
-		id, err := t.insert(row)
-		if err != nil {
-			db.mu.Unlock()
-			return fmt.Errorf("rdb: restore row into %q: %w", ch.Table, err)
-		}
-		cs.add(ChangeOp{Kind: OpInsert, Table: key, RowID: id, Row: row})
 	}
 	wait, err := db.applyLocked(cs)
 	db.mu.Unlock()
@@ -297,19 +316,35 @@ func (db *DB) loadDumpLocked(tables []dumpTable, cs *ChangeSet) error {
 		// so per-row foreign-key checks would only forbid row orderings
 		// Dump is free to produce.
 		t := db.tables[key]
-		for _, row := range dt.Rows {
-			if len(row) != len(t.cols) {
-				return fmt.Errorf("rdb: restore: row arity mismatch in %q", dt.Name)
+		for _, vals := range dt.Rows {
+			if err := restoreRow(t, vals, cs); err != nil {
+				return err
 			}
-			id, err := t.insert(row)
-			if err != nil {
-				return fmt.Errorf("rdb: restore row into %q: %w", dt.Name, err)
-			}
-			cs.add(ChangeOp{Kind: OpInsert, Table: key, RowID: id, Row: row})
 		}
 		t.autoInc = dt.AutoInc
 		cs.add(ChangeOp{Kind: OpAutoInc, Table: key, AutoInc: dt.AutoInc})
 	}
+	return nil
+}
+
+// restoreRow unboxes one dumped row and inserts it into t, recording the
+// insert in cs.
+func restoreRow(t *table, vals []Value, cs *ChangeSet) error {
+	if len(vals) != len(t.cols) {
+		return fmt.Errorf("rdb: restore: row arity mismatch in %q", t.name)
+	}
+	row := make(Row, len(vals))
+	for i, v := range vals {
+		var err error
+		if row[i], err = cell.Of(v); err != nil {
+			return fmt.Errorf("rdb: restore row into %q: %w", t.name, err)
+		}
+	}
+	id, err := t.insert(row)
+	if err != nil {
+		return fmt.Errorf("rdb: restore row into %q: %w", t.name, err)
+	}
+	cs.add(ChangeOp{Kind: OpInsert, Table: lowerKey(t.name), RowID: id, Row: row})
 	return nil
 }
 

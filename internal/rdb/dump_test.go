@@ -34,7 +34,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		SELECT p.title FROM paper p
 		JOIN issue i ON i.oid = p.issue_oid
 		WHERE i.volume_oid = ? ORDER BY p.title`, 1)
-	if rows.Len() != 2 || rows.Data[0][0] != "Caching Dynamic Content" || rows.Data[1][0] != "Query Optimization" {
+	if rows.Len() != 2 || rows.Data[0][0].Value() != "Caching Dynamic Content" || rows.Data[1][0].Value() != "Query Optimization" {
 		t.Fatalf("got %v", rows.Data)
 	}
 	// Auto-increment continues past the snapshot.

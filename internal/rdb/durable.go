@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webmlgo/internal/cell"
 	"webmlgo/internal/rdb/storage/pager"
 	"webmlgo/internal/rdb/storage/wal"
 )
@@ -156,6 +157,17 @@ type engTable struct {
 	images []*engIndex
 }
 
+// recOfRow is the record id behind the resident row r in slot id: its
+// key's, or the one recOf remembers. ok is false when it has none.
+func (et *engTable) recOfRow(id int, r Row) (rec uint64, ok bool) {
+	if et.intPK {
+		pk := r[et.pkCol]
+		return pkRecID(pk.Int()), pk.Kind == cell.KInt
+	}
+	rec, ok = et.recOf[id]
+	return rec, ok
+}
+
 // pkRecID maps an int64 primary key onto the record-id space with its
 // sign bit flipped, so unsigned key order equals signed value order.
 func pkRecID(pk int64) uint64 { return uint64(pk) ^ (1 << 63) }
@@ -171,7 +183,7 @@ type cacheKey struct {
 
 // rowEntry is one row-cache entry: the record's image as the fault copied
 // it out of its leaf, and a row holding the columns decoded from it so far
-// (have; the others are nil). Both live in the faulting execution's chunks
+// (have; the others are NULL). Both live in the faulting execution's chunks
 // (faultCtx). A published entry is never written: a read that needs more
 // columns caches a widened copy, so a reader may keep the row it was
 // handed (a group's first row, a join frame, a snapshot result).
@@ -189,14 +201,14 @@ const (
 )
 
 // faultCtx is what the row faults of one execution share, so a faulted
-// row costs its boxes rather than an image and a row of its own: an image
-// arena each fault appends its leaf cell to, keeping a substring (strings
-// a builder returned stay valid as it grows on), and a slab its
+// row costs no allocation of its own: an image arena each fault appends
+// its leaf cell to, keeping a substring (strings a builder returned stay
+// valid as it grows on) that its text and time cells alias, and a slab its
 // table-wide row is cut from. The zero value is ready; a plan's lives in
 // its execCtx, and a caller outside a plan declares its own.
 type faultCtx struct {
 	img  strings.Builder
-	rows slab[Value]
+	rows slab[cell.Cell]
 }
 
 // image appends the cell stored under k to the arena and returns it. The
@@ -461,11 +473,7 @@ func (e *durableEngine) writeImages(tree *pager.BTree, et *engTable, rec uint64,
 		for i, c := range img.cols {
 			vals[i] = row[c]
 		}
-		data, err := encodeRow(vals)
-		if err != nil {
-			return err
-		}
-		if err := tree.Put(pager.MakeKey(img.id, rec), data); err != nil {
+		if err := tree.Put(pager.MakeKey(img.id, rec), encodeRow(vals)); err != nil {
 			return err
 		}
 	}
@@ -562,19 +570,18 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 			}
 			var recID uint64
 			if et.intPK {
-				pk, ok := op.Row[et.pkCol].(int64)
-				if !ok {
+				pk := op.Row[et.pkCol]
+				if pk.Kind != cell.KInt {
 					return fmt.Errorf("rdb: durable: non-integer key in %q", op.Table)
 				}
-				recID = pkRecID(pk)
+				recID = pkRecID(pk.Int())
 				switch {
 				case op.Kind == OpInsert:
 					e.retain(et.id, recID, cs.Seq, nil)
 				default:
-					oldPK, ok := op.OldRow[et.pkCol].(int64)
-					if ok && oldPK != pk {
+					if oldPK := op.OldRow[et.pkCol]; oldPK.Kind == cell.KInt && oldPK != pk {
 						// A key change moves the record: delete the old id.
-						oldRec := pkRecID(oldPK)
+						oldRec := pkRecID(oldPK.Int())
 						e.retain(et.id, oldRec, cs.Seq, op.OldRow)
 						e.retain(et.id, recID, cs.Seq, nil)
 						if err := e.delRecord(tree, et, oldRec); err != nil {
@@ -598,10 +605,7 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 				}
 				e.retain(et.id, recID, cs.Seq, op.OldRow)
 			}
-			data, err := encodeRow(op.Row)
-			if err != nil {
-				return err
-			}
+			data := encodeRow(op.Row)
 			if err := e.putRecord(tree, et, recID, data, op.Row); err != nil {
 				return err
 			}
@@ -613,11 +617,11 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 			}
 			var recID uint64
 			if et.intPK {
-				pk, ok := op.OldRow[et.pkCol].(int64)
-				if !ok {
+				pk := op.OldRow[et.pkCol]
+				if pk.Kind != cell.KInt {
 					return fmt.Errorf("rdb: durable: non-integer key in %q", op.Table)
 				}
-				recID = pkRecID(pk)
+				recID = pkRecID(pk.Int())
 			} else {
 				var ok bool
 				recID, ok = et.recOf[op.RowID]
@@ -680,19 +684,9 @@ func (e *durableEngine) sweep() {
 			if _, evicted := evictedRec(r); evicted {
 				continue
 			}
-			var rec uint64
-			if et.intPK {
-				pk, ok := r[et.pkCol].(int64)
-				if !ok {
-					continue
-				}
-				rec = pkRecID(pk)
-			} else {
-				var ok bool
-				rec, ok = et.recOf[id]
-				if !ok {
-					continue
-				}
+			rec, ok := et.recOfRow(id, r)
+			if !ok {
+				continue
 			}
 			t.evictSlot(id, rec)
 			e.rowsEvicted.Add(1)
@@ -734,11 +728,7 @@ func (e *durableEngine) backfillImage(et *engTable, img *engIndex) error {
 		for i, c := range img.cols {
 			vals[i] = row[c]
 		}
-		data, err := encodeRow(vals)
-		if err != nil {
-			return err
-		}
-		ents = append(ents, ent{rec: k.RecID(), data: data})
+		ents = append(ents, ent{rec: k.RecID(), data: encodeRow(vals)})
 		return nil
 	})
 	if err != nil {
@@ -1127,19 +1117,9 @@ func (e *durableEngine) recover(frames []wal.Record) error {
 			if _, evicted := evictedRec(r); evicted {
 				continue
 			}
-			var rec uint64
-			if et.intPK {
-				pk, ok := r[et.pkCol].(int64)
-				if !ok {
-					continue
-				}
-				rec = pkRecID(pk)
-			} else if got, ok := et.recOf[id]; ok {
-				rec = got
-			} else {
-				continue
+			if rec, ok := et.recOfRow(id, r); ok {
+				t.evictSlot(id, rec)
 			}
-			t.evictSlot(id, rec)
 		}
 	}
 	e.lastSeq.Store(db.seq)
@@ -1192,7 +1172,7 @@ func (e *durableEngine) recoverTableV2(ct catTable, rev map[string]map[uint64]in
 		if et.intPK {
 			// Record ids are sign-flipped keys, so the scan yields pk order
 			// and the ordered entries are appends.
-			pk := Value(recIDPK(rec))
+			pk := cell.Int(recIDPK(rec))
 			t.pkMap[pk] = id
 			t.pkOrd.insert(pk, id)
 		} else {
@@ -1220,7 +1200,7 @@ func (e *durableEngine) recoverTableV2(ct catTable, rev map[string]map[uint64]in
 func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv map[uint64]int) error {
 	idOf := func(rec uint64) (int, bool) {
 		if et.intPK {
-			id, ok := t.pkMap[Value(recIDPK(rec))]
+			id, ok := t.pkMap[cell.Int(recIDPK(rec))]
 			return id, ok
 		}
 		id, ok := rv[rec]
@@ -1246,8 +1226,8 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 	switch img.kind {
 	case "pk":
 		if err := scan(func(id int, vals Row) error {
-			if vals[0] != nil {
-				t.pkMap[vals[0]] = id
+			if !vals[0].IsNull() {
+				t.pkMap[indexKey(vals[0])] = id
 				t.pkOrd.entries = append(t.pkOrd.entries, ordEntry{val: vals[0], id: id})
 			}
 			return nil
@@ -1259,20 +1239,20 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 	case "unique":
 		u := t.uniques[img.colNames[0]]
 		if u == nil {
-			u = make(map[Value]int)
+			u = make(map[cell.Cell]int)
 			t.uniques[img.colNames[0]] = u
 		}
 		return scan(func(id int, vals Row) error {
-			if vals[0] != nil {
-				u[vals[0]] = id
+			if k := indexKey(vals[0]); !k.IsNull() {
+				u[k] = id
 			}
 			return nil
 		})
 	case "hash":
-		idx := make(map[Value][]int)
+		idx := make(map[cell.Cell][]int)
 		if err := scan(func(id int, vals Row) error {
-			if vals[0] != nil {
-				idx[vals[0]] = append(idx[vals[0]], id)
+			if k := indexKey(vals[0]); !k.IsNull() {
+				idx[k] = append(idx[k], id)
 			}
 			return nil
 		}); err != nil {
@@ -1283,7 +1263,7 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 	case "ordered":
 		var ents []ordEntry
 		if err := scan(func(id int, vals Row) error {
-			if vals[0] != nil {
+			if !vals[0].IsNull() {
 				ents = append(ents, ordEntry{val: vals[0], id: id})
 			}
 			return nil
@@ -1296,7 +1276,7 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 	case "composite":
 		var ents []compEntry
 		if err := scan(func(id int, vals Row) error {
-			ents = append(ents, compEntry{key: []Value(vals), id: id})
+			ents = append(ents, compEntry{key: vals, id: id})
 			return nil
 		}); err != nil {
 			return err
@@ -1416,7 +1396,7 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 				return err
 			}
 			if et.intPK {
-				if id, ok := t.pkMap[Value(recIDPK(op.recID))]; ok {
+				if id, ok := t.pkMap[cell.Int(recIDPK(op.recID))]; ok {
 					if err := t.updateRow(id, row, &f); err != nil {
 						return fmt.Errorf("rdb: recover %q: %w", op.table, err)
 					}
@@ -1455,7 +1435,7 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 				return fmt.Errorf("rdb: recover: delete from unknown table %q", op.table)
 			}
 			if et.intPK {
-				if id, ok := t.pkMap[Value(recIDPK(op.recID))]; ok {
+				if id, ok := t.pkMap[cell.Int(recIDPK(op.recID))]; ok {
 					t.deleteRow(id, &f)
 				}
 			} else if rv := rev[op.table]; rv != nil {

@@ -68,7 +68,7 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 	}
 	// Secondary indexes must have been rebuilt (the planner can use them).
 	rows, err := db.Query(`SELECT email FROM users WHERE name = 'user11'`)
-	if err != nil || rows.Len() != 1 || rows.Data[0][0] != "u11@x" {
+	if err != nil || rows.Len() != 1 || rows.Data[0][0].Value() != "u11@x" {
 		t.Fatalf("index query: %v %v", rows, err)
 	}
 }
@@ -96,7 +96,7 @@ func TestDurableNoIntPKAndCheckpoint(t *testing.T) {
 		t.Fatalf("rows = %d, want 90", n)
 	}
 	rows, err := db.Query(`SELECT label FROM tags WHERE weight = 1090`)
-	if err != nil || rows.Len() != 1 || rows.Data[0][0] != "t090" {
+	if err != nil || rows.Len() != 1 || rows.Data[0][0].Value() != "t090" {
 		t.Fatalf("updated row: %v %v", rows, err)
 	}
 	// Synthetic record ids must not collide after reopen.

@@ -1,73 +1,64 @@
 package rdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
+
+	"webmlgo/internal/cell"
 )
 
-// This file holds what has one implementation for compiled plans and the
-// test oracle alike: arithmetic, LIKE, the scalar functions, range-bound
-// folding and DISTINCT. Expressions themselves are evaluated only by the
-// closures compile.go builds.
+// This file holds the value operations of compiled plans: arithmetic,
+// LIKE, the scalar functions, range-bound folding, and the grouping key
+// DISTINCT and GROUP BY share. Expressions themselves are evaluated only
+// by the closures compile.go builds; the test oracle has boxed twins of
+// the arithmetic and the functions (oracle_test.go) and shares LIKE and
+// DISTINCT.
 
-func arith(op string, l, r Value) (Value, error) {
-	// String concatenation with +.
-	if op == "+" {
-		if ls, ok := l.(string); ok {
-			if rs, ok := r.(string); ok {
-				return ls + rs, nil
-			}
-		}
+// calc applies an arithmetic operator to two non-NULL cells: + also
+// concatenates texts, two integers stay integral, any other pair of
+// numbers is computed in float64.
+func calc(op string, l, r cell.Cell) (cell.Cell, error) {
+	if op == "+" && l.Kind == cell.KString && r.Kind == cell.KString {
+		return cell.Text(l.Str + r.Str), nil
 	}
-	li, lInt := l.(int64)
-	ri, rInt := r.(int64)
-	if lInt && rInt {
+	if l.Kind == cell.KInt && r.Kind == cell.KInt {
+		a, b := l.Int(), r.Int()
 		switch op {
 		case "+":
-			return li + ri, nil
+			return cell.Int(a + b), nil
 		case "-":
-			return li - ri, nil
+			return cell.Int(a - b), nil
 		case "*":
-			return li * ri, nil
+			return cell.Int(a * b), nil
 		case "/":
-			if ri == 0 {
-				return nil, fmt.Errorf("rdb: division by zero")
+			if b == 0 {
+				return cell.Cell{}, fmt.Errorf("rdb: division by zero")
 			}
-			return li / ri, nil
+			return cell.Int(a / b), nil
 		}
 	}
-	lf, err := toFloat(l)
-	if err != nil {
-		return nil, err
+	for _, c := range [2]cell.Cell{l, r} {
+		if !isNumber(c) {
+			return cell.Cell{}, fmt.Errorf("rdb: %s is not numeric", typeName(c))
+		}
 	}
-	rf, err := toFloat(r)
-	if err != nil {
-		return nil, err
-	}
+	a, b := toFloat(l), toFloat(r)
 	switch op {
 	case "+":
-		return lf + rf, nil
+		return cell.Float(a + b), nil
 	case "-":
-		return lf - rf, nil
+		return cell.Float(a - b), nil
 	case "*":
-		return lf * rf, nil
+		return cell.Float(a * b), nil
 	case "/":
-		if rf == 0 {
-			return nil, fmt.Errorf("rdb: division by zero")
+		if b == 0 {
+			return cell.Cell{}, fmt.Errorf("rdb: division by zero")
 		}
-		return lf / rf, nil
+		return cell.Float(a / b), nil
 	}
-	return nil, fmt.Errorf("rdb: unknown arithmetic op %q", op)
-}
-
-func toFloat(v Value) (float64, error) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), nil
-	case float64:
-		return x, nil
-	}
-	return 0, fmt.Errorf("rdb: %T is not numeric", v)
+	return cell.Cell{}, fmt.Errorf("rdb: unknown arithmetic op %q", op)
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards using an
@@ -115,118 +106,89 @@ func equalFoldByte(a, b byte) bool {
 	return a == b
 }
 
-// applyScalarFunc applies a scalar function to already-evaluated
-// arguments.
-func applyScalarFunc(x *FuncExpr, vals []Value) (Value, error) {
+// callScalar applies a scalar function to already-evaluated arguments.
+func callScalar(x *FuncExpr, vals []cell.Cell) (cell.Cell, error) {
 	switch x.Name {
-	case "LOWER":
+	case "LOWER", "UPPER", "LENGTH":
 		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: LOWER takes 1 argument")
+			return cell.Cell{}, fmt.Errorf("rdb: %s takes 1 argument", x.Name)
 		}
-		if vals[0] == nil {
-			return nil, nil
+		v := vals[0]
+		if v.IsNull() {
+			return v, nil
 		}
-		s, ok := vals[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("rdb: LOWER requires a string")
+		if v.Kind != cell.KString {
+			return cell.Cell{}, fmt.Errorf("rdb: %s requires a string", x.Name)
 		}
-		return strings.ToLower(s), nil
-	case "UPPER":
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: UPPER takes 1 argument")
+		switch x.Name {
+		case "LOWER":
+			return cell.Text(strings.ToLower(v.Str)), nil
+		case "UPPER":
+			return cell.Text(strings.ToUpper(v.Str)), nil
 		}
-		if vals[0] == nil {
-			return nil, nil
-		}
-		s, ok := vals[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("rdb: UPPER requires a string")
-		}
-		return strings.ToUpper(s), nil
-	case "LENGTH":
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: LENGTH takes 1 argument")
-		}
-		if vals[0] == nil {
-			return nil, nil
-		}
-		s, ok := vals[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("rdb: LENGTH requires a string")
-		}
-		return int64(len(s)), nil
+		return cell.Int(int64(len(v.Str))), nil
 	case "ABS":
 		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: ABS takes 1 argument")
+			return cell.Cell{}, fmt.Errorf("rdb: ABS takes 1 argument")
 		}
-		switch n := vals[0].(type) {
-		case nil:
-			return nil, nil
-		case int64:
-			if n < 0 {
-				return -n, nil
+		switch v := vals[0]; v.Kind {
+		case cell.KNull:
+			return v, nil
+		case cell.KInt:
+			return cell.Int(max(v.Int(), -v.Int())), nil
+		case cell.KFloat:
+			if f := v.Float(); f < 0 {
+				return cell.Float(-f), nil
 			}
-			return n, nil
-		case float64:
-			if n < 0 {
-				return -n, nil
-			}
-			return n, nil
+			return v, nil
 		}
-		return nil, fmt.Errorf("rdb: ABS requires a number")
+		return cell.Cell{}, fmt.Errorf("rdb: ABS requires a number")
 	case "COALESCE":
 		for _, v := range vals {
-			if v != nil {
+			if !v.IsNull() {
 				return v, nil
 			}
 		}
-		return nil, nil
+		return cell.Cell{}, nil
 	case "SUBSTR":
 		if len(vals) != 3 {
-			return nil, fmt.Errorf("rdb: SUBSTR takes 3 arguments")
+			return cell.Cell{}, fmt.Errorf("rdb: SUBSTR takes 3 arguments")
 		}
-		if vals[0] == nil {
-			return nil, nil
+		if vals[0].IsNull() {
+			return vals[0], nil
 		}
-		s, ok := vals[0].(string)
-		start, ok2 := vals[1].(int64)
-		length, ok3 := vals[2].(int64)
-		if !ok || !ok2 || !ok3 {
-			return nil, fmt.Errorf("rdb: SUBSTR(string, int, int)")
+		if vals[0].Kind != cell.KString || vals[1].Kind != cell.KInt || vals[2].Kind != cell.KInt {
+			return cell.Cell{}, fmt.Errorf("rdb: SUBSTR(string, int, int)")
 		}
-		// SQL SUBSTR is 1-based.
-		i := int(start) - 1
-		if i < 0 {
-			i = 0
+		s, start, length := vals[0].Str, vals[1].Int(), vals[2].Int()
+		// SQL SUBSTR is 1-based: a start before the first byte reads from
+		// it; a start past the end, or a length that is not positive, reads
+		// nothing.
+		i := int64(0)
+		if start > 1 {
+			i = min(start-1, int64(len(s)))
 		}
-		if i > len(s) {
-			return "", nil
-		}
-		j := i + int(length)
-		if j > len(s) {
-			j = len(s)
-		}
-		return s[i:j], nil
+		return cell.Text(s[i : i+min(max(length, 0), int64(len(s))-i)]), nil
 	}
-	return nil, fmt.Errorf("rdb: unknown function %s", x.Name)
+	return cell.Cell{}, fmt.Errorf("rdb: unknown function %s", x.Name)
 }
 
-func tightenLo(b *rangeBound, v Value, inclusive bool) {
+func tightenLo(b *rangeBound, v cell.Cell, inclusive bool) {
 	if !b.set {
 		*b = rangeBound{val: v, inclusive: inclusive, set: true}
 		return
 	}
-	if c, err := compareValues(v, b.val); err == nil && (c > 0 || (c == 0 && !inclusive)) {
+	if c, err := compare(v, b.val); err == nil && (c > 0 || (c == 0 && !inclusive)) {
 		*b = rangeBound{val: v, inclusive: inclusive, set: true}
 	}
 }
 
-func tightenHi(b *rangeBound, v Value, inclusive bool) {
+func tightenHi(b *rangeBound, v cell.Cell, inclusive bool) {
 	if !b.set {
 		*b = rangeBound{val: v, inclusive: inclusive, set: true}
 		return
 	}
-	if c, err := compareValues(v, b.val); err == nil && (c < 0 || (c == 0 && !inclusive)) {
+	if c, err := compare(v, b.val); err == nil && (c < 0 || (c == 0 && !inclusive)) {
 		*b = rangeBound{val: v, inclusive: inclusive, set: true}
 	}
 }
@@ -259,20 +221,39 @@ func exprName(e Expr) string {
 	return "expr"
 }
 
+// appendKey appends c's grouping key, the identity DISTINCT and GROUP BY
+// hold values to: the kind, then the payload — length-prefixed for a
+// text or time, so no text can run into the next key — with a real that
+// equals an integer keyed as that integer (1.0 and 1, -0.0 and 0).
+func appendKey(dst []byte, c cell.Cell) []byte {
+	if c.Kind == cell.KFloat {
+		if f := c.Float(); f == math.Trunc(f) && math.Abs(f) < 1<<63 {
+			c = cell.Int(int64(f))
+		}
+	}
+	dst = append(dst, byte(c.Kind))
+	switch c.Kind {
+	case cell.KInt, cell.KFloat:
+		return binary.LittleEndian.AppendUint64(dst, c.Num)
+	case cell.KString, cell.KTime:
+		return append(binary.AppendUvarint(dst, uint64(len(c.Str))), c.Str...)
+	}
+	return dst
+}
+
 func distinctRows(in *Rows) *Rows {
 	seen := make(map[string]bool, len(in.Data))
 	out := &Rows{Columns: in.Columns}
+	var key []byte
 	for _, row := range in.Data {
-		var kb strings.Builder
-		for _, v := range row {
-			kb.WriteString(FormatValue(v))
-			kb.WriteByte('\x1f')
+		key = key[:0]
+		for _, c := range row {
+			key = appendKey(key, c)
 		}
-		k := kb.String()
-		if seen[k] {
+		if seen[string(key)] {
 			continue
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		out.Data = append(out.Data, row)
 	}
 	return out

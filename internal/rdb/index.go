@@ -1,6 +1,10 @@
 package rdb
 
-import "sort"
+import (
+	"sort"
+
+	"webmlgo/internal/cell"
+)
 
 // compositeIndex is a multi-column sorted secondary index. Entries are
 // kept ordered by the column tuple — NULLs first, mirroring ORDER BY
@@ -18,25 +22,24 @@ type compositeIndex struct {
 }
 
 type compEntry struct {
-	key []Value
+	key []cell.Cell
 	id  int
 }
 
 // compareNullable orders two values with SQL ORDER BY ASC semantics:
-// NULL sorts before everything. Heterogeneous non-nil values cannot
+// NULL sorts before everything. Heterogeneous non-NULL values cannot
 // occur inside one column (values are coerced to the column type on
-// insert), so the compareValues error branch is unreachable in keys.
-func compareNullable(a, b Value) int {
-	if a == nil {
-		if b == nil {
-			return 0
-		}
+// insert), so the compare error branch is unreachable in keys.
+func compareNullable(a, b cell.Cell) int {
+	switch {
+	case a.IsNull() && b.IsNull():
+		return 0
+	case a.IsNull():
 		return -1
-	}
-	if b == nil {
+	case b.IsNull():
 		return 1
 	}
-	c, err := compareValues(a, b)
+	c, err := compare(a, b)
 	if err != nil {
 		return 0
 	}
@@ -45,7 +48,7 @@ func compareNullable(a, b Value) int {
 
 // compareTuplePrefix lexicographically compares the first n columns of
 // two keys.
-func compareTuplePrefix(a, b []Value, n int) int {
+func compareTuplePrefix(a, b []cell.Cell, n int) int {
 	for i := 0; i < n; i++ {
 		if c := compareNullable(a[i], b[i]); c != 0 {
 			return c
@@ -54,8 +57,8 @@ func compareTuplePrefix(a, b []Value, n int) int {
 	return 0
 }
 
-func (ix *compositeIndex) keyOf(r Row) []Value {
-	key := make([]Value, len(ix.cols))
+func (ix *compositeIndex) keyOf(r Row) []cell.Cell {
+	key := make([]cell.Cell, len(ix.cols))
 	for i, c := range ix.cols {
 		key[i] = r[c]
 	}
@@ -63,7 +66,7 @@ func (ix *compositeIndex) keyOf(r Row) []Value {
 }
 
 // search returns the position of the first entry >= (key, id).
-func (ix *compositeIndex) search(key []Value, id int) int {
+func (ix *compositeIndex) search(key []cell.Cell, id int) int {
 	return sort.Search(len(ix.entries), func(i int) bool {
 		e := &ix.entries[i]
 		if c := compareTuplePrefix(e.key, key, len(key)); c != 0 {
@@ -92,7 +95,7 @@ func (ix *compositeIndex) remove(r Row, id int) {
 
 // eqRange returns the half-open entry range whose keys start with the
 // given prefix values.
-func (ix *compositeIndex) eqRange(prefix []Value) (int, int) {
+func (ix *compositeIndex) eqRange(prefix []cell.Cell) (int, int) {
 	n := len(prefix)
 	start := sort.Search(len(ix.entries), func(i int) bool {
 		return compareTuplePrefix(ix.entries[i].key, prefix, n) >= 0
@@ -107,7 +110,7 @@ func (ix *compositeIndex) eqRange(prefix []Value) (int, int) {
 // column right after the prefix. Entries whose bounded column is NULL
 // sort first; a set lower bound therefore excludes them, while a
 // hi-only range keeps them (the residual WHERE filters them out).
-func (ix *compositeIndex) rangeSegment(prefix []Value, lo, hi rangeBound) (int, int) {
+func (ix *compositeIndex) rangeSegment(prefix []cell.Cell, lo, hi rangeBound) (int, int) {
 	start, end := ix.eqRange(prefix)
 	k := len(prefix)
 	seg := ix.entries[start:end]

@@ -72,23 +72,23 @@ func TestSnapshotMidTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Data[0][0] != int64(1) {
-		t.Fatalf("snapshot saw uncommitted write: %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(1) {
+		t.Fatalf("snapshot saw uncommitted write: %v", rows.Data[0][0].Value())
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// The old snapshot stays frozen; a fresh one sees the commit.
 	rows, _ = s.Query(`SELECT COUNT(*) FROM n`)
-	if rows.Data[0][0] != int64(1) {
-		t.Fatalf("snapshot moved after commit: %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(1) {
+		t.Fatalf("snapshot moved after commit: %v", rows.Data[0][0].Value())
 	}
 	s.Close()
 	s2 := db.Snapshot()
 	defer s2.Close()
 	rows, _ = s2.Query(`SELECT COUNT(*) FROM n`)
-	if rows.Data[0][0] != int64(2) {
-		t.Fatalf("fresh snapshot missed commit: %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(2) {
+		t.Fatalf("fresh snapshot missed commit: %v", rows.Data[0][0].Value())
 	}
 }
 
@@ -162,7 +162,7 @@ func snapshotHammer(t *testing.T, db *DB) {
 					s.Close()
 					return
 				}
-				for _, row := range rows.Data {
+				for _, row := range boxed(rows) {
 					if row[1] != int64(2) {
 						readerErr.Store(errTornPair(row[0], row[1]))
 						s.Close()
@@ -170,7 +170,7 @@ func snapshotHammer(t *testing.T, db *DB) {
 					}
 				}
 				kv, err := s.Query(`SELECT COUNT(*) FROM kv`)
-				if err != nil || kv.Data[0][0] != int64(8) {
+				if err != nil || kv.Data[0][0].Value() != int64(8) {
 					readerErr.Store(errTornPair("kv", kv))
 					s.Close()
 					return
@@ -190,8 +190,8 @@ func snapshotHammer(t *testing.T, db *DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * committed.Load(); rows.Data[0][0] != want {
-		t.Fatalf("pairs = %v, want %d", rows.Data[0][0], want)
+	if want := 2 * committed.Load(); rows.Data[0][0].Value() != want {
+		t.Fatalf("pairs = %v, want %d", rows.Data[0][0].Value(), want)
 	}
 }
 

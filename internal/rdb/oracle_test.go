@@ -2,8 +2,12 @@ package rdb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"time"
+
+	"webmlgo/internal/cell"
 )
 
 // The oracle: the tree-walking driver that compiled plans replaced, kept
@@ -11,10 +15,13 @@ import (
 // hold Query and Exec against. It is written the obvious way — scan every
 // table in row-id order, join by nested loops, materialise every joined
 // environment, then filter, project, group, sort and cut, resolving each
-// name per row — and shares with production only the value operations
-// that have one implementation (applyScalarFunc, arith, likeMatch,
-// compareValues, distinctRows) and the table mutators it writes through.
-// It uses no index: an index-free answer is the stronger second opinion.
+// name per row — over boxed Values: it boxes a table's cells as it reads
+// them and unboxes its result rows at the end, so its comparisons,
+// arithmetic, scalar functions and grouping (the Value helpers at the end
+// of this file) are a second implementation of the cell engine's. It
+// shares with production only LIKE's matcher, DISTINCT (distinctRows) and
+// the table mutators it writes through. It uses no index: an index-free
+// answer is the stronger second opinion.
 //
 // The compiled plan defines SQL here (rules R1–R4, DESIGN.md "The
 // oracle"); the oracle obeys R1 by asking the planner whether the names
@@ -41,7 +48,7 @@ func (db *DB) queryOracle(sql string, args ...Value) (*Rows, error) {
 	if _, err := db.buildPlan(sel); err != nil {
 		return nil, err
 	}
-	return execSelectTables(db.tables, sel, cargs)
+	return execSelectTables(db.tables, sel, boxAll(cargs))
 }
 
 func execSelectTables(tables map[string]*table, st *SelectStmt, args []Value) (*Rows, error) {
@@ -204,9 +211,21 @@ func evalPlainSelect(st *SelectStmt, cols []string, envs []*env, args []Value) (
 				row = append(row, v)
 			}
 		}
-		out.Data = append(out.Data, row)
+		out.Data = append(out.Data, unboxRow(row))
 	}
 	return out, nil
+}
+
+// unboxRow is a result row of the oracle's as the engine returns it.
+func unboxRow(vals []Value) []cell.Cell {
+	row := make([]cell.Cell, len(vals))
+	for i, v := range vals {
+		var err error
+		if row[i], err = cell.Of(v); err != nil {
+			panic(err) // every Value the oracle computes is one a cell holds
+		}
+	}
+	return row
 }
 
 func frameValues(f frame) []Value {
@@ -280,7 +299,7 @@ func orderRows(st *SelectStmt, out *Rows, envs []*env, aggregate bool, args []Va
 	if sortErr != nil {
 		return sortErr
 	}
-	sorted := make([][]Value, n)
+	sorted := make([][]cell.Cell, n)
 	for i, j := range idx {
 		sorted[i] = out.Data[j]
 	}
@@ -297,7 +316,7 @@ func orderByOutput(e Expr, out *Rows, rowIdx int) (Value, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("rdb: ORDER BY references unknown output column %q", ref.Column)
 	}
-	return out.Data[rowIdx][ci], nil
+	return out.Data[rowIdx][ci].Value(), nil
 }
 
 func applyLimitOffset(st *SelectStmt, out *Rows, args []Value) error {
@@ -337,7 +356,7 @@ func applyLimitOffset(st *SelectStmt, out *Rows, args []Value) error {
 type frame struct {
 	name string // alias (lower-cased)
 	tbl  *table
-	row  Row // nil row means "all NULLs" (LEFT JOIN miss)
+	row  []Value // nil row means "all NULLs" (LEFT JOIN miss)
 }
 
 type env struct {
@@ -345,7 +364,7 @@ type env struct {
 	aggs   map[*FuncExpr]Value // an aggregate query's group values (evalAggExpr)
 }
 
-func singleEnv(t *table, name string, r Row) *env {
+func singleEnv(t *table, name string, r []Value) *env {
 	return &env{frames: []frame{{name: strings.ToLower(name), tbl: t, row: r}}}
 }
 
@@ -592,8 +611,7 @@ func evalAggregateSelect(st *SelectStmt, cols []string, nulls *env, envs []*env,
 				if err != nil {
 					return nil, err
 				}
-				kb.WriteString(FormatValue(v))
-				kb.WriteByte('\x1f')
+				kb.WriteString(groupKey(v))
 			}
 			k := kb.String()
 			g, ok := byKey[k]
@@ -628,7 +646,7 @@ func evalAggregateSelect(st *SelectStmt, cols []string, nulls *env, envs []*env,
 			}
 			row = append(row, v)
 		}
-		out.Data = append(out.Data, row)
+		out.Data = append(out.Data, unboxRow(row))
 	}
 	return out, nil
 }
@@ -730,6 +748,7 @@ func (db *DB) execOracle(sql string, args ...Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	vals := boxAll(cargs)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	defer db.publishHead()
@@ -738,10 +757,10 @@ func (db *DB) execOracle(sql string, args ...Value) (Result, error) {
 	}
 	switch x := st.(type) {
 	case *UpdateStmt:
-		return db.updateOracle(x, cargs)
+		return db.updateOracle(x, vals)
 	case *DeleteStmt:
 		t := db.tables[strings.ToLower(x.Table)]
-		ids, err := matchRows(t, x.Table, x.Where, cargs)
+		ids, err := matchRows(t, x.Table, x.Where, vals)
 		if err != nil {
 			return Result{}, err
 		}
@@ -766,8 +785,7 @@ func (db *DB) updateOracle(st *UpdateStmt, args []Value) (Result, error) {
 	var f faultCtx
 	for _, id := range ids {
 		old := oracleRow(t, id)
-		newRow := make(Row, len(old))
-		copy(newRow, old)
+		vals := append([]Value(nil), old...)
 		env := singleEnv(t, st.Table, old)
 		for _, s := range st.Sets {
 			v, err := evalExpr(s.Value, env, args)
@@ -779,8 +797,9 @@ func (db *DB) updateOracle(st *UpdateStmt, args []Value) (Result, error) {
 			if err != nil {
 				return res, fmt.Errorf("%w (column %s)", err, s.Column)
 			}
-			newRow[pos] = cv
+			vals[pos] = cv
 		}
+		newRow := Row(unboxRow(vals))
 		if err := db.checkForeignKeys(t, newRow, &f); err != nil {
 			return res, err
 		}
@@ -792,11 +811,15 @@ func (db *DB) updateOracle(st *UpdateStmt, args []Value) (Result, error) {
 	return res, nil
 }
 
-// oracleRow is the oracle's read of slot id: the whole row, or nil for
-// a deleted slot and for one whose fault fails (the engine reports it).
-func oracleRow(t *table, id int) Row {
+// oracleRow is the oracle's read of slot id: the whole row, boxed, or nil
+// for a deleted slot and for one whose fault fails (the engine reports
+// it).
+func oracleRow(t *table, id int) []Value {
 	r, _ := t.readRow(id, allCols, &faultCtx{})
-	return r
+	if r == nil {
+		return nil
+	}
+	return boxAll(r)
 }
 
 // matchRows returns the ids of the rows of t that satisfy where, in
@@ -820,4 +843,296 @@ func matchRows(t *table, tableName string, where Expr, args []Value) ([]int, err
 		ids = append(ids, id)
 	}
 	return ids, nil
+}
+
+// The oracle's Value helpers: the boxed twins of value.go's and exec.go's
+// cell operations, kept here so the engine is checked against a second
+// implementation rather than its own.
+
+// groupKey is the oracle's GROUP BY identity of a value: its type and
+// spelling, quoted so that no text runs into the next key, with a real
+// that equals an integer keyed as that integer and a time to the
+// nanosecond.
+func groupKey(v Value) string {
+	s := FormatValue(v)
+	switch x := v.(type) {
+	case float64:
+		if x == math.Trunc(x) && math.Abs(x) < 1<<63 {
+			v, s = int64(x), FormatValue(int64(x))
+		}
+	case time.Time:
+		s = x.Format(time.RFC3339Nano)
+	}
+	return fmt.Sprintf("%T %q;", v, s)
+}
+
+// coerceToCol converts v to the column type, or errors.
+func coerceToCol(v Value, t ColType) (Value, error) {
+	if v == nil {
+		return nil, nil
+	}
+	switch t {
+	case TInt:
+		switch x := v.(type) {
+		case int64:
+			return x, nil
+		case float64:
+			return int64(x), nil
+		case bool:
+			return boolToInt(x), nil
+		}
+	case TReal:
+		switch x := v.(type) {
+		case float64:
+			return x, nil
+		case int64:
+			return float64(x), nil
+		}
+	case TText:
+		if x, ok := v.(string); ok {
+			return x, nil
+		}
+	case TBool:
+		switch x := v.(type) {
+		case bool:
+			return x, nil
+		case int64:
+			return x != 0, nil
+		}
+	case TTime:
+		switch x := v.(type) {
+		case time.Time:
+			return x, nil
+		case string:
+			for _, layout := range []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"} {
+				if ts, err := time.Parse(layout, x); err == nil {
+					return ts, nil
+				}
+			}
+		}
+	}
+	return nil, fmt.Errorf("rdb: cannot store %T in %s column", v, t)
+}
+
+// compareValues orders two non-nil values. NULL ordering is handled by the
+// caller. Mixed int/float comparisons are performed in float64.
+func compareValues(a, b Value) (int, error) {
+	switch x := a.(type) {
+	case int64:
+		switch y := b.(type) {
+		case int64:
+			return cmpInt(x, y), nil
+		case float64:
+			return cmpFloat(float64(x), y), nil
+		}
+	case float64:
+		switch y := b.(type) {
+		case float64:
+			return cmpFloat(x, y), nil
+		case int64:
+			return cmpFloat(x, float64(y)), nil
+		}
+	case string:
+		if y, ok := b.(string); ok {
+			return strings.Compare(x, y), nil
+		}
+	case bool:
+		if y, ok := b.(bool); ok {
+			return cmpInt(boolToInt(x), boolToInt(y)), nil
+		}
+	case time.Time:
+		if y, ok := b.(time.Time); ok {
+			switch {
+			case x.Before(y):
+				return -1, nil
+			case x.After(y):
+				return 1, nil
+			default:
+				return 0, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("rdb: cannot compare %T with %T", a, b)
+}
+
+func boolToInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// truthy reports whether v counts as true in a WHERE clause.
+func truthy(v Value) bool {
+	switch x := v.(type) {
+	case nil:
+		return false
+	case bool:
+		return x
+	case int64:
+		return x != 0
+	case float64:
+		return x != 0
+	case string:
+		return x != ""
+	}
+	return true
+}
+
+func arith(op string, l, r Value) (Value, error) {
+	// String concatenation with +.
+	if op == "+" {
+		if ls, ok := l.(string); ok {
+			if rs, ok := r.(string); ok {
+				return ls + rs, nil
+			}
+		}
+	}
+	li, lInt := l.(int64)
+	ri, rInt := r.(int64)
+	if lInt && rInt {
+		switch op {
+		case "+":
+			return li + ri, nil
+		case "-":
+			return li - ri, nil
+		case "*":
+			return li * ri, nil
+		case "/":
+			if ri == 0 {
+				return nil, fmt.Errorf("rdb: division by zero")
+			}
+			return li / ri, nil
+		}
+	}
+	lf, err := numeric(l)
+	if err != nil {
+		return nil, err
+	}
+	rf, err := numeric(r)
+	if err != nil {
+		return nil, err
+	}
+	switch op {
+	case "+":
+		return lf + rf, nil
+	case "-":
+		return lf - rf, nil
+	case "*":
+		return lf * rf, nil
+	case "/":
+		if rf == 0 {
+			return nil, fmt.Errorf("rdb: division by zero")
+		}
+		return lf / rf, nil
+	}
+	return nil, fmt.Errorf("rdb: unknown arithmetic op %q", op)
+}
+
+func numeric(v Value) (float64, error) {
+	switch x := v.(type) {
+	case int64:
+		return float64(x), nil
+	case float64:
+		return x, nil
+	}
+	return 0, fmt.Errorf("rdb: %T is not numeric", v)
+}
+
+// applyScalarFunc applies a scalar function to already-evaluated
+// arguments.
+func applyScalarFunc(x *FuncExpr, vals []Value) (Value, error) {
+	switch x.Name {
+	case "LOWER":
+		if len(vals) != 1 {
+			return nil, fmt.Errorf("rdb: LOWER takes 1 argument")
+		}
+		if vals[0] == nil {
+			return nil, nil
+		}
+		s, ok := vals[0].(string)
+		if !ok {
+			return nil, fmt.Errorf("rdb: LOWER requires a string")
+		}
+		return strings.ToLower(s), nil
+	case "UPPER":
+		if len(vals) != 1 {
+			return nil, fmt.Errorf("rdb: UPPER takes 1 argument")
+		}
+		if vals[0] == nil {
+			return nil, nil
+		}
+		s, ok := vals[0].(string)
+		if !ok {
+			return nil, fmt.Errorf("rdb: UPPER requires a string")
+		}
+		return strings.ToUpper(s), nil
+	case "LENGTH":
+		if len(vals) != 1 {
+			return nil, fmt.Errorf("rdb: LENGTH takes 1 argument")
+		}
+		if vals[0] == nil {
+			return nil, nil
+		}
+		s, ok := vals[0].(string)
+		if !ok {
+			return nil, fmt.Errorf("rdb: LENGTH requires a string")
+		}
+		return int64(len(s)), nil
+	case "ABS":
+		if len(vals) != 1 {
+			return nil, fmt.Errorf("rdb: ABS takes 1 argument")
+		}
+		switch n := vals[0].(type) {
+		case nil:
+			return nil, nil
+		case int64:
+			if n < 0 {
+				return -n, nil
+			}
+			return n, nil
+		case float64:
+			if n < 0 {
+				return -n, nil
+			}
+			return n, nil
+		}
+		return nil, fmt.Errorf("rdb: ABS requires a number")
+	case "COALESCE":
+		for _, v := range vals {
+			if v != nil {
+				return v, nil
+			}
+		}
+		return nil, nil
+	case "SUBSTR":
+		if len(vals) != 3 {
+			return nil, fmt.Errorf("rdb: SUBSTR takes 3 arguments")
+		}
+		if vals[0] == nil {
+			return nil, nil
+		}
+		s, ok := vals[0].(string)
+		start, ok2 := vals[1].(int64)
+		length, ok3 := vals[2].(int64)
+		if !ok || !ok2 || !ok3 {
+			return nil, fmt.Errorf("rdb: SUBSTR(string, int, int)")
+		}
+		// SQL SUBSTR is 1-based; a start before the first byte reads from it.
+		i := 0
+		if start > 1 && start-1 < int64(len(s)) {
+			i = int(start - 1)
+		} else if start > 1 {
+			return "", nil
+		}
+		if length <= 0 {
+			return "", nil
+		}
+		j := len(s)
+		if length < int64(len(s)-i) {
+			j = i + int(length)
+		}
+		return s[i:j], nil
+	}
+	return nil, fmt.Errorf("rdb: unknown function %s", x.Name)
 }

@@ -1,6 +1,10 @@
 package rdb
 
-import "sort"
+import (
+	"sort"
+
+	"webmlgo/internal/cell"
+)
 
 // orderedIndex is a sorted secondary index supporting range scans for
 // inequality predicates (<, <=, >, >=, BETWEEN). Entries are kept sorted
@@ -10,12 +14,12 @@ type orderedIndex struct {
 }
 
 type ordEntry struct {
-	val Value
+	val cell.Cell
 	id  int
 }
 
 // search returns the position of the first entry >= (v, id).
-func (ix *orderedIndex) search(v Value, id int) int {
+func (ix *orderedIndex) search(v cell.Cell, id int) int {
 	return sort.Search(len(ix.entries), func(i int) bool { return !ordLess(ix.entries[i], ordEntry{v, id}) })
 }
 
@@ -23,7 +27,7 @@ func (ix *orderedIndex) search(v Value, id int) int {
 // primary keys, recovery's key-order scan — appends without a search;
 // any other position shifts the tail, so non-monotonic bulk loads cost
 // O(n) each.
-func (ix *orderedIndex) insert(v Value, id int) {
+func (ix *orderedIndex) insert(v cell.Cell, id int) {
 	pos := len(ix.entries)
 	if pos > 0 && !ordLess(ix.entries[pos-1], ordEntry{v, id}) {
 		pos = ix.search(v, id)
@@ -33,10 +37,10 @@ func (ix *orderedIndex) insert(v Value, id int) {
 	ix.entries[pos] = ordEntry{val: v, id: id}
 }
 
-func (ix *orderedIndex) remove(v Value, id int) {
+func (ix *orderedIndex) remove(v cell.Cell, id int) {
 	pos := ix.search(v, id)
 	if pos < len(ix.entries) && ix.entries[pos].id == id {
-		if c, err := compareValues(ix.entries[pos].val, v); err == nil && c == 0 {
+		if c, err := compare(ix.entries[pos].val, v); err == nil && c == 0 {
 			ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
 		}
 	}
@@ -46,7 +50,7 @@ func (ix *orderedIndex) remove(v Value, id int) {
 // values cannot occur: column values are coerced to the column type on
 // insert.
 func ordLess(a, b ordEntry) bool {
-	if c, err := compareValues(a.val, b.val); err == nil && c != 0 {
+	if c, err := compare(a.val, b.val); err == nil && c != 0 {
 		return c < 0
 	}
 	return a.id < b.id
@@ -60,7 +64,7 @@ func sortOrdEntries(ents []ordEntry) {
 
 // rangeBound is one side of a range scan.
 type rangeBound struct {
-	val       Value
+	val       cell.Cell
 	inclusive bool
 	set       bool
 }
@@ -71,7 +75,7 @@ func (ix *orderedIndex) bounds(lo, hi rangeBound) (int, int) {
 	start := 0
 	if lo.set {
 		start = sort.Search(len(ix.entries), func(i int) bool {
-			c, err := compareValues(ix.entries[i].val, lo.val)
+			c, err := compare(ix.entries[i].val, lo.val)
 			if err != nil {
 				return true
 			}
@@ -84,7 +88,7 @@ func (ix *orderedIndex) bounds(lo, hi rangeBound) (int, int) {
 	end := len(ix.entries)
 	if hi.set {
 		end = sort.Search(len(ix.entries), func(i int) bool {
-			c, err := compareValues(ix.entries[i].val, hi.val)
+			c, err := compare(ix.entries[i].val, hi.val)
 			if err != nil {
 				return true
 			}
@@ -128,7 +132,7 @@ func (t *table) createOrderedIndex(colName string) error {
 		if err != nil {
 			return err
 		}
-		if r == nil || r[i] == nil {
+		if r == nil || r[i].IsNull() {
 			continue
 		}
 		ix.insert(r[i], id)

@@ -36,8 +36,8 @@ func TestOrderedIndexRangeQueries(t *testing.T) {
 	}
 	for _, c := range cases {
 		rows := mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE `+c.where)
-		if rows.Data[0][0] != c.want {
-			t.Errorf("WHERE %s: got %v, want %d", c.where, rows.Data[0][0], c.want)
+		if rows.Data[0][0].Value() != c.want {
+			t.Errorf("WHERE %s: got %v, want %d", c.where, rows.Data[0][0].Value(), c.want)
 		}
 	}
 }
@@ -66,8 +66,8 @@ func TestOrderedIndexPlanUsed(t *testing.T) {
 func TestOrderedIndexWithParams(t *testing.T) {
 	db := orderedDB(t, []int64{10, 20, 30, 40})
 	rows := mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE v >= ? AND v <= ?`, 15, 35)
-	if rows.Data[0][0] != int64(2) {
-		t.Fatalf("got %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(2) {
+		t.Fatalf("got %v", rows.Data[0][0].Value())
 	}
 }
 
@@ -75,13 +75,13 @@ func TestOrderedIndexMaintainedOnWrite(t *testing.T) {
 	db := orderedDB(t, []int64{1, 2, 3})
 	mustExec(t, db, `UPDATE m SET v = 100 WHERE v = 2`)
 	rows := mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE v > 50`)
-	if rows.Data[0][0] != int64(1) {
-		t.Fatalf("after update: %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(1) {
+		t.Fatalf("after update: %v", rows.Data[0][0].Value())
 	}
 	mustExec(t, db, `DELETE FROM m WHERE v = 100`)
 	rows = mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE v > 50`)
-	if rows.Data[0][0] != int64(0) {
-		t.Fatalf("after delete: %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(0) {
+		t.Fatalf("after delete: %v", rows.Data[0][0].Value())
 	}
 	// Rollback restores index entries.
 	tx := db.Begin()
@@ -90,11 +90,11 @@ func TestOrderedIndexMaintainedOnWrite(t *testing.T) {
 	}
 	tx.Rollback()
 	rows = mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE v >= 500`)
-	if rows.Data[0][0] != int64(0) {
+	if rows.Data[0][0].Value() != int64(0) {
 		t.Fatal("rollback left ghost index entry")
 	}
 	rows = mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE v <= 1`)
-	if rows.Data[0][0] != int64(1) {
+	if rows.Data[0][0].Value() != int64(1) {
 		t.Fatal("rollback lost index entry")
 	}
 }
@@ -103,8 +103,8 @@ func TestOrderedIndexIgnoresNulls(t *testing.T) {
 	db := orderedDB(t, nil)
 	mustExec(t, db, `INSERT INTO m (v, label) VALUES (NULL, 'n'), (1, 'a')`)
 	rows := mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE v >= 0`)
-	if rows.Data[0][0] != int64(1) {
-		t.Fatalf("got %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(1) {
+		t.Fatalf("got %v", rows.Data[0][0].Value())
 	}
 }
 
@@ -114,7 +114,7 @@ func TestOrderedIndexOnText(t *testing.T) {
 	mustExec(t, db, `CREATE ORDERED INDEX ow ON w(s)`)
 	mustExec(t, db, `INSERT INTO w (s) VALUES ('banana'), ('apple'), ('cherry')`)
 	rows := mustQuery(t, db, `SELECT s FROM w WHERE s >= 'b' AND s < 'c' ORDER BY s`)
-	if rows.Len() != 1 || rows.Data[0][0] != "banana" {
+	if rows.Len() != 1 || rows.Data[0][0].Value() != "banana" {
 		t.Fatalf("got %v", rows.Data)
 	}
 }
@@ -174,7 +174,7 @@ func TestOrderedRangeEquivalenceProperty(t *testing.T) {
 		} {
 			a, err1 := indexed.Query(`SELECT COUNT(*) FROM t WHERE `+where, lo, hi)
 			b, err2 := plain.Query(`SELECT COUNT(*) FROM t WHERE `+where, lo, hi)
-			if err1 != nil || err2 != nil || a.Data[0][0] != b.Data[0][0] {
+			if err1 != nil || err2 != nil || a.Data[0][0].Value() != b.Data[0][0].Value() {
 				return false
 			}
 		}
@@ -202,7 +202,7 @@ func TestRangedDeleteAndUpdateUseIndexPath(t *testing.T) {
 		t.Fatalf("updated %d", res.RowsAffected)
 	}
 	rows := mustQuery(t, db, `SELECT COUNT(*) FROM m WHERE label = 'low'`)
-	if rows.Data[0][0] != int64(2) {
+	if rows.Data[0][0].Value() != int64(2) {
 		t.Fatalf("got %v", rows.Data)
 	}
 }

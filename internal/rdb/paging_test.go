@@ -273,7 +273,7 @@ func TestPagingCorruptRecordIsAnError(t *testing.T) {
 	if err != nil || r.Len() != 7 {
 		t.Fatalf("reads around the damage: %v rows, err %v", r, err)
 	}
-	if r, err := db.Query(`SELECT COUNT(*) FROM kv WHERE k > 9 AND v <> ''`); err != nil || r.Data[0][0] != int64(30) {
+	if r, err := db.Query(`SELECT COUNT(*) FROM kv WHERE k > 9 AND v <> ''`); err != nil || r.Data[0][0].Value() != int64(30) {
 		t.Fatalf("reads around the damage: %v, err %v", r, err)
 	}
 }
@@ -337,7 +337,8 @@ func TestRowCacheRetentionBounded(t *testing.T) {
 		read(rows - 1)
 	}
 	grown := int64(live()) - int64(before)
-	const bound = 16*(4<<10+32*width*16) + 64<<10
+	const cellBytes = 32 // TestCellIsFourWords
+	const bound = 16*(4<<10+32*width*cellBytes) + 64<<10
 	if grown > bound {
 		t.Fatalf("16 cached rows of a %d-row scan keep %d bytes alive, want <= %d", rows, grown, bound)
 	}
@@ -576,7 +577,7 @@ func TestPagingScrollerFaultsItsWindow(t *testing.T) {
 		before := db.EngineStats().RowFaults
 		rows := mustQuery(t, db, c.sql, c.args...)
 		faulted := db.EngineStats().RowFaults - before
-		if rows.Len() != c.rows || (c.rows > 0 && FormatValue(rows.Data[0][0]) != c.first) {
+		if rows.Len() != c.rows || (c.rows > 0 && FormatValue(rows.Data[0][0].Value()) != c.first) {
 			t.Fatalf("%s %v: got %d rows %v, want %d starting at %s", c.sql, c.args, rows.Len(), rows.Data, c.rows, c.first)
 		}
 		if faulted > c.maxFaulted {
@@ -829,7 +830,7 @@ func TestCrashTorturePagingIndexes(t *testing.T) {
 			t.Fatalf("generation %d: %d acked commits, only %d recovered", gen, lastAck, total)
 		}
 		grp3, score90, comp := 0, 0, 0
-		for i, row := range rows.Data {
+		for i, row := range boxed(rows) {
 			n, ok := row[0].(int64)
 			if !ok || n != int64(i+1) {
 				t.Fatalf("generation %d: sequence hole at %d: %v", gen, i+1, row[0])

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"webmlgo/internal/cell"
 )
 
 // This file holds the physical plan representation and its executor.
@@ -49,8 +51,8 @@ type accessPath struct {
 	col       string  // display column for point/range paths (original case)
 	typ       ColType // point paths: the probed column's type (probeKey)
 	label     string  // display label for point paths: PRIMARY KEY / UNIQUE / INDEX
-	hashIdx   map[Value][]int
-	uniqMap   map[Value]int // unique column's map, or the table's pkMap
+	hashIdx   map[cell.Cell][]int
+	uniqMap   map[cell.Cell]int // unique column's map, or the table's pkMap
 	ord       *orderedIndex
 	comp      *compositeIndex
 	eq        []compiledExpr // point value, or composite equality prefix
@@ -82,8 +84,8 @@ type joinPlan struct {
 	col          string  // display: probed column (original case)
 	typ          ColType // its type (probeKey)
 	label        string  // display: PRIMARY KEY / UNIQUE / INDEX / COMPOSITE INDEX
-	hashIdx      map[Value][]int
-	uniqMap      map[Value]int // unique column's map, or the table's pkMap
+	hashIdx      map[cell.Cell][]int
+	uniqMap      map[cell.Cell]int // unique column's map, or the table's pkMap
 	comp         *compositeIndex
 	outer        compiledExpr // evaluated over the outer frames
 	on           compiledExpr // full ON condition over outer + new frame
@@ -204,7 +206,7 @@ func (s *slab[T]) cutUpTo(width, most int) []T {
 // lock on db.mu. es collects per-operator actuals when non-nil
 // (EXPLAIN ANALYZE, traced queries, the flight recorder); the hot path
 // passes nil and pays only nil checks.
-func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error) {
+func (db *DB) execPlan(p *SelectPlan, args []cell.Cell, es *execStats) (*Rows, error) {
 	c := &execCtx{rows: make([]Row, len(p.frames)), need: p.need, args: args, stats: es}
 	limit, offset, hasLimit, err := p.evalLimits(c)
 	if err != nil {
@@ -212,7 +214,7 @@ func (db *DB) execPlan(p *SelectPlan, args []Value, es *execStats) (*Rows, error
 	}
 	db.countJoinStats(p)
 	var out *Rows
-	var keys [][]Value
+	var keys [][]cell.Cell
 	if p.aggregate {
 		out, err = db.aggregateRows(p, c)
 	} else {
@@ -278,7 +280,7 @@ func (p *SelectPlan) filter(c *execCtx, emit func() error) error {
 			c.stats.filterIn++
 		}
 		v, err := p.where(c)
-		if err != nil || !truthy(v) {
+		if err != nil || !isTrue(v) {
 			return err
 		}
 		if c.stats != nil {
@@ -291,11 +293,11 @@ func (p *SelectPlan) filter(c *execCtx, emit func() error) error {
 // plainRows projects the produced rows. keys, parallel to the rows, holds
 // the ORDER BY key values when a sort will follow; stopAt >= 0 ends
 // production once that many rows exist.
-func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]Value, error) {
+func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cell.Cell, error) {
 	out := &Rows{Columns: p.cols}
 	wantKeys := p.needSort() && !p.distinct
-	var keys [][]Value
-	var rowSlab, keySlab slab[Value]
+	var keys [][]cell.Cell
+	var rowSlab, keySlab slab[cell.Cell]
 	err := db.produce(p, c, func() error {
 		row, err := p.project(c, &rowSlab)
 		if err != nil {
@@ -337,8 +339,8 @@ type accum struct {
 	n     int64 // inputs folded: rows for COUNT(*), non-NULL values otherwise
 	isum  int64
 	fsum  float64
-	float bool  // a REAL was summed: SUM is fsum
-	best  Value // MIN/MAX so far
+	float bool      // a REAL was summed: SUM is fsum
+	best  cell.Cell // MIN/MAX so far
 }
 
 func (a *accum) add(call *aggCall, c *execCtx) error {
@@ -347,27 +349,27 @@ func (a *accum) add(call *aggCall, c *execCtx) error {
 		return nil
 	}
 	v, err := call.arg(c)
-	if err != nil || v == nil {
+	if err != nil || v.IsNull() {
 		return err
 	}
 	switch name := call.fn.Name; name {
 	case "SUM", "AVG":
-		switch x := v.(type) {
-		case int64:
-			a.isum += x
-			a.fsum += float64(x)
-		case float64:
+		switch v.Kind {
+		case cell.KInt:
+			a.isum += v.Int()
+			a.fsum += float64(v.Int())
+		case cell.KFloat:
 			a.float = true
-			a.fsum += x
+			a.fsum += v.Float()
 		default:
-			return fmt.Errorf("rdb: %s over non-numeric value %T", name, v)
+			return fmt.Errorf("rdb: %s over non-numeric value %s", name, typeName(v))
 		}
 	case "MIN", "MAX":
 		if a.n == 0 {
 			a.best = v
 			break
 		}
-		cmp, err := compareValues(v, a.best)
+		cmp, err := compare(v, a.best)
 		if err != nil {
 			return err
 		}
@@ -379,18 +381,18 @@ func (a *accum) add(call *aggCall, c *execCtx) error {
 	return nil
 }
 
-func (a *accum) result(name string) Value {
+func (a *accum) result(name string) cell.Cell {
 	switch {
 	case name == "COUNT":
-		return a.n
+		return cell.Int(a.n)
 	case a.n == 0:
-		return nil
+		return cell.Cell{}
 	case name == "AVG":
-		return a.fsum / float64(a.n)
+		return cell.Float(a.fsum / float64(a.n))
 	case name == "SUM" && a.float:
-		return a.fsum
+		return cell.Float(a.fsum)
 	case name == "SUM":
-		return a.isum
+		return cell.Int(a.isum)
 	}
 	return a.best
 }
@@ -399,7 +401,7 @@ func (a *accum) result(name string) Value {
 // call's value for it, read by the call's compiled slot (compileFunc).
 type aggOutput struct {
 	calls []aggCall
-	vals  []Value
+	vals  []cell.Cell
 }
 
 // aggGroup is one group: its first row combination and one accumulator
@@ -423,11 +425,11 @@ func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
 				return nil, err
 			}
 		}
-		row := make([]Value, len(p.cols))
+		row := make([]cell.Cell, len(p.cols))
 		for i := range row {
-			row[i] = n
+			row[i] = cell.Int(n)
 		}
-		return &Rows{Columns: p.cols, Data: [][]Value{row}}, nil
+		return &Rows{Columns: p.cols, Data: [][]cell.Cell{row}}, nil
 	}
 	var groups []*aggGroup
 	byKey := map[string]*aggGroup{}
@@ -451,7 +453,7 @@ func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
 			if err != nil {
 				return err
 			}
-			key = append(AppendValue(key, v), '\x1f')
+			key = appendKey(key, v)
 		}
 		g := group(key)
 		if g.first == nil {
@@ -468,8 +470,8 @@ func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
 		return nil, err
 	}
 	out := &Rows{Columns: p.cols}
-	var rows slab[Value]
-	c.agg = &aggOutput{calls: p.aggs, vals: make([]Value, len(p.aggs))}
+	var rows slab[cell.Cell]
+	c.agg = &aggOutput{calls: p.aggs, vals: make([]cell.Cell, len(p.aggs))}
 	for _, g := range groups {
 		for i := range p.aggs {
 			c.agg.vals[i] = g.acc[i].result(p.aggs[i].fn.Name)
@@ -483,7 +485,7 @@ func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !truthy(v) {
+			if !isTrue(v) {
 				continue
 			}
 		}
@@ -502,22 +504,20 @@ func (p *SelectPlan) evalLimits(c *execCtx) (limit, offset int64, hasLimit bool,
 		if err != nil {
 			return 0, 0, false, err
 		}
-		n, ok := v.(int64)
-		if !ok || n < 0 {
+		if v.Kind != cell.KInt || v.Int() < 0 {
 			return 0, 0, false, errors.New("rdb: OFFSET must be a non-negative integer")
 		}
-		offset = n
+		offset = v.Int()
 	}
 	if p.limit != nil {
 		v, err := p.limit(c)
 		if err != nil {
 			return 0, 0, false, err
 		}
-		n, ok := v.(int64)
-		if !ok || n < 0 {
+		if v.Kind != cell.KInt || v.Int() < 0 {
 			return 0, 0, false, errors.New("rdb: LIMIT must be a non-negative integer")
 		}
-		limit = n
+		limit = v.Int()
 		hasLimit = true
 	}
 	return limit, offset, hasLimit, nil
@@ -542,7 +542,7 @@ func foldBounds(c *execCtx, los, his []boundCand) (lo, hi rangeBound, err error)
 		if err != nil {
 			return lo, hi, err
 		}
-		if v != nil {
+		if !v.IsNull() {
 			tightenLo(&lo, v, b.inclusive)
 		}
 	}
@@ -551,7 +551,7 @@ func foldBounds(c *execCtx, los, his []boundCand) (lo, hi rangeBound, err error)
 		if err != nil {
 			return lo, hi, err
 		}
-		if v != nil {
+		if !v.IsNull() {
 			tightenHi(&hi, v, b.inclusive)
 		}
 	}
@@ -624,8 +624,8 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 			// int-keyed table addresses its record store directly by primary
 			// key, so one versioned fetch stands in for a scan. The row has
 			// no slot (-1); nothing writes through a snapshot.
-			if iv, ok := v.(int64); ok && t.fetch != nil {
-				r, err := t.fetch(pkRecID(iv), t.snapSeq, c.need[0], &c.faults)
+			if v.Kind == cell.KInt && t.fetch != nil {
+				r, err := t.fetch(pkRecID(v.Int()), t.snapSeq, c.need[0], &c.faults)
 				if r == nil || err != nil {
 					return err
 				}
@@ -659,7 +659,7 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 		}
 		return nil
 	case accessComposite:
-		prefix := make([]Value, len(a.eq))
+		prefix := make([]cell.Cell, len(a.eq))
 		for i, e := range a.eq {
 			v, err := e(c)
 			if err != nil {
@@ -783,7 +783,7 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 		if err != nil {
 			return err
 		}
-		if !truthy(v) {
+		if !isTrue(v) {
 			return nil
 		}
 		matched = true
@@ -811,7 +811,7 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 		case jkHash, jkComposite:
 			ids := j.hashIdx[ov]
 			if j.kind == jkComposite {
-				ids = j.comp.ids(j.comp.eqRange([]Value{ov}))
+				ids = j.comp.ids(j.comp.eqRange([]cell.Cell{ov}))
 			}
 			for _, id := range ids {
 				if err := try(id); err != nil {
@@ -842,7 +842,7 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 // project builds one output row from the current row combination, in a
 // slice cut from the execution's slab (the output width is fixed at
 // compile time).
-func (p *SelectPlan) project(c *execCtx, rows *slab[Value]) ([]Value, error) {
+func (p *SelectPlan) project(c *execCtx, rows *slab[cell.Cell]) ([]cell.Cell, error) {
 	row := rows.cut(len(p.cols))[:0]
 	for i := range p.proj {
 		ps := &p.proj[i]
@@ -859,7 +859,7 @@ func (p *SelectPlan) project(c *execCtx, rows *slab[Value]) ([]Value, error) {
 			r := c.rows[fi]
 			if r == nil {
 				for range tbl.cols {
-					row = append(row, nil)
+					row = append(row, cell.Cell{})
 				}
 			} else {
 				row = append(row, r...)
@@ -872,11 +872,11 @@ func (p *SelectPlan) project(c *execCtx, rows *slab[Value]) ([]Value, error) {
 // sortCompiled stable-sorts the output by the ORDER BY keys, NULLs
 // first ascending. keys is parallel to out.Data; it is nil for DISTINCT
 // and aggregate results, whose terms all name output columns.
-func sortCompiled(p *SelectPlan, out *Rows, keys [][]Value) error {
+func sortCompiled(p *SelectPlan, out *Rows, keys [][]cell.Cell) error {
 	if keys == nil {
 		n := len(p.orderBy)
-		keys = make([][]Value, len(out.Data))
-		flat := make([]Value, len(out.Data)*n)
+		keys = make([][]cell.Cell, len(out.Data))
+		flat := make([]cell.Cell, len(out.Data)*n)
 		for i, row := range out.Data {
 			keys[i] = flat[i*n : (i+1)*n]
 			for k := range p.orderBy {
@@ -887,7 +887,7 @@ func sortCompiled(p *SelectPlan, out *Rows, keys [][]Value) error {
 	return stableSortByKeys(out, keys, p.orderBy)
 }
 
-func stableSortByKeys(out *Rows, keys [][]Value, terms []orderKey) error {
+func stableSortByKeys(out *Rows, keys [][]cell.Cell, terms []orderKey) error {
 	n := len(out.Data)
 	idx := make([]int, n)
 	for i := range idx {
@@ -898,16 +898,16 @@ func stableSortByKeys(out *Rows, keys [][]Value, terms []orderKey) error {
 		a, b := idx[x], idx[y]
 		for k := range terms {
 			va, vb := keys[a][k], keys[b][k]
-			if va == nil && vb == nil {
+			if va.IsNull() && vb.IsNull() {
 				continue
 			}
-			if va == nil {
+			if va.IsNull() {
 				return !terms[k].desc
 			}
-			if vb == nil {
+			if vb.IsNull() {
 				return terms[k].desc
 			}
-			c, err := compareValues(va, vb)
+			c, err := compare(va, vb)
 			if err != nil {
 				sortErr = err
 				return false
@@ -925,7 +925,7 @@ func stableSortByKeys(out *Rows, keys [][]Value, terms []orderKey) error {
 	if sortErr != nil {
 		return sortErr
 	}
-	sorted := make([][]Value, n)
+	sorted := make([][]cell.Cell, n)
 	for i, j := range idx {
 		sorted[i] = out.Data[j]
 	}

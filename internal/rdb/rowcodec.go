@@ -4,26 +4,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"time"
+
+	"webmlgo/internal/cell"
 )
 
-// This file is the wire codec between the executor's Values and the
+// This file is the wire codec between the executor's cells and the
 // durable engine's byte payloads: row images stored in B-tree leaves
 // and change-set records framed into the WAL. The format is tagged and
-// little-endian; it never changes shape silently — unknown tags are a
-// decode error, so a version bump is forced to be explicit.
-
-// Value tags.
-const (
-	tagNil   = 0
-	tagInt   = 1
-	tagReal  = 2
-	tagText  = 3
-	tagFalse = 4
-	tagTrue  = 5
-	tagTime  = 6
-)
+// little-endian, and a value's tag is its cell.Kind; it never changes
+// shape silently — unknown tags are a decode error, so a version bump is
+// forced to be explicit.
 
 // WAL operation kinds (the durable engine's lowered form of ChangeOps:
 // rowIDs are translated to stable record ids before logging).
@@ -49,44 +39,27 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-func appendValue(b []byte, v Value) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, tagNil), nil
-	case int64:
-		return appendVarint(append(b, tagInt), x), nil
-	case float64:
-		b = append(b, tagReal)
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(x))
-		return append(b, tmp[:]...), nil
-	case string:
-		return appendBytes(append(b, tagText), []byte(x)), nil
-	case bool:
-		if x {
-			return append(b, tagTrue), nil
-		}
-		return append(b, tagFalse), nil
-	case time.Time:
-		p, err := x.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("rdb: encode time: %w", err)
-		}
-		return appendBytes(append(b, tagTime), p), nil
+// appendCell writes one value: its kind as the tag, then the payload.
+func appendCell(b []byte, c cell.Cell) []byte {
+	b = append(b, byte(c.Kind))
+	switch c.Kind {
+	case cell.KInt:
+		return appendVarint(b, c.Int())
+	case cell.KFloat:
+		return binary.LittleEndian.AppendUint64(b, c.Num)
+	case cell.KString, cell.KTime:
+		return appendBytes(b, []byte(c.Str))
 	}
-	return nil, fmt.Errorf("rdb: cannot encode value of type %T", v)
+	return b
 }
 
 // encodeRow serializes a row image: column count then tagged values.
-func encodeRow(r Row) ([]byte, error) {
+func encodeRow(r Row) []byte {
 	b := appendUvarint(make([]byte, 0, 16+8*len(r)), uint64(len(r)))
-	var err error
-	for _, v := range r {
-		if b, err = appendValue(b, v); err != nil {
-			return nil, err
-		}
+	for _, c := range r {
+		b = appendCell(b, c)
 	}
-	return b, nil
+	return b
 }
 
 // colMask names the columns of one table a plan reads (bit i: column
@@ -102,11 +75,11 @@ func (m colMask) has(i int) bool { return m&colBit(i) != 0 }
 
 // decoder is a cursor over one encoded payload held as a string: a row
 // image as a fault appended it to its execution's image arena
-// (pager.BTree.AppendString), or a WAL frame. A text value is a substring
-// of the payload, never a copy, so a value that outlives its row keeps the
-// arena chunk it sits in alive whole (DESIGN.md, "Anti-caching rows").
-// Every read fails loudly on truncation; the first failure sticks and
-// names the defect, and the caller says what was being decoded.
+// (pager.BTree.AppendString), or a WAL frame. A text or time cell is a
+// substring of the payload, never a copy, so a cell that outlives its row
+// keeps the arena chunk it sits in alive whole (DESIGN.md, "Anti-caching
+// rows"). Every read fails loudly on truncation; the first failure sticks
+// and names the defect, and the caller says what was being decoded.
 type decoder struct {
 	s   string
 	off int
@@ -119,11 +92,13 @@ func (d *decoder) fail(msg string) {
 	}
 }
 
-// uvarint is binary.Uvarint over the payload.
+// uvarint is binary.Uvarint over the payload, refusing the overlong forms
+// (a last byte of 0 after others) the encoder never writes, so an image
+// the decoder accepts is the one encodeRow writes for what it decoded.
 func (d *decoder) uvarint() uint64 {
 	var x uint64
 	for s := uint(0); d.err == nil; s += 7 {
-		if d.off == len(d.s) || s == 63 && d.s[d.off] > 1 {
+		if d.off == len(d.s) || s == 63 && d.s[d.off] > 1 || s > 0 && d.s[d.off] == 0 {
 			d.fail("bad varint")
 			break
 		}
@@ -176,43 +151,28 @@ func (d *decoder) u64() uint64 {
 	return u
 }
 
-// value reads one tagged value; with skip set it only steps over it.
-func (d *decoder) value(skip bool) Value {
-	switch d.byte() {
-	case tagNil:
-		return nil
-	case tagInt:
-		if x := d.varint(); !skip {
-			return x
+// cell reads one tagged value into a cell with no allocation: the tag is
+// the kind, a text or time is a substring of the payload. A time is parsed
+// to check it unless skip is set.
+func (d *decoder) cell(skip bool) (c cell.Cell) {
+	switch c.Kind = cell.Kind(d.byte()); c.Kind {
+	case cell.KNull, cell.KFalse, cell.KTrue:
+	case cell.KInt:
+		c.Num = uint64(d.varint())
+	case cell.KFloat:
+		c.Num = d.u64()
+	case cell.KString:
+		c.Str = d.str()
+	case cell.KTime:
+		if c.Str = d.str(); !skip && d.err == nil {
+			if _, ok := c.Time(); !ok {
+				d.fail("bad time")
+			}
 		}
-		return nil
-	case tagReal:
-		if u := d.u64(); !skip {
-			return math.Float64frombits(u)
-		}
-		return nil
-	case tagText:
-		if p := d.str(); !skip {
-			return p
-		}
-		return nil
-	case tagFalse:
-		return false
-	case tagTrue:
-		return true
-	case tagTime:
-		p := d.str()
-		if skip || d.err != nil {
-			return nil
-		}
-		var t time.Time
-		if err := t.UnmarshalBinary([]byte(p)); err != nil {
-			d.fail("bad time")
-		}
-		return t
+	default:
+		d.fail("unknown value tag")
 	}
-	d.fail("unknown value tag")
-	return nil
+	return c
 }
 
 // decodeCols decodes the columns need names from a row image produced by
@@ -226,8 +186,8 @@ func decodeCols(img string, row Row, need colMask) error {
 		return fmt.Errorf("%d columns, want %d", n, len(row))
 	}
 	for i := 0; i < len(row) && d.err == nil; i++ {
-		if v := d.value(!need.has(i)); d.err == nil && need.has(i) {
-			row[i] = v
+		if c := d.cell(!need.has(i)); d.err == nil && need.has(i) {
+			row[i] = c
 		}
 	}
 	if d.err != nil {

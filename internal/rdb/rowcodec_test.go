@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -9,13 +10,28 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"webmlgo/internal/cell"
+)
+
+// The row codec's value tags: a value's tag is its cell kind.
+const (
+	tagNil   = byte(cell.KNull)
+	tagInt   = byte(cell.KInt)
+	tagReal  = byte(cell.KFloat)
+	tagText  = byte(cell.KString)
+	tagFalse = byte(cell.KFalse)
+	tagTrue  = byte(cell.KTrue)
+	tagTime  = byte(cell.KTime)
 )
 
 // malformedRowImages are row images a fault may find in a damaged leaf,
 // one per way the decoder can refuse one. testdata/fuzz/FuzzRowImage
 // holds each under its name (mask 0: the refusal must not depend on
 // which columns a plan reads — except a time, which is parsed only when
-// decoded, so bad-time carries the mask that decodes it).
+// decoded, so bad-time carries the mask that decodes it). An image the
+// decoder accepts is the one encodeRow writes for what it decoded, so an
+// overlong varint is refused too.
 func malformedRowImages() map[string]malformedImage {
 	return map[string]malformedImage{
 		"truncated-varint":   {[]byte{2, tagInt, 0x80, 0x80}, 0},
@@ -25,6 +41,7 @@ func malformedRowImages() map[string]malformedImage {
 		"short-text":         {[]byte{2, tagText, 5, 'a', 'b'}, 0},
 		"short-real":         {[]byte{1, tagReal, 0, 0, 0, 0}, 0},
 		"varint-overflow":    {[]byte{1, tagInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, 0},
+		"overlong-varint":    {[]byte{1, tagText, 0x81, 0x00, 'x'}, 0},
 		"bad-time":           {[]byte{2, tagNil, tagTime, 4, 'n', 'o', 'p', 'e'}, 2},
 		"missing-last-value": {[]byte{3, tagNil, tagFalse}, 0},
 	}
@@ -65,23 +82,7 @@ func TestRowImageMalformed(t *testing.T) {
 }
 
 // untouched fills the row slots a masked decode must leave alone.
-type untouched struct{}
-
-// sameValue is value identity as the codec must preserve it: floats by
-// bits (NaN included), times by instant and offset.
-func sameValue(a, b Value) bool {
-	switch x := a.(type) {
-	case float64:
-		y, ok := b.(float64)
-		return ok && math.Float64bits(x) == math.Float64bits(y)
-	case time.Time:
-		y, ok := b.(time.Time)
-		_, xo := x.Zone()
-		_, yo := y.Zone()
-		return ok && x.Equal(y) && xo == yo
-	}
-	return a == b
-}
+var untouched = cell.Cell{Kind: kEvicted, Str: "untouched"}
 
 // rowFromBytes spends b on a row of every value kind the codec knows.
 func rowFromBytes(b []byte) Row {
@@ -100,60 +101,63 @@ func rowFromBytes(b []byte) Row {
 	for len(b) > 0 && len(r) < 70 { // past 64: the shared high bit
 		switch k := next(1)[0]; k % 7 {
 		case 0:
-			r = append(r, nil)
+			r = append(r, cell.Cell{})
 		case 1:
-			r = append(r, int64(u64()))
+			r = append(r, cell.Int(int64(u64())))
 		case 2:
-			r = append(r, math.Float64frombits(u64()))
+			r = append(r, cell.Float(math.Float64frombits(u64())))
 		case 3:
-			r = append(r, string(next(int(k/7)%24)))
+			r = append(r, cell.Text(string(next(int(k/7)%24))))
 		case 4:
-			r = append(r, k&8 != 0)
+			r = append(r, cell.Bool(k&8 != 0))
 		case 5:
 			offset := int(int16(u64())) / 60 * 60
 			if offset == -60 {
 				offset = 0 // -1 minute is MarshalBinary's UTC marker
 			}
-			r = append(r, time.Unix(int64(u64()%(1<<40)), int64(u64()%1e9)).In(time.FixedZone("", offset)))
+			c, err := cell.Of(time.Unix(int64(u64()%(1<<40)), int64(u64()%1e9)).In(time.FixedZone("", offset)))
+			if err != nil {
+				panic(err)
+			}
+			r = append(r, c)
 		default:
-			r = append(r, "")
+			r = append(r, cell.Text(""))
 		}
 	}
 	return r
 }
 
 // FuzzRowImage: arbitrary bytes never panic the row decoder, and an image
-// it accepts decodes the same under any mask and its widening as in one
-// full decode; for the image of a row built from the same bytes, the
-// masked columns round-trip and the rest stay untouched.
+// it accepts is byte for byte the image of the row it decodes to, and
+// decodes the same under any mask and its widening as in one full decode;
+// the image of a row built from the same bytes decodes to that row, cell
+// for cell (reals by their bits, times by their bytes), with the masked
+// columns decoded and the rest untouched.
 func FuzzRowImage(f *testing.F) {
+	at, _ := cell.Of(time.Unix(1700000000, 5).UTC())
 	for _, r := range []Row{
-		{int64(1), "title", nil, 2.5, true, false, time.Unix(1700000000, 5).UTC()},
+		{cell.Int(1), cell.Text("title"), {}, cell.Float(2.5), cell.Bool(true), cell.Bool(false), at},
 		{},
-		{""},
+		{cell.Text("")},
 	} {
-		img, err := encodeRow(r)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(img, uint64(0b1010))
+		f.Add(encodeRow(r), uint64(0b1010))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, mask uint64) {
 		m := colMask(mask)
 		if full, err := decodeRow(string(data)); err == nil {
+			if img := encodeRow(full); !bytes.Equal(img, data) {
+				t.Fatalf("image %q decodes to %v, whose image is %q", data, full, img)
+			}
 			checkMasked(t, string(data), full, m)
 		}
 		want := rowFromBytes(data)
-		img, err := encodeRow(want)
-		if err != nil {
-			t.Fatalf("encodeRow(%v): %v", want, err)
-		}
+		img := encodeRow(want)
 		full, err := decodeRow(string(img))
 		if err != nil {
 			t.Fatalf("decodeRow(encodeRow(%v)): %v", want, err)
 		}
 		for i := range want {
-			if !sameValue(full[i], want[i]) {
+			if full[i] != want[i] {
 				t.Fatalf("column %d: %#v round-tripped as %#v", i, want[i], full[i])
 			}
 		}
@@ -167,16 +171,16 @@ func checkMasked(t *testing.T, img string, full Row, m colMask) {
 	t.Helper()
 	row := make(Row, len(full))
 	for i := range row {
-		row[i] = untouched{}
+		row[i] = untouched
 	}
 	if err := decodeCols(img, row, m); err != nil {
 		t.Fatalf("mask %b: %v after a full decode succeeded", m, err)
 	}
 	for i := range row {
 		switch {
-		case m.has(i) && !sameValue(row[i], full[i]):
+		case m.has(i) && row[i] != full[i]:
 			t.Fatalf("mask %b column %d: %#v, full decode %#v", m, i, row[i], full[i])
-		case !m.has(i) && row[i] != (untouched{}):
+		case !m.has(i) && row[i] != untouched:
 			t.Fatalf("mask %b column %d written: %#v", m, i, row[i])
 		}
 	}
@@ -184,7 +188,7 @@ func checkMasked(t *testing.T, img string, full Row, m colMask) {
 		t.Fatalf("widening mask %b: %v", m, err)
 	}
 	for i := range row {
-		if !sameValue(row[i], full[i]) {
+		if row[i] != full[i] {
 			t.Fatalf("widened column %d: %#v, full decode %#v", i, row[i], full[i])
 		}
 	}

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"webmlgo/internal/cell"
 )
 
-// Row is one stored tuple. Its layout matches the table's column order.
-type Row []Value
+// Row is one stored tuple, one cell per column in the table's column
+// order.
+type Row []cell.Cell
 
 // column is the runtime schema of one column.
 type column struct {
@@ -52,7 +55,7 @@ type table struct {
 	// column position when a record-store point fetch is possible, else
 	// -1. Live tables never consult it.
 	snapPK int
-	pkMap  map[Value]int
+	pkMap  map[cell.Cell]int // keyed by indexKey, like every index map
 	// pkOrd holds the same keys as pkMap in key order: what the schema
 	// already says about ORDER BY pk and pk ranges. It is nil without a
 	// primary key, is never persisted (pkMap's sources rebuild it) and is
@@ -60,8 +63,8 @@ type table struct {
 	pkOrd *orderedIndex
 	// indexes maps lower(column name) -> value -> row ids. The primary key
 	// is indexed through pkMap and pkOrd instead.
-	indexes map[string]map[Value][]int
-	uniques map[string]map[Value]int
+	indexes map[string]map[cell.Cell][]int
+	uniques map[string]map[cell.Cell]int
 	// ordered maps lower(column name) -> sorted index (range scans).
 	ordered map[string]*orderedIndex
 	// composites are multi-column sorted indexes (see index.go).
@@ -76,21 +79,20 @@ func errNoColumn(table, col string) error {
 // fetch resolves to the current committed record.
 const liveSeq = ^uint64(0)
 
-// evictedRef is the single Value of an eviction marker: a row slot
-// whose data was paged out, holding only the storage-engine record id
-// needed to fault it back in. Index structures keep the slot's row id,
-// so markers are invisible to access-path selection.
-type evictedRef struct{ rec uint64 }
+// kEvicted is the kind of the single cell of an eviction marker: a row
+// slot whose data was paged out, holding only the storage-engine record
+// id (Num) needed to fault it back in. No value has the kind. Index
+// structures keep the slot's row id, so markers are invisible to
+// access-path selection.
+const kEvicted cell.Kind = 0xff
 
-func evictedRowMark(rec uint64) Row { return Row{Value(evictedRef{rec})} }
+func evictedRowMark(rec uint64) Row { return Row{{Kind: kEvicted, Num: rec}} }
 
 // evictedRec reports whether r is an eviction marker and, if so, the
 // record id it points at.
 func evictedRec(r Row) (uint64, bool) {
-	if len(r) == 1 {
-		if ev, ok := r[0].(evictedRef); ok {
-			return ev.rec, true
-		}
+	if len(r) == 1 && r[0].Kind == kEvicted {
+		return r[0].Num, true
 	}
 	return 0, false
 }
@@ -146,9 +148,9 @@ func newTable(st *CreateTableStmt) (*table, error) {
 		name:    st.Name,
 		pk:      -1,
 		colIdx:  make(map[string]int, len(st.Columns)),
-		pkMap:   make(map[Value]int),
-		indexes: make(map[string]map[Value][]int),
-		uniques: make(map[string]map[Value]int),
+		pkMap:   make(map[cell.Cell]int),
+		indexes: make(map[string]map[cell.Cell][]int),
+		uniques: make(map[string]map[cell.Cell]int),
 		ordered: make(map[string]*orderedIndex),
 		fks:     st.ForeignKeys,
 	}
@@ -167,7 +169,7 @@ func newTable(st *CreateTableStmt) (*table, error) {
 			t.pkOrd = &orderedIndex{}
 		}
 		if cd.Unique {
-			t.uniques[lower] = make(map[Value]int)
+			t.uniques[lower] = make(map[cell.Cell]int)
 		}
 	}
 	for _, fk := range st.ForeignKeys {
@@ -196,31 +198,31 @@ func (t *table) col(name string) (int, bool) {
 func (t *table) insert(r Row) (int, error) {
 	if t.pk >= 0 {
 		pkv := r[t.pk]
-		if pkv == nil {
+		if pkv.IsNull() {
 			if !t.cols[t.pk].def.AutoIncrement {
 				return 0, fmt.Errorf("rdb: NULL primary key in table %q", t.name)
 			}
 			t.autoInc++
-			pkv = t.autoInc
+			pkv = cell.Int(t.autoInc)
 			r[t.pk] = pkv
-		} else if iv, ok := pkv.(int64); ok && iv > t.autoInc {
-			t.autoInc = iv
+		} else if pkv.Kind == cell.KInt && pkv.Int() > t.autoInc {
+			t.autoInc = pkv.Int()
 		}
-		if _, exists := t.pkMap[pkv]; exists {
-			return 0, fmt.Errorf("rdb: duplicate primary key %v in table %q", pkv, t.name)
+		if _, exists := t.pkMap[indexKey(pkv)]; exists {
+			return 0, fmt.Errorf("rdb: duplicate primary key %v in table %q", pkv.Value(), t.name)
 		}
 	}
 	for colName, u := range t.uniques {
 		i := t.colIdx[colName]
-		if r[i] == nil {
+		if r[i].IsNull() {
 			continue
 		}
-		if _, exists := u[r[i]]; exists {
+		if _, exists := u[indexKey(r[i])]; exists {
 			return 0, fmt.Errorf("rdb: unique constraint violated on %s.%s", t.name, colName)
 		}
 	}
 	for i, c := range t.cols {
-		if c.def.NotNull && r[i] == nil && !(i == t.pk && c.def.AutoIncrement) {
+		if c.def.NotNull && r[i].IsNull() && !(i == t.pk && c.def.AutoIncrement) {
 			return 0, fmt.Errorf("rdb: NULL in NOT NULL column %s.%s", t.name, c.def.Name)
 		}
 	}
@@ -233,28 +235,27 @@ func (t *table) insert(r Row) (int, error) {
 }
 
 func (t *table) indexRow(id int, r Row) {
-	if t.pk >= 0 && r[t.pk] != nil {
-		t.pkMap[r[t.pk]] = id
+	if t.pk >= 0 && !r[t.pk].IsNull() {
+		t.pkMap[indexKey(r[t.pk])] = id
 		t.pkOrd.insert(r[t.pk], id)
 	}
 	for colName, idx := range t.indexes {
-		i := t.colIdx[colName]
-		if r[i] != nil {
-			idx[r[i]] = append(idx[r[i]], id)
-			if ids := idx[r[i]]; len(ids) > 1 && ids[len(ids)-2] > id {
+		if k := indexKey(r[t.colIdx[colName]]); !k.IsNull() {
+			ids := append(idx[k], id)
+			if len(ids) > 1 && ids[len(ids)-2] > id {
 				sort.Ints(ids) // an old row re-filed (UPDATE, undo): buckets stay in row-id order
 			}
+			idx[k] = ids
 		}
 	}
 	for colName, u := range t.uniques {
-		i := t.colIdx[colName]
-		if r[i] != nil {
-			u[r[i]] = id
+		if k := indexKey(r[t.colIdx[colName]]); !k.IsNull() {
+			u[k] = id
 		}
 	}
 	for colName, ix := range t.ordered {
 		i := t.colIdx[colName]
-		if r[i] != nil {
+		if !r[i].IsNull() {
 			ix.insert(r[i], id)
 		}
 	}
@@ -264,35 +265,36 @@ func (t *table) indexRow(id int, r Row) {
 }
 
 func (t *table) unindexRow(id int, r Row) {
-	if t.pk >= 0 && r[t.pk] != nil {
-		delete(t.pkMap, r[t.pk])
+	if t.pk >= 0 && !r[t.pk].IsNull() {
+		delete(t.pkMap, indexKey(r[t.pk]))
 		t.pkOrd.remove(r[t.pk], id)
 	}
 	for colName, idx := range t.indexes {
-		i := t.colIdx[colName]
-		if r[i] == nil {
+		k := indexKey(r[t.colIdx[colName]])
+		if k.IsNull() {
 			continue
 		}
-		ids := idx[r[i]]
+		ids := idx[k]
 		for j, rid := range ids {
 			if rid == id {
-				idx[r[i]] = append(ids[:j], ids[j+1:]...)
+				ids = append(ids[:j], ids[j+1:]...)
 				break
 			}
 		}
-		if len(idx[r[i]]) == 0 {
-			delete(idx, r[i])
+		if len(ids) == 0 {
+			delete(idx, k)
+		} else {
+			idx[k] = ids
 		}
 	}
 	for colName, u := range t.uniques {
-		i := t.colIdx[colName]
-		if r[i] != nil {
-			delete(u, r[i])
+		if k := indexKey(r[t.colIdx[colName]]); !k.IsNull() {
+			delete(u, k)
 		}
 	}
 	for colName, ix := range t.ordered {
 		i := t.colIdx[colName]
-		if r[i] != nil {
+		if !r[i].IsNull() {
 			ix.remove(r[i], id)
 		}
 	}
@@ -356,25 +358,28 @@ func (t *table) updateRow(id int, newRow Row, f *faultCtx) error {
 	if err != nil {
 		return err
 	}
-	if t.pk >= 0 && newRow[t.pk] != old[t.pk] {
-		if newRow[t.pk] == nil {
-			return fmt.Errorf("rdb: NULL primary key in table %q", t.name)
-		}
-		if other, exists := t.pkMap[newRow[t.pk]]; exists && other != id {
-			return fmt.Errorf("rdb: duplicate primary key %v in table %q", newRow[t.pk], t.name)
+	if t.pk >= 0 {
+		if k := indexKey(newRow[t.pk]); k != indexKey(old[t.pk]) {
+			if k.IsNull() {
+				return fmt.Errorf("rdb: NULL primary key in table %q", t.name)
+			}
+			if other, exists := t.pkMap[k]; exists && other != id {
+				return fmt.Errorf("rdb: duplicate primary key %v in table %q", k.Value(), t.name)
+			}
 		}
 	}
 	for colName, u := range t.uniques {
 		i := t.colIdx[colName]
-		if newRow[i] == nil || newRow[i] == old[i] {
+		k := indexKey(newRow[i])
+		if k.IsNull() || k == indexKey(old[i]) {
 			continue
 		}
-		if other, exists := u[newRow[i]]; exists && other != id {
+		if other, exists := u[k]; exists && other != id {
 			return fmt.Errorf("rdb: unique constraint violated on %s.%s", t.name, colName)
 		}
 	}
 	for i, c := range t.cols {
-		if c.def.NotNull && newRow[i] == nil {
+		if c.def.NotNull && newRow[i].IsNull() {
 			return fmt.Errorf("rdb: NULL in NOT NULL column %s.%s", t.name, c.def.Name)
 		}
 	}
@@ -399,16 +404,17 @@ func (t *table) createIndex(colName string) error {
 		return nil
 	}
 	var f faultCtx
-	idx := make(map[Value][]int)
+	idx := make(map[cell.Cell][]int)
 	for id := range t.rows {
 		r, err := t.readRow(id, allCols, &f)
 		if err != nil {
 			return err
 		}
-		if r == nil || r[i] == nil {
+		if r == nil || r[i].IsNull() {
 			continue
 		}
-		idx[r[i]] = append(idx[r[i]], id)
+		k := indexKey(r[i])
+		idx[k] = append(idx[k], id)
 	}
 	t.indexes[lower] = idx
 	return nil
@@ -416,7 +422,7 @@ func (t *table) createIndex(colName string) error {
 
 // lookup returns candidate row ids for col = v via the best access path:
 // primary key map, secondary index, or full scan.
-func (t *table) lookup(colName string, v Value) ([]int, bool) {
+func (t *table) lookup(colName string, v cell.Cell) ([]int, bool) {
 	lower := strings.ToLower(colName)
 	i, ok := t.colIdx[lower]
 	if !ok {

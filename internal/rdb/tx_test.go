@@ -26,7 +26,7 @@ func TestTxCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := mustQuery(t, db, `SELECT balance FROM acct ORDER BY owner`)
-	if rows.Data[0][0] != int64(90) || rows.Data[1][0] != int64(60) {
+	if rows.Data[0][0].Value() != int64(90) || rows.Data[1][0].Value() != int64(60) {
 		t.Fatalf("got %v", rows.Data)
 	}
 }
@@ -88,8 +88,8 @@ func TestTxSeesOwnWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Data[0][0] != int64(3) {
-		t.Fatalf("count inside tx = %v", rows.Data[0][0])
+	if rows.Data[0][0].Value() != int64(3) {
+		t.Fatalf("count inside tx = %v", rows.Data[0][0].Value())
 	}
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestTxRollbackMixedSequence(t *testing.T) {
 	if rows.Len() != 2 {
 		t.Fatalf("rows = %v", rows.Data)
 	}
-	if rows.Data[0][1] != int64(100) || rows.Data[1][1] != int64(50) {
+	if rows.Data[0][1].Value() != int64(100) || rows.Data[1][1].Value() != int64(50) {
 		t.Fatalf("balances = %v", rows.Data)
 	}
 }
@@ -166,7 +166,7 @@ func TestTxRollbackInvariantProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return rows.Data[0][0] == int64(100) && rows.Data[1][0] == int64(100)
+		return rows.Data[0][0].Value() == int64(100) && rows.Data[1][0].Value() == int64(100)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -13,9 +13,10 @@ package rdb
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
+
+	"webmlgo/internal/cell"
 )
 
 // ColType enumerates column data types.
@@ -67,143 +68,141 @@ func parseColType(s string) (ColType, bool) {
 	return 0, false
 }
 
-// Value is a single SQL value: nil, int64, float64, string, bool, or
-// time.Time. Inputs of other Go numeric types are normalized by coerce.
+// Value is a single SQL value as the public API takes and returns it:
+// nil, int64, float64, string, bool, or time.Time. Arguments of other Go
+// numeric types are normalized by argCell. Inside the engine every value
+// is a cell.Cell; Value exists only at Query/Exec's arguments and at
+// QueryRow's and Rows.Maps's results.
 type Value interface{}
 
-// coerce normalizes Go values supplied by callers into canonical Value
-// representations.
-func coerce(v Value) (Value, error) {
+// argCell unboxes an argument supplied by a caller, normalizing the Go
+// integer and float types and []byte first.
+func argCell(v Value) (cell.Cell, error) {
 	switch x := v.(type) {
-	case nil, int64, float64, string, bool, time.Time:
-		return x, nil
 	case int:
-		return int64(x), nil
+		return cell.Int(int64(x)), nil
 	case int32:
-		return int64(x), nil
+		return cell.Int(int64(x)), nil
 	case int16:
-		return int64(x), nil
+		return cell.Int(int64(x)), nil
 	case int8:
-		return int64(x), nil
+		return cell.Int(int64(x)), nil
 	case uint:
-		return int64(x), nil
+		return cell.Int(int64(x)), nil
 	case uint32:
-		return int64(x), nil
+		return cell.Int(int64(x)), nil
 	case float32:
-		return float64(x), nil
+		return cell.Float(float64(x)), nil
 	case []byte:
-		return string(x), nil
-	default:
-		return nil, fmt.Errorf("rdb: unsupported value type %T", v)
+		return cell.Text(string(x)), nil
 	}
+	c, err := cell.Of(v)
+	if err != nil {
+		return c, fmt.Errorf("rdb: unsupported value type %T", v)
+	}
+	return c, nil
+}
+
+// typeName is the Go type of the value a cell holds, as errors name it.
+func typeName(c cell.Cell) string {
+	switch c.Kind {
+	case cell.KInt:
+		return "int64"
+	case cell.KFloat:
+		return "float64"
+	case cell.KString:
+		return "string"
+	case cell.KFalse, cell.KTrue:
+		return "bool"
+	case cell.KTime:
+		return "time.Time"
+	}
+	return "<nil>"
+}
+
+// indexKey is the cell an index files c under: equal values must be one
+// key, and −0.0 = +0.0.
+func indexKey(c cell.Cell) cell.Cell {
+	if c.Kind == cell.KFloat && c.Float() == 0 {
+		return cell.Float(0)
+	}
+	return c
 }
 
 // probeKey gives an equality key the representation a column of type typ
 // stores: the index maps are keyed by stored values, and SQL holds 1 = 1.0.
-func probeKey(v Value, typ ColType) Value {
-	switch x := v.(type) {
-	case int64:
+func probeKey(c cell.Cell, typ ColType) cell.Cell {
+	switch c.Kind {
+	case cell.KInt:
 		if typ == TReal {
-			return float64(x)
+			return cell.Float(float64(c.Int()))
 		}
-	case float64:
-		if typ == TInt && x == math.Trunc(x) && math.Abs(x) < 1<<63 {
-			return int64(x)
+	case cell.KFloat:
+		if f := c.Float(); typ == TInt && f == math.Trunc(f) && math.Abs(f) < 1<<63 {
+			return cell.Int(int64(f))
 		}
 	}
-	return v
+	return indexKey(c)
 }
 
-// coerceToCol converts v to the column type, or errors.
-func coerceToCol(v Value, t ColType) (Value, error) {
-	if v == nil {
-		return nil, nil
-	}
-	switch t {
-	case TInt:
-		switch x := v.(type) {
-		case int64:
-			return x, nil
-		case float64:
-			return int64(x), nil
-		case bool:
-			if x {
-				return int64(1), nil
-			}
-			return int64(0), nil
-		}
-	case TReal:
-		switch x := v.(type) {
-		case float64:
-			return x, nil
-		case int64:
-			return float64(x), nil
-		}
-	case TText:
-		if x, ok := v.(string); ok {
-			return x, nil
-		}
-	case TBool:
-		switch x := v.(type) {
-		case bool:
-			return x, nil
-		case int64:
-			return x != 0, nil
-		}
-	case TTime:
-		switch x := v.(type) {
-		case time.Time:
-			return x, nil
-		case string:
-			for _, layout := range []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"} {
-				if ts, err := time.Parse(layout, x); err == nil {
-					return ts, nil
-				}
+// toColumn converts c to the column type, or errors.
+func toColumn(c cell.Cell, t ColType) (cell.Cell, error) {
+	k := c.Kind
+	switch {
+	case k == cell.KNull:
+		return c, nil
+	case t == TInt && k == cell.KInt, t == TReal && k == cell.KFloat,
+		t == TText && k == cell.KString, t == TTime && k == cell.KTime,
+		t == TBool && (k == cell.KFalse || k == cell.KTrue):
+		return c, nil
+	case t == TInt && k == cell.KFloat:
+		return cell.Int(int64(c.Float())), nil
+	case t == TInt && (k == cell.KFalse || k == cell.KTrue):
+		return cell.Int(int64(k - cell.KFalse)), nil
+	case t == TReal && k == cell.KInt:
+		return cell.Float(float64(c.Int())), nil
+	case t == TBool && k == cell.KInt:
+		return cell.Bool(c.Int() != 0), nil
+	case t == TTime && k == cell.KString:
+		for _, layout := range []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"} {
+			if ts, err := time.Parse(layout, c.Str); err == nil {
+				return cell.Of(ts)
 			}
 		}
 	}
-	return nil, fmt.Errorf("rdb: cannot store %T in %s column", v, t)
+	return cell.Cell{}, fmt.Errorf("rdb: cannot store %s in %s column", typeName(c), t)
 }
 
-// compareValues orders two non-nil values. NULL ordering is handled by the
-// caller. Mixed int/float comparisons are performed in float64.
-func compareValues(a, b Value) (int, error) {
-	switch x := a.(type) {
-	case int64:
-		switch y := b.(type) {
-		case int64:
-			return cmpInt(x, y), nil
-		case float64:
-			return cmpFloat(float64(x), y), nil
-		}
-	case float64:
-		switch y := b.(type) {
-		case float64:
-			return cmpFloat(x, y), nil
-		case int64:
-			return cmpFloat(x, float64(y)), nil
-		}
-	case string:
-		if y, ok := b.(string); ok {
-			return strings.Compare(x, y), nil
-		}
-	case bool:
-		if y, ok := b.(bool); ok {
-			return cmpInt(boolToInt(x), boolToInt(y)), nil
-		}
-	case time.Time:
-		if y, ok := b.(time.Time); ok {
-			switch {
-			case x.Before(y):
-				return -1, nil
-			case x.After(y):
-				return 1, nil
-			default:
-				return 0, nil
-			}
-		}
+// compare orders two non-NULL cells. NULL ordering is handled by the
+// caller. Mixed integer/real comparisons are performed in float64.
+func compare(a, b cell.Cell) (int, error) {
+	switch {
+	case a.Kind == cell.KInt && b.Kind == cell.KInt:
+		return cmpInt(a.Int(), b.Int()), nil
+	case isNumber(a) && isNumber(b):
+		return cmpFloat(toFloat(a), toFloat(b)), nil
+	case a.Kind == cell.KString && b.Kind == cell.KString:
+		return strings.Compare(a.Str, b.Str), nil
+	case isBool(a) && isBool(b):
+		return cmpInt(int64(a.Kind), int64(b.Kind)), nil
+	case a.Kind == cell.KTime && b.Kind == cell.KTime:
+		x, _ := a.Time()
+		y, _ := b.Time()
+		return x.Compare(y), nil
 	}
-	return 0, fmt.Errorf("rdb: cannot compare %T with %T", a, b)
+	return 0, fmt.Errorf("rdb: cannot compare %s with %s", typeName(a), typeName(b))
+}
+
+func isNumber(c cell.Cell) bool { return c.Kind == cell.KInt || c.Kind == cell.KFloat }
+
+func isBool(c cell.Cell) bool { return c.Kind == cell.KFalse || c.Kind == cell.KTrue }
+
+// toFloat is a number cell's value as a real.
+func toFloat(c cell.Cell) float64 {
+	if c.Kind == cell.KInt {
+		return float64(c.Int())
+	}
+	return c.Float()
 }
 
 func cmpInt(a, b int64) int {
@@ -226,26 +225,17 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// truthy reports whether v counts as true in a WHERE clause.
-func truthy(v Value) bool {
-	switch x := v.(type) {
-	case nil:
+// isTrue reports whether c counts as true in a WHERE clause.
+func isTrue(c cell.Cell) bool {
+	switch c.Kind {
+	case cell.KNull, cell.KFalse:
 		return false
-	case bool:
-		return x
-	case int64:
-		return x != 0
-	case float64:
-		return x != 0
-	case string:
-		return x != ""
+	case cell.KInt:
+		return c.Int() != 0
+	case cell.KFloat:
+		return c.Float() != 0
+	case cell.KString:
+		return c.Str != ""
 	}
 	return true
 }
@@ -260,26 +250,12 @@ func FormatValue(v Value) string {
 
 // AppendValue appends FormatValue's rendering of v to dst and returns the
 // extended slice — the allocation-free building block for hot-path key
-// construction.
+// construction. It is cell.Cell.Append's spelling; a type no query
+// produces is spelled by fmt.
 func AppendValue(dst []byte, v Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(dst, "NULL"...)
-	case string:
-		return append(dst, x...)
-	case int64:
-		return strconv.AppendInt(dst, x, 10)
-	case float64:
-		// Match fmt's %v rendering of float64 ('g', shortest).
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
-	case time.Time:
-		return x.AppendFormat(dst, time.RFC3339)
-	case bool:
-		if x {
-			return append(dst, "true"...)
-		}
-		return append(dst, "false"...)
-	default:
-		return fmt.Appendf(dst, "%v", x)
+	c, err := cell.Of(v)
+	if err != nil {
+		return fmt.Appendf(dst, "%v", v)
 	}
+	return c.Append(dst)
 }

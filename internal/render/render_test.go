@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"webmlgo/internal/cache"
+	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/dom"
 	"webmlgo/internal/mvc"
@@ -521,11 +522,11 @@ func TestConcurrentRendersShareBeans(t *testing.T) {
 }
 
 // cells unboxes one literal row for a test bean.
-func cells(row ...mvc.Value) []mvc.Cell {
-	out := make([]mvc.Cell, len(row))
+func cells(row ...mvc.Value) []cell.Cell {
+	out := make([]cell.Cell, len(row))
 	for i, v := range row {
 		var err error
-		if out[i], err = mvc.CellOf(v); err != nil {
+		if out[i], err = cell.Of(v); err != nil {
 			panic(err)
 		}
 	}

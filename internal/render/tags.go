@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/dom"
 	"webmlgo/internal/mvc"
@@ -24,15 +25,15 @@ const plain = "0123456789-.abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 // putValue appends the parameter form of values[i] (NULL where the row
 // has no such position), escaped by esc; an integer, and any other
 // non-text cell that spells plain, is formatted in place, with no string.
-func putValue(w *bytes.Buffer, values []mvc.Cell, i int, esc func(string) string) {
-	var c mvc.Cell
+func putValue(w *bytes.Buffer, values []cell.Cell, i int, esc func(string) string) {
+	var c cell.Cell
 	if i >= 0 && i < len(values) {
 		c = values[i]
 	}
 	switch c.Kind {
-	case mvc.KString:
+	case cell.KString:
 		w.WriteString(esc(c.Str))
-	case mvc.KInt:
+	case cell.KInt:
 		w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(c.Num), 10))
 	default:
 		if text := c.Append(w.AvailableBuffer()); len(bytes.TrimLeft(text, plain)) == 0 {
@@ -109,7 +110,7 @@ func (rc *Context) first(unitID string) *descriptor.Anchor {
 
 // appendHref appends the anchor's URL for one row: byte for byte
 // dom.EscapeAttr(mvc.ActionURL(action, params)), without building either.
-func (l *rowLink) appendHref(w *bytes.Buffer, values []mvc.Cell) {
+func (l *rowLink) appendHref(w *bytes.Buffer, values []cell.Cell) {
 	w.WriteString(dom.EscapeAttr(l.action))
 	sep := "?"
 	for k, target := range l.targets {
@@ -119,7 +120,7 @@ func (l *rowLink) appendHref(w *bytes.Buffer, values []mvc.Cell) {
 	}
 }
 
-func (l *rowLink) write(w *bytes.Buffer, values []mvc.Cell) {
+func (l *rowLink) write(w *bytes.Buffer, values []cell.Cell) {
 	if l.open != "" {
 		w.WriteString(l.open)
 		l.appendHref(w, values)
