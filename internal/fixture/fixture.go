@@ -126,7 +126,8 @@ func Figure1Model() *webml.Model {
 }
 
 // Seed populates db (whose schema must already exist) with the sample
-// content the integration tests and examples assert against.
+// content the integration tests and examples assert against. The load is
+// one transaction: on error nothing was written.
 func Seed(db *rdb.DB) error {
 	stmts := []struct {
 		sql  string
@@ -151,10 +152,15 @@ func Seed(db *rdb.DB) error {
 		{`INSERT INTO rel_paperkeyword (from_oid, to_oid) VALUES (?, ?)`, []rdb.Value{3, 1}},
 		{`INSERT INTO rel_paperkeyword (from_oid, to_oid) VALUES (?, ?)`, []rdb.Value{3, 2}},
 	}
+	tx := db.Begin()
 	for _, s := range stmts {
-		if _, err := db.Exec(s.sql, s.args...); err != nil {
+		if _, err := tx.Exec(s.sql, s.args...); err != nil {
+			tx.Rollback()
 			return fmt.Errorf("fixture: seed %q: %w", s.sql, err)
 		}
+	}
+	if err := tx.Commit(); err != nil {
+		return fmt.Errorf("fixture: seed: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package webml
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -348,30 +349,47 @@ func (m *Model) validateLinks(addf func(string, ...interface{})) {
 
 // validateTransportTopology rejects transport-link cycles inside a page:
 // the generic page service orders units topologically, so the intra-page
-// parameter graph must be a DAG.
+// parameter graph must be a DAG. Adjacency is built in one pass over the
+// links; a link is an edge of every page holding both of its ends (more
+// than one page only for an ID already reported as a duplicate).
 func (m *Model) validateTransportTopology(addf func(string, ...interface{})) {
-	for _, p := range m.AllPages() {
-		adj := map[string][]string{}
-		inPage := map[string]bool{}
+	pages := m.AllPages()
+	onPages := map[string][]int{}
+	for i, p := range pages {
 		for _, u := range p.Units {
-			inPage[u.ID] = true
-		}
-		for _, l := range m.Links {
-			if (l.Kind == TransportLink || l.Kind == AutomaticLink) && inPage[l.From] && inPage[l.To] {
-				adj[l.From] = append(adj[l.From], l.To)
+			if ps := onPages[u.ID]; len(ps) == 0 || ps[len(ps)-1] != i {
+				onPages[u.ID] = append(ps, i)
 			}
 		}
-		const (
-			white = 0
-			gray  = 1
-			black = 2
-		)
-		color := map[string]int{}
+	}
+	type node struct {
+		page int
+		id   string
+	}
+	adj := map[node][]string{}
+	for _, l := range m.Links {
+		if l.Kind != TransportLink && l.Kind != AutomaticLink {
+			continue
+		}
+		for _, i := range onPages[l.From] {
+			if slices.Contains(onPages[l.To], i) {
+				adj[node{i, l.From}] = append(adj[node{i, l.From}], l.To)
+			}
+		}
+	}
+	const (
+		white = 0
+		gray  = 1
+		black = 2
+	)
+	color := map[string]int{}
+	for i, p := range pages {
+		clear(color)
 		var cycle bool
 		var dfs func(string)
 		dfs = func(id string) {
 			color[id] = gray
-			for _, next := range adj[id] {
+			for _, next := range adj[node{i, id}] {
 				switch color[next] {
 				case white:
 					dfs(next)

@@ -1,0 +1,23 @@
+package webml_test
+
+import (
+	"testing"
+
+	"webmlgo/internal/workload"
+)
+
+// BenchmarkValidateAcerEuro validates the paper's 556-page model, as
+// Builder.Build, codegen.New and webmlgo.New each do once per set-up.
+func BenchmarkValidateAcerEuro(b *testing.B) {
+	m, err := workload.Generate(workload.AcerEuro())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

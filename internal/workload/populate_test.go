@@ -1,0 +1,84 @@
+package workload
+
+import (
+	"strings"
+	"testing"
+
+	"webmlgo/internal/codegen"
+	"webmlgo/internal/rdb"
+)
+
+// smallDDL returns the DDL of the Small spec's application, minus every
+// statement that mentions skip (when skip is non-empty).
+func smallDDL(t *testing.T, skip string) []string {
+	t.Helper()
+	m, err := Generate(Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := codegen.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, stmt := range art.DDL {
+		if skip == "" || !strings.Contains(stmt, skip) {
+			out = append(out, stmt)
+		}
+	}
+	return out
+}
+
+func applyDDL(t *testing.T, db *rdb.DB, ddl []string) {
+	t.Helper()
+	for _, stmt := range ddl {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("DDL: %v", err)
+		}
+	}
+}
+
+// TestPopulateCommitsOnce: the whole load is one WAL record and one
+// fsync, however many rows it inserts.
+func TestPopulateCommitsOnce(t *testing.T) {
+	db, err := rdb.OpenDurableOpts(t.TempDir(), rdb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	applyDDL(t, db, smallDDL(t, ""))
+	before := db.EngineStats()
+	if err := Populate(db, 10, 7); err != nil {
+		t.Fatal(err)
+	}
+	after := db.EngineStats()
+	if d := after.WALAppends - before.WALAppends; d != 1 {
+		t.Errorf("WAL appends across Populate = %d, want 1", d)
+	}
+	if d := after.WALFsyncs - before.WALFsyncs; d != 1 {
+		t.Errorf("WAL fsyncs across Populate = %d, want 1", d)
+	}
+	if n, err := db.RowCount("rel_pricelistproduct"); err != nil || n != 30 {
+		t.Fatalf("bridge rows = %d, %v; want 30", n, err)
+	}
+}
+
+// TestPopulateIsAtomic: when the last pass fails, the passes before it
+// leave no rows behind.
+func TestPopulateIsAtomic(t *testing.T) {
+	db := rdb.Open()
+	applyDDL(t, db, smallDDL(t, "rel_pricelistproduct"))
+	err := Populate(db, 10, 7)
+	if err == nil || !strings.Contains(err.Error(), "rel_pricelistproduct") {
+		t.Fatalf("err = %v, want the missing bridge table", err)
+	}
+	for _, name := range db.TableNames() {
+		if n, err := db.RowCount(name); err != nil || n != 0 {
+			t.Errorf("table %s holds %d rows (%v) after a failed Populate", name, n, err)
+		}
+	}
+}
