@@ -291,8 +291,8 @@ func WithElasticFleet(min, max, capacity int) Option {
 	}
 }
 
-// New validates the model, generates all artifacts, and assembles the
-// runtime.
+// New generates all artifacts of the model (validating it first unless it
+// is sealed) and assembles the runtime.
 func New(model *webml.Model, opts ...Option) (*App, error) {
 	var cfg config
 	for _, o := range opts {

@@ -233,12 +233,9 @@ func styleByName(name string) (*style.RuleSet, error) {
 func cmdValidate(args []string) {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
 	model := fs.String("model", "acm", "model name")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	m, _, err := loadModel(*model)
+	fs.Parse(args)                 //nolint:errcheck // ExitOnError
+	m, _, err := loadModel(*model) // every loader validates
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
 		log.Fatal(err)
 	}
 	st := m.Stats()

@@ -7,6 +7,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,10 +22,13 @@ type Generator struct {
 	Mapping *er.Mapping
 }
 
-// New validates the model and returns a generator for it.
+// New returns a generator for the model, validating it first unless it
+// is sealed.
 func New(m *webml.Model) (*Generator, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
+	if !m.Sealed() {
+		if err := m.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	mapping, err := er.NewMapping(m.Data)
 	if err != nil {
@@ -68,15 +72,36 @@ type Stats struct {
 	GenericUnitServices int
 }
 
-// Generate produces all artifacts from scratch.
+// Generate returns the model's artifacts. A sealed model is generated
+// once per validation; each call gets a copy whose repository has maps
+// of its own, so one caller's styling and overrides reach no other.
 func (g *Generator) Generate() (*Artifacts, error) {
 	return g.Regenerate(nil)
 }
 
-// Regenerate produces the artifacts, preserving from prev every unit
-// descriptor whose Optimized flag is set — the paper's rule that the
+// Regenerate is Generate, then puts back from prev every unit descriptor
+// of the model whose Optimized flag is set — the paper's rule that the
 // code generator must not clobber hand-tuned queries or services.
 func (g *Generator) Regenerate(prev *descriptor.Repository) (*Artifacts, error) {
+	v, err := g.Model.Derive(func() (any, error) { return g.generate() })
+	if err != nil {
+		return nil, err
+	}
+	memo := v.(*Artifacts)
+	art := &Artifacts{DDL: slices.Clone(memo.DDL), Repo: memo.Repo.Clone(), Stats: memo.Stats}
+	if prev != nil {
+		for _, old := range prev.Units() {
+			if old.Optimized && art.Repo.Unit(old.ID) != nil {
+				art.Repo.PutUnit(old)
+			}
+		}
+		art.Stats = g.stats(art.Repo)
+	}
+	return art, nil
+}
+
+// generate produces all artifacts from scratch.
+func (g *Generator) generate() (*Artifacts, error) {
 	repo := descriptor.NewRepository()
 	art := &Artifacts{Repo: repo}
 
@@ -85,12 +110,6 @@ func (g *Generator) Regenerate(prev *descriptor.Repository) (*Artifacts, error) 
 
 	// Unit descriptors.
 	for _, u := range g.Model.AllContentUnits() {
-		if prev != nil {
-			if old := prev.Unit(u.ID); old != nil && old.Optimized {
-				repo.PutUnit(old)
-				continue
-			}
-		}
 		d, err := g.unitDescriptor(u)
 		if err != nil {
 			return nil, err
@@ -98,12 +117,6 @@ func (g *Generator) Regenerate(prev *descriptor.Repository) (*Artifacts, error) 
 		repo.PutUnit(d)
 	}
 	for _, op := range g.Model.Operations {
-		if prev != nil {
-			if old := prev.Unit(op.ID); old != nil && old.Optimized {
-				repo.PutUnit(old)
-				continue
-			}
-		}
 		d, err := g.operationDescriptor(op)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package descriptor
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,6 +42,16 @@ func NewRepository() *Repository {
 		templates: make(map[string]string),
 		schedules: make(map[string]*Schedule),
 	}
+}
+
+// Clone returns a repository over copies of r's maps, so a change to
+// either leaves the other alone. Descriptors are shared: the repository
+// copies one before changing it. OnQueryOverride is not copied.
+func (r *Repository) Clone() *Repository {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return &Repository{units: maps.Clone(r.units), pages: maps.Clone(r.pages), config: r.config,
+		templates: maps.Clone(r.templates), schedules: maps.Clone(r.schedules)}
 }
 
 // PutUnit stores (or replaces) a unit descriptor.

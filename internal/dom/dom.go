@@ -10,7 +10,6 @@ package dom
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -186,7 +185,7 @@ func (n *Node) collectText(b *strings.Builder) {
 // Walk visits the subtree in document order, calling fn for each node.
 // If fn returns false the node's children are skipped.
 func (n *Node) Walk(fn func(*Node) bool) {
-	if !fn(n) {
+	if !fn(n) || len(n.Children) == 0 {
 		return
 	}
 	// Children may be mutated by fn on descendants; iterate over a snapshot.
@@ -248,17 +247,6 @@ func ByAttr(name, value string) func(*Node) bool {
 		v, ok := n.Attr(name)
 		return ok && v == value
 	}
-}
-
-// SortedAttrNames returns the attribute names of n in sorted order. It is
-// used by tests and by canonical serialization.
-func (n *Node) SortedAttrNames() []string {
-	names := make([]string, len(n.Attrs))
-	for i, a := range n.Attrs {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // String renders the subtree as markup. It implements fmt.Stringer.

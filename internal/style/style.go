@@ -67,18 +67,31 @@ type RuleSet struct {
 // Apply transforms a skeleton into a final template. The input tree is
 // not modified.
 func (rs *RuleSet) Apply(skeleton *dom.Node) (*dom.Node, error) {
-	page := skeleton.Clone()
+	return rs.apply(skeleton.Clone(), map[string]*dom.Node{})
+}
 
-	// Unit rules first: replace each custom tag with its wrapper.
-	for _, ur := range rs.UnitRules {
-		tag := "webml:" + ur.Kind + "Unit"
-		matches := page.FindAll(dom.ByTag(tag))
-		for _, m := range matches {
-			wrapped, err := instantiateUnitRule(ur, m)
-			if err != nil {
-				return nil, err
+// apply styles page in place and returns it. parsed maps a unit rule's
+// markup to its tree, so each rule is parsed once per parsed map.
+func (rs *RuleSet) apply(page *dom.Node, parsed map[string]*dom.Node) (*dom.Node, error) {
+	// Unit rules first: wrap each custom tag, found in one walk, into the
+	// markup of each rule of its kind (the first rule outermost).
+	for _, tag := range page.FindAll(dom.ByTagPrefix("webml:")) {
+		for _, ur := range rs.UnitRules {
+			if tag.Tag != "webml:"+ur.Kind+"Unit" {
+				continue
 			}
-			m.ReplaceWith(wrapped)
+			tpl := parsed[ur.Template]
+			if tpl == nil {
+				var err error
+				if tpl, err = dom.Parse(ur.Template); err != nil {
+					return nil, fmt.Errorf("style: unit rule for kind %q: %w", ur.Kind, err)
+				}
+				if tpl.Find(dom.ByTag(SlotTag)) == nil {
+					return nil, fmt.Errorf("style: unit rule for kind %q lacks <%s/>", ur.Kind, SlotTag)
+				}
+				parsed[ur.Template] = tpl
+			}
+			wrapUnit(tpl, tag)
 		}
 	}
 
@@ -116,22 +129,25 @@ func (rs *RuleSet) pageRule(layout string) *PageRule {
 	return def
 }
 
-// instantiateUnitRule builds the wrapper subtree for one matched tag.
-func instantiateUnitRule(ur UnitRule, tag *dom.Node) (*dom.Node, error) {
+// wrapUnit puts a copy of a parsed unit rule where tag is and moves tag
+// into the copy's slot. ${id} and ${name} are substituted in the copy's
+// text and attribute values, so a unit name is always text, never markup.
+func wrapUnit(rule, tag *dom.Node) {
 	id := tag.AttrOr("id", "")
 	name := tag.AttrOr("data-name", id)
-	markup := strings.ReplaceAll(ur.Template, "${id}", id)
-	markup = strings.ReplaceAll(markup, "${name}", name)
-	tpl, err := dom.Parse(markup)
-	if err != nil {
-		return nil, fmt.Errorf("style: unit rule for kind %q: %w", ur.Kind, err)
+	subst := func(s string) string {
+		return strings.ReplaceAll(strings.ReplaceAll(s, "${id}", id), "${name}", name)
 	}
-	slot := tpl.Find(dom.ByTag(SlotTag))
-	if slot == nil {
-		return nil, fmt.Errorf("style: unit rule for kind %q lacks <%s/>", ur.Kind, SlotTag)
-	}
-	slot.ReplaceWith(tag.Clone())
-	return tpl, nil
+	w := rule.Clone()
+	w.Walk(func(n *dom.Node) bool {
+		n.Data = subst(n.Data)
+		for i := range n.Attrs {
+			n.Attrs[i].Value = subst(n.Attrs[i].Value)
+		}
+		return true
+	})
+	tag.ReplaceWith(w)
+	w.Find(dom.ByTag(SlotTag)).ReplaceWith(tag)
 }
 
 // applyPageRule replaces the page's body content with the rule template,
@@ -170,21 +186,29 @@ func applyPageRule(pr PageRule, page *dom.Node) error {
 // compile-time mode, "more efficient, because no template transformation
 // is required at runtime". It returns the number of templates rewritten.
 func CompileTemplates(repo *descriptor.Repository, rs *RuleSet) (int, error) {
+	parsed := map[string]*dom.Node{}
 	n := 0
 	for _, name := range repo.TemplateNames() {
 		src, _ := repo.Template(name)
-		tree, err := dom.Parse(src)
-		if err != nil {
-			return n, fmt.Errorf("style: template %q: %w", name, err)
+		if err := rs.restyle(repo, name, src, parsed); err != nil {
+			return n, err
 		}
-		styled, err := rs.Apply(tree)
-		if err != nil {
-			return n, fmt.Errorf("style: template %q: %w", name, err)
-		}
-		repo.PutTemplate(name, styled.String())
 		n++
 	}
 	return n, nil
+}
+
+// restyle styles the parsed template src in place and stores it as name.
+func (rs *RuleSet) restyle(repo *descriptor.Repository, name, src string, parsed map[string]*dom.Node) error {
+	tree, err := dom.Parse(src)
+	if err == nil {
+		tree, err = rs.apply(tree, parsed)
+	}
+	if err != nil {
+		return fmt.Errorf("style: template %q: %w", name, err)
+	}
+	repo.PutTemplate(name, tree.String())
+	return nil
 }
 
 // CompileBySiteView applies a different rule set per site view — the
@@ -195,6 +219,7 @@ func CompileTemplates(repo *descriptor.Repository, rs *RuleSet) (int, error) {
 // styled, keyed by rule-set name.
 func CompileBySiteView(repo *descriptor.Repository, bySiteView map[string]*RuleSet, def *RuleSet) (map[string]int, error) {
 	counts := map[string]int{}
+	parsed := map[string]*dom.Node{}
 	for _, pd := range repo.Pages() {
 		rs := bySiteView[pd.SiteView]
 		if rs == nil {
@@ -207,15 +232,9 @@ func CompileBySiteView(repo *descriptor.Repository, bySiteView map[string]*RuleS
 		if !ok {
 			return counts, fmt.Errorf("style: page %q has no template %q", pd.ID, pd.Template)
 		}
-		tree, err := dom.Parse(src)
-		if err != nil {
-			return counts, fmt.Errorf("style: template %q: %w", pd.Template, err)
+		if err := rs.restyle(repo, pd.Template, src, parsed); err != nil {
+			return counts, err
 		}
-		styled, err := rs.Apply(tree)
-		if err != nil {
-			return counts, fmt.Errorf("style: template %q: %w", pd.Template, err)
-		}
-		repo.PutTemplate(pd.Template, styled.String())
 		counts[rs.Name]++
 	}
 	return counts, nil

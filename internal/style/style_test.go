@@ -53,6 +53,30 @@ func TestApplyWrapsUnitsAndPage(t *testing.T) {
 	}
 }
 
+// TestUnitNameIsText: a unit's display name reaches the styled template
+// as text, escaped on output, never as markup.
+func TestUnitNameIsText(t *testing.T) {
+	const name = "R&D <b>x</b>"
+	page := dom.MustParse(skeleton)
+	page.Find(dom.ByTag("webml:dataUnit")).SetAttr("data-name", name)
+	repo := descriptor.NewRepository()
+	repo.PutTemplate("p1", page.String())
+	if _, err := CompileTemplates(repo, B2CRuleSet()); err != nil {
+		t.Fatal(err)
+	}
+	tpl, _ := repo.Template("p1")
+	styled := dom.MustParse(tpl)
+	if b := styled.Find(dom.ByTag("b")); b != nil {
+		t.Fatalf("unit name injected as markup:\n%s", tpl)
+	}
+	if title := styled.Find(dom.ByAttr("class", "unit-title")); title == nil || title.Text() != name {
+		t.Fatalf("unit title is not the name:\n%s", tpl)
+	}
+	if !strings.Contains(tpl, `<div class="unit-title">R&amp;D &lt;b&gt;x&lt;/b&gt;</div>`) {
+		t.Fatalf("unit name not escaped:\n%s", tpl)
+	}
+}
+
 func TestDefaultPageRuleFallback(t *testing.T) {
 	rs := B2CRuleSet()
 	tree := dom.MustParse(strings.ReplaceAll(skeleton, ` data-layout="two-column"`, ""))

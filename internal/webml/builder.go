@@ -222,9 +222,8 @@ func (b *Builder) addLink(kind LinkKind, fromID, toID string, params []LinkParam
 	return l
 }
 
-// Build validates and returns the model.
+// Build validates and returns the model, sealed.
 func (b *Builder) Build() (*Model, error) {
-	b.model.buildIndex()
 	if err := b.model.Validate(); err != nil {
 		return nil, err
 	}

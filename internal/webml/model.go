@@ -7,6 +7,7 @@ package webml
 
 import (
 	"strings"
+	"sync"
 
 	"webmlgo/internal/er"
 )
@@ -278,6 +279,9 @@ func (sv *SiteView) AllPages() []*Page {
 
 // Model is a complete WebML specification: the ER data model plus the
 // hypertext (site views, operations, links).
+// A model that passed Validate is sealed (Builder.Build, ParseDSL and
+// UnmarshalModel return one) and code generation does not check it again.
+// A sealed model is read-only: whoever changes it calls Validate again.
 type Model struct {
 	Name       string
 	Data       *er.Schema
@@ -288,12 +292,33 @@ type Model struct {
 	index     map[string]interface{} // id -> *Page | *Unit | *SiteView | *Link
 	linksFrom map[string][]*Link
 	linksTo   map[string][]*Link
+	seal      *seal // nil unless the last Validate passed
 }
 
-// buildIndex populates the ID lookup table; it is called by Validate and
-// by the builder.
+// seal memoizes what was derived under one successful Validate.
+type seal struct {
+	once    sync.Once
+	derived any
+	err     error
+}
+
+// Sealed reports whether the model passed its last Validate.
+func (m *Model) Sealed() bool { return m.seal != nil }
+
+// Derive returns build's result, computed once per validation of a sealed
+// model (else on every call). It holds code generation's artifacts.
+func (m *Model) Derive(build func() (any, error)) (any, error) {
+	s := m.seal
+	if s == nil {
+		return build()
+	}
+	s.once.Do(func() { s.derived, s.err = build() })
+	return s.derived, s.err
+}
+
+// buildIndex populates the ID lookup table; Validate calls it.
 func (m *Model) buildIndex() {
-	m.index = make(map[string]interface{})
+	m.index = make(map[string]interface{}, len(m.Links)+len(m.Operations))
 	for _, sv := range m.SiteViews {
 		m.index[sv.ID] = sv
 		// Area back-pointers (pages loaded from XML lack them).

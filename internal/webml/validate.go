@@ -23,8 +23,13 @@ func (e *ValidationError) Error() string {
 // well-formedness against the schema, link endpoint compatibility, the
 // operation OK/KO discipline, and acyclicity of each page's transport
 // topology (required for the generic page service's topological unit
-// ordering, Section 4).
+// ordering, Section 4). It seals a model that passes and unseals one that
+// fails, dropping what was derived from it before.
 func (m *Model) Validate() error {
+	if validateHook != nil {
+		validateHook()
+	}
+	m.seal = nil
 	var problems []string
 	addf := func(format string, args ...interface{}) {
 		problems = append(problems, fmt.Sprintf(format, args...))
@@ -35,9 +40,10 @@ func (m *Model) Validate() error {
 	} else if err := m.Data.Validate(); err != nil {
 		addf("data schema: %v", err)
 	}
+	m.buildIndex()
 
 	// ID uniqueness.
-	ids := map[string]string{}
+	ids := make(map[string]string, len(m.index))
 	claim := func(id, what string) {
 		if id == "" {
 			addf("%s with empty ID", what)
@@ -64,7 +70,6 @@ func (m *Model) Validate() error {
 	for _, l := range m.Links {
 		claim(l.ID, "link")
 	}
-	m.buildIndex()
 
 	if len(m.SiteViews) == 0 {
 		addf("model has no site views")
@@ -110,8 +115,12 @@ func (m *Model) Validate() error {
 		sort.Strings(problems)
 		return &ValidationError{Problems: problems}
 	}
+	m.seal = &seal{}
 	return nil
 }
+
+// validateHook, when set, runs on every Validate (tests count with it).
+var validateHook func()
 
 func (m *Model) validateContentUnit(u *Unit, addf func(string, ...interface{})) {
 	if !u.Kind.isKnown() {

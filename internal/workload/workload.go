@@ -122,6 +122,8 @@ func Generate(spec Spec) (*webml.Model, error) {
 	pagesLeft := spec.Pages
 	unitCount := 0
 	var padUnits []*webml.Unit // removable filler units, newest last
+	var views []*webml.SiteView
+	builders := map[*webml.Page]*webml.PageBuilder{}
 
 	// Distribute pages across site views.
 	perView := spec.Pages / spec.SiteViews
@@ -139,7 +141,8 @@ func Generate(spec Spec) (*webml.Model, error) {
 		if kind == "CM" {
 			svb.Protected()
 		}
-		buildSiteView(b, svb, name, n, rng, &unitCount, &padUnits)
+		buildSiteView(b, svb, name, n, rng, &unitCount, &padUnits, builders)
+		views = append(views, svb.View())
 		pagesLeft -= n
 	}
 	if pagesLeft != 0 {
@@ -162,31 +165,23 @@ func Generate(spec Spec) (*webml.Model, error) {
 			}
 		}
 	}
+	if unitCount < spec.Units {
+		// Append pads round-robin to the pages, in model order.
+		var pages []*webml.PageBuilder
+		for _, sv := range views {
+			for _, p := range sv.AllPages() {
+				pages = append(pages, builders[p])
+			}
+		}
+		for i := 0; unitCount < spec.Units; i++ {
+			ent := browseEntities[i%len(browseEntities)].entity
+			pages[i%len(pages)].Scroller(fmt.Sprintf("pad_%d", unitCount), ent, 10, displayFor(ent)...)
+			unitCount++
+		}
+	}
 	model, err := b.Build()
 	if err != nil {
 		return nil, err
-	}
-	if unitCount < spec.Units {
-		// Append pads round-robin to existing pages.
-		pages := model.AllPages()
-		i := 0
-		for unitCount < spec.Units {
-			p := pages[i%len(pages)]
-			ent := browseEntities[i%len(browseEntities)].entity
-			u := &webml.Unit{
-				ID:     fmt.Sprintf("pad_%d", unitCount),
-				Kind:   webml.ScrollerUnit,
-				Entity: ent, Display: displayFor(ent), PageSize: 10,
-			}
-			p.Units = append(p.Units, u)
-			unitCount++
-			i++
-		}
-		// Re-validate after structural patching (also rebuilds the index
-		// and the pads' page back-pointers).
-		if err := model.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	st := model.Stats()
 	if got := st.Units + st.Operations; got != spec.Units {
@@ -213,8 +208,9 @@ func displayFor(entity string) []string {
 
 // buildSiteView emits n pages in repeating clusters of three patterns:
 // browse (index+scroller+entry+pad), detail (data+rel index+pad), manage
-// (entry+multichoice+index plus five operations).
-func buildSiteView(b *webml.Builder, svb *webml.SiteViewBuilder, svName string, n int, rng *rand.Rand, unitCount *int, padUnits *[]*webml.Unit) {
+// (entry+multichoice+index plus five operations). Each page's builder is
+// recorded in builders.
+func buildSiteView(b *webml.Builder, svb *webml.SiteViewBuilder, svName string, n int, rng *rand.Rand, unitCount *int, padUnits *[]*webml.Unit, builders map[*webml.Page]*webml.PageBuilder) {
 	var lastDetail string
 	var sub struct {
 		entity string
@@ -230,6 +226,7 @@ func buildSiteView(b *webml.Builder, svb *webml.SiteViewBuilder, svName string, 
 		switch i % 3 {
 		case 0: // browse page
 			pb := svb.AreaPage(sub.entity, pageID, sub.entity+" browse").Layout("one-column")
+			builders[pb.Page()] = pb
 			idx := pb.Index(pageID+"_idx", sub.entity, displayFor(sub.entity)...)
 			scr := pb.Scroller(pageID+"_scr", sub.entity, 10, displayFor(sub.entity)...)
 			scr.Selector = []webml.Condition{{Attr: displayFor(sub.entity)[0], Op: "LIKE", Param: "kw"}}
@@ -242,6 +239,7 @@ func buildSiteView(b *webml.Builder, svb *webml.SiteViewBuilder, svName string, 
 			lastDetail = idx.ID
 		case 1: // detail page
 			pb := svb.AreaPage(sub.entity, pageID, sub.entity+" detail").Layout("two-column")
+			builders[pb.Page()] = pb
 			data := pb.Data(pageID+"_data", sub.entity, displayFor(sub.entity)...)
 			data.Selector = []webml.Condition{{Attr: "oid", Op: "=", Param: "id"}}
 			data.Cache = &webml.CacheSpec{Enabled: true}
@@ -262,6 +260,7 @@ func buildSiteView(b *webml.Builder, svb *webml.SiteViewBuilder, svName string, 
 			}
 		default: // manage page + operations
 			pb := svb.AreaPage(sub.entity, pageID, sub.entity+" manage").Layout("two-column")
+			builders[pb.Page()] = pb
 			form := pb.Entry(pageID+"_form",
 				webml.Field{Name: "name", Type: er.String, Required: true})
 			mc := pb.Multichoice(pageID+"_mc", sub.entity, displayFor(sub.entity)...)
