@@ -52,12 +52,10 @@ type App struct {
 	Renderer   *render.Engine
 	Business   mvc.Business
 
-	// BeanCache / FragmentCache / PageCache / Edge are non-nil when the
-	// corresponding options were set.
-	BeanCache     *cache.BeanCache
-	FragmentCache *cache.FragmentCache
-	PageCache     *cache.PageCache
-	Edge          *edge.Surrogate
+	// BeanCache and Edge are Section 6's two cache levels, non-nil when
+	// WithBeanCache and WithEdgeCache were set.
+	BeanCache *cache.BeanCache
+	Edge      *edge.Surrogate
 
 	// Remote is the application-server client when WithAppServer or
 	// WithElasticFleet is set.
@@ -84,20 +82,13 @@ type config struct {
 	db            *rdb.DB
 	beanCache     int
 	withBeanCache bool
-	fragCache     int
-	fragTTL       time.Duration
-	withFragCache bool
 	compiled      *style.RuleSet
 	bySiteView    map[string]*style.RuleSet
 	runtime       *style.RuntimeStyler
 	appServer     []string
-	latency       time.Duration
 	remotePages   bool
 	ejbConns      int
 	skipDDL       bool
-	withPageCache bool
-	pageCache     int
-	pageTTL       time.Duration
 	pageWorkers   int
 	withEdge      bool
 	edgeCache     int
@@ -137,31 +128,20 @@ func WithDatabase(db *rdb.DB) Option {
 }
 
 // WithBeanCache enables the business-tier bean cache with the given
-// capacity (<=0 selects the default).
+// capacity (<=0 selects the default): the first of Section 6's two
+// cache levels.
 func WithBeanCache(capacity int) Option {
 	return func(c *config) { c.withBeanCache = true; c.beanCache = capacity }
 }
 
-// WithFragmentCache enables ESI-style template-fragment caching.
-func WithFragmentCache(capacity int, ttl time.Duration) Option {
-	return func(c *config) { c.withFragCache = true; c.fragCache = capacity; c.fragTTL = ttl }
-}
-
-// WithPageCache puts a first-generation whole-page cache in front of the
-// application (anonymous GETs only). Section 6 explains why this is
-// inadequate for personalized applications — the option exists as the
-// E6 comparison point and for purely anonymous read-only deployments.
-func WithPageCache(capacity int, ttl time.Duration) Option {
-	return func(c *config) { c.withPageCache = true; c.pageCache = capacity; c.pageTTL = ttl }
-}
-
 // WithEdgeCache puts the ESI surrogate edge tier in front of the
-// application: pages are served assembled from independently cached
-// fragments, each under its descriptor's cache policy, with
-// stale-while-revalidate refresh and model-driven purge (operations
-// push their written dependency tags to the edge). Unlike WithPageCache
-// it stays exact — a write purges precisely the dependent fragments —
-// and it supersedes WithPageCache in Handler when both are set.
+// application, the second of Section 6's two cache levels: pages are
+// served assembled from independently cached template fragments, each
+// under its descriptor's cache policy, with stale-while-revalidate
+// refresh and model-driven purge (operations push their written
+// dependency tags to the edge), so a write purges precisely the
+// dependent fragments. Cookie-carrying (personalized) requests bypass
+// the edge and render on every request.
 func WithEdgeCache(capacity int, ttl time.Duration) Option {
 	return func(c *config) { c.withEdge = true; c.edgeCache = capacity; c.edgeTTL = ttl }
 }
@@ -197,12 +177,6 @@ func WithSiteViewStyles(bySiteView map[string]*style.RuleSet, def *style.RuleSet
 // the given addresses (Figure 6) instead of in-process services.
 func WithAppServer(addrs ...string) Option {
 	return func(c *config) { c.appServer = addrs }
-}
-
-// WithSimulatedLatency injects an artificial delay per remote business
-// call (only meaningful with WithAppServer).
-func WithSimulatedLatency(d time.Duration) Option {
-	return func(c *config) { c.latency = d }
 }
 
 // WithRemotePages computes whole pages in the application server (one
@@ -298,6 +272,9 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if cfg.maxStale > 0 && !cfg.withBeanCache {
+		return nil, fmt.Errorf("webmlgo: WithDegradedServing requires WithBeanCache")
+	}
 	gen, err := codegen.New(model)
 	if err != nil {
 		return nil, err
@@ -340,7 +317,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
-		remote.Latency = cfg.latency
 		remote.ConnsPerEndpoint = cfg.ejbConns
 		app.Remote = remote
 		app.Business = remote
@@ -370,7 +346,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
-		remote.Latency = cfg.latency
 		remote.ConnsPerEndpoint = cfg.ejbConns
 		app.Remote = remote
 		app.Business = remote
@@ -426,10 +401,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 	if cfg.runtime != nil {
 		app.Renderer.Styler = cfg.runtime
 	}
-	if cfg.withFragCache {
-		app.FragmentCache = cache.NewFragmentCache(cfg.fragCache, cfg.fragTTL)
-		app.Renderer.Fragments = app.FragmentCache
-	}
 
 	app.Controller = mvc.NewController(art.Repo, app.Business, app.Renderer)
 	app.Controller.RequestTimeout = cfg.requestTimeout
@@ -445,10 +416,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 			return nil, fmt.Errorf("webmlgo: WithRemotePages requires WithAppServer")
 		}
 		app.Controller.Pages = app.Remote.Pages()
-	}
-	if cfg.withPageCache {
-		app.PageCache = cache.NewPageCache(cfg.pageCache, cfg.pageTTL)
-		app.PageCache.BypassCookie = "WSESSION"
 	}
 	if cfg.withEdge {
 		app.Controller.EdgeFragments = true
@@ -466,14 +433,10 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 }
 
 // Handler returns the application's HTTP entry point: the edge surrogate
-// when WithEdgeCache was set, else the whole-page cache when
-// WithPageCache was set, else the Controller directly.
+// when WithEdgeCache was set, else the Controller directly.
 func (a *App) Handler() http.Handler {
 	if a.Edge != nil {
 		return a.Edge
-	}
-	if a.PageCache != nil {
-		return a.PageCache.Wrap(a.Controller)
 	}
 	return a.Controller
 }

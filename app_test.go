@@ -87,15 +87,31 @@ func TestWithRuntimeStyleAdaptsToDevice(t *testing.T) {
 	}
 }
 
+// TestWithCachesEndToEnd: with Section 6's two levels on, an anonymous
+// repeat is an edge hit, and a cookie-carrying (personalized) repeat
+// bypasses the edge and hits the bean cache.
 func TestWithCachesEndToEnd(t *testing.T) {
-	app := newApp(t, WithBeanCache(1024), WithFragmentCache(1024, time.Minute))
-	request(t, app.Handler(), "/page/volumePage?volume=1", "")
-	request(t, app.Handler(), "/page/volumePage?volume=1", "")
-	if app.BeanCache.Stats().Hits == 0 {
-		t.Fatalf("bean cache unused: %+v", app.BeanCache.Stats())
+	app := newApp(t, WithBeanCache(1024), WithEdgeCache(1024, time.Minute))
+	defer app.Close()
+	const page = "/page/volumePage?volume=1"
+	request(t, app.Handler(), page, "")
+	if rr, _ := request(t, app.Handler(), page, ""); rr.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("anonymous repeat X-Cache = %q, want HIT", rr.Header().Get("X-Cache"))
 	}
-	if app.FragmentCache.Stats().Hits == 0 {
-		t.Fatalf("fragment cache unused: %+v", app.FragmentCache.Stats())
+	personalized := func() *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, page, nil)
+		req.AddCookie(&http.Cookie{Name: "WSESSION", Value: "s1"})
+		rr := httptest.NewRecorder()
+		app.Handler().ServeHTTP(rr, req)
+		return rr
+	}
+	personalized()
+	hits := app.BeanCache.Stats().Hits
+	if rr := personalized(); rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != "" {
+		t.Fatalf("cookie repeat: status %d, X-Cache %q; want 200 past the edge", rr.Code, rr.Header().Get("X-Cache"))
+	}
+	if app.BeanCache.Stats().Hits <= hits {
+		t.Fatalf("cookie repeat missed the bean cache: %+v", app.BeanCache.Stats())
 	}
 }
 
@@ -250,31 +266,11 @@ func TestWithRemotePages(t *testing.T) {
 	if _, err := New(fixture.Figure1Model(), WithRemotePages()); err == nil {
 		t.Fatal("WithRemotePages without WithAppServer accepted")
 	}
-}
-
-// TestWithPageCache: the first-generation whole-page cache serves
-// anonymous repeats without touching the application — and demonstrates
-// the staleness the paper's Section 6 calls inadequate.
-func TestWithPageCache(t *testing.T) {
-	app := newApp(t, WithPageCache(256, time.Minute))
-	h := app.Handler()
-	_, first := request(t, h, "/page/volumesPage", "")
-	rr2, second := request(t, h, "/page/volumesPage", "")
-	if rr2.Header().Get("X-Cache") != "HIT" || first != second {
-		t.Fatal("whole-page cache not serving")
-	}
-	// Write through an operation: the whole-page cache keeps serving the
-	// stale page (no model-driven invalidation at this level).
-	request(t, h, "/op/createVolume?title=Brand+New&year=2005", "")
-	_, third := request(t, h, "/page/volumesPage", "")
-	if strings.Contains(third, "Brand New") {
-		t.Fatal("expected the stale page from the whole-page cache")
-	}
-	// The authenticated path bypasses the cache (session cookie present).
-	rrA, _ := request(t, h, "/page/volumesPage", "")
-	cookies := rrA.Result().Cookies()
-	if len(cookies) == 0 {
-		t.Skip("no session cookie on cached response (stripped), bypass covered in cache tests")
+	// Degraded serving answers from the bean cache: without one it is
+	// rejected, not silently ignored.
+	if _, err := New(fixture.Figure1Model(), WithDegradedServing(time.Minute)); err == nil ||
+		err.Error() != "webmlgo: WithDegradedServing requires WithBeanCache" {
+		t.Fatalf("WithDegradedServing without WithBeanCache: err %v", err)
 	}
 }
 
@@ -357,11 +353,12 @@ func TestOperationChainWithExplicitForwarding(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedLoad hammers the full stack (two-level cache on)
+// TestConcurrentMixedLoad hammers the full stack (both cache levels on)
 // with parallel readers and writers; every response must be coherent
 // (200/302/304, never 5xx) and the final state consistent.
 func TestConcurrentMixedLoad(t *testing.T) {
-	app := newApp(t, WithBeanCache(4096), WithFragmentCache(4096, time.Minute))
+	app := newApp(t, WithBeanCache(4096), WithEdgeCache(4096, time.Minute))
+	defer app.Close()
 	h := app.Handler()
 	var wg sync.WaitGroup
 	errs := make(chan string, 256)

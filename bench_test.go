@@ -242,8 +242,16 @@ func BenchmarkE6NoCache(b *testing.B) {
 	}
 }
 
-func BenchmarkE6FragmentCacheOnly(b *testing.B) {
-	app := benchApp(b, WithFragmentCache(4096, time.Minute))
+// twoLevelApp is the fixture app with Section 6's two cache levels on:
+// the bean cache and the ESI edge.
+func twoLevelApp(b *testing.B) *App {
+	app := benchApp(b, WithBeanCache(4096), WithEdgeCache(8192, time.Minute))
+	b.Cleanup(app.Close)
+	return app
+}
+
+func BenchmarkE6TwoLevelCache(b *testing.B) {
+	app := twoLevelApp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -251,19 +259,28 @@ func BenchmarkE6FragmentCacheOnly(b *testing.B) {
 	}
 }
 
-func BenchmarkE6TwoLevelCache(b *testing.B) {
-	app := benchApp(b, WithBeanCache(4096), WithFragmentCache(4096, time.Minute))
+// BenchmarkE6TwoLevelCacheSession is the personalized request: its
+// session cookie bypasses the edge, so the bean cache spares its queries
+// and the page renders its markup every time.
+func BenchmarkE6TwoLevelCacheSession(b *testing.B) {
+	app := twoLevelApp(b)
+	rr := httptest.NewRecorder()
+	app.Controller.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/page/volumesPage", nil))
+	session := rr.Result().Cookies()[0]
+	h := app.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doGet(app.Handler(), "/page/volumePage?volume=1")
+		req := httptest.NewRequest(http.MethodGet, "/page/volumePage?volume=1", nil)
+		req.AddCookie(session)
+		h.ServeHTTP(httptest.NewRecorder(), req)
 	}
 }
 
 // BenchmarkE6TwoLevelCacheWithWrites mixes 1 write per 64 reads, so
 // model-driven invalidation costs are included.
 func BenchmarkE6TwoLevelCacheWithWrites(b *testing.B) {
-	app := benchApp(b, WithBeanCache(4096), WithFragmentCache(4096, time.Minute))
+	app := twoLevelApp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -279,7 +296,7 @@ func BenchmarkE6TwoLevelCacheWithWrites(b *testing.B) {
 // many goroutines at once (heavy-traffic shape): throughput is bounded
 // by cache-core contention, not by the database.
 func BenchmarkE6TwoLevelCacheParallel(b *testing.B) {
-	app := benchApp(b, WithBeanCache(4096), WithFragmentCache(4096, time.Minute))
+	app := twoLevelApp(b)
 	h := app.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -294,7 +311,7 @@ func BenchmarkE6TwoLevelCacheParallel(b *testing.B) {
 // requests per goroutine, so invalidation and recomputation storms are
 // part of the measured path.
 func BenchmarkE6TwoLevelCacheParallelWithWrites(b *testing.B) {
-	app := benchApp(b, WithBeanCache(4096), WithFragmentCache(4096, time.Minute))
+	app := twoLevelApp(b)
 	h := app.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -476,24 +493,11 @@ func BenchmarkE4AppServerPerUnitPage(b *testing.B) {
 	}
 }
 
-// BenchmarkE6WholePageCache is the first-generation comparator: fastest
-// on anonymous repeats, but stale after writes (see TestWithPageCache).
-func BenchmarkE6WholePageCache(b *testing.B) {
-	app := benchApp(b, WithPageCache(4096, time.Minute))
-	h := app.Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		doGet(h, "/page/volumePage?volume=1")
-	}
-}
-
 // --- E6c: the ESI surrogate edge tier (internal/edge). ---
 
 // BenchmarkE6cEdgeAssembled serves the hot page assembled from edge-
 // cached fragments: no unit computation, no template walk — literal
-// copies plus fragment lookups, while staying exactly coherent (unlike
-// the whole-page cache).
+// copies plus fragment lookups, while staying exactly coherent.
 func BenchmarkE6cEdgeAssembled(b *testing.B) {
 	app := benchApp(b, WithEdgeCache(8192, time.Minute))
 	b.Cleanup(app.Edge.Close)
@@ -502,24 +506,6 @@ func BenchmarkE6cEdgeAssembled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doGet(h, "/page/volumePage?volume=1")
-	}
-}
-
-// BenchmarkE6cEdgeAssembledWithWrites runs the full three-level stack
-// (edge + bean cache) with 1 write per 64 reads: every write purges the
-// dependent fragments at both levels, so refill cost is measured too.
-func BenchmarkE6cEdgeAssembledWithWrites(b *testing.B) {
-	app := benchApp(b, WithEdgeCache(8192, time.Minute), WithBeanCache(4096))
-	b.Cleanup(app.Edge.Close)
-	h := app.Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%64 == 63 {
-			doGet(h, fmt.Sprintf("/op/createVolume?title=V%d&year=2003", i))
-			continue
-		}
 		doGet(h, "/page/volumePage?volume=1")
 	}
 }

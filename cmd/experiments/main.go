@@ -290,26 +290,55 @@ func e5() {
 	fmt.Println("  paper: \"for all the 556 pages the look & feel has been produced by only three XSL style sheets\"")
 }
 
-func e6() {
-	type variant struct {
-		name string
-		app  *webmlgo.App
-	}
-	variants := []variant{
+// cacheLevel is the fixture app under one arrangement of Section 6's two
+// cache levels.
+type cacheLevel struct {
+	name string
+	app  *webmlgo.App
+}
+
+// cacheLevels builds the fixture app with no cache, each level alone,
+// and both levels.
+func cacheLevels() []cacheLevel {
+	return []cacheLevel{
 		{"no cache", fixtureApp()},
-		{"fragment cache only (ESI-style)", fixtureApp(webmlgo.WithFragmentCache(4096, time.Minute))},
-		{"two-level (bean + fragment)", fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithFragmentCache(4096, time.Minute))},
+		{"bean cache only", fixtureApp(webmlgo.WithBeanCache(4096))},
+		{"edge only (ESI surrogate)", fixtureApp(webmlgo.WithEdgeCache(8192, time.Minute))},
+		{"bean + edge (the two levels)", fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithEdgeCache(8192, time.Minute))},
 	}
-	fmt.Println("Hot-page latency by cache architecture (Section 6):")
-	for _, v := range variants {
-		lat := timeOp(3000, func() { get(v.app.Handler(), "/page/volumePage?volume=1") })
-		fmt.Printf("  %-34s %10v per request\n", v.name, lat)
+}
+
+// sessionCookie opens a session on the app and returns its cookie:
+// requests carrying it are personalized, so they bypass the edge.
+func sessionCookie(app *webmlgo.App) *http.Cookie {
+	rr := httptest.NewRecorder()
+	app.Controller.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/page/volumesPage", nil))
+	return rr.Result().Cookies()[0]
+}
+
+func e6() {
+	fmt.Println("Hot-page latency by cache level (Section 6), anonymous vs personalized:")
+	fmt.Printf("  %-30s %14s %14s\n", "", "anonymous", "with session")
+	for _, v := range cacheLevels() {
+		h := v.app.Handler()
+		cookie := sessionCookie(v.app)
+		personalized := func() {
+			req := httptest.NewRequest(http.MethodGet, "/page/volumePage?volume=1", nil)
+			req.AddCookie(cookie)
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		}
+		anon := timeOp(3000, func() { get(h, "/page/volumePage?volume=1") })
+		session := timeOp(3000, personalized)
+		fmt.Printf("  %-30s %14v %14v\n", v.name, anon, session)
+		v.app.Close()
 	}
-	fmt.Println("\n  (the fragment level spares only markup computation, \"not the execution")
-	fmt.Println("   of the data extraction queries\" — the bean level spares those)")
+	fmt.Println("\n  (the edge serves anonymous pages assembled from cached fragments; a")
+	fmt.Println("   session request bypasses it and renders every time, and the bean level")
+	fmt.Println("   spares its data extraction queries)")
 
 	// Model-driven invalidation correctness.
-	app := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithFragmentCache(4096, time.Minute))
+	app := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithEdgeCache(8192, time.Minute))
+	defer app.Close()
 	get(app.Handler(), "/page/volumePage?volume=1")
 	get(app.Handler(), "/page/volumesPage")
 	before := app.BeanCache.Len()
@@ -326,26 +355,13 @@ func e6() {
 // keeping the edge exactly coherent — the paper's full Section 6
 // architecture with the "ESI-compliant web cache" as a real HTTP tier.
 func e6c() {
-	type variant struct {
-		name string
-		app  *webmlgo.App
-	}
-	variants := []variant{
-		{"no cache", fixtureApp()},
-		{"fragment cache only (ESI-style)", fixtureApp(webmlgo.WithFragmentCache(4096, time.Minute))},
-		{"two-level (bean + fragment)", fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithFragmentCache(4096, time.Minute))},
-		{"edge-assembled (ESI surrogate)", fixtureApp(webmlgo.WithEdgeCache(8192, time.Minute))},
-		{"whole-page cache (stale!)", fixtureApp(webmlgo.WithPageCache(4096, time.Minute))},
-	}
-	fmt.Println("Hot-page latency by cache architecture, edge tier included:")
-	for _, v := range variants {
+	fmt.Println("Hot-page latency by cache level, warm, anonymous:")
+	for _, v := range cacheLevels() {
 		h := v.app.Handler()
 		get(h, "/page/volumePage?volume=1") // warm
 		lat := timeOp(3000, func() { get(h, "/page/volumePage?volume=1") })
 		fmt.Printf("  %-34s %10v per request\n", v.name, lat)
-		if v.app.Edge != nil {
-			defer v.app.Edge.Close()
-		}
+		v.app.Close()
 	}
 
 	// Model-driven purge at the edge: a write drops exactly the
@@ -364,8 +380,9 @@ func e6c() {
 	fmt.Printf("  edge stats: %+v\n", app.Edge.Stats())
 	cm := app.CacheMetrics()
 	fmt.Printf("  facade cache snapshot: bean=%+v edge=%+v\n", *cm.Bean, *cm.Edge)
-	fmt.Println("\n  (the edge approaches whole-page-cache speed while staying exactly")
-	fmt.Println("   coherent — the whole-page cache serves stale pages until TTL)")
+	fmt.Println("\n  (the edge stays exactly coherent: a write purges precisely its dependent")
+	fmt.Println("   fragments. The first-generation whole-page cache, which Section 6 calls")
+	fmt.Println("   inadequate for personalized applications, served stale pages until TTL)")
 }
 
 func e7() {
@@ -590,12 +607,12 @@ func e9() {
 	// (histograms always on, traces sampled 1-in-100); and full tracing
 	// of every request (the -trace debugging mode) for transparency.
 	const N = 4000
-	base := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithFragmentCache(4096, time.Minute))
-	sampled := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithFragmentCache(4096, time.Minute),
-		webmlgo.WithObservability(256, 0))
+	// Bean cache only: an edge would answer the repeats before the
+	// controller, and no request would reach the traced tiers.
+	base := fixtureApp(webmlgo.WithBeanCache(4096))
+	sampled := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithObservability(256, 0))
 	sampled.Obs.SampleEvery = 100
-	full := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithFragmentCache(4096, time.Minute),
-		webmlgo.WithObservability(256, 0))
+	full := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithObservability(256, 0))
 	apps := []*webmlgo.App{base, sampled, full}
 	for _, a := range apps {
 		get(a.Handler(), "/page/volumePage?volume=1") // warm

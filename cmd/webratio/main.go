@@ -15,7 +15,7 @@
 //	webratio validate -model acm
 //	webratio stats    -model acer
 //	webratio generate -model acm -out ./generated [-style b2c]
-//	webratio serve    -model acm -addr :8080 [-style b2c] [-cache] [-edge]
+//	webratio serve    -model acm -addr :8080 [-style b2c] [-cache]
 package main
 
 import (
@@ -143,7 +143,7 @@ func usage() {
            [-data-dir dir]               durable data tier (WAL + B-tree; survives restarts)
            [-page-cache n]               buffer-pool pages for -data-dir (default 2048)
            [-resident-rows n]            decoded-row budget for -data-dir (0 = unlimited)
-           [-cache] [-edge]              two-level cache / ESI surrogate edge tier
+           [-cache]                      the two cache levels: bean cache + ESI edge tier
            [-timeout d] [-retries n]     per-request deadline / unit-read retries
            [-max-stale d]                degraded-mode staleness bound (needs -cache)
            [-chaos] [-chaos-seed n]      seeded fault injection below the resilience layer
@@ -310,8 +310,7 @@ func cmdServe(args []string) {
 	model := fs.String("model", "acm", "model name")
 	addr := fs.String("addr", ":8080", "listen address")
 	styleName := fs.String("style", "b2c", "presentation rule set")
-	cacheOn := fs.Bool("cache", false, "enable the two-level cache")
-	edgeOn := fs.Bool("edge", false, "enable the ESI surrogate edge tier")
+	cacheOn := fs.Bool("cache", false, "enable the two cache levels: the bean cache and the ESI surrogate edge tier")
 	rows := fs.Int("rows", 50, "rows per entity for synthetic models")
 	dataDir := fs.String("data-dir", "", "durable storage directory (WAL + page-backed B-tree; empty = in-memory)")
 	pageCache := fs.Int("page-cache", 0, "buffer-pool pages for -data-dir (4 KiB each; 0 = default 2048)")
@@ -362,10 +361,7 @@ func cmdServe(args []string) {
 		opts = append(opts, webmlgo.WithDatabase(ddb))
 	}
 	if *cacheOn {
-		opts = append(opts, webmlgo.WithBeanCache(8192), webmlgo.WithFragmentCache(8192, time.Minute))
-	}
-	if *edgeOn {
-		opts = append(opts, webmlgo.WithEdgeCache(8192, time.Minute))
+		opts = append(opts, webmlgo.WithBeanCache(8192), webmlgo.WithEdgeCache(8192, time.Minute))
 	}
 	if *appServer != "" && *autoscale {
 		log.Fatal("webratio: -autoscale and -app-server are mutually exclusive")

@@ -298,24 +298,18 @@ func TestFragmentEndpointHeaders(t *testing.T) {
 	}
 }
 
-// TestCacheMetricsSnapshot covers the observability satellite: every
-// enabled cache level is visible from the facade.
+// TestCacheMetricsSnapshot covers the observability satellite: both
+// cache levels are visible from the facade when enabled, and only then.
 func TestCacheMetricsSnapshot(t *testing.T) {
-	app := newApp(t,
-		WithEdgeCache(1024, time.Minute),
-		WithBeanCache(4096),
-		WithFragmentCache(4096, time.Minute))
+	app := newApp(t, WithEdgeCache(1024, time.Minute), WithBeanCache(4096))
 	defer app.Edge.Close()
 	h := app.Handler()
 	request(t, h, "/page/volumePage?volume=1", "")
 	request(t, h, "/page/volumePage?volume=1", "")
 
 	cm := app.CacheMetrics()
-	if cm.Bean == nil || cm.Fragment == nil || cm.Edge == nil {
+	if cm.Bean == nil || cm.Edge == nil {
 		t.Fatalf("enabled cache levels missing from snapshot: %+v", cm)
-	}
-	if cm.Page != nil {
-		t.Fatal("page cache stats present without WithPageCache")
 	}
 	if cm.Edge.Puts == 0 {
 		t.Fatal("edge tier recorded no puts")
@@ -328,7 +322,11 @@ func TestCacheMetricsSnapshot(t *testing.T) {
 	}
 
 	plain := newApp(t)
-	if cm := plain.CacheMetrics(); cm.Bean != nil || cm.Edge != nil || cm.Fragment != nil || cm.Page != nil {
+	if cm := plain.CacheMetrics(); cm.Bean != nil || cm.Edge != nil {
 		t.Fatalf("cache-less app reports stats: %+v", cm)
+	}
+	beanOnly := newApp(t, WithBeanCache(16))
+	if cm := beanOnly.CacheMetrics(); cm.Bean == nil || cm.Edge != nil {
+		t.Fatalf("bean-only app snapshot: %+v", cm)
 	}
 }

@@ -2,8 +2,8 @@
 // the style of the paper's Acer-Euro case study (Section 8): a public
 // B2C catalogue, and a protected content-management site view whose
 // operations (create/modify/delete) feed the public content — with the
-// two-level cache of Section 6 switched on, so content updates
-// automatically invalidate the cached beans they affect.
+// bean cache of Section 6 switched on, so content updates automatically
+// invalidate the cached beans they affect.
 //
 //	go run ./examples/acerstore            # scripted walk-through
 //	go run ./examples/acerstore -serve :8080
@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"time"
 
 	"webmlgo"
 )
@@ -118,7 +117,6 @@ func main() {
 
 	app, err := webmlgo.New(buildModel(),
 		webmlgo.WithBeanCache(4096),
-		webmlgo.WithFragmentCache(4096, time.Minute),
 		webmlgo.WithCompiledStyle(webmlgo.B2CStyle()))
 	if err != nil {
 		log.Fatal(err)

@@ -33,9 +33,7 @@ type BeanCache struct {
 // (demoted in the LRU) so GetStale can serve them in degraded mode;
 // invalidated beans are removed outright and never resurface.
 func NewBeanCache(capacity int) *BeanCache {
-	s := newStore(capacity)
-	s.keepStale = true
-	return &BeanCache{s: s, gens: make(map[string]uint64)}
+	return &BeanCache{s: newStore(capacity), gens: make(map[string]uint64)}
 }
 
 // keyBuilder assembles canonical cache keys without intermediate maps or
@@ -146,51 +144,3 @@ func (c *BeanCache) Stats() Stats { return c.s.statsCopy() }
 
 // Shards reports how many shards back the cache.
 func (c *BeanCache) Shards() int { return c.s.shardCountOf() }
-
-// FragmentCache is the template-fragment cache: last-generation Web
-// caching "based on the capability of marking fragments of the page
-// template, which can be cached individually and with different
-// policies" (the ESI initiative referenced in Section 6). Fragment keys
-// are content-addressed (they embed the bean hash), so fragments never
-// go stale relative to their beans and need no version bookkeeping.
-type FragmentCache struct {
-	s          *store
-	defaultTTL time.Duration
-}
-
-// NewFragmentCache returns a fragment cache bounded to capacity entries
-// with the given default TTL per fragment.
-func NewFragmentCache(capacity int, defaultTTL time.Duration) *FragmentCache {
-	return &FragmentCache{s: newStore(capacity), defaultTTL: defaultTTL}
-}
-
-// Get returns the cached markup for a fragment key.
-func (c *FragmentCache) Get(key string) ([]byte, bool) {
-	v, ok := c.s.get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.([]byte), true
-}
-
-// Put stores fragment markup under key with the cache's default TTL.
-func (c *FragmentCache) Put(key string, markup []byte) {
-	c.PutTTL(key, markup, c.defaultTTL)
-}
-
-// PutTTL stores fragment markup with an explicit per-fragment policy.
-func (c *FragmentCache) PutTTL(key string, markup []byte, ttl time.Duration) {
-	c.s.put(key, markup, nil, ttl)
-}
-
-// Flush empties the cache.
-func (c *FragmentCache) Flush() { c.s.flush() }
-
-// Len returns the number of cached fragments.
-func (c *FragmentCache) Len() int { return c.s.len() }
-
-// Stats returns a snapshot of the cache counters.
-func (c *FragmentCache) Stats() Stats { return c.s.statsCopy() }
-
-// Shards reports how many shards back the cache.
-func (c *FragmentCache) Shards() int { return c.s.shardCountOf() }

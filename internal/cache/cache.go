@@ -1,11 +1,10 @@
-// Package cache implements the two-level cache architecture of Section 6:
-//
-//   - a business-tier bean cache holding the unit beans produced by data
-//     retrieval queries, keyed by unit + input parameters, invalidated
-//     through the model-derived dependency index (the entities and
-//     relationships each unit reads and each operation writes);
-//   - a template-fragment cache (ESI-style) holding rendered markup
-//     fragments with per-fragment TTL policies.
+// Package cache implements the business-tier level of Section 6's two
+// cache levels: a bean cache holding the unit beans produced by data
+// retrieval queries, keyed by unit + input parameters, invalidated
+// through the model-derived dependency index (the entities and
+// relationships each unit reads and each operation writes). The other
+// level, template fragments in an ESI-compliant web cache, is the edge
+// tier (internal/edge), which stores its fragments in the same structure.
 //
 // Both levels share one LRU + TTL + dependency-index core. Under heavy
 // traffic the core is sharded: keys are FNV-hashed onto a power-of-two
@@ -62,18 +61,16 @@ const maxShards = 64
 // the loss of strict global LRU ordering.
 const minEntriesPerShard = 256
 
-// store is the sharded LRU/TTL/dependency-index machinery shared by the
-// bean, fragment and page caches.
+// store is the sharded LRU/TTL/dependency-index machinery behind the
+// bean cache. TTL-expired entries are retained (demoted to the LRU tail)
+// instead of dropped on lookup, so getStale can serve them in degraded
+// mode. Invalidated entries are always removed outright — degraded mode
+// never resurrects written-over data.
 type store struct {
 	shards []*shard
 	mask   uint32
 	// now is the clock hook shared by every shard (tests override it).
 	now func() time.Time
-	// keepStale retains TTL-expired entries (demoted to the LRU tail)
-	// instead of dropping them on lookup, so getStale can serve them in
-	// degraded mode. Invalidated entries are always removed outright —
-	// degraded mode never resurrects written-over data.
-	keepStale bool
 }
 
 // shard is one independent slice of the keyspace.
@@ -147,18 +144,13 @@ func (s *store) get(key string) (interface{}, bool) {
 		return nil, false
 	}
 	if !e.expires.IsZero() && s.now().After(e.expires) {
-		if s.keepStale {
-			// Keep the zombie for degraded-mode serving, but demote it
-			// so capacity pressure reclaims it first.
-			if !e.expired {
-				e.expired = true
-				sh.stats.Expirations++
-			}
-			sh.lru.MoveToBack(e.elem)
-		} else {
-			sh.removeLocked(e)
+		// Keep the zombie for degraded-mode serving, but demote it so
+		// capacity pressure reclaims it first.
+		if !e.expired {
+			e.expired = true
 			sh.stats.Expirations++
 		}
+		sh.lru.MoveToBack(e.elem)
 		sh.stats.Misses++
 		return nil, false
 	}

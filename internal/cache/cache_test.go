@@ -141,33 +141,6 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestFragmentCache(t *testing.T) {
-	c := NewFragmentCache(10, time.Minute)
-	c.Put("page1|u1|h1", []byte("<div>x</div>"))
-	got, ok := c.Get("page1|u1|h1")
-	if !ok || string(got) != "<div>x</div>" {
-		t.Fatalf("got %q %v", got, ok)
-	}
-	if _, ok := c.Get("other"); ok {
-		t.Fatal("ghost hit")
-	}
-}
-
-func TestFragmentTTLPolicy(t *testing.T) {
-	c := NewFragmentCache(10, time.Minute)
-	now := time.Unix(0, 0)
-	c.s.now = func() time.Time { return now }
-	c.Put("default", []byte("a"))
-	c.PutTTL("short", []byte("b"), time.Second)
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Get("short"); ok {
-		t.Fatal("per-fragment TTL ignored")
-	}
-	if _, ok := c.Get("default"); !ok {
-		t.Fatal("default TTL entry dropped early")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := NewBeanCache(128)
 	var wg sync.WaitGroup

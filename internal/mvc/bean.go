@@ -7,8 +7,6 @@
 package mvc
 
 import (
-	"hash/fnv"
-	"sort"
 	"strconv"
 
 	"webmlgo/internal/cell"
@@ -90,55 +88,6 @@ type FormField struct {
 	Required bool
 	// Value is the sticky value redisplayed after a validation failure.
 	Value string
-}
-
-// Hash returns a fast content hash of the bean, used as the fragment
-// cache variant key: identical bean content renders identical markup.
-func (b *UnitBean) Hash() uint64 {
-	h := fnv.New64a()
-	io := func(s string) { h.Write([]byte(s)); h.Write([]byte{0}) }
-	io(b.UnitID)
-	io(b.Kind)
-	if b.Missing {
-		io("missing")
-	}
-	io(strconv.Itoa(b.Total))
-	io(strconv.Itoa(b.Offset))
-	var walk func(ns []Node)
-	var field []byte
-	walk = func(ns []Node) {
-		for _, n := range ns {
-			for _, c := range n.Values {
-				field = append(c.Append(field[:0]), 0)
-				h.Write(field)
-			}
-			walk(n.Children)
-			io("|")
-		}
-	}
-	for _, f := range b.Fields {
-		io(f)
-	}
-	for _, lf := range b.LevelFields {
-		for _, f := range lf {
-			io(f)
-		}
-	}
-	walk(b.Nodes)
-	for _, f := range b.FormFields {
-		io(f.Name)
-		io(f.Value)
-	}
-	keys := make([]string, 0, len(b.Errors))
-	for k := range b.Errors {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		io(k)
-		io(b.Errors[k])
-	}
-	return h.Sum64()
 }
 
 // OpResult reports an operation's outcome to the Controller, which

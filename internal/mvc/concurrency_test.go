@@ -3,6 +3,7 @@ package mvc
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -241,7 +242,7 @@ func TestParallelPageComputeMatchesSequential(t *testing.T) {
 		if pb == nil {
 			t.Fatalf("parallel state missing bean %q", id)
 		}
-		if sb.Hash() != pb.Hash() {
+		if !reflect.DeepEqual(sb, pb) {
 			t.Fatalf("bean %q differs between sequential and parallel paths", id)
 		}
 	}

@@ -7,10 +7,12 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"webmlgo/internal/cache"
 	"webmlgo/internal/codegen"
 	"webmlgo/internal/descriptor"
+	"webmlgo/internal/edge"
 	"webmlgo/internal/fixture"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/rdb"
@@ -19,7 +21,7 @@ import (
 
 // buildApp assembles the full fixture application: model -> generated
 // artifacts -> seeded database -> controller with the real renderer.
-func buildApp(t *testing.T, withBeanCache, withFragmentCache bool) (*mvc.Controller, *rdb.DB, *cache.BeanCache) {
+func buildApp(t *testing.T, withBeanCache bool) (*mvc.Controller, *rdb.DB, *cache.BeanCache) {
 	t.Helper()
 	g, err := codegen.New(fixture.Figure1Model())
 	if err != nil {
@@ -44,28 +46,24 @@ func buildApp(t *testing.T, withBeanCache, withFragmentCache bool) (*mvc.Control
 		beans = cache.NewBeanCache(0)
 		business = mvc.NewCachedBusiness(business, beans)
 	}
-	eng := render.NewEngine(art.Repo)
-	if withFragmentCache {
-		eng.Fragments = cache.NewFragmentCache(0, 0)
-	}
-	return mvc.NewController(art.Repo, business, eng), db, beans
+	return mvc.NewController(art.Repo, business, render.NewEngine(art.Repo)), db, beans
 }
 
-// get performs a request against the controller, following at most one
-// redirect, and returns the final response and body.
-func get(t *testing.T, ctl *mvc.Controller, path string, cookies []*http.Cookie) (*httptest.ResponseRecorder, string) {
+// get performs a request against the controller (or the edge in front of
+// it) and returns the response and body.
+func get(t *testing.T, h http.Handler, path string, cookies []*http.Cookie) (*httptest.ResponseRecorder, string) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	for _, c := range cookies {
 		req.AddCookie(c)
 	}
 	rr := httptest.NewRecorder()
-	ctl.ServeHTTP(rr, req)
+	h.ServeHTTP(rr, req)
 	return rr, rr.Body.String()
 }
 
 func TestHomePageRendersVolumeIndex(t *testing.T) {
-	ctl, _, _ := buildApp(t, false, false)
+	ctl, _, _ := buildApp(t, false)
 	rr, body := get(t, ctl, "/page/volumesPage", nil)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rr.Code, body)
@@ -86,7 +84,7 @@ func TestHomePageRendersVolumeIndex(t *testing.T) {
 // TestVolumePageReproducesFigure1 is experiment E1: the ACM DL volume
 // page with data unit, hierarchical Issues&Papers index, and entry unit.
 func TestVolumePageReproducesFigure1(t *testing.T) {
-	ctl, _, _ := buildApp(t, false, false)
+	ctl, _, _ := buildApp(t, false)
 	rr, body := get(t, ctl, "/page/volumePage?volume=1", nil)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rr.Code, body)
@@ -123,7 +121,7 @@ func TestVolumePageReproducesFigure1(t *testing.T) {
 }
 
 func TestVolumePageWithoutParamRendersEmpty(t *testing.T) {
-	ctl, _, _ := buildApp(t, false, false)
+	ctl, _, _ := buildApp(t, false)
 	rr, body := get(t, ctl, "/page/volumePage", nil)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status = %d", rr.Code)
@@ -134,7 +132,7 @@ func TestVolumePageWithoutParamRendersEmpty(t *testing.T) {
 }
 
 func TestScrollerSearchAndWindowing(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	// Add enough papers for two windows.
 	for i := 0; i < 15; i++ {
 		if _, err := db.Exec(`INSERT INTO paper (title, abstract, pages, fk_issuetopaper) VALUES (?, ?, ?, ?)`,
@@ -167,7 +165,7 @@ func TestScrollerSearchAndWindowing(t *testing.T) {
 }
 
 func TestOperationCreateRedirectsAndPersists(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	rr, _ := get(t, ctl, "/op/createVolume?title=New+Volume&year=2003", nil)
 	if rr.Code != http.StatusFound {
 		t.Fatalf("status = %d", rr.Code)
@@ -191,7 +189,7 @@ func TestOperationCreateRedirectsAndPersists(t *testing.T) {
 }
 
 func TestOperationValidationFailureFollowsKO(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	// volForm requires title; year must be an integer.
 	rr, _ := get(t, ctl, "/op/createVolume?year=notanumber", nil)
 	if rr.Code != http.StatusFound {
@@ -238,7 +236,7 @@ func login(t *testing.T, ctl *mvc.Controller, cookies []*http.Cookie) {
 }
 
 func TestProtectedSiteViewRequiresLogin(t *testing.T) {
-	ctl, _, _ := buildApp(t, false, false)
+	ctl, _, _ := buildApp(t, false)
 	rr, _ := get(t, ctl, "/page/managePage", nil)
 	if rr.Code != http.StatusUnauthorized {
 		t.Fatalf("status = %d", rr.Code)
@@ -269,7 +267,7 @@ func TestProtectedSiteViewRequiresLogin(t *testing.T) {
 }
 
 func TestDeleteOperationAndKOOnMissingObject(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	rr, _ := get(t, ctl, "/op/deleteVolume?oid=2", nil)
 	if rr.Code != http.StatusFound {
 		t.Fatalf("status = %d", rr.Code)
@@ -287,7 +285,7 @@ func TestDeleteOperationAndKOOnMissingObject(t *testing.T) {
 }
 
 func TestConnectOperation(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	rr, _ := get(t, ctl, "/op/tagPaper?from=2&to=2", nil)
 	if rr.Code != http.StatusFound {
 		t.Fatalf("status = %d", rr.Code)
@@ -299,7 +297,7 @@ func TestConnectOperation(t *testing.T) {
 }
 
 func TestUnknownActionIs404(t *testing.T) {
-	ctl, _, _ := buildApp(t, false, false)
+	ctl, _, _ := buildApp(t, false)
 	rr, _ := get(t, ctl, "/page/ghost", nil)
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("status = %d", rr.Code)
@@ -314,7 +312,7 @@ func TestUnknownActionIs404(t *testing.T) {
 // correctness half: repeated page computations hit the bean cache, and a
 // write operation invalidates exactly the dependent beans.
 func TestBeanCacheServesRepeatsAndInvalidates(t *testing.T) {
-	ctl, _, beans := buildApp(t, true, false)
+	ctl, _, beans := buildApp(t, true)
 	get(t, ctl, "/page/volumePage?volume=1", nil)
 	s0 := beans.Stats()
 	if s0.Puts == 0 {
@@ -354,16 +352,25 @@ func cacheKeyForVolumeIndex() string {
 	return cache.Key("issuesPapers", map[string]string{"parent": "1"})
 }
 
-// TestStaleReadNeverServed: after any write through an operation, a
-// freshly computed page must reflect the write even with caching on.
+// TestStaleReadNeverServed: after any write through an operation, the
+// next page must reflect the write with both cache levels on — the bean
+// cache and the ESI edge in front of the controller.
 func TestStaleReadNeverServed(t *testing.T) {
-	ctl, _, _ := buildApp(t, true, true)
-	_, body := get(t, ctl, "/page/volumesPage", nil)
+	ctl, _, _ := buildApp(t, true)
+	front := edge.New(ctl, 0, time.Minute)
+	t.Cleanup(front.Close)
+	ctl.EdgeFragments = true
+	ctl.Business = &mvc.NotifyingBusiness{Inner: ctl.Business, OnWrite: func(tags []string) { front.Invalidate(tags...) }}
+
+	_, body := get(t, front, "/page/volumesPage", nil)
 	if strings.Contains(body, "Fresh Volume") {
 		t.Fatal("phantom volume")
 	}
-	get(t, ctl, "/op/createVolume?title=Fresh+Volume&year=2004", nil)
-	_, body = get(t, ctl, "/page/volumesPage", nil)
+	if rr, _ := get(t, front, "/page/volumesPage", nil); rr.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("repeat X-Cache = %q, want HIT", rr.Header().Get("X-Cache"))
+	}
+	get(t, front, "/op/createVolume?title=Fresh+Volume&year=2004", nil)
+	_, body = get(t, front, "/page/volumesPage", nil)
 	if !strings.Contains(body, "Fresh Volume") {
 		t.Fatalf("stale page served after write:\n%s", body)
 	}
@@ -424,60 +431,10 @@ func TestCustomComponentOverride(t *testing.T) {
 	}
 }
 
-// TestFragmentCacheSparesMarkupOnly verifies the Section 6 observation:
-// with only the fragment cache (no bean cache), repeated requests still
-// reach the database, but render from cached fragments.
-func TestFragmentCacheSparesMarkupOnly(t *testing.T) {
-	g, err := codegen.New(fixture.Figure1Model())
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := g.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := rdb.Open()
-	for _, stmt := range art.DDL {
-		if _, err := db.Exec(stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fixture.Seed(db); err != nil {
-		t.Fatal(err)
-	}
-	eng := render.NewEngine(art.Repo)
-	frags := cache.NewFragmentCache(0, 0)
-	eng.Fragments = frags
-	ctl := mvc.NewController(art.Repo, mvc.NewLocalBusiness(db), eng)
-
-	_, first := get(t, ctl, "/page/volumePage?volume=1", nil)
-	s0 := frags.Stats()
-	if s0.Puts == 0 {
-		t.Fatalf("no fragments cached: %+v", s0)
-	}
-	_, second := get(t, ctl, "/page/volumePage?volume=1", nil)
-	s1 := frags.Stats()
-	if s1.Hits <= s0.Hits {
-		t.Fatalf("second render missed the fragment cache: %+v -> %+v", s0, s1)
-	}
-	if first != second {
-		t.Fatal("cached fragments changed the output")
-	}
-	// A write changes the bean content, so the fragment key changes and
-	// the stale fragment is never served.
-	if _, err := db.Exec(`UPDATE volume SET title = 'Renamed' WHERE oid = 1`); err != nil {
-		t.Fatal(err)
-	}
-	_, third := get(t, ctl, "/page/volumePage?volume=1", nil)
-	if !strings.Contains(third, "Renamed") {
-		t.Fatal("stale fragment served after data change")
-	}
-}
-
 // TestMultichoiceFanOut: a multichoice selection submits one parameter
 // with multiple values; the connect operation applies once per value.
 func TestMultichoiceFanOut(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	// Tag papers 1, 2 and 4 with keyword 2 in a single request.
 	rr, _ := get(t, ctl, "/op/tagPaper?from=1&from=2&from=4&to=2", nil)
 	if rr.Code != http.StatusFound {
@@ -496,7 +453,7 @@ func TestMultichoiceFanOut(t *testing.T) {
 // TestMultichoiceFanOutStopsOnFailure: a failing element follows KO and
 // aborts the remainder of the fan-out.
 func TestMultichoiceFanOutStopsOnFailure(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	// Paper 99 violates the bridge FK; 1 succeeds first, 4 never runs.
 	rr, _ := get(t, ctl, "/op/tagPaper?from=1&from=99&from=4&to=2", nil)
 	if rr.Code != http.StatusFound {
@@ -560,7 +517,7 @@ func TestPanickingCustomComponentBecomes500(t *testing.T) {
 
 // TestConditionalGET: unchanged pages revalidate with 304.
 func TestConditionalGET(t *testing.T) {
-	ctl, db, _ := buildApp(t, false, false)
+	ctl, db, _ := buildApp(t, false)
 	rr, _ := get(t, ctl, "/page/volumesPage", nil)
 	etag := rr.Header().Get("ETag")
 	if etag == "" {

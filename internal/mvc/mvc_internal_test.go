@@ -133,38 +133,6 @@ func TestForward(t *testing.T) {
 	}
 }
 
-func TestBeanHashSensitivity(t *testing.T) {
-	b1 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: MustCells("x")}}}
-	b2 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: MustCells("x")}}}
-	if b1.Hash() != b2.Hash() {
-		t.Fatal("equal beans hash differently")
-	}
-	b2.Nodes[0].Values[0] = MustCells("y")[0]
-	if b1.Hash() == b2.Hash() {
-		t.Fatal("different beans hash equal")
-	}
-	b3 := &UnitBean{UnitID: "u", Kind: "data", Fields: []string{"t"}, Nodes: []Node{{Values: MustCells("x"),
-		Children: []Node{{Values: MustCells("1")}}}}}
-	if b3.Hash() == b1.Hash() {
-		t.Fatal("children ignored by hash")
-	}
-}
-
-// TestBeanHashIsAFunctionOfContent: validation errors live in a map; the
-// hash must not follow Go's map iteration order, or an entry bean with
-// two errors never repeats its fragment-cache key.
-func TestBeanHashIsAFunctionOfContent(t *testing.T) {
-	b := &UnitBean{UnitID: "e", Kind: "entry",
-		FormFields: []FormField{{Name: "title"}, {Name: "year"}},
-		Errors:     map[string]string{"title": "required", "year": "not a number"}}
-	want := b.Hash()
-	for i := 0; i < 100; i++ {
-		if got := b.Hash(); got != want {
-			t.Fatalf("hash %d = %x, first was %x", i, got, want)
-		}
-	}
-}
-
 func TestActionURL(t *testing.T) {
 	if got := ActionURL("page/p1", nil); got != "/page/p1" {
 		t.Fatal(got)

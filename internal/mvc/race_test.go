@@ -18,7 +18,7 @@ import (
 // starts after operation k completed must see volume k on the page, never
 // a stale cached bean. This is TestStaleReadNeverServed under concurrency.
 func TestConcurrentReadsNeverSeeStaleBeans(t *testing.T) {
-	ctl, _, beans := buildApp(t, true, false)
+	ctl, _, beans := buildApp(t, true)
 	ctl.SetPageWorkers(4)
 	if beans == nil {
 		t.Fatal("bean cache required")

@@ -26,8 +26,8 @@ func BenchmarkRenderPage(b *testing.B) {
 	}
 }
 
-// BenchmarkRenderUnitFragment isolates the fragment path (pooled key
-// building plus the fragment cache probe).
+// BenchmarkRenderUnitFragment isolates the fragment path: one unit's
+// markup, as the edge tier fetches it.
 func BenchmarkRenderUnitFragment(b *testing.B) {
 	pd, state, ctx := pageFixture()
 	e := engineWith(pd, tplP1)

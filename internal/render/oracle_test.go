@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"webmlgo/internal/cache"
 	"webmlgo/internal/codegen"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/dom"
@@ -23,8 +22,7 @@ import (
 	"webmlgo/internal/workload"
 )
 
-// oracleUnit is one unit's markup (or the not-computed comment), never
-// from the fragment cache.
+// oracleUnit is one unit's markup (or the not-computed comment).
 func oracleUnit(e *Engine, rc *Context, unitID string) (string, error) {
 	bean := rc.State.Beans[unitID]
 	if bean == nil {
@@ -112,7 +110,7 @@ func oracleRender(e *Engine, pd *descriptor.Page, state *mvc.PageState, ctx *mvc
 }
 
 // checkAgainstOracle renders one page every way the engine can — inline
-// (twice, so a fragment cache answers the second), as an ESI container,
+// (twice, so the second runs the kept program), as an ESI container,
 // and fragment by fragment, a unit the page lacks included — and wants the
 // oracle's bytes each time.
 func checkAgainstOracle(t *testing.T, e *Engine, pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext) {
@@ -140,16 +138,13 @@ func checkAgainstOracle(t *testing.T, e *Engine, pd *descriptor.Page, state *mvc
 	}
 }
 
-// engines returns the three deployments of one repository: plain, with
-// the fragment cache, and runtime-styled (with fragments, whose keys the
-// variant must keep apart), with the user agents that reach each variant.
+// engines returns the two deployments of one repository: plain and
+// runtime-styled, with the user agents that reach each variant.
 func engines(repo *descriptor.Repository) (es []*Engine, agents [][]string) {
-	plain, cached, styled := NewEngine(repo), NewEngine(repo), NewEngine(repo)
-	cached.Fragments = cache.NewFragmentCache(0, 0)
-	styled.Fragments = cache.NewFragmentCache(0, 0)
+	plain, styled := NewEngine(repo), NewEngine(repo)
 	styled.Styler = style.StandardProfiles(style.B2CRuleSet())
-	return []*Engine{plain, cached, styled},
-		[][]string{{""}, {""}, {"Mozilla/5.0 (X11; Linux x86_64)", "Mozilla/5.0 (iPhone) Mobile Safari", "Opera/9.80 (Android)"}}
+	return []*Engine{plain, styled},
+		[][]string{{""}, {"Mozilla/5.0 (X11; Linux x86_64)", "Mozilla/5.0 (iPhone) Mobile Safari", "Opera/9.80 (Android)"}}
 }
 
 // TestProgramMatchesOracleAcerEuro: every page of the paper-sized
@@ -205,7 +200,7 @@ func TestProgramMatchesOracleAcerEuro(t *testing.T) {
 		t.Fatalf("variants reached: %v, want 3", variants)
 	}
 	// The cache is bounded by pages x variants however many agents ask.
-	if got, limit := len(es[2].programs), 2*len(art.Repo.Pages()); got != limit {
+	if got, limit := len(es[1].programs), 2*len(art.Repo.Pages()); got != limit {
 		t.Fatalf("styled engine holds %d programs for %d pages in 2 variants", got, limit/2)
 	}
 }
@@ -245,7 +240,7 @@ func TestProgramMatchesOracleShapes(t *testing.T) {
 			repo.PutPage(pd)
 			repo.PutTemplate(pd.Template, c.tpl)
 			es, agents := engines(repo)
-			es[2].Styler = fakeStyler{} // the B2C page rule refuses a template without <body>, as some of these are
+			es[1].Styler = fakeStyler{} // the B2C page rule refuses a template without <body>, as some of these are
 			for k, e := range es {
 				for _, ua := range agents[k] {
 					ctx.UserAgent = ua

@@ -1,25 +1,22 @@
 // Package render is the View of Figure 4: page templates made of static
 // markup plus custom tags ("HTML + custom tags"), where each WebML unit
 // kind maps to a custom tag transforming the content stored in the unit
-// beans into HTML. Rendering optionally consults the template-fragment
-// cache and a runtime styler (Section 5's on-the-fly presentation rules).
+// beans into HTML. Rendering optionally consults a runtime styler
+// (Section 5's on-the-fly presentation rules).
 package render
 
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
-	"webmlgo/internal/cache"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/dom"
 	"webmlgo/internal/mvc"
 )
 
-// bufPool recycles page buffers (and fragment-key scratch) across requests.
+// bufPool recycles page buffers across requests.
 var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
 // maxPooledBuf caps what returns to the pool: one pathological page must
@@ -48,7 +45,7 @@ type TagRenderer func(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean)
 
 // Styler applies the presentation rules of Section 5 at run time. Variant
 // names the rule set chosen for a user agent; what Apply returns may depend
-// on the template and that name alone: programs and fragments are per variant.
+// on the template and that name alone: programs are per variant.
 type Styler interface {
 	Apply(tpl *dom.Node, userAgent string) (*dom.Node, error)
 	Variant(userAgent string) string
@@ -60,8 +57,6 @@ type Engine struct {
 	// Tags maps unit kind -> renderer; NewEngine installs the core six,
 	// plug-ins add theirs.
 	Tags map[string]TagRenderer
-	// Fragments, when set, caches rendered unit fragments (ESI-style).
-	Fragments *cache.FragmentCache
 	// Styler, when set, applies presentation rules per style variant.
 	Styler Styler
 
@@ -143,7 +138,7 @@ func (e *Engine) RenderContainer(pd *descriptor.Page, ctx *mvc.RequestContext) (
 func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, unitID string) ([]byte, error) {
 	b := getBuf()
 	defer putBuf(b)
-	if err := e.writeUnit(&Context{Page: pd, State: state, Request: ctx}, b, unitID, e.variant(ctx)); err != nil {
+	if err := e.writeUnit(&Context{Page: pd, State: state, Request: ctx}, b, unitID); err != nil {
 		return nil, err
 	}
 	return bytes.Clone(b.Bytes()), nil
@@ -165,8 +160,7 @@ func (e *Engine) variant(ctx *mvc.RequestContext) string {
 // run executes the page's program: edge mode emits ESI placeholders
 // where the inline mode writes computed unit markup.
 func (e *Engine) run(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, edge bool) ([]byte, error) {
-	variant := e.variant(ctx)
-	prog, err := e.program(pd, variant, ctx.UserAgent)
+	prog, err := e.program(pd, e.variant(ctx), ctx.UserAgent)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +176,7 @@ func (e *Engine) run(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.Request
 			// The placeholder stands exactly where the inline markup would: the
 			// surrogate's textual substitution reproduces RenderPage byte for byte.
 			put(b, `<esi:include src="`, dom.EscapeAttr(mvc.FragmentURL(pd.ID, unitID, ctx.Params)), `"/>`)
-		} else if err := e.writeUnit(rc, b, unitID, variant); err != nil {
+		} else if err := e.writeUnit(rc, b, unitID); err != nil {
 			return nil, err
 		}
 	}
@@ -190,45 +184,19 @@ func (e *Engine) run(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.Request
 	return bytes.Clone(b.Bytes()), nil
 }
 
-// writeUnit appends one unit's markup to w, reusing a cached fragment
-// when the bean content (and style variant) is unchanged. As Section 6
-// explains, this spares "only the computation of markup from query
-// results, not the execution of the data extraction queries" — the bean
-// cache (mvc.CachedBusiness) covers those.
-func (e *Engine) writeUnit(rc *Context, w *bytes.Buffer, unitID, variant string) error {
+// writeUnit appends one unit's markup to w. Rendered fragments are
+// cached at the edge tier (internal/edge), never here.
+func (e *Engine) writeUnit(rc *Context, w *bytes.Buffer, unitID string) error {
 	bean := rc.State.Beans[unitID]
 	if bean == nil {
 		put(w, "<!-- unit ", unitID, " not computed -->")
 		return nil
 	}
-	var key string
-	if e.Fragments != nil {
-		kb := getBuf()
-		put(kb, rc.Page.ID, "|", bean.UnitID, "|", variant, "|")
-		kb.Write(strconv.AppendUint(kb.AvailableBuffer(), bean.Hash(), 16))
-		key = kb.String()
-		putBuf(kb)
-		if cached, ok := e.Fragments.Get(key); ok {
-			w.Write(cached)
-			return nil
-		}
-	}
 	tag, ok := e.Tags[bean.Kind]
 	if !ok {
 		return fmt.Errorf("render: no tag renderer for unit kind %q", bean.Kind)
 	}
-	start := w.Len()
 	tag(rc, w, bean)
-	if e.Fragments != nil {
-		// Per-fragment policy (the ESI capability of Section 6): a unit's
-		// conceptual cache TTL also bounds its rendered fragment.
-		markup := bytes.Clone(w.Bytes()[start:])
-		if d := e.Repo.Unit(bean.UnitID); d != nil && d.Cache != nil && d.Cache.TTLSeconds > 0 {
-			e.Fragments.PutTTL(key, markup, time.Duration(d.Cache.TTLSeconds)*time.Second)
-		} else {
-			e.Fragments.Put(key, markup)
-		}
-	}
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"webmlgo/internal/cache"
 	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/dom"
@@ -266,29 +265,6 @@ func TestErrorBannerRendered(t *testing.T) {
 	}
 }
 
-func TestFragmentCacheKeyIncludesVariant(t *testing.T) {
-	pd, state, ctx := pageFixture()
-	e := engineWith(pd, tplP1)
-	e.Fragments = cache.NewFragmentCache(0, 0)
-	e.Styler = fakeStyler{}
-	ctx.UserAgent = "desktop"
-	out1, err := e.RenderPage(pd, state, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx.UserAgent = "mobile"
-	out2, err := e.RenderPage(pd, state, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out1) == string(out2) {
-		t.Fatal("styler variant ignored")
-	}
-	if e.Fragments.Stats().Hits != 0 {
-		t.Fatal("different variants shared fragments")
-	}
-}
-
 // fakeStyler marks the body with the variant name.
 type fakeStyler struct{}
 
@@ -412,33 +388,6 @@ func TestLandmarkMenuRendered(t *testing.T) {
 	}
 }
 
-func TestPerUnitFragmentTTLPolicy(t *testing.T) {
-	pd, state, ctx := pageFixture()
-	repo := descriptor.NewRepository()
-	repo.PutPage(pd)
-	repo.PutTemplate("p1", tplP1)
-	// d1 carries a 1-second conceptual TTL; i1 has none.
-	repo.PutUnit(&descriptor.Unit{ID: "d1", Kind: "data",
-		Cache: &descriptor.CachePolicy{Enabled: true, TTLSeconds: 1}})
-	repo.PutUnit(&descriptor.Unit{ID: "i1", Kind: "index"})
-	e := NewEngine(repo)
-	e.Fragments = cache.NewFragmentCache(0, 0)
-	if _, err := e.RenderPage(pd, state, ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Both units cached; the stats show two puts (plus the entry unit).
-	if e.Fragments.Stats().Puts < 2 {
-		t.Fatalf("puts = %d", e.Fragments.Stats().Puts)
-	}
-	// A second render within the TTL hits both fragments.
-	if _, err := e.RenderPage(pd, state, ctx); err != nil {
-		t.Fatal(err)
-	}
-	if e.Fragments.Stats().Hits < 2 {
-		t.Fatalf("hits = %d", e.Fragments.Stats().Hits)
-	}
-}
-
 // FuzzAnchorHref: the href appended per row is byte for byte what the
 // map-and-url.Values reference builds, for any UTF-8 (or not) in action,
 // parameter names and values — including a repeated target, a source the
@@ -511,7 +460,6 @@ func TestConcurrentRendersShareBeans(t *testing.T) {
 					t.Errorf("concurrent render diverged (err %v)", err)
 					return
 				}
-				state.Beans["i1"].Hash()
 				if i%10 == 0 { // programs recompile under the other renders
 					e.InvalidateTemplate(pd.Template)
 				}

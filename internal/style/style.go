@@ -258,8 +258,8 @@ type RuntimeStyler struct {
 	Default *RuleSet
 }
 
-// Variant names the rule set chosen for a user agent (fragment-cache
-// keying).
+// Variant names the rule set chosen for a user agent (one render program
+// per variant).
 func (s *RuntimeStyler) Variant(userAgent string) string {
 	return s.ruleSet(userAgent).Name
 }

@@ -109,8 +109,6 @@ func TestMetricsExpositionDocumented(t *testing.T) {
 
 	app, err := New(fixture.Figure1Model(),
 		WithBeanCache(256),
-		WithFragmentCache(256, time.Minute),
-		WithPageCache(256, time.Minute),
 		WithEdgeCache(256, time.Minute),
 		WithElasticFleet(1, 2, 8),
 		WithAdmission(8, 16),
@@ -147,6 +145,14 @@ func TestMetricsExpositionDocumented(t *testing.T) {
 		t.Fatalf("/metrics = %d", rr.Code)
 	}
 	check("web tier", body)
+	// The cache families carry exactly the paper's two levels.
+	levels := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^webml_cache_hits_total\{cache="(\w+)"\}`).FindAllStringSubmatch(body, -1) {
+		levels[m[1]] = true
+	}
+	if len(levels) != 2 || !levels["bean"] || !levels["edge"] {
+		t.Errorf("webml_cache_hits_total levels %v, want bean and edge", levels)
+	}
 
 	ctr, _, err := DeployContainer(fixture.Figure1Model(), app.DB, 4, "127.0.0.1:0")
 	if err != nil {

@@ -273,9 +273,7 @@ func (a *App) buildRegistry() *obs.Registry {
 		}
 		cs := a.CacheMetrics()
 		emit("bean", cs.Bean)
-		emit("fragment", cs.Fragment)
 		emit("edge", cs.Edge)
-		emit("page", cs.Page)
 	})
 	if a.Edge != nil {
 		reg.Register(func(e *obs.Exposition) {

@@ -84,19 +84,14 @@ func RestoreDatabaseFile(path string) (*rdb.DB, error) {
 // Metrics returns the Controller's per-action statistics.
 func (a *App) Metrics() []mvc.ActionStats { return a.Controller.Metrics() }
 
-// CacheStats is the public snapshot of every cache level's counters —
+// CacheStats is the public snapshot of both cache levels' counters —
 // the observability companion of Section 6's caching architecture. A
 // level not enabled by the App's options is nil.
 type CacheStats struct {
 	// Bean is the business-tier bean cache (WithBeanCache).
 	Bean *cache.Stats
-	// Fragment is the in-process template-fragment cache
-	// (WithFragmentCache).
-	Fragment *cache.Stats
-	// Edge is the ESI surrogate tier (WithEdgeCache).
+	// Edge is the ESI surrogate tier's fragment cache (WithEdgeCache).
 	Edge *cache.Stats
-	// Page is the first-generation whole-page cache (WithPageCache).
-	Page *cache.Stats
 }
 
 // CacheMetrics returns the counters of every enabled cache level.
@@ -106,17 +101,9 @@ func (a *App) CacheMetrics() CacheStats {
 		s := a.BeanCache.Stats()
 		out.Bean = &s
 	}
-	if a.FragmentCache != nil {
-		s := a.FragmentCache.Stats()
-		out.Fragment = &s
-	}
 	if a.Edge != nil {
 		s := a.Edge.Stats()
 		out.Edge = &s
-	}
-	if a.PageCache != nil {
-		s := a.PageCache.Stats()
-		out.Page = &s
 	}
 	return out
 }
