@@ -17,36 +17,22 @@ import (
 // restart persistence (the paper's data tier is an external DBMS; an
 // embedded engine needs its own durability story).
 
-type dumpColumn struct {
-	Name          string
-	Type          ColType
-	PrimaryKey    bool
-	AutoIncrement bool
-	NotNull       bool
-	Unique        bool
-}
-
 type dumpComposite struct {
 	Name string
 	Cols []string
 }
 
-// dumpTable, dumpFile and dumpChunk are the stream's shapes as LoadDump
-// reads them. A row travels boxed, one Value per column. Dump writes the
-// same shapes through mirrors of its own, which keep the stream's bytes:
-// gob writes the row type's name.
+// dumpTable, dumpFile and dumpChunk are the stream's shapes: a version-2
+// header (schema, index definitions, auto-increment state) followed by
+// row chunks. A row travels boxed, one Value per column.
 type dumpTable struct {
-	Name    string
-	Columns []dumpColumn
-	FKs     []ForeignKeyDef
-	Indexes []string // hash-indexed column names
-	Ordered []string // ordered-indexed column names
-	// Composite lists multi-column sorted indexes. The field is additive:
-	// gob ignores it when absent, so snapshots from before it existed
-	// still restore (and Version stays 1).
+	Name      string
+	Columns   []ColumnDef
+	FKs       []ForeignKeyDef
+	Indexes   []string // hash-indexed column names
+	Ordered   []string // ordered-indexed column names
 	Composite []dumpComposite
 	AutoInc   int64
-	Rows      [][]Value
 }
 
 type dumpFile struct {
@@ -54,8 +40,8 @@ type dumpFile struct {
 	Tables  []dumpTable
 }
 
-// dumpChunk is one bounded batch of rows in a version-2 stream. A
-// chunk with an empty Table name terminates the stream.
+// dumpChunk is one bounded batch of rows. A chunk with an empty Table
+// name terminates the stream.
 type dumpChunk struct {
 	Table string
 	Rows  [][]Value
@@ -81,27 +67,6 @@ func init() {
 // in through the storage engine one chunk at a time, so dumping a
 // larger-than-RAM database never materializes a full table.
 func (db *DB) Dump(w io.Writer) error {
-	// The stream's shapes, with the row type under the name gob has always
-	// written for it.
-	type Row []Value
-	type dumpTable struct {
-		Name      string
-		Columns   []dumpColumn
-		FKs       []ForeignKeyDef
-		Indexes   []string
-		Ordered   []string
-		Composite []dumpComposite
-		AutoInc   int64
-		Rows      []Row
-	}
-	type dumpFile struct {
-		Version int
-		Tables  []dumpTable
-	}
-	type dumpChunk struct {
-		Table string
-		Rows  []Row
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 
@@ -116,11 +81,7 @@ func (db *DB) Dump(w io.Writer) error {
 		t := db.tables[name]
 		dt := dumpTable{Name: t.name, AutoInc: t.autoInc, FKs: t.fks}
 		for _, c := range t.cols {
-			dt.Columns = append(dt.Columns, dumpColumn{
-				Name: c.def.Name, Type: c.def.Type,
-				PrimaryKey: c.def.PrimaryKey, AutoIncrement: c.def.AutoIncrement,
-				NotNull: c.def.NotNull, Unique: c.def.Unique,
-			})
+			dt.Columns = append(dt.Columns, c.def)
 		}
 		for col := range t.indexes {
 			dt.Indexes = append(dt.Indexes, col)
@@ -186,20 +147,19 @@ func Restore(r io.Reader) (*DB, error) {
 // LoadDump replays a snapshot produced by Dump into db, which must be
 // empty. Everything flows through the storage engine as committed
 // change-sets: under a durable engine it lands in the WAL like any
-// other commit and is crash-safe by the time LoadDump returns. A
-// version-1 snapshot (rows inline) restores as a single change-set; a
-// version-2 stream commits the schema first and then each bounded row
-// chunk separately, so restoring a larger-than-RAM snapshot under a
-// paging engine never holds the whole database in memory (the
-// engine's eviction sweep runs between chunk commits). On error the
-// database is in an undefined partial state and must be discarded.
+// other commit and is crash-safe by the time LoadDump returns. The
+// schema commits first and then each bounded row chunk separately, so
+// restoring a larger-than-RAM snapshot under a paging engine never
+// holds the whole database in memory (the engine's eviction sweep runs
+// between chunk commits). On error the database is in an undefined
+// partial state and must be discarded.
 func (db *DB) LoadDump(r io.Reader) error {
 	dec := gob.NewDecoder(r)
 	var f dumpFile
 	if err := dec.Decode(&f); err != nil {
 		return fmt.Errorf("rdb: restore: %w", err)
 	}
-	if f.Version != 1 && f.Version != 2 {
+	if f.Version != 2 {
 		return fmt.Errorf("rdb: restore: unsupported snapshot version %d", f.Version)
 	}
 	ordered, err := topoTables(f.Tables)
@@ -226,9 +186,6 @@ func (db *DB) LoadDump(r io.Reader) error {
 			return err
 		}
 	}
-	if f.Version == 1 {
-		return nil
-	}
 	for {
 		var ch dumpChunk
 		if err := dec.Decode(&ch); err != nil {
@@ -243,7 +200,7 @@ func (db *DB) LoadDump(r io.Reader) error {
 	}
 }
 
-// loadChunk commits one row chunk of a version-2 stream. Rows bypass
+// loadChunk commits one row chunk of the stream. Rows bypass
 // execInsert: the snapshot is internally consistent, so per-row
 // foreign-key checks would only forbid row orderings Dump is free to
 // produce.
@@ -285,15 +242,7 @@ func (db *DB) loadDumpLocked(tables []dumpTable, cs *ChangeSet) error {
 		return nil
 	}
 	for _, dt := range tables {
-		cols := make([]ColumnDef, len(dt.Columns))
-		for i, c := range dt.Columns {
-			cols[i] = ColumnDef{
-				Name: c.Name, Type: c.Type,
-				PrimaryKey: c.PrimaryKey, AutoIncrement: c.AutoIncrement,
-				NotNull: c.NotNull, Unique: c.Unique,
-			}
-		}
-		if err := exec(renderCreateTableSQL(dt.Name, cols, dt.FKs)); err != nil {
+		if err := exec(renderCreateTableSQL(dt.Name, dt.Columns, dt.FKs)); err != nil {
 			return err
 		}
 		key := lowerKey(dt.Name)
@@ -312,14 +261,9 @@ func (db *DB) loadDumpLocked(tables []dumpTable, cs *ChangeSet) error {
 				return err
 			}
 		}
-		// Rows bypass execInsert: the snapshot is internally consistent,
-		// so per-row foreign-key checks would only forbid row orderings
-		// Dump is free to produce.
 		t := db.tables[key]
-		for _, vals := range dt.Rows {
-			if err := restoreRow(t, vals, cs); err != nil {
-				return err
-			}
+		if t == nil { // the DDL read the name as another one
+			return fmt.Errorf("rdb: restore: bad table name %q", dt.Name)
 		}
 		t.autoInc = dt.AutoInc
 		cs.add(ChangeOp{Kind: OpAutoInc, Table: key, AutoInc: dt.AutoInc})
@@ -327,18 +271,22 @@ func (db *DB) loadDumpLocked(tables []dumpTable, cs *ChangeSet) error {
 	return nil
 }
 
-// restoreRow unboxes one dumped row and inserts it into t, recording the
-// insert in cs.
+// restoreRow unboxes one dumped row, converts each cell to its column's
+// type as INSERT does, and inserts it into t, recording the insert in cs.
 func restoreRow(t *table, vals []Value, cs *ChangeSet) error {
 	if len(vals) != len(t.cols) {
 		return fmt.Errorf("rdb: restore: row arity mismatch in %q", t.name)
 	}
 	row := make(Row, len(vals))
 	for i, v := range vals {
-		var err error
-		if row[i], err = cell.Of(v); err != nil {
+		c, err := cell.Of(v)
+		if err == nil {
+			c, err = toColumn(c, t.cols[i].def.Type)
+		}
+		if err != nil {
 			return fmt.Errorf("rdb: restore row into %q: %w", t.name, err)
 		}
+		row[i] = c
 	}
 	id, err := t.insert(row)
 	if err != nil {

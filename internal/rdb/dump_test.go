@@ -2,6 +2,10 @@ package rdb
 
 import (
 	"bytes"
+	"encoding/gob"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,6 +59,146 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore(strings.NewReader("not a snapshot")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// dumpStream gob-encodes a hand-built stream: the header, then each
+// chunk as given (a complete stream ends with an empty chunk).
+func dumpStream(f dumpFile, chunks ...dumpChunk) []byte {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(&f); err != nil {
+		panic(err)
+	}
+	for i := range chunks {
+		if err := enc.Encode(&chunks[i]); err != nil {
+			panic(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+type malformedDump struct {
+	stream []byte
+	err    string // what LoadDump's error contains
+}
+
+// malformedDumps are streams LoadDump must refuse, one per way it can
+// refuse one. testdata/fuzz/FuzzLoadDump holds each under its name; gob
+// numbers a type the first time a process encodes it, so the committed
+// bytes need not equal these, only be refused the same way.
+func malformedDumps() map[string]malformedDump {
+	cols := func() []ColumnDef {
+		return []ColumnDef{{Name: "oid", Type: TInt, PrimaryKey: true}, {Name: "n", Type: TInt}, {Name: "s", Type: TText}}
+	}
+	header := func(version int, name string, cols []ColumnDef) dumpFile {
+		return dumpFile{Version: version, Tables: []dumpTable{{Name: name, Columns: cols}}}
+	}
+	one := header(2, "t", cols())
+	rows := func(table string, rs ...[]Value) []dumpChunk { return []dumpChunk{{Table: table, Rows: rs}, {}} }
+	badType := cols()
+	badType[1].Type = ColType(99)
+	ref := func(name, other string) dumpTable {
+		return dumpTable{Name: name,
+			Columns: []ColumnDef{{Name: "oid", Type: TInt, PrimaryKey: true}, {Name: "ref", Type: TInt}},
+			FKs:     []ForeignKeyDef{{Column: "ref", RefTable: other, RefColumn: "oid"}}}
+	}
+	return map[string]malformedDump{
+		"version-1":           {dumpStream(header(1, "t", cols()), dumpChunk{}), "rdb: restore: unsupported snapshot version 1"},
+		"version-3":           {dumpStream(header(3, "t", cols()), dumpChunk{}), "rdb: restore: unsupported snapshot version 3"},
+		"text-in-integer-key": {dumpStream(one, rows("t", []Value{"abc", int64(1), "x"})...), `rdb: restore row into "t": rdb: cannot store string in INTEGER column`},
+		"text-in-integer":     {dumpStream(one, rows("t", []Value{int64(1), "notanint", "x"})...), `rdb: restore row into "t": rdb: cannot store string in INTEGER column`},
+		"short-row":           {dumpStream(one, rows("t", []Value{int64(1), int64(2)})...), `rdb: restore: row arity mismatch in "t"`},
+		"duplicate-key":       {dumpStream(one, rows("t", []Value{int64(1), nil, nil}, []Value{int64(1), nil, nil})...), `rdb: restore row into "t": rdb: duplicate primary key 1`},
+		"unknown-table":       {dumpStream(one, rows("ghost", []Value{int64(1), nil, nil})...), `rdb: restore: chunk for unknown table "ghost"`},
+		"unterminated":        {dumpStream(one, dumpChunk{Table: "t", Rows: [][]Value{{int64(1), nil, nil}}}), "rdb: restore: EOF"},
+		"foreign-key-cycle":   {dumpStream(dumpFile{Version: 2, Tables: []dumpTable{ref("a", "b"), ref("b", "a")}}, dumpChunk{}), "rdb: restore: foreign-key cycle across tables"},
+		"bad-column-type":     {dumpStream(header(2, "t", badType), dumpChunk{}), `rdb: restore DDL "CREATE TABLE t (oid INTEGER PRIMARY KEY, n ColType(99), s TEXT)"`},
+		"bad-table-name":      {dumpStream(header(2, " t", cols()), dumpChunk{}), `rdb: restore: bad table name " t"`},
+	}
+}
+
+// TestLoadDumpMalformed: every malformed stream is refused with its
+// error, and the committed fuzz corpus is this set.
+func TestLoadDumpMalformed(t *testing.T) {
+	cases := malformedDumps()
+	for name, c := range cases {
+		if _, err := Restore(bytes.NewReader(c.stream)); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: error = %v, want %q", name, err, c.err)
+		}
+		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadDump", name))
+		if err != nil {
+			t.Errorf("%s: corpus file: %v", name, err)
+			continue
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		quoted, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		stream, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" || !ok || err != nil {
+			t.Errorf("%s: corpus file is not one []byte:\n%s", name, data)
+			continue
+		}
+		if _, err := Restore(strings.NewReader(stream)); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: corpus stream error = %v, want %q", name, err, c.err)
+		}
+	}
+	files, _ := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzLoadDump"))
+	if len(files) != len(cases) {
+		t.Errorf("corpus holds %d files, want the %d malformed streams", len(files), len(cases))
+	}
+}
+
+// TestRestoreConvertsCellsToColumnTypes: a restored cell goes through
+// the conversion INSERT applies, so a real in an INTEGER column lands as
+// an integer and an integer in a REAL column as a real.
+func TestRestoreConvertsCellsToColumnTypes(t *testing.T) {
+	cols := []ColumnDef{{Name: "oid", Type: TInt, PrimaryKey: true}, {Name: "n", Type: TInt}, {Name: "r", Type: TReal}}
+	stream := dumpStream(dumpFile{Version: 2, Tables: []dumpTable{{Name: "t", Columns: cols}}},
+		dumpChunk{Table: "t", Rows: [][]Value{{int64(1), 3.5, int64(2)}}}, dumpChunk{})
+	db, err := Restore(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := db.QueryRow(`SELECT n, r FROM t WHERE oid = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row["n"] != int64(3) || row["r"] != 2.0 {
+		t.Fatalf("row = %#v, want n int64(3) and r 2.0", row)
+	}
+}
+
+// FuzzLoadDump: no stream panics LoadDump, and the dump of a database
+// restored from an accepted stream restores to a database that dumps
+// the same bytes.
+func FuzzLoadDump(f *testing.F) {
+	compat, err := os.ReadFile(filepath.Join(compatDir, "dump.gob"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compat)
+	for _, c := range malformedDumps() {
+		f.Add(c.stream)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := Restore(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := db.Dump(&first); err != nil {
+			t.Fatalf("dump of an accepted stream: %v", err)
+		}
+		back, err := Restore(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-dump does not restore: %v", err)
+		}
+		if err := back.Dump(&second); err != nil {
+			t.Fatalf("dump of the restored re-dump: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-dump is not a fixpoint: %d then %d bytes", first.Len(), second.Len())
+		}
+	})
 }
 
 func TestDumpIsDeterministic(t *testing.T) {

@@ -93,7 +93,6 @@ type catIndex struct {
 type catTable struct {
 	Name      string // lower-cased map key
 	CreateSQL string
-	IndexSQL  []string
 	TableID   uint32
 	IntPK     bool
 	NextRec   uint64
@@ -103,9 +102,8 @@ type catTable struct {
 
 // catalogFile is the blob stored in the page file at each checkpoint.
 // Tables appear in creation order so foreign-key references replay
-// cleanly. Version 2 added persisted index images; version-1 files
-// (no Indexes) recover through the legacy full-scan path and upgrade
-// at their next checkpoint.
+// cleanly. Version 2 is the only version: each table carries its
+// persisted index images.
 type catalogFile struct {
 	Version     int
 	NextTableID uint32
@@ -125,7 +123,7 @@ func decodeCatalog(b []byte) (*catalogFile, error) {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cf); err != nil {
 		return nil, fmt.Errorf("rdb: decode catalog: %w", err)
 	}
-	if cf.Version < 1 || cf.Version > 2 {
+	if cf.Version != 2 {
 		return nil, fmt.Errorf("rdb: unsupported catalog version %d", cf.Version)
 	}
 	return &cf, nil
@@ -889,7 +887,6 @@ func (e *durableEngine) renderCatalog() ([]byte, error) {
 		ct := catTable{
 			Name:      key,
 			CreateSQL: renderCreateTable(t),
-			IndexSQL:  renderIndexSQLs(t),
 			TableID:   et.id,
 			IntPK:     et.intPK,
 			NextRec:   et.nextRec,
@@ -1050,7 +1047,7 @@ func OpenDurableOpts(dir string, opts DurableOptions) (*DB, error) {
 
 // recover rebuilds the in-memory database from the page file and the
 // WAL tail. It runs before the engine is attached, so the memory-side
-// replay cannot recurse into Apply. Version-2 catalogs recover without
+// replay cannot recurse into Apply. The catalog recovers without
 // decoding a single data row: records become eviction markers and
 // index structures load from their persisted images.
 func (e *durableEngine) recover(frames []wal.Record) error {
@@ -1070,12 +1067,7 @@ func (e *durableEngine) recover(frames []wal.Record) error {
 	rev := make(map[string]map[uint64]int)
 
 	for _, ct := range cf.Tables {
-		if cf.Version >= 2 {
-			err = e.recoverTableV2(ct, rev)
-		} else {
-			err = e.recoverTableV1(ct, rev)
-		}
-		if err != nil {
+		if err := e.recoverTable(ct, rev); err != nil {
 			return err
 		}
 	}
@@ -1126,11 +1118,11 @@ func (e *durableEngine) recover(frames []wal.Record) error {
 	return nil
 }
 
-// recoverTableV2 restores one table from a version-2 catalog entry:
-// schema DDL replays, every record registers as an eviction marker
-// (key scan only), and index structures rebuild from their persisted
-// images — no data row is decoded.
-func (e *durableEngine) recoverTableV2(ct catTable, rev map[string]map[uint64]int) error {
+// recoverTable restores one table from its catalog entry: schema DDL
+// replays, every record registers as an eviction marker (key scan
+// only), and index structures rebuild from their persisted images — no
+// data row is decoded.
+func (e *durableEngine) recoverTable(ct catTable, rev map[string]map[uint64]int) error {
 	if err := e.replaySQL(ct.CreateSQL); err != nil {
 		return err
 	}
@@ -1295,68 +1287,6 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 	return fmt.Errorf("rdb: recover: unknown image kind %q", img.kind)
 }
 
-// recoverTableV1 restores one table from a legacy version-1 catalog
-// entry: full tree scan, decode and insert of every row. Images are
-// allocated and backfilled on the way so the next checkpoint writes a
-// version-2 catalog and subsequent opens use marker recovery.
-func (e *durableEngine) recoverTableV1(ct catTable, rev map[string]map[uint64]int) error {
-	if err := e.replaySQL(ct.CreateSQL); err != nil {
-		return err
-	}
-	et := e.tables[ct.Name]
-	t := e.db.tables[ct.Name]
-	if et == nil || t == nil {
-		return fmt.Errorf("rdb: recover: catalog table %q did not replay", ct.Name)
-	}
-	et.id = ct.TableID
-	et.nextRec = ct.NextRec
-	if et.intPK != ct.IntPK {
-		return fmt.Errorf("rdb: recover: key mode mismatch for %q", ct.Name)
-	}
-	// The CREATE TABLE replay allocated pk/unique images against an
-	// empty table; the records live under the persisted table id, so
-	// backfill them now that et.id is correct.
-	for _, img := range et.images {
-		if err := e.backfillImage(et, img); err != nil {
-			return err
-		}
-	}
-	// Index DDL after the id fix: applyDDL backfills each image from
-	// the records under the persisted id.
-	for _, sql := range ct.IndexSQL {
-		if err := e.replaySQL(sql); err != nil {
-			return err
-		}
-	}
-	if !et.intPK {
-		rev[ct.Name] = make(map[uint64]int)
-	}
-	lo, hi := pager.TableBounds(et.id)
-	err := e.store.Tree().Scan(lo, hi, func(k pager.Key, v []byte) error {
-		row, err := decodeRow(string(v))
-		if err != nil {
-			return err
-		}
-		if len(row) != len(t.cols) {
-			return fmt.Errorf("rdb: recover: row arity mismatch in %q", ct.Name)
-		}
-		id, err := t.insert(row)
-		if err != nil {
-			return fmt.Errorf("rdb: recover %q: %w", ct.Name, err)
-		}
-		if !et.intPK {
-			et.recOf[id] = k.RecID()
-			rev[ct.Name][k.RecID()] = id
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	t.autoInc = ct.AutoInc
-	return nil
-}
-
 // replaySQL runs one DDL statement against the in-memory tables and
 // the engine registry.
 func (e *durableEngine) replaySQL(sql string) error {
@@ -1506,32 +1436,4 @@ func renderCreateTableSQL(name string, cols []ColumnDef, fks []ForeignKeyDef) st
 	}
 	b.WriteString(")")
 	return b.String()
-}
-
-// renderIndexSQLs reproduces the CREATE INDEX statements for every
-// secondary index on t, in deterministic order. Hash and ordered
-// indexes store only their column, so names are generated.
-func renderIndexSQLs(t *table) []string {
-	var out []string
-	key := lowerKey(t.name)
-	cols := make([]string, 0, len(t.indexes))
-	for col := range t.indexes {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	for _, col := range cols {
-		out = append(out, fmt.Sprintf("CREATE INDEX ix_%s_%s ON %s (%s)", key, col, t.name, col))
-	}
-	cols = cols[:0]
-	for col := range t.ordered {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	for _, col := range cols {
-		out = append(out, fmt.Sprintf("CREATE ORDERED INDEX ord_%s_%s ON %s (%s)", key, col, t.name, col))
-	}
-	for _, ix := range t.composites {
-		out = append(out, fmt.Sprintf("CREATE INDEX %s ON %s (%s)", ix.name, t.name, strings.Join(ix.colNames, ", ")))
-	}
-	return out
 }

@@ -1,7 +1,12 @@
 package rdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -158,5 +163,60 @@ func TestDurableDDLAndTx(t *testing.T) {
 	st := db.EngineStats()
 	if st.WALAppends == 0 || st.WALFsyncs == 0 {
 		t.Fatalf("no engine activity recorded: %+v", st)
+	}
+}
+
+// TestPageFileVersionOneRefused: a page file whose meta slots say
+// version 1 (checksums intact) is refused at open with an error naming
+// the version, so a version-1 catalog, which only such a file held, can
+// never reach recovery.
+func TestPageFileVersionOneRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (oid INTEGER PRIMARY KEY, s TEXT)`)
+	mustExec(t, db, `INSERT INTO t (oid, s) VALUES (1, 'one')`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, pagesFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pageSize = 4096
+	rewritten := 0
+	for slot := 0; slot < 2; slot++ {
+		m := data[slot*pageSize : slot*pageSize+40]
+		if binary.LittleEndian.Uint32(m[4:8]) != 2 {
+			continue // a slot no checkpoint has written yet
+		}
+		binary.LittleEndian.PutUint32(m[4:8], 1)
+		binary.LittleEndian.PutUint32(m[36:40], crc32.Checksum(m[0:36], crc32.MakeTable(crc32.Castagnoli)))
+		rewritten++
+	}
+	if rewritten == 0 {
+		t.Fatal("no meta slot to rewrite")
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(dir); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("open of a version-1 page file: %v", err)
+	}
+}
+
+// TestCatalogVersionOneRefused: the catalog decoder reads version 2 only.
+func TestCatalogVersionOneRefused(t *testing.T) {
+	for _, v := range []int{1, 3} {
+		blob, err := encodeCatalog(&catalogFile{Version: v, Tables: []catTable{{Name: "t", CreateSQL: `CREATE TABLE t (oid INTEGER PRIMARY KEY)`}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeCatalog(blob); err == nil || err.Error() != fmt.Sprintf("rdb: unsupported catalog version %d", v) {
+			t.Errorf("version %d: %v", v, err)
+		}
 	}
 }

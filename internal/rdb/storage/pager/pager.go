@@ -364,13 +364,18 @@ func Open(path string, poolPages int) (*Store, error) {
 	}
 	var meta Meta
 	slot := -1
+	var firstErr error // why the first invalid slot is invalid
 	hdr := make([]byte, PageSize)
 	for i := 0; i < 2; i++ {
-		if _, err := f.ReadAt(hdr, int64(i)*PageSize); err != nil {
-			continue // slot 1 may be missing from a short file
+		var m Meta
+		_, err := f.ReadAt(hdr, int64(i)*PageSize) // slot 1 may be missing from a short file
+		if err == nil {
+			m, err = decodeMeta(hdr)
 		}
-		m, err := decodeMeta(hdr)
 		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
 		if slot < 0 || m.Gen > meta.Gen {
@@ -379,7 +384,7 @@ func Open(path string, poolPages int) (*Store, error) {
 	}
 	if slot < 0 {
 		f.Close()
-		return nil, errors.New("pager: no valid meta slot")
+		return nil, fmt.Errorf("pager: no valid meta slot: %w", firstErr)
 	}
 	pool := newPool(f, poolPages, meta.NPages)
 	s := &Store{path: path, f: f, pool: pool, meta: meta, slot: slot}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"webmlgo/internal/cache"
 	"webmlgo/internal/er"
@@ -16,59 +17,51 @@ import (
 // w, giving the embedded data tier restart persistence.
 func (a *App) Snapshot(w io.Writer) error { return a.DB.Dump(w) }
 
-// SnapshotFile writes the snapshot to a file (atomic rename).
+// SnapshotFile writes the snapshot to a file, crash-safely: the
+// snapshot is written to a temporary file and fsynced, renamed over
+// path, and the rename is fsynced through the directory.
 func (a *App) SnapshotFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := a.DB.Dump(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	defer os.Remove(tmp) // no-op after the rename succeeds
+	err = a.DB.Dump(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // RestoreDatabase reads a snapshot produced by Snapshot and returns the
 // database, ready to pass to New via WithDatabase.
 func RestoreDatabase(r io.Reader) (*rdb.DB, error) { return rdb.Restore(r) }
 
-// OpenDurableDatabase opens (or creates) a durable database rooted at
-// dir — a write-ahead log plus a page-backed B-tree — and recovers it
-// to the last committed state. Pass the result to New via WithDatabase;
-// every later commit is on stable storage before the call returns.
-func OpenDurableDatabase(dir string) (*rdb.DB, error) { return rdb.OpenDurable(dir) }
-
-// OpenDurableDatabasePaged opens a durable database with explicit
-// memory budgets for serving datasets larger than RAM: poolPages
+// OpenDurableDatabasePaged opens (or creates) a durable database rooted
+// at dir — a write-ahead log plus a page-backed B-tree — recovered to
+// the last committed state, with explicit memory budgets for serving
+// datasets larger than RAM (zero budgets are rdb.OpenDurable): poolPages
 // bounds the buffer pool (4 KiB pages; <=0 selects the default 2048)
 // and residentRows bounds how many decoded rows stay materialized in
 // table slots (<=0 = unlimited). Rows beyond the budget are swept to
 // eviction markers after each commit and fault back in on demand.
 func OpenDurableDatabasePaged(dir string, poolPages, residentRows int) (*rdb.DB, error) {
 	return rdb.OpenDurableOpts(dir, rdb.DurableOptions{PoolPages: poolPages, ResidentRows: residentRows})
-}
-
-// RestoreDatabaseDurable loads a snapshot into a fresh durable
-// database rooted at dir. The restore replays through the storage
-// engine, so the rows land in the WAL and are crash-safe by the time
-// the call returns. dir must not already contain data.
-func RestoreDatabaseDurable(r io.Reader, dir string) (*rdb.DB, error) {
-	db, err := rdb.OpenDurable(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.LoadDump(r); err != nil {
-		db.Close()
-		return nil, err
-	}
-	return db, nil
 }
 
 // RestoreDatabaseFile reads a snapshot file.

@@ -3,6 +3,7 @@ package webmlgo
 import (
 	"bytes"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -46,6 +47,36 @@ func TestSnapshotFile(t *testing.T) {
 	}
 	if _, err := RestoreDatabaseFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing snapshot accepted")
+	}
+}
+
+// TestSnapshotFileReplaces: a second snapshot to the same path replaces
+// the first and leaves no temporary file behind.
+func TestSnapshotFileReplaces(t *testing.T) {
+	app := newApp(t)
+	path := filepath.Join(t.TempDir(), "app.snap")
+	if err := app.SnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.DB.Exec(`INSERT INTO volume (title, year) VALUES ('Added', 2004)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	db, err := RestoreDatabaseFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.RowCount("volume"); err != nil || n != 3 {
+		t.Fatalf("rows = %d err = %v, want the second snapshot's 3", n, err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "app.snap" {
+		t.Fatalf("directory holds %v, want only app.snap", entries)
 	}
 }
 
