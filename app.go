@@ -153,8 +153,10 @@ func WithPageWorkers(n int) Option {
 	return func(c *config) { c.pageWorkers = n }
 }
 
-// WithCompiledStyle applies a presentation rule set to every template at
-// generation time (the efficient mode of Section 5).
+// WithCompiledStyle applies a presentation rule set to every page at
+// compile time, once per page program (the efficient mode of Section 5).
+// A rule that does not parse or lacks its placeholder fails New, as it
+// does with the other two style options.
 func WithCompiledStyle(rs *style.RuleSet) Option {
 	return func(c *config) { c.compiled = rs }
 }
@@ -166,9 +168,9 @@ func WithRuntimeStyle(s *style.RuntimeStyler) Option {
 	return func(c *config) { c.runtime = s }
 }
 
-// WithSiteViewStyles compiles a different rule set per site view (keyed
-// by site view ID), with def for unlisted site views — the Acer-Euro
-// arrangement of one style sheet per site-view group.
+// WithSiteViewStyles applies a different rule set per site view (keyed
+// by site view ID) at compile time, with def for unlisted site views —
+// the Acer-Euro arrangement of one style sheet per site-view group.
 func WithSiteViewStyles(bySiteView map[string]*style.RuleSet, def *style.RuleSet) Option {
 	return func(c *config) { c.bySiteView = bySiteView; c.compiled = def }
 }
@@ -274,6 +276,11 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 	}
 	if cfg.maxStale > 0 && !cfg.withBeanCache {
 		return nil, fmt.Errorf("webmlgo: WithDegradedServing requires WithBeanCache")
+	}
+	// One styler for every style option: a broken rule fails here.
+	styler, err := style.NewStyler(cfg.runtime, cfg.bySiteView, cfg.compiled)
+	if err != nil {
+		return nil, err
 	}
 	gen, err := codegen.New(model)
 	if err != nil {
@@ -384,23 +391,8 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		}}
 	}
 
-	// Presentation.
-	switch {
-	case cfg.runtime != nil:
-		// Runtime styling: skeletons stay raw, rules apply per request.
-	case cfg.bySiteView != nil:
-		if _, err := style.CompileBySiteView(art.Repo, cfg.bySiteView, cfg.compiled); err != nil {
-			return nil, err
-		}
-	case cfg.compiled != nil:
-		if _, err := style.CompileTemplates(art.Repo, cfg.compiled); err != nil {
-			return nil, err
-		}
-	}
 	app.Renderer = render.NewEngine(art.Repo)
-	if cfg.runtime != nil {
-		app.Renderer.Styler = cfg.runtime
-	}
+	app.Renderer.Styler = styler
 
 	app.Controller = mvc.NewController(art.Repo, app.Business, app.Renderer)
 	app.Controller.RequestTimeout = cfg.requestTimeout
@@ -421,7 +413,7 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		app.Controller.EdgeFragments = true
 		app.Edge = edge.New(app.Controller, cfg.edgeCache, cfg.edgeTTL)
 		app.Edge.BypassCookie = "WSESSION"
-		app.Edge.VaryUserAgent = cfg.runtime != nil
+		app.Edge.VaryUserAgent = app.Renderer.VariesByUserAgent()
 	}
 	// A hand-tuned query injected via OverrideQuery (Section 6) must not
 	// leave the replaced SQL's compiled plan in the engine's cache.
@@ -490,7 +482,8 @@ func DeployContainer(model *webml.Model, db *rdb.DB, capacity int, addr string) 
 }
 
 // Repo exposes the generated descriptor repository (for query overrides
-// and inspection).
+// and inspection). Its templates are the generated skeletons: the style
+// options style each page's render program, not the stored template.
 func (a *App) Repo() *descriptor.Repository { return a.Artifacts.Repo }
 
 // Close shuts down the app's owned resources: the elastic fleet (every

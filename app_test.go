@@ -283,11 +283,16 @@ func TestWithSiteViewStyles(t *testing.T) {
 	if !strings.Contains(pub, `data-style="b2c"`) {
 		t.Fatalf("public site view not b2c-styled:\n%s", pub)
 	}
-	// Admin pages carry the intranet style (check the stored template:
-	// the page itself needs auth).
-	tpl, _ := app.Repo().Template("managePage")
-	if !strings.Contains(tpl, `data-style="intranet"`) {
-		t.Fatalf("admin template not intranet-styled:\n%s", tpl)
+	// Admin pages carry the intranet style (check the page's compiled
+	// program: the page itself needs auth). The stored template stays the
+	// generated skeleton.
+	pd := app.Repo().Page("managePage")
+	out, err := app.Renderer.RenderContainer(pd, &mvc.RequestContext{})
+	if err != nil || !strings.Contains(string(out), `data-style="intranet"`) {
+		t.Fatalf("admin page not intranet-styled (err %v):\n%s", err, out)
+	}
+	if tpl, _ := app.Repo().Template(pd.Template); strings.Contains(tpl, "data-style") {
+		t.Fatalf("stored template was styled:\n%s", tpl)
 	}
 }
 

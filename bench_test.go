@@ -22,6 +22,7 @@ import (
 	"webmlgo/internal/fixture"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/rdb"
+	"webmlgo/internal/style"
 	"webmlgo/internal/workload"
 )
 
@@ -209,8 +210,8 @@ func BenchmarkE5RuntimeStylePage(b *testing.B) {
 	}
 }
 
-// BenchmarkE5RuleApplication measures the rule engine alone: one
-// skeleton transformed into a final template.
+// BenchmarkE5RuleApplication measures the rule engine alone: a copy of
+// one parsed skeleton styled into a final template.
 func BenchmarkE5RuleApplication(b *testing.B) {
 	model := fixture.Figure1Model()
 	g, err := codegen.New(model)
@@ -221,11 +222,15 @@ func BenchmarkE5RuleApplication(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs := B2CStyle()
+	s, err := style.NewStyler(nil, nil, B2CStyle())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pd := &descriptor.Page{ID: "volumePage"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rs.Apply(skeleton); err != nil {
+		if err := s.Style(pd, skeleton.Clone(), ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,6 +415,30 @@ func BenchmarkModelToApp(b *testing.B) {
 		}
 		if _, err := New(model, WithDatabase(rdb.Open()), WithCompiledStyle(B2CStyle())); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSetUpAndCompileAll is set-up plus the first compile of every
+// page: the Acer-Euro model is built, the app assembled with compiled
+// B2C styling, and every page's program compiled (as an ESI container,
+// so no unit is computed). Styling at set-up or at first use, the sum is
+// what a server pays before it has served each page once.
+func BenchmarkSetUpAndCompileAll(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		model, err := workload.Generate(workload.AcerEuro())
+		if err != nil {
+			b.Fatal(err)
+		}
+		app, err := New(model, WithCompiledStyle(B2CStyle()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pd := range app.Repo().Pages() {
+			if _, err := app.Renderer.RenderContainer(pd, &mvc.RequestContext{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

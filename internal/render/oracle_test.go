@@ -1,8 +1,8 @@
 package render
 
 // The tree-walking render that serve programs replaced, kept as the
-// reference they are checked against: clone (or restyle) the parsed
-// template per request, substitute every custom tag with a raw node
+// reference they are checked against: parse (and style) the template per
+// request, substitute every custom tag with a raw node
 // holding its unit's markup, insert the menu, serialize. It is slow and
 // allocates per node on purpose — it is what the bytes are defined by.
 
@@ -47,11 +47,9 @@ func oracleRender(e *Engine, pd *descriptor.Page, state *mvc.PageState, ctx *mvc
 		return nil, err
 	}
 	if e.Styler != nil {
-		if tpl, err = e.Styler.Apply(tpl, ctx.UserAgent); err != nil {
+		if err := e.Styler.Style(pd, tpl, ctx.UserAgent); err != nil {
 			return nil, err
 		}
-	} else {
-		tpl = tpl.Clone()
 	}
 
 	rc := &Context{Page: pd, State: state, Request: ctx}
@@ -141,8 +139,12 @@ func checkAgainstOracle(t *testing.T, e *Engine, pd *descriptor.Page, state *mvc
 // engines returns the two deployments of one repository: plain and
 // runtime-styled, with the user agents that reach each variant.
 func engines(repo *descriptor.Repository) (es []*Engine, agents [][]string) {
+	s, err := style.NewStyler(style.StandardProfiles(style.B2CRuleSet()), nil, nil)
+	if err != nil {
+		panic(err)
+	}
 	plain, styled := NewEngine(repo), NewEngine(repo)
-	styled.Styler = style.StandardProfiles(style.B2CRuleSet())
+	styled.Styler = s
 	return []*Engine{plain, styled},
 		[][]string{{""}, {"Mozilla/5.0 (X11; Linux x86_64)", "Mozilla/5.0 (iPhone) Mobile Safari", "Opera/9.80 (Android)"}}
 }

@@ -1,8 +1,8 @@
 // Package render is the View of Figure 4: page templates made of static
 // markup plus custom tags ("HTML + custom tags"), where each WebML unit
 // kind maps to a custom tag transforming the content stored in the unit
-// beans into HTML. Rendering optionally consults a runtime styler
-// (Section 5's on-the-fly presentation rules).
+// beans into HTML. A styler (Section 5's presentation rules) restyles a
+// page's template while its program compiles.
 package render
 
 import (
@@ -43,12 +43,14 @@ func putBuf(b *bytes.Buffer) {
 // be modified; a node's Values are positional (see mvc.Node).
 type TagRenderer func(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean)
 
-// Styler applies the presentation rules of Section 5 at run time. Variant
-// names the rule set chosen for a user agent; what Apply returns may depend
-// on the template and that name alone: programs are per variant.
+// Styler applies the presentation rules of Section 5 as a program compiles:
+// Style restyles the page's own parsed template in place. Variant names the
+// rule set chosen for a user agent ("" for all unless VariesByUserAgent);
+// what Style does may depend on the page and that name alone.
 type Styler interface {
-	Apply(tpl *dom.Node, userAgent string) (*dom.Node, error)
+	Style(pd *descriptor.Page, tpl *dom.Node, userAgent string) error
 	Variant(userAgent string) string
+	VariesByUserAgent() bool
 }
 
 // Engine renders pages from the repository's templates.
@@ -57,7 +59,7 @@ type Engine struct {
 	// Tags maps unit kind -> renderer; NewEngine installs the core six,
 	// plug-ins add theirs.
 	Tags map[string]TagRenderer
-	// Styler, when set, applies presentation rules per style variant.
+	// Styler, when set, styles each page program as it compiles.
 	Styler Styler
 
 	mu       sync.RWMutex
@@ -147,7 +149,7 @@ func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, c
 // VariesByUserAgent reports whether rendering dispatches on the request
 // User-Agent (runtime presentation rules), so the Controller and any
 // cache tier key and Vary on it.
-func (e *Engine) VariesByUserAgent() bool { return e.Styler != nil }
+func (e *Engine) VariesByUserAgent() bool { return e.Styler != nil && e.Styler.VariesByUserAgent() }
 
 // variant names the presentation the request is served in.
 func (e *Engine) variant(ctx *mvc.RequestContext) string {
@@ -201,8 +203,8 @@ func (e *Engine) writeUnit(rc *Context, w *bytes.Buffer, unitID string) error {
 }
 
 // program returns the page's program for a variant, compiled on first use.
-// One per variant is sound by the Styler contract: what Apply returns
-// depends on the template and on Variant(userAgent) alone.
+// One per variant is sound by the Styler contract: what Style does depends
+// on the page, its template and Variant(userAgent) alone.
 func (e *Engine) program(pd *descriptor.Page, variant, userAgent string) (*program, error) {
 	key := programKey{pd.ID, variant}
 	e.mu.RLock()
@@ -220,9 +222,9 @@ func (e *Engine) program(pd *descriptor.Page, variant, userAgent string) (*progr
 	return prog, err
 }
 
-// compile parses and styles the template, marks every custom tag, puts
-// the landmark menu at the top of the body and cuts the serializer's output
-// at the marks: statics are dom.Serialize's own bytes and cannot drift.
+// compile parses the template into its own tree, styles it in place, marks
+// every custom tag, puts the landmark menu at the top of the body and cuts
+// the serializer's output at the marks: statics cannot drift from it.
 func (e *Engine) compile(pd *descriptor.Page, userAgent string) (*program, error) {
 	src, ok := e.Repo.Template(pd.Template)
 	if !ok {
@@ -233,8 +235,8 @@ func (e *Engine) compile(pd *descriptor.Page, userAgent string) (*program, error
 		return nil, fmt.Errorf("render: template %q: %w", pd.Template, err)
 	}
 	if e.Styler != nil {
-		if tpl, err = e.Styler.Apply(tpl, userAgent); err != nil {
-			return nil, err
+		if err := e.Styler.Style(pd, tpl, userAgent); err != nil {
+			return nil, fmt.Errorf("render: template %q: %w", pd.Template, err)
 		}
 	}
 	prog := &program{page: pd}

@@ -270,12 +270,13 @@ type fakeStyler struct{}
 
 func (fakeStyler) Variant(ua string) string { return ua }
 
-func (fakeStyler) Apply(tpl *dom.Node, ua string) (*dom.Node, error) {
-	c := tpl.Clone()
-	if body := c.Find(dom.ByTag("body")); body != nil {
+func (fakeStyler) VariesByUserAgent() bool { return true }
+
+func (fakeStyler) Style(_ *descriptor.Page, tpl *dom.Node, ua string) error {
+	if body := tpl.Find(dom.ByTag("body")); body != nil {
 		body.SetAttr("data-device", ua)
 	}
-	return c, nil
+	return nil
 }
 
 // TestTemplateParseCachingAndInvalidation: a template compiles once per

@@ -47,98 +47,64 @@ func ComposeCSS(name, accent string, kinds []string) string {
 	return b.String()
 }
 
-// defaultUnitRule wraps a unit into a titled box; the custom tag stays
-// inside as the dynamic slot.
-func defaultUnitRule(kind string) UnitRule {
-	return UnitRule{
-		Kind: kind,
-		Template: `<div class="unit-box unit-box-` + kind + `">` +
-			`<div class="unit-title">${name}</div>` +
-			`<webml:slot/></div>`,
-	}
+// titledBox wraps a unit into a titled box; the custom tag stays inside
+// as the dynamic slot.
+func titledBox(kind string) string {
+	return `<div class="unit-box unit-box-` + kind + `">` +
+		`<div class="unit-title">${name}</div>` +
+		`<webml:slot/></div>`
 }
 
 // coreContentKinds are the content kinds the built-in rule sets style.
 var coreContentKinds = []string{"data", "index", "multidata", "multichoice", "scroller", "entry"}
 
+// builtIn is a rule set whose unit rule for each core content kind is
+// unit(kind).
+func builtIn(name, css string, unit func(kind string) string, pages ...PageRule) *RuleSet {
+	rs := &RuleSet{Name: name, PageRules: pages, CSS: css}
+	for _, k := range coreContentKinds {
+		rs.UnitRules = append(rs.UnitRules, UnitRule{Kind: k, Template: unit(k)})
+	}
+	return rs
+}
+
 // B2CRuleSet is the consumer-facing presentation (one of the three rule
 // sets that styled all Acer-Euro site views).
 func B2CRuleSet() *RuleSet {
-	rs := &RuleSet{
-		Name: "b2c",
-		PageRules: []PageRule{
-			{Layout: "two-column", Template: `<div class="site">` +
-				`<div class="site-header"><h1>${title}</h1></div>` +
-				`<div class="site-cols two-col"><webml:content/></div>` +
-				`<div class="site-footer">powered by the generated runtime</div></div>`},
-			{Layout: "", Template: `<div class="site">` +
-				`<div class="site-header"><h1>${title}</h1></div>` +
-				`<div class="site-main"><webml:content/></div>` +
-				`<div class="site-footer">powered by the generated runtime</div></div>`},
-		},
-		CSS: ComposeCSS("b2c", "#1a4a7a", coreContentKinds),
+	site := func(layout, main string) PageRule {
+		return PageRule{Layout: layout, Template: `<div class="site">` +
+			`<div class="site-header"><h1>${title}</h1></div>` +
+			`<div class="` + main + `"><webml:content/></div>` +
+			`<div class="site-footer">powered by the generated runtime</div></div>`}
 	}
-	for _, k := range coreContentKinds {
-		rs.UnitRules = append(rs.UnitRules, defaultUnitRule(k))
-	}
-	return rs
+	return builtIn("b2c", ComposeCSS("b2c", "#1a4a7a", coreContentKinds), titledBox,
+		site("two-column", "site-cols two-col"), site("", "site-main"))
 }
 
 // B2BRuleSet is the partner-extranet presentation: denser, no footer.
 func B2BRuleSet() *RuleSet {
-	rs := &RuleSet{
-		Name: "b2b",
-		PageRules: []PageRule{
-			{Layout: "", Template: `<div class="site b2b">` +
-				`<div class="site-header b2b"><h1>${title}</h1></div>` +
-				`<div class="site-main dense"><webml:content/></div></div>`},
-		},
-		CSS: ComposeCSS("b2b", "#345", coreContentKinds),
-	}
-	for _, k := range coreContentKinds {
-		rs.UnitRules = append(rs.UnitRules, UnitRule{
-			Kind:     k,
-			Template: `<div class="unit-box dense unit-box-` + k + `"><webml:slot/></div>`,
-		})
-	}
-	return rs
+	return builtIn("b2b", ComposeCSS("b2b", "#345", coreContentKinds),
+		func(k string) string { return `<div class="unit-box dense unit-box-` + k + `"><webml:slot/></div>` },
+		PageRule{Template: `<div class="site b2b">` +
+			`<div class="site-header b2b"><h1>${title}</h1></div>` +
+			`<div class="site-main dense"><webml:content/></div></div>`})
 }
 
 // IntranetRuleSet is the internal content-management presentation.
 func IntranetRuleSet() *RuleSet {
-	rs := &RuleSet{
-		Name: "intranet",
-		PageRules: []PageRule{
-			{Layout: "", Template: `<div class="site intranet">` +
-				`<div class="site-header intranet"><h1>${title} (internal)</h1></div>` +
-				`<div class="site-main"><webml:content/></div></div>`},
-		},
-		CSS: ComposeCSS("intranet", "#664", coreContentKinds),
-	}
-	for _, k := range coreContentKinds {
-		rs.UnitRules = append(rs.UnitRules, defaultUnitRule(k))
-	}
-	return rs
+	return builtIn("intranet", ComposeCSS("intranet", "#664", coreContentKinds), titledBox,
+		PageRule{Template: `<div class="site intranet">` +
+			`<div class="site-header intranet"><h1>${title} (internal)</h1></div>` +
+			`<div class="site-main"><webml:content/></div></div>`})
 }
 
 // MobileRuleSet is a compact presentation for small-screen user agents,
 // exercising the Section 5 multi-device scenario.
 func MobileRuleSet() *RuleSet {
-	rs := &RuleSet{
-		Name: "mobile",
-		PageRules: []PageRule{
-			{Layout: "", Template: `<div class="m-site">` +
-				`<div class="m-header">${title}</div><webml:content/></div>`},
-		},
-		CSS: "/* mobile */ body { font-size: 14px; } .m-header { font-weight: bold; }\n",
-	}
-	for _, k := range coreContentKinds {
-		rs.UnitRules = append(rs.UnitRules, UnitRule{
-			Kind:     k,
-			Template: `<div class="m-unit"><webml:slot/></div>`,
-		})
-	}
-	return rs
+	return builtIn("mobile", "/* mobile */ body { font-size: 14px; } .m-header { font-weight: bold; }\n",
+		func(string) string { return `<div class="m-unit"><webml:slot/></div>` },
+		PageRule{Template: `<div class="m-site">` +
+			`<div class="m-header">${title}</div><webml:content/></div>`})
 }
 
 // StandardProfiles returns a runtime styler dispatching mobile user

@@ -6,12 +6,13 @@
 // grid, unit rules wrap each custom tag into its presentation markup
 // while leaving the tag itself in place as the dynamic slot.
 //
-// Rules apply in two modes (Section 5):
+// A Styler parses and checks every rule once and styles a page as its
+// render program compiles, in one of two modes (Section 5):
 //
-//   - compile time: CompileTemplates rewrites every template in the
-//     repository once, yielding the most efficient runtime;
-//   - request time: RuntimeStyler transforms the skeleton per request,
-//     dispatching a rule set on the User-Agent header (multi-device).
+//   - compile time: a rule set per site view, or one for all; each page
+//     is styled once per page program, nothing per request;
+//   - request time: the rule set is chosen on the User-Agent header
+//     (multi-device), once per page and device variant.
 package style
 
 import (
@@ -64,95 +65,120 @@ type RuleSet struct {
 	CSS string
 }
 
-// Apply transforms a skeleton into a final template. The input tree is
-// not modified.
-func (rs *RuleSet) Apply(skeleton *dom.Node) (*dom.Node, error) {
-	return rs.apply(skeleton.Clone(), map[string]*dom.Node{})
+// rules is a rule set with its markup parsed and checked. The trees are
+// only ever read (each use styles a copy), so concurrent compiles share them.
+type rules struct {
+	*RuleSet
+	units   map[string][]*dom.Node // custom tag -> its unit rules, first outermost
+	pages   map[string]*dom.Node   // layout -> its first page rule
+	defPage *dom.Node              // the last default ("") page rule
 }
 
-// apply styles page in place and returns it. parsed maps a unit rule's
-// markup to its tree, so each rule is parsed once per parsed map.
-func (rs *RuleSet) apply(page *dom.Node, parsed map[string]*dom.Node) (*dom.Node, error) {
+// parseRules parses and checks every rule of rs.
+func parseRules(rs *RuleSet) (*rules, error) {
+	r := &rules{RuleSet: rs, units: map[string][]*dom.Node{}, pages: map[string]*dom.Node{}}
+	for _, ur := range rs.UnitRules {
+		tpl, err := parseRule(rs, "unit rule for kind", ur.Kind, ur.Template, SlotTag)
+		if err != nil {
+			return nil, err
+		}
+		r.units["webml:"+ur.Kind+"Unit"] = append(r.units["webml:"+ur.Kind+"Unit"], tpl)
+	}
+	for _, pr := range rs.PageRules {
+		tpl, err := parseRule(rs, "page rule for layout", pr.Layout, pr.Template, ContentTag)
+		if err != nil {
+			return nil, err
+		}
+		if r.pages[pr.Layout] == nil {
+			r.pages[pr.Layout] = tpl
+		}
+		if pr.Layout == "" {
+			r.defPage = tpl
+		}
+	}
+	return r, nil
+}
+
+// parseRule parses a rule's markup, which must hold the placeholder.
+func parseRule(rs *RuleSet, what, key, markup, placeholder string) (*dom.Node, error) {
+	tpl, err := dom.Parse(markup)
+	if err == nil && tpl.Find(dom.ByTag(placeholder)) == nil {
+		err = fmt.Errorf("lacks <%s/>", placeholder)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("style: rule set %q: %s %q: %w", rs.Name, what, key, err)
+	}
+	return tpl, nil
+}
+
+// style styles page in place.
+func (r *rules) style(page *dom.Node) error {
 	// Unit rules first: wrap each custom tag, found in one walk, into the
 	// markup of each rule of its kind (the first rule outermost).
 	for _, tag := range page.FindAll(dom.ByTagPrefix("webml:")) {
-		for _, ur := range rs.UnitRules {
-			if tag.Tag != "webml:"+ur.Kind+"Unit" {
-				continue
-			}
-			tpl := parsed[ur.Template]
-			if tpl == nil {
-				var err error
-				if tpl, err = dom.Parse(ur.Template); err != nil {
-					return nil, fmt.Errorf("style: unit rule for kind %q: %w", ur.Kind, err)
-				}
-				if tpl.Find(dom.ByTag(SlotTag)) == nil {
-					return nil, fmt.Errorf("style: unit rule for kind %q lacks <%s/>", ur.Kind, SlotTag)
-				}
-				parsed[ur.Template] = tpl
-			}
-			wrapUnit(tpl, tag)
+		for _, rule := range r.units[tag.Tag] {
+			wrapUnit(rule, tag)
 		}
 	}
 
 	// Page rule second: wrap the body content into the real grid.
-	layout := page.AttrOr("data-layout", "")
-	pr := rs.pageRule(layout)
+	pr := r.pages[page.AttrOr("data-layout", "")]
+	if pr == nil {
+		pr = r.defPage
+	}
 	if pr != nil {
-		if err := applyPageRule(*pr, page); err != nil {
-			return nil, err
+		if err := wrapPage(pr, page); err != nil {
+			return err
 		}
 	}
 
 	// Inject the style sheet.
-	if rs.CSS != "" {
+	if r.CSS != "" {
 		if head := page.Find(dom.ByTag("head")); head != nil {
 			styleEl := dom.NewElement("style")
-			styleEl.AppendChild(dom.NewText(rs.CSS))
+			styleEl.AppendChild(dom.NewText(r.CSS))
 			head.AppendChild(styleEl)
 		}
 	}
-	page.SetAttr("data-style", rs.Name)
-	return page, nil
+	page.SetAttr("data-style", r.Name)
+	return nil
 }
 
-func (rs *RuleSet) pageRule(layout string) *PageRule {
-	var def *PageRule
-	for i := range rs.PageRules {
-		if rs.PageRules[i].Layout == layout {
-			return &rs.PageRules[i]
-		}
-		if rs.PageRules[i].Layout == "" {
-			def = &rs.PageRules[i]
-		}
-	}
-	return def
-}
-
-// wrapUnit puts a copy of a parsed unit rule where tag is and moves tag
-// into the copy's slot. ${id} and ${name} are substituted in the copy's
-// text and attribute values, so a unit name is always text, never markup.
-func wrapUnit(rule, tag *dom.Node) {
-	id := tag.AttrOr("id", "")
-	name := tag.AttrOr("data-name", id)
-	subst := func(s string) string {
-		return strings.ReplaceAll(strings.ReplaceAll(s, "${id}", id), "${name}", name)
-	}
+// substitute copies a parsed rule with subst applied to its text and
+// attribute values: what replaces a token is text, never parsed as markup.
+// A text left empty goes, as the parser would not have made it.
+func substitute(rule *dom.Node, subst func(string) string) *dom.Node {
 	w := rule.Clone()
 	w.Walk(func(n *dom.Node) bool {
-		n.Data = subst(n.Data)
+		if n.Type == dom.TextNode {
+			if n.Data = subst(n.Data); n.Data == "" {
+				n.Parent.RemoveChild(n)
+			}
+		}
 		for i := range n.Attrs {
 			n.Attrs[i].Value = subst(n.Attrs[i].Value)
 		}
 		return true
 	})
+	return w
+}
+
+// wrapUnit puts a copy of a parsed unit rule, ${id} and ${name}
+// substituted, where tag is and moves tag into the copy's slot.
+func wrapUnit(rule, tag *dom.Node) {
+	id := tag.AttrOr("id", "")
+	name := tag.AttrOr("data-name", id)
+	w := substitute(rule, func(s string) string {
+		return strings.ReplaceAll(strings.ReplaceAll(s, "${id}", id), "${name}", name)
+	})
 	tag.ReplaceWith(w)
 	w.Find(dom.ByTag(SlotTag)).ReplaceWith(tag)
 }
 
-// applyPageRule replaces the page's body content with the rule template,
-// re-inserting the original content at the <webml:content/> placeholder.
-func applyPageRule(pr PageRule, page *dom.Node) error {
+// wrapPage replaces the page's body content with a copy of a parsed page
+// rule, ${title} substituted, re-inserting the original content at the
+// <webml:content/> placeholder.
+func wrapPage(rule, page *dom.Node) error {
 	body := page.Find(dom.ByTag("body"))
 	if body == nil {
 		return fmt.Errorf("style: skeleton has no <body>")
@@ -161,83 +187,39 @@ func applyPageRule(pr PageRule, page *dom.Node) error {
 	if t := page.Find(dom.ByTag("title")); t != nil {
 		title = t.Text()
 	}
-	markup := strings.ReplaceAll(pr.Template, "${title}", dom.EscapeText(title))
-	tpl, err := dom.Parse(markup)
-	if err != nil {
-		return fmt.Errorf("style: page rule for layout %q: %w", pr.Layout, err)
-	}
-	slot := tpl.Find(dom.ByTag(ContentTag))
-	if slot == nil {
-		return fmt.Errorf("style: page rule for layout %q lacks <%s/>", pr.Layout, ContentTag)
-	}
+	w := substitute(rule, func(s string) string { return strings.ReplaceAll(s, "${title}", title) })
 	content := dom.NewElement("div")
 	content.SetAttr("class", "page-content")
 	for _, c := range body.Children {
 		content.AppendChild(c)
 	}
-	slot.ReplaceWith(content)
+	w.Find(dom.ByTag(ContentTag)).ReplaceWith(content)
 	body.Children = nil
-	body.AppendChild(tpl)
+	body.AppendChild(w)
 	return nil
 }
 
 // CompileTemplates applies the rule set to every template in the
-// repository, replacing the skeletons with final templates — the
-// compile-time mode, "more efficient, because no template transformation
-// is required at runtime". It returns the number of templates rewritten.
+// repository, replacing the skeletons with final templates (what
+// `webratio generate` writes out). It returns the number rewritten.
 func CompileTemplates(repo *descriptor.Repository, rs *RuleSet) (int, error) {
-	parsed := map[string]*dom.Node{}
-	n := 0
-	for _, name := range repo.TemplateNames() {
-		src, _ := repo.Template(name)
-		if err := rs.restyle(repo, name, src, parsed); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// restyle styles the parsed template src in place and stores it as name.
-func (rs *RuleSet) restyle(repo *descriptor.Repository, name, src string, parsed map[string]*dom.Node) error {
-	tree, err := dom.Parse(src)
-	if err == nil {
-		tree, err = rs.apply(tree, parsed)
-	}
+	r, err := parseRules(rs)
 	if err != nil {
-		return fmt.Errorf("style: template %q: %w", name, err)
+		return 0, err
 	}
-	repo.PutTemplate(name, tree.String())
-	return nil
-}
-
-// CompileBySiteView applies a different rule set per site view — the
-// Acer-Euro arrangement of Section 8: "one for the B2C site views, one
-// for the B2B site views, and one for the internal content management
-// site views". Pages of site views absent from the map use def (nil def
-// leaves them unstyled). It returns how many templates each rule set
-// styled, keyed by rule-set name.
-func CompileBySiteView(repo *descriptor.Repository, bySiteView map[string]*RuleSet, def *RuleSet) (map[string]int, error) {
-	counts := map[string]int{}
-	parsed := map[string]*dom.Node{}
-	for _, pd := range repo.Pages() {
-		rs := bySiteView[pd.SiteView]
-		if rs == nil {
-			rs = def
+	names := repo.TemplateNames()
+	for n, name := range names {
+		src, _ := repo.Template(name)
+		tree, err := dom.Parse(src)
+		if err == nil {
+			err = r.style(tree)
 		}
-		if rs == nil {
-			continue
+		if err != nil {
+			return n, fmt.Errorf("style: template %q: %w", name, err)
 		}
-		src, ok := repo.Template(pd.Template)
-		if !ok {
-			return counts, fmt.Errorf("style: page %q has no template %q", pd.ID, pd.Template)
-		}
-		if err := rs.restyle(repo, pd.Template, src, parsed); err != nil {
-			return counts, err
-		}
-		counts[rs.Name]++
+		repo.PutTemplate(name, tree.String())
 	}
-	return counts, nil
+	return len(names), nil
 }
 
 // DeviceProfile selects a rule set for matching user agents.
@@ -249,24 +231,13 @@ type DeviceProfile struct {
 	Rules      *RuleSet
 }
 
-// RuntimeStyler applies presentation rules per request, choosing the
-// rule set "based on the user agent declared in the HTTP request" —
-// the multi-device mode of Section 5. It implements render.Styler.
+// RuntimeStyler configures request-time styling, choosing the rule set
+// "based on the user agent declared in the HTTP request" — the
+// multi-device mode of Section 5. NewStyler turns it into a Styler.
 type RuntimeStyler struct {
 	Profiles []DeviceProfile
 	// Default is used when no profile matches.
 	Default *RuleSet
-}
-
-// Variant names the rule set chosen for a user agent (one render program
-// per variant).
-func (s *RuntimeStyler) Variant(userAgent string) string {
-	return s.ruleSet(userAgent).Name
-}
-
-// Apply transforms the template for the requesting device.
-func (s *RuntimeStyler) Apply(tpl *dom.Node, userAgent string) (*dom.Node, error) {
-	return s.ruleSet(userAgent).Apply(tpl)
 }
 
 func (s *RuntimeStyler) ruleSet(userAgent string) *RuleSet {
@@ -279,4 +250,67 @@ func (s *RuntimeStyler) ruleSet(userAgent string) *RuleSet {
 		}
 	}
 	return s.Default
+}
+
+// Styler styles pages as their render programs compile (render.Styler).
+type Styler struct {
+	runtime    *RuntimeStyler // request-time styling; else by site view
+	bySiteView map[string]*RuleSet
+	def        *RuleSet
+	parsed     map[*RuleSet]*rules // each rule set above, parsed once
+}
+
+// NewStyler parses and checks every rule it is given. With runtime set it
+// styles by User-Agent; else a page gets its site view's rule set from
+// bySiteView, or def (nil: unstyled).
+func NewStyler(runtime *RuntimeStyler, bySiteView map[string]*RuleSet, def *RuleSet) (*Styler, error) {
+	s := &Styler{runtime: runtime, bySiteView: bySiteView, def: def, parsed: map[*RuleSet]*rules{}}
+	sets := []*RuleSet{def}
+	for _, rs := range bySiteView {
+		sets = append(sets, rs)
+	}
+	if runtime != nil {
+		sets = append(sets, runtime.Default)
+		for _, p := range runtime.Profiles {
+			sets = append(sets, p.Rules)
+		}
+	}
+	for _, rs := range sets {
+		if rs != nil && s.parsed[rs] == nil {
+			r, err := parseRules(rs)
+			if err != nil {
+				return nil, err
+			}
+			s.parsed[rs] = r
+		}
+	}
+	return s, nil
+}
+
+// VariesByUserAgent reports whether the styler styles at request time.
+func (s *Styler) VariesByUserAgent() bool { return s.runtime != nil }
+
+// Variant names the rule set a user agent gets under request-time
+// styling, and is "" otherwise: one render program per page and variant.
+func (s *Styler) Variant(userAgent string) string {
+	if s.runtime != nil {
+		if rs := s.runtime.ruleSet(userAgent); rs != nil {
+			return rs.Name
+		}
+	}
+	return ""
+}
+
+// Style styles a page's parsed template in place.
+func (s *Styler) Style(pd *descriptor.Page, tpl *dom.Node, userAgent string) error {
+	rs := s.def
+	if s.runtime != nil {
+		rs = s.runtime.ruleSet(userAgent)
+	} else if s.bySiteView[pd.SiteView] != nil {
+		rs = s.bySiteView[pd.SiteView]
+	}
+	if rs == nil {
+		return nil
+	}
+	return s.parsed[rs].style(tpl)
 }

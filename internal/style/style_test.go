@@ -15,11 +15,28 @@ const skeleton = `<html data-page="p1" data-layout="two-column">` +
 	`<tr><td><webml:indexUnit id="issuesPapers" data-name="Issues&amp;Papers"/></td></tr>` +
 	`</table></body></html>`
 
-func TestApplyWrapsUnitsAndPage(t *testing.T) {
-	rs := B2CRuleSet()
-	tree := dom.MustParse(skeleton)
-	styled, err := rs.Apply(tree)
+// apply styles a parsed copy of src with rs in every site view, the way a
+// page program is styled.
+func apply(t *testing.T, rs *RuleSet, src string) *dom.Node {
+	t.Helper()
+	s, err := NewStyler(nil, nil, rs)
 	if err != nil {
+		t.Fatal(err)
+	}
+	tree := dom.MustParse(src)
+	if err := s.Style(&descriptor.Page{}, tree, ""); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+func TestApplyWrapsUnitsAndPage(t *testing.T) {
+	s, err := NewStyler(nil, nil, B2CRuleSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	styled := dom.MustParse(skeleton)
+	if err := s.Style(&descriptor.Page{}, styled, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := styled.String()
@@ -47,9 +64,10 @@ func TestApplyWrapsUnitsAndPage(t *testing.T) {
 	if styled.AttrOr("data-style", "") != "b2c" {
 		t.Fatal("style marker missing")
 	}
-	// The input tree is untouched.
-	if strings.Contains(tree.String(), "unit-box") {
-		t.Fatal("Apply mutated its input")
+	// The parsed rules are only read: a second page styles the same.
+	again := dom.MustParse(skeleton)
+	if err := s.Style(&descriptor.Page{}, again, ""); err != nil || again.String() != out {
+		t.Fatalf("second styling differs (err %v):\n%s", err, again)
 	}
 }
 
@@ -77,36 +95,60 @@ func TestUnitNameIsText(t *testing.T) {
 	}
 }
 
-func TestDefaultPageRuleFallback(t *testing.T) {
-	rs := B2CRuleSet()
-	tree := dom.MustParse(strings.ReplaceAll(skeleton, ` data-layout="two-column"`, ""))
-	styled, err := rs.Apply(tree)
-	if err != nil {
+// TestPageTitleIsText: a page title reaches the styled template as text,
+// wherever a page rule puts ${title}, never as markup or attributes.
+func TestPageTitleIsText(t *testing.T) {
+	const title = `a" onclick="x`
+	rs := &RuleSet{Name: "t", PageRules: []PageRule{{Template: `<div title="${title}"><h1>${title}</h1><webml:content/></div>`}}}
+	repo := descriptor.NewRepository()
+	repo.PutTemplate("p1", strings.ReplaceAll(skeleton, "Volume Page", dom.EscapeText(title)))
+	if _, err := CompileTemplates(repo, rs); err != nil {
 		t.Fatal(err)
 	}
+	tpl, _ := repo.Template("p1")
+	div := dom.MustParse(tpl).Find(dom.ByAttr("title", title))
+	if div == nil || len(div.Attrs) != 1 {
+		t.Fatalf("title injected attributes:\n%s", tpl)
+	}
+	if h1 := div.Find(dom.ByTag("h1")); h1 == nil || h1.Text() != title {
+		t.Fatalf("heading is not the title:\n%s", tpl)
+	}
+}
+
+func TestDefaultPageRuleFallback(t *testing.T) {
+	styled := apply(t, B2CRuleSet(), strings.ReplaceAll(skeleton, ` data-layout="two-column"`, ""))
 	if !strings.Contains(styled.String(), `class="site-main"`) {
 		t.Fatalf("default layout not applied:\n%s", styled)
 	}
 }
 
-func TestUnitRuleRequiresSlot(t *testing.T) {
-	rs := &RuleSet{
-		Name:      "broken",
-		UnitRules: []UnitRule{{Kind: "data", Template: `<div>no slot</div>`}},
+// refused wants every way of building a styler from rs, and
+// CompileTemplates, to refuse it before styling a page: a rule is checked
+// whether or not a page would use it.
+func refused(t *testing.T, rs *RuleSet) {
+	t.Helper()
+	if _, err := NewStyler(nil, nil, rs); err == nil {
+		t.Error("accepted at compile time")
 	}
-	if _, err := rs.Apply(dom.MustParse(skeleton)); err == nil {
-		t.Fatal("slotless unit rule accepted")
+	if _, err := NewStyler(nil, map[string]*RuleSet{"sv": rs}, nil); err == nil {
+		t.Error("accepted for a site view")
+	}
+	if _, err := NewStyler(StandardProfiles(rs), nil, nil); err == nil {
+		t.Error("accepted at request time")
+	}
+	if _, err := CompileTemplates(descriptor.NewRepository(), rs); err == nil {
+		t.Error("accepted by CompileTemplates")
 	}
 }
 
+func TestUnitRuleRequiresSlot(t *testing.T) {
+	refused(t, &RuleSet{Name: "broken", UnitRules: []UnitRule{{Kind: "feed", Template: `<div>no slot</div>`}}})
+	refused(t, &RuleSet{Name: "broken", UnitRules: []UnitRule{{Kind: "data", Template: `<div><webml:slot/>`}}})
+}
+
 func TestPageRuleRequiresContent(t *testing.T) {
-	rs := &RuleSet{
-		Name:      "broken",
-		PageRules: []PageRule{{Layout: "", Template: `<div>no content</div>`}},
-	}
-	if _, err := rs.Apply(dom.MustParse(skeleton)); err == nil {
-		t.Fatal("contentless page rule accepted")
-	}
+	refused(t, &RuleSet{Name: "broken", PageRules: []PageRule{{Layout: "nowhere", Template: `<div>no content</div>`}}})
+	refused(t, &RuleSet{Name: "broken", PageRules: []PageRule{{Template: `<div><webml:content/></span>`}}})
 }
 
 func TestCompileTemplatesRewritesRepository(t *testing.T) {
@@ -131,23 +173,27 @@ func TestCompileTemplatesRewritesRepository(t *testing.T) {
 }
 
 func TestRuntimeStylerDispatchesOnUserAgent(t *testing.T) {
-	s := StandardProfiles(B2CRuleSet())
+	s, err := NewStyler(StandardProfiles(B2CRuleSet()), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.VariesByUserAgent() {
+		t.Fatal("request-time styler does not vary by user agent")
+	}
 	if got := s.Variant("Mozilla/5.0 (iPhone; Mobile Safari)"); got != "mobile" {
 		t.Fatalf("variant = %q", got)
 	}
 	if got := s.Variant("Mozilla/5.0 (X11; Linux x86_64)"); got != "b2c" {
 		t.Fatalf("variant = %q", got)
 	}
-	tree := dom.MustParse(skeleton)
-	mobile, err := s.Apply(tree, "Android 4.0")
-	if err != nil {
+	mobile, desktop := dom.MustParse(skeleton), dom.MustParse(skeleton)
+	if err := s.Style(&descriptor.Page{}, mobile, "Android 4.0"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(mobile.String(), `class="m-unit"`) {
 		t.Fatalf("mobile rules not applied:\n%s", mobile)
 	}
-	desktop, err := s.Apply(tree, "Mozilla/5.0")
-	if err != nil {
+	if err := s.Style(&descriptor.Page{}, desktop, "Mozilla/5.0"); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(desktop.String(), `class="m-unit"`) {
@@ -163,11 +209,7 @@ func TestThreeRuleSetsHaveDistinctIdentity(t *testing.T) {
 			t.Fatalf("duplicate rule set name %q", rs.Name)
 		}
 		seen[rs.Name] = true
-		styled, err := rs.Apply(dom.MustParse(skeleton))
-		if err != nil {
-			t.Fatalf("%s: %v", rs.Name, err)
-		}
-		if styled.AttrOr("data-style", "") != rs.Name {
+		if styled := apply(t, rs, skeleton); styled.AttrOr("data-style", "") != rs.Name {
 			t.Fatalf("%s marker missing", rs.Name)
 		}
 	}
@@ -190,49 +232,41 @@ func TestComposeCSSIsModularPerKind(t *testing.T) {
 func TestApplyIdempotentContentPreservation(t *testing.T) {
 	// The styled page contains the exact custom tags of the skeleton —
 	// no unit lost, no unit duplicated.
-	rs := B2CRuleSet()
-	styled, err := rs.Apply(dom.MustParse(skeleton))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tags := styled.FindAll(dom.ByTagPrefix("webml:"))
+	tags := apply(t, B2CRuleSet(), skeleton).FindAll(dom.ByTagPrefix("webml:"))
 	if len(tags) != 2 {
 		t.Fatalf("unit tags = %d", len(tags))
 	}
 }
 
-func TestCompileBySiteView(t *testing.T) {
-	repo := descriptor.NewRepository()
-	repo.PutPage(&descriptor.Page{ID: "p1", SiteView: "shop", Template: "p1"})
-	repo.PutPage(&descriptor.Page{ID: "p2", SiteView: "partners", Template: "p2"})
-	repo.PutPage(&descriptor.Page{ID: "p3", SiteView: "cm", Template: "p3"})
-	for _, n := range []string{"p1", "p2", "p3"} {
-		repo.PutTemplate(n, strings.ReplaceAll(skeleton, "p1", n))
-	}
-	counts, err := CompileBySiteView(repo, map[string]*RuleSet{
+// TestStylerBySiteView: a page gets its site view's rule set, else the
+// default; without a default it stays unstyled, and no page varies by
+// user agent.
+func TestStylerBySiteView(t *testing.T) {
+	s, err := NewStyler(nil, map[string]*RuleSet{
 		"shop":     B2CRuleSet(),
 		"partners": B2BRuleSet(),
 	}, IntranetRuleSet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["b2c"] != 1 || counts["b2b"] != 1 || counts["intranet"] != 1 {
-		t.Fatalf("counts = %v", counts)
+	if s.VariesByUserAgent() || s.Variant("Mozilla/5.0 (iPhone) Mobile") != "" {
+		t.Fatal("compile-time styler varies by user agent")
 	}
-	t1, _ := repo.Template("p1")
-	t2, _ := repo.Template("p2")
-	t3, _ := repo.Template("p3")
-	if !strings.Contains(t1, `data-style="b2c"`) ||
-		!strings.Contains(t2, `data-style="b2b"`) ||
-		!strings.Contains(t3, `data-style="intranet"`) {
-		t.Fatal("per-site-view styling not applied")
+	for sv, want := range map[string]string{"shop": "b2c", "partners": "b2b", "cm": "intranet"} {
+		tree := dom.MustParse(skeleton)
+		if err := s.Style(&descriptor.Page{ID: "p1", SiteView: sv}, tree, ""); err != nil {
+			t.Fatal(err)
+		}
+		if got := tree.AttrOr("data-style", ""); got != want {
+			t.Fatalf("site view %s styled %q, want %q", sv, got, want)
+		}
 	}
-	// No default: unmatched site views stay unstyled.
-	repo2 := descriptor.NewRepository()
-	repo2.PutPage(&descriptor.Page{ID: "p9", SiteView: "ghost", Template: "p9"})
-	repo2.PutTemplate("p9", skeleton)
-	counts, err = CompileBySiteView(repo2, nil, nil)
-	if err != nil || len(counts) != 0 {
-		t.Fatalf("counts = %v err = %v", counts, err)
+	none, err := NewStyler(nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := dom.MustParse(skeleton)
+	if err := none.Style(&descriptor.Page{ID: "p9", SiteView: "ghost"}, tree, ""); err != nil || tree.String() != skeleton {
+		t.Fatalf("unlisted site view without a default was styled (err %v):\n%s", err, tree)
 	}
 }
