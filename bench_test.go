@@ -443,6 +443,65 @@ func BenchmarkSetUpAndCompileAll(b *testing.B) {
 	}
 }
 
+// BenchmarkSetUpLoad is the hot set-up of the end-to-end benchmark
+// (bench/stack.go): the Acer-Euro model is generated, a durable database
+// opened in a fresh directory, the artifacts generated and their DDL
+// applied, 200 rows per entity loaded, a container served on loopback
+// and the web tier assembled with the benchmark's options. Tear-down is
+// not timed.
+func BenchmarkSetUpLoad(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		model, err := workload.Generate(workload.AcerEuro())
+		if err != nil {
+			b.Fatal(err)
+		}
+		db, err := rdb.OpenDurableOpts(b.TempDir(), rdb.DurableOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := codegen.New(model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		art, err := g.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, stmt := range art.DDL {
+			if _, err := db.Exec(stmt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := workload.Populate(db, 200, 7); err != nil {
+			b.Fatal(err)
+		}
+		business := mvc.NewLocalBusiness(db)
+		ctr := ejb.NewContainer(business, 16)
+		ctr.DeployPages(&mvc.PageService{Repo: art.Repo, Business: business})
+		addr, err := ctr.Serve("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		app, err := New(model, WithDatabase(db), WithCompiledStyle(B2CStyle()),
+			WithAppServer(addr), WithWireProtocol(ejb.WireFramed),
+			WithBeanCache(8192), WithEdgeCache(8192, 10*time.Minute),
+			WithAdmission(64, 256), WithRequestTimeout(5*time.Second))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		app.Close()
+		if err := ctr.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkE7AcerEuroRequestMix serves the synthetic browse mix against
 // the small-spec generated application (the full 556-page app works too,
 // but the small spec keeps the benchmark turnaround reasonable; the

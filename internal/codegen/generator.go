@@ -100,8 +100,35 @@ func (g *Generator) Regenerate(prev *descriptor.Repository) (*Artifacts, error) 
 	return art, nil
 }
 
+// run is one generation. It builds each dependency tag and controller
+// action once and shares the string among the descriptors naming it.
+type run struct {
+	*Generator
+	// actions is keyed by page or operation ID: the model's IDs are one
+	// namespace.
+	entityTags, relTags, tables, actions map[string]string
+}
+
+// memo returns m[k], computing it with f on first use.
+func memo(m map[string]string, k string, f func(string) string) string {
+	v, ok := m[k]
+	if !ok {
+		v = f(k)
+		m[k] = v
+	}
+	return v
+}
+
+func (r *run) entityDep(e string) string   { return memo(r.entityTags, e, descriptor.EntityDep) }
+func (r *run) relDep(rel string) string    { return memo(r.relTags, rel, descriptor.RelDep) }
+func (r *run) table(e string) string       { return memo(r.tables, e, r.Mapping.EntityTable) }
+func (r *run) pageAction(id string) string { return memo(r.actions, id, PageAction) }
+func (r *run) opAction(id string) string   { return memo(r.actions, id, OperationAction) }
+
 // generate produces all artifacts from scratch.
 func (g *Generator) generate() (*Artifacts, error) {
+	r := &run{Generator: g, entityTags: map[string]string{}, relTags: map[string]string{},
+		tables: map[string]string{}, actions: map[string]string{}}
 	repo := descriptor.NewRepository()
 	art := &Artifacts{Repo: repo}
 
@@ -110,14 +137,14 @@ func (g *Generator) generate() (*Artifacts, error) {
 
 	// Unit descriptors.
 	for _, u := range g.Model.AllContentUnits() {
-		d, err := g.unitDescriptor(u)
+		d, err := r.unitDescriptor(u)
 		if err != nil {
 			return nil, err
 		}
 		repo.PutUnit(d)
 	}
 	for _, op := range g.Model.Operations {
-		d, err := g.operationDescriptor(op)
+		d, err := r.operationDescriptor(op)
 		if err != nil {
 			return nil, err
 		}
@@ -127,16 +154,17 @@ func (g *Generator) generate() (*Artifacts, error) {
 	// Page descriptors + template skeletons. The landmark menu of a site
 	// view is computed once and shared by all its pages.
 	for _, sv := range g.Model.SiteViews {
+		pages := sv.AllPages()
 		var menu []descriptor.MenuItem
-		for _, lp := range sv.AllPages() {
+		for _, lp := range pages {
 			if lp.Landmark {
 				menu = append(menu, descriptor.MenuItem{
-					Action: PageAction(lp.ID), Label: lp.Name,
+					Action: r.pageAction(lp.ID), Label: lp.Name,
 				})
 			}
 		}
-		for _, p := range sv.AllPages() {
-			pd := g.pageDescriptor(sv, p)
+		for _, p := range pages {
+			pd := r.pageDescriptor(sv, p)
 			pd.Menu = menu
 			repo.PutPage(pd)
 			repo.PutTemplate(pd.Template, g.Skeleton(p))
@@ -144,7 +172,7 @@ func (g *Generator) generate() (*Artifacts, error) {
 	}
 
 	// Controller configuration.
-	cfg, err := g.controllerConfig()
+	cfg, err := r.controllerConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -214,13 +242,13 @@ func (g *Generator) orderedIndexDDL() []string {
 	return out
 }
 
-func (g *Generator) unitDescriptor(u *webml.Unit) (*descriptor.Unit, error) {
+func (r *run) unitDescriptor(u *webml.Unit) (*descriptor.Unit, error) {
 	d := &descriptor.Unit{ID: u.ID, Kind: string(u.Kind), Entity: u.Entity}
 	if u.Cache != nil && u.Cache.Enabled {
 		d.Cache = &descriptor.CachePolicy{Enabled: true, TTLSeconds: u.Cache.TTLSeconds}
 	}
-	for k, v := range u.Props {
-		d.Props = append(d.Props, descriptor.Prop{Name: k, Value: v})
+	for _, k := range sortedSet(u.Props) { // sorted: the same descriptor every run
+		d.Props = append(d.Props, descriptor.Prop{Name: k, Value: u.Props[k]})
 	}
 	if _, isPlugin := webml.LookupPlugin(u.Kind); isPlugin {
 		return d, nil
@@ -234,42 +262,43 @@ func (g *Generator) unitDescriptor(u *webml.Unit) (*descriptor.Unit, error) {
 		}
 		return d, nil
 	default:
-		if err := g.buildContentQuery(u, d); err != nil {
+		if err := r.buildContentQuery(u, d); err != nil {
 			return nil, err
 		}
 		return d, nil
 	}
 }
 
-func (g *Generator) operationDescriptor(op *webml.Unit) (*descriptor.Unit, error) {
+func (r *run) operationDescriptor(op *webml.Unit) (*descriptor.Unit, error) {
 	d := &descriptor.Unit{ID: op.ID, Kind: string(op.Kind), Entity: op.Entity}
-	for k, v := range op.Props {
-		d.Props = append(d.Props, descriptor.Prop{Name: k, Value: v})
+	for _, k := range sortedSet(op.Props) {
+		d.Props = append(d.Props, descriptor.Prop{Name: k, Value: op.Props[k]})
 	}
 	if _, isPlugin := webml.LookupPlugin(op.Kind); isPlugin {
 		return d, nil
 	}
-	if err := g.buildOperationQuery(op, d); err != nil {
+	if err := r.buildOperationQuery(op, d); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-func (g *Generator) pageDescriptor(sv *webml.SiteView, p *webml.Page) *descriptor.Page {
+func (r *run) pageDescriptor(sv *webml.SiteView, p *webml.Page) *descriptor.Page {
 	pd := &descriptor.Page{
 		ID: p.ID, Name: p.Name, SiteView: sv.ID,
 		Layout: p.Layout, Template: p.ID, Protected: sv.Protected,
 	}
-	inPage := map[string]bool{}
-	for _, u := range p.Units {
-		pd.Units = append(pd.Units, descriptor.UnitRef{ID: u.ID})
+	inPage := make(map[string]bool, len(p.Units))
+	pd.Units = make([]descriptor.UnitRef, len(p.Units))
+	for i, u := range p.Units {
+		pd.Units[i] = descriptor.UnitRef{ID: u.ID}
 		inPage[u.ID] = true
 	}
 	// Only links leaving this page's units matter; the model's link index
 	// keeps this pass linear in the page's out-degree, not in the total
 	// number of links (the quadratic trap at 556+ pages).
 	for _, u := range p.Units {
-		for _, l := range g.Model.LinksFrom(u.ID) {
+		for _, l := range r.Model.LinksFrom(u.ID) {
 			if (l.Kind == webml.TransportLink || l.Kind == webml.AutomaticLink) && inPage[l.To] {
 				e := descriptor.Edge{From: l.From, To: l.To}
 				for _, pm := range l.Params {
@@ -281,7 +310,7 @@ func (g *Generator) pageDescriptor(sv *webml.SiteView, p *webml.Page) *descripto
 			// Normal links from this page's units become anchors the View
 			// renders; their targets resolve to Controller actions.
 			if l.Kind == webml.NormalLink {
-				action, err := g.linkTargetAction(l)
+				action, err := r.linkTargetAction(l)
 				if err != nil {
 					continue
 				}
@@ -302,28 +331,27 @@ func PageAction(pageID string) string { return "page/" + pageID }
 // OperationAction builds the action name of an operation.
 func OperationAction(opID string) string { return "op/" + opID }
 
-func (g *Generator) controllerConfig() (*descriptor.Config, error) {
-	cfg := &descriptor.Config{App: g.Model.Name}
-	for _, sv := range g.Model.SiteViews {
-		for _, p := range sv.AllPages() {
-			cfg.Mappings = append(cfg.Mappings, descriptor.Mapping{
-				Action: PageAction(p.ID), Type: "page", Page: p.ID, Template: p.ID,
-			})
-		}
+func (r *run) controllerConfig() (*descriptor.Config, error) {
+	pages := r.Model.AllPages()
+	cfg := &descriptor.Config{App: r.Model.Name, Mappings: make([]descriptor.Mapping, 0, len(pages)+len(r.Model.Operations))}
+	for _, p := range pages {
+		cfg.Mappings = append(cfg.Mappings, descriptor.Mapping{
+			Action: r.pageAction(p.ID), Type: "page", Page: p.ID, Template: p.ID,
+		})
 	}
-	for _, op := range g.Model.Operations {
-		m := descriptor.Mapping{Action: OperationAction(op.ID), Type: "operation"}
+	for _, op := range r.Model.Operations {
+		m := descriptor.Mapping{Action: r.opAction(op.ID), Type: "operation"}
 		// When the operation is fed by an entry unit, the validation
 		// service checks the submitted parameters against that unit's
 		// field specifications before executing.
-		for _, in := range g.Model.LinksTo(op.ID) {
-			if src := g.Model.UnitByID(in.From); src != nil && src.Kind == webml.EntryUnit {
+		for _, in := range r.Model.LinksTo(op.ID) {
+			if src := r.Model.UnitByID(in.From); src != nil && src.Kind == webml.EntryUnit {
 				m.Validate = src.ID
 				break
 			}
 		}
-		for _, l := range g.Model.LinksFrom(op.ID) {
-			target, err := g.linkTargetAction(l)
+		for _, l := range r.Model.LinksFrom(op.ID) {
+			target, err := r.linkTargetAction(l)
 			if err != nil {
 				return nil, err
 			}
@@ -351,16 +379,16 @@ func (g *Generator) controllerConfig() (*descriptor.Config, error) {
 	return cfg, nil
 }
 
-func (g *Generator) linkTargetAction(l *webml.Link) (string, error) {
-	switch t := g.Model.Lookup(l.To).(type) {
+func (r *run) linkTargetAction(l *webml.Link) (string, error) {
+	switch t := r.Model.Lookup(l.To).(type) {
 	case *webml.Page:
-		return PageAction(t.ID), nil
+		return r.pageAction(t.ID), nil
 	case *webml.Unit:
 		if t.Kind.IsOperation() {
-			return OperationAction(t.ID), nil
+			return r.opAction(t.ID), nil
 		}
 		if t.Page() != nil {
-			return PageAction(t.Page().ID), nil
+			return r.pageAction(t.Page().ID), nil
 		}
 		return "", fmt.Errorf("codegen: link %q targets unplaced unit %q", l.ID, l.To)
 	}

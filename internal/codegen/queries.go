@@ -2,7 +2,9 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -17,29 +19,52 @@ import (
 // explicitly: P("oid", codegen.ParentParam).
 const ParentParam = "parent"
 
+// textBuf is generated text being written: a skeleton or a SQL
+// statement. For a statement or a FROM clause, and opens the WHERE at
+// the first conjunct and joins later ones with AND.
+type textBuf struct {
+	strings.Builder
+	conjuncts int
+}
+
+func (b *textBuf) put(parts ...string) {
+	for _, s := range parts {
+		b.WriteString(s)
+	}
+}
+
+// and starts the next WHERE conjunct.
+func (b *textBuf) and(parts ...string) {
+	if b.conjuncts == 0 {
+		b.WriteString(" WHERE ")
+	} else {
+		b.WriteString(" AND ")
+	}
+	b.conjuncts++
+	b.put(parts...)
+}
+
 // buildContentQuery synthesizes the SQL of a content unit and its I/O
 // parameter lists. The result is intentionally plain, readable SQL: the
 // descriptor is the contract the data expert edits by hand (Section 6).
-func (g *Generator) buildContentQuery(u *webml.Unit, d *descriptor.Unit) error {
-	ent := g.Model.Data.Entity(u.Entity)
+func (r *run) buildContentQuery(u *webml.Unit, d *descriptor.Unit) error {
+	ent := r.Model.Data.Entity(u.Entity)
 	if ent == nil {
 		return fmt.Errorf("codegen: unit %q: unknown entity %q", u.ID, u.Entity)
 	}
-	tbl := g.Mapping.EntityTable(u.Entity)
-	cols, outs := displayColumns(ent, u.Display, "t")
-	d.Outputs = outs
-	d.Reads = append(d.Reads, descriptor.EntityDep(u.Entity))
+	// Room for the entity, a scoping relationship and one nested level.
+	d.Reads = append(make([]string, 0, 4), r.entityDep(u.Entity))
 
-	var (
-		from   = fmt.Sprintf("%s t", tbl)
-		wheres []string
-		inputs []descriptor.ParamDef
-	)
+	// from is the FROM clause with its WHERE; the count query shares it.
+	var from textBuf
+	from.Grow(96)
+	from.put(r.table(u.Entity), " t")
+	var inputs []descriptor.ParamDef
 
 	// Relationship scope: restrict to objects related to a parent
 	// instance supplied through the reserved "parent" input.
 	if u.Relationship != "" {
-		rel := g.Model.Data.Relationship(u.Relationship)
+		rel := r.Model.Data.Relationship(u.Relationship)
 		if rel == nil {
 			return fmt.Errorf("codegen: unit %q: unknown relationship %q", u.ID, u.Relationship)
 		}
@@ -47,62 +72,42 @@ func (g *Generator) buildContentQuery(u *webml.Unit, d *descriptor.Unit) error {
 		if strings.EqualFold(rel.From, u.Entity) {
 			parentEntity = rel.To
 		}
-		nav, err := g.Mapping.Navigate(rel, parentEntity)
+		nav, err := r.Mapping.Navigate(rel, parentEntity)
 		if err != nil {
 			return fmt.Errorf("codegen: unit %q: %w", u.ID, err)
 		}
-		d.Reads = append(d.Reads, descriptor.RelDep(rel.Name))
-		switch {
-		case nav.Bridge:
-			from = fmt.Sprintf("%s t JOIN %s b ON b.%s = t.oid", tbl, nav.BridgeTable, nav.BridgeFarCol)
-			wheres = append(wheres, fmt.Sprintf("b.%s = ?", nav.BridgeNearCol))
-		case nav.FKOnTarget:
-			wheres = append(wheres, fmt.Sprintf("t.%s = ?", nav.FKCol))
-		default:
-			// The parent's table holds the FK pointing at this unit's
-			// entity: join the parent in.
-			ptbl := g.Mapping.EntityTable(parentEntity)
-			from = fmt.Sprintf("%s t JOIN %s p ON p.%s = t.oid", tbl, ptbl, nav.FKCol)
-			wheres = append(wheres, "p.oid = ?")
-		}
+		d.Reads = append(d.Reads, r.relDep(rel.Name))
+		r.joinParent(&from, nav, parentEntity)
 		inputs = append(inputs, descriptor.ParamDef{Name: ParentParam})
 	}
 
 	// Selector conditions.
-	selWheres, selInputs, err := selectorSQL(ent, u.Selector, "t")
+	inputs, err := selectorSQL(&from, u.Selector, "t", inputs)
 	if err != nil {
 		return fmt.Errorf("codegen: unit %q: %w", u.ID, err)
 	}
-	wheres = append(wheres, selWheres...)
-	inputs = append(inputs, selInputs...)
 
 	// A data unit with no selection context defaults to selection by OID.
-	if u.Kind == webml.DataUnit && len(wheres) == 0 {
-		wheres = append(wheres, "t.oid = ?")
+	if u.Kind == webml.DataUnit && from.conjuncts == 0 {
+		from.and("t.oid = ?")
 		inputs = append(inputs, descriptor.ParamDef{Name: "oid"})
 	}
+	fromWhere := from.String()
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "SELECT %s FROM %s", strings.Join(cols, ", "), from)
-	if len(wheres) > 0 {
-		b.WriteString(" WHERE " + strings.Join(wheres, " AND "))
-	}
-	if order := orderSQL(u.Order, "t"); order != "" && u.Kind != webml.DataUnit {
-		b.WriteString(" ORDER BY " + order)
-	} else if u.Kind != webml.DataUnit {
-		b.WriteString(" ORDER BY t.oid")
+	var b textBuf
+	b.Grow(64 + len(fromWhere) + 24*len(u.Display))
+	b.put("SELECT ")
+	d.Outputs = displayColumns(&b, u.Display, "t")
+	b.put(" FROM ", fromWhere)
+	if u.Kind != webml.DataUnit {
+		orderSQL(&b, u.Order, "t")
 	}
 
 	switch u.Kind {
 	case webml.ScrollerUnit:
 		d.PageSize = u.PageSize
-		var cb strings.Builder
-		fmt.Fprintf(&cb, "SELECT COUNT(*) FROM %s", from)
-		if len(wheres) > 0 {
-			cb.WriteString(" WHERE " + strings.Join(wheres, " AND "))
-		}
-		d.CountQuery = cb.String()
-		fmt.Fprintf(&b, " LIMIT %d OFFSET ?", u.PageSize)
+		d.CountQuery = "SELECT COUNT(*) FROM " + fromWhere
+		b.put(" LIMIT ", strconv.Itoa(u.PageSize), " OFFSET ?")
 		// The count query shares the leading inputs; the windowed query
 		// additionally consumes "offset" last.
 		d.Inputs = append(inputs, descriptor.ParamDef{Name: "offset"})
@@ -114,71 +119,73 @@ func (g *Generator) buildContentQuery(u *webml.Unit, d *descriptor.Unit) error {
 	// Hierarchical levels.
 	cur := ent
 	for n := u.Nest; n != nil; n = n.Nest {
-		lvl, next, err := g.buildLevel(cur, n)
+		lvl, next, err := r.buildLevel(cur, n)
 		if err != nil {
 			return fmt.Errorf("codegen: unit %q: %w", u.ID, err)
 		}
 		d.Levels = append(d.Levels, lvl)
-		d.Reads = append(d.Reads, lvl.Dep, descriptor.EntityDep(next.Name))
+		d.Reads = append(d.Reads, lvl.Dep, r.entityDep(next.Name))
 		cur = next
 	}
 	return nil
 }
 
+// joinParent writes the join and the conjunct restricting alias t to the
+// objects related to one instance of parentEntity, bound by a "?".
+func (r *run) joinParent(b *textBuf, nav er.Navigation, parentEntity string) {
+	switch {
+	case nav.Bridge:
+		b.put(" JOIN ", nav.BridgeTable, " b ON b.", nav.BridgeFarCol, " = t.oid")
+		b.and("b.", nav.BridgeNearCol, " = ?")
+	case nav.FKOnTarget:
+		b.and("t.", nav.FKCol, " = ?")
+	default:
+		// The parent's table holds the FK pointing at this entity: join
+		// the parent in.
+		b.put(" JOIN ", r.table(parentEntity), " p ON p.", nav.FKCol, " = t.oid")
+		b.and("p.oid = ?")
+	}
+}
+
 // buildLevel synthesizes one hierarchical-index level: a query producing
 // the children of a parent row, parameterized by the parent OID.
-func (g *Generator) buildLevel(parent *er.Entity, n *webml.Nesting) (descriptor.Level, *er.Entity, error) {
-	rel := g.Model.Data.Relationship(n.Relationship)
+func (r *run) buildLevel(parent *er.Entity, n *webml.Nesting) (descriptor.Level, *er.Entity, error) {
+	rel := r.Model.Data.Relationship(n.Relationship)
 	if rel == nil {
 		return descriptor.Level{}, nil, fmt.Errorf("unknown relationship %q", n.Relationship)
 	}
-	nav, err := g.Mapping.Navigate(rel, parent.Name)
+	nav, err := r.Mapping.Navigate(rel, parent.Name)
 	if err != nil {
 		return descriptor.Level{}, nil, err
 	}
-	child := g.Model.Data.Entity(nav.TargetEntity)
+	child := r.Model.Data.Entity(nav.TargetEntity)
 	if child == nil {
 		return descriptor.Level{}, nil, fmt.Errorf("unknown entity %q", nav.TargetEntity)
 	}
-	tbl := g.Mapping.EntityTable(child.Name)
-	cols, outs := displayColumns(child, n.Display, "t")
-	var b strings.Builder
-	switch {
-	case nav.Bridge:
-		fmt.Fprintf(&b, "SELECT %s FROM %s t JOIN %s b ON b.%s = t.oid WHERE b.%s = ?",
-			strings.Join(cols, ", "), tbl, nav.BridgeTable, nav.BridgeFarCol, nav.BridgeNearCol)
-	case nav.FKOnTarget:
-		fmt.Fprintf(&b, "SELECT %s FROM %s t WHERE t.%s = ?",
-			strings.Join(cols, ", "), tbl, nav.FKCol)
-	default:
-		ptbl := g.Mapping.EntityTable(parent.Name)
-		fmt.Fprintf(&b, "SELECT %s FROM %s t JOIN %s p ON p.%s = t.oid WHERE p.oid = ?",
-			strings.Join(cols, ", "), tbl, ptbl, nav.FKCol)
-	}
-	if order := orderSQL(n.Order, "t"); order != "" {
-		b.WriteString(" ORDER BY " + order)
-	} else {
-		b.WriteString(" ORDER BY t.oid")
-	}
+	var b textBuf
+	b.Grow(160 + 24*len(n.Display))
+	b.put("SELECT ")
+	outs := displayColumns(&b, n.Display, "t")
+	b.put(" FROM ", r.table(child.Name), " t")
+	r.joinParent(&b, nav, parent.Name)
+	orderSQL(&b, n.Order, "t")
 	return descriptor.Level{
 		Entity:  child.Name,
 		Query:   b.String(),
 		Outputs: outs,
-		Dep:     descriptor.RelDep(rel.Name),
+		Dep:     r.relDep(rel.Name),
 	}, child, nil
 }
 
 // buildOperationQuery synthesizes the SQL of an operation unit.
-func (g *Generator) buildOperationQuery(op *webml.Unit, d *descriptor.Unit) error {
+func (r *run) buildOperationQuery(op *webml.Unit, d *descriptor.Unit) error {
 	switch op.Kind {
-	case webml.CreateUnit:
-		return g.buildCreate(op, d)
-	case webml.ModifyUnit:
-		return g.buildModify(op, d)
+	case webml.CreateUnit, webml.ModifyUnit:
+		return r.buildWrite(op, d)
 	case webml.DeleteUnit:
-		return g.buildDelete(op, d)
+		return r.buildDelete(op, d)
 	case webml.ConnectUnit, webml.DisconnectUnit:
-		return g.buildConnect(op, d)
+		return r.buildConnect(op, d)
 	}
 	// Plug-in operations carry their own props; no SQL is generated.
 	return nil
@@ -195,62 +202,58 @@ func sortedSet(set map[string]string) []string {
 	return attrs
 }
 
-func (g *Generator) buildCreate(op *webml.Unit, d *descriptor.Unit) error {
-	ent := g.Model.Data.Entity(op.Entity)
-	if ent == nil {
+// buildWrite synthesizes a create (INSERT) or modify (UPDATE by OID)
+// operation over the Set attributes, in sorted order.
+func (r *run) buildWrite(op *webml.Unit, d *descriptor.Unit) error {
+	if r.Model.Data.Entity(op.Entity) == nil {
 		return fmt.Errorf("codegen: operation %q: unknown entity %q", op.ID, op.Entity)
 	}
-	tbl := g.Mapping.EntityTable(op.Entity)
 	attrs := sortedSet(op.Set)
 	if len(attrs) == 0 {
-		return fmt.Errorf("codegen: create operation %q sets no attributes", op.ID)
+		return fmt.Errorf("codegen: %s operation %q sets no attributes", op.Kind, op.ID)
 	}
-	cols := make([]string, len(attrs))
-	marks := make([]string, len(attrs))
+	create := op.Kind == webml.CreateUnit
+	var b textBuf
+	b.Grow(48 + 24*len(attrs))
+	if create {
+		b.put("INSERT INTO ", r.table(op.Entity), " (")
+	} else {
+		b.put("UPDATE ", r.table(op.Entity), " SET ")
+	}
+	d.Inputs = make([]descriptor.ParamDef, 0, len(attrs)+1)
 	for i, a := range attrs {
-		cols[i] = g.Mapping.AttrColumn(a)
-		marks[i] = "?"
+		if i > 0 {
+			b.put(", ")
+		}
+		b.put(r.Mapping.AttrColumn(a))
+		if !create {
+			b.put(" = ?")
+		}
 		d.Inputs = append(d.Inputs, descriptor.ParamDef{Name: op.Set[a]})
 	}
-	d.Query = fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)", tbl, strings.Join(cols, ", "), strings.Join(marks, ", "))
-	d.Outputs = []descriptor.FieldDef{{Name: "oid", Column: "oid"}}
-	d.Writes = []string{descriptor.EntityDep(op.Entity)}
+	if create {
+		b.put(") VALUES (?", strings.Repeat(", ?", len(attrs)-1), ")")
+		d.Outputs = []descriptor.FieldDef{{Name: "oid", Column: "oid"}}
+	} else {
+		b.put(" WHERE oid = ?")
+		d.Inputs = append(d.Inputs, descriptor.ParamDef{Name: "oid"})
+	}
+	d.Query = b.String()
+	d.Writes = []string{r.entityDep(op.Entity)}
 	return nil
 }
 
-func (g *Generator) buildModify(op *webml.Unit, d *descriptor.Unit) error {
-	ent := g.Model.Data.Entity(op.Entity)
-	if ent == nil {
+func (r *run) buildDelete(op *webml.Unit, d *descriptor.Unit) error {
+	if r.Model.Data.Entity(op.Entity) == nil {
 		return fmt.Errorf("codegen: operation %q: unknown entity %q", op.ID, op.Entity)
 	}
-	tbl := g.Mapping.EntityTable(op.Entity)
-	attrs := sortedSet(op.Set)
-	if len(attrs) == 0 {
-		return fmt.Errorf("codegen: modify operation %q sets no attributes", op.ID)
-	}
-	sets := make([]string, len(attrs))
-	for i, a := range attrs {
-		sets[i] = fmt.Sprintf("%s = ?", g.Mapping.AttrColumn(a))
-		d.Inputs = append(d.Inputs, descriptor.ParamDef{Name: op.Set[a]})
-	}
-	d.Query = fmt.Sprintf("UPDATE %s SET %s WHERE oid = ?", tbl, strings.Join(sets, ", "))
-	d.Inputs = append(d.Inputs, descriptor.ParamDef{Name: "oid"})
-	d.Writes = []string{descriptor.EntityDep(op.Entity)}
-	return nil
-}
-
-func (g *Generator) buildDelete(op *webml.Unit, d *descriptor.Unit) error {
-	if g.Model.Data.Entity(op.Entity) == nil {
-		return fmt.Errorf("codegen: operation %q: unknown entity %q", op.ID, op.Entity)
-	}
-	tbl := g.Mapping.EntityTable(op.Entity)
-	d.Query = fmt.Sprintf("DELETE FROM %s WHERE oid = ?", tbl)
+	d.Query = "DELETE FROM " + r.table(op.Entity) + " WHERE oid = ?"
 	d.Inputs = []descriptor.ParamDef{{Name: "oid"}}
-	d.Writes = []string{descriptor.EntityDep(op.Entity)}
+	d.Writes = []string{r.entityDep(op.Entity)}
 	// Deleting an instance also severs its relationship instances.
-	for _, rel := range g.Model.Data.Relationships {
+	for _, rel := range r.Model.Data.Relationships {
 		if strings.EqualFold(rel.From, op.Entity) || strings.EqualFold(rel.To, op.Entity) {
-			d.Writes = append(d.Writes, descriptor.RelDep(rel.Name))
+			d.Writes = append(d.Writes, r.relDep(rel.Name))
 		}
 	}
 	return nil
@@ -260,90 +263,84 @@ func (g *Generator) buildDelete(op *webml.Unit, d *descriptor.Unit) error {
 // inputs "from" (OID of the relationship's From-entity instance) and "to"
 // (OID of the To-entity instance); the generated SQL adapts to the
 // relationship's storage (bridge table or foreign key).
-func (g *Generator) buildConnect(op *webml.Unit, d *descriptor.Unit) error {
-	rel := g.Model.Data.Relationship(op.Relationship)
+func (r *run) buildConnect(op *webml.Unit, d *descriptor.Unit) error {
+	rel := r.Model.Data.Relationship(op.Relationship)
 	if rel == nil {
 		return fmt.Errorf("codegen: operation %q: unknown relationship %q", op.ID, op.Relationship)
 	}
-	st := g.Mapping.Storage(rel)
+	st := r.Mapping.Storage(rel)
 	disconnect := op.Kind == webml.DisconnectUnit
-	d.Writes = []string{descriptor.RelDep(rel.Name)}
+	d.Writes = []string{r.relDep(rel.Name)}
 	switch {
 	case st.Bridge:
 		if disconnect {
-			d.Query = fmt.Sprintf("DELETE FROM %s WHERE %s = ? AND %s = ?",
-				st.Table, er.BridgeFrom, er.BridgeTo)
+			d.Query = "DELETE FROM " + st.Table + " WHERE " + er.BridgeFrom + " = ? AND " + er.BridgeTo + " = ?"
 		} else {
-			d.Query = fmt.Sprintf("INSERT INTO %s (%s, %s) VALUES (?, ?)",
-				st.Table, er.BridgeFrom, er.BridgeTo)
+			d.Query = "INSERT INTO " + st.Table + " (" + er.BridgeFrom + ", " + er.BridgeTo + ") VALUES (?, ?)"
 		}
 		d.Inputs = []descriptor.ParamDef{{Name: "from"}, {Name: "to"}}
+		return nil
 	case strings.EqualFold(st.FKSide, rel.To):
 		// The To-table holds the FK pointing at From.
-		d.Writes = append(d.Writes, descriptor.EntityDep(rel.To))
-		if disconnect {
-			d.Query = fmt.Sprintf("UPDATE %s SET %s = NULL WHERE oid = ?", st.Table, st.FKCol)
-			d.Inputs = []descriptor.ParamDef{{Name: "to"}}
-		} else {
-			d.Query = fmt.Sprintf("UPDATE %s SET %s = ? WHERE oid = ?", st.Table, st.FKCol)
-			d.Inputs = []descriptor.ParamDef{{Name: "from"}, {Name: "to"}}
-		}
+		d.Writes = append(d.Writes, r.entityDep(rel.To))
+		d.Inputs = []descriptor.ParamDef{{Name: "from"}, {Name: "to"}}
 	default:
 		// The From-table holds the FK pointing at To.
-		d.Writes = append(d.Writes, descriptor.EntityDep(rel.From))
-		if disconnect {
-			d.Query = fmt.Sprintf("UPDATE %s SET %s = NULL WHERE oid = ?", st.Table, st.FKCol)
-			d.Inputs = []descriptor.ParamDef{{Name: "from"}}
-		} else {
-			d.Query = fmt.Sprintf("UPDATE %s SET %s = ? WHERE oid = ?", st.Table, st.FKCol)
-			d.Inputs = []descriptor.ParamDef{{Name: "to"}, {Name: "from"}}
-		}
+		d.Writes = append(d.Writes, r.entityDep(rel.From))
+		d.Inputs = []descriptor.ParamDef{{Name: "to"}, {Name: "from"}}
+	}
+	if disconnect {
+		// Only the FK holder's OID is bound: the last of the two inputs.
+		d.Query = "UPDATE " + st.Table + " SET " + st.FKCol + " = NULL WHERE oid = ?"
+		d.Inputs = d.Inputs[1:]
+	} else {
+		d.Query = "UPDATE " + st.Table + " SET " + st.FKCol + " = ? WHERE oid = ?"
 	}
 	return nil
 }
 
-// displayColumns returns the projected SQL columns (always leading with
-// the OID) and the bean output fields for a display list.
-func displayColumns(ent *er.Entity, display []string, alias string) ([]string, []descriptor.FieldDef) {
-	cols := []string{alias + ".oid"}
-	outs := []descriptor.FieldDef{{Name: "oid", Column: "oid"}}
+// displayColumns writes the projected SQL columns (always leading with
+// the OID) and returns the bean output fields for a display list.
+func displayColumns(b *textBuf, display []string, alias string) []descriptor.FieldDef {
+	outs := make([]descriptor.FieldDef, 1, len(display)+1)
+	outs[0] = descriptor.FieldDef{Name: "oid", Column: "oid"}
+	b.put(alias, ".oid")
 	for _, a := range display {
 		if strings.EqualFold(a, "oid") {
 			continue
 		}
 		col := strings.ToLower(a)
-		cols = append(cols, alias+"."+col)
+		b.put(", ", alias, ".", col)
 		outs = append(outs, descriptor.FieldDef{Name: a, Column: col})
 	}
-	return cols, outs
+	return outs
 }
 
-// selectorSQL converts WebML selector conditions to WHERE conjuncts plus
-// the input parameters they consume, in order.
-func selectorSQL(ent *er.Entity, sel []webml.Condition, alias string) ([]string, []descriptor.ParamDef, error) {
-	var wheres []string
-	var inputs []descriptor.ParamDef
+// selectorSQL writes WebML selector conditions as WHERE conjuncts and
+// appends the input parameters they consume, in order, to inputs.
+func selectorSQL(b *textBuf, sel []webml.Condition, alias string, inputs []descriptor.ParamDef) ([]descriptor.ParamDef, error) {
 	for _, c := range sel {
 		op := strings.ToUpper(c.Op)
 		if op == "" {
 			op = "="
 		}
-		col := alias + "." + strings.ToLower(c.Attr)
+		val := "?"
 		if c.Param != "" {
-			wheres = append(wheres, fmt.Sprintf("%s %s ?", col, op))
 			inputs = append(inputs, descriptor.ParamDef{Name: c.Param, Wildcard: op == "LIKE"})
-			continue
+		} else {
+			lit, err := sqlLiteral(c.Value)
+			if err != nil {
+				return nil, fmt.Errorf("selector on %q: %w", c.Attr, err)
+			}
+			val = lit
 		}
-		lit, err := sqlLiteral(c.Value)
-		if err != nil {
-			return nil, nil, fmt.Errorf("selector on %q: %w", c.Attr, err)
-		}
-		wheres = append(wheres, fmt.Sprintf("%s %s %s", col, op, lit))
+		b.and(alias, ".", strings.ToLower(c.Attr), " ", op, " ", val)
 	}
-	return wheres, inputs, nil
+	return inputs, nil
 }
 
-// sqlLiteral renders a Go value as a SQL literal.
+// sqlLiteral renders a Go value as a SQL literal the rdb lexer reads
+// back as the same value.
 func sqlLiteral(v interface{}) (string, error) {
 	switch x := v.(type) {
 	case nil:
@@ -351,11 +348,15 @@ func sqlLiteral(v interface{}) (string, error) {
 	case string:
 		return "'" + strings.ReplaceAll(x, "'", "''") + "'", nil
 	case int:
-		return fmt.Sprintf("%d", x), nil
+		return strconv.Itoa(x), nil
 	case int64:
-		return fmt.Sprintf("%d", x), nil
+		return strconv.FormatInt(x, 10), nil
 	case float64:
-		return fmt.Sprintf("%g", x), nil
+		// Positional notation: the lexer has no exponent syntax.
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return "", fmt.Errorf("float literal %v has no SQL form", x)
+		}
+		return strconv.FormatFloat(x, 'f', -1, 64), nil
 	case bool:
 		if x {
 			return "TRUE", nil
@@ -367,17 +368,20 @@ func sqlLiteral(v interface{}) (string, error) {
 	return "", fmt.Errorf("unsupported literal type %T", v)
 }
 
-func orderSQL(order []webml.OrderKey, alias string) string {
+// orderSQL writes the ORDER BY clause of the keys, by OID when none.
+func orderSQL(b *textBuf, order []webml.OrderKey, alias string) {
+	b.put(" ORDER BY ")
 	if len(order) == 0 {
-		return ""
+		b.put(alias, ".oid")
 	}
-	terms := make([]string, len(order))
 	for i, o := range order {
-		dir := "ASC"
-		if o.Desc {
-			dir = "DESC"
+		if i > 0 {
+			b.put(", ")
 		}
-		terms[i] = fmt.Sprintf("%s.%s %s", alias, strings.ToLower(o.Attr), dir)
+		dir := " ASC"
+		if o.Desc {
+			dir = " DESC"
+		}
+		b.put(alias, ".", strings.ToLower(o.Attr), dir)
 	}
-	return strings.Join(terms, ", ")
 }

@@ -30,34 +30,30 @@ func KindForTag(tag string) (webml.UnitKind, bool) {
 // minimal HTML mark-up needed to define the layout grid of the page and
 // the position of the various units in such a grid". Presentation rules
 // (internal/style) later transform it into the final template.
+//
+// The markup is written as text, byte for byte what internal/dom would
+// serialize for the same tree: a model-to-text transformation has no use
+// for a tree it would only throw away.
 func (g *Generator) Skeleton(p *webml.Page) string {
-	root := dom.NewElement("html")
-	root.SetAttr("data-page", p.ID)
+	var b textBuf
+	b.Grow(128 + 80*len(p.Units))
+	b.put(`<html data-page="`, dom.EscapeAttr(p.ID))
 	if p.Layout != "" {
-		root.SetAttr("data-layout", p.Layout)
+		b.put(`" data-layout="`, dom.EscapeAttr(p.Layout))
 	}
-	head := dom.NewElement("head")
-	title := dom.NewElement("title")
-	title.AppendChild(dom.NewText(p.Name))
-	head.AppendChild(title)
-	root.AppendChild(head)
-
-	body := dom.NewElement("body")
-	grid := dom.NewElement("table")
-	grid.SetAttr("class", "page-grid")
+	b.put(`"><head><title>`, dom.EscapeText(p.Name), `</title></head><body><table class="page-grid"`)
+	if len(p.Units) == 0 {
+		b.put("/></body></html>")
+		return b.String()
+	}
+	b.put(">")
 	for _, u := range p.Units {
-		tr := dom.NewElement("tr")
-		td := dom.NewElement("td")
-		unitTag := dom.NewElement(TagForKind(u.Kind))
-		unitTag.SetAttr("id", u.ID)
+		b.put("<tr><td><webml:", string(u.Kind), `Unit id="`, dom.EscapeAttr(u.ID))
 		if u.Name != "" {
-			unitTag.SetAttr("data-name", u.Name)
+			b.put(`" data-name="`, dom.EscapeAttr(u.Name))
 		}
-		td.AppendChild(unitTag)
-		tr.AppendChild(td)
-		grid.AppendChild(tr)
+		b.put(`"/></td></tr>`)
 	}
-	body.AppendChild(grid)
-	root.AppendChild(body)
-	return root.String()
+	b.put("</table></body></html>")
+	return b.String()
 }

@@ -202,20 +202,39 @@ type Mapping struct {
 // Config is the Controller's configuration file. In WebRatio it "is
 // automatically generated from the topology of the hypertext in the WebML
 // diagram" (Section 7).
+//
+// A config is read-only once a Repository installs it: installing indexes
+// its mappings by action, and Mapping answers from that index.
 type Config struct {
 	XMLName  xml.Name  `xml:"controller"`
 	App      string    `xml:"app,attr,omitempty"`
 	Mappings []Mapping `xml:"mapping"`
+
+	byAction map[string]int // position of each action's first mapping
 }
 
-// Mapping returns the mapping for an action name, or nil.
+// Mapping returns the first mapping for an action name, or nil.
 func (c *Config) Mapping(action string) *Mapping {
-	for i := range c.Mappings {
+	if i, ok := c.byAction[action]; ok {
+		return &c.Mappings[i]
+	}
+	for i := 0; c.byAction == nil && i < len(c.Mappings); i++ {
 		if c.Mappings[i].Action == action {
 			return &c.Mappings[i]
 		}
 	}
 	return nil
+}
+
+// index builds the action index once; the first of duplicate actions
+// wins, as in a scan.
+func (c *Config) index() {
+	if c.byAction == nil {
+		c.byAction = make(map[string]int, len(c.Mappings))
+		for i := len(c.Mappings) - 1; i >= 0; i-- {
+			c.byAction[c.Mappings[i].Action] = i
+		}
+	}
 }
 
 // Marshal renders any descriptor value as indented XML.

@@ -196,6 +196,9 @@ func TestSaveLoadDir(t *testing.T) {
 	if back.Config().Mapping("page/p1") == nil {
 		t.Fatal("config lost")
 	}
+	if back.Config().byAction == nil {
+		t.Fatal("a loaded config is not indexed")
+	}
 	if back.OptimizedCount() != 1 {
 		t.Fatalf("optimized count = %d", back.OptimizedCount())
 	}
@@ -228,5 +231,36 @@ func TestUnitProps(t *testing.T) {
 	}
 	if _, ok := u.Prop("nope"); ok {
 		t.Fatal("ghost prop found")
+	}
+}
+
+// TestSetConfigHotSwap: an installed config answers lookups from its
+// index, with the first of two mappings for one action winning as in a
+// scan, and the next lookup after a SetConfig sees the new config.
+func TestSetConfigHotSwap(t *testing.T) {
+	r := NewRepository()
+	r.SetConfig(&Config{Mappings: []Mapping{
+		{Action: "page/a", Type: "page", Page: "a"},
+		{Action: "op/x", Type: "operation", OK: "page/a"},
+		{Action: "page/a", Type: "page", Page: "shadowed"},
+	}})
+	if r.Config().byAction == nil {
+		t.Fatal("SetConfig did not index the mappings")
+	}
+	if m := r.Config().Mapping("page/a"); m == nil || m.Page != "a" {
+		t.Fatalf("page/a = %+v, want the first mapping", m)
+	}
+	if m := r.Config().Mapping("op/x"); m == nil || m.OK != "page/a" {
+		t.Fatalf("op/x = %+v", m)
+	}
+	r.SetConfig(&Config{Mappings: []Mapping{{Action: "page/b", Type: "page", Page: "b"}}})
+	if m := r.Config().Mapping("page/a"); m != nil {
+		t.Fatalf("swapped-out mapping still found: %+v", m)
+	}
+	if m := r.Config().Mapping("page/b"); m == nil || m.Page != "b" {
+		t.Fatalf("page/b = %+v after the swap", m)
+	}
+	if (&Config{Mappings: []Mapping{{Action: "page/c"}}}).Mapping("page/c") == nil {
+		t.Fatal("a config never installed is not scanned")
 	}
 }

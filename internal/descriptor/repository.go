@@ -137,8 +137,10 @@ func (r *Repository) Pages() []*Page {
 	return out
 }
 
-// SetConfig installs the controller configuration.
+// SetConfig installs the controller configuration and indexes its
+// mappings; c must not change afterwards.
 func (r *Repository) SetConfig(c *Config) {
+	c.index()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.config = c
@@ -334,6 +336,7 @@ func LoadDir(dir string) (*Repository, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfgPath, err)
 		}
+		cfg.index()
 		r.config = cfg
 	} else if !os.IsNotExist(err) {
 		return nil, err

@@ -515,7 +515,7 @@ func (e *durableEngine) Apply(cs *ChangeSet) (func() error, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	rec := walRecord{seq: cs.Seq}
+	rec := walRecord{seq: cs.Seq, ops: make([]walOp, 0, len(cs.Ops))}
 	e.treeMu.Lock()
 	err := e.lowerOps(cs, &rec)
 	e.treeMu.Unlock()

@@ -236,7 +236,14 @@ type walRecord struct {
 
 // encodeWALRecord serializes a record: seq, op count, then ops.
 func encodeWALRecord(rec *walRecord) []byte {
-	b := make([]byte, 8, 64)
+	// Size the frame up front: a bulk load's one record would otherwise
+	// be copied on every doubling. 20 bytes cover an op's fixed part
+	// (kind, record id, two short length varints).
+	n := 8 + binary.MaxVarintLen64
+	for _, op := range rec.ops {
+		n += 20 + len(op.table) + len(op.sql) + len(op.rowData)
+	}
+	b := make([]byte, 8, n)
 	binary.LittleEndian.PutUint64(b, rec.seq)
 	b = appendUvarint(b, uint64(len(rec.ops)))
 	for _, op := range rec.ops {

@@ -164,14 +164,17 @@ func packLeaf(d []byte, cells [][]byte) {
 	setLeafFrag(d, 0)
 }
 
-// gatherCells copies every cell out of d in slot order.
+// gatherCells copies every cell out of d in slot order, into one arena:
+// the cells lie between cellTop and the page end, so it never grows.
 func gatherCells(d []byte) [][]byte {
 	n := leafN(d)
 	cells := make([][]byte, n)
+	arena := make([]byte, 0, max(0, PageSize-cellTop(d)))
 	for i := 0; i < n; i++ {
 		off := slotOff(d, i)
-		sz := cellSize(d, off)
-		cells[i] = append([]byte(nil), d[off:off+sz]...)
+		start := len(arena)
+		arena = append(arena, d[off:off+cellSize(d, off)]...)
+		cells[i] = arena[start:len(arena):len(arena)]
 	}
 	return cells
 }

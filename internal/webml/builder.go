@@ -1,7 +1,7 @@
 package webml
 
 import (
-	"fmt"
+	"strconv"
 
 	"webmlgo/internal/er"
 )
@@ -22,7 +22,8 @@ func NewBuilder(name string, data *er.Schema) *Builder {
 
 func (b *Builder) nextID(prefix string) string {
 	b.seq++
-	return fmt.Sprintf("%s%d", prefix, b.seq)
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(b.seq), 10))
 }
 
 // SiteViewBuilder scopes page construction to one site view.

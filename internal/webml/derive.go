@@ -17,31 +17,22 @@ func DeriveDefaultHypertext(name string, schema *er.Schema) (*Model, error) {
 	b := NewBuilder(name, schema)
 	sv := b.SiteView("main", "Default Site")
 
-	type pages struct{ browse, detail string }
-	byEntity := map[string]pages{}
-
 	// One browse + detail page per entity.
+	details := map[string]*PageBuilder{}
 	for _, e := range schema.Entities {
-		display := defaultDisplay(e)
-		browseID := "browse" + ident(e.Name)
-		detailID := "detail" + ident(e.Name)
-		byEntity[strings.ToLower(e.Name)] = pages{browse: browseID, detail: detailID}
+		browse := sv.Page("browse"+ident(e.Name), e.Name+" list").Landmark().Layout("one-column")
+		browse.Index("idx"+ident(e.Name), e.Name, defaultDisplay(e)...)
 
-		browse := sv.Page(browseID, e.Name+" list").Landmark().Layout("one-column")
-		browse.Index("idx"+ident(e.Name), e.Name, display...)
-
-		detail := sv.Page(detailID, e.Name).Layout("two-column")
+		detail := sv.Page("detail"+ident(e.Name), e.Name).Layout("two-column")
+		details[strings.ToLower(e.Name)] = detail
 		data := detail.Data("data"+ident(e.Name), e.Name, allDisplay(e)...)
 		data.Selector = []Condition{{Attr: "oid", Op: "=", Param: "id"}}
 	}
 
 	// Links: browse index -> detail page; detail data -> related indexes.
 	for _, e := range schema.Entities {
-		p := byEntity[strings.ToLower(e.Name)]
-		b.Link("idx"+ident(e.Name), p.detail, P("oid", "id"))
-
-		detailPage := b.model.PageByID(p.detail)
-		_ = detailPage
+		detail := details[strings.ToLower(e.Name)]
+		b.Link("idx"+ident(e.Name), detail.Ref(), P("oid", "id"))
 		for _, rel := range schema.Relationships {
 			var other string
 			switch {
@@ -59,29 +50,16 @@ func DeriveDefaultHypertext(name string, schema *er.Schema) (*Model, error) {
 			// A relationship-scoped index of the related entity inside
 			// this entity's detail page, fed by a transport link.
 			relIdxID := "rel" + ident(e.Name) + ident(rel.Name)
-			pb := &PageBuilder{b: b, p: mustPage(b.model, p.detail)}
-			relIdx := pb.Index(relIdxID, other, defaultDisplay(otherEnt)...)
+			relIdx := detail.Index(relIdxID, other, defaultDisplay(otherEnt)...)
 			relIdx.Relationship = rel.Name
 			b.Transport("data"+ident(e.Name), relIdxID, P("oid", "parent"))
 			// Each related instance links to its own detail page.
-			if op, ok := byEntity[strings.ToLower(other)]; ok {
-				b.Link(relIdxID, op.detail, P("oid", "id"))
+			if od, ok := details[strings.ToLower(other)]; ok {
+				b.Link(relIdxID, od.Ref(), P("oid", "id"))
 			}
 		}
 	}
 	return b.Build()
-}
-
-func mustPage(m *Model, id string) *Page {
-	// The builder maintains no index before Build; scan the site views.
-	for _, sv := range m.SiteViews {
-		for _, p := range sv.AllPages() {
-			if p.ID == id {
-				return p
-			}
-		}
-	}
-	panic("webml: derive: missing page " + id)
 }
 
 // defaultDisplay picks up to two leading attributes for list renditions.

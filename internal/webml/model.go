@@ -261,20 +261,30 @@ type SiteView struct {
 }
 
 // AllPages returns every page of the site view, including area pages.
-func (sv *SiteView) AllPages() []*Page {
-	var out []*Page
-	out = append(out, sv.Pages...)
-	var walk func(a *Area)
-	walk = func(a *Area) {
-		out = append(out, a.Pages...)
-		for _, sub := range a.Areas {
-			walk(sub)
+func (sv *SiteView) AllPages() []*Page { return allPages([]*SiteView{sv}) }
+
+// allPages lists the site views' pages in order, each site view's own
+// pages before its areas', areas depth first, in a slice of their size.
+func allPages(svs []*SiteView) []*Page {
+	each := func(f func([]*Page)) {
+		for _, sv := range svs {
+			f(sv.Pages)
+			eachArea(sv.Areas, func(a *Area) { f(a.Pages) })
 		}
 	}
-	for _, a := range sv.Areas {
-		walk(a)
-	}
+	n := 0
+	each(func(ps []*Page) { n += len(ps) })
+	out := make([]*Page, 0, n)
+	each(func(ps []*Page) { out = append(out, ps...) })
 	return out
+}
+
+// eachArea calls f on every area under areas, depth first.
+func eachArea(areas []*Area, f func(*Area)) {
+	for _, a := range areas {
+		f(a)
+		eachArea(a.Areas, f)
+	}
 }
 
 // Model is a complete WebML specification: the ER data model plus the
@@ -318,22 +328,16 @@ func (m *Model) Derive(build func() (any, error)) (any, error) {
 
 // buildIndex populates the ID lookup table; Validate calls it.
 func (m *Model) buildIndex() {
-	m.index = make(map[string]interface{}, len(m.Links)+len(m.Operations))
+	n := len(m.SiteViews) + len(m.AllPages()) + len(m.AllContentUnits()) + len(m.Operations) + len(m.Links)
+	m.index = make(map[string]interface{}, n)
 	for _, sv := range m.SiteViews {
 		m.index[sv.ID] = sv
 		// Area back-pointers (pages loaded from XML lack them).
-		var wireAreas func(a *Area)
-		wireAreas = func(a *Area) {
+		eachArea(sv.Areas, func(a *Area) {
 			for _, p := range a.Pages {
 				p.area = a
 			}
-			for _, sub := range a.Areas {
-				wireAreas(sub)
-			}
-		}
-		for _, a := range sv.Areas {
-			wireAreas(a)
-		}
+		})
 		for _, p := range sv.AllPages() {
 			m.index[p.ID] = p
 			p.siteView = sv
@@ -376,18 +380,17 @@ func (m *Model) UnitByID(id string) *Unit {
 }
 
 // AllPages returns every page in every site view.
-func (m *Model) AllPages() []*Page {
-	var out []*Page
-	for _, sv := range m.SiteViews {
-		out = append(out, sv.AllPages()...)
-	}
-	return out
-}
+func (m *Model) AllPages() []*Page { return allPages(m.SiteViews) }
 
 // AllContentUnits returns every content unit in every page.
 func (m *Model) AllContentUnits() []*Unit {
-	var out []*Unit
-	for _, p := range m.AllPages() {
+	pages := m.AllPages()
+	n := 0
+	for _, p := range pages {
+		n += len(p.Units)
+	}
+	out := make([]*Unit, 0, n)
+	for _, p := range pages {
 		out = append(out, p.Units...)
 	}
 	return out
