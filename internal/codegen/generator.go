@@ -6,9 +6,9 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"webmlgo/internal/descriptor"
@@ -136,15 +136,8 @@ func (g *Generator) generate() (*Artifacts, error) {
 	art.DDL = append(art.DDL, g.orderedIndexDDL()...)
 
 	// Unit descriptors.
-	for _, u := range g.Model.AllContentUnits() {
+	for _, u := range append(g.Model.AllContentUnits(), g.Model.Operations...) {
 		d, err := r.unitDescriptor(u)
-		if err != nil {
-			return nil, err
-		}
-		repo.PutUnit(d)
-	}
-	for _, op := range g.Model.Operations {
-		d, err := r.operationDescriptor(op)
 		if err != nil {
 			return nil, err
 		}
@@ -193,10 +186,9 @@ func (g *Generator) orderedIndexDDL() []string {
 		if entity == "" || attr == "" || strings.EqualFold(attr, "oid") {
 			return
 		}
-		k := key{g.Mapping.EntityTable(entity), strings.ToLower(attr)}
-		seen[k] = true
+		seen[key{g.Mapping.EntityTable(entity), strings.ToLower(attr)}] = true
 	}
-	collect := func(u *webml.Unit) {
+	for _, u := range g.Model.AllContentUnits() {
 		for _, o := range u.Order {
 			add(u.Entity, o.Attr)
 		}
@@ -222,19 +214,11 @@ func (g *Generator) orderedIndexDDL() []string {
 			ent = next
 		}
 	}
-	for _, u := range g.Model.AllContentUnits() {
-		collect(u)
-	}
 	keys := make([]key, 0, len(seen))
 	for k := range seen {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].table != keys[j].table {
-			return keys[i].table < keys[j].table
-		}
-		return keys[i].col < keys[j].col
-	})
+	slices.SortFunc(keys, func(a, b key) int { return cmp.Or(strings.Compare(a.table, b.table), strings.Compare(a.col, b.col)) })
 	out := make([]string, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, fmt.Sprintf("CREATE ORDERED INDEX ord_%s_%s ON %s(%s)", k.table, k.col, k.table, k.col))
@@ -242,15 +226,17 @@ func (g *Generator) orderedIndexDDL() []string {
 	return out
 }
 
+// unitDescriptor builds the descriptor of a content unit or an operation.
 func (r *run) unitDescriptor(u *webml.Unit) (*descriptor.Unit, error) {
 	d := &descriptor.Unit{ID: u.ID, Kind: string(u.Kind), Entity: u.Entity}
-	if u.Cache != nil && u.Cache.Enabled {
+	if u.Cache != nil && u.Cache.Enabled && !u.Kind.IsOperation() {
 		d.Cache = &descriptor.CachePolicy{Enabled: true, TTLSeconds: u.Cache.TTLSeconds}
 	}
 	for _, k := range sortedSet(u.Props) { // sorted: the same descriptor every run
 		d.Props = append(d.Props, descriptor.Prop{Name: k, Value: u.Props[k]})
 	}
 	if _, isPlugin := webml.LookupPlugin(u.Kind); isPlugin {
+		// Plug-ins carry their own props; no SQL is generated.
 		return d, nil
 	}
 	switch u.Kind {
@@ -261,26 +247,14 @@ func (r *run) unitDescriptor(u *webml.Unit) (*descriptor.Unit, error) {
 			})
 		}
 		return d, nil
-	default:
-		if err := r.buildContentQuery(u, d); err != nil {
-			return nil, err
-		}
-		return d, nil
+	case webml.CreateUnit, webml.ModifyUnit:
+		return d, r.buildWrite(u, d)
+	case webml.DeleteUnit:
+		return d, r.buildDelete(u, d)
+	case webml.ConnectUnit, webml.DisconnectUnit:
+		return d, r.buildConnect(u, d)
 	}
-}
-
-func (r *run) operationDescriptor(op *webml.Unit) (*descriptor.Unit, error) {
-	d := &descriptor.Unit{ID: op.ID, Kind: string(op.Kind), Entity: op.Entity}
-	for _, k := range sortedSet(op.Props) {
-		d.Props = append(d.Props, descriptor.Prop{Name: k, Value: op.Props[k]})
-	}
-	if _, isPlugin := webml.LookupPlugin(op.Kind); isPlugin {
-		return d, nil
-	}
-	if err := r.buildOperationQuery(op, d); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d, r.buildContentQuery(u, d)
 }
 
 func (r *run) pageDescriptor(sv *webml.SiteView, p *webml.Page) *descriptor.Page {
@@ -299,17 +273,16 @@ func (r *run) pageDescriptor(sv *webml.SiteView, p *webml.Page) *descriptor.Page
 	// number of links (the quadratic trap at 556+ pages).
 	for _, u := range p.Units {
 		for _, l := range r.Model.LinksFrom(u.ID) {
-			if (l.Kind == webml.TransportLink || l.Kind == webml.AutomaticLink) && inPage[l.To] {
+			switch {
+			case (l.Kind == webml.TransportLink || l.Kind == webml.AutomaticLink) && inPage[l.To]:
 				e := descriptor.Edge{From: l.From, To: l.To}
 				for _, pm := range l.Params {
 					e.Params = append(e.Params, descriptor.EdgeParam{Source: pm.Source, Target: pm.Target})
 				}
 				pd.Edges = append(pd.Edges, e)
-				continue
-			}
-			// Normal links from this page's units become anchors the View
-			// renders; their targets resolve to Controller actions.
-			if l.Kind == webml.NormalLink {
+			case l.Kind == webml.NormalLink:
+				// Normal links from this page's units become anchors the
+				// View renders; their targets resolve to Controller actions.
 				action, err := r.linkTargetAction(l)
 				if err != nil {
 					continue
@@ -361,11 +334,9 @@ func (r *run) controllerConfig() (*descriptor.Config, error) {
 			}
 			switch l.Kind {
 			case webml.OKLink:
-				m.OK = target
-				m.OKParams = fwd
+				m.OK, m.OKParams = target, fwd
 			case webml.KOLink:
-				m.KO = target
-				m.KOParams = fwd
+				m.KO, m.KOParams = target, fwd
 			}
 		}
 		if m.KO == "" {
@@ -408,9 +379,7 @@ func (g *Generator) stats(repo *descriptor.Repository) Stats {
 		GenericPageServices:     1,
 		GenericUnitServices:     ms.UnitKinds,
 	}
-	units, pages, _ := repo.Counts()
-	st.UnitDescriptors = units
-	st.PageDescriptors = pages
+	st.UnitDescriptors, st.PageDescriptors, _ = repo.Counts()
 	st.Mappings = len(repo.Config().Mappings)
 	for _, u := range repo.Units() {
 		if u.Query != "" {

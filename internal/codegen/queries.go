@@ -35,12 +35,12 @@ func (b *textBuf) put(parts ...string) {
 
 // and starts the next WHERE conjunct.
 func (b *textBuf) and(parts ...string) {
+	sep := " AND "
 	if b.conjuncts == 0 {
-		b.WriteString(" WHERE ")
-	} else {
-		b.WriteString(" AND ")
+		sep = " WHERE "
 	}
 	b.conjuncts++
+	b.WriteString(sep)
 	b.put(parts...)
 }
 
@@ -103,16 +103,14 @@ func (r *run) buildContentQuery(u *webml.Unit, d *descriptor.Unit) error {
 		orderSQL(&b, u.Order, "t")
 	}
 
-	switch u.Kind {
-	case webml.ScrollerUnit:
+	d.Inputs = inputs
+	if u.Kind == webml.ScrollerUnit {
 		d.PageSize = u.PageSize
 		d.CountQuery = "SELECT COUNT(*) FROM " + fromWhere
 		b.put(" LIMIT ", strconv.Itoa(u.PageSize), " OFFSET ?")
 		// The count query shares the leading inputs; the windowed query
 		// additionally consumes "offset" last.
 		d.Inputs = append(inputs, descriptor.ParamDef{Name: "offset"})
-	default:
-		d.Inputs = inputs
 	}
 	d.Query = b.String()
 
@@ -175,20 +173,6 @@ func (r *run) buildLevel(parent *er.Entity, n *webml.Nesting) (descriptor.Level,
 		Outputs: outs,
 		Dep:     r.relDep(rel.Name),
 	}, child, nil
-}
-
-// buildOperationQuery synthesizes the SQL of an operation unit.
-func (r *run) buildOperationQuery(op *webml.Unit, d *descriptor.Unit) error {
-	switch op.Kind {
-	case webml.CreateUnit, webml.ModifyUnit:
-		return r.buildWrite(op, d)
-	case webml.DeleteUnit:
-		return r.buildDelete(op, d)
-	case webml.ConnectUnit, webml.DisconnectUnit:
-		return r.buildConnect(op, d)
-	}
-	// Plug-in operations carry their own props; no SQL is generated.
-	return nil
 }
 
 // sortedSet returns the Set map's attribute names sorted, so generated
@@ -370,18 +354,16 @@ func sqlLiteral(v interface{}) (string, error) {
 
 // orderSQL writes the ORDER BY clause of the keys, by OID when none.
 func orderSQL(b *textBuf, order []webml.OrderKey, alias string) {
-	b.put(" ORDER BY ")
 	if len(order) == 0 {
-		b.put(alias, ".oid")
+		b.put(" ORDER BY ", alias, ".oid")
 	}
-	for i, o := range order {
-		if i > 0 {
-			b.put(", ")
-		}
+	sep := " ORDER BY "
+	for _, o := range order {
 		dir := " ASC"
 		if o.Desc {
 			dir = " DESC"
 		}
-		b.put(alias, ".", strings.ToLower(o.Attr), dir)
+		b.put(sep, alias, ".", strings.ToLower(o.Attr), dir)
+		sep = ", "
 	}
 }

@@ -7,19 +7,21 @@ import (
 	"webmlgo/internal/webml"
 )
 
+// A unit's custom tag is tagPrefix + kind + tagSuffix; TagForKind,
+// KindForTag and Skeleton share the two halves.
+const tagPrefix, tagSuffix = "webml:", "Unit"
+
 // TagForKind returns the custom tag name rendering a unit kind in the
 // View ("<webml:dataUnit>" and friends, Figure 7).
 func TagForKind(kind webml.UnitKind) string {
-	return "webml:" + string(kind) + "Unit"
+	return tagPrefix + string(kind) + tagSuffix
 }
 
 // KindForTag is the inverse of TagForKind; ok is false for non-unit tags.
 func KindForTag(tag string) (webml.UnitKind, bool) {
-	if !strings.HasPrefix(tag, "webml:") || !strings.HasSuffix(tag, "Unit") {
-		return "", false
-	}
-	k := strings.TrimSuffix(strings.TrimPrefix(tag, "webml:"), "Unit")
-	if k == "" {
+	k, hasPrefix := strings.CutPrefix(tag, tagPrefix)
+	k, hasSuffix := strings.CutSuffix(k, tagSuffix)
+	if !hasPrefix || !hasSuffix || k == "" {
 		return "", false
 	}
 	return webml.UnitKind(k), true
@@ -48,7 +50,7 @@ func (g *Generator) Skeleton(p *webml.Page) string {
 	}
 	b.put(">")
 	for _, u := range p.Units {
-		b.put("<tr><td><webml:", string(u.Kind), `Unit id="`, dom.EscapeAttr(u.ID))
+		b.put("<tr><td><"+tagPrefix, string(u.Kind), tagSuffix+` id="`, dom.EscapeAttr(u.ID))
 		if u.Name != "" {
 			b.put(`" data-name="`, dom.EscapeAttr(u.Name))
 		}

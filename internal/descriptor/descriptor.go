@@ -203,8 +203,8 @@ type Mapping struct {
 // automatically generated from the topology of the hypertext in the WebML
 // diagram" (Section 7).
 //
-// A config is read-only once a Repository installs it: installing indexes
-// its mappings by action, and Mapping answers from that index.
+// A config is read-only once it is parsed or a Repository installs it:
+// both index its mappings by action, and Mapping answers from that index.
 type Config struct {
 	XMLName  xml.Name  `xml:"controller"`
 	App      string    `xml:"app,attr,omitempty"`
@@ -218,16 +218,11 @@ func (c *Config) Mapping(action string) *Mapping {
 	if i, ok := c.byAction[action]; ok {
 		return &c.Mappings[i]
 	}
-	for i := 0; c.byAction == nil && i < len(c.Mappings); i++ {
-		if c.Mappings[i].Action == action {
-			return &c.Mappings[i]
-		}
-	}
 	return nil
 }
 
 // index builds the action index once; the first of duplicate actions
-// wins, as in a scan.
+// wins.
 func (c *Config) index() {
 	if c.byAction == nil {
 		c.byAction = make(map[string]int, len(c.Mappings))
@@ -276,6 +271,7 @@ func UnmarshalConfig(data []byte) (*Config, error) {
 	if err := xml.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("descriptor: config: %w", err)
 	}
+	c.index()
 	return &c, nil
 }
 

@@ -336,7 +336,6 @@ func LoadDir(dir string) (*Repository, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfgPath, err)
 		}
-		cfg.index()
 		r.config = cfg
 	} else if !os.IsNotExist(err) {
 		return nil, err

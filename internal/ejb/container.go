@@ -55,9 +55,10 @@ type Container struct {
 	framesOut   atomic.Int64
 	frameActive atomic.Int64
 
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
+	ln        net.Listener
+	healthSrv *http.Server
+	conns     map[net.Conn]struct{}
+	wg        sync.WaitGroup
 }
 
 // NewContainer wraps a business tier with the given initial capacity
@@ -512,11 +513,35 @@ func (c *Container) MetricsRegistry() *obs.Registry {
 	return reg
 }
 
+// ServeHealth starts an HTTP listener for the container's /healthz and
+// /metrics on addr and returns the bound address. It stops when the
+// container closes.
+func (c *Container) ServeHealth(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/healthz", c.HealthHandler())
+	mux.Handle("/metrics", c.MetricsRegistry())
+	srv := &http.Server{Handler: mux}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		srv.Serve(ln) //nolint:errcheck // exits on listener close
+	}()
+	c.mu.Lock()
+	c.healthSrv = srv
+	c.mu.Unlock()
+	return ln.Addr().String(), nil
+}
+
 // Close stops accepting connections, severs open ones, and unblocks
 // waiting invocations.
 func (c *Container) Close() error {
 	c.mu.Lock()
 	c.closed = true
+	healthSrv := c.healthSrv
 	conns := make([]net.Conn, 0, len(c.conns))
 	for cn := range c.conns {
 		conns = append(conns, cn)
@@ -529,6 +554,9 @@ func (c *Container) Close() error {
 	}
 	for _, cn := range conns {
 		cn.Close() //nolint:errcheck // shutdown path
+	}
+	if healthSrv != nil {
+		healthSrv.Close() //nolint:errcheck // shutdown path
 	}
 	c.wg.Wait()
 	return err

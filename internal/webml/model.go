@@ -263,20 +263,32 @@ type SiteView struct {
 // AllPages returns every page of the site view, including area pages.
 func (sv *SiteView) AllPages() []*Page { return allPages([]*SiteView{sv}) }
 
-// allPages lists the site views' pages in order, each site view's own
-// pages before its areas', areas depth first, in a slice of their size.
+// allPages lists the site views' pages in AllPages order, in a slice of
+// their size.
 func allPages(svs []*SiteView) []*Page {
-	each := func(f func([]*Page)) {
-		for _, sv := range svs {
-			f(sv.Pages)
-			eachArea(sv.Areas, func(a *Area) { f(a.Pages) })
-		}
-	}
 	n := 0
-	each(func(ps []*Page) { n += len(ps) })
+	for _, sv := range svs {
+		sv.eachPage(func(*Page, *Area) { n++ })
+	}
 	out := make([]*Page, 0, n)
-	each(func(ps []*Page) { out = append(out, ps...) })
+	for _, sv := range svs {
+		sv.eachPage(func(p *Page, _ *Area) { out = append(out, p) })
+	}
 	return out
+}
+
+// eachPage calls f on every page of the site view with the area holding
+// it (nil for the site view's own pages): its own pages first, then its
+// areas', depth first.
+func (sv *SiteView) eachPage(f func(*Page, *Area)) {
+	for _, p := range sv.Pages {
+		f(p, nil)
+	}
+	eachArea(sv.Areas, func(a *Area) {
+		for _, p := range a.Pages {
+			f(p, a)
+		}
+	})
 }
 
 // eachArea calls f on every area under areas, depth first.
@@ -328,24 +340,22 @@ func (m *Model) Derive(build func() (any, error)) (any, error) {
 
 // buildIndex populates the ID lookup table; Validate calls it.
 func (m *Model) buildIndex() {
-	n := len(m.SiteViews) + len(m.AllPages()) + len(m.AllContentUnits()) + len(m.Operations) + len(m.Links)
+	n := len(m.SiteViews) + len(m.Operations) + len(m.Links)
+	for _, sv := range m.SiteViews {
+		sv.eachPage(func(p *Page, _ *Area) { n += 1 + len(p.Units) })
+	}
 	m.index = make(map[string]interface{}, n)
 	for _, sv := range m.SiteViews {
 		m.index[sv.ID] = sv
-		// Area back-pointers (pages loaded from XML lack them).
-		eachArea(sv.Areas, func(a *Area) {
-			for _, p := range a.Pages {
-				p.area = a
-			}
-		})
-		for _, p := range sv.AllPages() {
+		// Back-pointers (pages loaded from XML lack them).
+		sv.eachPage(func(p *Page, a *Area) {
 			m.index[p.ID] = p
-			p.siteView = sv
+			p.siteView, p.area = sv, a
 			for _, u := range p.Units {
 				m.index[u.ID] = u
 				u.page = p
 			}
-		}
+		})
 	}
 	for _, op := range m.Operations {
 		m.index[op.ID] = op

@@ -2,6 +2,7 @@ package webml
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -63,4 +64,16 @@ func UnregisterPlugin(kind UnitKind) {
 	pluginMu.Lock()
 	defer pluginMu.Unlock()
 	delete(plugins, kind)
+}
+
+// RegisteredPlugins returns the registered plug-in kinds, sorted.
+func RegisteredPlugins() []PluginSpec {
+	pluginMu.RLock()
+	defer pluginMu.RUnlock()
+	out := make([]PluginSpec, 0, len(plugins))
+	for _, sp := range plugins {
+		out = append(out, sp)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
+	return out
 }
