@@ -14,11 +14,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"webmlgo/internal/codegen"
 	"webmlgo/internal/fixture"
+	"webmlgo/internal/rdb"
 	"webmlgo/internal/webml"
 	"webmlgo/internal/workload"
 )
@@ -146,5 +149,66 @@ func TestGoldenPageBytes(t *testing.T) {
 	}
 	if checked != len(want) {
 		t.Errorf("checked %d pages, golden file holds %d", checked, len(want))
+	}
+}
+
+// goldenPlans is the SHA-256 of the EXPLAIN text of every distinct query
+// and operation statement in the Acer-Euro artifacts, planned over the
+// database the benchmark populates (200 rows per entity, seed 7). A change
+// to the engine's planner or indexes must leave every plan the benchmark
+// runs where it was. INSERT has no EXPLAIN; its error text is hashed.
+const goldenPlans = "3a13a6590cae4e57b6147ed8f4d72e696dc8ae0c23aff8d4de7382454e6f8f48"
+
+func TestGeneratedPlansGolden(t *testing.T) {
+	m, err := workload.Generate(workload.AcerEuro())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := codegen.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := rdb.OpenDurableOpts(t.TempDir(), rdb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, stmt := range art.DDL {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := workload.Populate(db, 200, 7); err != nil {
+		t.Fatal(err)
+	}
+	var sqls []string
+	for _, u := range art.Repo.Units() {
+		sqls = append(sqls, u.Query, u.CountQuery)
+		for _, l := range u.Levels {
+			sqls = append(sqls, l.Query)
+		}
+	}
+	slices.Sort(sqls)
+	sqls = slices.Compact(sqls)
+	h := sha256.New()
+	explained := 0
+	for _, sql := range sqls {
+		if sql == "" {
+			continue
+		}
+		plan, err := db.Explain(sql)
+		if err != nil {
+			plan = err.Error()
+		} else {
+			explained++
+		}
+		fmt.Fprintf(h, "%s\n%s\n\n", sql, plan)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenPlans {
+		t.Fatalf("plan hash over %d statements (%d explained) = %s, want %s", len(sqls), explained, got, goldenPlans)
 	}
 }

@@ -141,6 +141,3 @@ func (c *BeanCache) Len() int { return c.s.len() }
 
 // Stats returns a snapshot of the cache counters.
 func (c *BeanCache) Stats() Stats { return c.s.statsCopy() }
-
-// Shards reports how many shards back the cache.
-func (c *BeanCache) Shards() int { return c.s.shardCountOf() }

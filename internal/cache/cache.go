@@ -34,15 +34,6 @@ type Stats struct {
 	DegradedHits int64
 }
 
-// HitRatio returns hits / (hits + misses), or 0 for an unused cache.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type entry struct {
 	key     string
 	val     interface{}
@@ -284,7 +275,3 @@ func (s *store) statsCopy() Stats {
 	}
 	return out
 }
-
-// shardCountOf reports how many shards back this store (for tests and
-// stats endpoints).
-func (s *store) shardCountOf() int { return len(s.shards) }

@@ -55,10 +55,10 @@ func TestShardCountPolicy(t *testing.T) {
 			t.Errorf("shardCount(%d) = %d, want %d", tc.capacity, got, tc.want)
 		}
 	}
-	if got := NewBeanCache(4096).Shards(); got != 16 {
+	if got := len(NewBeanCache(4096).s.shards); got != 16 {
 		t.Errorf("BeanCache(4096) shards = %d", got)
 	}
-	if got := NewBeanCache(16).Shards(); got != 1 {
+	if got := len(NewBeanCache(16).s.shards); got != 1 {
 		t.Errorf("BeanCache(16) shards = %d", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestShardedCapacitySumsExact(t *testing.T) {
 // exact aggregate counts.
 func TestShardedInvalidateCrossesShards(t *testing.T) {
 	c := NewBeanCache(2048)
-	if c.Shards() < 2 {
+	if len(c.s.shards) < 2 {
 		t.Fatal("test needs a sharded cache")
 	}
 	const n = 500

@@ -112,17 +112,6 @@ func ParseESI(body []byte) []Segment {
 	return segs
 }
 
-// HasIncludes reports whether any segment is an include (a body without
-// includes needs no assembly pass).
-func HasIncludes(segs []Segment) bool {
-	for _, s := range segs {
-		if s.Src != "" {
-			return true
-		}
-	}
-	return false
-}
-
 func appendLiteral(segs []Segment, lit []byte) []Segment {
 	if len(lit) == 0 {
 		return segs

@@ -61,15 +61,6 @@ func TestParseESI(t *testing.T) {
 	}
 }
 
-func TestHasIncludes(t *testing.T) {
-	if HasIncludes(ParseESI([]byte("plain"))) {
-		t.Fatal("plain body reported includes")
-	}
-	if !HasIncludes(ParseESI([]byte(`<esi:include src="/f"/>`))) {
-		t.Fatal("include not reported")
-	}
-}
-
 // FuzzESI: the parser never panics, and any input without an ESI marker
 // round-trips as a single literal run equal to the input.
 func FuzzESI(f *testing.F) {

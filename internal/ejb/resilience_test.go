@@ -442,10 +442,10 @@ func TestContainerSurvivesPanickingComponent(t *testing.T) {
 	seedClient.Close()
 
 	biz := mvc.NewLocalBusiness(db)
-	biz.RegisterCustomComponent("explosive", mvc.UnitServiceFunc(
+	biz.Custom["explosive"] = mvc.UnitServiceFunc(
 		func(_ context.Context, _ *rdb.DB, _ *descriptor.Unit, _ map[string]mvc.Value) (*mvc.UnitBean, error) {
 			panic("kaboom")
-		}))
+		})
 	ctr := NewContainer(biz, 4)
 	addr, err := ctr.Serve("127.0.0.1:0")
 	if err != nil {

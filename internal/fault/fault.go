@@ -236,11 +236,6 @@ type Listener struct {
 	In *Injector
 }
 
-// WrapListener decorates ln with connection drops from in.
-func WrapListener(ln net.Listener, in *Injector) *Listener {
-	return &Listener{Listener: ln, In: in}
-}
-
 // Accept implements net.Listener.
 func (l *Listener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()

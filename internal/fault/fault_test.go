@@ -93,7 +93,7 @@ func TestConnectionDrop(t *testing.T) {
 	}
 	defer ln.Close()
 	in := New(Schedule{Seed: 1, DropProb: 1})
-	fl := WrapListener(ln, in)
+	fl := &Listener{Listener: ln, In: in}
 	go func() {
 		for {
 			c, err := fl.Accept()

@@ -62,24 +62,6 @@ func (b *LocalBusiness) RegisterUnitService(kind string, s UnitService) {
 	b.Units[kind] = s
 }
 
-// RegisterOperationService installs the generic service for an operation
-// kind.
-func (b *LocalBusiness) RegisterOperationService(kind string, s OperationService) {
-	b.Operations[kind] = s
-}
-
-// RegisterCustomComponent installs a named user-supplied unit service
-// referenced by descriptor Service attributes.
-func (b *LocalBusiness) RegisterCustomComponent(name string, s UnitService) {
-	b.Custom[name] = s
-}
-
-// RegisterCustomOperation installs a named user-supplied operation
-// service.
-func (b *LocalBusiness) RegisterCustomOperation(name string, s OperationService) {
-	b.CustomOps[name] = s
-}
-
 // ComputeUnit implements Business. Unit services run against the
 // in-process database and do not block, so the context is only checked
 // at entry: a request past its deadline stops before touching the DB.

@@ -31,14 +31,6 @@ func (s ActionStats) Mean() time.Duration {
 	return s.Total / time.Duration(s.Count)
 }
 
-// ErrorRate returns the fraction of requests that answered status >= 400.
-func (s ActionStats) ErrorRate() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Errors) / float64(s.Count)
-}
-
 // metrics is the live per-action accumulator: one lock-free histogram
 // per action, shared with the /metrics exposition.
 type metrics struct {

@@ -402,14 +402,14 @@ func TestCustomComponentOverride(t *testing.T) {
 	}
 	lb := mvc.NewLocalBusiness(db)
 	called := false
-	lb.RegisterCustomComponent("tuned.VolumeData", mvc.UnitServiceFunc(
+	lb.Custom["tuned.VolumeData"] = mvc.UnitServiceFunc(
 		func(_ context.Context, _ *rdb.DB, d *descriptor.Unit, _ map[string]mvc.Value) (*mvc.UnitBean, error) {
 			called = true
 			return &mvc.UnitBean{
 				UnitID: d.ID, Kind: d.Kind, Fields: []string{"Title"},
 				Nodes: []mvc.Node{{Values: mvc.MustCells("optimized!")}},
 			}, nil
-		}))
+		})
 	ctl := mvc.NewController(art.Repo, lb, render.NewEngine(art.Repo))
 	rr, body := get(t, ctl, "/page/volumePage?volume=1", nil)
 	if rr.Code != http.StatusOK {
@@ -496,10 +496,10 @@ func TestPanickingCustomComponentBecomes500(t *testing.T) {
 		t.Fatal(err)
 	}
 	lb := mvc.NewLocalBusiness(db)
-	lb.RegisterCustomComponent("buggy", mvc.UnitServiceFunc(
+	lb.Custom["buggy"] = mvc.UnitServiceFunc(
 		func(_ context.Context, _ *rdb.DB, _ *descriptor.Unit, _ map[string]mvc.Value) (*mvc.UnitBean, error) {
 			panic("component bug")
-		}))
+		})
 	ctl := mvc.NewController(art.Repo, lb, render.NewEngine(art.Repo))
 	rr, body := get(t, ctl, "/page/volumePage?volume=1", nil)
 	if rr.Code != http.StatusInternalServerError {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,11 +179,45 @@ func TestSessionSweep(t *testing.T) {
 		t.Fatalf("sessions = %d", m.Len())
 	}
 	base = base.Add(45 * time.Second) // s1 now idle 75s, s2 idle 45s
-	if n := m.Sweep(); n != 1 {
-		t.Fatalf("swept %d", n)
-	}
+	m.mu.Lock()
+	m.sweep()
+	m.mu.Unlock()
 	if m.Len() != 1 {
 		t.Fatalf("sessions after sweep = %d", m.Len())
+	}
+}
+
+// TestSessionSweepOnResolve: sessions whose cookies never come back are
+// dropped once registrations double the live count, with no sweeper
+// goroutine — 1,000 expired and 1,000 live cookie-less sessions leave the
+// 1,000 live ones, and registrations from several goroutines at once
+// sweep under the same lock.
+func TestSessionSweepOnResolve(t *testing.T) {
+	m := NewSessionManager(time.Minute)
+	base := time.Unix(1000, 0)
+	m.now = func() time.Time { return base }
+	for i := 0; i < 2000; i++ {
+		if i == 1000 {
+			base = base.Add(2 * time.Minute)
+		}
+		m.Resolve(nil, newGetRequest("/"))
+	}
+	if m.Len() != 1000 {
+		t.Fatalf("sessions = %d, want the 1000 live ones", m.Len())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				m.Resolve(nil, newGetRequest("/"))
+			}
+		}()
+	}
+	wg.Wait()
+	if m.Len() != 2000 {
+		t.Fatalf("sessions = %d after 1000 concurrent registrations, want 2000 live", m.Len())
 	}
 }
 

@@ -55,10 +55,14 @@ const (
 	sessionUserKey = "user"
 )
 
-// SessionManager issues and resolves cookie-bound sessions.
+// SessionManager issues and resolves cookie-bound sessions. Idle
+// sessions are dropped when their cookie comes back, and by a sweep each
+// time registrations have doubled the live count since the last one, so
+// sessions whose cookies never return cannot pile up.
 type SessionManager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
+	swept    int // live sessions the last sweep left
 	ttl      time.Duration
 	now      func() time.Time
 }
@@ -89,6 +93,9 @@ func (m *SessionManager) Resolve(w http.ResponseWriter, r *http.Request) *Sessio
 	s := &Session{ID: newSessionID(), values: make(map[string]interface{}), touched: m.now()}
 	m.mu.Lock()
 	m.sessions[s.ID] = s
+	if len(m.sessions) > 2*m.swept {
+		m.sweep()
+	}
 	m.mu.Unlock()
 	if w != nil {
 		http.SetCookie(w, &http.Cookie{Name: sessionCookie, Value: s.ID, Path: "/", HttpOnly: true})
@@ -111,19 +118,15 @@ func (m *SessionManager) Len() int {
 	return len(m.sessions)
 }
 
-// Sweep drops idle sessions and returns how many were removed.
-func (m *SessionManager) Sweep() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
+// sweep drops idle sessions. The caller holds m.mu.
+func (m *SessionManager) sweep() {
 	cutoff := m.now().Add(-m.ttl)
 	for id, s := range m.sessions {
 		if s.touched.Before(cutoff) {
 			delete(m.sessions, id)
-			n++
 		}
 	}
-	return n
+	m.swept = len(m.sessions)
 }
 
 func newSessionID() string {

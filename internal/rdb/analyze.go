@@ -53,13 +53,14 @@ func (a *accessPath) pathLabel() string {
 		return "unique"
 	case accessHash:
 		return "hash"
-	case accessRange:
-		if a.orderWalk {
-			return "ordered"
-		}
-		return "range"
 	case accessComposite:
-		return "composite"
+		switch {
+		case len(a.comp.cols) > 1:
+			return "composite"
+		case a.rangeCol != "":
+			return "range"
+		}
+		return "ordered"
 	case accessSnapPK:
 		return "snap-pk"
 	}
@@ -95,20 +96,20 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats, args []cell.Cell)
 		}
 	case accessCount:
 		fmt.Fprintf(&b, "CARDINALITY OF %s (%d rows, none read)", p.baseTable, p.base.alive)
-	case accessRange:
-		if a.orderWalk {
-			fmt.Fprintf(&b, "ACCESS %s BY ORDERED INDEX ON %s (%s)", p.baseTable, a.col, p.walkEstimate(args))
-		} else {
-			fmt.Fprintf(&b, "ACCESS %s BY RANGE ON %s (est %.0f rows)", p.baseTable, a.col, a.est)
-		}
-		if es != nil {
-			fmt.Fprintf(&b, " (actual %d rows, %d probes, %s)", es.base.rowsOut, es.base.probes, fmtOpTime(es.base.elapsed))
-		}
 	case accessComposite:
-		fmt.Fprintf(&b, "ACCESS %s BY COMPOSITE INDEX %s (%s) eq prefix %d",
-			p.baseTable, a.comp.name, strings.Join(a.comp.colNames, ", "), len(a.eq))
-		if a.rangeCol != "" {
-			fmt.Fprintf(&b, ", range on %s", a.rangeCol)
+		// A one-column sorted index — an ORDERED index or the primary
+		// key's order — is named by its column.
+		switch {
+		case len(a.comp.cols) > 1:
+			fmt.Fprintf(&b, "ACCESS %s BY COMPOSITE INDEX %s (%s) eq prefix %d",
+				p.baseTable, a.comp.name, strings.Join(a.comp.colNames, ", "), len(a.eq))
+			if a.rangeCol != "" {
+				fmt.Fprintf(&b, ", range on %s", a.rangeCol)
+			}
+		case a.rangeCol != "":
+			fmt.Fprintf(&b, "ACCESS %s BY RANGE ON %s", p.baseTable, a.rangeCol)
+		default:
+			fmt.Fprintf(&b, "ACCESS %s BY ORDERED INDEX ON %s", p.baseTable, a.comp.colNames[0])
 		}
 		fmt.Fprintf(&b, " (%s)", p.walkEstimate(args))
 		if es != nil {

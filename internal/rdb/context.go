@@ -144,62 +144,6 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Row
 	return rows, err
 }
 
-// ExecContext is Exec plus data-tier observability: the in-lock commit
-// (statement execution, WAL append, any checkpoint) becomes an
-// "rdb.exec" span labeled with the op count and the engine's append/
-// checkpoint timings, and the post-lock durability wait (group-commit
-// fsync) becomes an "rdb.wal.sync" span. Untraced calls delegate to
-// Exec.
-func (db *DB) ExecContext(ctx context.Context, sql string, args ...Value) (Result, error) {
-	h := db.hooks.Load()
-	var fin SpanFinish
-	if h != nil && h.Span != nil {
-		fin = h.Span(ctx, "rdb.exec")
-	}
-	if fin == nil {
-		return db.Exec(sql, args...)
-	}
-	st, err := db.prepare(sql)
-	if err != nil {
-		fin(err)
-		return Result{}, err
-	}
-	cargs, err := coerceArgs(st, args)
-	if err != nil {
-		fin(err)
-		return Result{}, err
-	}
-	cs := &ChangeSet{}
-	db.mu.Lock()
-	res, execErr := db.execLocked(sql, st, cargs, nil, cs)
-	wait, applyErr := db.applyLocked(cs)
-	db.mu.Unlock()
-	spanErr := execErr
-	if spanErr == nil {
-		spanErr = applyErr
-	}
-	fin(spanErr,
-		"sql", truncateSQL(sql),
-		"ops", strconv.Itoa(len(cs.Ops)),
-		"wal_append", cs.WALAppend.String(),
-		"checkpoint", cs.Checkpoint.String())
-	var waitErr error
-	if wait != nil {
-		finSync := h.Span(ctx, "rdb.wal.sync")
-		waitErr = wait()
-		if finSync != nil {
-			finSync(waitErr)
-		}
-	}
-	if execErr != nil {
-		return res, execErr
-	}
-	if applyErr != nil {
-		return res, applyErr
-	}
-	return res, waitErr
-}
-
 // boxAll boxes cells for a record that leaves the engine.
 func boxAll(cs []cell.Cell) []Value {
 	out := make([]Value, len(cs))

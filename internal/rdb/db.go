@@ -493,29 +493,24 @@ func (db *DB) execCreateIndex(st *CreateIndexStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("rdb: no such table %q", st.Table)
 	}
-	// A multi-column index is one composite sorted index over the column
-	// list; a single-column one keeps the seed's hash / ordered forms.
-	if len(st.Columns) > 1 {
+	// A one-column CREATE INDEX is a hash index; any other is one sorted
+	// index over the column list. A one-column ORDERED index is unnamed:
+	// catalogs and dumps list it by its column.
+	var err error
+	switch {
+	case len(st.Columns) > 1:
 		name := st.Name
 		if name == "" {
 			name = strings.ToLower(st.Table) + "_" + strings.Join(st.Columns, "_")
 		}
-		if err := t.createCompositeIndex(name, st.Columns); err != nil {
-			return Result{}, err
-		}
-		db.ddlEpoch++
-		return Result{}, nil
+		err = t.createCompositeIndex(name, st.Columns)
+	case st.Ordered:
+		err = t.createCompositeIndex("", st.Columns)
+	default:
+		err = t.createIndex(st.Columns[0])
 	}
-	for _, col := range st.Columns {
-		var err error
-		if st.Ordered {
-			err = t.createOrderedIndex(col)
-		} else {
-			err = t.createIndex(col)
-		}
-		if err != nil {
-			return Result{}, err
-		}
+	if err != nil {
+		return Result{}, err
 	}
 	db.ddlEpoch++
 	return Result{}, nil

@@ -22,10 +22,11 @@ type TableInfo struct {
 	PrimaryKey  string
 	Columns     []ColumnInfo
 	ForeignKeys []ForeignKeyDef
-	// Indexes lists hash-indexed columns; OrderedIndexes the sorted ones.
+	// Indexes lists hash-indexed columns; OrderedIndexes the columns of
+	// one-column sorted indexes.
 	Indexes        []string
 	OrderedIndexes []string
-	// CompositeIndexes maps index name -> ordered column list.
+	// CompositeIndexes lists the sorted indexes over several columns.
 	CompositeIndexes []CompositeIndexInfo
 	Rows             int
 }
@@ -59,15 +60,16 @@ func (db *DB) Describe(tableName string) (*TableInfo, error) {
 		info.Indexes = append(info.Indexes, col)
 	}
 	sort.Strings(info.Indexes)
-	for col := range t.ordered {
-		info.OrderedIndexes = append(info.OrderedIndexes, col)
-	}
-	sort.Strings(info.OrderedIndexes)
 	for _, ix := range t.composites {
+		if len(ix.cols) == 1 {
+			info.OrderedIndexes = append(info.OrderedIndexes, ix.colNames[0])
+			continue
+		}
 		info.CompositeIndexes = append(info.CompositeIndexes, CompositeIndexInfo{
 			Name: ix.name, Columns: append([]string(nil), ix.colNames...),
 		})
 	}
+	sort.Strings(info.OrderedIndexes)
 	// Normalize FK column/table casing for callers.
 	for i := range info.ForeignKeys {
 		info.ForeignKeys[i].Column = strings.ToLower(info.ForeignKeys[i].Column)

@@ -322,14 +322,15 @@ func TestDifferentialUnderMutation(t *testing.T) {
 	}
 }
 
-// TestDifferentialPKOrderUnderMutation keeps the primary key's ordered
-// entries honest through every way a key enters or leaves a table:
-// explicit keys inserted out of order, deletes, a primary-key UPDATE, a
-// rolled-back transaction and DROP / re-CREATE — on an integer key (record
-// ids are the keys) and a text key (keys live in the "pk" image). Every
-// step is compared with the oracle, which scans and sorts; the paging
-// engine is also compared with memory after a reopen, where the entries
-// are rebuilt from the key scan and the image without decoding a row.
+// TestDifferentialPKOrderUnderMutation keeps the sorted indexes honest
+// through every way a key enters or leaves a table: explicit keys inserted
+// out of order, deletes, key UPDATEs, a rolled-back transaction and DROP /
+// re-CREATE — on an integer primary key (record ids are the keys), a text
+// one (keys live in the "pk" image), and ORDERED indexes on nullable
+// columns holding NULLs and duplicates. Every step is compared with the
+// oracle, which scans and sorts; the paging engine is also compared with
+// memory after a reopen, where the entries are rebuilt from the key scan
+// and the images without decoding a row.
 func TestDifferentialPKOrderUnderMutation(t *testing.T) {
 	probes := []struct {
 		sql  string
@@ -343,26 +344,44 @@ func TestDifferentialPKOrderUnderMutation(t *testing.T) {
 		{`SELECT name, v FROM named ORDER BY name LIMIT 2 OFFSET ?`, []Value{1}},
 		{`SELECT name FROM named WHERE name >= 'm' ORDER BY name`, nil},
 		{`SELECT COUNT(*) FROM named`, nil},
+		// ORDERED indexes over nullable columns: ranges, equality and
+		// walks in both directions through windows.
+		{`SELECT id, n FROM k WHERE n > ? ORDER BY n`, []Value{1}},
+		{`SELECT id, n FROM k WHERE n <= 2 ORDER BY n DESC`, nil},
+		{`SELECT id FROM k WHERE n = ?`, []Value{2}},
+		{`SELECT id, n FROM k ORDER BY n LIMIT 4 OFFSET ?`, []Value{1}},
+		{`SELECT id, n FROM k ORDER BY n DESC LIMIT 3 OFFSET 2`, nil},
+		{`SELECT name, v FROM named ORDER BY v DESC LIMIT ? OFFSET 1`, []Value{3}},
+		{`SELECT name FROM named WHERE v >= 2 AND v < 6 ORDER BY v`, nil},
+		{`SELECT name FROM named WHERE v = 1`, nil},
+		// A bound the column cannot be compared with narrows nothing: the
+		// rows reach the WHERE, which raises the error a scan raises.
+		{`SELECT id FROM k WHERE id > 'x'`, nil},
+		{`SELECT id FROM k WHERE n < 'x'`, nil},
 	}
 	create := []string{
-		`CREATE TABLE k (id INTEGER PRIMARY KEY, v TEXT)`,
+		`CREATE TABLE k (id INTEGER PRIMARY KEY, v TEXT, n INTEGER)`,
+		`CREATE ORDERED INDEX kn ON k(n)`,
 		`CREATE TABLE named (name TEXT PRIMARY KEY, v INTEGER)`,
+		`CREATE ORDERED INDEX nv ON named(v)`,
 	}
 	steps := [][]string{
 		create,
-		{`INSERT INTO k (id, v) VALUES (5, 'e'), (1, 'a'), (9, 'i'), (3, 'c'), (7, 'g'), (-2, 'z')`,
-			`INSERT INTO named (name, v) VALUES ('pear', 1), ('apple', 2), ('zest', 3), ('mango', 4), ('fig', 5)`},
+		{`INSERT INTO k (id, v, n) VALUES (5, 'e', 2), (1, 'a', NULL), (9, 'i', 2), (3, 'c', 1), (7, 'g', NULL), (-2, 'z', 3)`,
+			`INSERT INTO named (name, v) VALUES ('pear', 1), ('apple', NULL), ('zest', 3), ('mango', 1), ('fig', 5)`},
 		{`DELETE FROM k WHERE id = 9`, `DELETE FROM k WHERE id = 1`, `DELETE FROM named WHERE name = 'mango'`},
-		{`UPDATE k SET id = 4 WHERE id = 7`, `UPDATE k SET id = 30 WHERE id = 3`, `UPDATE named SET name = 'nut' WHERE name = 'apple'`},
-		{`INSERT INTO k (id, v) VALUES (6, 'f'), (2, 'b')`, `INSERT INTO named (name, v) VALUES ('kiwi', 6)`},
+		{`UPDATE k SET id = 4 WHERE id = 7`, `UPDATE k SET id = 30 WHERE id = 3`, `UPDATE named SET name = 'nut' WHERE name = 'apple'`,
+			`UPDATE k SET n = NULL WHERE n = 3`, `UPDATE k SET n = 1 WHERE id = 5`, `UPDATE named SET v = NULL WHERE v = 5`},
+		{`INSERT INTO k (id, v, n) VALUES (6, 'f', 1), (2, 'b', NULL)`, `INSERT INTO named (name, v) VALUES ('kiwi', 3)`},
 		{`DROP TABLE k`, `DROP TABLE named`},
 		create,
-		{`INSERT INTO k (id, v) VALUES (8, 'h'), (2, 'b'), (11, 'k')`, `INSERT INTO named (name, v) VALUES ('b', 1), ('a', 2)`},
+		{`INSERT INTO k (id, v, n) VALUES (8, 'h', 4), (2, 'b', NULL), (11, 'k', 4)`, `INSERT INTO named (name, v) VALUES ('b', 1), ('a', NULL)`},
 	}
 	rolledBack := []string{
-		`INSERT INTO k (id, v) VALUES (0, 'ghost')`,
+		`INSERT INTO k (id, v, n) VALUES (0, 'ghost', 1)`,
 		`DELETE FROM k WHERE id = 5`,
 		`UPDATE k SET id = 100 WHERE id = 4`,
+		`UPDATE k SET n = 7 WHERE n IS NULL`,
 		`DELETE FROM named WHERE name = 'pear'`,
 		`INSERT INTO named (name, v) VALUES ('aaa', 9)`,
 	}

@@ -87,15 +87,16 @@ func (db *DB) Dump(w io.Writer) error {
 			dt.Indexes = append(dt.Indexes, col)
 		}
 		sort.Strings(dt.Indexes)
-		for col := range t.ordered {
-			dt.Ordered = append(dt.Ordered, col)
-		}
-		sort.Strings(dt.Ordered)
 		for _, ix := range t.composites {
+			if len(ix.cols) == 1 {
+				dt.Ordered = append(dt.Ordered, ix.colNames[0])
+				continue
+			}
 			dt.Composite = append(dt.Composite, dumpComposite{
 				Name: ix.name, Cols: append([]string(nil), ix.colNames...),
 			})
 		}
+		sort.Strings(dt.Ordered)
 		f.Tables = append(f.Tables, dt)
 	}
 	enc := gob.NewEncoder(w)

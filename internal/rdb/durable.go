@@ -1163,10 +1163,10 @@ func (e *durableEngine) recoverTable(ct catTable, rev map[string]map[uint64]int)
 		t.alive++
 		if et.intPK {
 			// Record ids are sign-flipped keys, so the scan yields pk order
-			// and the ordered entries are appends.
+			// and the sorted entries are appends.
 			pk := cell.Int(recIDPK(rec))
 			t.pkMap[pk] = id
-			t.pkOrd.insert(pk, id)
+			t.pkOrd.entries = append(t.pkOrd.entries, compEntry{key: []cell.Cell{pk}, id: id})
 		} else {
 			et.recOf[id] = rec
 			rv[rec] = id
@@ -1220,13 +1220,13 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 		if err := scan(func(id int, vals Row) error {
 			if !vals[0].IsNull() {
 				t.pkMap[indexKey(vals[0])] = id
-				t.pkOrd.entries = append(t.pkOrd.entries, ordEntry{val: vals[0], id: id})
+				t.pkOrd.entries = append(t.pkOrd.entries, compEntry{key: vals, id: id})
 			}
 			return nil
 		}); err != nil {
 			return err
 		}
-		sortOrdEntries(t.pkOrd.entries)
+		t.pkOrd.sortEntries()
 		return nil
 	case "unique":
 		u := t.uniques[img.colNames[0]]
@@ -1252,36 +1252,16 @@ func (e *durableEngine) recoverImage(t *table, et *engTable, img *engIndex, rv m
 		}
 		t.indexes[img.colNames[0]] = idx
 		return nil
-	case "ordered":
-		var ents []ordEntry
+	case "ordered", "composite":
+		ix := &compositeIndex{name: img.name, colNames: img.colNames, cols: img.cols}
 		if err := scan(func(id int, vals Row) error {
-			if !vals[0].IsNull() {
-				ents = append(ents, ordEntry{val: vals[0], id: id})
-			}
+			ix.entries = append(ix.entries, compEntry{key: vals, id: id})
 			return nil
 		}); err != nil {
 			return err
 		}
-		sortOrdEntries(ents)
-		t.ordered[img.colNames[0]] = &orderedIndex{entries: ents}
-		return nil
-	case "composite":
-		var ents []compEntry
-		if err := scan(func(id int, vals Row) error {
-			ents = append(ents, compEntry{key: vals, id: id})
-			return nil
-		}); err != nil {
-			return err
-		}
-		sort.SliceStable(ents, func(a, b int) bool {
-			if c := compareTuplePrefix(ents[a].key, ents[b].key, len(img.cols)); c != 0 {
-				return c < 0
-			}
-			return ents[a].id < ents[b].id
-		})
-		t.composites = append(t.composites, &compositeIndex{
-			name: img.name, colNames: img.colNames, cols: img.cols, entries: ents,
-		})
+		ix.sortEntries()
+		t.composites = append(t.composites, ix)
 		return nil
 	}
 	return fmt.Errorf("rdb: recover: unknown image kind %q", img.kind)

@@ -45,7 +45,7 @@ type ChangeOp struct {
 // one auto-commit statement). Seq is assigned at commit, monotonically.
 // WALAppend and Checkpoint are filled by the engine during Apply with
 // the time spent appending the change-set to the log and running any
-// triggered checkpoint — the breakdown ExecContext/CommitContext put
+// triggered checkpoint — the breakdown CommitContext puts
 // on commit spans (zero for the in-memory engine).
 type ChangeSet struct {
 	Seq uint64

@@ -6,16 +6,18 @@ import (
 	"webmlgo/internal/cell"
 )
 
-// compositeIndex is a multi-column sorted secondary index. Entries are
-// kept ordered by the column tuple — NULLs first, mirroring ORDER BY
-// ASC semantics — then by row id, so an equality prefix becomes a
-// binary search, a range predicate on the column after the prefix
+// compositeIndex is the engine's sorted index: over several columns
+// (CREATE INDEX with a column list), over one (CREATE ORDERED INDEX), and
+// over the primary key, whose order every table keeps (table.pkOrd).
+// Entries are kept ordered by the column tuple — NULLs first, mirroring
+// ORDER BY ASC semantics — then by row id, so an equality prefix becomes
+// a binary search, a range predicate on the column after the prefix
 // narrows the same segment, and ORDER BY over the key columns can read
-// rows in index order with no sort. Unlike the single-column
-// orderedIndex, rows with NULL key values are indexed, which makes a
-// full index walk a complete ordered view of the table.
+// rows in index order with no sort. Rows with NULL key values are
+// indexed, which makes a full index walk a complete ordered view of the
+// table.
 type compositeIndex struct {
-	name     string
+	name     string   // "" for a one-column index: catalogs list it by column
 	colNames []string // lower-cased, in key order
 	cols     []int    // column positions, parallel to colNames
 	entries  []compEntry
@@ -106,34 +108,43 @@ func (ix *compositeIndex) eqRange(prefix []cell.Cell) (int, int) {
 	return start, end
 }
 
+// rangeBound is one side of a range scan.
+type rangeBound struct {
+	val       cell.Cell
+	inclusive bool
+	set       bool
+}
+
 // rangeSegment narrows the prefix segment with lo/hi bounds on the
 // column right after the prefix. Entries whose bounded column is NULL
 // sort first; a set lower bound therefore excludes them, while a
-// hi-only range keeps them (the residual WHERE filters them out).
+// hi-only range keeps them (the residual WHERE filters them out). A
+// bound the column's values cannot be compared with narrows nothing, so
+// the residual WHERE raises the comparison error the query owes.
 func (ix *compositeIndex) rangeSegment(prefix []cell.Cell, lo, hi rangeBound) (int, int) {
 	start, end := ix.eqRange(prefix)
 	k := len(prefix)
-	seg := ix.entries[start:end]
 	if lo.set {
-		off := sort.Search(len(seg), func(i int) bool {
-			c := compareNullable(seg[i].key[k], lo.val)
-			if lo.inclusive {
-				return c >= 0
+		seg := ix.entries[start:end]
+		start += sort.Search(len(seg), func(i int) bool {
+			v := seg[i].key[k]
+			if v.IsNull() {
+				return false
 			}
-			return c > 0
+			c, err := compare(v, lo.val)
+			return err != nil || c > 0 || (c == 0 && lo.inclusive)
 		})
-		start += off
-		seg = ix.entries[start:end]
 	}
 	if hi.set {
-		off := sort.Search(len(seg), func(i int) bool {
-			c := compareNullable(seg[i].key[k], hi.val)
-			if hi.inclusive {
-				return c > 0
+		seg := ix.entries[start:end]
+		end = start + sort.Search(len(seg), func(i int) bool {
+			v := seg[i].key[k]
+			if v.IsNull() {
+				return false
 			}
-			return c >= 0
+			c, err := compare(v, hi.val)
+			return err == nil && (c > 0 || (c == 0 && !hi.inclusive))
 		})
-		end = start + off
 	}
 	return start, end
 }
@@ -160,8 +171,21 @@ func (ix *compositeIndex) distinctPrefixes(n int) int {
 	return count
 }
 
-// createCompositeIndex builds one sorted multi-column index. Recreating
-// an index over the same column list is a no-op.
+// sortEntries puts entries collected in any order — a table scan, an
+// index image scan in record order — into index order.
+func (ix *compositeIndex) sortEntries() {
+	n := len(ix.cols)
+	sort.Slice(ix.entries, func(a, b int) bool {
+		ea, eb := &ix.entries[a], &ix.entries[b]
+		if c := compareTuplePrefix(ea.key, eb.key, n); c != 0 {
+			return c < 0
+		}
+		return ea.id < eb.id
+	})
+}
+
+// createCompositeIndex builds one sorted index over the column list.
+// Recreating an index over the same column list is a no-op.
 func (t *table) createCompositeIndex(name string, colNames []string) error {
 	lows := make([]string, len(colNames))
 	cols := make([]int, len(colNames))
@@ -191,13 +215,7 @@ func (t *table) createCompositeIndex(name string, colNames []string) error {
 		}
 		ix.entries = append(ix.entries, compEntry{key: ix.keyOf(r), id: id})
 	}
-	sort.SliceStable(ix.entries, func(a, b int) bool {
-		ea, eb := &ix.entries[a], &ix.entries[b]
-		if c := compareTuplePrefix(ea.key, eb.key, len(cols)); c != 0 {
-			return c < 0
-		}
-		return ea.id < eb.id
-	})
+	ix.sortEntries()
 	t.composites = append(t.composites, ix)
 	return nil
 }

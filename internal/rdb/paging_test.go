@@ -260,8 +260,8 @@ func TestPagingCorruptRecordIsAnError(t *testing.T) {
 			t.Errorf("%s %v: err = %v, want %q...", c.sql, c.args, err, c.want)
 		}
 	}
-	if kv := db.tables["kv"]; len(kv.indexes)+len(kv.ordered)+len(kv.composites) != 0 {
-		t.Errorf("a failed build left an index: %d hash, %d ordered, %d composite", len(kv.indexes), len(kv.ordered), len(kv.composites))
+	if kv := db.tables["kv"]; len(kv.indexes)+len(kv.composites) != 0 {
+		t.Errorf("a failed build left an index: %d hash, %d sorted", len(kv.indexes), len(kv.composites))
 	}
 	if err := db.Dump(io.Discard); err == nil || !strings.HasPrefix(err.Error(), "rdb: corrupt record with key 7 ") {
 		t.Errorf("Dump: err = %v, want the corrupt record", err)

@@ -30,8 +30,7 @@ const (
 	accessPK                        // primary-key point lookup
 	accessUnique                    // unique-column point lookup
 	accessHash                      // hash-index bucket lookup
-	accessRange                     // ordered-index range scan (single column)
-	accessComposite                 // composite-index prefix/range scan
+	accessComposite                 // sorted-index prefix, range or order walk
 	accessSnapPK                    // record-store point fetch at a snapshot sequence
 	accessCount                     // no rows read: COUNT(*) of the whole table is table.alive
 )
@@ -47,21 +46,19 @@ type boundCand struct {
 // inputs resolved to closures and its index structures resolved to
 // pointers (valid until the next DDL epoch bump).
 type accessPath struct {
-	kind      accessOp
-	col       string  // display column for point/range paths (original case)
-	typ       ColType // point paths: the probed column's type (probeKey)
-	label     string  // display label for point paths: PRIMARY KEY / UNIQUE / INDEX
-	hashIdx   map[cell.Cell][]int
-	uniqMap   map[cell.Cell]int // unique column's map, or the table's pkMap
-	ord       *orderedIndex
-	comp      *compositeIndex
-	eq        []compiledExpr // point value, or composite equality prefix
-	los       []boundCand
-	his       []boundCand
-	rangeCol  string // display: bounded column of a composite range
-	orderWalk bool   // full index walk chosen purely for ORDER BY
-	reverse   bool   // DESC index-order scan (sort elimination)
-	est       float64
+	kind     accessOp
+	col      string  // display column for point paths (original case)
+	typ      ColType // point paths: the probed column's type (probeKey)
+	label    string  // display label for point paths: PRIMARY KEY / UNIQUE / INDEX
+	hashIdx  map[cell.Cell][]int
+	uniqMap  map[cell.Cell]int // unique column's map, or the table's pkMap
+	comp     *compositeIndex
+	eq       []compiledExpr // point value, or sorted-index equality prefix
+	los      []boundCand
+	his      []boundCand
+	rangeCol string // display: bounded column of a sorted-index range
+	reverse  bool   // DESC index-order scan (sort elimination)
+	est      float64
 }
 
 type joinKind int
@@ -83,7 +80,7 @@ type joinPlan struct {
 	kind         joinKind
 	col          string  // display: probed column (original case)
 	typ          ColType // its type (probeKey)
-	label        string  // display: PRIMARY KEY / UNIQUE / INDEX / COMPOSITE INDEX
+	label        string  // display: PRIMARY KEY / UNIQUE / INDEX / COMPOSITE INDEX / ORDERED INDEX
 	hashIdx      map[cell.Cell][]int
 	uniqMap      map[cell.Cell]int // unique column's map, or the table's pkMap
 	comp         *compositeIndex
@@ -633,31 +630,6 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 			}
 		}
 		return nil
-	case accessRange:
-		lo, hi, err := foldBounds(c, a.los, a.his)
-		if err != nil {
-			return err
-		}
-		if !lo.set && !hi.set && !a.orderWalk {
-			break // every bound was NULL: nothing to seek on
-		}
-		db.stats.rangeScans.Add(1)
-		if c.stats != nil {
-			c.stats.base.probes++
-		}
-		if !p.sortElim {
-			return byID(a.ord.scan(lo, hi))
-		}
-		start, end := a.ord.bounds(lo, hi)
-		if a.reverse {
-			return iterOrderedReverse(a.ord.entries, start, end, c, t, each)
-		}
-		for _, e := range a.ord.entries[start:end] {
-			if err := c.visit(t, e.id, each); err != nil {
-				return err
-			}
-		}
-		return nil
 	case accessComposite:
 		prefix := make([]cell.Cell, len(a.eq))
 		for i, e := range a.eq {
@@ -708,26 +680,9 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 	return nil
 }
 
-// iterOrderedReverse walks entries[start:end] back to front by
-// equal-value group, emitting each group in forward (ascending row-id)
+// iterCompositeReverse walks entries[start:end] back to front by
+// equal-key group, emitting each group in forward (ascending row-id)
 // order — the exact row order a stable descending sort produces.
-func iterOrderedReverse(entries []ordEntry, start, end int, c *execCtx, t *table, each func(int, Row) error) error {
-	i := end
-	for i > start {
-		j := i
-		for j > start && compareNullable(entries[j-1].val, entries[i-1].val) == 0 {
-			j--
-		}
-		for k := j; k < i; k++ {
-			if err := c.visit(t, entries[k].id, each); err != nil {
-				return err
-			}
-		}
-		i = j
-	}
-	return nil
-}
-
 func iterCompositeReverse(ix *compositeIndex, start, end int, c *execCtx, t *table, each func(int, Row) error) error {
 	n := len(ix.cols)
 	i := end

@@ -116,19 +116,29 @@ func TestSortEliminationOrderedWalk(t *testing.T) {
 	}
 }
 
-func TestNoEliminationOnNullableWalk(t *testing.T) {
+// TestOrderedWalkOnNullableColumn: a sorted index holds NULL keys too,
+// so a walk over a nullable column is a complete ordered view — it
+// serves ORDER BY with no sort and returns the NULL rows where the
+// oracle's sort puts them, in both directions and through a window.
+func TestOrderedWalkOnNullableColumn(t *testing.T) {
 	db := planDB(t)
-	// code is nullable and only hash-indexable; an ordered walk over a
-	// nullable column would miss NULL rows, so the sort must stay.
-	if _, err := db.Exec(`CREATE ORDERED INDEX ord_code ON product(code)`); err != nil {
-		t.Fatal(err)
+	mustExec(t, db, `CREATE ORDERED INDEX ord_code ON product(code)`)
+	mustExec(t, db, `INSERT INTO product (family, code, price, name) VALUES
+		('fam9', NULL, 1, 'x1'), ('fam9', 'c05', 2, 'x2'), ('fam9', NULL, 3, 'x3')`)
+	mustExec(t, db, `UPDATE product SET code = NULL WHERE name = 'n07'`)
+	for _, sql := range []string{
+		`SELECT code, name FROM product ORDER BY code`,
+		`SELECT code, name FROM product ORDER BY code DESC`,
+		`SELECT code, name FROM product ORDER BY code LIMIT 5 OFFSET 2`,
+		`SELECT code, name FROM product ORDER BY code DESC LIMIT 5 OFFSET 39`,
+	} {
+		if plan := mustExplain(t, db, sql); !strings.Contains(plan, "BY ORDERED INDEX ON code") || !strings.Contains(plan, "sort eliminated") {
+			t.Fatalf("%s: the nullable walk does not serve ORDER BY: %q", sql, plan)
+		}
+		compareEngines(t, db, sql, nil)
 	}
-	plan, err := db.Explain(`SELECT code FROM product ORDER BY code`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "SORT 1 keys") {
-		t.Fatalf("nullable ordered walk must not eliminate the sort: %q", plan)
+	if got := rowsExact(mustQuery(t, db, `SELECT name FROM product ORDER BY code LIMIT 4`)); got != "n07\nx1\nx3\nn00\n" {
+		t.Fatalf("NULL rows are not first, in row-id order: %q", got)
 	}
 }
 

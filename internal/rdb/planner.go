@@ -340,7 +340,7 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 		// What the schema already says: the answer is the live-row count.
 		p.access = accessPath{kind: accessCount, est: 1}
 	} else {
-		p.access = db.chooseAccess(p, base, eqs, ranges, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0, snap)
+		p.access = db.chooseAccess(p, base, eqs, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0, snap)
 	}
 
 	// Joins: prefer probing the new table's primary key, hash index or
@@ -379,6 +379,9 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 			jp.comp = jt.compositeLedBy(jp.col)
 			jp.col = jp.comp.colNames[0]
 			jp.label = "COMPOSITE INDEX " + jp.comp.name
+			if len(jp.comp.cols) == 1 {
+				jp.label = "ORDERED INDEX"
+			}
 		}
 		if outerExpr != nil {
 			jp.outer = compileExpr(outerExpr, p.frames[:ji+1])
@@ -417,12 +420,12 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 
 // chooseAccess enumerates candidate access paths for the base table and
 // picks the cheapest. Estimates: a point lookup on a key column returns
-// one row; a hash bucket returns alive/distinct rows; a composite
+// one row; a hash bucket returns alive/distinct rows; a sorted-index
 // prefix returns alive/distinctPrefixes rows (a further range predicate
 // keeps about a third of the segment); a bare range keeps about a third
 // of the table; a scan reads everything. When ORDER BY is present,
 // paths that cannot produce index order pay a doubled cost for the sort.
-func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges []*rangeConjunct,
+func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct,
 	eqByCol map[string]eqConjunct, rangeByCol map[string]*rangeConjunct,
 	orderEligible bool, orderCols []string, orderDesc bool, hasOrderBy bool, snap bool) accessPath {
 
@@ -494,9 +497,14 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 		}
 	}
 
-	// Composite indexes: consume the longest equality prefix, then an
-	// optional range on the next column, then index-order output.
-	for _, comp := range base.composites {
+	// Sorted indexes, the primary key's order last: consume the longest
+	// equality prefix, then an optional range on the next column, then
+	// index-order output.
+	sorted := base.composites
+	if base.pkOrd != nil {
+		sorted = append(sorted[:len(sorted):len(sorted)], base.pkOrd)
+	}
+	for _, comp := range sorted {
 		k := 0
 		var eqVals []compiledExpr
 		for k < len(comp.cols) {
@@ -540,41 +548,6 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct, ranges 
 			cost: cost,
 			elim: elim,
 		})
-	}
-
-	// Single-column ordered-index range scans.
-	for _, rc := range ranges {
-		ix := base.orderedOn(rc.colLower)
-		if ix == nil {
-			continue
-		}
-		elim := orderEligible && len(orderCols) == 1 && orderCols[0] == rc.colLower
-		cost := alive / 3
-		cands = append(cands, planCandidate{
-			path: accessPath{
-				kind: accessRange, col: rc.col, ord: ix,
-				los: compileBounds(rc.los), his: compileBounds(rc.his),
-				reverse: elim && orderDesc, est: cost,
-			},
-			cost: cost,
-			elim: elim,
-		})
-	}
-
-	// A full ordered-index walk purely for ORDER BY: the primary key's own
-	// index or a created one. The single-column orderedIndex skips NULLs,
-	// so the walk is a complete view only for columns that cannot hold one.
-	if orderEligible && len(orderCols) == 1 && rangeByCol[orderCols[0]] == nil {
-		if ix := base.orderedOn(orderCols[0]); ix != nil {
-			i := base.colIdx[orderCols[0]]
-			if base.cols[i].def.NotNull || i == base.pk {
-				cands = append(cands, planCandidate{
-					path: accessPath{kind: accessRange, col: orderCols[0], ord: ix, orderWalk: true, reverse: orderDesc, est: alive},
-					cost: alive,
-					elim: true,
-				})
-			}
-		}
 	}
 
 	cands = append(cands, planCandidate{

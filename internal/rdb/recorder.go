@@ -59,12 +59,6 @@ func (db *DB) EnableQueryRecorder(capacity int, min time.Duration) {
 	db.recorder.Store(&queryRecorder{min: min, ring: make([]QueryRecord, 0, capacity)})
 }
 
-// DisableQueryRecorder turns the flight recorder off and drops its
-// captured entries.
-func (db *DB) DisableQueryRecorder() {
-	db.recorder.Store(nil)
-}
-
 // RecorderEnabled reports whether the flight recorder is on, and its
 // capture threshold when it is.
 func (db *DB) RecorderEnabled() (bool, time.Duration) {

@@ -19,7 +19,7 @@ type column struct {
 }
 
 // table is the runtime representation of a relation: schema, row storage,
-// the primary-key map, and secondary hash indexes.
+// the primary key's map and order, and secondary hash and sorted indexes.
 type table struct {
 	name    string
 	cols    []column
@@ -56,18 +56,18 @@ type table struct {
 	// -1. Live tables never consult it.
 	snapPK int
 	pkMap  map[cell.Cell]int // keyed by indexKey, like every index map
-	// pkOrd holds the same keys as pkMap in key order: what the schema
-	// already says about ORDER BY pk and pk ranges. It is nil without a
-	// primary key, is never persisted (pkMap's sources rebuild it) and is
-	// not listed in ordered, so catalogs, dumps and Describe do not see it.
-	pkOrd *orderedIndex
+	// pkOrd is a one-column sorted index over the primary key: what the
+	// schema already says about ORDER BY pk and pk ranges. It is nil
+	// without a primary key, is never persisted (pkMap's sources rebuild
+	// it) and is not listed in composites, so catalogs, dumps and Describe
+	// do not see it.
+	pkOrd *compositeIndex
 	// indexes maps lower(column name) -> value -> row ids. The primary key
 	// is indexed through pkMap and pkOrd instead.
 	indexes map[string]map[cell.Cell][]int
 	uniques map[string]map[cell.Cell]int
-	// ordered maps lower(column name) -> sorted index (range scans).
-	ordered map[string]*orderedIndex
-	// composites are multi-column sorted indexes (see index.go).
+	// composites are the sorted indexes CREATE INDEX over several columns
+	// and CREATE ORDERED INDEX over one built (see index.go).
 	composites []*compositeIndex
 }
 
@@ -151,7 +151,6 @@ func newTable(st *CreateTableStmt) (*table, error) {
 		pkMap:   make(map[cell.Cell]int),
 		indexes: make(map[string]map[cell.Cell][]int),
 		uniques: make(map[string]map[cell.Cell]int),
-		ordered: make(map[string]*orderedIndex),
 		fks:     st.ForeignKeys,
 	}
 	for i, cd := range st.Columns {
@@ -166,7 +165,7 @@ func newTable(st *CreateTableStmt) (*table, error) {
 				return nil, fmt.Errorf("rdb: table %q has multiple primary keys", st.Name)
 			}
 			t.pk = i
-			t.pkOrd = &orderedIndex{}
+			t.pkOrd = &compositeIndex{colNames: []string{lower}, cols: []int{i}}
 		}
 		if cd.Unique {
 			t.uniques[lower] = make(map[cell.Cell]int)
@@ -237,7 +236,7 @@ func (t *table) insert(r Row) (int, error) {
 func (t *table) indexRow(id int, r Row) {
 	if t.pk >= 0 && !r[t.pk].IsNull() {
 		t.pkMap[indexKey(r[t.pk])] = id
-		t.pkOrd.insert(r[t.pk], id)
+		t.pkOrd.insert(r, id)
 	}
 	for colName, idx := range t.indexes {
 		if k := indexKey(r[t.colIdx[colName]]); !k.IsNull() {
@@ -253,12 +252,6 @@ func (t *table) indexRow(id int, r Row) {
 			u[k] = id
 		}
 	}
-	for colName, ix := range t.ordered {
-		i := t.colIdx[colName]
-		if !r[i].IsNull() {
-			ix.insert(r[i], id)
-		}
-	}
 	for _, ix := range t.composites {
 		ix.insert(r, id)
 	}
@@ -267,7 +260,7 @@ func (t *table) indexRow(id int, r Row) {
 func (t *table) unindexRow(id int, r Row) {
 	if t.pk >= 0 && !r[t.pk].IsNull() {
 		delete(t.pkMap, indexKey(r[t.pk]))
-		t.pkOrd.remove(r[t.pk], id)
+		t.pkOrd.remove(r, id)
 	}
 	for colName, idx := range t.indexes {
 		k := indexKey(r[t.colIdx[colName]])
@@ -290,12 +283,6 @@ func (t *table) unindexRow(id int, r Row) {
 	for colName, u := range t.uniques {
 		if k := indexKey(r[t.colIdx[colName]]); !k.IsNull() {
 			delete(u, k)
-		}
-	}
-	for colName, ix := range t.ordered {
-		i := t.colIdx[colName]
-		if !r[i].IsNull() {
-			ix.remove(r[i], id)
 		}
 	}
 	for _, ix := range t.composites {

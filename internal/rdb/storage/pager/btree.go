@@ -67,12 +67,6 @@ func (k Key) RecID() uint64 { return binary.BigEndian.Uint64(k[4:12]) }
 // Less orders keys bytewise, i.e. by (table, record).
 func (k Key) Less(o Key) bool { return bytes.Compare(k[:], o[:]) < 0 }
 
-// MinKey and MaxKey bound the whole key space for full scans.
-var (
-	MinKey = Key{}
-	MaxKey = Key{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-)
-
 // TableBounds returns the inclusive key range holding every record of
 // table t.
 func TableBounds(t uint32) (Key, Key) {

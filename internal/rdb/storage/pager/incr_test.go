@@ -42,7 +42,7 @@ func TestIncrementalCheckpointSmallPool(t *testing.T) {
 		cnt := 0
 		var prev Key
 		var have bool
-		err := s.Tree().ScanKeys(MinKey, MaxKey, func(k Key) error {
+		err := s.Tree().ScanKeys(minKey, maxKey, func(k Key) error {
 			if have && !prev.Less(k) {
 				return fmt.Errorf("out of order/dup at i=%d key %x", i, k)
 			}
@@ -70,7 +70,7 @@ func TestIncrementalCheckpointSmallPool(t *testing.T) {
 	cnt := 0
 	var prev Key
 	var have bool
-	err = s2.Tree().ScanKeys(MinKey, MaxKey, func(k Key) error {
+	err = s2.Tree().ScanKeys(minKey, maxKey, func(k Key) error {
 		if have && !prev.Less(k) {
 			t.Logf("DUP/out-of-order key table=%d rec=%d", k.TableID(), k.RecID())
 		}

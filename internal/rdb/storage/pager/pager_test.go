@@ -10,6 +10,12 @@ import (
 	"testing"
 )
 
+// minKey and maxKey bound the whole key space for full scans.
+var (
+	minKey = Key{}
+	maxKey = Key{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+)
+
 // freshStore checkpoints an empty image and opens it.
 func freshStore(t *testing.T, poolPages int) (*Store, string) {
 	t.Helper()
@@ -168,7 +174,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	catalog := []byte("schema-blob-" + string(bytes.Repeat([]byte{'x'}, 9000)))
 	err := WriteCheckpoint(path, 42, catalog, func(emit func(Key, []byte) error) error {
-		return tree.Scan(MinKey, MaxKey, emit)
+		return tree.Scan(minKey, maxKey, emit)
 	})
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -188,7 +194,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("catalog round trip failed: %v (%d vs %d bytes)", err, len(cat), len(catalog))
 	}
 	got := 0
-	err = s2.Tree().Scan(MinKey, MaxKey, func(k Key, v []byte) error {
+	err = s2.Tree().Scan(minKey, maxKey, func(k Key, v []byte) error {
 		want := val(int(k.RecID()), 40+int(k.RecID())%300)
 		if k.RecID()%77 == 0 {
 			want = val(int(k.RecID()), MaxInline*3)
@@ -224,7 +230,7 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 		}
 	}
 	if err := WriteCheckpoint(path, 7, []byte("cat"), func(emit func(Key, []byte) error) error {
-		return tree.Scan(MinKey, MaxKey, emit)
+		return tree.Scan(minKey, maxKey, emit)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +244,7 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	}
 	defer s2.Close()
 	count := 0
-	s2.Tree().Scan(MinKey, MaxKey, func(Key, []byte) error { count++; return nil })
+	s2.Tree().Scan(minKey, maxKey, func(Key, []byte) error { count++; return nil })
 	if count != 100 {
 		t.Fatalf("replaced image has %d records", count)
 	}
@@ -254,7 +260,7 @@ func TestPoolEvictionAndStats(t *testing.T) {
 		}
 	}
 	if err := WriteCheckpoint(path, 1, nil, func(emit func(Key, []byte) error) error {
-		return tree.Scan(MinKey, MaxKey, emit)
+		return tree.Scan(minKey, maxKey, emit)
 	}); err != nil {
 		t.Fatal(err)
 	}
