@@ -87,7 +87,6 @@ type config struct {
 	runtime       *style.RuntimeStyler
 	appServer     []string
 	remotePages   bool
-	ejbConns      int
 	skipDDL       bool
 	pageWorkers   int
 	withEdge      bool
@@ -190,13 +189,6 @@ func WithRemotePages() Option {
 
 // Deprecated: WithWireProtocol selects nothing — wire v2 is the only protocol.
 func WithWireProtocol(string) Option { return func(*config) {} }
-
-// WithEJBConns bounds the persistent multiplexed wire-v2 connections per
-// container endpoint (<=0 selects 3). Only meaningful with
-// WithAppServer.
-func WithEJBConns(n int) Option {
-	return func(c *config) { c.ejbConns = n }
-}
 
 // WithRequestTimeout gives every request a deadline budget: the
 // controller derives a context that expires after d, and every tier
@@ -324,7 +316,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
-		remote.ConnsPerEndpoint = cfg.ejbConns
 		app.Remote = remote
 		app.Business = remote
 		spawn := func() (*ejb.Clone, error) {
@@ -353,7 +344,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
-		remote.ConnsPerEndpoint = cfg.ejbConns
 		app.Remote = remote
 		app.Business = remote
 	default:

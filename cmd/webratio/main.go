@@ -76,26 +76,19 @@ func main() {
 	}
 }
 
-// cmdExport writes a model as a specification document: XML by default,
-// the textual WebML notation with -format dsl.
+// cmdExport writes a model as its XML specification document.
 func cmdExport(args []string) {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	model := fs.String("model", "acm", "model name")
 	out := fs.String("out", "", "output file (default stdout)")
-	format := fs.String("format", "xml", "output format: xml or dsl")
 	fs.Parse(args) //nolint:errcheck
 	m, _, err := loadModel(*model)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var data []byte
-	switch *format {
-	case "xml":
-		data, err = webml.MarshalModel(m)
-	case "dsl":
-		data = []byte(webml.FormatDSL(m))
-	default:
-		log.Fatalf("webratio: unknown format %q (xml, dsl)", *format)
+	data, err := webml.MarshalModel(m)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *out == "" {
 		os.Stdout.Write(data) //nolint:errcheck
@@ -120,12 +113,7 @@ func cmdImport(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var m *webml.Model
-	if strings.HasSuffix(*in, ".webml") {
-		m, err = webml.ParseDSL(string(data))
-	} else {
-		m, err = webml.UnmarshalModel(data)
-	}
+	m, err := webml.UnmarshalModel(data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,7 +141,6 @@ func usage() {
            [-analyze] [-slow-query d]    slow-query flight recorder at /debug/queries
            [-debug]                      net/http/pprof at /debug/pprof/
            [-app-server a1,a2]           remote business tier (container addresses)
-           [-ejb-conns n]                wire-v2 connections per endpoint
            [-max-concurrency n]          admission control: concurrent-action cap (sheds 503)
            [-admit-queue n]              admission queue depth (default 4x cap)
            [-autoscale]                  self-hosted elastic container fleet
@@ -172,8 +159,8 @@ func usage() {
 }
 
 // loadModel resolves a model name: a built-in ("acm", "acer",
-// "acer:<sv>:<pg>:<un>") or a specification file ("file:<path>", where
-// .webml selects the textual notation and anything else the XML form).
+// "acer:<sv>:<pg>:<un>") or an XML specification document
+// ("file:<path>").
 func loadModel(name string) (*webml.Model, bool, error) {
 	switch {
 	case strings.HasPrefix(name, "file:"):
@@ -181,10 +168,6 @@ func loadModel(name string) (*webml.Model, bool, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, false, err
-		}
-		if strings.HasSuffix(path, ".webml") {
-			m, err := webml.ParseDSL(string(data))
-			return m, false, err
 		}
 		m, err := webml.UnmarshalModel(data)
 		return m, false, err
@@ -211,7 +194,7 @@ func loadModel(name string) (*webml.Model, bool, error) {
 		})
 		return m, true, err
 	}
-	return nil, false, fmt.Errorf("webratio: unknown model %q (try acm, acer, acer:3:24:132, file:app.webml)", name)
+	return nil, false, fmt.Errorf("webratio: unknown model %q (try acm, acer, acer:3:24:132, file:app.xml)", name)
 }
 
 func styleByName(name string) (*style.RuleSet, error) {
@@ -328,7 +311,6 @@ func cmdServe(args []string) {
 	slowQuery := fs.Duration("slow-query", 25*time.Millisecond, "flight-recorder capture threshold (0 = capture every query; needs -analyze)")
 	debug := fs.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	appServer := fs.String("app-server", "", "comma-separated container addresses (empty = in-process business tier)")
-	ejbConns := fs.Int("ejb-conns", 0, "multiplexed wire-v2 connections per container endpoint (<=0 = 3; needs -app-server)")
 	maxConcurrency := fs.Int("max-concurrency", 0, "admission control: max concurrent actions (0 = unlimited, no admission gate)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth (<=0 = 4x -max-concurrency; needs -max-concurrency)")
 	autoscale := fs.Bool("autoscale", false, "self-hosted elastic container fleet (mutually exclusive with -app-server)")
@@ -368,9 +350,6 @@ func cmdServe(args []string) {
 	}
 	if *appServer != "" {
 		opts = append(opts, webmlgo.WithAppServer(strings.Split(*appServer, ",")...))
-		if *ejbConns > 0 {
-			opts = append(opts, webmlgo.WithEJBConns(*ejbConns))
-		}
 	}
 	if *autoscale {
 		opts = append(opts, webmlgo.WithElasticFleet(*minContainers, *maxContainers, 16))
@@ -586,7 +565,7 @@ func cmdBootstrap(args []string) {
 	fs := flag.NewFlagSet("bootstrap", flag.ExitOnError)
 	snap := fs.String("snapshot", "", "database snapshot file (from SnapshotFile)")
 	addr := fs.String("addr", ":8080", "listen address")
-	exportDSL := fs.String("export", "", "write the derived model's DSL here instead of serving")
+	export := fs.String("export", "", "write the derived model's XML document here instead of serving")
 	fs.Parse(args) //nolint:errcheck
 	if *snap == "" {
 		log.Fatal("webratio: bootstrap requires -snapshot <file>")
@@ -595,7 +574,7 @@ func cmdBootstrap(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *exportDSL != "" {
+	if *export != "" {
 		schema, issues, err := er.Reverse(db)
 		if err != nil {
 			log.Fatal(err)
@@ -607,10 +586,14 @@ func cmdBootstrap(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*exportDSL, []byte(webml.FormatDSL(m)), 0o644); err != nil {
+		data, err := webml.MarshalModel(m)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("derived model written to %s\n", *exportDSL)
+		if err := os.WriteFile(*export, data, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("derived model written to %s\n", *export)
 		return
 	}
 	app, issues, err := webmlgo.Bootstrap("bootstrapped", db,

@@ -31,21 +31,24 @@ func TestLoadModelBuiltins(t *testing.T) {
 
 func TestLoadModelFromFiles(t *testing.T) {
 	dir := t.TempDir()
-	dsl := filepath.Join(dir, "app.webml")
-	src := `webml "filetest"
-entity A { X: int }
-siteview sv { page home { index i of A show X } }`
-	if err := os.WriteFile(dsl, []byte(src), 0o644); err != nil {
+	doc := filepath.Join(dir, "app.xml")
+	src := `<webml name="filetest">
+  <data><entity name="A"><attribute name="X" type="int"/></entity></data>
+  <siteView id="sv" name="sv" home="home">
+    <page id="home" name="home"><unit id="i" kind="index" entity="A" display="X"/></page>
+  </siteView>
+</webml>`
+	if err := os.WriteFile(doc, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := loadModel("file:" + dsl)
+	m, _, err := loadModel("file:" + doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Name != "filetest" {
 		t.Fatalf("name = %q", m.Name)
 	}
-	if _, _, err := loadModel("file:" + filepath.Join(dir, "missing.webml")); err == nil {
+	if _, _, err := loadModel("file:" + filepath.Join(dir, "missing.xml")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	// Garbage XML.

@@ -1,0 +1,88 @@
+package webmlgo
+
+import (
+	"bytes"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"webmlgo/internal/codegen"
+	"webmlgo/internal/fixture"
+	"webmlgo/internal/style"
+	"webmlgo/internal/webml"
+)
+
+// TestDocsMatchGenerator: docs/acm.xml is `webratio export -model acm`
+// and docs/generated-acm is `webratio generate -model acm -style b2c`,
+// byte for byte and file for file.
+func TestDocsMatchGenerator(t *testing.T) {
+	m := fixture.Figure1Model()
+	doc, err := webml.MarshalModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile("docs/acm.xml"); err != nil || !bytes.Equal(got, doc) {
+		t.Errorf("docs/acm.xml differs from the exported Figure 1 model (err %v); regenerate with `webratio export -model acm -out docs/acm.xml`", err)
+	}
+
+	g, err := codegen.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := style.CompileTemplates(art.Repo, style.B2CRuleSet()); err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	if err := art.Repo.SaveDir(out); err != nil {
+		t.Fatal(err)
+	}
+	ddl := strings.Join(art.DDL, ";\n\n") + ";\n"
+	if err := os.WriteFile(filepath.Join(out, "schema.sql"), []byte(ddl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, got := readTree(t, out), readTree(t, filepath.Join("docs", "generated-acm"))
+	for name, data := range want {
+		if d, ok := got[name]; !ok {
+			t.Errorf("docs/generated-acm lacks %s", name)
+		} else if !bytes.Equal(d, data) {
+			t.Errorf("docs/generated-acm/%s differs from the generator's", name)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("docs/generated-acm/%s is not generated", name)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the generator wrote nothing")
+	}
+}
+
+// readTree maps every file under root, by slash-separated relative path,
+// to its contents.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[filepath.ToSlash(rel)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}

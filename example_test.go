@@ -51,19 +51,30 @@ func Example() {
 	// true
 }
 
-// ExampleParseDSL compiles an application from the textual WebML
-// notation.
-func ExampleParseDSL() {
-	model, err := webmlgo.ParseDSL(`
-webml "tiny"
-entity Note { Text: string! }
-siteview sv {
-  page home "Notes" { index all of Note show Text }
-}`)
+// ExampleUnmarshalModel compiles an application from its XML
+// specification document.
+func ExampleUnmarshalModel() {
+	model, err := webmlgo.UnmarshalModel([]byte(`<webml name="tiny">
+  <data>
+    <entity name="Note"><attribute name="Text" type="string" required="true"/></entity>
+  </data>
+  <siteView id="sv" name="Notes" home="home">
+    <page id="home" name="Notes">
+      <unit id="all" kind="index" entity="Note" display="Text"/>
+    </page>
+  </siteView>
+</webml>`))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(model.Name, model.Stats().Pages)
-	// Output: tiny 1
+	app, err := webmlgo.New(model)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	rr := httptest.NewRecorder()
+	app.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/page/home", nil))
+	fmt.Println(model.Name, model.Stats().Pages, rr.Code)
+	// Output: tiny 1 200
 }

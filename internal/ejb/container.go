@@ -104,14 +104,13 @@ func (c *Container) Serve(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.ServeOn(ln)
+	c.serveOn(ln)
 	return ln.Addr().String(), nil
 }
 
-// ServeOn starts accepting connections on an existing listener — the
-// fault harness wraps listeners with connection-drop chaos before
-// handing them here.
-func (c *Container) ServeOn(ln net.Listener) {
+// serveOn starts accepting connections on an existing listener; tests
+// hand it one that records the connections it accepts.
+func (c *Container) serveOn(ln net.Listener) {
 	c.ln = ln
 	c.wg.Add(1)
 	go c.acceptLoop(ln)

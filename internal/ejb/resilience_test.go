@@ -215,7 +215,7 @@ func TestUnitFailoverOnMidCallKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := &trackListener{Listener: lnA}
-	ctrA.ServeOn(tl)
+	ctrA.serveOn(tl)
 	defer func() {
 		close(release)
 		ctrA.Close()
@@ -280,7 +280,7 @@ func TestOperationNotResentAfterMidCallKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := &trackListener{Listener: lnA}
-	ctrA.ServeOn(tl)
+	ctrA.serveOn(tl)
 	defer func() {
 		close(release)
 		ctrA.Close()

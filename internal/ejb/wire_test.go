@@ -709,7 +709,7 @@ func TestBatchFailoverMidKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := &trackListener{Listener: ln}
-	ctr1.ServeOn(tl)
+	ctr1.serveOn(tl)
 	defer ctr1.Close()
 	defer close(release)
 

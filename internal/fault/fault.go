@@ -1,18 +1,16 @@
 // Package fault is the chaos harness of the resilience layer: it wraps
-// the business tier and the network boundary with deterministic,
-// seeded fault injection — latency spikes, error bursts, panics,
-// connection drops — so the failure containment the tier split promises
-// (Section 4's application-server architecture only pays off when tier
-// failures stop at the boundary) can be exercised and measured instead
-// of waited for. The same seed always yields the same fault sequence,
-// so failing runs reproduce.
+// the business tier with deterministic, seeded fault injection —
+// latency spikes, error bursts, panics — so the failure containment the
+// tier split promises (Section 4's application-server architecture only
+// pays off when tier failures stop at the boundary) can be exercised
+// and measured instead of waited for. The same seed always yields the
+// same fault sequence, so failing runs reproduce.
 package fault
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,8 +20,7 @@ import (
 )
 
 // Schedule describes a deterministic fault mix. Probabilities are per
-// decision point (one business call, one connection accept, one I/O
-// operation) in [0,1]; zero values inject nothing of that kind.
+// business call in [0,1]; zero values inject nothing of that kind.
 type Schedule struct {
 	// Seed selects the deterministic random stream (0 = 1).
 	Seed int64
@@ -36,9 +33,6 @@ type Schedule struct {
 	// PanicProb is the chance a business call panics (exercising the
 	// worker-pool and container recovery paths).
 	PanicProb float64
-	// DropProb is the chance a wrapped connection is severed on an I/O
-	// operation (mid-stream connection loss).
-	DropProb float64
 }
 
 // ErrInjected is the error returned by injected business-call failures.
@@ -49,12 +43,11 @@ type Counts struct {
 	Latencies int64 `json:"latencies"`
 	Errors    int64 `json:"errors"`
 	Panics    int64 `json:"panics"`
-	Drops     int64 `json:"drops"`
 }
 
 // Injector draws fault decisions from one seeded stream. All wrappers
 // built from the same Injector share the stream, so a fixed seed fixes
-// the full fault sequence across business calls and connections.
+// the full fault sequence across business calls.
 type Injector struct {
 	sched Schedule
 
@@ -64,7 +57,6 @@ type Injector struct {
 	latencies atomic.Int64
 	errors    atomic.Int64
 	panics    atomic.Int64
-	drops     atomic.Int64
 }
 
 // New returns an Injector for the schedule.
@@ -92,7 +84,6 @@ func (in *Injector) Counts() Counts {
 		Latencies: in.latencies.Load(),
 		Errors:    in.errors.Load(),
 		Panics:    in.panics.Load(),
-		Drops:     in.drops.Load(),
 	}
 }
 
@@ -189,58 +180,4 @@ func (b *Business) injectOne(ctx context.Context, unitID string) (err error) {
 		}
 	}()
 	return b.In.beforeCall(ctx)
-}
-
-// Conn wraps a net.Conn, severing it (with probability DropProb per
-// I/O) to simulate mid-stream connection loss between the servlet and
-// EJB tiers.
-type Conn struct {
-	net.Conn
-	in      *Injector
-	dropped atomic.Bool
-}
-
-// maybeDrop decides whether this I/O severs the connection.
-func (c *Conn) maybeDrop() bool {
-	if c.dropped.Load() {
-		return true
-	}
-	if c.in.sched.DropProb > 0 && c.in.roll() < c.in.sched.DropProb {
-		c.in.drops.Add(1)
-		c.dropped.Store(true)
-		c.Conn.Close() //nolint:errcheck // the drop is the point
-		return true
-	}
-	return false
-}
-
-func (c *Conn) Read(p []byte) (int, error) {
-	if c.maybeDrop() {
-		return 0, net.ErrClosed
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *Conn) Write(p []byte) (int, error) {
-	if c.maybeDrop() {
-		return 0, net.ErrClosed
-	}
-	return c.Conn.Write(p)
-}
-
-// Listener wraps a net.Listener so every accepted connection carries
-// the injector's drop schedule — the server-side half of connection
-// chaos (a container whose links to the web tier keep failing).
-type Listener struct {
-	net.Listener
-	In *Injector
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &Conn{Conn: c, in: l.In}, nil
 }

@@ -202,11 +202,6 @@ func (b *Builder) Transport(fromID, toID string, params ...LinkParam) *Link {
 	return b.addLink(TransportLink, fromID, toID, params)
 }
 
-// Automatic adds an automatic link navigated on page entry.
-func (b *Builder) Automatic(fromID, toID string, params ...LinkParam) *Link {
-	return b.addLink(AutomaticLink, fromID, toID, params)
-}
-
 // OK adds the operation's success link.
 func (b *Builder) OK(fromID, toID string, params ...LinkParam) *Link {
 	return b.addLink(OKLink, fromID, toID, params)

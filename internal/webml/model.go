@@ -301,7 +301,7 @@ func eachArea(areas []*Area, f func(*Area)) {
 
 // Model is a complete WebML specification: the ER data model plus the
 // hypertext (site views, operations, links).
-// A model that passed Validate is sealed (Builder.Build, ParseDSL and
+// A model that passed Validate is sealed (Builder.Build and
 // UnmarshalModel return one) and code generation does not check it again.
 // A sealed model is read-only: whoever changes it calls Validate again.
 type Model struct {

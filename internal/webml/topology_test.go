@@ -44,7 +44,7 @@ func TestTopologyCyclicPagesInPageOrder(t *testing.T) {
 		d2 := pb.Data(id+"2", "Volume", "Title")
 		b.Transport(d1.ID, d2.ID, P("oid", "x"))
 		if id != "middle" {
-			b.Automatic(d2.ID, d1.ID, P("oid", "y"))
+			b.addLink(AutomaticLink, d2.ID, d1.ID, []LinkParam{P("oid", "y")})
 		}
 	}
 	b.model.buildIndex()

@@ -2,7 +2,9 @@ package webml
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -10,10 +12,10 @@ import (
 )
 
 // This file implements the XML document form of a WebML specification —
-// the storage format of the paper's design environment. MarshalXML and
-// UnmarshalModel round-trip a complete Model (data schema + site views +
-// operations + links), so specifications can be versioned, diffed, and
-// exchanged between the graphical editor and the code generator.
+// the storage format of the paper's design environment and the model's
+// only textual form. MarshalModel and UnmarshalModel round-trip a
+// complete Model (data schema + site views + operations + links), so
+// specifications can be versioned, diffed, and exchanged between tools.
 
 // xmlModel is the document root.
 type xmlModel struct {
@@ -262,6 +264,9 @@ func marshalNesting(n *Nesting) *xmlNesting {
 func UnmarshalModel(data []byte) (*Model, error) {
 	var doc xmlModel
 	if err := xml.Unmarshal(data, &doc); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = errors.New("no <webml> element")
+		}
 		return nil, fmt.Errorf("webml: unmarshal: %w", err)
 	}
 	m := &Model{Name: doc.Name, Data: &er.Schema{}}

@@ -1,12 +1,16 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"webmlgo/internal/codegen"
+	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/rdb"
 	"webmlgo/internal/render"
@@ -210,9 +214,11 @@ func TestAcerEuroAppServesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAcerEuroDSLRoundTrip: the textual notation carries the full
-// 556-page, 3068-unit model without loss.
-func TestAcerEuroDSLRoundTrip(t *testing.T) {
+// TestAcerEuroXMLRoundTrip: the specification document carries the full
+// 556-page, 3068-unit model without loss. The document re-marshals to
+// the same bytes, and the round-tripped model generates the same
+// artifacts as the original.
+func TestAcerEuroXMLRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale model")
 	}
@@ -220,13 +226,63 @@ func TestAcerEuroDSLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := webml.FormatDSL(m)
-	back, err := webml.ParseDSL(text)
+	doc, err := webml.MarshalModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := webml.UnmarshalModel(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Stats() != m.Stats() {
 		t.Fatalf("stats differ: %+v vs %+v", back.Stats(), m.Stats())
 	}
-	t.Logf("DSL document: %d bytes for %d pages / %d units", len(text), m.Stats().Pages, m.Stats().Units+m.Stats().Operations)
+	again, err := webml.MarshalModel(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc, again) {
+		t.Fatal("re-marshalled document differs")
+	}
+	if got, want := artifactHash(t, back), artifactHash(t, m); got != want {
+		t.Fatalf("artifact hash after the round trip = %s, want %s", got, want)
+	}
+	t.Logf("XML document: %d bytes for %d pages / %d units", len(doc), m.Stats().Pages, m.Stats().Units+m.Stats().Operations)
+}
+
+// artifactHash is the SHA-256 of a model's DDL, every unit, page and
+// config descriptor, and every template, each in sorted order.
+func artifactHash(t *testing.T, m *webml.Model) string {
+	t.Helper()
+	g, err := codegen.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, stmt := range art.DDL {
+		fmt.Fprintf(h, "%s;\n", stmt)
+	}
+	var docs []any
+	for _, u := range art.Repo.Units() {
+		docs = append(docs, u)
+	}
+	for _, p := range art.Repo.Pages() {
+		docs = append(docs, p)
+	}
+	for _, d := range append(docs, art.Repo.Config()) {
+		data, err := descriptor.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	for _, name := range art.Repo.TemplateNames() {
+		tpl, _ := art.Repo.Template(name)
+		fmt.Fprintf(h, "%s %d\n%s\n", name, len(tpl), tpl)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -391,7 +391,7 @@ func (a *App) buildRegistry() *obs.Registry {
 			for _, f := range []struct {
 				kind string
 				v    int64
-			}{{"latency", c.Latencies}, {"error", c.Errors}, {"panic", c.Panics}, {"drop", c.Drops}} {
+			}{{"latency", c.Latencies}, {"error", c.Errors}, {"panic", c.Panics}} {
 				e.Counter("webml_faults_injected_total", "Injected chaos events by kind.",
 					map[string]string{"kind": f.kind}, float64(f.v))
 			}

@@ -104,12 +104,6 @@ func MultiDevice(def *style.RuleSet) *style.RuntimeStyler { return style.Standar
 // StyleRuleSet aliases the presentation rule-set type for option maps.
 type StyleRuleSet = style.RuleSet
 
-// ParseDSL parses the textual WebML notation into a validated model.
-func ParseDSL(src string) (*Model, error) { return webml.ParseDSL(src) }
-
-// FormatDSL renders a model in the textual WebML notation.
-func FormatDSL(m *Model) string { return webml.FormatDSL(m) }
-
 // MarshalModel renders a model as its XML specification document.
 func MarshalModel(m *Model) ([]byte, error) { return webml.MarshalModel(m) }
 
