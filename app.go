@@ -82,9 +82,7 @@ type config struct {
 	db            *rdb.DB
 	beanCache     int
 	withBeanCache bool
-	compiled      *style.RuleSet
-	bySiteView    map[string]*style.RuleSet
-	runtime       *style.RuntimeStyler
+	style         *style.RuleSet
 	appServer     []string
 	remotePages   bool
 	skipDDL       bool
@@ -99,12 +97,8 @@ type config struct {
 	maxStale       time.Duration
 
 	withObs   bool
-	traceCap  int
 	slowTrace time.Duration
-
-	withAnalysis bool
-	analyzeCap   int
-	analyzeMin   time.Duration
+	slowQuery time.Duration
 
 	withAdmission  bool
 	maxConcurrency int
@@ -152,26 +146,15 @@ func WithPageWorkers(n int) Option {
 	return func(c *config) { c.pageWorkers = n }
 }
 
-// WithCompiledStyle applies a presentation rule set to every page at
-// compile time, once per page program (the efficient mode of Section 5).
-// A rule that does not parse or lacks its placeholder fails New, as it
-// does with the other two style options.
+// WithCompiledStyle applies a presentation rule set as each page program
+// compiles, once per program (the efficient mode of Section 5). The set's
+// SiteViews style the pages of the site views they name. Its Devices
+// choose a set on the User-Agent (the multi-device mode; see
+// MultiDevice): each page then compiles once per device class, and
+// responses vary by User-Agent. A rule that does not parse or lacks its
+// placeholder, or a device profile without a name of its own, fails New.
 func WithCompiledStyle(rs *style.RuleSet) Option {
-	return func(c *config) { c.compiled = rs }
-}
-
-// WithRuntimeStyle applies presentation rules per request, dispatching
-// on the User-Agent (the multi-device mode of Section 5). It overrides
-// WithCompiledStyle.
-func WithRuntimeStyle(s *style.RuntimeStyler) Option {
-	return func(c *config) { c.runtime = s }
-}
-
-// WithSiteViewStyles applies a different rule set per site view (keyed
-// by site view ID) at compile time, with def for unlisted site views —
-// the Acer-Euro arrangement of one style sheet per site-view group.
-func WithSiteViewStyles(bySiteView map[string]*style.RuleSet, def *style.RuleSet) Option {
-	return func(c *config) { c.bySiteView = bySiteView; c.compiled = def }
+	return func(c *config) { c.style = rs }
 }
 
 // WithAppServer routes the business tier through remote containers at
@@ -245,11 +228,10 @@ func WithAdmission(maxConcurrency, maxQueue int) Option {
 // between min and max container clones (each with the given instance
 // capacity; <=0 selects 8) are spawned in-process over the app's
 // database, published through a FleetMembership the client stub
-// subscribes to, and supervised — queue-depth, utilization and
-// windowed-p99 signals scale the fleet up, sustained idleness drains
-// and retires clones without failing an in-flight call. Mutually
-// exclusive with WithAppServer (which targets an external, fixed
-// fleet).
+// subscribes to, and supervised — queue-depth and utilization signals
+// scale the fleet up, sustained idleness drains and retires clones
+// without failing an in-flight call. Mutually exclusive with
+// WithAppServer (which targets an external, fixed fleet).
 func WithElasticFleet(min, max, capacity int) Option {
 	return func(c *config) {
 		c.withFleet = true
@@ -269,8 +251,8 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 	if cfg.maxStale > 0 && !cfg.withBeanCache {
 		return nil, fmt.Errorf("webmlgo: WithDegradedServing requires WithBeanCache")
 	}
-	// One styler for every style option: a broken rule fails here.
-	styler, err := style.NewStyler(cfg.runtime, cfg.bySiteView, cfg.compiled)
+	// A broken rule fails here, before any page is served.
+	styler, err := style.NewStyler(cfg.style)
 	if err != nil {
 		return nil, err
 	}

@@ -72,8 +72,8 @@ func TestWithCompiledStyle(t *testing.T) {
 	}
 }
 
-func TestWithRuntimeStyleAdaptsToDevice(t *testing.T) {
-	app := newApp(t, WithRuntimeStyle(MultiDevice(B2CStyle())))
+func TestMultiDeviceAdaptsToDevice(t *testing.T) {
+	app := newApp(t, WithCompiledStyle(MultiDevice(B2CStyle())))
 	_, desktop := request(t, app.Handler(), "/page/volumePage?volume=1", "Mozilla/5.0 (X11; Linux)")
 	_, mobile := request(t, app.Handler(), "/page/volumePage?volume=1", "Mozilla/5.0 (iPhone; Mobile)")
 	if !strings.Contains(desktop, "unit-box") {
@@ -274,11 +274,11 @@ func TestWithRemotePages(t *testing.T) {
 	}
 }
 
-func TestWithSiteViewStyles(t *testing.T) {
-	app := newApp(t, WithSiteViewStyles(map[string]*StyleRuleSet{
+func TestSiteViewStyles(t *testing.T) {
+	app := newApp(t, WithCompiledStyle(&StyleRuleSet{SiteViews: map[string]*StyleRuleSet{
 		"public": B2CStyle(),
 		"admin":  IntranetStyle(),
-	}, nil))
+	}}))
 	_, pub := request(t, app.Handler(), "/page/volumesPage", "")
 	if !strings.Contains(pub, `data-style="b2c"`) {
 		t.Fatalf("public site view not b2c-styled:\n%s", pub)

@@ -200,7 +200,7 @@ func BenchmarkE5CompiledStylePage(b *testing.B) {
 }
 
 func BenchmarkE5RuntimeStylePage(b *testing.B) {
-	app := benchApp(b, WithRuntimeStyle(MultiDevice(B2CStyle())))
+	app := benchApp(b, WithCompiledStyle(MultiDevice(B2CStyle())))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -222,7 +222,7 @@ func BenchmarkE5RuleApplication(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := style.NewStyler(nil, nil, B2CStyle())
+	s, err := style.NewStyler(B2CStyle())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 //     is shed with an honest Retry-After, admitted requests stay within
 //     SLO, and goodput holds >= 90% of measured capacity.
 //  4. autoscale: a 10x Surge ramp against a 1..3 elastic fleet —
-//     clones spawn on queue-depth/p99 signals, p99 stays within SLO,
+//     clones spawn on queue-depth/utilization signals, p99 stays within SLO,
 //     the ramp's tail drains the fleet back to one clone, and no
 //     in-flight call is lost to a retirement.
 func e13() {
@@ -106,7 +106,7 @@ func e13() {
 	protected.Close()
 
 	// Phase 4 — elastic fleet under a 10x ramp. The supervisor reacts
-	// to queue depth and windowed p99; the ramp's cold tail drains the
+	// to queue depth and utilization; the ramp's cold tail drains the
 	// fleet back down with zero in-flight loss.
 	elastic := fixtureApp(
 		webmlgo.WithElasticFleet(1, 3, adm),

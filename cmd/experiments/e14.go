@@ -129,8 +129,7 @@ type e14Queries struct {
 // operator actuals.
 func e14Attribution() bool {
 	app := fixtureApp(
-		webmlgo.WithObservability(256, 10*time.Millisecond),
-		webmlgo.WithQueryAnalysis(256, 0),
+		webmlgo.WithObservability(10*time.Millisecond, time.Nanosecond), // every query recorded
 		webmlgo.WithFaults(fault.Schedule{Seed: 14, LatencyProb: 1.0, Latency: 25 * time.Millisecond}))
 	h := app.Handler()
 	start := time.Now()

@@ -241,7 +241,7 @@ func e4() {
 func e5() {
 	// Compile-time vs runtime styling.
 	compiled := fixtureApp(webmlgo.WithCompiledStyle(webmlgo.B2CStyle()))
-	runtime := fixtureApp(webmlgo.WithRuntimeStyle(webmlgo.MultiDevice(webmlgo.B2CStyle())))
+	runtime := fixtureApp(webmlgo.WithCompiledStyle(webmlgo.MultiDevice(webmlgo.B2CStyle())))
 	c := timeOp(2000, func() { get(compiled.Handler(), "/page/volumePage?volume=1") })
 	r := timeOp(2000, func() { get(runtime.Handler(), "/page/volumePage?volume=1") })
 	fmt.Println("Styled page latency (Section 5):")
@@ -263,18 +263,17 @@ func e5() {
 	// compiles, so compiling every program is the styling pass.
 	model, err := workload.Generate(workload.AcerEuro())
 	must(err)
-	bySV := map[string]*style.RuleSet{}
+	rs := style.B2CRuleSet() // the first group's; the others name theirs
+	rs.SiteViews = map[string]*style.RuleSet{}
 	for i, sv := range model.SiteViews {
 		switch i % 3 {
-		case 0:
-			bySV[sv.ID] = style.B2CRuleSet()
 		case 1:
-			bySV[sv.ID] = style.B2BRuleSet()
-		default:
-			bySV[sv.ID] = style.IntranetRuleSet()
+			rs.SiteViews[sv.ID] = style.B2BRuleSet()
+		case 2:
+			rs.SiteViews[sv.ID] = style.IntranetRuleSet()
 		}
 	}
-	app, err := webmlgo.New(model, webmlgo.WithSiteViewStyles(bySV, nil))
+	app, err := webmlgo.New(model, webmlgo.WithCompiledStyle(rs))
 	must(err)
 	counts, total := map[string]int{}, 0
 	start := time.Now()
@@ -613,9 +612,9 @@ func e9() {
 	// Bean cache only: an edge would answer the repeats before the
 	// controller, and no request would reach the traced tiers.
 	base := fixtureApp(webmlgo.WithBeanCache(4096))
-	sampled := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithObservability(256, 0))
+	sampled := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithObservability(0, 0))
 	sampled.Obs.SampleEvery = 100
-	full := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithObservability(256, 0))
+	full := fixtureApp(webmlgo.WithBeanCache(4096), webmlgo.WithObservability(0, 0))
 	apps := []*webmlgo.App{base, sampled, full}
 	for _, a := range apps {
 		get(a.Handler(), "/page/volumePage?volume=1") // warm
@@ -653,7 +652,7 @@ func e9() {
 
 	app, err := webmlgo.New(fixture.Figure1Model(),
 		webmlgo.WithAppServer(fastAddr, slowAddr),
-		webmlgo.WithObservability(256, 10*time.Millisecond))
+		webmlgo.WithObservability(10*time.Millisecond, 0))
 	must(err)
 	defer app.Remote.Close()
 	h := app.Handler()

@@ -138,7 +138,8 @@ func usage() {
            [-drain d]                    graceful-shutdown drain budget (default 5s)
            [-trace] [-slow-trace d]      cross-tier request tracing at /debug/traces
            [-trace-sample n]             trace 1 in n requests (production setting)
-           [-analyze] [-slow-query d]    slow-query flight recorder at /debug/queries
+           [-slow-query d]               slow-query flight recorder at /debug/queries
+                                         (tracing on; 0 = off, the default)
            [-debug]                      net/http/pprof at /debug/pprof/
            [-app-server a1,a2]           remote business tier (container addresses)
            [-max-concurrency n]          admission control: concurrent-action cap (sheds 503)
@@ -307,8 +308,7 @@ func cmdServe(args []string) {
 	trace := fs.Bool("trace", false, "trace requests across tiers (/debug/traces)")
 	slowTrace := fs.Duration("slow-trace", 0, "slow-trace exemplar threshold (0 = default 250ms; needs -trace)")
 	traceSample := fs.Int("trace-sample", 1, "trace 1 in n requests (1 = every request; needs -trace)")
-	analyze := fs.Bool("analyze", false, "slow-query flight recorder (/debug/queries)")
-	slowQuery := fs.Duration("slow-query", 25*time.Millisecond, "flight-recorder capture threshold (0 = capture every query; needs -analyze)")
+	slowQuery := fs.Duration("slow-query", 0, "slow-query flight recorder (/debug/queries) capturing queries at least this slow; turns tracing on (0 = off)")
 	debug := fs.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	appServer := fs.String("app-server", "", "comma-separated container addresses (empty = in-process business tier)")
 	maxConcurrency := fs.Int("max-concurrency", 0, "admission control: max concurrent actions (0 = unlimited, no admission gate)")
@@ -366,11 +366,8 @@ func cmdServe(args []string) {
 	if *maxStale > 0 {
 		opts = append(opts, webmlgo.WithDegradedServing(*maxStale))
 	}
-	if *trace {
-		opts = append(opts, webmlgo.WithObservability(0, *slowTrace))
-	}
-	if *analyze {
-		opts = append(opts, webmlgo.WithQueryAnalysis(0, *slowQuery))
+	if *trace || *slowQuery > 0 {
+		opts = append(opts, webmlgo.WithObservability(*slowTrace, *slowQuery))
 	}
 	if *chaos {
 		opts = append(opts, webmlgo.WithFaults(fault.Schedule{
@@ -420,7 +417,7 @@ func cmdServe(args []string) {
 		log.Printf("webratio: admission control on (%d slots, queue %d; overflow sheds 503 + Retry-After)",
 			*maxConcurrency, app.Admission.MaxQueue)
 	}
-	if *analyze {
+	if *slowQuery > 0 {
 		log.Printf("webratio: slow-query flight recorder on (threshold %v; captures at /debug/queries)", *slowQuery)
 	}
 	if fresh {

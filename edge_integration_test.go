@@ -59,9 +59,9 @@ func TestEdgeAssemblyByteIdentical(t *testing.T) {
 // check with per-request presentation rules: each device variant must
 // assemble to exactly its own inline rendering.
 func TestEdgeAssemblyByteIdenticalRuntimeStyle(t *testing.T) {
-	edgeApp := newApp(t, WithEdgeCache(1024, time.Minute), WithRuntimeStyle(MultiDevice(B2CStyle())))
+	edgeApp := newApp(t, WithEdgeCache(1024, time.Minute), WithCompiledStyle(MultiDevice(B2CStyle())))
 	defer edgeApp.Edge.Close()
-	plainApp := newApp(t, WithRuntimeStyle(MultiDevice(B2CStyle())))
+	plainApp := newApp(t, WithCompiledStyle(MultiDevice(B2CStyle())))
 
 	for _, ua := range []string{"Mozilla/5.0 (X11; Linux)", "Mozilla/5.0 (iPhone; Mobile)"} {
 		for _, path := range []string{"/page/volumePage?volume=1", "/page/volumesPage"} {
@@ -216,7 +216,7 @@ func TestEdgeSessionTrafficBypasses(t *testing.T) {
 // styling must announce Vary: User-Agent, anonymous pages revalidate
 // via ETag, and session-bound pages are uncacheable.
 func TestPageCacheHeaders(t *testing.T) {
-	styled := newApp(t, WithRuntimeStyle(MultiDevice(B2CStyle())))
+	styled := newApp(t, WithCompiledStyle(MultiDevice(B2CStyle())))
 	rr, _ := request(t, styled.Handler(), "/page/volumePage?volume=1", "Mozilla/5.0 (X11; Linux)")
 	if v := rr.Header().Get("Vary"); v != "User-Agent" {
 		t.Fatalf("runtime-styled page Vary = %q, want User-Agent", v)

@@ -39,11 +39,13 @@ func main() {
 	serve := flag.String("serve", "", "listen address (empty: render for two devices and exit)")
 	flag.Parse()
 
-	// Runtime styling: skeletons are published as-is and transformed per
-	// request — "more expensive in terms of execution time... but more
-	// flexible and may be very effective for multi-device applications".
+	// Runtime styling: skeletons are published as-is, and the rule set's
+	// device profiles pick the presentation per request — "more expensive
+	// in terms of execution time... but more flexible and may be very
+	// effective for multi-device applications". Each page is styled once
+	// per device class, when its program compiles.
 	app, err := webmlgo.New(buildModel(),
-		webmlgo.WithRuntimeStyle(webmlgo.MultiDevice(webmlgo.B2CStyle())))
+		webmlgo.WithCompiledStyle(webmlgo.MultiDevice(webmlgo.B2CStyle())))
 	if err != nil {
 		log.Fatal(err)
 	}

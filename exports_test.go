@@ -23,7 +23,6 @@ var callerlessKept = map[string]string{
 	"internal/dom.InsertBefore":           "node-editing primitive of dom; the render oracle places menus with it",
 	"internal/dom.MustParse":              "parses static markup in dom and style test fixtures",
 	"internal/dom.RemoveAttr":             "the inverse of SetAttr in dom's node-editing API",
-	"internal/ejb.SetBreaker":             "operator tuning of the client's circuit breakers; resilience tests shorten the cooldown",
 	"internal/ejb.Retire":                 "manual scale-down of one clone; the drain and trace-stitching tests drive it",
 	"internal/render.InvalidateTemplate":  "hot redeploy of a replaced template into compiled programs",
 	"internal/webml.UnregisterPlugin":     "undoes RegisterPlugin in the process-wide registry; tests clean up with it",

@@ -34,7 +34,7 @@ type Health struct {
 	// Faults reports injected chaos counts when -chaos is active.
 	Faults interface{} `json:"faults,omitempty"`
 	// Recorder is the slow-query flight recorder snapshot
-	// (WithQueryAnalysis): capture threshold and how many queries the
+	// (WithObservability with a slow-query threshold): capture threshold and how many queries the
 	// ring has seen.
 	Recorder *RecorderHealth `json:"recorder,omitempty"`
 }

@@ -14,13 +14,14 @@
 //
 //   - CoDel-style sojourn control instead of a fixed queue cap. The
 //     queue is healthy as long as waiters keep draining quickly: while
-//     any admission within the last Interval waited less than Target,
-//     waiters are given the generous Interval timeout (bursts ride
-//     through). Once the minimum sojourn over a full Interval stays
-//     above Target, the queue is *standing* — it no longer buffers a
-//     burst, it just adds latency — and new waiters get the aggressive
-//     Target timeout until the queue drains again. This keeps the
-//     queue short exactly when shortening it helps.
+//     any admission within the last interval (100ms) waited less than
+//     the target (10ms), waiters are given the generous interval
+//     timeout (bursts ride through). Once the minimum sojourn over a
+//     full interval stays above the target, the queue is *standing* —
+//     it no longer buffers a burst, it just adds latency — and new
+//     waiters get the aggressive target timeout until the queue drains
+//     again. This keeps the queue short exactly when shortening it
+//     helps.
 //
 //   - Priority classes. Operations (writes) outrank interactive reads,
 //     which outrank crawler/bulk traffic. Admission always grants the
@@ -112,20 +113,20 @@ type Limiter struct {
 	MaxConcurrency int
 	// MaxQueue bounds the total waiters across all classes.
 	MaxQueue int
-	// Target is the acceptable queue sojourn. While the minimum sojourn
-	// over a full Interval stays above it, the queue is standing and
-	// waiters time out after Target instead of Interval.
-	Target time.Duration
-	// Interval is the sojourn observation window and the generous queue
+	// target is the acceptable queue sojourn. While the minimum sojourn
+	// over a full interval stays above it, the queue is standing and
+	// waiters time out after target instead of interval.
+	target time.Duration
+	// interval is the sojourn observation window and the generous queue
 	// timeout applied while the queue is healthy.
-	Interval time.Duration
+	interval time.Duration
 
 	mu         sync.Mutex
 	active     int
 	queues     [numPriorities][]*waiter
 	queued     int
 	queuedHW   int
-	aboveSince time.Time // first grant whose sojourn exceeded Target, zero when healthy
+	aboveSince time.Time // first grant whose sojourn exceeded target, zero when healthy
 	standing   bool
 
 	// Drain-rate estimate: completions bucketed into one-second windows;
@@ -147,8 +148,8 @@ type Limiter struct {
 
 // NewLimiter returns a limiter admitting maxConcurrency concurrent
 // requests over a queue of maxQueue waiters (<=0 selects
-// 4×maxConcurrency), with default CoDel parameters (Target 10ms,
-// Interval 100ms).
+// 4×maxConcurrency), with the CoDel parameters target 10ms and
+// interval 100ms.
 func NewLimiter(maxConcurrency, maxQueue int) *Limiter {
 	if maxConcurrency <= 0 {
 		maxConcurrency = 1
@@ -159,8 +160,8 @@ func NewLimiter(maxConcurrency, maxQueue int) *Limiter {
 	return &Limiter{
 		MaxConcurrency: maxConcurrency,
 		MaxQueue:       maxQueue,
-		Target:         10 * time.Millisecond,
-		Interval:       100 * time.Millisecond,
+		target:         10 * time.Millisecond,
+		interval:       100 * time.Millisecond,
 		Sojourn: obs.NewHistogramVec("webml_admission_sojourn_seconds",
 			"Admission queue wait by priority class.", "class"),
 	}
@@ -204,9 +205,9 @@ func (l *Limiter) Acquire(ctx context.Context, pri Priority) (func(), error) {
 	if l.queued > l.queuedHW {
 		l.queuedHW = l.queued
 	}
-	timeout := l.Interval
+	timeout := l.interval
 	if l.standing {
-		timeout = l.Target
+		timeout = l.target
 	}
 	l.mu.Unlock()
 
@@ -296,10 +297,10 @@ func (l *Limiter) popLocked() *waiter {
 }
 
 // observeSojournLocked updates the CoDel standing-queue detector with
-// one grant's queue wait: the queue is standing once a full Interval
-// passes without any sojourn under Target.
+// one grant's queue wait: the queue is standing once a full interval
+// passes without any sojourn under target.
 func (l *Limiter) observeSojournLocked(soj time.Duration, now time.Time) {
-	if soj < l.Target || l.queued == 0 {
+	if soj < l.target || l.queued == 0 {
 		l.aboveSince = time.Time{}
 		l.standing = false
 		return
@@ -308,7 +309,7 @@ func (l *Limiter) observeSojournLocked(soj time.Duration, now time.Time) {
 		l.aboveSince = now
 		return
 	}
-	if now.Sub(l.aboveSince) >= l.Interval {
+	if now.Sub(l.aboveSince) >= l.interval {
 		l.standing = true
 	}
 }

@@ -99,7 +99,7 @@ func waitQueued(t *testing.T, l *Limiter, n int) {
 
 func TestFullQueueShedsSamePriority(t *testing.T) {
 	l := NewLimiter(1, 1)
-	l.Interval = time.Second
+	l.interval = time.Second
 	release := hold(t, l, 1)
 	defer release()
 
@@ -125,7 +125,7 @@ func TestFullQueueShedsSamePriority(t *testing.T) {
 
 func TestFullQueueDisplacesLowerPriority(t *testing.T) {
 	l := NewLimiter(1, 1)
-	l.Interval = time.Second
+	l.interval = time.Second
 	release := hold(t, l, 1)
 
 	bulkErr := make(chan error, 1)
@@ -160,11 +160,11 @@ func TestFullQueueDisplacesLowerPriority(t *testing.T) {
 
 func TestStandingQueueShedsBulkOnSight(t *testing.T) {
 	l := NewLimiter(1, 64)
-	l.Target = time.Millisecond
-	l.Interval = 5 * time.Millisecond
+	l.target = time.Millisecond
+	l.interval = 5 * time.Millisecond
 
-	// Hold the only slot and let queued waiters age past Target for a
-	// full Interval: churn grants through slow holders so the detector
+	// Hold the only slot and let queued waiters age past the target for a
+	// full interval: churn grants through slow holders so the detector
 	// observes sojourns.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -182,7 +182,7 @@ func TestStandingQueueShedsBulkOnSight(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				time.Sleep(2 * time.Millisecond) // each grant exceeds Target
+				time.Sleep(2 * time.Millisecond) // each grant exceeds the target
 				rel()
 			}
 		}()
@@ -213,7 +213,7 @@ func TestStandingQueueShedsBulkOnSight(t *testing.T) {
 
 func TestCancelWhileQueuedIsNotAShed(t *testing.T) {
 	l := NewLimiter(1, 4)
-	l.Interval = time.Second
+	l.interval = time.Second
 	release := hold(t, l, 1)
 	defer release()
 
@@ -239,12 +239,12 @@ func TestCancelWhileQueuedIsNotAShed(t *testing.T) {
 
 func TestQueueTimeoutSheds(t *testing.T) {
 	l := NewLimiter(1, 4)
-	l.Interval = 5 * time.Millisecond
+	l.interval = 5 * time.Millisecond
 	release := hold(t, l, 1)
 	defer release()
 
 	if _, err := l.Acquire(context.Background(), Interactive); !errors.Is(err, ErrTimedOut) {
-		t.Fatalf("queued past Interval: err = %v, want ErrTimedOut", err)
+		t.Fatalf("queued past the interval: err = %v, want ErrTimedOut", err)
 	}
 	if got := l.Stats().Classes["interactive"].ShedTimeout; got != 1 {
 		t.Fatalf("shedTimeout = %d, want 1", got)
@@ -388,8 +388,8 @@ func TestClassify(t *testing.T) {
 // timeouts, cancellations, standing-queue flips.
 func TestAdmissionHammer(t *testing.T) {
 	l := NewLimiter(3, 6)
-	l.Target = 200 * time.Microsecond
-	l.Interval = 2 * time.Millisecond
+	l.target = 200 * time.Microsecond
+	l.interval = 2 * time.Millisecond
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 24; i++ {

@@ -38,15 +38,12 @@ type Surrogate struct {
 	// Store holds containers and fragments, tagged with their unit read
 	// dependencies for model-driven purge.
 	Store *cache.BeanCache
-	// DefaultTTL applies to responses without Surrogate-Control max-age
-	// (page containers in particular).
-	DefaultTTL time.Duration
-	// StaleWindow is how long past expiry an entry may still be served
-	// while a background refresh runs (stale-while-revalidate). Expired
-	// entries beyond the window are evicted by the store itself.
-	StaleWindow time.Duration
-	// Workers bounds the background refresh pool (<=0 selects 2).
-	Workers int
+	// ttl applies to responses without Surrogate-Control max-age (page
+	// containers in particular). It is also the stale window: how long
+	// past expiry an entry may still be served while a background
+	// refresh runs (stale-while-revalidate). Expired entries beyond the
+	// window are evicted by the store itself.
+	ttl time.Duration
 	// BypassCookie, when set, exempts requests carrying the cookie:
 	// session-bound (personalized) traffic goes straight to the origin.
 	BypassCookie string
@@ -57,8 +54,8 @@ type Surrogate struct {
 	// the request trace here, and origin fetches carry it down to the
 	// controller through the request context.
 	Obs *obs.Tracer
-	// Now overrides the freshness clock (tests).
-	Now func() time.Time
+	// clock, when set, replaces time.Now as the freshness clock.
+	clock func() time.Time
 
 	// Disposition counters (X-Cache outcomes), folded into /metrics.
 	hitN, staleN, missN atomic.Int64
@@ -102,8 +99,8 @@ type entry struct {
 	deps   []string
 	ttl    time.Duration
 	// expires is the logical freshness deadline; between expires and
-	// expires+StaleWindow the entry is served stale while one background
-	// refresh runs.
+	// expires plus the surrogate's ttl the entry is served stale while
+	// one background refresh runs.
 	expires   time.Time
 	cacheable bool
 	uri, ua   string
@@ -116,26 +113,27 @@ type refreshJob struct {
 	old *entry
 }
 
+// refreshWorkers bounds the background refresh pool.
+const refreshWorkers = 2
+
 // New returns a surrogate over origin with the given store capacity and
-// default TTL (<=0 selects one minute). The stale window defaults to the
-// TTL; tune the exported fields before serving.
+// default TTL (<=0 selects one minute), which is also the stale window.
 func New(origin http.Handler, capacity int, defaultTTL time.Duration) *Surrogate {
 	if defaultTTL <= 0 {
 		defaultTTL = time.Minute
 	}
 	return &Surrogate{
-		Origin:      origin,
-		Store:       cache.NewBeanCache(capacity),
-		DefaultTTL:  defaultTTL,
-		StaleWindow: defaultTTL,
-		jobs:        make(chan refreshJob, 256),
-		stop:        make(chan struct{}),
+		Origin: origin,
+		Store:  cache.NewBeanCache(capacity),
+		ttl:    defaultTTL,
+		jobs:   make(chan refreshJob, 256),
+		stop:   make(chan struct{}),
 	}
 }
 
 func (s *Surrogate) now() time.Time {
-	if s.Now != nil {
-		return s.Now()
+	if s.clock != nil {
+		return s.clock()
 	}
 	return time.Now()
 }
@@ -354,7 +352,7 @@ func (s *Surrogate) roundTrip(ctx context.Context, uri, ua string) (*entry, erro
 		ua:     ua,
 	}
 	sc := rec.header.Get("Surrogate-Control")
-	e.ttl = s.DefaultTTL
+	e.ttl = s.ttl
 	if maxAge, ok := surrogateMaxAge(sc); ok {
 		e.ttl = maxAge
 	}
@@ -393,7 +391,7 @@ func (s *Surrogate) putIfCurrent(key string, e *entry, epoch uint64) bool {
 	if s.epoch != epoch {
 		return false
 	}
-	s.Store.Put(key, e, e.deps, e.ttl+s.StaleWindow)
+	s.Store.Put(key, e, e.deps, e.ttl+s.ttl)
 	return true
 }
 
@@ -454,11 +452,7 @@ func (s *Surrogate) scheduleRefresh(key string, e *entry) {
 }
 
 func (s *Surrogate) spawnWorkers() {
-	n := s.Workers
-	if n <= 0 {
-		n = 2
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < refreshWorkers; i++ {
 		go func() {
 			for {
 				select {

@@ -163,7 +163,7 @@ func TestEdgeStaleWhileRevalidate(t *testing.T) {
 	defer s.Close()
 	base := time.Now()
 	now := atomic.Int64{} // seconds past base
-	s.Now = func() time.Time { return base.Add(time.Duration(now.Load()) * time.Second) }
+	s.clock = func() time.Time { return base.Add(time.Duration(now.Load()) * time.Second) }
 
 	get(t, s, "/page/home")
 

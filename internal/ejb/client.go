@@ -40,19 +40,8 @@ const WireFramed = "framed"
 // the v2 handshake is a transport error like any other: it counts
 // against the endpoint's breaker and the call fails over.
 type RemoteBusiness struct {
-	// Latency, when positive, injects an artificial network delay per
-	// call — a stand-in for a real machine boundary when benchmarking on
-	// loopback. A batched level pays it once, not once per unit.
-	Latency time.Duration
-	// CallTimeout caps each remote call even when the request context
-	// carries no deadline (0 = uncapped). When both are set, the earlier
-	// one wins.
-	CallTimeout time.Duration
 	// Deprecated: Wire selects nothing — wire v2 is the only protocol.
 	Wire string
-	// ConnsPerEndpoint bounds the persistent multiplexed connections per
-	// container (<=0 selects 3).
-	ConnsPerEndpoint int
 	// CallLat records per-endpoint remote call latency (created by Dial;
 	// always on, atomics only). Registered with the /metrics registry by
 	// the app wiring. Batched items are observed individually as their
@@ -66,8 +55,15 @@ type RemoteBusiness struct {
 	framesRecv atomic.Int64
 	stats      *wireStats
 
+	// latency, when positive, injects an artificial network delay per
+	// call, as a real machine boundary would add on loopback. A batched
+	// level pays it once, not once per unit.
+	latency time.Duration
+	// conns bounds the persistent multiplexed connections per container
+	// (<=0 selects defaultConnsPerEndpoint).
+	conns int
 	// brkThreshold/brkCooldown apply to endpoints discovered after
-	// SetBreaker (membership-driven adds inherit the configuration).
+	// setBreaker (membership-driven adds inherit the configuration).
 	brkThreshold int
 	brkCooldown  time.Duration
 
@@ -243,10 +239,10 @@ func (r *RemoteBusiness) InFlight(addr string) int {
 	return n
 }
 
-// SetBreaker reconfigures every endpoint's circuit breaker (zero values
+// setBreaker reconfigures every endpoint's circuit breaker (zero values
 // select the defaults: threshold 3, cooldown 200ms). Endpoints added
 // later by a membership change inherit the same configuration.
-func (r *RemoteBusiness) SetBreaker(threshold int, cooldown time.Duration) {
+func (r *RemoteBusiness) setBreaker(threshold int, cooldown time.Duration) {
 	r.mu.Lock()
 	r.brkThreshold, r.brkCooldown = threshold, cooldown
 	eps := r.endpoints
@@ -299,10 +295,10 @@ func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall)
 	if len(calls) == 0 {
 		return out
 	}
-	if r.Latency > 0 {
-		time.Sleep(r.Latency)
+	if r.latency > 0 {
+		time.Sleep(r.latency)
 	}
-	deadline := r.deadline(ctx)
+	deadline, _ := ctx.Deadline() // zero: unbounded
 	var deadlineMS int64
 	if !deadline.IsZero() {
 		if ms := time.Until(deadline).Milliseconds(); ms < 1 {
@@ -475,10 +471,10 @@ func (p remotePages) ComputePage(ctx context.Context, pageID string, params map[
 // transport errors (idempotent kinds only) until an endpoint answers or
 // all are exhausted.
 func (r *RemoteBusiness) call(ctx context.Context, req *request) (*response, error) {
-	if r.Latency > 0 {
-		time.Sleep(r.Latency)
+	if r.latency > 0 {
+		time.Sleep(r.latency)
 	}
-	deadline := r.deadline(ctx)
+	deadline, _ := ctx.Deadline() // zero: unbounded
 	if !deadline.IsZero() {
 		ms := time.Until(deadline).Milliseconds()
 		if ms < 1 {
@@ -543,21 +539,6 @@ func (r *RemoteBusiness) call(ctx context.Context, req *request) (*response, err
 	return nil, lastErr
 }
 
-// deadline resolves the effective absolute deadline of one call from
-// the context and CallTimeout (zero time = unbounded).
-func (r *RemoteBusiness) deadline(ctx context.Context) time.Time {
-	d, ok := ctx.Deadline()
-	if r.CallTimeout > 0 {
-		if c := time.Now().Add(r.CallTimeout); !ok || c.Before(d) {
-			return c
-		}
-	}
-	if !ok {
-		return time.Time{}
-	}
-	return d
-}
-
 // callOn performs one invocation against a single endpoint, retrying
 // once on a fresh connection when an existing one fails (the container
 // may have restarted since — one fresh dial distinguishes a stale
@@ -616,7 +597,7 @@ func (r *RemoteBusiness) callOn(ctx context.Context, ep *endpoint, req *request,
 // the connection budget. fresh reports a just-dialed connection (its
 // failure condemns the endpoint attempt rather than warranting a retry).
 func (ep *endpoint) framedConn(r *RemoteBusiness, deadline time.Time) (*mconn, bool, error) {
-	limit := r.ConnsPerEndpoint
+	limit := r.conns
 	if limit <= 0 {
 		limit = defaultConnsPerEndpoint
 	}

@@ -46,7 +46,7 @@ type Container struct {
 	// container's own /metrics.
 	invokeLat *obs.HistogramVec
 	// queueLat records capacity-gate queue wait by kind: the container-
-	// side sojourn histogram behind the supervisor's p99 signal.
+	// side sojourn histogram.
 	queueLat *obs.HistogramVec
 
 	// Wire-v2 frame counters: frames read and written across all framed
@@ -411,8 +411,8 @@ func (c *Container) Metrics() Metrics {
 }
 
 // QueueLatency snapshots the capacity-gate queue-wait histogram
-// aggregated across request kinds — the supervisor derives its
-// windowed p99 signal by differencing successive snapshots.
+// aggregated across request kinds; differencing successive snapshots
+// (HistSnapshot.Delta) gives the queue wait of a window.
 func (c *Container) QueueLatency() obs.HistSnapshot {
 	var agg obs.HistSnapshot
 	for _, s := range c.queueLat.Snapshot() {

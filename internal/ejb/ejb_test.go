@@ -204,7 +204,7 @@ func TestLoadBalancingAcrossClones(t *testing.T) {
 
 func TestLatencyInjection(t *testing.T) {
 	_, client, _, art := startApp(t, 4)
-	client.Latency = 5 * time.Millisecond
+	client.latency = 5 * time.Millisecond
 	d := art.Repo.Unit("volumeData")
 	start := time.Now()
 	if _, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"volume": int64(1)}); err != nil {

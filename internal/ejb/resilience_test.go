@@ -156,8 +156,9 @@ func TestWireDeadlinePropagates(t *testing.T) {
 }
 
 // TestCallTimeoutOnHungContainer checks a hung component cannot wedge a
-// servlet worker: the socket deadline turns the stall into a timely
-// error.
+// servlet worker: the request context's deadline (what
+// WithRequestTimeout gives every request) reaches the socket and turns
+// the stall into a timely error.
 func TestCallTimeoutOnHungContainer(t *testing.T) {
 	release := make(chan struct{})
 	bus := &funcBusiness{
@@ -180,10 +181,11 @@ func TestCallTimeoutOnHungContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.CallTimeout = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
 
 	start := time.Now()
-	_, err = client.ComputeUnit(context.Background(), &descriptor.Unit{ID: "hang", Kind: "data"}, nil)
+	_, err = client.ComputeUnit(ctx, &descriptor.Unit{ID: "hang", Kind: "data"}, nil)
 	if err == nil {
 		t.Fatal("call to hung container succeeded")
 	}
@@ -322,7 +324,7 @@ func TestOperationNotResentAfterMidCallKill(t *testing.T) {
 // siblings — is ever handed out again.
 func TestDeadPooledConnectionNotReused(t *testing.T) {
 	ctrA, client, db, art := startApp(t, 4)
-	client.ConnsPerEndpoint = 2
+	client.conns = 2
 	d := art.Repo.Unit("volumeData")
 	inputs := map[string]mvc.Value{"volume": int64(1)}
 	ep := client.endpoints[0]
@@ -401,7 +403,7 @@ func TestDeadPooledConnectionNotReused(t *testing.T) {
 // the cooldown a half-open probe rediscovers the restarted container.
 func TestBreakerFailFastAndRecovery(t *testing.T) {
 	ctr, client, db, art := startApp(t, 4)
-	client.SetBreaker(2, 50*time.Millisecond)
+	client.setBreaker(2, 50*time.Millisecond)
 	addr := ctr.ln.Addr().String()
 	ctr.Close()
 

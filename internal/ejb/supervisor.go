@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"webmlgo/internal/obs"
 )
 
 // Clone is one supervised container instance: the handle the Spawn
@@ -31,7 +29,7 @@ type ScaleEvent struct {
 }
 
 // Supervisor is the elastic half of Section 4's argument: it scales
-// container clones up when queue-depth or windowed-p99 signals say the
+// container clones up when queue-depth or utilization signals say the
 // fleet is saturated, and drains-then-retires the newest clone when
 // the fleet has been idle long enough. Scale-down is lossless by
 // construction: the clone leaves the membership first (clients stop
@@ -54,31 +52,19 @@ type Supervisor struct {
 	Min, Max int
 	// Interval is the evaluation period (<=0 selects 100ms).
 	Interval time.Duration
-	// ScaleUpQueue triggers growth when queued invocations per clone
-	// reach it (<=0 selects 2).
-	ScaleUpQueue int
-	// ScaleUpUtil triggers growth when active/capacity across the fleet
-	// reaches it (<=0 selects 0.9).
-	ScaleUpUtil float64
-	// ScaleUpP99 triggers growth when the fleet's windowed queue-wait
-	// p99 reaches it (0 disables the latency signal).
-	ScaleUpP99 time.Duration
-	// ScaleDownUtil marks the fleet idle when utilization stays at or
-	// below it with an empty queue (<=0 selects 0.1).
-	ScaleDownUtil float64
 	// IdleAfter is how long the fleet must stay idle before one clone
 	// retires (<=0 selects 2s).
 	IdleAfter time.Duration
 	// Cooldown is the minimum gap between scale-ups (<=0 selects
 	// 2×Interval) so one burst doesn't overshoot the fleet to Max.
 	Cooldown time.Duration
-	// DrainTimeout caps how long a retiring clone may take to quiesce
-	// before it is closed anyway (<=0 selects 10s) — a liveness bound,
-	// not the expected path.
-	DrainTimeout time.Duration
+
+	// scaleUpQueue triggers growth when queued invocations per clone
+	// reach it (<=0 selects 2).
+	scaleUpQueue int
 
 	mu        sync.Mutex
-	clones    []*supervised
+	clones    []*Clone
 	events    []ScaleEvent // bounded ring of maxScaleEvents entries
 	eventPos  int          // next overwrite slot once the ring is full
 	lastUp    time.Time
@@ -93,12 +79,16 @@ type Supervisor struct {
 	wg sync.WaitGroup
 }
 
-// supervised pairs a clone with its last queue-latency snapshot (for
-// windowed p99).
-type supervised struct {
-	clone *Clone
-	prevQ obs.HistSnapshot
-}
+// The utilization bounds: growth when active/capacity across the fleet
+// reaches scaleUpUtil, idleness while it stays at or below scaleDownUtil
+// with an empty queue. drainTimeout caps how long a retiring clone may
+// take to quiesce before it is closed anyway — a liveness bound, not the
+// expected path.
+const (
+	scaleUpUtil   = 0.9
+	scaleDownUtil = 0.1
+	drainTimeout  = 10 * time.Second
+)
 
 // maxScaleEvents bounds the retained scale-decision history: enough
 // for /debug/fleet to explain recent behavior, without a long-running
@@ -193,31 +183,19 @@ func (s *Supervisor) evaluate() {
 		return
 	}
 	var queued, active, capacity int
-	var window obs.HistSnapshot
-	for _, sc := range s.clones {
-		m := sc.clone.Ctr.Metrics()
+	for _, c := range s.clones {
+		m := c.Ctr.Metrics()
 		queued += m.Queued
 		active += m.Active
 		capacity += m.Capacity
-		q := sc.clone.Ctr.QueueLatency()
-		window = window.Merge(q.Delta(sc.prevQ))
-		sc.prevQ = q
 	}
 	util := 0.0
 	if capacity > 0 {
 		util = float64(active) / float64(capacity)
 	}
-	upQueue := s.ScaleUpQueue
+	upQueue := s.scaleUpQueue
 	if upQueue <= 0 {
 		upQueue = 2
-	}
-	upUtil := s.ScaleUpUtil
-	if upUtil <= 0 {
-		upUtil = 0.9
-	}
-	downUtil := s.ScaleDownUtil
-	if downUtil <= 0 {
-		downUtil = 0.1
 	}
 	cooldown := s.Cooldown
 	if cooldown <= 0 {
@@ -233,10 +211,8 @@ func (s *Supervisor) evaluate() {
 	switch {
 	case queued >= upQueue*n:
 		reason = fmt.Sprintf("queue-depth %d >= %d/clone", queued, upQueue)
-	case util >= upUtil:
-		reason = fmt.Sprintf("utilization %.2f >= %.2f", util, upUtil)
-	case s.ScaleUpP99 > 0 && window.Count >= 8 && window.Quantile(0.99) >= s.ScaleUpP99:
-		reason = fmt.Sprintf("queue p99 %v >= %v", window.Quantile(0.99).Round(time.Millisecond), s.ScaleUpP99)
+	case util >= scaleUpUtil:
+		reason = fmt.Sprintf("utilization %.2f >= %.2f", util, scaleUpUtil)
 	}
 	if reason != "" {
 		s.idleSince = time.Time{}
@@ -249,21 +225,21 @@ func (s *Supervisor) evaluate() {
 		return
 	}
 
-	if queued == 0 && util <= downUtil && n > s.Min {
+	if queued == 0 && util <= scaleDownUtil && n > s.Min {
 		if s.idleSince.IsZero() {
 			s.idleSince = now
 		} else if now.Sub(s.idleSince) >= idleAfter {
 			// Retire the newest clone (LIFO keeps the stable base warm).
-			sc := s.clones[len(s.clones)-1]
+			c := s.clones[len(s.clones)-1]
 			s.clones = s.clones[:len(s.clones)-1]
 			s.idleSince = now // one retirement per idle period
 			from := n
 			s.recordEventLocked(ScaleEvent{At: now, Dir: "down",
 				Reason: fmt.Sprintf("idle %v, utilization %.2f", idleAfter, util),
-				Addr:   sc.clone.Addr, From: from, To: from - 1})
+				Addr:   c.Addr, From: from, To: from - 1})
 			s.mu.Unlock()
 			s.scaleDowns.Add(1)
-			s.retire(sc.clone)
+			s.retire(c)
 			return
 		}
 	} else {
@@ -280,7 +256,7 @@ func (s *Supervisor) scaleUp(reason string) error {
 	}
 	s.mu.Lock()
 	from := len(s.clones)
-	s.clones = append(s.clones, &supervised{clone: clone})
+	s.clones = append(s.clones, clone)
 	s.lastUp = time.Now()
 	s.idleSince = time.Time{}
 	s.recordEventLocked(ScaleEvent{At: s.lastUp, Dir: "up", Reason: reason,
@@ -303,11 +279,7 @@ func (s *Supervisor) retire(clone *Clone) {
 	go func() {
 		defer s.wg.Done()
 		defer s.draining.Add(-1)
-		timeout := s.DrainTimeout
-		if timeout <= 0 {
-			timeout = 10 * time.Second
-		}
-		deadline := time.Now().Add(timeout)
+		deadline := time.Now().Add(drainTimeout)
 		idleStreak := 0
 		for time.Now().Before(deadline) {
 			idle := clone.Ctr.Quiesced()
@@ -346,12 +318,12 @@ func (s *Supervisor) Retire(addr string) bool {
 	s.mu.Lock()
 	var target *Clone
 	keep := s.clones[:0]
-	for _, sc := range s.clones {
-		if target == nil && sc.clone.Addr == addr {
-			target = sc.clone
+	for _, c := range s.clones {
+		if target == nil && c.Addr == addr {
+			target = c
 			continue
 		}
-		keep = append(keep, sc)
+		keep = append(keep, c)
 	}
 	s.clones = keep
 	if target != nil {
@@ -380,9 +352,9 @@ func (s *Supervisor) Stop() {
 	clones := s.clones
 	s.clones = nil
 	s.mu.Unlock()
-	for _, sc := range clones {
-		s.Members.Remove(sc.clone.Addr)
-		sc.clone.Ctr.Close() //nolint:errcheck // shutdown path
+	for _, c := range clones {
+		s.Members.Remove(c.Addr)
+		c.Ctr.Close() //nolint:errcheck // shutdown path
 	}
 	s.wg.Wait()
 }

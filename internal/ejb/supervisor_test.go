@@ -67,7 +67,6 @@ func TestRetireMidBatchDrains(t *testing.T) {
 		return factories[next.Add(1)-1]()
 	}, members, 2, 2)
 	sup.Interval = time.Hour // no autoscaling during the test
-	sup.DrainTimeout = 10 * time.Second
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestSupervisorScalesUpOnLoadAndDownWhenIdle(t *testing.T) {
 	sup := NewSupervisor(spawn, members, 1, 3)
 	sup.Interval = 5 * time.Millisecond
 	sup.Cooldown = 5 * time.Millisecond
-	sup.ScaleUpQueue = 1
+	sup.scaleUpQueue = 1
 	sup.IdleAfter = 30 * time.Millisecond
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)

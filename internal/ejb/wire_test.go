@@ -786,7 +786,7 @@ func TestCancelDoesNotKillSharedConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.ConnsPerEndpoint = 1 // both calls share one connection
+	client.conns = 1 // both calls share one connection
 
 	ctx, cancel := context.WithCancel(context.Background())
 	canceled := make(chan error, 1)
@@ -841,7 +841,7 @@ func TestBatchCancelKeepsConnHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.ConnsPerEndpoint = 1
+	client.conns = 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	resCh := make(chan []mvc.UnitResult, 1)
@@ -963,7 +963,7 @@ func TestManyInFlightOnOneConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.ConnsPerEndpoint = 1
+	client.conns = 1
 
 	var wg sync.WaitGroup
 	const K = 16
@@ -1009,7 +1009,7 @@ func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descrip
 		b.Fatal(err)
 	}
 	b.Cleanup(client.Close)
-	client.Latency = latency
+	client.latency = latency
 	return client, &descriptor.Unit{ID: "u", Kind: "data",
 		Outputs: []descriptor.FieldDef{{Name: "Title", Column: "title"}}}
 }

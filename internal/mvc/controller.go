@@ -68,9 +68,6 @@ type Controller struct {
 	Pages    PageComputer
 	Sessions *SessionManager
 	Renderer Renderer
-	// MaxChain bounds operation chain length (OK links targeting further
-	// operations). 0 selects the default of 8.
-	MaxChain int
 	// EdgeFragments enables the edge-tier protocol: fragment/<page>/<unit>
 	// endpoints answer with Surrogate-Control policies, and page actions
 	// from an ESI-capable surrogate get container output instead of a
@@ -95,12 +92,13 @@ type Controller struct {
 	// and an X-Webml-Shed marker so the edge can substitute a stale
 	// fragment instead of surfacing the error.
 	Admission *admit.Limiter
-	// ClassifyRequest maps a request to its admission priority; nil
-	// selects admit.Classify (operations > interactive > crawler).
-	ClassifyRequest func(*http.Request) admit.Priority
 
 	metrics metrics
 }
+
+// maxChain bounds operation chain length (OK links targeting further
+// operations).
+const maxChain = 8
 
 // statusRecorder captures the response status for metrics.
 type statusRecorder struct {
@@ -212,11 +210,7 @@ func (c *Controller) admitRequest(w http.ResponseWriter, r *http.Request) (func(
 	if c.Admission == nil {
 		return func() {}, 0, true
 	}
-	classify := c.ClassifyRequest
-	if classify == nil {
-		classify = admit.Classify
-	}
-	pri := classify(r)
+	pri := admit.Classify(r)
 	acqStart := time.Now()
 	release, err := c.Admission.Acquire(r.Context(), pri)
 	if err == nil {
@@ -349,10 +343,6 @@ func (c *Controller) dispatch(w http.ResponseWriter, r *http.Request, session *S
 				params[name] = ConvertParam(values[len(values)-1])
 			}
 		}
-	}
-	maxChain := c.MaxChain
-	if maxChain <= 0 {
-		maxChain = 8
 	}
 	for hop := 0; ; hop++ {
 		m := c.Repo.Config().Mapping(action)

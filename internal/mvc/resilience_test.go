@@ -193,3 +193,27 @@ func TestResilientStopsOnContextErrors(t *testing.T) {
 		t.Fatalf("retried a canceled request: %d attempts", got)
 	}
 }
+
+// TestResilientBackoffSaturates: the backoff cap doubles from 2ms and
+// saturates at 50ms however many attempts a deployment allows, so a
+// late attempt (WithRetries(45) reaches attempt 44) sleeps at most the
+// cap instead of overflowing the shift into a negative jitter bound.
+func TestResilientBackoffSaturates(t *testing.T) {
+	want := 2 * time.Millisecond
+	for n := 1; n <= 64; n++ {
+		if got := backoffCap(n); got != want {
+			t.Fatalf("attempt %d: cap %v, want %v", n, got, want)
+		}
+		want = min(2*want, 50*time.Millisecond)
+	}
+	rb := NewResilientBusiness(nil, 1)
+	for _, n := range []int{44, 64} {
+		start := time.Now()
+		if err := rb.sleep(context.Background(), n); err != nil {
+			t.Fatalf("attempt %d: %v", n, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("attempt %d slept %v, cap is 50ms", n, d)
+		}
+	}
+}

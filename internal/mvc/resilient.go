@@ -25,12 +25,6 @@ type ResilientBusiness struct {
 	// MaxAttempts bounds total tries per unit read (<=1 disables
 	// retries; 0 selects the default of 3).
 	MaxAttempts int
-	// BaseBackoff is the first retry's maximum sleep (default 2ms);
-	// each subsequent attempt doubles it, capped at MaxBackoff
-	// (default 50ms). The actual sleep is uniform in [0, cap) — full
-	// jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 
 	// Retries counts retry attempts actually performed (for metrics).
 	Retries atomic.Int64
@@ -58,21 +52,28 @@ func (rb *ResilientBusiness) ExecuteOperation(ctx context.Context, d *descriptor
 	return rb.Inner.ExecuteOperation(ctx, d, inputs)
 }
 
+// The backoff before the first retry is at most baseBackoff; each
+// later attempt doubles it, up to maxBackoff. The actual sleep is
+// uniform in [0, cap] — full jitter.
+const (
+	baseBackoff = 2 * time.Millisecond
+	maxBackoff  = 50 * time.Millisecond
+)
+
+// backoffCap is the longest sleep before attempt n (1-based): doubling
+// saturates at maxBackoff, so no attempt count overflows it.
+func backoffCap(attempt int) time.Duration {
+	cap := baseBackoff
+	for i := 1; i < attempt && cap < maxBackoff; i++ {
+		cap *= 2
+	}
+	return min(cap, maxBackoff)
+}
+
 // sleep backs off before attempt n (1-based) with full jitter, waking
 // early if the request context expires.
 func (rb *ResilientBusiness) sleep(ctx context.Context, attempt int) error {
-	base := rb.BaseBackoff
-	if base <= 0 {
-		base = 2 * time.Millisecond
-	}
-	max := rb.MaxBackoff
-	if max <= 0 {
-		max = 50 * time.Millisecond
-	}
-	cap := base << (attempt - 1)
-	if cap > max {
-		cap = max
-	}
+	cap := backoffCap(attempt)
 	rb.rngMu.Lock()
 	var d time.Duration
 	if rb.rng != nil {

@@ -141,7 +141,7 @@ func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
 
 // Delta returns the observations recorded in s but not in prev — the
 // window between two snapshots of the same histogram, for windowed
-// quantiles (a supervisor watching recent p99 rather than
+// quantiles (a benchmark reading one phase's p99 rather than
 // since-startup p99). Min/Max carry over from s: the log buckets bound
 // the quantile well enough for threshold decisions.
 func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {

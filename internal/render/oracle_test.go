@@ -139,7 +139,7 @@ func checkAgainstOracle(t *testing.T, e *Engine, pd *descriptor.Page, state *mvc
 // engines returns the two deployments of one repository: plain and
 // runtime-styled, with the user agents that reach each variant.
 func engines(repo *descriptor.Repository) (es []*Engine, agents [][]string) {
-	s, err := style.NewStyler(style.StandardProfiles(style.B2CRuleSet()), nil, nil)
+	s, err := style.NewStyler(style.MultiDevice(style.B2CRuleSet()))
 	if err != nil {
 		panic(err)
 	}
@@ -175,7 +175,11 @@ func TestProgramMatchesOracleAcerEuro(t *testing.T) {
 	}
 	pages := &mvc.PageService{Repo: art.Repo, Business: mvc.NewLocalBusiness(db)}
 	es, agents := engines(art.Repo)
-	variants := map[string]bool{}
+	type variant struct {
+		engine int
+		name   string
+	}
+	variants := map[variant]bool{}
 	for i, pd := range art.Repo.Pages() {
 		// Every third page redisplays an operation failure.
 		ctx := mvc.RequestContext{Params: map[string]mvc.Value{"id": int64(3), "kw": "Product", "offset": int64(10)}}
@@ -190,14 +194,15 @@ func TestProgramMatchesOracleAcerEuro(t *testing.T) {
 			for _, ua := range agents[k] {
 				ctx.UserAgent = ua
 				checkAgainstOracle(t, e, pd, state, &ctx)
-				variants[e.variant(&ctx)] = true
+				variants[variant{k, e.variant(&ctx)}] = true
 			}
 		}
 	}
 	if n := len(art.Repo.Pages()); n != workload.AcerEuro().Pages {
 		t.Fatalf("checked %d pages, want %d", n, workload.AcerEuro().Pages)
 	}
-	// "", the default rule set and the mobile one.
+	// The plain engine's "", and the styled engine's "" (desktop) and
+	// "mobile".
 	if len(variants) != 3 {
 		t.Fatalf("variants reached: %v, want 3", variants)
 	}

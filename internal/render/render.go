@@ -45,7 +45,7 @@ type TagRenderer func(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean)
 
 // Styler applies the presentation rules of Section 5 as a program compiles:
 // Style restyles the page's own parsed template in place. Variant names the
-// rule set chosen for a user agent ("" for all unless VariesByUserAgent);
+// device class of a user agent ("" for all unless VariesByUserAgent);
 // what Style does may depend on the page and that name alone.
 type Styler interface {
 	Style(pd *descriptor.Page, tpl *dom.Node, userAgent string) error
@@ -147,8 +147,8 @@ func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, c
 }
 
 // VariesByUserAgent reports whether rendering dispatches on the request
-// User-Agent (runtime presentation rules), so the Controller and any
-// cache tier key and Vary on it.
+// User-Agent (a rule set with device profiles), so the Controller and
+// any cache tier key and Vary on it.
 func (e *Engine) VariesByUserAgent() bool { return e.Styler != nil && e.Styler.VariesByUserAgent() }
 
 // variant names the presentation the request is served in.

@@ -2,6 +2,7 @@ package style
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -107,13 +108,11 @@ func MobileRuleSet() *RuleSet {
 			`<div class="m-header">${title}</div><webml:content/></div>`})
 }
 
-// StandardProfiles returns a runtime styler dispatching mobile user
-// agents to the mobile rule set and everything else to the given default.
-func StandardProfiles(def *RuleSet) *RuntimeStyler {
-	return &RuntimeStyler{
-		Profiles: []DeviceProfile{
-			{Name: "mobile", UAContains: []string{"Mobile", "Android", "iPhone", "WAP"}, Rules: MobileRuleSet()},
-		},
-		Default: def,
-	}
+// MultiDevice returns a copy of def that serves mobile user agents with
+// the mobile rule set and everything else with def.
+func MultiDevice(def *RuleSet) *RuleSet {
+	rs := *def
+	rs.Devices = append(slices.Clip(def.Devices), DeviceProfile{Name: "mobile",
+		UAContains: []string{"Mobile", "Android", "iPhone", "WAP"}, Rules: MobileRuleSet()})
+	return &rs
 }

@@ -6,13 +6,12 @@
 // grid, unit rules wrap each custom tag into its presentation markup
 // while leaving the tag itself in place as the dynamic slot.
 //
-// A Styler parses and checks every rule once and styles a page as its
-// render program compiles, in one of two modes (Section 5):
-//
-//   - compile time: a rule set per site view, or one for all; each page
-//     is styled once per page program, nothing per request;
-//   - request time: the rule set is chosen on the User-Agent header
-//     (multi-device), once per page and device variant.
+// A Styler parses and checks every rule of one rule set once and styles
+// a page as its render program compiles. The set decides the mode
+// (Section 5): its site views pick a set per page at compile time, and
+// its device profiles pick one per request on the User-Agent header
+// (multi-device). Either way each page is styled once per page program,
+// and with device profiles once per device class.
 package style
 
 import (
@@ -63,6 +62,14 @@ type RuleSet struct {
 	// CSS is the style sheet injected into styled pages. Build it with
 	// ComposeCSS to keep it modularized per unit kind.
 	CSS string
+	// SiteViews replaces the set for the pages of the listed site views
+	// (keyed by site view ID): the Acer-Euro arrangement of one style
+	// sheet per site-view group.
+	SiteViews map[string]*RuleSet
+	// Devices choose a set on the request's User-Agent, ahead of
+	// SiteViews and the set itself: the first matching profile wins.
+	// Each profile needs its own name, which keys its page programs.
+	Devices []DeviceProfile
 }
 
 // rules is a rule set with its markup parsed and checked. The trees are
@@ -231,83 +238,83 @@ type DeviceProfile struct {
 	Rules      *RuleSet
 }
 
-// RuntimeStyler configures request-time styling, choosing the rule set
-// "based on the user agent declared in the HTTP request" — the
-// multi-device mode of Section 5. NewStyler turns it into a Styler.
-type RuntimeStyler struct {
-	Profiles []DeviceProfile
-	// Default is used when no profile matches.
-	Default *RuleSet
-}
-
-func (s *RuntimeStyler) ruleSet(userAgent string) *RuleSet {
-	ua := strings.ToLower(userAgent)
-	for _, p := range s.Profiles {
-		for _, sub := range p.UAContains {
-			if strings.Contains(ua, strings.ToLower(sub)) {
-				return p.Rules
-			}
-		}
-	}
-	return s.Default
-}
-
 // Styler styles pages as their render programs compile (render.Styler).
 type Styler struct {
-	runtime    *RuntimeStyler // request-time styling; else by site view
-	bySiteView map[string]*RuleSet
-	def        *RuleSet
-	parsed     map[*RuleSet]*rules // each rule set above, parsed once
+	rs     *RuleSet            // nil: unstyled
+	parsed map[*RuleSet]*rules // rs and every set it names, parsed once
 }
 
-// NewStyler parses and checks every rule it is given. With runtime set it
-// styles by User-Agent; else a page gets its site view's rule set from
-// bySiteView, or def (nil: unstyled).
-func NewStyler(runtime *RuntimeStyler, bySiteView map[string]*RuleSet, def *RuleSet) (*Styler, error) {
-	s := &Styler{runtime: runtime, bySiteView: bySiteView, def: def, parsed: map[*RuleSet]*rules{}}
-	sets := []*RuleSet{def}
-	for _, rs := range bySiteView {
-		sets = append(sets, rs)
+// NewStyler parses and checks every rule of rs, its site views' sets and
+// its device profiles' sets, and refuses a device profile without a name
+// or with a name another profile has. A nil rs styles nothing.
+func NewStyler(rs *RuleSet) (*Styler, error) {
+	s := &Styler{rs: rs, parsed: map[*RuleSet]*rules{}}
+	if rs == nil {
+		return s, nil
 	}
-	if runtime != nil {
-		sets = append(sets, runtime.Default)
-		for _, p := range runtime.Profiles {
-			sets = append(sets, p.Rules)
+	sets := []*RuleSet{rs}
+	for _, sv := range rs.SiteViews {
+		sets = append(sets, sv)
+	}
+	names := map[string]bool{}
+	for _, d := range rs.Devices {
+		if d.Name == "" || names[d.Name] {
+			return nil, fmt.Errorf("style: rule set %q: device profile name %q is empty or repeated", rs.Name, d.Name)
 		}
+		names[d.Name] = true
+		sets = append(sets, d.Rules)
 	}
-	for _, rs := range sets {
-		if rs != nil && s.parsed[rs] == nil {
-			r, err := parseRules(rs)
+	for _, set := range sets {
+		if set != nil && s.parsed[set] == nil {
+			r, err := parseRules(set)
 			if err != nil {
 				return nil, err
 			}
-			s.parsed[rs] = r
+			s.parsed[set] = r
 		}
 	}
 	return s, nil
 }
 
-// VariesByUserAgent reports whether the styler styles at request time.
-func (s *Styler) VariesByUserAgent() bool { return s.runtime != nil }
-
-// Variant names the rule set a user agent gets under request-time
-// styling, and is "" otherwise: one render program per page and variant.
-func (s *Styler) Variant(userAgent string) string {
-	if s.runtime != nil {
-		if rs := s.runtime.ruleSet(userAgent); rs != nil {
-			return rs.Name
+// device returns the first device profile matching the user agent.
+func (s *Styler) device(userAgent string) *DeviceProfile {
+	if !s.VariesByUserAgent() {
+		return nil
+	}
+	ua := strings.ToLower(userAgent)
+	for i, p := range s.rs.Devices {
+		for _, sub := range p.UAContains {
+			if strings.Contains(ua, strings.ToLower(sub)) {
+				return &s.rs.Devices[i]
+			}
 		}
+	}
+	return nil
+}
+
+// VariesByUserAgent reports whether the rule set has device profiles.
+func (s *Styler) VariesByUserAgent() bool { return s.rs != nil && len(s.rs.Devices) > 0 }
+
+// Variant names the device profile a user agent matches, and is ""
+// otherwise: one render program per page and variant.
+func (s *Styler) Variant(userAgent string) string {
+	if d := s.device(userAgent); d != nil {
+		return d.Name
 	}
 	return ""
 }
 
-// Style styles a page's parsed template in place.
+// Style styles a page's parsed template in place with the matching
+// device profile's set, else the page's site view's, else the set itself.
 func (s *Styler) Style(pd *descriptor.Page, tpl *dom.Node, userAgent string) error {
-	rs := s.def
-	if s.runtime != nil {
-		rs = s.runtime.ruleSet(userAgent)
-	} else if s.bySiteView[pd.SiteView] != nil {
-		rs = s.bySiteView[pd.SiteView]
+	if s.rs == nil {
+		return nil
+	}
+	rs := s.rs
+	if d := s.device(userAgent); d != nil {
+		rs = d.Rules
+	} else if sv := s.rs.SiteViews[pd.SiteView]; sv != nil {
+		rs = sv
 	}
 	if rs == nil {
 		return nil

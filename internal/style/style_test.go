@@ -19,7 +19,7 @@ const skeleton = `<html data-page="p1" data-layout="two-column">` +
 // page program is styled.
 func apply(t *testing.T, rs *RuleSet, src string) *dom.Node {
 	t.Helper()
-	s, err := NewStyler(nil, nil, rs)
+	s, err := NewStyler(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func apply(t *testing.T, rs *RuleSet, src string) *dom.Node {
 }
 
 func TestApplyWrapsUnitsAndPage(t *testing.T) {
-	s, err := NewStyler(nil, nil, B2CRuleSet())
+	s, err := NewStyler(B2CRuleSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,19 +122,22 @@ func TestDefaultPageRuleFallback(t *testing.T) {
 	}
 }
 
-// refused wants every way of building a styler from rs, and
-// CompileTemplates, to refuse it before styling a page: a rule is checked
+// refused wants a styler to refuse rs wherever a rule set can stand, and
+// CompileTemplates to refuse it, before styling a page: a rule is checked
 // whether or not a page would use it.
 func refused(t *testing.T, rs *RuleSet) {
 	t.Helper()
-	if _, err := NewStyler(nil, nil, rs); err == nil {
-		t.Error("accepted at compile time")
+	if _, err := NewStyler(rs); err == nil {
+		t.Error("accepted as the rule set")
 	}
-	if _, err := NewStyler(nil, map[string]*RuleSet{"sv": rs}, nil); err == nil {
+	if _, err := NewStyler(&RuleSet{Name: "ok", SiteViews: map[string]*RuleSet{"sv": rs}}); err == nil {
 		t.Error("accepted for a site view")
 	}
-	if _, err := NewStyler(StandardProfiles(rs), nil, nil); err == nil {
-		t.Error("accepted at request time")
+	if _, err := NewStyler(&RuleSet{Name: "ok", Devices: []DeviceProfile{{Name: "tv", UAContains: []string{"TV"}, Rules: rs}}}); err == nil {
+		t.Error("accepted for a device")
+	}
+	if _, err := NewStyler(MultiDevice(rs)); err == nil {
+		t.Error("accepted under MultiDevice")
 	}
 	if _, err := CompileTemplates(descriptor.NewRepository(), rs); err == nil {
 		t.Error("accepted by CompileTemplates")
@@ -172,8 +175,11 @@ func TestCompileTemplatesRewritesRepository(t *testing.T) {
 	}
 }
 
+// TestRuntimeStylerDispatchesOnUserAgent: a rule set with device
+// profiles styles per device class; the variant is the matching
+// profile's name, and "" for a user agent no profile matches.
 func TestRuntimeStylerDispatchesOnUserAgent(t *testing.T) {
-	s, err := NewStyler(StandardProfiles(B2CRuleSet()), nil, nil)
+	s, err := NewStyler(MultiDevice(B2CRuleSet()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestRuntimeStylerDispatchesOnUserAgent(t *testing.T) {
 	if got := s.Variant("Mozilla/5.0 (iPhone; Mobile Safari)"); got != "mobile" {
 		t.Fatalf("variant = %q", got)
 	}
-	if got := s.Variant("Mozilla/5.0 (X11; Linux x86_64)"); got != "b2c" {
+	if got := s.Variant("Mozilla/5.0 (X11; Linux x86_64)"); got != "" {
 		t.Fatalf("variant = %q", got)
 	}
 	mobile, desktop := dom.MustParse(skeleton), dom.MustParse(skeleton)
@@ -239,13 +245,15 @@ func TestApplyIdempotentContentPreservation(t *testing.T) {
 }
 
 // TestStylerBySiteView: a page gets its site view's rule set, else the
-// default; without a default it stays unstyled, and no page varies by
+// set itself; without a set it stays unstyled, and no page varies by
 // user agent.
 func TestStylerBySiteView(t *testing.T) {
-	s, err := NewStyler(nil, map[string]*RuleSet{
+	rs := IntranetRuleSet()
+	rs.SiteViews = map[string]*RuleSet{
 		"shop":     B2CRuleSet(),
 		"partners": B2BRuleSet(),
-	}, IntranetRuleSet())
+	}
+	s, err := NewStyler(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +269,36 @@ func TestStylerBySiteView(t *testing.T) {
 			t.Fatalf("site view %s styled %q, want %q", sv, got, want)
 		}
 	}
-	none, err := NewStyler(nil, nil, nil)
+	none, err := NewStyler(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree := dom.MustParse(skeleton)
 	if err := none.Style(&descriptor.Page{ID: "p9", SiteView: "ghost"}, tree, ""); err != nil || tree.String() != skeleton {
 		t.Fatalf("unlisted site view without a default was styled (err %v):\n%s", err, tree)
+	}
+}
+
+// TestStylerDeviceBeforeSiteView: a matching device profile wins over
+// the page's site view, which wins over the set itself.
+func TestStylerDeviceBeforeSiteView(t *testing.T) {
+	rs := MultiDevice(IntranetRuleSet())
+	rs.SiteViews = map[string]*RuleSet{"shop": B2CRuleSet()}
+	s, err := NewStyler(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ sv, ua, want string }{
+		{"shop", "Mozilla/5.0 (iPhone) Mobile", "mobile"},
+		{"shop", "Mozilla/5.0 (X11)", "b2c"},
+		{"cm", "Mozilla/5.0 (X11)", "intranet"},
+	} {
+		tree := dom.MustParse(skeleton)
+		if err := s.Style(&descriptor.Page{ID: "p1", SiteView: c.sv}, tree, c.ua); err != nil {
+			t.Fatal(err)
+		}
+		if got := tree.AttrOr("data-style", ""); got != c.want {
+			t.Errorf("site view %s, %s: styled %q, want %q", c.sv, c.ua, got, c.want)
+		}
 	}
 }

@@ -115,8 +115,7 @@ func TestMetricsExpositionDocumented(t *testing.T) {
 		WithRetries(2),
 		WithDegradedServing(time.Minute),
 		WithFaults(fault.Schedule{Seed: 1}),
-		WithObservability(64, time.Hour),
-		WithQueryAnalysis(16, 0))
+		WithObservability(time.Hour, time.Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}

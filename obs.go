@@ -14,50 +14,47 @@ import (
 	"webmlgo/internal/rdb"
 )
 
+// debugRing is the capacity of the trace ring at /debug/traces and of
+// the flight recorder's ring at /debug/queries.
+const debugRing = 256
+
 // WithObservability enables request tracing across every tier: the edge
 // (or controller, without an edge) allocates a trace per request, page
 // workers, caches and remote EJB calls contribute spans, and container
-// tiers stitch theirs back over the wire. Finished traces are kept
-// in a ring of traceCapacity (<=0 selects 256) served at /debug/traces;
-// traces at or past slowThreshold (<=0 selects 250ms) are additionally
-// retained as slow exemplars. It also turns on the per-page and
-// per-unit latency histograms feeding /metrics. For production
-// serving, set App.Obs.SampleEvery = n to trace 1-in-n requests —
-// histograms stay exact on every request regardless of sampling.
-func WithObservability(traceCapacity int, slowThreshold time.Duration) Option {
+// tiers stitch theirs back over the wire. The last 256 finished traces
+// are served at /debug/traces; traces at or past slowTrace (<=0 selects
+// 250ms) are additionally retained as slow exemplars. It also turns on
+// the per-page and per-unit latency histograms feeding /metrics. For
+// production serving, set App.Obs.SampleEvery = n to trace 1-in-n
+// requests — histograms stay exact on every request regardless of
+// sampling.
+//
+// slowQuery > 0 arms the slow-query flight recorder: data-tier
+// executions taking at least slowQuery are captured — SQL, bound
+// parameters, the analyzed plan with per-operator actuals, and the
+// owning trace ID — into a ring of 256 served at /debug/queries
+// (time.Nanosecond captures every query). Queries below the threshold
+// pay only the operator counters, never the ring's lock. slowQuery <= 0
+// leaves the recorder off.
+func WithObservability(slowTrace, slowQuery time.Duration) Option {
 	return func(c *config) {
 		c.withObs = true
-		c.traceCap = traceCapacity
-		c.slowTrace = slowThreshold
+		c.slowTrace = slowTrace
+		c.slowQuery = slowQuery
 	}
 }
 
-// WithQueryAnalysis turns on the slow-query flight recorder: data-tier
-// executions taking at least min are captured — SQL, bound parameters,
-// the analyzed plan with per-operator actuals, and the owning trace ID
-// — into a ring of capacity entries (<=0 selects 128) served at
-// /debug/queries. min <= 0 captures every query (full-analysis mode);
-// queries below the threshold pay only the operator counters, never
-// the ring's lock.
-func WithQueryAnalysis(capacity int, min time.Duration) Option {
-	return func(c *config) {
-		c.withAnalysis = true
-		c.analyzeCap = capacity
-		c.analyzeMin = min
-	}
-}
-
-// wireObservability attaches the tracer, the data-tier trace hooks and
-// the model-derived histogram families to an assembled app (called at
-// the end of New).
+// wireObservability attaches the tracer, the data-tier trace hooks, the
+// flight recorder and the model-derived histogram families to an
+// assembled app (called at the end of New).
 func (a *App) wireObservability(cfg *config) {
-	if cfg.withAnalysis {
-		a.DB.EnableQueryRecorder(cfg.analyzeCap, cfg.analyzeMin)
-	}
 	if !cfg.withObs {
 		return
 	}
-	a.Obs = obs.NewTracer(cfg.traceCap, cfg.slowTrace)
+	if cfg.slowQuery > 0 {
+		a.DB.EnableQueryRecorder(debugRing, cfg.slowQuery)
+	}
+	a.Obs = obs.NewTracer(debugRing, cfg.slowTrace)
 	a.Controller.Obs = a.Obs
 	if ps, ok := a.Controller.Pages.(*mvc.PageService); ok {
 		ps.PageLat = obs.NewHistogramVec("webml_page_compute_seconds",
@@ -130,8 +127,8 @@ type queryRecordView struct {
 }
 
 // QueriesHandler returns the /debug/queries endpoint: the slow-query
-// flight recorder's ring as JSON, newest first (404 without
-// WithQueryAnalysis).
+// flight recorder's ring as JSON, newest first (404 unless
+// WithObservability was given a slow-query threshold).
 //
 //	GET /debug/queries            captured queries (newest first)
 //	GET /debug/queries?min=50ms   captures at least this slow
@@ -141,7 +138,7 @@ func (a *App) QueriesHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		enabled, threshold := a.DB.RecorderEnabled()
 		if !enabled {
-			http.Error(w, "query recorder disabled (WithQueryAnalysis)", http.StatusNotFound)
+			http.Error(w, "query recorder disabled (WithObservability with a slow-query threshold)", http.StatusNotFound)
 			return
 		}
 		q := r.URL.Query()

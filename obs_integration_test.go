@@ -33,7 +33,7 @@ func obsStack(t *testing.T) (*App, *ejb.Container) {
 		WithAppServer(addr),
 		WithBeanCache(1024),
 		WithEdgeCache(1024, time.Minute),
-		WithObservability(64, time.Hour))
+		WithObservability(time.Hour, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

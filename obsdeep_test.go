@@ -9,13 +9,12 @@ import (
 	"time"
 )
 
-// deepObsApp assembles a traced app with the flight recorder in
-// full-analysis mode (every query captured).
+// deepObsApp assembles a traced app with the flight recorder capturing
+// every query (nothing runs faster than a nanosecond).
 func deepObsApp(t *testing.T, extra ...Option) *App {
 	t.Helper()
 	opts := append([]Option{
-		WithObservability(64, time.Hour),
-		WithQueryAnalysis(64, 0),
+		WithObservability(time.Hour, time.Nanosecond),
 	}, extra...)
 	app := newApp(t, opts...)
 	t.Cleanup(app.Close)
@@ -66,12 +65,17 @@ func TestDebugEndpointParamValidation(t *testing.T) {
 	}
 }
 
-// TestQueriesHandlerDisabled: without WithQueryAnalysis the endpoint
-// answers 404; same for /debug/fleet without WithElasticFleet.
+// TestQueriesHandlerDisabled: without a slow-query threshold, traced
+// or not, the endpoint answers 404; same for /debug/fleet without
+// WithElasticFleet.
 func TestQueriesHandlerDisabled(t *testing.T) {
 	app := newApp(t)
 	if rr, _ := request(t, app.QueriesHandler(), "/debug/queries", ""); rr.Code != 404 {
 		t.Fatalf("disabled /debug/queries = %d, want 404", rr.Code)
+	}
+	traced := newApp(t, WithObservability(time.Hour, 0))
+	if rr, _ := request(t, traced.QueriesHandler(), "/debug/queries", ""); rr.Code != 404 {
+		t.Fatalf("/debug/queries without a slow-query threshold = %d, want 404", rr.Code)
 	}
 	if rr, _ := request(t, app.FleetHandler(), "/debug/fleet", ""); rr.Code != 404 {
 		t.Fatalf("disabled /debug/fleet = %d, want 404", rr.Code)

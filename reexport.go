@@ -97,9 +97,9 @@ func IntranetStyle() *style.RuleSet { return style.IntranetRuleSet() }
 // MobileStyle returns the compact small-screen rule set.
 func MobileStyle() *style.RuleSet { return style.MobileRuleSet() }
 
-// MultiDevice returns a runtime styler that serves mobile user agents
-// with the mobile rule set and everything else with def.
-func MultiDevice(def *style.RuleSet) *style.RuntimeStyler { return style.StandardProfiles(def) }
+// MultiDevice returns a copy of def that serves mobile user agents with
+// the mobile rule set and everything else with def.
+func MultiDevice(def *style.RuleSet) *style.RuleSet { return style.MultiDevice(def) }
 
 // StyleRuleSet aliases the presentation rule-set type for option maps.
 type StyleRuleSet = style.RuleSet

@@ -2,6 +2,7 @@ package webmlgo
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,21 +14,29 @@ import (
 	"webmlgo/internal/workload"
 )
 
-// styleOptions are the three style options, each over one rule set.
+// styleOptions are WithCompiledStyle over the three shapes of rule set,
+// each holding the given one: plain, for a site view, for a device.
 var styleOptions = []struct {
 	name string
 	opt  func(*StyleRuleSet) Option
 	vary string // the Vary header of a page or fragment response
 }{
-	{"compiled", func(rs *StyleRuleSet) Option { return WithCompiledStyle(rs) }, ""},
+	{"plain", WithCompiledStyle, ""},
 	{"site views", func(rs *StyleRuleSet) Option {
-		return WithSiteViewStyles(map[string]*StyleRuleSet{"public": rs}, IntranetStyle())
+		base := IntranetStyle()
+		base.SiteViews = map[string]*StyleRuleSet{"public": rs}
+		return WithCompiledStyle(base)
 	}, ""},
-	{"runtime", func(rs *StyleRuleSet) Option { return WithRuntimeStyle(MultiDevice(rs)) }, "User-Agent"},
+	{"devices", func(rs *StyleRuleSet) Option {
+		base := IntranetStyle()
+		base.Devices = []style.DeviceProfile{{Name: "tv", UAContains: []string{"SmartTV"}, Rules: rs}}
+		return WithCompiledStyle(base)
+	}, "User-Agent"},
 }
 
-// TestStyleRuleErrorsFailNew: under every style option, a rule that does
-// not parse or lacks its placeholder fails New, before any page is served.
+// TestStyleRuleErrorsFailNew: in every shape of rule set, a rule that
+// does not parse or lacks its placeholder fails New, before any page is
+// served.
 func TestStyleRuleErrorsFailNew(t *testing.T) {
 	broken := map[string]*StyleRuleSet{
 		"unit rule without slot":    {Name: "broken", UnitRules: []style.UnitRule{{Kind: "data", Template: `<div class="box"/>`}}},
@@ -47,7 +56,8 @@ func TestStyleRuleErrorsFailNew(t *testing.T) {
 }
 
 // TestVaryOnlyUnderRuntimeStyle: page and fragment responses announce
-// Vary: User-Agent under request-time styling only.
+// Vary: User-Agent under request-time styling (a rule set with device
+// profiles) only.
 func TestVaryOnlyUnderRuntimeStyle(t *testing.T) {
 	for _, o := range styleOptions {
 		app := newApp(t, o.opt(B2CStyle()), WithEdgeCache(1024, time.Minute))
@@ -61,6 +71,41 @@ func TestVaryOnlyUnderRuntimeStyle(t *testing.T) {
 			t.Errorf("%s: edge keys on the user agent: %v", o.name, app.Edge.VaryUserAgent)
 		}
 		app.Close()
+	}
+}
+
+// TestDeviceVariantsCompileApart: each device profile gets its own page
+// programs, keyed by the profile's name, even when its rule set has no
+// name or the name of another; a profile without a name of its own is
+// refused by New.
+func TestDeviceVariantsCompileApart(t *testing.T) {
+	unit := func(class string) []style.UnitRule {
+		return []style.UnitRule{{Kind: "data", Template: `<div class="` + class + `"><webml:slot/></div>`}}
+	}
+	rs := &StyleRuleSet{UnitRules: unit("desk-unit"), Devices: []style.DeviceProfile{
+		{Name: "tv", UAContains: []string{"SmartTV"}, Rules: &StyleRuleSet{UnitRules: unit("tv-unit")}},
+		{Name: "watch", UAContains: []string{"Watch"}, Rules: &StyleRuleSet{UnitRules: unit("watch-unit")}},
+	}}
+	app := newApp(t, WithCompiledStyle(rs))
+	for _, c := range []struct{ ua, want string }{
+		{"Mozilla/5.0 (X11; Linux)", "desk-unit"},
+		{"Mozilla/5.0 (SMART-TV; SmartTV)", "tv-unit"},
+		{"Mozilla/5.0 (Watch OS)", "watch-unit"},
+		{"Mozilla/5.0 (X11; Linux)", "desk-unit"},
+	} {
+		rr, body := request(t, app.Handler(), "/page/volumePage?volume=1", c.ua)
+		if rr.Code != 200 || !strings.Contains(body, `class="`+c.want+`"`) {
+			t.Errorf("%s: status %d, want %s markup:\n%s", c.ua, rr.Code, c.want, body)
+		}
+	}
+	tv := rs.Devices[0]
+	for what, devices := range map[string][]style.DeviceProfile{
+		"empty":    {{UAContains: []string{"SmartTV"}, Rules: B2BStyle()}},
+		"repeated": {tv, tv},
+	} {
+		if _, err := New(fixture.Figure1Model(), WithCompiledStyle(&StyleRuleSet{Name: "desk", Devices: devices})); err == nil {
+			t.Errorf("%s device profile name accepted by New", what)
+		}
 	}
 }
 
