@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"webmlgo/internal/cell"
 	"webmlgo/internal/descriptor"
@@ -54,19 +55,26 @@ func cells(row ...mvc.Value) []cell.Cell {
 	return out
 }
 
+// itemTable creates table item<rows> of rows (oid, title) rows and
+// returns its name.
+func itemTable(t *testing.T, db *rdb.DB, rows int) string {
+	t.Helper()
+	table := fmt.Sprintf("item%d", rows)
+	if _, err := db.Exec("CREATE TABLE " + table + " (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := db.Exec("INSERT INTO "+table+" (title) VALUES (?)", fmt.Sprintf("title %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return table
+}
+
 func TestAllocSlopeCompiledSelect(t *testing.T) {
 	db := rdb.Open()
 	slope := allocSlope(t, func(rows int) func() {
-		table := fmt.Sprintf("item%d", rows)
-		if _, err := db.Exec("CREATE TABLE " + table + " (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL)"); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rows; i++ {
-			if _, err := db.Exec("INSERT INTO "+table+" (title) VALUES (?)", fmt.Sprintf("title %d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		query := "SELECT t.oid, t.title FROM " + table + " t ORDER BY t.oid"
+		query := "SELECT t.oid, t.title FROM " + itemTable(t, db, rows) + " t ORDER BY t.oid"
 		return func() {
 			if res, err := db.Query(query); err != nil || res.Len() != rows {
 				t.Fatalf("%d rows, err %v", res.Len(), err)
@@ -89,15 +97,7 @@ func TestAllocScrollerWindowConstant(t *testing.T) {
 	}
 	db := rdb.Open()
 	shape := func(rows int) (window, count float64) {
-		table := fmt.Sprintf("item%d", rows)
-		if _, err := db.Exec("CREATE TABLE " + table + " (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL)"); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rows; i++ {
-			if _, err := db.Exec("INSERT INTO "+table+" (title) VALUES (?)", fmt.Sprintf("title %d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		table := itemTable(t, db, rows)
 		last := int64(rows - 10)
 		window = testing.AllocsPerRun(100, func() {
 			for _, offset := range []int64{0, last} {
@@ -122,6 +122,29 @@ func TestAllocScrollerWindowConstant(t *testing.T) {
 			smallWindow, largeWindow, smallCount, largeCount)
 	}
 	t.Logf("scroller window pair: %.0f allocs at 20 rows, %.0f at 2,000; count: %.0f and %.0f", smallWindow, largeWindow, smallCount, largeCount)
+}
+
+// TestAllocListingConstant: a listing — every row in primary-key order,
+// no LIMIT — is sized by its plan's last run, so its rows and their slab
+// cost one allocation each whether the table holds 20 rows or 2,000.
+func TestAllocListingConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := rdb.Open()
+	listing := func(rows int) float64 {
+		query := "SELECT t.oid, t.title FROM " + itemTable(t, db, rows) + " t ORDER BY t.oid"
+		return testing.AllocsPerRun(100, func() {
+			if res, err := db.Query(query); err != nil || res.Len() != rows {
+				t.Fatalf("%d rows, err %v", res.Len(), err)
+			}
+		})
+	}
+	small, large := listing(20), listing(2000)
+	if large > small+1 {
+		t.Fatalf("listing allocations grow with the table: %.0f at 20 rows, %.0f at 2,000", small, large)
+	}
+	t.Logf("listing: %.0f allocs at 20 rows, %.0f at 2,000", small, large)
 }
 
 func TestAllocSlopeRenderPage(t *testing.T) {
@@ -231,6 +254,47 @@ func TestAllocSlopeCodec(t *testing.T) {
 		t.Fatalf("bean encode + decode allocates %.2f per extra row, want <= 0.1", slope)
 	}
 	t.Logf("bean encode + decode: %.3f allocs per extra row", slope)
+}
+
+// TestAllocSlopeBatchItems sends levels of 20 and of 200 units through a
+// real container over loopback, each under a deadline as a request's
+// level is: the level is one frame out and one reply frame back under
+// one deadline, so an extra unit costs its descriptor, its bean and its
+// response, not a frame, a reply buffer, a deadline or a request of its
+// own.
+func TestAllocSlopeBatchItems(t *testing.T) {
+	ctr := ejb.NewContainer(cannedBeans{"b": rowsBean(1)}, 256)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close() //nolint:errcheck // test teardown
+	client, err := ejb.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	slope := allocSlope(t, func(units int) func() {
+		calls := make([]mvc.UnitCall, units)
+		for i := range calls {
+			calls[i] = mvc.UnitCall{D: &descriptor.Unit{ID: "b", Kind: "index"}}
+		}
+		return func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for i, r := range client.ComputeUnits(ctx, calls) {
+				if r.Err != nil || len(r.Bean.Nodes) != 1 {
+					t.Fatalf("unit %d: bean %+v, err %v", i, r.Bean, r.Err)
+				}
+			}
+		}
+	})
+	// 9.0 per extra unit today; a reply frame, a deadline and a request
+	// of its own per unit cost 15.0.
+	if slope > 12 {
+		t.Fatalf("a level allocates %.2f per extra unit, want <= 12", slope)
+	}
+	t.Logf("level over loopback: %.3f allocs per extra unit", slope)
 }
 
 // pagedItems opens a database with a 16-row budget whose tables, an item

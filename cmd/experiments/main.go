@@ -836,7 +836,7 @@ func e10() {
 	fmt.Printf("\n  E10 RESULT: framed+batch vs framed per-unit: x%.2f throughput, x%.2f p95, byte-identical: %v\n",
 		best.rps/base.rps, float64(best.p95)/float64(base.p95), identical)
 	sent, recv, _ := modes[1].app.Remote.FrameStats()
-	fmt.Printf("  frames on the batch client: %d sent / %d received (batch replies stream per item)\n", sent, recv)
+	fmt.Printf("  frames on the batch client: %d sent / %d received (one reply frame per level)\n", sent, recv)
 }
 
 // e11 replays Section 6's data-tier tuning step on the Acer-Euro

@@ -44,8 +44,8 @@ type RemoteBusiness struct {
 	Wire string
 	// CallLat records per-endpoint remote call latency (created by Dial;
 	// always on, atomics only). Registered with the /metrics registry by
-	// the app wiring. Batched items are observed individually as their
-	// reply frames arrive.
+	// the app wiring. Each item of a level batch observes its level's
+	// exchange.
 	CallLat *obs.HistogramVec
 	// BatchLat records the wall time of one level-batched frame exchange
 	// per endpoint (created by Dial).
@@ -284,12 +284,10 @@ func (r *RemoteBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Uni
 func (r *RemoteBusiness) SupportsUnitBatch() bool { return true }
 
 // ComputeUnits implements mvc.BatchComputer: all unit computations of
-// one schedule level travel as a single batch frame, and the container
-// streams results back as they complete — one round trip per level
-// instead of one per unit. Reads are idempotent, so on a mid-batch
-// transport failure the unfinished items (and only those) are
-// re-submitted to the next endpoint; items that already answered —
-// including per-item application errors — are final.
+// one schedule level travel as a single batch frame and come back as a
+// single reply frame — one round trip per level instead of one per unit.
+// Reads are idempotent, so on a transport failure the whole level
+// re-runs on the next endpoint; per-item application errors are final.
 func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc.UnitResult {
 	out := make([]mvc.UnitResult, len(calls))
 	if len(calls) == 0 {
@@ -299,27 +297,14 @@ func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall)
 		time.Sleep(r.latency)
 	}
 	deadline, _ := ctx.Deadline() // zero: unbounded
-	var deadlineMS int64
-	if !deadline.IsZero() {
-		if ms := time.Until(deadline).Milliseconds(); ms < 1 {
-			deadlineMS = 1
-		} else {
-			deadlineMS = ms
-		}
-	}
 	bsp := obs.Leaf(ctx, "ejb.batch").Label("units", strconv.Itoa(len(calls)))
-	done := make([]bool, len(calls))
 	eps := r.eps()
 	r.mu.Lock()
 	start := r.next
 	r.next++
 	r.mu.Unlock()
 	var lastErr error
-	remaining := len(calls)
-	if len(eps) == 0 {
-		lastErr = fmt.Errorf("ejb: no container endpoints")
-	}
-	for i := 0; i < len(eps) && remaining > 0; i++ {
+	for i := range eps {
 		if err := ctx.Err(); err != nil {
 			if lastErr == nil {
 				lastErr = err
@@ -334,55 +319,36 @@ func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall)
 			continue
 		}
 		ep.inflight.Add(1)
-		rem, err := r.batchOn(ctx, ep, calls, out, done, deadlineMS, deadline)
+		err := r.batchOn(ctx, ep, calls, out, deadline)
 		ep.inflight.Add(-1)
-		remaining = rem
-		if err != nil {
-			lastErr = err
+		if err == nil {
+			bsp.End()
+			return out
 		}
+		lastErr = err
 	}
-	if lastErr == nil && remaining > 0 {
-		lastErr = fmt.Errorf("ejb: batch incomplete")
+	if lastErr == nil {
+		lastErr = fmt.Errorf("ejb: no container endpoints")
 	}
-	for i := range calls {
-		if !done[i] {
-			out[i] = mvc.UnitResult{Err: lastErr}
-		}
+	for i := range out {
+		out[i] = mvc.UnitResult{Err: lastErr}
 	}
 	bsp.EndErr(lastErr)
 	return out
 }
 
-// batchOn submits the not-yet-done items to one endpoint (retrying once
-// on a fresh connection when a persistent one fails, like callOn) and
-// marks items done as their reply frames arrive. It returns how many
-// items remain and the transport error that stopped the batch, if any.
-func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.UnitCall, out []mvc.UnitResult, done []bool, deadlineMS int64, deadline time.Time) (int, error) {
-	count := func() int {
-		n := 0
-		for _, d := range done {
-			if !d {
-				n++
-			}
-		}
-		return n
-	}
+// batchOn runs the level on one endpoint, retrying once on a fresh
+// connection when a persistent one fails (like callOn), and fills out
+// from the reply. It returns the transport error that stopped it, if
+// any.
+func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.UnitCall, out []mvc.UnitResult, deadline time.Time) error {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if !deadline.IsZero() && time.Until(deadline) <= 0 {
 			if lastErr == nil {
 				lastErr = context.DeadlineExceeded
 			}
-			return count(), lastErr
-		}
-		var idxs []int
-		for i, d := range done {
-			if !d {
-				idxs = append(idxs, i)
-			}
-		}
-		if len(idxs) == 0 {
-			return 0, nil
+			return lastErr
 		}
 		mc, fresh, err := ep.framedConn(r, deadline)
 		if err != nil {
@@ -390,53 +356,52 @@ func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.
 			if lastErr == nil {
 				lastErr = err
 			}
-			return count(), lastErr
+			return lastErr
 		}
-		breq := &batchRequest{DeadlineMS: deadlineMS, Calls: make([]batchCall, len(idxs))}
-		spans := make([]*obs.SpanHandle, len(idxs))
-		for j, idx := range idxs {
+		breq := batchRequest{DeadlineMS: budgetMS(deadline), Calls: make([]batchCall, len(calls))}
+		spans := make([]*obs.SpanHandle, len(calls))
+		for j := range calls {
 			sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", "unit").Label("batch", "1")
 			tid, sid := sp.Wire()
 			breq.TraceID = tid
-			breq.Calls[j] = batchCall{SpanID: sid, Descriptor: calls[idx].D, Inputs: calls[idx].Inputs}
+			breq.Calls[j] = batchCall{SpanID: sid, Descriptor: calls[j].D, Inputs: calls[j].Inputs}
 			spans[j] = sp
 		}
 		started := time.Now()
-		err = mc.batch(breq, deadline, ctx.Done(), func(j int, resp *response) {
-			idx := idxs[j]
-			if r.CallLat != nil {
-				r.CallLat.ObserveErr(ep.addr, time.Since(started), resp.Err != "")
-			}
-			spans[j].ImportRemote(resp.Spans)
-			if resp.Err != "" {
-				// Application-level error: the container executed the item;
-				// re-running it elsewhere would produce the same answer.
-				e := fmt.Errorf("ejb: remote: %s", resp.Err)
-				spans[j].EndErr(e)
-				out[idx] = mvc.UnitResult{Err: e}
-			} else {
-				spans[j].End()
-				out[idx] = mvc.UnitResult{Bean: resp.Bean}
-			}
-			done[idx] = true
-		})
+		items, err := mc.batch(&breq, deadline, ctx.Done())
+		took := time.Since(started)
 		if r.BatchLat != nil {
-			r.BatchLat.ObserveErr(ep.addr, time.Since(started), err != nil)
+			r.BatchLat.ObserveErr(ep.addr, took, err != nil)
 		}
 		if err == nil {
 			ep.brk.success()
-			return count(), nil
-		}
-		for j, idx := range idxs {
-			if !done[idx] {
-				spans[j].EndErr(err)
+			for j, resp := range items {
+				if r.CallLat != nil {
+					r.CallLat.ObserveErr(ep.addr, took, resp.Err != "")
+				}
+				spans[j].ImportRemote(resp.Spans)
+				if resp.Err != "" {
+					// Application-level error: the container executed the
+					// item; re-running it elsewhere would produce the same
+					// answer.
+					e := fmt.Errorf("ejb: remote: %s", resp.Err)
+					spans[j].EndErr(e)
+					out[j] = mvc.UnitResult{Err: e}
+				} else {
+					spans[j].End()
+					out[j] = mvc.UnitResult{Bean: resp.Bean}
+				}
 			}
+			return nil
+		}
+		for _, sp := range spans {
+			sp.EndErr(err)
 		}
 		if errors.Is(err, context.Canceled) {
 			// Abandoned by the caller's context: mc.batch deregistered the
 			// frame, the shared connection stays healthy, and the container
 			// is blameless — no teardown, no breaker failure.
-			return count(), err
+			return err
 		}
 		mc.fail(err)
 		ep.dropGeneration(mc.gen)
@@ -446,7 +411,18 @@ func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.
 			break
 		}
 	}
-	return count(), lastErr
+	return lastErr
+}
+
+// budgetMS is the wire form of the budget left until deadline: whole
+// milliseconds, at least 1, and 0 for no deadline. It is computed for
+// every frame sent, so a call that fails over hands the next container
+// only what is left.
+func budgetMS(deadline time.Time) int64 {
+	if deadline.IsZero() {
+		return 0
+	}
+	return max(time.Until(deadline).Milliseconds(), 1)
 }
 
 // Pages returns a remote page computer over the same connections: the
@@ -475,13 +451,6 @@ func (r *RemoteBusiness) call(ctx context.Context, req *request) (*response, err
 		time.Sleep(r.latency)
 	}
 	deadline, _ := ctx.Deadline() // zero: unbounded
-	if !deadline.IsZero() {
-		ms := time.Until(deadline).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.DeadlineMS = ms
-	}
 	readOnly := req.Kind != "operation"
 	eps := r.eps()
 	r.mu.Lock()
@@ -565,6 +534,7 @@ func (r *RemoteBusiness) callOn(ctx context.Context, ep *endpoint, req *request,
 			}
 			return nil, sent, lastErr
 		}
+		req.DeadlineMS = budgetMS(deadline)
 		resp, err := mc.call(req, deadline, ctx.Done())
 		if err == nil {
 			ep.brk.success()

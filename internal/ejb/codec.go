@@ -860,3 +860,53 @@ func (r *rbuf) batchRequest() (*batchRequest, error) {
 	}
 	return b, nil
 }
+
+// batchReply is the body of an ftBatchReply frame: the item count, then
+// each item's response as a length-prefixed body, in call order.
+func (w *wbuf) batchReply(items []*response) {
+	w.uvarint(uint64(len(items)))
+	for _, resp := range items {
+		start := len(w.b)
+		w.response(resp)
+		// The length is known once the body is written: make room for
+		// it and move the body behind it.
+		n := len(w.b) - start
+		var head [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(head[:], uint64(n))
+		w.b = append(w.b, head[:k]...)
+		copy(w.b[start+k:], w.b[start:start+n])
+		copy(w.b[start:], head[:k])
+	}
+}
+
+// batchReply decodes each item from its own sub-slice, so each has its
+// own string copy and a bean kept from one item pins only that item's
+// bytes. An item must be read to its last byte, and the reply to its
+// last item.
+func (r *rbuf) batchReply() ([]*response, error) {
+	n := r.count()
+	if r.err != nil {
+		return nil, r.err
+	}
+	items := make([]*response, n)
+	for i := range items {
+		size := r.count()
+		if r.err != nil {
+			return nil, r.err
+		}
+		item := rbuf{b: r.b[r.off : r.off+size]}
+		resp, err := item.response()
+		if err != nil {
+			return nil, err
+		}
+		if item.remaining() != 0 {
+			return nil, errCodec
+		}
+		r.off += size
+		items[i] = resp
+	}
+	if r.remaining() != 0 {
+		return nil, errCodec
+	}
+	return items, nil
+}

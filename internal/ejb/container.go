@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/obs"
 )
@@ -168,45 +169,45 @@ func (c *Container) serveConn(conn net.Conn) {
 	c.serveFramed(conn, br)
 }
 
-// serveFramed is the wire-v2 loop: every call frame is served by its own
-// goroutine (the capacity gate in doInvoke is the actual concurrency
-// limiter), so many frames progress concurrently on one connection. A
-// batch frame fans its items out the same way and each result streams
-// back as its own ftBatchItem frame the moment it completes.
+// serveFramed is the wire-v2 loop: every request frame is served by its
+// own goroutine (the capacity gate in gated is the actual concurrency
+// limiter), so many frames progress concurrently on one connection, and
+// each is answered by one reply frame: an ftReply for a call, an
+// ftBatchReply for a batch once all its items are computed.
 func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 	var wmu sync.Mutex
-	writeReply := func(ft byte, id uint64, idx int, resp *response) {
-		w := getWbuf()
-		w.byte(ft)
-		w.uvarint(id)
-		if ft == ftBatchItem {
-			w.uvarint(uint64(idx))
-		}
-		w.response(resp)
-		err := w.err
-		if err == nil {
-			wmu.Lock()
-			_, err = conn.Write(w.frame())
-			wmu.Unlock()
-		}
-		putWbuf(w)
-		if err != nil {
-			// Sever the connection so the read loop unblocks; the client
-			// fails its in-flight frames over.
-			conn.Close()
-			return
-		}
-		c.framesOut.Add(1)
-	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	serve := func(ft byte, id uint64, idx int, req *request) {
+	serve := func(id uint64, req *request, breq *batchRequest) {
 		c.frameActive.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer c.frameActive.Add(-1)
-			writeReply(ft, id, idx, c.serveOne(req))
+			w := getWbuf()
+			defer putWbuf(w)
+			if breq != nil {
+				w.byte(ftBatchReply)
+				w.uvarint(id)
+				w.batchReply(c.serveBatch(breq))
+			} else {
+				w.byte(ftReply)
+				w.uvarint(id)
+				w.response(c.serveOne(req))
+			}
+			err := w.err
+			if err == nil {
+				wmu.Lock()
+				_, err = conn.Write(w.frame())
+				wmu.Unlock()
+			}
+			if err != nil {
+				// Sever the connection so the read loop unblocks; the
+				// client fails its in-flight frames over.
+				conn.Close()
+				return
+			}
+			c.framesOut.Add(1)
 		}()
 	}
 	for {
@@ -224,38 +225,75 @@ func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 			if err != nil {
 				return // corrupt stream: drop the connection
 			}
-			serve(ftReply, id, 0, req)
+			serve(id, req, nil)
 		case ftBatch:
 			breq, err := r.batchRequest()
 			if err != nil {
 				return
 			}
-			for i := range breq.Calls {
-				item := &breq.Calls[i]
-				serve(ftBatchItem, id, i, &request{
-					Kind:       "unit",
-					Descriptor: item.Descriptor,
-					Inputs:     item.Inputs,
-					DeadlineMS: breq.DeadlineMS,
-					TraceID:    breq.TraceID,
-					SpanID:     item.SpanID,
-				})
-			}
+			serve(id, nil, breq)
 		default:
 			return // protocol violation: drop the connection
 		}
 	}
 }
 
-// serveOne derives the invocation context from the caller's wire
-// deadline and contains panics: a panicking component (user-supplied
-// custom services run arbitrary code) becomes that invocation's error
-// response instead of killing the container process — per-connection
-// handler goroutines would otherwise take the whole tier down.
-func (c *Container) serveOne(req *request) (resp *response) {
-	// Reconstruct the caller's trace: same trace ID, span IDs offset by
-	// the calling span, parented under it — the response carries the
-	// spans back for client-side stitching (also on the panic path).
+// callerContext is a frame's invocation context: bounded by the caller's
+// wire deadline when it sent one, so a deadline set in the servlet tier
+// bounds work in the application server too.
+func callerContext(deadlineMS int64) (context.Context, context.CancelFunc) {
+	if deadlineMS > 0 {
+		return context.WithTimeout(context.Background(), time.Duration(deadlineMS)*time.Millisecond)
+	}
+	return context.Background(), func() {}
+}
+
+// serveOne serves one call frame.
+func (c *Container) serveOne(req *request) *response {
+	ctx, cancel := callerContext(req.DeadlineMS)
+	defer cancel()
+	return c.invoke(ctx, req.TraceID, req.SpanID, req.Kind, func(ctx context.Context) *response {
+		return c.compute(ctx, req)
+	})
+}
+
+// serveBatch serves one level under the batch's one deadline. The items
+// run concurrently under the capacity gate, the first on the serving
+// goroutine, so the level takes as long as its slowest unit; the
+// responses are in call order.
+func (c *Container) serveBatch(breq *batchRequest) []*response {
+	ctx, cancel := callerContext(breq.DeadlineMS)
+	defer cancel()
+	out := make([]*response, len(breq.Calls))
+	item := func(i int) {
+		call := &breq.Calls[i]
+		out[i] = c.invoke(ctx, breq.TraceID, call.SpanID, "unit", func(ctx context.Context) *response {
+			return c.computeUnit(ctx, call.Descriptor, call.Inputs)
+		})
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(out); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			item(i)
+		}()
+	}
+	if len(out) > 0 {
+		item(0)
+	}
+	wg.Wait()
+	return out
+}
+
+// invoke runs one component call under the capacity gate, recording its
+// latency and (when traced) a container.invoke span. It reconstructs the
+// caller's trace — same trace ID, span IDs offset by the calling span,
+// parented under it — and the response carries the spans back for
+// client-side stitching, also on the panic path. A panicking component
+// (user-supplied custom services run arbitrary code) becomes this
+// invocation's error response instead of killing the container process.
+func (c *Container) invoke(ctx context.Context, traceID, spanID uint64, kind string, run func(context.Context) *response) (resp *response) {
 	var rt *obs.Trace
 	defer func() {
 		if r := recover(); r != nil {
@@ -265,28 +303,14 @@ func (c *Container) serveOne(req *request) (resp *response) {
 			resp.Spans = rt.Export()
 		}
 	}()
-	ctx := context.Background()
-	if req.TraceID != 0 {
-		rt = obs.NewRemoteTrace(req.TraceID, req.SpanID)
-		ctx = obs.ContextWithTrace(ctx, rt, req.SpanID)
+	if traceID != 0 {
+		rt = obs.NewRemoteTrace(traceID, spanID)
+		ctx = obs.ContextWithTrace(ctx, rt, spanID)
 	}
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
-	return c.invoke(ctx, req)
-}
-
-// invoke runs one component call under the capacity gate, recording its
-// latency and (when traced) a container.invoke span — plus a
-// container.queue span whenever the call had to wait for an instance
-// slot, so a trace distinguishes queueing from computing.
-func (c *Container) invoke(ctx context.Context, req *request) *response {
 	start := time.Now()
-	sp := obs.Leaf(ctx, "container.invoke").Label("kind", req.Kind)
-	resp := c.doInvoke(ctx, req)
-	c.invokeLat.ObserveErr(req.Kind, time.Since(start), resp.Err != "")
+	sp := obs.Leaf(ctx, "container.invoke").Label("kind", kind)
+	resp = c.gated(ctx, kind, run)
+	c.invokeLat.ObserveErr(kind, time.Since(start), resp.Err != "")
 	if resp.Err != "" {
 		sp.EndErr(errors.New(resp.Err))
 	} else {
@@ -295,7 +319,10 @@ func (c *Container) invoke(ctx context.Context, req *request) *response {
 	return resp
 }
 
-func (c *Container) doInvoke(ctx context.Context, req *request) *response {
+// gated runs the call once an instance slot is free, adding a
+// container.queue span whenever it had to wait, so a trace distinguishes
+// queueing from computing.
+func (c *Container) gated(ctx context.Context, kind string, run func(context.Context) *response) *response {
 	c.mu.Lock()
 	var qsp *obs.SpanHandle
 	var qstart time.Time
@@ -314,7 +341,7 @@ func (c *Container) doInvoke(ctx context.Context, req *request) *response {
 	}
 	if waited {
 		c.queued--
-		c.queueLat.Observe(req.Kind, time.Since(qstart))
+		c.queueLat.Observe(kind, time.Since(qstart))
 	}
 	qsp.End()
 	if c.closed {
@@ -344,38 +371,40 @@ func (c *Container) doInvoke(ctx context.Context, req *request) *response {
 		c.mu.Unlock()
 		c.cond.Signal()
 	}()
+	return run(ctx)
+}
 
-	resp := &response{}
+// compute runs a call frame's request.
+func (c *Container) compute(ctx context.Context, req *request) *response {
 	switch req.Kind {
 	case "page":
 		if c.pages == nil {
-			resp.Err = "ejb: container has no deployed page service"
-			return resp
+			return &response{Err: "ejb: container has no deployed page service"}
 		}
 		state, err := c.pages.ComputePage(ctx, req.PageID, req.Inputs, req.FormState)
 		if err != nil {
-			resp.Err = err.Error()
-			return resp
+			return &response{Err: err.Error()}
 		}
-		resp.Page = state
+		return &response{Page: state}
 	case "unit":
-		bean, err := c.business.ComputeUnit(ctx, req.Descriptor, req.Inputs)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		resp.Bean = bean
+		return c.computeUnit(ctx, req.Descriptor, req.Inputs)
 	case "operation":
 		res, err := c.business.ExecuteOperation(ctx, req.Descriptor, req.Inputs)
 		if err != nil {
-			resp.Err = err.Error()
-			return resp
+			return &response{Err: err.Error()}
 		}
-		resp.Op = res
+		return &response{Op: res}
 	default:
-		resp.Err = fmt.Sprintf("ejb: unknown request kind %q", req.Kind)
+		return &response{Err: fmt.Sprintf("ejb: unknown request kind %q", req.Kind)}
 	}
-	return resp
+}
+
+func (c *Container) computeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) *response {
+	bean, err := c.business.ComputeUnit(ctx, d, inputs)
+	if err != nil {
+		return &response{Err: err.Error()}
+	}
+	return &response{Bean: bean}
 }
 
 // SetCapacity rescales the number of concurrently active component

@@ -57,7 +57,7 @@ type response struct {
 
 // batchCall is one unit computation inside a batch frame. Each item
 // carries its own span ID so the container collects a distinct remote
-// trace per item and ships it back in that item's reply frame.
+// trace per item and ships it back in that item's response.
 type batchCall struct {
 	SpanID     uint64
 	Descriptor *descriptor.Unit
@@ -66,8 +66,8 @@ type batchCall struct {
 
 // batchRequest is the body of an ftBatch frame: all remote unit
 // computations of one schedule level, submitted in a single round trip.
-// The container fans the calls out to its worker pool and streams each
-// result back as an ftBatchItem frame as it completes.
+// The container computes the calls concurrently under the batch's one
+// deadline and answers with one ftBatchReply frame.
 type batchRequest struct {
 	DeadlineMS int64
 	TraceID    uint64

@@ -1,8 +1,10 @@
 package ejb
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -152,6 +154,76 @@ func TestWireDeadlinePropagates(t *testing.T) {
 	}
 	if sawDeadline.Load() {
 		t.Fatal("unbounded call grew a deadline in transit")
+	}
+}
+
+// TestFailoverSendsWhatIsLeft: endpoint 1 holds the frame for 100 ms and
+// then drops the connection, so the read fails over to endpoint 2. The
+// frame sent there must carry the budget left after those 100 ms, not
+// the one the call started with — for a single call and for a level.
+func TestFailoverSendsWhatIsLeft(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				var hs [6]byte
+				if _, err := io.ReadFull(c, hs[:]); err != nil {
+					return
+				}
+				c.Write(handshakeBytes()) //nolint:errcheck
+				if _, err := readFrame(bufio.NewReader(c)); err != nil {
+					return
+				}
+				time.Sleep(100 * time.Millisecond)
+			}()
+		}
+	}()
+	left := make(chan time.Duration, 4)
+	ctr := NewContainer(&funcBusiness{
+		compute: func(ctx context.Context, d *descriptor.Unit, _ map[string]mvc.Value) (*mvc.UnitBean, error) {
+			deadline, _ := ctx.Deadline()
+			left <- time.Until(deadline)
+			return &mvc.UnitBean{UnitID: d.ID}, nil
+		},
+	}, 4)
+	addr2, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close()
+	d := &descriptor.Unit{ID: "u", Kind: "data"}
+	for name, run := range map[string]func(context.Context, *RemoteBusiness) error{
+		"call": func(ctx context.Context, client *RemoteBusiness) error {
+			_, err := client.ComputeUnit(ctx, d, nil)
+			return err
+		},
+		"batch": func(ctx context.Context, client *RemoteBusiness) error {
+			return client.ComputeUnits(ctx, []mvc.UnitCall{{D: d}})[0].Err
+		},
+	} {
+		client, err := Dial(ln.Addr().String(), addr2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		err = run(ctx, client)
+		cancel()
+		client.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := <-left; got > 950*time.Millisecond {
+			t.Fatalf("%s: endpoint 2 was given %v of a 1s budget 100ms after the call began", name, got)
+		}
 	}
 }
 

@@ -21,25 +21,26 @@ import (
 // and the container echoes the same form back with its own version.
 // Both sides bound the exchange by handshakeTimeout, and either side
 // closes the connection on anything but the magic followed by its own
-// version (3 since bean rows went positional: a build of another version
-// fails the handshake, it is never decoded): there is no other protocol
-// to fall back to.
+// version (4 since a batch is answered by one reply frame: a build of
+// another version fails the handshake, it is never decoded): there is no
+// other protocol to fall back to.
 //
 // Frames (both directions, after the handshake):
 //
 //	uvarint payloadLen | payload
 //	payload = frameType byte | uvarint requestID | body
 //
-// Body encodings live in codec.go. Many frames are in flight per
-// connection: the client write side is mutex-serialized, a demux
-// goroutine routes replies by request ID.
+// Body encodings live in codec.go. Every request frame is answered by
+// exactly one reply frame. Many frames are in flight per connection: the
+// client write side is mutex-serialized, a demux goroutine routes
+// replies by request ID.
 const (
-	wireVersion = 3
+	wireVersion = 4
 
-	ftCall      byte = 1 // body: request
-	ftBatch     byte = 2 // body: batchRequest
-	ftReply     byte = 3 // body: response
-	ftBatchItem byte = 4 // body: uvarint item index | response
+	ftCall       byte = 1 // body: request
+	ftBatch      byte = 2 // body: batchRequest
+	ftReply      byte = 3 // body: response
+	ftBatchReply byte = 4 // body: batchReply
 
 	// maxFrame bounds one frame's payload; larger lengths mean a
 	// corrupt or hostile stream.
@@ -101,11 +102,11 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// demuxMsg is one routed reply: idx is the batch item index (0 for
-// single calls), resp the decoded response.
+// demuxMsg is one routed reply frame: resp for an ftReply, items for an
+// ftBatchReply (one response per batch item, in call order).
 type demuxMsg struct {
-	idx  int
-	resp *response
+	resp  *response
+	items []*response
 }
 
 // wireStats aggregates frame counters across an endpoint set (owned by
@@ -141,7 +142,6 @@ type mconn struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan demuxMsg
-	items   map[uint64]int // remaining batch items per request ID
 	nextID  uint64
 	dead    bool
 	deadErr error
@@ -178,7 +178,6 @@ func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (
 		gen:     gen,
 		stats:   stats,
 		pending: make(map[uint64]chan demuxMsg),
-		items:   make(map[uint64]int),
 	}
 	go m.readLoop()
 	return m, nil
@@ -198,47 +197,39 @@ func (m *mconn) readLoop() {
 		r := rbuf{b: payload}
 		ft := r.byte()
 		id := r.uvarint()
-		var idx int
-		if ft == ftBatchItem {
-			idx = int(r.uvarint())
-		} else if ft != ftReply {
-			m.fail(fmt.Errorf("ejb: unexpected frame type %d", ft))
-			return
+		var msg demuxMsg
+		switch ft {
+		case ftReply:
+			msg.resp, err = r.response()
+		case ftBatchReply:
+			msg.items, err = r.batchReply()
+		default:
+			err = fmt.Errorf("ejb: unexpected frame type %d", ft)
 		}
-		resp, err := r.response()
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		m.route(ft, id, idx, resp)
+		m.route(id, msg)
 	}
 }
 
-// route delivers one reply. Channels are buffered to their full expected
-// count and only touched under the mutex, so sends never block and never
-// race fail's close.
-func (m *mconn) route(ft byte, id uint64, idx int, resp *response) {
+// route delivers one reply. Channels hold the one reply they expect and
+// are only touched under the mutex, so sends never block and never race
+// fail's close.
+func (m *mconn) route(id uint64, msg demuxMsg) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.pending[id]
 	if !ok {
 		return // abandoned call (e.g. context cancel); drop the late reply
 	}
-	if ft == ftBatchItem {
-		if left := m.items[id] - 1; left > 0 {
-			m.items[id] = left
-		} else {
-			delete(m.pending, id)
-			delete(m.items, id)
-		}
-	} else {
-		delete(m.pending, id)
-	}
-	ch <- demuxMsg{idx: idx, resp: resp}
+	delete(m.pending, id)
+	ch <- msg
 }
 
-// register allocates a request ID expecting n replies.
-func (m *mconn) register(n int) (uint64, chan demuxMsg, error) {
+// register allocates a request ID and the channel its reply arrives on.
+func (m *mconn) register() (uint64, chan demuxMsg, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {
@@ -246,11 +237,8 @@ func (m *mconn) register(n int) (uint64, chan demuxMsg, error) {
 	}
 	m.nextID++
 	id := m.nextID
-	ch := make(chan demuxMsg, n)
+	ch := make(chan demuxMsg, 1)
 	m.pending[id] = ch
-	if n > 1 {
-		m.items[id] = n
-	}
 	return id, ch, nil
 }
 
@@ -259,7 +247,6 @@ func (m *mconn) register(n int) (uint64, chan demuxMsg, error) {
 func (m *mconn) deregister(id uint64) {
 	m.mu.Lock()
 	delete(m.pending, id)
-	delete(m.items, id)
 	m.mu.Unlock()
 }
 
@@ -277,7 +264,6 @@ func (m *mconn) fail(err error) {
 		close(ch)
 		delete(m.pending, id)
 	}
-	m.items = map[uint64]int{}
 	m.mu.Unlock()
 	m.c.Close()
 }
@@ -312,18 +298,43 @@ func (m *mconn) send(w *wbuf, deadline time.Time) error {
 }
 
 // call runs one request/response pair over the multiplexed connection.
-// A deadline expiry is a transport failure: the connection cannot tell a
-// hung container from a slow one, so it is killed and every in-flight
-// frame fails over — socket-deadline semantics.
 func (m *mconn) call(req *request, deadline time.Time, cancel <-chan struct{}) (*response, error) {
-	id, ch, err := m.register(1)
+	msg, err := m.exchange(ftCall, deadline, cancel, req.Kind, func(w *wbuf) { w.request(req) })
+	if err == nil && msg.resp == nil {
+		m.fail(errCodec)
+		err = fmt.Errorf("ejb: receive: %w", errCodec)
+	}
+	return msg.resp, err
+}
+
+// batch submits one level's unit computations as a single frame and
+// returns the one reply frame's responses, one per call in call order.
+// A reply of any other shape is errCodec and fails the connection.
+func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan struct{}) ([]*response, error) {
+	msg, err := m.exchange(ftBatch, deadline, cancel, "batch", func(w *wbuf) { w.batchRequest(breq) })
+	if err == nil && (msg.resp != nil || len(msg.items) != len(breq.Calls)) {
+		m.fail(errCodec)
+		err = fmt.Errorf("ejb: receive: %w", errCodec)
+	}
+	return msg.items, err
+}
+
+// exchange sends one request frame of type ft, its body written by body,
+// and waits for the one reply frame. A deadline expiry is a transport
+// failure: the connection cannot tell a hung container from a slow one,
+// so it is killed and every in-flight frame fails over — socket-deadline
+// semantics. deadline is the deadline of the context whose Done channel
+// is cancel, so cancel fires at that instant and no timer of its own is
+// needed; what names the awaited reply in the error.
+func (m *mconn) exchange(ft byte, deadline time.Time, cancel <-chan struct{}, what string, body func(*wbuf)) (demuxMsg, error) {
+	id, ch, err := m.register()
 	if err != nil {
-		return nil, err
+		return demuxMsg{}, err
 	}
 	w := getWbuf()
-	w.byte(ftCall)
+	w.byte(ft)
 	w.uvarint(id)
-	w.request(req)
+	body(w)
 	err = w.err
 	if err == nil {
 		err = m.send(w, deadline)
@@ -331,96 +342,25 @@ func (m *mconn) call(req *request, deadline time.Time, cancel <-chan struct{}) (
 	putWbuf(w)
 	if err != nil {
 		m.fail(err)
-		return nil, fmt.Errorf("ejb: send: %w", err)
-	}
-	var timer <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timer = t.C
+		return demuxMsg{}, fmt.Errorf("ejb: send: %w", err)
 	}
 	select {
 	case msg, ok := <-ch:
 		if !ok {
-			return nil, fmt.Errorf("ejb: receive: %w", m.deadError())
+			return demuxMsg{}, fmt.Errorf("ejb: receive: %w", m.deadError())
 		}
-		return msg.resp, nil
-	case <-timer:
-		m.fail(errConnClosed)
-		return nil, fmt.Errorf("ejb: receive: deadline exceeded awaiting %s", req.Kind)
+		return msg, nil
 	case <-cancel:
-		// A context whose deadline drove the call fires this channel at
-		// the same instant as the timer; keep the deadline semantic
-		// (transport failure) deterministic rather than racing the select.
+		// A context whose deadline drove the call is done from that
+		// instant on: the deadline semantic (transport failure) wins over
+		// a plain cancel.
 		if !deadline.IsZero() && time.Until(deadline) <= 0 {
 			m.fail(errConnClosed)
-			return nil, fmt.Errorf("ejb: receive: deadline exceeded awaiting %s", req.Kind)
+			return demuxMsg{}, fmt.Errorf("ejb: receive: deadline exceeded awaiting %s", what)
 		}
 		m.deregister(id)
-		return nil, fmt.Errorf("ejb: receive: %w", context.Canceled)
+		return demuxMsg{}, fmt.Errorf("ejb: receive: %w", context.Canceled)
 	}
-}
-
-// batch submits one level's unit computations as a single frame and
-// streams results back as the container completes them, invoking
-// onItem(index into breq.Calls, response) per arrival. It returns nil
-// once all items arrived, or the transport error that failed the rest
-// (items already delivered stay delivered).
-func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan struct{}, onItem func(int, *response)) error {
-	n := len(breq.Calls)
-	id, ch, err := m.register(n)
-	if err != nil {
-		return err
-	}
-	w := getWbuf()
-	w.byte(ftBatch)
-	w.uvarint(id)
-	w.batchRequest(breq)
-	err = w.err
-	if err == nil {
-		err = m.send(w, deadline)
-	}
-	putWbuf(w)
-	if err != nil {
-		m.fail(err)
-		return fmt.Errorf("ejb: send: %w", err)
-	}
-	var timer <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timer = t.C
-	}
-	seen := make([]bool, n)
-	for got := 0; got < n; got++ {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				return fmt.Errorf("ejb: receive: %w", m.deadError())
-			}
-			// A duplicate index means the container double-delivered an
-			// item: the receive loop would otherwise complete with another
-			// item never arriving — a silently missing bean.
-			if msg.idx < 0 || msg.idx >= n || seen[msg.idx] {
-				m.fail(errCodec)
-				return fmt.Errorf("ejb: receive: %w", errCodec)
-			}
-			seen[msg.idx] = true
-			onItem(msg.idx, msg.resp)
-		case <-timer:
-			m.fail(errConnClosed)
-			return fmt.Errorf("ejb: receive: deadline exceeded awaiting batch")
-		case <-cancel:
-			// Same deadline-vs-cancel race as in call: deadline wins.
-			if !deadline.IsZero() && time.Until(deadline) <= 0 {
-				m.fail(errConnClosed)
-				return fmt.Errorf("ejb: receive: deadline exceeded awaiting batch")
-			}
-			m.deregister(id)
-			return fmt.Errorf("ejb: receive: %w", context.Canceled)
-		}
-	}
-	return nil
 }
 
 func (m *mconn) deadError() error {

@@ -286,7 +286,8 @@ func TestCodecMalformedNodeLists(t *testing.T) {
 // TestGoldenResponseFrame pins the wire: testdata/golden_response_frame.hex
 // is the reply frame the commit before bean rows became cells (9e488c5,
 // boxed []Value rows) wrote for fullResponse(). Encoding must reproduce
-// it byte for byte under the same wireVersion, and decoding it must give
+// it byte for byte under the current wireVersion (version 4 changed the
+// batch reply, not a single call's), and decoding it must give
 // fullResponse() back.
 func TestGoldenResponseFrame(t *testing.T) {
 	text, err := os.ReadFile("testdata/golden_response_frame.hex")
@@ -297,7 +298,7 @@ func TestGoldenResponseFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireVersion != 3 {
+	if wireVersion != 4 {
 		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
 	}
 	if got := frameOf(ftReply, 1, func(w *wbuf) { w.response(fullResponse()) }); !bytes.Equal(got, golden) {
@@ -371,6 +372,154 @@ func FuzzCodecResponse(f *testing.F) {
 		}
 		putWbuf(w2)
 	})
+}
+
+// ---- batch reply ----
+
+// twoItemReply is a level of two units: fullResponse() and a plain
+// one-row bean.
+func twoItemReply() []*response {
+	return []*response{fullResponse(), {Bean: &mvc.UnitBean{UnitID: "u2", Kind: "data",
+		Fields: []string{"oid"}, Nodes: []mvc.Node{{Values: cells(int64(7))}}}}}
+}
+
+// TestGoldenBatchReplyFrame pins the batch reply:
+// testdata/golden_batch_reply_frame.hex is the frame wire version 4 wrote
+// for twoItemReply(). Encoding must reproduce it byte for byte, and
+// decoding it must give twoItemReply() back.
+func TestGoldenBatchReplyFrame(t *testing.T) {
+	text, err := os.ReadFile("testdata/golden_batch_reply_frame.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wireVersion != 4 {
+		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
+	}
+	if got := frameOf(ftBatchReply, 1, func(w *wbuf) { w.batchReply(twoItemReply()) }); !bytes.Equal(got, golden) {
+		t.Fatalf("batch reply frame changed:\n got %x\nwant %x", got, golden)
+	}
+	payload, err := readFrame(bufio.NewReader(bytes.NewReader(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rbuf{b: payload}
+	if ft, id := r.byte(), r.uvarint(); ft != ftBatchReply || id != 1 {
+		t.Fatalf("frame type %d id %d", ft, id)
+	}
+	if items, err := r.batchReply(); err != nil || !reflect.DeepEqual(items, twoItemReply()) {
+		t.Fatalf("golden frame decoded to %+v (err %v)", items, err)
+	}
+}
+
+// malformedBatchReplies are batch reply bodies around the empty response
+// (five zero bytes) that lie about their shape. The committed corpus of
+// FuzzCodecBatchReply holds each of them.
+func malformedBatchReplies() map[string][]byte {
+	return map[string][]byte{
+		"count past the end":         {3, 5, 0, 0, 0, 0, 0},
+		"item length past the end":   {1, 9, 0, 0, 0, 0, 0},
+		"trailing bytes inside item": {1, 6, 0, 0, 0, 0, 0, 0},
+		"truncated":                  {2, 5, 0, 0, 0, 0, 0, 5, 0, 0},
+		"trailing bytes after items": {1, 5, 0, 0, 0, 0, 0, 0},
+	}
+}
+
+// TestCodecMalformedBatchReplies: each is a typed decode error.
+func TestCodecMalformedBatchReplies(t *testing.T) {
+	for name, data := range malformedBatchReplies() {
+		r := rbuf{b: data}
+		if _, err := r.batchReply(); !errors.Is(err, errCodec) {
+			t.Errorf("%s: decode error = %v, want errCodec", name, err)
+		}
+	}
+}
+
+// FuzzCodecBatchReply is FuzzCodecResponse for the batch reply: an
+// accepted reply re-encodes to bytes that decode and re-encode to
+// themselves.
+func FuzzCodecBatchReply(f *testing.F) {
+	w := getWbuf()
+	w.batchReply(twoItemReply())
+	f.Add(append([]byte(nil), w.payload()...))
+	putWbuf(w)
+	f.Add([]byte{0})
+	for _, data := range malformedBatchReplies() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := rbuf{b: data}
+		items, err := r.batchReply()
+		if err != nil {
+			return
+		}
+		w := getWbuf()
+		w.batchReply(items)
+		if w.err != nil {
+			t.Fatalf("decoded reply failed to re-encode: %v", w.err)
+		}
+		enc1 := append([]byte(nil), w.payload()...)
+		putWbuf(w)
+		r2 := rbuf{b: enc1}
+		items2, err := r2.batchReply()
+		if err != nil {
+			t.Fatalf("re-encoded reply failed to decode: %v", err)
+		}
+		if len(items2) != len(items) {
+			t.Fatalf("%d items re-decoded as %d", len(items), len(items2))
+		}
+		w2 := getWbuf()
+		w2.batchReply(items2)
+		if w2.err != nil {
+			t.Fatalf("second re-encode failed: %v", w2.err)
+		}
+		if !bytes.Equal(enc1, w2.payload()) {
+			t.Fatalf("encoding not a fixpoint:\n first %x\nsecond %x", enc1, w2.payload())
+		}
+		putWbuf(w2)
+	})
+}
+
+// TestBatchReplyItemsOwnTheirBytes: a bean the bean cache keeps from one
+// item of a level pins that item's bytes, not the level's. Item 1 of the
+// reply is a 1 MiB bean; once only item 0's bean is kept, the heap must
+// not hold the 1 MiB.
+func TestBatchReplyItemsOwnTheirBytes(t *testing.T) {
+	big := &mvc.UnitBean{UnitID: "big", Kind: "data", Fields: []string{"body"},
+		Nodes: []mvc.Node{{Values: cells(strings.Repeat("x", 1<<20))}}}
+	frame := frameOf(ftBatchReply, 1, func(w *wbuf) {
+		w.batchReply([]*response{{Bean: &mvc.UnitBean{UnitID: "small", Kind: "data"}}, {Bean: big}})
+	})
+	big = nil
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	kept := func() *mvc.UnitBean {
+		payload, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rbuf{b: payload}
+		r.byte()
+		r.uvarint()
+		items, err := r.batchReply()
+		if err != nil || len(items) != 2 || len(items[1].Bean.Nodes) != 1 {
+			t.Fatalf("reply decoded to %+v (err %v)", items, err)
+		}
+		return items[0].Bean
+	}()
+	if grown := int64(heap()) - int64(before); grown >= 1<<19 {
+		t.Fatalf("keeping item 0's bean keeps %d bytes alive, want item 1's MiB released", grown)
+	}
+	runtime.KeepAlive(kept)
+	runtime.KeepAlive(frame)
 }
 
 // ---- handshake ----
@@ -583,6 +732,7 @@ func FuzzServeFramed(f *testing.F) {
 	f.Add(append(append([]byte(nil), batch...), call...))
 	f.Add(call[:len(call)/2])
 	f.Add(frameOf(ftReply, 3, func(w *wbuf) { w.response(fullResponse()) }))
+	f.Add(frameOf(ftBatchReply, 5, func(w *wbuf) { w.batchReply(twoItemReply()) }))
 	f.Add(frameOf(9, 4, func(w *wbuf) {}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, ftCall})
 	f.Add([]byte{0x00})
@@ -628,6 +778,7 @@ func FuzzServeFramed(f *testing.F) {
 
 func TestBatchComputeUnits(t *testing.T) {
 	_, client, _, art := startApp(t, 8)
+	sent0, recv0, _ := client.FrameStats()
 	d := art.Repo.Unit("volumeData")
 	h := art.Repo.Unit("issuesPapers")
 	res := client.ComputeUnits(context.Background(), []mvc.UnitCall{
@@ -649,10 +800,11 @@ func TestBatchComputeUnits(t *testing.T) {
 	if len(res[1].Bean.Nodes) != 2 || len(res[1].Bean.Nodes[0].Children) == 0 {
 		t.Fatal("hierarchical bean lost in batch transport")
 	}
-	// The whole level crossed in one batch frame + one item frame per
-	// unit, not one call frame per unit.
-	if _, _, inflight := client.FrameStats(); inflight != 0 {
-		t.Fatalf("inflight = %d after batch completed", inflight)
+	// The whole level crossed in one batch frame and came back in one
+	// reply frame, not one frame per unit.
+	sent, recv, inflight := client.FrameStats()
+	if sent-sent0 != 1 || recv-recv0 != 1 || inflight != 0 {
+		t.Fatalf("a 3-unit level cost %d frames sent, %d received, %d in flight; want 1, 1, 0", sent-sent0, recv-recv0, inflight)
 	}
 }
 
@@ -691,7 +843,7 @@ func TestBatchItemErrorIsolated(t *testing.T) {
 }
 
 // TestBatchFailoverMidKill: a batch whose connection dies mid-flight
-// must re-submit only the unanswered items to the next container.
+// fails over: the whole level re-runs on the next container.
 func TestBatchFailoverMidKill(t *testing.T) {
 	var calls1 atomic.Int64
 	started := make(chan struct{}, 8)
@@ -873,11 +1025,11 @@ func TestBatchCancelKeepsConnHealthy(t *testing.T) {
 	}
 }
 
-// TestBatchDuplicateItemIndexSurfaces: a container that double-delivers
-// one batch item (and never delivers another) must fail the connection,
-// not complete the batch with a silently missing bean (Bean == nil,
+// TestBatchReplyCountMismatch: a container that answers a 2-item batch
+// with a 1-item reply must fail every item and the connection, not
+// complete the batch with a silently missing bean (Bean == nil,
 // Err == nil).
-func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
+func TestBatchReplyCountMismatch(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -902,18 +1054,11 @@ func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
 		r := rbuf{b: payload}
 		r.byte() // ftBatch
 		id := r.uvarint()
-		// Deliver item 0 twice; item 1 never arrives.
-		for i := 0; i < 2; i++ {
-			w := getWbuf()
-			w.byte(ftBatchItem)
-			w.uvarint(id)
-			w.uvarint(0)
-			w.response(&response{Bean: &mvc.UnitBean{UnitID: "dup"}})
-			c.Write(w.frame()) //nolint:errcheck
-			putWbuf(w)
-		}
-		// Hold the connection open: the client must detect the duplicate
-		// itself, not rely on a close.
+		c.Write(frameOf(ftBatchReply, id, func(w *wbuf) { //nolint:errcheck
+			w.batchReply([]*response{{Bean: &mvc.UnitBean{UnitID: "short"}}})
+		}))
+		// Hold the connection open: the client must detect the short
+		// reply itself, not rely on a close.
 		io.Copy(io.Discard, br) //nolint:errcheck
 	}()
 	client, err := Dial(ln.Addr().String())
@@ -925,11 +1070,13 @@ func TestBatchDuplicateItemIndexSurfaces(t *testing.T) {
 		{D: &descriptor.Unit{ID: "a", Kind: "data"}},
 		{D: &descriptor.Unit{ID: "b", Kind: "data"}},
 	})
-	if res[0].Err != nil || res[0].Bean == nil {
-		t.Fatalf("first-delivered item lost: %+v", res[0])
+	for i, r := range res {
+		if !errors.Is(r.Err, errCodec) || r.Bean != nil {
+			t.Fatalf("item %d of a short reply: %+v, want errCodec", i, r)
+		}
 	}
-	if res[1].Err == nil {
-		t.Fatalf("undelivered item completed silently: %+v", res[1])
+	if h := client.Health(); h[0].Conns != 0 {
+		t.Fatalf("conns = %d after a short reply, want the connection failed", h[0].Conns)
 	}
 }
 

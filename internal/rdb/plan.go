@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"webmlgo/internal/cell"
@@ -117,8 +118,9 @@ func sizeClass(n int) int { return bits.Len(uint(n)) }
 
 // SelectPlan is a fully compiled SELECT — or the SELECT of the rows an
 // UPDATE or DELETE writes, or an INSERT's values (buildPlan). It is
-// immutable after construction and safe for concurrent execution; all
-// mutable state lives in the per-execution execCtx.
+// immutable after construction, but for its size hint, and safe for
+// concurrent execution; all other mutable state lives in the
+// per-execution execCtx.
 type SelectPlan struct {
 	stmt      *SelectStmt
 	epoch     uint64
@@ -158,7 +160,14 @@ type SelectPlan struct {
 	// one SET row for UPDATE.
 	setCols []int
 	values  [][]compiledExpr
+
+	// lastRows is the row count of the plan's last plainRows run, at most
+	// maxRowsHint: plans are cached, so it sizes the next run's result.
+	lastRows atomic.Int32
 }
+
+// maxRowsHint caps the result size a plan presizes from its last run.
+const maxRowsHint = 4096
 
 // valid reports whether the plan may still be executed: same DDL epoch
 // and unchanged size classes for every referenced table.
@@ -187,6 +196,15 @@ type slab[T any] struct {
 }
 
 func (s *slab[T]) cut(width int) []T { return s.cutUpTo(width, math.MaxInt) }
+
+// reserve makes the first chunk hold rows rows, so a result whose size
+// is known ahead costs one allocation.
+func (s *slab[T]) reserve(rows, width int) {
+	if rows > 0 && width > 0 {
+		s.rows = rows
+		s.free = make([]T, rows*width)
+	}
+}
 
 // cutUpTo is cut from chunks that stop doubling at most rows.
 func (s *slab[T]) cutUpTo(width, most int) []T {
@@ -289,12 +307,25 @@ func (p *SelectPlan) filter(c *execCtx, emit func() error) error {
 
 // plainRows projects the produced rows. keys, parallel to the rows, holds
 // the ORDER BY key values when a sort will follow; stopAt >= 0 ends
-// production once that many rows exist.
+// production once that many rows exist. The rows, their slab and the
+// keys are sized by the plan's last run.
 func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cell.Cell, error) {
 	out := &Rows{Columns: p.cols}
 	wantKeys := p.needSort() && !p.distinct
 	var keys [][]cell.Cell
 	var rowSlab, keySlab slab[cell.Cell]
+	hint := int64(p.lastRows.Load())
+	if stopAt >= 0 {
+		hint = min(hint, stopAt)
+	}
+	if hint > 0 {
+		out.Data = make([][]cell.Cell, 0, hint)
+		rowSlab.reserve(int(hint), len(p.cols))
+		if wantKeys {
+			keys = make([][]cell.Cell, 0, hint)
+			keySlab.reserve(int(hint), len(p.orderBy))
+		}
+	}
 	err := db.produce(p, c, func() error {
 		row, err := p.project(c, &rowSlab)
 		if err != nil {
@@ -321,6 +352,7 @@ func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cel
 	if err != nil && err != errStopIteration {
 		return nil, nil, err
 	}
+	p.lastRows.Store(int32(min(len(out.Data), maxRowsHint)))
 	return out, keys, nil
 }
 
