@@ -86,7 +86,6 @@ type config struct {
 	appServer     []string
 	remotePages   bool
 	skipDDL       bool
-	pageWorkers   int
 	withEdge      bool
 	edgeCache     int
 	edgeTTL       time.Duration
@@ -139,13 +138,6 @@ func WithEdgeCache(capacity int, ttl time.Duration) Option {
 	return func(c *config) { c.withEdge = true; c.edgeCache = capacity; c.edgeTTL = ttl }
 }
 
-// WithPageWorkers bounds the page service's worker pool: units of the
-// same topological level compute concurrently on up to n goroutines
-// (<=1 selects sequential computation, the default).
-func WithPageWorkers(n int) Option {
-	return func(c *config) { c.pageWorkers = n }
-}
-
 // WithCompiledStyle applies a presentation rule set as each page program
 // compiles, once per program (the efficient mode of Section 5). The set's
 // SiteViews style the pages of the site views they name. Its Devices
@@ -175,7 +167,7 @@ func WithWireProtocol(string) Option { return func(*config) {} }
 
 // WithRequestTimeout gives every request a deadline budget: the
 // controller derives a context that expires after d, and every tier
-// below — page workers, bean cache, remote stub and container — observes
+// below — page service, bean cache, remote stub and container — observes
 // it. Requests past their budget answer 504 (or a degraded stale bean
 // when WithDegradedServing is also set).
 func WithRequestTimeout(d time.Duration) Option {
@@ -371,9 +363,6 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 	if cfg.withAdmission {
 		app.Admission = admit.NewLimiter(cfg.maxConcurrency, cfg.admitQueue)
 		app.Controller.Admission = app.Admission
-	}
-	if cfg.pageWorkers > 0 {
-		app.Controller.SetPageWorkers(cfg.pageWorkers)
 	}
 	if cfg.remotePages {
 		if app.Remote == nil {

@@ -333,23 +333,6 @@ func BenchmarkE6TwoLevelCacheParallelWithWrites(b *testing.B) {
 	})
 }
 
-// BenchmarkE6ParallelPageCompute measures the page service alone: the
-// level-parallel scheduler computing one page's units concurrently,
-// from many requesting goroutines.
-func BenchmarkE6ParallelPageCompute(b *testing.B) {
-	app := benchApp(b, WithBeanCache(4096), WithPageWorkers(4))
-	params := map[string]mvc.Value{"volume": int64(1)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := app.Controller.Pages.ComputePage(context.Background(), "volumePage", params, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- E7 (Section 8): full Acer-Euro-scale generation. ---
 
 func BenchmarkE7AcerEuroGeneration(b *testing.B) {

@@ -715,9 +715,26 @@ func e10Model() *webml.Model {
 	return b.MustBuild()
 }
 
-// perUnit hides the business tier's BatchComputer side, so the page
-// scheduler issues one remote call per unit — E10's baseline arm.
+// perUnit is E10's baseline arm: it answers a level with one remote call
+// per unit, each on its own goroutine, so the units of a level still
+// overlap their round trips but none shares a frame.
 type perUnit struct{ mvc.Business }
+
+func (p perUnit) SupportsUnitBatch() bool { return true }
+
+func (p perUnit) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc.UnitResult {
+	out := make([]mvc.UnitResult, len(calls))
+	var wg sync.WaitGroup
+	for i, c := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].Bean, out[i].Err = p.ComputeUnit(ctx, c.D, c.Inputs)
+		}()
+	}
+	wg.Wait()
+	return out
+}
 
 // e10 measures what level batching buys on a remote level fan-out: the
 // same page, the same two containers, two client configurations — the
@@ -742,7 +759,7 @@ func e10() {
 	}
 
 	mkApp := func() *webmlgo.App {
-		app, err := webmlgo.New(model, webmlgo.WithAppServer(addrs...), webmlgo.WithPageWorkers(16))
+		app, err := webmlgo.New(model, webmlgo.WithAppServer(addrs...))
 		must(err)
 		return app
 	}

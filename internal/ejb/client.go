@@ -1,6 +1,7 @@
 package ejb
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -35,8 +36,8 @@ const WireFramed = "framed"
 // happened or its error surfaces.
 //
 // Transport: wire protocol v2 (framed, multiplexed binary exchange —
-// many frames in flight on a few persistent connections per endpoint,
-// plus level-batched unit invocation). A peer that does not complete
+// many frames in flight on a few persistent connections per endpoint;
+// units travel only as level batches). A peer that does not complete
 // the v2 handshake is a transport error like any other: it counts
 // against the endpoint's breaker and the call fails over.
 type RemoteBusiness struct {
@@ -257,14 +258,10 @@ var (
 	_ mvc.BatchComputer = (*RemoteBusiness)(nil)
 )
 
-// ComputeUnit implements mvc.Business remotely. Unit reads are
-// idempotent, so they fail over across containers.
+// ComputeUnit implements mvc.Business remotely as a level of one.
 func (r *RemoteBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
-	resp, err := r.call(ctx, &request{Kind: "unit", Descriptor: d, Inputs: inputs})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Bean, nil
+	res := r.ComputeUnits(ctx, []mvc.UnitCall{{D: d, Inputs: inputs}})[0]
+	return res.Bean, res.Err
 }
 
 // ExecuteOperation implements mvc.Business remotely. Operations fail
@@ -293,75 +290,12 @@ func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall)
 	if len(calls) == 0 {
 		return out
 	}
-	if r.latency > 0 {
-		time.Sleep(r.latency)
-	}
-	deadline, _ := ctx.Deadline() // zero: unbounded
 	bsp := obs.Leaf(ctx, "ejb.batch").Label("units", strconv.Itoa(len(calls)))
-	eps := r.eps()
-	r.mu.Lock()
-	start := r.next
-	r.next++
-	r.mu.Unlock()
-	var lastErr error
-	for i := range eps {
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
-			break
-		}
-		ep := eps[(start+i)%len(eps)]
-		if !ep.brk.allow() {
-			lastErr = fmt.Errorf("ejb: %s: circuit open", ep.addr)
-			ep.rejected.Add(1)
-			obs.Leaf(ctx, "ejb.reject").Label("addr", ep.addr).EndErr(lastErr)
-			continue
-		}
-		ep.inflight.Add(1)
-		err := r.batchOn(ctx, ep, calls, out, deadline)
-		ep.inflight.Add(-1)
-		if err == nil {
-			bsp.End()
-			return out
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("ejb: no container endpoints")
-	}
-	for i := range out {
-		out[i] = mvc.UnitResult{Err: lastErr}
-	}
-	bsp.EndErr(lastErr)
-	return out
-}
-
-// batchOn runs the level on one endpoint, retrying once on a fresh
-// connection when a persistent one fails (like callOn), and fills out
-// from the reply. It returns the transport error that stopped it, if
-// any.
-func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.UnitCall, out []mvc.UnitResult, deadline time.Time) error {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if !deadline.IsZero() && time.Until(deadline) <= 0 {
-			if lastErr == nil {
-				lastErr = context.DeadlineExceeded
-			}
-			return lastErr
-		}
-		mc, fresh, err := ep.framedConn(r, deadline)
-		if err != nil {
-			ep.brk.failure()
-			if lastErr == nil {
-				lastErr = err
-			}
-			return lastErr
-		}
+	err := r.invoke(ctx, true, func(ep *endpoint, mc *mconn, deadline time.Time) error {
 		breq := batchRequest{DeadlineMS: budgetMS(deadline), Calls: make([]batchCall, len(calls))}
 		spans := make([]*obs.SpanHandle, len(calls))
 		for j := range calls {
-			sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", "unit").Label("batch", "1")
+			sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", "unit")
 			tid, sid := sp.Wire()
 			breq.TraceID = tid
 			breq.Calls[j] = batchCall{SpanID: sid, Descriptor: calls[j].D, Inputs: calls[j].Inputs}
@@ -373,45 +307,34 @@ func (r *RemoteBusiness) batchOn(ctx context.Context, ep *endpoint, calls []mvc.
 		if r.BatchLat != nil {
 			r.BatchLat.ObserveErr(ep.addr, took, err != nil)
 		}
-		if err == nil {
-			ep.brk.success()
-			for j, resp := range items {
-				if r.CallLat != nil {
-					r.CallLat.ObserveErr(ep.addr, took, resp.Err != "")
-				}
-				spans[j].ImportRemote(resp.Spans)
-				if resp.Err != "" {
-					// Application-level error: the container executed the
-					// item; re-running it elsewhere would produce the same
-					// answer.
-					e := fmt.Errorf("ejb: remote: %s", resp.Err)
-					spans[j].EndErr(e)
-					out[j] = mvc.UnitResult{Err: e}
-				} else {
-					spans[j].End()
-					out[j] = mvc.UnitResult{Bean: resp.Bean}
-				}
+		if err != nil {
+			for _, sp := range spans {
+				sp.EndErr(err)
 			}
-			return nil
-		}
-		for _, sp := range spans {
-			sp.EndErr(err)
-		}
-		if errors.Is(err, context.Canceled) {
-			// Abandoned by the caller's context: mc.batch deregistered the
-			// frame, the shared connection stays healthy, and the container
-			// is blameless — no teardown, no breaker failure.
 			return err
 		}
-		mc.fail(err)
-		ep.dropGeneration(mc.gen)
-		ep.brk.failure()
-		lastErr = err
-		if fresh {
-			break
+		for j, resp := range items {
+			if r.CallLat != nil {
+				r.CallLat.ObserveErr(ep.addr, took, resp.Err != "")
+			}
+			spans[j].ImportRemote(resp.Spans)
+			out[j] = mvc.UnitResult{Bean: resp.Bean}
+			if resp.Err != "" {
+				// Application-level error: the container executed the
+				// item; re-running it elsewhere would give the same answer.
+				out[j] = mvc.UnitResult{Err: fmt.Errorf("ejb: remote: %s", resp.Err)}
+			}
+			spans[j].EndErr(out[j].Err)
+		}
+		return nil
+	})
+	if err != nil {
+		for i := range out {
+			out[i] = mvc.UnitResult{Err: err}
 		}
 	}
-	return lastErr
+	bsp.EndErr(err)
+	return out
 }
 
 // budgetMS is the wire form of the budget left until deadline: whole
@@ -442,31 +365,70 @@ func (p remotePages) ComputePage(ctx context.Context, pageID string, params map[
 	return resp.Page, nil
 }
 
-// call routes one invocation: starting from the round-robin cursor, it
-// tries each endpoint whose breaker admits the call, failing over on
-// transport errors (idempotent kinds only) until an endpoint answers or
-// all are exhausted.
+// call runs one operation or page invocation as a call frame.
 func (r *RemoteBusiness) call(ctx context.Context, req *request) (*response, error) {
+	var resp *response
+	var appErr error
+	err := r.invoke(ctx, req.Kind != "operation", func(ep *endpoint, mc *mconn, deadline time.Time) error {
+		sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", req.Kind)
+		req.TraceID, req.SpanID = sp.Wire()
+		req.DeadlineMS = budgetMS(deadline)
+		started := time.Now()
+		var err error
+		resp, err = mc.call(req, deadline, ctx.Done())
+		if r.CallLat != nil {
+			r.CallLat.ObserveErr(ep.addr, time.Since(started), err != nil)
+		}
+		if err != nil {
+			sp.EndErr(err)
+			return err
+		}
+		sp.ImportRemote(resp.Spans)
+		if resp.Err != "" {
+			// Application-level error: the container is healthy and
+			// already executed the call; failing over would just run it
+			// again for the same answer.
+			appErr = fmt.Errorf("ejb: remote: %s", resp.Err)
+		}
+		sp.EndErr(appErr)
+		return nil
+	})
+	if err == nil {
+		err = appErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// errNoEndpoints fails an invocation when there is no container to try.
+var errNoEndpoints = errors.New("ejb: no container endpoints")
+
+// exchangeFunc performs one invocation on a live connection of ep: it
+// writes the request frame and reads the reply, returning only transport
+// errors (an application error is part of the reply).
+type exchangeFunc func(ep *endpoint, mc *mconn, deadline time.Time) error
+
+// invoke routes one invocation, a level batch or a call alike: starting
+// from the round-robin cursor, it tries each endpoint whose breaker
+// admits it, failing over on transport errors until an endpoint answers
+// or all are exhausted. A non-idempotent invocation stops failing over
+// once its frame may have left the process.
+func (r *RemoteBusiness) invoke(ctx context.Context, idempotent bool, exchange exchangeFunc) error {
 	if r.latency > 0 {
 		time.Sleep(r.latency)
 	}
 	deadline, _ := ctx.Deadline() // zero: unbounded
-	readOnly := req.Kind != "operation"
 	eps := r.eps()
 	r.mu.Lock()
 	start := r.next
 	r.next++
 	r.mu.Unlock()
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("ejb: no container endpoints")
-	}
 	var lastErr error
-	for i := 0; i < len(eps); i++ {
+	for i := range eps {
 		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
-			return nil, lastErr
+			return cmp.Or(lastErr, err)
 		}
 		ep := eps[(start+i)%len(eps)]
 		if !ep.brk.allow() {
@@ -477,76 +439,51 @@ func (r *RemoteBusiness) call(ctx context.Context, req *request) (*response, err
 			obs.Leaf(ctx, "ejb.reject").Label("addr", ep.addr).EndErr(lastErr)
 			continue
 		}
-		sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", req.Kind)
-		req.TraceID, req.SpanID = sp.Wire()
-		attempt := time.Now()
 		ep.inflight.Add(1)
-		resp, sent, err := r.callOn(ctx, ep, req, deadline, readOnly)
+		sent, err := r.invokeOn(ctx, ep, idempotent, deadline, exchange)
 		ep.inflight.Add(-1)
-		if r.CallLat != nil {
-			r.CallLat.ObserveErr(ep.addr, time.Since(attempt), err != nil)
-		}
 		if err == nil {
-			sp.ImportRemote(resp.Spans)
-			if resp.Err != "" {
-				// Application-level error: the container is healthy and
-				// already executed the call; failing over would just run
-				// it again for the same answer.
-				err := fmt.Errorf("ejb: remote: %s", resp.Err)
-				sp.EndErr(err)
-				return nil, err
-			}
-			sp.End()
-			return resp, nil
+			return nil
 		}
-		sp.EndErr(err)
 		lastErr = err
-		if sent && !readOnly {
-			return nil, err
+		if sent && !idempotent {
+			return err
 		}
 	}
-	return nil, lastErr
+	return cmp.Or(lastErr, errNoEndpoints)
 }
 
-// callOn performs one invocation against a single endpoint, retrying
-// once on a fresh connection when an existing one fails (the container
-// may have restarted since — one fresh dial distinguishes a stale
-// connection from a dead endpoint). sent reports whether the request may
-// have reached the container (operations must not be resent once it
-// did). The call shares a multiplexed connection; its failure fails
-// every frame in flight on it, and each affected call runs this same
-// failover loop independently.
-func (r *RemoteBusiness) callOn(ctx context.Context, ep *endpoint, req *request, deadline time.Time, readOnly bool) (*response, bool, error) {
-	sent := false
+// invokeOn performs one invocation against a single endpoint, retrying
+// an idempotent one once on a fresh connection when an existing one
+// fails (the container may have restarted since — one fresh dial
+// distinguishes a stale connection from a dead endpoint). sent reports
+// whether the frame may have reached the container (an operation must
+// not be resent once it did). The exchange shares a multiplexed
+// connection; its failure fails every frame in flight on it, and each
+// affected invocation runs this same failover loop independently.
+func (r *RemoteBusiness) invokeOn(ctx context.Context, ep *endpoint, idempotent bool, deadline time.Time, exchange exchangeFunc) (sent bool, err error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if !deadline.IsZero() && time.Until(deadline) <= 0 {
-			if lastErr == nil {
-				lastErr = context.DeadlineExceeded
-			}
-			return nil, sent, lastErr
+			return sent, cmp.Or(lastErr, context.DeadlineExceeded)
 		}
 		mc, fresh, err := ep.framedConn(r, deadline)
 		if err != nil {
 			ep.brk.failure()
-			if lastErr == nil {
-				lastErr = err
-			}
-			return nil, sent, lastErr
+			return sent, cmp.Or(lastErr, err)
 		}
-		req.DeadlineMS = budgetMS(deadline)
-		resp, err := mc.call(req, deadline, ctx.Done())
+		err = exchange(ep, mc, deadline)
 		if err == nil {
 			ep.brk.success()
-			return resp, true, nil
+			return true, nil
 		}
 		if errors.Is(err, context.Canceled) {
-			// The caller abandoned the call; mc.call already
+			// The caller abandoned the invocation; the exchange already
 			// deregistered the frame and the shared connection stays
 			// healthy. Killing it would fail every unrelated in-flight
 			// frame and count a breaker failure against a container
 			// that did nothing wrong.
-			return nil, true, err
+			return true, err
 		}
 		// The frame may have reached the container before the
 		// connection died; from here an operation is unsafe to resend.
@@ -555,11 +492,11 @@ func (r *RemoteBusiness) callOn(ctx context.Context, ep *endpoint, req *request,
 		ep.dropGeneration(mc.gen)
 		ep.brk.failure()
 		lastErr = err
-		if fresh || !readOnly {
+		if fresh || !idempotent {
 			break
 		}
 	}
-	return nil, sent, lastErr
+	return sent, lastErr
 }
 
 // framedConn returns a live multiplexed connection for the endpoint:

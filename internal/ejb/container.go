@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/obs"
 )
@@ -258,31 +257,46 @@ func (c *Container) serveOne(req *request) *response {
 }
 
 // serveBatch serves one level under the batch's one deadline. The items
-// run concurrently under the capacity gate, the first on the serving
-// goroutine, so the level takes as long as its slowest unit; the
-// responses are in call order.
+// run on min(len(items), capacity) goroutines, the first the serving
+// goroutine, each taking the next item index from a shared counter: a
+// level no wider than the capacity takes as long as its slowest unit,
+// and a frame of any width starts no more goroutines than the capacity
+// gate would let run. The responses are in call order.
 func (c *Container) serveBatch(breq *batchRequest) []*response {
 	ctx, cancel := callerContext(breq.DeadlineMS)
 	defer cancel()
 	out := make([]*response, len(breq.Calls))
-	item := func(i int) {
-		call := &breq.Calls[i]
-		out[i] = c.invoke(ctx, breq.TraceID, call.SpanID, "unit", func(ctx context.Context) *response {
-			return c.computeUnit(ctx, call.Descriptor, call.Inputs)
-		})
+	// What the workers share is one allocation.
+	var run struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(out); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			item(i)
-		}()
+	work := func() {
+		defer run.wg.Done()
+		for {
+			i := int(run.next.Add(1)) - 1
+			if i >= len(out) {
+				return
+			}
+			call := &breq.Calls[i]
+			out[i] = c.invoke(ctx, breq.TraceID, call.SpanID, "unit", func(ctx context.Context) *response {
+				bean, err := c.business.ComputeUnit(ctx, call.Descriptor, call.Inputs)
+				if err != nil {
+					return &response{Err: err.Error()}
+				}
+				return &response{Bean: bean}
+			})
+		}
 	}
-	if len(out) > 0 {
-		item(0)
+	c.mu.Lock()
+	workers := max(min(len(out), c.capacity), 1)
+	c.mu.Unlock()
+	run.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
 	}
-	wg.Wait()
+	work()
+	run.wg.Wait()
 	return out
 }
 
@@ -374,7 +388,8 @@ func (c *Container) gated(ctx context.Context, kind string, run func(context.Con
 	return run(ctx)
 }
 
-// compute runs a call frame's request.
+// compute runs a call frame's request: an operation or a page. Units
+// travel only in batch frames.
 func (c *Container) compute(ctx context.Context, req *request) *response {
 	switch req.Kind {
 	case "page":
@@ -386,8 +401,6 @@ func (c *Container) compute(ctx context.Context, req *request) *response {
 			return &response{Err: err.Error()}
 		}
 		return &response{Page: state}
-	case "unit":
-		return c.computeUnit(ctx, req.Descriptor, req.Inputs)
 	case "operation":
 		res, err := c.business.ExecuteOperation(ctx, req.Descriptor, req.Inputs)
 		if err != nil {
@@ -397,14 +410,6 @@ func (c *Container) compute(ctx context.Context, req *request) *response {
 	default:
 		return &response{Err: fmt.Sprintf("ejb: unknown request kind %q", req.Kind)}
 	}
-}
-
-func (c *Container) computeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) *response {
-	bean, err := c.business.ComputeUnit(ctx, d, inputs)
-	if err != nil {
-		return &response{Err: err.Error()}
-	}
-	return &response{Bean: bean}
 }
 
 // SetCapacity rescales the number of concurrently active component

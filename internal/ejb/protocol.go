@@ -18,7 +18,7 @@ import (
 
 // request is one remote invocation.
 type request struct {
-	// Kind is "unit", "operation", or "page".
+	// Kind is "operation" or "page": units travel only in batch frames.
 	Kind string
 	// Descriptor carries the unit descriptor (the component is generic;
 	// the descriptor makes it concrete, exactly as in Figure 5). Unused

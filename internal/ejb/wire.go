@@ -21,9 +21,9 @@ import (
 // and the container echoes the same form back with its own version.
 // Both sides bound the exchange by handshakeTimeout, and either side
 // closes the connection on anything but the magic followed by its own
-// version (4 since a batch is answered by one reply frame: a build of
-// another version fails the handshake, it is never decoded): there is no
-// other protocol to fall back to.
+// version (5 since units travel only in batch frames: a build of another
+// version fails the handshake, it is never decoded): there is no other
+// protocol to fall back to.
 //
 // Frames (both directions, after the handshake):
 //
@@ -35,10 +35,10 @@ import (
 // client write side is mutex-serialized, a demux goroutine routes
 // replies by request ID.
 const (
-	wireVersion = 4
+	wireVersion = 5
 
-	ftCall       byte = 1 // body: request
-	ftBatch      byte = 2 // body: batchRequest
+	ftCall       byte = 1 // body: request (an operation or a page)
+	ftBatch      byte = 2 // body: batchRequest (a level of units)
 	ftReply      byte = 3 // body: response
 	ftBatchReply byte = 4 // body: batchReply
 

@@ -33,7 +33,7 @@ import (
 // empty collections to nil on decode.
 func fullRequest() *request {
 	return &request{
-		Kind: "unit",
+		Kind: "operation",
 		Descriptor: &descriptor.Unit{
 			ID: "u1", Kind: "index", Entity: "Paper", Optimized: true,
 			Service: "custom.Svc", Query: "SELECT oid FROM paper WHERE a=?",
@@ -66,6 +66,13 @@ func fullRequest() *request {
 		TraceID:    7,
 		SpanID:     9,
 	}
+}
+
+// unitRequest is a call frame's body of kind "unit", which the container
+// refuses: units travel only in batch frames.
+func unitRequest() *request {
+	return &request{Kind: "unit", Descriptor: &descriptor.Unit{ID: "u", Kind: "data"},
+		Inputs: map[string]mvc.Value{"oid": int64(1)}, DeadlineMS: 50}
 }
 
 func fullResponse() *response {
@@ -208,6 +215,10 @@ func FuzzCodecRequest(f *testing.F) {
 	w.request(fullRequest())
 	f.Add(append([]byte(nil), w.payload()...))
 	putWbuf(w)
+	w = getWbuf()
+	w.request(unitRequest())
+	f.Add(append([]byte(nil), w.payload()...))
+	putWbuf(w)
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -287,7 +298,8 @@ func TestCodecMalformedNodeLists(t *testing.T) {
 // is the reply frame the commit before bean rows became cells (9e488c5,
 // boxed []Value rows) wrote for fullResponse(). Encoding must reproduce
 // it byte for byte under the current wireVersion (version 4 changed the
-// batch reply, not a single call's), and decoding it must give
+// batch reply, not a single call's; version 5 moved units into batch
+// frames and changed no encoding), and decoding it must give
 // fullResponse() back.
 func TestGoldenResponseFrame(t *testing.T) {
 	text, err := os.ReadFile("testdata/golden_response_frame.hex")
@@ -298,7 +310,7 @@ func TestGoldenResponseFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireVersion != 4 {
+	if wireVersion != 5 {
 		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
 	}
 	if got := frameOf(ftReply, 1, func(w *wbuf) { w.response(fullResponse()) }); !bytes.Equal(got, golden) {
@@ -385,8 +397,9 @@ func twoItemReply() []*response {
 
 // TestGoldenBatchReplyFrame pins the batch reply:
 // testdata/golden_batch_reply_frame.hex is the frame wire version 4 wrote
-// for twoItemReply(). Encoding must reproduce it byte for byte, and
-// decoding it must give twoItemReply() back.
+// for twoItemReply(); version 5 changed no encoding. Encoding must
+// reproduce it byte for byte, and decoding it must give twoItemReply()
+// back.
 func TestGoldenBatchReplyFrame(t *testing.T) {
 	text, err := os.ReadFile("testdata/golden_batch_reply_frame.hex")
 	if err != nil {
@@ -396,7 +409,7 @@ func TestGoldenBatchReplyFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireVersion != 4 {
+	if wireVersion != 5 {
 		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
 	}
 	if got := frameOf(ftBatchReply, 1, func(w *wbuf) { w.batchReply(twoItemReply()) }); !bytes.Equal(got, golden) {
@@ -722,6 +735,7 @@ func frameOf(ft byte, id uint64, body func(w *wbuf)) []byte {
 // hangs up the handler returns with the connection closed.
 func FuzzServeFramed(f *testing.F) {
 	call := frameOf(ftCall, 1, func(w *wbuf) { w.request(fullRequest()) })
+	f.Add(frameOf(ftCall, 6, func(w *wbuf) { w.request(unitRequest()) }))
 	batch := frameOf(ftBatch, 2, func(w *wbuf) {
 		w.batchRequest(&batchRequest{DeadlineMS: 50, Calls: []batchCall{
 			{SpanID: 1, Descriptor: &descriptor.Unit{ID: "a", Kind: "data"}},
@@ -775,6 +789,157 @@ func FuzzServeFramed(f *testing.F) {
 }
 
 // ---- level batching ----
+
+// rawConn opens a handshaken connection to the container at addr, for
+// tests that write frames by hand.
+func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Write(handshakeBytes()); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	var ack [6]byte
+	if _, err := io.ReadFull(br, ack[:]); err != nil || !isHandshake(ack[:]) {
+		t.Fatalf("handshake: ack % x, err %v", ack, err)
+	}
+	return c, br
+}
+
+// TestContainerRefusesUnitCallFrame: units travel only in batch frames,
+// so a call frame of kind "unit" is answered with the unknown-kind error
+// and computes nothing.
+func TestContainerRefusesUnitCallFrame(t *testing.T) {
+	var computed atomic.Int64
+	ctr := NewContainer(&funcBusiness{compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
+		computed.Add(1)
+		return &mvc.UnitBean{UnitID: d.ID}, nil
+	}}, 4)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close()
+	c, br := rawConn(t, addr)
+	req := &request{Kind: "unit", Descriptor: &descriptor.Unit{ID: "u", Kind: "data"}}
+	if _, err := c.Write(frameOf(ftCall, 7, func(w *wbuf) { w.request(req) })); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rbuf{b: payload}
+	if ft, id := r.byte(), r.uvarint(); ft != ftReply || id != 7 {
+		t.Fatalf("frame type %d id %d, want a reply to 7", ft, id)
+	}
+	resp, err := r.response()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `ejb: unknown request kind "unit"`; resp.Err != want || resp.Bean != nil {
+		t.Fatalf("reply = %+v, want error %q", resp, want)
+	}
+	if n := computed.Load(); n != 0 {
+		t.Fatalf("unit call frame computed %d units", n)
+	}
+}
+
+// TestBatchWideFrameBoundedGoroutines: a batch frame's items run on at
+// most the container's capacity of goroutines, however many items the
+// frame carries.
+func TestBatchWideFrameBoundedGoroutines(t *testing.T) {
+	const capacity, items = 2, 20000
+	ctr := NewContainer(&funcBusiness{compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
+		if d == nil {
+			return nil, errors.New("no descriptor")
+		}
+		return &mvc.UnitBean{UnitID: d.ID}, nil
+	}}, capacity)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close()
+	c, br := rawConn(t, addr)
+	frame := frameOf(ftBatch, 1, func(w *wbuf) {
+		w.batchRequest(&batchRequest{Calls: make([]batchCall, items)})
+	})
+
+	var peak atomic.Int64
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	for peak.Load() == 0 {
+		runtime.Gosched()
+	}
+	base := runtime.NumGoroutine()
+	if _, err := c.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readFrame(br)
+	close(stop)
+	<-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rbuf{b: payload}
+	if ft, id := r.byte(), r.uvarint(); ft != ftBatchReply || id != 1 {
+		t.Fatalf("frame type %d id %d", ft, id)
+	}
+	replies, err := r.batchReply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replies) != items {
+		t.Fatalf("%d replies for %d items", len(replies), items)
+	}
+	for i, resp := range replies {
+		if resp.Err == "" {
+			t.Fatalf("item %d: no error for a nil descriptor: %+v", i, resp)
+		}
+	}
+	if rise := int(peak.Load()) - base; rise > capacity+4 {
+		t.Fatalf("goroutines rose by %d serving %d items at capacity %d, want <= %d", rise, items, capacity, capacity+4)
+	}
+}
+
+// TestComputeUnitIsALevelOfOne: a single unit travels the level path, as
+// a batch frame of one item.
+func TestComputeUnitIsALevelOfOne(t *testing.T) {
+	_, client, _, art := startApp(t, 4)
+	tr := obs.NewRemoteTrace(1, 0)
+	ctx := obs.ContextWithTrace(context.Background(), tr, 0)
+	if _, err := client.ComputeUnit(ctx, art.Repo.Unit("volumeData"), map[string]mvc.Value{"volume": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	var batches []obs.Span
+	for _, sp := range tr.Spans() {
+		if sp.Name == "ejb.batch" {
+			batches = append(batches, sp)
+		}
+	}
+	if len(batches) != 1 || !reflect.DeepEqual(batches[0].Labels, []string{"units", "1"}) || batches[0].Err != "" {
+		t.Fatalf("ejb.batch spans = %+v, want one with units=1", batches)
+	}
+}
 
 func TestBatchComputeUnits(t *testing.T) {
 	_, client, _, art := startApp(t, 8)

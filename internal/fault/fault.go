@@ -31,7 +31,7 @@ type Schedule struct {
 	// ErrorProb is the chance a business call fails with ErrInjected.
 	ErrorProb float64
 	// PanicProb is the chance a business call panics (exercising the
-	// worker-pool and container recovery paths).
+	// page service's and the container's recovery paths).
 	PanicProb float64
 }
 
@@ -148,7 +148,7 @@ func (b *Business) SupportsUnitBatch() bool { return mvc.SupportsUnitBatch(b.Inn
 // ComputeUnits implements mvc.BatchComputer with per-item injection:
 // each item of the level draws its own fault decision (one flaky item
 // must not fail its whole batch), and an injected panic is contained to
-// its item in the same error shape the page worker's recover produces.
+// its item in the same error shape ComputeUnitsOf's recover produces.
 func (b *Business) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc.UnitResult {
 	out := make([]mvc.UnitResult, len(calls))
 	var pass []mvc.UnitCall
@@ -172,7 +172,7 @@ func (b *Business) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc
 
 // injectOne is beforeCall with the panic contained: batched items report
 // an injected panic as that item's error, matching the containment shape
-// of the per-unit paths.
+// of mvc.ComputeUnitsOf.
 func (b *Business) injectOne(ctx context.Context, unitID string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

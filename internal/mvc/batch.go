@@ -31,9 +31,9 @@ type UnitResult struct {
 //
 // SupportsUnitBatch must report whether batching actually reaches a
 // batching transport below — decorators delegate the answer to their
-// inner business. When it reports false the scheduler keeps its
-// per-unit concurrent path, which is the right shape for in-process
-// computation (no round trips to save).
+// inner business. When it reports false, ComputeUnitsOf runs the items
+// as guarded calls in order, the right shape for in-process computation
+// (no round trips to save).
 type BatchComputer interface {
 	Business
 	SupportsUnitBatch() bool
@@ -49,10 +49,10 @@ func SupportsUnitBatch(b Business) bool {
 }
 
 // ComputeUnitsOf runs a level batch against b: through its own
-// ComputeUnits when it batches, otherwise as guarded per-item calls
-// (panics contained to the failing item, matching the page worker's
-// containment). Decorators use it to pass a batch one layer down
-// without caring whether that layer batches.
+// ComputeUnits when it batches, otherwise as guarded per-item calls in
+// order (a panic contained to the failing item). The page scheduler runs
+// every level through it, and decorators use it to pass a batch one
+// layer down without caring whether that layer batches.
 func ComputeUnitsOf(ctx context.Context, b Business, calls []UnitCall) []UnitResult {
 	if bc, ok := b.(BatchComputer); ok && bc.SupportsUnitBatch() {
 		return bc.ComputeUnits(ctx, calls)
@@ -65,8 +65,7 @@ func ComputeUnitsOf(ctx context.Context, b Business, calls []UnitCall) []UnitRes
 }
 
 // computeOneGuarded is one contained unit call: a panicking service
-// surfaces as that unit's error, in the same shape the page worker's
-// recover produces.
+// surfaces as that unit's error.
 func computeOneGuarded(ctx context.Context, b Business, c UnitCall) (bean *UnitBean, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -101,6 +100,7 @@ func (rb *ResilientBusiness) ComputeUnits(ctx context.Context, calls []UnitCall)
 	if attempts == 0 {
 		attempts = 3
 	}
+	attempts = max(attempts, 1)
 	out := make([]UnitResult, len(calls))
 	pending := make([]int, len(calls))
 	for i := range pending {

@@ -15,32 +15,16 @@ import (
 
 // latencyFanApp builds the fan page over a business with per-unit latency
 // (the data-tier round trip of Figure 6): 1 root, 8 middle units, 1 sink.
-func latencyFanApp(delay time.Duration, workers int) *PageService {
+func latencyFanApp(delay time.Duration) *PageService {
 	repo := descriptor.NewRepository()
 	fanPage(repo, 8)
-	return &PageService{Repo: repo, Business: &countingBusiness{delay: delay}, Workers: workers}
+	return &PageService{Repo: repo, Business: &countingBusiness{delay: delay}}
 }
 
 // BenchmarkE6PageComputeLatencySequential is the seed computation shape:
 // ten units with a 200µs data-tier round trip each, one after another.
 func BenchmarkE6PageComputeLatencySequential(b *testing.B) {
-	ps := latencyFanApp(200*time.Microsecond, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ps.ComputePage(context.Background(), "fan", nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE6PageComputeLatencyParallel runs the same page on the
-// level-parallel scheduler: the eight independent mid units overlap their
-// round trips on 4 workers, so the page takes ~4 round-trip times instead
-// of ~10 — a speedup available even on a single hardware thread, because
-// the time is spent waiting on the data tier, not computing.
-func BenchmarkE6PageComputeLatencyParallel(b *testing.B) {
-	ps := latencyFanApp(200*time.Microsecond, 4)
+	ps := latencyFanApp(200 * time.Microsecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

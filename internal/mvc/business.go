@@ -19,7 +19,7 @@ import (
 // either with the Section 6 bean cache.
 //
 // Every call carries the request context: the controller derives a
-// per-request deadline and each tier below (worker pool, bean cache,
+// per-request deadline and each tier below (page service, bean cache,
 // remote stub) observes it, so a hung container can never wedge a
 // servlet worker past the request budget.
 type Business interface {

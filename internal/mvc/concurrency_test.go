@@ -217,37 +217,71 @@ func fanPage(repo *descriptor.Repository, n int) *descriptor.Page {
 	return pd
 }
 
-// TestParallelPageComputeMatchesSequential checks the level-parallel
-// scheduler produces byte-identical state to the sequential path.
-func TestParallelPageComputeMatchesSequential(t *testing.T) {
+// recordingBusiness is countingBusiness that also records the order in
+// which units were computed.
+type recordingBusiness struct {
+	countingBusiness
+	mu    sync.Mutex
+	order []string
+}
+
+func (r *recordingBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
+	r.mu.Lock()
+	r.order = append(r.order, d.ID)
+	r.mu.Unlock()
+	return r.countingBusiness.ComputeUnit(ctx, d, inputs)
+}
+
+// batchingBusiness puts the batch interface over a per-unit business: a
+// level arrives as one ComputeUnits call, whose items run in order.
+type batchingBusiness struct {
+	Business
+	levels atomic.Int64
+}
+
+func (b *batchingBusiness) SupportsUnitBatch() bool { return true }
+
+func (b *batchingBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
+	b.levels.Add(1)
+	out := make([]UnitResult, len(calls))
+	for i, c := range calls {
+		out[i].Bean, out[i].Err = b.Business.ComputeUnit(ctx, c.D, c.Inputs)
+	}
+	return out
+}
+
+// TestLevelBatchMatchesPerUnit checks that one level path gives the same
+// state whether the business tier takes a level as one batch or as one
+// call per unit: the same beans, computed in the same order.
+func TestLevelBatchMatchesPerUnit(t *testing.T) {
 	repo := descriptor.NewRepository()
 	fanPage(repo, 8)
-	seqSvc := &PageService{Repo: repo, Business: &countingBusiness{}}
-	parSvc := &PageService{Repo: repo, Business: &countingBusiness{}, Workers: 4}
+	perUnit := &recordingBusiness{}
+	batchedInner := &recordingBusiness{}
+	batched := &batchingBusiness{Business: batchedInner}
+	unitSvc := &PageService{Repo: repo, Business: perUnit}
+	batchSvc := &PageService{Repo: repo, Business: batched}
 
 	req := map[string]Value{}
-	seq, err := seqSvc.ComputePage(context.Background(), "fan", req, nil)
+	one, err := unitSvc.ComputePage(context.Background(), "fan", req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := parSvc.ComputePage(context.Background(), "fan", req, nil)
+	lvl, err := batchSvc.ComputePage(context.Background(), "fan", req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Beans) != len(par.Beans) {
-		t.Fatalf("bean counts differ: %d vs %d", len(seq.Beans), len(par.Beans))
+	if !reflect.DeepEqual(one, lvl) {
+		t.Fatalf("page state differs between per-unit and batched business:\n%+v\n%+v", one, lvl)
 	}
-	for id, sb := range seq.Beans {
-		pb := par.Beans[id]
-		if pb == nil {
-			t.Fatalf("parallel state missing bean %q", id)
-		}
-		if !reflect.DeepEqual(sb, pb) {
-			t.Fatalf("bean %q differs between sequential and parallel paths", id)
-		}
+	if !reflect.DeepEqual(perUnit.order, batchedInner.order) || len(perUnit.order) != 10 {
+		t.Fatalf("compute order differs: per-unit %v, batched %v", perUnit.order, batchedInner.order)
+	}
+	if got := batched.levels.Load(); got != 3 {
+		t.Fatalf("batched business saw %d calls for a three-level page, want 3", got)
 	}
 	// The sink saw every middle unit's propagated parameter.
-	sink := par.Beans["sink"]
+	sink := lvl.Beans["sink"]
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("from-mid%02d", i)
 		if at := FieldIndex(sink.Fields, key); at < 0 || sink.Nodes[0].Values[at].IsNull() {
@@ -270,19 +304,22 @@ func (f *failingBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, i
 }
 
 // TestParallelPageComputeFirstError checks deterministic error selection:
-// whichever goroutine fails, the reported error is the earliest failing
-// unit in level order.
+// the reported error is the earliest failing unit in level order, on a
+// per-unit and on a batching business alike.
 func TestParallelPageComputeFirstError(t *testing.T) {
 	repo := descriptor.NewRepository()
 	fanPage(repo, 8)
-	svc := &PageService{Repo: repo, Business: &failingBusiness{failUnit: "mid03"}, Workers: 4}
-	for i := 0; i < 20; i++ {
+	for _, b := range []Business{
+		&failingBusiness{failUnit: "mid03"},
+		&batchingBusiness{Business: &failingBusiness{failUnit: "mid03"}},
+	} {
+		svc := &PageService{Repo: repo, Business: b}
 		_, err := svc.ComputePage(context.Background(), "fan", nil, nil)
 		if err == nil {
-			t.Fatal("expected error")
+			t.Fatalf("%T: expected error", b)
 		}
 		if got := err.Error(); got != "boom in mid03" {
-			t.Fatalf("error = %q, want the earliest failing unit's error", got)
+			t.Fatalf("%T: error = %q, want the earliest failing unit's error", b, got)
 		}
 	}
 }

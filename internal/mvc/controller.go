@@ -75,7 +75,7 @@ type Controller struct {
 	EdgeFragments bool
 	// RequestTimeout is the per-request deadline budget handed to the
 	// business tier: page and operation actions derive a context that
-	// expires after this much time, and every tier below (worker pool,
+	// expires after this much time, and every tier below (page service,
 	// bean cache, remote stub) observes it. A request past its budget
 	// answers 504 (or a degraded stale bean, if enabled). 0 disables the
 	// deadline — only client disconnect cancels.
@@ -120,15 +120,6 @@ func NewController(repo *descriptor.Repository, business Business, renderer Rend
 		Pages:    &PageService{Repo: repo, Business: business},
 		Sessions: NewSessionManager(0),
 		Renderer: renderer,
-	}
-}
-
-// SetPageWorkers bounds the page service's per-request worker pool (<=1
-// keeps sequential computation). It only applies to the in-process page
-// service; a remote page service computes on the application server.
-func (c *Controller) SetPageWorkers(n int) {
-	if ps, ok := c.Pages.(*PageService); ok {
-		ps.Workers = n
 	}
 }
 
@@ -291,7 +282,7 @@ func (c *Controller) safeDispatch(w http.ResponseWriter, r *http.Request, sessio
 }
 
 // requestContext derives the per-request deadline context — the budget
-// every tier below (page workers, bean cache, remote stub) observes.
+// every tier below (page service, bean cache, remote stub) observes.
 func (c *Controller) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if c.RequestTimeout > 0 {
 		return context.WithTimeout(r.Context(), c.RequestTimeout)

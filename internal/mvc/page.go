@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"webmlgo/internal/descriptor"
@@ -21,10 +19,6 @@ import (
 type PageService struct {
 	Repo     *descriptor.Repository
 	Business Business
-	// Workers bounds the per-request worker pool: units of the same
-	// topological level compute concurrently on up to Workers goroutines.
-	// <=1 selects sequential computation (the default).
-	Workers int
 	// PageLat / UnitLat, when set, record per-page and per-unit compute
 	// latency into the shared histogram families — the model-derived
 	// series behind the /metrics p50/p95/p99. Nil skips recording.
@@ -44,8 +38,8 @@ type PageState struct {
 // ComputePage exposes the single computePage() function of the paper's
 // page service: it computes the page's units level by level along the
 // transport-link edges — every unit whose inputs are already resolved
-// may run concurrently with its level peers — propagating parameters
-// and invoking the unit services.
+// is submitted with its level peers in one business-tier call —
+// propagating parameters and invoking the unit services.
 //
 // request carries the typed HTTP parameters; formState (may be nil)
 // carries sticky entry-unit values and validation errors keyed by entry
@@ -87,101 +81,24 @@ func (ps *PageService) computePage(ctx context.Context, pageID string, request m
 		}
 		lctx, lsp := obs.StartSpan(ctx, "page.level")
 		lsp.Label("level", strconv.Itoa(li)).Label("units", strconv.Itoa(len(level)))
-		if len(level) > 1 && SupportsUnitBatch(ps.Business) {
-			// The business tier batches (a wire-v2 remote stub at the
-			// bottom of the chain): submit the whole level in one call
-			// instead of one per unit — one round trip per level.
-			lsp.Label("batch", "1")
-			if err := ps.computeLevelBatch(lctx, pd, sched, level, request, formState, state); err != nil {
-				lsp.EndErr(err)
-				return nil, err
-			}
-			lsp.End()
-			continue
-		}
-		if ps.Workers > 1 && len(level) > 1 {
-			if err := ps.computeLevel(lctx, pd, sched, level, request, formState, state); err != nil {
-				lsp.EndErr(err)
-				return nil, err
-			}
-			lsp.End()
-			continue
-		}
-		for _, unitID := range level {
-			bean, err := ps.computeOne(lctx, pd, sched, unitID, request, formState, state)
-			if err != nil {
-				lsp.EndErr(err)
-				return nil, err
-			}
-			state.Beans[unitID] = bean
+		if err := ps.computeLevel(lctx, pd, sched, level, request, formState, state); err != nil {
+			lsp.EndErr(err)
+			return nil, err
 		}
 		lsp.End()
 	}
 	return state, nil
 }
 
-// computeLevel runs one topological level's units concurrently on a
-// bounded worker pool. Beans merge deterministically (each unit writes
-// its own slot, merged in level order after the barrier); on failure the
-// error of the earliest unit in level order is returned, and units not
-// yet started are skipped.
+// computeLevel runs one topological level, whatever its width, as one
+// ComputeUnitsOf call: inputs are resolved for every unit up front (they
+// only read beans of strictly earlier levels), and the business tier
+// decides how the items run — one batch frame for a remote stub, guarded
+// calls in order otherwise. Beans merge deterministically, the first
+// error in level order wins, and sticky form-state errors are cloned
+// copy-on-write per request. Each unit gets its own "unit" span and
+// UnitLat observation of the level's wall time.
 func (ps *PageService) computeLevel(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, level []string, request map[string]Value, formState map[string]*FormState, state *PageState) error {
-	workers := ps.Workers
-	if workers > len(level) {
-		workers = len(level)
-	}
-	beans := make([]*UnitBean, len(level))
-	errs := make([]error, len(level))
-	var failed atomic.Bool
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, unitID := range level {
-		if failed.Load() || ctx.Err() != nil {
-			break // first-error / deadline cancellation: stop scheduling
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, unitID string) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			bean, err := ps.computeOne(ctx, pd, sched, unitID, request, formState, state)
-			if err != nil {
-				errs[i] = err
-				failed.Store(true)
-				return
-			}
-			beans[i] = bean
-		}(i, unitID)
-	}
-	wg.Wait()
-	for i := range level {
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i, unitID := range level {
-		if beans[i] != nil {
-			state.Beans[unitID] = beans[i]
-		}
-	}
-	return nil
-}
-
-// computeLevelBatch runs one topological level through the business
-// tier's batch interface: inputs are resolved for every unit up front
-// (they only read beans of strictly earlier levels), the whole level
-// travels as one ComputeUnits call, and results merge with computeLevel's
-// exact semantics — deterministic bean merge, first error in level order
-// wins, sticky form-state errors cloned copy-on-write per request. Each
-// unit still gets its own "unit" span and UnitLat observation (the batch
-// wall time: units of a batched level finish together from the
-// scheduler's point of view).
-func (ps *PageService) computeLevelBatch(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, level []string, request map[string]Value, formState map[string]*FormState, state *PageState) error {
 	calls := make([]UnitCall, len(level))
 	for i, unitID := range level {
 		ud, inputs, err := ps.resolveInputs(pd, sched, unitID, request, formState, state)
@@ -190,53 +107,51 @@ func (ps *PageService) computeLevelBatch(ctx context.Context, pd *descriptor.Pag
 		}
 		calls[i] = UnitCall{D: ud, Inputs: inputs}
 	}
-	spans := make([]*obs.SpanHandle, len(level))
+	// The spans of a level no wider than spanBuf stay on the stack, so
+	// a level of one unit allocates nothing for them.
+	var spanBuf [8]*obs.SpanHandle
+	spans := spanBuf[:]
+	if len(level) > len(spanBuf) {
+		spans = make([]*obs.SpanHandle, len(level))
+	}
 	for i, unitID := range level {
 		spans[i] = obs.Leaf(ctx, "unit").Label("unit", unitID).Label("entity", calls[i].D.Entity)
 	}
 	start := time.Now()
 	res := ps.batchGuarded(ctx, calls)
 	elapsed := time.Since(start)
-	beans := make([]*UnitBean, len(level))
+	// A failed level fails the page, so beans merged before its error
+	// is known are never seen.
 	var firstErr error
 	for i, unitID := range level {
-		err := res[i].Err
+		bean, err := res[i].Bean, res[i].Err
 		if ps.UnitLat != nil {
 			ps.UnitLat.ObserveErr(unitID, elapsed, err != nil)
 		}
 		spans[i].EndErr(err)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+		if firstErr == nil {
+			firstErr = err
+		}
+		if bean == nil {
 			continue
 		}
-		bean := res[i].Bean
-		if fs := formState[unitID]; fs != nil && len(fs.Errors) > 0 && bean != nil {
+		if fs := formState[unitID]; fs != nil && len(fs.Errors) > 0 {
 			// Copy-on-write: the bean may come from the shared cache, and
 			// validation errors belong to this request only.
 			clone := *bean
 			clone.Errors = fs.Errors
 			bean = &clone
 		}
-		beans[i] = bean
+		state.Beans[unitID] = bean
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i, unitID := range level {
-		if beans[i] != nil {
-			state.Beans[unitID] = beans[i]
-		}
-	}
-	return nil
+	return ctx.Err()
 }
 
-// batchGuarded contains a panicking batch implementation the same way
-// the per-unit paths contain panicking unit services: every item of the
+// batchGuarded contains a panicking batch implementation the way
+// ComputeUnitsOf contains a panicking unit service: every item of the
 // level gets the panic as its error, and a short result set is padded so
 // callers can index safely.
 func (ps *PageService) batchGuarded(ctx context.Context, calls []UnitCall) (res []UnitResult) {
@@ -249,7 +164,7 @@ func (ps *PageService) batchGuarded(ctx context.Context, calls []UnitCall) (res 
 			}
 		}
 	}()
-	res = ps.Business.(BatchComputer).ComputeUnits(ctx, calls)
+	res = ComputeUnitsOf(ctx, ps.Business, calls)
 	for len(res) < len(calls) {
 		res = append(res, UnitResult{Err: fmt.Errorf("mvc: batch returned %d results for %d calls", len(res), len(calls))})
 	}
@@ -290,48 +205,6 @@ func (ps *PageService) resolveInputs(pd *descriptor.Page, sched *descriptor.Sche
 		}
 	}
 	return ud, inputs, nil
-}
-
-// computeOne resolves one unit's inputs (request parameters, intra-page
-// edges, sticky form state) and invokes its service. It only reads beans
-// of strictly earlier levels from state, so level peers may run it
-// concurrently. A panicking unit service (user-supplied custom
-// components run arbitrary code) is contained here and surfaces as the
-// unit's error instead of killing the process — on the worker pool an
-// uncaught panic in a goroutine would otherwise be unrecoverable.
-func (ps *PageService) computeOne(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, unitID string, request map[string]Value, formState map[string]*FormState, state *PageState) (bean *UnitBean, err error) {
-	start := time.Now()
-	sp := obs.Leaf(ctx, "unit").Label("unit", unitID)
-	// Registered before the recover defer (LIFO): the panic handler sets
-	// err first, then this defer records the outcome.
-	defer func() {
-		if ps.UnitLat != nil {
-			ps.UnitLat.ObserveErr(unitID, time.Since(start), err != nil)
-		}
-		sp.EndErr(err)
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			bean, err = nil, fmt.Errorf("mvc: unit %s panicked: %v", unitID, r)
-		}
-	}()
-	ud, inputs, err := ps.resolveInputs(pd, sched, unitID, request, formState, state)
-	if err != nil {
-		return nil, err
-	}
-	sp.Label("entity", ud.Entity)
-	bean, err = ps.Business.ComputeUnit(ctx, ud, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if fs := formState[unitID]; fs != nil && len(fs.Errors) > 0 {
-		// Copy-on-write: the bean may come from the shared cache, and
-		// validation errors belong to this request only.
-		clone := *bean
-		clone.Errors = fs.Errors
-		bean = &clone
-	}
-	return bean, nil
 }
 
 // FormState carries an entry unit's sticky values and validation errors

@@ -12,14 +12,13 @@ import (
 )
 
 // TestConcurrentReadsNeverSeeStaleBeans is the -race hammer of the issue:
-// readers compute pages (with the bean cache and the level-parallel page
-// scheduler on) while a writer streams createVolume operations through
-// the controller. Model-driven invalidation must be exact — a reader that
-// starts after operation k completed must see volume k on the page, never
-// a stale cached bean. This is TestStaleReadNeverServed under concurrency.
+// readers compute pages (with the bean cache on) while a writer streams
+// createVolume operations through the controller. Model-driven
+// invalidation must be exact — a reader that starts after operation k
+// completed must see volume k on the page, never a stale cached bean.
+// This is TestStaleReadNeverServed under concurrency.
 func TestConcurrentReadsNeverSeeStaleBeans(t *testing.T) {
 	ctl, _, beans := buildApp(t, true)
-	ctl.SetPageWorkers(4)
 	if beans == nil {
 		t.Fatal("bean cache required")
 	}

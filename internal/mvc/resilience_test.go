@@ -11,6 +11,7 @@ import (
 
 	"webmlgo/internal/cache"
 	"webmlgo/internal/descriptor"
+	"webmlgo/internal/rdb"
 )
 
 // panickyBusiness panics on one designated unit — a stand-in for a
@@ -27,20 +28,33 @@ func (p *panickyBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, i
 	return p.countingBusiness.ComputeUnit(ctx, d, inputs)
 }
 
-// TestPageComputeRecoversPanickingUnit: a panicking unit service surfaces
-// as that unit's error on both the sequential and the worker-pool path —
-// an uncaught panic on a pool goroutine would kill the whole process.
+// TestPageComputeRecoversPanickingUnit: a panic surfaces as the page's
+// error wherever it happens below the one level path — in a unit service
+// of the in-process business, in a per-unit business's ComputeUnit, and
+// in a batching business's ComputeUnits. An uncaught panic would kill
+// the whole process.
 func TestPageComputeRecoversPanickingUnit(t *testing.T) {
 	repo := descriptor.NewRepository()
 	fanPage(repo, 8)
-	for _, workers := range []int{0, 4} {
-		svc := &PageService{Repo: repo, Business: &panickyBusiness{panicUnit: "mid03"}, Workers: workers}
+	local := NewLocalBusiness(nil)
+	local.RegisterUnitService("data", UnitServiceFunc(func(ctx context.Context, _ *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
+		if d.ID == "mid03" {
+			panic("kaboom in " + d.ID)
+		}
+		return &UnitBean{UnitID: d.ID, Kind: d.Kind}, nil
+	}))
+	for name, b := range map[string]Business{
+		"unit service": local,
+		"ComputeUnit":  &panickyBusiness{panicUnit: "mid03"},
+		"ComputeUnits": &batchingBusiness{Business: &panickyBusiness{panicUnit: "mid03"}},
+	} {
+		svc := &PageService{Repo: repo, Business: b}
 		_, err := svc.ComputePage(context.Background(), "fan", nil, nil)
 		if err == nil {
-			t.Fatalf("workers=%d: panic swallowed into a successful page", workers)
+			t.Fatalf("%s: panic swallowed into a successful page", name)
 		}
 		if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "mid03") {
-			t.Fatalf("workers=%d: err = %v", workers, err)
+			t.Fatalf("%s: err = %v", name, err)
 		}
 	}
 }
@@ -148,6 +162,24 @@ func TestResilientRetriesTransientFailure(t *testing.T) {
 	}
 	if got := persistent.calls.Load(); got != 3 {
 		t.Fatalf("attempts = %d, want the default budget of 3", got)
+	}
+}
+
+// TestResilientNonPositiveAttemptsTryOnce: an attempt budget below the
+// default disables retries but still tries once — a negative budget must
+// not drop the unit with neither a bean nor an error.
+func TestResilientNonPositiveAttemptsTryOnce(t *testing.T) {
+	for _, n := range []int{-1, 1} {
+		inner := &nthTimeLucky{succeedOn: 10}
+		rb := NewResilientBusiness(inner, 42)
+		rb.MaxAttempts = n
+		bean, err := rb.ComputeUnit(context.Background(), cachedUnit(), nil)
+		if err == nil || !strings.Contains(err.Error(), "transient failure 1") {
+			t.Fatalf("MaxAttempts=%d: bean %+v, err %v; want the inner error", n, bean, err)
+		}
+		if got := inner.calls.Load(); got != 1 {
+			t.Fatalf("MaxAttempts=%d: inner called %d times, want exactly 1", n, got)
+		}
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // it twice. ExecuteOperation passes straight through.
 type ResilientBusiness struct {
 	Inner Business
-	// MaxAttempts bounds total tries per unit read (<=1 disables
-	// retries; 0 selects the default of 3).
+	// MaxAttempts bounds total tries per unit read (0 selects the
+	// default of 3; any other value below 2 tries once, without retries).
 	MaxAttempts int
 
 	// Retries counts retry attempts actually performed (for metrics).

@@ -19,8 +19,8 @@ import (
 const debugRing = 256
 
 // WithObservability enables request tracing across every tier: the edge
-// (or controller, without an edge) allocates a trace per request, page
-// workers, caches and remote EJB calls contribute spans, and container
+// (or controller, without an edge) allocates a trace per request, the
+// page service, caches and remote EJB calls contribute spans, and container
 // tiers stitch theirs back over the wire. The last 256 finished traces
 // are served at /debug/traces; traces at or past slowTrace (<=0 selects
 // 250ms) are additionally retained as slow exemplars. It also turns on

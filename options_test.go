@@ -12,7 +12,7 @@ import (
 
 // maxOptions bounds the public configuration surface: every exported
 // function returning Option is a decision a deployer has to understand.
-const maxOptions = 15
+const maxOptions = 14
 
 // TestOptionCount counts the exported functions of the package's
 // non-test sources that return Option, and fails when the count grows
