@@ -9,9 +9,9 @@ import (
 	"webmlgo/internal/rdb"
 )
 
-// e15 measures the larger-than-RAM data tier (PR 10: anti-caching row
-// eviction, persisted index images, snapshot compiled plans,
-// incremental checkpoints) on four gates:
+// e15 measures the larger-than-RAM data tier (anti-caching row
+// eviction, persisted index images, incremental checkpoints) on three
+// gates:
 //
 //  1. capacity — the on-disk dataset must reach >= 4x the buffer-pool
 //     budget while the engine's in-memory footprint (resident rows,
@@ -19,19 +19,15 @@ import (
 //  2. hot-set speed — point reads over a hot set that fits the
 //     residency budget must stay within 1.3x of the
 //     everything-resident durable engine;
-//  3. snapshot point reads — a pinned MVCC snapshot's compiled
-//     primary-key plan must beat the v1 scan-based snapshot read path
-//     by >= 50x;
-//  4. flat checkpoints — incremental checkpoint time after a
+//  3. flat checkpoints — incremental checkpoint time after a
 //     fixed-size write batch must stay flat (<= 1.8x) as the database
 //     doubles, because the cost follows the dirty set, not the file.
 func e15() {
 	capOK := e15Capacity()
 	hotOK := e15HotSet()
-	snapOK := e15SnapshotPoint()
 	ckptOK := e15Checkpoint()
-	fmt.Printf("\n  E15 RESULT: dataset >= 4x page budget: %v, hot-set reads within 1.3x of resident engine: %v, snapshot point reads >= 50x v1 scan: %v, incremental checkpoint flat across 2x growth: %v\n",
-		capOK, hotOK, snapOK, ckptOK)
+	fmt.Printf("\n  E15 RESULT: dataset >= 4x page budget: %v, hot-set reads within 1.3x of resident engine: %v, incremental checkpoint flat across 2x growth: %v\n",
+		capOK, hotOK, ckptOK)
 }
 
 // e15Opts is the constrained configuration every sub-experiment serves
@@ -157,44 +153,6 @@ func e15HotSet() bool {
 	return ratio <= 1.3
 }
 
-// e15SnapshotPoint pins one MVCC snapshot on the paged engine and
-// compares its compiled primary-key point read against the same
-// snapshot's v1 access path — a scan, the only plan shape snapshot
-// reads had before snapshot-local compiled plans.
-func e15SnapshotPoint() bool {
-	fmt.Println("\n--- E15c: snapshot point reads through compiled plans ---")
-	dir, err := os.MkdirTemp("", "webml-e15c-*")
-	must(err)
-	defer os.RemoveAll(dir)
-	db, err := rdb.OpenDurableOpts(dir, e15Opts)
-	must(err)
-	defer db.Close()
-
-	const rows = 8000
-	e15SeedPaged(db, 0, rows)
-	snap := db.Snapshot()
-	defer snap.Close()
-
-	point := func() {
-		_, err := snap.Query(`SELECT name FROM item WHERE oid = ?`, int64(4242))
-		must(err)
-	}
-	scan := func() { // no index on name: the v1-style full scan
-		_, err := snap.Query(`SELECT oid FROM item WHERE name = ?`, "item-4241")
-		must(err)
-	}
-	point() // compile both snapshot-local plans before timing
-	scan()
-	pointT := timeOp(4000, point)
-	scanT := timeOp(40, scan)
-	speedup := float64(scanT) / float64(pointT)
-	plan, err := snap.ExplainAnalyze(`SELECT name FROM item WHERE oid = ?`, int64(4242))
-	must(err)
-	fmt.Printf("  point read %v, scan read %v, speedup x%.0f\n", pointT, scanT, speedup)
-	fmt.Printf("  analyzed snapshot plan:\n%s\n", indent(plan, "    "))
-	return speedup >= 50
-}
-
 // e15Checkpoint times an incremental checkpoint after a fixed 128-row
 // update batch, doubles the database, and times it again: the dirty
 // set is identical, so the checkpoint must not follow the file size.
@@ -242,15 +200,4 @@ func e15Checkpoint() bool {
 	fmt.Printf("  checkpoint after 128-row batch: %v at %d rows, %v at %d rows (x%.2f), file %d KiB\n",
 		small, rows, large, 2*rows, ratio, fi.Size()/1024)
 	return ratio <= 1.8
-}
-
-func indent(s, pad string) string {
-	out := pad
-	for _, r := range s {
-		out += string(r)
-		if r == '\n' {
-			out += pad
-		}
-	}
-	return out
 }

@@ -60,10 +60,10 @@ func main() {
 		{"e9", e9, "E9: observability — instrumentation overhead + slow-container diagnosis"},
 		{"e10", e10, "E10 (Sec. 4): wire protocol v2 — multiplexing + level-batched invocation"},
 		{"e11", e11, "E11 (Sec. 6): compiled query plans, composite indexes, cost-based planner"},
-		{"e12", e12, "E12 (Sec. 6): durable storage engine — WAL crash recovery + MVCC snapshot reads"},
+		{"e12", e12, "E12 (Sec. 6): durable storage engine — WAL crash recovery + hot-set reads"},
 		{"e13", e13, "E13 (Sec. 4): overload survival — admission control, priority shedding, elastic fleet"},
 		{"e14", e14, "E14 (deep observability): EXPLAIN ANALYZE, data-tier tracing, slow-query flight recorder"},
-		{"e15", e15, "E15 (larger-than-RAM): buffer-pool paging, persisted indexes, snapshot plans, incremental checkpoints"},
+		{"e15", e15, "E15 (larger-than-RAM): buffer-pool paging, persisted indexes, incremental checkpoints"},
 	}
 	// Hidden crash-child mode for e12: the parent re-executes this
 	// binary with the environment variable set and SIGKILLs it
@@ -973,8 +973,7 @@ func e11() {
 // recovery must surface every acknowledged commit and no torn
 // transaction; then hot-set point reads are timed on both engines —
 // reads run against the same in-memory tables, so the durable engine
-// must stay within ~1.3x — and MVCC snapshot reads are timed for
-// reference.
+// must stay within ~1.3x.
 func e12() {
 	dir, err := os.MkdirTemp("", "webml-e12-*")
 	must(err)
@@ -1044,15 +1043,7 @@ func e12() {
 	ratio := float64(durT) / float64(memT)
 	fmt.Printf("  in-memory %-12v durable %-12v ratio x%.2f\n", memT, durT, ratio)
 
-	snapT := timeOp(2000, func() {
-		s := dur.Snapshot()
-		if _, err := s.Query(`SELECT name FROM item WHERE oid = ?`, int64(7)); err != nil {
-			log.Fatal(err)
-		}
-		s.Close()
-	})
 	st := dur.EngineStats()
-	fmt.Printf("  snapshot read %v (lock-free, scan-based in v1)\n", snapT)
 	fmt.Printf("  engine counters: %d WAL appends / %d fsyncs / %d group-commit rounds, pool %d hits / %d misses, %d checkpoints\n",
 		st.WALAppends, st.WALFsyncs, st.WALBatches, st.PoolHits, st.PoolMisses, st.Checkpoints)
 

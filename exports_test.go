@@ -19,6 +19,7 @@ var callerlessKept = map[string]string{
 	"internal/codegen.TagForKind":         "the unit-tag naming Skeleton writes inline; tests build expected skeletons with it",
 	"internal/descriptor.LoadDir":         "reads back what SaveDir (webratio generate -out) writes; TestSaveLoadDir round-trips it",
 	"internal/descriptor.OverrideService": "Section 6 hand-optimisation: points a unit at a user-supplied component",
+	"internal/descriptor.Swap":            "posHeap's heap.Interface method; container/heap calls it through the interface",
 	"internal/dom.ByAttr":                 "predicate of dom's Find API, used by dom, style and codegen tests",
 	"internal/dom.InsertBefore":           "node-editing primitive of dom; the render oracle places menus with it",
 	"internal/dom.MustParse":              "parses static markup in dom and style test fixtures",

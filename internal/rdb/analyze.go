@@ -41,8 +41,7 @@ func newExecStats(p *SelectPlan) *execStats {
 }
 
 // pathLabel names the access path compactly for span labels:
-// scan | pk | unique | hash | range | ordered | composite | snap-pk |
-// cardinality.
+// scan | pk | unique | hash | range | ordered | composite | cardinality.
 func (a *accessPath) pathLabel() string {
 	switch a.kind {
 	case accessCount:
@@ -61,8 +60,6 @@ func (a *accessPath) pathLabel() string {
 			return "range"
 		}
 		return "ordered"
-	case accessSnapPK:
-		return "snap-pk"
 	}
 	return "scan"
 }
@@ -217,42 +214,5 @@ func (db *DB) ExplainAnalyze(sql string, args ...Value) (string, error) {
 	es.total = time.Since(t0)
 	es.output = int64(rows.Len())
 	db.stats.analyzedQueries.Add(1)
-	return renderPlan(p, sel, es, cargs) + planCacheLine(hit), nil
-}
-
-// ExplainAnalyze on a snapshot executes the snapshot-compiled plan
-// with counters attached and renders it with the same provenance
-// footer as the live form: snapshot plans compile once per snapshot
-// and SQL text, so a repeated text reports "cached". It takes no
-// database lock.
-func (s *Snapshot) ExplainAnalyze(sql string, args ...Value) (string, error) {
-	if s.closed.Load() {
-		return "", fmt.Errorf("rdb: query on closed snapshot")
-	}
-	st, err := s.db.prepare(sql)
-	if err != nil {
-		return "", err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return "", fmt.Errorf("rdb: EXPLAIN ANALYZE supports only SELECT, got %T", st)
-	}
-	cargs, err := coerceArgs(st, args)
-	if err != nil {
-		return "", err
-	}
-	p, hit, err := s.planFor(sql, sel)
-	if err != nil {
-		return "", err
-	}
-	es := newExecStats(p)
-	t0 := time.Now()
-	rows, err := s.db.execPlan(p, cargs, es)
-	if err != nil {
-		return "", err
-	}
-	es.total = time.Since(t0)
-	es.output = int64(rows.Len())
-	s.db.stats.analyzedQueries.Add(1)
 	return renderPlan(p, sel, es, cargs) + planCacheLine(hit), nil
 }

@@ -95,16 +95,3 @@ func BenchmarkInsertDurableGroupCommit(b *testing.B) {
 		b.ReportMetric(float64(st.WALAppends)/float64(st.WALFsyncs), "appends/fsync")
 	}
 }
-
-func BenchmarkSnapshotReadDurable(b *testing.B) {
-	db := benchDurableDB(b, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := db.Snapshot()
-		if _, err := s.Query(`SELECT name FROM item WHERE oid = ?`, int64(i%1000+1)); err != nil {
-			b.Fatal(err)
-		}
-		s.Close()
-	}
-}

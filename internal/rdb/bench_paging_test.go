@@ -8,8 +8,7 @@ import (
 // Paging-engine ablations for experiment E15: a dataset several times
 // the configured memory budgets, read through eviction markers. Hot
 // reads should ride the decoded-row cache; cold reads pay a page-tree
-// fault; snapshot point reads go through snapshot-local compiled
-// plans; incremental checkpoints pay for dirty pages, not database
+// fault; incremental checkpoints pay for dirty pages, not database
 // size (see the rdb-paging CI job, which archives BENCH_paging.json).
 
 func benchPagedDB(b *testing.B, rows int, opts DurableOptions) *DB {
@@ -47,22 +46,6 @@ func BenchmarkPagingColdFault(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Query(`SELECT name FROM item WHERE oid = ?`, int64(i%8000+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPagingSnapshotPoint measures point reads through a pinned
-// MVCC snapshot's compiled plan on the paged engine (version reads go
-// through the retention buffer or fault at the snapshot's sequence).
-func BenchmarkPagingSnapshotPoint(b *testing.B) {
-	db := benchPagedDB(b, 8000, DurableOptions{PoolPages: 512, ResidentRows: 1024})
-	snap := db.Snapshot()
-	defer snap.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snap.Query(`SELECT name FROM item WHERE oid = ?`, int64(i%512+1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,10 +21,10 @@ const (
 )
 
 // DB is an embedded relational database. A DB is safe for concurrent
-// use: reads take a shared lock, writes an exclusive lock, and
-// Snapshot reads take no lock at all (mvcc.go). Storage is pluggable:
-// the default engine keeps everything in memory; OpenDurable attaches
-// a WAL + page-file engine that persists every commit (durable.go).
+// use: reads take a shared lock and writes an exclusive lock. Storage
+// is pluggable: the default engine keeps everything in memory;
+// OpenDurable attaches a WAL + page-file engine that persists every
+// commit (durable.go).
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table // lower(name) -> table
@@ -32,15 +32,12 @@ type DB struct {
 	// INDEX, DROP TABLE); compiled plans pin the epoch they were built
 	// under and are discarded when it moves. Guarded by mu.
 	ddlEpoch uint64
-	// seq numbers commits; assigned under mu, carried by change-sets
-	// into the engine and by published heads into snapshots.
+	// seq numbers commits; assigned under mu and carried by change-sets
+	// into the engine.
 	seq uint64
 	// engine persists committed change-sets; never nil (memEngine by
 	// default). Guarded by mu for Apply/Checkpoint/Close.
-	engine Engine
-	// head is the published MVCC snapshot state (mvcc.go).
-	head atomic.Pointer[snapState]
-
+	engine    Engine
 	stmtMu    sync.Mutex
 	stmtCache *lruCache[string, Statement]
 
@@ -56,7 +53,7 @@ type DB struct {
 
 	// faultObs, when set, observes the latency of every row fault the
 	// paging engine serves from the page tree (metrics wiring). Atomic:
-	// snapshot faults run with no database lock held.
+	// it may be installed while readers fault under the shared lock.
 	faultObs atomic.Pointer[func(time.Duration)]
 
 	stats dbStats
@@ -86,8 +83,6 @@ type dbStats struct {
 	pointLookups, rangeScans, fullScans atomic.Uint64
 	indexedJoins, loopJoins             atomic.Uint64
 	sortsEliminated                     atomic.Uint64
-	snapshotsTaken                      atomic.Uint64
-	activeSnapshots                     atomic.Int64
 	analyzedQueries                     atomic.Uint64
 	queriesRecorded                     atomic.Uint64
 }
@@ -102,9 +97,6 @@ type DBStats struct {
 	FullScans                      uint64
 	IndexedJoins, LoopJoins        uint64
 	SortsEliminated                uint64
-	SnapshotsTaken                 uint64
-	ActiveSnapshots                int64
-	HeadSeq                        uint64
 	// AnalyzedQueries counts executions that collected per-operator
 	// actuals (EXPLAIN ANALYZE, traced queries, recorder candidates);
 	// QueriesRecorded counts entries pushed into the flight recorder.
@@ -125,9 +117,6 @@ func (db *DB) Stats() DBStats {
 		IndexedJoins:    db.stats.indexedJoins.Load(),
 		LoopJoins:       db.stats.loopJoins.Load(),
 		SortsEliminated: db.stats.sortsEliminated.Load(),
-		SnapshotsTaken:  db.stats.snapshotsTaken.Load(),
-		ActiveSnapshots: db.stats.activeSnapshots.Load(),
-		HeadSeq:         db.head.Load().seq,
 		AnalyzedQueries: db.stats.analyzedQueries.Load(),
 		QueriesRecorded: db.stats.queriesRecorded.Load(),
 	}
@@ -167,14 +156,12 @@ func (db *DB) Close() error {
 
 // Open returns an empty database on the in-memory engine.
 func Open() *DB {
-	db := &DB{
+	return &DB{
 		tables:    make(map[string]*table),
 		engine:    memEngine{},
 		stmtCache: newLRU[string, Statement](stmtCacheCap),
 		planCache: newLRU[string, *SelectPlan](planCacheCap),
 	}
-	db.publishHead()
-	return db
 }
 
 // Result reports the outcome of a write statement.
@@ -315,35 +302,14 @@ func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 }
 
 // applyLocked commits a collected change-set: assigns its sequence
-// number, hands it to the engine and publishes the new MVCC head. It
-// returns the engine's durability wait function, to be called after
-// the exclusive lock is released (that ordering is what lets the
-// engine batch fsyncs across concurrent committers). The caller must
-// hold the exclusive lock. Empty change-sets are a no-op.
+// number and hands it to the engine. It returns the engine's durability
+// wait function, to be called after the exclusive lock is released (that
+// ordering is what lets the engine batch fsyncs across concurrent
+// committers). The in-memory mutation has already happened when the
+// engine rejects a change-set; engines fail stickily, so the divergence
+// surfaces on this and every later commit rather than silently. The
+// caller must hold the exclusive lock. Empty change-sets are a no-op.
 func (db *DB) applyLocked(cs *ChangeSet) (func() error, error) {
-	if len(cs.Ops) == 0 {
-		return nil, nil
-	}
-	db.seq++
-	cs.Seq = db.seq
-	wait, err := db.engine.Apply(cs)
-	// The in-memory mutation already happened: publish it even when the
-	// engine rejects the change-set, so readers and snapshots stay
-	// consistent with memory. Engines fail stickily, so the divergence
-	// surfaces on this and every later commit rather than silently.
-	db.publishHead()
-	if err != nil {
-		return nil, err
-	}
-	return wait, nil
-}
-
-// applyDDLInTx commits a DDL-only change-set to the engine from inside
-// an open transaction WITHOUT publishing a new head: the transaction's
-// row writes are uncommitted and snapshots must not see them. The head
-// catches up at Commit or Rollback. The caller must hold the exclusive
-// lock.
-func (db *DB) applyDDLInTx(cs *ChangeSet) (func() error, error) {
 	if len(cs.Ops) == 0 {
 		return nil, nil
 	}

@@ -43,9 +43,6 @@ import (
 // Rows are keyed by (tableID, recID): tables with an INTEGER primary
 // key derive recID from the key itself (order-preserving sign flip),
 // other tables draw from a per-table counter persisted in the catalog.
-// Snapshot reads resolve evicted records against a version retention
-// buffer: Apply pushes each overwritten image, keyed by the commit that
-// replaced it, and drops entries once no open snapshot can need them.
 
 // Filenames inside a durable database directory.
 const (
@@ -184,7 +181,7 @@ type cacheKey struct {
 // (have; the others are NULL). Both live in the faulting execution's chunks
 // (faultCtx). A published entry is never written: a read that needs more
 // columns caches a widened copy, so a reader may keep the row it was
-// handed (a group's first row, a join frame, a snapshot result).
+// handed (a group's first row, a join frame).
 type rowEntry struct {
 	img  string
 	row  Row
@@ -228,9 +225,8 @@ func (f *faultCtx) row(width int) Row { return f.rows.cutUpTo(width, faultSlabRo
 
 // rowCache is a small LRU of record images and their decoded columns in
 // front of the page tree: a hot evicted row costs a map hit instead of a
-// tree descent plus decode. Only live fetches populate it (they run under
-// at least db.mu.RLock, which excludes Apply's invalidation); snapshot
-// fetches may read but never insert, so a stale pre-invalidate read can
+// tree descent plus decode. Fetches run under at least db.mu.RLock,
+// which excludes Apply's invalidation, so a stale pre-invalidate read can
 // never be re-inserted after Apply cleared it.
 type rowCache struct {
 	mu  sync.Mutex
@@ -268,27 +264,10 @@ func (c *rowCache) dropTable(tid uint32) {
 	c.mu.Unlock()
 }
 
-// retKey addresses one record's retained version chain.
-type retKey struct {
-	tid uint32
-	rec uint64
-}
-
-// retEntry is one retained version: row was the record's image before
-// the commit numbered until (nil row: the record did not exist). A
-// chain is appended in ascending until order, so the first entry with
-// until > snapSeq is the image a snapshot at snapSeq must see.
-type retEntry struct {
-	until uint64
-	row   Row
-}
-
 // durableEngine implements Engine over a WAL and a page store. All
-// methods except the wait functions returned by Apply, RegisterSnapshot
-// and fetchRow run with db.mu held exclusively (Stats with at least the
-// read lock). fetchRow may run with no database lock at all (snapshot
-// reads), so tree access is guarded by treeMu and version visibility by
-// the retention buffer.
+// methods except the wait functions returned by Apply and fetchCols run
+// with db.mu held exclusively (Stats with at least the read lock).
+// fetchCols runs under the shared lock, concurrently with other faults.
 type durableEngine struct {
 	db    *DB
 	dir   string
@@ -297,20 +276,14 @@ type durableEngine struct {
 	store *pager.Store
 
 	// treeMu guards the page tree: Apply, checkpoints and DDL hold it
-	// exclusively; lock-free snapshot faults hold it shared.
+	// exclusively, row faults hold it shared. The tree's mutating methods
+	// must not overlap any other method, whatever lock the caller holds.
 	treeMu sync.RWMutex
 	cache  *rowCache
-
-	// retMu guards the version retention buffer and the snapshot
-	// registry.
-	retMu sync.Mutex
-	ret   map[retKey][]retEntry
-	snaps map[uint64]int // registered snapshot sequence -> refcount
 
 	tables      map[string]*engTable
 	order       []string // creation order, for catalog replay
 	nextTableID uint32
-	lastSeq     atomic.Uint64
 
 	residentRows int
 	poolPages    int
@@ -335,90 +308,11 @@ func (e *durableEngine) fail(err error) error {
 	return err
 }
 
-// retain pushes one overwritten image onto the retention chain. Pushes
-// happen before the tree write they shadow, so a snapshot fault that
-// reads the tree after the overwrite always finds the entry.
-func (e *durableEngine) retain(tid uint32, rec, until uint64, row Row) {
-	k := retKey{tid, rec}
-	e.retMu.Lock()
-	e.ret[k] = append(e.ret[k], retEntry{until: until, row: row})
-	e.retMu.Unlock()
-}
-
-// retained resolves a record at snapshot sequence snapSeq against the
-// retention buffer. hit=false means the live image is also the image at
-// snapSeq; hit=true with a nil row means the record did not exist.
-func (e *durableEngine) retained(tid uint32, rec, snapSeq uint64) (Row, bool) {
-	k := retKey{tid, rec}
-	e.retMu.Lock()
-	defer e.retMu.Unlock()
-	for _, ent := range e.ret[k] {
-		if ent.until > snapSeq {
-			return ent.row, true
-		}
-	}
-	return nil, false
-}
-
-// gcRetention drops retained versions no open snapshot can need. The
-// floor is the oldest registered snapshot sequence (or the current
-// commit when none is open): a snapshot registered at R observes a head
-// with seq >= R-1, so it only needs entries with until >= R — strictly
-// older ones are garbage.
-func (e *durableEngine) gcRetention(seq uint64) {
-	e.retMu.Lock()
-	floor := seq
-	for r := range e.snaps {
-		if r < floor {
-			floor = r
-		}
-	}
-	for k, ents := range e.ret {
-		i := 0
-		for i < len(ents) && ents[i].until < floor {
-			i++
-		}
-		if i == len(ents) {
-			delete(e.ret, k)
-		} else if i > 0 {
-			e.ret[k] = append([]retEntry(nil), ents[i:]...)
-		}
-	}
-	e.retMu.Unlock()
-}
-
-// RegisterSnapshot pins row versions for a snapshot (mvcc.go). The
-// sequence is read under retMu so registration cannot interleave with
-// a concurrent gcRetention's floor computation.
-func (e *durableEngine) RegisterSnapshot() (uint64, func()) {
-	e.retMu.Lock()
-	r := e.lastSeq.Load()
-	e.snaps[r]++
-	e.retMu.Unlock()
-	var once sync.Once
-	return r, func() {
-		once.Do(func() {
-			e.retMu.Lock()
-			if n := e.snaps[r] - 1; n <= 0 {
-				delete(e.snaps, r)
-			} else {
-				e.snaps[r] = n
-			}
-			e.retMu.Unlock()
-		})
-	}
-}
-
 // fetchCols materializes one record with at least the columns need
-// names decoded, serving live reads (snapSeq == liveSeq) from the row
-// cache or the tree and snapshot reads through the retention buffer. The
-// retention check runs after the cache/tree read: Apply pushes the
-// retained image before overwriting the tree, so whichever side of the
-// overwrite this read lands on, the visible image at snapSeq is
-// recovered. A record that does not exist (at snapSeq) is a nil row; a
-// tree read that fails or an image that does not decode is an error.
-func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMask, f *faultCtx) (Row, error) {
-	live := snapSeq == liveSeq
+// names decoded, from the row cache or the tree. A record that does not
+// exist is a nil row; a tree read that fails or an image that does not
+// decode is an error.
+func (e *durableEngine) fetchCols(et *engTable, rec uint64, need colMask, f *faultCtx) (Row, error) {
 	ent, cached := e.cache.get(et.id, rec)
 	if !cached {
 		start := time.Now()
@@ -427,11 +321,6 @@ func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMas
 		e.treeMu.RUnlock()
 		e.rowFaults.Add(1)
 		e.db.observeFault(time.Since(start))
-		if !live {
-			if r, hit := e.retained(et.id, rec, snapSeq); hit {
-				return r, nil
-			}
-		}
 		if err != nil {
 			return nil, errCorrupt(et.name, rec, et.intPK, err)
 		}
@@ -439,10 +328,6 @@ func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMas
 			return nil, nil
 		}
 		ent = rowEntry{img: img, row: f.row(et.width)}
-	} else if !live {
-		if r, hit := e.retained(et.id, rec, snapSeq); hit {
-			return r, nil
-		}
 	}
 	if need&^ent.have == 0 {
 		return ent.row, nil
@@ -456,9 +341,7 @@ func (e *durableEngine) fetchCols(et *engTable, rec, snapSeq uint64, need colMas
 		return nil, errCorrupt(et.name, rec, et.intPK, err)
 	}
 	ent.have |= need
-	if live {
-		e.cache.put(et.id, rec, ent)
-	}
+	e.cache.put(et.id, rec, ent)
 	return ent.row, nil
 }
 
@@ -505,12 +388,30 @@ func (e *durableEngine) delRecord(tree *pager.BTree, et *engTable, rec uint64) e
 	return nil
 }
 
+// deleteRange deletes every key under tree id without reading a value,
+// so an undecodable image cannot fail it. It collects the keys first:
+// deleting from the tree while iterating it is not safe.
+func deleteRange(tree *pager.BTree, id uint32) error {
+	lo, hi := pager.TableBounds(id)
+	var keys []pager.Key
+	if err := tree.ScanKeys(lo, hi, func(k pager.Key) error {
+		keys = append(keys, k)
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if _, err := tree.Delete(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Apply lowers the change-set to record-id operations, appends one WAL
 // frame, writes the rows through to the B-tree, and returns a wait
-// function that group-commits the frame to disk. Overwritten images are
-// pushed into the retention buffer first so concurrent snapshot faults
-// stay consistent, and a resident-row budget triggers an eviction sweep
-// after the write-through.
+// function that group-commits the frame to disk. A resident-row budget
+// triggers an eviction sweep after the write-through.
 func (e *durableEngine) Apply(cs *ChangeSet) (func() error, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -528,8 +429,6 @@ func (e *durableEngine) Apply(cs *ChangeSet) (func() error, error) {
 	if err != nil {
 		return nil, e.fail(err)
 	}
-	e.lastSeq.Store(cs.Seq)
-	e.gcRetention(cs.Seq)
 	e.sweep()
 	// Two checkpoint triggers: WAL growth (bounds replay time) and
 	// dirty-page pressure (dirty frames are unevictable no-steal, so
@@ -557,7 +456,7 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 	for _, op := range cs.Ops {
 		switch op.Kind {
 		case OpDDL:
-			if err := e.applyDDL(op.SQL, cs.Seq); err != nil {
+			if err := e.applyDDL(op.SQL); err != nil {
 				return err
 			}
 			rec.ops = append(rec.ops, walOp{kind: wopDDL, sql: op.SQL})
@@ -573,35 +472,26 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 					return fmt.Errorf("rdb: durable: non-integer key in %q", op.Table)
 				}
 				recID = pkRecID(pk.Int())
-				switch {
-				case op.Kind == OpInsert:
-					e.retain(et.id, recID, cs.Seq, nil)
-				default:
+				if op.Kind == OpUpdate {
 					if oldPK := op.OldRow[et.pkCol]; oldPK.Kind == cell.KInt && oldPK != pk {
 						// A key change moves the record: delete the old id.
 						oldRec := pkRecID(oldPK.Int())
-						e.retain(et.id, oldRec, cs.Seq, op.OldRow)
-						e.retain(et.id, recID, cs.Seq, nil)
 						if err := e.delRecord(tree, et, oldRec); err != nil {
 							return err
 						}
 						rec.ops = append(rec.ops, walOp{kind: wopDel, table: op.Table, recID: oldRec})
-					} else {
-						e.retain(et.id, recID, cs.Seq, op.OldRow)
 					}
 				}
 			} else if op.Kind == OpInsert {
 				recID = et.nextRec
 				et.nextRec++
 				et.recOf[op.RowID] = recID
-				e.retain(et.id, recID, cs.Seq, nil)
 			} else {
 				var ok bool
 				recID, ok = et.recOf[op.RowID]
 				if !ok {
 					return fmt.Errorf("rdb: durable: no record id for row %d of %q", op.RowID, op.Table)
 				}
-				e.retain(et.id, recID, cs.Seq, op.OldRow)
 			}
 			data := encodeRow(op.Row)
 			if err := e.putRecord(tree, et, recID, data, op.Row); err != nil {
@@ -628,7 +518,6 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 				}
 				delete(et.recOf, op.RowID)
 			}
-			e.retain(et.id, recID, cs.Seq, op.OldRow)
 			if err := e.delRecord(tree, et, recID); err != nil {
 				return err
 			}
@@ -743,9 +632,8 @@ func (e *durableEngine) backfillImage(et *engTable, img *engIndex) error {
 // applyDDL maintains the engine's table and image registries alongside
 // a schema change that has already been applied to the in-memory
 // tables. CREATE INDEX allocates and backfills a persisted image; DROP
-// TABLE retains every dropped image for open snapshots before deleting
-// the records.
-func (e *durableEngine) applyDDL(sql string, seq uint64) error {
+// TABLE deletes the records and their images by key.
+func (e *durableEngine) applyDDL(sql string) error {
 	st, err := ParseStatement(sql)
 	if err != nil {
 		return fmt.Errorf("rdb: durable: replay DDL: %w", err)
@@ -769,14 +657,12 @@ func (e *durableEngine) applyDDL(sql string, seq uint64) error {
 		e.order = append(e.order, key)
 		if t != nil {
 			// Wire the paging hook: evicted slots fault back through the
-			// engine; frozen views inherit the closure with their own
-			// snapshot sequence.
+			// engine.
 			et.name, et.width = t.name, len(t.cols)
-			t.fetch = func(rec, snapSeq uint64, need colMask, f *faultCtx) (Row, error) {
-				return e.fetchCols(et, rec, snapSeq, need, f)
+			t.fetch = func(rec uint64, need colMask, f *faultCtx) (Row, error) {
+				return e.fetchCols(et, rec, need, f)
 			}
 			t.pkByRec = et.intPK
-			t.snapSeq = liveSeq
 			// Persist what marker-only recovery cannot rederive from
 			// record ids: primary keys of synthetic-id tables and UNIQUE
 			// column values.
@@ -799,41 +685,12 @@ func (e *durableEngine) applyDDL(sql string, seq uint64) error {
 			return nil
 		}
 		tree := e.store.Tree()
-		lo, hi := pager.TableBounds(et.id)
-		type doomed struct {
-			k   pager.Key
-			row Row
-		}
-		var main []doomed
-		if err := tree.Scan(lo, hi, func(k pager.Key, v []byte) error {
-			row, err := decodeRow(string(v))
-			if err != nil {
-				return err
-			}
-			main = append(main, doomed{k: k, row: row})
-			return nil
-		}); err != nil {
+		if err := deleteRange(tree, et.id); err != nil {
 			return err
 		}
-		for _, d := range main {
-			e.retain(et.id, d.k.RecID(), seq, d.row)
-			if _, err := tree.Delete(d.k); err != nil {
-				return err
-			}
-		}
 		for _, img := range et.images {
-			ilo, ihi := pager.TableBounds(img.id)
-			var keys []pager.Key
-			if err := tree.ScanKeys(ilo, ihi, func(k pager.Key) error {
-				keys = append(keys, k)
-				return nil
-			}); err != nil {
+			if err := deleteRange(tree, img.id); err != nil {
 				return err
-			}
-			for _, k := range keys {
-				if _, err := tree.Delete(k); err != nil {
-					return err
-				}
 			}
 		}
 		e.cache.dropTable(et.id)
@@ -916,7 +773,7 @@ func (e *durableEngine) Checkpoint() error {
 		return e.fail(err)
 	}
 	e.treeMu.Lock()
-	err = e.store.IncrementalCheckpoint(e.lastSeq.Load(), catalog)
+	err = e.store.IncrementalCheckpoint(e.db.seq, catalog)
 	e.treeMu.Unlock()
 	if err != nil {
 		return e.fail(fmt.Errorf("rdb: checkpoint: %w", err))
@@ -1020,8 +877,6 @@ func OpenDurableOpts(dir string, opts DurableOptions) (*DB, error) {
 		log:          log,
 		store:        store,
 		cache:        newRowCache(opts.ResidentRows),
-		ret:          make(map[retKey][]retEntry),
-		snaps:        make(map[uint64]int),
 		tables:       make(map[string]*engTable),
 		residentRows: opts.ResidentRows,
 		poolPages:    opts.PoolPages,
@@ -1041,7 +896,6 @@ func OpenDurableOpts(dir string, opts DurableOptions) (*DB, error) {
 		return nil, err
 	}
 	db.engine = e
-	db.publishHead()
 	return db, nil
 }
 
@@ -1114,7 +968,6 @@ func (e *durableEngine) recover(frames []wal.Record) error {
 			}
 		}
 	}
-	e.lastSeq.Store(db.seq)
 	return nil
 }
 
@@ -1277,7 +1130,7 @@ func (e *durableEngine) replaySQL(sql string) error {
 	if _, err := e.db.execLocked(sql, st, nil, nil, nil); err != nil {
 		return fmt.Errorf("rdb: recover DDL %q: %w", sql, err)
 	}
-	return e.applyDDL(sql, 0)
+	return e.applyDDL(sql)
 }
 
 // replayRecord applies one WAL record to both the in-memory tables and

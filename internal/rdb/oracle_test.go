@@ -751,7 +751,6 @@ func (db *DB) execOracle(sql string, args ...Value) (Result, error) {
 	vals := boxAll(cargs)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.publishHead()
 	if _, err := db.buildPlan(st); err != nil {
 		return Result{}, err
 	}

@@ -16,8 +16,7 @@ import (
 )
 
 // Tests for the larger-than-RAM data tier: anti-caching row eviction,
-// marker-based recovery from persisted index images, compiled-plan
-// snapshot reads through the version retention buffer, and their
+// marker-based recovery from persisted index images, and their
 // interaction under concurrency.
 
 // pagingOpts squeezes the engine hard: a 16-page pool, a resident-row
@@ -114,8 +113,7 @@ var maskCorpus = []string{
 // TestDifferentialPagingMasks: a fault decodes only the columns its plan
 // reads, so every corpus query runs twice on a fully paged-out database —
 // first faulting its rows, then from the row cache, whose entries the
-// queries before it left decoded to different widths — and through a
-// snapshot (which reads the cache but never fills it), each time against
+// queries before it left decoded to different widths — each time against
 // the in-memory engine. Readers racing on the same entries widen them
 // concurrently (run it under -race).
 func TestDifferentialPagingMasks(t *testing.T) {
@@ -143,8 +141,6 @@ func TestDifferentialPagingMasks(t *testing.T) {
 	if f := dur.EngineStats().RowFaults; f != 12 {
 		t.Fatalf("the corpus faulted %d rows, want each of the 12 once (the rest are cache reads)", f)
 	}
-	snap := dur.Snapshot()
-	defer snap.Close()
 	want := map[string]string{}
 	for _, sql := range maskCorpus {
 		r, err := mem.Query(sql)
@@ -152,28 +148,19 @@ func TestDifferentialPagingMasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[sql] = rowsExact(r)
-		if got, err := snap.Query(sql); err != nil || rowsExact(got) != want[sql] {
-			t.Fatalf("snapshot: %s: err %v\n%s\nwant\n%s", sql, err, rowsExact(got), want[sql])
-		}
 	}
 
-	// Cold again, then four readers, two of them on the snapshot.
+	// Cold again, then four readers.
 	dur = reopenPaging(t, dur, dir)
-	snap = dur.Snapshot()
-	defer snap.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			query := dur.Query
-			if g%2 == 1 {
-				query = snap.Query
-			}
 			for i := 0; i < 4*len(maskCorpus); i++ {
 				sql := maskCorpus[(i*(g+1)+g)%len(maskCorpus)]
-				r, err := query(sql)
+				r, err := dur.Query(sql)
 				if err == nil && rowsExact(r) != want[sql] {
 					err = fmt.Errorf("%s:\n%s\nwant\n%s", sql, rowsExact(r), want[sql])
 				}
@@ -432,28 +419,22 @@ func TestPagingRecoveryWithoutRebuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotPagingConsistency pins a snapshot, then mutates, evicts
-// and even drops the underlying data. Every snapshot read must keep
-// resolving to the pinned commit through the retention buffer, and the
-// snapshot's ExplainAnalyze must carry the compiled-plan provenance
-// footer.
-func TestSnapshotPagingConsistency(t *testing.T) {
+// TestPagingChurnThenDrop overwrites and deletes rows under a 16-row
+// budget, so sweeps and checkpoints run between the writes, then drops
+// the table: live reads see every write, and the drop survives a reopen.
+func TestPagingChurnThenDrop(t *testing.T) {
 	dir := t.TempDir()
 	db := openPaging(t, dir)
-	defer db.Close()
-	if _, err := db.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
-		t.Fatal(err)
-	}
+	mustExecAll(t, db, []string{
+		`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT UNIQUE)`,
+		`CREATE INDEX kv_v ON kv(v)`,
+		`CREATE TABLE other (id INTEGER PRIMARY KEY)`,
+	})
 	for i := 0; i < 100; i++ {
 		if _, err := db.Exec(`INSERT INTO kv (k, v) VALUES (?, ?)`, int64(i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := db.Snapshot()
-	defer snap.Close()
-
-	// Overwrite, delete, and churn enough to trigger sweeps and
-	// checkpoints after the capture.
 	for i := 0; i < 100; i++ {
 		if _, err := db.Exec(`UPDATE kv SET v = ? WHERE k = ?`, fmt.Sprintf("NEW%d", i), int64(i)); err != nil {
 			t.Fatal(err)
@@ -462,78 +443,75 @@ func TestSnapshotPagingConsistency(t *testing.T) {
 	if _, err := db.Exec(`DELETE FROM kv WHERE k >= 50`); err != nil {
 		t.Fatal(err)
 	}
-
-	// Point reads go through the snap-pk access path; both the hits and
-	// the deleted range must show the pinned state.
 	for _, k := range []int64{0, 17, 50, 99} {
-		row, err := snap.QueryRow(`SELECT v FROM kv WHERE k = ?`, k)
+		row, err := db.QueryRow(`SELECT v FROM kv WHERE k = ?`, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row == nil {
-			t.Fatalf("snapshot lost k=%d", k)
+		if want := fmt.Sprintf("NEW%d", k); k < 50 && (row == nil || row["v"] != want) {
+			t.Fatalf("live read k=%d: got %v, want %q", k, row, want)
 		}
-		if want := fmt.Sprintf("v%d", k); row["v"] != want {
-			t.Fatalf("snapshot k=%d: got %v, want %q", k, row["v"], want)
+		if k >= 50 && row != nil {
+			t.Fatalf("live read k=%d: got %v after its delete", k, row)
 		}
 	}
-	rows, err := snap.Query(`SELECT COUNT(*) FROM kv`)
-	if err != nil {
-		t.Fatal(err)
+	if got := rowsExact(mustQuery(t, db, `SELECT COUNT(*) FROM kv`)); got != "50\n" {
+		t.Fatalf("live row count: got %q, want 50", got)
 	}
-	if got := rowsExact(rows); got != "100\n" {
-		t.Fatalf("snapshot row count: got %q, want 100", got)
-	}
+	dropAndReopen(t, db, dir)
+}
 
-	// Live reads see the new world.
-	row, err := db.QueryRow(`SELECT v FROM kv WHERE k = ?`, int64(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row["v"] != "NEW3" {
-		t.Fatalf("live read: got %v, want NEW3", row["v"])
-	}
-
-	// ExplainAnalyze on the snapshot: compiled on first use, cached on
-	// the second, with the point fetch visible in the plan tree.
-	plan1, err := snap.ExplainAnalyze(`SELECT v FROM kv WHERE k = ?`, int64(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan1, "PRIMARY KEY") {
-		t.Fatalf("snapshot plan lacks point access:\n%s", plan1)
-	}
-	if !strings.Contains(plan1, "PLAN: ") {
-		t.Fatalf("snapshot ExplainAnalyze lacks provenance footer:\n%s", plan1)
-	}
-	plan2, err := snap.ExplainAnalyze(`SELECT v FROM kv WHERE k = ?`, int64(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan2, "PLAN: cached") {
-		t.Fatalf("second snapshot ExplainAnalyze not cached:\n%s", plan2)
-	}
-
-	// DROP TABLE retains every record for the open snapshot.
+// dropAndReopen drops kv, commits to other, and reopens: the drop and
+// the later commit succeed, and the reopened database has no kv.
+func dropAndReopen(t *testing.T, db *DB, dir string) {
+	t.Helper()
 	if _, err := db.Exec(`DROP TABLE kv`); err != nil {
-		t.Fatal(err)
+		t.Fatalf("DROP TABLE: %v", err)
 	}
-	row, err = snap.QueryRow(`SELECT v FROM kv WHERE k = ?`, int64(17))
+	if _, err := db.Exec(`INSERT INTO other (id) VALUES (1)`); err != nil {
+		t.Fatalf("commit after DROP TABLE: %v", err)
+	}
+	db = reopenPaging(t, db, dir)
+	defer db.Close()
+	if _, err := db.Query(`SELECT v FROM kv`); err == nil {
+		t.Fatal("kv survived its drop across a reopen")
+	}
+	if got := rowsExact(mustQuery(t, db, `SELECT id FROM other`)); got != "1\n" {
+		t.Fatalf("other after reopen: got %q, want 1", got)
+	}
+}
+
+// TestPagingDropTableOverCorruptRecord: DROP TABLE deletes a paged table's
+// records and index images by key, so a record whose image does not
+// decode cannot fail the drop, nor, through the engine's sticky error,
+// every commit after it.
+func TestPagingDropTableOverCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	db := openPaging(t, dir)
+	mustExecAll(t, db, []string{
+		`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT UNIQUE)`,
+		`CREATE TABLE other (id INTEGER PRIMARY KEY)`,
+	})
+	for i := 0; i < 40; i++ {
+		if _, err := db.Exec(`INSERT INTO kv (k, v) VALUES (?, ?)`, int64(i), fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := db.engine.(*durableEngine)
+	e.treeMu.Lock()
+	err := e.store.Tree().Put(pager.MakeKey(e.tables["kv"].id, pkRecID(7)), []byte{2, tagInt, 0x80})
+	e.treeMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row == nil || row["v"] != "v17" {
-		t.Fatalf("snapshot read after DROP TABLE: got %v, want v17", row)
-	}
+	dropAndReopen(t, db, dir)
 }
 
 // TestPagingScrollerFaultsItsWindow reopens 200-row tables (marker-only,
 // a 16-row cache) and counts row faults per statement: a scroller window
 // faults the rows it shows — at offset 0 and at offset 190, where OFFSET
 // counts index entries off instead of rows — and COUNT(*) of the table
-// faults none. The same statements on a snapshot must equal the live
-// answers: frozen views carry no index structures, so there the window is
-// still scan + sort + slice and the count is the frozen live-row count.
+// faults none.
 func TestPagingScrollerFaultsItsWindow(t *testing.T) {
 	dir := t.TempDir()
 	db := openPaging(t, dir)
@@ -571,8 +549,6 @@ func TestPagingScrollerFaultsItsWindow(t *testing.T) {
 		{windowDesc, []Value{180}, 10, "20", 10},
 		{windowText, []Value{100}, 10, "key-100", 10},
 	}
-	snap := db.Snapshot()
-	defer snap.Close()
 	for _, c := range cases {
 		before := db.EngineStats().RowFaults
 		rows := mustQuery(t, db, c.sql, c.args...)
@@ -583,20 +559,12 @@ func TestPagingScrollerFaultsItsWindow(t *testing.T) {
 		if faulted > c.maxFaulted {
 			t.Errorf("%s %v: faulted %d rows, want <= %d", c.sql, c.args, faulted, c.maxFaulted)
 		}
-		frozen, err := snap.Query(c.sql, c.args...)
-		if err != nil {
-			t.Fatalf("snapshot %s: %v", c.sql, err)
-		}
-		if rowsExact(frozen) != rowsExact(rows) {
-			t.Errorf("%s %v: snapshot answers\n%s\nlive answers\n%s", c.sql, c.args, rowsExact(frozen), rowsExact(rows))
-		}
 	}
 }
 
-// TestPagingEvictionHammer runs writers, live readers and snapshot
-// readers against a 16-row budget under -race: commits sweep rows out
-// while lock-free snapshot queries fault them back through the
-// retention buffer.
+// TestPagingEvictionHammer runs a writer and live readers against a
+// 16-row budget under -race: commits sweep rows out while concurrent
+// queries fault them back in.
 func TestPagingEvictionHammer(t *testing.T) {
 	dir := t.TempDir()
 	db := openPaging(t, dir)
@@ -674,26 +642,22 @@ func TestPagingEvictionHammer(t *testing.T) {
 		}(int64(r + 10))
 	}
 
-	// Snapshot readers: each snapshot must observe an exactly-balanced
-	// total — a torn or version-skewed read breaks the invariant.
+	// Sum readers: each read must observe an exactly-balanced total — a
+	// torn or half-faulted read breaks the invariant.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters/4; i++ {
-				snap := db.Snapshot()
-				rows, err := snap.Query(`SELECT SUM(bal) FROM acct`)
+				rows, err := db.Query(`SELECT SUM(bal) FROM acct`)
 				if err != nil {
-					snap.Close()
 					report(err)
 					return
 				}
 				if got := rowsExact(rows); got != fmt.Sprintf("%d\n", nAccts*1000) {
-					snap.Close()
-					report(fmt.Errorf("snapshot sum: got %q, want %d", got, nAccts*1000))
+					report(fmt.Errorf("live sum: got %q, want %d", got, nAccts*1000))
 					return
 				}
-				snap.Close()
 			}
 		}()
 	}

@@ -32,7 +32,6 @@ const (
 	accessUnique                    // unique-column point lookup
 	accessHash                      // hash-index bucket lookup
 	accessComposite                 // sorted-index prefix, range or order walk
-	accessSnapPK                    // record-store point fetch at a snapshot sequence
 	accessCount                     // no rows read: COUNT(*) of the whole table is table.alive
 )
 
@@ -631,7 +630,7 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 		return nil
 	}
 	switch a.kind {
-	case accessPK, accessUnique, accessHash, accessSnapPK:
+	case accessPK, accessUnique, accessHash:
 		v, err := a.eq[0](c)
 		if err != nil {
 			return err
@@ -648,18 +647,6 @@ func (db *DB) runBase(p *SelectPlan, c *execCtx, each func(int, Row) error) erro
 			}
 		case accessHash:
 			return byID(a.hashIdx[v])
-		case accessSnapPK:
-			// Snapshot point read: the frozen view carries no pkMap, but an
-			// int-keyed table addresses its record store directly by primary
-			// key, so one versioned fetch stands in for a scan. The row has
-			// no slot (-1); nothing writes through a snapshot.
-			if v.Kind == cell.KInt && t.fetch != nil {
-				r, err := t.fetch(pkRecID(v.Int()), t.snapSeq, c.need[0], &c.faults)
-				if r == nil || err != nil {
-					return err
-				}
-				return each(-1, r)
-			}
 		}
 		return nil
 	case accessComposite:

@@ -181,7 +181,7 @@ func compileBounds(bs []astBound) []boundCand {
 func (db *DB) buildPlan(st Statement) (*SelectPlan, error) {
 	switch x := st.(type) {
 	case *SelectStmt:
-		return db.buildPlanTables(x, db.tables, false)
+		return db.buildSelectPlan(x)
 	case *UpdateStmt:
 		return db.buildWritePlan(x.Table, x.Where, x.Sets)
 	case *DeleteStmt:
@@ -197,7 +197,7 @@ func (db *DB) buildPlan(st Statement) (*SelectPlan, error) {
 // UPDATE, the SET values as closures over the row being replaced. A write
 // replaces or unindexes the whole row, so its plan reads every column.
 func (db *DB) buildWritePlan(tableName string, where Expr, sets []SetClause) (*SelectPlan, error) {
-	p, err := db.buildPlanTables(&SelectStmt{From: TableRef{Table: tableName}, Where: where}, db.tables, false)
+	p, err := db.buildSelectPlan(&SelectStmt{From: TableRef{Table: tableName}, Where: where})
 	if err != nil {
 		return nil, err
 	}
@@ -245,16 +245,9 @@ func (db *DB) buildInsertPlan(st *InsertStmt) (*SelectPlan, error) {
 	return p, nil
 }
 
-// buildPlanTables compiles one SELECT against an explicit table map —
-// the live catalog, or a snapshot's frozen view. In snapshot mode the
-// planner is restricted to operators that work without the live
-// in-memory index structures (frozen views carry none): a record-store
-// point fetch on an int-keyed primary key, full scans, and nested-loop
-// joins. Snapshot mode must not touch any mutable DB field (it runs
-// without db.mu), so the DDL epoch is left at zero; snapshot plans are
-// cached per snapshot and never revalidated.
-func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bool) (*SelectPlan, error) {
-	base, ok := tables[strings.ToLower(sel.From.Table)]
+// buildSelectPlan compiles one SELECT against the live catalog.
+func (db *DB) buildSelectPlan(sel *SelectStmt) (*SelectPlan, error) {
+	base, ok := db.tables[strings.ToLower(sel.From.Table)]
 	if !ok {
 		return nil, fmt.Errorf("rdb: no such table %q", sel.From.Table)
 	}
@@ -263,15 +256,13 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 		base:      base,
 		baseTable: sel.From.Table,
 		distinct:  sel.Distinct,
-	}
-	if !snap {
-		p.epoch = db.ddlEpoch
+		epoch:     db.ddlEpoch,
 	}
 	p.need = make([]colMask, 1+len(sel.Joins))
 	p.frames = []planFrame{{name: strings.ToLower(sel.From.name()), tbl: base, need: &p.need[0]}}
 	joinTables := make([]*table, len(sel.Joins))
 	for i, j := range sel.Joins {
-		jt, ok := tables[strings.ToLower(j.Table.Table)]
+		jt, ok := db.tables[strings.ToLower(j.Table.Table)]
 		if !ok {
 			return nil, fmt.Errorf("rdb: no such table %q", j.Table.Table)
 		}
@@ -340,13 +331,12 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 		// What the schema already says: the answer is the live-row count.
 		p.access = accessPath{kind: accessCount, est: 1}
 	} else {
-		p.access = db.chooseAccess(p, base, eqs, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0, snap)
+		p.access = db.chooseAccess(p, base, eqs, eqByCol, rangeByCol, orderEligible, orderCols, orderDesc, len(sel.OrderBy) > 0)
 	}
 
 	// Joins: prefer probing the new table's primary key, hash index or
 	// unique column, then a composite index whose leading column matches,
-	// then a nested loop. Snapshot frozen views carry no probe structures,
-	// so they always nest.
+	// then a nested loop.
 	var err error
 	for ji, j := range sel.Joins {
 		jt := joinTables[ji]
@@ -357,9 +347,7 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 		pointKeyed := func(col string) bool { return accessKind(jt, col) != "SCAN" }
 		compositeLed := func(col string) bool { return jt.compositeLedBy(col) != nil }
 		var outerExpr Expr
-		if snap {
-			jp.kind = jkLoop
-		} else if jp.col, outerExpr = joinProbe(j.On, j.Table.name(), pointKeyed); jp.col != "" {
+		if jp.col, outerExpr = joinProbe(j.On, j.Table.name(), pointKeyed); jp.col != "" {
 			lower := strings.ToLower(jp.col)
 			jp.typ = jt.cols[jt.colIdx[lower]].def.Type
 			switch {
@@ -427,7 +415,7 @@ func (db *DB) buildPlanTables(sel *SelectStmt, tables map[string]*table, snap bo
 // paths that cannot produce index order pay a doubled cost for the sort.
 func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct,
 	eqByCol map[string]eqConjunct, rangeByCol map[string]*rangeConjunct,
-	orderEligible bool, orderCols []string, orderDesc bool, hasOrderBy bool, snap bool) accessPath {
+	orderEligible bool, orderCols []string, orderDesc bool, hasOrderBy bool) accessPath {
 
 	alive := float64(base.alive)
 	// A point lookup costs one probe, but never more than the table
@@ -438,30 +426,6 @@ func (db *DB) chooseAccess(p *SelectPlan, base *table, eqs []eqConjunct,
 		pointCost = alive
 	}
 	var cands []planCandidate
-
-	// Snapshot mode: the only point path is a record-store fetch keyed
-	// by an int primary key; everything else scans the frozen row slice.
-	if snap {
-		for _, eq := range eqs {
-			if base.snapPK >= 0 && base.fetch != nil && base.colIdx[eq.colLower] == base.snapPK {
-				cands = append(cands, planCandidate{
-					path: accessPath{kind: accessSnapPK, col: eq.col, typ: TInt, label: "PRIMARY KEY",
-						eq: []compiledExpr{compileExpr(eq.val, nil)}, est: pointCost},
-					cost: pointCost,
-				})
-				break
-			}
-		}
-		cands = append(cands, planCandidate{path: accessPath{kind: accessScan, est: alive}, cost: alive})
-		best := cands[0]
-		bestEff := effectiveCost(best, hasOrderBy)
-		for _, c := range cands[1:] {
-			if eff := effectiveCost(c, hasOrderBy); eff < bestEff {
-				best, bestEff = c, eff
-			}
-		}
-		return best.path
-	}
 
 	// Point lookups from equality conjuncts, in AND-walk order. The
 	// per-column path follows table.lookup's precedence: primary key,

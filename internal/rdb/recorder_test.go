@@ -204,24 +204,6 @@ func TestTraceHooksExecAndCommitSpans(t *testing.T) {
 	}
 }
 
-func TestTraceHooksSnapshotSpan(t *testing.T) {
-	db := planDB(t)
-	log := &spanLog{}
-	db.SetTraceHooks(log.hooks(9))
-	snap := db.Snapshot()
-	defer snap.Close()
-	if _, err := snap.QueryContext(context.Background(), `SELECT name FROM product WHERE oid = 1`); err != nil {
-		t.Fatal(err)
-	}
-	names := log.names()
-	if len(names) != 1 || names[0] != "rdb.snapshot.query" {
-		t.Fatalf("spans = %v, want one rdb.snapshot.query", names)
-	}
-	if log.label(0, "snapshot_seq") == "" {
-		t.Fatal("snapshot_seq label missing")
-	}
-}
-
 func TestQueryRecorderStampsTraceID(t *testing.T) {
 	db := planDB(t)
 	log := &spanLog{}

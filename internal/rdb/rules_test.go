@@ -39,14 +39,11 @@ func TestNameErrorsAreDataIndependent(t *testing.T) {
 	empty := Open()
 	mustExecAll(t, empty, diffSchema)
 	for label, db := range map[string]*DB{"seeded": diffFixture(t), "empty": empty} {
-		snap := db.Snapshot()
-		defer snap.Close()
 		for _, c := range cases {
 			_, qErr := db.Query(c.sql)
 			_, eErr := db.Explain(c.sql)
-			_, sErr := snap.Query(c.sql)
 			_, oErr := db.queryOracle(c.sql)
-			for entry, err := range map[string]error{"Query": qErr, "Explain": eErr, "Snapshot.Query": sErr, "oracle": oErr} {
+			for entry, err := range map[string]error{"Query": qErr, "Explain": eErr, "oracle": oErr} {
 				if err == nil || err.Error() != c.want {
 					t.Errorf("%s tables, %s(%s): got %v, want %s", label, entry, c.sql, err, c.want)
 				}
@@ -127,18 +124,6 @@ func TestBindErrorsAreReturned(t *testing.T) {
 		}
 	}
 
-	// The snapshot point fetch (paging engine only).
-	paged := openPaging(t, t.TempDir())
-	defer paged.Close()
-	mustExecAll(t, paged, []string{`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`})
-	snap := paged.Snapshot()
-	defer snap.Close()
-	if plan, err := snap.ExplainAnalyze(`SELECT v FROM kv WHERE k = 1`); err != nil || !strings.Contains(plan, "BY PRIMARY KEY ON k") {
-		t.Fatalf("snapshot plan %q, err %v", plan, err)
-	}
-	if _, err := snap.Query(`SELECT v FROM kv WHERE k = 1/0`); err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Errorf("snapshot point fetch: got %v, want division by zero", err)
-	}
 }
 
 // R4: an ungrouped aggregate query over no rows outputs one row, whose

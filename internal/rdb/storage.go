@@ -33,29 +33,17 @@ type table struct {
 	// resident counts slots holding materialized rows (alive minus
 	// eviction markers); the paging engine uses it to drive sweeps.
 	resident int
-	// shared marks rows as referenced by a published MVCC snapshot
-	// (mvcc.go): in-place slot writes must clone the slice first.
-	// Appends are exempt — a frozen view never reads past its length.
-	shared bool
 	// fetch, when a paging engine backs the table, materializes an
-	// evicted record with at least the columns need names decoded: it
-	// resolves rec against the version retention buffer for snapshot
-	// reads (snapSeq < liveSeq) and the row cache / page store otherwise,
-	// copying into f's chunks. A record that does not exist is a nil row,
-	// one that cannot be read an error. Nil on purely in-memory tables.
-	fetch func(rec uint64, snapSeq uint64, need colMask, f *faultCtx) (Row, error)
-	// snapSeq is the visibility horizon fetch resolves against:
-	// liveSeq on live tables, the captured commit on frozen views.
-	snapSeq uint64
+	// evicted record with at least the columns need names decoded from
+	// the row cache or the page store, copying into f's chunks. A record
+	// that does not exist is a nil row, one that cannot be read an error.
+	// Nil on purely in-memory tables.
+	fetch func(rec uint64, need colMask, f *faultCtx) (Row, error)
 	// pkByRec marks int-keyed engine tables whose record ids are the
-	// primary-key values themselves (recID = pkRecID(pk)); the snapshot
-	// planner needs it to justify a point fetch by key.
+	// primary-key values themselves (recID = pkRecID(pk)), so a fault
+	// error can name the record by its key.
 	pkByRec bool
-	// snapPK is meaningful only on frozen snapshot views: the primary-key
-	// column position when a record-store point fetch is possible, else
-	// -1. Live tables never consult it.
-	snapPK int
-	pkMap  map[cell.Cell]int // keyed by indexKey, like every index map
+	pkMap   map[cell.Cell]int // keyed by indexKey, like every index map
 	// pkOrd is a one-column sorted index over the primary key: what the
 	// schema already says about ORDER BY pk and pk ranges. It is nil
 	// without a primary key, is never persisted (pkMap's sources rebuild
@@ -74,10 +62,6 @@ type table struct {
 func errNoColumn(table, col string) error {
 	return fmt.Errorf("rdb: no column %q in table %q", col, table)
 }
-
-// liveSeq is the visibility horizon of live (non-snapshot) tables:
-// fetch resolves to the current committed record.
-const liveSeq = ^uint64(0)
 
 // kEvicted is the kind of the single cell of an eviction marker: a row
 // slot whose data was paged out, holding only the storage-engine record
@@ -110,7 +94,7 @@ func (t *table) readRow(id int, need colMask, f *faultCtx) (Row, error) {
 		return r, nil
 	}
 	if t.fetch != nil {
-		if r, err := t.fetch(rec, t.snapSeq, need, f); r != nil || err != nil {
+		if r, err := t.fetch(rec, need, f); r != nil || err != nil {
 			return r, err
 		}
 	}
@@ -138,7 +122,6 @@ func (t *table) evictSlot(id int, rec uint64) {
 	if _, ok := evictedRec(r); ok {
 		return
 	}
-	t.cowRows()
 	t.rows[id] = evictedRowMark(rec)
 	t.resident--
 }
@@ -290,15 +273,6 @@ func (t *table) unindexRow(id int, r Row) {
 	}
 }
 
-// cowRows makes t.rows safe for in-place slot writes, cloning the
-// slice when a published snapshot still shares its backing array.
-func (t *table) cowRows() {
-	if t.shared {
-		t.rows = append(make([]Row, 0, len(t.rows)+8), t.rows...)
-		t.shared = false
-	}
-}
-
 // deleteRow tombstones the row and fixes indexes. It returns the old
 // row, faulting it in first when the slot was evicted (indexes are
 // unwound against real column values).
@@ -316,7 +290,6 @@ func (t *table) deleteRow(id int, f *faultCtx) Row {
 		}
 	}
 	t.unindexRow(id, r)
-	t.cowRows()
 	t.rows[id] = nil
 	t.alive--
 	if wasResident {
@@ -327,7 +300,6 @@ func (t *table) deleteRow(id int, f *faultCtx) Row {
 
 // restoreRow undoes a delete (transaction rollback support).
 func (t *table) restoreRow(id int, r Row) {
-	t.cowRows()
 	t.rows[id] = r
 	t.alive++
 	t.resident++
@@ -371,7 +343,6 @@ func (t *table) updateRow(id int, newRow Row, f *faultCtx) error {
 		}
 	}
 	t.unindexRow(id, old)
-	t.cowRows()
 	t.rows[id] = newRow
 	if !wasResident {
 		t.resident++

@@ -82,7 +82,7 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		wait, err := tx.db.applyDDLInTx(cs)
+		wait, err := tx.db.applyLocked(cs)
 		if err != nil {
 			return res, err
 		}
@@ -154,11 +154,6 @@ func (tx *Tx) commit(ctx context.Context, h *TraceHooks) error {
 	}
 	nOps := len(tx.cs.Ops)
 	wait, err := tx.db.applyLocked(&tx.cs)
-	if nOps == 0 {
-		// DDL-only (or empty) transaction: applyLocked was a no-op, but
-		// mid-transaction DDL deferred its head publication to now.
-		tx.db.publishHead()
-	}
 	tx.db.mu.Unlock()
 	if fin != nil {
 		fin(err,
@@ -208,7 +203,6 @@ func (tx *Tx) Rollback() error {
 			if _, ok := evictedRec(e.table.rows[e.rowID]); ok {
 				e.table.resident++
 			}
-			e.table.cowRows()
 			e.table.rows[e.rowID] = e.oldRow
 			e.table.indexRow(e.rowID, e.oldRow)
 		case undoDelete:
@@ -217,10 +211,6 @@ func (tx *Tx) Rollback() error {
 	}
 	tx.undo.entries = nil
 	tx.cs.Ops = nil
-	// Any DDL executed inside the transaction survives rollback (it was
-	// applied to the engine immediately); republish the head so
-	// snapshots see the schema change too.
-	tx.db.publishHead()
 	tx.db.mu.Unlock()
 	return nil
 }

@@ -66,7 +66,7 @@ func (a *App) wireObservability(cfg *config) {
 		a.Edge.Obs = a.Obs
 	}
 	// Bridge the data tier's zero-dependency hook seam into the tracer:
-	// rdb spans (query execution, WAL sync, commits, snapshot reads)
+	// rdb spans (query execution, WAL sync, commits)
 	// become children of whatever span the request context carries, and
 	// the flight recorder stamps captured queries with the owning trace
 	// ID so /debug/queries rows join against /debug/traces.
@@ -305,9 +305,6 @@ func (a *App) buildRegistry() *obs.Registry {
 		e.Counter("webml_rdb_sorts_eliminated_total", "ORDER BY clauses satisfied by index order.", nil, float64(s.SortsEliminated))
 		e.Counter("webml_rdb_analyzed_queries_total", "Queries executed with operator-level runtime counters collected.", nil, float64(s.AnalyzedQueries))
 		e.Counter("webml_rdb_queries_recorded_total", "Queries captured by the slow-query flight recorder.", nil, float64(s.QueriesRecorded))
-		e.Counter("webml_rdb_snapshots_total", "MVCC snapshots taken.", nil, float64(s.SnapshotsTaken))
-		e.Gauge("webml_rdb_snapshots_active", "MVCC snapshots currently open.", nil, float64(s.ActiveSnapshots))
-		e.Gauge("webml_rdb_head_seq", "Sequence number of the published commit head.", nil, float64(s.HeadSeq))
 	})
 	if a.DB.EngineName() == "durable" {
 		reg.Register(func(e *obs.Exposition) {
