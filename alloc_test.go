@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -295,6 +297,50 @@ func TestAllocSlopeBatchItems(t *testing.T) {
 		t.Fatalf("a level allocates %.2f per extra unit, want <= 12", slope)
 	}
 	t.Logf("level over loopback: %.3f allocs per extra unit", slope)
+}
+
+// TestAllocSlopeFragmentFill fills the fragment of a detail page's data
+// unit through the controller, on pages where the data unit feeds 20 and
+// 200 index units: the fill computes the data unit's cone, the unit
+// alone, so a unit elsewhere on the page costs no allocation.
+func TestAllocSlopeFragmentFill(t *testing.T) {
+	var fills float64
+	slope := allocSlope(t, func(units int) func() {
+		repo := descriptor.NewRepository()
+		beans := cannedBeans{"d": {UnitID: "d", Kind: "data", Fields: []string{"oid", "Title"},
+			Nodes: []mvc.Node{{Values: cells(int64(1001), "a detail")}}}}
+		pd := &descriptor.Page{ID: "p", Template: "p", Units: []descriptor.UnitRef{{ID: "d"}}}
+		repo.PutUnit(&descriptor.Unit{ID: "d", Kind: "data"})
+		for i := 0; i < units; i++ {
+			id := fmt.Sprintf("i%d", i)
+			beans[id] = rowsBean(3)
+			repo.PutUnit(&descriptor.Unit{ID: id, Kind: "index"})
+			pd.Units = append(pd.Units, descriptor.UnitRef{ID: id})
+			pd.Edges = append(pd.Edges, descriptor.Edge{From: "d", To: id,
+				Params: []descriptor.EdgeParam{{Source: "oid", Target: "parent"}}})
+		}
+		repo.PutPage(pd)
+		ctrl := mvc.NewController(repo, beans, render.NewEngine(repo))
+		ctrl.EdgeFragments = true
+		req := httptest.NewRequest(http.MethodGet, "/fragment/p/d?oid=1001", nil)
+		req.Header.Set("Surrogate-Capability", `webmlgo="ESI/1.0"`)
+		fill := func() {
+			rr := httptest.NewRecorder()
+			ctrl.ServeHTTP(rr, req)
+			if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "a detail") {
+				t.Fatalf("fill: status %d\n%s", rr.Code, rr.Body.String())
+			}
+		}
+		if units == 20 {
+			fills = testing.AllocsPerRun(100, fill)
+		}
+		return fill
+	})
+	// A fill that computes the whole page costs 3 per extra unit.
+	if slope > 0.01 {
+		t.Fatalf("a fragment fill allocates %.2f per extra unit on its page, want 0", slope)
+	}
+	t.Logf("fragment fill: %.0f allocs, %.3f per extra unit on the page", fills, slope)
 }
 
 // pagedItems opens a database with a 16-row budget whose tables, an item

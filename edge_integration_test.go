@@ -6,13 +6,21 @@ package webmlgo
 // purge exactness, and coherence under concurrent read/write traffic.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"webmlgo/internal/descriptor"
+	"webmlgo/internal/ejb"
+	"webmlgo/internal/fixture"
+	"webmlgo/internal/mvc"
+	"webmlgo/internal/obs"
 )
 
 // edgePages are the anonymous fixture pages the equivalence tests cover:
@@ -328,5 +336,155 @@ func TestCacheMetricsSnapshot(t *testing.T) {
 	beanOnly := newApp(t, WithBeanCache(16))
 	if cm := beanOnly.CacheMetrics(); cm.Bean == nil || cm.Edge != nil {
 		t.Fatalf("bean-only app snapshot: %+v", cm)
+	}
+}
+
+// countingUnits records the units a business computes.
+type countingUnits struct {
+	mvc.Business
+	mu    sync.Mutex
+	units []string
+}
+
+func (c *countingUnits) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
+	c.mu.Lock()
+	c.units = append(c.units, d.ID)
+	c.mu.Unlock()
+	return c.Business.ComputeUnit(ctx, d, inputs)
+}
+
+// take returns the sorted IDs computed since the last take.
+func (c *countingUnits) take() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.units
+	c.units = nil
+	sort.Strings(out)
+	return fmt.Sprint(out)
+}
+
+// countedInProcess is the fixture app with the edge tier, its in-process
+// page service computing through a counting business.
+func countedInProcess(t *testing.T) (*App, *countingUnits, *mvc.PageService) {
+	app := newApp(t, WithEdgeCache(1024, time.Minute))
+	ps := app.Controller.Pages.(*mvc.PageService)
+	counted := &countingUnits{Business: ps.Business}
+	ps.Business = counted
+	ps.PageLat = obs.NewHistogramVec("webml_page_compute_seconds", "", "page")
+	return app, counted, ps
+}
+
+// countedRemotePages is the fixture app with the edge tier as the web
+// tier of a container whose page service computes through a counting
+// business (WithAppServer + WithRemotePages).
+func countedRemotePages(t *testing.T) (*App, *countingUnits, *mvc.PageService) {
+	backend := newApp(t)
+	counted := &countingUnits{Business: mvc.NewLocalBusiness(backend.DB)}
+	ctr := ejb.NewContainer(counted, 8)
+	ps := &mvc.PageService{Repo: backend.Repo(), Business: counted}
+	ctr.DeployPages(ps)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctr.Close() }) //nolint:errcheck // test teardown
+	web, err := New(fixture.Figure1Model(), WithAppServer(addr), WithRemotePages(), WithEdgeCache(1024, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(web.Close)
+	return web, counted, ps
+}
+
+// fetchFragment requests one fragment from the controller as the edge
+// does.
+func fetchFragment(app *App, path string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.Header.Set("Surrogate-Capability", `webmlgo="ESI/1.0"`)
+	rr := httptest.NewRecorder()
+	app.Controller.ServeHTTP(rr, req)
+	return rr
+}
+
+// TestFragmentComputesItsCone: a fragment fill computes the unit and the
+// units it takes transport-edge parameters from, in process and in the
+// container alike, and is observed under its page's ID.
+func TestFragmentComputesItsCone(t *testing.T) {
+	for name, placement := range map[string]func(*testing.T) (*App, *countingUnits, *mvc.PageService){
+		"in-process":   countedInProcess,
+		"remote pages": countedRemotePages,
+	} {
+		t.Run(name, func(t *testing.T) {
+			app, counted, ps := placement(t)
+			for _, tc := range []struct{ path, computed, content string }{
+				{"/fragment/volumePage/volumeData?volume=1", "[volumeData]", "TODS Volume 27"},
+				{"/fragment/volumePage/issuesPapers?volume=1", "[issuesPapers volumeData]", "webml-index"},
+				{"/fragment/volumePage/enterKeyword?volume=1", "[enterKeyword]", "<form"},
+			} {
+				rr := fetchFragment(app, tc.path)
+				if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), tc.content) {
+					t.Fatalf("%s: status %d, want 200 with %q:\n%s", tc.path, rr.Code, tc.content, rr.Body.String())
+				}
+				if got := counted.take(); got != tc.computed {
+					t.Fatalf("%s computed %s, want %s", tc.path, got, tc.computed)
+				}
+			}
+			// The whole page, rendered inline, computes every unit.
+			if rr, _ := request(t, app.Controller, "/page/volumePage?volume=1", ""); rr.Code != http.StatusOK {
+				t.Fatalf("inline page: status %d", rr.Code)
+			}
+			if got, want := counted.take(), "[enterKeyword issuesPapers volumeData]"; got != want {
+				t.Fatalf("inline page computed %s, want %s", got, want)
+			}
+			var series []string
+			for _, s := range ps.PageLat.Snapshot() {
+				series = append(series, s.LabelValue)
+			}
+			if fmt.Sprint(series) != "[volumePage]" {
+				t.Fatalf("page latency series %v, want one, volumePage", series)
+			}
+		})
+	}
+}
+
+// TestFragmentOfUnitNotOnPage: a fragment of a unit that is not on the
+// page, whether on another page or on none, is not found, and nothing is
+// computed for it.
+func TestFragmentOfUnitNotOnPage(t *testing.T) {
+	app, counted, _ := countedInProcess(t)
+	for _, path := range []string{
+		"/fragment/volumePage/manageIndex",
+		"/fragment/volumePage/nosuchunit?volume=1",
+		"/fragment/volumePage/volumeData/extra?volume=1",
+	} {
+		if rr := fetchFragment(app, path); rr.Code != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404:\n%s", path, rr.Code, rr.Body.String())
+		}
+		if got := counted.take(); got != "[]" {
+			t.Fatalf("%s computed %s, want nothing", path, got)
+		}
+	}
+}
+
+// TestEdgeAssemblyByteIdenticalRemotePages repeats the equivalence check
+// with pages and fragments computed in a container.
+func TestEdgeAssemblyByteIdenticalRemotePages(t *testing.T) {
+	edgeApp, _, _ := countedRemotePages(t)
+	plainApp := newApp(t)
+	for _, path := range edgePages {
+		for _, pass := range []string{"miss", "hit"} {
+			rr, assembled := request(t, edgeApp.Handler(), path, "")
+			inlineRR, inline := request(t, plainApp.Handler(), path, "")
+			if rr.Code != http.StatusOK || inlineRR.Code != http.StatusOK {
+				t.Fatalf("%s [%s]: edge status %d, inline status %d", path, pass, rr.Code, inlineRR.Code)
+			}
+			if assembled != inline {
+				t.Fatalf("%s [%s]: edge-assembled page differs from inline rendering\nedge:   %q\ninline: %q",
+					path, pass, assembled, inline)
+			}
+			if pass == "hit" && rr.Header().Get("X-Cache") != "HIT" {
+				t.Fatalf("%s: X-Cache %q on the second pass, want HIT", path, rr.Header().Get("X-Cache"))
+			}
+		}
 	}
 }

@@ -21,8 +21,9 @@ type Repository struct {
 	pages     map[string]*Page
 	config    *Config
 	templates map[string]string // template name -> markup
-	// schedules memoizes the unit-computation plan per page; an entry is
-	// dropped when its page descriptor is hot-swapped.
+	// schedules memoizes the unit-computation plan per page, each with
+	// the plans of its units' cones; an entry is dropped when its page
+	// descriptor is hot-swapped.
 	schedules map[string]*Schedule
 
 	// OnQueryOverride, when set, runs after OverrideQuery swaps a unit's
@@ -81,8 +82,8 @@ func (r *Repository) Units() []*Unit {
 }
 
 // PutPage stores (or replaces) a page descriptor and drops its memoized
-// schedule, so the next request recomputes the plan against the new
-// topology (Section 8's hot redeployment).
+// schedule and the cones memoized on it, so the next request recomputes
+// the plan against the new topology (Section 8's hot redeployment).
 func (r *Repository) PutPage(p *Page) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -90,10 +91,25 @@ func (r *Repository) PutPage(p *Page) {
 	delete(r.schedules, p.ID)
 }
 
-// Schedule returns the memoized computation plan of a page, building it
-// on first use. It errors when the page is unknown or its topology is
-// invalid (cycle, edge to a unit not on the page).
-func (r *Repository) Schedule(pageID string) (*Schedule, error) {
+// Schedule returns the memoized computation plan named by id, building
+// it on first use. A page ID names the plan of the whole page; a
+// fragment ID "<page>/<unit>" names the plan of the unit's cone: the
+// unit and the units it takes transport-edge parameters from,
+// transitively, which is all a fragment of the unit needs computed.
+// Either plan's Page is the page's descriptor. It errors when the page
+// or the unit is unknown or the page's topology is invalid (cycle, edge
+// to a unit not on the page).
+func (r *Repository) Schedule(id string) (*Schedule, error) {
+	pageID, unitID, fragment := strings.Cut(id, "/")
+	s, err := r.pageSchedule(pageID)
+	if err != nil || !fragment {
+		return s, err
+	}
+	return s.cone(unitID)
+}
+
+// pageSchedule returns the memoized plan of a whole page.
+func (r *Repository) pageSchedule(pageID string) (*Schedule, error) {
 	r.mu.RLock()
 	s, ok := r.schedules[pageID]
 	pd := r.pages[pageID]

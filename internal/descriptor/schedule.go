@@ -3,6 +3,7 @@ package descriptor
 import (
 	"container/heap"
 	"fmt"
+	"sync"
 )
 
 // Schedule is the precomputed unit-computation plan of one page: the
@@ -13,7 +14,12 @@ import (
 // parameters. Page topology is fixed between descriptor deployments, so
 // the Repository memoizes one Schedule per page and recomputes it only
 // when the page descriptor is hot-swapped.
+//
+// The plan of one unit's cone (see cone) is a Schedule too, memoized on
+// its page's: a fragment of the unit needs nothing else computed.
 type Schedule struct {
+	// Page is the descriptor the plan was computed from.
+	Page *Page
 	// Order lists unit IDs so every edge source precedes its targets;
 	// units not constrained by edges keep their display order.
 	Order []string
@@ -22,8 +28,11 @@ type Schedule struct {
 	// from levels < k.
 	Levels [][]string
 	// Incoming maps a unit ID to its incoming parameter-propagation
-	// edges.
+	// edges. A cone shares its page's index.
 	Incoming map[string][]Edge
+
+	mu    sync.RWMutex
+	cones map[string]*Schedule // unit ID -> the plan of its cone
 }
 
 // posHeap is a min-heap of unit display positions (the stable
@@ -111,5 +120,61 @@ func ComputeSchedule(pd *Page) (*Schedule, error) {
 	for d := 0; d <= maxDepth; d++ {
 		levels = append(levels, byDepth[d])
 	}
-	return &Schedule{Order: order, Levels: levels, Incoming: incoming}, nil
+	return &Schedule{Page: pd, Order: order, Levels: levels, Incoming: incoming}, nil
+}
+
+// cone returns the plan of one unit's cone: the unit plus the units it
+// takes transport-edge parameters from, transitively. Every input of a
+// cone unit comes from the cone, and a unit's longest dependency chain
+// runs through its cone, so the cone keeps the page's order and levels
+// with the other units left out. The plan is derived on first use and
+// memoized on s; it errors when the unit is not on the page.
+func (s *Schedule) cone(unitID string) (*Schedule, error) {
+	s.mu.RLock()
+	c := s.cones[unitID]
+	s.mu.RUnlock()
+	if c != nil {
+		return c, nil
+	}
+	in := map[string]bool{unitID: true}
+	for stack := []string{unitID}; len(stack) > 0; {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range s.Incoming[u] {
+			if !in[e.From] {
+				in[e.From] = true
+				stack = append(stack, e.From)
+			}
+		}
+	}
+	c = &Schedule{Page: s.Page, Incoming: s.Incoming}
+	for _, id := range s.Order {
+		if in[id] {
+			c.Order = append(c.Order, id)
+		}
+	}
+	if len(c.Order) == 0 {
+		return nil, fmt.Errorf("descriptor: page %q has no unit %q", s.Page.ID, unitID)
+	}
+	for _, level := range s.Levels {
+		var kept []string
+		for _, id := range level {
+			if in[id] {
+				kept = append(kept, id)
+			}
+		}
+		if kept != nil {
+			c.Levels = append(c.Levels, kept)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if memo := s.cones[unitID]; memo != nil {
+		return memo, nil
+	}
+	if s.cones == nil {
+		s.cones = make(map[string]*Schedule)
+	}
+	s.cones[unitID] = c
+	return c, nil
 }

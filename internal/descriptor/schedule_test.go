@@ -1,6 +1,11 @@
 package descriptor
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+)
 
 func diamondPage() *Page {
 	return &Page{
@@ -133,5 +138,127 @@ func TestComputeScheduleErrors(t *testing.T) {
 		Edges: []Edge{{From: "a", To: "ghost"}},
 	}); err == nil {
 		t.Fatal("unknown edge target accepted")
+	}
+}
+
+// TestScheduleOfCone: a fragment ID names the plan of the unit's cone,
+// the unit and its transitive transport-edge sources, in the page's
+// levels and order.
+func TestScheduleOfCone(t *testing.T) {
+	r := NewRepository()
+	r.PutPage(diamondPage())
+	for _, tc := range []struct {
+		id, levels, order string
+	}{
+		{"diamond/a", "[[a]]", "[a]"},
+		{"diamond/b", "[[a] [b]]", "[a b]"},
+		{"diamond/c", "[[a] [c]]", "[a c]"},
+		{"diamond/d", "[[a] [b c] [d]]", "[a b c d]"},
+	} {
+		s, err := r.Schedule(tc.id)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		if levels, order := fmt.Sprint(s.Levels), fmt.Sprint(s.Order); levels != tc.levels || order != tc.order {
+			t.Fatalf("%s: levels %s order %s, want %s %s", tc.id, levels, order, tc.levels, tc.order)
+		}
+		if s.Page == nil || s.Page.ID != "diamond" {
+			t.Fatalf("%s: cone names page %v", tc.id, s.Page)
+		}
+	}
+	if _, err := r.Schedule("diamond/ghost"); err == nil || !strings.Contains(err.Error(), `no unit "ghost"`) {
+		t.Fatalf("unit not on the page: err %v", err)
+	}
+	if _, err := r.Schedule("diamond/"); err == nil {
+		t.Fatal("empty unit ID accepted")
+	}
+	if _, err := r.Schedule("ghost/a"); err == nil {
+		t.Fatal("unknown page accepted")
+	}
+}
+
+// TestScheduleConeMemoized: a cone is derived once per page schedule and
+// listed nowhere a page is.
+func TestScheduleConeMemoized(t *testing.T) {
+	r := NewRepository()
+	r.PutPage(diamondPage())
+	c1, err := r.Schedule("diamond/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := r.Schedule("diamond/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1 != c2 {
+		t.Fatal("cone not memoized (pointer identity lost)")
+	}
+	if _, pages, _ := r.Counts(); pages != 1 || len(r.Pages()) != 1 {
+		t.Fatalf("cones listed as pages: %d, %v", pages, r.Pages())
+	}
+}
+
+// TestScheduleConeFollowsHotSwap: a page put with a transport edge added
+// or removed gets new cones, as it gets a new schedule.
+func TestScheduleConeFollowsHotSwap(t *testing.T) {
+	page := func(edges ...Edge) *Page {
+		return &Page{ID: "p", Units: []UnitRef{{ID: "a"}, {ID: "b"}, {ID: "c"}}, Edges: edges}
+	}
+	r := NewRepository()
+	for _, step := range []struct {
+		pd   *Page
+		cone string
+	}{
+		{page(Edge{From: "a", To: "c"}), "[a c]"},
+		{page(Edge{From: "a", To: "c"}, Edge{From: "b", To: "c"}), "[a b c]"},
+		{page(), "[c]"},
+	} {
+		r.PutPage(step.pd)
+		s, err := r.Schedule("p/c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(s.Order); got != step.cone || s.Page != step.pd {
+			t.Fatalf("cone of c = %s over %p, want %s over %p", got, s.Page, step.cone, step.pd)
+		}
+	}
+}
+
+// TestScheduleConeConcurrentHotSwap looks cones up while the page is
+// swapped between two topologies: every plan is one of the two cones,
+// over the descriptor it was derived from (run under -race).
+func TestScheduleConeConcurrentHotSwap(t *testing.T) {
+	chain := &Page{ID: "p", Units: []UnitRef{{ID: "a"}, {ID: "b"}, {ID: "c"}},
+		Edges: []Edge{{From: "a", To: "b"}, {From: "b", To: "c"}}}
+	alone := &Page{ID: "p", Units: []UnitRef{{ID: "a"}, {ID: "b"}, {ID: "c"}}}
+	want := map[*Page]string{chain: "[[a] [b] [c]]", alone: "[[c]]"}
+	r := NewRepository()
+	r.PutPage(chain)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s, err := r.Schedule("p/c")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := fmt.Sprint(s.Levels); got != want[s.Page] {
+					errs <- fmt.Errorf("cone levels %s over %p, want %s", got, s.Page, want[s.Page])
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		r.PutPage([]*Page{chain, alone}[i%2])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

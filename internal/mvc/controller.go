@@ -467,17 +467,19 @@ func (c *Controller) safeFragment(w http.ResponseWriter, r *http.Request, path s
 //	GET /fragment/<page>/<unit>?<page params>
 //
 // renders exactly the markup RenderPage would inline for that unit of
-// that page, with the surrogate cache policy derived from the unit's
-// descriptor (Surrogate-Control max-age from the conceptual cache TTL,
-// X-Webml-Deps from the unit's read dependency tags) — the per-fragment
-// "different policies" of Section 6's ESI architecture, driven entirely
-// by the model.
+// that page, computing only the unit's cone (the unit and the units it
+// takes transport-edge parameters from), with the surrogate cache
+// policy derived from the unit's descriptor (Surrogate-Control max-age
+// from the conceptual cache TTL, X-Webml-Deps from the unit's read
+// dependency tags) — the per-fragment "different policies" of Section
+// 6's ESI architecture, driven entirely by the model.
 func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path string) {
 	if !c.EdgeFragments {
 		http.NotFound(w, r)
 		return
 	}
-	pageID, unitID, ok := strings.Cut(strings.TrimPrefix(path, "fragment/"), "/")
+	fragmentID := strings.TrimPrefix(path, "fragment/")
+	pageID, unitID, ok := strings.Cut(fragmentID, "/")
 	if !ok || pageID == "" || unitID == "" {
 		http.NotFound(w, r)
 		return
@@ -492,6 +494,12 @@ func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path
 		http.Error(w, "authentication required", http.StatusUnauthorized)
 		return
 	}
+	if !hasUnit(pd, unitID) {
+		// Not a fragment of this page: answered before anything is
+		// computed, and never cached at the edge.
+		http.NotFound(w, r)
+		return
+	}
 	fr, ok := c.Renderer.(FragmentRenderer)
 	if !ok {
 		http.Error(w, "renderer lacks fragment support", http.StatusNotImplemented)
@@ -500,7 +508,8 @@ func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path
 	ctx, cancel := c.requestContext(r)
 	defer cancel()
 	params := requestParams(r)
-	state, err := c.Pages.ComputePage(ctx, pageID, params, nil)
+	// The fragment ID names the unit's cone, not the page.
+	state, err := c.Pages.ComputePage(ctx, fragmentID, params, nil)
 	if err != nil {
 		http.Error(w, err.Error(), errStatus(err))
 		return
@@ -528,6 +537,16 @@ func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path
 	h.Set("Cache-Control", "no-store")
 	h.Set("Content-Type", "text/html; charset=utf-8")
 	w.Write(out) //nolint:errcheck // client disconnects are not actionable
+}
+
+// hasUnit reports whether the unit is on the page.
+func hasUnit(pd *descriptor.Page, unitID string) bool {
+	for _, u := range pd.Units {
+		if u.ID == unitID {
+			return true
+		}
+	}
+	return false
 }
 
 // FragmentURL builds the edge fragment URL of one unit: the fragment

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"webmlgo/internal/descriptor"
@@ -41,15 +42,25 @@ type PageState struct {
 // is submitted with its level peers in one business-tier call —
 // propagating parameters and invoking the unit services.
 //
+// id is a page ID, or a fragment ID "<page>/<unit>": a fragment computes
+// only the unit's cone, the unit and the units it takes transport-edge
+// parameters from (descriptor.Repository.Schedule), so the one bean a
+// fragment renders costs what it reads. Either is observed under the
+// page's ID.
+//
 // request carries the typed HTTP parameters; formState (may be nil)
 // carries sticky entry-unit values and validation errors keyed by entry
 // unit ID. ctx carries the request deadline: levels stop scheduling new
 // units once it is done, and the business tier below observes it.
-func (ps *PageService) ComputePage(ctx context.Context, pageID string, request map[string]Value, formState map[string]*FormState) (*PageState, error) {
+func (ps *PageService) ComputePage(ctx context.Context, id string, request map[string]Value, formState map[string]*FormState) (*PageState, error) {
 	start := time.Now()
+	pageID, unitID, _ := strings.Cut(id, "/")
 	ctx, sp := obs.StartSpan(ctx, "page.compute")
 	sp.Label("page", pageID)
-	state, err := ps.computePage(ctx, pageID, request, formState)
+	if unitID != "" {
+		sp.Label("unit", unitID)
+	}
+	state, err := ps.computePage(ctx, id, request, formState)
 	if ps.PageLat != nil {
 		ps.PageLat.ObserveErr(pageID, time.Since(start), err != nil)
 	}
@@ -57,18 +68,15 @@ func (ps *PageService) ComputePage(ctx context.Context, pageID string, request m
 	return state, err
 }
 
-func (ps *PageService) computePage(ctx context.Context, pageID string, request map[string]Value, formState map[string]*FormState) (*PageState, error) {
-	pd := ps.Repo.Page(pageID)
-	if pd == nil {
-		return nil, fmt.Errorf("mvc: no page descriptor %q", pageID)
-	}
-	sched, err := ps.Repo.Schedule(pageID)
+func (ps *PageService) computePage(ctx context.Context, id string, request map[string]Value, formState map[string]*FormState) (*PageState, error) {
+	sched, err := ps.Repo.Schedule(id)
 	if err != nil {
 		return nil, err
 	}
+	pd := sched.Page
 	state := &PageState{
-		PageID: pageID,
-		Beans:  make(map[string]*UnitBean, len(pd.Units)),
+		PageID: pd.ID,
+		Beans:  make(map[string]*UnitBean, len(sched.Order)),
 		Order:  make([]string, len(pd.Units)),
 	}
 	for i, ur := range pd.Units {
