@@ -1085,8 +1085,13 @@ func e12Child() {
 		}
 	}
 	start := int64(1)
-	if row, err := db.QueryRow(`SELECT MAX(n) AS m FROM log_a`); err == nil && row != nil && row["m"] != nil {
-		start = row["m"].(int64) + 1
+	row, err := db.QueryRow(`SELECT n FROM log_a ORDER BY n DESC LIMIT 1`)
+	if err != nil {
+		fmt.Printf("CHILD_ERR resume: %v\n", err)
+		os.Exit(3)
+	}
+	if row != nil {
+		start = row["n"].(int64) + 1
 	}
 	for n := start; ; n++ {
 		tx := db.Begin()

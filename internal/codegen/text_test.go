@@ -132,13 +132,13 @@ func TestSkeletonEmptyPage(t *testing.T) {
 }
 
 // TestFloatSelectorLiteral: a float literal in a selector is written in
-// positional notation, so the query runs; NaN and infinities have no SQL
-// form and fail generation.
+// positional notation and a negative constant with its sign, so the query
+// runs; NaN and infinities have no SQL form and fail generation.
 func TestFloatSelectorLiteral(t *testing.T) {
 	schema := &er.Schema{Entities: []*er.Entity{{Name: "Product", Attributes: []er.Attribute{
 		{Name: "Label", Type: er.String}, {Name: "Price", Type: er.Float},
 	}}}}
-	build := func(lits ...float64) *webml.Model {
+	build := func(lits ...any) *webml.Model {
 		b := webml.NewBuilder("shop", schema)
 		pb := b.SiteView("sv", "SV").Page("p", "P")
 		for i, v := range lits {
@@ -148,7 +148,7 @@ func TestFloatSelectorLiteral(t *testing.T) {
 		}
 		return b.MustBuild()
 	}
-	m := build(1e6, 0.00001)
+	m := build(1e6, 0.00001, int64(-1), -0.5)
 	g, err := codegen.New(m)
 	if err != nil {
 		t.Fatal(err)
@@ -166,12 +166,12 @@ func TestFloatSelectorLiteral(t *testing.T) {
 	for i, row := range []struct {
 		label string
 		price float64
-	}{{"yacht", 2500000.5}, {"gift", 0}, {"pen", 1.5}} {
+	}{{"yacht", 2500000.5}, {"gift", 0}, {"pen", 1.5}, {"refund", -2.5}} {
 		if _, err := db.Exec("INSERT INTO product (oid, label, price) VALUES (?, ?, ?)", int64(i+1), row.label, row.price); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for id, want := range map[string]string{"u1": "yacht", "u2": "gift"} {
+	for id, want := range map[string]string{"u1": "yacht", "u2": "gift refund", "u3": "yacht gift pen", "u4": "refund"} {
 		d := art.Repo.Unit(id)
 		if strings.Contains(d.Query, "e+") || strings.Contains(d.Query, "e-") {
 			t.Errorf("%s: exponent in %q", id, d.Query)
@@ -180,8 +180,12 @@ func TestFloatSelectorLiteral(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %q: %v", id, d.Query, err)
 		}
-		if len(rows.Data) != 1 || rows.Data[0][1].Value() != want {
-			t.Errorf("%s: %q returned %v, want %s", id, d.Query, rows.Data, want)
+		var got []string
+		for _, r := range rows.Data {
+			got = append(got, r[1].Str)
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s: %q returned %v, want %s", id, d.Query, got, want)
 		}
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

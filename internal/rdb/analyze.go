@@ -120,18 +120,14 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats, args []cell.Cell)
 	}
 	for i := range p.joins {
 		j := &p.joins[i]
-		kind := "INNER"
-		if j.left {
-			kind = "LEFT"
-		}
 		if j.kind == jkLoop {
-			fmt.Fprintf(&b, "\n%s JOIN %s BY NESTED LOOP (%d rows)", kind, j.displayTable, j.estRows)
+			fmt.Fprintf(&b, "\nINNER JOIN %s BY NESTED LOOP (%d rows)", j.displayTable, j.estRows)
 			if es != nil {
 				jc := &es.joins[i]
 				fmt.Fprintf(&b, " (actual in %d, out %d, %s)", jc.rowsIn, jc.rowsOut, fmtOpTime(jc.elapsed))
 			}
 		} else {
-			fmt.Fprintf(&b, "\n%s JOIN %s BY %s ON %s", kind, j.displayTable, j.label, j.col)
+			fmt.Fprintf(&b, "\nINNER JOIN %s BY %s ON %s", j.displayTable, j.label, j.col)
 			if es != nil {
 				jc := &es.joins[i]
 				fmt.Fprintf(&b, " (actual in %d, out %d, %d probes, %s)", jc.rowsIn, jc.rowsOut, jc.probes, fmtOpTime(jc.elapsed))
@@ -140,9 +136,6 @@ func renderPlan(p *SelectPlan, sel *SelectStmt, es *execStats, args []cell.Cell)
 	}
 	if es != nil && p.where != nil {
 		fmt.Fprintf(&b, "\nFILTER (actual in %d, out %d)", es.filterIn, es.filterOut)
-	}
-	if len(sel.GroupBy) > 0 {
-		fmt.Fprintf(&b, "\nGROUP BY %d keys", len(sel.GroupBy))
 	}
 	if len(sel.OrderBy) > 0 {
 		if p.sortElim {

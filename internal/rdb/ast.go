@@ -1,10 +1,18 @@
 package rdb
 
 // Statement is a parsed SQL statement.
-type Statement interface{ stmt() }
+type Statement interface{ params() *int }
+
+// stmt is embedded in every statement. n is the number of '?'
+// placeholders the statement holds: the parser numbers them as it reads
+// them, and its reading order is text order.
+type stmt struct{ n int }
+
+func (s *stmt) params() *int { return &s.n }
 
 // CreateTableStmt is CREATE TABLE [IF NOT EXISTS] name (...).
 type CreateTableStmt struct {
+	stmt
 	Name        string
 	IfNotExists bool
 	Columns     []ColumnDef
@@ -30,6 +38,7 @@ type ForeignKeyDef struct {
 
 // CreateIndexStmt is CREATE [ORDERED] INDEX name ON table(col).
 type CreateIndexStmt struct {
+	stmt
 	Name    string
 	Table   string
 	Columns []string
@@ -40,22 +49,24 @@ type CreateIndexStmt struct {
 
 // DropTableStmt is DROP TABLE [IF EXISTS] name.
 type DropTableStmt struct {
+	stmt
 	Name     string
 	IfExists bool
 }
 
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
-	Distinct bool
-	Columns  []SelectExpr // empty means "*"
-	From     TableRef
-	Joins    []JoinClause
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderTerm
-	Limit    Expr // nil if absent
-	Offset   Expr // nil if absent
+	stmt
+	// Count marks a select list that is COUNT(*) alone; Columns then holds
+	// its one term, which carries only the alias.
+	Count   bool
+	Columns []SelectExpr
+	From    TableRef
+	Joins   []JoinClause
+	Where   Expr
+	OrderBy []OrderTerm
+	Limit   Expr // nil if absent
+	Offset  Expr // nil if absent
 }
 
 // SelectExpr is one projected column, optionally aliased. Star marks "*"
@@ -79,9 +90,8 @@ func (t TableRef) name() string {
 	return t.Table
 }
 
-// JoinClause is INNER or LEFT JOIN ... ON expr.
+// JoinClause is JOIN ... ON cond.
 type JoinClause struct {
-	Left  bool // LEFT [OUTER] JOIN if true; INNER otherwise
 	Table TableRef
 	On    Expr
 }
@@ -94,39 +104,35 @@ type OrderTerm struct {
 
 // InsertStmt is INSERT INTO t (cols) VALUES (...), (...).
 type InsertStmt struct {
+	stmt
 	Table   string
 	Columns []string
 	Rows    [][]Expr
 }
 
-// UpdateStmt is UPDATE t SET col = expr, ... [WHERE expr].
+// UpdateStmt is UPDATE t SET col = operand, ... [WHERE cond].
 type UpdateStmt struct {
+	stmt
 	Table string
 	Sets  []SetClause
 	Where Expr
 }
 
-// SetClause assigns an expression to a column.
+// SetClause assigns an operand to a column.
 type SetClause struct {
 	Column string
 	Value  Expr
 }
 
-// DeleteStmt is DELETE FROM t [WHERE expr].
+// DeleteStmt is DELETE FROM t [WHERE cond].
 type DeleteStmt struct {
+	stmt
 	Table string
 	Where Expr
 }
 
-func (*CreateTableStmt) stmt() {}
-func (*CreateIndexStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
-func (*SelectStmt) stmt()      {}
-func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-
-// Expr is an expression node.
+// Expr is an expression node: an operand (Literal, Param, ColRef) or a
+// BinaryExpr over two of them.
 type Expr interface{ expr() }
 
 // Literal is a constant value.
@@ -141,51 +147,17 @@ type ColRef struct {
 	Column string
 }
 
-// BinaryExpr applies Op to two operands. Ops: = <> < <= > >= + - * /
-// AND OR LIKE.
+// BinaryExpr applies Op to two operands. Ops: = <> < <= > >= LIKE, and
+// AND over two conditions.
 type BinaryExpr struct {
 	Op   string
 	L, R Expr
-}
-
-// UnaryExpr applies Op ("NOT" or "-") to one operand.
-type UnaryExpr struct {
-	Op string
-	X  Expr
-}
-
-// IsNullExpr is "x IS [NOT] NULL".
-type IsNullExpr struct {
-	X   Expr
-	Not bool
-}
-
-// InExpr is "x [NOT] IN (e1, e2, ...)".
-type InExpr struct {
-	X    Expr
-	Not  bool
-	List []Expr
-}
-
-// FuncExpr is an aggregate or scalar function call. Star marks COUNT(*).
-type FuncExpr struct {
-	Name string // upper-cased
-	Args []Expr
-	Star bool
 }
 
 func (*Literal) expr()    {}
 func (*Param) expr()      {}
 func (*ColRef) expr()     {}
 func (*BinaryExpr) expr() {}
-func (*UnaryExpr) expr()  {}
-func (*IsNullExpr) expr() {}
-func (*InExpr) expr()     {}
-func (*FuncExpr) expr()   {}
-
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
 
 // walkExpr calls visit on e and then on every sub-expression, depth
 // first and left to right. It stops early, returning false, as soon as
@@ -197,35 +169,8 @@ func walkExpr(e Expr, visit func(Expr) bool) bool {
 	if !visit(e) {
 		return false
 	}
-	var kids []Expr
-	switch x := e.(type) {
-	case *BinaryExpr:
+	if x, ok := e.(*BinaryExpr); ok {
 		return walkExpr(x.L, visit) && walkExpr(x.R, visit)
-	case *UnaryExpr:
-		return walkExpr(x.X, visit)
-	case *IsNullExpr:
-		return walkExpr(x.X, visit)
-	case *InExpr:
-		if !walkExpr(x.X, visit) {
-			return false
-		}
-		kids = x.List
-	case *FuncExpr:
-		kids = x.Args
-	}
-	for _, k := range kids {
-		if !walkExpr(k, visit) {
-			return false
-		}
 	}
 	return true
-}
-
-// hasAggregate reports whether the expression tree contains an aggregate
-// function call.
-func hasAggregate(e Expr) bool {
-	return !walkExpr(e, func(x Expr) bool {
-		f, ok := x.(*FuncExpr)
-		return !ok || !aggregateFuncs[f.Name]
-	})
 }

@@ -63,9 +63,11 @@ func buildCompat(t *testing.T, db *DB) {
 		`DELETE FROM author WHERE oid = 6`,
 		`UPDATE country SET name = 'Deutschland' WHERE code = 'de'`,
 		`DELETE FROM tag WHERE weight = 3`,
-		`UPDATE tag SET weight = weight + 100 WHERE weight > 9`,
 	} {
 		mustExec(t, db, s)
+	}
+	for w := 10; w <= 12; w++ {
+		mustExec(t, db, `UPDATE tag SET weight = ? WHERE weight = ?`, w+100, w)
 	}
 }
 

@@ -18,21 +18,19 @@ import (
 // before compiling it, so an unknown or ambiguous name is an error
 // whatever the data or the access path, and no closure built here can
 // fail on one. What a closure can still fail on is values: a type
-// mismatch, a division by zero.
+// mismatch.
 
 // execCtx is the per-query execution state a compiled plan runs
-// against: one current row per plan frame (nil = LEFT JOIN miss), the
-// columns the plan reads per frame, the bind-time parameters and what
-// its row faults share. stats is nil on the hot path; EXPLAIN ANALYZE
-// and the traced/recorded query paths attach one to collect per-operator
-// actuals (analyze.go).
+// against: one current row per plan frame, the columns the plan reads
+// per frame, the bind-time parameters and what its row faults share.
+// stats is nil on the hot path; EXPLAIN ANALYZE and the traced/recorded
+// query paths attach one to collect per-operator actuals (analyze.go).
 type execCtx struct {
 	rows   []Row
 	need   []colMask // the plan's, per frame (SelectPlan.need)
 	args   []cell.Cell
 	stats  *execStats
-	skip   int64      // base entries OFFSET still owes (windowed plans, plan.go visit)
-	agg    *aggOutput // set only while an aggregate plan outputs a group
+	skip   int64 // base entries OFFSET still owes (windowed plans, plan.go visit)
 	faults faultCtx
 }
 
@@ -71,19 +69,6 @@ func compileExpr(e Expr, frames []planFrame) compiledExpr {
 		}
 	case *ColRef:
 		return compileColRef(x, frames)
-	case *UnaryExpr:
-		return compileUnary(x, frames)
-	case *IsNullExpr:
-		sub := compileExpr(x.X, frames)
-		not := x.Not
-		return func(c *execCtx) (cell.Cell, error) {
-			v, err := sub(c)
-			return cell.Bool(v.IsNull() != not), err
-		}
-	case *InExpr:
-		return compileIn(x, frames)
-	case *FuncExpr:
-		return compileFunc(x, frames)
 	case *BinaryExpr:
 		return compileBinary(x, frames)
 	}
@@ -155,136 +140,28 @@ func compileColRef(ref *ColRef, frames []planFrame) compiledExpr {
 	if m := frames[fi].need; m != nil {
 		*m |= colBit(ci)
 	}
-	return func(c *execCtx) (cell.Cell, error) {
-		r := c.rows[fi]
-		if r == nil {
-			return cell.Cell{}, nil
-		}
-		return r[ci], nil
-	}
-}
-
-func compileUnary(x *UnaryExpr, frames []planFrame) compiledExpr {
-	sub := compileExpr(x.X, frames)
-	switch x.Op {
-	case "NOT":
-		return func(c *execCtx) (cell.Cell, error) {
-			v, err := sub(c)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			return cell.Bool(!isTrue(v)), nil
-		}
-	case "-":
-		return func(c *execCtx) (cell.Cell, error) {
-			v, err := sub(c)
-			if err != nil {
-				return v, err
-			}
-			switch v.Kind {
-			case cell.KInt:
-				return cell.Int(-v.Int()), nil
-			case cell.KFloat:
-				return cell.Float(-v.Float()), nil
-			case cell.KNull:
-				return v, nil
-			}
-			return cell.Cell{}, fmt.Errorf("rdb: cannot negate %s", typeName(v))
-		}
-	}
-	return errExpr(fmt.Errorf("rdb: unknown unary op %q", x.Op))
-}
-
-func compileIn(x *InExpr, frames []planFrame) compiledExpr {
-	sub := compileExpr(x.X, frames)
-	list := make([]compiledExpr, len(x.List))
-	for i, le := range x.List {
-		list[i] = compileExpr(le, frames)
-	}
-	not := x.Not
-	return func(c *execCtx) (cell.Cell, error) {
-		v, err := sub(c)
-		if err != nil || v.IsNull() {
-			return v, err
-		}
-		for _, le := range list {
-			lv, err := le(c)
-			if err != nil {
-				return lv, err
-			}
-			if lv.IsNull() {
-				continue
-			}
-			if cv, err := compare(v, lv); err == nil && cv == 0 {
-				return cell.Bool(!not), nil
-			}
-		}
-		return cell.Bool(not), nil
-	}
-}
-
-func compileFunc(x *FuncExpr, frames []planFrame) compiledExpr {
-	if aggregateFuncs[x.Name] {
-		// A slot: the value this call accumulated over the group being
-		// output. Anywhere else (WHERE, a group key, another aggregate's
-		// argument) there is no group, and so no value.
-		return func(c *execCtx) (cell.Cell, error) {
-			if g := c.agg; g != nil {
-				for i := range g.calls {
-					if g.calls[i].fn == x {
-						return g.vals[i], nil
-					}
-				}
-			}
-			return cell.Cell{}, fmt.Errorf("rdb: aggregate %s used outside aggregate query", x.Name)
-		}
-	}
-	cargs := make([]compiledExpr, len(x.Args))
-	for i, a := range x.Args {
-		cargs[i] = compileExpr(a, frames)
-	}
-	fn := x
-	return func(c *execCtx) (cell.Cell, error) {
-		var buf [3]cell.Cell // every fixed-arity function's arguments, on the stack
-		vals := buf[:0]
-		for _, ca := range cargs {
-			v, err := ca(c)
-			if err != nil {
-				return v, err
-			}
-			vals = append(vals, v)
-		}
-		return callScalar(fn, vals)
-	}
+	return func(c *execCtx) (cell.Cell, error) { return c.rows[fi][ci], nil }
 }
 
 func compileBinary(x *BinaryExpr, frames []planFrame) compiledExpr {
 	l := compileExpr(x.L, frames)
 	r := compileExpr(x.R, frames)
 	switch x.Op {
-	case "AND", "OR":
-		// The side that decides: false for AND, true for OR. NULL unless
-		// a side decides, or both sides are the other truth value.
-		decides := x.Op == "OR"
+	case "AND":
+		// False if a side is false, else NULL if a side is NULL.
 		return func(c *execCtx) (cell.Cell, error) {
 			lv, err := l(c)
-			if err != nil {
-				return lv, err
-			}
-			if !lv.IsNull() && isTrue(lv) == decides {
-				return cell.Bool(decides), nil
+			if err != nil || (!lv.IsNull() && !isTrue(lv)) {
+				return cell.Bool(false), err
 			}
 			rv, err := r(c)
-			if err != nil {
-				return rv, err
-			}
-			if !rv.IsNull() && isTrue(rv) == decides {
-				return cell.Bool(decides), nil
+			if err != nil || (!rv.IsNull() && !isTrue(rv)) {
+				return cell.Bool(false), err
 			}
 			if lv.IsNull() || rv.IsNull() {
 				return cell.Cell{}, nil
 			}
-			return cell.Bool(!decides), nil
+			return cell.Bool(true), nil
 		}
 	case "=", "<>", "<", "<=", ">", ">=":
 		op := x.Op
@@ -321,15 +198,6 @@ func compileBinary(x *BinaryExpr, frames []planFrame) compiledExpr {
 				return cell.Cell{}, fmt.Errorf("rdb: LIKE requires strings, got %s and %s", typeName(lv), typeName(rv))
 			}
 			return cell.Bool(likeMatch(lv.Str, rv.Str)), nil
-		}
-	case "+", "-", "*", "/":
-		op := x.Op
-		return func(c *execCtx) (cell.Cell, error) {
-			lv, rv, err := both(c, l, r)
-			if err != nil || lv.IsNull() || rv.IsNull() {
-				return cell.Cell{}, err
-			}
-			return calc(op, lv, rv)
 		}
 	}
 	return errExpr(fmt.Errorf("rdb: unknown operator %q", x.Op))

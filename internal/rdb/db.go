@@ -382,7 +382,7 @@ func (db *DB) RowCount(tableName string) (int, error) {
 // coerceArgs checks the argument count and unboxes the arguments: the one
 // place a Value enters the engine.
 func coerceArgs(st Statement, args []Value) ([]cell.Cell, error) {
-	want := countParams(st)
+	want := *st.params()
 	if len(args) != want {
 		return nil, fmt.Errorf("rdb: statement needs %d parameters, got %d", want, len(args))
 	}

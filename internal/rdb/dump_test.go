@@ -247,10 +247,10 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"SCAN volume"}},
 		{`SELECT * FROM volume v JOIN issue i ON i.volume_oid = v.oid WHERE v.oid = 1`,
 			[]string{"ACCESS volume BY PRIMARY KEY", "INNER JOIN issue BY INDEX ON volume_oid"}},
-		{`SELECT * FROM volume v LEFT JOIN issue i ON i.number = v.year`,
-			[]string{"SCAN volume", "LEFT JOIN issue BY NESTED LOOP"}},
-		{`SELECT issue_oid, COUNT(*) FROM paper GROUP BY issue_oid ORDER BY issue_oid LIMIT 5`,
-			[]string{"SCAN paper", "GROUP BY 1 keys", "SORT 1 keys", "LIMIT"}},
+		{`SELECT * FROM volume v JOIN issue i ON i.number = v.year`,
+			[]string{"SCAN volume", "INNER JOIN issue BY NESTED LOOP"}},
+		{`SELECT issue_oid FROM paper ORDER BY issue_oid LIMIT 5`,
+			[]string{"SCAN paper", "SORT 1 keys", "LIMIT"}},
 		// A write is the plan of the rows it writes.
 		{`UPDATE paper SET pages = ? WHERE oid = ?`,
 			[]string{"UPDATE paper\nACCESS paper BY PRIMARY KEY ON oid (est 1 rows)\nPLAN"}},

@@ -90,7 +90,7 @@ func TestDurableNoIntPKAndCheckpoint(t *testing.T) {
 		mustExec(t, db, `INSERT INTO tags (label, weight) VALUES (?, ?)`, fmt.Sprintf("t%03d", i), int64(i))
 	}
 	mustExec(t, db, `DELETE FROM tags WHERE weight < 10`)
-	mustExec(t, db, `UPDATE tags SET weight = weight + 1000 WHERE weight >= 90`)
+	mustExec(t, db, `UPDATE tags SET weight = 1000 WHERE weight >= 90`)
 	if st := db.EngineStats(); st.Checkpoints == 0 {
 		t.Fatalf("expected automatic checkpoints, got %+v", st)
 	}
@@ -100,9 +100,9 @@ func TestDurableNoIntPKAndCheckpoint(t *testing.T) {
 	if n, _ := db.RowCount("tags"); n != 90 {
 		t.Fatalf("rows = %d, want 90", n)
 	}
-	rows, err := db.Query(`SELECT label FROM tags WHERE weight = 1090`)
-	if err != nil || rows.Len() != 1 || rows.Data[0][0].Value() != "t090" {
-		t.Fatalf("updated row: %v %v", rows, err)
+	rows, err := db.Query(`SELECT COUNT(*) FROM tags WHERE weight = 1000`)
+	if err != nil || rows.Data[0][0].Value() != int64(10) {
+		t.Fatalf("updated rows: %v %v", rows, err)
 	}
 	// Synthetic record ids must not collide after reopen.
 	for i := 0; i < 10; i++ {

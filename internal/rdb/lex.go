@@ -23,18 +23,21 @@ type token struct {
 	pos  int
 }
 
+// keywords are the reserved words. DISTINCT, GROUP, HAVING, INNER and
+// LEFT start no form of the grammar; they stay reserved so that a
+// statement written with them is refused at the word instead of reading
+// it as an alias.
 var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
+	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "NOT": true,
+	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
 	"SET": true, "DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true,
 	"DROP": true, "PRIMARY": true, "KEY": true, "AUTOINCREMENT": true,
 	"NULL": true, "ORDER": true, "BY": true, "ASC": true, "DESC": true,
 	"LIMIT": true, "OFFSET": true, "JOIN": true, "INNER": true, "LEFT": true,
-	"OUTER": true, "ON": true, "AS": true, "DISTINCT": true, "GROUP": true,
-	"HAVING": true, "LIKE": true, "IN": true, "IS": true, "BETWEEN": true,
-	"FOREIGN": true, "REFERENCES": true, "UNIQUE": true, "TRUE": true,
-	"FALSE": true, "ORDERED": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true,
-	"MAX": true, "IF": true, "EXISTS": true, "DEFAULT": true,
+	"ON": true, "AS": true, "DISTINCT": true, "GROUP": true, "HAVING": true,
+	"LIKE": true, "FOREIGN": true, "REFERENCES": true, "UNIQUE": true,
+	"TRUE": true, "FALSE": true, "ORDERED": true, "COUNT": true, "IF": true,
+	"EXISTS": true, "DEFAULT": true,
 }
 
 type lexer struct {

@@ -1,8 +1,8 @@
 package rdb
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -14,20 +14,18 @@ import (
 // as the reference compareEngines, compareDML and FuzzPlannerVsInterp
 // hold Query and Exec against. It is written the obvious way — scan every
 // table in row-id order, join by nested loops, materialise every joined
-// environment, then filter, project, group, sort and cut, resolving each
+// environment, then filter, project or count, sort and cut, resolving each
 // name per row — over boxed Values: it boxes a table's cells as it reads
-// them and unboxes its result rows at the end, so its comparisons,
-// arithmetic, scalar functions and grouping (the Value helpers at the end
-// of this file) are a second implementation of the cell engine's. It
-// shares with production only LIKE's matcher, DISTINCT (distinctRows) and
-// the table mutators it writes through. It uses no index: an index-free
-// answer is the stronger second opinion.
+// them and unboxes its result rows at the end, so its comparisons and
+// stores (the Value helpers at the end of this file) are a second
+// implementation of the cell engine's. It shares with production only the
+// parser, LIKE's matcher and the table mutators it writes through. It
+// uses no index: an index-free answer is the stronger second opinion.
 //
-// The compiled plan defines SQL here (rules R1–R4, DESIGN.md "The
+// The compiled plan defines SQL here (rules R1–R3, DESIGN.md "The
 // oracle"); the oracle obeys R1 by asking the planner whether the names
-// resolve, so error texts match, R2 by expanding stars from the tables
-// rather than from the first surviving row, and R4 by giving an empty
-// group an all-NULL row.
+// resolve, so error texts match, and R2 by expanding stars from the
+// tables rather than from the first surviving row.
 
 // queryOracle is Query through the oracle.
 func (db *DB) queryOracle(sql string, args ...Value) (*Rows, error) {
@@ -86,36 +84,19 @@ func execSelectTables(tables map[string]*table, st *SelectStmt, args []Value) (*
 		envs = kept
 	}
 
-	aggregate := len(st.GroupBy) > 0
-	if !aggregate {
-		for _, c := range st.Columns {
-			if c.Expr != nil && hasAggregate(c.Expr) {
-				aggregate = true
-				break
-			}
-		}
-	}
-
 	frames := []frame{{name: strings.ToLower(st.From.name()), tbl: base}}
 	for i, j := range st.Joins {
 		frames = append(frames, frame{name: strings.ToLower(j.Table.name()), tbl: joinTables[i]})
 	}
 	cols := outputColumns(st, frames)
-	var out *Rows
-	if aggregate {
-		out, err = evalAggregateSelect(st, cols, &env{frames: frames}, envs, args)
-	} else {
-		out, err = evalPlainSelect(st, cols, envs, args)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if st.Distinct {
-		out = distinctRows(out)
+	out := &Rows{Columns: cols, Data: [][]cell.Cell{{cell.Int(int64(len(envs)))}}}
+	if !st.Count {
+		if out, err = evalPlainSelect(st, cols, envs, args); err != nil {
+			return nil, err
+		}
 	}
 	if len(st.OrderBy) > 0 {
-		if err := orderRows(st, out, envs, aggregate, args); err != nil {
+		if err := orderRows(st, out, envs, args); err != nil {
 			return nil, err
 		}
 	}
@@ -141,7 +122,6 @@ func joinRows(st *SelectStmt, base *table, joinTables []*table, args []Value) ([
 		jname := strings.ToLower(j.Table.name())
 		var next []*env
 		for _, en := range envs {
-			matched := false
 			for id := range jt.rows {
 				r := oracleRow(jt, id)
 				if r == nil {
@@ -154,11 +134,7 @@ func joinRows(st *SelectStmt, base *table, joinTables []*table, args []Value) ([
 				}
 				if truthy(v) {
 					next = append(next, cand)
-					matched = true
 				}
-			}
-			if !matched && j.Left {
-				next = append(next, &env{frames: append(append([]frame{}, en.frames...), frame{name: jname, tbl: jt, row: nil})})
 			}
 		}
 		envs = next
@@ -169,6 +145,9 @@ func joinRows(st *SelectStmt, base *table, joinTables []*table, args []Value) ([
 // outputColumns expands the projection list into the result header,
 // from the statement and the tables alone (R2).
 func outputColumns(st *SelectStmt, frames []frame) []string {
+	if st.Count {
+		return []string{cmp.Or(st.Columns[0].Alias, "COUNT(*)")}
+	}
 	var cols []string
 	for _, c := range st.Columns {
 		switch {
@@ -193,14 +172,10 @@ func evalPlainSelect(st *SelectStmt, cols []string, envs []*env, args []Value) (
 		var row []Value
 		for _, c := range st.Columns {
 			switch {
-			case c.Star == "*":
-				for _, f := range en.frames {
-					row = append(row, frameValues(f)...)
-				}
 			case c.Star != "":
 				for _, f := range en.frames {
-					if f.name == strings.ToLower(c.Star) {
-						row = append(row, frameValues(f)...)
+					if c.Star == "*" || f.name == strings.ToLower(c.Star) {
+						row = append(row, f.row...)
 					}
 				}
 			default:
@@ -228,19 +203,10 @@ func unboxRow(vals []Value) []cell.Cell {
 	return row
 }
 
-func frameValues(f frame) []Value {
-	n := len(f.tbl.cols)
-	vals := make([]Value, n)
-	if f.row != nil {
-		copy(vals, f.row)
-	}
-	return vals
-}
-
 // orderRows sorts out.Data. For plain selects the ORDER BY expressions are
 // evaluated against the source environments (parallel to out.Data); for
-// aggregate queries they must name output columns.
-func orderRows(st *SelectStmt, out *Rows, envs []*env, aggregate bool, args []Value) error {
+// a count they must name its output column.
+func orderRows(st *SelectStmt, out *Rows, envs []*env, args []Value) error {
 	n := len(out.Data)
 	keys := make([][]Value, n)
 	for i := 0; i < n; i++ {
@@ -248,7 +214,7 @@ func orderRows(st *SelectStmt, out *Rows, envs []*env, aggregate bool, args []Va
 		for k, term := range st.OrderBy {
 			var v Value
 			var err error
-			if !aggregate && !st.Distinct && i < len(envs) {
+			if !st.Count {
 				v, err = evalExpr(term.Expr, envs[i], args)
 				if ref, ok := term.Expr.(*ColRef); err != nil && ok && ref.Table == "" {
 					// No such column in the joined rows (the planner has
@@ -310,7 +276,7 @@ func orderRows(st *SelectStmt, out *Rows, envs []*env, aggregate bool, args []Va
 func orderByOutput(e Expr, out *Rows, rowIdx int) (Value, error) {
 	ref, ok := e.(*ColRef)
 	if !ok {
-		return nil, fmt.Errorf("rdb: ORDER BY over aggregates must reference output columns")
+		return nil, fmt.Errorf("rdb: ORDER BY of a COUNT(*) must name its output column")
 	}
 	ci := out.Col(ref.Column)
 	if ci < 0 {
@@ -356,13 +322,10 @@ func applyLimitOffset(st *SelectStmt, out *Rows, args []Value) error {
 type frame struct {
 	name string // alias (lower-cased)
 	tbl  *table
-	row  []Value // nil row means "all NULLs" (LEFT JOIN miss)
+	row  []Value
 }
 
-type env struct {
-	frames []frame
-	aggs   map[*FuncExpr]Value // an aggregate query's group values (evalAggExpr)
-}
+type env struct{ frames []frame }
 
 func singleEnv(t *table, name string, r []Value) *env {
 	return &env{frames: []frame{{name: strings.ToLower(name), tbl: t, row: r}}}
@@ -379,9 +342,6 @@ func (e *env) resolve(ref *ColRef) (Value, error) {
 			i, ok := f.tbl.col(ref.Column)
 			if !ok {
 				return nil, fmt.Errorf("rdb: no column %q in %q", ref.Column, ref.Table)
-			}
-			if f.row == nil {
-				return nil, nil
 			}
 			return f.row[i], nil
 		}
@@ -401,9 +361,6 @@ func (e *env) resolve(ref *ColRef) (Value, error) {
 	}
 	if found == nil {
 		return nil, fmt.Errorf("rdb: unknown column %q", ref.Column)
-	}
-	if found.row == nil {
-		return nil, nil
 	}
 	return found.row[idx], nil
 }
@@ -425,58 +382,6 @@ func evalExpr(e Expr, en *env, args []Value) (Value, error) {
 		return args[x.Index], nil
 	case *ColRef:
 		return en.resolve(x)
-	case *UnaryExpr:
-		v, err := evalExpr(x.X, en, args)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "NOT":
-			if v == nil {
-				return nil, nil
-			}
-			return !truthy(v), nil
-		case "-":
-			switch n := v.(type) {
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
-			case nil:
-				return nil, nil
-			}
-			return nil, fmt.Errorf("rdb: cannot negate %T", v)
-		}
-		return nil, fmt.Errorf("rdb: unknown unary op %q", x.Op)
-	case *IsNullExpr:
-		v, err := evalExpr(x.X, en, args)
-		if err != nil {
-			return nil, err
-		}
-		return (v == nil) != x.Not, nil
-	case *InExpr:
-		v, err := evalExpr(x.X, en, args)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			return nil, nil
-		}
-		for _, le := range x.List {
-			lv, err := evalExpr(le, en, args)
-			if err != nil {
-				return nil, err
-			}
-			if lv == nil {
-				continue
-			}
-			if c, err := compareValues(v, lv); err == nil && c == 0 {
-				return !x.Not, nil
-			}
-		}
-		return x.Not, nil
-	case *FuncExpr:
-		return evalScalarFunc(x, en, args)
 	case *BinaryExpr:
 		return evalBinary(x, en, args)
 	}
@@ -484,9 +389,8 @@ func evalExpr(e Expr, en *env, args []Value) (Value, error) {
 }
 
 func evalBinary(x *BinaryExpr, en *env, args []Value) (Value, error) {
-	// AND/OR get SQL three-valued-ish short-circuit treatment.
-	switch x.Op {
-	case "AND":
+	// AND gets SQL three-valued short-circuit treatment.
+	if x.Op == "AND" {
 		l, err := evalExpr(x.L, en, args)
 		if err != nil {
 			return nil, err
@@ -505,25 +409,6 @@ func evalBinary(x *BinaryExpr, en *env, args []Value) (Value, error) {
 			return nil, nil
 		}
 		return true, nil
-	case "OR":
-		l, err := evalExpr(x.L, en, args)
-		if err != nil {
-			return nil, err
-		}
-		if l != nil && truthy(l) {
-			return true, nil
-		}
-		r, err := evalExpr(x.R, en, args)
-		if err != nil {
-			return nil, err
-		}
-		if r != nil && truthy(r) {
-			return true, nil
-		}
-		if l == nil || r == nil {
-			return nil, nil
-		}
-		return false, nil
 	}
 	l, err := evalExpr(x.L, en, args)
 	if err != nil {
@@ -534,7 +419,7 @@ func evalBinary(x *BinaryExpr, en *env, args []Value) (Value, error) {
 		return nil, err
 	}
 	if l == nil || r == nil {
-		return nil, nil // NULL propagates through comparisons and arithmetic
+		return nil, nil // NULL propagates through comparisons
 	}
 	switch x.Op {
 	case "=", "<>", "<", "<=", ">", ">=":
@@ -563,175 +448,8 @@ func evalBinary(x *BinaryExpr, en *env, args []Value) (Value, error) {
 			return nil, fmt.Errorf("rdb: LIKE requires strings, got %T and %T", l, r)
 		}
 		return likeMatch(ls, rs), nil
-	case "+", "-", "*", "/":
-		return arith(x.Op, l, r)
 	}
 	return nil, fmt.Errorf("rdb: unknown operator %q", x.Op)
-}
-
-func evalScalarFunc(x *FuncExpr, en *env, args []Value) (Value, error) {
-	if aggregateFuncs[x.Name] {
-		if v, ok := en.aggs[x]; ok {
-			return v, nil
-		}
-		return nil, fmt.Errorf("rdb: aggregate %s used outside aggregate query", x.Name)
-	}
-	vals := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := evalExpr(a, en, args)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return applyScalarFunc(x, vals)
-}
-
-// evalAggregateSelect groups the WHERE-surviving environments and
-// evaluates the select list once per group. cols is the result header;
-// the planner has already rejected '*' in an aggregate select list.
-// nulls is the all-NULL environment an empty group reads (R4).
-func evalAggregateSelect(st *SelectStmt, cols []string, nulls *env, envs []*env, args []Value) (*Rows, error) {
-	out := &Rows{Columns: cols}
-
-	// Group environments by GROUP BY key.
-	type group struct {
-		key  string
-		envs []*env
-	}
-	var groups []*group
-	if len(st.GroupBy) == 0 {
-		groups = []*group{{key: "", envs: envs}}
-	} else {
-		byKey := make(map[string]*group)
-		for _, en := range envs {
-			var kb strings.Builder
-			for _, ge := range st.GroupBy {
-				v, err := evalExpr(ge, en, args)
-				if err != nil {
-					return nil, err
-				}
-				kb.WriteString(groupKey(v))
-			}
-			k := kb.String()
-			g, ok := byKey[k]
-			if !ok {
-				g = &group{key: k}
-				byKey[k] = g
-				groups = append(groups, g)
-			}
-			g.envs = append(g.envs, en)
-		}
-	}
-
-	for _, g := range groups {
-		first := nulls
-		if len(g.envs) > 0 {
-			first = g.envs[0]
-		}
-		if st.Having != nil {
-			v, err := evalAggExpr(st.Having, first, g.envs, args)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		var row []Value
-		for _, c := range st.Columns {
-			v, err := evalAggExpr(c.Expr, first, g.envs, args)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out.Data = append(out.Data, unboxRow(row))
-	}
-	return out, nil
-}
-
-// evalAggExpr evaluates an expression over a group: every aggregate call
-// in it reduces over the group's rows, and everything else reads the
-// group's first row.
-func evalAggExpr(e Expr, first *env, group []*env, args []Value) (Value, error) {
-	en := &env{frames: first.frames, aggs: map[*FuncExpr]Value{}}
-	var err error
-	walkExpr(e, func(x Expr) bool {
-		if f, ok := x.(*FuncExpr); ok && aggregateFuncs[f.Name] {
-			en.aggs[f], err = evalAggregate(f, group, args)
-		}
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return evalExpr(e, en, args)
-}
-
-func evalAggregate(x *FuncExpr, group []*env, args []Value) (Value, error) {
-	if x.Name == "COUNT" && x.Star {
-		return int64(len(group)), nil
-	}
-	if len(x.Args) != 1 {
-		return nil, fmt.Errorf("rdb: %s takes exactly 1 argument", x.Name)
-	}
-	var vals []Value
-	for _, en := range group {
-		v, err := evalExpr(x.Args[0], en, args)
-		if err != nil {
-			return nil, err
-		}
-		if v != nil {
-			vals = append(vals, v)
-		}
-	}
-	switch x.Name {
-	case "COUNT":
-		return int64(len(vals)), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		allInt := true
-		var fsum float64
-		var isum int64
-		for _, v := range vals {
-			switch n := v.(type) {
-			case int64:
-				isum += n
-				fsum += float64(n)
-			case float64:
-				allInt = false
-				fsum += n
-			default:
-				return nil, fmt.Errorf("rdb: %s over non-numeric value %T", x.Name, v)
-			}
-		}
-		if x.Name == "AVG" {
-			return fsum / float64(len(vals)), nil
-		}
-		if allInt {
-			return isum, nil
-		}
-		return fsum, nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := compareValues(v, best)
-			if err != nil {
-				return nil, err
-			}
-			if (x.Name == "MIN" && c < 0) || (x.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return nil, fmt.Errorf("rdb: unknown aggregate %s", x.Name)
 }
 
 // execOracle is Exec through the oracle, for UPDATE and DELETE: the rows
@@ -848,23 +566,6 @@ func matchRows(t *table, tableName string, where Expr, args []Value) ([]int, err
 // cell operations, kept here so the engine is checked against a second
 // implementation rather than its own.
 
-// groupKey is the oracle's GROUP BY identity of a value: its type and
-// spelling, quoted so that no text runs into the next key, with a real
-// that equals an integer keyed as that integer and a time to the
-// nanosecond.
-func groupKey(v Value) string {
-	s := FormatValue(v)
-	switch x := v.(type) {
-	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1<<63 {
-			v, s = int64(x), FormatValue(int64(x))
-		}
-	case time.Time:
-		s = x.Format(time.RFC3339Nano)
-	}
-	return fmt.Sprintf("%T %q;", v, s)
-}
-
 // coerceToCol converts v to the column type, or errors.
 func coerceToCol(v Value, t ColType) (Value, error) {
 	if v == nil {
@@ -976,162 +677,4 @@ func truthy(v Value) bool {
 		return x != ""
 	}
 	return true
-}
-
-func arith(op string, l, r Value) (Value, error) {
-	// String concatenation with +.
-	if op == "+" {
-		if ls, ok := l.(string); ok {
-			if rs, ok := r.(string); ok {
-				return ls + rs, nil
-			}
-		}
-	}
-	li, lInt := l.(int64)
-	ri, rInt := r.(int64)
-	if lInt && rInt {
-		switch op {
-		case "+":
-			return li + ri, nil
-		case "-":
-			return li - ri, nil
-		case "*":
-			return li * ri, nil
-		case "/":
-			if ri == 0 {
-				return nil, fmt.Errorf("rdb: division by zero")
-			}
-			return li / ri, nil
-		}
-	}
-	lf, err := numeric(l)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := numeric(r)
-	if err != nil {
-		return nil, err
-	}
-	switch op {
-	case "+":
-		return lf + rf, nil
-	case "-":
-		return lf - rf, nil
-	case "*":
-		return lf * rf, nil
-	case "/":
-		if rf == 0 {
-			return nil, fmt.Errorf("rdb: division by zero")
-		}
-		return lf / rf, nil
-	}
-	return nil, fmt.Errorf("rdb: unknown arithmetic op %q", op)
-}
-
-func numeric(v Value) (float64, error) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), nil
-	case float64:
-		return x, nil
-	}
-	return 0, fmt.Errorf("rdb: %T is not numeric", v)
-}
-
-// applyScalarFunc applies a scalar function to already-evaluated
-// arguments.
-func applyScalarFunc(x *FuncExpr, vals []Value) (Value, error) {
-	switch x.Name {
-	case "LOWER":
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: LOWER takes 1 argument")
-		}
-		if vals[0] == nil {
-			return nil, nil
-		}
-		s, ok := vals[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("rdb: LOWER requires a string")
-		}
-		return strings.ToLower(s), nil
-	case "UPPER":
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: UPPER takes 1 argument")
-		}
-		if vals[0] == nil {
-			return nil, nil
-		}
-		s, ok := vals[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("rdb: UPPER requires a string")
-		}
-		return strings.ToUpper(s), nil
-	case "LENGTH":
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: LENGTH takes 1 argument")
-		}
-		if vals[0] == nil {
-			return nil, nil
-		}
-		s, ok := vals[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("rdb: LENGTH requires a string")
-		}
-		return int64(len(s)), nil
-	case "ABS":
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("rdb: ABS takes 1 argument")
-		}
-		switch n := vals[0].(type) {
-		case nil:
-			return nil, nil
-		case int64:
-			if n < 0 {
-				return -n, nil
-			}
-			return n, nil
-		case float64:
-			if n < 0 {
-				return -n, nil
-			}
-			return n, nil
-		}
-		return nil, fmt.Errorf("rdb: ABS requires a number")
-	case "COALESCE":
-		for _, v := range vals {
-			if v != nil {
-				return v, nil
-			}
-		}
-		return nil, nil
-	case "SUBSTR":
-		if len(vals) != 3 {
-			return nil, fmt.Errorf("rdb: SUBSTR takes 3 arguments")
-		}
-		if vals[0] == nil {
-			return nil, nil
-		}
-		s, ok := vals[0].(string)
-		start, ok2 := vals[1].(int64)
-		length, ok3 := vals[2].(int64)
-		if !ok || !ok2 || !ok3 {
-			return nil, fmt.Errorf("rdb: SUBSTR(string, int, int)")
-		}
-		// SQL SUBSTR is 1-based; a start before the first byte reads from it.
-		i := 0
-		if start > 1 && start-1 < int64(len(s)) {
-			i = int(start - 1)
-		} else if start > 1 {
-			return "", nil
-		}
-		if length <= 0 {
-			return "", nil
-		}
-		j := len(s)
-		if length < int64(len(s)-i) {
-			j = i + int(length)
-		}
-		return s[i:j], nil
-	}
-	return nil, fmt.Errorf("rdb: unknown function %s", x.Name)
 }

@@ -29,7 +29,7 @@ func TestOrderedIndexRangeQueries(t *testing.T) {
 		{"v >= 3", 6},
 		{"v < 5", 3},
 		{"v <= 5", 4},
-		{"v BETWEEN 3 AND 7", 4},
+		{"v >= 3 AND v <= 7", 4},
 		{"v > 2 AND v < 8", 4},
 		{"v > 100", 0},
 		{"v < 0", 0},
@@ -181,7 +181,7 @@ func TestOrderedRangeEquivalenceProperty(t *testing.T) {
 		}
 		steps := [][]stmt{
 			nil,
-			{{`UPDATE t SET v = NULL WHERE v = ?`, []Value{lo}}, {`UPDATE t SET v = ? WHERE v IS NULL AND oid > ?`, []Value{hi, lo}}},
+			{{`UPDATE t SET v = NULL WHERE v = ?`, []Value{lo}}, {`UPDATE t SET v = ? WHERE oid > ?`, []Value{hi, lo}}},
 			{{`DELETE FROM t WHERE v > ?`, []Value{hi}}, {`INSERT INTO t (v) VALUES (NULL), (?), (?)`, []Value{lo, lo}}},
 		}
 		plain := Open()

@@ -18,7 +18,19 @@ func (e *SyntaxError) Error() string {
 }
 
 // ParseStatement parses a single SQL statement (an optional trailing ';'
-// is accepted).
+// is accepted). The grammar is the statements the stack writes:
+//
+//	select  := SELECT (COUNT(*) [alias] | term (, term)*) FROM table
+//	           (JOIN table ON cond)* [WHERE cond]
+//	           [ORDER BY operand [ASC|DESC] (, ...)*] [LIMIT operand] [OFFSET operand]
+//	term    := * | name.* | operand [alias]
+//	cond    := operand [(= | <> | != | < | <= | > | >= | LIKE) operand] (AND ...)*
+//	operand := column | name.column | ? | [-]number | 'text' | NULL | TRUE | FALSE
+//
+// plus INSERT, UPDATE and DELETE over operands and conds, CREATE TABLE,
+// CREATE [ORDERED] INDEX and DROP TABLE. Anything else is a *SyntaxError
+// at the first token of the form it uses: the keyword, operator or
+// function name the grammar has no place for.
 func ParseStatement(sql string) (Statement, error) {
 	toks, err := lex(sql)
 	if err != nil {
@@ -33,22 +45,25 @@ func ParseStatement(sql string) (Statement, error) {
 	if !p.at(tokEOF, "") {
 		return nil, p.errf("unexpected trailing input %q", p.cur().text)
 	}
-	// Number the positional parameters left to right.
-	n := 0
-	numberParams(st, &n)
+	*st.params() = p.params
 	return st, nil
 }
 
 type sqlParser struct {
-	sql  string
-	toks []token
-	pos  int
+	sql    string
+	toks   []token
+	pos    int
+	params int // '?' read so far: the next one's index
 }
 
 func (p *sqlParser) cur() token { return p.toks[p.pos] }
 
 func (p *sqlParser) errf(format string, args ...interface{}) error {
-	return &SyntaxError{SQL: p.sql, Pos: p.cur().pos, Msg: fmt.Sprintf(format, args...)}
+	return p.errAt(p.cur().pos, format, args...)
+}
+
+func (p *sqlParser) errAt(pos int, format string, args ...interface{}) error {
+	return &SyntaxError{SQL: p.sql, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *sqlParser) at(k tokKind, text string) bool {
@@ -310,15 +325,29 @@ func (p *sqlParser) parseDrop() (Statement, error) {
 func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	p.pos++ // SELECT
 	st := &SelectStmt{}
-	st.Distinct = p.accept(tokKeyword, "DISTINCT")
-	for {
-		se, err := p.parseSelectExpr()
+	if count := p.cur(); p.accept(tokKeyword, "COUNT") {
+		if !p.accept(tokSymbol, "(") || !p.accept(tokSymbol, "*") || !p.accept(tokSymbol, ")") {
+			return nil, p.errAt(count.pos, "COUNT takes only *")
+		}
+		alias, err := p.parseAlias()
 		if err != nil {
 			return nil, err
 		}
-		st.Columns = append(st.Columns, se)
-		if !p.accept(tokSymbol, ",") {
-			break
+		if p.at(tokSymbol, ",") {
+			return nil, p.errAt(count.pos, "COUNT(*) must be the whole select list")
+		}
+		st.Count = true
+		st.Columns = []SelectExpr{{Alias: alias}}
+	} else {
+		for {
+			se, err := p.parseSelectExpr()
+			if err != nil {
+				return nil, err
+			}
+			st.Columns = append(st.Columns, se)
+			if !p.accept(tokSymbol, ",") {
+				break
+			}
 		}
 	}
 	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
@@ -329,74 +358,31 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 		return nil, err
 	}
 	st.From = from
-	for {
-		var left bool
-		switch {
-		case p.accept(tokKeyword, "JOIN"):
-		case p.accept(tokKeyword, "INNER"):
-			if _, err := p.expect(tokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-		case p.accept(tokKeyword, "LEFT"):
-			p.accept(tokKeyword, "OUTER")
-			if _, err := p.expect(tokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			left = true
-		default:
-			goto afterJoins
+	for p.accept(tokKeyword, "JOIN") {
+		tr, err := p.parseTableRef()
+		if err != nil {
+			return nil, err
 		}
-		{
-			tr, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokKeyword, "ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.Joins = append(st.Joins, JoinClause{Left: left, Table: tr, On: on})
+		if _, err := p.expect(tokKeyword, "ON"); err != nil {
+			return nil, err
 		}
+		on, err := p.parseCond()
+		if err != nil {
+			return nil, err
+		}
+		st.Joins = append(st.Joins, JoinClause{Table: tr, On: on})
 	}
-afterJoins:
 	if p.accept(tokKeyword, "WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
+		if st.Where, err = p.parseCond(); err != nil {
 			return nil, err
 		}
-		st.Where = w
-	}
-	if p.accept(tokKeyword, "GROUP") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(tokKeyword, "HAVING") {
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Having = h
 	}
 	if p.accept(tokKeyword, "ORDER") {
 		if _, err := p.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseOperand()
 			if err != nil {
 				return nil, err
 			}
@@ -413,18 +399,14 @@ afterJoins:
 		}
 	}
 	if p.accept(tokKeyword, "LIMIT") {
-		e, err := p.parsePrimary()
-		if err != nil {
+		if st.Limit, err = p.parseOperand(); err != nil {
 			return nil, err
 		}
-		st.Limit = e
 	}
 	if p.accept(tokKeyword, "OFFSET") {
-		e, err := p.parsePrimary()
-		if err != nil {
+		if st.Offset, err = p.parseOperand(); err != nil {
 			return nil, err
 		}
-		st.Offset = e
 	}
 	return st, nil
 }
@@ -443,42 +425,34 @@ func (p *sqlParser) parseSelectExpr() (SelectExpr, error) {
 		p.pos += 3
 		return se, nil
 	}
-	e, err := p.parseExpr()
+	e, err := p.parseOperand()
 	if err != nil {
 		return se, err
 	}
 	se.Expr = e
+	se.Alias, err = p.parseAlias()
+	return se, err
+}
+
+// parseAlias reads an optional alias: AS name, or a bare name.
+func (p *sqlParser) parseAlias() (string, error) {
 	if p.accept(tokKeyword, "AS") {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return se, err
-		}
-		se.Alias = alias
-	} else if p.at(tokIdent, "") {
-		se.Alias = p.cur().text
-		p.pos++
+		return p.expectIdent()
 	}
-	return se, nil
+	if p.at(tokIdent, "") {
+		p.pos++
+		return p.toks[p.pos-1].text, nil
+	}
+	return "", nil
 }
 
 func (p *sqlParser) parseTableRef() (TableRef, error) {
-	var tr TableRef
 	name, err := p.expectIdent()
 	if err != nil {
-		return tr, err
+		return TableRef{}, err
 	}
-	tr.Table = name
-	if p.accept(tokKeyword, "AS") {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return tr, err
-		}
-		tr.Alias = alias
-	} else if p.at(tokIdent, "") {
-		tr.Alias = p.cur().text
-		p.pos++
-	}
-	return tr, nil
+	alias, err := p.parseAlias()
+	return TableRef{Table: name, Alias: alias}, err
 }
 
 func (p *sqlParser) parseInsert() (Statement, error) {
@@ -517,7 +491,7 @@ func (p *sqlParser) parseInsert() (Statement, error) {
 		}
 		var row []Expr
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseOperand()
 			if err != nil {
 				return nil, err
 			}
@@ -559,7 +533,7 @@ func (p *sqlParser) parseUpdate() (Statement, error) {
 		if _, err := p.expect(tokSymbol, "="); err != nil {
 			return nil, err
 		}
-		e, err := p.parseExpr()
+		e, err := p.parseOperand()
 		if err != nil {
 			return nil, err
 		}
@@ -569,7 +543,7 @@ func (p *sqlParser) parseUpdate() (Statement, error) {
 		}
 	}
 	if p.accept(tokKeyword, "WHERE") {
-		w, err := p.parseExpr()
+		w, err := p.parseCond()
 		if err != nil {
 			return nil, err
 		}
@@ -590,7 +564,7 @@ func (p *sqlParser) parseDelete() (Statement, error) {
 	}
 	st.Table = name
 	if p.accept(tokKeyword, "WHERE") {
-		w, err := p.parseExpr()
+		w, err := p.parseCond()
 		if err != nil {
 			return nil, err
 		}
@@ -599,408 +573,85 @@ func (p *sqlParser) parseDelete() (Statement, error) {
 	return st, nil
 }
 
-// Expression grammar (precedence climbing):
-//
-//	expr    := orExpr
-//	orExpr  := andExpr (OR andExpr)*
-//	andExpr := notExpr (AND notExpr)*
-//	notExpr := NOT notExpr | cmpExpr
-//	cmpExpr := addExpr ((=|<>|!=|<|<=|>|>=|LIKE) addExpr
-//	          | IS [NOT] NULL | [NOT] IN (list) | BETWEEN addExpr AND addExpr)?
-//	addExpr := mulExpr ((+|-) mulExpr)*
-//	mulExpr := primary ((*|/) primary)*
-func (p *sqlParser) parseExpr() (Expr, error) { return p.parseOr() }
+var comparisons = map[string]bool{"=": true, "<>": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
 
-func (p *sqlParser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokKeyword, "OR") {
-		r, err := p.parseAnd()
+// parseCond reads comparisons joined by AND, left-associatively. A
+// comparison may also be a lone operand, true when its value is.
+func (p *sqlParser) parseCond() (Expr, error) {
+	var cond Expr
+	for {
+		e, err := p.parseOperand()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokKeyword, "AND") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseNot() (Expr, error) {
-	if p.accept(tokKeyword, "NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", X: x}, nil
-	}
-	return p.parseComparison()
-}
-
-func (p *sqlParser) parseComparison() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for _, op := range []string{"=", "<>", "!=", "<=", ">=", "<", ">"} {
-		if p.accept(tokSymbol, op) {
-			r, err := p.parseAdd()
+		if op := p.cur(); op.kind == tokSymbol && comparisons[op.text] || op.kind == tokKeyword && op.text == "LIKE" {
+			p.pos++
+			r, err := p.parseOperand()
 			if err != nil {
 				return nil, err
 			}
-			if op == "!=" {
-				op = "<>"
+			if op.text == "!=" {
+				op.text = "<>"
 			}
-			return &BinaryExpr{Op: op, L: l, R: r}, nil
+			e = &BinaryExpr{Op: op.text, L: e, R: r}
 		}
-	}
-	if p.accept(tokKeyword, "LIKE") {
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
+		if cond == nil {
+			cond = e
+		} else {
+			cond = &BinaryExpr{Op: "AND", L: cond, R: e}
 		}
-		return &BinaryExpr{Op: "LIKE", L: l, R: r}, nil
-	}
-	if p.accept(tokKeyword, "IS") {
-		not := p.accept(tokKeyword, "NOT")
-		if _, err := p.expect(tokKeyword, "NULL"); err != nil {
-			return nil, err
+		if !p.accept(tokKeyword, "AND") {
+			return cond, nil
 		}
-		return &IsNullExpr{X: l, Not: not}, nil
-	}
-	notIn := false
-	if p.at(tokKeyword, "NOT") && p.pos+1 < len(p.toks) && p.toks[p.pos+1].text == "IN" {
-		p.pos++
-		notIn = true
-	}
-	if p.accept(tokKeyword, "IN") {
-		if _, err := p.expect(tokSymbol, "("); err != nil {
-			return nil, err
-		}
-		in := &InExpr{X: l, Not: notIn}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			in.List = append(in.List, e)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return in, nil
-	}
-	if p.accept(tokKeyword, "BETWEEN") {
-		lo, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokKeyword, "AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{
-			Op: "AND",
-			L:  &BinaryExpr{Op: ">=", L: l, R: lo},
-			R:  &BinaryExpr{Op: "<=", L: l, R: hi},
-		}, nil
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept(tokSymbol, "+"):
-			op = "+"
-		case p.accept(tokSymbol, "-"):
-			op = "-"
-		default:
-			return l, nil
-		}
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
 	}
 }
 
-func (p *sqlParser) parseMul() (Expr, error) {
-	l, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept(tokSymbol, "*"):
-			op = "*"
-		case p.accept(tokSymbol, "/"):
-			op = "/"
-		default:
-			return l, nil
-		}
-		r, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
-	}
-}
-
-func (p *sqlParser) parsePrimary() (Expr, error) {
+// parseOperand reads a column, a '?' or a literal. A '-' directly
+// before a number is the number's sign, so -1 is a literal; '-' before
+// anything else is arithmetic, which the grammar does not have.
+func (p *sqlParser) parseOperand() (Expr, error) {
 	t := p.cur()
+	p.pos++
 	switch {
-	case t.kind == tokNumber:
-		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Literal{Val: f}, nil
+	case t.kind == tokNumber || t.kind == tokSymbol && t.text == "-" && p.at(tokNumber, ""):
+		text := t.text
+		if t.kind == tokSymbol {
+			text += p.cur().text
+			p.pos++
 		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		var v Value
+		var err error
+		if strings.Contains(text, ".") {
+			v, err = strconv.ParseFloat(text, 64)
+		} else {
+			v, err = strconv.ParseInt(text, 10, 64)
+		}
 		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
+			return nil, p.errAt(t.pos, "bad number %q", text)
 		}
-		return &Literal{Val: n}, nil
+		return &Literal{Val: v}, nil
 	case t.kind == tokString:
-		p.pos++
 		return &Literal{Val: t.text}, nil
 	case t.kind == tokParam:
-		p.pos++
-		return &Param{Index: -1}, nil
+		p.params++
+		return &Param{Index: p.params - 1}, nil
 	case t.kind == tokKeyword && t.text == "NULL":
-		p.pos++
 		return &Literal{Val: nil}, nil
-	case t.kind == tokKeyword && t.text == "TRUE":
-		p.pos++
-		return &Literal{Val: true}, nil
-	case t.kind == tokKeyword && t.text == "FALSE":
-		p.pos++
-		return &Literal{Val: false}, nil
-	case t.kind == tokSymbol && t.text == "-":
-		p.pos++
-		x, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", X: x}, nil
-	case t.kind == tokSymbol && t.text == "(":
-		p.pos++
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tokKeyword && aggregateFuncs[t.text]:
-		return p.parseFuncCall(t.text)
+	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
+		return &Literal{Val: t.text == "TRUE"}, nil
 	case t.kind == tokIdent:
-		// Function call or column reference.
-		if p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
-			return p.parseFuncCall(strings.ToUpper(t.text))
+		if p.at(tokSymbol, "(") {
+			return nil, p.errAt(t.pos, "unknown function %s", strings.ToUpper(t.text))
 		}
-		p.pos++
-		if p.accept(tokSymbol, ".") {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			return &ColRef{Table: t.text, Column: col}, nil
+		if !p.accept(tokSymbol, ".") {
+			return &ColRef{Column: t.text}, nil
 		}
-		return &ColRef{Column: t.text}, nil
-	}
-	return nil, p.errf("unexpected token %q", t.text)
-}
-
-var scalarFuncs = map[string]bool{
-	"LOWER": true, "UPPER": true, "LENGTH": true, "ABS": true,
-	"COALESCE": true, "SUBSTR": true,
-}
-
-func (p *sqlParser) parseFuncCall(name string) (Expr, error) {
-	p.pos++ // function name
-	if !aggregateFuncs[name] && !scalarFuncs[name] {
-		return nil, p.errf("unknown function %s", name)
-	}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	fe := &FuncExpr{Name: name}
-	if name == "COUNT" && p.accept(tokSymbol, "*") {
-		fe.Star = true
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
+		col, err := p.expectIdent()
+		if err != nil {
 			return nil, err
 		}
-		return fe, nil
+		return &ColRef{Table: t.text, Column: col}, nil
 	}
-	if !p.at(tokSymbol, ")") {
-		for {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			fe.Args = append(fe.Args, a)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return fe, nil
-}
-
-// numberParams assigns positional indexes to Param nodes in statement
-// source order (the order the lexer produced them, which matches the
-// recursive-descent parse order for every clause in this grammar except
-// that SELECT parses projections before FROM/WHERE — matching '?'
-// placement order in the SQL text for all statements this engine accepts).
-func numberParams(node interface{}, n *int) {
-	switch x := node.(type) {
-	case *SelectStmt:
-		for _, c := range x.Columns {
-			numberParams(c.Expr, n)
-		}
-		for _, j := range x.Joins {
-			numberParams(j.On, n)
-		}
-		numberParams(x.Where, n)
-		for _, g := range x.GroupBy {
-			numberParams(g, n)
-		}
-		numberParams(x.Having, n)
-		for _, o := range x.OrderBy {
-			numberParams(o.Expr, n)
-		}
-		numberParams(x.Limit, n)
-		numberParams(x.Offset, n)
-	case *InsertStmt:
-		for _, row := range x.Rows {
-			for _, e := range row {
-				numberParams(e, n)
-			}
-		}
-	case *UpdateStmt:
-		for _, s := range x.Sets {
-			numberParams(s.Value, n)
-		}
-		numberParams(x.Where, n)
-	case *DeleteStmt:
-		numberParams(x.Where, n)
-	case *Param:
-		x.Index = *n
-		*n++
-	case *BinaryExpr:
-		numberParams(x.L, n)
-		numberParams(x.R, n)
-	case *UnaryExpr:
-		numberParams(x.X, n)
-	case *IsNullExpr:
-		numberParams(x.X, n)
-	case *InExpr:
-		numberParams(x.X, n)
-		for _, e := range x.List {
-			numberParams(e, n)
-		}
-	case *FuncExpr:
-		for _, a := range x.Args {
-			numberParams(a, n)
-		}
-	case Expr, Statement:
-		// Literals, ColRefs, DDL statements: no parameters.
-	case nil:
-	}
-}
-
-// countParams returns the number of '?' placeholders in the statement.
-func countParams(st Statement) int {
-	n := 0
-	var walk func(node interface{})
-	walk = func(node interface{}) {
-		switch x := node.(type) {
-		case *SelectStmt:
-			for _, c := range x.Columns {
-				walk(c.Expr)
-			}
-			for _, j := range x.Joins {
-				walk(j.On)
-			}
-			walk(x.Where)
-			for _, g := range x.GroupBy {
-				walk(g)
-			}
-			walk(x.Having)
-			for _, o := range x.OrderBy {
-				walk(o.Expr)
-			}
-			walk(x.Limit)
-			walk(x.Offset)
-		case *InsertStmt:
-			for _, row := range x.Rows {
-				for _, e := range row {
-					walk(e)
-				}
-			}
-		case *UpdateStmt:
-			for _, s := range x.Sets {
-				walk(s.Value)
-			}
-			walk(x.Where)
-		case *DeleteStmt:
-			walk(x.Where)
-		case *Param:
-			n++
-		case *BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *UnaryExpr:
-			walk(x.X)
-		case *IsNullExpr:
-			walk(x.X)
-		case *InExpr:
-			walk(x.X)
-			for _, e := range x.List {
-				walk(e)
-			}
-		case *FuncExpr:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(st)
-	return n
+	p.pos--
+	return nil, p.errf("unexpected token %q", t.text)
 }

@@ -2,10 +2,8 @@ package rdb
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -15,8 +13,8 @@ import (
 
 // This file holds the physical plan representation and its executor.
 // A SELECT is compiled once (planner.go) into a SelectPlan — access
-// path, join strategies, filter, projection, grouping, sort keys and
-// limits all resolved to closures and index pointers — and executed many
+// path, join strategies, filter, projection, sort keys and limits all
+// resolved to closures and index pointers — and executed many
 // times with only the '?' parameters changing. UPDATE and DELETE are
 // planned as the SELECT of the rows they write, and INSERT as its value
 // closures (db.go), so every statement runs on one engine. The plan is
@@ -74,7 +72,6 @@ const (
 // joinPlan is one join operator: an indexed equi-join probing the new
 // table by a key computed from the outer frames, or a nested loop.
 type joinPlan struct {
-	left         bool
 	tbl          *table
 	displayTable string
 	kind         joinKind
@@ -131,28 +128,20 @@ type SelectPlan struct {
 	access    accessPath
 	joins     []joinPlan
 	where     compiledExpr // nil when no WHERE
-	aggregate bool
-	distinct  bool
-	// countOnly: the select list is COUNT(*) alone, ungrouped, so the rows
-	// are counted as they stream by, never collected.
+	// countOnly: the select list is COUNT(*) alone, so the rows are
+	// counted as they stream by, never collected.
 	countOnly bool
-	// windowed: no WHERE, join, DISTINCT, grouping or sort stands between
-	// the access path and the output, so each base entry is one output row
-	// and OFFSET skips entries without materializing them.
+	// windowed: no WHERE, join, count or sort stands between the access
+	// path and the output, so each base entry is one output row and
+	// OFFSET skips entries without materializing them.
 	windowed bool
 
-	cols     []string   // result header: statement and schema only (R2)
-	proj     []projStep // an aggregate plan's are all expressions, read per group
+	cols     []string // result header: statement and schema only (R2)
+	proj     []projStep
 	orderBy  []orderKey
 	sortElim bool
 	limit    compiledExpr // nil if absent
 	offset   compiledExpr // nil if absent
-
-	// Aggregate plans: every aggregate call of the output terms and HAVING,
-	// the GROUP BY keys and HAVING.
-	aggs    []aggCall
-	groupBy []compiledExpr
-	having  compiledExpr // nil if absent
 
 	// Writes: the target column slots (INSERT's column list, UPDATE's SET
 	// columns) and their values, one row per VALUES row for INSERT and the
@@ -229,25 +218,22 @@ func (db *DB) execPlan(p *SelectPlan, args []cell.Cell, es *execStats) (*Rows, e
 	db.countJoinStats(p)
 	var out *Rows
 	var keys [][]cell.Cell
-	if p.aggregate {
-		out, err = db.aggregateRows(p, c)
+	if p.countOnly {
+		out, err = db.countRows(p, c)
 	} else {
 		if p.windowed {
 			c.skip, offset = offset, 0
 		}
 		// LIMIT pushdown: stop producing once offset+limit rows exist, valid
-		// when no sort (or an index-order scan) and no DISTINCT reshuffle.
+		// when no sort follows (or an index-order scan made it needless).
 		stopAt := int64(-1)
-		if hasLimit && !p.distinct && !p.needSort() {
+		if hasLimit && !p.needSort() {
 			stopAt = offset + limit
 		}
 		out, keys, err = db.plainRows(p, c, stopAt)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if p.distinct {
-		out = distinctRows(out)
 	}
 	if p.needSort() {
 		if err := sortCompiled(p, out, keys); err != nil {
@@ -310,7 +296,7 @@ func (p *SelectPlan) filter(c *execCtx, emit func() error) error {
 // keys are sized by the plan's last run.
 func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cell.Cell, error) {
 	out := &Rows{Columns: p.cols}
-	wantKeys := p.needSort() && !p.distinct
+	wantKeys := p.needSort()
 	var keys [][]cell.Cell
 	var rowSlab, keySlab slab[cell.Cell]
 	hint := int64(p.lastRows.Load())
@@ -355,175 +341,18 @@ func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cel
 	return out, keys, nil
 }
 
-// aggCall is one aggregate call of an aggregate plan: its function and
-// its argument (nil for COUNT(*)).
-type aggCall struct {
-	fn  *FuncExpr
-	arg compiledExpr
-}
-
-// accum folds one aggregate call's inputs within one group.
-type accum struct {
-	n     int64 // inputs folded: rows for COUNT(*), non-NULL values otherwise
-	isum  int64
-	fsum  float64
-	float bool      // a REAL was summed: SUM is fsum
-	best  cell.Cell // MIN/MAX so far
-}
-
-func (a *accum) add(call *aggCall, c *execCtx) error {
-	if call.arg == nil {
-		a.n++
-		return nil
-	}
-	v, err := call.arg(c)
-	if err != nil || v.IsNull() {
-		return err
-	}
-	switch name := call.fn.Name; name {
-	case "SUM", "AVG":
-		switch v.Kind {
-		case cell.KInt:
-			a.isum += v.Int()
-			a.fsum += float64(v.Int())
-		case cell.KFloat:
-			a.float = true
-			a.fsum += v.Float()
-		default:
-			return fmt.Errorf("rdb: %s over non-numeric value %s", name, typeName(v))
-		}
-	case "MIN", "MAX":
-		if a.n == 0 {
-			a.best = v
-			break
-		}
-		cmp, err := compare(v, a.best)
-		if err != nil {
-			return err
-		}
-		if (name == "MIN" && cmp < 0) || (name == "MAX" && cmp > 0) {
-			a.best = v
-		}
-	}
-	a.n++
-	return nil
-}
-
-func (a *accum) result(name string) cell.Cell {
-	switch {
-	case name == "COUNT":
-		return cell.Int(a.n)
-	case a.n == 0:
-		return cell.Cell{}
-	case name == "AVG":
-		return cell.Float(a.fsum / float64(a.n))
-	case name == "SUM" && a.float:
-		return cell.Float(a.fsum)
-	case name == "SUM":
-		return cell.Int(a.isum)
-	}
-	return a.best
-}
-
-// aggOutput is the group an aggregate plan is outputting: each aggregate
-// call's value for it, read by the call's compiled slot (compileFunc).
-type aggOutput struct {
-	calls []aggCall
-	vals  []cell.Cell
-}
-
-// aggGroup is one group: its first row combination and one accumulator
-// per aggregate call.
-type aggGroup struct {
-	first []Row // nil until a row arrives
-	acc   []accum
-}
-
-// aggregateRows folds the produced row combinations into groups, then
-// outputs each group that passes HAVING. An output term reads its
-// aggregate calls' values (compileFunc) and, for everything else, the
-// group's first row combination — an all-NULL one for the empty group an
-// ungrouped query still outputs (R4).
-func (db *DB) aggregateRows(p *SelectPlan, c *execCtx) (*Rows, error) {
-	if p.countOnly {
-		n := int64(p.base.alive)
-		if p.access.kind != accessCount {
-			n = 0
-			if err := db.produce(p, c, func() error { n++; return nil }); err != nil {
-				return nil, err
-			}
-		}
-		row := make([]cell.Cell, len(p.cols))
-		for i := range row {
-			row[i] = cell.Int(n)
-		}
-		return &Rows{Columns: p.cols, Data: [][]cell.Cell{row}}, nil
-	}
-	var groups []*aggGroup
-	byKey := map[string]*aggGroup{}
-	group := func(key []byte) *aggGroup {
-		g := byKey[string(key)]
-		if g == nil {
-			g = &aggGroup{acc: make([]accum, len(p.aggs))}
-			byKey[string(key)] = g
-			groups = append(groups, g)
-		}
-		return g
-	}
-	if len(p.groupBy) == 0 {
-		group(nil) // output even if no row arrives (R4)
-	}
-	var key []byte
-	err := db.produce(p, c, func() error {
-		key = key[:0]
-		for _, k := range p.groupBy {
-			v, err := k(c)
-			if err != nil {
-				return err
-			}
-			key = appendKey(key, v)
-		}
-		g := group(key)
-		if g.first == nil {
-			g.first = slices.Clone(c.rows)
-		}
-		for i := range p.aggs {
-			if err := g.acc[i].add(&p.aggs[i], c); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Rows{Columns: p.cols}
-	var rows slab[cell.Cell]
-	c.agg = &aggOutput{calls: p.aggs, vals: make([]cell.Cell, len(p.aggs))}
-	for _, g := range groups {
-		for i := range p.aggs {
-			c.agg.vals[i] = g.acc[i].result(p.aggs[i].fn.Name)
-		}
-		c.rows = g.first
-		if c.rows == nil {
-			c.rows = make([]Row, len(p.frames))
-		}
-		if p.having != nil {
-			v, err := p.having(c)
-			if err != nil {
-				return nil, err
-			}
-			if !isTrue(v) {
-				continue
-			}
-		}
-		row, err := p.project(c, &rows)
-		if err != nil {
+// countRows answers a COUNT(*) plan with one row: the rows produced,
+// counted as they stream by — or, with nothing to filter or join, the
+// table's live-row count.
+func (db *DB) countRows(p *SelectPlan, c *execCtx) (*Rows, error) {
+	n := int64(p.base.alive)
+	if p.access.kind != accessCount {
+		n = 0
+		if err := db.produce(p, c, func() error { n++; return nil }); err != nil {
 			return nil, err
 		}
-		out.Data = append(out.Data, row)
 	}
-	return out, nil
+	return &Rows{Columns: p.cols, Data: [][]cell.Cell{{cell.Int(n)}}}, nil
 }
 
 func (p *SelectPlan) evalLimits(c *execCtx) (limit, offset int64, hasLimit bool, err error) {
@@ -614,7 +443,7 @@ func (c *execCtx) visit(t *table, id int, each func(int, Row) error) error {
 // runBase drives the plan's base access path. A key or bound that fails
 // to evaluate at bind time is the query's error (R3). Rows come out in
 // row-id order, as from a scan, whatever the path — so ties under ORDER BY,
-// a LIMIT's cut and a group's first row do not depend on which indexes
+// and a LIMIT's cut do not depend on which indexes
 // exist — unless the plan asked for the index's own order (sortElim),
 // where equal keys still follow row id. each gets every row with its slot
 // id, the handle UPDATE and DELETE write through.
@@ -746,7 +575,6 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 	}
 	j := &p.joins[ji]
 	fi := ji + 1
-	matched := false
 	try := func(id int) error {
 		r, err := c.rowOf(j.tbl, fi, id)
 		if r == nil || err != nil {
@@ -760,7 +588,6 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 		if !isTrue(v) {
 			return nil
 		}
-		matched = true
 		if c.stats != nil {
 			c.stats.joins[ji].rowsOut++
 		}
@@ -800,15 +627,6 @@ func (db *DB) joinStepRun(p *SelectPlan, c *execCtx, ji int, emit func() error) 
 			}
 		}
 	}
-	if !matched && j.left {
-		c.rows[fi] = nil
-		if c.stats != nil {
-			c.stats.joins[ji].rowsOut++ // null-extended LEFT JOIN row
-		}
-		if err := db.joinStep(p, c, ji+1, emit); err != nil {
-			return err
-		}
-	}
 	c.rows[fi] = nil
 	return nil
 }
@@ -829,23 +647,15 @@ func (p *SelectPlan) project(c *execCtx, rows *slab[cell.Cell]) ([]cell.Cell, er
 			continue
 		}
 		for _, fi := range ps.frames {
-			tbl := p.frames[fi].tbl
-			r := c.rows[fi]
-			if r == nil {
-				for range tbl.cols {
-					row = append(row, cell.Cell{})
-				}
-			} else {
-				row = append(row, r...)
-			}
+			row = append(row, c.rows[fi]...)
 		}
 	}
 	return row, nil
 }
 
 // sortCompiled stable-sorts the output by the ORDER BY keys, NULLs
-// first ascending. keys is parallel to out.Data; it is nil for DISTINCT
-// and aggregate results, whose terms all name output columns.
+// first ascending. keys is parallel to out.Data; it is nil for a count,
+// whose terms all name its output column.
 func sortCompiled(p *SelectPlan, out *Rows, keys [][]cell.Cell) error {
 	if keys == nil {
 		n := len(p.orderBy)

@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -174,10 +175,10 @@ func compileBounds(bs []astBound) []boundCand {
 // definition of SQL here (DESIGN.md "The oracle"): R1, every table, alias
 // and column name resolves here, so a bad name is an error whatever the
 // data, the access path or the expression around it; R2, the result
-// header is fixed here from statement and schema alone; R3, a key or
-// bound that fails to evaluate at bind time is the query's error
-// (runBase); R4, an ungrouped aggregate over no rows reads an all-NULL
-// row for its non-aggregate terms (aggregateRows).
+// header is fixed here from statement and schema alone; R3, what is
+// bound at execution — a key, a bound, LIMIT, OFFSET — is a literal or a
+// parameter, and one LIMIT or OFFSET cannot use is the query's error
+// whatever the data (evalLimits).
 func (db *DB) buildPlan(st Statement) (*SelectPlan, error) {
 	switch x := st.(type) {
 	case *SelectStmt:
@@ -255,7 +256,7 @@ func (db *DB) buildSelectPlan(sel *SelectStmt) (*SelectPlan, error) {
 		stmt:      sel,
 		base:      base,
 		baseTable: sel.From.Table,
-		distinct:  sel.Distinct,
+		countOnly: sel.Count,
 		epoch:     db.ddlEpoch,
 	}
 	p.need = make([]colMask, 1+len(sel.Joins))
@@ -270,27 +271,13 @@ func (db *DB) buildSelectPlan(sel *SelectStmt) (*SelectPlan, error) {
 		p.frames = append(p.frames, planFrame{name: strings.ToLower(j.Table.name()), tbl: jt, need: &p.need[i+1]})
 	}
 
-	p.aggregate = len(sel.GroupBy) > 0
-	if !p.aggregate {
-		for _, c := range sel.Columns {
-			if c.Expr != nil && hasAggregate(c.Expr) {
-				p.aggregate = true
-				break
-			}
-		}
-		p.countOnly = p.aggregate && sel.Having == nil && !slices.ContainsFunc(sel.Columns, func(c SelectExpr) bool {
-			fe, ok := c.Expr.(*FuncExpr)
-			return !ok || fe.Name != "COUNT" || !fe.Star
-		})
-	}
-
 	// ORDER BY eligibility for index-order elimination: single table, no
-	// DISTINCT reshuffle, no grouping, every key a plain base-table
-	// column, one direction throughout.
+	// count, every key a plain base-table column, one direction
+	// throughout.
 	var orderCols []string
 	orderDesc := false
 	orderEligible := false
-	if len(sel.OrderBy) > 0 && len(sel.Joins) == 0 && !sel.Distinct && !p.aggregate {
+	if len(sel.OrderBy) > 0 && len(sel.Joins) == 0 && !p.countOnly {
 		orderEligible = true
 		orderDesc = sel.OrderBy[0].Desc
 		for _, term := range sel.OrderBy {
@@ -340,7 +327,7 @@ func (db *DB) buildSelectPlan(sel *SelectStmt) (*SelectPlan, error) {
 	var err error
 	for ji, j := range sel.Joins {
 		jt := joinTables[ji]
-		jp := joinPlan{left: j.Left, tbl: jt, displayTable: j.Table.Table, estRows: jt.alive}
+		jp := joinPlan{tbl: jt, displayTable: j.Table.Table, estRows: jt.alive}
 		if jp.on, err = compileNamed(j.On, p.frames[:ji+2]); err != nil {
 			return nil, err
 		}
@@ -392,7 +379,7 @@ func (db *DB) buildSelectPlan(sel *SelectStmt) (*SelectPlan, error) {
 	if p.offset, err = compileNamed(sel.Offset, nil); err != nil {
 		return nil, err
 	}
-	p.windowed = p.where == nil && len(p.joins) == 0 && !p.aggregate && !p.distinct && !p.needSort()
+	p.windowed = p.where == nil && len(p.joins) == 0 && !p.countOnly && !p.needSort()
 
 	// Validity inputs: replan when DDL changes or any referenced table
 	// crosses a size-class boundary (cost estimates go stale).
@@ -574,15 +561,16 @@ func refersTo(e Expr, tableName string) bool {
 	})
 }
 
-// bindProjection fixes the result header and, for plain selects, the
+// bindProjection fixes the result header and, but for a count, the
 // projection steps. The header depends on statement and schema alone
 // (R2): stars expand here, whether or not a row will ever match.
 func (p *SelectPlan) bindProjection(sel *SelectStmt) error {
+	if p.countOnly {
+		p.cols = []string{cmp.Or(sel.Columns[0].Alias, "COUNT(*)")}
+		return nil
+	}
 	for _, c := range sel.Columns {
 		if c.Star != "" {
-			if p.aggregate {
-				return errors.New("rdb: '*' projection is not allowed in aggregate queries")
-			}
 			var step projStep
 			for fi, f := range p.frames {
 				if c.Star == "*" || f.name == strings.ToLower(c.Star) {
@@ -608,54 +596,16 @@ func (p *SelectPlan) bindProjection(sel *SelectStmt) error {
 		}
 		p.proj = append(p.proj, projStep{expr: expr})
 	}
-	for _, e := range sel.GroupBy {
-		key, err := compileNamed(e, p.frames)
-		if err != nil {
-			return err
-		}
-		p.groupBy = append(p.groupBy, key)
-	}
-	var err error
-	if p.having, err = compileNamed(sel.Having, p.frames); err != nil || !p.aggregate {
-		return err
-	}
-	for _, c := range sel.Columns {
-		if err := p.bindAggregates(c.Expr); err != nil {
-			return err
-		}
-	}
-	return p.bindAggregates(sel.Having)
-}
-
-// bindAggregates gives every aggregate call in e, whose names are
-// already checked, an accumulator per group (aggregateRows).
-func (p *SelectPlan) bindAggregates(e Expr) (err error) {
-	walkExpr(e, func(x Expr) bool {
-		f, ok := x.(*FuncExpr)
-		if !ok || !aggregateFuncs[f.Name] {
-			return true
-		}
-		call := aggCall{fn: f}
-		if !f.Star {
-			if len(f.Args) != 1 {
-				err = fmt.Errorf("rdb: %s takes exactly 1 argument", f.Name)
-				return false
-			}
-			call.arg = compileExpr(f.Args[0], p.frames)
-		}
-		p.aggs = append(p.aggs, call)
-		return true
-	})
-	return err
+	return nil
 }
 
 // bindOrderBy binds each ORDER BY term to its one key source. A term is
 // an expression over the joined rows; an unqualified name that is no
-// column there may name an output column (an alias) instead. DISTINCT
-// and aggregate results are sorted after the joined rows are gone, so
-// there every term must name an output column.
+// column there may name an output column (an alias) instead. A count is
+// sorted after the joined rows are gone, so there every term must name
+// its output column.
 func (p *SelectPlan) bindOrderBy(sel *SelectStmt) error {
-	byOutput := p.aggregate || p.distinct
+	byOutput := p.countOnly
 	for _, term := range sel.OrderBy {
 		k := orderKey{desc: term.Desc}
 		ref, isRef := term.Expr.(*ColRef)
@@ -666,7 +616,7 @@ func (p *SelectPlan) bindOrderBy(sel *SelectStmt) error {
 		case err != nil && (!isRef || ref.Table != ""):
 			return err
 		case !isRef:
-			return errors.New("rdb: ORDER BY over aggregates must reference output columns")
+			return errors.New("rdb: ORDER BY of a COUNT(*) must name its output column")
 		default:
 			k.outCol = slices.IndexFunc(p.cols, func(c string) bool { return strings.EqualFold(c, ref.Column) })
 			if k.outCol < 0 {

@@ -86,9 +86,6 @@ type BTree struct {
 	free func(PageID)
 }
 
-// Root returns the current root page (it migrates as the tree splits).
-func (t *BTree) Root() PageID { return t.root }
-
 // --- leaf accessors ----------------------------------------------------
 
 func leafN(d []byte) int       { return int(binary.LittleEndian.Uint16(d[2:4])) }
@@ -421,7 +418,7 @@ func (t *BTree) freeOverflow(d []byte, off int) {
 		if t.free != nil {
 			t.free(id)
 		} else {
-			t.pool.Forget(id)
+			t.pool.forget(id)
 		}
 		id = next
 	}

@@ -237,10 +237,6 @@ func (p *Pool) forget(id PageID) (fresh bool) {
 	return fresh
 }
 
-// Forget drops a frame whose contents are dead. No-op if pinned or
-// absent.
-func (p *Pool) Forget(id PageID) { p.forget(id) }
-
 // drop removes any resident frame for id unconditionally — used when a
 // recycled slot is about to receive new content, so a stale frame must
 // not shadow it. Holders of an outstanding pin keep their reference;

@@ -16,10 +16,10 @@ func txDB(t *testing.T) *DB {
 func TestTxCommit(t *testing.T) {
 	db := txDB(t)
 	tx := db.Begin()
-	if _, err := tx.Exec(`UPDATE acct SET balance = balance - 10 WHERE owner = 'a'`); err != nil {
+	if err := addTo(tx, "acct", "balance", "owner", "a", -10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Exec(`UPDATE acct SET balance = balance + 10 WHERE owner = 'b'`); err != nil {
+	if err := addTo(tx, "acct", "balance", "owner", "b", 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -150,11 +150,11 @@ func TestTxRollbackInvariantProperty(t *testing.T) {
 		}
 		tx := db.Begin()
 		for _, d := range transfers {
-			if _, err := tx.Exec(`UPDATE acct SET balance = balance - ? WHERE oid = 1`, int64(d)); err != nil {
+			if err := addTo(tx, "acct", "balance", "oid", 1, -int64(d)); err != nil {
 				tx.Rollback()
 				return false
 			}
-			if _, err := tx.Exec(`UPDATE acct SET balance = balance + ? WHERE oid = 2`, int64(d)); err != nil {
+			if err := addTo(tx, "acct", "balance", "oid", 2, int64(d)); err != nil {
 				tx.Rollback()
 				return false
 			}

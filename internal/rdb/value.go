@@ -3,9 +3,11 @@
 // descriptors carry literal SQL text that the data expert may override, so
 // the runtime needs a store that actually parses and executes SQL.
 //
-// Supported SQL: CREATE TABLE / CREATE INDEX / DROP TABLE, SELECT with
-// INNER and LEFT joins, WHERE, GROUP BY + aggregates, ORDER BY, LIMIT and
-// OFFSET, DISTINCT, INSERT, UPDATE, DELETE, and '?' positional parameters.
+// Supported SQL is what the stack writes, and no more (ParseStatement
+// has the grammar): CREATE TABLE, CREATE [ORDERED] INDEX, DROP TABLE;
+// SELECT of columns, literals and '?' — or COUNT(*) alone — with JOIN ...
+// ON, WHERE comparisons (= <> < <= > >= LIKE) joined by AND, ORDER BY,
+// LIMIT and OFFSET; INSERT, UPDATE and DELETE; '?' positional parameters.
 // The engine has hash indexes, an equality-lookup planner, and
 // undo-log-based transactions. Statements are cached after first parse.
 package rdb
