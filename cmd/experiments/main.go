@@ -30,6 +30,7 @@ import (
 	"webmlgo/internal/baseline"
 	"webmlgo/internal/cache"
 	"webmlgo/internal/codegen"
+	"webmlgo/internal/edge"
 	"webmlgo/internal/ejb"
 	"webmlgo/internal/er"
 	"webmlgo/internal/fault"
@@ -385,6 +386,52 @@ func e6c() {
 	fmt.Println("\n  (the edge stays exactly coherent: a write purges precisely its dependent")
 	fmt.Println("   fragments. The first-generation whole-page cache, which Section 6 calls")
 	fmt.Println("   inadequate for personalized applications, served stale pages until TTL)")
+
+	e6cObjectGrain()
+}
+
+// e6cObjectGrain shows the object grain of invalidation: on the fixture
+// model plus a modify of a volume's title, modifying volume 1 drops the
+// fragments that show volume 1 and keeps volume 2's.
+func e6cObjectGrain() {
+	m := fixture.Figure1Model()
+	m.Operations = append(m.Operations, &webml.Unit{ID: "modifyVolume", Kind: webml.ModifyUnit,
+		Entity: "Volume", Set: map[string]string{"Title": "title"}})
+	m.Links = append(m.Links,
+		&webml.Link{ID: "modifyVolumeFrom", Kind: webml.NormalLink, From: "manageIndex", To: "modifyVolume",
+			Params: []webml.LinkParam{webml.P("oid", "oid")}},
+		&webml.Link{ID: "modifyVolumeOK", Kind: webml.OKLink, From: "modifyVolume", To: "volumesPage"})
+	must(m.Validate())
+	app, err := webmlgo.New(m, webmlgo.WithEdgeCache(8192, time.Minute), webmlgo.WithBeanCache(4096))
+	must(err)
+	defer app.Close()
+	must(fixture.Seed(app.DB))
+	h := app.Handler()
+	var fragments []string
+	for _, p := range []string{"/page/volumesPage", "/page/volumePage?volume=1", "/page/volumePage?volume=2"} {
+		get(h, p)
+		req := httptest.NewRequest(http.MethodGet, p, nil)
+		req.Header.Set("Surrogate-Capability", edge.Capability)
+		rr := httptest.NewRecorder()
+		app.Controller.ServeHTTP(rr, req)
+		for _, seg := range edge.ParseESI(rr.Body.Bytes()) {
+			if seg.Src != "" {
+				fragments = append(fragments, seg.Src)
+			}
+		}
+	}
+	cached := func(f string) bool { _, ok := app.Edge.Store.Get(f); return ok }
+	entries := app.Edge.Len()
+	get(h, "/op/modifyVolume?oid=1&title=Renamed")
+	fmt.Printf("\nObject grain: modify(Volume 1) dropped %d of %d edge entries:\n", entries-app.Edge.Len(), entries)
+	for _, f := range fragments {
+		if !cached(f) {
+			fmt.Printf("  dropped %s\n", f)
+		}
+	}
+	fmt.Printf("  kept volume 2's data fragment: %v\n", cached("/fragment/volumePage/volumeData?volume=2"))
+	_, body := get(h, "/page/volumePage?volume=1")
+	fmt.Printf("  next read is fresh: volume 1's page shows the new title: %v\n", strings.Contains(body, "Renamed"))
 }
 
 func e7() {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -145,6 +146,42 @@ func TestEdgeHTTPInvalidateEndpoint(t *testing.T) {
 	request(t, h, "/page/volumesPage", "")
 	if app.Edge.Stats().Misses != misses+1 {
 		t.Fatal("fragment served from cache after HTTP purge")
+	}
+}
+
+// TestEdgeHTTPInvalidateObjectTag: an object tag purges exactly the
+// object-grain fragments that show the row — volume 1's data unit and
+// the issues index whose cone computed it — and leaves volume 2's page
+// and the entity-grain volume list cached.
+func TestEdgeHTTPInvalidateObjectTag(t *testing.T) {
+	app := newApp(t, WithEdgeCache(1024, time.Minute))
+	defer app.Edge.Close()
+	h := app.Handler()
+	for _, p := range []string{"/page/volumePage?volume=1", "/page/volumePage?volume=2", "/page/volumesPage"} {
+		request(t, h, p, "")
+	}
+	req := httptest.NewRequest(http.MethodPost, "/edge/invalidate",
+		strings.NewReader(url.Values{"tags": {"entity:volume#1"}}.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, req)
+	if rr.Code != http.StatusOK || rr.Body.String() != "purged 2\n" {
+		t.Fatalf("invalidate endpoint: %d %q, want purged 2", rr.Code, rr.Body.String())
+	}
+	for _, f := range []string{"/fragment/volumePage/volumeData?volume=1", "/fragment/volumePage/issuesPapers?volume=1"} {
+		if _, ok := app.Edge.Store.Get(f); ok {
+			t.Errorf("%s survived the purge of the row it shows", f)
+		}
+	}
+	misses := app.Edge.Stats().Misses
+	request(t, h, "/page/volumePage?volume=2", "")
+	request(t, h, "/page/volumesPage", "")
+	if app.Edge.Stats().Misses != misses {
+		t.Fatal("a fragment that does not show volume 1 was purged")
+	}
+	request(t, h, "/page/volumePage?volume=1", "")
+	if got := app.Edge.Stats().Misses - misses; got != 2 {
+		t.Fatalf("volume 1's page refetched %d fragments, want 2", got)
 	}
 }
 

@@ -24,7 +24,7 @@ func storeWithShards(capacity, shards int) *store {
 			cap:     c,
 			entries: make(map[string]*entry),
 			lru:     list.New(),
-			byDep:   make(map[string]map[string]struct{}),
+			byDep:   make(map[string]depSet),
 		}
 	}
 	return s

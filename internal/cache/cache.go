@@ -5,6 +5,11 @@
 // relationships each unit reads and each operation writes). The other
 // level, template fragments in an ESI-compliant web cache, is the edge
 // tier (internal/edge), which stores its fragments in the same structure.
+// The bean cache stays at entity grain: a bean is tagged with its
+// descriptor's Reads (entity:<e>, rel:<r>) and an operation purges by its
+// Writes. The edge tags fragments at object grain too (entity:<e>+ and
+// entity:<e>#<oid>, see mvc.ReadTags); the core matches tags and does not
+// care which grain they name.
 //
 // Both levels share one LRU + TTL + dependency-index core. Under heavy
 // traffic the core is sharded: keys are FNV-hashed onto a power-of-two
@@ -70,8 +75,16 @@ type shard struct {
 	cap     int
 	entries map[string]*entry
 	lru     *list.List // front = most recent; values are *entry
-	byDep   map[string]map[string]struct{}
+	byDep   map[string]depSet
 	stats   Stats
+}
+
+// depSet is the set of keys tagged with one dependency. A set of one key,
+// which is what most object tags (entity:<e>#<oid>) have, holds its key
+// inline and allocates no map.
+type depSet struct {
+	one  string
+	many map[string]struct{}
 }
 
 // shardCount picks the power-of-two shard count for a capacity: 1 for
@@ -106,7 +119,7 @@ func newStore(capacity int) *store {
 			cap:     cap,
 			entries: make(map[string]*entry),
 			lru:     list.New(),
-			byDep:   make(map[string]map[string]struct{}),
+			byDep:   make(map[string]depSet),
 		}
 	}
 	return s
@@ -196,11 +209,14 @@ func (s *store) put(key string, val interface{}, deps []string, ttl time.Duratio
 	sh.entries[key] = e
 	for _, d := range deps {
 		set, ok := sh.byDep[d]
-		if !ok {
-			set = make(map[string]struct{})
-			sh.byDep[d] = set
+		switch {
+		case set.many != nil:
+			set.many[key] = struct{}{}
+		case !ok:
+			sh.byDep[d] = depSet{one: key}
+		case set.one != key:
+			sh.byDep[d] = depSet{many: map[string]struct{}{set.one: {}, key: {}}}
 		}
-		set[key] = struct{}{}
 	}
 	sh.stats.Puts++
 }
@@ -212,12 +228,19 @@ func (s *store) invalidate(deps ...string) int {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		n := 0
+		drop := func(key string) {
+			if e, ok := sh.entries[key]; ok {
+				sh.removeLocked(e)
+				n++
+			}
+		}
 		for _, d := range deps {
-			for key := range sh.byDep[d] {
-				if e, ok := sh.entries[key]; ok {
-					sh.removeLocked(e)
-					n++
-				}
+			set, ok := sh.byDep[d]
+			if ok && set.many == nil {
+				drop(set.one)
+			}
+			for key := range set.many {
+				drop(key)
 			}
 		}
 		sh.stats.Invalidations += int64(n)
@@ -231,11 +254,16 @@ func (sh *shard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
 	sh.lru.Remove(e.elem)
 	for _, d := range e.deps {
-		if set, ok := sh.byDep[d]; ok {
-			delete(set, e.key)
-			if len(set) == 0 {
+		set := sh.byDep[d]
+		if set.many == nil {
+			if set.one == e.key {
 				delete(sh.byDep, d)
 			}
+			continue
+		}
+		delete(set.many, e.key)
+		if len(set.many) == 0 {
+			delete(sh.byDep, d)
 		}
 	}
 }
@@ -245,7 +273,7 @@ func (s *store) flush() {
 		sh.mu.Lock()
 		sh.entries = make(map[string]*entry)
 		sh.lru.Init()
-		sh.byDep = make(map[string]map[string]struct{})
+		sh.byDep = make(map[string]depSet)
 		sh.mu.Unlock()
 	}
 }

@@ -92,6 +92,8 @@ type flight struct {
 // pre-parsed) or a unit fragment / plain body.
 type entry struct {
 	status int
+	// header is what a page response replays to clients; nil for a
+	// fragment (a response carrying X-Webml-Deps).
 	header http.Header
 	body   []byte
 	esi    bool
@@ -346,7 +348,6 @@ func (s *Surrogate) roundTrip(ctx context.Context, uri, ua string) (*entry, erro
 
 	e := &entry{
 		status: rec.status(),
-		header: clientHeader(rec.header),
 		body:   append([]byte(nil), rec.buf.Bytes()...),
 		uri:    uri,
 		ua:     ua,
@@ -363,6 +364,11 @@ func (s *Surrogate) roundTrip(ctx context.Context, uri, ua string) (*entry, erro
 	deps, surrogateAware := rec.header[http.CanonicalHeaderKey("X-Webml-Deps")]
 	if len(deps) > 0 {
 		e.deps = strings.Fields(deps[0])
+	}
+	if !surrogateAware {
+		// A fragment's headers are never replayed: assembly copies only
+		// its body.
+		e.header = clientHeader(rec.header)
 	}
 	// Surrogate-Control addresses this tier and wins over Cache-Control
 	// (which addresses browsers and shared HTTP caches); a dependency
@@ -420,7 +426,8 @@ func (s *Surrogate) Flush() {
 // invalidateEndpoint is the out-of-process purge channel: POST
 // /edge/invalidate with tags=<space/comma separated dependency tags>
 // (repeatable). An edge deployed in a separate process subscribes to
-// writes through this endpoint exactly as the in-process bus does.
+// writes through this endpoint exactly as the in-process bus does. The
+// body is form-encoded, so the + of a membership tag travels as %2B.
 func (s *Surrogate) invalidateEndpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)

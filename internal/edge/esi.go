@@ -6,6 +6,12 @@
 // operation services. It is the outer half of the paper's two-level
 // caching architecture, realized as a separate HTTP tier rather than an
 // in-process cache.
+//
+// The edge only stores and matches tags. A fragment's tags come from the
+// origin's X-Webml-Deps header: at entity grain entity:<e> and rel:<r>,
+// at object grain rel:<r>, the membership tag entity:<e>+ and one
+// entity:<e>#<oid> per row the fragment shows. A write event names the
+// tags it changed, and the purge drops the fragments that share one.
 package edge
 
 import (

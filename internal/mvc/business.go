@@ -174,7 +174,8 @@ func (cb *CachedBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Un
 // purges the dependency closure at every cache level.
 type NotifyingBusiness struct {
 	Inner Business
-	// OnWrite receives the Writes tags of each successful operation.
+	// OnWrite receives the tags of each successful operation: its Writes
+	// plus the object tags of the rows it changed (WriteTags).
 	OnWrite func(tags []string)
 }
 
@@ -192,8 +193,10 @@ func (nb *NotifyingBusiness) ExecuteOperation(ctx context.Context, d *descriptor
 	if err != nil {
 		return nil, err
 	}
-	if res.OK && len(d.Writes) > 0 && nb.OnWrite != nil {
-		nb.OnWrite(d.Writes)
+	if res.OK && nb.OnWrite != nil {
+		if tags := WriteTags(d, inputs); len(tags) > 0 {
+			nb.OnWrite(tags)
+		}
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"webmlgo/internal/admit"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/obs"
+	"webmlgo/internal/webml"
 )
 
 // Renderer is the View of Figure 4: it turns a computed page state into
@@ -470,9 +472,9 @@ func (c *Controller) safeFragment(w http.ResponseWriter, r *http.Request, path s
 // that page, computing only the unit's cone (the unit and the units it
 // takes transport-edge parameters from), with the surrogate cache
 // policy derived from the unit's descriptor (Surrogate-Control max-age
-// from the conceptual cache TTL, X-Webml-Deps from the unit's read
-// dependency tags) — the per-fragment "different policies" of Section
-// 6's ESI architecture, driven entirely by the model.
+// from the conceptual cache TTL, X-Webml-Deps from the read tags of the
+// beans the cone computed) — the per-fragment "different policies" of
+// Section 6's ESI architecture, driven entirely by the model.
 func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path string) {
 	if !c.EdgeFragments {
 		http.NotFound(w, r)
@@ -521,14 +523,12 @@ func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path
 		return
 	}
 	h := w.Header()
-	if d := c.Repo.Unit(unitID); d != nil {
-		if d.Cache != nil && d.Cache.Enabled && d.Cache.TTLSeconds > 0 {
-			h.Set("Surrogate-Control", fmt.Sprintf("max-age=%d", d.Cache.TTLSeconds))
-		}
-		// Always present (possibly empty): the header marks the response
-		// surrogate-cacheable and carries the tags whose writes purge it.
-		h.Set("X-Webml-Deps", strings.Join(d.Reads, " "))
+	if d := c.Repo.Unit(unitID); d != nil && d.Cache != nil && d.Cache.Enabled && d.Cache.TTLSeconds > 0 {
+		h.Set("Surrogate-Control", fmt.Sprintf("max-age=%d", d.Cache.TTLSeconds))
 	}
+	// Always present (possibly empty): the header marks the response
+	// surrogate-cacheable and carries the tags whose writes purge it.
+	h.Set("X-Webml-Deps", c.fragmentDeps(state))
 	if c.variesByUserAgent() {
 		h.Add("Vary", "User-Agent")
 	}
@@ -537,6 +537,20 @@ func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path
 	h.Set("Cache-Control", "no-store")
 	h.Set("Content-Type", "text/html; charset=utf-8")
 	w.Write(out) //nolint:errcheck // client disconnects are not actionable
+}
+
+// fragmentDeps returns a fragment's dependency tags, space-separated:
+// the union of the read tags (ReadTags) of the beans its cone computed.
+func (c *Controller) fragmentDeps(state *PageState) string {
+	var buf [16]string
+	tags := buf[:0]
+	for id, bean := range state.Beans {
+		if d := c.Repo.Unit(id); d != nil {
+			tags = ReadTags(tags, d, bean)
+		}
+	}
+	slices.Sort(tags)
+	return strings.Join(slices.Compact(tags), " ")
 }
 
 // hasUnit reports whether the unit is on the page.
@@ -550,17 +564,56 @@ func hasUnit(pd *descriptor.Page, unitID string) bool {
 }
 
 // FragmentURL builds the edge fragment URL of one unit: the fragment
-// endpoint carrying the page's request parameters in sorted order
-// (stable surrogate cache keys). Internal parameters (leading
-// underscore, e.g. _error) stay at the container level.
-func FragmentURL(pageID, unitID string, params map[string]Value) string {
+// endpoint carrying, in sorted order (stable surrogate cache keys), the
+// request parameters the unit's cone reads, so that every page URL
+// showing the same fragment shares one cache entry. A cone holding a
+// scroller or a plug-in unit keeps every parameter: a scroller's prev and
+// next anchors echo them all. Internal parameters (leading underscore,
+// e.g. _error) stay at the container level.
+func FragmentURL(repo *descriptor.Repository, pageID, unitID string, params map[string]Value) string {
+	var buf [8]*descriptor.Unit
+	cone, all := buf[:0], false
+	if s, err := repo.Schedule(pageID + "/" + unitID); err != nil {
+		all = true
+	} else {
+		for _, id := range s.Order {
+			d := repo.Unit(id)
+			if all = d == nil || !namedInputsOnly(d.Kind); all {
+				break
+			}
+			cone = append(cone, d)
+		}
+	}
 	out := make(map[string]string, len(params))
 	for k, v := range params {
-		if !strings.HasPrefix(k, "_") {
+		if !strings.HasPrefix(k, "_") && (all || coneReads(cone, k)) {
 			out[k] = FormatParam(v)
 		}
 	}
 	return ActionURL("fragment/"+pageID+"/"+unitID, out)
+}
+
+// namedInputsOnly reports whether a unit of the kind reads request
+// parameters only through its declared inputs, in computing and in
+// rendering.
+func namedInputsOnly(kind string) bool {
+	switch webml.UnitKind(kind) {
+	case webml.DataUnit, webml.IndexUnit, webml.MultidataUnit, webml.MultichoiceUnit, webml.EntryUnit:
+		return true
+	}
+	return false
+}
+
+// coneReads reports whether a unit of the cone declares the input.
+func coneReads(cone []*descriptor.Unit, name string) bool {
+	for _, d := range cone {
+		for _, p := range d.Inputs {
+			if p.Name == name {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // operationAction executes one operation and resolves the next action.

@@ -63,7 +63,7 @@ func oracleRender(e *Engine, pd *descriptor.Page, state *mvc.PageState, ctx *mvc
 		}
 		unitID, _ := n.Attr("id")
 		if edge {
-			src := mvc.FragmentURL(pd.ID, unitID, ctx.Params)
+			src := mvc.FragmentURL(e.Repo, pd.ID, unitID, ctx.Params)
 			n.ReplaceWith(dom.NewRaw(`<esi:include src="` + dom.EscapeAttr(src) + `"/>`))
 			return false
 		}

@@ -177,7 +177,7 @@ func (e *Engine) run(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.Request
 		if edge {
 			// The placeholder stands exactly where the inline markup would: the
 			// surrogate's textual substitution reproduces RenderPage byte for byte.
-			put(b, `<esi:include src="`, dom.EscapeAttr(mvc.FragmentURL(pd.ID, unitID, ctx.Params)), `"/>`)
+			put(b, `<esi:include src="`, dom.EscapeAttr(mvc.FragmentURL(e.Repo, pd.ID, unitID, ctx.Params)), `"/>`)
 		} else if err := e.writeUnit(rc, b, unitID); err != nil {
 			return nil, err
 		}
