@@ -475,3 +475,50 @@ func TestAllocSlopeRowFault(t *testing.T) {
 		t.Logf("%s: %.3f allocs per extra faulted row", shape, slope)
 	}
 }
+
+// hitWriter discards the body and keeps one header map across requests,
+// as a server connection's response would if it reused its map: what the
+// edge's hit path allocates is then all that a run counts.
+type hitWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *hitWriter) Header() http.Header { return w.h }
+
+func (w *hitWriter) WriteHeader(code int) { w.code = code }
+
+func (w *hitWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestAllocEdgeHit: a page whose container and fragments are all cached
+// and fresh costs the edge no allocation. It writes the page from the
+// cached bodies, with a validator and header memoized on the container.
+func TestAllocEdgeHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	app := newApp(t, WithEdgeCache(1024, time.Minute))
+	defer app.Edge.Close()
+	h := app.Handler()
+	for _, path := range edgePages {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		w := &hitWriter{h: make(http.Header)}
+		h.ServeHTTP(w, r) // fills the container and its fragments
+		hit := func() {
+			w.code, w.n = http.StatusOK, 0
+			h.ServeHTTP(w, r)
+		}
+		allocs := testing.AllocsPerRun(100, hit)
+		if w.h.Get("X-Cache") != "HIT" || w.code != http.StatusOK || w.n == 0 {
+			t.Fatalf("%s: X-Cache %q, status %d, %d bytes; want a HIT with a body",
+				path, w.h.Get("X-Cache"), w.code, w.n)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: an edge hit allocates %.0f times, want 0", path, allocs)
+		}
+	}
+}

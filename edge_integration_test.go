@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -57,10 +58,20 @@ func TestEdgeAssemblyByteIdentical(t *testing.T) {
 				t.Fatalf("%s [%s]: edge-assembled page differs from inline rendering\nedge:   %q\ninline: %q",
 					path, pass, assembled, inline)
 			}
-			if et, it := rr.Header().Get("ETag"), inlineRR.Header().Get("ETag"); et != it {
-				t.Fatalf("%s [%s]: ETag %q != inline ETag %q", path, pass, et, it)
-			}
+			sameValidator(t, path+" ["+pass+"]", rr, inlineRR)
 		}
+	}
+}
+
+// sameValidator fails unless the edge's response carries the inline
+// render's ETag and a Content-Length equal to its body's length.
+func sameValidator(t *testing.T, what string, edge, inline *httptest.ResponseRecorder) {
+	t.Helper()
+	if et, it := edge.Header().Get("ETag"), inline.Header().Get("ETag"); et == "" || et != it {
+		t.Fatalf("%s: ETag %q != inline ETag %q", what, et, it)
+	}
+	if cl, n := edge.Header().Get("Content-Length"), edge.Body.Len(); cl != strconv.Itoa(n) {
+		t.Fatalf("%s: Content-Length %q for a %d-byte body", what, cl, n)
 	}
 }
 
@@ -74,11 +85,12 @@ func TestEdgeAssemblyByteIdenticalRuntimeStyle(t *testing.T) {
 
 	for _, ua := range []string{"Mozilla/5.0 (X11; Linux)", "Mozilla/5.0 (iPhone; Mobile)"} {
 		for _, path := range []string{"/page/volumePage?volume=1", "/page/volumesPage"} {
-			_, assembled := request(t, edgeApp.Handler(), path, ua)
-			_, inline := request(t, plainApp.Handler(), path, ua)
+			rr, assembled := request(t, edgeApp.Handler(), path, ua)
+			inlineRR, inline := request(t, plainApp.Handler(), path, ua)
 			if assembled != inline {
 				t.Fatalf("%s (%s): edge-assembled page differs from inline rendering", path, ua)
 			}
+			sameValidator(t, path+" ("+ua+")", rr, inlineRR)
 		}
 	}
 	// The mobile variant must actually differ from desktop (the styler
@@ -519,6 +531,7 @@ func TestEdgeAssemblyByteIdenticalRemotePages(t *testing.T) {
 				t.Fatalf("%s [%s]: edge-assembled page differs from inline rendering\nedge:   %q\ninline: %q",
 					path, pass, assembled, inline)
 			}
+			sameValidator(t, path+" ["+pass+"]", rr, inlineRR)
 			if pass == "hit" && rr.Header().Get("X-Cache") != "HIT" {
 				t.Fatalf("%s: X-Cache %q on the second pass, want HIT", path, rr.Header().Get("X-Cache"))
 			}

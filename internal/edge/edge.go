@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -62,6 +63,9 @@ type Surrogate struct {
 	// shedKeepN counts refreshes the origin load-shed with the stale
 	// entry kept serving.
 	shedKeepN atomic.Int64
+	// fills numbers the entries roundTrip makes: a fill's seq names its
+	// bytes, so equal seqs mean equal parts.
+	fills atomic.Uint64
 
 	// epoch is advanced under mu by every Invalidate; fills snapshot it
 	// before fetching and refuse to store across a purge, so a response
@@ -91,6 +95,7 @@ type flight struct {
 // entry is one cached origin response: a page container (esi=true, segs
 // pre-parsed) or a unit fragment / plain body.
 type entry struct {
+	seq    uint64
 	status int
 	// header is what a page response replays to clients; nil for a
 	// fragment (a response carrying X-Webml-Deps).
@@ -108,6 +113,21 @@ type entry struct {
 	uri, ua   string
 
 	refreshing atomic.Bool
+	// memo is a container's validator and client header for the parts
+	// it was last assembled from.
+	memo atomic.Pointer[memo]
+}
+
+// memo names the parts of an assembled page by their fill seqs, never by
+// pointer: a purged fragment must not stay reachable from a container
+// that outlives it.
+type memo struct {
+	seqs []uint64
+	etag string
+	// header is the container's client header plus Etag and
+	// Content-Length; every value slice is clipped, so a downstream Add
+	// copies it instead of writing into the memo.
+	header http.Header
 }
 
 type refreshJob struct {
@@ -151,24 +171,19 @@ func (s *Surrogate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.Origin.ServeHTTP(w, r)
 		return
 	}
-	ctx, finish := s.traceRequest(r)
+	if s.Obs == nil {
+		s.servePage(r.Context(), w, r)
+		return
+	}
+	// The edge is the trace root of a page GET.
+	ctx, t := s.Obs.Start(r.Context(), "edge:"+r.URL.Path)
+	if t == nil { // sampled out
+		s.servePage(ctx, w, r)
+		return
+	}
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	s.servePage(ctx, sw, r)
-	finish(sw.code)
-}
-
-// traceRequest makes the edge the trace root of a page GET when a tracer
-// is configured. finish records the response status once served.
-func (s *Surrogate) traceRequest(r *http.Request) (context.Context, func(status int)) {
-	ctx := r.Context()
-	if s.Obs == nil {
-		return ctx, func(int) {}
-	}
-	ctx, t := s.Obs.Start(ctx, "edge:"+r.URL.Path)
-	if t == nil { // sampled out
-		return ctx, func(int) {}
-	}
-	return ctx, func(status int) { s.Obs.Finish(t, status) }
+	s.Obs.Finish(t, sw.code)
 }
 
 // statusWriter captures the response status for the trace.
@@ -182,8 +197,29 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// X-Cache dispositions, shared by every response: each slice is one
+// element long and full, so a downstream Add copies it.
+var (
+	xcHit   = []string{"HIT"}
+	xcStale = []string{"STALE"}
+	xcMiss  = []string{"MISS"}
+)
+
+// parts is the pooled scratch of one page: the page's bytes in order, as
+// slices of cached bodies, and the fill seqs of the entries they came
+// from.
+type parts struct {
+	bufs [][]byte
+	seqs []uint64
+}
+
+var partsPool = sync.Pool{New: func() any { return new(parts) }}
+
+// servePage resolves every part of the page before it writes a byte, then
+// writes the parts straight from the cached bodies.
 func (s *Surrogate) servePage(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	e, xc, err := s.resolve(ctx, r.URL.RequestURI(), r.UserAgent())
+	ua := r.UserAgent()
+	e, xc, err := s.resolve(ctx, pageURI(r), ua)
 	if err != nil {
 		http.Error(w, "edge: "+err.Error(), http.StatusBadGateway)
 		return
@@ -194,10 +230,10 @@ func (s *Surrogate) servePage(ctx context.Context, w http.ResponseWriter, r *htt
 		writeEntry(w, e, xc)
 		return
 	}
+	p := partsPool.Get().(*parts)
+	defer p.release()
 	asp := obs.Leaf(ctx, "edge.assemble")
-	var buf bytes.Buffer
-	buf.Grow(len(e.body) * 2)
-	if err := s.assemble(ctx, &buf, e, r.UserAgent(), 0); err != nil {
+	if err := s.collect(ctx, p, e, ua, 0); err != nil {
 		// A fragment failed to resolve: fall back to one full inline
 		// render at the origin rather than serving a broken page.
 		asp.EndErr(err)
@@ -205,20 +241,30 @@ func (s *Surrogate) servePage(ctx context.Context, w http.ResponseWriter, r *htt
 		return
 	}
 	asp.End()
-	body := buf.Bytes()
-	copyHeader(w.Header(), e.header)
-	w.Header().Set("X-Cache", xc)
-	// Content-addressed ETag over the assembled page — identical bytes to
-	// an inline render produce the identical validator.
-	h := fnv.New64a()
-	h.Write(body) //nolint:errcheck // hash writes cannot fail
-	etag := fmt.Sprintf(`"%x"`, h.Sum64())
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
+	m := e.memoFor(p)
+	h := w.Header()
+	for k, vs := range m.header {
+		h[k] = vs
+	}
+	h["X-Cache"] = xc
+	if r.Header.Get("If-None-Match") == m.etag {
+		delete(h, "Content-Length")
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Write(body) //nolint:errcheck // client disconnects are not actionable
+	for _, b := range p.bufs {
+		w.Write(b) //nolint:errcheck // client disconnects are not actionable
+	}
+}
+
+// pageURI is the request's target as the cache keys it: the request
+// line's own origin-form target, which a server request carries, or the
+// URL's rendering of it.
+func pageURI(r *http.Request) string {
+	if strings.HasPrefix(r.RequestURI, "/") {
+		return r.RequestURI
+	}
+	return r.URL.RequestURI()
 }
 
 func (s *Surrogate) bypass(r *http.Request) bool {
@@ -229,12 +275,13 @@ func (s *Surrogate) bypass(r *http.Request) bool {
 	return err == nil
 }
 
-// assemble concatenates a container's literals with its fragments'
-// bodies, resolving each fragment through the cache.
-func (s *Surrogate) assemble(ctx context.Context, buf *bytes.Buffer, e *entry, ua string, depth int) error {
+// collect appends a container's literals and its fragments' bodies to p
+// in page order, resolving each fragment through the cache and recursing
+// into fragments that are themselves containers.
+func (s *Surrogate) collect(ctx context.Context, p *parts, e *entry, ua string, depth int) error {
 	for _, seg := range e.segs {
 		if seg.Src == "" {
-			buf.Write(seg.Literal)
+			p.bufs = append(p.bufs, seg.Literal)
 			continue
 		}
 		if depth >= maxIncludeDepth {
@@ -247,21 +294,61 @@ func (s *Surrogate) assemble(ctx context.Context, buf *bytes.Buffer, e *entry, u
 		if fe.status != http.StatusOK {
 			return fmt.Errorf("fragment %s: status %d", seg.Src, fe.status)
 		}
+		p.seqs = append(p.seqs, fe.seq)
 		if fe.esi {
-			if err := s.assemble(ctx, buf, fe, ua, depth+1); err != nil {
+			if err := s.collect(ctx, p, fe, ua, depth+1); err != nil {
 				return err
 			}
 			continue
 		}
-		buf.Write(fe.body)
+		p.bufs = append(p.bufs, fe.body)
 	}
 	return nil
+}
+
+// release drops the scratch's references to cached bodies, so the pool
+// keeps no purged fragment alive, and returns it to the pool.
+func (p *parts) release() {
+	clear(p.bufs)
+	p.bufs, p.seqs = p.bufs[:0], p.seqs[:0]
+	partsPool.Put(p)
+}
+
+// memoFor returns the container's memo for the parts p collected,
+// making and storing a new one when a part was refilled since. Equal
+// seqs name equal bytes: the container's segments are fixed, and each
+// fill's seq names its body and, for a nested container, its segments.
+func (e *entry) memoFor(p *parts) *memo {
+	if m := e.memo.Load(); m != nil && slices.Equal(m.seqs, p.seqs) {
+		return m
+	}
+	// Content-addressed ETag over the assembled page: FNV-1a over the
+	// parts in turn is FNV-1a over their concatenation, so identical
+	// bytes to an inline render produce the identical validator.
+	h := fnv.New64a()
+	n := 0
+	for _, b := range p.bufs {
+		h.Write(b) //nolint:errcheck // hash writes cannot fail
+		n += len(b)
+	}
+	m := &memo{
+		seqs:   slices.Clone(p.seqs),
+		etag:   fmt.Sprintf(`"%x"`, h.Sum64()),
+		header: make(http.Header, len(e.header)+2),
+	}
+	for k, vs := range e.header {
+		m.header[k] = vs
+	}
+	m.header["Etag"] = []string{m.etag}
+	m.header["Content-Length"] = []string{strconv.Itoa(n)}
+	e.memo.Store(m)
+	return m
 }
 
 // resolve returns the entry for an internal URI: a fresh cache hit, a
 // stale entry with a background refresh scheduled, or a coalesced origin
 // fetch. The second return is the X-Cache disposition.
-func (s *Surrogate) resolve(ctx context.Context, uri, ua string) (*entry, string, error) {
+func (s *Surrogate) resolve(ctx context.Context, uri, ua string) (*entry, []string, error) {
 	sp := obs.Leaf(ctx, "edge.resolve").Label("uri", uri)
 	key := s.key(uri, ua)
 	if v, ok := s.Store.Get(key); ok {
@@ -269,17 +356,17 @@ func (s *Surrogate) resolve(ctx context.Context, uri, ua string) (*entry, string
 		if s.now().Before(e.expires) {
 			s.hitN.Add(1)
 			sp.Label("outcome", "hit").End()
-			return e, "HIT", nil
+			return e, xcHit, nil
 		}
 		s.scheduleRefresh(key, e)
 		s.staleN.Add(1)
 		sp.Label("outcome", "stale").End()
-		return e, "STALE", nil
+		return e, xcStale, nil
 	}
 	s.missN.Add(1)
 	e, err := s.fetch(ctx, key, uri, ua)
 	sp.Label("outcome", "miss").EndErr(err)
-	return e, "MISS", err
+	return e, xcMiss, err
 }
 
 // Dispositions reports how many page/fragment resolutions were served
@@ -334,11 +421,10 @@ func (s *Surrogate) fetch(ctx context.Context, key, uri, ua string) (*entry, err
 // context carries the trace down into the controller, so origin work
 // shows up under the edge's span tree.
 func (s *Surrogate) roundTrip(ctx context.Context, uri, ua string) (*entry, error) {
-	req, err := http.NewRequest(http.MethodGet, uri, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, uri, nil)
 	if err != nil {
 		return nil, err
 	}
-	req = req.WithContext(ctx)
 	req.Header.Set("Surrogate-Capability", Capability)
 	if ua != "" {
 		req.Header.Set("User-Agent", ua)
@@ -347,6 +433,7 @@ func (s *Surrogate) roundTrip(ctx context.Context, uri, ua string) (*entry, erro
 	s.Origin.ServeHTTP(rec, req)
 
 	e := &entry{
+		seq:    s.fills.Add(1),
 		status: rec.status(),
 		body:   append([]byte(nil), rec.buf.Bytes()...),
 		uri:    uri,
@@ -542,8 +629,9 @@ func (r *originRecorder) status() int {
 
 // clientHeader filters an origin response header down to what the edge
 // replays to clients: surrogate-internal headers and per-fetch metadata
-// (ETag is recomputed over assembled bytes; Set-Cookie must never be
-// replayed across users) are dropped.
+// (ETag and Content-Length are recomputed over assembled bytes;
+// Set-Cookie must never be replayed across users) are dropped. Each
+// value slice is a clipped copy, so responses may share it.
 func clientHeader(h http.Header) http.Header {
 	out := make(http.Header, len(h))
 	for k, vs := range h {
@@ -551,20 +639,17 @@ func clientHeader(h http.Header) http.Header {
 		case "Surrogate-Control", "X-Webml-Deps", "Set-Cookie", "Etag", "Content-Length":
 			continue
 		}
-		out[k] = append([]string(nil), vs...)
+		out[k] = slices.Clip(slices.Clone(vs))
 	}
 	return out
 }
 
-func copyHeader(dst, src http.Header) {
-	for k, vs := range src {
-		dst[k] = append([]string(nil), vs...)
+func writeEntry(w http.ResponseWriter, e *entry, xc []string) {
+	h := w.Header()
+	for k, vs := range e.header {
+		h[k] = vs
 	}
-}
-
-func writeEntry(w http.ResponseWriter, e *entry, xc string) {
-	copyHeader(w.Header(), e.header)
-	w.Header().Set("X-Cache", xc)
+	h["X-Cache"] = xc
 	w.WriteHeader(e.status)
 	w.Write(e.body) //nolint:errcheck // client disconnects are not actionable
 }

@@ -2,9 +2,12 @@ package edge
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,6 +61,14 @@ func (o *testOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Surrogate-Control", "max-age=60")
 		w.Header().Set("X-Webml-Deps", "entity:b")
 		fmt.Fprintf(w, "B%d", n)
+	case "/page/nested":
+		// A container whose first fragment is itself a container.
+		w.Header().Set("Surrogate-Control", `content="ESI/1.0"`)
+		fmt.Fprint(w, `<p><esi:include src="/frag/box"/>/<esi:include src="/frag/a"/></p>`)
+	case "/frag/box":
+		w.Header().Set("Surrogate-Control", `content="ESI/1.0", max-age=60`)
+		w.Header().Set("X-Webml-Deps", "entity:box")
+		fmt.Fprint(w, `[<esi:include src="/frag/b"/>]`)
 	default:
 		if o.extra != nil {
 			o.extra(w, r)
@@ -339,4 +350,134 @@ func TestEdgeStats(t *testing.T) {
 	if st.Hits < 3 { // second request: container + both fragments
 		t.Fatalf("Hits = %d, want >= 3", st.Hits)
 	}
+}
+
+// etagOf is the content-addressed validator of a page body.
+func etagOf(body []byte) string {
+	h := fnv.New64a()
+	h.Write(body)
+	return fmt.Sprintf(`"%x"`, h.Sum64())
+}
+
+// checkValidator fails unless a 200 response's ETag and Content-Length
+// describe its body.
+func checkValidator(t *testing.T, w *httptest.ResponseRecorder) {
+	t.Helper()
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200", w.Code)
+	}
+	if got, want := w.Header().Get("ETag"), etagOf(w.Body.Bytes()); got != want {
+		t.Fatalf("ETag %s for body %q, want %s", got, w.Body.String(), want)
+	}
+	if got, want := w.Header().Get("Content-Length"), strconv.Itoa(w.Body.Len()); got != want {
+		t.Fatalf("Content-Length %s for body %q, want %s", got, w.Body.String(), want)
+	}
+}
+
+// TestEdgeMemoFollowsRefill: the validator and header memoized on a
+// container follow a refill of any part, a part of a nested container
+// included, and follow the bytes rather than the fills.
+func TestEdgeMemoFollowsRefill(t *testing.T) {
+	for _, tc := range []struct {
+		page, purge, before, after string
+	}{
+		{"/page/home", "entity:b", "<html>A0|B0</html>", "<html>A0|B1</html>"},
+		{"/page/nested", "entity:b", "<p>[B0]/A0</p>", "<p>[B1]/A0</p>"},
+		// The nested container refills with the same bytes: the
+		// validator stays.
+		{"/page/nested", "entity:box", "<p>[B0]/A0</p>", "<p>[B0]/A0</p>"},
+	} {
+		s := New(newTestOrigin(), 128, time.Minute)
+		get(t, s, tc.page) // fills
+		old := get(t, s, tc.page)
+		checkValidator(t, old)
+		if got := old.Body.String(); got != tc.before || old.Header().Get("X-Cache") != "HIT" {
+			t.Fatalf("%s: %s %q, want a HIT of %q", tc.page, old.Header().Get("X-Cache"), got, tc.before)
+		}
+		if n := s.Invalidate(tc.purge); n == 0 {
+			t.Fatalf("%s: purging %s dropped nothing", tc.page, tc.purge)
+		}
+		get(t, s, tc.page) // refills the purged part
+		w := get(t, s, tc.page)
+		checkValidator(t, w)
+		if got := w.Body.String(); got != tc.after || w.Header().Get("X-Cache") != "HIT" {
+			t.Fatalf("%s after purging %s: %s %q, want a HIT of %q",
+				tc.page, tc.purge, w.Header().Get("X-Cache"), got, tc.after)
+		}
+		oldTag, newTag := old.Header().Get("ETag"), w.Header().Get("ETag")
+		if (oldTag == newTag) != (tc.before == tc.after) {
+			t.Fatalf("%s after purging %s: ETag %s, before %s", tc.page, tc.purge, newTag, oldTag)
+		}
+		if tc.before != tc.after {
+			if c := get(t, s, tc.page, "If-None-Match", oldTag); c.Code != http.StatusOK || c.Body.String() != tc.after {
+				t.Fatalf("%s: the old ETag answered %d %q, want 200 %q", tc.page, c.Code, c.Body.String(), tc.after)
+			}
+		}
+		c := get(t, s, tc.page, "If-None-Match", newTag)
+		if c.Code != http.StatusNotModified || c.Body.Len() != 0 || c.Header().Get("Content-Length") != "" {
+			t.Fatalf("%s: the new ETag answered %d, %d bytes, Content-Length %q; want 304, none, none",
+				tc.page, c.Code, c.Body.Len(), c.Header().Get("Content-Length"))
+		}
+		s.Close()
+	}
+}
+
+// TestEdgeMemoExactUnderConcurrentPurge: over a real server, concurrent
+// hits and purges never return a body that its Content-Length or its
+// ETag does not describe.
+func TestEdgeMemoExactUnderConcurrentPurge(t *testing.T) {
+	s := New(newTestOrigin(), 128, time.Minute)
+	defer s.Close()
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	var purger sync.WaitGroup
+	purger.Add(1)
+	go func() {
+		defer purger.Done()
+		tags := []string{"entity:a", "entity:b", "entity:box"}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Invalidate(tags[i%len(tags)])
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			page := []string{"/page/home", "/page/nested"}[g%2]
+			for i := 0; i < 200; i++ {
+				resp, err := srv.Client().Get(srv.URL + page)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Errorf("%s: %v", page, err)
+					return
+				}
+				if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) {
+					t.Errorf("%s: status %d, Content-Length %d for a %d-byte body",
+						page, resp.StatusCode, resp.ContentLength, len(body))
+					return
+				}
+				if got, want := resp.Header.Get("ETag"), etagOf(body); got != want {
+					t.Errorf("%s: ETag %s for body %q, want %s", page, got, body, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	purger.Wait()
 }

@@ -153,7 +153,7 @@ func (c *Controller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.metrics.record(path, time.Since(start), sr.status >= 400)
 		return
 	}
-	session := c.resolveSession(w, r)
+	session := c.resolveSession(w, r, path)
 	switch {
 	case strings.HasPrefix(path, "page/") || strings.HasPrefix(path, "op/"):
 		start := time.Now()
@@ -250,13 +250,16 @@ func (c *Controller) traceRequest(r *http.Request, action string) (*http.Request
 	return r.WithContext(ctx), func(status int) { c.Obs.Finish(t, status) }
 }
 
-// resolveSession returns the request's session. A surrogate fetch (the
-// edge advertises Surrogate-Capability) without a session cookie gets a
-// detached session: the edge serves shared anonymous content, so minting
-// a registered session (and a Set-Cookie) per internal fetch would leak
-// server-side state and poison the shared cache with cookies.
-func (c *Controller) resolveSession(w http.ResponseWriter, r *http.Request) *Session {
-	if c.EdgeFragments && isSurrogate(r) {
+// resolveSession returns the request's session. Without a session
+// cookie, two kinds of request get a detached session. A surrogate fetch
+// (the edge advertises Surrogate-Capability) serves shared anonymous
+// content, so minting a registered session (and a Set-Cookie) per
+// internal fetch would leak server-side state and poison the shared
+// cache with cookies. An operation registers its session only when it
+// stores into it (operationAction), so anonymous writes whose clients
+// never send a cookie back leave no session behind.
+func (c *Controller) resolveSession(w http.ResponseWriter, r *http.Request, path string) *Session {
+	if (c.EdgeFragments && isSurrogate(r)) || strings.HasPrefix(path, "op/") {
 		if _, err := r.Cookie(sessionCookie); err != nil {
 			return c.Sessions.Detached()
 		}
@@ -632,7 +635,9 @@ func (c *Controller) operationAction(ctx context.Context, w http.ResponseWriter,
 	if m.Validate != "" {
 		if entry := c.Repo.Unit(m.Validate); entry != nil {
 			if errs := ValidateFields(entry.Fields, params); len(errs) > 0 {
-				storeFormState(session, m.Validate, params, errs)
+				// The KO page reads the form state back through the
+				// session cookie, set here before the redirect.
+				storeFormState(c.Sessions.Register(w, session), m.Validate, params, errs)
 				c.redirect(w, r, m.KO, m.KOParams, nil, params, "validation failed")
 				return "", nil, true
 			}

@@ -2,6 +2,7 @@ package mvc_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -188,6 +189,28 @@ func TestOperationCreateRedirectsAndPersists(t *testing.T) {
 	}
 }
 
+// TestAnonymousOperationMintsNoSession: an operation without a session
+// cookie that stores nothing in its session registers none and sets no
+// cookie, so clients that never send one back leave nothing behind.
+func TestAnonymousOperationMintsNoSession(t *testing.T) {
+	ctl, db, _ := buildApp(t, false)
+	for i := 0; i < 100; i++ {
+		rr, _ := get(t, ctl, fmt.Sprintf("/op/createVolume?title=Anon+%d&year=2003", i), nil)
+		if rr.Code != http.StatusFound {
+			t.Fatalf("op %d: status %d", i, rr.Code)
+		}
+		if c := rr.Header().Values("Set-Cookie"); len(c) != 0 {
+			t.Fatalf("op %d: Set-Cookie %q", i, c)
+		}
+	}
+	if n := ctl.Sessions.Len(); n != 0 {
+		t.Fatalf("100 anonymous operations left %d sessions, want 0", n)
+	}
+	if n, _ := db.RowCount("volume"); n != 102 {
+		t.Fatalf("%d volumes after 100 creates over 2, want 102", n)
+	}
+}
+
 func TestOperationValidationFailureFollowsKO(t *testing.T) {
 	ctl, db, _ := buildApp(t, false)
 	// volForm requires title; year must be an integer.
@@ -206,6 +229,10 @@ func TestOperationValidationFailureFollowsKO(t *testing.T) {
 	// The KO page redisplays the sticky value and the field errors; the
 	// form state lives in the session, so reuse the cookie.
 	cookies := rr.Result().Cookies()
+	if len(cookies) != 1 || ctl.Sessions.Len() != 1 {
+		t.Fatalf("a cookie-less operation failing validation set %d cookies and left %d sessions, want 1 and 1",
+			len(cookies), ctl.Sessions.Len())
+	}
 	login(t, ctl, cookies)
 	rr2, body := get(t, ctl, loc, cookies)
 	if rr2.Code != http.StatusOK {

@@ -90,7 +90,24 @@ func (m *SessionManager) Resolve(w http.ResponseWriter, r *http.Request) *Sessio
 		delete(m.sessions, c.Value)
 		m.mu.Unlock()
 	}
-	s := &Session{ID: newSessionID(), values: make(map[string]interface{}), touched: m.now()}
+	return m.Register(w, m.Detached())
+}
+
+// Detached returns a session that is not registered in the manager and
+// sets no cookie — used for surrogate (edge-tier) fetches, which serve
+// shared anonymous content and must not mint per-fetch server-side
+// sessions, and for anonymous operations until they store into it.
+func (m *SessionManager) Detached() *Session {
+	return &Session{values: make(map[string]interface{}), touched: m.now()}
+}
+
+// Register gives a detached session an ID, registers it and sets its
+// cookie on w (when w is not nil). A registered session is left as is.
+func (m *SessionManager) Register(w http.ResponseWriter, s *Session) *Session {
+	if s.ID != "" {
+		return s
+	}
+	s.ID = newSessionID()
 	m.mu.Lock()
 	m.sessions[s.ID] = s
 	if len(m.sessions) > 2*m.swept {
@@ -101,14 +118,6 @@ func (m *SessionManager) Resolve(w http.ResponseWriter, r *http.Request) *Sessio
 		http.SetCookie(w, &http.Cookie{Name: sessionCookie, Value: s.ID, Path: "/", HttpOnly: true})
 	}
 	return s
-}
-
-// Detached returns a session that is not registered in the manager and
-// sets no cookie — used for surrogate (edge-tier) fetches, which serve
-// shared anonymous content and must not mint per-fetch server-side
-// sessions.
-func (m *SessionManager) Detached() *Session {
-	return &Session{values: make(map[string]interface{}), touched: m.now()}
 }
 
 // Len returns the number of live sessions.
