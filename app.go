@@ -76,6 +76,9 @@ type App struct {
 
 	regOnce  sync.Once
 	registry *obs.Registry
+	// faultLat times the durable engine's row faults from assembly on,
+	// not from the first scrape of /metrics.
+	faultLat *obs.HistogramVec
 }
 
 type config struct {
@@ -376,10 +379,20 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		app.Edge.BypassCookie = "WSESSION"
 		app.Edge.VaryUserAgent = app.Renderer.VariesByUserAgent()
 	}
-	// A hand-tuned query injected via OverrideQuery (Section 6) must not
-	// leave the replaced SQL's compiled plan in the engine's cache.
-	art.Repo.OnQueryOverride = func(_, oldQuery, _ string) {
+	// A hand-tuned query injected via OverrideQuery (Section 6) must be
+	// SQL the data tier parses, and must not leave the replaced SQL's
+	// compiled plan in the engine's cache.
+	art.Repo.OnQueryOverride = func(_, oldQuery, newQuery string) error {
+		if _, err := rdb.ParseStatement(newQuery); err != nil {
+			return err
+		}
 		app.DB.InvalidatePlan(oldQuery)
+		return nil
+	}
+	if app.DB.EngineName() == "durable" {
+		app.faultLat = obs.NewHistogramVec("webml_rdb_row_fault_seconds",
+			"Evicted-row fault latency by access mode.", "mode")
+		app.DB.SetFaultObserver(func(d time.Duration) { app.faultLat.Observe("read", d) })
 	}
 	app.wireObservability(&cfg)
 	return app, nil

@@ -3,6 +3,7 @@ package webmlgo
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -177,6 +178,26 @@ func TestQueryOverrideThroughFacade(t *testing.T) {
 	rr, body := request(t, app.Handler(), "/page/volumePage?volume=1", "")
 	if rr.Code != http.StatusOK || !strings.Contains(body, "TODS Volume 27") {
 		t.Fatalf("tuned query broken: %d\n%s", rr.Code, body)
+	}
+}
+
+// TestQueryOverrideRefusesUnparsableSQL: an override the data tier
+// cannot parse is refused with the positioned syntax error, the unit
+// keeps its query, and the page still serves.
+func TestQueryOverrideRefusesUnparsableSQL(t *testing.T) {
+	app := newApp(t)
+	before := app.Repo().Unit("volumeData").Query
+	err := app.Repo().OverrideQuery("volumeData", "SELECT DISTINCT t.oid FROM volume t WHERE t.oid = ?")
+	var se *rdb.SyntaxError
+	if !errors.As(err, &se) || se.Pos != len("SELECT ") {
+		t.Fatalf("override: err = %v, want a syntax error at DISTINCT", err)
+	}
+	if got := app.Repo().Unit("volumeData").Query; got != before {
+		t.Fatalf("refused override swapped the query to %q", got)
+	}
+	rr, body := request(t, app.Handler(), "/page/volumePage?volume=1", "")
+	if rr.Code != http.StatusOK || !strings.Contains(body, "TODS Volume 27") {
+		t.Fatalf("page after a refused override: %d\n%s", rr.Code, body)
 	}
 }
 

@@ -156,7 +156,7 @@ func usage() {
   import   -in <file>                    load and validate an XML document
   diagram  -model <name> [-out file]     emit the hypertext diagram (DOT)
   lint     -model <name>                 report design warnings
-  bootstrap -snapshot <file> -addr <a>   serve a default site over an existing database`)
+  bootstrap -data-dir <dir> -addr <a>    serve a default site over an existing database`)
 }
 
 // loadModel resolves a model name: a built-in ("acm", "acer",
@@ -555,21 +555,29 @@ func cmdLint(args []string) {
 	fmt.Printf("%d warning(s)\n", len(warnings))
 }
 
-// cmdBootstrap reverse-engineers a database snapshot, derives the
-// default browse hypertext, and serves it — an application from nothing
-// but data (Section 1's "pre-existing data sources").
+// cmdBootstrap reverse-engineers a durable database directory (the one
+// serve -data-dir writes), derives the default browse hypertext, and
+// serves it — an application from nothing but data (Section 1's
+// "pre-existing data sources").
 func cmdBootstrap(args []string) {
 	fs := flag.NewFlagSet("bootstrap", flag.ExitOnError)
-	snap := fs.String("snapshot", "", "database snapshot file (from SnapshotFile)")
+	dataDir := fs.String("data-dir", "", "durable database directory (from serve -data-dir)")
 	addr := fs.String("addr", ":8080", "listen address")
 	export := fs.String("export", "", "write the derived model's XML document here instead of serving")
 	fs.Parse(args) //nolint:errcheck
-	if *snap == "" {
-		log.Fatal("webratio: bootstrap requires -snapshot <file>")
+	if *dataDir == "" {
+		log.Fatal("webratio: bootstrap requires -data-dir <dir>")
 	}
-	db, err := webmlgo.RestoreDatabaseFile(*snap)
+	if _, err := os.Stat(*dataDir); err != nil {
+		log.Fatal(err) // opening would create an empty directory
+	}
+	db, err := webmlgo.OpenDurableDatabasePaged(*dataDir, 0, 0)
 	if err != nil {
 		log.Fatal(err)
+	}
+	defer db.Close()
+	if len(db.TableNames()) == 0 {
+		log.Fatalf("webratio: bootstrap: %s holds no tables", *dataDir)
 	}
 	if *export != "" {
 		schema, issues, err := er.Reverse(db)

@@ -2,9 +2,6 @@ package webmlgo
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"webmlgo/internal/cache"
 	"webmlgo/internal/er"
@@ -12,45 +9,6 @@ import (
 	"webmlgo/internal/rdb"
 	"webmlgo/internal/webml"
 )
-
-// Snapshot writes a consistent snapshot of the application's database to
-// w, giving the embedded data tier restart persistence.
-func (a *App) Snapshot(w io.Writer) error { return a.DB.Dump(w) }
-
-// SnapshotFile writes the snapshot to a file, crash-safely: the
-// snapshot is written to a temporary file and fsynced, renamed over
-// path, and the rename is fsynced through the directory.
-func (a *App) SnapshotFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	err = a.DB.Dump(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
-}
-
-// RestoreDatabase reads a snapshot produced by Snapshot and returns the
-// database, ready to pass to New via WithDatabase.
-func RestoreDatabase(r io.Reader) (*rdb.DB, error) { return rdb.Restore(r) }
 
 // OpenDurableDatabasePaged opens (or creates) a durable database rooted
 // at dir — a write-ahead log plus a page-backed B-tree — recovered to
@@ -62,16 +20,6 @@ func RestoreDatabase(r io.Reader) (*rdb.DB, error) { return rdb.Restore(r) }
 // eviction markers after each commit and fault back in on demand.
 func OpenDurableDatabasePaged(dir string, poolPages, residentRows int) (*rdb.DB, error) {
 	return rdb.OpenDurableOpts(dir, rdb.DurableOptions{PoolPages: poolPages, ResidentRows: residentRows})
-}
-
-// RestoreDatabaseFile reads a snapshot file.
-func RestoreDatabaseFile(path string) (*rdb.DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return rdb.Restore(f)
 }
 
 // Metrics returns the Controller's per-action statistics.

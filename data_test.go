@@ -1,84 +1,10 @@
 package webmlgo
 
 import (
-	"bytes"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"webmlgo/internal/fixture"
 )
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	app := newApp(t)
-	var buf bytes.Buffer
-	if err := app.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db, err := RestoreDatabase(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := New(fixture.Figure1Model(), WithDatabase(db))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, body := request(t, restored.Handler(), "/page/volumePage?volume=1", "")
-	if rr.Code != http.StatusOK || !strings.Contains(body, "TODS Volume 27") {
-		t.Fatalf("restored app broken: %d\n%s", rr.Code, body)
-	}
-}
-
-func TestSnapshotFile(t *testing.T) {
-	app := newApp(t)
-	path := filepath.Join(t.TempDir(), "app.snap")
-	if err := app.SnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	db, err := RestoreDatabaseFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := db.RowCount("volume")
-	if err != nil || n != 2 {
-		t.Fatalf("rows = %d err = %v", n, err)
-	}
-	if _, err := RestoreDatabaseFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing snapshot accepted")
-	}
-}
-
-// TestSnapshotFileReplaces: a second snapshot to the same path replaces
-// the first and leaves no temporary file behind.
-func TestSnapshotFileReplaces(t *testing.T) {
-	app := newApp(t)
-	path := filepath.Join(t.TempDir(), "app.snap")
-	if err := app.SnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.DB.Exec(`INSERT INTO volume (title, year) VALUES ('Added', 2004)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := app.SnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	db, err := RestoreDatabaseFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := db.RowCount("volume"); err != nil || n != 3 {
-		t.Fatalf("rows = %d err = %v, want the second snapshot's 3", n, err)
-	}
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "app.snap" {
-		t.Fatalf("directory holds %v, want only app.snap", entries)
-	}
-}
 
 func TestControllerMetrics(t *testing.T) {
 	app := newApp(t)

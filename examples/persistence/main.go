@@ -1,8 +1,8 @@
 // Command persistence demonstrates the operational surface of the
-// runtime: database snapshots (restart persistence for the embedded data
-// tier), restoring an application from a snapshot, hot query overrides
-// with EXPLAIN verification (Section 6's optimisation workflow), and the
-// Controller's per-action metrics.
+// runtime: a durable database directory (restart persistence for the
+// embedded data tier), an application reopened over it, hot query
+// overrides with EXPLAIN verification (Section 6's optimisation
+// workflow), and the Controller's per-action metrics.
 //
 //	go run ./examples/persistence
 package main
@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"webmlgo"
@@ -26,35 +25,47 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	snap := filepath.Join(dir, "app.snap")
 
-	// --- First life: create, use, snapshot. ---
-	app, err := webmlgo.New(fixture.Figure1Model())
+	// --- First life: create the schema in a durable directory, seed,
+	// write through an operation, close. ---
+	db, err := webmlgo.OpenDurableDatabasePaged(dir, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fixture.Seed(app.DB); err != nil {
+	app, err := webmlgo.New(fixture.Figure1Model(), webmlgo.WithDatabase(db))
+	if err != nil {
+		log.Fatal(err)
+	}
+	// WithDatabase skips DDL: a new directory gets the schema here, and
+	// the statements land in the write-ahead log like any other commit.
+	for _, stmt := range app.Artifacts.DDL {
+		if _, err := db.Exec(stmt); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := fixture.Seed(db); err != nil {
 		log.Fatal(err)
 	}
 	do(app, "/page/volumesPage")
 	do(app, "/op/createVolume?title=Persisted+Volume&year=2004")
-	if err := app.SnapshotFile(snap); err != nil {
+	if err := db.Close(); err != nil {
 		log.Fatal(err)
 	}
-	st, _ := os.Stat(snap)
-	fmt.Printf("1. snapshot written: %s (%d bytes)\n", snap, st.Size())
+	files, _ := os.ReadDir(dir)
+	fmt.Printf("1. durable directory closed: %s (%d files)\n", dir, len(files))
 
-	// --- Second life: restore and verify the write survived. ---
-	db, err := webmlgo.RestoreDatabaseFile(snap)
+	// --- Second life: reopen and verify the write survived. ---
+	db, err = webmlgo.OpenDurableDatabasePaged(dir, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 	app2, err := webmlgo.New(fixture.Figure1Model(), webmlgo.WithDatabase(db))
 	if err != nil {
 		log.Fatal(err)
 	}
 	body := do(app2, "/page/volumesPage")
-	fmt.Printf("2. restored app lists the persisted volume: %v\n",
+	fmt.Printf("2. reopened app lists the persisted volume: %v\n",
 		strings.Contains(body, "Persisted Volume"))
 
 	// --- Hot query override + plan check (Section 6). ---

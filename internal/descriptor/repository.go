@@ -26,12 +26,13 @@ type Repository struct {
 	// descriptor is hot-swapped.
 	schedules map[string]*Schedule
 
-	// OnQueryOverride, when set, runs after OverrideQuery swaps a unit's
-	// SQL, outside the repository lock. App wiring uses it to drop the
-	// compiled plan cached for the replaced query, so the hot-swap cannot
-	// be served from a stale compilation. Set during assembly, before the
-	// repository is shared.
-	OnQueryOverride func(unitID, oldQuery, newQuery string)
+	// OnQueryOverride, when set, runs before OverrideQuery swaps a unit's
+	// SQL, under the repository lock (it must not call the repository).
+	// An error refuses the override and leaves the unit on its old query.
+	// App wiring uses it to refuse SQL the data tier cannot parse and to
+	// drop the compiled plan cached for the replaced query. Set during
+	// assembly, before the repository is shared.
+	OnQueryOverride func(unitID, oldQuery, newQuery string) error
 }
 
 // NewRepository returns an empty repository.
@@ -204,25 +205,24 @@ func (r *Repository) Counts() (units, pages, templates int) {
 }
 
 // OverrideQuery atomically replaces a unit's query and marks the
-// descriptor optimized. This is the Section 6 workflow for injecting a
-// hand-tuned query.
+// descriptor optimized, unless OnQueryOverride refuses the query. This
+// is the Section 6 workflow for injecting a hand-tuned query.
 func (r *Repository) OverrideQuery(unitID, query string) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	u, ok := r.units[unitID]
 	if !ok {
-		r.mu.Unlock()
 		return fmt.Errorf("descriptor: no unit %q", unitID)
 	}
-	old := u.Query
+	if r.OnQueryOverride != nil {
+		if err := r.OnQueryOverride(unitID, u.Query, query); err != nil {
+			return err
+		}
+	}
 	clone := *u
 	clone.Query = query
 	clone.Optimized = true
 	r.units[unitID] = &clone
-	hook := r.OnQueryOverride
-	r.mu.Unlock()
-	if hook != nil {
-		hook(unitID, old, query)
-	}
 	return nil
 }
 

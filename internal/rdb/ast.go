@@ -47,13 +47,6 @@ type CreateIndexStmt struct {
 	Ordered bool
 }
 
-// DropTableStmt is DROP TABLE [IF EXISTS] name.
-type DropTableStmt struct {
-	stmt
-	Name     string
-	IfExists bool
-}
-
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
 	stmt

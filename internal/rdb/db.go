@@ -29,7 +29,7 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table // lower(name) -> table
 	// ddlEpoch increments on every schema change (CREATE TABLE, CREATE
-	// INDEX, DROP TABLE); compiled plans pin the epoch they were built
+	// INDEX); compiled plans pin the epoch they were built
 	// under and are discarded when it moves. Guarded by mu.
 	ddlEpoch uint64
 	// seq numbers commits; assigned under mu and carried by change-sets
@@ -404,7 +404,7 @@ func coerceArgs(st Statement, args []Value) ([]cell.Cell, error) {
 // nothing).
 func (db *DB) execLocked(sql string, st Statement, args []cell.Cell, undo *undoLog, cs *ChangeSet) (Result, error) {
 	switch x := st.(type) {
-	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
+	case *CreateTableStmt, *CreateIndexStmt:
 		epochBefore := db.ddlEpoch
 		var res Result
 		var err error
@@ -413,8 +413,6 @@ func (db *DB) execLocked(sql string, st Statement, args []cell.Cell, undo *undoL
 			res, err = db.execCreateTable(d)
 		case *CreateIndexStmt:
 			res, err = db.execCreateIndex(d)
-		case *DropTableStmt:
-			res, err = db.execDropTable(d)
 		}
 		if err == nil && cs != nil && db.ddlEpoch != epochBefore {
 			cs.add(ChangeOp{Kind: OpDDL, SQL: sql})
@@ -461,7 +459,7 @@ func (db *DB) execCreateIndex(st *CreateIndexStmt) (Result, error) {
 	}
 	// A one-column CREATE INDEX is a hash index; any other is one sorted
 	// index over the column list. A one-column ORDERED index is unnamed:
-	// catalogs and dumps list it by its column.
+	// catalogs and Describe list it by its column.
 	var err error
 	switch {
 	case len(st.Columns) > 1:
@@ -478,19 +476,6 @@ func (db *DB) execCreateIndex(st *CreateIndexStmt) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	db.ddlEpoch++
-	return Result{}, nil
-}
-
-func (db *DB) execDropTable(st *DropTableStmt) (Result, error) {
-	key := strings.ToLower(st.Name)
-	if _, ok := db.tables[key]; !ok {
-		if st.IfExists {
-			return Result{}, nil
-		}
-		return Result{}, fmt.Errorf("rdb: no such table %q", st.Name)
-	}
-	delete(db.tables, key)
 	db.ddlEpoch++
 	return Result{}, nil
 }
@@ -672,4 +657,14 @@ func (p *SelectPlan) setCol(c *execCtx, row Row, i int, val compiledExpr, name s
 	}
 	row[pos] = cv
 	return nil
+}
+
+func lowerKey(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if c >= 'A' && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }

@@ -323,8 +323,8 @@ func TestDifferentialUnderMutation(t *testing.T) {
 
 // TestDifferentialPKOrderUnderMutation keeps the sorted indexes honest
 // through every way a key enters or leaves a table: explicit keys inserted
-// out of order, deletes, key UPDATEs, a rolled-back transaction and DROP /
-// re-CREATE — on an integer primary key (record ids are the keys), a text
+// out of order, deletes, key UPDATEs, a rolled-back transaction and
+// emptying and refilling the tables — on an integer primary key (record ids are the keys), a text
 // one (keys live in the "pk" image), and ORDERED indexes on nullable
 // columns holding NULLs and duplicates. Every step is compared with the
 // oracle, which scans and sorts; the paging engine is also compared with
@@ -372,8 +372,7 @@ func TestDifferentialPKOrderUnderMutation(t *testing.T) {
 		{`UPDATE k SET id = 4 WHERE id = 7`, `UPDATE k SET id = 30 WHERE id = 3`, `UPDATE named SET name = 'nut' WHERE name = 'apple'`,
 			`UPDATE k SET n = NULL WHERE n = 3`, `UPDATE k SET n = 1 WHERE id = 5`, `UPDATE named SET v = NULL WHERE v = 5`},
 		{`INSERT INTO k (id, v, n) VALUES (6, 'f', 1), (2, 'b', NULL)`, `INSERT INTO named (name, v) VALUES ('kiwi', 3)`},
-		{`DROP TABLE k`, `DROP TABLE named`},
-		create,
+		{`DELETE FROM k`, `DELETE FROM named`},
 		{`INSERT INTO k (id, v, n) VALUES (8, 'h', 4), (2, 'b', NULL), (11, 'k', 4)`, `INSERT INTO named (name, v) VALUES ('b', 1), ('a', NULL)`},
 	}
 	rolledBack := []string{
@@ -394,9 +393,6 @@ func TestDifferentialPKOrderUnderMutation(t *testing.T) {
 		t.Helper()
 		for i, step := range steps {
 			mustExecAll(t, db, step)
-			if i == len(steps)-3 { // the tables are dropped: nothing to probe
-				continue
-			}
 			check(t, db)
 			if i == 3 {
 				tx := db.Begin()

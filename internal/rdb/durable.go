@@ -258,12 +258,6 @@ func (c *rowCache) invalidate(tid uint32, rec uint64) {
 	c.mu.Unlock()
 }
 
-func (c *rowCache) dropTable(tid uint32) {
-	c.mu.Lock()
-	c.lru.removeIf(func(k cacheKey) bool { return k.tid == tid })
-	c.mu.Unlock()
-}
-
 // durableEngine implements Engine over a WAL and a page store. All
 // methods except the wait functions returned by Apply and fetchCols run
 // with db.mu held exclusively (Stats with at least the read lock).
@@ -388,26 +382,6 @@ func (e *durableEngine) delRecord(tree *pager.BTree, et *engTable, rec uint64) e
 	return nil
 }
 
-// deleteRange deletes every key under tree id without reading a value,
-// so an undecodable image cannot fail it. It collects the keys first:
-// deleting from the tree while iterating it is not safe.
-func deleteRange(tree *pager.BTree, id uint32) error {
-	lo, hi := pager.TableBounds(id)
-	var keys []pager.Key
-	if err := tree.ScanKeys(lo, hi, func(k pager.Key) error {
-		keys = append(keys, k)
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if _, err := tree.Delete(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Apply lowers the change-set to record-id operations, appends one WAL
 // frame, writes the rows through to the B-tree, and returns a wait
 // function that group-commits the frame to disk. A resident-row budget
@@ -522,8 +496,6 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 				return err
 			}
 			rec.ops = append(rec.ops, walOp{kind: wopDel, table: op.Table, recID: recID})
-		case OpAutoInc:
-			rec.ops = append(rec.ops, walOp{kind: wopAutoInc, table: op.Table, autoInc: op.AutoInc})
 		}
 	}
 	return nil
@@ -631,8 +603,7 @@ func (e *durableEngine) backfillImage(et *engTable, img *engIndex) error {
 
 // applyDDL maintains the engine's table and image registries alongside
 // a schema change that has already been applied to the in-memory
-// tables. CREATE INDEX allocates and backfills a persisted image; DROP
-// TABLE deletes the records and their images by key.
+// tables. CREATE INDEX allocates and backfills a persisted image.
 func (e *durableEngine) applyDDL(sql string) error {
 	st, err := ParseStatement(sql)
 	if err != nil {
@@ -676,30 +647,6 @@ func (e *durableEngine) applyDDL(sql string) error {
 			sort.Strings(uniq)
 			for _, col := range uniq {
 				e.allocImage(et, t, "unique", "", []string{col})
-			}
-		}
-	case *DropTableStmt:
-		key := lowerKey(x.Name)
-		et := e.tables[key]
-		if et == nil {
-			return nil
-		}
-		tree := e.store.Tree()
-		if err := deleteRange(tree, et.id); err != nil {
-			return err
-		}
-		for _, img := range et.images {
-			if err := deleteRange(tree, img.id); err != nil {
-				return err
-			}
-		}
-		e.cache.dropTable(et.id)
-		delete(e.tables, key)
-		delete(e.sweepCur, key)
-		for i, name := range e.order {
-			if name == key {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
 			}
 		}
 	case *CreateIndexStmt:
@@ -926,8 +873,8 @@ func (e *durableEngine) recover(frames []wal.Record) error {
 		}
 	}
 	// applyDDL above advanced nextTableID past every registration; the
-	// persisted value wins only if it is larger (ids of dropped tables
-	// must never be reused while their keys might linger in the WAL).
+	// persisted value wins only if it is larger (an id must never be
+	// reused while its keys might linger in the WAL).
 	if cf.NextTableID > e.nextTableID {
 		e.nextTableID = cf.NextTableID
 	}
@@ -1211,34 +1158,20 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 			if err := e.delRecord(tree, et, op.recID); err != nil {
 				return err
 			}
-		case wopAutoInc:
-			if t := e.db.tables[op.table]; t != nil {
-				t.autoInc = op.autoInc
-			}
 		}
 	}
 	return nil
 }
 
 // renderCreateTable reproduces a CREATE TABLE statement for the
-// runtime schema.
+// runtime schema, in the exact dialect the parser accepts.
 func renderCreateTable(t *table) string {
-	cols := make([]ColumnDef, len(t.cols))
-	for i, c := range t.cols {
-		cols[i] = c.def
-	}
-	return renderCreateTableSQL(t.name, cols, t.fks)
-}
-
-// renderCreateTableSQL builds a CREATE TABLE statement in the exact
-// dialect the parser accepts (shared by the durable catalog and the
-// snapshot restore path).
-func renderCreateTableSQL(name string, cols []ColumnDef, fks []ForeignKeyDef) string {
 	var b strings.Builder
 	b.WriteString("CREATE TABLE ")
-	b.WriteString(name)
+	b.WriteString(t.name)
 	b.WriteString(" (")
-	for i, c := range cols {
+	for i, col := range t.cols {
+		c := col.def
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -1258,7 +1191,7 @@ func renderCreateTableSQL(name string, cols []ColumnDef, fks []ForeignKeyDef) st
 			b.WriteString(" UNIQUE")
 		}
 	}
-	for _, fk := range fks {
+	for _, fk := range t.fks {
 		b.WriteString(", FOREIGN KEY (")
 		b.WriteString(fk.Column)
 		b.WriteString(") REFERENCES ")

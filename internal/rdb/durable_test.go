@@ -144,7 +144,6 @@ func TestDurableDDLAndTx(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mustExec(t, db, `DROP TABLE b`)
 	db = reopen(t, db, dir)
 	defer db.Close()
 
@@ -154,9 +153,11 @@ func TestDurableDDLAndTx(t *testing.T) {
 	if row, _ := db.QueryRow(`SELECT v FROM a WHERE id = 2`); row == nil || row["v"] != "two" {
 		t.Fatalf("rolled-back delete applied: %#v", row)
 	}
-	names := db.TableNames()
-	if len(names) != 1 || names[0] != "a" {
+	if names := db.TableNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("tables = %v", names)
+	}
+	if row, _ := db.QueryRow(`SELECT aid FROM b WHERE id = 10`); row == nil || row["aid"] != int64(1) {
+		t.Fatalf("committed tx lost its insert into b: %#v", row)
 	}
 	// Stats surface WAL/pool counters (fresh instance: count a write).
 	mustExec(t, db, `INSERT INTO a (id, v) VALUES (3, 'three')`)

@@ -22,9 +22,6 @@ const (
 	OpUpdate
 	// OpDelete removes OldRow at RowID.
 	OpDelete
-	// OpAutoInc forces a table's auto-increment counter (restore paths,
-	// where the counter may exceed the maximum stored key).
-	OpAutoInc
 )
 
 // ChangeOp is one applied operation. RowID is the in-memory row slot —
@@ -32,13 +29,12 @@ const (
 // persist translate it to a stable record id. Row and OldRow reference
 // the stored row slices, which are immutable once written.
 type ChangeOp struct {
-	Kind    OpKind
-	Table   string // lower-cased table key (empty for DDL)
-	SQL     string // OpDDL only
-	RowID   int
-	Row     Row   // new image (insert, update)
-	OldRow  Row   // prior image (update, delete)
-	AutoInc int64 // OpAutoInc only
+	Kind   OpKind
+	Table  string // lower-cased table key (empty for DDL)
+	SQL    string // OpDDL only
+	RowID  int
+	Row    Row // new image (insert, update)
+	OldRow Row // prior image (update, delete)
 }
 
 // ChangeSet is the complete effect of one committed transaction (or

@@ -23,8 +23,8 @@ type token struct {
 	pos  int
 }
 
-// keywords are the reserved words. DISTINCT, GROUP, HAVING, INNER and
-// LEFT start no form of the grammar; they stay reserved so that a
+// keywords are the reserved words. DISTINCT, DROP, GROUP, HAVING, INNER
+// and LEFT start no form of the grammar; they stay reserved so that a
 // statement written with them is refused at the word instead of reading
 // it as an alias.
 var keywords = map[string]bool{

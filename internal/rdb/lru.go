@@ -61,16 +61,6 @@ func (c *lruCache[K, V]) put(key K, val V) {
 	c.pushFront(e)
 }
 
-// removeIf drops every entry whose key satisfies drop.
-func (c *lruCache[K, V]) removeIf(drop func(K) bool) {
-	for k, e := range c.m {
-		if drop(k) {
-			e.unlink()
-			delete(c.m, k)
-		}
-	}
-}
-
 func (c *lruCache[K, V]) remove(key K) {
 	if e, ok := c.m[key]; ok {
 		e.unlink()

@@ -1,7 +1,6 @@
 package rdb
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -116,25 +115,6 @@ func TestOrderedIndexOnText(t *testing.T) {
 	rows := mustQuery(t, db, `SELECT s FROM w WHERE s >= 'b' AND s < 'c' ORDER BY s`)
 	if rows.Len() != 1 || rows.Data[0][0].Value() != "banana" {
 		t.Fatalf("got %v", rows.Data)
-	}
-}
-
-func TestOrderedIndexSurvivesDump(t *testing.T) {
-	db := orderedDB(t, []int64{4, 2, 6})
-	var buf bytes.Buffer
-	if err := db.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := back.Explain(`SELECT * FROM m WHERE v > 3`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "RANGE") {
-		t.Fatalf("ordered index lost in snapshot: %q", plan)
 	}
 }
 

@@ -1,10 +1,8 @@
 package rdb
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -249,8 +247,8 @@ func TestPagingCorruptRecordIsAnError(t *testing.T) {
 	if kv := db.tables["kv"]; len(kv.indexes)+len(kv.composites) != 0 {
 		t.Errorf("a failed build left an index: %d hash, %d sorted", len(kv.indexes), len(kv.composites))
 	}
-	if err := db.Dump(io.Discard); err == nil || !strings.HasPrefix(err.Error(), "rdb: corrupt record with key 7 ") {
-		t.Errorf("Dump: err = %v, want the corrupt record", err)
+	if _, err := db.Query(`SELECT * FROM kv`); err == nil || !strings.HasPrefix(err.Error(), "rdb: corrupt record with key 7 ") {
+		t.Errorf("full scan: err = %v, want the corrupt record", err)
 	}
 	if _, err := db.Query(`SELECT v FROM kv WHERE k = 7`); errors.Unwrap(err) == nil {
 		t.Errorf("the decode failure is not wrapped: %v", err)
@@ -418,16 +416,15 @@ func TestPagingRecoveryWithoutRebuild(t *testing.T) {
 	}
 }
 
-// TestPagingChurnThenDrop overwrites and deletes rows under a 16-row
-// budget, so sweeps and checkpoints run between the writes, then drops
-// the table: live reads see every write, and the drop survives a reopen.
-func TestPagingChurnThenDrop(t *testing.T) {
+// TestPagingChurnThenReopen overwrites and deletes rows under a 16-row
+// budget, so sweeps and checkpoints run between the writes: live reads
+// see every write, and so do reads after a reopen.
+func TestPagingChurnThenReopen(t *testing.T) {
 	dir := t.TempDir()
 	db := openPaging(t, dir)
 	mustExecAll(t, db, []string{
 		`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT UNIQUE)`,
 		`CREATE INDEX kv_v ON kv(v)`,
-		`CREATE TABLE other (id INTEGER PRIMARY KEY)`,
 	})
 	for i := 0; i < 100; i++ {
 		if _, err := db.Exec(`INSERT INTO kv (k, v) VALUES (?, ?)`, int64(i), fmt.Sprintf("v%d", i)); err != nil {
@@ -442,68 +439,28 @@ func TestPagingChurnThenDrop(t *testing.T) {
 	if _, err := db.Exec(`DELETE FROM kv WHERE k >= 50`); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int64{0, 17, 50, 99} {
-		row, err := db.QueryRow(`SELECT v FROM kv WHERE k = ?`, k)
-		if err != nil {
-			t.Fatal(err)
+	churned := func(db *DB) {
+		t.Helper()
+		for _, k := range []int64{0, 17, 50, 99} {
+			row, err := db.QueryRow(`SELECT v FROM kv WHERE k = ?`, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("NEW%d", k); k < 50 && (row == nil || row["v"] != want) {
+				t.Fatalf("live read k=%d: got %v, want %q", k, row, want)
+			}
+			if k >= 50 && row != nil {
+				t.Fatalf("live read k=%d: got %v after its delete", k, row)
+			}
 		}
-		if want := fmt.Sprintf("NEW%d", k); k < 50 && (row == nil || row["v"] != want) {
-			t.Fatalf("live read k=%d: got %v, want %q", k, row, want)
-		}
-		if k >= 50 && row != nil {
-			t.Fatalf("live read k=%d: got %v after its delete", k, row)
+		if got := rowsExact(mustQuery(t, db, `SELECT COUNT(*) FROM kv`)); got != "50\n" {
+			t.Fatalf("live row count: got %q, want 50", got)
 		}
 	}
-	if got := rowsExact(mustQuery(t, db, `SELECT COUNT(*) FROM kv`)); got != "50\n" {
-		t.Fatalf("live row count: got %q, want 50", got)
-	}
-	dropAndReopen(t, db, dir)
-}
-
-// dropAndReopen drops kv, commits to other, and reopens: the drop and
-// the later commit succeed, and the reopened database has no kv.
-func dropAndReopen(t *testing.T, db *DB, dir string) {
-	t.Helper()
-	if _, err := db.Exec(`DROP TABLE kv`); err != nil {
-		t.Fatalf("DROP TABLE: %v", err)
-	}
-	if _, err := db.Exec(`INSERT INTO other (id) VALUES (1)`); err != nil {
-		t.Fatalf("commit after DROP TABLE: %v", err)
-	}
+	churned(db)
 	db = reopenPaging(t, db, dir)
 	defer db.Close()
-	if _, err := db.Query(`SELECT v FROM kv`); err == nil {
-		t.Fatal("kv survived its drop across a reopen")
-	}
-	if got := rowsExact(mustQuery(t, db, `SELECT id FROM other`)); got != "1\n" {
-		t.Fatalf("other after reopen: got %q, want 1", got)
-	}
-}
-
-// TestPagingDropTableOverCorruptRecord: DROP TABLE deletes a paged table's
-// records and index images by key, so a record whose image does not
-// decode cannot fail the drop, nor, through the engine's sticky error,
-// every commit after it.
-func TestPagingDropTableOverCorruptRecord(t *testing.T) {
-	dir := t.TempDir()
-	db := openPaging(t, dir)
-	mustExecAll(t, db, []string{
-		`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT UNIQUE)`,
-		`CREATE TABLE other (id INTEGER PRIMARY KEY)`,
-	})
-	for i := 0; i < 40; i++ {
-		if _, err := db.Exec(`INSERT INTO kv (k, v) VALUES (?, ?)`, int64(i), fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := db.engine.(*durableEngine)
-	e.treeMu.Lock()
-	err := e.store.Tree().Put(pager.MakeKey(e.tables["kv"].id, pkRecID(7)), []byte{2, tagInt, 0x80})
-	e.treeMu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropAndReopen(t, db, dir)
+	churned(db)
 }
 
 // TestPagingScrollerFaultsItsWindow reopens 200-row tables (marker-only,
@@ -603,12 +560,12 @@ func TestPagingEvictionHammer(t *testing.T) {
 				continue
 			}
 			tx := db.Begin()
-			if err := addTo(tx, "acct", "bal", "id", from, -7); err != nil {
+			if err := addTo(inTx{tx}, "acct", "bal", "id", from, -7); err != nil {
 				report(err)
 				tx.Rollback()
 				return
 			}
-			if err := addTo(tx, "acct", "bal", "id", to, 7); err != nil {
+			if err := addTo(inTx{tx}, "acct", "bal", "id", to, 7); err != nil {
 				report(err)
 				tx.Rollback()
 				return
@@ -844,78 +801,6 @@ func TestCrashTorturePagingIndexes(t *testing.T) {
 		lastAck = total
 		if err := db.Close(); err != nil {
 			t.Fatalf("generation %d: close: %v", gen, err)
-		}
-	}
-}
-
-// TestPagingDumpRestoreStreams round-trips a mostly-evicted database
-// through the chunked dump stream: Dump faults rows in bounded chunks
-// rather than materializing tables, and restore into a second paging
-// engine commits chunk by chunk, sweeping as it goes.
-func TestPagingDumpRestoreStreams(t *testing.T) {
-	dir := t.TempDir()
-	db := openPaging(t, dir)
-	defer db.Close()
-	for _, sql := range []string{
-		`CREATE TABLE dept (dno INTEGER PRIMARY KEY, dname TEXT UNIQUE)`,
-		`CREATE TABLE emp (eno INTEGER PRIMARY KEY, dno INTEGER, name TEXT, FOREIGN KEY (dno) REFERENCES dept(dno))`,
-		`CREATE INDEX ix_emp_dno ON emp(dno)`,
-	} {
-		if _, err := db.Exec(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for d := 0; d < 4; d++ {
-		if _, err := db.Exec(`INSERT INTO dept (dno, dname) VALUES (?, ?)`, int64(d), fmt.Sprintf("dept-%d", d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const nEmp = 600 // >> dumpChunkRows and >> the 16-row budget
-	for i := 0; i < nEmp; i++ {
-		if _, err := db.Exec(`INSERT INTO emp (eno, dno, name) VALUES (?, ?, ?)`,
-			int64(i), int64(i%4), fmt.Sprintf("emp-%04d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.EngineStats().RowsResident > pagingOpts.ResidentRows+1 {
-		t.Fatalf("dataset not paged out before dump: %d resident", db.EngineStats().RowsResident)
-	}
-
-	var buf bytes.Buffer
-	if err := db.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The source must stay paged out — a dump that materialized whole
-	// tables would blow the budget past the row-cache wiggle room.
-	if got := db.EngineStats().RowsResident; got > pagingOpts.ResidentRows+1 {
-		t.Fatalf("dump materialized the database: %d rows resident", got)
-	}
-
-	dir2 := t.TempDir()
-	db2 := openPaging(t, dir2)
-	defer db2.Close()
-	if err := db2.LoadDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := db2.EngineStats().RowsResident; got > pagingOpts.ResidentRows+dumpChunkRows {
-		t.Fatalf("chunked restore held too many rows resident: %d", got)
-	}
-	for _, sql := range []string{
-		`SELECT COUNT(*) FROM emp`,
-		`SELECT COUNT(*) FROM emp WHERE dno = 2`,
-		`SELECT name FROM emp WHERE eno = 123`,
-		`SELECT dname FROM dept WHERE dno = 3`,
-	} {
-		a, err := db.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := db2.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rowsExact(a) != rowsExact(b) {
-			t.Fatalf("%s: source %q, restored %q", sql, rowsExact(a), rowsExact(b))
 		}
 	}
 }

@@ -27,8 +27,8 @@ func (e *SyntaxError) Error() string {
 //	cond    := operand [(= | <> | != | < | <= | > | >= | LIKE) operand] (AND ...)*
 //	operand := column | name.column | ? | [-]number | 'text' | NULL | TRUE | FALSE
 //
-// plus INSERT, UPDATE and DELETE over operands and conds, CREATE TABLE,
-// CREATE [ORDERED] INDEX and DROP TABLE. Anything else is a *SyntaxError
+// plus INSERT, UPDATE and DELETE over operands and conds, CREATE TABLE
+// and CREATE [ORDERED] INDEX. Anything else is a *SyntaxError
 // at the first token of the form it uses: the keyword, operator or
 // function name the grammar has no place for.
 func ParseStatement(sql string) (Statement, error) {
@@ -114,8 +114,6 @@ func (p *sqlParser) parseStatement() (Statement, error) {
 		return p.parseDelete()
 	case p.at(tokKeyword, "CREATE"):
 		return p.parseCreate()
-	case p.at(tokKeyword, "DROP"):
-		return p.parseDrop()
 	}
 	return nil, p.errf("expected statement, found %q", p.cur().text)
 }
@@ -299,26 +297,6 @@ func (p *sqlParser) parseCreateIndex() (Statement, error) {
 	if _, err := p.expect(tokSymbol, ")"); err != nil {
 		return nil, err
 	}
-	return st, nil
-}
-
-func (p *sqlParser) parseDrop() (Statement, error) {
-	p.pos++ // DROP
-	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	st := &DropTableStmt{}
-	if p.accept(tokKeyword, "IF") {
-		if _, err := p.expect(tokKeyword, "EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name
 	return st, nil
 }
 

@@ -1,7 +1,6 @@
 package rdb
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -296,32 +295,6 @@ func TestCompositeJoin(t *testing.T) {
 	}
 }
 
-func TestCompositeDumpRestore(t *testing.T) {
-	db := planDB(t)
-	var buf bytes.Buffer
-	if err := db.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := db2.Describe("product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.CompositeIndexes) != 1 || info.CompositeIndexes[0].Name != "ix_family_price" {
-		t.Fatalf("composite index lost across dump/restore: %+v", info.CompositeIndexes)
-	}
-	plan, err := db2.Explain(`SELECT name FROM product WHERE family = 'fam0' AND price = 0`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "COMPOSITE INDEX ix_family_price") {
-		t.Fatalf("restored composite not used: %q", plan)
-	}
-}
-
 func TestStmtCacheLRUBound(t *testing.T) {
 	db := Open()
 	if _, err := db.Exec(`CREATE TABLE t (oid INTEGER PRIMARY KEY)`); err != nil {
@@ -506,4 +479,81 @@ func TestIndexKeysFindWhatAScanFinds(t *testing.T) {
 		defer db.Close()
 		check(t, db)
 	})
+}
+
+func TestExplainAccessPaths(t *testing.T) {
+	db := testDB(t)
+	cases := []struct {
+		sql  string
+		want []string
+	}{
+		{`SELECT * FROM volume WHERE oid = 1`,
+			[]string{"ACCESS volume BY PRIMARY KEY ON oid"}},
+		// The primary key as an order and a range, no index DDL needed.
+		{`SELECT * FROM paper t ORDER BY t.oid`,
+			[]string{"ACCESS paper BY ORDERED INDEX ON oid (est 4 rows)", "ORDER BY INDEX (sort eliminated, 1 keys)"}},
+		{`SELECT * FROM paper t ORDER BY t.oid DESC LIMIT 2 OFFSET 1`,
+			[]string{"ACCESS paper BY ORDERED INDEX ON oid (est 2 rows after 1 entries skipped)", "sort eliminated", "LIMIT"}},
+		{`SELECT * FROM paper t ORDER BY t.oid LIMIT 2 OFFSET ?`,
+			[]string{"ACCESS paper BY ORDERED INDEX ON oid (est 4 rows)", "sort eliminated"}},
+		{`SELECT * FROM paper WHERE oid > ? ORDER BY oid`,
+			[]string{"ACCESS paper BY RANGE ON oid", "sort eliminated"}},
+		// The live-row count as an answer; a filtered count still reads rows.
+		{`SELECT COUNT(*) FROM paper t`,
+			[]string{"CARDINALITY OF paper (4 rows, none read)\nPLAN"}},
+		{`SELECT COUNT(*) FROM paper WHERE pages > 22`,
+			[]string{"SCAN paper (4 rows)"}},
+		// A foreign-key bucket beats walking the whole key for its order
+		// (relationship units, hierarchical levels).
+		{`SELECT * FROM issue t WHERE t.volume_oid = ? ORDER BY t.oid`,
+			[]string{"ACCESS issue BY INDEX ON volume_oid", "SORT 1 keys"}},
+		{`SELECT * FROM issue WHERE volume_oid = 1`,
+			[]string{"ACCESS issue BY INDEX ON volume_oid"}},
+		{`SELECT * FROM volume WHERE title = 'x'`,
+			[]string{"SCAN volume"}},
+		{`SELECT * FROM volume v JOIN issue i ON i.volume_oid = v.oid WHERE v.oid = 1`,
+			[]string{"ACCESS volume BY PRIMARY KEY", "INNER JOIN issue BY INDEX ON volume_oid"}},
+		{`SELECT * FROM volume v JOIN issue i ON i.number = v.year`,
+			[]string{"SCAN volume", "INNER JOIN issue BY NESTED LOOP"}},
+		{`SELECT issue_oid FROM paper ORDER BY issue_oid LIMIT 5`,
+			[]string{"SCAN paper", "SORT 1 keys", "LIMIT"}},
+		// A write is the plan of the rows it writes.
+		{`UPDATE paper SET pages = ? WHERE oid = ?`,
+			[]string{"UPDATE paper\nACCESS paper BY PRIMARY KEY ON oid (est 1 rows)\nPLAN"}},
+		{`DELETE FROM paper WHERE oid > ?`,
+			[]string{"DELETE FROM paper\nACCESS paper BY RANGE ON oid"}},
+		{`DELETE FROM issue WHERE volume_oid = ? AND number = ?`,
+			[]string{"DELETE FROM issue\nACCESS issue BY INDEX ON volume_oid"}},
+		{`DELETE FROM paper`,
+			[]string{"DELETE FROM paper\nSCAN paper (4 rows)\nPLAN"}},
+	}
+	for _, c := range cases {
+		plan, err := db.Explain(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(plan, w) {
+				t.Errorf("%s:\nplan %q\nmissing %q", c.sql, plan, w)
+			}
+		}
+	}
+	if _, err := db.Explain(`INSERT INTO volume (title) VALUES ('x')`); err == nil || !strings.Contains(err.Error(), "EXPLAIN supports SELECT, UPDATE and DELETE") {
+		t.Fatalf("EXPLAIN of INSERT: %v", err)
+	}
+	if _, err := db.Explain(`SELECT * FROM ghost`); err == nil {
+		t.Fatal("EXPLAIN of unknown table accepted")
+	}
+}
+
+func TestExplainUniqueAccess(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE u (oid INTEGER PRIMARY KEY, email TEXT UNIQUE)`)
+	plan, err := db.Explain(`SELECT * FROM u WHERE email = 'a@x'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "BY UNIQUE ON email") {
+		t.Fatalf("plan = %q", plan)
+	}
 }

@@ -42,7 +42,7 @@ func readHammer(t *testing.T, db *DB) {
 					t.Error(err)
 					return
 				}
-				if err := addTo(tx, "kv", "val", "id", int64(r%8+1), 1); err != nil {
+				if err := addTo(inTx{tx}, "kv", "val", "id", int64(r%8+1), 1); err != nil {
 					tx.Rollback()
 					t.Error(err)
 					return

@@ -72,6 +72,8 @@ var removedForms = []struct{ form, sql, at string }{
 	{"/", `SELECT 1 / (bonus - bonus) FROM emp LIMIT 1`, "/"},
 	{"parentheses", `SELECT name FROM emp WHERE (oid = 1)`, "("},
 	{"arithmetic in VALUES", `INSERT INTO dept (name, budget) VALUES ('x', 2 * 3)`, "*"},
+	{"DROP TABLE", `DROP TABLE t`, "DROP"},
+	{"DROP TABLE IF EXISTS", `DROP TABLE IF EXISTS t`, "DROP"},
 }
 
 // refusedCorpus is every diffCorpus and dmlCorpus entry written in a

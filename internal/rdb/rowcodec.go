@@ -18,10 +18,9 @@ import (
 // WAL operation kinds (the durable engine's lowered form of ChangeOps:
 // rowIDs are translated to stable record ids before logging).
 const (
-	wopDDL     = 0
-	wopPut     = 1
-	wopDel     = 2
-	wopAutoInc = 3
+	wopDDL = 0
+	wopPut = 1
+	wopDel = 2
 )
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -220,11 +219,10 @@ func decodeRow(img string) (Row, error) {
 // walOp is one lowered operation inside a WAL record.
 type walOp struct {
 	kind    byte
-	table   string // lower-cased (put, del, autoinc)
+	table   string // lower-cased (put, del)
 	sql     string // ddl
 	recID   uint64 // put, del
 	rowData []byte // put: encoded row image
-	autoInc int64  // autoinc
 }
 
 // walRecord is the decoded payload of one WAL frame: the full effect
@@ -262,9 +260,6 @@ func encodeWALRecord(rec *walRecord) []byte {
 			var tmp [8]byte
 			binary.LittleEndian.PutUint64(tmp[:], op.recID)
 			b = append(b, tmp[:]...)
-		case wopAutoInc:
-			b = appendBytes(b, []byte(op.table))
-			b = appendVarint(b, op.autoInc)
 		}
 	}
 	return b
@@ -293,9 +288,6 @@ func decodeWALRecord(b []byte) (*walRecord, error) {
 		case wopDel:
 			op.table = d.str()
 			op.recID = d.u64()
-		case wopAutoInc:
-			op.table = d.str()
-			op.autoInc = d.varint()
 		default:
 			d.fail("unknown op kind")
 		}

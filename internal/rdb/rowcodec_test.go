@@ -81,6 +81,49 @@ func TestRowImageMalformed(t *testing.T) {
 	}
 }
 
+// TestWALRecordMalformed: every malformed WAL frame payload is refused
+// with the record codec's error, among them a frame carrying op kind 3,
+// which no release writes any more; a well-formed record round-trips.
+func TestWALRecordMalformed(t *testing.T) {
+	seq := []byte{1, 0, 0, 0, 0, 0, 0, 0}
+	frame := func(tail ...byte) []byte { return append(append([]byte(nil), seq...), tail...) }
+	cases := map[string]struct {
+		payload []byte
+		want    string
+	}{
+		"short-seq":         {[]byte{1, 0, 0}, "short buffer"},
+		"implausible-count": {frame(0xff, 0x7f), "implausible op count"},
+		"op-kind-3":         {frame(1, 3, 1, 't', 7), "unknown op kind"},
+		"unknown-op-kind":   {frame(1, 9), "unknown op kind"},
+		"short-put":         {frame(1, wopPut, 1, 't', 1, 0, 0), "short buffer"},
+		"trailing-bytes":    {frame(1, wopDel, 1, 't', 1, 0, 0, 0, 0, 0, 0, 0, 0), "1 trailing bytes"},
+	}
+	for name, c := range cases {
+		_, err := decodeWALRecord(c.payload)
+		if err == nil || !strings.HasPrefix(err.Error(), "rdb: corrupt WAL record: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a corrupt WAL record (%s)", name, err, c.want)
+		}
+	}
+	rec := &walRecord{seq: 9, ops: []walOp{
+		{kind: wopDDL, sql: "CREATE TABLE t (k INTEGER PRIMARY KEY)"},
+		{kind: wopPut, table: "t", recID: 3, rowData: encodeRow(Row{cell.Int(3)})},
+		{kind: wopDel, table: "t", recID: 3},
+	}}
+	back, err := decodeWALRecord(encodeWALRecord(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.seq != rec.seq || len(back.ops) != len(rec.ops) {
+		t.Fatalf("round trip: %+v, want %+v", back, rec)
+	}
+	for i, op := range rec.ops {
+		got := back.ops[i]
+		if got.kind != op.kind || got.table != op.table || got.sql != op.sql || got.recID != op.recID || !bytes.Equal(got.rowData, op.rowData) {
+			t.Errorf("op %d: %+v, want %+v", i, got, op)
+		}
+	}
+}
+
 // untouched fills the row slots a masked decode must leave alone.
 var untouched = cell.Cell{Kind: kEvicted, Str: "untouched"}
 

@@ -47,8 +47,8 @@ type table struct {
 	// pkOrd is a one-column sorted index over the primary key: what the
 	// schema already says about ORDER BY pk and pk ranges. It is nil
 	// without a primary key, is never persisted (pkMap's sources rebuild
-	// it) and is not listed in composites, so catalogs, dumps and Describe
-	// do not see it.
+	// it) and is not listed in composites, so catalogs and Describe do
+	// not see it.
 	pkOrd *compositeIndex
 	// indexes maps lower(column name) -> value -> row ids. The primary key
 	// is indexed through pkMap and pkOrd instead.

@@ -62,7 +62,7 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 		return Result{}, err
 	}
 	if _, isSel := st.(*SelectStmt); isSel {
-		return Result{}, fmt.Errorf("rdb: use Tx.Query for SELECT")
+		return Result{}, fmt.Errorf("rdb: a transaction does not run SELECT")
 	}
 	cargs, err := coerceArgs(st, args)
 	if err != nil {
@@ -76,7 +76,7 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	// — DDL mid-transaction is rare enough that holding the lock over
 	// one fsync is fine.
 	switch st.(type) {
-	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
+	case *CreateTableStmt, *CreateIndexStmt:
 		cs := &ChangeSet{}
 		res, err := tx.db.execLocked(sql, st, cargs, nil, cs)
 		if err != nil {
@@ -94,32 +94,6 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 		return res, nil
 	}
 	return tx.db.execLocked(sql, st, cargs, &tx.undo, &tx.cs)
-}
-
-// Query runs a SELECT inside the transaction, observing its own writes.
-func (tx *Tx) Query(sql string, args ...Value) (*Rows, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	st, err := tx.db.prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("rdb: Tx.Query requires a SELECT statement")
-	}
-	cargs, err := coerceArgs(st, args)
-	if err != nil {
-		return nil, err
-	}
-	// The transaction already holds the exclusive lock, which planFor
-	// and execPlan require only shared access under.
-	p, err := tx.db.planFor(sql, sel)
-	if err != nil {
-		return nil, err
-	}
-	return tx.db.execPlan(p, cargs, nil)
 }
 
 // Commit makes the transaction's writes permanent and releases the

@@ -16,10 +16,10 @@ func txDB(t *testing.T) *DB {
 func TestTxCommit(t *testing.T) {
 	db := txDB(t)
 	tx := db.Begin()
-	if err := addTo(tx, "acct", "balance", "owner", "a", -10); err != nil {
+	if err := addTo(inTx{tx}, "acct", "balance", "owner", "a", -10); err != nil {
 		t.Fatal(err)
 	}
-	if err := addTo(tx, "acct", "balance", "owner", "b", 10); err != nil {
+	if err := addTo(inTx{tx}, "acct", "balance", "owner", "b", 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -84,7 +84,7 @@ func TestTxSeesOwnWrites(t *testing.T) {
 	if _, err := tx.Exec(`INSERT INTO acct (owner, balance) VALUES ('c', 7)`); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tx.Query(`SELECT COUNT(*) FROM acct`)
+	rows, err := inTx{tx}.Query(`SELECT COUNT(*) FROM acct`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestTxRollbackInvariantProperty(t *testing.T) {
 		}
 		tx := db.Begin()
 		for _, d := range transfers {
-			if err := addTo(tx, "acct", "balance", "oid", 1, -int64(d)); err != nil {
+			if err := addTo(inTx{tx}, "acct", "balance", "oid", 1, -int64(d)); err != nil {
 				tx.Rollback()
 				return false
 			}
-			if err := addTo(tx, "acct", "balance", "oid", 2, int64(d)); err != nil {
+			if err := addTo(inTx{tx}, "acct", "balance", "oid", 2, int64(d)); err != nil {
 				tx.Rollback()
 				return false
 			}

@@ -4,7 +4,7 @@
 // the runtime needs a store that actually parses and executes SQL.
 //
 // Supported SQL is what the stack writes, and no more (ParseStatement
-// has the grammar): CREATE TABLE, CREATE [ORDERED] INDEX, DROP TABLE;
+// has the grammar): CREATE TABLE, CREATE [ORDERED] INDEX;
 // SELECT of columns, literals and '?' — or COUNT(*) alone — with JOIN ...
 // ON, WHERE comparisons (= <> < <= > >= LIKE) joined by AND, ORDER BY,
 // LIMIT and OFFSET; INSERT, UPDATE and DELETE; '?' positional parameters.

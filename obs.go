@@ -326,12 +326,7 @@ func (a *App) buildRegistry() *obs.Registry {
 			e.Counter("webml_rdb_checkpoints_total", "Page-file checkpoints (WAL resets).", nil, float64(s.Checkpoints))
 			e.Counter("webml_rdb_recovered_records_total", "WAL records replayed at the last open.", nil, float64(s.RecoveredRecords))
 		})
-		// Page-fault latency: every evicted-row materialization reports
-		// its duration through the engine's fault observer.
-		faultLat := obs.NewHistogramVec("webml_rdb_row_fault_seconds",
-			"Evicted-row fault latency by access mode.", "mode")
-		a.DB.SetFaultObserver(func(d time.Duration) { faultLat.Observe("read", d) })
-		reg.RegisterVec(faultLat)
+		reg.RegisterVec(a.faultLat)
 	}
 	if a.Admission != nil {
 		reg.RegisterVec(a.Admission.Sojourn)
