@@ -380,11 +380,18 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		app.Edge.VaryUserAgent = app.Renderer.VariesByUserAgent()
 	}
 	// A hand-tuned query injected via OverrideQuery (Section 6) must be
-	// SQL the data tier parses, and must not leave the replaced SQL's
-	// compiled plan in the engine's cache.
+	// SQL the data tier parses and, unless it is an INSERT (which has no
+	// plan), plans against its schema; and it must not leave the
+	// replaced SQL's compiled plan in the engine's cache.
 	art.Repo.OnQueryOverride = func(_, oldQuery, newQuery string) error {
-		if _, err := rdb.ParseStatement(newQuery); err != nil {
+		st, err := rdb.ParseStatement(newQuery)
+		if err != nil {
 			return err
+		}
+		if _, insert := st.(*rdb.InsertStmt); !insert {
+			if _, err := app.DB.Explain(newQuery); err != nil {
+				return err
+			}
 		}
 		app.DB.InvalidatePlan(oldQuery)
 		return nil

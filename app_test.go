@@ -201,6 +201,80 @@ func TestQueryOverrideRefusesUnparsableSQL(t *testing.T) {
 	}
 }
 
+// TestQueryOverrideRefusesUnplannableSQL: an override that parses but
+// that the data tier cannot plan against its schema is refused with the
+// planner's error, the unit keeps its query, and the page still serves.
+func TestQueryOverrideRefusesUnplannableSQL(t *testing.T) {
+	app := newApp(t)
+	before := app.Repo().Unit("volumeData").Query
+	err := app.Repo().OverrideQuery("volumeData", "SELECT t.oid, t.nosuch FROM volume t WHERE t.oid = ?")
+	if err == nil || !strings.Contains(err.Error(), `no column "nosuch"`) {
+		t.Fatalf("override: err = %v, want the planner's unknown-column error", err)
+	}
+	if got := app.Repo().Unit("volumeData").Query; got != before {
+		t.Fatalf("refused override swapped the query to %q", got)
+	}
+	rr, body := request(t, app.Handler(), "/page/volumePage?volume=1", "")
+	if rr.Code != http.StatusOK || !strings.Contains(body, "TODS Volume 27") {
+		t.Fatalf("page after a refused override: %d\n%s", rr.Code, body)
+	}
+}
+
+// TestQueryOverrideDuringWrites: overrides plan their SQL against the
+// data tier while operations hold its write lock and read descriptors;
+// neither waits on the other, and every request still succeeds.
+func TestQueryOverrideDuringWrites(t *testing.T) {
+	app := newApp(t)
+	h := app.Handler()
+	queries := []string{
+		"SELECT t.oid, t.title, t.year FROM volume t WHERE t.oid = ? -- tuned a",
+		"SELECT t.oid, t.title, t.year FROM volume t WHERE t.oid = ? -- tuned b",
+	}
+	done := make(chan struct{})
+	errs := make(chan string, 64)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				for _, path := range []string{
+					fmt.Sprintf("/op/createVolume?title=O%dI%d&year=2001", g, i),
+					"/page/volumePage?volume=1",
+				} {
+					rr := httptest.NewRecorder()
+					h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+					if rr.Code >= 500 {
+						errs <- fmt.Sprintf("%s -> %d: %s", path, rr.Code, rr.Body.String())
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := app.Repo().OverrideQuery("volumeData", queries[i%2]); err != nil {
+				errs <- err.Error()
+			}
+		}
+	}()
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("overrides and writes did not finish: deadlock")
+	}
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n, err := app.DB.RowCount("volume"); err != nil || n != 102 {
+		t.Fatalf("volumes = %d err = %v, want 2 seeded + 100 created", n, err)
+	}
+}
+
 func TestWithDatabaseReuse(t *testing.T) {
 	first := newApp(t)
 	// Second app over the same data, skipping DDL.

@@ -27,11 +27,11 @@ type Repository struct {
 	schedules map[string]*Schedule
 
 	// OnQueryOverride, when set, runs before OverrideQuery swaps a unit's
-	// SQL, under the repository lock (it must not call the repository).
-	// An error refuses the override and leaves the unit on its old query.
-	// App wiring uses it to refuse SQL the data tier cannot parse and to
-	// drop the compiled plan cached for the replaced query. Set during
-	// assembly, before the repository is shared.
+	// SQL, outside the repository lock (it may run again if a concurrent
+	// swap intervenes). An error refuses the override and leaves the unit
+	// on its old query. App wiring uses it to refuse SQL the data tier
+	// cannot plan and to drop the compiled plan cached for the replaced
+	// query. Set during assembly, before the repository is shared.
 	OnQueryOverride func(unitID, oldQuery, newQuery string) error
 }
 
@@ -206,24 +206,32 @@ func (r *Repository) Counts() (units, pages, templates int) {
 
 // OverrideQuery atomically replaces a unit's query and marks the
 // descriptor optimized, unless OnQueryOverride refuses the query. This
-// is the Section 6 workflow for injecting a hand-tuned query.
+// is the Section 6 workflow for injecting a hand-tuned query. The hook
+// runs outside the repository lock; the swap happens only if the unit's
+// descriptor is still the one the hook checked, and is retried when a
+// concurrent swap replaced it in between.
 func (r *Repository) OverrideQuery(unitID, query string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	u, ok := r.units[unitID]
-	if !ok {
-		return fmt.Errorf("descriptor: no unit %q", unitID)
-	}
-	if r.OnQueryOverride != nil {
-		if err := r.OnQueryOverride(unitID, u.Query, query); err != nil {
-			return err
+	for {
+		u := r.Unit(unitID)
+		if u == nil {
+			return fmt.Errorf("descriptor: no unit %q", unitID)
 		}
+		if r.OnQueryOverride != nil {
+			if err := r.OnQueryOverride(unitID, u.Query, query); err != nil {
+				return err
+			}
+		}
+		r.mu.Lock()
+		if r.units[unitID] == u {
+			clone := *u
+			clone.Query = query
+			clone.Optimized = true
+			r.units[unitID] = &clone
+			r.mu.Unlock()
+			return nil
+		}
+		r.mu.Unlock()
 	}
-	clone := *u
-	clone.Query = query
-	clone.Optimized = true
-	r.units[unitID] = &clone
-	return nil
 }
 
 // OverrideService points a unit at a user-supplied business component and

@@ -180,32 +180,29 @@ func (p *SelectPlan) walkEstimate(args []cell.Cell) string {
 // probes and operator time alongside the planner's estimates. The
 // result rows are discarded; side effects are none (SELECT only).
 func (db *DB) ExplainAnalyze(sql string, args ...Value) (string, error) {
-	st, err := db.prepare(sql)
+	p, hit, cargs, err := db.planSelect(sql, args)
 	if err != nil {
 		return "", err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return "", fmt.Errorf("rdb: EXPLAIN ANALYZE supports only SELECT, got %T", st)
-	}
-	cargs, err := coerceArgs(st, args)
-	if err != nil {
-		return "", err
-	}
-	db.mu.RLock()
 	defer db.mu.RUnlock()
-	p, hit, err := db.planForCached(sql, sel)
-	if err != nil {
-		return "", err
-	}
+	_, _, plan, err := db.analyze(p, hit, cargs, 0)
+	return plan, err
+}
+
+// analyze is the analysed run behind ExplainAnalyze and QueryContext's
+// instrumented path: it executes p with per-operator counters attached
+// and, when the run succeeded and took at least threshold, renders the
+// annotated plan. The caller holds the read lock.
+func (db *DB) analyze(p *SelectPlan, hit bool, args []cell.Cell, threshold time.Duration) (rows *Rows, elapsed time.Duration, plan string, err error) {
 	es := newExecStats(p)
 	t0 := time.Now()
-	rows, err := db.execPlan(p, cargs, es)
-	if err != nil {
-		return "", err
-	}
-	es.total = time.Since(t0)
-	es.output = int64(rows.Len())
+	rows, err = db.execPlan(p, args, es)
+	elapsed = time.Since(t0)
 	db.stats.analyzedQueries.Add(1)
-	return renderPlan(p, sel, es, cargs) + planCacheLine(hit), nil
+	if err == nil && elapsed >= threshold {
+		es.total = elapsed
+		es.output = int64(rows.Len())
+		plan = renderPlan(p, p.stmt, es, args) + planCacheLine(hit)
+	}
+	return rows, elapsed, plan, err
 }

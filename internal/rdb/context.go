@@ -2,7 +2,7 @@ package rdb
 
 import (
 	"context"
-	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -65,50 +65,20 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Row
 	if fin == nil && rec == nil {
 		return db.Query(sql, args...)
 	}
-	st, err := db.prepare(sql)
+	p, hit, cargs, err := db.planSelect(sql, args)
 	if err != nil {
 		if fin != nil {
 			fin(err)
 		}
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		err := fmt.Errorf("rdb: Query requires a SELECT statement, got %T", st)
-		if fin != nil {
-			fin(err)
-		}
-		return nil, err
+	threshold := time.Duration(math.MaxInt64) // no recorder: never render
+	if rec != nil {
+		threshold = rec.min
 	}
-	cargs, err := coerceArgs(st, args)
-	if err != nil {
-		if fin != nil {
-			fin(err)
-		}
-		return nil, err
-	}
-	db.mu.RLock()
-	p, hit, err := db.planForCached(sql, sel)
-	if err != nil {
-		db.mu.RUnlock()
-		if fin != nil {
-			fin(err)
-		}
-		return nil, err
-	}
-	es := newExecStats(p)
-	t0 := time.Now()
-	rows, err := db.execPlan(p, cargs, es)
-	elapsed := time.Since(t0)
-	var planText string
-	if err == nil && rec != nil && elapsed >= rec.min {
-		es.total = elapsed
-		es.output = int64(rows.Len())
-		planText = renderPlan(p, sel, es, cargs) + planCacheLine(hit)
-	}
+	rows, elapsed, planText, err := db.analyze(p, hit, cargs, threshold)
 	access := p.access.pathLabel()
 	db.mu.RUnlock()
-	db.stats.analyzedQueries.Add(1)
 	var nrows int64
 	if rows != nil {
 		nrows = int64(rows.Len())

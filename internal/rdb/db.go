@@ -322,25 +322,36 @@ func (db *DB) applyLocked(cs *ChangeSet) (func() error, error) {
 // materialized result. The plan is compiled once per SQL text and
 // reused across calls with different parameters.
 func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
+	p, _, cargs, err := db.planSelect(sql, args)
+	if err != nil {
+		return nil, err
+	}
+	defer db.mu.RUnlock()
+	return db.execPlan(p, cargs, nil)
+}
+
+// planSelect is the front half of every SELECT entry point (Query,
+// QueryContext, ExplainAnalyze): it prepares sql, refuses anything but
+// a SELECT, binds args, read-locks db and returns the compiled plan and
+// whether it came from the plan cache. On success the caller holds the
+// read lock and must release it; on error the lock is not held.
+func (db *DB) planSelect(sql string, args []Value) (p *SelectPlan, hit bool, cargs []cell.Cell, err error) {
 	st, err := db.prepare(sql)
 	if err != nil {
-		return nil, err
+		return nil, false, nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("rdb: Query requires a SELECT statement, got %T", st)
+	if _, ok := st.(*SelectStmt); !ok {
+		return nil, false, nil, fmt.Errorf("rdb: Query requires a SELECT statement, got %T", st)
 	}
-	cargs, err := coerceArgs(st, args)
-	if err != nil {
-		return nil, err
+	if cargs, err = coerceArgs(st, args); err != nil {
+		return nil, false, nil, err
 	}
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, err := db.planFor(sql, sel)
-	if err != nil {
-		return nil, err
+	if p, hit, err = db.planForCached(sql, st); err != nil {
+		db.mu.RUnlock()
+		return nil, false, nil, err
 	}
-	return db.execPlan(p, cargs, nil)
+	return p, hit, cargs, nil
 }
 
 // QueryRow runs a SELECT expected to return at most one row. It returns

@@ -209,6 +209,40 @@ func TestPageFileVersionOneRefused(t *testing.T) {
 	}
 }
 
+// TestFreshDirectoryNewestSlotCorrupt: a fresh page file has two valid
+// meta slots, and the older one is the catalog-less empty image. With
+// the newest slot corrupt, OpenDurable falls back to that image and
+// fails on its missing catalog; it must not open as an empty database.
+func TestFreshDirectoryNewestSlotCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, pagesFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const pageSize = 4096
+	if binary.LittleEndian.Uint64(data[28:36]) != 1 || binary.LittleEndian.Uint64(data[pageSize+28:pageSize+36]) != 2 {
+		t.Fatal("a fresh page file should hold generation 1 in slot 0 and generation 2 in slot 1")
+	}
+	data[pageSize+10] ^= 0xFF // inside slot 1's checkpoint sequence, covered by its CRC
+	crashed := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crashed, pagesFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenDurable(crashed); err == nil || !strings.Contains(err.Error(), "rdb: decode catalog") {
+		if db != nil {
+			db.Close()
+		}
+		t.Fatalf("open with the newest slot corrupt: err = %v, want the catalog error", err)
+	}
+}
+
 // TestCatalogVersionOneRefused: the catalog decoder reads version 2 only.
 func TestCatalogVersionOneRefused(t *testing.T) {
 	for _, v := range []int{1, 3} {

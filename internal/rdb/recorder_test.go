@@ -25,6 +25,36 @@ func TestQueryContextMatchesQuery(t *testing.T) {
 	if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
 		t.Fatalf("QueryContext %v != Query %v", got.Data, want.Data)
 	}
+	// The three SELECT entry points refuse alike, and a refused query
+	// leaves no record, even with hooks on and the recorder at 0.
+	log := &spanLog{}
+	db.SetTraceHooks(log.hooks(1))
+	db.EnableQueryRecorder(8, 0) // a fresh, empty ring
+	for _, c := range []struct {
+		sql  string
+		args []Value
+		want string
+	}{
+		{`SELECT name FROM WHERE oid = 1`, nil, "syntax error"},
+		{`UPDATE product SET price = 1 WHERE oid = 1`, nil, "rdb: Query requires a SELECT statement, got *rdb.UpdateStmt"},
+		{`SELECT name FROM product WHERE oid = ?`, []Value{int64(1), int64(2)}, "rdb: statement needs 1 parameters, got 2"},
+	} {
+		_, qerr := db.Query(c.sql, c.args...)
+		_, cerr := db.QueryContext(context.Background(), c.sql, c.args...)
+		_, aerr := db.ExplainAnalyze(c.sql, c.args...)
+		if qerr == nil || !strings.Contains(qerr.Error(), c.want) {
+			t.Fatalf("Query(%q): err = %v, want %q", c.sql, qerr, c.want)
+		}
+		if cerr == nil || cerr.Error() != qerr.Error() || aerr == nil || aerr.Error() != qerr.Error() {
+			t.Fatalf("%q: Query %v, QueryContext %v, ExplainAnalyze %v: want one error", c.sql, qerr, cerr, aerr)
+		}
+	}
+	if recs := db.QueryRecords(0, 0); len(recs) != 0 {
+		t.Fatalf("refused queries were recorded: %+v", recs)
+	}
+	if n := len(log.names()); n != 3 {
+		t.Fatalf("refused queries opened %d spans, want 3 (one per QueryContext)", n)
+	}
 }
 
 func TestQueryRecorderCaptures(t *testing.T) {

@@ -592,189 +592,50 @@ func (s *Store) IncrementalCheckpoint(seq uint64, catalog []byte) error {
 	return nil
 }
 
-// --- checkpoint writer -------------------------------------------------
-
-// WriteCheckpoint bulk-loads a compacted B-tree image into path,
-// atomically replacing any previous file. scan must emit keys in
-// strictly ascending order (iterate a live tree, or nothing for a
-// fresh file); catalog is the schema blob stored alongside. The new
-// image, catalog and seq become visible in a single rename.
+// WriteCheckpoint writes a page file holding what scan emits, catalog
+// and seq at path, atomically replacing any previous file. scan must
+// emit keys in strictly ascending order (iterate a live tree, or
+// nothing for a fresh file). The file is built by the writer every
+// later checkpoint uses: a three-page empty image (meta slot 0 naming
+// an empty root leaf, slot 1 zeroed) is written to path.tmp, opened,
+// filled with BTree.Put and published with IncrementalCheckpoint, then
+// renamed over path. The result has two valid meta slots: the newer
+// one, and the older, catalog-less empty image.
 func WriteCheckpoint(path string, seq uint64, catalog []byte, scan func(emit func(Key, []byte) error) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	defer os.Remove(tmp) // no-op after the rename succeeds
+	img := make([]byte, 3*PageSize)
+	copy(img, encodeMeta(Meta{Gen: 1, Root: 2, NPages: 3}))
+	packLeaf(img[2*PageSize:], nil)
+	if err := os.WriteFile(tmp, img, 0o644); err != nil {
+		return err
+	}
+	s, err := Open(tmp, 0)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-
-	b := &builder{f: f, next: 2} // pages 0 and 1 are the meta slots
-	catalogHead := PageID(0)
-	if len(catalog) > 0 {
-		catalogHead = b.writeChain(catalog)
+	var prev Key
+	have := false
+	err = scan(func(k Key, v []byte) error {
+		if have && !prev.Less(k) {
+			return fmt.Errorf("pager: checkpoint scan out of order at %x", k[:])
+		}
+		prev, have = k, true
+		return s.tree.Put(k, v)
+	})
+	if err == nil {
+		err = s.IncrementalCheckpoint(seq, catalog)
 	}
-	root := b.buildTree(scan)
-	if b.err != nil {
-		f.Close()
-		return b.err
+	if cerr := s.Close(); err == nil {
+		err = cerr
 	}
-	meta := encodeMeta(Meta{Gen: 1, CheckpointSeq: seq, Root: root, NPages: uint32(b.next), CatalogHead: catalogHead})
-	if _, err := f.WriteAt(meta, 0); err != nil {
-		f.Close()
-		return err
-	}
-	// Slot 1 starts invalid (all zeroes); the first incremental
-	// checkpoint writes it.
-	if _, err := f.WriteAt(make([]byte, PageSize), PageSize); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("pager: checkpoint fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
 	return fsyncDir(filepath.Dir(path))
-}
-
-type builder struct {
-	f    *os.File
-	next PageID
-	err  error
-}
-
-func (b *builder) emit(data []byte) PageID {
-	id := b.next
-	b.next++
-	if b.err == nil {
-		if _, err := b.f.WriteAt(data, int64(id)*PageSize); err != nil {
-			b.err = fmt.Errorf("pager: checkpoint write page %d: %w", id, err)
-		}
-	}
-	return id
-}
-
-// writeChain stores blob as a linked chain of overflow-format pages
-// and returns the head. Pages are emitted in order, so each page's
-// next pointer is simply the following allocation.
-func (b *builder) writeChain(blob []byte) PageID {
-	head := b.next
-	for off := 0; off < len(blob); {
-		n := len(blob) - off
-		if n > ovfCap {
-			n = ovfCap
-		}
-		d := make([]byte, PageSize)
-		d[0] = pageOverflow
-		binary.LittleEndian.PutUint16(d[2:4], uint16(n))
-		if off+n < len(blob) {
-			binary.LittleEndian.PutUint32(d[4:8], uint32(b.next+1))
-		}
-		copy(d[ovfHdr:], blob[off:off+n])
-		b.emit(d)
-		off += n
-	}
-	return head
-}
-
-type levelEntry struct {
-	first Key
-	id    PageID
-}
-
-// buildTree packs the scanned key/value stream into full leaves, then
-// builds interior levels bottom-up. Returns the root page.
-func (b *builder) buildTree(scan func(emit func(Key, []byte) error) error) PageID {
-	var leaves []levelEntry
-	var cells [][]byte
-	var used int // header + slots + cells
-	var prev Key
-	var have bool
-
-	flush := func() {
-		if len(cells) == 0 {
-			return
-		}
-		d := make([]byte, PageSize)
-		packLeaf(d, cells)
-		var first Key
-		copy(first[:], cells[0][:keySize])
-		leaves = append(leaves, levelEntry{first: first, id: b.emit(d)})
-		cells = cells[:0]
-		used = leafHdr
-	}
-	used = leafHdr
-
-	err := scan(func(k Key, v []byte) error {
-		if have && !prev.Less(k) {
-			return fmt.Errorf("pager: checkpoint scan out of order at %x", k[:])
-		}
-		prev, have = k, true
-		cell := b.buildCell(k, v)
-		if used+len(cell)+2 > PageSize {
-			flush()
-		}
-		cells = append(cells, cell)
-		used += len(cell) + 2
-		return nil
-	})
-	if err != nil && b.err == nil {
-		b.err = err
-	}
-	flush()
-
-	if len(leaves) == 0 {
-		d := make([]byte, PageSize)
-		packLeaf(d, nil)
-		return b.emit(d)
-	}
-	level := leaves
-	for len(level) > 1 {
-		var up []levelEntry
-		for lo := 0; lo < len(level); lo += maxFanout {
-			hi := lo + maxFanout
-			if hi > len(level) {
-				hi = len(level)
-			}
-			group := level[lo:hi]
-			d := make([]byte, PageSize)
-			d[0] = pageInterior
-			setIntN(d, len(group)-1)
-			for i, e := range group {
-				setChild(d, i, e.id)
-				if i > 0 {
-					setIntKey(d, i-1, e.first)
-				}
-			}
-			up = append(up, levelEntry{first: group[0].first, id: b.emit(d)})
-		}
-		level = up
-	}
-	return level[0].id
-}
-
-// buildCell encodes one key/value as a leaf cell, spilling large
-// values into an overflow chain emitted before the cell's leaf.
-func (b *builder) buildCell(k Key, v []byte) []byte {
-	if len(v) <= MaxInline {
-		cell := make([]byte, keySize+3+len(v))
-		copy(cell, k[:])
-		cell[keySize] = 0
-		binary.LittleEndian.PutUint16(cell[keySize+1:], uint16(len(v)))
-		copy(cell[keySize+3:], v)
-		return cell
-	}
-	head := b.writeChain(v)
-	cell := make([]byte, keySize+9)
-	copy(cell, k[:])
-	cell[keySize] = 1
-	binary.LittleEndian.PutUint32(cell[keySize+1:], uint32(len(v)))
-	binary.LittleEndian.PutUint32(cell[keySize+5:], uint32(head))
-	return cell
 }
 
 func fsyncDir(dir string) error {

@@ -248,6 +248,30 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	if count != 100 {
 		t.Fatalf("replaced image has %d records", count)
 	}
+	// A scan that repeats or goes back fails, leaves no temporary file
+	// and keeps the image it would have replaced.
+	for _, second := range []Key{MakeKey(1, 5), MakeKey(1, 4)} {
+		err := WriteCheckpoint(path, 8, nil, func(emit func(Key, []byte) error) error {
+			if err := emit(MakeKey(1, 5), []byte("a")); err != nil {
+				return err
+			}
+			return emit(second, []byte("b"))
+		})
+		if err == nil || !strings.Contains(err.Error(), "out of order") {
+			t.Fatalf("scan emitting %x after %x: err = %v, want out of order", second, MakeKey(1, 5), err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("tmp file left behind by a failed checkpoint: %v", err)
+		}
+	}
+	s3, err := Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Meta().CheckpointSeq != 7 {
+		t.Fatalf("a failed checkpoint replaced the image: seq %d, want 7", s3.Meta().CheckpointSeq)
+	}
 }
 
 func TestPoolEvictionAndStats(t *testing.T) {
@@ -303,12 +327,26 @@ func TestMetaCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[10] ^= 0xFF // inside checkpointSeq, covered by the meta CRC
+	// A fresh file has two valid slots: the empty image (generation 1,
+	// slot 0) and the checkpoint that filled it (generation 2, slot 1).
+	data[PageSize+10] ^= 0xFF // inside slot 1's checkpointSeq, covered by the meta CRC
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, 0)
+	if err != nil {
+		t.Fatalf("a corrupt newest slot should fall back to the older one: %v", err)
+	}
+	if g := s.Meta().Gen; g != 1 {
+		t.Fatalf("opened generation %d, want the older slot's 1", g)
+	}
+	s.Close()
+	data[10] ^= 0xFF // slot 0 too
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path, 0); err == nil {
-		t.Fatal("corrupt meta page should fail to open")
+		t.Fatal("a file with both meta slots corrupt should fail to open")
 	}
 }
 

@@ -31,9 +31,10 @@ type undoLog struct {
 
 func (u *undoLog) add(e undoEntry) { u.entries = append(u.entries, e) }
 
-// Tx is a write transaction. It holds the database's exclusive lock for
-// its whole lifetime (coarse two-phase locking): readers and other writers
-// wait until Commit or Rollback. Rollback replays an undo log.
+// Tx is a write transaction over rows: it runs INSERT, UPDATE and
+// DELETE, never SELECT or DDL. It holds the database's exclusive lock
+// for its whole lifetime (coarse two-phase locking): readers and other
+// writers wait until Commit or Rollback. Rollback replays an undo log.
 //
 // The paper's operation units (create/modify/delete/connect/disconnect
 // chains with KO links) need exactly this: a unit chain either completes
@@ -52,7 +53,10 @@ func (db *DB) Begin() *Tx {
 	return &Tx{db: db}
 }
 
-// Exec runs a write statement inside the transaction.
+// Exec runs an INSERT, UPDATE or DELETE inside the transaction; its
+// writes are undone by Rollback. Any other statement is refused:
+// SELECT runs through DB.Query, and DDL (CREATE TABLE, CREATE INDEX),
+// which the undo log does not cover, through DB.Exec.
 func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	if tx.done {
 		return Result{}, ErrTxDone
@@ -61,37 +65,14 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if _, isSel := st.(*SelectStmt); isSel {
-		return Result{}, fmt.Errorf("rdb: a transaction does not run SELECT")
+	switch st.(type) {
+	case *InsertStmt, *UpdateStmt, *DeleteStmt:
+	default:
+		return Result{}, fmt.Errorf("rdb: a transaction runs only INSERT, UPDATE and DELETE, got %T", st)
 	}
 	cargs, err := coerceArgs(st, args)
 	if err != nil {
 		return Result{}, err
-	}
-	// DDL is not covered by the undo log (a rollback leaves schema
-	// changes in place, as before engines existed), so it cannot ride
-	// in the transaction's change-set either: a later Rollback would
-	// discard it and let durable state diverge from memory. Commit it
-	// to the engine immediately instead, waiting for durability inline
-	// — DDL mid-transaction is rare enough that holding the lock over
-	// one fsync is fine.
-	switch st.(type) {
-	case *CreateTableStmt, *CreateIndexStmt:
-		cs := &ChangeSet{}
-		res, err := tx.db.execLocked(sql, st, cargs, nil, cs)
-		if err != nil {
-			return res, err
-		}
-		wait, err := tx.db.applyLocked(cs)
-		if err != nil {
-			return res, err
-		}
-		if wait != nil {
-			if err := wait(); err != nil {
-				return res, err
-			}
-		}
-		return res, nil
 	}
 	return tx.db.execLocked(sql, st, cargs, &tx.undo, &tx.cs)
 }

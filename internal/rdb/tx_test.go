@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +94,41 @@ func TestTxSeesOwnWrites(t *testing.T) {
 	}
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A transaction writes rows only: DDL and SELECT are refused without
+// ending it, and it still commits the rows it wrote.
+func TestTxRefusesDDL(t *testing.T) {
+	db := txDB(t)
+	tx := db.Begin()
+	if _, err := tx.Exec(`INSERT INTO acct (owner, balance) VALUES ('c', 7)`); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		`CREATE TABLE other (oid INTEGER PRIMARY KEY)`,
+		`CREATE INDEX ix_balance ON acct(balance)`,
+		`SELECT owner FROM acct`,
+	} {
+		if _, err := tx.Exec(sql); err == nil || !strings.Contains(err.Error(), "a transaction runs only INSERT, UPDATE and DELETE") {
+			t.Fatalf("%s: err = %v, want the refusal", sql, err)
+		}
+	}
+	if _, err := tx.Exec(`UPDATE acct SET balance = 8 WHERE owner = 'c'`); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if names := db.TableNames(); len(names) != 1 || names[0] != "acct" {
+		t.Fatalf("tables after the refused CREATE TABLE: %v", names)
+	}
+	if out, err := db.Explain(`SELECT owner FROM acct WHERE balance = 8`); err != nil || !strings.Contains(out, "SCAN acct") {
+		t.Fatalf("the refused CREATE INDEX left an index: %q, %v", out, err)
+	}
+	m, err := db.QueryRow(`SELECT balance FROM acct WHERE owner = 'c'`)
+	if err != nil || m == nil || m["balance"] != int64(8) {
+		t.Fatalf("committed row = %v, %v", m, err)
 	}
 }
 

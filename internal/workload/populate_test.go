@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -80,5 +81,57 @@ func TestPopulateIsAtomic(t *testing.T) {
 		if n, err := db.RowCount(name); err != nil || n != 0 {
 			t.Errorf("table %s holds %d rows (%v) after a failed Populate", name, n, err)
 		}
+	}
+}
+
+// TestPopulateFailureWritesNothing: a durable load that fails late, over
+// tables that already hold rows, leaves every table's row count, the
+// WAL and what a reopen of the directory shows as they were.
+func TestPopulateFailureWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	db, err := rdb.OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyDDL(t, db, smallDDL(t, "rel_pricelistproduct"))
+	for _, sql := range []string{
+		`INSERT INTO family (name) VALUES ('Before')`,
+		`INSERT INTO country (name, code) VALUES ('Before', 'B0001')`,
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := func(db *rdb.DB) map[string]int {
+		out := map[string]int{}
+		for _, name := range db.TableNames() {
+			n, err := db.RowCount(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = n
+		}
+		return out
+	}
+	before, appends := counts(db), db.EngineStats().WALAppends
+	if err := Populate(db, 10, 7); err == nil || !strings.Contains(err.Error(), "rel_pricelistproduct") {
+		t.Fatalf("err = %v, want the missing bridge table", err)
+	}
+	if got := counts(db); !maps.Equal(got, before) {
+		t.Errorf("row counts after a failed Populate = %v, want %v", got, before)
+	}
+	if got := db.EngineStats().WALAppends; got != appends {
+		t.Errorf("WAL appends after a failed Populate = %d, want %d", got, appends)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = rdb.OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := counts(db); !maps.Equal(got, before) {
+		t.Errorf("row counts after a reopen = %v, want %v", got, before)
 	}
 }

@@ -181,6 +181,30 @@ func TestDataTierSpansStitchedIntoTrace(t *testing.T) {
 	if !joined {
 		t.Fatalf("no captured query carries trace ID %s; queries: %s", tr.ID, body)
 	}
+
+	// A traced write: the operation's commit is an rdb.commit span in its
+	// trace, labeled with the one row it applied.
+	if rr, body := request(t, app.Controller, "/op/createVolume?title=Traced&year=2026", ""); rr.Code != http.StatusFound {
+		t.Fatalf("op = %d %s", rr.Code, body)
+	}
+	_, body = request(t, app.TracesHandler(), "/debug/traces", "")
+	if err := json.Unmarshal([]byte(body), &traces); err != nil {
+		t.Fatal(err)
+	}
+	var commits int
+	for _, tr := range traces.Traces {
+		for _, sp := range tr.Spans {
+			if sp.Name == "rdb.commit" {
+				commits++
+				if sp.Labels["ops"] != "1" || sp.Labels["wal_append"] == "" {
+					t.Fatalf("rdb.commit span labels = %v, want ops 1 and a wal_append time", sp.Labels)
+				}
+			}
+		}
+	}
+	if commits != 1 {
+		t.Fatalf("%d rdb.commit spans after one write, want 1; traces: %s", commits, body)
+	}
 }
 
 // TestAdmissionWaitSpanInTrace: with admission control on, traced
