@@ -399,7 +399,7 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 	if app.DB.EngineName() == "durable" {
 		app.faultLat = obs.NewHistogramVec("webml_rdb_row_fault_seconds",
 			"Evicted-row fault latency by access mode.", "mode")
-		app.DB.SetFaultObserver(func(d time.Duration) { app.faultLat.Observe("read", d) })
+		app.DB.AddFaultObserver(func(d time.Duration) { app.faultLat.Observe("read", d) })
 	}
 	app.wireObservability(&cfg)
 	return app, nil

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"time"
@@ -14,18 +15,35 @@ import (
 // operations invalidate by the tags they write — "sparing the developer
 // the need of managing a business-tier cache in his application code".
 //
-// Because computation and invalidation race under concurrent traffic, the
-// cache also tracks a per-tag invalidation version: a caller snapshots
-// Version(deps) before computing a bean and stores it with PutIfFresh,
-// which refuses the value if any of its read dependencies was invalidated
-// in the meantime — a stale bean computed against a pre-write database
-// state can never overwrite an invalidation.
+// Both cache levels (the beans here, and the edge's containers and
+// fragments in its own BeanCache) fill through one protocol. Misses of
+// a key coalesce on one Fill: Join hands the caller the fill in progress,
+// or starts one it leads. The leader stores its value with PutIfFresh at
+// the fill's Epoch, which refuses the value if any of its dependency
+// tags was invalidated since the fill began, so a value computed against
+// a pre-write state can never overwrite an invalidation; then Finish
+// wakes the joiners. A fill is joinable only until the next Invalidate:
+// a request arriving after a write starts a fresh fill instead of
+// adopting a pre-write result.
 type BeanCache struct {
 	s *store
 
 	genMu sync.RWMutex
-	gens  map[string]uint64 // dep tag -> version at last invalidation
-	clock uint64
+	gens  map[string]uint64 // dep tag -> clock at its last invalidation
+	clock uint64            // advanced by every Invalidate
+
+	fillMu sync.Mutex
+	fills  map[string]*Fill // made by the first Join
+}
+
+// Fill is one in-progress computation of a key, shared by every caller
+// that joined it.
+type Fill struct {
+	key   string
+	epoch uint64
+	done  chan struct{}
+	val   interface{}
+	err   error
 }
 
 // NewBeanCache returns a bean cache bounded to capacity entries
@@ -88,30 +106,64 @@ func (c *BeanCache) Put(key string, bean interface{}, deps []string, ttl time.Du
 	c.s.put(key, bean, deps, ttl)
 }
 
-// Version returns the invalidation version of a dependency set: the
-// highest version at which any of the tags was last invalidated. Snapshot
-// it before computing a value destined for PutIfFresh.
-func (c *BeanCache) Version(deps []string) uint64 {
+// Join returns the fill of key in progress if no Invalidate has run since
+// it began; otherwise it starts a new fill, and lead reports that the
+// caller must compute the value, store it with PutIfFresh and Finish the
+// fill.
+func (c *BeanCache) Join(key string) (f *Fill, lead bool) {
 	c.genMu.RLock()
-	defer c.genMu.RUnlock()
-	var v uint64
-	for _, d := range deps {
-		if g := c.gens[d]; g > v {
-			v = g
-		}
+	now := c.clock
+	c.genMu.RUnlock()
+	c.fillMu.Lock()
+	defer c.fillMu.Unlock()
+	if f, ok := c.fills[key]; ok && f.epoch == now {
+		return f, false
 	}
-	return v
+	if c.fills == nil {
+		c.fills = make(map[string]*Fill)
+	}
+	f = &Fill{key: key, epoch: now, done: make(chan struct{})}
+	c.fills[key] = f
+	return f, true
+}
+
+// Finish publishes the leader's result to the fill's joiners and retires
+// the fill. It wakes them whether or not PutIfFresh stored the value:
+// their requests overlapped the fill, so its result is theirs to serve.
+func (c *BeanCache) Finish(f *Fill, val interface{}, err error) {
+	c.fillMu.Lock()
+	if c.fills[f.key] == f {
+		delete(c.fills, f.key)
+	}
+	c.fillMu.Unlock()
+	f.val, f.err = val, err
+	close(f.done)
+}
+
+// Epoch is the invalidation clock when the fill began; its leader passes
+// it to PutIfFresh.
+func (f *Fill) Epoch() uint64 { return f.epoch }
+
+// Wait blocks until the fill's leader finishes or ctx is done, and
+// returns the leader's result or the context's error.
+func (f *Fill) Wait(ctx context.Context) (interface{}, error) {
+	select {
+	case <-f.done:
+		return f.val, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // PutIfFresh stores a bean only if none of its dependency tags has been
-// invalidated since the caller observed Version(deps) == v; it reports
+// invalidated since the clock read epoch (a Fill's Epoch); it reports
 // whether the value was stored. The check and the store are atomic with
 // respect to Invalidate, closing the compute/invalidate race.
-func (c *BeanCache) PutIfFresh(key string, bean interface{}, deps []string, ttl time.Duration, v uint64) bool {
+func (c *BeanCache) PutIfFresh(key string, bean interface{}, deps []string, ttl time.Duration, epoch uint64) bool {
 	c.genMu.RLock()
 	defer c.genMu.RUnlock()
 	for _, d := range deps {
-		if c.gens[d] > v {
+		if c.gens[d] > epoch {
 			return false
 		}
 	}
@@ -120,9 +172,9 @@ func (c *BeanCache) PutIfFresh(key string, bean interface{}, deps []string, ttl 
 }
 
 // Invalidate removes every bean depending on any of the given tags and
-// reports how many entries were dropped. It also advances the tags'
-// invalidation versions, so in-flight PutIfFresh calls with older
-// snapshots are refused.
+// reports how many entries were dropped. It also advances the clock and
+// stamps the tags with it, so fills that began earlier can no longer be
+// joined, and those reading the tags can no longer store their values.
 func (c *BeanCache) Invalidate(deps ...string) int {
 	c.genMu.Lock()
 	defer c.genMu.Unlock()
@@ -132,9 +184,6 @@ func (c *BeanCache) Invalidate(deps ...string) int {
 	}
 	return c.s.invalidate(deps...)
 }
-
-// Flush empties the cache.
-func (c *BeanCache) Flush() { c.s.flush() }
 
 // Len returns the number of cached beans.
 func (c *BeanCache) Len() int { return c.s.len() }

@@ -11,12 +11,15 @@
 // entity:<e>#<oid>, see mvc.ReadTags); the core matches tags and does not
 // care which grain they name.
 //
-// Both levels share one LRU + TTL + dependency-index core. Under heavy
+// Both levels share one LRU + TTL + dependency-index core and one fill
+// protocol (Join, PutIfFresh at the fill's epoch, Finish): concurrent
+// misses of a key coalesce on one computation, and a value whose tags
+// were invalidated while it was computed is refused. Under heavy
 // traffic the core is sharded: keys are FNV-hashed onto a power-of-two
 // number of independent shards, each with its own lock, LRU list, TTL
 // bookkeeping and dependency index, so concurrent requests do not
 // serialize on a single mutex. Aggregate operations (Stats, Len,
-// Invalidate, Flush) combine all shards exactly.
+// Invalidate) combine all shards exactly.
 package cache
 
 import (
@@ -265,16 +268,6 @@ func (sh *shard) removeLocked(e *entry) {
 		if len(set.many) == 0 {
 			delete(sh.byDep, d)
 		}
-	}
-}
-
-func (s *store) flush() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.entries = make(map[string]*entry)
-		sh.lru.Init()
-		sh.byDep = make(map[string]depSet)
-		sh.mu.Unlock()
 	}
 }
 

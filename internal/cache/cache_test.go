@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -60,6 +61,36 @@ func TestInvalidateByDependency(t *testing.T) {
 	// Idempotent.
 	if n := c.Invalidate("entity:volume"); n != 0 {
 		t.Fatalf("second invalidation removed %d", n)
+	}
+
+	// A fill overlapping an invalidation of its tag: a Join after the
+	// invalidation leads a new fill, PutIfFresh refuses the overlapped
+	// leader's value, and Finish still wakes its joiner with it.
+	f, lead := c.Join("vol1")
+	if !lead {
+		t.Fatal("first Join did not lead")
+	}
+	j, lead := c.Join("vol1")
+	if lead || j != f {
+		t.Fatal("second Join did not join the fill in progress")
+	}
+	c.Invalidate("entity:volume")
+	g, lead := c.Join("vol1")
+	if !lead || g == f {
+		t.Fatal("Join after Invalidate joined the pre-write fill")
+	}
+	if c.PutIfFresh("vol1", "pre-write", []string{"entity:volume"}, 0, f.Epoch()) {
+		t.Fatal("pre-write fill stored")
+	}
+	c.Finish(f, "pre-write", nil)
+	if v, err := j.Wait(context.Background()); v != "pre-write" || err != nil {
+		t.Fatalf("joiner woke with %v, %v", v, err)
+	}
+	// A joiner waits no longer than its own context.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := g.Wait(ctx); err != context.Canceled {
+		t.Fatalf("Wait on a cancelled context returned %v", err)
 	}
 }
 
@@ -123,18 +154,6 @@ func TestPutReplacesAndRetags(t *testing.T) {
 	}
 	if n := c.Invalidate("entity:b"); n != 1 {
 		t.Fatalf("new dep invalidated %d", n)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := NewBeanCache(10)
-	c.Put("a", 1, []string{"d"}, 0)
-	c.Flush()
-	if c.Len() != 0 {
-		t.Fatal("flush left entries")
-	}
-	if n := c.Invalidate("d"); n != 0 {
-		t.Fatal("flush left dependency index")
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -111,8 +112,8 @@ func TestPutIfFreshRefusesStale(t *testing.T) {
 	c := NewBeanCache(64)
 	deps := []string{"entity:volume"}
 
-	v := c.Version(deps)
-	// An invalidation lands between Version and PutIfFresh (the write
+	v := c.clock
+	// An invalidation lands between the snapshot and PutIfFresh (the write
 	// committed while the bean was being computed).
 	c.Invalidate(deps...)
 	if c.PutIfFresh("k", "stale", deps, 0, v) {
@@ -123,7 +124,7 @@ func TestPutIfFreshRefusesStale(t *testing.T) {
 	}
 
 	// Without an intervening invalidation the put lands.
-	v = c.Version(deps)
+	v = c.clock
 	if !c.PutIfFresh("k", "fresh", deps, 0, v) {
 		t.Fatal("fresh put refused")
 	}
@@ -132,7 +133,7 @@ func TestPutIfFreshRefusesStale(t *testing.T) {
 	}
 
 	// Invalidating an unrelated tag does not refuse the put.
-	v = c.Version(deps)
+	v = c.clock
 	c.Invalidate("entity:paper")
 	if !c.PutIfFresh("k2", "ok", deps, 0, v) {
 		t.Fatal("put refused by unrelated invalidation")
@@ -151,13 +152,22 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 			dep := fmt.Sprintf("entity:e%d", g%4)
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("g%d-k%d", g, i%64)
-				switch i % 5 {
+				switch i % 6 {
 				case 0:
 					c.Put(key, i, []string{dep}, 0)
 				case 1, 2, 3:
 					c.Get(key)
 				case 4:
 					c.Invalidate(dep)
+				case 5:
+					// Fills of keys every goroutine shares.
+					shared := fmt.Sprintf("k%d", i%8)
+					if f, lead := c.Join(shared); lead {
+						c.PutIfFresh(shared, i, []string{dep}, 0, f.Epoch())
+						c.Finish(f, i, nil)
+					} else if _, err := f.Wait(context.Background()); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}(g)

@@ -31,13 +31,16 @@ const maxIncludeDepth = 3
 // sharded LRU/TTL store and assembles pages from them. Coherence is the
 // paper's: operation services push the dependency tags they write
 // (Invalidate / POST /edge/invalidate), and the purge drops exactly the
-// fragments whose read dependencies intersect them.
+// fragments whose read dependencies intersect them. Misses fill through
+// the store's fill protocol, the same one the bean cache uses: concurrent
+// misses of a key share one origin fetch, and a fetch is refused storage
+// if a tag it depends on was purged while it ran.
 type Surrogate struct {
 	// Origin serves cache misses (normally the Controller, possibly with
 	// further middleware between).
 	Origin http.Handler
 	// Store holds containers and fragments, tagged with their unit read
-	// dependencies for model-driven purge.
+	// dependencies for model-driven purge, and coalesces their fills.
 	Store *cache.BeanCache
 	// ttl applies to responses without Surrogate-Control max-age (page
 	// containers in particular). It is also the stale window: how long
@@ -67,29 +70,10 @@ type Surrogate struct {
 	// bytes, so equal seqs mean equal parts.
 	fills atomic.Uint64
 
-	// epoch is advanced under mu by every Invalidate; fills snapshot it
-	// before fetching and refuse to store across a purge, so a response
-	// computed against pre-write state never outlives the write's purge.
-	mu    sync.RWMutex
-	epoch uint64
-
-	fmu     sync.Mutex
-	flights map[string]*flight
-
 	startWorkers sync.Once
 	closeOnce    sync.Once
 	jobs         chan refreshJob
 	stop         chan struct{}
-}
-
-// flight coalesces concurrent misses of one key: the leader fetches, the
-// others wait. A flight is only joinable within the epoch it started in —
-// after a purge, waiters must refetch rather than adopt a pre-purge fill.
-type flight struct {
-	done  chan struct{}
-	epoch uint64
-	e     *entry
-	err   error
 }
 
 // entry is one cached origin response: a page container (esi=true, segs
@@ -382,37 +366,24 @@ func (s *Surrogate) key(uri, ua string) string {
 	return uri + "\x00" + ua
 }
 
-// fetch coalesces concurrent misses of one key and stores the result if
-// no purge intervened since the epoch snapshot.
+// fetch joins the key's fill in progress or leads a new one: the leader
+// fetches from the origin and stores the response unless a tag it
+// depends on was purged meanwhile. A joiner waits no longer than its own
+// request's context.
 func (s *Surrogate) fetch(ctx context.Context, key, uri, ua string) (*entry, error) {
-	s.mu.RLock()
-	epoch := s.epoch
-	s.mu.RUnlock()
-
-	s.fmu.Lock()
-	if f, ok := s.flights[key]; ok && f.epoch == epoch {
-		s.fmu.Unlock()
-		<-f.done
-		return f.e, f.err
+	f, lead := s.Store.Join(key)
+	if !lead {
+		v, err := f.Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return v.(*entry), nil
 	}
-	f := &flight{done: make(chan struct{}), epoch: epoch}
-	if s.flights == nil {
-		s.flights = make(map[string]*flight)
-	}
-	s.flights[key] = f
-	s.fmu.Unlock()
-
 	e, err := s.roundTrip(ctx, uri, ua)
 	if err == nil && e.cacheable {
-		s.putIfCurrent(key, e, epoch)
+		s.put(key, e, f)
 	}
-	f.e, f.err = e, err
-	s.fmu.Lock()
-	if s.flights[key] == f {
-		delete(s.flights, key)
-	}
-	s.fmu.Unlock()
-	close(f.done)
+	s.Store.Finish(f, e, err)
 	return e, err
 }
 
@@ -475,39 +446,21 @@ func (s *Surrogate) roundTrip(ctx context.Context, uri, ua string) (*entry, erro
 	return e, nil
 }
 
-// putIfCurrent stores an entry unless a purge advanced the epoch since
-// the caller snapshotted it — the edge equivalent of the bean cache's
-// versioned PutIfFresh. It reports whether the entry was stored.
-func (s *Surrogate) putIfCurrent(key string, e *entry, epoch uint64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.epoch != epoch {
-		return false
-	}
-	s.Store.Put(key, e, e.deps, e.ttl+s.ttl)
-	return true
+// put stores an entry filled by f unless one of its tags was purged
+// since f began; it reports whether the entry was stored.
+func (s *Surrogate) put(key string, e *entry, f *cache.Fill) bool {
+	return s.Store.PutIfFresh(key, e, e.deps, e.ttl+s.ttl, f.Epoch())
 }
 
 // Invalidate purges every cached container and fragment depending on any
-// of the given tags and reports how many entries were dropped. The epoch
-// bump makes it a barrier: fetches and refreshes in flight across the
-// call cannot store their (pre-write) results.
+// of the given tags and reports how many entries were dropped. It is a
+// barrier for the fills in flight across the call: none reading a purged
+// tag stores its (pre-write) response, and later misses start new fills.
 func (s *Surrogate) Invalidate(tags ...string) int {
 	if len(tags) == 0 {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
 	return s.Store.Invalidate(tags...)
-}
-
-// Flush empties the store (and acts as a purge barrier like Invalidate).
-func (s *Surrogate) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
-	s.Store.Flush()
 }
 
 // invalidateEndpoint is the out-of-process purge channel: POST
@@ -560,26 +513,31 @@ func (s *Surrogate) spawnWorkers() {
 	}
 }
 
+// refresh leads a fill of a stale entry's key; when a miss is already
+// filling it, that fill replaces the entry instead.
 func (s *Surrogate) refresh(j refreshJob) {
-	s.mu.RLock()
-	epoch := s.epoch
-	s.mu.RUnlock()
-	e, err := s.roundTrip(context.Background(), j.old.uri, j.old.ua)
-	if err == nil && e.cacheable && s.putIfCurrent(j.key, e, epoch) {
+	f, lead := s.Store.Join(j.key)
+	if !lead {
+		j.old.refreshing.Store(false)
 		return
 	}
-	if err == nil && e.status == http.StatusServiceUnavailable && e.header.Get("X-Webml-Shed") != "" {
+	e, err := s.roundTrip(context.Background(), j.old.uri, j.old.ua)
+	stored := err == nil && e.cacheable && s.put(j.key, e, f)
+	if !stored && err == nil && e.status == http.StatusServiceUnavailable && e.header.Get("X-Webml-Shed") != "" {
 		// The origin shed the refresh as a load decision, not a failure:
 		// re-store the stale entry so it outlives the overload instead of
 		// aging out of the store mid-surge. It stays expired, so requests
 		// keep scheduling refreshes that will land once admission opens up.
 		s.shedKeepN.Add(1)
-		s.putIfCurrent(j.key, j.old, epoch)
+		s.put(j.key, j.old, f)
 	}
-	// The refresh did not replace the entry (origin shed or error,
-	// now-uncacheable response, or a purge raced us); let a later request
-	// retry.
-	j.old.refreshing.Store(false)
+	s.Store.Finish(f, e, err)
+	if !stored {
+		// The refresh did not replace the entry (origin shed or error,
+		// now-uncacheable response, or a purge raced us); let a later
+		// request retry.
+		j.old.refreshing.Store(false)
+	}
 }
 
 // ShedKept reports how many background refreshes were load-shed by the

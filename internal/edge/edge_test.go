@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -232,6 +233,78 @@ func TestEdgeInFlightFillRefusedAfterPurge(t *testing.T) {
 	if got := get(t, s, "/page/home").Body.String(); got != "<html>A1|B0</html>" {
 		t.Fatalf("post-purge body %q, want refetched A1", got)
 	}
+}
+
+// TestEdgeFillSurvivesUnrelatedPurge: a purge refuses only the fills that
+// depend on a purged tag, so a fill of /frag/a overlapping a purge of
+// entity:b is stored and the next page does not refetch it.
+func TestEdgeFillSurvivesUnrelatedPurge(t *testing.T) {
+	o := newTestOrigin()
+	entered := make(chan struct{}, 8)
+	release := make(chan struct{})
+	o.gate = func(path string) {
+		if path == "/frag/a" {
+			entered <- struct{}{}
+			<-release
+		}
+	}
+	s := New(o, 128, time.Minute)
+	defer s.Close()
+
+	done := make(chan struct{})
+	go func() {
+		get(t, s, "/page/home")
+		close(done)
+	}()
+	<-entered
+	s.Invalidate("entity:b")
+	close(release)
+	<-done
+
+	o.gate = nil
+	if got := get(t, s, "/page/home").Body.String(); got != "<html>A0|B0</html>" {
+		t.Fatalf("body %q, want the overlapped fill's A0", got)
+	}
+	if n := o.hits("/frag/a"); n != 1 {
+		t.Fatalf("/frag/a fetched %d times, want 1", n)
+	}
+}
+
+// TestEdgeJoinerHonoursContext: a request joining another's fill waits no
+// longer than its own context, however long the leader takes.
+func TestEdgeJoinerHonoursContext(t *testing.T) {
+	o := newTestOrigin()
+	entered := make(chan struct{}, 8)
+	release := make(chan struct{})
+	o.gate = func(path string) {
+		if path == "/frag/a" {
+			entered <- struct{}{}
+			select {
+			case <-release:
+			case <-time.After(3 * time.Second):
+			}
+		}
+	}
+	s := New(o, 128, time.Minute)
+	defer s.Close()
+
+	done := make(chan struct{})
+	go func() {
+		get(t, s, "/page/home")
+		close(done)
+	}()
+	<-entered // the leader holds the /frag/a fill
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/page/home", nil).WithContext(ctx))
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("joiner with a 50ms context returned after %v", d)
+	}
+	close(release)
+	<-done
 }
 
 func TestEdgeCoalescesConcurrentMisses(t *testing.T) {

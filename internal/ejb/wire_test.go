@@ -1301,7 +1301,7 @@ func TestManyInFlightOnOneConn(t *testing.T) {
 	}
 }
 
-// ---- benchmarks (published as BENCH_wire.json by CI) ----
+// ---- benchmarks ----
 
 func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descriptor.Unit) {
 	b.Helper()

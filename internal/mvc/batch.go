@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"webmlgo/internal/cache"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/obs"
 )
@@ -142,35 +143,25 @@ func (cb *CachedBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(cb
 // the remaining leader misses (plus uncached units) travel down as one
 // smaller batch. Of K requests missing the same key concurrently, one
 // (the leader) computes and the other K-1 wait for its result. The
-// invalidation version of a unit's read dependencies is snapshotted
-// before computing; PutIfFresh refuses the bean if an operation
-// invalidated any of them in the meantime, so a stale bean is never
-// cached.
+// leader stores the bean with PutIfFresh at its fill's epoch, which
+// refuses it if an operation invalidated any of its reads in the
+// meantime, so a stale bean is never cached.
 func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
 	out := make([]UnitResult, len(calls))
-	// leader describes one inner-batch slot: the call index it resolves,
-	// and — for cached units — the flight this request leads plus the
-	// pre-compute invalidation version snapshot.
-	type leader struct {
+	// fill is one cached miss: the call index it resolves and the fill
+	// this request leads (an inner-batch slot) or joined.
+	type fill struct {
 		idx int
 		key string
-		f   *flight
-		ver uint64
+		f   *cache.Fill
 		d   *descriptor.Unit
 	}
-	type joiner struct {
-		idx  int
-		key  string
-		unit string
-		f    *flight
-	}
 	var inner []UnitCall
-	var leaders []leader
-	var joins []joiner
+	var leaders, joins []fill
 	for i, c := range calls {
 		if c.D.Cache == nil || !c.D.Cache.Enabled {
 			inner = append(inner, c)
-			leaders = append(leaders, leader{idx: i})
+			leaders = append(leaders, fill{idx: i})
 			continue
 		}
 		key := beanKey(c.D.ID, c.Inputs)
@@ -181,60 +172,53 @@ func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []
 			continue
 		}
 		gsp.Label("outcome", "miss").End()
-		f, lead := cb.flights.join(key, c.D.Reads)
+		f, lead := cb.Cache.Join(key)
 		if !lead {
-			joins = append(joins, joiner{idx: i, key: key, unit: c.D.ID, f: f})
+			joins = append(joins, fill{idx: i, key: key, f: f, d: c.D})
 			continue
 		}
 		inner = append(inner, c)
-		leaders = append(leaders, leader{idx: i, key: key, f: f, ver: cb.Cache.Version(c.D.Reads), d: c.D})
+		leaders = append(leaders, fill{idx: i, key: key, f: f, d: c.D})
 	}
 	if len(inner) > 0 {
 		res := ComputeUnitsOf(ctx, cb.Inner, inner)
 		for j, li := range leaders {
 			bean, err := res[j].Bean, res[j].Err
 			if li.f == nil {
-				// Uncached pass-through: no flight, no cache store.
+				// Uncached pass-through: no fill, no cache store.
 				out[li.idx] = res[j]
 				continue
 			}
-			current := cb.flights.finish(li.key, li.f, bean, err)
 			if err != nil {
+				cb.Cache.Finish(li.f, bean, err)
 				out[li.idx].Bean, out[li.idx].Err = cb.degraded(li.key, err)
 				continue
 			}
-			if current {
-				ttl := time.Duration(0)
-				if li.d.Cache.TTLSeconds > 0 {
-					ttl = time.Duration(li.d.Cache.TTLSeconds) * time.Second
-				}
-				psp := obs.Leaf(ctx, "cache.put").Label("unit", li.d.ID)
-				stored := cb.Cache.PutIfFresh(li.key, bean, li.d.Reads, ttl, li.ver)
-				psp.Label("stored", strconv.FormatBool(stored)).End()
+			ttl := time.Duration(0)
+			if li.d.Cache.TTLSeconds > 0 {
+				ttl = time.Duration(li.d.Cache.TTLSeconds) * time.Second
 			}
+			psp := obs.Leaf(ctx, "cache.put").Label("unit", li.d.ID)
+			stored := cb.Cache.PutIfFresh(li.key, bean, li.d.Reads, ttl, li.f.Epoch())
+			psp.Label("stored", strconv.FormatBool(stored)).End()
+			cb.Cache.Finish(li.f, bean, nil)
 			out[li.idx] = UnitResult{Bean: bean}
 		}
 	}
-	// Joined flights resolve after the inner batch: a same-batch leader
-	// (same key twice in one level) has finished by now, and flights led
-	// by other requests were already computing concurrently.
+	// Joined fills resolve after the inner batch: a same-batch leader
+	// (same key twice in one level) has finished by now, and fills led
+	// by other requests were already computing concurrently. A joiner
+	// does not wait past its own request's budget for someone else's
+	// leader; a stale bean within bound still beats an error.
 	for _, jn := range joins {
-		wsp := obs.Leaf(ctx, "cache.wait").Label("unit", jn.unit)
-		select {
-		case <-jn.f.done:
-			wsp.End()
-		case <-ctx.Done():
-			// Don't wait past this request's budget for someone else's
-			// leader; a stale bean within bound still beats an error.
-			wsp.EndErr(ctx.Err())
-			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, ctx.Err())
+		wsp := obs.Leaf(ctx, "cache.wait").Label("unit", jn.d.ID)
+		v, err := jn.f.Wait(ctx)
+		wsp.EndErr(ctx.Err())
+		if err != nil {
+			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, err)
 			continue
 		}
-		if jn.f.err != nil {
-			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, jn.f.err)
-			continue
-		}
-		out[jn.idx] = UnitResult{Bean: jn.f.bean}
+		out[jn.idx] = UnitResult{Bean: v.(*UnitBean)}
 	}
 	return out
 }

@@ -118,8 +118,6 @@ type CachedBusiness struct {
 	// past its TTL, never data written over by an operation. Zero
 	// disables degraded serving.
 	MaxStaleness time.Duration
-
-	flights flightGroup
 }
 
 // NewCachedBusiness wraps inner with the bean cache.
@@ -149,11 +147,11 @@ func (cb *CachedBusiness) degraded(key string, err error) (*UnitBean, error) {
 
 // ExecuteOperation implements Business, invalidating dependent beans on
 // success — "the implementation of operations automatically invalidates
-// the affected cached objects" (Section 6). In-flight computations
-// reading the written tags are forgotten first, so requests arriving
-// after the write never join a pre-write flight; PutIfFresh's version
-// check then keeps any still-finishing leader from caching its result.
-// Operations are never retried and never degrade: a write either
+// the affected cached objects" (Section 6). The invalidation also ends
+// every fill in progress: requests arriving after the write start a
+// fresh computation instead of joining a pre-write one, and a leader
+// still computing from the written tags has its bean refused by
+// PutIfFresh. Operations are never retried and never degrade: a write either
 // happened or its error surfaces.
 func (cb *CachedBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {
 	res, err := cb.Inner.ExecuteOperation(ctx, d, inputs)
@@ -161,7 +159,6 @@ func (cb *CachedBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Un
 		return nil, err
 	}
 	if res.OK && len(d.Writes) > 0 {
-		cb.flights.forget(d.Writes...)
 		cb.Cache.Invalidate(d.Writes...)
 	}
 	return res, nil

@@ -8,8 +8,7 @@ import (
 // Observability-overhead benchmarks: the acceptance bar is that with
 // tracing merely *available* (hooks installed but the request
 // untraced, recorder off) the hot path stays within noise of the
-// uninstrumented Query, and full analysis stays affordable. CI
-// archives these as BENCH_obsdeep.json.
+// uninstrumented Query, and full analysis stays affordable.
 
 // BenchmarkObsQueryPlain is the PR-6 baseline: db.Query, no
 // observability anywhere.

@@ -9,7 +9,7 @@ import (
 // the configured memory budgets, read through eviction markers. Hot
 // reads should ride the decoded-row cache; cold reads pay a page-tree
 // fault; incremental checkpoints pay for dirty pages, not database
-// size (see the rdb-paging CI job, which archives BENCH_paging.json).
+// size (the rdb-paging CI job runs them one iteration each).
 
 func benchPagedDB(b *testing.B, rows int, opts DurableOptions) *DB {
 	b.Helper()

@@ -51,27 +51,38 @@ type DB struct {
 	hooks    atomic.Pointer[TraceHooks]
 	recorder atomic.Pointer[queryRecorder]
 
-	// faultObs, when set, observes the latency of every row fault the
-	// paging engine serves from the page tree (metrics wiring). Atomic:
-	// it may be installed while readers fault under the shared lock.
-	faultObs atomic.Pointer[func(time.Duration)]
+	// faultObs observe the latency of every row fault the paging engine
+	// serves from the page tree (metrics wiring): one per application
+	// over the database. Copy-on-write behind an atomic pointer, since
+	// one may be added while readers fault under the shared lock.
+	faultMu  sync.Mutex
+	faultObs atomic.Pointer[[]func(time.Duration)]
 
 	stats dbStats
 }
 
-// SetFaultObserver installs fn to be called with the latency of each
-// row fault (an evicted or uncached record materialized from the page
-// store). Pass nil behavior by never setting it; installation is
-// one-way and safe to call at any time.
-func (db *DB) SetFaultObserver(fn func(time.Duration)) {
-	db.faultObs.Store(&fn)
+// AddFaultObserver adds fn to the functions called with the latency of
+// each row fault (an evicted or uncached record materialized from the
+// page store). Every observer sees every fault, so each application over
+// one database times them all; adding is one-way and safe at any time.
+func (db *DB) AddFaultObserver(fn func(time.Duration)) {
+	db.faultMu.Lock()
+	defer db.faultMu.Unlock()
+	var obs []func(time.Duration)
+	if old := db.faultObs.Load(); old != nil {
+		obs = *old
+	}
+	obs = append(obs[:len(obs):len(obs)], fn)
+	db.faultObs.Store(&obs)
 }
 
-// observeFault reports one row-fault latency to the installed observer,
-// if any. Called by the durable engine on the fault path.
+// observeFault reports one row-fault latency to the added observers.
+// Called by the durable engine on the fault path.
 func (db *DB) observeFault(d time.Duration) {
-	if f := db.faultObs.Load(); f != nil && *f != nil {
-		(*f)(d)
+	if obs := db.faultObs.Load(); obs != nil {
+		for _, fn := range *obs {
+			fn(d)
+		}
 	}
 }
 

@@ -218,6 +218,31 @@ func TestDurableRowFaultsReachMetrics(t *testing.T) {
 	populate(t, app)
 	pages, _ := oracleWorkingSet(app)
 	readPages(t, app.Handler(), pages)
+	checkRowFaultSeries(t, app)
+}
+
+// TestDurableRowFaultsReachEveryApp: two applications over one database
+// both time its row faults; the second does not take the fault-latency
+// histogram away from the first.
+func TestDurableRowFaultsReachEveryApp(t *testing.T) {
+	app, db := openAcerDurable(t, acerModel(t), t.TempDir(), WithObservability(0, 0))
+	populate(t, app)
+	other, err := New(acerModel(t), WithDatabase(db), WithObservability(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(other.Close)
+	pages, _ := oracleWorkingSet(app)
+	readPages(t, app.Handler(), pages)
+	readPages(t, other.Handler(), pages)
+	checkRowFaultSeries(t, app)
+	checkRowFaultSeries(t, other)
+}
+
+// checkRowFaultSeries asserts the app's /metrics counts row faults in the
+// fault counter and in the fault-latency histogram.
+func checkRowFaultSeries(t *testing.T, app *App) {
+	t.Helper()
 	_, body := serve(app.MetricsHandler(), "/metrics", false, "")
 	for _, series := range []string{"webml_rdb_row_faults_total", `webml_rdb_row_fault_seconds_count{mode="read"}`} {
 		var n float64
