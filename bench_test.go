@@ -270,7 +270,7 @@ func BenchmarkE6TwoLevelCache(b *testing.B) {
 func BenchmarkE6TwoLevelCacheSession(b *testing.B) {
 	app := twoLevelApp(b)
 	rr := httptest.NewRecorder()
-	app.Controller.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/page/volumesPage", nil))
+	app.Controller.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/logout", nil))
 	session := rr.Result().Cookies()[0]
 	h := app.Handler()
 	b.ReportAllocs()
@@ -490,7 +490,7 @@ func BenchmarkSetUpLoad(b *testing.B) {
 // but the small spec keeps the benchmark turnaround reasonable; the
 // request path cost is per page, not per application size).
 func BenchmarkE7GeneratedAppRequestMix(b *testing.B) {
-	model, err := workload.Generate(workload.Small())
+	model, err := workload.Generate(workload.Spec{SiteViews: 3, Pages: 24, Units: 132, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -312,10 +312,11 @@ func cacheLevels() []cacheLevel {
 }
 
 // sessionCookie opens a session on the app and returns its cookie:
-// requests carrying it are personalized, so they bypass the edge.
+// requests carrying it are personalized, so they bypass the edge. A page
+// read stores nothing in its session and sets no cookie; /logout does.
 func sessionCookie(app *webmlgo.App) *http.Cookie {
 	rr := httptest.NewRecorder()
-	app.Controller.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/page/volumesPage", nil))
+	app.Controller.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/logout", nil))
 	return rr.Result().Cookies()[0]
 }
 

@@ -15,7 +15,6 @@ import (
 // no non-test file names, each with the reason it stays. An entry whose
 // identifier gains a caller or is deleted must leave the list.
 var callerlessKept = map[string]string{
-	"internal/codegen.KindForTag":         "inverse of TagForKind; the tag round trip pins the naming Skeleton writes inline",
 	"internal/codegen.TagForKind":         "the unit-tag naming Skeleton writes inline; tests build expected skeletons with it",
 	"internal/descriptor.LoadDir":         "reads back what SaveDir (webratio generate -out) writes; TestSaveLoadDir round-trips it",
 	"internal/descriptor.OverrideService": "Section 6 hand-optimisation: points a unit at a user-supplied component",
@@ -23,11 +22,9 @@ var callerlessKept = map[string]string{
 	"internal/dom.ByAttr":                 "predicate of dom's Find API, used by dom, style and codegen tests",
 	"internal/dom.InsertBefore":           "node-editing primitive of dom; the render oracle places menus with it",
 	"internal/dom.MustParse":              "parses static markup in dom and style test fixtures",
-	"internal/dom.RemoveAttr":             "the inverse of SetAttr in dom's node-editing API",
 	"internal/ejb.Retire":                 "manual scale-down of one clone; the drain and trace-stitching tests drive it",
 	"internal/render.InvalidateTemplate":  "hot redeploy of a replaced template into compiled programs",
 	"internal/webml.UnregisterPlugin":     "undoes RegisterPlugin in the process-wide registry; tests clean up with it",
-	"internal/workload.Small":             "the laptop-sized model spec tests generate",
 }
 
 // TestNoCallerlessExports parses every non-test Go file of the module,

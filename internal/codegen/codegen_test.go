@@ -321,18 +321,28 @@ func TestSkeletonContainsUnitTags(t *testing.T) {
 	}
 }
 
+// kindForTag is the inverse of TagForKind; ok is false for non-unit tags.
+func kindForTag(tag string) (webml.UnitKind, bool) {
+	k, hasPrefix := strings.CutPrefix(tag, tagPrefix)
+	k, hasSuffix := strings.CutSuffix(k, tagSuffix)
+	if !hasPrefix || !hasSuffix || k == "" {
+		return "", false
+	}
+	return webml.UnitKind(k), true
+}
+
 func TestTagKindRoundTrip(t *testing.T) {
 	for _, k := range webml.CoreUnitKinds {
 		tag := TagForKind(k)
-		back, ok := KindForTag(tag)
+		back, ok := kindForTag(tag)
 		if !ok || back != k {
 			t.Fatalf("round trip failed for %q: tag %q -> %q", k, tag, back)
 		}
 	}
-	if _, ok := KindForTag("div"); ok {
+	if _, ok := kindForTag("div"); ok {
 		t.Fatal("div is not a unit tag")
 	}
-	if _, ok := KindForTag("webml:Unit"); ok {
+	if _, ok := kindForTag("webml:Unit"); ok {
 		t.Fatal("empty kind accepted")
 	}
 }

@@ -1,30 +1,18 @@
 package codegen
 
 import (
-	"strings"
-
 	"webmlgo/internal/dom"
 	"webmlgo/internal/webml"
 )
 
-// A unit's custom tag is tagPrefix + kind + tagSuffix; TagForKind,
-// KindForTag and Skeleton share the two halves.
+// A unit's custom tag is tagPrefix + kind + tagSuffix; TagForKind and
+// Skeleton share the two halves.
 const tagPrefix, tagSuffix = "webml:", "Unit"
 
 // TagForKind returns the custom tag name rendering a unit kind in the
 // View ("<webml:dataUnit>" and friends, Figure 7).
 func TagForKind(kind webml.UnitKind) string {
 	return tagPrefix + string(kind) + tagSuffix
-}
-
-// KindForTag is the inverse of TagForKind; ok is false for non-unit tags.
-func KindForTag(tag string) (webml.UnitKind, bool) {
-	k, hasPrefix := strings.CutPrefix(tag, tagPrefix)
-	k, hasSuffix := strings.CutSuffix(k, tagSuffix)
-	if !hasPrefix || !hasSuffix || k == "" {
-		return "", false
-	}
-	return webml.UnitKind(k), true
 }
 
 // Skeleton produces the page template skeleton of Figure 7: "all the

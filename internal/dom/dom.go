@@ -94,16 +94,6 @@ func (n *Node) SetAttr(name, value string) {
 	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
 }
 
-// RemoveAttr deletes the named attribute if present.
-func (n *Node) RemoveAttr(name string) {
-	for i := range n.Attrs {
-		if n.Attrs[i].Name == name {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return
-		}
-	}
-}
-
 // AppendChild adds c as the last child of n and sets its parent.
 func (n *Node) AppendChild(c *Node) *Node {
 	c.Parent = n

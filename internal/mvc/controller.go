@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"net/http"
 	"net/url"
 	"slices"
@@ -19,32 +20,27 @@ import (
 	"webmlgo/internal/webml"
 )
 
-// Renderer is the View of Figure 4: it turns a computed page state into
-// markup. internal/render implements it with custom-tag templates.
+// Renderer is the View of Figure 4; internal/render implements it with
+// custom-tag templates. RenderPage renders a computed page inline.
+// RenderContainer renders the page as a container whose unit slots are
+// <esi:include> placeholders and computes nothing (Section 6's ESI
+// surrogate architecture). RenderUnitFragment renders exactly the markup
+// RenderPage inlines for one unit: the body of a fragment endpoint.
+// VariesByUserAgent reports whether rendering dispatches on the
+// User-Agent, so responses carry Vary.
 type Renderer interface {
 	RenderPage(pd *descriptor.Page, state *PageState, ctx *RequestContext) ([]byte, error)
-}
-
-// ContainerRenderer is the View's edge mode (Section 6's ESI surrogate
-// architecture): render a page as a container whose unit slots are
-// <esi:include> placeholders, leaving all unit computation to the
-// per-fragment endpoints. internal/render implements it.
-type ContainerRenderer interface {
 	RenderContainer(pd *descriptor.Page, ctx *RequestContext) ([]byte, error)
-}
-
-// FragmentRenderer renders exactly the markup RenderPage would inline
-// for one unit — the response body of the edge tier's fragment
-// endpoints. internal/render implements it.
-type FragmentRenderer interface {
 	RenderUnitFragment(pd *descriptor.Page, state *PageState, ctx *RequestContext, unitID string) ([]byte, error)
+	VariesByUserAgent() bool
 }
 
 // RequestContext carries per-request information to the View.
 type RequestContext struct {
 	// Params are the request parameters (typed).
 	Params map[string]Value
-	// Session is the user's session.
+	// Session is the user's session; nil for a fragment, which is the
+	// same for every user.
 	Session *Session
 	// UserAgent is the declared client, used for multi-device
 	// presentation dispatch (Section 5).
@@ -61,9 +57,13 @@ type PageComputer interface {
 }
 
 // Controller is the single servlet of the MVC 2 architecture (Figure 3):
-// it intercepts every request, maps it to a page or operation action
-// through the configuration file, invokes the business tier, and
-// dispatches the View or the next action.
+// it intercepts every request, maps it to a page, operation or fragment
+// action through the configuration file, invokes the business tier, and
+// dispatches the View or the next action. Every action takes one path:
+// admission, tracing, panic containment and per-action metrics wrap it,
+// and a page or operation resumes its session by one rule
+// (SessionManager.Resume). A response that sets the session cookie is
+// private; only an anonymous page is public.
 type Controller struct {
 	Repo     *descriptor.Repository
 	Business Business
@@ -127,70 +127,67 @@ func NewController(repo *descriptor.Repository, business Business, renderer Rend
 
 // ServeHTTP implements http.Handler. Routes:
 //
-//	GET  /page/<id>   page actions
-//	GET  /op/<id>     operation actions (also POST)
-//	POST /login       sets the session principal (parameter "user")
-//	POST /logout      clears it
+//	GET  /page/<id>              page actions
+//	GET  /op/<id>                operation actions (also POST)
+//	GET  /fragment/<page>/<unit> edge-tier fragments (with EdgeFragments)
+//	POST /login                  sets the session principal (parameter "user")
+//	POST /logout                 clears it
+//
+// Login and logout store into the session, so they register it and set
+// its cookie even for a request that came without one.
 func (c *Controller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/")
-	if strings.HasPrefix(path, "fragment/") {
-		start := time.Now()
-		release, pri, ok := c.admitRequest(w, r)
-		if !ok {
-			c.metrics.record(path, time.Since(start), true)
-			return
-		}
-		admitted := time.Now()
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		r, finish := c.traceRequest(r, path)
-		if c.Admission != nil {
-			// Retro-recorded: the wait happened before the trace existed.
-			obs.RecordSpan(r.Context(), "admission.wait", start, admitted, "class", pri.String())
-		}
-		c.safeFragment(sr, r, path)
-		release()
-		finish(sr.status)
-		c.metrics.record(path, time.Since(start), sr.status >= 400)
-		return
-	}
-	session := c.resolveSession(w, r, path)
 	switch {
-	case strings.HasPrefix(path, "page/") || strings.HasPrefix(path, "op/"):
-		start := time.Now()
-		release, pri, ok := c.admitRequest(w, r)
-		if !ok {
-			c.metrics.record(path, time.Since(start), true)
-			return
-		}
-		admitted := time.Now()
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		r, finish := c.traceRequest(r, path)
-		if c.Admission != nil {
-			// Retro-recorded: the wait happened before the trace existed.
-			obs.RecordSpan(r.Context(), "admission.wait", start, admitted, "class", pri.String())
-		}
-		c.safeDispatch(sr, r, session, path)
-		release()
-		finish(sr.status)
-		c.metrics.record(path, time.Since(start), sr.status >= 400)
+	case strings.HasPrefix(path, "page/"), strings.HasPrefix(path, "op/"), strings.HasPrefix(path, "fragment/"):
+		c.serveAction(w, r, path)
 	case path == "login":
 		user := r.FormValue("user")
 		if user == "" {
 			http.Error(w, "missing user", http.StatusBadRequest)
 			return
 		}
-		session.Set(sessionUserKey, user)
+		c.Sessions.Register(w, c.Sessions.Resume(w, r)).Set(sessionUserKey, user)
 		if back := r.FormValue("back"); back != "" && strings.HasPrefix(back, "/") {
 			http.Redirect(w, r, back, http.StatusFound)
 			return
 		}
 		fmt.Fprintln(w, "ok")
 	case path == "logout":
-		session.Delete(sessionUserKey)
+		c.Sessions.Register(w, c.Sessions.Resume(w, r)).Delete(sessionUserKey)
 		fmt.Fprintln(w, "ok")
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// serveAction runs one action behind admission, with tracing, panic
+// containment and per-action metrics around it. A panic in a
+// user-supplied custom component or plug-in service fails only its
+// request, with a 500; the server survives.
+func (c *Controller) serveAction(w http.ResponseWriter, r *http.Request, action string) {
+	start := time.Now()
+	release, pri, ok := c.admitRequest(w, r)
+	if !ok {
+		c.metrics.record(action, time.Since(start), true)
+		return
+	}
+	admitted := time.Now()
+	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	r, finish := c.traceRequest(r, action)
+	if c.Admission != nil {
+		// Retro-recorded: the wait happened before the trace existed.
+		obs.RecordSpan(r.Context(), "admission.wait", start, admitted, "class", pri.String())
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			http.Error(sr, fmt.Sprintf("internal error in action %s: %v", action, rec),
+				http.StatusInternalServerError)
+		}
+		release()
+		finish(sr.status)
+		c.metrics.record(action, time.Since(start), sr.status >= 400)
+	}()
+	c.dispatch(sr, r, action)
 }
 
 // admitRequest passes one request through the admission limiter. A
@@ -250,42 +247,6 @@ func (c *Controller) traceRequest(r *http.Request, action string) (*http.Request
 	return r.WithContext(ctx), func(status int) { c.Obs.Finish(t, status) }
 }
 
-// resolveSession returns the request's session. Without a session
-// cookie, two kinds of request get a detached session. A surrogate fetch
-// (the edge advertises Surrogate-Capability) serves shared anonymous
-// content, so minting a registered session (and a Set-Cookie) per
-// internal fetch would leak server-side state and poison the shared
-// cache with cookies. An operation registers its session only when it
-// stores into it (operationAction), so anonymous writes whose clients
-// never send a cookie back leave no session behind.
-func (c *Controller) resolveSession(w http.ResponseWriter, r *http.Request, path string) *Session {
-	if (c.EdgeFragments && isSurrogate(r)) || strings.HasPrefix(path, "op/") {
-		if _, err := r.Cookie(sessionCookie); err != nil {
-			return c.Sessions.Detached()
-		}
-	}
-	return c.Sessions.Resolve(w, r)
-}
-
-// isSurrogate reports whether the request comes from an ESI-capable
-// surrogate (the edge tier).
-func isSurrogate(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Surrogate-Capability"), "ESI/1.0")
-}
-
-// safeDispatch shields the Controller from panics in user-supplied
-// custom components and plug-in services: the failing request becomes a
-// 500, the server survives.
-func (c *Controller) safeDispatch(w http.ResponseWriter, r *http.Request, session *Session, action string) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			http.Error(w, fmt.Sprintf("internal error in action %s: %v", action, rec),
-				http.StatusInternalServerError)
-		}
-	}()
-	c.dispatch(w, r, session, action)
-}
-
 // requestContext derives the per-request deadline context — the budget
 // every tier below (page service, bean cache, remote stub) observes.
 func (c *Controller) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
@@ -305,41 +266,17 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// dispatch runs one action (and any operation chain it starts).
-func (c *Controller) dispatch(w http.ResponseWriter, r *http.Request, session *Session, action string) {
+// dispatch runs one action: a fragment, or a page or operation action and
+// any operation chain it starts. Fragments never read a session.
+func (c *Controller) dispatch(w http.ResponseWriter, r *http.Request, action string) {
 	ctx, cancel := c.requestContext(r)
 	defer cancel()
 	params := requestParams(r)
-
-	// Multi-valued parameters (a multichoice selection) fan an operation
-	// out over every selected object: the operation executes once per
-	// value, then control continues as if a single invocation succeeded.
-	if strings.HasPrefix(action, "op/") {
-		if name, values := multiParam(r); name != "" && len(values) > 1 {
-			m := c.Repo.Config().Mapping(action)
-			opID := strings.TrimPrefix(action, "op/")
-			d := c.Repo.Unit(opID)
-			if m != nil && d != nil {
-				for _, v := range values[:len(values)-1] {
-					fan := make(map[string]Value, len(params))
-					for k, pv := range params {
-						fan[k] = pv
-					}
-					fan[name] = ConvertParam(v)
-					if res, err := c.Business.ExecuteOperation(ctx, d, fan); err != nil {
-						http.Error(w, err.Error(), errStatus(err))
-						return
-					} else if !res.OK {
-						c.redirect(w, r, m.KO, m.KOParams, res.Outputs, fan, res.Err)
-						return
-					}
-				}
-				// The last value proceeds through the normal path (and
-				// any OK chain).
-				params[name] = ConvertParam(values[len(values)-1])
-			}
-		}
+	if fragmentID, ok := strings.CutPrefix(action, "fragment/"); ok {
+		c.fragmentAction(ctx, w, r, fragmentID, params)
+		return
 	}
+	session := c.Sessions.Resume(w, r)
 	for hop := 0; ; hop++ {
 		m := c.Repo.Config().Mapping(action)
 		if m == nil {
@@ -351,20 +288,49 @@ func (c *Controller) dispatch(w http.ResponseWriter, r *http.Request, session *S
 			c.pageAction(ctx, w, r, session, m, params)
 			return
 		case "operation":
-			next, nextParams, done := c.operationAction(ctx, w, r, session, m, params)
-			if done {
+			if hop == 0 && !c.fanOut(ctx, w, r, session, m, params) {
 				return
 			}
+			res := c.operationAction(ctx, w, r, session, m, params)
+			if res == nil {
+				return
+			}
+			if !strings.HasPrefix(m.OK, "op/") {
+				c.redirect(w, r, m.OK, m.OKParams, res.Outputs, params, "")
+				return
+			}
+			// Chained operation: continue in-process.
 			if hop >= maxChain {
 				http.Error(w, "operation chain too long", http.StatusLoopDetected)
 				return
 			}
-			action, params = next, nextParams
+			action, params = m.OK, forward(m.OKParams, res.Outputs, params)
 		default:
 			http.Error(w, "bad mapping type", http.StatusInternalServerError)
 			return
 		}
 	}
+}
+
+// fanOut applies an operation once per value of a multichoice selection
+// (a parameter carrying several values). Every value but the last runs
+// through operationAction alone; the last is left in params, so it
+// continues as a single invocation would, OK chain included. It reports
+// false when a value failed and its response is written.
+func (c *Controller) fanOut(ctx context.Context, w http.ResponseWriter, r *http.Request, session *Session, m *descriptor.Mapping, params map[string]Value) bool {
+	name, values := multiParam(r)
+	if len(values) < 2 {
+		return true
+	}
+	for _, v := range values[:len(values)-1] {
+		fan := maps.Clone(params)
+		fan[name] = ConvertParam(v)
+		if c.operationAction(ctx, w, r, session, m, fan) == nil {
+			return false
+		}
+	}
+	params[name] = ConvertParam(values[len(values)-1])
+	return true
 }
 
 // pageAction is the page action of Figure 4: extract the input from the
@@ -389,36 +355,36 @@ func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *h
 	}
 
 	// Cache metadata. Runtime styling dispatches on the User-Agent, so
-	// any cache between here and the browser must key on it; content tied
-	// to a principal or to one-shot form state must not be stored at all.
+	// any cache between here and the browser must key on it. A page is
+	// shared only when it is the same for every client: content tied to
+	// a principal or to one-shot form state is private, and so is a
+	// response that sets the session cookie (Register made it private).
 	h := w.Header()
-	if c.variesByUserAgent() {
+	if c.Renderer.VariesByUserAgent() {
 		h.Add("Vary", "User-Agent")
 	}
-	personalized := pd.Protected || session.User() != "" || len(formState) > 0
-	if personalized {
-		h.Set("Cache-Control", "private, no-store")
-	} else {
+	shared := !pd.Protected && session.User() == "" && len(formState) == 0 && h.Get("Set-Cookie") == ""
+	if shared {
 		// Anonymous pages revalidate against the content-addressed ETag.
 		h.Set("Cache-Control", "public, max-age=0, must-revalidate")
+	} else {
+		setPrivate(h)
 	}
 
-	// Edge mode: an ESI-capable surrogate asking for a shareable page
-	// gets the container — placeholders only, no unit computation here.
-	// Personalized requests fall through to a full inline render, which
-	// the surrogate relays without caching (no-store above).
-	if c.EdgeFragments && !personalized && isSurrogate(r) {
-		if cr, ok := c.Renderer.(ContainerRenderer); ok {
-			out, err := cr.RenderContainer(pd, vctx)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			h.Set("Surrogate-Control", `content="ESI/1.0"`)
-			h.Set("Content-Type", "text/html; charset=utf-8")
-			w.Write(out) //nolint:errcheck // client disconnects are not actionable
+	// Edge mode: an ESI-capable surrogate asking for a shared page gets
+	// the container — placeholders only, no unit computation here. A
+	// private page falls through to a full inline render, which the
+	// surrogate relays without caching (no-store above).
+	if c.EdgeFragments && shared && strings.Contains(r.Header.Get("Surrogate-Capability"), "ESI/1.0") {
+		out, err := c.Renderer.RenderContainer(pd, vctx)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		h.Set("Surrogate-Control", `content="ESI/1.0"`)
+		h.Set("Content-Type", "text/html; charset=utf-8")
+		w.Write(out) //nolint:errcheck // client disconnects are not actionable
+		return
 	}
 
 	state, err := c.Pages.ComputePage(ctx, m.Page, params, formState)
@@ -449,24 +415,6 @@ func bodyHash(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// variesByUserAgent reports whether the View dispatches on User-Agent
-// (runtime presentation rules), in which case responses carry Vary.
-func (c *Controller) variesByUserAgent() bool {
-	v, ok := c.Renderer.(interface{ VariesByUserAgent() bool })
-	return ok && v.VariesByUserAgent()
-}
-
-// safeFragment is safeDispatch for fragment endpoints.
-func (c *Controller) safeFragment(w http.ResponseWriter, r *http.Request, path string) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			http.Error(w, fmt.Sprintf("internal error in %s: %v", path, rec),
-				http.StatusInternalServerError)
-		}
-	}()
-	c.fragmentAction(w, r, path)
-}
-
 // fragmentAction answers one edge-tier fragment request:
 //
 //	GET /fragment/<page>/<unit>?<page params>
@@ -478,12 +426,11 @@ func (c *Controller) safeFragment(w http.ResponseWriter, r *http.Request, path s
 // from the conceptual cache TTL, X-Webml-Deps from the read tags of the
 // beans the cone computed) — the per-fragment "different policies" of
 // Section 6's ESI architecture, driven entirely by the model.
-func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path string) {
+func (c *Controller) fragmentAction(ctx context.Context, w http.ResponseWriter, r *http.Request, fragmentID string, params map[string]Value) {
 	if !c.EdgeFragments {
 		http.NotFound(w, r)
 		return
 	}
-	fragmentID := strings.TrimPrefix(path, "fragment/")
 	pageID, unitID, ok := strings.Cut(fragmentID, "/")
 	if !ok || pageID == "" || unitID == "" {
 		http.NotFound(w, r)
@@ -505,22 +452,13 @@ func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path
 		http.NotFound(w, r)
 		return
 	}
-	fr, ok := c.Renderer.(FragmentRenderer)
-	if !ok {
-		http.Error(w, "renderer lacks fragment support", http.StatusNotImplemented)
-		return
-	}
-	ctx, cancel := c.requestContext(r)
-	defer cancel()
-	params := requestParams(r)
 	// The fragment ID names the unit's cone, not the page.
 	state, err := c.Pages.ComputePage(ctx, fragmentID, params, nil)
 	if err != nil {
 		http.Error(w, err.Error(), errStatus(err))
 		return
 	}
-	vctx := &RequestContext{Params: params, Session: c.Sessions.Detached(), UserAgent: r.UserAgent()}
-	out, err := fr.RenderUnitFragment(pd, state, vctx, unitID)
+	out, err := c.Renderer.RenderUnitFragment(pd, state, &RequestContext{Params: params, UserAgent: r.UserAgent()}, unitID)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -532,7 +470,7 @@ func (c *Controller) fragmentAction(w http.ResponseWriter, r *http.Request, path
 	// Always present (possibly empty): the header marks the response
 	// surrogate-cacheable and carries the tags whose writes purge it.
 	h.Set("X-Webml-Deps", c.fragmentDeps(state))
-	if c.variesByUserAgent() {
+	if c.Renderer.VariesByUserAgent() {
 		h.Add("Vary", "User-Agent")
 	}
 	// Fragments are surrogate-internal: browsers and shared HTTP caches
@@ -619,15 +557,15 @@ func coneReads(cone []*descriptor.Unit, name string) bool {
 	return false
 }
 
-// operationAction executes one operation and resolves the next action.
-// It returns (nextAction, nextParams, false) to continue a chain, or
-// handles the response itself and returns done=true.
-func (c *Controller) operationAction(ctx context.Context, w http.ResponseWriter, r *http.Request, session *Session, m *descriptor.Mapping, params map[string]Value) (string, map[string]Value, bool) {
-	opID := strings.TrimPrefix(m.Action, "op/")
-	d := c.Repo.Unit(opID)
+// operationAction executes one operation over params: the validation
+// service, then the business tier. A failure answers the request itself
+// (the KO redirect, or an error status) and returns nil; success returns
+// the result, for the caller to follow the OK link.
+func (c *Controller) operationAction(ctx context.Context, w http.ResponseWriter, r *http.Request, session *Session, m *descriptor.Mapping, params map[string]Value) *OpResult {
+	d := c.Repo.Unit(strings.TrimPrefix(m.Action, "op/"))
 	if d == nil {
 		http.Error(w, "missing operation descriptor", http.StatusInternalServerError)
-		return "", nil, true
+		return nil
 	}
 
 	// Validation service: check the inputs against the feeding entry
@@ -639,7 +577,7 @@ func (c *Controller) operationAction(ctx context.Context, w http.ResponseWriter,
 				// session cookie, set here before the redirect.
 				storeFormState(c.Sessions.Register(w, session), m.Validate, params, errs)
 				c.redirect(w, r, m.KO, m.KOParams, nil, params, "validation failed")
-				return "", nil, true
+				return nil
 			}
 		}
 	}
@@ -647,20 +585,13 @@ func (c *Controller) operationAction(ctx context.Context, w http.ResponseWriter,
 	res, err := c.Business.ExecuteOperation(ctx, d, params)
 	if err != nil {
 		http.Error(w, err.Error(), errStatus(err))
-		return "", nil, true
+		return nil
 	}
 	if !res.OK {
 		c.redirect(w, r, m.KO, m.KOParams, res.Outputs, params, res.Err)
-		return "", nil, true
+		return nil
 	}
-	next := m.OK
-	nextParams := forward(m.OKParams, res.Outputs, params)
-	if strings.HasPrefix(next, "op/") {
-		// Chained operation: continue in-process.
-		return next, nextParams, false
-	}
-	c.redirect(w, r, next, m.OKParams, res.Outputs, params, "")
-	return "", nil, true
+	return res
 }
 
 // redirect sends the browser to the target action with forwarded

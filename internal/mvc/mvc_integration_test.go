@@ -268,7 +268,10 @@ func TestProtectedSiteViewRequiresLogin(t *testing.T) {
 	if rr.Code != http.StatusUnauthorized {
 		t.Fatalf("status = %d", rr.Code)
 	}
-	cookies := rr.Result().Cookies()
+	// A cookie-less 401 stores nothing, so the session comes from login.
+	lw := httptest.NewRecorder()
+	ctl.ServeHTTP(lw, httptest.NewRequest(http.MethodPost, "/login?user=admin", nil))
+	cookies := lw.Result().Cookies()
 	if len(cookies) == 0 {
 		t.Fatal("no session cookie issued")
 	}

@@ -146,7 +146,7 @@ func TestActionURL(t *testing.T) {
 
 func TestSessionManager(t *testing.T) {
 	m := NewSessionManager(0)
-	s := m.Resolve(nil, newGetRequest("/"))
+	s := m.Register(nil, m.Detached())
 	s.Set("k", "v")
 	if v, _ := s.Get("k"); v != "v" {
 		t.Fatal("session storage broken")
@@ -171,10 +171,10 @@ func TestSessionSweep(t *testing.T) {
 	m := NewSessionManager(time.Minute)
 	base := time.Unix(1000, 0)
 	m.now = func() time.Time { return base }
-	s1 := m.Resolve(nil, newGetRequest("/"))
+	s1 := m.Register(nil, m.Detached())
 	_ = s1
 	base = base.Add(30 * time.Second)
-	m.Resolve(nil, newGetRequest("/")) // second session (no cookie carried)
+	m.Register(nil, m.Detached()) // second session
 	if m.Len() != 2 {
 		t.Fatalf("sessions = %d", m.Len())
 	}
@@ -200,7 +200,7 @@ func TestSessionSweepOnResolve(t *testing.T) {
 		if i == 1000 {
 			base = base.Add(2 * time.Minute)
 		}
-		m.Resolve(nil, newGetRequest("/"))
+		m.Register(nil, m.Detached())
 	}
 	if m.Len() != 1000 {
 		t.Fatalf("sessions = %d, want the 1000 live ones", m.Len())
@@ -211,7 +211,7 @@ func TestSessionSweepOnResolve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				m.Resolve(nil, newGetRequest("/"))
+				m.Register(nil, m.Detached())
 			}
 		}()
 	}
@@ -226,18 +226,18 @@ func TestSessionExpiryOnResolve(t *testing.T) {
 	base := time.Unix(0, 0)
 	m.now = func() time.Time { return base }
 	rr := httptest.NewRecorder()
-	s := m.Resolve(rr, newGetRequest("/"))
+	s := m.Register(rr, m.Detached())
 	cookie := rr.Result().Cookies()[0]
 	// Within TTL the same session resolves.
 	req := newGetRequest("/")
 	req.AddCookie(cookie)
 	base = base.Add(30 * time.Second)
-	if got := m.Resolve(nil, req); got.ID != s.ID {
+	if got := m.Resume(nil, req); got.ID != s.ID {
 		t.Fatal("session not resumed")
 	}
 	// Past TTL a new session is issued.
 	base = base.Add(2 * time.Minute)
-	if got := m.Resolve(httptest.NewRecorder(), req); got.ID == s.ID {
+	if got := m.Resume(httptest.NewRecorder(), req); got.ID == s.ID {
 		t.Fatal("expired session resumed")
 	}
 }

@@ -55,10 +55,12 @@ const (
 	sessionUserKey = "user"
 )
 
-// SessionManager issues and resolves cookie-bound sessions. Idle
-// sessions are dropped when their cookie comes back, and by a sweep each
-// time registrations have doubled the live count since the last one, so
-// sessions whose cookies never return cannot pile up.
+// SessionManager issues and resumes cookie-bound sessions by one rule
+// (Resume). A session is registered, and its cookie set, only when
+// something is stored into it, and the response that sets the cookie is
+// private. Idle sessions are dropped when their cookie comes back, and
+// by a sweep each time registrations have doubled the live count since
+// the last one, so sessions whose cookies never return cannot pile up.
 type SessionManager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -76,33 +78,37 @@ func NewSessionManager(ttl time.Duration) *SessionManager {
 	return &SessionManager{sessions: make(map[string]*Session), ttl: ttl, now: time.Now}
 }
 
-// Resolve returns the request's session, creating one (and setting the
-// cookie) if needed.
-func (m *SessionManager) Resolve(w http.ResponseWriter, r *http.Request) *Session {
-	if c, err := r.Cookie(sessionCookie); err == nil {
-		m.mu.Lock()
-		s, ok := m.sessions[c.Value]
-		if ok && m.now().Sub(s.touched) <= m.ttl {
-			s.touched = m.now()
-			m.mu.Unlock()
-			return s
-		}
-		delete(m.sessions, c.Value)
-		m.mu.Unlock()
+// Resume returns the request's session. A cookie naming a live session
+// gets that session. A cookie naming none (expired, or from before a
+// restart) gets a new registered session, its cookie renewed on w. A
+// request without a cookie gets a detached session, which the caller
+// registers only when it stores into it.
+func (m *SessionManager) Resume(w http.ResponseWriter, r *http.Request) *Session {
+	c, err := r.Cookie(sessionCookie)
+	if err != nil {
+		return m.Detached()
 	}
+	m.mu.Lock()
+	s, ok := m.sessions[c.Value]
+	if ok && m.now().Sub(s.touched) <= m.ttl {
+		s.touched = m.now()
+		m.mu.Unlock()
+		return s
+	}
+	delete(m.sessions, c.Value)
+	m.mu.Unlock()
 	return m.Register(w, m.Detached())
 }
 
-// Detached returns a session that is not registered in the manager and
-// sets no cookie — used for surrogate (edge-tier) fetches, which serve
-// shared anonymous content and must not mint per-fetch server-side
-// sessions, and for anonymous operations until they store into it.
+// Detached returns a session that is not registered and sets no cookie.
 func (m *SessionManager) Detached() *Session {
 	return &Session{values: make(map[string]interface{}), touched: m.now()}
 }
 
-// Register gives a detached session an ID, registers it and sets its
-// cookie on w (when w is not nil). A registered session is left as is.
+// Register gives a detached session an ID and registers it. When w is
+// not nil it sets the session cookie on w and makes the response
+// private: a response that hands out a session is never stored by a
+// shared cache. A registered session is left as is.
 func (m *SessionManager) Register(w http.ResponseWriter, s *Session) *Session {
 	if s.ID != "" {
 		return s
@@ -116,9 +122,13 @@ func (m *SessionManager) Register(w http.ResponseWriter, s *Session) *Session {
 	m.mu.Unlock()
 	if w != nil {
 		http.SetCookie(w, &http.Cookie{Name: sessionCookie, Value: s.ID, Path: "/", HttpOnly: true})
+		setPrivate(w.Header())
 	}
 	return s
 }
+
+// setPrivate forbids every shared cache to store the response.
+func setPrivate(h http.Header) { h.Set("Cache-Control", "private, no-store") }
 
 // Len returns the number of live sessions.
 func (m *SessionManager) Len() int {

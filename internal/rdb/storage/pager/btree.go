@@ -234,7 +234,7 @@ type splitRes struct {
 
 // Put inserts or replaces the value for k.
 func (t *BTree) Put(k Key, v []byte) error {
-	sp, err := t.put(t.root, k, v)
+	sp, err := t.put(t.root, k, v, true)
 	if err != nil {
 		return err
 	}
@@ -252,7 +252,9 @@ func (t *BTree) Put(k Key, v []byte) error {
 	return nil
 }
 
-func (t *BTree) put(id PageID, k Key, v []byte) (splitRes, error) {
+// put inserts into the subtree at id; rightmost reports whether that
+// subtree is the tree's right edge.
+func (t *BTree) put(id PageID, k Key, v []byte, rightmost bool) (splitRes, error) {
 	pg, err := t.pool.Get(id)
 	if err != nil {
 		return splitRes{}, err
@@ -261,10 +263,10 @@ func (t *BTree) put(id PageID, k Key, v []byte) (splitRes, error) {
 	d := pg.Data()
 	switch d[0] {
 	case pageLeaf:
-		return t.leafPut(pg, k, v)
+		return t.leafPut(pg, k, v, rightmost)
 	case pageInterior:
 		i := intSearch(d, k)
-		sp, err := t.put(getChild(d, i), k, v)
+		sp, err := t.put(getChild(d, i), k, v, rightmost && i == intN(d))
 		if err != nil {
 			return splitRes{}, err
 		}
@@ -310,7 +312,7 @@ func (t *BTree) put(id PageID, k Key, v []byte) (splitRes, error) {
 	}
 }
 
-func (t *BTree) leafPut(pg Page, k Key, v []byte) (splitRes, error) {
+func (t *BTree) leafPut(pg Page, k Key, v []byte, rightmost bool) (splitRes, error) {
 	d := pg.Data()
 	idx, found := leafSearch(d, k)
 	if found {
@@ -329,6 +331,17 @@ func (t *BTree) leafPut(pg Page, k Key, v []byte) (splitRes, error) {
 		insertLeafCell(d, idx, cell)
 		pg.MarkDirty()
 		return splitRes{}, nil
+	}
+	if rightmost && !found && idx == leafN(d) {
+		// An append past the tree's last key (ascending inserts): the
+		// full leaf stays as it is and the key starts a new right leaf.
+		// Only the right edge splits this way; elsewhere it would leave
+		// one-cell leaves behind under random inserts.
+		rp := t.pool.Alloc()
+		packLeaf(rp.Data(), [][]byte{cell})
+		rightID := rp.ID()
+		rp.Release()
+		return splitRes{split: true, key: k, right: rightID}, nil
 	}
 	// Split: redistribute all cells (plus the new one) by bytes.
 	cells := gatherCells(d)

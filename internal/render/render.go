@@ -115,28 +115,26 @@ type Context struct {
 }
 
 var _ mvc.Renderer = (*Engine)(nil)
-var _ mvc.ContainerRenderer = (*Engine)(nil)
-var _ mvc.FragmentRenderer = (*Engine)(nil)
 
-// RenderPage implements mvc.Renderer: the page's program for the requesting
+// RenderPage renders a page inline: the page's program for the requesting
 // device runs, each custom tag writing its unit straight into the page.
 func (e *Engine) RenderPage(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext) ([]byte, error) {
 	return e.run(pd, state, ctx, false)
 }
 
-// RenderContainer implements mvc.ContainerRenderer (the edge mode of
-// Section 6's ESI architecture): the template renders with every unit
-// slot replaced by an <esi:include> placeholder pointing at the unit's
-// fragment endpoint. No unit is computed — the surrogate fetches and
+// RenderContainer renders a page in the edge mode of Section 6's ESI
+// architecture: the template renders with every unit slot replaced by
+// an <esi:include> placeholder pointing at the unit's fragment
+// endpoint. No unit is computed — the surrogate fetches and
 // caches each fragment independently, under its own descriptor policy.
 func (e *Engine) RenderContainer(pd *descriptor.Page, ctx *mvc.RequestContext) ([]byte, error) {
 	return e.run(pd, nil, ctx, true)
 }
 
-// RenderUnitFragment implements mvc.FragmentRenderer: one unit's markup,
-// byte-identical to what RenderPage inlines in its place (including the
-// placeholder comment for units the page did not compute), so an
-// edge-assembled page equals the in-process rendering exactly.
+// RenderUnitFragment renders one unit's markup, byte-identical to what
+// RenderPage inlines in its place (including the placeholder comment for
+// units the page did not compute), so an edge-assembled page equals the
+// in-process rendering exactly.
 func (e *Engine) RenderUnitFragment(pd *descriptor.Page, state *mvc.PageState, ctx *mvc.RequestContext, unitID string) ([]byte, error) {
 	b := getBuf()
 	defer putBuf(b)

@@ -9,11 +9,11 @@ import (
 	"webmlgo/internal/rdb"
 )
 
-// smallDDL returns the DDL of the Small spec's application, minus every
+// smallDDL returns the DDL of the small spec's application, minus every
 // statement that mentions skip (when skip is non-empty).
 func smallDDL(t *testing.T, skip string) []string {
 	t.Helper()
-	m, err := Generate(Small())
+	m, err := Generate(small())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,6 @@ func AcerEuro() Spec {
 	return Spec{SiteViews: 22, Pages: 556, Units: 3068, Seed: 2003}
 }
 
-// Small returns a laptop-friendly spec with the same shape for tests.
-func Small() Spec {
-	return Spec{SiteViews: 3, Pages: 24, Units: 132, Seed: 7}
-}
-
 // Schema returns the Acer-Euro-style product-content data model.
 func Schema() *er.Schema {
 	return &er.Schema{

@@ -17,8 +17,13 @@ import (
 	"webmlgo/internal/webml"
 )
 
+// small is a laptop-sized spec with the Acer-Euro shape.
+func small() Spec {
+	return Spec{SiteViews: 3, Pages: 24, Units: 132, Seed: 7}
+}
+
 func TestSmallSpecShape(t *testing.T) {
-	spec := Small()
+	spec := small()
 	m, err := Generate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +38,11 @@ func TestSmallSpecShape(t *testing.T) {
 }
 
 func TestGenerateIsDeterministic(t *testing.T) {
-	a, err := Generate(Small())
+	a, err := Generate(small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(Small())
+	b, err := Generate(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func TestAcerEuroShape(t *testing.T) {
 // spec: generate model -> generate code -> create schema -> populate ->
 // serve a request mix through the real controller.
 func TestGeneratedAppServesRequests(t *testing.T) {
-	m, err := Generate(Small())
+	m, err := Generate(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func TestGeneratedAppServesRequests(t *testing.T) {
 }
 
 func TestRequestsDeterministic(t *testing.T) {
-	m, err := Generate(Small())
+	m, err := Generate(small())
 	if err != nil {
 		t.Fatal(err)
 	}
