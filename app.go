@@ -69,10 +69,17 @@ type App struct {
 	Members *ejb.FleetMembership
 	// Resilient is the retry decorator when WithRetries is set.
 	Resilient *mvc.ResilientBusiness
-	// Faults is the chaos injector when WithFaults is set.
+	// Faults is the chaos injector when WithFaults is set: it counts
+	// the faults fired in this App's own business tier, wherever that
+	// tier runs.
 	Faults *fault.Injector
 	// Obs is the request tracer when WithObservability is set.
 	Obs *obs.Tracer
+
+	// local is the business tier this App runs itself (nil under
+	// WithAppServer); tier is local, wrapped by Faults under WithFaults.
+	local *mvc.LocalBusiness
+	tier  mvc.Business
 
 	regOnce  sync.Once
 	registry *obs.Registry
@@ -153,7 +160,8 @@ func WithCompiledStyle(rs *style.RuleSet) Option {
 }
 
 // WithAppServer routes the business tier through remote containers at
-// the given addresses (Figure 6) instead of in-process services.
+// the given addresses (Figure 6) instead of in-process services: the
+// tier of the App that deployed them (DeployContainer).
 func WithAppServer(addrs ...string) Option {
 	return func(c *config) { c.appServer = addrs }
 }
@@ -194,10 +202,13 @@ func WithDegradedServing(maxStale time.Duration) Option {
 }
 
 // WithFaults injects deterministic chaos (latency spikes, error bursts,
-// panics) into the business tier under the seeded schedule — the
-// fault-injection harness behind `webratio serve -chaos`. Faults fire
-// below the retry and cache decorators, exactly where a flapping
-// container would.
+// panics) into the App's own business tier under the seeded schedule —
+// the fault-injection harness behind `webratio serve -chaos`. Faults
+// fire where that tier runs: in process, in every fleet clone, and in
+// every container the App deploys, below the web tier's retry and cache
+// decorators, exactly where a flapping container would. New refuses it
+// with WithAppServer: the chaos belongs to the App that deploys the
+// containers.
 func WithFaults(sched fault.Schedule) Option {
 	return func(c *config) { s := sched; c.faults = &s }
 }
@@ -273,11 +284,22 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		}
 	}
 
-	if cfg.faults != nil {
-		app.Faults = fault.New(*cfg.faults)
+	// The App's own business tier is built once, here: the local
+	// placement, the fleet's clones and DeployContainer all serve it.
+	if len(cfg.appServer) > 0 {
+		if cfg.faults != nil {
+			return nil, fmt.Errorf("webmlgo: WithFaults with WithAppServer: the chaos belongs to the App that deploys the containers")
+		}
+	} else {
+		app.local = mvc.NewLocalBusiness(app.DB)
+		app.tier = app.local
+		if cfg.faults != nil {
+			app.Faults = fault.New(*cfg.faults)
+			app.tier = fault.WrapBusiness(app.local, app.Faults)
+		}
 	}
 
-	// Business tier: local, application-server, or self-hosted elastic
+	// Placement: local, application-server, or self-hosted elastic
 	// fleet — optionally cached.
 	switch {
 	case cfg.withFleet:
@@ -296,16 +318,7 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		app.Remote = remote
 		app.Business = remote
 		spawn := func() (*ejb.Clone, error) {
-			var business mvc.Business = mvc.NewLocalBusiness(app.DB)
-			if app.Faults != nil {
-				// Self-hosted fleet: faults fire inside the clone, where
-				// a flapping container actually lives, so injected
-				// latency occupies a container slot.
-				business = fault.WrapBusiness(business, app.Faults)
-			}
-			ctr := ejb.NewContainer(business, capacity)
-			ctr.DeployPages(&mvc.PageService{Repo: art.Repo, Business: business})
-			addr, err := ctr.Serve("127.0.0.1:0")
+			ctr, addr, err := app.DeployContainer(capacity, "127.0.0.1:0")
 			if err != nil {
 				return nil, err
 			}
@@ -324,20 +337,13 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		app.Remote = remote
 		app.Business = remote
 	default:
-		app.Business = mvc.NewLocalBusiness(app.DB)
+		app.Business = app.tier
 	}
-	// Resilience decorators stack below the caches: injected faults hit
-	// where a flapping container would, retries absorb what they can,
-	// and the bean cache's degraded mode covers the rest.
-	if app.Faults != nil && !cfg.withFleet {
-		app.Business = fault.WrapBusiness(app.Business, app.Faults)
-	}
+	// Resilience decorators stack below the caches: retries absorb what
+	// they can of the tier's failures, and the bean cache's degraded
+	// mode covers the rest.
 	if cfg.retries > 1 {
-		seed := int64(1)
-		if cfg.faults != nil && cfg.faults.Seed != 0 {
-			seed = cfg.faults.Seed
-		}
-		app.Resilient = mvc.NewResilientBusiness(app.Business, seed)
+		app.Resilient = mvc.NewResilientBusiness(app.Business, 1)
 		app.Resilient.MaxAttempts = cfg.retries
 		app.Business = app.Resilient
 	}
@@ -414,47 +420,25 @@ func (a *App) Handler() http.Handler {
 	return a.Controller
 }
 
-// LocalBusiness returns the in-process business tier, or nil when the
-// app runs against an application server. Use it to register plug-in
-// unit services and custom components.
-func (a *App) LocalBusiness() *mvc.LocalBusiness {
-	b := a.Business
-	for {
-		switch t := b.(type) {
-		case *mvc.LocalBusiness:
-			return t
-		case *mvc.CachedBusiness:
-			b = t.Inner
-		case *mvc.NotifyingBusiness:
-			b = t.Inner
-		case *mvc.ResilientBusiness:
-			b = t.Inner
-		case *fault.Business:
-			b = t.Inner
-		default:
-			return nil
-		}
-	}
-}
+// LocalBusiness returns the business tier the App runs itself — in
+// process, in its fleet's clones and in every container it deploys — or
+// nil when the app runs against an application server. Use it to
+// register plug-in unit services and custom components.
+func (a *App) LocalBusiness() *mvc.LocalBusiness { return a.local }
 
-// DeployContainer deploys this application's business tier — unit,
-// operation AND page services — into an application-server container
+// DeployContainer deploys this App's business tier — the unit and
+// operation services of LocalBusiness (chaos included under WithFaults)
+// and a page service over Repo — into an application-server container
 // listening on addr and returns the bound address: the server half of
 // Figure 6. A separate App created with WithAppServer(addr) then acts as
 // the web tier; add WithRemotePages to compute whole pages in one round
-// trip.
-func DeployContainer(model *webml.Model, db *rdb.DB, capacity int, addr string) (*ejb.Container, string, error) {
-	gen, err := codegen.New(model)
-	if err != nil {
-		return nil, "", err
+// trip. A WithAppServer App has no business tier of its own to deploy.
+func (a *App) DeployContainer(capacity int, addr string) (*ejb.Container, string, error) {
+	if a.tier == nil {
+		return nil, "", fmt.Errorf("webmlgo: DeployContainer on a WithAppServer app: its business tier is in the containers it calls")
 	}
-	art, err := gen.Generate()
-	if err != nil {
-		return nil, "", err
-	}
-	business := mvc.NewLocalBusiness(db)
-	ctr := ejb.NewContainer(business, capacity)
-	ctr.DeployPages(&mvc.PageService{Repo: art.Repo, Business: business})
+	ctr := ejb.NewContainer(a.tier, capacity)
+	ctr.DeployPages(&mvc.PageService{Repo: a.Artifacts.Repo, Business: a.tier})
 	bound, err := ctr.Serve(addr)
 	if err != nil {
 		return nil, "", err

@@ -119,20 +119,14 @@ func TestWithCachesEndToEnd(t *testing.T) {
 func TestWithAppServer(t *testing.T) {
 	// Deploy the business tier in a container, then assemble the web
 	// tier against it (Figure 6, both halves).
-	backendDB := rdb.Open()
-	seedApp, err := New(fixture.Figure1Model()) // generates DDL into its own db
+	backend, err := New(fixture.Figure1Model())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stmt := range seedApp.Artifacts.DDL {
-		if _, err := backendDB.Exec(stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fixture.Seed(backendDB); err != nil {
+	if err := fixture.Seed(backend.DB); err != nil {
 		t.Fatal(err)
 	}
-	ctr, addr, err := DeployContainer(fixture.Figure1Model(), backendDB, 8, "127.0.0.1:0")
+	ctr, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +331,7 @@ func TestWithRemotePages(t *testing.T) {
 	if err := fixture.Seed(backend.DB); err != nil {
 		t.Fatal(err)
 	}
-	ctr, addr, err := DeployContainer(fixture.Figure1Model(), backend.DB, 8, "127.0.0.1:0")
+	ctr, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

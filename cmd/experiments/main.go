@@ -200,7 +200,7 @@ func e3() {
 	// Runtime cost of genericity (Figure 5's trade).
 	app := fixtureApp()
 	d := app.Repo().Unit("volumeData")
-	business := mvc.NewLocalBusiness(app.DB)
+	business := app.LocalBusiness()
 	generic := timeOp(20000, func() {
 		business.ComputeUnit(context.Background(), d, map[string]mvc.Value{"volume": int64(1)}) //nolint:errcheck
 	})
@@ -217,11 +217,10 @@ func e4() {
 	d := app.Repo().Unit("volumeData")
 	inputs := map[string]mvc.Value{"volume": int64(1)}
 
-	local := mvc.NewLocalBusiness(app.DB)
+	local := app.LocalBusiness()
 	inProc := timeOp(20000, func() { local.ComputeUnit(context.Background(), d, inputs) }) //nolint:errcheck
 
-	ctr := ejb.NewContainer(mvc.NewLocalBusiness(app.DB), 16)
-	addr, err := ctr.Serve("127.0.0.1:0")
+	ctr, addr, err := app.DeployContainer(16, "127.0.0.1:0")
 	must(err)
 	defer ctr.Close()
 	remote, err := ejb.Dial(addr)
@@ -474,22 +473,27 @@ func e7() {
 
 // e7b measures the fault-tolerant business tier: three containers serve
 // one web tier (retries + circuit breaking + failover + degraded
-// serving, with seeded chaos injected at the business boundary) while
-// container 0 flaps — killed and restarted on its address in a loop.
+// serving) while container 0 flaps — killed and restarted on its
+// address in a loop. The containers are the backend App's, so its
+// seeded chaos fires inside them, where a flaky component would.
 // Phase 1 reports availability and latency percentiles under the storm;
 // phase 2 kills every container and shows degraded mode serving cached
 // beans within the staleness bound while /healthz turns 503.
 func e7b() {
-	backend := fixtureApp()
-	db := backend.DB
+	backend := fixtureApp(webmlgo.WithFaults(fault.Schedule{
+		Seed:        2003,
+		LatencyProb: 0.03, Latency: 2 * time.Millisecond,
+		ErrorProb: 0.02,
+		PanicProb: 0.001,
+	}))
 
 	addrs := make([]string, 3)
-	flapper, addr0, err := webmlgo.DeployContainer(fixture.Figure1Model(), db, 8, "127.0.0.1:0")
+	flapper, addr0, err := backend.DeployContainer(8, "127.0.0.1:0")
 	must(err)
 	addrs[0] = addr0
 	var others []*ejb.Container
 	for i := 1; i < 3; i++ {
-		ctr, addr, err := webmlgo.DeployContainer(fixture.Figure1Model(), db, 8, "127.0.0.1:0")
+		ctr, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 		must(err)
 		others = append(others, ctr)
 		addrs[i] = addr
@@ -500,13 +504,7 @@ func e7b() {
 		webmlgo.WithBeanCache(4096),
 		webmlgo.WithRetries(3),
 		webmlgo.WithRequestTimeout(2*time.Second),
-		webmlgo.WithDegradedServing(2*time.Second),
-		webmlgo.WithFaults(fault.Schedule{
-			Seed:        2003,
-			LatencyProb: 0.03, Latency: 2 * time.Millisecond,
-			ErrorProb: 0.02,
-			PanicProb: 0.001,
-		}))
+		webmlgo.WithDegradedServing(2*time.Second))
 	must(err)
 	defer app.Remote.Close()
 	h := app.Handler()
@@ -532,7 +530,7 @@ func e7b() {
 				ctr = nil
 			}
 			time.Sleep(30 * time.Millisecond)
-			if nc, _, err := webmlgo.DeployContainer(fixture.Figure1Model(), db, 8, addrs[0]); err == nil {
+			if nc, _, err := backend.DeployContainer(8, addrs[0]); err == nil {
 				ctr = nc
 			}
 		}
@@ -571,7 +569,9 @@ func e7b() {
 	fmt.Printf("  availability: %.2f%% (%d/%d; %d failed)\n",
 		100*float64(N-failures)/float64(N), N-failures, N, failures)
 	fmt.Printf("  latency: p50=%v p99=%v\n", lats[N/2], lats[N*99/100])
-	fmt.Printf("  retries absorbed: %d; injected chaos: %+v; process crashes: 0\n", health.Retries, health.Faults)
+	fmt.Printf("  retries absorbed: %d; chaos fired in the containers: %+v; process crashes: 0\n",
+		health.Retries, backend.Faults.Counts())
+	fmt.Printf("  availability >= 99%% with chaos in the containers and one flapping: %v\n", failures*100 <= N)
 	for _, ep := range health.Endpoints {
 		fmt.Printf("  endpoint %s: breaker %s\n", ep.Addr, ep.State)
 	}
@@ -607,7 +607,7 @@ func e7b() {
 	}
 	health = app.Health()
 	fmt.Printf("\nPhase 2 — every container down:\n")
-	fmt.Printf("  cached unit reads served stale-within-bound: %d/20 (degraded hits: %d)\n", okReads, health.DegradedHits)
+	fmt.Printf("  degraded reads while every container is down: %d/20 (stale within bound; degraded hits: %d)\n", okReads, health.DegradedHits)
 	fmt.Printf("  /healthz: ok=%v (every breaker open -> 503, cache is the last line of defence)\n", health.OK)
 }
 
@@ -685,16 +685,17 @@ func e9() {
 
 	// Part 2: pinpointing a chaos-slowed container from one trace.
 	backend := fixtureApp()
-	db := backend.DB
-	fast, fastAddr, err := webmlgo.DeployContainer(fixture.Figure1Model(), db, 8, "127.0.0.1:0")
+	fast, fastAddr, err := backend.DeployContainer(8, "127.0.0.1:0")
 	must(err)
 	defer fast.Close()
-	// The slow container is a stock container whose business tier is
-	// wrapped with a 100%-probability latency injector — every invoke
-	// inside it stalls 25ms, exactly like an overloaded JVM would.
-	slowInj := fault.New(fault.Schedule{Seed: 7, LatencyProb: 1.0, Latency: 25 * time.Millisecond})
-	slowCtr := ejb.NewContainer(fault.WrapBusiness(mvc.NewLocalBusiness(db), slowInj), 8)
-	slowAddr, err := slowCtr.Serve("127.0.0.1:0")
+	// The slow container is deployed by a second App over the same
+	// database whose tier carries a 100%-probability latency schedule —
+	// every invoke inside it stalls 25ms, exactly like an overloaded JVM
+	// would.
+	slowBackend, err := webmlgo.New(fixture.Figure1Model(), webmlgo.WithDatabase(backend.DB),
+		webmlgo.WithFaults(fault.Schedule{Seed: 7, LatencyProb: 1.0, Latency: 25 * time.Millisecond}))
+	must(err)
+	slowCtr, slowAddr, err := slowBackend.DeployContainer(8, "127.0.0.1:0")
 	must(err)
 	defer slowCtr.Close()
 
@@ -796,11 +797,10 @@ func e10() {
 	backend, err := webmlgo.New(model)
 	must(err)
 	must(fixture.Seed(backend.DB))
-	db := backend.DB
 
 	addrs := make([]string, 2)
 	for i := range addrs {
-		ctr, addr, err := webmlgo.DeployContainer(model, db, 32, "127.0.0.1:0")
+		ctr, addr, err := backend.DeployContainer(32, "127.0.0.1:0")
 		must(err)
 		defer ctr.Close()
 		addrs[i] = addr

@@ -302,7 +302,7 @@ func cmdServe(args []string) {
 	timeout := fs.Duration("timeout", 0, "per-request deadline budget (0 = none)")
 	retries := fs.Int("retries", 0, "max attempts per idempotent unit read (<=1 = no retries)")
 	maxStale := fs.Duration("max-stale", 0, "serve TTL-expired beans up to this old when the business tier fails (0 = off; needs -cache)")
-	chaos := fs.Bool("chaos", false, "inject deterministic faults into the business tier")
+	chaos := fs.Bool("chaos", false, "inject deterministic faults into this process's business tier, in process or in its -autoscale fleet (refused with -app-server)")
 	chaosSeed := fs.Int64("chaos-seed", 2003, "seed of the -chaos fault schedule")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout on SIGINT/SIGTERM")
 	trace := fs.Bool("trace", false, "trace requests across tiers (/debug/traces)")
@@ -502,7 +502,7 @@ func cmdContainer(args []string) {
 			log.Fatal(err)
 		}
 	}
-	ctr, bound, err := webmlgo.DeployContainer(m, app.DB, *capacity, *addr)
+	ctr, bound, err := app.DeployContainer(*capacity, *addr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 	if err := fixture.Seed(backend.DB); err != nil {
 		log.Fatal(err)
 	}
-	container, addr, err := webmlgo.DeployContainer(model, backend.DB, 8, "127.0.0.1:0")
+	container, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}

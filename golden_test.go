@@ -38,7 +38,7 @@ func goldenStack(t *testing.T, model *webml.Model, seed func(*App) error) http.H
 	if err := seed(backend); err != nil {
 		t.Fatal(err)
 	}
-	ctr, addr, err := DeployContainer(model, backend.DB, 16, "127.0.0.1:0")
+	ctr, addr, err := backend.DeployContainer(16, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"webmlgo/internal/admit"
 	"webmlgo/internal/ejb"
+	"webmlgo/internal/fault"
 )
 
 // Health is the web tier's /healthz snapshot: circuit-breaker state per
@@ -31,8 +32,9 @@ type Health struct {
 	// DegradedHits counts stale beans served while the business tier
 	// was failing (WithDegradedServing).
 	DegradedHits int64 `json:"degradedHits,omitempty"`
-	// Faults reports injected chaos counts when -chaos is active.
-	Faults interface{} `json:"faults,omitempty"`
+	// Faults counts the chaos fired in this App's business tier
+	// (WithFaults), wherever that tier runs.
+	Faults *fault.Counts `json:"faults,omitempty"`
 	// Recorder is the slow-query flight recorder snapshot
 	// (WithObservability with a slow-query threshold): capture threshold and how many queries the
 	// ring has seen.
@@ -77,7 +79,8 @@ func (a *App) Health() Health {
 		h.DegradedHits = a.BeanCache.Stats().DegradedHits
 	}
 	if a.Faults != nil {
-		h.Faults = a.Faults.Counts()
+		c := a.Faults.Counts()
+		h.Faults = &c
 	}
 	if enabled, threshold := a.DB.RecorderEnabled(); enabled {
 		h.Recorder = &RecorderHealth{

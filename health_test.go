@@ -23,7 +23,7 @@ func TestHealthzBreakerTransitionsAndRetryAfter(t *testing.T) {
 	if err := fixture.Seed(backend.DB); err != nil {
 		t.Fatal(err)
 	}
-	ctr, addr, err := DeployContainer(fixture.Figure1Model(), backend.DB, 8, "127.0.0.1:0")
+	ctr, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestContainerHealthHandler(t *testing.T) {
 	if err := fixture.Seed(backend.DB); err != nil {
 		t.Fatal(err)
 	}
-	ctr, _, err := DeployContainer(fixture.Figure1Model(), backend.DB, 4, "127.0.0.1:0")
+	ctr, _, err := backend.DeployContainer(4, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

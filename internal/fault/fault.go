@@ -140,44 +140,3 @@ func (b *Business) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inp
 	}
 	return b.Inner.ExecuteOperation(ctx, d, inputs)
 }
-
-// SupportsUnitBatch implements mvc.BatchComputer by delegation, so the
-// chaos layer never hides a batching transport below it.
-func (b *Business) SupportsUnitBatch() bool { return mvc.SupportsUnitBatch(b.Inner) }
-
-// ComputeUnits implements mvc.BatchComputer with per-item injection:
-// each item of the level draws its own fault decision (one flaky item
-// must not fail its whole batch), and an injected panic is contained to
-// its item in the same error shape ComputeUnitsOf's recover produces.
-func (b *Business) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc.UnitResult {
-	out := make([]mvc.UnitResult, len(calls))
-	var pass []mvc.UnitCall
-	var passIdx []int
-	for i, c := range calls {
-		if err := b.injectOne(ctx, c.D.ID); err != nil {
-			out[i] = mvc.UnitResult{Err: err}
-			continue
-		}
-		pass = append(pass, c)
-		passIdx = append(passIdx, i)
-	}
-	if len(pass) > 0 {
-		res := mvc.ComputeUnitsOf(ctx, b.Inner, pass)
-		for j, r := range res {
-			out[passIdx[j]] = r
-		}
-	}
-	return out
-}
-
-// injectOne is beforeCall with the panic contained: batched items report
-// an injected panic as that item's error, matching the containment shape
-// of mvc.ComputeUnitsOf.
-func (b *Business) injectOne(ctx context.Context, unitID string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("mvc: unit %s panicked: %v", unitID, r)
-		}
-	}()
-	return b.In.beforeCall(ctx)
-}

@@ -73,11 +73,6 @@ func (c *ClassCounts) add(crawler, op bool) {
 	}
 }
 
-// Total sums the three classes.
-func (c *ClassCounts) Total() int64 {
-	return atomic.LoadInt64(&c.Interactive) + atomic.LoadInt64(&c.Operations) + atomic.LoadInt64(&c.Crawler)
-}
-
 // Report is one open-loop run's outcome.
 type Report struct {
 	Sessions int64         `json:"sessions"`

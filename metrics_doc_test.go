@@ -153,7 +153,7 @@ func TestMetricsExpositionDocumented(t *testing.T) {
 		t.Errorf("webml_cache_hits_total levels %v, want bean and edge", levels)
 	}
 
-	ctr, _, err := DeployContainer(fixture.Figure1Model(), app.DB, 4, "127.0.0.1:0")
+	ctr, _, err := app.DeployContainer(4, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func obsStack(t *testing.T) (*App, *ejb.Container) {
 	if err := fixture.Seed(backend.DB); err != nil {
 		t.Fatal(err)
 	}
-	ctr, addr, err := DeployContainer(fixture.Figure1Model(), backend.DB, 8, "127.0.0.1:0")
+	ctr, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

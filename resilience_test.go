@@ -27,16 +27,14 @@ func TestResilienceUnderFlappingContainer(t *testing.T) {
 	if err := fixture.Seed(backend.DB); err != nil {
 		t.Fatal(err)
 	}
-	db := backend.DB
-
 	addrs := make([]string, 3)
-	flapper, addr0, err := DeployContainer(fixture.Figure1Model(), db, 8, "127.0.0.1:0")
+	flapper, addr0, err := backend.DeployContainer(8, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs[0] = addr0
 	for i := 1; i < 3; i++ {
-		ctr, addr, err := DeployContainer(fixture.Figure1Model(), db, 8, "127.0.0.1:0")
+		ctr, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +76,7 @@ func TestResilienceUnderFlappingContainer(t *testing.T) {
 				ctr = nil
 			}
 			time.Sleep(30 * time.Millisecond)
-			if nc, _, err := DeployContainer(fixture.Figure1Model(), db, 8, addrs[0]); err == nil {
+			if nc, _, err := backend.DeployContainer(8, addrs[0]); err == nil {
 				ctr = nc
 			}
 		}
@@ -139,7 +137,7 @@ func TestHealthzAndDegradedServingUnderFullOutage(t *testing.T) {
 	if err := fixture.Seed(backend.DB); err != nil {
 		t.Fatal(err)
 	}
-	ctr, addr, err := DeployContainer(fixture.Figure1Model(), backend.DB, 8, "127.0.0.1:0")
+	ctr, addr, err := backend.DeployContainer(8, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
