@@ -343,10 +343,10 @@ func TestAllocSlopeFragmentFill(t *testing.T) {
 	t.Logf("fragment fill: %.0f allocs, %.3f per extra unit on the page", fills, slope)
 }
 
-// pagedItems opens a database with a 16-row budget whose tables, an item
-// and a wide one per row count, are fully paged out: reopened, every slot
-// is an eviction marker and reads never repopulate slots, so a row is
-// served from the 16-entry row cache or faulted. An item row has five
+// pagedItems opens a database with a 16-row cache whose tables, an item
+// and a wide one per row count, are fully paged out: every slot is an
+// eviction marker and, reopened, the cache is empty, so a row is served
+// from the 16-entry row cache or faulted. An item row has five
 // columns (oid, title, body, price, stock), a wide row an oid and twelve
 // texts.
 func pagedItems(t *testing.T, rowCounts ...int) *rdb.DB {

@@ -9,13 +9,14 @@ import (
 	"webmlgo/internal/rdb"
 )
 
-// e15 measures the larger-than-RAM data tier (anti-caching row
-// eviction, persisted index images, incremental checkpoints) on three
-// gates:
+// e15 measures the larger-than-RAM data tier (eviction-marker slots
+// over one bounded row cache, persisted index images, incremental
+// checkpoints) on three gates:
 //
 //  1. capacity — the on-disk dataset must reach >= 4x the buffer-pool
-//     budget while the engine's in-memory footprint (resident rows,
-//     pooled pages) stays pinned to the configured budgets;
+//     budget while the engine's in-memory footprint (cached rows,
+//     pooled pages) stays pinned to the configured budgets
+//     (TestE15Capacity);
 //  2. hot-set speed — point reads over a hot set that fits the
 //     residency budget must stay within 1.3x of the
 //     everything-resident durable engine;
@@ -23,7 +24,9 @@ import (
 //     fixed-size write batch must stay flat (<= 1.8x) as the database
 //     doubles, because the cost follows the dirty set, not the file.
 func e15() {
-	capOK := e15Capacity()
+	capacity := e15Capacity()
+	printE15Capacity(capacity)
+	capOK := capacity.ok()
 	hotOK := e15HotSet()
 	ckptOK := e15Checkpoint()
 	fmt.Printf("\n  E15 RESULT: dataset >= 4x page budget: %v, hot-set reads within 1.3x of resident engine: %v, incremental checkpoint flat across 2x growth: %v\n",
@@ -31,7 +34,7 @@ func e15() {
 }
 
 // e15Opts is the constrained configuration every sub-experiment serves
-// from: a 256 KiB buffer pool and 256 materialized rows.
+// from: a 256 KiB buffer pool and a 256-row row cache.
 var e15Opts = rdb.DurableOptions{PoolPages: 64, ResidentRows: 256}
 
 func e15SeedPaged(db *rdb.DB, from, to int) {
@@ -61,11 +64,27 @@ func e15SeedPaged(db *rdb.DB, from, to int) {
 	must(tx.Commit())
 }
 
+// e15CapacityResult is what E15a measures: the checkpointed page file
+// and the pool budget in bytes, the engine's counters, and whether the
+// queries over the paged-out set answered right.
+type e15CapacityResult struct {
+	dataset, budget int64
+	stats           rdb.EngineStats
+	correct         bool
+}
+
+// ok is E15a's verdict: the dataset reaches 4x the pool budget while the
+// row cache and the pool stay within theirs, and queries are correct.
+func (r e15CapacityResult) ok() bool {
+	return r.dataset >= 4*r.budget &&
+		r.stats.RowsResident <= e15Opts.ResidentRows &&
+		r.stats.PoolResident <= e15Opts.PoolPages &&
+		r.correct
+}
+
 // e15Capacity grows a dataset to several times the page budget and
-// verifies the engine's in-memory footprint holds at the configured
-// budgets while queries stay correct.
-func e15Capacity() bool {
-	fmt.Println("\n--- E15a: dataset beyond the memory budget ---")
+// measures the engine's in-memory footprint and its answers.
+func e15Capacity() e15CapacityResult {
 	dir, err := os.MkdirTemp("", "webml-e15a-*")
 	must(err)
 	defer os.RemoveAll(dir)
@@ -77,28 +96,28 @@ func e15Capacity() bool {
 	e15SeedPaged(db, 0, rows)
 	must(db.Checkpoint())
 
-	budget := int64(e15Opts.PoolPages) * 4096
 	fi, err := os.Stat(filepath.Join(dir, "pages.db"))
 	must(err)
-	dataset := fi.Size()
-
 	n, err := db.QueryRow(`SELECT COUNT(*) AS n FROM item`)
 	must(err)
 	r, err := db.QueryRow(`SELECT name FROM item WHERE oid = ?`, int64(rows/2))
 	must(err)
-	correct := n["n"] == int64(rows) && r["name"] == fmt.Sprintf("item-%d", rows/2-1)
-	st := db.EngineStats()
+	return e15CapacityResult{
+		dataset: fi.Size(),
+		budget:  int64(e15Opts.PoolPages) * 4096,
+		stats:   db.EngineStats(),
+		correct: n["n"] == int64(rows) && r["name"] == fmt.Sprintf("item-%d", rows/2-1),
+	}
+}
 
+func printE15Capacity(r e15CapacityResult) {
+	fmt.Println("\n--- E15a: dataset beyond the memory budget ---")
 	fmt.Printf("  page file %d KiB, pool budget %d KiB (%.1fx)\n",
-		dataset/1024, budget/1024, float64(dataset)/float64(budget))
+		r.dataset/1024, r.budget/1024, float64(r.dataset)/float64(r.budget))
 	fmt.Printf("  resident rows %d (budget %d), pooled pages %d (budget %d), evicted %d, faults %d\n",
-		st.RowsResident, e15Opts.ResidentRows, st.PoolResident, e15Opts.PoolPages,
-		st.RowsEvicted, st.RowFaults)
-	fmt.Printf("  queries over the paged-out set correct: %v\n", correct)
-	return dataset >= 4*budget &&
-		st.RowsResident <= e15Opts.ResidentRows &&
-		st.PoolResident <= e15Opts.PoolPages &&
-		correct
+		r.stats.RowsResident, e15Opts.ResidentRows, r.stats.PoolResident, e15Opts.PoolPages,
+		r.stats.RowsEvicted, r.stats.RowFaults)
+	fmt.Printf("  queries over the paged-out set correct: %v\n", r.correct)
 }
 
 // e15HotSet interleaves point reads over a 128-key hot set between the

@@ -130,7 +130,7 @@ func usage() {
   serve    -model <name> -addr <addr>    run the generated application
            [-data-dir dir]               durable data tier (WAL + B-tree; survives restarts)
            [-page-cache n]               buffer-pool pages for -data-dir (default 2048)
-           [-resident-rows n]            decoded-row budget for -data-dir (0 = unlimited)
+           [-resident-rows n]            row-cache budget for -data-dir (0 = unlimited)
            [-cache]                      the two cache levels: bean cache + ESI edge tier
            [-timeout d] [-retries n]     per-request deadline / unit-read retries
            [-max-stale d]                degraded-mode staleness bound (needs -cache)
@@ -298,7 +298,7 @@ func cmdServe(args []string) {
 	rows := fs.Int("rows", 50, "rows per entity for synthetic models")
 	dataDir := fs.String("data-dir", "", "durable storage directory (WAL + page-backed B-tree; empty = in-memory)")
 	pageCache := fs.Int("page-cache", 0, "buffer-pool pages for -data-dir (4 KiB each; 0 = default 2048)")
-	residentRows := fs.Int("resident-rows", 0, "max decoded rows kept in memory for -data-dir (0 = unlimited; excess rows page out and fault back on demand)")
+	residentRows := fs.Int("resident-rows", 0, "max decoded rows the row cache keeps for -data-dir (0 = unlimited; the least recently used page out and fault back on demand)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline budget (0 = none)")
 	retries := fs.Int("retries", 0, "max attempts per idempotent unit read (<=1 = no retries)")
 	maxStale := fs.Duration("max-stale", 0, "serve TTL-expired beans up to this old when the business tier fails (0 = off; needs -cache)")

@@ -15,9 +15,10 @@ import (
 // the last committed state, with explicit memory budgets for serving
 // datasets larger than RAM (zero budgets are rdb.OpenDurable): poolPages
 // bounds the buffer pool (4 KiB pages; <=0 selects the default 2048)
-// and residentRows bounds how many decoded rows stay materialized in
-// table slots (<=0 = unlimited). Rows beyond the budget are swept to
-// eviction markers after each commit and fault back in on demand.
+// and residentRows bounds the row cache, the one place decoded rows live
+// (<=0 = unlimited). Commits write rows through to the cache and reads
+// fault them in; the least recently used row beyond the budget is
+// dropped and faults back in on demand.
 func OpenDurableDatabasePaged(dir string, poolPages, residentRows int) (*rdb.DB, error) {
 	return rdb.OpenDurableOpts(dir, rdb.DurableOptions{PoolPages: poolPages, ResidentRows: residentRows})
 }

@@ -55,9 +55,9 @@ func goldenStack(t *testing.T, model *webml.Model, seed func(*App) error) http.H
 	return app.Handler()
 }
 
-// goldenHotPaths mirrors bench/stream.go's hotTargets: the first 256
-// distinct public URLs of workload.Requests under the model's seed.
-func goldenHotPaths(model *webml.Model) []string {
+// goldenHotPaths mirrors bench/stream.go's hotTargets: the first n (256
+// there) distinct public URLs of workload.Requests under the model's seed.
+func goldenHotPaths(model *webml.Model, n int) []string {
 	protected := map[string]bool{}
 	for _, sv := range model.SiteViews {
 		for _, p := range sv.AllPages() {
@@ -66,7 +66,7 @@ func goldenHotPaths(model *webml.Model) []string {
 	}
 	var out []string
 	seen := map[string]bool{}
-	for _, r := range workload.Requests(model, 64*256, 200, workload.AcerEuro().Seed) {
+	for _, r := range workload.Requests(model, 64*n, 200, workload.AcerEuro().Seed) {
 		page := strings.TrimPrefix(r.Path, "/page/")
 		if i := strings.IndexByte(page, '?'); i >= 0 {
 			page = page[:i]
@@ -75,7 +75,7 @@ func goldenHotPaths(model *webml.Model) []string {
 			continue
 		}
 		seen[r.Path] = true
-		if out = append(out, r.Path); len(out) == 256 {
+		if out = append(out, r.Path); len(out) == n {
 			break
 		}
 	}
@@ -100,7 +100,7 @@ func TestGoldenPageBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := goldenHotPaths(acer)
+	hot := goldenHotPaths(acer, 256)
 	if len(hot) != 256 {
 		t.Fatalf("hot set has %d URLs, want 256", len(hot))
 	}

@@ -605,13 +605,12 @@ func (db *DB) execUpdate(sql string, st *UpdateStmt, args []cell.Cell, undo *und
 		if err := db.checkForeignKeys(t, newRow, &c.faults); err != nil {
 			return res, err
 		}
+		slot := t.rows[id]
 		if err := t.updateRow(id, newRow, &c.faults); err != nil {
 			return res, err
 		}
 		if undo != nil {
-			oldCopy := make(Row, len(old))
-			copy(oldCopy, old)
-			undo.add(undoEntry{table: t, op: undoUpdate, rowID: id, oldRow: oldCopy})
+			undo.add(undoEntry{table: t, op: undoUpdate, rowID: id, oldRow: old, slot: slot})
 		}
 		if cs != nil {
 			cs.add(ChangeOp{Kind: OpUpdate, Table: lowerKey(st.Table), RowID: id, Row: newRow, OldRow: old})
@@ -629,12 +628,13 @@ func (db *DB) execDelete(sql string, st *DeleteStmt, args []cell.Cell, undo *und
 	t := p.base
 	res := Result{}
 	for _, id := range ids {
+		slot := t.rows[id]
 		old := t.deleteRow(id, &c.faults)
 		if old == nil {
 			continue
 		}
 		if undo != nil {
-			undo.add(undoEntry{table: t, op: undoDelete, rowID: id, oldRow: old})
+			undo.add(undoEntry{table: t, op: undoDelete, rowID: id, oldRow: old, slot: slot})
 		}
 		if cs != nil {
 			cs.add(ChangeOp{Kind: OpDelete, Table: lowerKey(st.Table), RowID: id, OldRow: old})

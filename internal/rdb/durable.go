@@ -28,10 +28,11 @@ import (
 //
 // Three mechanisms let the working set exceed RAM:
 //
-//   - Anti-caching: when a resident-row budget is set, Apply sweeps cold
-//     rows out of their table slots, leaving one-word eviction markers.
-//     Index structures stay fully resident; only tuple payloads page
-//     out, faulting back through a small row cache and the buffer pool.
+//   - Anti-caching: once a commit is applied, a table slot holds only a
+//     one-cell eviction marker. Every decoded row lives in one row cache,
+//     which commits fill by write-through and reads fill by faulting
+//     through the buffer pool; ResidentRows bounds it. Index structures
+//     stay fully resident; only tuple payloads page out.
 //   - Persisted index images: every secondary index also writes a
 //     projected key image into the tree under its own id, so recovery
 //     rebuilds index structures from the (small) images and registers
@@ -54,10 +55,6 @@ const (
 // checkpoint during Apply.
 const defaultCheckpointBytes = 8 << 20
 
-// defaultRowCacheRows bounds the decoded-row cache when no resident-row
-// budget is configured.
-const defaultRowCacheRows = 4096
-
 // DurableOptions tune OpenDurable. Zero values select defaults.
 type DurableOptions struct {
 	// CheckpointBytes is the WAL length that triggers an automatic
@@ -66,11 +63,10 @@ type DurableOptions struct {
 	// PoolPages is the buffer-pool capacity in 4 KiB pages (default
 	// 2048, i.e. 8 MiB).
 	PoolPages int
-	// ResidentRows, when positive, bounds the number of materialized
-	// rows across all tables: each commit sweeps cold rows down to
-	// eviction markers that fault back through the buffer pool on
-	// access. Zero keeps every row resident (markers still appear
-	// after recovery, which always starts paged-out).
+	// ResidentRows bounds the row cache, the one place decoded rows
+	// live: table slots hold eviction markers, and the least recently
+	// used row beyond the bound is dropped, to fault back through the
+	// buffer pool on its next read. Zero leaves the cache unbounded.
 	ResidentRows int
 }
 
@@ -152,17 +148,6 @@ type engTable struct {
 	images []*engIndex
 }
 
-// recOfRow is the record id behind the resident row r in slot id: its
-// key's, or the one recOf remembers. ok is false when it has none.
-func (et *engTable) recOfRow(id int, r Row) (rec uint64, ok bool) {
-	if et.intPK {
-		pk := r[et.pkCol]
-		return pkRecID(pk.Int()), pk.Kind == cell.KInt
-	}
-	rec, ok = et.recOf[id]
-	return rec, ok
-}
-
 // pkRecID maps an int64 primary key onto the record-id space with its
 // sign bit flipped, so unsigned key order equals signed value order.
 func pkRecID(pk int64) uint64 { return uint64(pk) ^ (1 << 63) }
@@ -179,9 +164,10 @@ type cacheKey struct {
 // rowEntry is one row-cache entry: the record's image as the fault copied
 // it out of its leaf, and a row holding the columns decoded from it so far
 // (have; the others are NULL). Both live in the faulting execution's chunks
-// (faultCtx). A published entry is never written: a read that needs more
-// columns caches a widened copy, so a reader may keep the row it was
-// handed (a group's first row, a join frame).
+// (faultCtx). A commit's write-through caches the stored row itself, with
+// every column and no image. A published entry is never written: a read
+// that needs more columns caches a widened copy, so a reader may keep the
+// row it was handed (a group's first row, a join frame).
 type rowEntry struct {
 	img  string
 	row  Row
@@ -223,20 +209,18 @@ func (f *faultCtx) image(tree *pager.BTree, k pager.Key) (string, bool, error) {
 
 func (f *faultCtx) row(width int) Row { return f.rows.cutUpTo(width, faultSlabRows) }
 
-// rowCache is a small LRU of record images and their decoded columns in
-// front of the page tree: a hot evicted row costs a map hit instead of a
-// tree descent plus decode. Fetches run under at least db.mu.RLock,
-// which excludes Apply's invalidation, so a stale pre-invalidate read can
-// never be re-inserted after Apply cleared it.
+// rowCache is the durable engine's one row cache: an LRU of record images
+// and their decoded columns in front of the page tree, so a hot row costs
+// a map hit instead of a tree descent plus decode. Fetches run under at
+// least db.mu.RLock, which excludes Apply's writes, so a stale read can
+// never be re-inserted after Apply replaced or dropped its record.
 type rowCache struct {
-	mu  sync.Mutex
-	lru *lruCache[cacheKey, rowEntry]
+	mu      sync.Mutex
+	lru     *lruCache[cacheKey, rowEntry]
+	dropped uint64 // entries the LRU let go to stay within its bound
 }
 
 func newRowCache(capacity int) *rowCache {
-	if capacity <= 0 {
-		capacity = defaultRowCacheRows
-	}
 	return &rowCache{lru: newLRU[cacheKey, rowEntry](capacity)}
 }
 
@@ -248,7 +232,9 @@ func (c *rowCache) get(tid uint32, rec uint64) (rowEntry, bool) {
 
 func (c *rowCache) put(tid uint32, rec uint64, ent rowEntry) {
 	c.mu.Lock()
-	c.lru.put(cacheKey{tid, rec}, ent)
+	if c.lru.put(cacheKey{tid, rec}, ent) {
+		c.dropped++
+	}
 	c.mu.Unlock()
 }
 
@@ -256,6 +242,13 @@ func (c *rowCache) invalidate(tid uint32, rec uint64) {
 	c.mu.Lock()
 	c.lru.remove(cacheKey{tid, rec})
 	c.mu.Unlock()
+}
+
+// stats reports the entries held and the entries dropped since open.
+func (c *rowCache) stats() (held int, dropped uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.len(), c.dropped
 }
 
 // durableEngine implements Engine over a WAL and a page store. All
@@ -279,11 +272,8 @@ type durableEngine struct {
 	order       []string // creation order, for catalog replay
 	nextTableID uint32
 
-	residentRows int
-	poolPages    int
-	sweepCur     map[string]int // round-robin eviction cursor per table
-	rowFaults    atomic.Uint64
-	rowsEvicted  atomic.Uint64
+	poolPages int
+	rowFaults atomic.Uint64
 
 	ckptBytes   int64
 	checkpoints uint64
@@ -355,17 +345,12 @@ func (e *durableEngine) writeImages(tree *pager.BTree, et *engTable, rec uint64,
 	return nil
 }
 
-// putRecord writes one record and its index images through the tree
-// and invalidates the row cache.
+// putRecord writes one record and its index images through the tree.
 func (e *durableEngine) putRecord(tree *pager.BTree, et *engTable, rec uint64, data []byte, row Row) error {
 	if err := tree.Put(pager.MakeKey(et.id, rec), data); err != nil {
 		return err
 	}
-	if err := e.writeImages(tree, et, rec, row); err != nil {
-		return err
-	}
-	e.cache.invalidate(et.id, rec)
-	return nil
+	return e.writeImages(tree, et, rec, row)
 }
 
 // delRecord removes one record and its index images.
@@ -384,8 +369,7 @@ func (e *durableEngine) delRecord(tree *pager.BTree, et *engTable, rec uint64) e
 
 // Apply lowers the change-set to record-id operations, appends one WAL
 // frame, writes the rows through to the B-tree, and returns a wait
-// function that group-commits the frame to disk. A resident-row budget
-// triggers an eviction sweep after the write-through.
+// function that group-commits the frame to disk.
 func (e *durableEngine) Apply(cs *ChangeSet) (func() error, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -403,7 +387,6 @@ func (e *durableEngine) Apply(cs *ChangeSet) (func() error, error) {
 	if err != nil {
 		return nil, e.fail(err)
 	}
-	e.sweep()
 	// Two checkpoint triggers: WAL growth (bounds replay time) and
 	// dirty-page pressure (dirty frames are unevictable no-steal, so
 	// left unchecked they would crowd the pool past its budget).
@@ -423,10 +406,13 @@ func (e *durableEngine) Apply(cs *ChangeSet) (func() error, error) {
 	return func() error { return log.Sync(lsn) }, nil
 }
 
-// lowerOps translates ChangeOps to tree writes and WAL ops. The caller
-// holds treeMu exclusively.
+// lowerOps translates ChangeOps to tree writes and WAL ops, writing every
+// stored row through to the row cache and leaving its slot a marker. The
+// caller holds treeMu exclusively.
 func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 	tree := e.store.Tree()
+	var marks slab[cell.Cell]
+	marks.reserve(len(cs.Ops), 1)
 	for _, op := range cs.Ops {
 		switch op.Kind {
 		case OpDDL:
@@ -471,6 +457,11 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 			if err := e.putRecord(tree, et, recID, data, op.Row); err != nil {
 				return err
 			}
+			// The stored row is immutable: it is the cache entry, fully decoded.
+			e.cache.put(et.id, recID, rowEntry{row: op.Row, have: allCols})
+			if t := e.db.tables[op.Table]; t.rows[op.RowID] != nil { // nil: a later op deleted it
+				t.rows[op.RowID] = evictedRowMark(&marks, recID)
+			}
 			rec.ops = append(rec.ops, walOp{kind: wopPut, table: op.Table, recID: recID, rowData: data})
 		case OpDelete:
 			et := e.tables[op.Table]
@@ -499,60 +490,6 @@ func (e *durableEngine) lowerOps(cs *ChangeSet, rec *walRecord) error {
 		}
 	}
 	return nil
-}
-
-// sweep enforces the resident-row budget: when materialized rows exceed
-// it, cold slots collapse to eviction markers. Cursors advance
-// round-robin per table so eviction pressure rotates instead of
-// thrashing one region. Runs after the change-set's write-through, so
-// every evicted row is faultable from the tree.
-func (e *durableEngine) sweep() {
-	if e.residentRows <= 0 {
-		return
-	}
-	total := 0
-	for _, key := range e.order {
-		if t := e.db.tables[key]; t != nil {
-			total += t.resident
-		}
-	}
-	if total <= e.residentRows {
-		return
-	}
-	for _, key := range e.order {
-		if total <= e.residentRows {
-			break
-		}
-		t := e.db.tables[key]
-		et := e.tables[key]
-		if t == nil || et == nil || t.resident == 0 {
-			continue
-		}
-		cur := e.sweepCur[key]
-		n := len(t.rows)
-		for scanned := 0; scanned < n && total > e.residentRows && t.resident > 0; scanned++ {
-			if cur >= n {
-				cur = 0
-			}
-			id := cur
-			cur++
-			r := t.rows[id]
-			if r == nil {
-				continue
-			}
-			if _, evicted := evictedRec(r); evicted {
-				continue
-			}
-			rec, ok := et.recOfRow(id, r)
-			if !ok {
-				continue
-			}
-			t.evictSlot(id, rec)
-			e.rowsEvicted.Add(1)
-			total--
-		}
-		e.sweepCur[key] = cur
-	}
 }
 
 // allocImage registers one index image for et, drawing its tree id from
@@ -735,10 +672,7 @@ func (e *durableEngine) Checkpoint() error {
 func (e *durableEngine) Stats() EngineStats {
 	ws := e.log.Stats()
 	ps := e.store.PoolStats()
-	resident := 0
-	for _, t := range e.db.tables {
-		resident += t.resident
-	}
+	held, dropped := e.cache.stats()
 	return EngineStats{
 		WALAppends:       ws.Appends,
 		WALFsyncs:        ws.Fsyncs,
@@ -753,8 +687,8 @@ func (e *durableEngine) Stats() EngineStats {
 		PoolDirty:        ps.Dirty,
 		PoolPinned:       ps.Pinned,
 		RowFaults:        e.rowFaults.Load(),
-		RowsEvicted:      e.rowsEvicted.Load(),
-		RowsResident:     resident,
+		RowsEvicted:      dropped,
+		RowsResident:     held,
 		Checkpoints:      e.checkpoints,
 		RecoveredRecords: e.recovered,
 		TornBytes:        e.torn,
@@ -818,18 +752,16 @@ func OpenDurableOpts(dir string, opts DurableOptions) (*DB, error) {
 	}
 	db := Open()
 	e := &durableEngine{
-		db:           db,
-		dir:          dir,
-		pages:        pagesPath,
-		log:          log,
-		store:        store,
-		cache:        newRowCache(opts.ResidentRows),
-		tables:       make(map[string]*engTable),
-		residentRows: opts.ResidentRows,
-		poolPages:    opts.PoolPages,
-		sweepCur:     make(map[string]int),
-		ckptBytes:    opts.CheckpointBytes,
-		torn:         torn,
+		db:        db,
+		dir:       dir,
+		pages:     pagesPath,
+		log:       log,
+		store:     store,
+		cache:     newRowCache(opts.ResidentRows),
+		tables:    make(map[string]*engTable),
+		poolPages: opts.PoolPages,
+		ckptBytes: opts.CheckpointBytes,
+		torn:      torn,
 	}
 	if e.ckptBytes <= 0 {
 		e.ckptBytes = defaultCheckpointBytes
@@ -894,27 +826,6 @@ func (e *durableEngine) recover(frames []wal.Record) error {
 		db.seq = rec.seq
 		e.recovered++
 	}
-	// WAL replay wrote its rows through to the tree and materialized
-	// them in table slots; evict them so every open ends marker-only,
-	// regardless of how the previous process stopped. Queries fault the
-	// hot set back on demand.
-	for name, t := range db.tables {
-		et := e.tables[name]
-		if et == nil || t.resident == 0 {
-			continue
-		}
-		for id, r := range t.rows {
-			if r == nil {
-				continue
-			}
-			if _, evicted := evictedRec(r); evicted {
-				continue
-			}
-			if rec, ok := et.recOfRow(id, r); ok {
-				t.evictSlot(id, rec)
-			}
-		}
-	}
 	return nil
 }
 
@@ -956,10 +867,11 @@ func (e *durableEngine) recoverTable(ct catTable, rev map[string]map[uint64]int)
 		rev[ct.Name] = rv
 	}
 	lo, hi := pager.TableBounds(et.id)
+	var marks slab[cell.Cell]
 	err := e.store.Tree().ScanKeys(lo, hi, func(k pager.Key) error {
 		rec := k.RecID()
 		id := len(t.rows)
-		t.rows = append(t.rows, evictedRowMark(rec))
+		t.rows = append(t.rows, evictedRowMark(&marks, rec))
 		t.alive++
 		if et.intPK {
 			// Record ids are sign-flipped keys, so the scan yields pk order
@@ -1081,12 +993,16 @@ func (e *durableEngine) replaySQL(sql string) error {
 }
 
 // replayRecord applies one WAL record to both the in-memory tables and
-// the B-tree (whose page file predates the record). The memory side
-// goes first: updateRow and deleteRow fault the record's prior image
-// through the tree, so the tree must still hold the old value.
+// the B-tree (whose page file predates the record), leaving every slot
+// it writes a marker, as Apply does, but the row cache unfilled. The
+// memory side goes first: updateRow and deleteRow fault the record's
+// prior image through the tree, so the tree must still hold the old
+// value.
 func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]int) error {
 	tree := e.store.Tree()
 	var f faultCtx
+	var marks slab[cell.Cell]
+	marks.reserve(len(rec.ops), 1)
 	for _, op := range rec.ops {
 		switch op.kind {
 		case wopDDL:
@@ -1105,39 +1021,36 @@ func (e *durableEngine) replayRecord(rec *walRecord, rev map[string]map[uint64]i
 			if err != nil {
 				return err
 			}
+			var id int
+			var found bool
 			if et.intPK {
-				if id, ok := t.pkMap[cell.Int(recIDPK(op.recID))]; ok {
-					if err := t.updateRow(id, row, &f); err != nil {
-						return fmt.Errorf("rdb: recover %q: %w", op.table, err)
-					}
-				} else if _, err := t.insert(row); err != nil {
-					return fmt.Errorf("rdb: recover %q: %w", op.table, err)
-				}
+				id, found = t.pkMap[cell.Int(recIDPK(op.recID))]
 			} else {
-				rv := rev[op.table]
-				if rv == nil {
-					rv = make(map[uint64]int)
-					rev[op.table] = rv
+				if rev[op.table] == nil {
+					rev[op.table] = make(map[uint64]int)
 				}
-				if id, ok := rv[op.recID]; ok {
-					if err := t.updateRow(id, row, &f); err != nil {
-						return fmt.Errorf("rdb: recover %q: %w", op.table, err)
-					}
-				} else {
-					id, err := t.insert(row)
-					if err != nil {
-						return fmt.Errorf("rdb: recover %q: %w", op.table, err)
-					}
-					et.recOf[id] = op.recID
-					rv[op.recID] = id
-				}
-				if op.recID >= et.nextRec {
-					et.nextRec = op.recID + 1
-				}
+				id, found = rev[op.table][op.recID]
+			}
+			if found {
+				err = t.updateRow(id, row, &f)
+			} else {
+				id, err = t.insert(row)
+			}
+			if err != nil {
+				return fmt.Errorf("rdb: recover %q: %w", op.table, err)
+			}
+			if !et.intPK {
+				et.recOf[id] = op.recID
+				rev[op.table][op.recID] = id
+				et.nextRec = max(et.nextRec, op.recID+1)
 			}
 			if err := e.putRecord(tree, et, op.recID, op.rowData, row); err != nil {
 				return err
 			}
+			t.rows[id] = evictedRowMark(&marks, op.recID)
+			// The fault that read the old image cached it; an open ends
+			// with the cache empty.
+			e.cache.invalidate(et.id, op.recID)
 		case wopDel:
 			et := e.tables[op.table]
 			t := e.db.tables[op.table]

@@ -70,11 +70,11 @@ type EngineStats struct {
 	PoolResident  int
 	PoolDirty     int
 	PoolPinned    int
-	// Row-level paging counters (anti-caching sweep; zero when the
-	// resident-row budget is unset).
-	RowFaults    uint64 // evicted rows materialized back from the store
-	RowsEvicted  uint64 // rows swept out since open
-	RowsResident int    // rows currently materialized in table slots
+	// Row cache counters: the one cache of decoded rows, bounded by
+	// DurableOptions.ResidentRows.
+	RowFaults    uint64 // rows read back from the page store into the row cache
+	RowsEvicted  uint64 // rows the row cache dropped to stay within its bound
+	RowsResident int    // rows the row cache holds
 	// Checkpoint / recovery counters.
 	Checkpoints      uint64
 	RecoveredRecords uint64 // WAL records replayed at the last open

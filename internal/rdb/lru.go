@@ -1,13 +1,13 @@
 package rdb
 
-// lruCache is a small bounded least-recently-used cache: the statement
-// and plan caches, and the durable engine's decoded-row cache.
+// lruCache is a least-recently-used cache: the statement and plan
+// caches, and the durable engine's decoded-row cache.
 // Descriptor-driven workloads present a closed set of query shapes, so
 // in steady state everything hits; the bound exists so ad-hoc or fuzzed
 // SQL cannot grow memory without limit. Entries link themselves into a
 // recency ring, so an insert is one allocation — none once the cache is
-// full, when the least recently used entry is recycled. Callers provide
-// their own locking.
+// full, when the least recently used entry is recycled. A capacity of
+// zero or less never fills. Callers provide their own locking.
 type lruCache[K comparable, V any] struct {
 	cap  int
 	head lruEntry[K, V] // ring sentinel: head.next is the most recently used
@@ -21,7 +21,7 @@ type lruEntry[K comparable, V any] struct {
 }
 
 func newLRU[K comparable, V any](capacity int) *lruCache[K, V] {
-	c := &lruCache[K, V]{cap: max(capacity, 1), m: make(map[K]*lruEntry[K, V])}
+	c := &lruCache[K, V]{cap: capacity, m: make(map[K]*lruEntry[K, V])}
 	c.head.prev, c.head.next = &c.head, &c.head
 	return c
 }
@@ -44,21 +44,25 @@ func (c *lruCache[K, V]) get(key K) (V, bool) {
 	return e.val, true
 }
 
-func (c *lruCache[K, V]) put(key K, val V) {
+// put stores val under key and reports whether the least recently used
+// entry was dropped to make room.
+func (c *lruCache[K, V]) put(key K, val V) (dropped bool) {
 	e, ok := c.m[key]
 	switch {
 	case ok:
 		e.unlink()
-	case len(c.m) >= c.cap:
+	case c.cap > 0 && len(c.m) >= c.cap:
 		e = c.head.prev
 		e.unlink()
 		delete(c.m, e.key)
+		dropped = true
 	default:
 		e = new(lruEntry[K, V])
 	}
 	e.key, e.val = key, val
 	c.m[key] = e
 	c.pushFront(e)
+	return dropped
 }
 
 func (c *lruCache[K, V]) remove(key K) {

@@ -13,14 +13,14 @@ import (
 	"webmlgo/internal/rdb/storage/pager"
 )
 
-// Tests for the larger-than-RAM data tier: anti-caching row eviction,
-// marker-based recovery from persisted index images, and their
-// interaction under concurrency.
+// Tests for the larger-than-RAM data tier: eviction-marker slots over one
+// bounded row cache, marker-based recovery from persisted index images,
+// and their interaction under concurrency.
 
-// pagingOpts squeezes the engine hard: a 16-page pool, a resident-row
-// budget far below the datasets the tests build, and a checkpoint
-// threshold small enough that sweeps, faults and incremental
-// checkpoints all fire constantly.
+// pagingOpts squeezes the engine hard: a 64-page pool, a 16-row cache
+// far below the datasets the tests build, and a checkpoint threshold
+// small enough that cache drops, faults and incremental checkpoints all
+// fire constantly.
 var pagingOpts = DurableOptions{
 	CheckpointBytes: 1 << 16,
 	PoolPages:       64,
@@ -45,17 +45,17 @@ func reopenPaging(t *testing.T, db *DB, dir string) *DB {
 }
 
 // TestDifferentialPagingEngine runs the full differential corpus on a
-// paging engine whose resident-row budget (16) is far below the seeded
-// dataset, so most slots are eviction markers and every query path
-// exercises record faulting — then again after a close/reopen recovery
-// cycle, which starts fully paged out.
+// paging engine whose row cache (16) is far below the seeded dataset, so
+// every slot is an eviction marker and every query path exercises record
+// faulting — then again after a close/reopen recovery cycle, which starts
+// with the cache empty.
 func TestDifferentialPagingEngine(t *testing.T) {
 	mem := diffFixture(t)
 	dir := t.TempDir()
 	dur := openPaging(t, dir)
 	diffSeed(t, dur)
 	// Force the budget's hand: bulk rows guarantee the seed tables
-	// overflow 16 resident rows even before the corpus runs.
+	// overflow the 16-row cache even before the corpus runs.
 	if _, err := dur.Exec(`CREATE TABLE filler (oid INTEGER PRIMARY KEY, pad TEXT)`); err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +82,95 @@ func TestDifferentialPagingEngine(t *testing.T) {
 	for _, c := range diffCorpus {
 		compareEngines(t, dur, c.sql, c.args)
 		compareDBs(t, "paging-recovered", mem, dur, c.sql, c.args)
+	}
+}
+
+// TestPagingSlotsAreMarkers: once a commit is applied, no slot of a
+// paging engine's table holds a row. Every decoded row lives in the one
+// row cache, which never holds more than ResidentRows. Each kind of commit
+// runs on the paging engine and the in-memory one, first rolled back and
+// then committed, and the tables must agree after each; the differential
+// corpus then runs over what the commits left.
+func TestPagingSlotsAreMarkers(t *testing.T) {
+	mem := diffFixture(t)
+	dur := openPaging(t, t.TempDir())
+	defer dur.Close()
+	diffSeed(t, dur)
+	const note = `CREATE TABLE note (name TEXT PRIMARY KEY, body TEXT)`
+	mustExecAll(t, mem, []string{note})
+	mustExecAll(t, dur, []string{note})
+	check := func(step string) {
+		t.Helper()
+		for name, tb := range dur.tables {
+			for id, r := range tb.rows {
+				if _, marker := evictedRec(r); r != nil && !marker {
+					t.Fatalf("%s: slot %d of %s holds a row, not a marker", step, id, name)
+				}
+			}
+		}
+		if n := dur.EngineStats().RowsResident; n > pagingOpts.ResidentRows {
+			t.Fatalf("%s: the row cache holds %d rows, bound %d", step, n, pagingOpts.ResidentRows)
+		}
+		for _, sql := range []string{`SELECT * FROM emp ORDER BY oid`, `SELECT * FROM dept ORDER BY oid`, `SELECT * FROM note ORDER BY name`} {
+			compareDBs(t, step, mem, dur, sql, nil)
+		}
+	}
+	check("seed")
+	fill := make([]string, 24)
+	for i := range fill {
+		fill[i] = fmt.Sprintf(`INSERT INTO note (name, body) VALUES ('fill%02d', 'f')`, i)
+	}
+	for _, c := range []struct {
+		name  string
+		stmts []string
+	}{
+		{"insert", []string{`INSERT INTO emp (name, salary, bonus, dept_oid) VALUES ('ivy', 35, 4, 2)`}},
+		{"update", []string{`UPDATE emp SET salary = 31 WHERE dept_oid = 1`}},
+		{"delete", []string{`DELETE FROM emp WHERE name = 'dan'`}},
+		{"primary-key move", []string{`UPDATE dept SET oid = 9 WHERE oid = 4`}},
+		{"text primary key", []string{
+			`INSERT INTO note (name, body) VALUES ('a', 'x'), ('b', 'y'), ('c', 'w')`,
+			`UPDATE note SET body = 'z' WHERE name = 'a'`,
+			`UPDATE note SET name = 'd' WHERE name = 'c'`,
+			`DELETE FROM note WHERE name = 'b'`,
+		}},
+		{"multi-row", append([]string{
+			`INSERT INTO dept (name, budget) VALUES ('Lab', 70)`,
+			`INSERT INTO emp (name, salary, bonus, dept_oid) VALUES ('jo', 21, 1, 5), ('kim', 22, NULL, 5)`,
+			`UPDATE emp SET bonus = 9, oid = 40 WHERE name = 'jo'`,
+			`UPDATE emp SET salary = 23 WHERE name = 'kim'`,
+			`DELETE FROM emp WHERE name = 'kim'`,
+			`UPDATE dept SET budget = 200`,
+			`DELETE FROM note WHERE name = 'a'`,
+		}, fill...)},
+	} {
+		for _, commit := range []bool{false, true} {
+			for _, db := range []*DB{mem, dur} {
+				tx := db.Begin()
+				for _, sql := range c.stmts {
+					if _, err := tx.Exec(sql); err != nil {
+						t.Fatalf("%s: %s: %v", c.name, sql, err)
+					}
+				}
+				var err error
+				if commit {
+					err = tx.Commit()
+				} else {
+					err = tx.Rollback()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(fmt.Sprintf("%s (commit %v)", c.name, commit))
+		}
+	}
+	if st := dur.EngineStats(); st.RowsEvicted == 0 {
+		t.Fatalf("the commits never filled the %d-row cache: %+v", pagingOpts.ResidentRows, st)
+	}
+	for _, c := range diffCorpus {
+		compareEngines(t, dur, c.sql, c.args)
+		compareDBs(t, "markers", mem, dur, c.sql, c.args)
 	}
 }
 
@@ -417,8 +506,8 @@ func TestPagingRecoveryWithoutRebuild(t *testing.T) {
 }
 
 // TestPagingChurnThenReopen overwrites and deletes rows under a 16-row
-// budget, so sweeps and checkpoints run between the writes: live reads
-// see every write, and so do reads after a reopen.
+// cache, so cache drops and checkpoints run between the writes: live
+// reads see every write, and so do reads after a reopen.
 func TestPagingChurnThenReopen(t *testing.T) {
 	dir := t.TempDir()
 	db := openPaging(t, dir)
@@ -519,8 +608,8 @@ func TestPagingScrollerFaultsItsWindow(t *testing.T) {
 }
 
 // TestPagingEvictionHammer runs a writer and live readers against a
-// 16-row budget under -race: commits sweep rows out while concurrent
-// queries fault them back in.
+// 16-row cache under -race: commits write rows through to the cache and
+// push others out while concurrent queries fault them back in.
 func TestPagingEvictionHammer(t *testing.T) {
 	dir := t.TempDir()
 	db := openPaging(t, dir)

@@ -28,11 +28,10 @@ type table struct {
 	autoInc int64
 	fks     []ForeignKeyDef
 
-	rows  []Row // nil entries are deleted rows
-	alive int   // count of live rows
-	// resident counts slots holding materialized rows (alive minus
-	// eviction markers); the paging engine uses it to drive sweeps.
-	resident int
+	// rows holds one slot per row id: the row, nil once deleted, or, in a
+	// paging engine's table, an eviction marker once a commit is applied.
+	rows  []Row
+	alive int // count of live rows
 	// fetch, when a paging engine backs the table, materializes an
 	// evicted record with at least the columns need names decoded from
 	// the row cache or the page store, copying into f's chunks. A record
@@ -70,7 +69,13 @@ func errNoColumn(table, col string) error {
 // access-path selection.
 const kEvicted cell.Kind = 0xff
 
-func evictedRowMark(rec uint64) Row { return Row{{Kind: kEvicted, Num: rec}} }
+// evictedRowMark cuts the eviction marker of record rec from s, so the
+// markers a change-set or a recovery leaves share their allocations.
+func evictedRowMark(s *slab[cell.Cell], rec uint64) Row {
+	m := s.cut(1)
+	m[0] = cell.Cell{Kind: kEvicted, Num: rec}
+	return m
+}
 
 // evictedRec reports whether r is an eviction marker and, if so, the
 // record id it points at.
@@ -83,10 +88,10 @@ func evictedRec(r Row) (uint64, bool) {
 
 // readRow returns the row in slot id with at least the columns need names
 // decoded (an evicted slot's others may be nil), or nil for a deleted
-// slot. An evicted row is faulted in through the storage engine into f's
-// chunks; the slot itself is not repopulated (readers hold only the
-// shared lock), and the row must be treated as immutable. A fault that
-// finds no good image is an error: the slot says the record exists.
+// slot. An evicted row comes from the storage engine's row cache or is
+// faulted in into f's chunks; the slot stays a marker, and the row must
+// be treated as immutable. A fault that finds no good image is an error:
+// the slot says the record exists.
 func (t *table) readRow(id int, need colMask, f *faultCtx) (Row, error) {
 	r := t.rows[id]
 	rec, evicted := evictedRec(r)
@@ -109,21 +114,6 @@ func errCorrupt(table string, rec uint64, byKey bool, cause error) error {
 		return fmt.Errorf("rdb: corrupt record with key %d of %q: %w", recIDPK(rec), table, cause)
 	}
 	return fmt.Errorf("rdb: corrupt record %d of %q: %w", rec, table, cause)
-}
-
-// evictSlot replaces a resident row with an eviction marker pointing
-// at its engine record. The caller holds the exclusive lock and has
-// made the record durably readable through t.fetch.
-func (t *table) evictSlot(id int, rec uint64) {
-	r := t.rows[id]
-	if r == nil {
-		return
-	}
-	if _, ok := evictedRec(r); ok {
-		return
-	}
-	t.rows[id] = evictedRowMark(rec)
-	t.resident--
 }
 
 func newTable(st *CreateTableStmt) (*table, error) {
@@ -211,7 +201,6 @@ func (t *table) insert(r Row) (int, error) {
 	id := len(t.rows)
 	t.rows = append(t.rows, r)
 	t.alive++
-	t.resident++
 	t.indexRow(id, r)
 	return id, nil
 }
@@ -277,42 +266,29 @@ func (t *table) unindexRow(id int, r Row) {
 // row, faulting it in first when the slot was evicted (indexes are
 // unwound against real column values).
 func (t *table) deleteRow(id int, f *faultCtx) Row {
-	r := t.rows[id]
+	// A failed read deletes nothing: DELETE's plan read the row already; undo and replay cannot fail.
+	r, _ := t.readRow(id, allCols, f)
 	if r == nil {
 		return nil
-	}
-	wasResident := true
-	if _, ok := evictedRec(r); ok {
-		wasResident = false
-		// A failed read deletes nothing: DELETE's plan read the row already; undo and replay cannot fail.
-		if r, _ = t.readRow(id, allCols, f); r == nil {
-			return nil
-		}
 	}
 	t.unindexRow(id, r)
 	t.rows[id] = nil
 	t.alive--
-	if wasResident {
-		t.resident--
-	}
 	return r
 }
 
-// restoreRow undoes a delete (transaction rollback support).
-func (t *table) restoreRow(id int, r Row) {
-	t.rows[id] = r
+// restoreRow undoes a delete (transaction rollback support): slot is
+// what the slot held before, the row itself or its eviction marker, and
+// r the row indexes file.
+func (t *table) restoreRow(id int, slot, r Row) {
+	t.rows[id] = slot
 	t.alive++
-	t.resident++
 	t.indexRow(id, r)
 }
 
 // updateRow replaces the row in place, maintaining indexes, after checking
 // uniqueness constraints for the new image and reading the old one.
 func (t *table) updateRow(id int, newRow Row, f *faultCtx) error {
-	wasResident := true
-	if _, ok := evictedRec(t.rows[id]); ok {
-		wasResident = false
-	}
 	old, err := t.readRow(id, allCols, f)
 	if err != nil {
 		return err
@@ -344,9 +320,6 @@ func (t *table) updateRow(id int, newRow Row, f *faultCtx) error {
 	}
 	t.unindexRow(id, old)
 	t.rows[id] = newRow
-	if !wasResident {
-		t.resident++
-	}
 	t.indexRow(id, newRow)
 	return nil
 }

@@ -23,6 +23,9 @@ type undoEntry struct {
 	op     undoOp
 	rowID  int
 	oldRow Row
+	// slot is what the slot held before the write: oldRow itself, or the
+	// eviction marker a paging engine's commit left there.
+	slot Row
 }
 
 type undoLog struct {
@@ -148,20 +151,14 @@ func (tx *Tx) Rollback() error {
 			e.table.deleteRow(e.rowID, &f)
 		case undoUpdate:
 			// updateRow re-checks constraints; restoring the old image is
-			// always constraint-safe, but bypass checks to be robust.
-			// readRow faults the slot if a sweep evicted it mid-transaction.
-			// A failed read only leaves stale index entries: rollback cannot fail.
-			cur, _ := e.table.readRow(e.rowID, allCols, &f)
-			if cur != nil {
-				e.table.unindexRow(e.rowID, cur)
-			}
-			if _, ok := evictedRec(e.table.rows[e.rowID]); ok {
-				e.table.resident++
-			}
-			e.table.rows[e.rowID] = e.oldRow
+			// always constraint-safe, but bypass checks to be robust. The
+			// slot holds the image the transaction wrote: commits alone
+			// leave markers.
+			e.table.unindexRow(e.rowID, e.table.rows[e.rowID])
+			e.table.rows[e.rowID] = e.slot
 			e.table.indexRow(e.rowID, e.oldRow)
 		case undoDelete:
-			e.table.restoreRow(e.rowID, e.oldRow)
+			e.table.restoreRow(e.rowID, e.slot, e.oldRow)
 		}
 	}
 	tx.undo.entries = nil

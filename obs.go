@@ -320,9 +320,9 @@ func (a *App) buildRegistry() *obs.Registry {
 			e.Gauge("webml_rdb_pool_resident_pages", "Pages currently cached in the buffer pool.", nil, float64(s.PoolResident))
 			e.Gauge("webml_rdb_pool_dirty_pages", "Dirty pages pinned until the next checkpoint.", nil, float64(s.PoolDirty))
 			e.Gauge("webml_rdb_pool_pinned_pages", "Pages with at least one active pin.", nil, float64(s.PoolPinned))
-			e.Counter("webml_rdb_row_faults_total", "Evicted rows materialized back from the page store.", nil, float64(s.RowFaults))
-			e.Counter("webml_rdb_rows_evicted_total", "Rows swept out to eviction markers since open.", nil, float64(s.RowsEvicted))
-			e.Gauge("webml_rdb_rows_resident", "Rows currently materialized in table slots.", nil, float64(s.RowsResident))
+			e.Counter("webml_rdb_row_faults_total", "Rows faulted back from the page store into the row cache.", nil, float64(s.RowFaults))
+			e.Counter("webml_rdb_rows_evicted_total", "Rows the row cache dropped to stay within its bound since open.", nil, float64(s.RowsEvicted))
+			e.Gauge("webml_rdb_rows_resident", "Rows the row cache currently holds.", nil, float64(s.RowsResident))
 			e.Counter("webml_rdb_checkpoints_total", "Page-file checkpoints (WAL resets).", nil, float64(s.Checkpoints))
 			e.Counter("webml_rdb_recovered_records_total", "WAL records replayed at the last open.", nil, float64(s.RecoveredRecords))
 		})

@@ -20,9 +20,9 @@ import (
 	"webmlgo/internal/workload"
 )
 
-// restartOpts squeezes the engine: a pool and a row budget far below the
-// populated data, and a checkpoint every 16 KiB of log, so faults,
-// sweeps and checkpoints all run between the operations.
+// restartOpts squeezes the engine: a pool and a row cache far below the
+// populated data, and a checkpoint every 16 KiB of log, so faults, cache
+// drops and checkpoints all run between the operations.
 var restartOpts = rdb.DurableOptions{CheckpointBytes: 16 << 10, PoolPages: 16, ResidentRows: 64}
 
 // openAcerDurable opens dir and assembles the Acer-Euro application over
@@ -210,7 +210,7 @@ func TestDurableRestartServesSamePages(t *testing.T) {
 	samePages(t, "in the crash image", app.Handler(), atCopy)
 }
 
-// TestDurableRowFaultsReachMetrics: with a resident-row budget below the
+// TestDurableRowFaultsReachMetrics: with a row cache smaller than the
 // data, the reads that fault evicted rows back show on /metrics, in the
 // fault counter and in the fault-latency histogram.
 func TestDurableRowFaultsReachMetrics(t *testing.T) {
@@ -254,5 +254,78 @@ func checkRowFaultSeries(t *testing.T, app *App) {
 		if n <= 0 {
 			t.Errorf("/metrics: %s is %v after faulting reads", series, n)
 		}
+	}
+}
+
+// TestOpenDurableDatabasePagedCachesRows: Acer-Euro's 2,200 rows, reopened
+// through the facade with a 2,000-row budget, serve 300 pages three times.
+// The open leaves the row cache empty; the first round fills it up to the
+// budget and no further; the later rounds find every row there and fault
+// none; and every page reads as it does over the in-memory engine.
+func TestOpenDurableDatabasePagedCachesRows(t *testing.T) {
+	const rowsPerEntity, budget = 200, 2000
+	m, dir := acerModel(t), t.TempDir()
+	seed := func(app *App) {
+		t.Helper()
+		if err := workload.Populate(app.DB, rowsPerEntity, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mem.Close)
+	seed(mem)
+
+	db, err := OpenDurableDatabasePaged(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := New(m, WithDatabase(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range app.Artifacts.DDL {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seed(app)
+	app.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err = OpenDurableDatabasePaged(dir, 0, budget); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := db.EngineStats().RowsResident; n != 0 {
+		t.Fatalf("RowsResident = %d right after the open, want 0", n)
+	}
+	if app, err = New(m, WithDatabase(db)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	pages := goldenHotPaths(m, 300)
+	want := readPages(t, mem.Handler(), pages)
+	var faults uint64
+	for round := 1; round <= 3; round++ {
+		for p, body := range readPages(t, app.Handler(), pages) {
+			if body != want[p] {
+				t.Fatalf("round %d: %s differs from the in-memory engine's", round, p)
+			}
+		}
+		st := db.EngineStats()
+		if round == 1 {
+			if st.RowsResident <= 0 || st.RowsResident > budget {
+				t.Fatalf("after round 1 the row cache holds %d rows, want 1..%d", st.RowsResident, budget)
+			}
+			faults = st.RowFaults
+		} else if st.RowFaults != faults {
+			t.Fatalf("round %d faulted %d rows the cache held after round 1", round, st.RowFaults-faults)
+		}
+		t.Logf("round %d: %d rows cached, %d faults, %d dropped", round, st.RowsResident, st.RowFaults, st.RowsEvicted)
 	}
 }
