@@ -99,9 +99,9 @@ func e13() {
 		arep.P99.Round(time.Millisecond), arep.Shed,
 		arep.ShedByClass.Crawler, arep.ShedByClass.Interactive, arep.ShedByClass.Operations,
 		arep.RetryAfterP50)
-	fmt.Printf("collapse ratio (admission goodput / baseline goodput): %.1fx\n", workload.CollapseRatio(arep, brep))
-	fmt.Printf("goodput >= 90%% of capacity at 3x overload: %v\n", arep.GoodputPerSec >= 0.9*capacity)
-	fmt.Printf("no priority inversion (ops never shed while crawler admitted): %v\n",
+	fmt.Printf("collapse ratio (admission goodput / baseline goodput): %.1fx\n", arep.GoodputPerSec/brep.GoodputPerSec)
+	check("goodput >= 90% of capacity at 3x overload", arep.GoodputPerSec >= 0.9*capacity)
+	check("no priority inversion (ops never shed while crawler admitted)",
 		arep.ShedByClass.Operations == 0 || arep.ShedByClass.Crawler > 0)
 	protected.Close()
 
@@ -133,10 +133,10 @@ func e13() {
 	st := elastic.Fleet.Stats()
 	fmt.Printf("autoscale under 10x ramp: fleet 1 -> %d -> %d (%d scale-ups, %d scale-downs), offered %d, p99 %v, shed %d, errors %d\n",
 		peak, final, st.ScaleUps, st.ScaleDowns, erep.Offered, erep.P99.Round(time.Millisecond), erep.Shed, erep.Errors)
-	fmt.Printf("fleet scaled up under the ramp: %v\n", peak > 1)
-	fmt.Printf("fleet drained back to min after the ramp: %v\n", final == 1)
-	fmt.Printf("autoscale keeps p99 within SLO through 10x ramp: %v\n", erep.P99 <= slo)
-	fmt.Printf("scale-down lost zero in-flight calls: %v\n", erep.Errors == 0)
+	check("fleet scaled up under the ramp", peak > 1)
+	check("fleet drained back to min after the ramp", final == 1)
+	check("autoscale keeps p99 within SLO through 10x ramp", erep.P99 <= slo)
+	check("scale-down lost zero in-flight calls", erep.Errors == 0)
 	elastic.Close()
 }
 

@@ -15,7 +15,7 @@ import (
 	"webmlgo/internal/rdb"
 )
 
-// e14 measures the deep data-tier observability work on three gates:
+// e14 checks the deep data-tier observability work on three gates:
 //
 //  1. hot-path overhead — QueryContext with observability merely
 //     *available* but off must cost what plain db.Query costs, gated
@@ -31,17 +31,15 @@ import (
 //     (point lookup, composite range, indexed join, ORDER BY
 //     elimination).
 func e14() {
-	overheadOK := e14Overhead()
-	attributionOK := e14Attribution()
-	analyzeOK := e14Analyze()
-	fmt.Printf("\n  E14 RESULT: hot-path overhead within 3%%: %v, end-to-end attribution: %v, analyze actuals match query output: %v\n",
-		overheadOK, attributionOK, analyzeOK)
+	e14Overhead()
+	e14Attribution()
+	e14Analyze()
 }
 
 // e14Overhead gates on allocations per point lookup, then times three
 // identically-seeded engines interleaved, best round kept each (same
 // discipline as E12's read comparison), for the printed comparison.
-func e14Overhead() bool {
+func e14Overhead() {
 	plain, disabled, untraced := rdb.Open(), rdb.Open(), rdb.Open()
 	for _, db := range []*rdb.DB{plain, disabled, untraced} {
 		e12Seed(db)
@@ -90,7 +88,7 @@ func e14Overhead() bool {
 	fmt.Printf("  db.Query (PR-6 baseline):            %10v per query, %.0f allocs\n", best[0], plainAllocs)
 	fmt.Printf("  QueryContext, observability off:     %10v per query, %.0f allocs  (%+.1f%% time, ungated; gate: equal allocs)\n", best[1], offAllocs, pct(1))
 	fmt.Printf("  QueryContext, hooks on, untraced:    %10v per query  (%+.1f%%; sampled-out request)\n", best[2], pct(2))
-	return offAllocs == plainAllocs
+	check("QueryContext with observability off allocates what db.Query does", offAllocs == plainAllocs)
 }
 
 // e14 JSON views of the two debug endpoints — the same bytes an
@@ -127,7 +125,7 @@ type e14Queries struct {
 // trace names the query (SQL, access path, plan-cache outcome), and
 // /debug/queries joins on the trace ID to the analyzed plan with
 // operator actuals.
-func e14Attribution() bool {
+func e14Attribution() {
 	app := fixtureApp(
 		webmlgo.WithObservability(10*time.Millisecond, time.Nanosecond), // every query recorded
 		webmlgo.WithFaults(fault.Schedule{Seed: 14, LatencyProb: 1.0, Latency: 25 * time.Millisecond}))
@@ -140,15 +138,13 @@ func e14Attribution() bool {
 
 	// Curl 1: /debug/traces — the slow exemplar, down to the data tier.
 	code, body := get(app.TracesHandler(), "/debug/traces?slow=1")
-	if code != 200 {
-		fmt.Printf("  FAIL: /debug/traces answered %d\n", code)
-		return false
+	if !check("/debug/traces answers 200", code == 200) {
+		return
 	}
 	var traces e14Traces
 	must(json.Unmarshal([]byte(body), &traces))
-	if len(traces.Traces) == 0 {
-		fmt.Println("  FAIL: no slow trace captured")
-		return false
+	if !check("a slow trace captured", len(traces.Traces) > 0) {
+		return
 	}
 	tr := traces.Traces[0]
 	fmt.Printf("  slow trace %s (%s, %.1fms):\n", tr.ID, tr.Name, tr.DurMS)
@@ -175,15 +171,14 @@ func e14Attribution() bool {
 				float64(sp.DurUS)/1000, sp.Labels["access"], sp.Labels["plan_cache"], sp.Labels["sql"])
 		}
 	}
-	fmt.Printf("    data tier: %d rdb spans, %.1fms of %.1fms total; all spans stitched: %v\n",
-		rdbSpans, float64(rdbUS)/1000, tr.DurMS, stitched)
+	fmt.Printf("    data tier: %d rdb spans, %.1fms of %.1fms total\n", rdbSpans, float64(rdbUS)/1000, tr.DurMS)
+	check("all spans stitched", stitched)
 
 	// Curl 2: /debug/queries — the same query, joined by trace ID,
 	// carrying its analyzed plan.
 	code, body = get(app.QueriesHandler(), "/debug/queries")
-	if code != 200 {
-		fmt.Printf("  FAIL: /debug/queries answered %d\n", code)
-		return false
+	if !check("/debug/queries answers 200", code == 200) {
+		return
 	}
 	var queries e14Queries
 	must(json.Unmarshal([]byte(body), &queries))
@@ -199,16 +194,14 @@ func e14Attribution() bool {
 		}
 		joined = true
 	}
-	ok := sampleSQL != "" && stitched && joined
-	fmt.Printf("  end-to-end attribution (request -> span -> analyzed plan): %v\n", ok)
-	return ok
+	check("end-to-end attribution (request -> span -> analyzed plan)", sampleSQL != "" && joined)
 }
 
 // e14Analyze runs the four acceptance plan shapes and checks the
 // analyzed plan's actual output count against the rows Query returns
 // for the same SQL (analyze_test.go cross-checks both against the
 // test oracle).
-func e14Analyze() bool {
+func e14Analyze() {
 	db := rdb.Open()
 	ddl := []string{
 		`CREATE TABLE product (oid INTEGER PRIMARY KEY AUTOINCREMENT, family TEXT, code TEXT, name TEXT NOT NULL, price REAL)`,
@@ -243,7 +236,6 @@ func e14Analyze() bool {
 	}
 	outRe := regexp.MustCompile(`OUTPUT (\d+) rows`)
 	fmt.Println("\nEXPLAIN ANALYZE vs Query (actual output rows must agree):")
-	allOK := true
 	for _, s := range shapes {
 		out, err := db.ExplainAnalyze(s.sql)
 		must(err)
@@ -254,15 +246,7 @@ func e14Analyze() bool {
 		if m != nil {
 			actual, _ = strconv.Atoi(m[1])
 		}
-		planOK := strings.Contains(out, s.marker)
-		ok := planOK && actual == want.Len()
-		allOK = allOK && ok
-		mark := "FAIL"
-		if ok {
-			mark = "ok"
-		}
-		fmt.Printf("  [%-4s] %-22s actual %d rows, query %d rows, expected plan chosen: %v\n",
-			mark, s.name, actual, want.Len(), planOK)
+		check(fmt.Sprintf("%s: analyze %d rows = query %d rows, plan %q", s.name, actual, want.Len(), s.marker),
+			strings.Contains(out, s.marker) && actual == want.Len())
 	}
-	return allOK
 }

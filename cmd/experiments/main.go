@@ -5,6 +5,11 @@
 //	go run ./cmd/experiments            # all experiments
 //	go run ./cmd/experiments e3 e7      # a subset
 //
+// Every claim an experiment makes is a check, printed as "<claim>:
+// true|false". The command exits 1 naming each claim that read false,
+// and go test ./cmd/experiments runs every experiment whose claims do
+// not depend on the wall clock.
+//
 // The experiment index lives in DESIGN.md; results are recorded in
 // EXPERIMENTS.md.
 package main
@@ -77,13 +82,38 @@ func main() {
 	for _, a := range os.Args[1:] {
 		want[a] = true
 	}
+	var falses []string
 	for _, e := range all {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
 		fmt.Printf("\n================================================================\n%s\n================================================================\n", e.hdr)
+		failed = nil
 		e.fn()
+		for _, what := range failed {
+			falses = append(falses, e.id+": "+what)
+		}
 	}
+	if len(falses) > 0 {
+		fmt.Fprintln(os.Stderr, "\nfalse verdicts:")
+		for _, f := range falses {
+			fmt.Fprintln(os.Stderr, "  "+f)
+		}
+		os.Exit(1)
+	}
+}
+
+// failed names the verdicts of the running experiment that read false.
+var failed []string
+
+// check prints one verdict of the running experiment and remembers it
+// when it reads false. Experiments call it from their own goroutine.
+func check(what string, ok bool) bool {
+	fmt.Printf("  %s: %v\n", what, ok)
+	if !ok {
+		failed = append(failed, what)
+	}
+	return ok
 }
 
 func must(err error) {
@@ -118,25 +148,13 @@ func timeOp(n int, fn func()) time.Duration {
 func e1() {
 	app := fixtureApp()
 	code, body := get(app.Handler(), "/page/volumePage?volume=1")
-	checks := []struct {
-		what string
-		ok   bool
-	}{
-		{"page served (HTTP 200)", code == 200},
-		{"data unit shows the selected volume", strings.Contains(body, "TODS Volume 27")},
-		{"hierarchical index nests papers under issues", strings.Contains(body, "webml-level-1")},
-		{"nested papers anchor to the paper page", strings.Contains(body, "/page/paperPage?paper=")},
-		{"entry unit posts the keyword to the search page", strings.Contains(body, `action="/page/searchResults"`)},
-		{"relationship scoping excludes other volumes", !strings.Contains(body, "Views and Updates")},
-	}
 	fmt.Println("Reproduction of the Figure 1 page model (checked on rendered output):")
-	for _, c := range checks {
-		mark := "FAIL"
-		if c.ok {
-			mark = "ok"
-		}
-		fmt.Printf("  [%-4s] %s\n", mark, c.what)
-	}
+	check("page served (HTTP 200)", code == 200)
+	check("data unit shows the selected volume", strings.Contains(body, "TODS Volume 27"))
+	check("hierarchical index nests papers under issues", strings.Contains(body, "webml-level-1"))
+	check("nested papers anchor to the paper page", strings.Contains(body, "/page/paperPage?paper="))
+	check("entry unit posts the keyword to the search page", strings.Contains(body, `action="/page/searchResults"`))
+	check("relationship scoping excludes other volumes", !strings.Contains(body, "Views and Updates"))
 	lat := timeOp(2000, func() { get(app.Handler(), "/page/volumePage?volume=1") })
 	fmt.Printf("  end-to-end page latency: %v\n", lat)
 }
@@ -166,8 +184,8 @@ func e2() {
 	impact := tplApp.ImpactOfMovingPage("paperPage")
 	fmt.Printf("  template-based: %d page templates must be edited by hand (%v)\n",
 		impact.BaselineTemplatesTouched, tplApp.TemplatesReferencing("paperPage"))
-	fmt.Printf("  MVC 2:          %d templates touched; controller config regenerated: %v\n",
-		impact.MVCTemplatesTouched, impact.MVCConfigRegenerated)
+	fmt.Printf("  MVC 2:          %d templates touched\n", impact.MVCTemplatesTouched)
+	check("MVC 2: controller config regenerated", impact.MVCConfigRegenerated)
 	st := tplApp.Stats()
 	fmt.Printf("\nBaseline liabilities: %d templates, %d embedded SQL strings, %d hardwired URLs\n",
 		st.Templates, st.EmbeddedQueries, st.HardwiredURLs)
@@ -254,8 +272,7 @@ func e5() {
 	req.Header.Set("User-Agent", "Mozilla/5.0 (iPhone; Mobile)")
 	rr := httptest.NewRecorder()
 	runtime.Handler().ServeHTTP(rr, req)
-	fmt.Printf("  mobile User-Agent served the %q rule set: %v\n",
-		"mobile", strings.Contains(rr.Body.String(), "m-unit"))
+	check(`mobile User-Agent served the "mobile" rule set`, strings.Contains(rr.Body.String(), "m-unit"))
 
 	// Three rule sets cover every page of the 556-page application, one
 	// per site-view group (B2C / B2B / content management), exactly the
@@ -349,7 +366,7 @@ func e6() {
 	after := app.BeanCache.Len()
 	_, body := get(app.Handler(), "/page/volumesPage")
 	fmt.Printf("\nModel-driven invalidation: create(Volume) dropped %d dependent beans (of %d);\n", before-after, before)
-	fmt.Printf("  next read is fresh: page lists the new volume: %v\n", strings.Contains(body, ">X<") || strings.Contains(body, "X</a>"))
+	check("next read is fresh: page lists the new volume", strings.Contains(body, ">X<") || strings.Contains(body, "X</a>"))
 	fmt.Printf("  cache stats: %+v\n", app.BeanCache.Stats())
 }
 
@@ -379,7 +396,7 @@ func e6c() {
 	purged := entries - app.Edge.Len()
 	_, body := get(h, "/page/volumesPage")
 	fmt.Printf("\nModel-driven purge: create(Volume) dropped %d of %d edge entries;\n", purged, entries)
-	fmt.Printf("  next read is fresh: page lists the new volume: %v\n", strings.Contains(body, "EdgeFresh"))
+	check("next read is fresh: page lists the new volume", strings.Contains(body, "EdgeFresh"))
 	fmt.Printf("  edge stats: %+v\n", app.Edge.Stats())
 	cm := app.CacheMetrics()
 	fmt.Printf("  facade cache snapshot: bean=%+v edge=%+v\n", *cm.Bean, *cm.Edge)
@@ -429,9 +446,9 @@ func e6cObjectGrain() {
 			fmt.Printf("  dropped %s\n", f)
 		}
 	}
-	fmt.Printf("  kept volume 2's data fragment: %v\n", cached("/fragment/volumePage/volumeData?volume=2"))
+	check("kept volume 2's data fragment", cached("/fragment/volumePage/volumeData?volume=2"))
 	_, body := get(h, "/page/volumePage?volume=1")
-	fmt.Printf("  next read is fresh: volume 1's page shows the new title: %v\n", strings.Contains(body, "Renamed"))
+	check("next read is fresh: volume 1's page shows the new title", strings.Contains(body, "Renamed"))
 }
 
 func e7() {
@@ -571,13 +588,13 @@ func e7b() {
 	fmt.Printf("  latency: p50=%v p99=%v\n", lats[N/2], lats[N*99/100])
 	fmt.Printf("  retries absorbed: %d; chaos fired in the containers: %+v; process crashes: 0\n",
 		health.Retries, backend.Faults.Counts())
-	fmt.Printf("  availability >= 99%% with chaos in the containers and one flapping: %v\n", failures*100 <= N)
+	check("availability >= 99% with chaos in the containers and one flapping", failures*100 <= N)
 	for _, ep := range health.Endpoints {
 		fmt.Printf("  endpoint %s: breaker %s\n", ep.Addr, ep.State)
 	}
 	_, body := get(h, "/page/volumesPage")
-	fmt.Printf("  freshness: last successful write (%s) visible through the uncached index: %v\n",
-		lastCreated, strings.Contains(body, lastCreated))
+	check(fmt.Sprintf("freshness: last successful write (%s) visible through the uncached index", lastCreated),
+		lastCreated != "" && strings.Contains(body, lastCreated))
 	fmt.Println("  (invalidation removes beans outright, so degraded mode can never serve")
 	fmt.Println("   written-over data — staleness is bounded by construction)")
 
@@ -607,8 +624,9 @@ func e7b() {
 	}
 	health = app.Health()
 	fmt.Printf("\nPhase 2 — every container down:\n")
-	fmt.Printf("  degraded reads while every container is down: %d/20 (stale within bound; degraded hits: %d)\n", okReads, health.DegradedHits)
-	fmt.Printf("  /healthz: ok=%v (every breaker open -> 503, cache is the last line of defence)\n", health.OK)
+	fmt.Printf("  degraded hits: %d (stale within bound; the cache is the last line of defence)\n", health.DegradedHits)
+	check(fmt.Sprintf("%d of 20 reads served degraded while every container is down", okReads), okReads == 20)
+	check("/healthz reports down (every breaker open -> 503)", !health.OK)
 }
 
 // e8 verifies the Section 1 scaling requirement: "the design and code
@@ -679,9 +697,8 @@ func e9() {
 	fmt.Printf("  uninstrumented:                  %10v per request\n", lats[0]/4)
 	fmt.Printf("  histograms + sampled traces:     %10v per request  (%+.1f%%, target < 3%%)\n", lats[1]/4, pct(1))
 	fmt.Printf("  histograms + every request traced:%9v per request  (%+.1f%%; debugging mode)\n", lats[2]/4, pct(2))
-	if s, _ := full.Obs.Stats(); s < int64(N) {
-		fmt.Printf("  WARNING: only %d of %d requests traced in full mode\n", s, N)
-	}
+	s, _ := full.Obs.Stats()
+	check("every request traced in full mode", s >= int64(N))
 
 	// Part 2: pinpointing a chaos-slowed container from one trace.
 	backend := fixtureApp()
@@ -711,9 +728,7 @@ func e9() {
 
 	views := app.Obs.Traces(0, true, 8) // slow exemplars only
 	fmt.Printf("\nChaos diagnosis: 1 of 2 round-robined containers slowed by 25ms injected latency.\n")
-	fmt.Printf("  slow traces captured (>=10ms): %d\n", len(views))
-	if len(views) == 0 {
-		fmt.Println("  FAIL: no slow exemplars captured")
+	if !check(fmt.Sprintf("a slow exemplar captured (%d traces >= 10ms)", len(views)), len(views) > 0) {
 		return
 	}
 	v := views[0]
@@ -733,9 +748,9 @@ func e9() {
 			worstAddr, worstUS = addr, us
 		}
 	}
-	fmt.Printf("  dominant endpoint in the trace: %s (%.1fms of %.1fms total)\n",
-		worstAddr, float64(worstUS)/1000, v.DurMS)
-	fmt.Printf("  correctly pinpoints the slowed container: %v (slow = %s)\n", worstAddr == slowAddr, slowAddr)
+	fmt.Printf("  dominant endpoint in the trace: %s (%.1fms of %.1fms total); slowed: %s\n",
+		worstAddr, float64(worstUS)/1000, v.DurMS, slowAddr)
+	check("correctly pinpoints the slowed container", worstAddr == slowAddr)
 }
 
 // e10Model is the wide-fan workload for the wire-protocol experiment:
@@ -830,14 +845,13 @@ func e10() {
 	bodies := make([]string, len(modes))
 	for i, m := range modes {
 		code, body := get(m.app.Handler(), path)
-		if code != 200 {
-			fmt.Printf("  FAIL: %s answered %d\n", m.name, code)
+		if !check(m.name+": page answers 200", code == 200) {
 			return
 		}
 		bodies[i] = body
 	}
-	identical := bodies[0] == bodies[1]
-	fmt.Printf("pages byte-identical across wire modes: %v (%d bytes, 8-unit level)\n\n", identical, len(bodies[0]))
+	check(fmt.Sprintf("pages byte-identical across wire modes (%d bytes, 8-unit level)", len(bodies[0])), bodies[0] == bodies[1])
+	fmt.Println()
 
 	// Load phase: K clients, N requests per mode, shared work counter.
 	const (
@@ -898,8 +912,8 @@ func e10() {
 			m.name, r.rps, r.p50, r.p95, r.rps/base.rps, float64(r.p95)/float64(base.p95))
 	}
 	best := results[len(results)-1]
-	fmt.Printf("\n  E10 RESULT: framed+batch vs framed per-unit: x%.2f throughput, x%.2f p95, byte-identical: %v\n",
-		best.rps/base.rps, float64(best.p95)/float64(base.p95), identical)
+	fmt.Printf("\n  E10 RESULT: framed+batch vs framed per-unit: x%.2f throughput, x%.2f p95\n",
+		best.rps/base.rps, float64(best.p95)/float64(base.p95))
 	sent, recv, _ := modes[1].app.Remote.FrameStats()
 	fmt.Printf("  frames on the batch client: %d sent / %d received (one reply frame per level)\n", sent, recv)
 }
@@ -999,8 +1013,7 @@ func e11() {
 	fewer := make([]float64, len(workloads))
 	for i, w := range workloads {
 		b, a := before[i], after[i]
-		if fmt.Sprint(b.rows) != fmt.Sprint(a.rows) {
-			fmt.Printf("  FAIL: %s: rows differ across the retouch\n", w.name)
+		if !check(w.name+": same rows across the retouch", fmt.Sprint(b.rows) == fmt.Sprint(a.rows)) {
 			return
 		}
 		fewer[i] = float64(b.examined) / float64(max(a.examined, 1))
@@ -1011,8 +1024,10 @@ func e11() {
 	s := db.Stats()
 	fmt.Printf("  engine counters: plan cache %d hits / %d misses, %d point lookups, %d range scans, %d full scans, %d sorts eliminated\n",
 		s.PlanCacheHits, s.PlanCacheMisses, s.PointLookups, s.RangeScans, s.FullScans, s.SortsEliminated)
-	fmt.Printf("\n  E11 RESULT (rows examined): selective >= 5x: %v, range >= 5x: %v, order-by >= 5x: %v\n",
-		fewer[0] >= 5, fewer[1] >= 5, fewer[2] >= 5)
+	fmt.Println()
+	for i, w := range workloads {
+		check(w.name+": >= 5x fewer rows examined", fewer[i] >= 5)
+	}
 }
 
 // e12 exercises the durable storage engine end to end (the data-tier
@@ -1028,7 +1043,7 @@ func e12() {
 	defer os.RemoveAll(dir)
 
 	fmt.Println("kill -9 torture: child commits row pairs, parent kills it mid-storm, reopen verifies")
-	var lastAck, recovered int64
+	var lastAck, lostAll int64
 	torn := false
 	for gen := 0; gen < 3; gen++ {
 		acked, err := e12RunChild(dir, 10+gen*17)
@@ -1053,7 +1068,7 @@ func e12() {
 		if na != nb {
 			torn = true
 		}
-		recovered += lost
+		lostAll += lost
 		lastAck = na
 		must(db.Close())
 	}
@@ -1095,8 +1110,9 @@ func e12() {
 	fmt.Printf("  engine counters: %d WAL appends / %d fsyncs / %d group-commit rounds, pool %d hits / %d misses, %d checkpoints\n",
 		st.WALAppends, st.WALFsyncs, st.WALBatches, st.PoolHits, st.PoolMisses, st.Checkpoints)
 
-	fmt.Printf("\n  E12 RESULT: committed rows lost: %d, torn transactions: %v, hot-read ratio x%.2f (target <= ~1.3)\n",
-		recovered, torn, ratio)
+	fmt.Println()
+	check("no acknowledged commit lost", lostAll == 0)
+	check("no torn transaction", !torn)
 }
 
 func e12Seed(db *rdb.DB) {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -220,15 +219,4 @@ func (o *OpenLoop) session(ctx context.Context, rng *rand.Rand, crawler bool, cl
 			}
 		}
 	}
-}
-
-// CollapseRatio compares two runs of the same offered load: the
-// protected run's goodput over the baseline's, clamped to guard
-// against a zero baseline. Values well above 1 mean the baseline
-// collapsed where the protected run kept serving.
-func CollapseRatio(protected, baseline Report) float64 {
-	if baseline.GoodputPerSec <= 0 {
-		return math.Inf(1)
-	}
-	return protected.GoodputPerSec / baseline.GoodputPerSec
 }

@@ -94,9 +94,6 @@ func B2BStyle() *style.RuleSet { return style.B2BRuleSet() }
 // IntranetStyle returns the content-management rule set.
 func IntranetStyle() *style.RuleSet { return style.IntranetRuleSet() }
 
-// MobileStyle returns the compact small-screen rule set.
-func MobileStyle() *style.RuleSet { return style.MobileRuleSet() }
-
 // MultiDevice returns a copy of def that serves mobile user agents with
 // the mobile rule set and everything else with def.
 func MultiDevice(def *style.RuleSet) *style.RuleSet { return style.MultiDevice(def) }
