@@ -89,13 +89,13 @@ func e13() {
 	baseline := fixedFleet(false)
 	brep := mkLoad(baseline.Handler(), overload, loadFor, nil)
 	baseline.Close()
-	fmt.Printf("baseline (no admission) at 3x: offered %d, goodput %.0f req/s (%.0f%% of capacity), p99 %v, errors %d\n",
-		brep.Offered, brep.GoodputPerSec, 100*brep.GoodputPerSec/capacity, brep.P99.Round(time.Millisecond), brep.Errors)
+	fmt.Printf("baseline (no admission) at 3x: offered %d (lag %v), goodput %.0f req/s (%.0f%% of capacity), p99 %v, errors %d\n",
+		brep.Offered, brep.Lag.Round(time.Millisecond), brep.GoodputPerSec, 100*brep.GoodputPerSec/capacity, brep.P99.Round(time.Millisecond), brep.Errors)
 
 	// Phase 3 — admission at the same 3x offered load.
 	arep := mkLoad(protected.Handler(), overload, loadFor, nil)
-	fmt.Printf("admission at 3x: offered %d, goodput %.0f req/s (%.0f%% of capacity), p99 %v, shed %d (crawler %d, interactive %d, ops %d), Retry-After p50 %v\n",
-		arep.Offered, arep.GoodputPerSec, 100*arep.GoodputPerSec/capacity,
+	fmt.Printf("admission at 3x: offered %d (lag %v), goodput %.0f req/s (%.0f%% of capacity), p99 %v, shed %d (crawler %d, interactive %d, ops %d), Retry-After p50 %v\n",
+		arep.Offered, arep.Lag.Round(time.Millisecond), arep.GoodputPerSec, 100*arep.GoodputPerSec/capacity,
 		arep.P99.Round(time.Millisecond), arep.Shed,
 		arep.ShedByClass.Crawler, arep.ShedByClass.Interactive, arep.ShedByClass.Operations,
 		arep.RetryAfterP50)
@@ -131,8 +131,8 @@ func e13() {
 	}
 	final := elastic.Fleet.FleetSize()
 	st := elastic.Fleet.Stats()
-	fmt.Printf("autoscale under 10x ramp: fleet 1 -> %d -> %d (%d scale-ups, %d scale-downs), offered %d, p99 %v, shed %d, errors %d\n",
-		peak, final, st.ScaleUps, st.ScaleDowns, erep.Offered, erep.P99.Round(time.Millisecond), erep.Shed, erep.Errors)
+	fmt.Printf("autoscale under 10x ramp: fleet 1 -> %d -> %d (%d scale-ups, %d scale-downs), offered %d (lag %v), p99 %v, shed %d, errors %d\n",
+		peak, final, st.ScaleUps, st.ScaleDowns, erep.Offered, erep.Lag.Round(time.Millisecond), erep.P99.Round(time.Millisecond), erep.Shed, erep.Errors)
 	check("fleet scaled up under the ramp", peak > 1)
 	check("fleet drained back to min after the ramp", final == 1)
 	check("autoscale keeps p99 within SLO through 10x ramp", erep.P99 <= slo)

@@ -2,9 +2,12 @@ package webmlgo
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -85,4 +88,59 @@ func readTree(t *testing.T, root string) map[string][]byte {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// designCitation matches a comment's reference to a DESIGN.md section:
+// the file name, an optional comma, then the heading in double quotes.
+var designCitation = regexp.MustCompile(`DESIGN\.md,? "([^"]+)"`)
+
+// TestDesignCitationsResolve: every DESIGN.md section a Go comment cites
+// by heading is a heading of DESIGN.md, so restructuring the document
+// cannot strand a citation.
+func TestDesignCitationsResolve(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "#") {
+			headings[strings.TrimSpace(strings.TrimLeft(line, "#"))] = true
+		}
+	}
+	cited := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			text := strings.Join(strings.Fields(cg.Text()), " ")
+			for _, m := range designCitation.FindAllStringSubmatch(text, -1) {
+				cited++
+				if !headings[m[1]] {
+					t.Errorf("%s cites DESIGN.md %q, which has no such heading", path, m[1])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cited == 0 {
+		t.Fatal("no DESIGN.md citation found: scan broken?")
+	}
 }

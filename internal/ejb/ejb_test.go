@@ -256,3 +256,51 @@ func TestRemotePageServiceWithoutDeploymentFails(t *testing.T) {
 		t.Fatal("undeployed page service accepted")
 	}
 }
+
+// TestQueueLatencyMergesKinds: with the container's one instance slot
+// held, a unit call and an operation call each wait at the capacity gate.
+// QueueLatency counts both waits in one histogram across the two kinds,
+// and the call that found the slot free is not counted.
+func TestQueueLatencyMergesKinds(t *testing.T) {
+	c := NewContainer(nil, 1)
+	ctx := context.Background()
+	holding, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.invoke(ctx, 0, 0, "page", func(context.Context) *response {
+			close(holding)
+			<-release
+			return &response{}
+		})
+	}()
+	<-holding
+	var wg sync.WaitGroup
+	for _, kind := range []string{"unit", "operation"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.invoke(ctx, 0, 0, kind, func(context.Context) *response { return &response{} })
+		}()
+	}
+	for c.Metrics().Queued < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(2 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	<-done
+
+	q := c.QueueLatency()
+	if q.Count != 2 {
+		t.Fatalf("queue waits counted %d, want 2 (the holder never waited)", q.Count)
+	}
+	if q.Max < 2*time.Millisecond {
+		t.Errorf("longest wait %v, want at least the 2ms the slot was held after both queued", q.Max)
+	}
+	series := c.queueLat.Snapshot()
+	if len(series) != 2 || series[0].LabelValue != "operation" || series[1].LabelValue != "unit" ||
+		series[0].Hist.Count != 1 || series[1].Hist.Count != 1 {
+		t.Errorf("per-kind series %+v, want one wait each for operation and unit", series)
+	}
+}

@@ -305,3 +305,40 @@ func TestTracesHandlerJSON(t *testing.T) {
 		t.Fatalf("bad min: status %d", rec.Code)
 	}
 }
+
+// TestHistSnapshotDelta: the delta of two snapshots of one histogram holds
+// exactly the observations made between them, and a field that prev has
+// ahead (a reset, or snapshots swapped) clamps to zero instead of
+// wrapping.
+func TestHistSnapshotDelta(t *testing.T) {
+	var h Histogram
+	h.Observe(2 * time.Microsecond)
+	h.ObserveErr(3*time.Millisecond, true)
+	before := h.Snapshot()
+	h.Observe(5 * time.Millisecond)
+	h.ObserveErr(6*time.Millisecond, true)
+	after := h.Snapshot()
+
+	d := after.Delta(before)
+	if d.Count != 2 || d.Errs != 1 || d.Sum != 11*time.Millisecond {
+		t.Fatalf("window: count %d errs %d sum %v, want 2, 1, 11ms", d.Count, d.Errs, d.Sum)
+	}
+	var inBuckets uint64
+	for i, n := range d.Buckets {
+		inBuckets += n
+		if n > 0 && i != bucketIndex(uint64(5*time.Millisecond)) && i != bucketIndex(uint64(6*time.Millisecond)) {
+			t.Errorf("bucket %d holds %d observations made before the window", i, n)
+		}
+	}
+	if inBuckets != 2 {
+		t.Errorf("window buckets hold %d observations, want 2", inBuckets)
+	}
+	if q := d.Quantile(0.5); q < 4*time.Millisecond {
+		t.Errorf("window p50 %v falls below the window's observations", q)
+	}
+
+	back := before.Delta(after)
+	if back.Count != 0 || back.Errs != 0 || back.Sum != 0 || back.Buckets != [numBuckets]uint64{} {
+		t.Fatalf("prev ahead: %+v, want every count clamped to zero", back)
+	}
+}

@@ -77,6 +77,8 @@ type Report struct {
 	Sessions int64         `json:"sessions"`
 	Offered  int64         `json:"offered"` // requests sent
 	Elapsed  time.Duration `json:"elapsed"`
+	// Lag is how far the last arrival fell behind its Poisson schedule.
+	Lag time.Duration `json:"lag"`
 
 	OK            int64 `json:"ok"`            // 2xx/3xx responses
 	Shed          int64 `json:"shed"`          // 503 with the shed marker (or Retry-After)
@@ -116,6 +118,7 @@ func (o *OpenLoop) Run(ctx context.Context) Report {
 	start := time.Now()
 	deadline := start.Add(o.Duration)
 	var sessions int64
+	var schedule time.Duration // the running sum of the arrival gaps
 	for {
 		now := time.Now()
 		if now.After(deadline) || ctx.Err() != nil {
@@ -134,12 +137,14 @@ func (o *OpenLoop) Run(ctx context.Context) Report {
 		// Poisson arrivals: exponential inter-arrival gap at the current
 		// (possibly surged) rate.
 		gap := time.Duration(master.ExpFloat64() / rate * float64(time.Second))
+		schedule += gap
 		if gap > 0 {
 			select {
 			case <-ctx.Done():
 			case <-time.After(gap):
 			}
 		}
+		rep.Lag = time.Since(start) - schedule
 		sessions++
 		seed := master.Int63()
 		crawler := master.Float64() < o.CrawlerShare

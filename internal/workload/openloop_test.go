@@ -111,3 +111,27 @@ func TestOpenLoopSurgeRaisesOfferedLoad(t *testing.T) {
 		t.Fatalf("4x surge offered %d, base %d — surge not applied", surged.Offered, base.Offered)
 	}
 }
+
+// TestOpenLoopReportsLag: with a trivial handler nothing holds the arrival
+// loop back, so the last arrival lags its Poisson schedule by timer slack
+// only: more than zero, since a timer never fires early, and well under
+// the schedule itself, which Elapsed also spans.
+func TestOpenLoopReportsLag(t *testing.T) {
+	o := &OpenLoop{
+		Handler:     stubHandler(0),
+		Rate:        100,
+		Duration:    10 * time.Second,
+		Clicks:      1,
+		Pages:       []string{"/page/a"},
+		Seed:        11,
+		MaxSessions: 20,
+	}
+	rep := o.Run(context.Background())
+	if rep.Sessions != 20 {
+		t.Fatalf("sessions %d, want the MaxSessions cap of 20", rep.Sessions)
+	}
+	if rep.Lag <= 0 || rep.Lag >= rep.Elapsed/2 {
+		t.Fatalf("lag %v over %v elapsed: the loop fell behind its schedule", rep.Lag, rep.Elapsed)
+	}
+	t.Logf("lag %v over %v elapsed", rep.Lag, rep.Elapsed)
+}
