@@ -173,7 +173,7 @@ func WithRemotePages() Option {
 	return func(c *config) { c.remotePages = true }
 }
 
-// Deprecated: WithWireProtocol selects nothing — wire v2 is the only protocol.
+// Deprecated: WithWireProtocol selects nothing — the framed wire is the only protocol.
 func WithWireProtocol(string) Option { return func(*config) {} }
 
 // WithRequestTimeout gives every request a deadline budget: the

@@ -248,7 +248,7 @@ func e4() {
 
 	fmt.Println("Unit-service invocation cost (Figure 6 trade-off):")
 	fmt.Printf("  in servlet container (local call):   %10v\n", inProc)
-	fmt.Printf("  in application server (TCP + wire v2): %8v  (x%.1f)\n", rem, float64(rem)/float64(inProc))
+	fmt.Printf("  in application server (TCP + framed wire): %8v  (x%.1f)\n", rem, float64(rem)/float64(inProc))
 	fmt.Println("\nWhat the split buys (Section 4):")
 	fmt.Println("  - non-Web applications invoke the same deployed components")
 	fmt.Printf("  - capacity rescales at runtime: %+v", ctr.Metrics())

@@ -86,7 +86,7 @@ func cmdExport(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	data, err := webml.MarshalModel(m)
+	data, err := webmlgo.MarshalModel(m)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func cmdImport(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := webml.UnmarshalModel(data)
+	m, err := webmlgo.UnmarshalModel(data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func loadModel(name string) (*webml.Model, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		m, err := webml.UnmarshalModel(data)
+		m, err := webmlgo.UnmarshalModel(data)
 		return m, false, err
 	case name == "acm":
 		return fixture.Figure1Model(), false, nil
@@ -411,7 +411,7 @@ func cmdServe(args []string) {
 		defer app.Fleet.Stop()
 		log.Printf("webratio: elastic fleet on (%d..%d containers; scale events at /healthz)", *minContainers, *maxContainers)
 	} else if app.Remote != nil {
-		log.Printf("webratio: business tier on %s (wire v2, level-batched)", *appServer)
+		log.Printf("webratio: business tier on %s (framed wire, level-batched)", *appServer)
 	}
 	if app.Admission != nil {
 		log.Printf("webratio: admission control on (%d slots, queue %d; overflow sheds 503 + Retry-After)",
@@ -475,7 +475,7 @@ func cmdServe(args []string) {
 
 // cmdContainer runs the application-server tier of Figure 6 on its own:
 // a container serving the model's business services to remote web tiers
-// (webratio serve -app-server <addr>) over wire v2.
+// (webratio serve -app-server <addr>) over the framed wire.
 func cmdContainer(args []string) {
 	fs := flag.NewFlagSet("container", flag.ExitOnError)
 	model := fs.String("model", "acm", "model name")
@@ -506,7 +506,7 @@ func cmdContainer(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("webratio: container serving model %q on %s (capacity %d, wire v2)", m.Name, bound, *capacity)
+	log.Printf("webratio: container serving model %q on %s (capacity %d, framed wire)", m.Name, bound, *capacity)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
@@ -544,7 +544,7 @@ func cmdLint(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	warnings := webml.Lint(m)
+	warnings := webmlgo.Lint(m)
 	if len(warnings) == 0 {
 		fmt.Printf("model %q: no warnings\n", m.Name)
 		return
@@ -591,7 +591,7 @@ func cmdBootstrap(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		data, err := webml.MarshalModel(m)
+		data, err := webmlgo.MarshalModel(m)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 	"webmlgo/internal/codegen"
 	"webmlgo/internal/fixture"
 	"webmlgo/internal/style"
-	"webmlgo/internal/webml"
 )
 
 // TestDocsMatchGenerator: docs/acm.xml is `webratio export -model acm`
@@ -22,7 +21,7 @@ import (
 // byte for byte and file for file.
 func TestDocsMatchGenerator(t *testing.T) {
 	m := fixture.Figure1Model()
-	doc, err := webml.MarshalModel(m)
+	doc, err := MarshalModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // persistent multiplexed connections carry every in-flight frame.
 const defaultConnsPerEndpoint = 3
 
-// Deprecated: WireFramed selects nothing — wire v2 is the only protocol.
+// Deprecated: WireFramed selects nothing — the framed wire is the only protocol.
 const WireFramed = "framed"
 
 // RemoteBusiness is the client stub: it implements mvc.Business by
@@ -35,13 +35,15 @@ const WireFramed = "framed"
 // once the request may have reached a container — a write either
 // happened or its error surfaces.
 //
-// Transport: wire protocol v2 (framed, multiplexed binary exchange —
-// many frames in flight on a few persistent connections per endpoint;
-// units travel only as level batches). A peer that does not complete
-// the v2 handshake is a transport error like any other: it counts
-// against the endpoint's breaker and the call fails over.
+// Transport: the framed wire (multiplexed binary exchange — many frames
+// in flight on a few persistent connections per endpoint). Every
+// invocation is one request frame and one reply frame: a level of units
+// is one frame of unit items, an operation or a page a frame of one
+// item. A peer that does not complete the handshake is a transport error
+// like any other: it counts against the endpoint's breaker and the call
+// fails over.
 type RemoteBusiness struct {
-	// Deprecated: Wire selects nothing — wire v2 is the only protocol.
+	// Deprecated: Wire selects nothing — the framed wire is the only protocol.
 	Wire string
 	// CallLat records per-endpoint remote call latency (created by Dial;
 	// always on, atomics only). Registered with the /metrics registry by
@@ -56,10 +58,6 @@ type RemoteBusiness struct {
 	framesRecv atomic.Int64
 	stats      *wireStats
 
-	// latency, when positive, injects an artificial network delay per
-	// call, as a real machine boundary would add on loopback. A batched
-	// level pays it once, not once per unit.
-	latency time.Duration
 	// conns bounds the persistent multiplexed connections per container
 	// (<=0 selects defaultConnsPerEndpoint).
 	conns int
@@ -85,7 +83,7 @@ type endpoint struct {
 	brk  *breaker
 
 	rejected atomic.Int64 // calls refused outright by the open breaker
-	// inflight counts invocations (calls and batches) currently issued
+	// inflight counts invocations (request frames) currently issued
 	// against this endpoint — the client half of the drain handshake: a
 	// retiring container is closed only once this reaches zero.
 	inflight atomic.Int64
@@ -269,7 +267,7 @@ func (r *RemoteBusiness) ComputeUnit(ctx context.Context, d *descriptor.Unit, in
 // errors, open breakers) — once it may have reached a container, the
 // error surfaces rather than risking a double write.
 func (r *RemoteBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.OpResult, error) {
-	resp, err := r.call(ctx, &request{Kind: "operation", Descriptor: d, Inputs: inputs})
+	resp, err := r.one(ctx, false, batchCall{Kind: kindOperation, Descriptor: d, Inputs: inputs})
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +279,7 @@ func (r *RemoteBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Uni
 func (r *RemoteBusiness) SupportsUnitBatch() bool { return true }
 
 // ComputeUnits implements mvc.BatchComputer: all unit computations of
-// one schedule level travel as a single batch frame and come back as a
+// one schedule level travel as a single request frame and come back as a
 // single reply frame — one round trip per level instead of one per unit.
 // Reads are idempotent, so on a transport failure the whole level
 // re-runs on the next endpoint; per-item application errors are final.
@@ -291,50 +289,82 @@ func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall)
 		return out
 	}
 	bsp := obs.Leaf(ctx, "ejb.batch").Label("units", strconv.Itoa(len(calls)))
-	err := r.invoke(ctx, true, func(ep *endpoint, mc *mconn, deadline time.Time) error {
-		breq := batchRequest{DeadlineMS: budgetMS(deadline), Calls: make([]batchCall, len(calls))}
-		spans := make([]*obs.SpanHandle, len(calls))
-		for j := range calls {
-			sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", "unit")
-			tid, sid := sp.Wire()
-			breq.TraceID = tid
-			breq.Calls[j] = batchCall{SpanID: sid, Descriptor: calls[j].D, Inputs: calls[j].Inputs}
-			spans[j] = sp
-		}
-		started := time.Now()
-		items, err := mc.batch(&breq, deadline, ctx.Done())
-		took := time.Since(started)
-		if r.BatchLat != nil {
-			r.BatchLat.ObserveErr(ep.addr, took, err != nil)
-		}
-		if err != nil {
-			for _, sp := range spans {
-				sp.EndErr(err)
-			}
-			return err
-		}
-		for j, resp := range items {
-			if r.CallLat != nil {
-				r.CallLat.ObserveErr(ep.addr, took, resp.Err != "")
-			}
-			spans[j].ImportRemote(resp.Spans)
-			out[j] = mvc.UnitResult{Bean: resp.Bean}
-			if resp.Err != "" {
-				// Application-level error: the container executed the
-				// item; re-running it elsewhere would give the same answer.
-				out[j] = mvc.UnitResult{Err: fmt.Errorf("ejb: remote: %s", resp.Err)}
-			}
-			spans[j].EndErr(out[j].Err)
-		}
-		return nil
-	})
-	if err != nil {
-		for i := range out {
-			out[i] = mvc.UnitResult{Err: err}
+	items := make([]batchCall, len(calls))
+	for j, c := range calls {
+		items[j] = batchCall{Kind: kindUnit, Descriptor: c.D, Inputs: c.Inputs}
+	}
+	resps, err := r.send(ctx, true, items)
+	for j := range out {
+		switch {
+		case err != nil:
+			out[j].Err = err
+		case resps[j].Err != "":
+			out[j].Err = remoteErr(resps[j])
+		default:
+			out[j].Bean = resps[j].Bean
 		}
 	}
 	bsp.EndErr(err)
 	return out
+}
+
+// one runs a frame of one item: an operation, which is not idempotent,
+// or a page. An application error in the reply is the call's error.
+func (r *RemoteBusiness) one(ctx context.Context, idempotent bool, call batchCall) (*response, error) {
+	resps, err := r.send(ctx, idempotent, []batchCall{call})
+	if err != nil {
+		return nil, err
+	}
+	if err := remoteErr(resps[0]); err != nil {
+		return nil, err
+	}
+	return resps[0], nil
+}
+
+// send runs one request frame of items through the failover loop and
+// returns the reply frame's responses, one per item in item order, or
+// the transport error that failed the frame. Each item gets an ejb.call
+// span labeled with its kind; a frame of units also observes BatchLat.
+func (r *RemoteBusiness) send(ctx context.Context, idempotent bool, calls []batchCall) ([]*response, error) {
+	var items []*response
+	err := r.invoke(ctx, idempotent, func(ep *endpoint, mc *mconn, deadline time.Time) error {
+		breq := batchRequest{DeadlineMS: budgetMS(deadline), Calls: calls}
+		spans := make([]*obs.SpanHandle, 0, 8) // on the stack for most frames
+		for j := range calls {
+			sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", kindName(calls[j].Kind))
+			breq.TraceID, calls[j].SpanID = sp.Wire()
+			spans = append(spans, sp)
+		}
+		started := time.Now()
+		resps, err := mc.batch(&breq, deadline, ctx.Done())
+		took := time.Since(started)
+		if r.BatchLat != nil && calls[0].Kind == kindUnit {
+			r.BatchLat.ObserveErr(ep.addr, took, err != nil)
+		}
+		for j, sp := range spans {
+			if r.CallLat != nil {
+				r.CallLat.ObserveErr(ep.addr, took, err != nil || resps[j].Err != "")
+			}
+			if err != nil {
+				sp.EndErr(err)
+				continue
+			}
+			sp.ImportRemote(resps[j].Spans)
+			sp.EndErr(remoteErr(resps[j]))
+		}
+		items = resps
+		return err
+	})
+	return items, err
+}
+
+// remoteErr is an item's application-level error: the container executed
+// the item, so re-running it elsewhere would give the same answer.
+func remoteErr(resp *response) error {
+	if resp.Err == "" {
+		return nil
+	}
+	return fmt.Errorf("ejb: remote: %s", resp.Err)
 }
 
 // budgetMS is the wire form of the budget left until deadline: whole
@@ -358,48 +388,11 @@ type remotePages struct{ rb *RemoteBusiness }
 // ComputePage implements mvc.PageComputer remotely. Page computations
 // are idempotent reads and fail over like units.
 func (p remotePages) ComputePage(ctx context.Context, pageID string, params map[string]mvc.Value, formState map[string]*mvc.FormState) (*mvc.PageState, error) {
-	resp, err := p.rb.call(ctx, &request{Kind: "page", PageID: pageID, Inputs: params, FormState: formState})
+	resp, err := p.rb.one(ctx, true, batchCall{Kind: kindPage, PageID: pageID, Inputs: params, FormState: formState})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Page, nil
-}
-
-// call runs one operation or page invocation as a call frame.
-func (r *RemoteBusiness) call(ctx context.Context, req *request) (*response, error) {
-	var resp *response
-	var appErr error
-	err := r.invoke(ctx, req.Kind != "operation", func(ep *endpoint, mc *mconn, deadline time.Time) error {
-		sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", req.Kind)
-		req.TraceID, req.SpanID = sp.Wire()
-		req.DeadlineMS = budgetMS(deadline)
-		started := time.Now()
-		var err error
-		resp, err = mc.call(req, deadline, ctx.Done())
-		if r.CallLat != nil {
-			r.CallLat.ObserveErr(ep.addr, time.Since(started), err != nil)
-		}
-		if err != nil {
-			sp.EndErr(err)
-			return err
-		}
-		sp.ImportRemote(resp.Spans)
-		if resp.Err != "" {
-			// Application-level error: the container is healthy and
-			// already executed the call; failing over would just run it
-			// again for the same answer.
-			appErr = fmt.Errorf("ejb: remote: %s", resp.Err)
-		}
-		sp.EndErr(appErr)
-		return nil
-	})
-	if err == nil {
-		err = appErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // errNoEndpoints fails an invocation when there is no container to try.
@@ -410,15 +403,12 @@ var errNoEndpoints = errors.New("ejb: no container endpoints")
 // errors (an application error is part of the reply).
 type exchangeFunc func(ep *endpoint, mc *mconn, deadline time.Time) error
 
-// invoke routes one invocation, a level batch or a call alike: starting
+// invoke routes one invocation, one request frame: starting
 // from the round-robin cursor, it tries each endpoint whose breaker
 // admits it, failing over on transport errors until an endpoint answers
 // or all are exhausted. A non-idempotent invocation stops failing over
 // once its frame may have left the process.
 func (r *RemoteBusiness) invoke(ctx context.Context, idempotent bool, exchange exchangeFunc) error {
-	if r.latency > 0 {
-		time.Sleep(r.latency)
-	}
 	deadline, _ := ctx.Deadline() // zero: unbounded
 	eps := r.eps()
 	r.mu.Lock()

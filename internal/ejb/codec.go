@@ -780,34 +780,7 @@ func (r *rbuf) spans() []obs.Span {
 	return ss
 }
 
-// ---- request / response / batch ----
-
-func (w *wbuf) request(req *request) {
-	w.str(req.Kind)
-	w.unitPtr(req.Descriptor)
-	w.valueMap(req.Inputs)
-	w.str(req.PageID)
-	w.formStateMap(req.FormState)
-	w.varint(req.DeadlineMS)
-	w.uvarint(req.TraceID)
-	w.uvarint(req.SpanID)
-}
-
-func (r *rbuf) request() (*request, error) {
-	req := &request{}
-	req.Kind = r.str()
-	req.Descriptor = r.unitPtr()
-	req.Inputs = r.valueMap()
-	req.PageID = r.str()
-	req.FormState = r.formStateMap()
-	req.DeadlineMS = r.varint()
-	req.TraceID = r.uvarint()
-	req.SpanID = r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return req, nil
-}
+// ---- request and reply frames ----
 
 func (w *wbuf) response(resp *response) {
 	w.beanPtr(resp.Bean)
@@ -834,29 +807,42 @@ func (w *wbuf) batchRequest(b *batchRequest) {
 	w.varint(b.DeadlineMS)
 	w.uvarint(b.TraceID)
 	w.uvarint(uint64(len(b.Calls)))
-	for _, c := range b.Calls {
+	for i := range b.Calls {
+		c := &b.Calls[i]
+		w.byte(c.Kind)
 		w.uvarint(c.SpanID)
 		w.unitPtr(c.Descriptor)
 		w.valueMap(c.Inputs)
+		w.str(c.PageID)
+		w.formStateMap(c.FormState)
 	}
 }
 
-func (r *rbuf) batchRequest() (*batchRequest, error) {
-	b := &batchRequest{}
+func (r *rbuf) batchRequest() (batchRequest, error) {
+	var b batchRequest
 	b.DeadlineMS = r.varint()
 	b.TraceID = r.uvarint()
+	// An item is at least six bytes (its kind and five empty fields), so
+	// the slice a count buys stays within a small multiple of the frame.
 	n := r.count()
+	if n > r.remaining()/6 {
+		r.fail()
+	}
 	if r.err != nil {
-		return nil, r.err
+		return batchRequest{}, r.err
 	}
 	b.Calls = make([]batchCall, n)
 	for i := range b.Calls {
-		b.Calls[i].SpanID = r.uvarint()
-		b.Calls[i].Descriptor = r.unitPtr()
-		b.Calls[i].Inputs = r.valueMap()
+		c := &b.Calls[i]
+		c.Kind = r.byte()
+		c.SpanID = r.uvarint()
+		c.Descriptor = r.unitPtr()
+		c.Inputs = r.valueMap()
+		c.PageID = r.str()
+		c.FormState = r.formStateMap()
 	}
 	if r.err != nil {
-		return nil, r.err
+		return batchRequest{}, r.err
 	}
 	return b, nil
 }

@@ -49,8 +49,8 @@ type Container struct {
 	// side sojourn histogram.
 	queueLat *obs.HistogramVec
 
-	// Wire-v2 frame counters: frames read and written across all framed
-	// connections, plus frames currently being served.
+	// Frame counters: frames read and written across all connections,
+	// plus frames currently being served.
 	framesIn    atomic.Int64
 	framesOut   atomic.Int64
 	frameActive atomic.Int64
@@ -168,16 +168,31 @@ func (c *Container) serveConn(conn net.Conn) {
 	c.serveFramed(conn, br)
 }
 
-// serveFramed is the wire-v2 loop: every request frame is served by its
+// serveFramed is the frame loop: every request frame is served by its
 // own goroutine (the capacity gate in gated is the actual concurrency
 // limiter), so many frames progress concurrently on one connection, and
-// each is answered by one reply frame: an ftReply for a call, an
-// ftBatchReply for a batch once all its items are computed.
+// each is answered by one reply frame once all its items are computed.
+// A frame of any other type, or one that does not decode, drops the
+// connection.
 func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 	var wmu sync.Mutex
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	serve := func(id uint64, req *request, breq *batchRequest) {
+	for {
+		payload, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		c.framesIn.Add(1)
+		r := rbuf{b: payload}
+		if r.byte() != ftBatch {
+			return
+		}
+		id := r.uvarint()
+		breq, err := r.batchRequest()
+		if err != nil {
+			return
+		}
 		c.frameActive.Add(1)
 		wg.Add(1)
 		go func() {
@@ -185,15 +200,9 @@ func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 			defer c.frameActive.Add(-1)
 			w := getWbuf()
 			defer putWbuf(w)
-			if breq != nil {
-				w.byte(ftBatchReply)
-				w.uvarint(id)
-				w.batchReply(c.serveBatch(breq))
-			} else {
-				w.byte(ftReply)
-				w.uvarint(id)
-				w.response(c.serveOne(req))
-			}
+			w.byte(ftBatchReply)
+			w.uvarint(id)
+			w.batchReply(c.serveBatch(breq))
 			err := w.err
 			if err == nil {
 				wmu.Lock()
@@ -209,32 +218,6 @@ func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 			c.framesOut.Add(1)
 		}()
 	}
-	for {
-		payload, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		c.framesIn.Add(1)
-		r := rbuf{b: payload}
-		ft := r.byte()
-		id := r.uvarint()
-		switch ft {
-		case ftCall:
-			req, err := r.request()
-			if err != nil {
-				return // corrupt stream: drop the connection
-			}
-			serve(id, req, nil)
-		case ftBatch:
-			breq, err := r.batchRequest()
-			if err != nil {
-				return
-			}
-			serve(id, nil, breq)
-		default:
-			return // protocol violation: drop the connection
-		}
-	}
 }
 
 // callerContext is a frame's invocation context: bounded by the caller's
@@ -247,57 +230,75 @@ func callerContext(deadlineMS int64) (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
-// serveOne serves one call frame.
-func (c *Container) serveOne(req *request) *response {
-	ctx, cancel := callerContext(req.DeadlineMS)
-	defer cancel()
-	return c.invoke(ctx, req.TraceID, req.SpanID, req.Kind, func(ctx context.Context) *response {
-		return c.compute(ctx, req)
-	})
-}
-
-// serveBatch serves one level under the batch's one deadline. The items
-// run on min(len(items), capacity) goroutines, the first the serving
-// goroutine, each taking the next item index from a shared counter: a
-// level no wider than the capacity takes as long as its slowest unit,
-// and a frame of any width starts no more goroutines than the capacity
-// gate would let run. The responses are in call order.
-func (c *Container) serveBatch(breq *batchRequest) []*response {
+// serveBatch serves one request frame under its one deadline, each item
+// through invoke by its kind. The items run on min(len(items), capacity)
+// goroutines, the first the serving goroutine, each taking the next item
+// index from a shared counter: a level no wider than the capacity takes
+// as long as its slowest unit, and a frame of any width starts no more
+// goroutines than the capacity gate would let run. The responses are in
+// call order.
+func (c *Container) serveBatch(breq batchRequest) []*response {
 	ctx, cancel := callerContext(breq.DeadlineMS)
 	defer cancel()
-	out := make([]*response, len(breq.Calls))
-	// What the workers share is one allocation.
-	var run struct {
-		next atomic.Int64
-		wg   sync.WaitGroup
-	}
-	work := func() {
-		defer run.wg.Done()
-		for {
-			i := int(run.next.Add(1)) - 1
-			if i >= len(out) {
-				return
-			}
-			call := &breq.Calls[i]
-			out[i] = c.invoke(ctx, breq.TraceID, call.SpanID, "unit", func(ctx context.Context) *response {
-				bean, err := c.business.ComputeUnit(ctx, call.Descriptor, call.Inputs)
-				if err != nil {
-					return &response{Err: err.Error()}
-				}
-				return &response{Bean: bean}
-			})
-		}
-	}
+	run := &batchRun{c: c, ctx: ctx, breq: breq, out: make([]*response, len(breq.Calls))}
 	c.mu.Lock()
-	workers := max(min(len(out), c.capacity), 1)
+	workers := max(min(len(run.out), c.capacity), 1)
 	c.mu.Unlock()
 	run.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
+	if workers > 1 {
+		work := run.work // one func value for every extra worker
+		for w := 1; w < workers; w++ {
+			go work()
+		}
 	}
-	work()
+	run.work()
 	run.wg.Wait()
-	return out
+	return run.out
+}
+
+// batchRun is what the workers of one frame share, in one allocation.
+type batchRun struct {
+	c    *Container
+	ctx  context.Context
+	breq batchRequest
+	out  []*response
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// work serves items until none is left, each by its kind.
+func (run *batchRun) work() {
+	defer run.wg.Done()
+	c := run.c
+	for {
+		i := int(run.next.Add(1)) - 1
+		if i >= len(run.out) {
+			return
+		}
+		call := &run.breq.Calls[i]
+		run.out[i] = c.invoke(run.ctx, run.breq.TraceID, call.SpanID, kindName(call.Kind), func(ctx context.Context) *response {
+			var resp response
+			var err error
+			switch call.Kind {
+			case kindUnit:
+				resp.Bean, err = c.business.ComputeUnit(ctx, call.Descriptor, call.Inputs)
+			case kindOperation:
+				resp.Op, err = c.business.ExecuteOperation(ctx, call.Descriptor, call.Inputs)
+			case kindPage:
+				if c.pages == nil {
+					err = errors.New("ejb: container has no deployed page service")
+				} else {
+					resp.Page, err = c.pages.ComputePage(ctx, call.PageID, call.Inputs, call.FormState)
+				}
+			default:
+				err = fmt.Errorf("ejb: unknown item kind %d", call.Kind)
+			}
+			if err != nil {
+				resp = response{Err: err.Error()}
+			}
+			return &resp
+		})
+	}
 }
 
 // invoke runs one component call under the capacity gate, recording its
@@ -386,30 +387,6 @@ func (c *Container) gated(ctx context.Context, kind string, run func(context.Con
 		c.cond.Signal()
 	}()
 	return run(ctx)
-}
-
-// compute runs a call frame's request: an operation or a page. Units
-// travel only in batch frames.
-func (c *Container) compute(ctx context.Context, req *request) *response {
-	switch req.Kind {
-	case "page":
-		if c.pages == nil {
-			return &response{Err: "ejb: container has no deployed page service"}
-		}
-		state, err := c.pages.ComputePage(ctx, req.PageID, req.Inputs, req.FormState)
-		if err != nil {
-			return &response{Err: err.Error()}
-		}
-		return &response{Page: state}
-	case "operation":
-		res, err := c.business.ExecuteOperation(ctx, req.Descriptor, req.Inputs)
-		if err != nil {
-			return &response{Err: err.Error()}
-		}
-		return &response{Op: res}
-	default:
-		return &response{Err: fmt.Sprintf("ejb: unknown request kind %q", req.Kind)}
-	}
 }
 
 // SetCapacity rescales the number of concurrently active component
@@ -520,11 +497,11 @@ func (c *Container) MetricsRegistry() *obs.Registry {
 	reg.Gauge("webml_container_queue_max", "High-water mark of the capacity-gate queue.", nil,
 		func() float64 { return float64(c.Metrics().MaxQueued) })
 	reg.RegisterVec(c.queueLat)
-	reg.Counter("webml_container_frames_in_total", "Wire-v2 frames read since start.", nil,
+	reg.Counter("webml_container_frames_in_total", "Wire frames read since start.", nil,
 		func() float64 { return float64(c.framesIn.Load()) })
-	reg.Counter("webml_container_frames_out_total", "Wire-v2 frames written since start.", nil,
+	reg.Counter("webml_container_frames_out_total", "Wire frames written since start.", nil,
 		func() float64 { return float64(c.framesOut.Load()) })
-	reg.Gauge("webml_container_inflight_frames", "Wire-v2 frames currently being served.", nil,
+	reg.Gauge("webml_container_inflight_frames", "Wire frames currently being served.", nil,
 		func() float64 { return float64(c.frameActive.Load()) })
 	reg.RegisterVec(c.invokeLat)
 	// The page service may be deployed after this registry is built, so

@@ -11,6 +11,7 @@ import (
 	"webmlgo/internal/codegen"
 	"webmlgo/internal/fixture"
 	"webmlgo/internal/mvc"
+	"webmlgo/internal/obs"
 	"webmlgo/internal/rdb"
 )
 
@@ -202,19 +203,6 @@ func TestLoadBalancingAcrossClones(t *testing.T) {
 	}
 }
 
-func TestLatencyInjection(t *testing.T) {
-	_, client, _, art := startApp(t, 4)
-	client.latency = 5 * time.Millisecond
-	d := art.Repo.Unit("volumeData")
-	start := time.Now()
-	if _, err := client.ComputeUnit(context.Background(), d, map[string]mvc.Value{"volume": int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("latency not injected: %v", elapsed)
-	}
-}
-
 func TestClosedContainerRefuses(t *testing.T) {
 	ctr, client, _, art := startApp(t, 4)
 	ctr.Close()
@@ -254,6 +242,49 @@ func TestRemotePageServiceWithoutDeploymentFails(t *testing.T) {
 	_, client, _, _ := startApp(t, 4)
 	if _, err := client.Pages().ComputePage(context.Background(), "volumePage", nil, nil); err == nil {
 		t.Fatal("undeployed page service accepted")
+	}
+}
+
+// TestOperationAndPageAreOneFrame: an operation and a page each cross as
+// one request frame and come back as one reply frame, traced as one
+// ejb.call span labeled with the kind and no ejb.batch span.
+func TestOperationAndPageAreOneFrame(t *testing.T) {
+	ctr, client, db, art := startApp(t, 4)
+	ctr.DeployPages(&mvc.PageService{Repo: art.Repo, Business: mvc.NewLocalBusiness(db)})
+	for _, tc := range []struct {
+		kind string
+		run  func(context.Context) error
+	}{
+		{"operation", func(ctx context.Context) error {
+			_, err := client.ExecuteOperation(ctx, art.Repo.Unit("createVolume"), map[string]mvc.Value{"title": "One Frame", "year": int64(2003)})
+			return err
+		}},
+		{"page", func(ctx context.Context) error {
+			_, err := client.Pages().ComputePage(ctx, "volumePage", map[string]mvc.Value{"volume": int64(1)}, nil)
+			return err
+		}},
+	} {
+		tr := obs.NewRemoteTrace(1, 0)
+		sent0, recv0, _ := client.FrameStats()
+		if err := tc.run(obs.ContextWithTrace(context.Background(), tr, 0)); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		sent, recv, inflight := client.FrameStats()
+		if sent-sent0 != 1 || recv-recv0 != 1 || inflight != 0 {
+			t.Errorf("%s cost %d frames sent, %d received, %d in flight; want 1, 1, 0", tc.kind, sent-sent0, recv-recv0, inflight)
+		}
+		var calls []obs.Span
+		for _, sp := range tr.Spans() {
+			switch sp.Name {
+			case "ejb.call":
+				calls = append(calls, sp)
+			case "ejb.batch":
+				t.Errorf("%s traced an ejb.batch span: %+v", tc.kind, sp)
+			}
+		}
+		if len(calls) != 1 || !reflect.DeepEqual(calls[0].Labels[2:], []string{"kind", tc.kind}) || calls[0].Err != "" {
+			t.Errorf("%s: ejb.call spans = %+v, want one labeled kind=%s", tc.kind, calls, tc.kind)
+		}
 	}
 }
 

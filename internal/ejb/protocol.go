@@ -5,9 +5,10 @@
 // of active service instances adapts at runtime — the two limitations of
 // servlet-container-local services that Section 4 calls out.
 //
-// One wire protocol is spoken: wire v2 (wire.go, codec.go), a framed,
-// multiplexed binary protocol over TCP opened by a handshake magic. A
-// peer that does not complete the handshake is disconnected.
+// One wire protocol is spoken (wire.go, codec.go): a framed, multiplexed
+// binary protocol over TCP opened by a handshake magic, with one request
+// frame and one reply frame. A peer that does not complete the handshake
+// is disconnected.
 package ejb
 
 import (
@@ -16,30 +17,19 @@ import (
 	"webmlgo/internal/obs"
 )
 
-// request is one remote invocation.
-type request struct {
-	// Kind is "operation" or "page": units travel only in batch frames.
-	Kind string
-	// Descriptor carries the unit descriptor (the component is generic;
-	// the descriptor makes it concrete, exactly as in Figure 5). Unused
-	// for page requests.
-	Descriptor *descriptor.Unit
-	// Inputs are the call parameters.
-	Inputs map[string]mvc.Value
-	// PageID and FormState parameterize page requests (the "Page EJBs"
-	// of Figure 6: the whole computePage runs server-side).
-	PageID    string
-	FormState map[string]*mvc.FormState
-	// DeadlineMS is the caller's remaining request budget in
-	// milliseconds (0 = none). The container derives its invocation
-	// context from it, so a deadline set in the servlet tier bounds work
-	// in the application server too — the budget crosses the tier
-	// boundary with the call.
-	DeadlineMS int64
-	// TraceID and SpanID propagate the caller's trace across the tier
-	// boundary (0 = untraced).
-	TraceID uint64
-	SpanID  uint64
+// Item kinds: what one item of a request frame asks the container to run.
+const (
+	kindUnit      byte = iota // ComputeUnit(Descriptor, Inputs)
+	kindOperation             // ExecuteOperation(Descriptor, Inputs)
+	kindPage                  // the deployed page service: PageID, Inputs, FormState
+)
+
+// kindName is an item kind's span and metric label.
+func kindName(k byte) string {
+	if names := [...]string{"unit", "operation", "page"}; int(k) < len(names) {
+		return names[k]
+	}
+	return "unknown"
 }
 
 // response is the invocation result.
@@ -55,21 +45,34 @@ type response struct {
 	Spans []obs.Span
 }
 
-// batchCall is one unit computation inside a batch frame. Each item
-// carries its own span ID so the container collects a distinct remote
-// trace per item and ships it back in that item's response.
+// batchCall is one item of a request frame. Every item carries every
+// field, whatever its kind, so an item of a kind this build does not
+// know still decodes and gets its own error reply. Each item carries its
+// own span ID so the container collects a distinct remote trace per item
+// and ships it back in that item's response.
 type batchCall struct {
+	Kind       byte
 	SpanID     uint64
-	Descriptor *descriptor.Unit
+	Descriptor *descriptor.Unit // unit and operation items
 	Inputs     map[string]mvc.Value
+	// PageID and FormState parameterize page items (the "Page EJBs" of
+	// Figure 6: the whole computePage runs server-side).
+	PageID    string
+	FormState map[string]*mvc.FormState
 }
 
-// batchRequest is the body of an ftBatch frame: all remote unit
-// computations of one schedule level, submitted in a single round trip.
-// The container computes the calls concurrently under the batch's one
-// deadline and answers with one ftBatchReply frame.
+// batchRequest is the body of every request frame: a level of units, or
+// one operation, or one page, submitted in a single round trip. The
+// container runs the items concurrently under the frame's one deadline
+// and answers with one reply frame.
 type batchRequest struct {
+	// DeadlineMS is the caller's remaining request budget in
+	// milliseconds (0 = none). The container derives its invocation
+	// context from it, so a deadline set in the servlet tier bounds work
+	// in the application server too.
 	DeadlineMS int64
-	TraceID    uint64
-	Calls      []batchCall
+	// TraceID propagates the caller's trace across the tier boundary
+	// (0 = untraced); each item's SpanID parents its remote spans.
+	TraceID uint64
+	Calls   []batchCall
 }

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// Wire protocol v2: framed, multiplexed binary exchange.
+// The wire protocol: framed, multiplexed binary exchange.
 //
 // Handshake: the client opens with the 6-byte magic
 //
@@ -21,9 +21,9 @@ import (
 // and the container echoes the same form back with its own version.
 // Both sides bound the exchange by handshakeTimeout, and either side
 // closes the connection on anything but the magic followed by its own
-// version (5 since units travel only in batch frames: a build of another
-// version fails the handshake, it is never decoded): there is no other
-// protocol to fall back to.
+// version (6 since every invocation travels as one request frame of
+// kinded items: a build of another version fails the handshake, it is
+// never decoded): there is no other protocol to fall back to.
 //
 // Frames (both directions, after the handshake):
 //
@@ -31,16 +31,16 @@ import (
 //	payload = frameType byte | uvarint requestID | body
 //
 // Body encodings live in codec.go. Every request frame is answered by
-// exactly one reply frame. Many frames are in flight per connection: the
-// client write side is mutex-serialized, a demux goroutine routes
-// replies by request ID.
+// exactly one reply frame, and any other frame type drops the
+// connection. Many frames are in flight per connection: the client write
+// side is mutex-serialized, a demux goroutine routes replies by request
+// ID.
 const (
-	wireVersion = 5
+	wireVersion = 6
 
-	ftCall       byte = 1 // body: request (an operation or a page)
-	ftBatch      byte = 2 // body: batchRequest (a level of units)
-	ftReply      byte = 3 // body: response
-	ftBatchReply byte = 4 // body: batchReply
+	// Types 1 and 3 were wire version 5's single-call request and reply.
+	ftBatch      byte = 2 // body: batchRequest (a level of units, an operation or a page)
+	ftBatchReply byte = 4 // body: batchReply (one response per item)
 
 	// maxFrame bounds one frame's payload; larger lengths mean a
 	// corrupt or hostile stream.
@@ -69,10 +69,10 @@ func isHandshake(b []byte) bool {
 		b[2] == hsMagic[2] && b[3] == hsMagic[3] && b[4] == hsMagic[4] && b[5] == wireVersion
 }
 
-// errHandshake reports that the far side did not complete the wire-v2
+// errHandshake reports that the far side did not complete the
 // handshake (connection dropped, silence past handshakeTimeout, or a
 // non-magic ack) — a transport failure of the endpoint.
-var errHandshake = errors.New("ejb: wire v2 handshake failed")
+var errHandshake = errors.New("ejb: wire handshake failed")
 
 // errConnClosed is the transport error surfaced to calls whose
 // connection died (fails all in-flight frames).
@@ -100,13 +100,6 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 		}
 		buf = append(buf, make([]byte, min(n-uint64(got), uint64(got)))...)
 	}
-}
-
-// demuxMsg is one routed reply frame: resp for an ftReply, items for an
-// ftBatchReply (one response per batch item, in call order).
-type demuxMsg struct {
-	resp  *response
-	items []*response
 }
 
 // wireStats aggregates frame counters across an endpoint set (owned by
@@ -141,13 +134,13 @@ type mconn struct {
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint64]chan demuxMsg
+	pending map[uint64]chan []*response
 	nextID  uint64
 	dead    bool
 	deadErr error
 }
 
-// framedDial opens a wire-v2 connection: TCP dial, handshake, demux
+// framedDial opens a connection: TCP dial, handshake, demux
 // goroutine. A peer that does not answer the handshake returns an error
 // wrapping errHandshake, with the connection closed.
 func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (*mconn, error) {
@@ -177,7 +170,7 @@ func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (
 		c:       c,
 		gen:     gen,
 		stats:   stats,
-		pending: make(map[uint64]chan demuxMsg),
+		pending: make(map[uint64]chan []*response),
 	}
 	go m.readLoop()
 	return m, nil
@@ -195,29 +188,25 @@ func (m *mconn) readLoop() {
 		}
 		m.stats.recv()
 		r := rbuf{b: payload}
-		ft := r.byte()
-		id := r.uvarint()
-		var msg demuxMsg
-		switch ft {
-		case ftReply:
-			msg.resp, err = r.response()
-		case ftBatchReply:
-			msg.items, err = r.batchReply()
-		default:
+		ft, id := r.byte(), r.uvarint()
+		var items []*response
+		if ft == ftBatchReply {
+			items, err = r.batchReply()
+		} else {
 			err = fmt.Errorf("ejb: unexpected frame type %d", ft)
 		}
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		m.route(id, msg)
+		m.route(id, items)
 	}
 }
 
 // route delivers one reply. Channels hold the one reply they expect and
 // are only touched under the mutex, so sends never block and never race
 // fail's close.
-func (m *mconn) route(id uint64, msg demuxMsg) {
+func (m *mconn) route(id uint64, items []*response) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.pending[id]
@@ -225,11 +214,11 @@ func (m *mconn) route(id uint64, msg demuxMsg) {
 		return // abandoned call (e.g. context cancel); drop the late reply
 	}
 	delete(m.pending, id)
-	ch <- msg
+	ch <- items
 }
 
 // register allocates a request ID and the channel its reply arrives on.
-func (m *mconn) register() (uint64, chan demuxMsg, error) {
+func (m *mconn) register() (uint64, chan []*response, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {
@@ -237,7 +226,7 @@ func (m *mconn) register() (uint64, chan demuxMsg, error) {
 	}
 	m.nextID++
 	id := m.nextID
-	ch := make(chan demuxMsg, 1)
+	ch := make(chan []*response, 1)
 	m.pending[id] = ch
 	return id, ch, nil
 }
@@ -297,44 +286,23 @@ func (m *mconn) send(w *wbuf, deadline time.Time) error {
 	return nil
 }
 
-// call runs one request/response pair over the multiplexed connection.
-func (m *mconn) call(req *request, deadline time.Time, cancel <-chan struct{}) (*response, error) {
-	msg, err := m.exchange(ftCall, deadline, cancel, req.Kind, func(w *wbuf) { w.request(req) })
-	if err == nil && msg.resp == nil {
-		m.fail(errCodec)
-		err = fmt.Errorf("ejb: receive: %w", errCodec)
-	}
-	return msg.resp, err
-}
-
-// batch submits one level's unit computations as a single frame and
-// returns the one reply frame's responses, one per call in call order.
-// A reply of any other shape is errCodec and fails the connection.
-func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan struct{}) ([]*response, error) {
-	msg, err := m.exchange(ftBatch, deadline, cancel, "batch", func(w *wbuf) { w.batchRequest(breq) })
-	if err == nil && (msg.resp != nil || len(msg.items) != len(breq.Calls)) {
-		m.fail(errCodec)
-		err = fmt.Errorf("ejb: receive: %w", errCodec)
-	}
-	return msg.items, err
-}
-
-// exchange sends one request frame of type ft, its body written by body,
-// and waits for the one reply frame. A deadline expiry is a transport
+// batch sends one request frame and waits for the one reply frame, whose
+// responses are one per call, in call order; a reply of any other shape
+// is errCodec and fails the connection. A deadline expiry is a transport
 // failure: the connection cannot tell a hung container from a slow one,
 // so it is killed and every in-flight frame fails over — socket-deadline
 // semantics. deadline is the deadline of the context whose Done channel
 // is cancel, so cancel fires at that instant and no timer of its own is
-// needed; what names the awaited reply in the error.
-func (m *mconn) exchange(ft byte, deadline time.Time, cancel <-chan struct{}, what string, body func(*wbuf)) (demuxMsg, error) {
+// needed.
+func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan struct{}) ([]*response, error) {
 	id, ch, err := m.register()
 	if err != nil {
-		return demuxMsg{}, err
+		return nil, err
 	}
 	w := getWbuf()
-	w.byte(ft)
+	w.byte(ftBatch)
 	w.uvarint(id)
-	body(w)
+	w.batchRequest(breq)
 	err = w.err
 	if err == nil {
 		err = m.send(w, deadline)
@@ -342,24 +310,28 @@ func (m *mconn) exchange(ft byte, deadline time.Time, cancel <-chan struct{}, wh
 	putWbuf(w)
 	if err != nil {
 		m.fail(err)
-		return demuxMsg{}, fmt.Errorf("ejb: send: %w", err)
+		return nil, fmt.Errorf("ejb: send: %w", err)
 	}
 	select {
-	case msg, ok := <-ch:
+	case items, ok := <-ch:
 		if !ok {
-			return demuxMsg{}, fmt.Errorf("ejb: receive: %w", m.deadError())
+			return nil, fmt.Errorf("ejb: receive: %w", m.deadError())
 		}
-		return msg, nil
+		if len(items) != len(breq.Calls) {
+			m.fail(errCodec)
+			return nil, fmt.Errorf("ejb: receive: %w", errCodec)
+		}
+		return items, nil
 	case <-cancel:
 		// A context whose deadline drove the call is done from that
 		// instant on: the deadline semantic (transport failure) wins over
 		// a plain cancel.
 		if !deadline.IsZero() && time.Until(deadline) <= 0 {
 			m.fail(errConnClosed)
-			return demuxMsg{}, fmt.Errorf("ejb: receive: deadline exceeded awaiting %s", what)
+			return nil, errors.New("ejb: receive: deadline exceeded awaiting reply")
 		}
 		m.deregister(id)
-		return demuxMsg{}, fmt.Errorf("ejb: receive: %w", context.Canceled)
+		return nil, fmt.Errorf("ejb: receive: %w", context.Canceled)
 	}
 }
 

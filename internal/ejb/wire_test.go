@@ -27,52 +27,55 @@ import (
 
 // ---- codec round-trips ----
 
-// fullRequest populates every request field the codec carries, including
-// every dynamic value type the codec tags (nested maps and slices,
-// time.Time). Collections are non-empty or nil: the codec normalizes
-// empty collections to nil on decode.
-func fullRequest() *request {
-	return &request{
-		Kind: "operation",
-		Descriptor: &descriptor.Unit{
-			ID: "u1", Kind: "index", Entity: "Paper", Optimized: true,
-			Service: "custom.Svc", Query: "SELECT oid FROM paper WHERE a=?",
-			CountQuery: "SELECT COUNT(*) FROM paper", PageSize: 25,
-			Inputs:  []descriptor.ParamDef{{Name: "kw", Wildcard: true}, {Name: "oid"}},
-			Outputs: []descriptor.FieldDef{{Name: "Title", Column: "title"}},
-			Levels: []descriptor.Level{{Entity: "Issue", Query: "SELECT 1",
-				Outputs: []descriptor.FieldDef{{Name: "N", Column: "n"}}, Dep: "vol-iss"}},
-			Fields: []descriptor.FieldSpec{{Name: "q", Type: "TEXT", Required: true}},
-			Props:  []descriptor.Prop{{Name: "color", Value: "red"}},
-			Reads:  []string{"paper"}, Writes: []string{"paper", "issue"},
-			Cache: &descriptor.CachePolicy{Enabled: true, TTLSeconds: 30},
-		},
-		Inputs: map[string]mvc.Value{
-			"int":    int64(-42),
-			"float":  3.5,
-			"string": "x",
-			"bool":   true,
-			"nil":    nil,
-			"time":   time.Unix(1700000000, 123456789).UTC(),
-			"nested": map[string]interface{}{"k": int64(1), "deep": map[string]interface{}{"s": "v"}},
-			"list":   []interface{}{int64(1), "two", false},
-		},
-		PageID: "p1",
-		FormState: map[string]*mvc.FormState{
-			"e1":  {Values: map[string]mvc.Value{"q": "sticky"}, Errors: map[string]string{"q": "required"}},
-			"nil": nil,
-		},
+// fullRequest is a request frame body with an item of every kind: a
+// level of two units, an operation and a page. Together the items
+// populate every field the codec carries, including every dynamic value
+// type it tags (nested maps and slices, time.Time). Collections are
+// non-empty or nil: the codec normalizes empty collections to nil on
+// decode.
+func fullRequest() *batchRequest {
+	d := &descriptor.Unit{
+		ID: "u1", Kind: "index", Entity: "Paper", Optimized: true,
+		Service: "custom.Svc", Query: "SELECT oid FROM paper WHERE a=?",
+		CountQuery: "SELECT COUNT(*) FROM paper", PageSize: 25,
+		Inputs:  []descriptor.ParamDef{{Name: "kw", Wildcard: true}, {Name: "oid"}},
+		Outputs: []descriptor.FieldDef{{Name: "Title", Column: "title"}},
+		Levels: []descriptor.Level{{Entity: "Issue", Query: "SELECT 1",
+			Outputs: []descriptor.FieldDef{{Name: "N", Column: "n"}}, Dep: "vol-iss"}},
+		Fields: []descriptor.FieldSpec{{Name: "q", Type: "TEXT", Required: true}},
+		Props:  []descriptor.Prop{{Name: "color", Value: "red"}},
+		Reads:  []string{"paper"}, Writes: []string{"paper", "issue"},
+		Cache: &descriptor.CachePolicy{Enabled: true, TTLSeconds: 30},
+	}
+	return &batchRequest{
 		DeadlineMS: 1500,
 		TraceID:    7,
-		SpanID:     9,
+		Calls: []batchCall{
+			{Kind: kindUnit, SpanID: 9, Descriptor: d, Inputs: map[string]mvc.Value{
+				"int":    int64(-42),
+				"float":  3.5,
+				"string": "x",
+				"bool":   true,
+				"nil":    nil,
+				"time":   time.Unix(1700000000, 123456789).UTC(),
+				"nested": map[string]interface{}{"k": int64(1), "deep": map[string]interface{}{"s": "v"}},
+				"list":   []interface{}{int64(1), "two", false},
+			}},
+			{Kind: kindUnit, SpanID: 10, Descriptor: &descriptor.Unit{ID: "u2", Kind: "data"}},
+			{Kind: kindOperation, SpanID: 11, Descriptor: &descriptor.Unit{ID: "op", Kind: "modify"},
+				Inputs: map[string]mvc.Value{"oid": int64(3)}},
+			{Kind: kindPage, SpanID: 12, PageID: "p1", Inputs: map[string]mvc.Value{"volume": int64(1)},
+				FormState: map[string]*mvc.FormState{
+					"e1":  {Values: map[string]mvc.Value{"q": "sticky"}, Errors: map[string]string{"q": "required"}},
+					"nil": nil,
+				}},
+		},
 	}
 }
 
-// unitRequest is a call frame's body of kind "unit", which the container
-// refuses: units travel only in batch frames.
-func unitRequest() *request {
-	return &request{Kind: "unit", Descriptor: &descriptor.Unit{ID: "u", Kind: "data"},
-		Inputs: map[string]mvc.Value{"oid": int64(1)}, DeadlineMS: 50}
+// oneItem is a request frame body of the one item c.
+func oneItem(c batchCall) *batchRequest {
+	return &batchRequest{DeadlineMS: 50, Calls: []batchCall{c}}
 }
 
 func fullResponse() *response {
@@ -119,19 +122,19 @@ func cells(row ...mvc.Value) []cell.Cell {
 func TestCodecRequestRoundTrip(t *testing.T) {
 	req := fullRequest()
 	w := getWbuf()
-	w.request(req)
+	w.batchRequest(req)
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
 	r := rbuf{b: w.payload()}
-	got, err := r.request()
+	got, err := r.batchRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.remaining() != 0 {
 		t.Fatalf("%d trailing bytes after decode", r.remaining())
 	}
-	if !reflect.DeepEqual(got, req) {
+	if !reflect.DeepEqual(&got, req) {
 		t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, req)
 	}
 	putWbuf(w)
@@ -155,11 +158,15 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 	putWbuf(w)
 }
 
+// TestCodecBatchRequestRoundTrip: an item of a kind this build does not
+// know decodes whole, beside its peers, so the container can answer it
+// with its own error reply.
 func TestCodecBatchRequestRoundTrip(t *testing.T) {
 	breq := &batchRequest{
 		DeadlineMS: 900, TraceID: 5,
 		Calls: []batchCall{
-			{SpanID: 11, Descriptor: fullRequest().Descriptor, Inputs: map[string]mvc.Value{"a": int64(1)}},
+			{Kind: 9, SpanID: 11, Descriptor: fullRequest().Calls[0].Descriptor, Inputs: map[string]mvc.Value{"a": int64(1)},
+				PageID: "p", FormState: map[string]*mvc.FormState{"f": nil}},
 			{SpanID: 12, Descriptor: &descriptor.Unit{ID: "u2", Kind: "data"}},
 		},
 	}
@@ -173,7 +180,7 @@ func TestCodecBatchRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, breq) {
+	if !reflect.DeepEqual(&got, breq) {
 		t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, breq)
 	}
 	putWbuf(w)
@@ -193,54 +200,75 @@ func TestCodecRejectsUnknownValueType(t *testing.T) {
 // decode to an error, never to a silent partial request.
 func TestCodecTruncatedInputFails(t *testing.T) {
 	w := getWbuf()
-	w.request(fullRequest())
+	w.batchRequest(fullRequest())
 	full := append([]byte(nil), w.payload()...)
 	putWbuf(w)
 	for n := 0; n < len(full); n++ {
 		r := rbuf{b: full[:n]}
-		if _, err := r.request(); err == nil {
+		if _, err := r.batchRequest(); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", n, len(full))
 		}
 	}
 }
 
-// FuzzCodecRequest feeds arbitrary bytes to the request decoder (it must
-// never panic or over-allocate) and, when they decode, checks the
-// byte-level fixpoint encode(decode(encode(x))) == encode(x). The
-// comparison is on encodings, not structs: a non-canonical wire time can
-// decode to a time.Location that is semantically identical but not
-// structurally DeepEqual to its re-decoded self.
+// TestCodecRequestCountIsBoundedByBytes: a request body whose item count
+// its bytes cannot hold is refused before the items are allocated.
+func TestCodecRequestCountIsBoundedByBytes(t *testing.T) {
+	const items = 1 << 20
+	body := append([]byte{0, 0, 0x80, 0x80, 0x40}, make([]byte, items)...) // count 1<<20, zero bytes
+	var err error
+	spent := allocatedBy(func() {
+		r := rbuf{b: body}
+		_, err = r.batchRequest()
+	})
+	if !errors.Is(err, errCodec) {
+		t.Fatalf("err = %v, want errCodec", err)
+	}
+	if spent >= 1<<20 {
+		t.Fatalf("refusing a %d-byte body allocated %d bytes", len(body), spent)
+	}
+}
+
+// FuzzCodecRequest feeds arbitrary bytes to the request frame body's
+// decoder (it must never panic or over-allocate) and, when they decode,
+// checks the byte-level fixpoint encode(decode(encode(x))) == encode(x).
+// The comparison is on encodings, not structs: a non-canonical wire time
+// can decode to a time.Location that is semantically identical but not
+// structurally DeepEqual to its re-decoded self. The committed corpus
+// holds a frame of each kind and items of kinds no build knows.
 func FuzzCodecRequest(f *testing.F) {
-	w := getWbuf()
-	w.request(fullRequest())
-	f.Add(append([]byte(nil), w.payload()...))
-	putWbuf(w)
-	w = getWbuf()
-	w.request(unitRequest())
-	f.Add(append([]byte(nil), w.payload()...))
-	putWbuf(w)
+	for _, req := range []*batchRequest{
+		fullRequest(),
+		oneItem(batchCall{Kind: kindOperation, Descriptor: &descriptor.Unit{ID: "op", Kind: "create"}}),
+		oneItem(batchCall{Kind: kindPage, PageID: "p1"}),
+	} {
+		w := getWbuf()
+		w.batchRequest(req)
+		f.Add(append([]byte(nil), w.payload()...))
+		putWbuf(w)
+	}
 	f.Add([]byte{})
-	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := rbuf{b: data}
-		req, err := r.request()
+		req, err := r.batchRequest()
 		if err != nil {
 			return
 		}
 		w := getWbuf()
-		w.request(req)
+		w.batchRequest(&req)
 		if w.err != nil {
 			t.Fatalf("decoded request failed to re-encode: %v", w.err)
 		}
 		enc1 := append([]byte(nil), w.payload()...)
 		putWbuf(w)
 		r2 := rbuf{b: enc1}
-		req2, err := r2.request()
+		req2, err := r2.batchRequest()
 		if err != nil {
 			t.Fatalf("re-encoded request failed to decode: %v", err)
 		}
 		w2 := getWbuf()
-		w2.request(req2)
+		w2.batchRequest(&req2)
 		if w2.err != nil {
 			t.Fatalf("second re-encode failed: %v", w2.err)
 		}
@@ -294,15 +322,13 @@ func TestCodecMalformedNodeLists(t *testing.T) {
 	}
 }
 
-// TestGoldenResponseFrame pins the wire: testdata/golden_response_frame.hex
-// is the reply frame the commit before bean rows became cells (9e488c5,
-// boxed []Value rows) wrote for fullResponse(). Encoding must reproduce
-// it byte for byte under the current wireVersion (version 4 changed the
-// batch reply, not a single call's; version 5 moved units into batch
-// frames and changed no encoding), and decoding it must give
-// fullResponse() back.
-func TestGoldenResponseFrame(t *testing.T) {
-	text, err := os.ReadFile("testdata/golden_response_frame.hex")
+// goldenFrame reads a committed frame, checks that this build encodes
+// the same bytes, and returns the frame's body past its type and
+// request ID 1. A new wireVersion needs new golden frames, not edited
+// ones.
+func goldenFrame(t *testing.T, file string, ft byte, body func(*wbuf)) rbuf {
+	t.Helper()
+	text, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,22 +336,46 @@ func TestGoldenResponseFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireVersion != 5 {
+	if wireVersion != 6 {
 		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
 	}
-	if got := frameOf(ftReply, 1, func(w *wbuf) { w.response(fullResponse()) }); !bytes.Equal(got, golden) {
-		t.Fatalf("reply frame changed:\n got %x\nwant %x", got, golden)
+	if got := frameOf(ft, 1, body); !bytes.Equal(got, golden) {
+		t.Fatalf("%s changed:\n got %x\nwant %x", file, got, golden)
 	}
 	payload, err := readFrame(bufio.NewReader(bytes.NewReader(golden)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rbuf{b: payload}
-	if ft, id := r.byte(), r.uvarint(); ft != ftReply || id != 1 {
-		t.Fatalf("frame type %d id %d", ft, id)
+	if got, id := r.byte(), r.uvarint(); got != ft || id != 1 {
+		t.Fatalf("frame type %d id %d", got, id)
 	}
-	if resp, err := r.response(); err != nil || !reflect.DeepEqual(resp, fullResponse()) {
-		t.Fatalf("golden frame decoded to %+v (err %v)", resp, err)
+	return r
+}
+
+// TestGoldenResponseFrame pins the response encoding:
+// testdata/golden_response_reply_frame.hex is the reply frame wire
+// version 6 wrote for the one item fullResponse() (bean, operation
+// result, page state, error and spans). Its item body is the response
+// the single-call reply of version 5 carried, byte for byte. Decoding it
+// must give fullResponse() back.
+func TestGoldenResponseFrame(t *testing.T) {
+	r := goldenFrame(t, "testdata/golden_response_reply_frame.hex", ftBatchReply,
+		func(w *wbuf) { w.batchReply([]*response{fullResponse()}) })
+	if items, err := r.batchReply(); err != nil || len(items) != 1 || !reflect.DeepEqual(items[0], fullResponse()) {
+		t.Fatalf("golden frame decoded to %+v (err %v)", items, err)
+	}
+}
+
+// TestGoldenRequestFrame pins the request frame:
+// testdata/golden_request_frame.hex is the frame wire version 6 wrote
+// for fullRequest(), a unit level, an operation and a page in one
+// frame. Decoding it must give fullRequest() back.
+func TestGoldenRequestFrame(t *testing.T) {
+	r := goldenFrame(t, "testdata/golden_request_frame.hex", ftBatch,
+		func(w *wbuf) { w.batchRequest(fullRequest()) })
+	if req, err := r.batchRequest(); err != nil || r.remaining() != 0 || !reflect.DeepEqual(&req, fullRequest()) {
+		t.Fatalf("golden frame decoded to %+v (err %v)", req, err)
 	}
 }
 
@@ -397,32 +447,12 @@ func twoItemReply() []*response {
 
 // TestGoldenBatchReplyFrame pins the batch reply:
 // testdata/golden_batch_reply_frame.hex is the frame wire version 4 wrote
-// for twoItemReply(); version 5 changed no encoding. Encoding must
-// reproduce it byte for byte, and decoding it must give twoItemReply()
-// back.
+// for twoItemReply(); versions 5 and 6 changed no reply encoding.
+// Encoding must reproduce it byte for byte, and decoding it must give
+// twoItemReply() back.
 func TestGoldenBatchReplyFrame(t *testing.T) {
-	text, err := os.ReadFile("testdata/golden_batch_reply_frame.hex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := hex.DecodeString(strings.TrimSpace(string(text)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wireVersion != 5 {
-		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
-	}
-	if got := frameOf(ftBatchReply, 1, func(w *wbuf) { w.batchReply(twoItemReply()) }); !bytes.Equal(got, golden) {
-		t.Fatalf("batch reply frame changed:\n got %x\nwant %x", got, golden)
-	}
-	payload, err := readFrame(bufio.NewReader(bytes.NewReader(golden)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rbuf{b: payload}
-	if ft, id := r.byte(), r.uvarint(); ft != ftBatchReply || id != 1 {
-		t.Fatalf("frame type %d id %d", ft, id)
-	}
+	r := goldenFrame(t, "testdata/golden_batch_reply_frame.hex", ftBatchReply,
+		func(w *wbuf) { w.batchReply(twoItemReply()) })
 	if items, err := r.batchReply(); err != nil || !reflect.DeepEqual(items, twoItemReply()) {
 		t.Fatalf("golden frame decoded to %+v (err %v)", items, err)
 	}
@@ -578,7 +608,7 @@ func shortHandshake(t *testing.T) {
 }
 
 // TestWireFramedStrictRejectsLegacyPeer: a peer that does not complete
-// the v2 handshake — it hangs up, stays silent, or acks with something
+// the handshake — it hangs up, stays silent, or acks with something
 // else — is a call error matching errHandshake that counts against the
 // endpoint's breaker after exactly one dial (no redial as another
 // protocol), and an idempotent call fails over past it.
@@ -598,6 +628,13 @@ func TestWireFramedStrictRejectsLegacyPeer(t *testing.T) {
 			var hs [6]byte
 			io.ReadFull(c, hs[:])           //nolint:errcheck
 			c.Write([]byte("\x05WRF2\x02")) //nolint:errcheck
+			io.Copy(io.Discard, c)          //nolint:errcheck
+		},
+		// the build with a single-call frame beside the batch frame
+		"version 5": func(c net.Conn) {
+			var hs [6]byte
+			io.ReadFull(c, hs[:])           //nolint:errcheck
+			c.Write([]byte("\x05WRF2\x05")) //nolint:errcheck
 			io.Copy(io.Discard, c)          //nolint:errcheck
 		},
 	}
@@ -734,21 +771,23 @@ func frameOf(ft byte, id uint64, body func(w *wbuf)) []byte {
 // Whatever arrives, the container must not panic, and once the peer
 // hangs up the handler returns with the connection closed.
 func FuzzServeFramed(f *testing.F) {
-	call := frameOf(ftCall, 1, func(w *wbuf) { w.request(fullRequest()) })
-	f.Add(frameOf(ftCall, 6, func(w *wbuf) { w.request(unitRequest()) }))
+	op := frameOf(ftBatch, 1, func(w *wbuf) {
+		w.batchRequest(oneItem(batchCall{Kind: kindOperation, Descriptor: &descriptor.Unit{ID: "op", Kind: "create"}}))
+	})
+	f.Add(frameOf(ftBatch, 6, func(w *wbuf) { w.batchRequest(oneItem(batchCall{Kind: 3})) }))
 	batch := frameOf(ftBatch, 2, func(w *wbuf) {
 		w.batchRequest(&batchRequest{DeadlineMS: 50, Calls: []batchCall{
 			{SpanID: 1, Descriptor: &descriptor.Unit{ID: "a", Kind: "data"}},
 			{SpanID: 2, Descriptor: &descriptor.Unit{ID: "b", Kind: "data"}},
 		}})
 	})
-	f.Add(call)
-	f.Add(append(append([]byte(nil), batch...), call...))
-	f.Add(call[:len(call)/2])
-	f.Add(frameOf(ftReply, 3, func(w *wbuf) { w.response(fullResponse()) }))
+	f.Add(op)
+	f.Add(append(append([]byte(nil), batch...), op...))
+	f.Add(op[:len(op)/2])
+	f.Add(frameOf(ftBatch, 3, func(w *wbuf) { w.batchRequest(fullRequest()) }))
 	f.Add(frameOf(ftBatchReply, 5, func(w *wbuf) { w.batchReply(twoItemReply()) }))
 	f.Add(frameOf(9, 4, func(w *wbuf) {}))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, ftCall})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, ftBatch})
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctr := NewContainer(echoBusiness(), 4)
@@ -810,8 +849,9 @@ func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	return c, br
 }
 
-// TestContainerRefusesUnitCallFrame: units travel only in batch frames,
-// so a call frame of kind "unit" is answered with the unknown-kind error
+// TestContainerRefusesUnitCallFrame: every invocation travels in the one
+// request frame, so a frame of type 1 (wire version 5's single call,
+// here carrying a unit) or of type 3 (its reply) drops the connection
 // and computes nothing.
 func TestContainerRefusesUnitCallFrame(t *testing.T) {
 	var computed atomic.Int64
@@ -824,28 +864,23 @@ func TestContainerRefusesUnitCallFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctr.Close()
-	c, br := rawConn(t, addr)
-	req := &request{Kind: "unit", Descriptor: &descriptor.Unit{ID: "u", Kind: "data"}}
-	if _, err := c.Write(frameOf(ftCall, 7, func(w *wbuf) { w.request(req) })); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rbuf{b: payload}
-	if ft, id := r.byte(), r.uvarint(); ft != ftReply || id != 7 {
-		t.Fatalf("frame type %d id %d, want a reply to 7", ft, id)
-	}
-	resp, err := r.response()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `ejb: unknown request kind "unit"`; resp.Err != want || resp.Bean != nil {
-		t.Fatalf("reply = %+v, want error %q", resp, want)
+	for _, ft := range []byte{1, 3} {
+		c, br := rawConn(t, addr)
+		frame := frameOf(ft, 7, func(w *wbuf) {
+			w.batchRequest(oneItem(batchCall{Kind: kindUnit, Descriptor: &descriptor.Unit{ID: "u", Kind: "data"}}))
+		})
+		if _, err := c.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		payload, err := readFrame(br)
+		var ne net.Error
+		if err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("frame type %d answered with % x (err %v), want the connection dropped", ft, payload, err)
+		}
 	}
 	if n := computed.Load(); n != 0 {
-		t.Fatalf("unit call frame computed %d units", n)
+		t.Fatalf("refused frames computed %d units", n)
 	}
 }
 
@@ -1303,7 +1338,7 @@ func TestManyInFlightOnOneConn(t *testing.T) {
 
 // ---- benchmarks ----
 
-func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descriptor.Unit) {
+func benchClient(b *testing.B) (*RemoteBusiness, *descriptor.Unit) {
 	b.Helper()
 	ctr := NewContainer(&funcBusiness{
 		compute: func(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
@@ -1321,13 +1356,12 @@ func benchClient(b *testing.B, latency time.Duration) (*RemoteBusiness, *descrip
 		b.Fatal(err)
 	}
 	b.Cleanup(client.Close)
-	client.latency = latency
 	return client, &descriptor.Unit{ID: "u", Kind: "data",
 		Outputs: []descriptor.FieldDef{{Name: "Title", Column: "title"}}}
 }
 
 func BenchmarkRemoteUnitFramed(b *testing.B) {
-	client, d := benchClient(b, 0)
+	client, d := benchClient(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1340,7 +1374,7 @@ func BenchmarkRemoteUnitFramed(b *testing.B) {
 // BenchmarkRemoteLevelFramedBatch runs one 8-unit level per iteration,
 // the E10 shape.
 func BenchmarkRemoteLevelFramedBatch(b *testing.B) {
-	client, d := benchClient(b, 0)
+	client, d := benchClient(b)
 	ctx := context.Background()
 	calls := make([]mvc.UnitCall, 8)
 	for i := range calls {

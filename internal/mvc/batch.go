@@ -28,7 +28,7 @@ type UnitResult struct {
 // BatchComputer is the optional batch interface of the business tier:
 // the page scheduler submits all unit computations of one topological
 // level in a single call, so a remote business tier can turn N round
-// trips per level into one batch frame (wire protocol v2).
+// trips per level into one request frame of the framed wire.
 //
 // SupportsUnitBatch must report whether batching actually reaches a
 // batching transport below — decorators delegate the answer to their

@@ -5,14 +5,21 @@ package rdb
 // Descriptor-driven workloads present a closed set of query shapes, so
 // in steady state everything hits; the bound exists so ad-hoc or fuzzed
 // SQL cannot grow memory without limit. Entries link themselves into a
-// recency ring, so an insert is one allocation — none once the cache is
-// full, when the least recently used entry is recycled. A capacity of
-// zero or less never fills. Callers provide their own locking.
+// recency ring. A new key takes an entry remove let go, else one cut
+// from a chunk of up to lruChunk entries, so the chunks follow the live
+// high-water mark and most inserts allocate no entry; once the cache is
+// full the least recently used entry is recycled. A capacity of zero or
+// less never fills. Callers provide their own locking.
 type lruCache[K comparable, V any] struct {
-	cap  int
-	head lruEntry[K, V] // ring sentinel: head.next is the most recently used
-	m    map[K]*lruEntry[K, V]
+	cap     int
+	head    lruEntry[K, V] // ring sentinel: head.next is the most recently used
+	m       map[K]*lruEntry[K, V]
+	free    *lruEntry[K, V] // entries remove let go, chained through next
+	entries slab[lruEntry[K, V]]
 }
+
+// lruChunk is the most entries one chunk holds.
+const lruChunk = 64
 
 type lruEntry[K comparable, V any] struct {
 	key        K
@@ -56,8 +63,10 @@ func (c *lruCache[K, V]) put(key K, val V) (dropped bool) {
 		e.unlink()
 		delete(c.m, e.key)
 		dropped = true
+	case c.free != nil:
+		e, c.free = c.free, c.free.next
 	default:
-		e = new(lruEntry[K, V])
+		e = &c.entries.cutUpTo(1, lruChunk)[0]
 	}
 	e.key, e.val = key, val
 	c.m[key] = e
@@ -69,6 +78,8 @@ func (c *lruCache[K, V]) remove(key K) {
 	if e, ok := c.m[key]; ok {
 		e.unlink()
 		delete(c.m, key)
+		*e = lruEntry[K, V]{next: c.free} // drop what the value holds
+		c.free = e
 	}
 }
 

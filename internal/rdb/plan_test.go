@@ -321,6 +321,34 @@ func TestStmtCacheLRUBound(t *testing.T) {
 	}
 }
 
+// TestLRURemoveThenPutReusesEntries: keys removed and then replaced by
+// as many new keys cut no new chunk, and a removed entry no longer holds
+// its value.
+func TestLRURemoveThenPutReusesEntries(t *testing.T) {
+	c := newLRU[int, *int](0)
+	for k := 0; k < 1000; k++ {
+		c.put(k, new(int))
+	}
+	left := len(c.entries.free)
+	for round := 1; round <= 10; round++ {
+		for k := 0; k < 500; k++ {
+			c.remove(round*1000 - 1000 + k)
+		}
+		for e := c.free; e != nil; e = e.next {
+			if e.val != nil {
+				t.Fatal("a removed entry still holds its value")
+			}
+		}
+		for k := 0; k < 500; k++ {
+			c.put(round*1000+k, new(int))
+		}
+		if c.free != nil || len(c.entries.free) != left || c.len() != 1000 {
+			t.Fatalf("round %d: %d live entries, %d left in the chunk (was %d), free list empty %v",
+				round, c.len(), len(c.entries.free), left, c.free == nil)
+		}
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := newLRU[string, int](2)
 	c.put("a", 1)

@@ -234,9 +234,9 @@ func (a *App) buildRegistry() *obs.Registry {
 		reg.RegisterVec(a.Remote.BatchLat)
 		reg.Register(func(e *obs.Exposition) {
 			sent, recv, inflight := a.Remote.FrameStats()
-			e.Counter("webml_ejb_frames_sent_total", "Wire-v2 frames sent to containers.", nil, float64(sent))
-			e.Counter("webml_ejb_frames_recv_total", "Wire-v2 frames received from containers.", nil, float64(recv))
-			e.Gauge("webml_ejb_inflight_frames", "Wire-v2 frames awaiting their reply.", nil, float64(inflight))
+			e.Counter("webml_ejb_frames_sent_total", "Request frames sent to containers.", nil, float64(sent))
+			e.Counter("webml_ejb_frames_recv_total", "Reply frames received from containers.", nil, float64(recv))
+			e.Gauge("webml_ejb_inflight_frames", "Request frames awaiting their reply.", nil, float64(inflight))
 		})
 		reg.Register(func(e *obs.Exposition) {
 			for _, ep := range a.Remote.Health() {
