@@ -265,6 +265,40 @@ func TestAllocSlopeCodec(t *testing.T) {
 // response, not a frame, a reply buffer, a deadline or a request of its
 // own.
 func TestAllocSlopeBatchItems(t *testing.T) {
+	slope := batchItemsSlope(t, &descriptor.Unit{ID: "b", Kind: "index"})
+	// 5.0 per extra unit today; a reply frame, a deadline and a request
+	// of its own per unit cost 15.0, a response and a decoded descriptor
+	// per unit 8.0.
+	if slope > 6 {
+		t.Fatalf("a level allocates %.2f per extra unit, want <= 6", slope)
+	}
+	t.Logf("level over loopback: %.3f allocs per extra unit", slope)
+}
+
+// TestAllocSlopeBatchItemsDescriptor sends TestAllocSlopeBatchItems's
+// levels with a descriptor of a generated index unit: the container
+// decodes each descriptor once, so an extra unit costs what it costs
+// with a descriptor of two fields. Decoded per item, the descriptor's
+// struct, slices and cache policy cost 4 more.
+func TestAllocSlopeBatchItemsDescriptor(t *testing.T) {
+	small := batchItemsSlope(t, &descriptor.Unit{ID: "b", Kind: "index"})
+	large := batchItemsSlope(t, &descriptor.Unit{ID: "b", Kind: "index", Entity: "paper",
+		Query:   "SELECT oid, title, year FROM paper WHERE issue_oid = ? ORDER BY title",
+		Inputs:  []descriptor.ParamDef{{Name: "issue"}},
+		Outputs: []descriptor.FieldDef{{Name: "oid", Column: "oid"}, {Name: "Title", Column: "title"}, {Name: "Year", Column: "year"}},
+		Reads:   []string{"entity:paper", "rel:issue-paper"},
+		Cache:   &descriptor.CachePolicy{Enabled: true, TTLSeconds: 60},
+	})
+	if large > small+0.5 {
+		t.Fatalf("a level of generated descriptors allocates %.2f per extra unit, of two-field ones %.2f: want within 0.5", large, small)
+	}
+	t.Logf("per extra unit: %.3f allocs with a generated descriptor, %.3f with two fields", large, small)
+}
+
+// batchItemsSlope is the allocations an extra unit of a level costs over
+// loopback, every unit of the level carrying a copy of d.
+func batchItemsSlope(t *testing.T, d *descriptor.Unit) float64 {
+	t.Helper()
 	ctr := ejb.NewContainer(cannedBeans{"b": rowsBean(1)}, 256)
 	addr, err := ctr.Serve("127.0.0.1:0")
 	if err != nil {
@@ -276,10 +310,11 @@ func TestAllocSlopeBatchItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	slope := allocSlope(t, func(units int) func() {
+	return allocSlope(t, func(units int) func() {
 		calls := make([]mvc.UnitCall, units)
 		for i := range calls {
-			calls[i] = mvc.UnitCall{D: &descriptor.Unit{ID: "b", Kind: "index"}}
+			dc := *d
+			calls[i] = mvc.UnitCall{D: &dc}
 		}
 		return func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -291,12 +326,42 @@ func TestAllocSlopeBatchItems(t *testing.T) {
 			}
 		}
 	})
-	// 9.0 per extra unit today; a reply frame, a deadline and a request
-	// of its own per unit cost 15.0.
-	if slope > 12 {
-		t.Fatalf("a level allocates %.2f per extra unit, want <= 12", slope)
+}
+
+// TestAllocRemoteOperation bounds an operation over loopback, a frame of
+// one item: the reply's items are one slice of values, a one-item
+// frame's response lives in the frame the container serves it by, and
+// the container decodes the descriptor once. A boxed response on either
+// side, a response slice per frame in the container and a descriptor
+// decoded per frame cost 18.
+func TestAllocRemoteOperation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	t.Logf("level over loopback: %.3f allocs per extra unit", slope)
+	ctr := ejb.NewContainer(cannedBeans{}, 4)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close() //nolint:errcheck // test teardown
+	client, err := ejb.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	d := &descriptor.Unit{ID: "op", Kind: "modify", Entity: "volume"}
+	inputs := map[string]mvc.Value{"oid": int64(3)}
+	op := func() {
+		if res, err := client.ExecuteOperation(context.Background(), d, inputs); err != nil || !res.OK {
+			t.Fatalf("result %+v, err %v", res, err)
+		}
+	}
+	op() // dials
+	allocs := testing.AllocsPerRun(200, op)
+	if allocs > 14 {
+		t.Fatalf("an operation over loopback allocates %.1f times, want <= 14", allocs)
+	}
+	t.Logf("operation over loopback: %.1f allocs", allocs)
 }
 
 // TestAllocSlopeFragmentFill fills the fragment of a detail page's data

@@ -299,7 +299,7 @@ func (r *RemoteBusiness) ComputeUnits(ctx context.Context, calls []mvc.UnitCall)
 		case err != nil:
 			out[j].Err = err
 		case resps[j].Err != "":
-			out[j].Err = remoteErr(resps[j])
+			out[j].Err = remoteErr(&resps[j])
 		default:
 			out[j].Bean = resps[j].Bean
 		}
@@ -315,18 +315,18 @@ func (r *RemoteBusiness) one(ctx context.Context, idempotent bool, call batchCal
 	if err != nil {
 		return nil, err
 	}
-	if err := remoteErr(resps[0]); err != nil {
+	if err := remoteErr(&resps[0]); err != nil {
 		return nil, err
 	}
-	return resps[0], nil
+	return &resps[0], nil
 }
 
 // send runs one request frame of items through the failover loop and
 // returns the reply frame's responses, one per item in item order, or
 // the transport error that failed the frame. Each item gets an ejb.call
 // span labeled with its kind; a frame of units also observes BatchLat.
-func (r *RemoteBusiness) send(ctx context.Context, idempotent bool, calls []batchCall) ([]*response, error) {
-	var items []*response
+func (r *RemoteBusiness) send(ctx context.Context, idempotent bool, calls []batchCall) ([]response, error) {
+	var items []response
 	err := r.invoke(ctx, idempotent, func(ep *endpoint, mc *mconn, deadline time.Time) error {
 		breq := batchRequest{DeadlineMS: budgetMS(deadline), Calls: calls}
 		spans := make([]*obs.SpanHandle, 0, 8) // on the stack for most frames
@@ -350,7 +350,7 @@ func (r *RemoteBusiness) send(ctx context.Context, idempotent bool, calls []batc
 				continue
 			}
 			sp.ImportRemote(resps[j].Spans)
-			sp.EndErr(remoteErr(resps[j]))
+			sp.EndErr(remoteErr(&resps[j]))
 		}
 		items = resps
 		return err

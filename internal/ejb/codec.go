@@ -75,6 +75,18 @@ func (w *wbuf) frame() []byte {
 	return w.b[frameHead-n:]
 }
 
+// prefixLength puts the uvarint length of what was written since start
+// in front of it. The length is known once the body is written, so room
+// is made for it and the body moved behind it.
+func (w *wbuf) prefixLength(start int) {
+	n := len(w.b) - start
+	var head [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(head[:], uint64(n))
+	w.b = append(w.b, head[:k]...)
+	copy(w.b[start+k:], w.b[start:start+n])
+	copy(w.b[start:], head[:k])
+}
+
 func putWbuf(w *wbuf) {
 	if cap(w.b) > 1<<20 {
 		// Don't let one huge page pin a megabyte in the pool forever.
@@ -194,12 +206,14 @@ func (w *wbuf) valueMap(m map[string]mvc.Value) {
 // is one string copy of b, made when the first string is read: every
 // decoded string is a substring of it, so a frame's strings cost one
 // allocation, and whatever retains a decoded bean retains its frame's
-// bytes (they are mostly the bean's own).
+// bytes (they are mostly the bean's own). units, when set, interns the
+// unit descriptors a request frame carries (nil decodes each afresh).
 type rbuf struct {
-	b    []byte
-	off  int
-	err  error
-	text string
+	b     []byte
+	off   int
+	err   error
+	text  string
+	units *unitTable
 }
 
 func (r *rbuf) fail() { r.err = errCodec }
@@ -260,6 +274,17 @@ func (r *rbuf) count() int {
 		return 0
 	}
 	return int(n)
+}
+
+// body reads a length-prefixed body and returns its bytes.
+func (r *rbuf) body() []byte {
+	n := r.count()
+	if r.err != nil {
+		return nil
+	}
+	b := r.b[r.off : r.off+n]
+	r.off += n
+	return b
 }
 
 func (r *rbuf) str() string {
@@ -395,13 +420,20 @@ func (r *rbuf) valueMap() map[string]mvc.Value {
 // the descriptor, it never re-serializes it to XML). Unlike gob the
 // codec is not self-describing: a field added to descriptor.Unit must be
 // added here too, bumping wireVersion if old peers must not see it.
+//
+// A descriptor travels as a length-prefixed body, empty for none, so the
+// container can find it in the table of descriptors it has decoded
+// before (unitTable) by its bytes alone.
 
 func (w *wbuf) unitPtr(u *descriptor.Unit) {
-	if u == nil {
-		w.bool(false)
-		return
+	start := len(w.b)
+	if u != nil {
+		w.unit(u)
 	}
-	w.bool(true)
+	w.prefixLength(start)
+}
+
+func (w *wbuf) unit(u *descriptor.Unit) {
 	w.str(u.ID)
 	w.str(u.Kind)
 	w.str(u.Entity)
@@ -454,9 +486,31 @@ func (w *wbuf) fieldDefs(fs []descriptor.FieldDef) {
 }
 
 func (r *rbuf) unitPtr() *descriptor.Unit {
-	if !r.bool() || r.err != nil {
+	body := r.body()
+	if r.err != nil || len(body) == 0 {
 		return nil
 	}
+	u, err := r.units.unit(body)
+	if err != nil {
+		r.err = err
+	}
+	return u
+}
+
+// decodeUnit decodes one descriptor body, which must be read to its last
+// byte. Its strings are substrings of text, a string copy of body, made
+// here when text is "": a descriptor keeps only its own bytes alive,
+// never its frame.
+func decodeUnit(body []byte, text string) (*descriptor.Unit, error) {
+	r := rbuf{b: body, text: text}
+	u := r.unit()
+	if r.err == nil && r.remaining() != 0 {
+		r.fail()
+	}
+	return u, r.err
+}
+
+func (r *rbuf) unit() *descriptor.Unit {
 	u := &descriptor.Unit{}
 	u.ID = r.str()
 	u.Kind = r.str()
@@ -790,17 +844,14 @@ func (w *wbuf) response(resp *response) {
 	w.spans(resp.Spans)
 }
 
-func (r *rbuf) response() (*response, error) {
-	resp := &response{}
+// response decodes one response into resp.
+func (r *rbuf) response(resp *response) error {
 	resp.Bean = r.beanPtr()
 	resp.Op = r.opPtr()
 	resp.Page = r.pagePtr()
 	resp.Err = r.str()
 	resp.Spans = r.spans()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return resp, nil
+	return r.err
 }
 
 func (w *wbuf) batchRequest(b *batchRequest) {
@@ -849,19 +900,12 @@ func (r *rbuf) batchRequest() (batchRequest, error) {
 
 // batchReply is the body of an ftBatchReply frame: the item count, then
 // each item's response as a length-prefixed body, in call order.
-func (w *wbuf) batchReply(items []*response) {
+func (w *wbuf) batchReply(items []response) {
 	w.uvarint(uint64(len(items)))
-	for _, resp := range items {
+	for i := range items {
 		start := len(w.b)
-		w.response(resp)
-		// The length is known once the body is written: make room for
-		// it and move the body behind it.
-		n := len(w.b) - start
-		var head [binary.MaxVarintLen64]byte
-		k := binary.PutUvarint(head[:], uint64(n))
-		w.b = append(w.b, head[:k]...)
-		copy(w.b[start+k:], w.b[start:start+n])
-		copy(w.b[start:], head[:k])
+		w.response(&items[i])
+		w.prefixLength(start)
 	}
 }
 
@@ -869,27 +913,23 @@ func (w *wbuf) batchReply(items []*response) {
 // own string copy and a bean kept from one item pins only that item's
 // bytes. An item must be read to its last byte, and the reply to its
 // last item.
-func (r *rbuf) batchReply() ([]*response, error) {
+func (r *rbuf) batchReply() ([]response, error) {
 	n := r.count()
 	if r.err != nil {
 		return nil, r.err
 	}
-	items := make([]*response, n)
+	items := make([]response, n)
 	for i := range items {
-		size := r.count()
+		item := rbuf{b: r.body()}
 		if r.err != nil {
 			return nil, r.err
 		}
-		item := rbuf{b: r.b[r.off : r.off+size]}
-		resp, err := item.response()
-		if err != nil {
+		if err := item.response(&items[i]); err != nil {
 			return nil, err
 		}
 		if item.remaining() != 0 {
 			return nil, errCodec
 		}
-		r.off += size
-		items[i] = resp
 	}
 	if r.remaining() != 0 {
 		return nil, errCodec

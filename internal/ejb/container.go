@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webmlgo/internal/descriptor"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/obs"
 )
@@ -55,9 +56,70 @@ type Container struct {
 	framesOut   atomic.Int64
 	frameActive atomic.Int64
 
+	// units interns the unit descriptors request frames carry.
+	units unitTable
+
 	ln    net.Listener
 	conns map[net.Conn]struct{}
 	wg    sync.WaitGroup
+}
+
+// The bounds of a container's descriptor table: the entries it holds and
+// the encoded bytes its keys hold. An insertion that would pass either
+// empties the table first, and a descriptor larger than the byte bound
+// is never kept.
+const (
+	unitTableEntries = 4096
+	unitTableBytes   = 1 << 20
+)
+
+// unitTable holds the unit descriptors a container has decoded, keyed by
+// their encoded bytes. Descriptors are fixed when an application is
+// deployed, so the items of every frame carry the same few bodies, and
+// each is decoded once. A descriptor from the table is shared by every
+// item that carried its bytes, so it is read-only: neither the container
+// nor the business tier it calls writes to a descriptor it was handed. A
+// web tier's query override changes the bytes and so is its own entry.
+type unitTable struct {
+	mu    sync.Mutex
+	m     map[string]*descriptor.Unit
+	bytes int
+}
+
+// unit returns the descriptor body encodes: the table's on a hit, with no
+// allocation; on a miss, one decoded from a fresh string copy of body,
+// which is also its key, so an entry keeps only its own bytes alive. A
+// nil table decodes every body afresh.
+func (t *unitTable) unit(body []byte) (*descriptor.Unit, error) {
+	if t == nil {
+		return decodeUnit(body, "")
+	}
+	t.mu.Lock()
+	u, ok := t.m[string(body)]
+	t.mu.Unlock()
+	if ok {
+		return u, nil
+	}
+	key := string(body)
+	u, err := decodeUnit(body, key)
+	if err != nil || len(key) > unitTableBytes {
+		return u, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if won, ok := t.m[key]; ok {
+		return won, nil // another connection decoded it first
+	}
+	if t.m == nil {
+		t.m = make(map[string]*descriptor.Unit)
+	}
+	if len(t.m) >= unitTableEntries || t.bytes+len(key) > unitTableBytes {
+		clear(t.m)
+		t.bytes = 0
+	}
+	t.m[key] = u
+	t.bytes += len(key)
+	return u, nil
 }
 
 // NewContainer wraps a business tier with the given initial capacity
@@ -184,38 +246,19 @@ func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		c.framesIn.Add(1)
-		r := rbuf{b: payload}
+		r := rbuf{b: payload, units: &c.units}
 		if r.byte() != ftBatch {
 			return
 		}
-		id := r.uvarint()
-		breq, err := r.batchRequest()
-		if err != nil {
+		f := &frame{c: c, conn: conn, wmu: &wmu, id: r.uvarint()}
+		if f.breq, err = r.batchRequest(); err != nil {
 			return
 		}
 		c.frameActive.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer c.frameActive.Add(-1)
-			w := getWbuf()
-			defer putWbuf(w)
-			w.byte(ftBatchReply)
-			w.uvarint(id)
-			w.batchReply(c.serveBatch(breq))
-			err := w.err
-			if err == nil {
-				wmu.Lock()
-				_, err = conn.Write(w.frame())
-				wmu.Unlock()
-			}
-			if err != nil {
-				// Sever the connection so the read loop unblocks; the
-				// client fails its in-flight frames over.
-				conn.Close()
-				return
-			}
-			c.framesOut.Add(1)
+			f.serve()
 		}()
 	}
 }
@@ -230,54 +273,86 @@ func callerContext(deadlineMS int64) (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
-// serveBatch serves one request frame under its one deadline, each item
-// through invoke by its kind. The items run on min(len(items), capacity)
+// frame is one request frame in service: what its reply needs and what
+// its workers share, in one allocation. The responses of a frame of one
+// item, an operation or a page, live in it too.
+type frame struct {
+	c    *Container
+	conn net.Conn
+	wmu  *sync.Mutex // serializes the connection's reply writes
+	id   uint64
+	breq batchRequest
+	ctx  context.Context
+	out  []response
+	one  [1]response
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// serve computes the frame's items and writes its one reply frame. A
+// failed write severs the connection, so the read loop unblocks and the
+// client fails its in-flight frames over.
+func (f *frame) serve() {
+	c := f.c
+	defer c.frameActive.Add(-1)
+	w := getWbuf()
+	defer putWbuf(w)
+	w.byte(ftBatchReply)
+	w.uvarint(f.id)
+	w.batchReply(f.run())
+	err := w.err
+	if err == nil {
+		f.wmu.Lock()
+		_, err = f.conn.Write(w.frame())
+		f.wmu.Unlock()
+	}
+	if err != nil {
+		f.conn.Close()
+		return
+	}
+	c.framesOut.Add(1)
+}
+
+// run serves the frame's items under its one deadline, each through
+// invoke by its kind. The items run on min(len(items), capacity)
 // goroutines, the first the serving goroutine, each taking the next item
 // index from a shared counter: a level no wider than the capacity takes
 // as long as its slowest unit, and a frame of any width starts no more
 // goroutines than the capacity gate would let run. The responses are in
 // call order.
-func (c *Container) serveBatch(breq batchRequest) []*response {
-	ctx, cancel := callerContext(breq.DeadlineMS)
+func (f *frame) run() []response {
+	ctx, cancel := callerContext(f.breq.DeadlineMS)
 	defer cancel()
-	run := &batchRun{c: c, ctx: ctx, breq: breq, out: make([]*response, len(breq.Calls))}
-	c.mu.Lock()
-	workers := max(min(len(run.out), c.capacity), 1)
-	c.mu.Unlock()
-	run.wg.Add(workers)
+	f.ctx = ctx
+	if f.out = f.one[:]; len(f.breq.Calls) != 1 {
+		f.out = make([]response, len(f.breq.Calls))
+	}
+	f.c.mu.Lock()
+	workers := max(min(len(f.out), f.c.capacity), 1)
+	f.c.mu.Unlock()
+	f.wg.Add(workers)
 	if workers > 1 {
-		work := run.work // one func value for every extra worker
+		work := f.work // one func value for every extra worker
 		for w := 1; w < workers; w++ {
 			go work()
 		}
 	}
-	run.work()
-	run.wg.Wait()
-	return run.out
-}
-
-// batchRun is what the workers of one frame share, in one allocation.
-type batchRun struct {
-	c    *Container
-	ctx  context.Context
-	breq batchRequest
-	out  []*response
-	next atomic.Int64
-	wg   sync.WaitGroup
+	f.work()
+	f.wg.Wait()
+	return f.out
 }
 
 // work serves items until none is left, each by its kind.
-func (run *batchRun) work() {
-	defer run.wg.Done()
-	c := run.c
+func (f *frame) work() {
+	defer f.wg.Done()
+	c := f.c
 	for {
-		i := int(run.next.Add(1)) - 1
-		if i >= len(run.out) {
+		i := int(f.next.Add(1)) - 1
+		if i >= len(f.out) {
 			return
 		}
-		call := &run.breq.Calls[i]
-		run.out[i] = c.invoke(run.ctx, run.breq.TraceID, call.SpanID, kindName(call.Kind), func(ctx context.Context) *response {
-			var resp response
+		call := &f.breq.Calls[i]
+		f.out[i] = c.invoke(f.ctx, f.breq.TraceID, call.SpanID, kindName(call.Kind), func(ctx context.Context) (resp response) {
 			var err error
 			switch call.Kind {
 			case kindUnit:
@@ -296,7 +371,7 @@ func (run *batchRun) work() {
 			if err != nil {
 				resp = response{Err: err.Error()}
 			}
-			return &resp
+			return resp
 		})
 	}
 }
@@ -308,13 +383,13 @@ func (run *batchRun) work() {
 // client-side stitching, also on the panic path. A panicking component
 // (user-supplied custom services run arbitrary code) becomes this
 // invocation's error response instead of killing the container process.
-func (c *Container) invoke(ctx context.Context, traceID, spanID uint64, kind string, run func(context.Context) *response) (resp *response) {
+func (c *Container) invoke(ctx context.Context, traceID, spanID uint64, kind string, run func(context.Context) response) (resp response) {
 	var rt *obs.Trace
 	defer func() {
 		if r := recover(); r != nil {
-			resp = &response{Err: fmt.Sprintf("ejb: component panicked: %v", r)}
+			resp = response{Err: fmt.Sprintf("ejb: component panicked: %v", r)}
 		}
-		if rt != nil && resp != nil {
+		if rt != nil {
 			resp.Spans = rt.Export()
 		}
 	}()
@@ -337,7 +412,7 @@ func (c *Container) invoke(ctx context.Context, traceID, spanID uint64, kind str
 // gated runs the call once an instance slot is free, adding a
 // container.queue span whenever it had to wait, so a trace distinguishes
 // queueing from computing.
-func (c *Container) gated(ctx context.Context, kind string, run func(context.Context) *response) *response {
+func (c *Container) gated(ctx context.Context, kind string, run func(context.Context) response) response {
 	c.mu.Lock()
 	var qsp *obs.SpanHandle
 	var qstart time.Time
@@ -361,7 +436,7 @@ func (c *Container) gated(ctx context.Context, kind string, run func(context.Con
 	qsp.End()
 	if c.closed {
 		c.mu.Unlock()
-		return &response{Err: "ejb: container closed"}
+		return response{Err: "ejb: container closed"}
 	}
 	if err := ctx.Err(); err != nil {
 		// The caller's budget ran out while this invocation queued for
@@ -372,7 +447,7 @@ func (c *Container) gated(ctx context.Context, kind string, run func(context.Con
 			c.cond.Signal()
 		}
 		c.mu.Unlock()
-		return &response{Err: err.Error()}
+		return response{Err: err.Error()}
 	}
 	c.active++
 	if c.active > c.maxActive {

@@ -3,12 +3,14 @@ package ejb
 import (
 	"context"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"webmlgo/internal/codegen"
+	"webmlgo/internal/descriptor"
 	"webmlgo/internal/fixture"
 	"webmlgo/internal/mvc"
 	"webmlgo/internal/obs"
@@ -299,10 +301,10 @@ func TestQueueLatencyMergesKinds(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.invoke(ctx, 0, 0, "page", func(context.Context) *response {
+		c.invoke(ctx, 0, 0, "page", func(context.Context) response {
 			close(holding)
 			<-release
-			return &response{}
+			return response{}
 		})
 	}()
 	<-holding
@@ -311,7 +313,7 @@ func TestQueueLatencyMergesKinds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.invoke(ctx, 0, 0, kind, func(context.Context) *response { return &response{} })
+			c.invoke(ctx, 0, 0, kind, func(context.Context) response { return response{} })
 		}()
 	}
 	for c.Metrics().Queued < 2 {
@@ -334,4 +336,143 @@ func TestQueueLatencyMergesKinds(t *testing.T) {
 		series[0].Hist.Count != 1 || series[1].Hist.Count != 1 {
 		t.Errorf("per-kind series %+v, want one wait each for operation and unit", series)
 	}
+}
+
+// recordingBusiness answers every unit with a one-row bean and records
+// the descriptor pointers it was handed.
+type recordingBusiness struct {
+	mu   sync.Mutex
+	seen map[*descriptor.Unit]bool
+}
+
+func (b *recordingBusiness) ComputeUnit(_ context.Context, d *descriptor.Unit, _ map[string]mvc.Value) (*mvc.UnitBean, error) {
+	b.mu.Lock()
+	b.seen[d] = true
+	b.mu.Unlock()
+	return &mvc.UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: []string{"q"}, Nodes: []mvc.Node{{Values: cells(d.Query)}}}, nil
+}
+
+func (b *recordingBusiness) ExecuteOperation(context.Context, *descriptor.Unit, map[string]mvc.Value) (*mvc.OpResult, error) {
+	return &mvc.OpResult{OK: true}, nil
+}
+
+// encodedUnit is d's descriptor body.
+func encodedUnit(d *descriptor.Unit) []byte {
+	w := getWbuf()
+	defer putWbuf(w)
+	w.unit(d)
+	return append([]byte(nil), w.payload()...)
+}
+
+// TestContainerInternsUnitDescriptors: frames carrying the same
+// descriptor bytes hand the business one shared descriptor; one that
+// differs only in its query (a web tier's override) arrives as itself;
+// an insertion past either bound empties the table; and connections
+// sending at once share the table safely.
+func TestContainerInternsUnitDescriptors(t *testing.T) {
+	biz := &recordingBusiness{seen: make(map[*descriptor.Unit]bool)}
+	ctr := NewContainer(biz, 8)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close()
+	unit := func(query string) *descriptor.Unit {
+		return &descriptor.Unit{ID: "idx", Kind: "index", Entity: "paper", Query: query,
+			Outputs: []descriptor.FieldDef{{Name: "Title", Column: "title"}}, Reads: []string{"entity:paper"}}
+	}
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	handed := func(d *descriptor.Unit) *descriptor.Unit {
+		t.Helper()
+		biz.mu.Lock()
+		clear(biz.seen)
+		biz.mu.Unlock()
+		bean, err := client.ComputeUnit(context.Background(), d, nil)
+		if err != nil || bean.Nodes[0].Values[0].Str != d.Query {
+			t.Fatalf("bean %+v, err %v; want the row %q", bean, err, d.Query)
+		}
+		biz.mu.Lock()
+		defer biz.mu.Unlock()
+		for got := range biz.seen {
+			return got
+		}
+		t.Fatal("the business saw no descriptor")
+		return nil
+	}
+
+	t.Run("same bytes, same descriptor", func(t *testing.T) {
+		first, second := handed(unit("SELECT 1")), handed(unit("SELECT 1"))
+		if first != second {
+			t.Fatalf("two frames of equal descriptor bytes handed the business %p and %p", first, second)
+		}
+		if !reflect.DeepEqual(first, unit("SELECT 1")) {
+			t.Fatalf("interned descriptor %+v", first)
+		}
+	})
+	t.Run("query override arrives as itself", func(t *testing.T) {
+		base, over := handed(unit("SELECT 1")), handed(unit("SELECT 2"))
+		if base == over || over.Query != "SELECT 2" || base.Query != "SELECT 1" {
+			t.Fatalf("override handed %+v beside %+v", over, base)
+		}
+	})
+	t.Run("bounds empty the table", func(t *testing.T) {
+		var tab unitTable
+		for i := 0; i < unitTableEntries; i++ {
+			if _, err := tab.unit(encodedUnit(&descriptor.Unit{ID: strconv.Itoa(i)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(tab.m) != unitTableEntries {
+			t.Fatalf("%d entries after %d distinct descriptors", len(tab.m), unitTableEntries)
+		}
+		last := encodedUnit(&descriptor.Unit{ID: "one more"})
+		tab.unit(last) //nolint:errcheck // a valid body
+		if len(tab.m) != 1 || tab.bytes != len(last) {
+			t.Fatalf("past the entry bound: %d entries of %d bytes, want the one of %d", len(tab.m), tab.bytes, len(last))
+		}
+		big := func(id string) []byte {
+			return encodedUnit(&descriptor.Unit{ID: id, Query: strings.Repeat("x", unitTableBytes/3)})
+		}
+		for _, id := range []string{"a", "b"} {
+			tab.unit(big(id)) //nolint:errcheck // a valid body
+		}
+		if len(tab.m) != 3 {
+			t.Fatalf("%d entries under the byte bound, want 3", len(tab.m))
+		}
+		tab.unit(big("c")) //nolint:errcheck // a valid body
+		if len(tab.m) != 1 || tab.bytes != len(big("c")) {
+			t.Fatalf("past the byte bound: %d entries of %d bytes, want the one of %d", len(tab.m), tab.bytes, len(big("c")))
+		}
+		huge := encodedUnit(&descriptor.Unit{ID: "huge", Query: strings.Repeat("x", unitTableBytes)})
+		if d, err := tab.unit(huge); err != nil || d.ID != "huge" || len(tab.m) != 1 {
+			t.Fatalf("a descriptor past the byte bound: %v, %d entries; want it decoded and not kept", err, len(tab.m))
+		}
+	})
+	t.Run("connections at once", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for c := 0; c < 3; c++ {
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					d := unit("SELECT " + strconv.Itoa(i%5))
+					bean, err := cl.ComputeUnit(context.Background(), d, nil)
+					if err != nil || bean.Nodes[0].Values[0].Str != d.Query {
+						t.Errorf("bean %+v, err %v; want the row %q", bean, err, d.Query)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }

@@ -21,9 +21,10 @@ import (
 // and the container echoes the same form back with its own version.
 // Both sides bound the exchange by handshakeTimeout, and either side
 // closes the connection on anything but the magic followed by its own
-// version (6 since every invocation travels as one request frame of
-// kinded items: a build of another version fails the handshake, it is
-// never decoded): there is no other protocol to fall back to.
+// version (7 since each item carries its unit descriptor as a
+// length-prefixed body: a build of another version fails the
+// handshake, it is never decoded): there is no other protocol to fall
+// back to.
 //
 // Frames (both directions, after the handshake):
 //
@@ -36,7 +37,7 @@ import (
 // side is mutex-serialized, a demux goroutine routes replies by request
 // ID.
 const (
-	wireVersion = 6
+	wireVersion = 7
 
 	// Types 1 and 3 were wire version 5's single-call request and reply.
 	ftBatch      byte = 2 // body: batchRequest (a level of units, an operation or a page)
@@ -134,7 +135,7 @@ type mconn struct {
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint64]chan []*response
+	pending map[uint64]chan []response
 	nextID  uint64
 	dead    bool
 	deadErr error
@@ -170,7 +171,7 @@ func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (
 		c:       c,
 		gen:     gen,
 		stats:   stats,
-		pending: make(map[uint64]chan []*response),
+		pending: make(map[uint64]chan []response),
 	}
 	go m.readLoop()
 	return m, nil
@@ -189,7 +190,7 @@ func (m *mconn) readLoop() {
 		m.stats.recv()
 		r := rbuf{b: payload}
 		ft, id := r.byte(), r.uvarint()
-		var items []*response
+		var items []response
 		if ft == ftBatchReply {
 			items, err = r.batchReply()
 		} else {
@@ -206,7 +207,7 @@ func (m *mconn) readLoop() {
 // route delivers one reply. Channels hold the one reply they expect and
 // are only touched under the mutex, so sends never block and never race
 // fail's close.
-func (m *mconn) route(id uint64, items []*response) {
+func (m *mconn) route(id uint64, items []response) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.pending[id]
@@ -218,7 +219,7 @@ func (m *mconn) route(id uint64, items []*response) {
 }
 
 // register allocates a request ID and the channel its reply arrives on.
-func (m *mconn) register() (uint64, chan []*response, error) {
+func (m *mconn) register() (uint64, chan []response, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {
@@ -226,7 +227,7 @@ func (m *mconn) register() (uint64, chan []*response, error) {
 	}
 	m.nextID++
 	id := m.nextID
-	ch := make(chan []*response, 1)
+	ch := make(chan []response, 1)
 	m.pending[id] = ch
 	return id, ch, nil
 }
@@ -294,7 +295,7 @@ func (m *mconn) send(w *wbuf, deadline time.Time) error {
 // semantics. deadline is the deadline of the context whose Done channel
 // is cancel, so cancel fires at that instant and no timer of its own is
 // needed.
-func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan struct{}) ([]*response, error) {
+func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan struct{}) ([]response, error) {
 	id, ch, err := m.register()
 	if err != nil {
 		return nil, err

@@ -148,11 +148,11 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 		t.Fatal(w.err)
 	}
 	r := rbuf{b: w.payload()}
-	got, err := r.response()
-	if err != nil {
+	var got response
+	if err := r.response(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, resp) {
+	if !reflect.DeepEqual(&got, resp) {
 		t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, resp)
 	}
 	putWbuf(w)
@@ -249,6 +249,9 @@ func FuzzCodecRequest(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	for _, data := range malformedRequests() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := rbuf{b: data}
 		req, err := r.batchRequest()
@@ -277,6 +280,37 @@ func FuzzCodecRequest(f *testing.F) {
 		}
 		putWbuf(w2)
 	})
+}
+
+// malformedRequests are request frame bodies of one unit item whose
+// descriptor body lies about its length: one running past the end of
+// the frame, and one holding bytes after the descriptor it encodes.
+func malformedRequests() map[string][]byte {
+	w := getWbuf()
+	defer putWbuf(w)
+	w.unit(&descriptor.Unit{ID: "u", Kind: "data"})
+	body := append(append([]byte(nil), w.payload()...), 0)
+	item := append([]byte{100, 0, 1, kindUnit, 0, byte(len(body))}, body...)
+	return map[string][]byte{
+		"descriptor length past the end":   {100, 0, 1, kindUnit, 0, 9, 0, 0, 0, 0, 0},
+		"trailing bytes inside descriptor": append(item, 0, 0, 0),
+	}
+}
+
+// TestCodecMalformedRequests: each is a typed decode error, whether the
+// descriptor is decoded afresh or through a container's table.
+func TestCodecMalformedRequests(t *testing.T) {
+	for name, data := range malformedRequests() {
+		for _, units := range []*unitTable{nil, new(unitTable)} {
+			r := rbuf{b: data, units: units}
+			if _, err := r.batchRequest(); !errors.Is(err, errCodec) {
+				t.Errorf("%s (table %v): decode error = %v, want errCodec", name, units != nil, err)
+			}
+			if units != nil && len(units.m) != 0 {
+				t.Errorf("%s: a malformed descriptor entered the table", name)
+			}
+		}
+	}
 }
 
 // malformedNodeLists are responses whose bean declares fields and then
@@ -316,7 +350,7 @@ func malformedNodeLists() map[string][]byte {
 func TestCodecMalformedNodeLists(t *testing.T) {
 	for name, data := range malformedNodeLists() {
 		r := rbuf{b: data}
-		if _, err := r.response(); !errors.Is(err, errCodec) {
+		if err := r.response(new(response)); !errors.Is(err, errCodec) {
 			t.Errorf("%s: decode error = %v, want errCodec", name, err)
 		}
 	}
@@ -324,8 +358,8 @@ func TestCodecMalformedNodeLists(t *testing.T) {
 
 // goldenFrame reads a committed frame, checks that this build encodes
 // the same bytes, and returns the frame's body past its type and
-// request ID 1. A new wireVersion needs new golden frames, not edited
-// ones.
+// request ID 1. A new wireVersion needs a new golden frame for each
+// encoding it changes, not an edited one, and a look at every other.
 func goldenFrame(t *testing.T, file string, ft byte, body func(*wbuf)) rbuf {
 	t.Helper()
 	text, err := os.ReadFile(file)
@@ -336,7 +370,7 @@ func goldenFrame(t *testing.T, file string, ft byte, body func(*wbuf)) rbuf {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireVersion != 6 {
+	if wireVersion != 7 {
 		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
 	}
 	if got := frameOf(ft, 1, body); !bytes.Equal(got, golden) {
@@ -356,23 +390,25 @@ func goldenFrame(t *testing.T, file string, ft byte, body func(*wbuf)) rbuf {
 // TestGoldenResponseFrame pins the response encoding:
 // testdata/golden_response_reply_frame.hex is the reply frame wire
 // version 6 wrote for the one item fullResponse() (bean, operation
-// result, page state, error and spans). Its item body is the response
-// the single-call reply of version 5 carried, byte for byte. Decoding it
-// must give fullResponse() back.
+// result, page state, error and spans); version 7 changed no reply
+// encoding. Its item body is the response the single-call reply of
+// version 5 carried, byte for byte. Decoding it must give fullResponse()
+// back.
 func TestGoldenResponseFrame(t *testing.T) {
 	r := goldenFrame(t, "testdata/golden_response_reply_frame.hex", ftBatchReply,
-		func(w *wbuf) { w.batchReply([]*response{fullResponse()}) })
-	if items, err := r.batchReply(); err != nil || len(items) != 1 || !reflect.DeepEqual(items[0], fullResponse()) {
+		func(w *wbuf) { w.batchReply([]response{*fullResponse()}) })
+	if items, err := r.batchReply(); err != nil || len(items) != 1 || !reflect.DeepEqual(&items[0], fullResponse()) {
 		t.Fatalf("golden frame decoded to %+v (err %v)", items, err)
 	}
 }
 
 // TestGoldenRequestFrame pins the request frame:
-// testdata/golden_request_frame.hex is the frame wire version 6 wrote
-// for fullRequest(), a unit level, an operation and a page in one
-// frame. Decoding it must give fullRequest() back.
+// testdata/golden_request_frame_v7.hex is the frame wire version 7
+// wrote for fullRequest(), a unit level, an operation and a page in one
+// frame, each descriptor a length-prefixed body and the page item's an
+// empty one. Decoding it must give fullRequest() back.
 func TestGoldenRequestFrame(t *testing.T) {
-	r := goldenFrame(t, "testdata/golden_request_frame.hex", ftBatch,
+	r := goldenFrame(t, "testdata/golden_request_frame_v7.hex", ftBatch,
 		func(w *wbuf) { w.batchRequest(fullRequest()) })
 	if req, err := r.batchRequest(); err != nil || r.remaining() != 0 || !reflect.DeepEqual(&req, fullRequest()) {
 		t.Fatalf("golden frame decoded to %+v (err %v)", req, err)
@@ -408,24 +444,23 @@ func FuzzCodecResponse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := rbuf{b: data}
-		resp, err := r.response()
-		if err != nil {
+		var resp, resp2 response
+		if err := r.response(&resp); err != nil {
 			return
 		}
 		w := getWbuf()
-		w.response(resp)
+		w.response(&resp)
 		if w.err != nil {
 			t.Fatalf("decoded response failed to re-encode: %v", w.err)
 		}
 		enc1 := append([]byte(nil), w.payload()...)
 		putWbuf(w)
 		r2 := rbuf{b: enc1}
-		resp2, err := r2.response()
-		if err != nil {
+		if err := r2.response(&resp2); err != nil {
 			t.Fatalf("re-encoded response failed to decode: %v", err)
 		}
 		w2 := getWbuf()
-		w2.response(resp2)
+		w2.response(&resp2)
 		if w2.err != nil {
 			t.Fatalf("second re-encode failed: %v", w2.err)
 		}
@@ -440,14 +475,14 @@ func FuzzCodecResponse(f *testing.F) {
 
 // twoItemReply is a level of two units: fullResponse() and a plain
 // one-row bean.
-func twoItemReply() []*response {
-	return []*response{fullResponse(), {Bean: &mvc.UnitBean{UnitID: "u2", Kind: "data",
+func twoItemReply() []response {
+	return []response{*fullResponse(), {Bean: &mvc.UnitBean{UnitID: "u2", Kind: "data",
 		Fields: []string{"oid"}, Nodes: []mvc.Node{{Values: cells(int64(7))}}}}}
 }
 
 // TestGoldenBatchReplyFrame pins the batch reply:
 // testdata/golden_batch_reply_frame.hex is the frame wire version 4 wrote
-// for twoItemReply(); versions 5 and 6 changed no reply encoding.
+// for twoItemReply(); versions 5, 6 and 7 changed no reply encoding.
 // Encoding must reproduce it byte for byte, and decoding it must give
 // twoItemReply() back.
 func TestGoldenBatchReplyFrame(t *testing.T) {
@@ -534,7 +569,7 @@ func TestBatchReplyItemsOwnTheirBytes(t *testing.T) {
 	big := &mvc.UnitBean{UnitID: "big", Kind: "data", Fields: []string{"body"},
 		Nodes: []mvc.Node{{Values: cells(strings.Repeat("x", 1<<20))}}}
 	frame := frameOf(ftBatchReply, 1, func(w *wbuf) {
-		w.batchReply([]*response{{Bean: &mvc.UnitBean{UnitID: "small", Kind: "data"}}, {Bean: big}})
+		w.batchReply([]response{{Bean: &mvc.UnitBean{UnitID: "small", Kind: "data"}}, {Bean: big}})
 	})
 	big = nil
 	heap := func() uint64 {
@@ -614,29 +649,25 @@ func shortHandshake(t *testing.T) {
 // protocol), and an idempotent call fails over past it.
 func TestWireFramedStrictRejectsLegacyPeer(t *testing.T) {
 	shortHandshake(t)
+	// ack answers the client's magic with hs.
+	ack := func(hs string) func(c net.Conn) {
+		return func(c net.Conn) {
+			var got [6]byte
+			io.ReadFull(c, got[:]) //nolint:errcheck
+			c.Write([]byte(hs))    //nolint:errcheck
+			io.Copy(io.Discard, c) //nolint:errcheck
+		}
+	}
 	peers := map[string]func(c net.Conn){
-		"eof":     func(c net.Conn) { c.Close() },
-		"silence": func(c net.Conn) { io.Copy(io.Discard, c) }, //nolint:errcheck
-		"wrong magic": func(c net.Conn) {
-			var hs [6]byte
-			io.ReadFull(c, hs[:])           //nolint:errcheck
-			c.Write([]byte("\x05WRF1\x02")) //nolint:errcheck
-			io.Copy(io.Discard, c)          //nolint:errcheck
-		},
+		"eof":         func(c net.Conn) { c.Close() },
+		"silence":     func(c net.Conn) { io.Copy(io.Discard, c) }, //nolint:errcheck
+		"wrong magic": ack("\x05WRF1\x02"),
 		// the build before rows went positional: right magic, version 2
-		"version 2": func(c net.Conn) {
-			var hs [6]byte
-			io.ReadFull(c, hs[:])           //nolint:errcheck
-			c.Write([]byte("\x05WRF2\x02")) //nolint:errcheck
-			io.Copy(io.Discard, c)          //nolint:errcheck
-		},
+		"version 2": ack("\x05WRF2\x02"),
 		// the build with a single-call frame beside the batch frame
-		"version 5": func(c net.Conn) {
-			var hs [6]byte
-			io.ReadFull(c, hs[:])           //nolint:errcheck
-			c.Write([]byte("\x05WRF2\x05")) //nolint:errcheck
-			io.Copy(io.Discard, c)          //nolint:errcheck
-		},
+		"version 5": ack("\x05WRF2\x05"),
+		// the build whose items carried their descriptors inline
+		"version 6": ack("\x05WRF2\x06"),
 	}
 	for name, peer := range peers {
 		t.Run(name, func(t *testing.T) {
@@ -1255,7 +1286,7 @@ func TestBatchReplyCountMismatch(t *testing.T) {
 		r.byte() // ftBatch
 		id := r.uvarint()
 		c.Write(frameOf(ftBatchReply, id, func(w *wbuf) { //nolint:errcheck
-			w.batchReply([]*response{{Bean: &mvc.UnitBean{UnitID: "short"}}})
+			w.batchReply([]response{{Bean: &mvc.UnitBean{UnitID: "short"}}})
 		}))
 		// Hold the connection open: the client must detect the short
 		// reply itself, not rely on a close.

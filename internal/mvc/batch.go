@@ -159,26 +159,31 @@ func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []
 	var inner []UnitCall
 	var leaders, joins []fill
 	for i, c := range calls {
-		if c.D.Cache == nil || !c.D.Cache.Enabled {
-			inner = append(inner, c)
-			leaders = append(leaders, fill{idx: i})
-			continue
+		lf := fill{idx: i} // an uncached pass-through
+		if c.D.Cache != nil && c.D.Cache.Enabled {
+			key := beanKey(c.D.ID, c.Inputs)
+			gsp := obs.Leaf(ctx, "cache.get").Label("unit", c.D.ID)
+			if v, ok := cb.Cache.Get(key); ok {
+				gsp.Label("outcome", "hit").End()
+				out[i] = UnitResult{Bean: v.(*UnitBean)}
+				continue
+			}
+			gsp.Label("outcome", "miss").End()
+			f, lead := cb.Cache.Join(key)
+			if !lead {
+				joins = append(joins, fill{idx: i, key: key, f: f, d: c.D})
+				continue
+			}
+			lf = fill{idx: i, key: key, f: f, d: c.D}
 		}
-		key := beanKey(c.D.ID, c.Inputs)
-		gsp := obs.Leaf(ctx, "cache.get").Label("unit", c.D.ID)
-		if v, ok := cb.Cache.Get(key); ok {
-			gsp.Label("outcome", "hit").End()
-			out[i] = UnitResult{Bean: v.(*UnitBean)}
-			continue
-		}
-		gsp.Label("outcome", "miss").End()
-		f, lead := cb.Cache.Join(key)
-		if !lead {
-			joins = append(joins, fill{idx: i, key: key, f: f, d: c.D})
-			continue
+		if inner == nil {
+			// Sized once per level, at its first miss, for every call
+			// from there on.
+			inner = make([]UnitCall, 0, len(calls)-i)
+			leaders = make([]fill, 0, len(calls)-i)
 		}
 		inner = append(inner, c)
-		leaders = append(leaders, fill{idx: i, key: key, f: f, d: c.D})
+		leaders = append(leaders, lf)
 	}
 	if len(inner) > 0 {
 		res := ComputeUnitsOf(ctx, cb.Inner, inner)

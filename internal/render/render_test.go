@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -413,6 +414,33 @@ func FuzzAnchorHref(f *testing.F) {
 		l := newRowLink(a, `<a href="`, fields, "")
 		l.appendHref(&w, cells(values...))
 		if want := dom.EscapeAttr(mvc.ActionURL(action, params)); w.String() != want {
+			t.Fatalf("href %q, reference %q", w.String(), want)
+		}
+	})
+}
+
+// FuzzScrollerHref: a scroller's prev/next href is byte for byte what
+// the map-and-url.Values reference builds from the request parameters:
+// names that start with "_" dropped, offset replaced, values in their
+// parameter form, for any page ID, name and text — beside a float and a
+// time parameter.
+func FuzzScrollerHref(f *testing.F) {
+	f.Add("p1", "_x", "hidden", 1.5, int64(0), 10)
+	f.Add("p1", "offset", "20", 2.0, int64(1e9), 0)
+	f.Add(`pa"ge<&>`, "a b&c=d+e", "x", 1e21, int64(-1), 5)
+	f.Add("p", "q", "ünïcødé €", -0.5, int64(1700000000), 30)
+	f.Fuzz(func(t *testing.T, pageID, key, text string, num float64, unix int64, offset int) {
+		params := map[string]mvc.Value{"n": num, "at": time.Unix(unix, 0).In(time.FixedZone("", 3600)), key: text}
+		ref := map[string]string{}
+		for k, v := range params {
+			if !strings.HasPrefix(k, "_") {
+				ref[k] = mvc.FormatParam(v)
+			}
+		}
+		ref["offset"] = strconv.Itoa(offset)
+		var w bytes.Buffer
+		appendScrollHref(&w, pageID, params, offset)
+		if want := dom.EscapeAttr(mvc.ActionURL("page/"+pageID, ref)); w.String() != want {
 			t.Fatalf("href %q, reference %q", w.String(), want)
 		}
 	})

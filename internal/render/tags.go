@@ -30,6 +30,21 @@ func putValue(w *bytes.Buffer, values []cell.Cell, i int, esc func(string) strin
 	if i >= 0 && i < len(values) {
 		c = values[i]
 	}
+	putCell(w, c, esc)
+}
+
+// putParam appends a request parameter's query form: its parameter form
+// (mvc.FormatParam), query-escaped.
+func putParam(w *bytes.Buffer, v mvc.Value) {
+	if c, err := cell.Of(v); err == nil {
+		putCell(w, c, url.QueryEscape)
+	} else {
+		w.WriteString(url.QueryEscape(mvc.FormatParam(v)))
+	}
+}
+
+// putCell appends c's parameter form, escaped by esc.
+func putCell(w *bytes.Buffer, c cell.Cell, esc func(string) string) {
 	switch c.Kind {
 	case cell.KString:
 		w.WriteString(esc(c.Str))
@@ -278,19 +293,39 @@ func renderScrollerTag(rc *Context, w *bytes.Buffer, bean *mvc.UnitBean) {
 		if offset < 0 || (bean.Total > 0 && offset >= bean.Total) || offset == bean.Offset {
 			return
 		}
-		params := map[string]string{}
-		for k, v := range rc.Request.Params {
-			if !strings.HasPrefix(k, "_") {
-				params[k] = mvc.FormatParam(v)
-			}
-		}
-		params["offset"] = strconv.Itoa(offset)
-		href := mvc.ActionURL("page/"+rc.Page.ID, params)
-		put(w, `<a class="webml-scroll" href="`, dom.EscapeAttr(href), `">`, dom.EscapeText(label), `</a>`)
+		w.WriteString(`<a class="webml-scroll" href="`)
+		appendScrollHref(w, rc.Page.ID, rc.Request.Params, offset)
+		put(w, `">`, dom.EscapeText(label), `</a>`)
 	}
 	window(bean.Offset-bean.PageSize, "prev")
 	window(bean.Offset+bean.PageSize, "next")
 	w.WriteString("</div>")
+}
+
+// appendScrollHref appends the URL of page pageID under params with
+// offset replaced and the names that start with "_" dropped: byte for
+// byte dom.EscapeAttr(mvc.ActionURL("page/"+pageID, ...)) of those
+// parameters in their parameter form, without building either.
+func appendScrollHref(w *bytes.Buffer, pageID string, params map[string]mvc.Value, offset int) {
+	var names [8]string
+	keys := append(names[:0], "offset")
+	for k := range params {
+		if k != "offset" && !strings.HasPrefix(k, "_") {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	put(w, "/page/", dom.EscapeAttr(pageID))
+	sep := "?"
+	for _, k := range keys {
+		put(w, sep, url.QueryEscape(k), "=")
+		if k == "offset" {
+			w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(offset), 10))
+		} else {
+			putParam(w, params[k])
+		}
+		sep = "&amp;"
+	}
 }
 
 // renderEntryTag shows the form of an entry unit. Field names are mapped
