@@ -784,8 +784,6 @@ func e10Model() *webml.Model {
 // overlap their round trips but none shares a frame.
 type perUnit struct{ mvc.Business }
 
-func (p perUnit) SupportsUnitBatch() bool { return true }
-
 func (p perUnit) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc.UnitResult {
 	out := make([]mvc.UnitResult, len(calls))
 	var wg sync.WaitGroup

@@ -5,8 +5,7 @@ import (
 	"webmlgo/internal/webml"
 )
 
-// A unit's custom tag is tagPrefix + kind + tagSuffix; TagForKind and
-// Skeleton share the two halves.
+// A unit's custom tag is tagPrefix + kind + tagSuffix.
 const tagPrefix, tagSuffix = "webml:", "Unit"
 
 // TagForKind returns the custom tag name rendering a unit kind in the
@@ -38,7 +37,7 @@ func (g *Generator) Skeleton(p *webml.Page) string {
 	}
 	b.put(">")
 	for _, u := range p.Units {
-		b.put("<tr><td><"+tagPrefix, string(u.Kind), tagSuffix+` id="`, dom.EscapeAttr(u.ID))
+		b.put("<tr><td><", TagForKind(u.Kind), ` id="`, dom.EscapeAttr(u.ID))
 		if u.Name != "" {
 			b.put(`" data-name="`, dom.EscapeAttr(u.Name))
 		}

@@ -101,19 +101,6 @@ func (n *Node) AppendChild(c *Node) *Node {
 	return n
 }
 
-// InsertBefore inserts c immediately before ref among n's children.
-// If ref is not a child of n, c is appended.
-func (n *Node) InsertBefore(c, ref *Node) {
-	c.Parent = n
-	for i, ch := range n.Children {
-		if ch == ref {
-			n.Children = append(n.Children[:i], append([]*Node{c}, n.Children[i:]...)...)
-			return
-		}
-	}
-	n.Children = append(n.Children, c)
-}
-
 // RemoveChild removes c from n's children. It is a no-op if c is not a child.
 func (n *Node) RemoveChild(c *Node) {
 	for i, ch := range n.Children {

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// MustParse is Parse but panics on error, for static markup in tests.
+func MustParse(input string) *Node {
+	n, err := Parse(input)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestParseSimpleElement(t *testing.T) {
 	n, err := Parse(`<div class="x">hello</div>`)
 	if err != nil {
@@ -152,15 +161,11 @@ func TestReplaceWith(t *testing.T) {
 	}
 }
 
-func TestInsertBeforeAndRemoveChild(t *testing.T) {
-	root := MustParse(`<div><a/><c/></div>`)
+func TestRemoveChild(t *testing.T) {
+	root := MustParse(`<div><a/><b/><c/></div>`)
 	c := root.Find(ByTag("c"))
-	root.InsertBefore(NewElement("b"), c)
-	if root.Children[1].Tag != "b" {
-		t.Fatalf("got %s", root.String())
-	}
 	root.RemoveChild(c)
-	if len(root.Children) != 2 {
+	if len(root.Children) != 2 || root.Children[1].Tag != "b" || c.Parent != nil {
 		t.Fatalf("got %s", root.String())
 	}
 }

@@ -55,16 +55,6 @@ func Parse(input string) (*Node, error) {
 	return root, nil
 }
 
-// MustParse is Parse but panics on error; intended for static markup in
-// tests and rule definitions.
-func MustParse(input string) *Node {
-	n, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 type parser struct {
 	src string
 	pos int

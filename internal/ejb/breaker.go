@@ -115,13 +115,6 @@ func (b *breaker) open() {
 	b.opens++
 }
 
-// snapshot returns the current state name and consecutive-failure count.
-func (b *breaker) snapshot() (string, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.failures
-}
-
 // breakerStatus is the full observable state of one breaker, feeding
 // the /healthz transition report.
 type breakerStatus struct {

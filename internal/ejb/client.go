@@ -61,10 +61,6 @@ type RemoteBusiness struct {
 	// conns bounds the persistent multiplexed connections per container
 	// (<=0 selects defaultConnsPerEndpoint).
 	conns int
-	// brkThreshold/brkCooldown apply to endpoints discovered after
-	// setBreaker (membership-driven adds inherit the configuration).
-	brkThreshold int
-	brkCooldown  time.Duration
 
 	mu        sync.Mutex
 	endpoints []*endpoint // copy-on-write: replaced wholesale, never mutated in place
@@ -161,7 +157,7 @@ func (r *RemoteBusiness) setEndpoints(addrs []string) {
 			delete(old, a)
 			continue
 		}
-		next = append(next, &endpoint{addr: a, brk: newBreaker(r.brkThreshold, r.brkCooldown)})
+		next = append(next, &endpoint{addr: a, brk: newBreaker(0, 0)})
 	}
 	r.endpoints = next
 	// Removed endpoints stay visible on the draining list until their
@@ -238,19 +234,6 @@ func (r *RemoteBusiness) InFlight(addr string) int {
 	return n
 }
 
-// setBreaker reconfigures every endpoint's circuit breaker (zero values
-// select the defaults: threshold 3, cooldown 200ms). Endpoints added
-// later by a membership change inherit the same configuration.
-func (r *RemoteBusiness) setBreaker(threshold int, cooldown time.Duration) {
-	r.mu.Lock()
-	r.brkThreshold, r.brkCooldown = threshold, cooldown
-	eps := r.endpoints
-	r.mu.Unlock()
-	for _, ep := range eps {
-		ep.brk = newBreaker(threshold, cooldown)
-	}
-}
-
 var (
 	_ mvc.Business      = (*RemoteBusiness)(nil)
 	_ mvc.BatchComputer = (*RemoteBusiness)(nil)
@@ -273,10 +256,6 @@ func (r *RemoteBusiness) ExecuteOperation(ctx context.Context, d *descriptor.Uni
 	}
 	return resp.Op, nil
 }
-
-// SupportsUnitBatch implements mvc.BatchComputer: the stub is the
-// batching transport at the bottom of every decorator chain.
-func (r *RemoteBusiness) SupportsUnitBatch() bool { return true }
 
 // ComputeUnits implements mvc.BatchComputer: all unit computations of
 // one schedule level travel as a single request frame and come back as a
@@ -321,43 +300,6 @@ func (r *RemoteBusiness) one(ctx context.Context, idempotent bool, call batchCal
 	return &resps[0], nil
 }
 
-// send runs one request frame of items through the failover loop and
-// returns the reply frame's responses, one per item in item order, or
-// the transport error that failed the frame. Each item gets an ejb.call
-// span labeled with its kind; a frame of units also observes BatchLat.
-func (r *RemoteBusiness) send(ctx context.Context, idempotent bool, calls []batchCall) ([]response, error) {
-	var items []response
-	err := r.invoke(ctx, idempotent, func(ep *endpoint, mc *mconn, deadline time.Time) error {
-		breq := batchRequest{DeadlineMS: budgetMS(deadline), Calls: calls}
-		spans := make([]*obs.SpanHandle, 0, 8) // on the stack for most frames
-		for j := range calls {
-			sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", kindName(calls[j].Kind))
-			breq.TraceID, calls[j].SpanID = sp.Wire()
-			spans = append(spans, sp)
-		}
-		started := time.Now()
-		resps, err := mc.batch(&breq, deadline, ctx.Done())
-		took := time.Since(started)
-		if r.BatchLat != nil && calls[0].Kind == kindUnit {
-			r.BatchLat.ObserveErr(ep.addr, took, err != nil)
-		}
-		for j, sp := range spans {
-			if r.CallLat != nil {
-				r.CallLat.ObserveErr(ep.addr, took, err != nil || resps[j].Err != "")
-			}
-			if err != nil {
-				sp.EndErr(err)
-				continue
-			}
-			sp.ImportRemote(resps[j].Spans)
-			sp.EndErr(remoteErr(&resps[j]))
-		}
-		items = resps
-		return err
-	})
-	return items, err
-}
-
 // remoteErr is an item's application-level error: the container executed
 // the item, so re-running it elsewhere would give the same answer.
 func remoteErr(resp *response) error {
@@ -398,17 +340,13 @@ func (p remotePages) ComputePage(ctx context.Context, pageID string, params map[
 // errNoEndpoints fails an invocation when there is no container to try.
 var errNoEndpoints = errors.New("ejb: no container endpoints")
 
-// exchangeFunc performs one invocation on a live connection of ep: it
-// writes the request frame and reads the reply, returning only transport
-// errors (an application error is part of the reply).
-type exchangeFunc func(ep *endpoint, mc *mconn, deadline time.Time) error
-
-// invoke routes one invocation, one request frame: starting
-// from the round-robin cursor, it tries each endpoint whose breaker
-// admits it, failing over on transport errors until an endpoint answers
-// or all are exhausted. A non-idempotent invocation stops failing over
-// once its frame may have left the process.
-func (r *RemoteBusiness) invoke(ctx context.Context, idempotent bool, exchange exchangeFunc) error {
+// send runs one request frame of items and returns the reply frame's
+// responses, one per item in item order, or the transport error that
+// failed the frame. Starting from the round-robin cursor, it tries each
+// endpoint whose breaker admits it, failing over on transport errors
+// until an endpoint answers or all are exhausted. A non-idempotent frame
+// stops failing over once it may have left the process.
+func (r *RemoteBusiness) send(ctx context.Context, idempotent bool, calls []batchCall) ([]response, error) {
 	deadline, _ := ctx.Deadline() // zero: unbounded
 	eps := r.eps()
 	r.mu.Lock()
@@ -418,7 +356,7 @@ func (r *RemoteBusiness) invoke(ctx context.Context, idempotent bool, exchange e
 	var lastErr error
 	for i := range eps {
 		if err := ctx.Err(); err != nil {
-			return cmp.Or(lastErr, err)
+			return nil, cmp.Or(lastErr, err)
 		}
 		ep := eps[(start+i)%len(eps)]
 		if !ep.brk.allow() {
@@ -430,50 +368,75 @@ func (r *RemoteBusiness) invoke(ctx context.Context, idempotent bool, exchange e
 			continue
 		}
 		ep.inflight.Add(1)
-		sent, err := r.invokeOn(ctx, ep, idempotent, deadline, exchange)
+		resps, sent, err := r.sendOn(ctx, ep, idempotent, deadline, calls)
 		ep.inflight.Add(-1)
 		if err == nil {
-			return nil
+			return resps, nil
 		}
 		lastErr = err
 		if sent && !idempotent {
-			return err
+			return nil, err
 		}
 	}
-	return cmp.Or(lastErr, errNoEndpoints)
+	return nil, cmp.Or(lastErr, errNoEndpoints)
 }
 
-// invokeOn performs one invocation against a single endpoint, retrying
-// an idempotent one once on a fresh connection when an existing one
-// fails (the container may have restarted since — one fresh dial
+// sendOn exchanges the frame with a single endpoint, retrying an
+// idempotent one once on a fresh connection when an existing one fails
+// (the container may have restarted since — one fresh dial
 // distinguishes a stale connection from a dead endpoint). sent reports
 // whether the frame may have reached the container (an operation must
 // not be resent once it did). The exchange shares a multiplexed
 // connection; its failure fails every frame in flight on it, and each
-// affected invocation runs this same failover loop independently.
-func (r *RemoteBusiness) invokeOn(ctx context.Context, ep *endpoint, idempotent bool, deadline time.Time, exchange exchangeFunc) (sent bool, err error) {
+// affected frame runs this same failover loop independently. Each item
+// gets an ejb.call span labeled with its kind; a frame of units also
+// observes BatchLat.
+func (r *RemoteBusiness) sendOn(ctx context.Context, ep *endpoint, idempotent bool, deadline time.Time, calls []batchCall) (resps []response, sent bool, err error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if !deadline.IsZero() && time.Until(deadline) <= 0 {
-			return sent, cmp.Or(lastErr, context.DeadlineExceeded)
+			return nil, sent, cmp.Or(lastErr, context.DeadlineExceeded)
 		}
 		mc, fresh, err := ep.framedConn(r, deadline)
 		if err != nil {
 			ep.brk.failure()
-			return sent, cmp.Or(lastErr, err)
+			return nil, sent, cmp.Or(lastErr, err)
 		}
-		err = exchange(ep, mc, deadline)
+		breq := batchRequest{DeadlineMS: budgetMS(deadline), Calls: calls}
+		spans := make([]*obs.SpanHandle, 0, 8) // on the stack for most frames
+		for j := range calls {
+			sp := obs.Leaf(ctx, "ejb.call").Label("addr", ep.addr).Label("kind", kindName(calls[j].Kind))
+			breq.TraceID, calls[j].SpanID = sp.Wire()
+			spans = append(spans, sp)
+		}
+		started := time.Now()
+		resps, err = mc.batch(&breq, deadline, ctx.Done())
+		took := time.Since(started)
+		if r.BatchLat != nil && calls[0].Kind == kindUnit {
+			r.BatchLat.ObserveErr(ep.addr, took, err != nil)
+		}
+		for j, sp := range spans {
+			if r.CallLat != nil {
+				r.CallLat.ObserveErr(ep.addr, took, err != nil || resps[j].Err != "")
+			}
+			if err != nil {
+				sp.EndErr(err)
+				continue
+			}
+			sp.ImportRemote(resps[j].Spans)
+			sp.EndErr(remoteErr(&resps[j]))
+		}
 		if err == nil {
 			ep.brk.success()
-			return true, nil
+			return resps, true, nil
 		}
 		if errors.Is(err, context.Canceled) {
-			// The caller abandoned the invocation; the exchange already
-			// deregistered the frame and the shared connection stays
-			// healthy. Killing it would fail every unrelated in-flight
-			// frame and count a breaker failure against a container
-			// that did nothing wrong.
-			return true, err
+			// The caller abandoned the frame; mc.batch already
+			// deregistered it and the shared connection stays healthy.
+			// Killing it would fail every unrelated in-flight frame and
+			// count a breaker failure against a container that did
+			// nothing wrong.
+			return nil, true, err
 		}
 		// The frame may have reached the container before the
 		// connection died; from here an operation is unsafe to resend.
@@ -486,7 +449,7 @@ func (r *RemoteBusiness) invokeOn(ctx context.Context, ep *endpoint, idempotent 
 			break
 		}
 	}
-	return sent, lastErr
+	return nil, sent, lastErr
 }
 
 // framedConn returns a live multiplexed connection for the endpoint:

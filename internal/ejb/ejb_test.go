@@ -17,6 +17,20 @@ import (
 	"webmlgo/internal/rdb"
 )
 
+// setBreaker reconfigures every current endpoint's circuit breaker.
+func (r *RemoteBusiness) setBreaker(threshold int, cooldown time.Duration) {
+	for _, ep := range r.eps() {
+		ep.brk = newBreaker(threshold, cooldown)
+	}
+}
+
+// snapshot is the breaker's state and consecutive-failure count, as
+// status reports them.
+func (b *breaker) snapshot() (string, int) {
+	st := b.status()
+	return st.state, st.failures
+}
+
 // startApp deploys the fixture's business tier into a container and
 // returns a remote client for it.
 func startApp(t *testing.T, capacity int) (*Container, *RemoteBusiness, *rdb.DB, *codegen.Artifacts) {

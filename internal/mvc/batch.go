@@ -25,37 +25,34 @@ type UnitResult struct {
 	Err  error
 }
 
-// BatchComputer is the optional batch interface of the business tier:
-// the page scheduler submits all unit computations of one topological
-// level in a single call, so a remote business tier can turn N round
-// trips per level into one request frame of the framed wire.
-//
-// SupportsUnitBatch must report whether batching actually reaches a
-// batching transport below — decorators delegate the answer to their
-// inner business. When it reports false, ComputeUnitsOf runs the items
-// as guarded calls in order, the right shape for in-process computation
-// (no round trips to save).
+// BatchComputer is a business tier that takes a whole topological level
+// of the page schedule in one call: every decorator of the chain and the
+// remote stub, which sends the level as one request frame. The page
+// scheduler runs each level through ComputeUnitsOf, so a level travels
+// down the chain as one batch until it reaches a tier without
+// ComputeUnits (LocalBusiness, fault.Business), which computes the items
+// one at a time.
 type BatchComputer interface {
 	Business
-	SupportsUnitBatch() bool
 	ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult
 }
 
-// SupportsUnitBatch reports whether b both implements BatchComputer and
-// affirms batch support — the question every decorator forwards down
-// its chain.
+// SupportsUnitBatch reports whether b implements BatchComputer.
+//
+// Deprecated: SupportsUnitBatch decides nothing — ComputeUnitsOf batches
+// whenever its argument implements ComputeUnits.
 func SupportsUnitBatch(b Business) bool {
-	bc, ok := b.(BatchComputer)
-	return ok && bc.SupportsUnitBatch()
+	_, ok := b.(BatchComputer)
+	return ok
 }
 
 // ComputeUnitsOf runs a level batch against b: through its own
-// ComputeUnits when it batches, otherwise as guarded per-item calls in
+// ComputeUnits when it has one, otherwise as guarded per-item calls in
 // order (a panic contained to the failing item). The page scheduler runs
 // every level through it, and decorators use it to pass a batch one
-// layer down without caring whether that layer batches.
+// layer down.
 func ComputeUnitsOf(ctx context.Context, b Business, calls []UnitCall) []UnitResult {
-	if bc, ok := b.(BatchComputer); ok && bc.SupportsUnitBatch() {
+	if bc, ok := b.(BatchComputer); ok {
 		return bc.ComputeUnits(ctx, calls)
 	}
 	out := make([]UnitResult, len(calls))
@@ -78,17 +75,11 @@ func computeOneGuarded(ctx context.Context, b Business, c UnitCall) (bean *UnitB
 
 // ---- decorator pass-through ----
 
-// SupportsUnitBatch implements BatchComputer by delegation.
-func (nb *NotifyingBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(nb.Inner) }
-
 // ComputeUnits implements BatchComputer by pure delegation — unit reads
 // never write, so there is nothing to notify.
 func (nb *NotifyingBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
 	return ComputeUnitsOf(ctx, nb.Inner, calls)
 }
-
-// SupportsUnitBatch implements BatchComputer by delegation.
-func (rb *ResilientBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(rb.Inner) }
 
 // ComputeUnits implements BatchComputer with per-item retry: failed
 // items back off and re-run until they succeed, the attempt budget runs
@@ -134,9 +125,6 @@ func (rb *ResilientBusiness) ComputeUnits(ctx context.Context, calls []UnitCall)
 	}
 	return out
 }
-
-// SupportsUnitBatch implements BatchComputer by delegation.
-func (cb *CachedBusiness) SupportsUnitBatch() bool { return SupportsUnitBatch(cb.Inner) }
 
 // ComputeUnits implements BatchComputer over the bean cache: hits are
 // answered locally, misses led by another request are joined, and only

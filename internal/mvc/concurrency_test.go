@@ -239,8 +239,6 @@ type batchingBusiness struct {
 	levels atomic.Int64
 }
 
-func (b *batchingBusiness) SupportsUnitBatch() bool { return true }
-
 func (b *batchingBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
 	b.levels.Add(1)
 	out := make([]UnitResult, len(calls))

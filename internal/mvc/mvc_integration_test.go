@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +25,20 @@ import (
 // buildApp assembles the full fixture application: model -> generated
 // artifacts -> seeded database -> controller with the real renderer.
 func buildApp(t *testing.T, withBeanCache bool) (*mvc.Controller, *rdb.DB, *cache.BeanCache) {
+	t.Helper()
+	art, db := figure1(t)
+	var business mvc.Business = mvc.NewLocalBusiness(db)
+	var beans *cache.BeanCache
+	if withBeanCache {
+		beans = cache.NewBeanCache(0)
+		business = mvc.NewCachedBusiness(business, beans)
+	}
+	return mvc.NewController(art.Repo, business, render.NewEngine(art.Repo)), db, beans
+}
+
+// figure1 generates the fixture model's artifacts and seeds a database
+// with their DDL.
+func figure1(t *testing.T) (*codegen.Artifacts, *rdb.DB) {
 	t.Helper()
 	g, err := codegen.New(fixture.Figure1Model())
 	if err != nil {
@@ -41,13 +57,63 @@ func buildApp(t *testing.T, withBeanCache bool) (*mvc.Controller, *rdb.DB, *cach
 	if err := fixture.Seed(db); err != nil {
 		t.Fatal(err)
 	}
-	var business mvc.Business = mvc.NewLocalBusiness(db)
-	var beans *cache.BeanCache
-	if withBeanCache {
-		beans = cache.NewBeanCache(0)
-		business = mvc.NewCachedBusiness(business, beans)
+	return art, db
+}
+
+// levelSpy stands between the bean cache and the local business tier and
+// records the width of every level that reaches it as one call.
+type levelSpy struct {
+	inner  mvc.Business
+	mu     sync.Mutex
+	widths []int
+}
+
+func (s *levelSpy) ComputeUnit(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.UnitBean, error) {
+	return s.inner.ComputeUnit(ctx, d, inputs)
+}
+
+func (s *levelSpy) ExecuteOperation(ctx context.Context, d *descriptor.Unit, inputs map[string]mvc.Value) (*mvc.OpResult, error) {
+	return s.inner.ExecuteOperation(ctx, d, inputs)
+}
+
+func (s *levelSpy) ComputeUnits(ctx context.Context, calls []mvc.UnitCall) []mvc.UnitResult {
+	s.mu.Lock()
+	s.widths = append(s.widths, len(calls))
+	s.mu.Unlock()
+	return mvc.ComputeUnitsOf(ctx, s.inner, calls)
+}
+
+// TestLocalChainPassesLevelsDown: in the local placement a level walks
+// the decorator chain as one batch, the path it takes over the remote
+// stub. The widest level of the fixture's pages reaches a tier below the
+// bean cache as one ComputeUnits call of that width.
+func TestLocalChainPassesLevelsDown(t *testing.T) {
+	art, db := figure1(t)
+	page, width := "", 0
+	for _, pd := range art.Repo.Pages() {
+		s, err := art.Repo.Schedule(pd.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range s.Levels {
+			if len(level) > width {
+				page, width = pd.ID, len(level)
+			}
+		}
 	}
-	return mvc.NewController(art.Repo, business, render.NewEngine(art.Repo)), db, beans
+	if width < 2 {
+		t.Fatalf("the fixture's widest level holds %d units", width)
+	}
+	spy := &levelSpy{inner: mvc.NewLocalBusiness(db)}
+	chain := &mvc.NotifyingBusiness{Inner: mvc.NewCachedBusiness(spy, cache.NewBeanCache(0))}
+	ps := &mvc.PageService{Repo: art.Repo, Business: chain}
+	request := map[string]mvc.Value{"volume": int64(1), "issue": int64(1), "paper": int64(1)}
+	if _, err := ps.ComputePage(context.Background(), page, request, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(spy.widths, width) {
+		t.Fatalf("page %s: the spy saw level calls of widths %v, want one of %d", page, spy.widths, width)
+	}
 }
 
 // get performs a request against the controller (or the edge in front of

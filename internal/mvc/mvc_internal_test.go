@@ -23,10 +23,11 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 		Units: []descriptor.UnitRef{{ID: "c"}, {ID: "a"}, {ID: "b"}},
 		Edges: []descriptor.Edge{{From: "a", To: "b"}, {From: "b", To: "c"}},
 	}
-	order, err := topoOrder(pd)
+	s, err := descriptor.ComputeSchedule(pd)
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := s.Order
 	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
 	}
@@ -37,10 +38,11 @@ func TestTopoOrderStableWithoutEdges(t *testing.T) {
 		ID:    "p",
 		Units: []descriptor.UnitRef{{ID: "x"}, {ID: "y"}, {ID: "z"}},
 	}
-	order, err := topoOrder(pd)
+	s, err := descriptor.ComputeSchedule(pd)
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := s.Order
 	if order[0] != "x" || order[1] != "y" || order[2] != "z" {
 		t.Fatalf("order = %v", order)
 	}
@@ -52,7 +54,7 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 		Units: []descriptor.UnitRef{{ID: "a"}, {ID: "b"}},
 		Edges: []descriptor.Edge{{From: "a", To: "b"}, {From: "b", To: "a"}},
 	}
-	if _, err := topoOrder(pd); err == nil {
+	if _, err := descriptor.ComputeSchedule(pd); err == nil {
 		t.Fatal("cycle not detected")
 	}
 }
@@ -63,7 +65,7 @@ func TestTopoOrderRejectsUnknownUnits(t *testing.T) {
 		Units: []descriptor.UnitRef{{ID: "a"}},
 		Edges: []descriptor.Edge{{From: "a", To: "ghost"}},
 	}
-	if _, err := topoOrder(pd); err == nil {
+	if _, err := descriptor.ComputeSchedule(pd); err == nil {
 		t.Fatal("unknown edge endpoint accepted")
 	}
 }

@@ -100,11 +100,11 @@ func (ps *PageService) computePage(ctx context.Context, id string, request map[s
 
 // computeLevel runs one topological level, whatever its width, as one
 // ComputeUnitsOf call: inputs are resolved for every unit up front (they
-// only read beans of strictly earlier levels), and the business tier
-// decides how the items run — one batch frame for a remote stub, guarded
-// calls in order otherwise. Beans merge deterministically, the first
-// error in level order wins, and sticky form-state errors are cloned
-// copy-on-write per request. Each unit gets its own "unit" span and
+// only read beans of strictly earlier levels), and the level travels
+// down the business chain whole — one batch frame at a remote stub,
+// guarded calls in order at LocalBusiness. Beans merge deterministically,
+// the first error in level order wins, and sticky form-state errors are
+// cloned copy-on-write per request. Each unit gets its own "unit" span and
 // UnitLat observation of the level's wall time.
 func (ps *PageService) computeLevel(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, level []string, request map[string]Value, formState map[string]*FormState, state *PageState) error {
 	calls := make([]UnitCall, len(level))
@@ -220,15 +220,4 @@ func (ps *PageService) resolveInputs(pd *descriptor.Page, sched *descriptor.Sche
 type FormState struct {
 	Values map[string]Value
 	Errors map[string]string
-}
-
-// topoOrder returns the page's unit IDs in an order where every edge
-// source precedes its target; units not involved in edges keep their
-// display order. It delegates to the descriptor-level schedule.
-func topoOrder(pd *descriptor.Page) ([]string, error) {
-	s, err := descriptor.ComputeSchedule(pd)
-	if err != nil {
-		return nil, err
-	}
-	return s.Order, nil
 }

@@ -92,11 +92,8 @@ func oracleRender(e *Engine, pd *descriptor.Page, state *mvc.PageState, ctx *mvc
 			}
 			nb.WriteString(`</nav>`)
 			menu := dom.NewRaw(nb.String())
-			if len(body.Children) > 0 {
-				body.InsertBefore(menu, body.Children[0])
-			} else {
-				body.AppendChild(menu)
-			}
+			menu.Parent = body
+			body.Children = append([]*dom.Node{menu}, body.Children...)
 		}
 	}
 	var b bytes.Buffer

@@ -64,7 +64,6 @@ type Engine struct {
 
 	mu       sync.RWMutex
 	programs map[programKey]*program // at most pages x variants
-	epoch    uint64                  // counts InvalidateTemplate calls
 }
 
 type programKey struct{ page, variant string }
@@ -93,19 +92,6 @@ func NewEngine(repo *descriptor.Repository) *Engine {
 // RegisterTag installs the renderer for a (plug-in) unit kind. Programs
 // name units, not renderers: the tag is looked up when a page is served.
 func (e *Engine) RegisterTag(kind string, r TagRenderer) { e.Tags[kind] = r }
-
-// InvalidateTemplate drops what was compiled from a template (after its
-// redeployment): the program of every page using it, in every variant.
-func (e *Engine) InvalidateTemplate(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.epoch++
-	for key, prog := range e.programs {
-		if prog.page.Template == name {
-			delete(e.programs, key)
-		}
-	}
-}
 
 // Context is passed to tag renderers.
 type Context struct {
@@ -206,17 +192,17 @@ func (e *Engine) writeUnit(rc *Context, w *bytes.Buffer, unitID string) error {
 func (e *Engine) program(pd *descriptor.Page, variant, userAgent string) (*program, error) {
 	key := programKey{pd.ID, variant}
 	e.mu.RLock()
-	prog, epoch := e.programs[key], e.epoch
+	prog := e.programs[key]
 	e.mu.RUnlock()
 	if prog != nil && prog.page == pd {
 		return prog, nil
 	}
 	prog, err := e.compile(pd, userAgent)
-	e.mu.Lock()
-	if err == nil && e.epoch == epoch { // a template read before an invalidation serves once, and is not kept
+	if err == nil {
+		e.mu.Lock()
 		e.programs[key] = prog
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
 	return prog, err
 }
 

@@ -280,10 +280,10 @@ func (fakeStyler) Style(_ *descriptor.Page, tpl *dom.Node, ua string) error {
 	return nil
 }
 
-// TestTemplateParseCachingAndInvalidation: a template compiles once per
-// page and variant; invalidating it by name drops every variant's program
-// of every page that uses it, and of no other template.
-func TestTemplateParseCachingAndInvalidation(t *testing.T) {
+// TestTemplateCompiledOncePerVariant: a template compiles once per page
+// and variant, and the program serves from then on, even after the
+// template text is replaced in the repository.
+func TestTemplateCompiledOncePerVariant(t *testing.T) {
 	pd, state, ctx := pageFixture()
 	twin, other := *pd, *pd // a second page on the same template, a third on its own
 	twin.ID, other.ID, other.Template = "p1twin", "p3", "p3"
@@ -294,34 +294,26 @@ func TestTemplateParseCachingAndInvalidation(t *testing.T) {
 	}
 	e := NewEngine(repo)
 	e.Styler = fakeStyler{}
-	v2 := func(p *descriptor.Page, ua string) bool {
+	each := func(why string) {
 		t.Helper()
-		ctx.UserAgent = ua
-		out, err := e.RenderPage(p, state, ctx)
-		if err != nil || !strings.Contains(string(out), `data-device="`+ua+`"`) {
-			t.Fatalf("page %s for %s: err %v\n%s", p.ID, ua, err, out)
-		}
-		return strings.Contains(string(out), `id="v2"`)
-	}
-	each := func(want map[*descriptor.Page]bool, why string) {
-		t.Helper()
-		for p, fresh := range want {
+		for _, p := range []*descriptor.Page{pd, &twin, &other} {
 			for _, ua := range []string{"desktop", "mobile"} {
-				if v2(p, ua) != fresh {
+				ctx.UserAgent = ua
+				out, err := e.RenderPage(p, state, ctx)
+				if err != nil || !strings.Contains(string(out), `data-device="`+ua+`"`) {
+					t.Fatalf("page %s for %s: err %v\n%s", p.ID, ua, err, out)
+				}
+				if strings.Contains(string(out), `id="v2"`) {
 					t.Fatalf("page %s for %s: %s", p.ID, ua, why)
 				}
 			}
 		}
 	}
-	each(map[*descriptor.Page]bool{pd: false, &twin: false, &other: false}, "v2 before it was deployed")
-	// Replace both templates: without invalidation the old programs serve.
+	each("v2 before it was deployed")
 	const next = `<html><body id="v2"><webml:dataUnit id="d1"/></body></html>`
 	repo.PutTemplate("p1", next)
 	repo.PutTemplate("p3", next)
-	each(map[*descriptor.Page]bool{pd: false, &twin: false, &other: false}, "program cache bypassed")
-	e.InvalidateTemplate("p1")
-	each(map[*descriptor.Page]bool{pd: true, &twin: true, &other: false},
-		"InvalidateTemplate(p1) must reach both variants of both p1 pages and leave p3 alone")
+	each("program cache bypassed")
 	if len(e.programs) != 6 {
 		t.Fatalf("%d programs for 3 pages in 2 variants", len(e.programs))
 	}
@@ -471,7 +463,7 @@ func TestPutValueMatchesFormatParam(t *testing.T) {
 
 // TestConcurrentRendersShareBeans: the bean cache hands one *UnitBean to
 // many requests at once, so tags may only read it, and all of them share
-// the engine's programs while redeployments drop them. Run under -race.
+// the engine's programs while redeployments replace them. Run under -race.
 func TestConcurrentRendersShareBeans(t *testing.T) {
 	pd, state, ctx := pageFixture()
 	e := engineWith(pd, tplP1)
@@ -490,7 +482,11 @@ func TestConcurrentRendersShareBeans(t *testing.T) {
 					return
 				}
 				if i%10 == 0 { // programs recompile under the other renders
-					e.InvalidateTemplate(pd.Template)
+					redeployed := *pd
+					if _, err := e.RenderPage(&redeployed, state, ctx); err != nil {
+						t.Errorf("redeployed render: %v", err)
+						return
+					}
 				}
 			}
 		}()

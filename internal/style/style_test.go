@@ -15,6 +15,15 @@ const skeleton = `<html data-page="p1" data-layout="two-column">` +
 	`<tr><td><webml:indexUnit id="issuesPapers" data-name="Issues&amp;Papers"/></td></tr>` +
 	`</table></body></html>`
 
+// mustParse parses static test markup, panicking on an error.
+func mustParse(src string) *dom.Node {
+	n, err := dom.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 // apply styles a parsed copy of src with rs in every site view, the way a
 // page program is styled.
 func apply(t *testing.T, rs *RuleSet, src string) *dom.Node {
@@ -23,7 +32,7 @@ func apply(t *testing.T, rs *RuleSet, src string) *dom.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := dom.MustParse(src)
+	tree := mustParse(src)
 	if err := s.Style(&descriptor.Page{}, tree, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,7 @@ func TestApplyWrapsUnitsAndPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	styled := dom.MustParse(skeleton)
+	styled := mustParse(skeleton)
 	if err := s.Style(&descriptor.Page{}, styled, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +74,7 @@ func TestApplyWrapsUnitsAndPage(t *testing.T) {
 		t.Fatal("style marker missing")
 	}
 	// The parsed rules are only read: a second page styles the same.
-	again := dom.MustParse(skeleton)
+	again := mustParse(skeleton)
 	if err := s.Style(&descriptor.Page{}, again, ""); err != nil || again.String() != out {
 		t.Fatalf("second styling differs (err %v):\n%s", err, again)
 	}
@@ -75,7 +84,7 @@ func TestApplyWrapsUnitsAndPage(t *testing.T) {
 // as text, escaped on output, never as markup.
 func TestUnitNameIsText(t *testing.T) {
 	const name = "R&D <b>x</b>"
-	page := dom.MustParse(skeleton)
+	page := mustParse(skeleton)
 	page.Find(dom.ByTag("webml:dataUnit")).SetAttr("data-name", name)
 	repo := descriptor.NewRepository()
 	repo.PutTemplate("p1", page.String())
@@ -83,7 +92,7 @@ func TestUnitNameIsText(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl, _ := repo.Template("p1")
-	styled := dom.MustParse(tpl)
+	styled := mustParse(tpl)
 	if b := styled.Find(dom.ByTag("b")); b != nil {
 		t.Fatalf("unit name injected as markup:\n%s", tpl)
 	}
@@ -106,7 +115,7 @@ func TestPageTitleIsText(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl, _ := repo.Template("p1")
-	div := dom.MustParse(tpl).Find(dom.ByAttr("title", title))
+	div := mustParse(tpl).Find(dom.ByAttr("title", title))
 	if div == nil || len(div.Attrs) != 1 {
 		t.Fatalf("title injected attributes:\n%s", tpl)
 	}
@@ -192,7 +201,7 @@ func TestRuntimeStylerDispatchesOnUserAgent(t *testing.T) {
 	if got := s.Variant("Mozilla/5.0 (X11; Linux x86_64)"); got != "" {
 		t.Fatalf("variant = %q", got)
 	}
-	mobile, desktop := dom.MustParse(skeleton), dom.MustParse(skeleton)
+	mobile, desktop := mustParse(skeleton), mustParse(skeleton)
 	if err := s.Style(&descriptor.Page{}, mobile, "Android 4.0"); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +270,7 @@ func TestStylerBySiteView(t *testing.T) {
 		t.Fatal("compile-time styler varies by user agent")
 	}
 	for sv, want := range map[string]string{"shop": "b2c", "partners": "b2b", "cm": "intranet"} {
-		tree := dom.MustParse(skeleton)
+		tree := mustParse(skeleton)
 		if err := s.Style(&descriptor.Page{ID: "p1", SiteView: sv}, tree, ""); err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +282,7 @@ func TestStylerBySiteView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := dom.MustParse(skeleton)
+	tree := mustParse(skeleton)
 	if err := none.Style(&descriptor.Page{ID: "p9", SiteView: "ghost"}, tree, ""); err != nil || tree.String() != skeleton {
 		t.Fatalf("unlisted site view without a default was styled (err %v):\n%s", err, tree)
 	}
@@ -293,7 +302,7 @@ func TestStylerDeviceBeforeSiteView(t *testing.T) {
 		{"shop", "Mozilla/5.0 (X11)", "b2c"},
 		{"cm", "Mozilla/5.0 (X11)", "intranet"},
 	} {
-		tree := dom.MustParse(skeleton)
+		tree := mustParse(skeleton)
 		if err := s.Style(&descriptor.Page{ID: "p1", SiteView: c.sv}, tree, c.ua); err != nil {
 			t.Fatal(err)
 		}
