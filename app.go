@@ -377,7 +377,7 @@ func New(model *webml.Model, opts ...Option) (*App, error) {
 		if app.Remote == nil {
 			return nil, fmt.Errorf("webmlgo: WithRemotePages requires WithAppServer")
 		}
-		app.Controller.Pages = app.Remote.Pages()
+		app.Controller.Pages = app.Remote.Pages(art.Repo)
 	}
 	if cfg.withEdge {
 		app.Controller.EdgeFragments = true

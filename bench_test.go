@@ -527,7 +527,7 @@ func BenchmarkE4AppServerWholePage(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer remote.Close()
-	pages := remote.Pages()
+	pages := remote.Pages(app.Repo())
 	params := map[string]mvc.Value{"volume": int64(1)}
 	b.ReportAllocs()
 	b.ResetTimer()

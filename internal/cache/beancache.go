@@ -144,6 +144,14 @@ func (c *BeanCache) Finish(f *Fill, val interface{}, err error) {
 // it to PutIfFresh.
 func (f *Fill) Epoch() uint64 { return f.epoch }
 
+// Done is closed once the fill's leader finishes; Result is then its
+// result. A waiter that holds a request deadline waits on Done through
+// its own helper (mvc.Await); Wait serves any other context.
+func (f *Fill) Done() <-chan struct{} { return f.done }
+
+// Result returns the leader's result once Done is closed.
+func (f *Fill) Result() (interface{}, error) { return f.val, f.err }
+
 // Wait blocks until the fill's leader finishes or ctx is done, and
 // returns the leader's result or the context's error.
 func (f *Fill) Wait(ctx context.Context) (interface{}, error) {

@@ -11,6 +11,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // ParamDef is one input parameter of a unit. The order of a descriptor's
@@ -94,6 +95,57 @@ type Unit struct {
 	Writes []string `xml:"writes>dep,omitempty"`
 
 	Cache *CachePolicy `xml:"cache,omitempty"`
+
+	// names holds the *fieldNames FieldNames computes on first use.
+	names atomic.Value
+}
+
+// fieldNames is the field names of a unit's beans: its outputs', then
+// each level's.
+type fieldNames struct {
+	fields []string
+	levels [][]string
+}
+
+// FieldNames returns the names of the unit's outputs and of each level's
+// outputs, the field lists of every bean the unit's generic service
+// builds. They are computed on the first call and shared read-only by
+// every caller, so a descriptor's outputs must not change once it is
+// used. An empty list is nil.
+func (u *Unit) FieldNames() (fields []string, levels [][]string) {
+	n, _ := u.names.Load().(*fieldNames)
+	if n == nil {
+		n = &fieldNames{fields: outputNames(u.Outputs)}
+		if len(u.Levels) > 0 {
+			n.levels = make([][]string, len(u.Levels))
+			for i, l := range u.Levels {
+				n.levels[i] = outputNames(l.Outputs)
+			}
+		}
+		if !u.names.CompareAndSwap(nil, n) {
+			n = u.names.Load().(*fieldNames)
+		}
+	}
+	return n.fields, n.levels
+}
+
+// clone copies the unit, names included: FieldNames runs first, so the
+// copy reads a names slot no other goroutine can still be filling.
+func (u *Unit) clone() *Unit {
+	u.FieldNames()
+	c := *u
+	return &c
+}
+
+func outputNames(fs []FieldDef) []string {
+	if len(fs) == 0 {
+		return nil
+	}
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = f.Name
+	}
+	return out
 }
 
 // Prop returns a plug-in property value.

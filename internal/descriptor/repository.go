@@ -63,8 +63,12 @@ func (r *Repository) PutUnit(u *Unit) {
 	r.units[u.ID] = u
 }
 
-// Unit returns the descriptor for a unit ID, or nil.
+// Unit returns the descriptor for a unit ID, or nil (also on a nil
+// repository).
 func (r *Repository) Unit(id string) *Unit {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.units[id]
@@ -223,10 +227,10 @@ func (r *Repository) OverrideQuery(unitID, query string) error {
 		}
 		r.mu.Lock()
 		if r.units[unitID] == u {
-			clone := *u
+			clone := u.clone()
 			clone.Query = query
 			clone.Optimized = true
-			r.units[unitID] = &clone
+			r.units[unitID] = clone
 			r.mu.Unlock()
 			return nil
 		}
@@ -243,10 +247,10 @@ func (r *Repository) OverrideService(unitID, service string) error {
 	if !ok {
 		return fmt.Errorf("descriptor: no unit %q", unitID)
 	}
-	clone := *u
+	clone := u.clone()
 	clone.Service = service
 	clone.Optimized = true
-	r.units[unitID] = &clone
+	r.units[unitID] = clone
 	return nil
 }
 

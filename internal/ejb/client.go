@@ -300,13 +300,29 @@ func (r *RemoteBusiness) one(ctx context.Context, idempotent bool, call batchCal
 	return &resps[0], nil
 }
 
-// remoteErr is an item's application-level error: the container executed
-// the item, so re-running it elsewhere would give the same answer.
+// remoteError is an item's application-level error: the container
+// executed the item, so re-running it elsewhere would give the same
+// answer. One its deadline caused is a context.DeadlineExceeded, as in
+// process.
+type remoteError struct {
+	msg      string
+	deadline bool
+}
+
+func (e *remoteError) Error() string { return "ejb: remote: " + e.msg }
+
+func (e *remoteError) Unwrap() error {
+	if e.deadline {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 func remoteErr(resp *response) error {
 	if resp.Err == "" {
 		return nil
 	}
-	return fmt.Errorf("ejb: remote: %s", resp.Err)
+	return &remoteError{msg: resp.Err, deadline: resp.Deadline}
 }
 
 // budgetMS is the wire form of the budget left until deadline: whole
@@ -322,15 +338,22 @@ func budgetMS(deadline time.Time) int64 {
 
 // Pages returns a remote page computer over the same connections: the
 // whole computePage() runs in the container, one round trip per page.
-// The container must have a deployed page service (DeployPages).
-func (r *RemoteBusiness) Pages() mvc.PageComputer { return remotePages{rb: r} }
+// The container must have a deployed page service (DeployPages) of the
+// units the web tier holds: a reply bean leaves out the schema of its
+// unit's descriptor there.
+func (r *RemoteBusiness) Pages(units *descriptor.Repository) mvc.PageComputer {
+	return remotePages{rb: r, units: units}
+}
 
-type remotePages struct{ rb *RemoteBusiness }
+type remotePages struct {
+	rb    *RemoteBusiness
+	units *descriptor.Repository
+}
 
 // ComputePage implements mvc.PageComputer remotely. Page computations
 // are idempotent reads and fail over like units.
 func (p remotePages) ComputePage(ctx context.Context, pageID string, params map[string]mvc.Value, formState map[string]*mvc.FormState) (*mvc.PageState, error) {
-	resp, err := p.rb.one(ctx, true, batchCall{Kind: kindPage, PageID: pageID, Inputs: params, FormState: formState})
+	resp, err := p.rb.one(ctx, true, batchCall{Kind: kindPage, PageID: pageID, Inputs: params, FormState: formState, Units: p.units})
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +433,7 @@ func (r *RemoteBusiness) sendOn(ctx context.Context, ep *endpoint, idempotent bo
 			spans = append(spans, sp)
 		}
 		started := time.Now()
-		resps, err = mc.batch(&breq, deadline, ctx.Done())
+		resps, err = mc.batch(ctx, &breq)
 		took := time.Since(started)
 		if r.BatchLat != nil && calls[0].Kind == kindUnit {
 			r.BatchLat.ObserveErr(ep.addr, took, err != nil)

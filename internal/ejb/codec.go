@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -13,7 +14,7 @@ import (
 	"webmlgo/internal/obs"
 )
 
-// This file is the wire-protocol-v2 codec: a hand-rolled binary encoding
+// This file is the wire codec: a hand-rolled binary encoding
 // of the fixed request/response shapes. Unlike gob it carries no
 // per-connection type stream and uses no reflection — every field of
 // every shape is written and read by explicit code, with varint lengths,
@@ -29,19 +30,22 @@ var errCodec = errors.New("ejb: malformed wire data")
 // map/slice values) so crafted input cannot overflow the stack.
 const maxNesting = 64
 
-// Value kind tags: exactly these concrete types cross the wire inside
-// interface-typed fields. The scalar tags are cell.Cell's kinds, so a bean
-// row field travels as its kind byte and payload with no box in between.
+// Value tags: a scalar is tagged by its cell.Cell kind, so a bean row
+// field travels as its kind byte and payload with no box in between; a
+// map or a slice, which only parameter maps carry, by the two tags past
+// the last kind.
 const (
-	vNil    = byte(cell.KNull)
-	vInt    = byte(cell.KInt)
-	vFloat  = byte(cell.KFloat)
-	vString = byte(cell.KString)
-	vFalse  = byte(cell.KFalse)
-	vTrue   = byte(cell.KTrue)
-	vTime   = byte(cell.KTime)
-	vMap    = byte(7)
-	vSlice  = byte(8)
+	vMap   = byte(cell.KTime + 1)
+	vSlice = byte(cell.KTime + 2)
+)
+
+// Bean flags: a bean is absent, carries its own schema (unit ID, kind,
+// field names and level field names), or has its descriptor's and leaves
+// it off the wire, as every generic service's bean does.
+const (
+	beanNone byte = iota
+	beanOwnSchema
+	beanDescriptorSchema
 )
 
 // frameHead is the room an encode buffer keeps in front of its payload
@@ -578,18 +582,33 @@ func (r *rbuf) fieldDefs() []descriptor.FieldDef {
 
 // ---- mvc.UnitBean ----
 
-func (w *wbuf) beanPtr(b *mvc.UnitBean) {
-	if b == nil {
-		w.bool(false)
-		return
+// hasSchemaOf reports whether b's unit ID, kind and field names are d's.
+func hasSchemaOf(b *mvc.UnitBean, d *descriptor.Unit) bool {
+	if d == nil || b.UnitID != d.ID || b.Kind != d.Kind {
+		return false
 	}
-	w.bool(true)
-	w.str(b.UnitID)
-	w.str(b.Kind)
-	w.strs(b.Fields)
-	w.uvarint(uint64(len(b.LevelFields)))
-	for _, lf := range b.LevelFields {
-		w.strs(lf)
+	fields, levels := d.FieldNames()
+	return slices.Equal(b.Fields, fields) && slices.EqualFunc(b.LevelFields, levels, slices.Equal[[]string])
+}
+
+// beanPtr writes a bean answering descriptor d (nil: none known), with
+// its schema only where it is not d's.
+func (w *wbuf) beanPtr(b *mvc.UnitBean, d *descriptor.Unit) {
+	switch {
+	case b == nil:
+		w.byte(beanNone)
+		return
+	case hasSchemaOf(b, d):
+		w.byte(beanDescriptorSchema)
+	default:
+		w.byte(beanOwnSchema)
+		w.str(b.UnitID)
+		w.str(b.Kind)
+		w.strs(b.Fields)
+		w.uvarint(uint64(len(b.LevelFields)))
+		for _, lf := range b.LevelFields {
+			w.strs(lf)
+		}
 	}
 	w.nodes(b, b.Nodes, 0)
 	w.bool(b.Missing)
@@ -610,7 +629,7 @@ func (w *wbuf) beanPtr(b *mvc.UnitBean) {
 // nodes writes a sibling list: count, then (when non-empty) the row
 // width and per node its positional values and its children. Names never
 // cross the wire per row — the width must be that of the bean's field
-// list for the level, which travels once.
+// list for the level, which travels at most once.
 func (w *wbuf) nodes(b *mvc.UnitBean, ns []mvc.Node, depth int) {
 	if depth > maxNesting {
 		w.err = fmt.Errorf("ejb: bean nesting exceeds %d", maxNesting)
@@ -634,19 +653,31 @@ func (w *wbuf) nodes(b *mvc.UnitBean, ns []mvc.Node, depth int) {
 	}
 }
 
-func (r *rbuf) beanPtr() *mvc.UnitBean {
-	if !r.bool() || r.err != nil {
+// beanPtr reads a bean answering descriptor d. A bean of d's schema
+// shares d's field names; without a descriptor it is malformed.
+func (r *rbuf) beanPtr(d *descriptor.Unit) *mvc.UnitBean {
+	flag := r.byte()
+	if r.err != nil || flag == beanNone {
 		return nil
 	}
 	b := &mvc.UnitBean{}
-	b.UnitID = r.str()
-	b.Kind = r.str()
-	b.Fields = r.strs()
-	if n := r.count(); n > 0 {
-		b.LevelFields = make([][]string, n)
-		for i := range b.LevelFields {
-			b.LevelFields[i] = r.strs()
+	switch {
+	case flag == beanDescriptorSchema && d != nil:
+		b.UnitID, b.Kind = d.ID, d.Kind
+		b.Fields, b.LevelFields = d.FieldNames()
+	case flag == beanOwnSchema:
+		b.UnitID = r.str()
+		b.Kind = r.str()
+		b.Fields = r.strs()
+		if n := r.count(); n > 0 {
+			b.LevelFields = make([][]string, n)
+			for i := range b.LevelFields {
+				b.LevelFields[i] = r.strs()
+			}
 		}
+	default:
+		r.fail()
+		return nil
 	}
 	b.Nodes = r.nodes(b, 0)
 	b.Missing = r.bool()
@@ -671,7 +702,7 @@ func (r *rbuf) beanPtr() *mvc.UnitBean {
 }
 
 // nodes reads a sibling list into one exact-size slab of cells. The width
-// must match the bean's already-decoded field list and every node needs
+// must match the bean's field list, decoded or its descriptor's, and every node needs
 // width+1 bytes, so no crafted count sizes an allocation the payload
 // could not fill.
 func (r *rbuf) nodes(b *mvc.UnitBean, depth int) []mvc.Node {
@@ -729,7 +760,9 @@ func (r *rbuf) opPtr() *mvc.OpResult {
 	return op
 }
 
-func (w *wbuf) pagePtr(p *mvc.PageState) {
+// pagePtr writes a page state, each bean against its unit's descriptor
+// in units (nil: none known).
+func (w *wbuf) pagePtr(p *mvc.PageState, units *descriptor.Repository) {
 	if p == nil {
 		w.bool(false)
 		return
@@ -739,12 +772,12 @@ func (w *wbuf) pagePtr(p *mvc.PageState) {
 	w.uvarint(uint64(len(p.Beans)))
 	for _, k := range sortedKeys(p.Beans) {
 		w.str(k)
-		w.beanPtr(p.Beans[k])
+		w.beanPtr(p.Beans[k], units.Unit(k))
 	}
 	w.strs(p.Order)
 }
 
-func (r *rbuf) pagePtr() *mvc.PageState {
+func (r *rbuf) pagePtr(units *descriptor.Repository) *mvc.PageState {
 	if !r.bool() || r.err != nil {
 		return nil
 	}
@@ -756,7 +789,7 @@ func (r *rbuf) pagePtr() *mvc.PageState {
 	p.Beans = make(map[string]*mvc.UnitBean, n)
 	for i := 0; i < n; i++ {
 		k := r.str()
-		p.Beans[k] = r.beanPtr()
+		p.Beans[k] = r.beanPtr(units.Unit(k))
 	}
 	p.Order = r.strs()
 	if r.err != nil {
@@ -836,22 +869,38 @@ func (r *rbuf) spans() []obs.Span {
 
 // ---- request and reply frames ----
 
-func (w *wbuf) response(resp *response) {
-	w.beanPtr(resp.Bean)
+// A response is encoded against the call it answers, its descriptor and
+// a page's units; with no call known, a bean carries its own schema.
+func (w *wbuf) response(resp *response, call *batchCall) {
+	d, units := call.schema()
+	w.beanPtr(resp.Bean, d)
 	w.opPtr(resp.Op)
-	w.pagePtr(resp.Page)
+	w.pagePtr(resp.Page, units)
 	w.str(resp.Err)
+	w.bool(resp.Deadline)
 	w.spans(resp.Spans)
 }
 
-// response decodes one response into resp.
-func (r *rbuf) response(resp *response) error {
-	resp.Bean = r.beanPtr()
+// response decodes one response into resp, against the call it answers.
+func (r *rbuf) response(resp *response, call *batchCall) error {
+	d, units := call.schema()
+	resp.Bean = r.beanPtr(d)
 	resp.Op = r.opPtr()
-	resp.Page = r.pagePtr()
+	resp.Page = r.pagePtr(units)
 	resp.Err = r.str()
+	if resp.Deadline = r.bool(); resp.Deadline && resp.Err == "" {
+		r.fail()
+	}
 	resp.Spans = r.spans()
 	return r.err
+}
+
+// schema is what a reply to the call is encoded against (nil: nothing).
+func (c *batchCall) schema() (*descriptor.Unit, *descriptor.Repository) {
+	if c == nil {
+		return nil, nil
+	}
+	return c.Descriptor, c.Units
 }
 
 func (w *wbuf) batchRequest(b *batchRequest) {
@@ -899,12 +948,13 @@ func (r *rbuf) batchRequest() (batchRequest, error) {
 }
 
 // batchReply is the body of an ftBatchReply frame: the item count, then
-// each item's response as a length-prefixed body, in call order.
-func (w *wbuf) batchReply(items []response) {
+// each item's response as a length-prefixed body, in call order, each
+// encoded against its call.
+func (w *wbuf) batchReply(items []response, calls []batchCall) {
 	w.uvarint(uint64(len(items)))
 	for i := range items {
 		start := len(w.b)
-		w.response(&items[i])
+		w.response(&items[i], callOf(calls, i))
 		w.prefixLength(start)
 	}
 }
@@ -912,9 +962,13 @@ func (w *wbuf) batchReply(items []response) {
 // batchReply decodes each item from its own sub-slice, so each has its
 // own string copy and a bean kept from one item pins only that item's
 // bytes. An item must be read to its last byte, and the reply to its
-// last item.
-func (r *rbuf) batchReply() ([]response, error) {
+// last item. Given the calls it answers (nil: none known), the reply
+// must hold one item per call.
+func (r *rbuf) batchReply(calls []batchCall) ([]response, error) {
 	n := r.count()
+	if r.err == nil && calls != nil && n != len(calls) {
+		r.fail()
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -924,7 +978,7 @@ func (r *rbuf) batchReply() ([]response, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if err := item.response(&items[i]); err != nil {
+		if err := item.response(&items[i], callOf(calls, i)); err != nil {
 			return nil, err
 		}
 		if item.remaining() != 0 {
@@ -935,4 +989,12 @@ func (r *rbuf) batchReply() ([]response, error) {
 		return nil, errCodec
 	}
 	return items, nil
+}
+
+// callOf is item i's call, nil when no calls are known.
+func callOf(calls []batchCall, i int) *batchCall {
+	if calls == nil {
+		return nil
+	}
+	return &calls[i]
 }

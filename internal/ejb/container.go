@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +33,10 @@ type Container struct {
 	mu       sync.Mutex
 	capacity int
 	active   int
-	cond     *sync.Cond
-	closed   bool
+	// waiters are the invocations queued for an instance slot, each woken
+	// by closing its channel, first come first woken.
+	waiters []chan struct{}
+	closed  bool
 
 	served    int64
 	maxActive int
@@ -136,7 +139,6 @@ func NewContainer(business mvc.Business, capacity int) *Container {
 		queueLat: obs.NewHistogramVec("webml_container_queue_seconds",
 			"Capacity-gate queue wait by request kind.", "kind"),
 	}
-	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
@@ -265,12 +267,14 @@ func (c *Container) serveFramed(conn net.Conn, br *bufio.Reader) {
 
 // callerContext is a frame's invocation context: bounded by the caller's
 // wire deadline when it sent one, so a deadline set in the servlet tier
-// bounds work in the application server too.
-func callerContext(deadlineMS int64) (context.Context, context.CancelFunc) {
-	if deadlineMS > 0 {
-		return context.WithTimeout(context.Background(), time.Duration(deadlineMS)*time.Millisecond)
+// bounds work in the application server too. The deadline is a value,
+// set up in dl, which the frame holds.
+func callerContext(dl *mvc.DeadlineContext, deadlineMS int64) context.Context {
+	if deadlineMS <= 0 {
+		return context.Background()
 	}
-	return context.Background(), func() {}
+	dl.Init(context.Background(), time.Now().Add(time.Duration(deadlineMS)*time.Millisecond))
+	return dl
 }
 
 // frame is one request frame in service: what its reply needs and what
@@ -282,6 +286,7 @@ type frame struct {
 	wmu  *sync.Mutex // serializes the connection's reply writes
 	id   uint64
 	breq batchRequest
+	dl   mvc.DeadlineContext
 	ctx  context.Context
 	out  []response
 	one  [1]response
@@ -299,7 +304,7 @@ func (f *frame) serve() {
 	defer putWbuf(w)
 	w.byte(ftBatchReply)
 	w.uvarint(f.id)
-	w.batchReply(f.run())
+	w.batchReply(f.run(), f.breq.Calls)
 	err := w.err
 	if err == nil {
 		f.wmu.Lock()
@@ -321,9 +326,8 @@ func (f *frame) serve() {
 // goroutines than the capacity gate would let run. The responses are in
 // call order.
 func (f *frame) run() []response {
-	ctx, cancel := callerContext(f.breq.DeadlineMS)
-	defer cancel()
-	f.ctx = ctx
+	f.ctx = callerContext(&f.dl, f.breq.DeadlineMS)
+	defer f.dl.Release()
 	if f.out = f.one[:]; len(f.breq.Calls) != 1 {
 		f.out = make([]response, len(f.breq.Calls))
 	}
@@ -363,13 +367,14 @@ func (f *frame) work() {
 				if c.pages == nil {
 					err = errors.New("ejb: container has no deployed page service")
 				} else {
+					call.Units = c.pages.Repo
 					resp.Page, err = c.pages.ComputePage(ctx, call.PageID, call.Inputs, call.FormState)
 				}
 			default:
 				err = fmt.Errorf("ejb: unknown item kind %d", call.Kind)
 			}
 			if err != nil {
-				resp = response{Err: err.Error()}
+				resp = errResponse(err)
 			}
 			return resp
 		})
@@ -409,9 +414,16 @@ func (c *Container) invoke(ctx context.Context, traceID, spanID uint64, kind str
 	return resp
 }
 
+// errResponse is an item's error reply, marked when the deadline caused
+// it.
+func errResponse(err error) response {
+	return response{Err: err.Error(), Deadline: errors.Is(err, context.DeadlineExceeded)}
+}
+
 // gated runs the call once an instance slot is free, adding a
 // container.queue span whenever it had to wait, so a trace distinguishes
-// queueing from computing.
+// queueing from computing. A queued call waits no longer than its
+// deadline.
 func (c *Container) gated(ctx context.Context, kind string, run func(context.Context) response) response {
 	c.mu.Lock()
 	var qsp *obs.SpanHandle
@@ -427,7 +439,14 @@ func (c *Container) gated(ctx context.Context, kind string, run func(context.Con
 				c.maxQueued = c.queued
 			}
 		}
-		c.cond.Wait()
+		ch := make(chan struct{})
+		c.waiters = append(c.waiters, ch)
+		c.mu.Unlock()
+		mvc.Await(ctx, ch) //nolint:errcheck // the loop condition reads ctx again
+		c.mu.Lock()
+		if i := slices.Index(c.waiters, ch); i >= 0 {
+			c.waiters = slices.Delete(c.waiters, i, i+1) // ctx ended first
+		}
 	}
 	if waited {
 		c.queued--
@@ -441,13 +460,13 @@ func (c *Container) gated(ctx context.Context, kind string, run func(context.Con
 	if err := ctx.Err(); err != nil {
 		// The caller's budget ran out while this invocation queued for
 		// capacity; don't burn an instance slot on a dead request — but
-		// pass the wakeup on, or the signal that woke this waiter would
-		// be lost and a live waiter could sleep through a free slot.
+		// pass the wakeup on, or the one that woke this waiter would be
+		// lost and a live waiter could sleep through a free slot.
 		if waited && c.active < c.capacity {
-			c.cond.Signal()
+			c.wake(1)
 		}
 		c.mu.Unlock()
-		return response{Err: err.Error()}
+		return errResponse(err)
 	}
 	c.active++
 	if c.active > c.maxActive {
@@ -458,10 +477,22 @@ func (c *Container) gated(ctx context.Context, kind string, run func(context.Con
 		c.mu.Lock()
 		c.active--
 		c.served++
+		c.wake(1)
 		c.mu.Unlock()
-		c.cond.Signal()
 	}()
 	return run(ctx)
+}
+
+// wake wakes the first n queued invocations (all, for n < 0); c.mu is
+// held.
+func (c *Container) wake(n int) {
+	if n < 0 || n > len(c.waiters) {
+		n = len(c.waiters)
+	}
+	for _, ch := range c.waiters[:n] {
+		close(ch)
+	}
+	c.waiters = slices.Delete(c.waiters, 0, n)
 }
 
 // SetCapacity rescales the number of concurrently active component
@@ -472,8 +503,8 @@ func (c *Container) SetCapacity(n int) {
 	}
 	c.mu.Lock()
 	c.capacity = n
+	c.wake(-1)
 	c.mu.Unlock()
-	c.cond.Broadcast()
 }
 
 // Metrics reports the container's activity counters.
@@ -606,8 +637,8 @@ func (c *Container) Close() error {
 	for cn := range c.conns {
 		conns = append(conns, cn)
 	}
+	c.wake(-1)
 	c.mu.Unlock()
-	c.cond.Broadcast()
 	var err error
 	if c.ln != nil {
 		err = c.ln.Close()

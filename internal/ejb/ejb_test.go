@@ -1,6 +1,7 @@
 package ejb
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strconv"
@@ -237,7 +238,7 @@ func TestDialValidation(t *testing.T) {
 func TestRemotePageService(t *testing.T) {
 	ctr, client, db, art := startApp(t, 4)
 	ctr.DeployPages(&mvc.PageService{Repo: art.Repo, Business: mvc.NewLocalBusiness(db)})
-	pages := client.Pages()
+	pages := client.Pages(art.Repo)
 	state, err := pages.ComputePage(context.Background(), "volumePage", map[string]mvc.Value{"volume": int64(1)}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +256,8 @@ func TestRemotePageService(t *testing.T) {
 }
 
 func TestRemotePageServiceWithoutDeploymentFails(t *testing.T) {
-	_, client, _, _ := startApp(t, 4)
-	if _, err := client.Pages().ComputePage(context.Background(), "volumePage", nil, nil); err == nil {
+	_, client, _, art := startApp(t, 4)
+	if _, err := client.Pages(art.Repo).ComputePage(context.Background(), "volumePage", nil, nil); err == nil {
 		t.Fatal("undeployed page service accepted")
 	}
 }
@@ -276,7 +277,7 @@ func TestOperationAndPageAreOneFrame(t *testing.T) {
 			return err
 		}},
 		{"page", func(ctx context.Context) error {
-			_, err := client.Pages().ComputePage(ctx, "volumePage", map[string]mvc.Value{"volume": int64(1)}, nil)
+			_, err := client.Pages(art.Repo).ComputePage(ctx, "volumePage", map[string]mvc.Value{"volume": int64(1)}, nil)
 			return err
 		}},
 	} {
@@ -423,7 +424,9 @@ func TestContainerInternsUnitDescriptors(t *testing.T) {
 		if first != second {
 			t.Fatalf("two frames of equal descriptor bytes handed the business %p and %p", first, second)
 		}
-		if !reflect.DeepEqual(first, unit("SELECT 1")) {
+		// Compared as encoded: the field names a descriptor computes on
+		// first use are no part of what was sent.
+		if !bytes.Equal(encodedUnit(first), encodedUnit(unit("SELECT 1"))) {
 			t.Fatalf("interned descriptor %+v", first)
 		}
 	})
@@ -489,4 +492,106 @@ func TestContainerInternsUnitDescriptors(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// TestCapacityGateWakesAtDeadline: at capacity 1, with the slot held, a
+// frame queued for capacity gets its deadline error when its 50 ms
+// budget runs out, not when the slot frees, and the error says the
+// deadline caused it.
+func TestCapacityGateWakesAtDeadline(t *testing.T) {
+	release := make(chan struct{})
+	ctr := NewContainer(&funcBusiness{compute: func(_ context.Context, d *descriptor.Unit, _ map[string]mvc.Value) (*mvc.UnitBean, error) {
+		if d.ID == "hold" {
+			<-release
+		}
+		return &mvc.UnitBean{UnitID: d.ID}, nil
+	}}, 1)
+	addr, err := ctr.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close()
+	defer close(release)
+	c, br := rawConn(t, addr)
+	unitFrame := func(id uint64, deadlineMS int64, unitID string) []byte {
+		return frameOf(ftBatch, id, func(w *wbuf) {
+			w.batchRequest(&batchRequest{DeadlineMS: deadlineMS,
+				Calls: []batchCall{{Kind: kindUnit, Descriptor: &descriptor.Unit{ID: unitID}}}})
+		})
+	}
+	if _, err := c.Write(unitFrame(1, 0, "hold")); err != nil {
+		t.Fatal(err)
+	}
+	for ctr.Metrics().Active != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if _, err := c.Write(unitFrame(2, 50, "queued")); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(start.Add(2 * time.Second)) //nolint:errcheck // the read reports it
+	payload, err := readFrame(br)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("no reply to the queued frame after %v: %v", took, err)
+	}
+	r := rbuf{b: payload}
+	if ft, id := r.byte(), r.uvarint(); ft != ftBatchReply || id != 2 {
+		t.Fatalf("frame type %d id %d, want the queued frame's reply", ft, id)
+	}
+	items, err := r.batchReply(nil)
+	if err != nil || len(items) != 1 || !items[0].Deadline || !strings.Contains(items[0].Err, "deadline") {
+		t.Fatalf("reply %+v (err %v), want one item failed on its deadline", items, err)
+	}
+	if took >= 500*time.Millisecond {
+		t.Fatalf("the queued frame's deadline error took %v, want < 500ms", took)
+	}
+	t.Logf("deadline error after %v in the capacity queue", took)
+}
+
+// TestReplyBytesWidestLevel reports what leaving the schema off the wire
+// saves on the widest schedule level of the Figure 1 pages: the level's
+// reply body with each bean's own schema (the layout of wire version 7)
+// and against its calls' descriptors (version 8).
+func TestReplyBytesWidestLevel(t *testing.T) {
+	_, _, db, art := startApp(t, 4)
+	var page string
+	var level []string
+	for _, pd := range art.Repo.Pages() {
+		sched, err := art.Repo.Schedule(pd.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range sched.Levels {
+			if len(l) > len(level) {
+				page, level = pd.ID, l
+			}
+		}
+	}
+	ps := &mvc.PageService{Repo: art.Repo, Business: mvc.NewLocalBusiness(db)}
+	state, err := ps.ComputePage(context.Background(), page,
+		map[string]mvc.Value{"volume": int64(1), "issue": int64(1), "paper": int64(1), "kw": "a"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]response, len(level))
+	calls := make([]batchCall, len(level))
+	for i, id := range level {
+		items[i].Bean = state.Beans[id]
+		calls[i] = batchCall{Kind: kindUnit, Descriptor: art.Repo.Unit(id)}
+	}
+	size := func(calls []batchCall) int {
+		w := getWbuf()
+		defer putWbuf(w)
+		w.batchReply(items, calls)
+		if w.err != nil {
+			t.Fatal(w.err)
+		}
+		return len(w.payload())
+	}
+	own, lean := size(nil), size(calls)
+	if lean >= own {
+		t.Fatalf("the reply of %s's widest level is %d bytes against its descriptors, %d with each bean's schema", page, lean, own)
+	}
+	t.Logf("%s's widest level (%d units): reply body %d bytes with each bean's schema, %d without", page, len(level), own, lean)
 }

@@ -39,6 +39,9 @@ type response struct {
 	Page *mvc.PageState
 	// Err is a serialized error ("" on success).
 	Err string
+	// Deadline marks an Err the container's deadline caused, which the
+	// client reports as context.DeadlineExceeded.
+	Deadline bool
 	// Spans carries the container-side spans of a traced invocation back
 	// to the caller, which stitches them into the request trace — no
 	// distributed collector needed (empty when untraced).
@@ -59,6 +62,9 @@ type batchCall struct {
 	// Figure 6: the whole computePage runs server-side).
 	PageID    string
 	FormState map[string]*mvc.FormState
+	// Units holds a page item's unit descriptors, against which its
+	// reply's beans are encoded and decoded; it is not on the wire.
+	Units *descriptor.Repository
 }
 
 // batchRequest is the body of every request frame: a level of units, or

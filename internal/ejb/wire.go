@@ -10,6 +10,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"webmlgo/internal/mvc"
 )
 
 // The wire protocol: framed, multiplexed binary exchange.
@@ -21,10 +23,10 @@ import (
 // and the container echoes the same form back with its own version.
 // Both sides bound the exchange by handshakeTimeout, and either side
 // closes the connection on anything but the magic followed by its own
-// version (7 since each item carries its unit descriptor as a
-// length-prefixed body: a build of another version fails the
-// handshake, it is never decoded): there is no other protocol to fall
-// back to.
+// version (8 since a reply bean leaves out the schema of the descriptor
+// its call carried, and an item error says whether the container's
+// deadline caused it: a build of another version fails the handshake,
+// it is never decoded): there is no other protocol to fall back to.
 //
 // Frames (both directions, after the handshake):
 //
@@ -34,10 +36,10 @@ import (
 // Body encodings live in codec.go. Every request frame is answered by
 // exactly one reply frame, and any other frame type drops the
 // connection. Many frames are in flight per connection: the client write
-// side is mutex-serialized, a demux goroutine routes replies by request
-// ID.
+// side is mutex-serialized, a demux goroutine routes reply bodies by
+// request ID, and each caller decodes its own against its calls.
 const (
-	wireVersion = 7
+	wireVersion = 8
 
 	// Types 1 and 3 were wire version 5's single-call request and reply.
 	ftBatch      byte = 2 // body: batchRequest (a level of units, an operation or a page)
@@ -135,7 +137,7 @@ type mconn struct {
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint64]chan []response
+	pending map[uint64]chan []byte
 	nextID  uint64
 	dead    bool
 	deadErr error
@@ -171,14 +173,15 @@ func framedDial(addr string, gen uint64, deadline time.Time, stats *wireStats) (
 		c:       c,
 		gen:     gen,
 		stats:   stats,
-		pending: make(map[uint64]chan []response),
+		pending: make(map[uint64]chan []byte),
 	}
 	go m.readLoop()
 	return m, nil
 }
 
 // readLoop is the demux goroutine: it reads frames until the connection
-// dies and routes each reply to its registered waiter by request ID.
+// dies and routes each reply body to its registered waiter by request
+// ID.
 func (m *mconn) readLoop() {
 	br := bufio.NewReader(m.c)
 	for {
@@ -190,24 +193,18 @@ func (m *mconn) readLoop() {
 		m.stats.recv()
 		r := rbuf{b: payload}
 		ft, id := r.byte(), r.uvarint()
-		var items []response
-		if ft == ftBatchReply {
-			items, err = r.batchReply()
-		} else {
-			err = fmt.Errorf("ejb: unexpected frame type %d", ft)
-		}
-		if err != nil {
-			m.fail(err)
+		if ft != ftBatchReply || r.err != nil {
+			m.fail(fmt.Errorf("ejb: unexpected frame type %d", ft))
 			return
 		}
-		m.route(id, items)
+		m.route(id, payload[r.off:])
 	}
 }
 
-// route delivers one reply. Channels hold the one reply they expect and
-// are only touched under the mutex, so sends never block and never race
-// fail's close.
-func (m *mconn) route(id uint64, items []response) {
+// route delivers one reply body. Channels hold the one reply they expect
+// and are only touched under the mutex, so sends never block and never
+// race fail's close.
+func (m *mconn) route(id uint64, body []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.pending[id]
@@ -215,11 +212,16 @@ func (m *mconn) route(id uint64, items []response) {
 		return // abandoned call (e.g. context cancel); drop the late reply
 	}
 	delete(m.pending, id)
-	ch <- items
+	ch <- body
 }
 
+// replyChans recycles the one-reply channels of answered frames. A
+// channel goes back only once its reply was received: it is empty, and
+// route, which removed it from pending before sending, holds it no more.
+var replyChans = sync.Pool{New: func() any { return make(chan []byte, 1) }}
+
 // register allocates a request ID and the channel its reply arrives on.
-func (m *mconn) register() (uint64, chan []response, error) {
+func (m *mconn) register() (uint64, chan []byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {
@@ -227,7 +229,7 @@ func (m *mconn) register() (uint64, chan []response, error) {
 	}
 	m.nextID++
 	id := m.nextID
-	ch := make(chan []response, 1)
+	ch := replyChans.Get().(chan []byte)
 	m.pending[id] = ch
 	return id, ch, nil
 }
@@ -288,18 +290,17 @@ func (m *mconn) send(w *wbuf, deadline time.Time) error {
 }
 
 // batch sends one request frame and waits for the one reply frame, whose
-// responses are one per call, in call order; a reply of any other shape
-// is errCodec and fails the connection. A deadline expiry is a transport
+// responses are one per call, in call order, decoded against the calls;
+// a reply of any other shape is errCodec and fails the connection. A deadline expiry is a transport
 // failure: the connection cannot tell a hung container from a slow one,
 // so it is killed and every in-flight frame fails over — socket-deadline
-// semantics. deadline is the deadline of the context whose Done channel
-// is cancel, so cancel fires at that instant and no timer of its own is
-// needed.
-func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan struct{}) ([]response, error) {
+// semantics. A cancel abandons only this frame.
+func (m *mconn) batch(ctx context.Context, breq *batchRequest) ([]response, error) {
 	id, ch, err := m.register()
 	if err != nil {
 		return nil, err
 	}
+	deadline, _ := ctx.Deadline()
 	w := getWbuf()
 	w.byte(ftBatch)
 	w.uvarint(id)
@@ -313,27 +314,25 @@ func (m *mconn) batch(breq *batchRequest, deadline time.Time, cancel <-chan stru
 		m.fail(err)
 		return nil, fmt.Errorf("ejb: send: %w", err)
 	}
-	select {
-	case items, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("ejb: receive: %w", m.deadError())
-		}
-		if len(items) != len(breq.Calls) {
-			m.fail(errCodec)
-			return nil, fmt.Errorf("ejb: receive: %w", errCodec)
-		}
-		return items, nil
-	case <-cancel:
-		// A context whose deadline drove the call is done from that
-		// instant on: the deadline semantic (transport failure) wins over
-		// a plain cancel.
-		if !deadline.IsZero() && time.Until(deadline) <= 0 {
-			m.fail(errConnClosed)
-			return nil, errors.New("ejb: receive: deadline exceeded awaiting reply")
-		}
+	body, ok, err := mvc.Await(ctx, ch)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		m.fail(errConnClosed)
+		return nil, fmt.Errorf("ejb: receive: %w awaiting reply", err)
+	case err != nil:
 		m.deregister(id)
-		return nil, fmt.Errorf("ejb: receive: %w", context.Canceled)
+		return nil, fmt.Errorf("ejb: receive: %w", err)
+	case !ok:
+		return nil, fmt.Errorf("ejb: receive: %w", m.deadError())
 	}
+	replyChans.Put(ch)
+	r := rbuf{b: body}
+	items, err := r.batchReply(breq.Calls)
+	if err != nil {
+		m.fail(err)
+		return nil, fmt.Errorf("ejb: receive: %w", err)
+	}
+	return items, nil
 }
 
 func (m *mconn) deadError() error {

@@ -107,6 +107,14 @@ func fullResponse() *response {
 	}
 }
 
+// fullResponseUnit is a descriptor whose schema is fullResponse()'s
+// bean's: a bean answering it leaves its names off the wire.
+func fullResponseUnit() *descriptor.Unit {
+	return &descriptor.Unit{ID: "u1", Kind: "index",
+		Outputs: []descriptor.FieldDef{{Name: "oid", Column: "oid"}, {Name: "Title", Column: "title"}},
+		Levels:  []descriptor.Level{{Entity: "Issue", Outputs: []descriptor.FieldDef{{Name: "N", Column: "n"}}}}}
+}
+
 // cells unboxes one literal row for a test bean.
 func cells(row ...mvc.Value) []cell.Cell {
 	out := make([]cell.Cell, len(row))
@@ -140,22 +148,36 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 	putWbuf(w)
 }
 
+// TestCodecResponseRoundTrip: a response decodes to itself, its bean
+// carrying its own schema or, against a descriptor of the same schema,
+// none; the item error keeps whether the deadline caused it.
 func TestCodecResponseRoundTrip(t *testing.T) {
-	resp := fullResponse()
-	w := getWbuf()
-	w.response(resp)
-	if w.err != nil {
-		t.Fatal(w.err)
+	deadline := fullResponse()
+	deadline.Deadline = true
+	for _, tc := range []struct {
+		name string
+		resp *response
+		d    *descriptor.Unit
+	}{
+		{"own schema", fullResponse(), nil},
+		{"descriptor's schema", fullResponse(), fullResponseUnit()},
+		{"deadline error", deadline, nil},
+	} {
+		w := getWbuf()
+		w.response(tc.resp, &batchCall{Descriptor: tc.d})
+		if w.err != nil {
+			t.Fatal(w.err)
+		}
+		r := rbuf{b: w.payload()}
+		var got response
+		if err := r.response(&got, &batchCall{Descriptor: tc.d}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(&got, tc.resp) {
+			t.Fatalf("%s: round trip mismatch:\n got %#v\nwant %#v", tc.name, got, tc.resp)
+		}
+		putWbuf(w)
 	}
-	r := rbuf{b: w.payload()}
-	var got response
-	if err := r.response(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&got, resp) {
-		t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, resp)
-	}
-	putWbuf(w)
 }
 
 // TestCodecBatchRequestRoundTrip: an item of a kind this build does not
@@ -317,12 +339,15 @@ func TestCodecMalformedRequests(t *testing.T) {
 // lies in its node list: more rows × width than payload, a width that is
 // not the field count, nesting past maxNesting, a field that is no
 // scalar (a row holds cells: maps and slices travel only in parameter
-// maps), a time whose bytes are cut short or are no time at all.
+// maps), a time whose bytes are cut short or are no time at all. Then
+// the flags of wire version 8: a bean of its descriptor's schema whose
+// width is not the descriptor's (fullResponseUnit()'s, two fields), a
+// bean flag past the last, and a deadline flag on no error.
 func malformedNodeLists() map[string][]byte {
 	bean := func(fields []string, nodes ...byte) []byte {
 		w := getWbuf()
 		defer putWbuf(w)
-		w.bool(true)
+		w.byte(beanOwnSchema)
 		w.str("u")
 		w.str("index")
 		w.strs(fields)
@@ -331,28 +356,74 @@ func malformedNodeLists() map[string][]byte {
 	}
 	deep := bytes.Repeat([]byte{1, 0}, maxNesting+2) // one zero-width node per level
 	return map[string][]byte{
-		"rows x width past payload": bean([]string{"a", "b", "c"}, 9, 3, vNil, vNil, vNil, 0, 0, 0, 0, 0, 0),
+		"rows x width past payload": bean([]string{"a", "b", "c"}, 9, 3, byte(cell.KNull), byte(cell.KNull), byte(cell.KNull), 0, 0, 0, 0, 0, 0),
 		"huge count":                bean([]string{"a"}, 0xff, 0xff, 0xff, 0xff, 0x0f, 1),
-		"width over fields":         bean([]string{"a"}, 1, 2, vNil, vNil, 0),
-		"width under fields":        bean([]string{"a", "b"}, 1, 1, vNil, 0),
+		"width over fields":         bean([]string{"a"}, 1, 2, byte(cell.KNull), byte(cell.KNull), 0),
+		"width under fields":        bean([]string{"a", "b"}, 1, 1, byte(cell.KNull), 0),
 		"nesting":                   bean(nil, append(deep, 0)...),
 		"map in a row":              bean([]string{"a"}, 1, 1, vMap, 0, 0),
-		"slice in a row":            bean([]string{"a"}, 1, 1, vSlice, 1, vNil, 0),
+		"slice in a row":            bean([]string{"a"}, 1, 1, vSlice, 1, byte(cell.KNull), 0),
 		"tag past the last kind":    bean([]string{"a"}, 1, 1, vSlice+1, 0),
-		"time cut short":            bean([]string{"a"}, 1, 1, vTime, 4, 1, 0, 0, 0, 0),
-		"time of garbage":           bean([]string{"a"}, 1, 1, vTime, 4, 'n', 'o', 'p', 'e', 0),
-		"time of no bytes":          bean([]string{"a"}, 1, 1, vTime, 0, 0),
-		"float cut short":           bean([]string{"a"}, 1, 1, vFloat, 0, 0, 0, 0),
+		"time cut short":            bean([]string{"a"}, 1, 1, byte(cell.KTime), 4, 1, 0, 0, 0, 0),
+		"time of garbage":           bean([]string{"a"}, 1, 1, byte(cell.KTime), 4, 'n', 'o', 'p', 'e', 0),
+		"time of no bytes":          bean([]string{"a"}, 1, 1, byte(cell.KTime), 0, 0),
+		"float cut short":           bean([]string{"a"}, 1, 1, byte(cell.KFloat), 0, 0, 0, 0),
+		"width not the descriptors": {beanDescriptorSchema, 1, 1, byte(cell.KNull), 0},
+		"bean flag past the last":   {beanDescriptorSchema + 1},
+		"deadline of no error":      {beanNone, 0, 0, 0, 1, 0},
 	}
 }
 
-// TestCodecMalformedNodeLists: each is a typed decode error.
+// TestCodecMalformedNodeLists: each is a typed decode error, with the
+// descriptor or without one.
 func TestCodecMalformedNodeLists(t *testing.T) {
 	for name, data := range malformedNodeLists() {
-		r := rbuf{b: data}
-		if err := r.response(new(response)); !errors.Is(err, errCodec) {
-			t.Errorf("%s: decode error = %v, want errCodec", name, err)
+		for _, d := range []*descriptor.Unit{nil, fullResponseUnit()} {
+			r := rbuf{b: data}
+			if err := r.response(new(response), &batchCall{Descriptor: d}); !errors.Is(err, errCodec) {
+				t.Errorf("%s (descriptor %v): decode error = %v, want errCodec", name, d != nil, err)
+			}
 		}
+	}
+}
+
+// TestCodecBeanOfDescriptorSchema: a bean of its descriptor's schema
+// leaves it off the wire and decodes sharing the descriptor's names; a
+// custom bean whose names differ keeps its own, and a bean of the
+// descriptor's schema needs the descriptor to decode.
+func TestCodecBeanOfDescriptorSchema(t *testing.T) {
+	d := fullResponseUnit()
+	custom := fullResponse().Bean
+	custom.Fields = []string{"oid", "Headline"}
+	encode := func(b *mvc.UnitBean) []byte {
+		w := getWbuf()
+		defer putWbuf(w)
+		w.beanPtr(b, d)
+		if w.err != nil {
+			t.Fatal(w.err)
+		}
+		return append([]byte(nil), w.payload()...)
+	}
+	lean, own := encode(fullResponse().Bean), encode(custom)
+	if lean[0] != beanDescriptorSchema || own[0] != beanOwnSchema {
+		t.Fatalf("flags %d and %d, want %d for the descriptor's schema and %d for its own", lean[0], own[0], beanDescriptorSchema, beanOwnSchema)
+	}
+	if bytes.Contains(lean, []byte("Title")) || !bytes.Contains(own, []byte("Headline")) {
+		t.Fatal("a bean of its descriptor's schema sent its names, or a custom bean did not")
+	}
+	r := rbuf{b: lean}
+	got := r.beanPtr(d)
+	fields, levels := d.FieldNames()
+	if r.err != nil || !reflect.DeepEqual(got, fullResponse().Bean) || &got.Fields[0] != &fields[0] || &got.LevelFields[0] != &levels[0] {
+		t.Fatalf("decoded %+v (err %v), want fullResponse()'s bean sharing the descriptor's names", got, r.err)
+	}
+	r = rbuf{b: own}
+	if got := r.beanPtr(d); r.err != nil || !reflect.DeepEqual(got, custom) {
+		t.Fatalf("custom bean decoded to %+v (err %v)", got, r.err)
+	}
+	r = rbuf{b: lean}
+	if r.beanPtr(nil); !errors.Is(r.err, errCodec) {
+		t.Fatalf("a bean of a descriptor's schema decoded with no descriptor: err %v", r.err)
 	}
 }
 
@@ -370,7 +441,7 @@ func goldenFrame(t *testing.T, file string, ft byte, body func(*wbuf)) rbuf {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireVersion != 7 {
+	if wireVersion != 8 {
 		t.Fatalf("wireVersion = %d: a new version needs a new golden frame, not an edited one", wireVersion)
 	}
 	if got := frameOf(ft, 1, body); !bytes.Equal(got, golden) {
@@ -389,26 +460,27 @@ func goldenFrame(t *testing.T, file string, ft byte, body func(*wbuf)) rbuf {
 
 // TestGoldenResponseFrame pins the response encoding:
 // testdata/golden_response_reply_frame.hex is the reply frame wire
-// version 6 wrote for the one item fullResponse() (bean, operation
-// result, page state, error and spans); version 7 changed no reply
-// encoding. Its item body is the response the single-call reply of
-// version 5 carried, byte for byte. Decoding it must give fullResponse()
-// back.
+// version 8 wrote for the one item fullResponse() (bean, operation
+// result, page state, error and spans) with no descriptor known, so its
+// bean carries its own schema, in version 7's layout; version 8 added
+// the deadline flag after the error. Decoding it must give
+// fullResponse() back.
 func TestGoldenResponseFrame(t *testing.T) {
 	r := goldenFrame(t, "testdata/golden_response_reply_frame.hex", ftBatchReply,
-		func(w *wbuf) { w.batchReply([]response{*fullResponse()}) })
-	if items, err := r.batchReply(); err != nil || len(items) != 1 || !reflect.DeepEqual(&items[0], fullResponse()) {
+		func(w *wbuf) { w.batchReply([]response{*fullResponse()}, nil) })
+	if items, err := r.batchReply(nil); err != nil || len(items) != 1 || !reflect.DeepEqual(&items[0], fullResponse()) {
 		t.Fatalf("golden frame decoded to %+v (err %v)", items, err)
 	}
 }
 
 // TestGoldenRequestFrame pins the request frame:
-// testdata/golden_request_frame_v7.hex is the frame wire version 7
+// testdata/golden_request_frame_v8.hex is the frame wire version 8
 // wrote for fullRequest(), a unit level, an operation and a page in one
 // frame, each descriptor a length-prefixed body and the page item's an
-// empty one. Decoding it must give fullRequest() back.
+// empty one; version 8 changed no request encoding, so these are version
+// 7's bytes. Decoding it must give fullRequest() back.
 func TestGoldenRequestFrame(t *testing.T) {
-	r := goldenFrame(t, "testdata/golden_request_frame_v7.hex", ftBatch,
+	r := goldenFrame(t, "testdata/golden_request_frame_v8.hex", ftBatch,
 		func(w *wbuf) { w.batchRequest(fullRequest()) })
 	if req, err := r.batchRequest(); err != nil || r.remaining() != 0 || !reflect.DeepEqual(&req, fullRequest()) {
 		t.Fatalf("golden frame decoded to %+v (err %v)", req, err)
@@ -420,7 +492,7 @@ func TestGoldenRequestFrame(t *testing.T) {
 func TestCodecRejectsRaggedNode(t *testing.T) {
 	w := getWbuf()
 	defer putWbuf(w)
-	w.beanPtr(&mvc.UnitBean{UnitID: "u", Fields: []string{"a"}, Nodes: []mvc.Node{{Values: cells("x", "y")}}})
+	w.beanPtr(&mvc.UnitBean{UnitID: "u", Fields: []string{"a"}, Nodes: []mvc.Node{{Values: cells("x", "y")}}}, nil)
 	if w.err == nil {
 		t.Fatal("ragged node encoded without error")
 	}
@@ -432,12 +504,17 @@ func TestCodecRejectsRaggedNode(t *testing.T) {
 	}
 }
 
-// FuzzCodecResponse is FuzzCodecRequest for the response shape.
+// FuzzCodecResponse is FuzzCodecRequest for the response shape, decoded
+// against fullResponseUnit(), so a bean may carry its own schema or leave
+// out the descriptor's.
 func FuzzCodecResponse(f *testing.F) {
-	w := getWbuf()
-	w.response(fullResponse())
-	f.Add(append([]byte(nil), w.payload()...))
-	putWbuf(w)
+	call := &batchCall{Descriptor: fullResponseUnit()}
+	for _, schema := range []*batchCall{nil, call} {
+		w := getWbuf()
+		w.response(fullResponse(), schema)
+		f.Add(append([]byte(nil), w.payload()...))
+		putWbuf(w)
+	}
 	f.Add([]byte{})
 	for _, data := range malformedNodeLists() {
 		f.Add(data)
@@ -445,22 +522,22 @@ func FuzzCodecResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := rbuf{b: data}
 		var resp, resp2 response
-		if err := r.response(&resp); err != nil {
+		if err := r.response(&resp, call); err != nil {
 			return
 		}
 		w := getWbuf()
-		w.response(&resp)
+		w.response(&resp, call)
 		if w.err != nil {
 			t.Fatalf("decoded response failed to re-encode: %v", w.err)
 		}
 		enc1 := append([]byte(nil), w.payload()...)
 		putWbuf(w)
 		r2 := rbuf{b: enc1}
-		if err := r2.response(&resp2); err != nil {
+		if err := r2.response(&resp2, call); err != nil {
 			t.Fatalf("re-encoded response failed to decode: %v", err)
 		}
 		w2 := getWbuf()
-		w2.response(&resp2)
+		w2.response(&resp2, call)
 		if w2.err != nil {
 			t.Fatalf("second re-encode failed: %v", w2.err)
 		}
@@ -480,29 +557,40 @@ func twoItemReply() []response {
 		Fields: []string{"oid"}, Nodes: []mvc.Node{{Values: cells(int64(7))}}}}}
 }
 
+// twoItemCalls are the calls twoItemReply() answers, with descriptors of
+// its beans' schemas.
+func twoItemCalls() []batchCall {
+	return []batchCall{
+		{Kind: kindUnit, Descriptor: fullResponseUnit()},
+		{Kind: kindUnit, Descriptor: &descriptor.Unit{ID: "u2", Kind: "data",
+			Outputs: []descriptor.FieldDef{{Name: "oid", Column: "oid"}}}},
+	}
+}
+
 // TestGoldenBatchReplyFrame pins the batch reply:
-// testdata/golden_batch_reply_frame.hex is the frame wire version 4 wrote
-// for twoItemReply(); versions 5, 6 and 7 changed no reply encoding.
-// Encoding must reproduce it byte for byte, and decoding it must give
-// twoItemReply() back.
+// testdata/golden_batch_reply_frame.hex is the frame wire version 8 wrote
+// for twoItemReply() answering twoItemCalls(), whose descriptors hold
+// both beans' schemas, so neither bean carries its unit ID, kind or
+// names. Encoding must reproduce it byte for byte, and decoding it
+// against the same calls must give twoItemReply() back.
 func TestGoldenBatchReplyFrame(t *testing.T) {
 	r := goldenFrame(t, "testdata/golden_batch_reply_frame.hex", ftBatchReply,
-		func(w *wbuf) { w.batchReply(twoItemReply()) })
-	if items, err := r.batchReply(); err != nil || !reflect.DeepEqual(items, twoItemReply()) {
+		func(w *wbuf) { w.batchReply(twoItemReply(), twoItemCalls()) })
+	if items, err := r.batchReply(twoItemCalls()); err != nil || !reflect.DeepEqual(items, twoItemReply()) {
 		t.Fatalf("golden frame decoded to %+v (err %v)", items, err)
 	}
 }
 
 // malformedBatchReplies are batch reply bodies around the empty response
-// (five zero bytes) that lie about their shape. The committed corpus of
+// (six zero bytes) that lie about their shape. The committed corpus of
 // FuzzCodecBatchReply holds each of them.
 func malformedBatchReplies() map[string][]byte {
 	return map[string][]byte{
-		"count past the end":         {3, 5, 0, 0, 0, 0, 0},
-		"item length past the end":   {1, 9, 0, 0, 0, 0, 0},
-		"trailing bytes inside item": {1, 6, 0, 0, 0, 0, 0, 0},
-		"truncated":                  {2, 5, 0, 0, 0, 0, 0, 5, 0, 0},
-		"trailing bytes after items": {1, 5, 0, 0, 0, 0, 0, 0},
+		"count past the end":         {3, 6, 0, 0, 0, 0, 0, 0},
+		"item length past the end":   {1, 9, 0, 0, 0, 0, 0, 0},
+		"trailing bytes inside item": {1, 7, 0, 0, 0, 0, 0, 0, 0},
+		"truncated":                  {2, 6, 0, 0, 0, 0, 0, 0, 6, 0, 0},
+		"trailing bytes after items": {1, 6, 0, 0, 0, 0, 0, 0, 0},
 	}
 }
 
@@ -510,7 +598,7 @@ func malformedBatchReplies() map[string][]byte {
 func TestCodecMalformedBatchReplies(t *testing.T) {
 	for name, data := range malformedBatchReplies() {
 		r := rbuf{b: data}
-		if _, err := r.batchReply(); !errors.Is(err, errCodec) {
+		if _, err := r.batchReply(nil); !errors.Is(err, errCodec) {
 			t.Errorf("%s: decode error = %v, want errCodec", name, err)
 		}
 	}
@@ -521,7 +609,7 @@ func TestCodecMalformedBatchReplies(t *testing.T) {
 // themselves.
 func FuzzCodecBatchReply(f *testing.F) {
 	w := getWbuf()
-	w.batchReply(twoItemReply())
+	w.batchReply(twoItemReply(), nil)
 	f.Add(append([]byte(nil), w.payload()...))
 	putWbuf(w)
 	f.Add([]byte{0})
@@ -530,19 +618,19 @@ func FuzzCodecBatchReply(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := rbuf{b: data}
-		items, err := r.batchReply()
+		items, err := r.batchReply(nil)
 		if err != nil {
 			return
 		}
 		w := getWbuf()
-		w.batchReply(items)
+		w.batchReply(items, nil)
 		if w.err != nil {
 			t.Fatalf("decoded reply failed to re-encode: %v", w.err)
 		}
 		enc1 := append([]byte(nil), w.payload()...)
 		putWbuf(w)
 		r2 := rbuf{b: enc1}
-		items2, err := r2.batchReply()
+		items2, err := r2.batchReply(nil)
 		if err != nil {
 			t.Fatalf("re-encoded reply failed to decode: %v", err)
 		}
@@ -550,7 +638,7 @@ func FuzzCodecBatchReply(f *testing.F) {
 			t.Fatalf("%d items re-decoded as %d", len(items), len(items2))
 		}
 		w2 := getWbuf()
-		w2.batchReply(items2)
+		w2.batchReply(items2, nil)
 		if w2.err != nil {
 			t.Fatalf("second re-encode failed: %v", w2.err)
 		}
@@ -569,7 +657,7 @@ func TestBatchReplyItemsOwnTheirBytes(t *testing.T) {
 	big := &mvc.UnitBean{UnitID: "big", Kind: "data", Fields: []string{"body"},
 		Nodes: []mvc.Node{{Values: cells(strings.Repeat("x", 1<<20))}}}
 	frame := frameOf(ftBatchReply, 1, func(w *wbuf) {
-		w.batchReply([]response{{Bean: &mvc.UnitBean{UnitID: "small", Kind: "data"}}, {Bean: big}})
+		w.batchReply([]response{{Bean: &mvc.UnitBean{UnitID: "small", Kind: "data"}}, {Bean: big}}, nil)
 	})
 	big = nil
 	heap := func() uint64 {
@@ -587,7 +675,7 @@ func TestBatchReplyItemsOwnTheirBytes(t *testing.T) {
 		r := rbuf{b: payload}
 		r.byte()
 		r.uvarint()
-		items, err := r.batchReply()
+		items, err := r.batchReply(nil)
 		if err != nil || len(items) != 2 || len(items[1].Bean.Nodes) != 1 {
 			t.Fatalf("reply decoded to %+v (err %v)", items, err)
 		}
@@ -816,7 +904,7 @@ func FuzzServeFramed(f *testing.F) {
 	f.Add(append(append([]byte(nil), batch...), op...))
 	f.Add(op[:len(op)/2])
 	f.Add(frameOf(ftBatch, 3, func(w *wbuf) { w.batchRequest(fullRequest()) }))
-	f.Add(frameOf(ftBatchReply, 5, func(w *wbuf) { w.batchReply(twoItemReply()) }))
+	f.Add(frameOf(ftBatchReply, 5, func(w *wbuf) { w.batchReply(twoItemReply(), nil) }))
 	f.Add(frameOf(9, 4, func(w *wbuf) {}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, ftBatch})
 	f.Add([]byte{0x00})
@@ -970,7 +1058,7 @@ func TestBatchWideFrameBoundedGoroutines(t *testing.T) {
 	if ft, id := r.byte(), r.uvarint(); ft != ftBatchReply || id != 1 {
 		t.Fatalf("frame type %d id %d", ft, id)
 	}
-	replies, err := r.batchReply()
+	replies, err := r.batchReply(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1286,7 +1374,7 @@ func TestBatchReplyCountMismatch(t *testing.T) {
 		r.byte() // ftBatch
 		id := r.uvarint()
 		c.Write(frameOf(ftBatchReply, id, func(w *wbuf) { //nolint:errcheck
-			w.batchReply([]response{{Bean: &mvc.UnitBean{UnitID: "short"}}})
+			w.batchReply([]response{{Bean: &mvc.UnitBean{UnitID: "short"}}}, nil)
 		}))
 		// Hold the connection open: the client must detect the short
 		// reply itself, not rely on a close.

@@ -93,12 +93,8 @@ func (in *Injector) beforeCall(ctx context.Context) error {
 	s := in.sched
 	if s.LatencyProb > 0 && in.roll() < s.LatencyProb {
 		in.latencies.Add(1)
-		t := time.NewTimer(s.Latency)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := mvc.Sleep(ctx, s.Latency); err != nil {
+			return err
 		}
 	}
 	if s.ErrorProb > 0 && in.roll() < s.ErrorProb {

@@ -205,8 +205,12 @@ func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []
 	// leader; a stale bean within bound still beats an error.
 	for _, jn := range joins {
 		wsp := obs.Leaf(ctx, "cache.wait").Label("unit", jn.d.ID)
-		v, err := jn.f.Wait(ctx)
-		wsp.EndErr(ctx.Err())
+		_, _, err := Await(ctx, jn.f.Done())
+		wsp.EndErr(err)
+		var v interface{}
+		if err == nil {
+			v, err = jn.f.Result()
+		}
 		if err != nil {
 			out[jn.idx].Bean, out[jn.idx].Err = cb.degraded(jn.key, err)
 			continue

@@ -37,7 +37,8 @@ type UnitBean struct {
 	Kind   string
 	// Fields lists the top-level field names in display order.
 	Fields []string
-	// LevelFields lists field names per nesting level.
+	// LevelFields lists field names per nesting level. A generic
+	// service's bean shares both lists with its descriptor's FieldNames.
 	LevelFields [][]string
 	// Nodes are the displayed objects.
 	Nodes []Node

@@ -247,13 +247,16 @@ func (c *Controller) traceRequest(r *http.Request, action string) (*http.Request
 	return r.WithContext(ctx), func(status int) { c.Obs.Finish(t, status) }
 }
 
-// requestContext derives the per-request deadline context — the budget
-// every tier below (page service, bean cache, remote stub) observes.
-func (c *Controller) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+// requestContext bounds the request by its one deadline — the budget
+// every tier below (page service, bean cache, remote stub) observes. The
+// deadline is a value: a timer is armed only where a wait blocks. The
+// caller releases a non-nil DeadlineContext when the request is done.
+func (c *Controller) requestContext(r *http.Request) (context.Context, *DeadlineContext) {
 	if c.RequestTimeout > 0 {
-		return context.WithTimeout(r.Context(), c.RequestTimeout)
+		dc := &DeadlineContext{parent: r.Context(), deadline: time.Now().Add(c.RequestTimeout)}
+		return dc, dc
 	}
-	return r.Context(), func() {}
+	return r.Context(), nil
 }
 
 // errStatus maps a business-tier failure to an HTTP status: a request
@@ -269,8 +272,10 @@ func errStatus(err error) int {
 // dispatch runs one action: a fragment, or a page or operation action and
 // any operation chain it starts. Fragments never read a session.
 func (c *Controller) dispatch(w http.ResponseWriter, r *http.Request, action string) {
-	ctx, cancel := c.requestContext(r)
-	defer cancel()
+	ctx, dc := c.requestContext(r)
+	if dc != nil {
+		defer dc.Release()
+	}
 	params := requestParams(r)
 	if fragmentID, ok := strings.CutPrefix(action, "fragment/"); ok {
 		c.fragmentAction(ctx, w, r, fragmentID, params)

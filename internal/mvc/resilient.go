@@ -85,12 +85,5 @@ func (rb *ResilientBusiness) sleep(ctx context.Context, attempt int) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return Sleep(ctx, d)
 }

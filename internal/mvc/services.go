@@ -135,22 +135,12 @@ func rowsToNodes(rows *rdb.Rows, fields []descriptor.FieldDef) ([]Node, error) {
 	return nodes, nil
 }
 
-func fieldNames(fs []descriptor.FieldDef) []string {
-	out := make([]string, len(fs))
-	for i, f := range fs {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // computeRowsUnit is the generic service for data, index, multidata and
 // multichoice units: run the descriptor's query, package the rows, then
 // expand hierarchical levels.
 func computeRowsUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
-	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: fieldNames(d.Outputs)}
-	for _, lvl := range d.Levels {
-		bean.LevelFields = append(bean.LevelFields, fieldNames(lvl.Outputs))
-	}
+	fields, levels := d.FieldNames()
+	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: fields, LevelFields: levels}
 	args, ok := bindArgs(d.Inputs, inputs)
 	if !ok {
 		bean.Missing = true
@@ -200,7 +190,8 @@ func expandLevels(ctx context.Context, db *rdb.DB, d *descriptor.Unit, bean *Uni
 
 // computeScrollerUnit runs the count query and one window of the result.
 func computeScrollerUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
-	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, PageSize: d.PageSize, Fields: fieldNames(d.Outputs)}
+	fields, _ := d.FieldNames()
+	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, PageSize: d.PageSize, Fields: fields}
 
 	// The count query consumes every input except the trailing "offset",
 	// which is 0 when absent.

@@ -1,0 +1,242 @@
+package webmlgo
+
+// Work counters: the exact work one request of a benchmark workload's
+// shape costs, in process, over the stack bench/stack.go boots. The rows
+// in testdata/work_counters.txt are the claim a change makes: any change
+// in either direction fails the test, and -update rewrites the file, so
+// the diff shows what moved.
+
+import (
+	"bufio"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"webmlgo/internal/codegen"
+	"webmlgo/internal/rdb"
+	"webmlgo/internal/workload"
+)
+
+var updateWorkCounters = flag.Bool("update", false, "rewrite testdata/work_counters.txt from this build")
+
+const workCountersFile = "testdata/work_counters.txt"
+
+// workCounterTolerance is the relative slack an allocation row allows for
+// runtime scheduling (pools emptied by a collection, goroutine stacks);
+// every other row is exact.
+const workCounterTolerance = 0.005
+
+// workRow is one workload shape's per-request work.
+type workRow struct {
+	name                   string
+	requests               int
+	allocs                 float64
+	framesSent, framesRecv float64
+	served                 float64
+}
+
+func (r workRow) String() string {
+	return fmt.Sprintf("%s\trequests=%d\tallocs=%.1f\tframes_sent=%.4f\tframes_recv=%.4f\tserved=%.4f",
+		r.name, r.requests, r.allocs, r.framesSent, r.framesRecv, r.served)
+}
+
+func parseWorkRow(line string) (workRow, error) {
+	fields := strings.Split(line, "\t")
+	r := workRow{name: fields[0]}
+	vals := map[string]*float64{"allocs": &r.allocs, "frames_sent": &r.framesSent,
+		"frames_recv": &r.framesRecv, "served": &r.served}
+	for _, f := range fields[1:] {
+		k, v, _ := strings.Cut(f, "=")
+		if k == "requests" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return r, err
+			}
+			r.requests = n
+			continue
+		}
+		p, ok := vals[k]
+		if !ok {
+			return r, fmt.Errorf("unknown counter %q", k)
+		}
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return r, err
+		}
+		*p = x
+	}
+	return r, nil
+}
+
+// sessionHotWork drives the session_hot shape: Acer-Euro on a durable
+// database, its business tier deployed in a container over loopback, and
+// a web App with a bean cache, an edge, admission and a 5 s request
+// budget. After a warm-up over every hot URL, a seeded Zipf list of
+// cookie requests over the 256 hot URLs is counted.
+func sessionHotWork(t *testing.T, requests int) workRow {
+	model, err := workload.Generate(workload.AcerEuro())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := rdb.OpenDurableOpts(t.TempDir(), rdb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	gen, err := codegen.New(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range art.DDL {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := workload.Populate(db, 200, 7); err != nil {
+		t.Fatal(err)
+	}
+	backend, err := New(model, WithDatabase(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	ctr, addr, err := backend.DeployContainer(16, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctr.Close() //nolint:errcheck // test teardown
+	app, err := New(model, WithDatabase(db), WithCompiledStyle(B2CStyle()),
+		WithAppServer(addr), WithBeanCache(8192), WithEdgeCache(8192, 10*time.Minute),
+		WithAdmission(64, 256), WithRequestTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	h := app.Handler()
+
+	// The server issues the sessions, as the benchmark has it do.
+	cookies := make([]string, 64)
+	for i := range cookies {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/logout", nil))
+		for _, c := range rr.Result().Cookies() {
+			if c.Name == "WSESSION" {
+				cookies[i] = "WSESSION=" + c.Value
+			}
+		}
+		if cookies[i] == "" {
+			t.Fatal("/logout issued no session cookie")
+		}
+	}
+	hot := goldenHotPaths(model, 256)
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(hot)-1))
+	newReq := func(path string) *http.Request {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.Header.Set("Cookie", cookies[rng.Intn(len(cookies))])
+		return r
+	}
+	w := &hitWriter{h: make(http.Header)}
+	serve := func(r *http.Request) {
+		w.code, w.n = http.StatusOK, 0
+		clear(w.h)
+		h.ServeHTTP(w, r)
+		if w.code != http.StatusOK || w.n == 0 {
+			t.Fatalf("%s: status %d, %d bytes", r.URL, w.code, w.n)
+		}
+	}
+	for _, path := range hot {
+		serve(newReq(path))
+	}
+	reqs := make([]*http.Request, requests)
+	for i := range reqs {
+		reqs[i] = newReq(hot[zipf.Uint64()])
+	}
+
+	var ms runtime.MemStats
+	runtime.GC()
+	sent0, recv0, _ := app.Remote.FrameStats()
+	served0 := ctr.Metrics().Served
+	runtime.ReadMemStats(&ms)
+	mallocs0 := ms.Mallocs
+	for _, r := range reqs {
+		serve(r)
+	}
+	runtime.ReadMemStats(&ms)
+	sent, recv, _ := app.Remote.FrameStats()
+	n := float64(requests)
+	return workRow{
+		name:       "session_hot",
+		requests:   requests,
+		allocs:     math.Round(float64(ms.Mallocs-mallocs0)/n*10) / 10,
+		framesSent: float64(sent-sent0) / n,
+		framesRecv: float64(recv-recv0) / n,
+		served:     float64(ctr.Metrics().Served-served0) / n,
+	}
+}
+
+// TestWorkCounters compares each shape's row with the committed one.
+func TestWorkCounters(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("boots the benchmark's stack")
+	}
+	got := []workRow{sessionHotWork(t, 2000)}
+	if *updateWorkCounters {
+		var b strings.Builder
+		b.WriteString("# Per-request work of each benchmark workload shape (TestWorkCounters;\n")
+		b.WriteString("# go test -run TestWorkCounters -update . rewrites it).\n")
+		for _, r := range got {
+			b.WriteString(r.String() + "\n")
+		}
+		if err := os.WriteFile(workCountersFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]workRow{}
+	f, err := os.Open(workCountersFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
+			r, err := parseWorkRow(line)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", workCountersFile, line, err)
+			}
+			want[r.name] = r
+		}
+	}
+	for _, g := range got {
+		t.Logf("%v", g)
+		w, ok := want[g.name]
+		if !ok {
+			t.Errorf("%s: no committed row", g.name)
+			continue
+		}
+		allocsOK := math.Abs(g.allocs-w.allocs) <= workCounterTolerance*w.allocs
+		exact := w
+		exact.allocs = g.allocs
+		if !allocsOK || exact != g {
+			t.Errorf("work moved (allocs within %.1f %%, the rest exact):\n got %v\nwant %v",
+				workCounterTolerance*100, g, w)
+		}
+	}
+}
