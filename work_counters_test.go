@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -22,7 +23,9 @@ import (
 	"time"
 
 	"webmlgo/internal/codegen"
+	"webmlgo/internal/descriptor"
 	"webmlgo/internal/rdb"
+	"webmlgo/internal/webml"
 	"webmlgo/internal/workload"
 )
 
@@ -77,21 +80,29 @@ func parseWorkRow(line string) (workRow, error) {
 	return r, nil
 }
 
-// sessionHotWork drives the session_hot shape: Acer-Euro on a durable
-// database, its business tier deployed in a container over loopback, and
-// a web App with a bean cache, an edge, admission and a 5 s request
-// budget. After a warm-up over every hot URL, a seeded Zipf list of
-// cookie requests over the 256 hot URLs is counted.
-func sessionHotWork(t *testing.T, requests int) workRow {
+// shapeWork drives one workload shape over the benchmark's stack:
+// Acer-Euro on a durable database, its business tier deployed in a
+// container over loopback, and a web App with a bean cache, an edge,
+// admission and a 5 s request budget. Every request carries a session
+// cookie the server issued.
+//
+// session_hot warms every hot URL, then counts a seeded Zipf list over
+// the 256 hot URLs. session_cold is set up as bench/stack.go sets it up —
+// the populated database checkpointed, closed and reopened with a quarter
+// of its rows resident and half of its pages pooled — and warms and
+// counts seeded uniform lists over every public page and id.
+func shapeWork(t *testing.T, name string, requests int) workRow {
+	cold := name == "session_cold"
 	model, err := workload.Generate(workload.AcerEuro())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := rdb.OpenDurableOpts(t.TempDir(), rdb.DurableOptions{})
+	dir := t.TempDir()
+	db, err := rdb.OpenDurableOpts(dir, rdb.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer func() { db.Close() }()
 	gen, err := codegen.New(model)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +118,28 @@ func sessionHotWork(t *testing.T, requests int) workRow {
 	}
 	if err := workload.Populate(db, 200, 7); err != nil {
 		t.Fatal(err)
+	}
+	if cold {
+		rows := 0
+		for _, tbl := range db.TableNames() {
+			n, err := db.RowCount(tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += n
+		}
+		if err := db.Close(); err != nil { // Close checkpoints
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, "pages.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err = rdb.OpenDurableOpts(dir, rdb.DurableOptions{
+			ResidentRows: rows / 4, PoolPages: int(fi.Size()/4096) / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	backend, err := New(model, WithDatabase(db))
 	if err != nil {
@@ -141,9 +174,7 @@ func sessionHotWork(t *testing.T, requests int) workRow {
 			t.Fatal("/logout issued no session cookie")
 		}
 	}
-	hot := goldenHotPaths(model, 256)
 	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(hot)-1))
 	newReq := func(path string) *http.Request {
 		r := httptest.NewRequest(http.MethodGet, path, nil)
 		r.Header.Set("Cookie", cookies[rng.Intn(len(cookies))])
@@ -158,12 +189,24 @@ func sessionHotWork(t *testing.T, requests int) workRow {
 			t.Fatalf("%s: status %d, %d bytes", r.URL, w.code, w.n)
 		}
 	}
-	for _, path := range hot {
-		serve(newReq(path))
+	var next func() string
+	if cold {
+		paths := publicPaths(art.Repo)
+		next = func() string { return paths[rng.Intn(len(paths))] }
+		for range requests / 4 {
+			serve(newReq(next()))
+		}
+	} else {
+		hot := goldenHotPaths(model, 256)
+		zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(hot)-1))
+		next = func() string { return hot[zipf.Uint64()] }
+		for _, path := range hot {
+			serve(newReq(path))
+		}
 	}
 	reqs := make([]*http.Request, requests)
 	for i := range reqs {
-		reqs[i] = newReq(hot[zipf.Uint64()])
+		reqs[i] = newReq(next())
 	}
 
 	var ms runtime.MemStats
@@ -179,13 +222,38 @@ func sessionHotWork(t *testing.T, requests int) workRow {
 	sent, recv, _ := app.Remote.FrameStats()
 	n := float64(requests)
 	return workRow{
-		name:       "session_hot",
+		name:       name,
 		requests:   requests,
 		allocs:     math.Round(float64(ms.Mallocs-mallocs0)/n*10) / 10,
 		framesSent: float64(sent-sent0) / n,
 		framesRecv: float64(recv-recv0) / n,
 		served:     float64(ctr.Metrics().Served-served0) / n,
 	}
+}
+
+// publicPaths lists every page of a public site view, once per id 1–200
+// when it shows a data unit, as the benchmark's cold stream does.
+func publicPaths(repo *descriptor.Repository) []string {
+	var out []string
+	for _, pd := range repo.Pages() {
+		if pd.Protected {
+			continue
+		}
+		detail := false
+		for _, u := range pd.Units {
+			if d := repo.Unit(u.ID); d != nil && d.Kind == string(webml.DataUnit) {
+				detail = true
+			}
+		}
+		if !detail {
+			out = append(out, "/page/"+pd.ID)
+			continue
+		}
+		for id := 1; id <= 200; id++ {
+			out = append(out, fmt.Sprintf("/page/%s?id=%d", pd.ID, id))
+		}
+	}
+	return out
 }
 
 // TestWorkCounters compares each shape's row with the committed one.
@@ -196,7 +264,7 @@ func TestWorkCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the benchmark's stack")
 	}
-	got := []workRow{sessionHotWork(t, 2000)}
+	got := []workRow{shapeWork(t, "session_hot", 2000), shapeWork(t, "session_cold", 2000)}
 	if *updateWorkCounters {
 		var b strings.Builder
 		b.WriteString("# Per-request work of each benchmark workload shape (TestWorkCounters;\n")
