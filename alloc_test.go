@@ -149,6 +149,40 @@ func TestAllocListingConstant(t *testing.T) {
 	t.Logf("listing: %.0f allocs at 20 rows, %.0f at 2,000", small, large)
 }
 
+// TestAllocQueryExact pins what a generated unit query costs the engine
+// once its plan is cached and sized. The execution is one allocation: its
+// context, frame and argument slots, the result header, a one-row
+// result's row list and a COUNT's cell. A result of more rows adds its
+// row list and the slab its rows are cut from.
+func TestAllocQueryExact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := rdb.Open()
+	table := itemTable(t, db, 200)
+	id, offset := rdb.Value(int64(150)), rdb.Value(int64(20)) // boxed once, outside the runs
+	for _, c := range []struct {
+		name, sql    string
+		args         []rdb.Value
+		rows, allocs int
+	}{
+		{"listing", "SELECT t.oid, t.title FROM " + table + " t ORDER BY t.oid", nil, 200, 3},
+		{"count", "SELECT COUNT(*) FROM " + table + " t", nil, 1, 1},
+		{"point read", "SELECT t.oid, t.title FROM " + table + " t WHERE t.oid = ?", []rdb.Value{id}, 1, 2},
+		{"window", "SELECT t.oid, t.title FROM " + table + " t ORDER BY t.oid LIMIT 10 OFFSET ?", []rdb.Value{offset}, 10, 3},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if res, err := db.Query(c.sql, c.args...); err != nil || res.Len() != c.rows {
+				t.Fatalf("%s: %d rows, err %v", c.name, res.Len(), err)
+			}
+		})
+		if got != float64(c.allocs) {
+			t.Errorf("%s: %.0f allocs, want %d", c.name, got, c.allocs)
+		}
+		t.Logf("%s: %.0f allocs", c.name, got)
+	}
+}
+
 func TestAllocSlopeRenderPage(t *testing.T) {
 	pd := &descriptor.Page{ID: "p", Template: "p", Units: []descriptor.UnitRef{{ID: "idx"}},
 		Anchors: []descriptor.Anchor{{FromUnit: "idx", Action: "page/detail",

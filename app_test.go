@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -172,6 +173,62 @@ func TestQueryOverrideThroughFacade(t *testing.T) {
 	rr, body := request(t, app.Handler(), "/page/volumePage?volume=1", "")
 	if rr.Code != http.StatusOK || !strings.Contains(body, "TODS Volume 27") {
 		t.Fatalf("tuned query broken: %d\n%s", rr.Code, body)
+	}
+}
+
+// TestQueryOverrideMappedColumns: a hand-tuned query that reorders its
+// columns and selects one more than the unit shows yields the beans and
+// the page of the generated query — the bean maps its fields by name —
+// and a scroller's count is its own query, so its Total does not move.
+func TestQueryOverrideMappedColumns(t *testing.T) {
+	app := newApp(t)
+	repo, local := app.Repo(), app.LocalBusiness()
+	beans := func() map[string]*mvc.UnitBean {
+		out := map[string]*mvc.UnitBean{}
+		for unit, in := range map[string]map[string]mvc.Value{
+			"volumeData":  {"volume": int64(1)},
+			"searchIndex": {"kw": "a", "offset": int64(0)},
+		} {
+			b, err := local.ComputeUnit(context.Background(), repo.Unit(unit), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[unit] = b
+		}
+		return out
+	}
+	pages := func() string {
+		var b strings.Builder
+		for _, path := range []string{"/page/volumePage?volume=1", "/page/searchResults?kw=a"} {
+			rr, body := request(t, app.Handler(), path, "")
+			if rr.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", path, rr.Code)
+			}
+			b.WriteString(body)
+		}
+		return b.String()
+	}
+	wantBeans, wantPages := beans(), pages()
+	if n := len(wantBeans["searchIndex"].Nodes); n == 0 || wantBeans["searchIndex"].Total != n {
+		t.Fatalf("generated scroller: %d nodes, Total %d", n, wantBeans["searchIndex"].Total)
+	}
+	for unit, query := range map[string]string{
+		"volumeData":  "SELECT t.year, t.oid, t.title, t.year AS extra FROM volume t WHERE t.oid = ?",
+		"searchIndex": "SELECT t.pages, t.abstract, t.title, t.oid FROM paper t WHERE t.title LIKE ? ORDER BY t.title ASC LIMIT 10 OFFSET ?",
+	} {
+		if err := repo.OverrideQuery(unit, query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotBeans := beans()
+	for unit, want := range wantBeans {
+		got := gotBeans[unit]
+		if !reflect.DeepEqual(got.Nodes, want.Nodes) || got.Total != want.Total {
+			t.Errorf("%s: overridden bean %+v (Total %d), want %+v (Total %d)", unit, got.Nodes, got.Total, want.Nodes, want.Total)
+		}
+	}
+	if got := pages(); got != wantPages {
+		t.Errorf("pages differ after the override:\n%s\nwant:\n%s", got, wantPages)
 	}
 }
 

@@ -167,11 +167,43 @@ func NewLimiter(maxConcurrency, maxQueue int) *Limiter {
 	}
 }
 
+// Slot is one admitted request's hold on a concurrency slot. AcquireSlot
+// fills it and Release frees it; the zero Slot holds nothing. A caller
+// keeps it with the request, so a release costs no allocation.
+type Slot struct {
+	l    *Limiter
+	held atomic.Bool
+}
+
+// Release frees the slot if it is held. It is idempotent and safe to call
+// from several goroutines: only the first call releases.
+func (s *Slot) Release() {
+	if s.held.CompareAndSwap(true, false) {
+		s.l.release()
+	}
+}
+
+// hold records a granted admission in s.
+func (s *Slot) hold(l *Limiter) {
+	s.l = l
+	s.held.Store(true)
+}
+
 // Acquire admits one request of the given priority: it returns a
 // release function to call when the request finishes, or a shed error.
 // The release function is idempotent. ctx cancellation while queued
 // returns ctx.Err() without counting a shed.
 func (l *Limiter) Acquire(ctx context.Context, pri Priority) (func(), error) {
+	s := new(Slot)
+	if err := l.AcquireSlot(ctx, pri, s); err != nil {
+		return nil, err
+	}
+	return s.Release, nil
+}
+
+// AcquireSlot is Acquire holding the admission in s, which must not be
+// held: on success s holds the slot until its Release.
+func (l *Limiter) AcquireSlot(ctx context.Context, pri Priority, s *Slot) error {
 	if pri < Bulk || pri >= numPriorities {
 		pri = Interactive
 	}
@@ -184,7 +216,8 @@ func (l *Limiter) Acquire(ctx context.Context, pri Priority) (func(), error) {
 		l.mu.Unlock()
 		l.admitted[pri].Add(1)
 		l.Sojourn.Observe(pri.String(), 0)
-		return l.releaseFunc(), nil
+		s.hold(l)
+		return nil
 	}
 	now := time.Now()
 	if l.standing && pri == Bulk {
@@ -192,12 +225,12 @@ func (l *Limiter) Acquire(ctx context.Context, pri Priority) (func(), error) {
 		// spending queue slots it would be displaced out of anyway.
 		l.mu.Unlock()
 		l.shedOverload[pri].Add(1)
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	}
 	if l.queued >= l.MaxQueue && !l.displaceLocked(pri) {
 		l.mu.Unlock()
 		l.shedFull[pri].Add(1)
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 	w := &waiter{pri: pri, enq: now, ch: make(chan error, 1)}
 	l.queues[pri] = append(l.queues[pri], w)
@@ -216,38 +249,31 @@ func (l *Limiter) Acquire(ctx context.Context, pri Priority) (func(), error) {
 	select {
 	case err := <-w.ch:
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return l.releaseFunc(), nil
 	case <-t.C:
 		if l.cancelWaiter(w) {
 			l.shedTimeout[pri].Add(1)
-			return nil, ErrTimedOut
+			return ErrTimedOut
 		}
 		// Lost the race against a grant or displacement: the verdict is
 		// already in the buffered channel.
 		if err := <-w.ch; err != nil {
-			return nil, err
+			return err
 		}
-		return l.releaseFunc(), nil
 	case <-ctx.Done():
 		if l.cancelWaiter(w) {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		if err := <-w.ch; err != nil {
-			return nil, err
+			return err
 		}
 		// Granted a slot the caller no longer wants: hand it back.
-		l.releaseFunc()()
-		return nil, ctx.Err()
+		l.release()
+		return ctx.Err()
 	}
-}
-
-// releaseFunc returns the idempotent slot-release closure for one
-// admitted request.
-func (l *Limiter) releaseFunc() func() {
-	var once sync.Once
-	return func() { once.Do(l.release) }
+	s.hold(l)
+	return nil
 }
 
 // release finishes one admitted request: it records a completion for

@@ -166,7 +166,8 @@ func (c *Controller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // request, with a 500; the server survives.
 func (c *Controller) serveAction(w http.ResponseWriter, r *http.Request, action string) {
 	start := time.Now()
-	release, pri, ok := c.admitRequest(w, r)
+	var slot admit.Slot
+	pri, ok := c.admitRequest(w, r, &slot)
 	if !ok {
 		c.metrics.record(action, time.Since(start), true)
 		return
@@ -183,7 +184,7 @@ func (c *Controller) serveAction(w http.ResponseWriter, r *http.Request, action 
 			http.Error(sr, fmt.Sprintf("internal error in action %s: %v", action, rec),
 				http.StatusInternalServerError)
 		}
-		release()
+		slot.Release()
 		finish(sr.status)
 		c.metrics.record(action, time.Since(start), sr.status >= 400)
 	}()
@@ -194,17 +195,18 @@ func (c *Controller) serveAction(w http.ResponseWriter, r *http.Request, action 
 // shed answers 503 immediately: Retry-After derived from the measured
 // drain rate, X-Webml-Shed so upstream caches know the error is a load
 // decision (and may serve stale), and the shed class for debugging.
-// The returned release frees the concurrency slot and must be called
-// once the action has written its response.
-func (c *Controller) admitRequest(w http.ResponseWriter, r *http.Request) (func(), admit.Priority, bool) {
+// An admitted request's slot holds the concurrency slot; its Release
+// must be called once the action has written its response. Without
+// admission the slot stays empty.
+func (c *Controller) admitRequest(w http.ResponseWriter, r *http.Request, slot *admit.Slot) (admit.Priority, bool) {
 	if c.Admission == nil {
-		return func() {}, 0, true
+		return 0, true
 	}
 	pri := admit.Classify(r)
 	acqStart := time.Now()
-	release, err := c.Admission.Acquire(r.Context(), pri)
+	err := c.Admission.AcquireSlot(r.Context(), pri, slot)
 	if err == nil {
-		return release, pri, true
+		return pri, true
 	}
 	// A shed on a request an upstream tier already traced (the edge
 	// surrogate) leaves its mark in that trace; controller-rooted traces
@@ -221,7 +223,7 @@ func (c *Controller) admitRequest(w http.ResponseWriter, r *http.Request) (func(
 		// Not a load decision: the client went away while queued.
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	}
-	return nil, pri, false
+	return pri, false
 }
 
 // traceRequest attaches tracing to one request: if an upstream tier (the
@@ -366,12 +368,16 @@ func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *h
 	// response that sets the session cookie (Register made it private).
 	h := w.Header()
 	if c.Renderer.VariesByUserAgent() {
-		h.Add("Vary", "User-Agent")
+		if vary := h["Vary"]; len(vary) > 0 {
+			h["Vary"] = append(vary, "User-Agent")
+		} else {
+			h["Vary"] = hdrVaryUA
+		}
 	}
 	shared := !pd.Protected && session.User() == "" && len(formState) == 0 && h.Get("Set-Cookie") == ""
 	if shared {
 		// Anonymous pages revalidate against the content-addressed ETag.
-		h.Set("Cache-Control", "public, max-age=0, must-revalidate")
+		h["Cache-Control"] = hdrCachePublic
 	} else {
 		setPrivate(h)
 	}
@@ -386,8 +392,8 @@ func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *h
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		h.Set("Surrogate-Control", `content="ESI/1.0"`)
-		h.Set("Content-Type", "text/html; charset=utf-8")
+		h["Surrogate-Control"] = hdrSurrogateESI
+		h["Content-Type"] = hdrHTML
 		w.Write(out) //nolint:errcheck // client disconnects are not actionable
 		return
 	}
@@ -404,15 +410,26 @@ func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *h
 	}
 	// Content-addressed ETag: clients and intermediaries revalidate
 	// cheaply; unchanged pages cost one hash instead of a transfer.
-	etag := fmt.Sprintf(`"%x"`, bodyHash(out))
-	w.Header().Set("ETag", etag)
+	var tag [18]byte
+	etag := string(append(strconv.AppendUint(append(tag[:0], '"'), bodyHash(out), 16), '"'))
+	h["Etag"] = []string{etag}
 	if r.Header.Get("If-None-Match") == etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	h["Content-Type"] = hdrHTML
 	w.Write(out) //nolint:errcheck // client disconnects are not actionable
 }
+
+// Constant header values, one shared slice each: nothing writes into a
+// header's value slice, and Add appends to a one-element slice by copying.
+var (
+	hdrVaryUA       = []string{"User-Agent"}
+	hdrCachePublic  = []string{"public, max-age=0, must-revalidate"}
+	hdrCachePrivate = []string{"private, no-store"}
+	hdrSurrogateESI = []string{`content="ESI/1.0"`}
+	hdrHTML         = []string{"text/html; charset=utf-8"}
+)
 
 func bodyHash(b []byte) uint64 {
 	h := fnv.New64a()

@@ -265,3 +265,51 @@ func TestRowsToNodesCopiesInFieldOrder(t *testing.T) {
 		t.Fatal("missing column accepted")
 	}
 }
+
+// TestRowsToNodesTakesExactRows: a node takes its result row as it is
+// when the result's columns are the outputs in order and its rows are
+// exact; a result whose slab holds more than its rows, or whose columns
+// are other than the outputs, is copied, so a bean pins only its cells.
+func TestRowsToNodesTakesExactRows(t *testing.T) {
+	db := rdb.Open()
+	if _, err := db.Exec("CREATE TABLE item (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, title := range []string{"a", "b", "c", "d"} {
+		if _, err := db.Exec("INSERT INTO item (title) VALUES (?)", title); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const upTo = "SELECT t.oid, t.title FROM item t WHERE t.oid <= ? ORDER BY t.oid"
+	fields := []descriptor.FieldDef{{Name: "oid", Column: "oid"}, {Name: "Title", Column: "title"}}
+	query := func(n int64) *rdb.Rows {
+		rows, err := db.Query(upTo, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	query(4)
+	for _, c := range []struct {
+		name   string
+		rows   *rdb.Rows
+		fields []descriptor.FieldDef
+		shared bool
+	}{
+		{"exact, outputs in order", query(4), fields, true},
+		{"slab sized for 4 rows, 2 came", query(2), fields, false},
+		{"outputs reordered", query(4), []descriptor.FieldDef{fields[1], fields[0]}, false},
+		{"one column unshown", query(4), fields[1:], false},
+	} {
+		nodes, err := rowsToNodes(c.rows, c.fields)
+		if err != nil || len(nodes) != c.rows.Len() {
+			t.Fatalf("%s: %d nodes, err %v", c.name, len(nodes), err)
+		}
+		if shared := &nodes[0].Values[0] == &c.rows.Data[0][0]; shared != c.shared {
+			t.Errorf("%s: node shares its result row: %v, want %v", c.name, shared, c.shared)
+		}
+		if w := len(c.fields); cap(nodes[0].Values) != w {
+			t.Errorf("%s: row capacity %d, want %d", c.name, cap(nodes[0].Values), w)
+		}
+	}
+}

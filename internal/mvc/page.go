@@ -189,10 +189,17 @@ func (ps *PageService) resolveInputs(pd *descriptor.Page, sched *descriptor.Sche
 	if ud == nil {
 		return nil, nil, fmt.Errorf("mvc: page %q references missing unit descriptor %q", pd.ID, unitID)
 	}
-	inputs := make(map[string]Value)
+	// The map is made on its first entry: most units bind nothing.
+	var inputs map[string]Value
+	set := func(k string, v Value) {
+		if inputs == nil {
+			inputs = make(map[string]Value, len(ud.Inputs))
+		}
+		inputs[k] = v
+	}
 	for _, p := range ud.Inputs {
 		if v, ok := request[p.Name]; ok {
-			inputs[p.Name] = v
+			set(p.Name, v)
 		}
 	}
 	for _, e := range sched.Incoming[unitID] {
@@ -203,13 +210,13 @@ func (ps *PageService) resolveInputs(pd *descriptor.Page, sched *descriptor.Sche
 		current := src.Nodes[0].Values
 		for _, pm := range e.Params {
 			if i := FieldIndex(src.Fields, pm.Source); i >= 0 && i < len(current) {
-				inputs[pm.Target] = current[i].Value()
+				set(pm.Target, current[i].Value())
 			}
 		}
 	}
 	if fs := formState[unitID]; fs != nil {
 		for k, v := range fs.Values {
-			inputs[k] = v
+			set(k, v)
 		}
 	}
 	return ud, inputs, nil

@@ -91,39 +91,55 @@ func CoreOperationServices() map[string]OperationService {
 	}
 }
 
-// bindArgs resolves a descriptor's declared inputs against the supplied
-// parameter map, applying wildcard wrapping. It reports ok=false when a
-// parameter is absent (the unit then renders empty rather than erroring:
-// a page reached without context shows no content, as in WebML).
-func bindArgs(params []descriptor.ParamDef, inputs map[string]Value) ([]rdb.Value, bool) {
-	args := make([]rdb.Value, len(params))
-	for i, p := range params {
+// argRoom is how many query arguments a unit binds without allocating.
+const argRoom = 4
+
+// bindArgs appends a descriptor's declared inputs, resolved against the
+// supplied parameter map with wildcard wrapping, to args; a caller passes
+// stack room. It reports ok=false when a parameter is absent (the unit
+// then renders empty rather than erroring: a page reached without context
+// shows no content, as in WebML).
+func bindArgs(args []rdb.Value, params []descriptor.ParamDef, inputs map[string]Value) ([]rdb.Value, bool) {
+	for _, p := range params {
 		v, ok := inputs[p.Name]
 		if !ok {
 			return nil, false
 		}
 		if p.Wildcard {
-			args[i] = "%" + FormatParam(v) + "%"
-			continue
+			v = "%" + FormatParam(v) + "%"
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	return args, true
 }
 
 // rowsToNodes converts a query result into bean nodes in the output
-// field order (field <- column): one exact-size slab of cells per sibling
-// list, the projection's cells copied into it, so a bean holds no engine
-// row. A text still aliases the image its row was decoded from.
+// field order (field <- column). When the result's columns are the
+// outputs in order — every generated query's are — and its rows are
+// exact, each node takes its row as it is. Otherwise the fields' cells
+// are copied into one exact-size slab per sibling list. Either way a
+// bean pins only its own cells; a text still aliases the image its row
+// was decoded from.
 func rowsToNodes(rows *rdb.Rows, fields []descriptor.FieldDef) ([]Node, error) {
-	cols := make([]int, len(fields))
+	var room [8]int
+	cols := room[:0]
+	same := len(rows.Columns) == len(fields)
 	for i, f := range fields {
-		if cols[i] = rows.Col(f.Column); cols[i] < 0 {
+		c := rows.Col(f.Column)
+		if c < 0 {
 			return nil, fmt.Errorf("mvc: result set lacks column %q", f.Column)
 		}
+		cols = append(cols, c)
+		same = same && c == i
+	}
+	nodes := make([]Node, len(rows.Data))
+	if same && rows.Exact() {
+		for i, r := range rows.Data {
+			nodes[i].Values = r[:len(r):len(r)]
+		}
+		return nodes, nil
 	}
 	w := len(fields)
-	nodes := make([]Node, len(rows.Data))
 	slab := make([]cell.Cell, len(nodes)*w)
 	for i, r := range rows.Data {
 		values := slab[i*w : (i+1)*w : (i+1)*w]
@@ -141,7 +157,8 @@ func rowsToNodes(rows *rdb.Rows, fields []descriptor.FieldDef) ([]Node, error) {
 func computeRowsUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*UnitBean, error) {
 	fields, levels := d.FieldNames()
 	bean := &UnitBean{UnitID: d.ID, Kind: d.Kind, Fields: fields, LevelFields: levels}
-	args, ok := bindArgs(d.Inputs, inputs)
+	var room [argRoom]rdb.Value
+	args, ok := bindArgs(room[:0], d.Inputs, inputs)
 	if !ok {
 		bean.Missing = true
 		return bean, nil
@@ -203,7 +220,8 @@ func computeScrollerUnit(ctx context.Context, db *rdb.DB, d *descriptor.Unit, in
 	if windowed {
 		params = params[:len(params)-1]
 	}
-	countArgs, ok := bindArgs(params, inputs)
+	var room [argRoom]rdb.Value
+	countArgs, ok := bindArgs(room[:0], params, inputs)
 	if !ok {
 		bean.Missing = true
 		return bean, nil
@@ -255,7 +273,8 @@ func computeEntryUnit(_ context.Context, _ *rdb.DB, d *descriptor.Unit, inputs m
 // descriptor's write statement inside a transaction; any error rolls back
 // and reports KO.
 func executeWrite(ctx context.Context, db *rdb.DB, d *descriptor.Unit, inputs map[string]Value) (*OpResult, error) {
-	args, ok := bindArgs(d.Inputs, inputs)
+	var room [argRoom]rdb.Value
+	args, ok := bindArgs(room[:0], d.Inputs, inputs)
 	if !ok {
 		missing := []string{}
 		for _, p := range d.Inputs {

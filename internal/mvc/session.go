@@ -128,7 +128,7 @@ func (m *SessionManager) Register(w http.ResponseWriter, s *Session) *Session {
 }
 
 // setPrivate forbids every shared cache to store the response.
-func setPrivate(h http.Header) { h.Set("Cache-Control", "private, no-store") }
+func setPrivate(h http.Header) { h["Cache-Control"] = hdrCachePrivate }
 
 // Len returns the number of live sessions.
 func (m *SessionManager) Len() int {

@@ -180,12 +180,12 @@ func (p *SelectPlan) walkEstimate(args []cell.Cell) string {
 // probes and operator time alongside the planner's estimates. The
 // result rows are discarded; side effects are none (SELECT only).
 func (db *DB) ExplainAnalyze(sql string, args ...Value) (string, error) {
-	p, hit, cargs, err := db.planSelect(sql, args)
+	p, hit, e, err := db.planSelect(sql, args)
 	if err != nil {
 		return "", err
 	}
 	defer db.mu.RUnlock()
-	_, _, plan, err := db.analyze(p, hit, cargs, 0)
+	_, _, plan, err := db.analyze(p, hit, e, 0)
 	return plan, err
 }
 
@@ -193,16 +193,16 @@ func (db *DB) ExplainAnalyze(sql string, args ...Value) (string, error) {
 // instrumented path: it executes p with per-operator counters attached
 // and, when the run succeeded and took at least threshold, renders the
 // annotated plan. The caller holds the read lock.
-func (db *DB) analyze(p *SelectPlan, hit bool, args []cell.Cell, threshold time.Duration) (rows *Rows, elapsed time.Duration, plan string, err error) {
+func (db *DB) analyze(p *SelectPlan, hit bool, e *execution, threshold time.Duration) (rows *Rows, elapsed time.Duration, plan string, err error) {
 	es := newExecStats(p)
 	t0 := time.Now()
-	rows, err = db.execPlan(p, args, es)
+	rows, err = db.execPlan(p, e, es)
 	elapsed = time.Since(t0)
 	db.stats.analyzedQueries.Add(1)
 	if err == nil && elapsed >= threshold {
 		es.total = elapsed
 		es.output = int64(rows.Len())
-		plan = renderPlan(p, p.stmt, es, args) + planCacheLine(hit)
+		plan = renderPlan(p, p.stmt, es, e.c.args) + planCacheLine(hit)
 	}
 	return rows, elapsed, plan, err
 }

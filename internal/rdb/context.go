@@ -65,7 +65,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Row
 	if fin == nil && rec == nil {
 		return db.Query(sql, args...)
 	}
-	p, hit, cargs, err := db.planSelect(sql, args)
+	p, hit, e, err := db.planSelect(sql, args)
 	if err != nil {
 		if fin != nil {
 			fin(err)
@@ -76,7 +76,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Row
 	if rec != nil {
 		threshold = rec.min
 	}
-	rows, elapsed, planText, err := db.analyze(p, hit, cargs, threshold)
+	rows, elapsed, planText, err := db.analyze(p, hit, e, threshold)
 	access := p.access.pathLabel()
 	db.mu.RUnlock()
 	var nrows int64
@@ -102,7 +102,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...Value) (*Row
 		rec.record(QueryRecord{
 			At:       time.Now(),
 			SQL:      sql,
-			Params:   boxAll(cargs),
+			Params:   boxAll(e.c.args),
 			TraceID:  traceID,
 			CacheHit: hit,
 			Rows:     nrows,

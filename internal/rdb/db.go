@@ -186,10 +186,20 @@ type Result struct {
 type Rows struct {
 	Columns []string
 	Data    [][]cell.Cell
+
+	exact bool
 }
 
 // Len returns the number of result rows.
 func (r *Rows) Len() int { return len(r.Data) }
+
+// Exact reports whether the rows hold every cell allocated for them: each
+// row was cut from slabs that no cell outside the result shares, so a row
+// kept past its result pins only the cells it shows. A COUNT's row lives
+// in its execution, a slab reserved for more rows than came holds room,
+// and rows OFFSET or LIMIT cut off keep their cells: none of those
+// results is exact.
+func (r *Rows) Exact() bool { return r.exact }
 
 // Col returns the index of the named column (case-insensitive), or -1.
 func (r *Rows) Col(name string) int {
@@ -333,20 +343,21 @@ func (db *DB) applyLocked(cs *ChangeSet) (func() error, error) {
 // materialized result. The plan is compiled once per SQL text and
 // reused across calls with different parameters.
 func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
-	p, _, cargs, err := db.planSelect(sql, args)
+	p, _, e, err := db.planSelect(sql, args)
 	if err != nil {
 		return nil, err
 	}
 	defer db.mu.RUnlock()
-	return db.execPlan(p, cargs, nil)
+	return db.execPlan(p, e, nil)
 }
 
 // planSelect is the front half of every SELECT entry point (Query,
 // QueryContext, ExplainAnalyze): it prepares sql, refuses anything but
-// a SELECT, binds args, read-locks db and returns the compiled plan and
-// whether it came from the plan cache. On success the caller holds the
-// read lock and must release it; on error the lock is not held.
-func (db *DB) planSelect(sql string, args []Value) (p *SelectPlan, hit bool, cargs []cell.Cell, err error) {
+// a SELECT, binds args into a new execution, read-locks db and returns
+// the compiled plan, whether it came from the plan cache and the
+// execution to run it as. On success the caller holds the read lock and
+// must release it; on error the lock is not held.
+func (db *DB) planSelect(sql string, args []Value) (p *SelectPlan, hit bool, e *execution, err error) {
 	st, err := db.prepare(sql)
 	if err != nil {
 		return nil, false, nil, err
@@ -354,7 +365,7 @@ func (db *DB) planSelect(sql string, args []Value) (p *SelectPlan, hit bool, car
 	if _, ok := st.(*SelectStmt); !ok {
 		return nil, false, nil, fmt.Errorf("rdb: Query requires a SELECT statement, got %T", st)
 	}
-	if cargs, err = coerceArgs(st, args); err != nil {
+	if e, err = newExecution(st, args); err != nil {
 		return nil, false, nil, err
 	}
 	db.mu.RLock()
@@ -362,7 +373,7 @@ func (db *DB) planSelect(sql string, args []Value) (p *SelectPlan, hit bool, car
 		db.mu.RUnlock()
 		return nil, false, nil, err
 	}
-	return p, hit, cargs, nil
+	return p, hit, e, nil
 }
 
 // QueryRow runs a SELECT expected to return at most one row. It returns
@@ -404,18 +415,26 @@ func (db *DB) RowCount(tableName string) (int, error) {
 // coerceArgs checks the argument count and unboxes the arguments: the one
 // place a Value enters the engine.
 func coerceArgs(st Statement, args []Value) ([]cell.Cell, error) {
+	return appendArgs(nil, st, args)
+}
+
+// appendArgs is coerceArgs writing into dst's room when the arguments fit.
+func appendArgs(dst []cell.Cell, st Statement, args []Value) ([]cell.Cell, error) {
 	want := *st.params()
 	if len(args) != want {
 		return nil, fmt.Errorf("rdb: statement needs %d parameters, got %d", want, len(args))
 	}
-	out := make([]cell.Cell, len(args))
-	for i, a := range args {
-		var err error
-		if out[i], err = argCell(a); err != nil {
+	if cap(dst) < len(args) {
+		dst = make([]cell.Cell, 0, len(args))
+	}
+	for _, a := range args {
+		v, err := argCell(a)
+		if err != nil {
 			return nil, err
 		}
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // execLocked dispatches a non-SELECT statement. The caller must hold

@@ -181,6 +181,7 @@ var errStopIteration = errors.New("rdb: stop iteration")
 type slab[T any] struct {
 	free []T
 	rows int // rows in the newest chunk
+	made int // elements allocated over all chunks
 }
 
 func (s *slab[T]) cut(width int) []T { return s.cutUpTo(width, math.MaxInt) }
@@ -191,6 +192,7 @@ func (s *slab[T]) reserve(rows, width int) {
 	if rows > 0 && width > 0 {
 		s.rows = rows
 		s.free = make([]T, rows*width)
+		s.made += rows * width
 	}
 }
 
@@ -199,27 +201,66 @@ func (s *slab[T]) cutUpTo(width, most int) []T {
 	if len(s.free) < width {
 		s.rows = min(max(1, 2*s.rows), most)
 		s.free = make([]T, s.rows*width)
+		s.made += s.rows * width
 	}
 	out := s.free[:width:width]
 	s.free = s.free[width:]
 	return out
 }
 
-// execPlan runs a compiled plan. The caller must hold at least a read
-// lock on db.mu. es collects per-operator actuals when non-nil
-// (EXPLAIN ANALYZE, traced queries, the flight recorder); the hot path
-// passes nil and pays only nil checks.
-func (db *DB) execPlan(p *SelectPlan, args []cell.Cell, es *execStats) (*Rows, error) {
-	c := &execCtx{rows: make([]Row, len(p.frames)), need: p.need, args: args, stats: es}
+// The room an execution has inline for its plan's frames and for its
+// arguments; a run that needs more allocates them apart.
+const (
+	inlineFrames = 4
+	inlineArgs   = 4
+)
+
+// execution is one run of a SELECT, in one allocation: its context with
+// the frame and argument slots, the result header and the slab its rows
+// are cut from, the row list of a result of at most one row, and a
+// COUNT's cell. Nothing reuses an execution, so no result — and no fault
+// arena the row cache keeps — can alias a later run.
+type execution struct {
+	c      execCtx
+	out    Rows
+	cells  slab[cell.Cell]
+	frames [inlineFrames]Row
+	args   [inlineArgs]cell.Cell
+	one    [1][]cell.Cell
+	n      [1]cell.Cell
+}
+
+// newExecution checks st's arguments and unboxes them into a fresh
+// execution's slots.
+func newExecution(st Statement, args []Value) (*execution, error) {
+	e := new(execution)
+	var err error
+	e.c.args, err = appendArgs(e.args[:0], st, args)
+	return e, err
+}
+
+// execPlan runs a compiled plan as execution e, whose arguments are set.
+// The caller must hold at least a read lock on db.mu. es collects
+// per-operator actuals when non-nil (EXPLAIN ANALYZE, traced queries, the
+// flight recorder); the hot path passes nil and pays only nil checks.
+func (db *DB) execPlan(p *SelectPlan, e *execution, es *execStats) (*Rows, error) {
+	c := &e.c
+	c.need, c.stats = p.need, es
+	if len(p.frames) <= len(e.frames) {
+		c.rows = e.frames[:len(p.frames)]
+	} else {
+		c.rows = make([]Row, len(p.frames))
+	}
 	limit, offset, hasLimit, err := p.evalLimits(c)
 	if err != nil {
 		return nil, err
 	}
 	db.countJoinStats(p)
-	var out *Rows
+	out := &e.out
+	out.Columns = p.cols
 	var keys [][]cell.Cell
 	if p.countOnly {
-		out, err = db.countRows(p, c)
+		err = db.countRows(p, e)
 	} else {
 		if p.windowed {
 			c.skip, offset = offset, 0
@@ -230,7 +271,7 @@ func (db *DB) execPlan(p *SelectPlan, args []cell.Cell, es *execStats) (*Rows, e
 		if hasLimit && !p.needSort() {
 			stopAt = offset + limit
 		}
-		out, keys, err = db.plainRows(p, c, stopAt)
+		keys, err = db.plainRows(p, e, stopAt)
 	}
 	if err != nil {
 		return nil, err
@@ -248,6 +289,7 @@ func (db *DB) execPlan(p *SelectPlan, args []cell.Cell, es *execStats) (*Rows, e
 	if hasLimit && limit < int64(len(out.Data)) {
 		out.Data = out.Data[:limit]
 	}
+	out.exact = e.cells.made == len(out.Data)*len(p.cols)
 	return out, nil
 }
 
@@ -290,21 +332,25 @@ func (p *SelectPlan) filter(c *execCtx, emit func() error) error {
 	return emit()
 }
 
-// plainRows projects the produced rows. keys, parallel to the rows, holds
-// the ORDER BY key values when a sort will follow; stopAt >= 0 ends
-// production once that many rows exist. The rows, their slab and the
-// keys are sized by the plan's last run.
-func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cell.Cell, error) {
-	out := &Rows{Columns: p.cols}
+// plainRows projects the produced rows into e's result, cutting them
+// from e's slab. keys, parallel to the rows, holds the ORDER BY key values
+// when a sort will follow; stopAt >= 0 ends production once that many
+// rows exist. The rows, their slab and the keys are sized by the plan's
+// last run.
+func (db *DB) plainRows(p *SelectPlan, e *execution, stopAt int64) ([][]cell.Cell, error) {
+	c, out, rowSlab := &e.c, &e.out, &e.cells
 	wantKeys := p.needSort()
 	var keys [][]cell.Cell
-	var rowSlab, keySlab slab[cell.Cell]
+	var keySlab slab[cell.Cell]
 	hint := int64(p.lastRows.Load())
 	if stopAt >= 0 {
 		hint = min(hint, stopAt)
 	}
-	if hint > 0 {
+	out.Data = e.one[:0]
+	if hint > 1 {
 		out.Data = make([][]cell.Cell, 0, hint)
+	}
+	if hint > 0 {
 		rowSlab.reserve(int(hint), len(p.cols))
 		if wantKeys {
 			keys = make([][]cell.Cell, 0, hint)
@@ -312,7 +358,7 @@ func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cel
 		}
 	}
 	err := db.produce(p, c, func() error {
-		row, err := p.project(c, &rowSlab)
+		row, err := p.project(c, rowSlab)
 		if err != nil {
 			return err
 		}
@@ -335,24 +381,27 @@ func (db *DB) plainRows(p *SelectPlan, c *execCtx, stopAt int64) (*Rows, [][]cel
 		return nil
 	})
 	if err != nil && err != errStopIteration {
-		return nil, nil, err
+		return nil, err
 	}
 	p.lastRows.Store(int32(min(len(out.Data), maxRowsHint)))
-	return out, keys, nil
+	return keys, nil
 }
 
-// countRows answers a COUNT(*) plan with one row: the rows produced,
-// counted as they stream by — or, with nothing to filter or join, the
-// table's live-row count.
-func (db *DB) countRows(p *SelectPlan, c *execCtx) (*Rows, error) {
+// countRows answers a COUNT(*) plan with one row, held in e: the rows
+// produced, counted as they stream by — or, with nothing to filter or
+// join, the table's live-row count.
+func (db *DB) countRows(p *SelectPlan, e *execution) error {
 	n := int64(p.base.alive)
 	if p.access.kind != accessCount {
 		n = 0
-		if err := db.produce(p, c, func() error { n++; return nil }); err != nil {
-			return nil, err
+		if err := db.produce(p, &e.c, func() error { n++; return nil }); err != nil {
+			return err
 		}
 	}
-	return &Rows{Columns: p.cols, Data: [][]cell.Cell{{cell.Int(n)}}}, nil
+	e.n[0] = cell.Int(n)
+	e.one[0] = e.n[:]
+	e.out.Data = e.one[:]
+	return nil
 }
 
 func (p *SelectPlan) evalLimits(c *execCtx) (limit, offset int64, hasLimit bool, err error) {

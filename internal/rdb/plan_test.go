@@ -585,3 +585,52 @@ func TestExplainUniqueAccess(t *testing.T) {
 		t.Fatalf("plan = %q", plan)
 	}
 }
+
+// TestRowsExact: a result is exact when its rows hold every cell its slab
+// allocated, so a caller may keep the rows themselves. A COUNT's row, a
+// slab reserved for more rows than came, and rows a sort produced past
+// LIMIT are not; a window that skips OFFSET entries without reading them
+// is. A kept row never changes under a later run.
+func TestRowsExact(t *testing.T) {
+	db := planDB(t)
+	run := func(sql string, args ...Value) *Rows {
+		t.Helper()
+		res, err := db.Query(sql, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	const upTo = `SELECT oid, name FROM product WHERE oid <= ? ORDER BY oid`
+	for _, c := range []struct {
+		name  string
+		rows  func() *Rows
+		exact bool
+	}{
+		{"sized listing", func() *Rows { run(upTo, 10); return run(upTo, 10) }, true},
+		{"fewer rows than the last run", func() *Rows { run(upTo, 10); return run(upTo, 3) }, false},
+		{"count", func() *Rows { return run(`SELECT COUNT(*) FROM product WHERE price > 10`) }, false},
+		{"sorted past LIMIT", func() *Rows {
+			const q = `SELECT oid, code FROM product ORDER BY code DESC LIMIT 2`
+			run(q)
+			return run(q)
+		}, false},
+		{"window", func() *Rows {
+			const q = `SELECT oid, name FROM product ORDER BY oid LIMIT 5 OFFSET ?`
+			run(q, 10)
+			return run(q, 20)
+		}, true},
+	} {
+		if got := c.rows().Exact(); got != c.exact {
+			t.Errorf("%s: Exact() = %v, want %v", c.name, got, c.exact)
+		}
+	}
+
+	kept := run(upTo, 10)
+	want := fmt.Sprint(kept.Data)
+	run(upTo, 40)
+	run(upTo, 10)
+	if got := fmt.Sprint(kept.Data); got != want {
+		t.Fatalf("a later run changed a kept result: %s, want %s", got, want)
+	}
+}

@@ -72,7 +72,7 @@ func (q inTx) Query(sql string, args ...Value) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("inTx: %q is not a SELECT", sql)
 	}
-	cargs, err := coerceArgs(st, args)
+	e, err := newExecution(st, args)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func (q inTx) Query(sql string, args ...Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.db.execPlan(p, cargs, nil)
+	return q.db.execPlan(p, e, nil)
 }
 
 // addTo adds d to the integer column col of the one row of table whose
