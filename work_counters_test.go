@@ -45,18 +45,19 @@ type workRow struct {
 	allocs                 float64
 	framesSent, framesRecv float64
 	served                 float64
+	edgeMisses             float64
 }
 
 func (r workRow) String() string {
-	return fmt.Sprintf("%s\trequests=%d\tallocs=%.1f\tframes_sent=%.4f\tframes_recv=%.4f\tserved=%.4f",
-		r.name, r.requests, r.allocs, r.framesSent, r.framesRecv, r.served)
+	return fmt.Sprintf("%s\trequests=%d\tallocs=%.1f\tframes_sent=%.4f\tframes_recv=%.4f\tserved=%.4f\tedge_misses=%.4f",
+		r.name, r.requests, r.allocs, r.framesSent, r.framesRecv, r.served, r.edgeMisses)
 }
 
 func parseWorkRow(line string) (workRow, error) {
 	fields := strings.Split(line, "\t")
 	r := workRow{name: fields[0]}
 	vals := map[string]*float64{"allocs": &r.allocs, "frames_sent": &r.framesSent,
-		"frames_recv": &r.framesRecv, "served": &r.served}
+		"frames_recv": &r.framesRecv, "served": &r.served, "edge_misses": &r.edgeMisses}
 	for _, f := range fields[1:] {
 		k, v, _ := strings.Cut(f, "=")
 		if k == "requests" {
@@ -83,16 +84,21 @@ func parseWorkRow(line string) (workRow, error) {
 // shapeWork drives one workload shape over the benchmark's stack:
 // Acer-Euro on a durable database, its business tier deployed in a
 // container over loopback, and a web App with a bean cache, an edge,
-// admission and a 5 s request budget. Every request carries a session
-// cookie the server issued.
+// admission and a 5 s request budget. A session_ request carries a
+// session cookie the server issued; anon_hot and write_mix send none, so
+// the edge serves them.
 //
-// session_hot warms every hot URL, then counts a seeded Zipf list over
-// the 256 hot URLs. session_cold is set up as bench/stack.go sets it up —
-// the populated database checkpointed, closed and reopened with a quarter
-// of its rows resident and half of its pages pooled — and warms and
-// counts seeded uniform lists over every public page and id.
+// session_hot and anon_hot warm every hot URL, then count a seeded Zipf
+// list over the 256 hot URLs. write_mix does the same, with one public
+// _modify operation (/op/<id>?oid=&name=, its redirect not followed) at a
+// drawn position in every 20 requests, as bench/stream.go draws them.
+// session_cold is set up as bench/stack.go sets it up — the populated
+// database checkpointed, closed and reopened with a quarter of its rows
+// resident and half of its pages pooled — and warms and counts seeded
+// uniform lists over every public page and id.
 func shapeWork(t *testing.T, name string, requests int) workRow {
 	cold := name == "session_cold"
+	anon := name == "anon_hot" || name == "write_mix"
 	model, err := workload.Generate(workload.AcerEuro())
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +167,10 @@ func shapeWork(t *testing.T, name string, requests int) workRow {
 	h := app.Handler()
 
 	// The server issues the sessions, as the benchmark has it do.
-	cookies := make([]string, 64)
+	var cookies []string
+	if !anon {
+		cookies = make([]string, 64)
+	}
 	for i := range cookies {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/logout", nil))
@@ -177,19 +186,26 @@ func shapeWork(t *testing.T, name string, requests int) workRow {
 	rng := rand.New(rand.NewSource(1))
 	newReq := func(path string) *http.Request {
 		r := httptest.NewRequest(http.MethodGet, path, nil)
-		r.Header.Set("Cookie", cookies[rng.Intn(len(cookies))])
+		if !anon {
+			r.Header.Set("Cookie", cookies[rng.Intn(len(cookies))])
+		}
 		return r
 	}
 	w := &hitWriter{h: make(http.Header)}
 	serve := func(r *http.Request) {
+		want := http.StatusOK
+		if strings.HasPrefix(r.URL.Path, "/op/") {
+			want = http.StatusFound
+		}
 		w.code, w.n = http.StatusOK, 0
 		clear(w.h)
 		h.ServeHTTP(w, r)
-		if w.code != http.StatusOK || w.n == 0 {
+		if w.code != want || w.n == 0 {
 			t.Fatalf("%s: status %d, %d bytes", r.URL, w.code, w.n)
 		}
 	}
 	var next func() string
+	var hotPaths []string
 	if cold {
 		paths := publicPaths(art.Repo)
 		next = func() string { return paths[rng.Intn(len(paths))] }
@@ -197,22 +213,45 @@ func shapeWork(t *testing.T, name string, requests int) workRow {
 			serve(newReq(next()))
 		}
 	} else {
-		hot := goldenHotPaths(model, 256)
-		zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(hot)-1))
-		next = func() string { return hot[zipf.Uint64()] }
-		for _, path := range hot {
+		hotPaths = goldenHotPaths(model, 256)
+		zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(hotPaths)-1))
+		next = func() string { return hotPaths[zipf.Uint64()] }
+		for _, path := range hotPaths {
 			serve(newReq(path))
 		}
 	}
+	var ops []string
+	if name == "write_mix" {
+		ops = modifyOps(art.Repo, hotPaths)
+	}
 	reqs := make([]*http.Request, requests)
+	opAt, seq := -1, 0
+	var opOrder []int
 	for i := range reqs {
-		reqs[i] = newReq(next())
+		if len(ops) == 0 {
+			reqs[i] = newReq(next())
+			continue
+		}
+		if i%20 == 0 {
+			opAt = i + rng.Intn(20)
+		}
+		if i != opAt {
+			reqs[i] = newReq(next())
+			continue
+		}
+		if len(opOrder) == 0 {
+			opOrder = rng.Perm(len(ops))
+		}
+		seq++
+		reqs[i] = newReq(fmt.Sprintf("/op/%s?oid=%d&name=wc%d", ops[opOrder[0]], rng.Intn(200)+1, seq))
+		opOrder = opOrder[1:]
 	}
 
 	var ms runtime.MemStats
 	runtime.GC()
 	sent0, recv0, _ := app.Remote.FrameStats()
 	served0 := ctr.Metrics().Served
+	_, _, misses0 := app.Edge.Dispositions()
 	runtime.ReadMemStats(&ms)
 	mallocs0 := ms.Mallocs
 	for _, r := range reqs {
@@ -220,6 +259,7 @@ func shapeWork(t *testing.T, name string, requests int) workRow {
 	}
 	runtime.ReadMemStats(&ms)
 	sent, recv, _ := app.Remote.FrameStats()
+	_, _, misses := app.Edge.Dispositions()
 	n := float64(requests)
 	return workRow{
 		name:       name,
@@ -228,7 +268,47 @@ func shapeWork(t *testing.T, name string, requests int) workRow {
 		framesSent: float64(sent-sent0) / n,
 		framesRecv: float64(recv-recv0) / n,
 		served:     float64(ctr.Metrics().Served-served0) / n,
+		edgeMisses: float64(misses-misses0) / n,
 	}
+}
+
+// modifyOps mirrors bench/stream.go's modifyOps: the IDs of the public
+// modify operations on an entity that a hot page lists whole (an index,
+// multidata or multichoice unit without inputs), in descriptor order.
+func modifyOps(repo *descriptor.Repository, hotPaths []string) []string {
+	listed := map[string]bool{}
+	for _, path := range hotPaths {
+		page, _, _ := strings.Cut(strings.TrimPrefix(path, "/page/"), "?")
+		pd := repo.Page(page)
+		if pd == nil {
+			continue
+		}
+		for _, u := range pd.Units {
+			d := repo.Unit(u.ID)
+			if d == nil || len(d.Inputs) > 0 {
+				continue
+			}
+			switch webml.UnitKind(d.Kind) {
+			case webml.IndexUnit, webml.MultidataUnit, webml.MultichoiceUnit:
+				listed[d.Entity] = true
+			}
+		}
+	}
+	var out []string
+	for _, d := range repo.Units() {
+		if d.Kind != string(webml.ModifyUnit) || !listed[d.Entity] {
+			continue
+		}
+		m := repo.Config().Mapping("op/" + d.ID)
+		if m == nil {
+			continue
+		}
+		if pd := repo.Page(strings.TrimPrefix(m.OK, "page/")); pd == nil || pd.Protected {
+			continue
+		}
+		out = append(out, d.ID)
+	}
+	return out
 }
 
 // publicPaths lists every page of a public site view, once per id 1–200
@@ -264,7 +344,10 @@ func TestWorkCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the benchmark's stack")
 	}
-	got := []workRow{shapeWork(t, "session_hot", 2000), shapeWork(t, "session_cold", 2000)}
+	var got []workRow
+	for _, name := range []string{"session_hot", "session_cold", "anon_hot", "write_mix"} {
+		got = append(got, shapeWork(t, name, 2000))
+	}
 	if *updateWorkCounters {
 		var b strings.Builder
 		b.WriteString("# Per-request work of each benchmark workload shape (TestWorkCounters;\n")
