@@ -621,3 +621,73 @@ func TestAllocEdgeHit(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocEdgeRefill pins what one fragment refill costs end to end: a
+// page whose container and fragments are cached has one fragment purged
+// (entity:issue, read by volume 1's issue and paper index alone), and the
+// next GET of the page refills it through the controller, the page
+// service over the fragment's two-unit cone, the local business tier and
+// the renderer, then assembles the page. The count includes the purge.
+// edgeRefillAllocs is TestAllocEdgeRefill's exact count.
+const edgeRefillAllocs = 74
+
+func TestAllocEdgeRefill(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	app := newApp(t, WithEdgeCache(1024, time.Minute))
+	defer app.Edge.Close()
+	h := app.Handler()
+	r := httptest.NewRequest(http.MethodGet, "/page/volumePage?volume=1", nil)
+	w := &hitWriter{h: make(http.Header)}
+	h.ServeHTTP(w, r) // fills the container and its fragments
+	_, _, miss0 := app.Edge.Dispositions()
+	refill := func() {
+		app.Edge.Invalidate("entity:issue")
+		w.code, w.n = http.StatusOK, 0
+		h.ServeHTTP(w, r)
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, refill)
+	_, _, miss := app.Edge.Dispositions()
+	if w.code != http.StatusOK || w.n == 0 || !strings.Contains(w.h.Get("X-Cache"), "HIT") {
+		t.Fatalf("status %d, %d bytes, X-Cache %q; want the cached container's page",
+			w.code, w.n, w.h.Get("X-Cache"))
+	}
+	// AllocsPerRun runs the function once more to warm up.
+	if fetches := float64(miss-miss0) / (runs + 1); fetches != 1 {
+		t.Fatalf("%.2f origin fetches per GET, want the one purged fragment", fetches)
+	}
+	t.Logf("a fragment refill allocates %.0f times", allocs)
+	if allocs != edgeRefillAllocs {
+		t.Errorf("a fragment refill allocates %.0f times, want %d", allocs, edgeRefillAllocs)
+	}
+}
+
+// TestAllocUntracedAdmission: admission costs an untraced action no
+// allocation. The slot lives on the controller's stack, and the
+// admission.wait span's labels are made only for a trace.
+func TestAllocUntracedAdmission(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	count := func(opts ...Option) float64 {
+		h := newApp(t, opts...).Handler()
+		r := httptest.NewRequest(http.MethodGet, "/page/volumePage?volume=1", nil)
+		r.Header.Set("User-Agent", "Go-http-client/1.1")
+		w := &hitWriter{h: make(http.Header)}
+		return testing.AllocsPerRun(100, func() {
+			w.code, w.n = http.StatusOK, 0
+			clear(w.h)
+			h.ServeHTTP(w, r)
+			if w.code != http.StatusOK || w.n == 0 {
+				t.Fatalf("status %d, %d bytes", w.code, w.n)
+			}
+		})
+	}
+	plain, admitted := count(), count(WithAdmission(64, 256))
+	t.Logf("a page action allocates %.0f times, %.0f behind admission", plain, admitted)
+	if admitted != plain {
+		t.Errorf("admission adds %.0f allocations to an untraced action, want 0", admitted-plain)
+	}
+}

@@ -486,11 +486,22 @@ func Classify(r *http.Request) Priority {
 	case "operations", "high":
 		return Operations
 	}
-	ua := strings.ToLower(r.UserAgent())
+	ua := r.UserAgent()
 	for _, marker := range []string{"bot", "crawler", "spider", "slurp"} {
-		if strings.Contains(ua, marker) {
+		if containsFold(ua, marker) {
 			return Bulk
 		}
 	}
 	return Interactive
+}
+
+// containsFold reports whether s contains the lower-case ASCII substr in
+// any case, without making a lower-cased copy of s.
+func containsFold(s, substr string) bool {
+	for i := 0; i+len(substr) <= len(s); i++ {
+		if strings.EqualFold(s[i:i+len(substr)], substr) {
+			return true
+		}
+	}
+	return false
 }

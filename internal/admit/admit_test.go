@@ -383,6 +383,23 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestClassifyAllocatesNothing: matching crawler markers in any case
+// makes no lower-cased copy of the User-Agent.
+func TestClassifyAllocatesNothing(t *testing.T) {
+	for ua, want := range map[string]Priority{
+		"Go-http-client/1.1": Interactive, "Yahoo! SLURP": Bulk, "BingBot/2.0": Bulk, "sp": Interactive,
+	} {
+		r := httptest.NewRequest("GET", "/page/home", nil)
+		r.Header.Set("User-Agent", ua)
+		if got := Classify(r); got != want {
+			t.Errorf("Classify(ua=%q) = %v, want %v", ua, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { Classify(r) }); n != 0 {
+			t.Errorf("Classify(ua=%q) allocates %.0f times, want 0", ua, n)
+		}
+	}
+}
+
 // TestAdmissionHammer drives every transition concurrently for the
 // race detector: fast-path grants, queue grants, displacement,
 // timeouts, cancellations, standing-queue flips.

@@ -23,6 +23,9 @@ type Schedule struct {
 	// Order lists unit IDs so every edge source precedes its targets;
 	// units not constrained by edges keep their display order.
 	Order []string
+	// Display lists every unit ID of the page in display order; a cone
+	// shares its page's.
+	Display []string
 	// Levels partitions Order: level k holds the units whose longest
 	// dependency chain has length k. All inputs of a level-k unit come
 	// from levels < k.
@@ -120,7 +123,7 @@ func ComputeSchedule(pd *Page) (*Schedule, error) {
 	for d := 0; d <= maxDepth; d++ {
 		levels = append(levels, byDepth[d])
 	}
-	return &Schedule{Page: pd, Order: order, Levels: levels, Incoming: incoming}, nil
+	return &Schedule{Page: pd, Order: order, Display: ids, Levels: levels, Incoming: incoming}, nil
 }
 
 // cone returns the plan of one unit's cone: the unit plus the units it
@@ -147,7 +150,7 @@ func (s *Schedule) cone(unitID string) (*Schedule, error) {
 			}
 		}
 	}
-	c = &Schedule{Page: s.Page, Incoming: s.Incoming}
+	c = &Schedule{Page: s.Page, Display: s.Display, Incoming: s.Incoming}
 	for _, id := range s.Order {
 		if in[id] {
 			c.Order = append(c.Order, id)

@@ -135,17 +135,8 @@ func (rb *ResilientBusiness) ComputeUnits(ctx context.Context, calls []UnitCall)
 // refuses it if an operation invalidated any of its reads in the
 // meantime, so a stale bean is never cached.
 func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []UnitResult {
-	out := make([]UnitResult, len(calls))
-	// fill is one cached miss: the call index it resolves and the fill
-	// this request leads (an inner-batch slot) or joined.
-	type fill struct {
-		idx int
-		key string
-		f   *cache.Fill
-		d   *descriptor.Unit
-	}
-	var inner []UnitCall
-	var leaders, joins []fill
+	out, inner, leaders := newLevelScratch(len(calls))
+	var joins []fill
 	for i, c := range calls {
 		lf := fill{idx: i} // an uncached pass-through
 		if c.D.Cache != nil && c.D.Cache.Enabled {
@@ -163,12 +154,6 @@ func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []
 				continue
 			}
 			lf = fill{idx: i, key: key, f: f, d: c.D}
-		}
-		if inner == nil {
-			// Sized once per level, at its first miss, for every call
-			// from there on.
-			inner = make([]UnitCall, 0, len(calls)-i)
-			leaders = make([]fill, 0, len(calls)-i)
 		}
 		inner = append(inner, c)
 		leaders = append(leaders, lf)
@@ -218,4 +203,32 @@ func (cb *CachedBusiness) ComputeUnits(ctx context.Context, calls []UnitCall) []
 		out[jn.idx] = UnitResult{Bean: v.(*UnitBean)}
 	}
 	return out
+}
+
+// fill is one cached miss of a level: the call index it resolves and the
+// fill its request leads (an inner-batch slot) or joined.
+type fill struct {
+	idx int
+	key string
+	f   *cache.Fill
+	d   *descriptor.Unit
+}
+
+// levelScratch is CachedBusiness.ComputeUnits' scratch for a level of up
+// to four units, made as one value: the results it returns, and the calls
+// it passes down with the fills they lead.
+type levelScratch struct {
+	out     [4]UnitResult
+	inner   [4]UnitCall
+	leaders [4]fill
+}
+
+// newLevelScratch returns the results, and empty call and fill lists of
+// capacity n, for a level of n units.
+func newLevelScratch(n int) ([]UnitResult, []UnitCall, []fill) {
+	if n > 4 {
+		return make([]UnitResult, n), make([]UnitCall, 0, n), make([]fill, 0, n)
+	}
+	s := new(levelScratch)
+	return s.out[:n:n], s.inner[:0:n], s.leaders[:0:n]
 }

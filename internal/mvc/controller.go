@@ -17,6 +17,7 @@ import (
 	"webmlgo/internal/admit"
 	"webmlgo/internal/descriptor"
 	"webmlgo/internal/obs"
+	"webmlgo/internal/surrogate"
 	"webmlgo/internal/webml"
 )
 
@@ -102,15 +103,13 @@ type Controller struct {
 // operations).
 const maxChain = 8
 
-// statusRecorder captures the response status for metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
+// actionState is one action's per-request state, made as one value: the
+// response writer that records the status for metrics and the trace, the
+// request's deadline, and the View's request context.
+type actionState struct {
+	w        obs.StatusWriter
+	deadline DeadlineContext
+	view     RequestContext
 }
 
 // NewController wires a controller over a repository, business tier and
@@ -173,7 +172,7 @@ func (c *Controller) serveAction(w http.ResponseWriter, r *http.Request, action 
 		return
 	}
 	admitted := time.Now()
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	a := &actionState{w: obs.StatusWriter{ResponseWriter: w, Code: http.StatusOK}}
 	r, finish := c.traceRequest(r, action)
 	if c.Admission != nil {
 		// Retro-recorded: the wait happened before the trace existed.
@@ -181,14 +180,14 @@ func (c *Controller) serveAction(w http.ResponseWriter, r *http.Request, action 
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			http.Error(sr, fmt.Sprintf("internal error in action %s: %v", action, rec),
+			http.Error(&a.w, fmt.Sprintf("internal error in action %s: %v", action, rec),
 				http.StatusInternalServerError)
 		}
 		slot.Release()
-		finish(sr.status)
-		c.metrics.record(action, time.Since(start), sr.status >= 400)
+		finish(a.w.Code)
+		c.metrics.record(action, time.Since(start), a.w.Code >= 400)
 	}()
-	c.dispatch(sr, r, action)
+	c.dispatch(a, r, action)
 }
 
 // admitRequest passes one request through the admission limiter. A
@@ -249,18 +248,6 @@ func (c *Controller) traceRequest(r *http.Request, action string) (*http.Request
 	return r.WithContext(ctx), func(status int) { c.Obs.Finish(t, status) }
 }
 
-// requestContext bounds the request by its one deadline — the budget
-// every tier below (page service, bean cache, remote stub) observes. The
-// deadline is a value: a timer is armed only where a wait blocks. The
-// caller releases a non-nil DeadlineContext when the request is done.
-func (c *Controller) requestContext(r *http.Request) (context.Context, *DeadlineContext) {
-	if c.RequestTimeout > 0 {
-		dc := &DeadlineContext{parent: r.Context(), deadline: time.Now().Add(c.RequestTimeout)}
-		return dc, dc
-	}
-	return r.Context(), nil
-}
-
 // errStatus maps a business-tier failure to an HTTP status: a request
 // past its deadline budget is a 504 (the tier boundary timed out, not
 // the application logic), anything else stays a 500.
@@ -272,15 +259,20 @@ func errStatus(err error) int {
 }
 
 // dispatch runs one action: a fragment, or a page or operation action and
-// any operation chain it starts. Fragments never read a session.
-func (c *Controller) dispatch(w http.ResponseWriter, r *http.Request, action string) {
-	ctx, dc := c.requestContext(r)
-	if dc != nil {
-		defer dc.Release()
+// any operation chain it starts. Fragments never read a session. The
+// request is bounded by its one deadline, the budget every tier below
+// (page service, bean cache, remote stub) observes; it is a value, and a
+// timer is armed only where a wait blocks.
+func (c *Controller) dispatch(a *actionState, r *http.Request, action string) {
+	w, ctx := http.ResponseWriter(&a.w), r.Context()
+	if c.RequestTimeout > 0 {
+		a.deadline.Init(ctx, time.Now().Add(c.RequestTimeout))
+		defer a.deadline.Release()
+		ctx = &a.deadline
 	}
 	params := requestParams(r)
 	if fragmentID, ok := strings.CutPrefix(action, "fragment/"); ok {
-		c.fragmentAction(ctx, w, r, fragmentID, params)
+		c.fragmentAction(ctx, w, r, &a.view, fragmentID, params)
 		return
 	}
 	session := c.Sessions.Resume(w, r)
@@ -292,7 +284,7 @@ func (c *Controller) dispatch(w http.ResponseWriter, r *http.Request, action str
 		}
 		switch m.Type {
 		case "page":
-			c.pageAction(ctx, w, r, session, m, params)
+			c.pageAction(ctx, w, r, &a.view, session, m, params)
 			return
 		case "operation":
 			if hop == 0 && !c.fanOut(ctx, w, r, session, m, params) {
@@ -341,8 +333,8 @@ func (c *Controller) fanOut(ctx context.Context, w http.ResponseWriter, r *http.
 }
 
 // pageAction is the page action of Figure 4: extract the input from the
-// HTTP request, call the page service, then invoke the View.
-func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *http.Request, session *Session, m *descriptor.Mapping, params map[string]Value) {
+// HTTP request, call the page service, then invoke the View with vctx.
+func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *http.Request, vctx *RequestContext, session *Session, m *descriptor.Mapping, params map[string]Value) {
 	pd := c.Repo.Page(m.Page)
 	if pd == nil {
 		http.Error(w, "missing page descriptor", http.StatusInternalServerError)
@@ -354,7 +346,7 @@ func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *h
 		return
 	}
 	formState := takeFormState(session, pd)
-	vctx := &RequestContext{
+	*vctx = RequestContext{
 		Params:    params,
 		Session:   session,
 		UserAgent: r.UserAgent(),
@@ -368,11 +360,7 @@ func (c *Controller) pageAction(ctx context.Context, w http.ResponseWriter, r *h
 	// response that sets the session cookie (Register made it private).
 	h := w.Header()
 	if c.Renderer.VariesByUserAgent() {
-		if vary := h["Vary"]; len(vary) > 0 {
-			h["Vary"] = append(vary, "User-Agent")
-		} else {
-			h["Vary"] = hdrVaryUA
-		}
+		varyUA(h)
 	}
 	shared := !pd.Protected && session.User() == "" && len(formState) == 0 && h.Get("Set-Cookie") == ""
 	if shared {
@@ -427,9 +415,21 @@ var (
 	hdrVaryUA       = []string{"User-Agent"}
 	hdrCachePublic  = []string{"public, max-age=0, must-revalidate"}
 	hdrCachePrivate = []string{"private, no-store"}
+	hdrNoStore      = []string{"no-store"}
 	hdrSurrogateESI = []string{`content="ESI/1.0"`}
 	hdrHTML         = []string{"text/html; charset=utf-8"}
+	// hdrNoDeps is the dependency header of a fragment without tags.
+	hdrNoDeps = []string{""}
 )
+
+// varyUA adds User-Agent to the response's Vary header.
+func varyUA(h http.Header) {
+	if vary := h["Vary"]; len(vary) > 0 {
+		h["Vary"] = append(vary, "User-Agent")
+	} else {
+		h["Vary"] = hdrVaryUA
+	}
+}
 
 func bodyHash(b []byte) uint64 {
 	h := fnv.New64a()
@@ -448,7 +448,7 @@ func bodyHash(b []byte) uint64 {
 // from the conceptual cache TTL, X-Webml-Deps from the read tags of the
 // beans the cone computed) — the per-fragment "different policies" of
 // Section 6's ESI architecture, driven entirely by the model.
-func (c *Controller) fragmentAction(ctx context.Context, w http.ResponseWriter, r *http.Request, fragmentID string, params map[string]Value) {
+func (c *Controller) fragmentAction(ctx context.Context, w http.ResponseWriter, r *http.Request, vctx *RequestContext, fragmentID string, params map[string]Value) {
 	if !c.EdgeFragments {
 		http.NotFound(w, r)
 		return
@@ -480,31 +480,34 @@ func (c *Controller) fragmentAction(ctx context.Context, w http.ResponseWriter, 
 		http.Error(w, err.Error(), errStatus(err))
 		return
 	}
-	out, err := c.Renderer.RenderUnitFragment(pd, state, &RequestContext{Params: params, UserAgent: r.UserAgent()}, unitID)
+	*vctx = RequestContext{Params: params, UserAgent: r.UserAgent()}
+	out, err := c.Renderer.RenderUnitFragment(pd, state, vctx, unitID)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	h := w.Header()
 	if d := c.Repo.Unit(unitID); d != nil && d.Cache != nil && d.Cache.Enabled && d.Cache.TTLSeconds > 0 {
-		h.Set("Surrogate-Control", fmt.Sprintf("max-age=%d", d.Cache.TTLSeconds))
+		h["Surrogate-Control"] = surrogate.MaxAgeValue(d.Cache.TTLSeconds)
 	}
-	// Always present (possibly empty): the header marks the response
-	// surrogate-cacheable and carries the tags whose writes purge it.
-	h.Set("X-Webml-Deps", c.fragmentDeps(state))
+	// Always present (one empty value when there is no tag): the header
+	// marks the response surrogate-cacheable and carries the tags whose
+	// writes purge it.
+	h[surrogate.DepsHeader] = c.fragmentDeps(state)
 	if c.Renderer.VariesByUserAgent() {
-		h.Add("Vary", "User-Agent")
+		varyUA(h)
 	}
 	// Fragments are surrogate-internal: browsers and shared HTTP caches
 	// must never store partial page markup.
-	h.Set("Cache-Control", "no-store")
-	h.Set("Content-Type", "text/html; charset=utf-8")
+	h["Cache-Control"] = hdrNoStore
+	h["Content-Type"] = hdrHTML
 	w.Write(out) //nolint:errcheck // client disconnects are not actionable
 }
 
-// fragmentDeps returns a fragment's dependency tags, space-separated:
-// the union of the read tags (ReadTags) of the beans its cone computed.
-func (c *Controller) fragmentDeps(state *PageState) string {
+// fragmentDeps returns a fragment's dependency header values, one tag
+// each in sorted order: the union of the read tags (ReadTags) of the
+// beans its cone computed, or hdrNoDeps when there is none.
+func (c *Controller) fragmentDeps(state *PageState) []string {
 	var buf [16]string
 	tags := buf[:0]
 	for id, bean := range state.Beans {
@@ -513,7 +516,10 @@ func (c *Controller) fragmentDeps(state *PageState) string {
 		}
 	}
 	slices.Sort(tags)
-	return strings.Join(slices.Compact(tags), " ")
+	if tags = slices.Compact(tags); len(tags) == 0 {
+		return hdrNoDeps
+	}
+	return slices.Clip(slices.Clone(tags))
 }
 
 // hasUnit reports whether the unit is on the page.
@@ -716,12 +722,18 @@ func storeFormState(session *Session, entryID string, params map[string]Value, e
 }
 
 // takeFormState collects (and clears) the sticky form state of every
-// entry unit on the page.
+// entry unit on the page; it is nil when there is none.
 func takeFormState(session *Session, pd *descriptor.Page) map[string]*FormState {
-	out := map[string]*FormState{}
+	if session.empty() {
+		return nil
+	}
+	var out map[string]*FormState
 	for _, u := range pd.Units {
 		if v, ok := session.Get(formStateKey(u.ID)); ok {
 			if fs, ok := v.(*FormState); ok {
+				if out == nil {
+					out = make(map[string]*FormState)
+				}
 				out[u.ID] = fs
 			}
 			session.Delete(formStateKey(u.ID))
@@ -742,13 +754,45 @@ func multiParam(r *http.Request) (string, []string) {
 	return "", nil
 }
 
-// requestParams converts the URL query and POST form into typed values.
+// requestParams converts the request's parameters into typed values, the
+// first value of each name; it is nil when a request without a body has
+// no query. A query is read straight into the map, by url.ParseQuery's
+// rules: pairs split at '&', and a pair holding ';' or failing to
+// unescape skipped. A request that may carry a form body goes through
+// ParseForm, body values first, which leaves the parsed form for
+// multiParam: the body can be read only once.
 func requestParams(r *http.Request) map[string]Value {
-	_ = r.ParseForm() //nolint:errcheck // malformed bodies yield empty form
-	out := make(map[string]Value, len(r.Form))
-	for k, vs := range r.Form {
-		if len(vs) > 0 {
-			out[k] = ConvertParam(vs[0])
+	if r.Form != nil || r.Method == http.MethodPost || r.Method == http.MethodPut || r.Method == http.MethodPatch {
+		_ = r.ParseForm() //nolint:errcheck // malformed bodies yield empty form
+		out := make(map[string]Value, len(r.Form))
+		for k, vs := range r.Form {
+			if len(vs) > 0 {
+				out[k] = ConvertParam(vs[0])
+			}
+		}
+		return out
+	}
+	q := r.URL.RawQuery
+	if q == "" {
+		return nil
+	}
+	out := make(map[string]Value, strings.Count(q, "&")+1)
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err != nil {
+			continue
+		}
+		if _, seen := out[k]; !seen {
+			out[k] = ConvertParam(v)
 		}
 	}
 	return out

@@ -32,8 +32,17 @@ type PageService struct {
 type PageState struct {
 	PageID string
 	Beans  map[string]*UnitBean
-	// Order lists unit IDs in page display order.
+	// Order lists unit IDs in page display order. It may be the page
+	// schedule's own list, shared by every request: read-only.
 	Order []string
+}
+
+// pageRun is one page computation, made as one value: the PageState it
+// returns and the calls its levels batch, each level a stretch of calls.
+// A schedule of more units than calls holds takes a slab of its own.
+type pageRun struct {
+	state PageState
+	calls [8]UnitCall
 }
 
 // ComputePage exposes the single computePage() function of the paper's
@@ -74,22 +83,24 @@ func (ps *PageService) computePage(ctx context.Context, id string, request map[s
 		return nil, err
 	}
 	pd := sched.Page
-	state := &PageState{
+	run := &pageRun{state: PageState{
 		PageID: pd.ID,
 		Beans:  make(map[string]*UnitBean, len(sched.Order)),
-		Order:  make([]string, len(pd.Units)),
+		Order:  sched.Display,
+	}}
+	state, slab := &run.state, run.calls[:]
+	if len(sched.Order) > len(slab) {
+		slab = make([]UnitCall, len(sched.Order))
 	}
-	for i, ur := range pd.Units {
-		state.Order[i] = ur.ID
-	}
-
 	for li, level := range sched.Levels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		lctx, lsp := obs.StartSpan(ctx, "page.level")
 		lsp.Label("level", strconv.Itoa(li)).Label("units", strconv.Itoa(len(level)))
-		if err := ps.computeLevel(lctx, pd, sched, level, request, formState, state); err != nil {
+		calls := slab[:len(level):len(level)]
+		slab = slab[len(level):]
+		if err := ps.computeLevel(lctx, pd, sched, level, calls, request, formState, state); err != nil {
 			lsp.EndErr(err)
 			return nil, err
 		}
@@ -99,15 +110,15 @@ func (ps *PageService) computePage(ctx context.Context, id string, request map[s
 }
 
 // computeLevel runs one topological level, whatever its width, as one
-// ComputeUnitsOf call: inputs are resolved for every unit up front (they
-// only read beans of strictly earlier levels), and the level travels
+// ComputeUnitsOf call over calls, which is the level's length: inputs are
+// resolved for every unit up front (they only read beans of strictly
+// earlier levels), and the level travels
 // down the business chain whole — one batch frame at a remote stub,
 // guarded calls in order at LocalBusiness. Beans merge deterministically,
 // the first error in level order wins, and sticky form-state errors are
 // cloned copy-on-write per request. Each unit gets its own "unit" span and
 // UnitLat observation of the level's wall time.
-func (ps *PageService) computeLevel(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, level []string, request map[string]Value, formState map[string]*FormState, state *PageState) error {
-	calls := make([]UnitCall, len(level))
+func (ps *PageService) computeLevel(ctx context.Context, pd *descriptor.Page, sched *descriptor.Schedule, level []string, calls []UnitCall, request map[string]Value, formState map[string]*FormState, state *PageState) error {
 	for i, unitID := range level {
 		ud, inputs, err := ps.resolveInputs(pd, sched, unitID, request, formState, state)
 		if err != nil {

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"webmlgo/internal/cookie"
 )
 
 // Session holds per-user state objects that "persist between consecutive
@@ -38,6 +40,13 @@ func (s *Session) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.values, key)
+}
+
+// empty reports whether the session holds no attribute.
+func (s *Session) empty() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.values) == 0
 }
 
 // User returns the authenticated principal, or "".
@@ -84,18 +93,18 @@ func NewSessionManager(ttl time.Duration) *SessionManager {
 // request without a cookie gets a detached session, which the caller
 // registers only when it stores into it.
 func (m *SessionManager) Resume(w http.ResponseWriter, r *http.Request) *Session {
-	c, err := r.Cookie(sessionCookie)
-	if err != nil {
+	id, ok := cookie.Value(r, sessionCookie)
+	if !ok {
 		return m.Detached()
 	}
 	m.mu.Lock()
-	s, ok := m.sessions[c.Value]
+	s, ok := m.sessions[id]
 	if ok && m.now().Sub(s.touched) <= m.ttl {
 		s.touched = m.now()
 		m.mu.Unlock()
 		return s
 	}
-	delete(m.sessions, c.Value)
+	delete(m.sessions, id)
 	m.mu.Unlock()
 	return m.Register(w, m.Detached())
 }

@@ -207,9 +207,10 @@ func TraceID(ctx context.Context) uint64 {
 // RecordSpan appends an already-completed span with explicit start and
 // end times to the context's trace — for stages measured before the
 // trace existed (admission queue wait happens before the request span
-// opens) or measured by code that cannot hold a SpanHandle. A no-op on
-// untraced contexts.
-func RecordSpan(ctx context.Context, name string, start, end time.Time, labels ...string) {
+// opens) or measured by code that cannot hold a SpanHandle — labelled
+// k=v. A no-op on untraced contexts, which allocates nothing: the label
+// list is made only for a trace.
+func RecordSpan(ctx context.Context, name string, start, end time.Time, k, v string) {
 	t, parent := FromContext(ctx)
 	if t == nil {
 		return
@@ -218,7 +219,7 @@ func RecordSpan(ctx context.Context, name string, start, end time.Time, labels .
 		ID:     t.newSpanID(),
 		Parent: parent,
 		Name:   name,
-		Labels: labels,
+		Labels: []string{k, v},
 		Start:  start.UnixNano(),
 		End:    end.UnixNano(),
 	})

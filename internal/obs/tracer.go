@@ -251,3 +251,17 @@ func (tr *Tracer) Handler() http.Handler {
 		})
 	})
 }
+
+// StatusWriter records the status a handler answers with, for a trace's
+// Finish or a request metric. Code starts at the status a handler that
+// never calls WriteHeader answers with, http.StatusOK.
+type StatusWriter struct {
+	http.ResponseWriter
+	Code int
+}
+
+// WriteHeader records the status and passes it on.
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Code = code
+	w.ResponseWriter.WriteHeader(code)
+}
